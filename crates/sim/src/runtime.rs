@@ -1,15 +1,18 @@
 //! The cooperative virtual-time scheduler.
 //!
-//! See the crate docs for the execution model. In short: every sim thread is
-//! an OS thread, exactly one holds the *run token* at a time, and the global
-//! clock advances to the earliest timer whenever no thread is runnable.
+//! See the crate docs for the execution model and the hand-off protocol. In
+//! short: every sim thread is an OS thread, exactly one holds the *run token*
+//! at a time, and the global clock advances to the earliest timer whenever no
+//! thread is runnable.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Virtual time in nanoseconds since the start of the simulation.
@@ -24,6 +27,8 @@ type Tid = usize;
 struct Ctx {
     sched: Arc<Scheduler>,
     tid: Tid,
+    /// This thread's own parker, so that parking never touches scheduler state.
+    parker: Arc<Parker>,
 }
 
 thread_local! {
@@ -67,25 +72,44 @@ pub(crate) fn assert_not_in_critical_section(op: &str) {
 // Parker
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
+/// Where a sim thread waits for the run token: one flag plus the OS thread's
+/// own park/unpark. The woken thread takes no lock, so it cannot be woken into
+/// one its waker still holds.
 struct Parker {
-    granted: Mutex<bool>,
-    cv: Condvar,
+    granted: AtomicBool,
+    /// The OS thread to wake. Empty only between registering a spawned thread
+    /// and its OS thread existing, and the spawner holds the run token for
+    /// all of that time, so no grant can find it empty.
+    thread: OnceLock<Thread>,
 }
 
 impl Parker {
-    fn park(&self) {
-        let mut g = self.granted.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
+    fn new(thread: Option<Thread>) -> Arc<Parker> {
+        Arc::new(Parker {
+            granted: AtomicBool::new(false),
+            thread: thread.map(OnceLock::from).unwrap_or_default(),
+        })
     }
 
+    /// Waits for a grant and consumes it. A grant that arrived before this
+    /// call (the successor ran and handed the token back before its
+    /// predecessor got here) returns at once; the loop absorbs the stale
+    /// `unpark` token that leaves behind, and spurious wake-ups.
+    fn park(&self) {
+        // Acquire pairs with the Release in `unpark`: everything the granting
+        // thread did while it held the token is visible to this one.
+        while !self.granted.swap(false, Ordering::Acquire) {
+            std::thread::park();
+        }
+    }
+
+    /// Grants the run token. Call with no lock held.
     fn unpark(&self) {
-        let mut g = self.granted.lock();
-        *g = true;
-        self.cv.notify_one();
+        self.granted.store(true, Ordering::Release);
+        self.thread
+            .get()
+            .expect("a thread is granted only after its OS thread was spawned")
+            .unpark();
     }
 }
 
@@ -136,7 +160,6 @@ impl Ord for Timer {
 }
 
 struct State {
-    now: Nanos,
     run_queue: VecDeque<Tid>,
     timers: BinaryHeap<Timer>,
     threads: Vec<ThreadInfo>,
@@ -146,20 +169,31 @@ struct State {
     timer_events: u64,
 }
 
-pub(crate) struct Scheduler {
+struct Scheduler {
     state: Mutex<State>,
+    /// The virtual clock. Written only under the `state` lock, by the thread
+    /// that holds the run token; read without it by `now_nanos`. Relaxed is
+    /// enough: a reader holds the run token, and the hand-off that gave it
+    /// the token (state lock, then `Parker` Release/Acquire) orders every
+    /// earlier write before it.
+    now: AtomicU64,
 }
 
-enum After {
-    Continue,
-    Park,
+/// What [`Scheduler::pick_next`] decided.
+enum Next {
+    /// The pick landed on the caller, which keeps the run token.
+    Caller,
+    /// Wake this thread once the state lock is released.
+    Wake(Arc<Parker>),
+    /// No live thread is left; only the last thread to exit sees this.
+    Drained,
 }
 
 impl Scheduler {
     fn new() -> Arc<Scheduler> {
         Arc::new(Scheduler {
+            now: AtomicU64::new(0),
             state: Mutex::new(State {
-                now: 0,
                 run_queue: VecDeque::new(),
                 timers: BinaryHeap::new(),
                 threads: Vec::new(),
@@ -171,101 +205,47 @@ impl Scheduler {
         })
     }
 
-    /// Pick the next thread to run. `me` is the calling thread if it intends
-    /// to park; if the pick lands on `me`, the caller keeps running instead.
-    fn schedule_next(&self, st: &mut State, me: Option<Tid>) -> After {
-        if let Some(next) = st.run_queue.pop_front() {
-            st.threads[next].status = Status::Running;
-            if Some(next) == me {
-                return After::Continue;
-            }
-            st.switches += 1;
-            st.threads[next].parker.unpark();
-            return After::Park;
-        }
-        if let Some(t) = st.timers.pop() {
-            debug_assert!(t.wake_at >= st.now, "timer in the past");
-            st.now = st.now.max(t.wake_at);
-            st.timer_events += 1;
-            st.threads[t.tid].status = Status::Running;
-            if Some(t.tid) == me {
-                return After::Continue;
-            }
-            st.switches += 1;
-            st.threads[t.tid].parker.unpark();
-            return After::Park;
-        }
-        if st.live == 0 {
-            // Simulation is fully drained; nothing to do.
-            return After::Park;
-        }
-        let mut report = String::new();
-        for (i, th) in st.threads.iter().enumerate() {
-            if th.status != Status::Dead {
-                report.push_str(&format!("\n  [{}] {:?} — {:?}", i, th.name, th.status));
-            }
-        }
-        panic!(
-            "xlsm-sim deadlock at t={} ns: no runnable threads and no pending timers; live threads:{report}",
-            st.now
-        );
-    }
-
-    fn grant_and_park(self: &Arc<Self>, tid: Tid, mut st: parking_lot::MutexGuard<'_, State>) {
-        match self.schedule_next(&mut st, Some(tid)) {
-            After::Continue => {}
-            After::Park => {
-                let parker = Arc::clone(&st.threads[tid].parker);
-                drop(st);
-                parker.park();
-            }
-        }
-    }
-
-    /// Block the current thread for `reason` until another thread calls
-    /// [`Scheduler::unblock`]. The caller must already have registered itself
-    /// with whatever object will later wake it.
-    pub(crate) fn block_current(self: &Arc<Self>, tid: Tid, reason: &'static str) {
-        let mut st = self.state.lock();
-        st.threads[tid].status = Status::Blocked(reason);
-        self.grant_and_park(tid, st);
-    }
-
-    /// Make a blocked thread runnable again (FIFO order).
-    pub(crate) fn unblock(&self, tid: Tid) {
-        let mut st = self.state.lock();
-        debug_assert!(
-            matches!(st.threads[tid].status, Status::Blocked(_)),
-            "unblock() on a thread that is not blocked: {:?} is {:?}",
-            st.threads[tid].name,
-            st.threads[tid].status
-        );
-        st.threads[tid].status = Status::Runnable;
-        st.run_queue.push_back(tid);
-    }
-
-    fn sleep_nanos(self: &Arc<Self>, tid: Tid, d: Nanos) {
-        let mut st = self.state.lock();
-        st.seq += 1;
-        let wake_at = st.now.saturating_add(d);
-        let seq = st.seq;
-        st.timers.push(Timer { wake_at, seq, tid });
-        st.threads[tid].status = Status::Sleeping;
-        self.grant_and_park(tid, st);
-    }
-
-    fn yield_now(self: &Arc<Self>, tid: Tid) {
-        let mut st = self.state.lock();
-        st.threads[tid].status = Status::Runnable;
-        st.run_queue.push_back(tid);
-        self.grant_and_park(tid, st);
-    }
-
     fn now(&self) -> Nanos {
-        self.state.lock().now
+        self.now.load(Ordering::Relaxed)
     }
 
-    fn exit_current(self: &Arc<Self>, tid: Tid) {
+    /// Picks the next thread to run and marks it running, advancing the clock
+    /// to the earliest timer if nobody is runnable. `me` is the calling
+    /// thread if it intends to park. Wakes nobody: the caller does that after
+    /// releasing the state lock.
+    fn pick_next(&self, st: &mut State, me: Option<Tid>) -> Next {
+        let next = if let Some(next) = st.run_queue.pop_front() {
+            next
+        } else if let Some(t) = st.timers.pop() {
+            debug_assert!(t.wake_at >= self.now(), "timer in the past");
+            self.now.store(self.now().max(t.wake_at), Ordering::Relaxed);
+            st.timer_events += 1;
+            t.tid
+        } else if st.live == 0 {
+            return Next::Drained;
+        } else {
+            let mut report = String::new();
+            for (i, th) in st.threads.iter().enumerate() {
+                if th.status != Status::Dead {
+                    report.push_str(&format!("\n  [{}] {:?} — {:?}", i, th.name, th.status));
+                }
+            }
+            panic!(
+                "xlsm-sim deadlock at t={} ns: no runnable threads and no pending timers; live threads:{report}",
+                self.now()
+            );
+        };
+        st.threads[next].status = Status::Running;
+        if Some(next) == me {
+            return Next::Caller;
+        }
+        st.switches += 1;
+        Next::Wake(Arc::clone(&st.threads[next].parker))
+    }
+
+    /// Retires the calling thread and hands the token on; its OS thread is
+    /// about to finish.
+    fn exit_current(&self, tid: Tid) {
         let mut st = self.state.lock();
         st.threads[tid].status = Status::Dead;
         st.live -= 1;
@@ -274,10 +254,30 @@ impl Scheduler {
             st.threads[j].status = Status::Runnable;
             st.run_queue.push_back(j);
         }
-        // Hand the token on; this thread's OS thread is about to finish.
-        match self.schedule_next(&mut st, None) {
-            After::Continue => unreachable!("exiting thread cannot be rescheduled"),
-            After::Park => {}
+        let next = self.pick_next(&mut st, None);
+        drop(st);
+        match next {
+            Next::Caller => unreachable!("exiting thread cannot be rescheduled"),
+            Next::Wake(successor) => successor.unpark(),
+            Next::Drained => {}
+        }
+    }
+}
+
+impl Ctx {
+    /// Gives up the run token: pick the successor under the lock, release the
+    /// lock, wake the successor, then park. Waking first and unlocking second
+    /// would schedule the successor straight into the held lock.
+    fn grant_and_park(&self, mut st: parking_lot::MutexGuard<'_, State>) {
+        let next = self.sched.pick_next(&mut st, Some(self.tid));
+        drop(st);
+        match next {
+            Next::Caller => {}
+            Next::Wake(successor) => {
+                successor.unpark();
+                self.parker.park();
+            }
+            Next::Drained => unreachable!("the calling thread is alive"),
         }
     }
 }
@@ -336,12 +336,13 @@ impl Runtime {
     /// * if the simulation deadlocks (no runnable thread and no timer).
     pub fn run<T>(self, f: impl FnOnce() -> T) -> T {
         assert!(!in_sim(), "nested Runtime::run is not supported");
-        let sched = Arc::clone(&self.sched);
+        let sched = self.sched;
+        let parker = Parker::new(Some(std::thread::current()));
         {
             let mut st = sched.state.lock();
             st.threads.push(ThreadInfo {
                 name: "root".to_owned(),
-                parker: Arc::new(Parker::default()),
+                parker: Arc::clone(&parker),
                 status: Status::Running,
                 daemon: false,
                 joiners: Vec::new(),
@@ -352,6 +353,7 @@ impl Runtime {
             *c.borrow_mut() = Some(Ctx {
                 sched: Arc::clone(&sched),
                 tid: 0,
+                parker,
             })
         });
         let result = catch_unwind(AssertUnwindSafe(f));
@@ -376,17 +378,6 @@ impl Runtime {
             Err(payload) => resume_unwind(payload),
         }
     }
-
-    /// Scheduler counters observed so far (callable after `run` via a clone
-    /// taken before, or from inside the simulation via [`stats`]).
-    pub fn stats(&self) -> RuntimeStats {
-        let st = self.sched.state.lock();
-        RuntimeStats {
-            switches: st.switches,
-            timer_events: st.timer_events,
-            now: st.now,
-        }
-    }
 }
 
 /// Scheduler counters for the current simulation.
@@ -396,7 +387,7 @@ pub fn stats() -> RuntimeStats {
         RuntimeStats {
             switches: st.switches,
             timer_events: st.timer_events,
-            now: st.now,
+            now: ctx.sched.now(),
         }
     })
 }
@@ -424,21 +415,59 @@ pub fn sleep(d: Duration) {
 /// [`sleep`] with a raw nanosecond count. `sleep_nanos(0)` still yields.
 pub fn sleep_nanos(d: Nanos) {
     assert_not_in_critical_section("sleep");
-    with_ctx(|ctx| Arc::clone(&ctx.sched).sleep_nanos(ctx.tid, d));
+    with_ctx(|ctx| {
+        let mut st = ctx.sched.state.lock();
+        st.seq += 1;
+        let timer = Timer {
+            wake_at: ctx.sched.now().saturating_add(d),
+            seq: st.seq,
+            tid: ctx.tid,
+        };
+        st.timers.push(timer);
+        st.threads[ctx.tid].status = Status::Sleeping;
+        ctx.grant_and_park(st);
+    });
 }
 
 /// Cooperatively yields to other runnable threads without advancing time.
 pub fn yield_now() {
     assert_not_in_critical_section("yield_now");
-    with_ctx(|ctx| Arc::clone(&ctx.sched).yield_now(ctx.tid));
+    with_ctx(|ctx| {
+        let mut st = ctx.sched.state.lock();
+        st.threads[ctx.tid].status = Status::Runnable;
+        st.run_queue.push_back(ctx.tid);
+        ctx.grant_and_park(st);
+    });
 }
 
 pub(crate) fn current_tid() -> Tid {
     with_ctx(|ctx| ctx.tid)
 }
 
-pub(crate) fn current_sched() -> Arc<Scheduler> {
-    with_ctx(|ctx| Arc::clone(&ctx.sched))
+/// Blocks the calling thread for `reason` (shown in deadlock reports) until
+/// another thread calls [`unblock`] on it. The caller must already have
+/// registered itself with whatever object will later wake it.
+pub(crate) fn block_current(reason: &'static str) {
+    with_ctx(|ctx| {
+        let mut st = ctx.sched.state.lock();
+        st.threads[ctx.tid].status = Status::Blocked(reason);
+        ctx.grant_and_park(st);
+    });
+}
+
+/// Makes a blocked thread runnable again (FIFO order).
+pub(crate) fn unblock(tid: Tid) {
+    with_ctx(|ctx| {
+        let mut st = ctx.sched.state.lock();
+        debug_assert!(
+            matches!(st.threads[tid].status, Status::Blocked(_)),
+            "unblock() on a thread that is not blocked: {:?} is {:?}",
+            st.threads[tid].name,
+            st.threads[tid].status
+        );
+        st.threads[tid].status = Status::Runnable;
+        st.run_queue.push_back(tid);
+    });
 }
 
 /// Result slot shared between a sim thread and its join handle.
@@ -447,7 +476,6 @@ type ResultSlot<T> = Arc<Mutex<Option<std::thread::Result<T>>>>;
 /// Owner handle for a spawned sim thread; join to retrieve its result.
 pub struct JoinHandle<T> {
     tid: Tid,
-    sched: Arc<Scheduler>,
     slot: ResultSlot<T>,
     os_handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -469,19 +497,14 @@ impl<T> JoinHandle<T> {
     /// followed by `unwrap`.
     pub fn join(mut self) -> T {
         assert_not_in_critical_section("join");
-        let me = current_tid();
-        let need_wait = {
-            let mut st = self.sched.state.lock();
+        with_ctx(|ctx| {
+            let mut st = ctx.sched.state.lock();
             if st.threads[self.tid].status != Status::Dead {
-                st.threads[self.tid].joiners.push(me);
-                true
-            } else {
-                false
+                st.threads[self.tid].joiners.push(ctx.tid);
+                st.threads[ctx.tid].status = Status::Blocked("join");
+                ctx.grant_and_park(st);
             }
-        };
-        if need_wait {
-            self.sched.block_current(me, "join");
-        }
+        });
         // Reap the OS thread so nothing leaks past the runtime.
         if let Some(h) = self.os_handle.take() {
             let _ = h.join();
@@ -504,9 +527,9 @@ fn spawn_inner<T: Send + 'static>(
     f: impl FnOnce() -> T + Send + 'static,
 ) -> JoinHandle<T> {
     assert_not_in_critical_section("spawn");
-    let sched = current_sched();
+    let sched = with_ctx(|ctx| Arc::clone(&ctx.sched));
     let slot: ResultSlot<T> = Arc::new(Mutex::new(None));
-    let parker = Arc::new(Parker::default());
+    let parker = Parker::new(None);
 
     let tid = {
         let mut st = sched.state.lock();
@@ -523,29 +546,35 @@ fn spawn_inner<T: Send + 'static>(
         tid
     };
 
-    let sched2 = Arc::clone(&sched);
     let slot2 = Arc::clone(&slot);
+    let parker2 = Arc::clone(&parker);
     let os_handle = std::thread::Builder::new()
         .name(name.to_owned())
         .spawn(move || {
             // Wait to be granted the run token for the first time.
-            parker.park();
+            parker2.park();
             CURRENT.with(|c| {
                 *c.borrow_mut() = Some(Ctx {
-                    sched: Arc::clone(&sched2),
+                    sched: Arc::clone(&sched),
                     tid,
+                    parker: parker2,
                 })
             });
             let result = catch_unwind(AssertUnwindSafe(f));
             *slot2.lock() = Some(result);
             CURRENT.with(|c| *c.borrow_mut() = None);
-            sched2.exit_current(tid);
+            sched.exit_current(tid);
         })
         .expect("failed to spawn OS thread for sim thread");
+    // The spawner still holds the run token, so nobody has tried to wake the
+    // new thread yet.
+    parker
+        .thread
+        .set(os_handle.thread().clone())
+        .expect("set once, here");
 
     JoinHandle {
         tid,
-        sched,
         slot,
         os_handle: Some(os_handle),
     }
@@ -744,11 +773,29 @@ mod tests {
     }
 
     #[test]
+    fn grant_before_park_is_kept_and_consumed_once() {
+        let parker = Parker::new(Some(std::thread::current()));
+        // The early wake: the grant lands before its target has parked.
+        parker.unpark();
+        parker.park();
+        // That park consumed the grant but not the OS-level unpark token; the
+        // stale token must not satisfy the next park on its own.
+        let granted_again = Arc::new(AtomicBool::new(false));
+        let waker = {
+            let (parker, granted_again) = (Arc::clone(&parker), Arc::clone(&granted_again));
+            std::thread::spawn(move || {
+                granted_again.store(true, Ordering::SeqCst);
+                parker.unpark();
+            })
+        };
+        parker.park();
+        assert!(granted_again.load(Ordering::SeqCst));
+        waker.join().unwrap();
+    }
+
+    #[test]
     fn runtime_stats_count_switches() {
-        let rt = Runtime::new();
-        // `run` consumes the runtime, so sample stats through a pre-run probe:
-        // stats() free function from inside instead.
-        let s = rt.run(|| {
+        let s = Runtime::new().run(|| {
             let h = spawn("w", || sleep(Duration::from_micros(1)));
             h.join();
             stats()

@@ -7,7 +7,7 @@
 //! sim threads — the primitives below rely on that property and therefore
 //! need no lost-wakeup dance.
 
-use crate::runtime::{self, assert_not_in_critical_section, current_sched, current_tid};
+use crate::runtime::{self, assert_not_in_critical_section, current_tid};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -135,14 +135,14 @@ impl WaitSet {
         assert_not_in_critical_section("WaitSet::wait");
         let tid = current_tid();
         self.waiters.lock().push_back(tid);
-        current_sched().block_current(tid, self.name);
+        runtime::block_current(self.name);
     }
 
     /// Wakes the longest-waiting thread; returns whether one was woken.
     pub fn notify_one(&self) -> bool {
         let woken = self.waiters.lock().pop_front();
         if let Some(tid) = woken {
-            current_sched().unblock(tid);
+            runtime::unblock(tid);
             true
         } else {
             false
@@ -152,10 +152,9 @@ impl WaitSet {
     /// Wakes every waiting thread (FIFO); returns how many were woken.
     pub fn notify_all(&self) -> usize {
         let drained: Vec<usize> = self.waiters.lock().drain(..).collect();
-        let sched = current_sched();
         let n = drained.len();
         for tid in drained {
-            sched.unblock(tid);
+            runtime::unblock(tid);
         }
         n
     }
@@ -224,9 +223,8 @@ impl Semaphore {
             }
             inner.queue.push_back((tid, n));
         }
-        let sched = current_sched();
         loop {
-            sched.block_current(tid, self.name);
+            runtime::block_current(self.name);
             if self.inner.lock().granted.remove(&tid) {
                 return;
             }
@@ -250,9 +248,8 @@ impl Semaphore {
                 }
             }
         }
-        let sched = current_sched();
         for tid in to_wake {
-            sched.unblock(tid);
+            runtime::unblock(tid);
         }
     }
 

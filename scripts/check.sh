@@ -3,75 +3,73 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# Announces a step, after saying how long the one before it took.
+step_started=
+step() {
+    [[ -z $step_started ]] || echo "    ($((SECONDS - step_started)) s)"
+    step_started=$SECONDS
+    echo "==> $1"
+}
+
+step "cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --workspace"
+step "cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> crash-consistency suite (fault injection + power cuts)"
+step "crash-consistency suite (fault injection + power cuts)"
 cargo test -q --test crash_recovery
 
-echo "==> crash-torture smoke: 64 seeded cut points, all four WAL recovery modes"
+step "crash-torture smoke: 64 seeded cut points, all four WAL recovery modes"
 # The binary's recovery_is_deterministic_for_seed_and_cut test re-runs two
 # cut points twice and asserts byte-identical recovered state, so this line
 # also covers the same-seed => same-bytes determinism gate.
 XLSM_TORTURE_CUTS=64 cargo test -q --test crash_torture
 
-echo "==> full-disk suite: capacity exhaustion, soft-ENOSPC stalls, trash reclamation"
+step "full-disk suite: capacity exhaustion, soft-ENOSPC stalls, trash reclamation"
 # fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles and
 # power_cut_at_the_capacity_edge_loses_no_acked_write are the acceptance
 # legs: capacity overruns stall (never error), auto-resume within one
 # SpaceWatcher poll, and lose no acked write across a cut at the edge.
 cargo test -q --test enospc
 
-echo "==> corruption sweep: seeded bit flips over SST/WAL/MANIFEST, scrubber cycle"
+step "corruption sweep: seeded bit flips over SST/WAL/MANIFEST, scrubber cycle"
 # seeded_flip_sweep_never_silently_wrong_and_deterministic runs the full
 # sweep twice with one seed and asserts an identical outcome log, so this
 # line is also a determinism gate.
 cargo test -q -p xlsm-engine --test integrity
 
-echo "==> scheduling suite: policy equivalence, fairness bound, I/O-budget admission"
+step "scheduling suite: policy equivalence, fairness bound, I/O-budget admission"
 # every_policy_yields_byte_identical_final_state replays one op tape under
 # greedy / round-robin / fair(+limiter) scheduling and asserts an identical
 # logical database, so this line is also a determinism gate.
 cargo test -q --test scheduling
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo fmt --check"
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "==> determinism: parallelism probe twice with one seed, byte-identical JSON"
-par_a="$(mktemp)" par_b="$(mktemp)"
-wp_a="$(mktemp)" wp_b="$(mktemp)"
-rp_a="$(mktemp)" rp_b="$(mktemp)"
-st_a="$(mktemp)" st_b="$(mktemp)"
-sp_a="$(mktemp)" sp_b="$(mktemp)"
-trap 'rm -f "$par_a" "$par_b" "$wp_a" "$wp_b" "$rp_a" "$rp_b" "$st_a" "$st_b" "$sp_a" "$sp_b"' EXIT
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin parallelism -- "$par_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin parallelism -- "$par_b" >/dev/null
-cmp "$par_a" "$par_b"
+# Sim threads are OS threads of which one runs at a time. On one CPU a
+# hand-off is a context switch; across CPUs it wakes an idle CPU each time
+# (the stability probe: 74 s pinned, 6 to 30 min not, on a 2-vCPU sandbox).
+pin=()
+if command -v taskset >/dev/null; then
+    cpus=$(awk '/^Cpus_allowed_list/ {print $2}' /proc/self/status)
+    pin=(taskset -c "${cpus##*[,-]}")
+fi
+probe_a="$(mktemp)" probe_b="$(mktemp)"
+trap 'rm -f "$probe_a" "$probe_b"' EXIT
+for probe in parallelism writepath readpath stability space; do
+    step "determinism: $probe probe twice with one seed, byte-identical JSON"
+    for out in "$probe_a" "$probe_b"; do
+        XLSM_QUICK=1 "${pin[@]}" cargo run -q --release -p xlsm-bench --bin "$probe" -- "$out" >/dev/null
+    done
+    cmp "$probe_a" "$probe_b"
+done
 
-echo "==> determinism: writepath probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin writepath -- "$wp_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin writepath -- "$wp_b" >/dev/null
-cmp "$wp_a" "$wp_b"
+step "benchmark package's own tests"
+bash benchmark/run.sh test
 
-echo "==> determinism: readpath probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin readpath -- "$rp_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin readpath -- "$rp_b" >/dev/null
-cmp "$rp_a" "$rp_b"
-
-echo "==> determinism: stability probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin stability -- "$st_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin stability -- "$st_b" >/dev/null
-cmp "$st_a" "$st_b"
-
-echo "==> determinism: space probe twice with one seed, byte-identical JSON"
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin space -- "$sp_a" >/dev/null
-XLSM_QUICK=1 cargo run -q --release -p xlsm-bench --bin space -- "$sp_b" >/dev/null
-cmp "$sp_a" "$sp_b"
-
-echo "==> all checks passed"
+step "all checks passed in $SECONDS s"
