@@ -1,0 +1,213 @@
+//! The probe CLI: one deterministic JSON report per subsystem, plus a
+//! diagnostic counter dump.
+//!
+//! ```text
+//! cargo run -p xlsm-bench --release --bin xlsm-bench -- <parallelism|writepath|readpath|stability|space> [out.json]
+//! XLSM_QUICK=1 cargo run -p xlsm-bench --release --bin xlsm-bench -- stability
+//! cargo run -p xlsm-bench --release --bin xlsm-bench -- probe <device> <write_pct> <threads> [secs]
+//! ```
+//!
+//! A report (default `BENCH_<name>.json`) carries no timestamps or
+//! wall-clock data: two runs with the same seed must produce byte-identical
+//! files (`scripts/check.sh` enforces this). `probe` runs one workload
+//! configuration and dumps engine, filesystem and device counters — a
+//! calibration/debugging aid, not a paper figure.
+
+use std::sync::Arc;
+use xlsm_bench::common::{with_testbed, BenchConfig};
+use xlsm_bench::{parallelism, readpath, space, stability, writepath};
+use xlsm_core::report::Table;
+use xlsm_device::{profiles, Device};
+use xlsm_engine::{DbOptions, Ticker};
+use xlsm_workload::run_workload;
+
+/// Runs one probe, returning its printable tables and its JSON.
+type Probe = fn(&BenchConfig) -> (Vec<(String, Table)>, String);
+
+const PROBES: [(&str, Probe); 5] = [
+    ("parallelism", |cfg| {
+        let r = parallelism::run(cfg);
+        (r.tables(), r.to_json())
+    }),
+    ("writepath", |cfg| {
+        let r = writepath::run(cfg);
+        (r.tables(), r.to_json())
+    }),
+    ("readpath", |cfg| {
+        let r = readpath::run(cfg);
+        (r.tables(), r.to_json())
+    }),
+    ("stability", |cfg| {
+        let r = stability::run(cfg);
+        (r.tables(), r.to_json())
+    }),
+    ("space", |cfg| {
+        let r = space::run(cfg);
+        (r.tables(), r.to_json())
+    }),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = args.first().map(String::as_str).unwrap_or("");
+    if name == "probe" {
+        return dump_counters(&args[1..]);
+    }
+    let Some((_, run)) = PROBES.iter().find(|(n, _)| *n == name) else {
+        let names: Vec<&str> = PROBES.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "usage: xlsm-bench <{}> [out.json]\n       \
+             xlsm-bench probe <device> <write_pct> <threads> [secs]",
+            names.join("|")
+        );
+        std::process::exit(2);
+    };
+    let out = args
+        .get(1)
+        .cloned()
+        .unwrap_or_else(|| format!("BENCH_{name}.json"));
+    let cfg = BenchConfig::from_env();
+    eprintln!(
+        "[{name}] config: {} keys x {} B, seed {:#x}",
+        cfg.key_count, cfg.value_size, cfg.seed
+    );
+    let t0 = std::time::Instant::now();
+    let (tables, json) = run(&cfg);
+    for (_, table) in tables {
+        println!("{table}");
+    }
+    if let Err(e) = std::fs::write(&out, json) {
+        eprintln!("[{name}] failed to write {out}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!(
+        "[{name}] wrote {out} in {:.1}s wall",
+        t0.elapsed().as_secs_f64()
+    );
+}
+
+fn dump_counters(args: &[String]) {
+    let device = args.first().map(String::as_str).unwrap_or("3d-xpoint");
+    let write_pct: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(50.0);
+    let threads: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
+    let secs: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(3);
+    if !(0.0..=100.0).contains(&write_pct) {
+        eprintln!("error: write_pct must be in 0..=100, got {write_pct}");
+        std::process::exit(2);
+    }
+    if threads == 0 || secs == 0 {
+        eprintln!("error: threads and secs must be positive");
+        std::process::exit(2);
+    }
+    let profile = match device {
+        "sata-flash" | "sata" => profiles::intel_530_sata(),
+        "pcie-flash" | "pcie" => profiles::intel_750_pcie(),
+        "3d-xpoint" | "xpoint" | "optane" => profiles::optane_900p(),
+        other => {
+            eprintln!("error: unknown device {other:?} (use sata | pcie | xpoint)");
+            std::process::exit(2);
+        }
+    };
+    let cfg = BenchConfig {
+        duration: std::time::Duration::from_secs(secs),
+        ..BenchConfig::from_env()
+    };
+    let spec = cfg
+        .spec()
+        .with_threads(threads)
+        .with_write_fraction(write_pct / 100.0);
+    let device = device.to_owned();
+
+    with_testbed(profile, DbOptions::default, &cfg, move |tb| {
+        let fill_done = xlsm_sim::now_nanos();
+        let db_probe = Arc::clone(&tb.db);
+        let l0_sampler =
+            xlsm_workload::Sampler::start("l0", 20_000_000, move || db_probe.num_l0_files() as f64);
+        let db_probe2 = Arc::clone(&tb.db);
+        let rate_sampler = xlsm_workload::Sampler::start("rate", 20_000_000, move || {
+            use xlsm_engine::controller::StallLevel;
+            match db_probe2.controller_snapshot().level {
+                StallLevel::Clear => 0.0,
+                StallLevel::GentleDelay { .. } => 1.0,
+                StallLevel::Delay => 2.0,
+                StallLevel::Stop => 3.0,
+            }
+        });
+        let r = run_workload(&tb.db, &spec);
+        let l0s = l0_sampler.finish();
+        let levels = rate_sampler.finish();
+        let max_l0 = l0s.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
+        let avg_l0 = l0s.iter().map(|&(_, v)| v).sum::<f64>() / l0s.len() as f64;
+        let frac =
+            |x: f64| levels.iter().filter(|&&(_, v)| v == x).count() as f64 / levels.len() as f64;
+        println!(
+            "L0: avg={avg_l0:.1} max={max_l0:.0}; stall-level time: clear={:.0}% gentle={:.0}% delay={:.0}% stop={:.0}%",
+            frac(0.0) * 100.0, frac(1.0) * 100.0, frac(2.0) * 100.0, frac(3.0) * 100.0
+        );
+        let stats = tb.db.stats();
+        println!("=== run: {device} {write_pct}% writes, {threads} threads, {secs}s ===");
+        println!("fill wall-clock (virtual): {:.2}s", fill_done as f64 / 1e9);
+        println!(
+            "kops={:.1} reads={} writes={} read_p50={:.0}us read_p90={:.0}us write_p50={:.0}us write_p90={:.0}us",
+            r.kops(), r.reads, r.writes,
+            r.read_latency.p50_ns as f64 / 1e3,
+            r.read_latency.p90_ns as f64 / 1e3,
+            r.write_latency.p50_ns as f64 / 1e3,
+            r.write_latency.p90_ns as f64 / 1e3,
+        );
+        println!(
+            "min_bucket={:.1} kops, avg_waiting_writers={:.2}",
+            r.min_bucket_kops(),
+            r.avg_waiting_writers
+        );
+        let shape = tb.db.shape();
+        println!(
+            "shape: files/level={:?} imm={} mutable={}KB",
+            shape.files_per_level,
+            shape.immutables,
+            shape.mutable_bytes / 1024
+        );
+        println!("controller: {:?}", tb.db.controller_snapshot());
+        for t in [
+            Ticker::Gets,
+            Ticker::Puts,
+            Ticker::GetHitMemtable,
+            Ticker::GetHitImmutable,
+            Ticker::GetHitL0,
+            Ticker::GetHitLn,
+            Ticker::GetMiss,
+            Ticker::L0FilesSearched,
+            Ticker::BlockCacheHit,
+            Ticker::BlockCacheMiss,
+            Ticker::FlushCount,
+            Ticker::FlushBytes,
+            Ticker::CompactionCount,
+            Ticker::CompactReadBytes,
+            Ticker::CompactWriteBytes,
+            Ticker::TrivialMoves,
+            Ticker::StallDelayedWrites,
+            Ticker::StallStoppedWrites,
+            Ticker::StallMicros,
+            Ticker::WalBytes,
+            Ticker::WriteGroupsLed,
+            Ticker::WritesJoinedGroup,
+        ] {
+            println!("  {:?} = {}", t, stats.ticker(t));
+        }
+        println!(
+            "flush_dur p90 = {}us, compaction_dur p90 = {}us (n={})",
+            stats.flush_duration.quantile(0.9) / 1000,
+            stats.compaction_duration.quantile(0.9) / 1000,
+            stats.compaction_duration.count()
+        );
+        let fstats = tb.fs.stats();
+        println!("fs: {fstats:?}");
+        let d = tb.device.stats();
+        println!(
+            "device: reads={} writes={} pages_r={} pages_w={} mean_read={}us mean_write={}us stall_ms={} amp={:.2}",
+            d.reads, d.writes, d.pages_read, d.pages_written,
+            d.mean_read_ns() / 1000, d.mean_write_ns() / 1000,
+            d.write_stall_ns / 1_000_000, d.write_amp
+        );
+    });
+}

@@ -76,48 +76,61 @@ pub fn devices() -> Vec<DeviceProfile> {
     xlsm_device::profiles::paper_devices()
 }
 
-/// Builds a testbed, fills it, and runs `specs` back to back (reusing the
-/// filled database), returning one result per spec. Runs in its own sim
-/// runtime.
+/// Runs `body` on a freshly filled testbed inside its own sim runtime — the
+/// one primitive every figure and probe goes through. The options are built
+/// *inside* the runtime because they may carry sim-bound resources (an NVM
+/// filesystem for the WAL).
+pub fn with_testbed<T: Send + 'static>(
+    profile: DeviceProfile,
+    make_opts: impl FnOnce() -> DbOptions + Send + 'static,
+    cfg: &BenchConfig,
+    body: impl FnOnce(&Testbed) -> T + Send + 'static,
+) -> T {
+    let cfg = *cfg;
+    Runtime::new().run(move || {
+        let tb = Testbed::new(profile, make_opts(), cfg.dataset_bytes()).expect("testbed");
+        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+        let out = body(&tb);
+        tb.close();
+        out
+    })
+}
+
+/// Runs `specs` back to back on one filled database, returning one result
+/// per spec.
 pub fn run_sequence(
     profile: DeviceProfile,
     opts: DbOptions,
     cfg: &BenchConfig,
     specs: Vec<WorkloadSpec>,
 ) -> Vec<WorkloadResult> {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
-        let mut out = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            out.push(run_workload(&tb.db, spec));
-            // Let the LSM settle between points so each measurement starts
-            // from a comparable shape (like separate db_bench invocations).
-            tb.db.flush().expect("flush");
-            tb.db.wait_for_compactions();
-        }
-        tb.close();
-        out
-    })
+    with_testbed(
+        profile,
+        move || opts,
+        cfg,
+        move |tb| {
+            let mut out = Vec::with_capacity(specs.len());
+            for spec in &specs {
+                out.push(run_workload(&tb.db, spec));
+                // Let the LSM settle between points so each measurement starts
+                // from a comparable shape (like separate db_bench invocations).
+                tb.db.flush().expect("flush");
+                tb.db.wait_for_compactions();
+            }
+            out
+        },
+    )
 }
 
-/// Like [`run_one`] but the options are constructed *inside* the sim
-/// runtime (needed when they carry sim-bound resources such as an NVM
-/// filesystem for the WAL).
+/// One workload on options constructed inside the sim runtime.
 pub fn run_one_with_opts(
     profile: DeviceProfile,
     make_opts: impl FnOnce() -> DbOptions + Send + 'static,
     cfg: &BenchConfig,
     spec: WorkloadSpec,
 ) -> WorkloadResult {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, make_opts(), cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
-        let r = run_workload(&tb.db, &spec);
-        tb.close();
-        r
+    with_testbed(profile, make_opts, cfg, move |tb| {
+        run_workload(&tb.db, &spec)
     })
 }
 
@@ -133,25 +146,202 @@ pub fn run_one(
         .expect("one result")
 }
 
-/// Runs a closure inside a fresh testbed (fill included), for figures that
-/// need custom instrumentation beyond a plain workload result.
-pub fn with_testbed<T: Send + 'static>(
-    profile: DeviceProfile,
-    opts: DbOptions,
-    cfg: &BenchConfig,
-    body: impl FnOnce(&Testbed) -> T + Send + 'static,
-) -> T {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
-        let out = body(&tb);
-        tb.close();
-        out
-    })
+/// Nanoseconds as microseconds.
+pub fn us(ns: u64) -> f64 {
+    ns as f64 / 1e3
+}
+
+/// Bytes as MiB.
+pub fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1 << 20) as f64
 }
 
 /// Short device label for table rows.
 pub fn label(profile: &DeviceProfile) -> &'static str {
     profile.kind.label()
+}
+
+/// One value in a [`JsonReport`]; the kind fixes how it prints, so a report
+/// is byte-identical across runs with the same seed.
+#[derive(Clone, Copy, Debug)]
+pub enum Cell<'a> {
+    /// A quoted string.
+    Str(&'a str),
+    /// An integer.
+    Int(u64),
+    /// A float printed `{:.3}` — every measured value.
+    F3(f64),
+    /// A float printed `{:.1}` — configuration values.
+    F1(f64),
+    /// A list of floats, each printed `{:.3}`.
+    F3List(&'a [f64]),
+}
+
+impl std::fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cell::Str(s) => write!(f, "\"{s}\""),
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::F3(x) => write!(f, "{x:.3}"),
+            Cell::F1(x) => write!(f, "{x:.1}"),
+            Cell::F3List(xs) => {
+                let items: Vec<String> = xs.iter().map(|x| format!("{x:.3}")).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+        }
+    }
+}
+
+/// One JSON object: named cells in declaration order.
+pub type JsonRow<'a> = Vec<(&'static str, Cell<'a>)>;
+
+/// The one shape every probe emits: the bench name, a `config` object, and
+/// named sections of rows. Written by hand (the bench crate carries no
+/// serde) with the field order and float precision fixed by the
+/// declaration, so two runs with the same seed produce byte-identical
+/// files — which is what the determinism gate in `scripts/check.sh` diffs.
+#[derive(Clone, Debug)]
+pub struct JsonReport<'a> {
+    /// Value of the top-level `"bench"` field.
+    pub bench: &'static str,
+    /// The `"config"` object.
+    pub config: JsonRow<'a>,
+    /// `(name, rows)` per section, one row per line.
+    pub sections: Vec<(&'static str, Vec<JsonRow<'a>>)>,
+}
+
+fn json_object(row: &JsonRow<'_>) -> String {
+    let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+impl JsonReport<'_> {
+    /// Serializes the report.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut s = format!(
+            "{{\n  \"bench\": \"{}\",\n  \"config\": {}",
+            self.bench,
+            json_object(&self.config)
+        );
+        for (name, rows) in &self.sections {
+            s.push_str(&format!(",\n  \"{name}\": [\n"));
+            for (i, row) in rows.iter().enumerate() {
+                let comma = if i + 1 == rows.len() { "" } else { "," };
+                s.push_str(&format!("    {}{comma}\n", json_object(row)));
+            }
+            s.push_str("  ]");
+        }
+        s.push_str("\n}\n");
+        s
+    }
+}
+
+/// The `config` cells every probe reports: dataset shape and seed.
+pub fn config_cells(key_count: u64, value_size: usize, seed: u64) -> JsonRow<'static> {
+    vec![
+        ("key_count", Cell::Int(key_count)),
+        ("value_size", Cell::Int(value_size as u64)),
+        ("seed", Cell::Int(seed)),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The emitter must keep reproducing the committed artifacts byte for
+    /// byte: header and first row of `BENCH_parallelism.json` (strings,
+    /// integers, `{:.3}` floats, two sections) and of `BENCH_stability.json`
+    /// (a `{:.1}` config float and a float list).
+    #[test]
+    fn emitter_reproduces_committed_bench_files() {
+        let drain = vec![
+            ("device", Cell::Str("sata-flash")),
+            ("max_subcompactions", Cell::Int(1)),
+            ("compact_read_mb", Cell::F3(49.326)),
+            ("drain_ms", Cell::F3(625.8)),
+            ("mb_per_s", Cell::F3(78.82)),
+            ("speedup_vs_serial", Cell::F3(1.0)),
+            ("subcompactions_launched", Cell::Int(0)),
+            ("fallbacks", Cell::Int(0)),
+        ];
+        let json = JsonReport {
+            bench: "parallelism",
+            config: config_cells(49152, 1024, 3862),
+            sections: vec![
+                ("compaction_drain", vec![drain.clone(), drain]),
+                ("multi_get", vec![]),
+            ],
+        }
+        .to_json();
+        assert!(
+            json.starts_with(concat!(
+                "{\n",
+                "  \"bench\": \"parallelism\",\n",
+                "  \"config\": {\"key_count\": 49152, \"value_size\": 1024, \"seed\": 3862},\n",
+                "  \"compaction_drain\": [\n",
+                "    {\"device\": \"sata-flash\", \"max_subcompactions\": 1, ",
+                "\"compact_read_mb\": 49.326, \"drain_ms\": 625.800, \"mb_per_s\": 78.820, ",
+                "\"speedup_vs_serial\": 1.000, \"subcompactions_launched\": 0, ",
+                "\"fallbacks\": 0},\n",
+            )),
+            "{json}"
+        );
+        assert!(
+            json.ends_with("\"fallbacks\": 0}\n  ],\n  \"multi_get\": [\n  ]\n}\n"),
+            "{json}"
+        );
+
+        let cdf = [0.333, 0.786, 0.81, 1.0, 1.0];
+        let mut config = config_cells(49152, 1024, 3862);
+        config.push(("window_secs", Cell::F1(12.0)));
+        let point = vec![
+            ("device", Cell::Str("sata-flash")),
+            ("policy", Cell::Str("greedy")),
+            ("kops", Cell::F3(14.285)),
+            ("cv", Cell::F3(0.384)),
+            ("min_bucket_kops", Cell::F3(3.83)),
+            ("write_p50_us", Cell::F3(4.928)),
+            ("write_p99_us", Cell::F3(1081.344)),
+            ("write_p999_us", Cell::F3(25690.112)),
+            ("episodes", Cell::Int(42)),
+            ("ep_p50_ms", Cell::F3(16.63)),
+            ("ep_p90_ms", Cell::F3(226.259)),
+            ("ep_p99_ms", Cell::F3(328.518)),
+            ("ep_max_ms", Cell::F3(328.518)),
+            ("stalled_pct", Cell::F3(20.494)),
+            ("episode_cdf", Cell::F3List(&cdf)),
+            ("bg_io_wait_ms", Cell::F3(0.0)),
+            ("kops_vs_greedy", Cell::F3(1.0)),
+            ("ep_p99_vs_greedy", Cell::F3(1.0)),
+            ("cv_vs_greedy", Cell::F3(1.0)),
+        ];
+        let json = JsonReport {
+            bench: "stability",
+            config,
+            sections: vec![("points", vec![point])],
+        }
+        .to_json();
+        assert_eq!(
+            json,
+            concat!(
+                "{\n",
+                "  \"bench\": \"stability\",\n",
+                "  \"config\": {\"key_count\": 49152, \"value_size\": 1024, \"seed\": 3862, ",
+                "\"window_secs\": 12.0},\n",
+                "  \"points\": [\n",
+                "    {\"device\": \"sata-flash\", \"policy\": \"greedy\", \"kops\": 14.285, ",
+                "\"cv\": 0.384, \"min_bucket_kops\": 3.830, \"write_p50_us\": 4.928, ",
+                "\"write_p99_us\": 1081.344, \"write_p999_us\": 25690.112, \"episodes\": 42, ",
+                "\"ep_p50_ms\": 16.630, \"ep_p90_ms\": 226.259, \"ep_p99_ms\": 328.518, ",
+                "\"ep_max_ms\": 328.518, \"stalled_pct\": 20.494, ",
+                "\"episode_cdf\": [0.333, 0.786, 0.810, 1.000, 1.000], ",
+                "\"bg_io_wait_ms\": 0.000, \"kops_vs_greedy\": 1.000, ",
+                "\"ep_p99_vs_greedy\": 1.000, \"cv_vs_greedy\": 1.000}\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
+    }
 }

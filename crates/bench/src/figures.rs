@@ -1,7 +1,7 @@
 //! One function per paper figure (or per shared sweep).
 
 use crate::common::{
-    devices, label, run_one, run_one_with_opts, run_sequence, with_testbed, BenchConfig,
+    devices, label, run_one, run_one_with_opts, run_sequence, us, with_testbed, BenchConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,10 +17,6 @@ use xlsm_workload::{
 
 /// A named table destined for `results/<name>.tsv`.
 pub type Figure = (String, Table);
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
 
 // ---------------------------------------------------------------------------
 // Fig. 1 — motivating example: raw vs KV speedup
@@ -218,14 +214,19 @@ pub fn fig08_to_12(cfg: &BenchConfig) -> Vec<Figure> {
                 ..DbOptions::default()
             };
             let spec = cfg.spec().with_threads(4).with_write_fraction(0.5);
-            let (avg_l0, r) = with_testbed(profile.clone(), opts, cfg, move |tb| {
-                let db = Arc::clone(&tb.db);
-                let sampler =
-                    Sampler::start("l0-count", 50_000_000, move || db.num_l0_files() as f64);
-                let r = run_workload(&tb.db, &spec);
-                let series = sampler.finish();
-                (xlsm_workload::sampler::series_mean(&series, 0), r)
-            });
+            let (avg_l0, r) = with_testbed(
+                profile.clone(),
+                move || opts,
+                cfg,
+                move |tb| {
+                    let db = Arc::clone(&tb.db);
+                    let sampler =
+                        Sampler::start("l0-count", 50_000_000, move || db.num_l0_files() as f64);
+                    let r = run_workload(&tb.db, &spec);
+                    let series = sampler.finish();
+                    (xlsm_workload::sampler::series_mean(&series, 0), r)
+                },
+            );
             points.push(Point {
                 size_mb: size as f64 / (1 << 20) as f64,
                 avg_l0,
@@ -480,7 +481,7 @@ pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
     // observed parity at low read ratios).
     let mut dynamic = Vec::new();
     for spec in specs {
-        let r = with_testbed(xpoint.clone(), base_opts(), cfg, move |tb| {
+        let r = with_testbed(xpoint.clone(), base_opts, cfg, move |tb| {
             let mgr = DynamicL0Manager::start(
                 Arc::clone(&tb.db),
                 DynamicL0Config {
@@ -568,12 +569,17 @@ pub fn fig_stalls(cfg: &BenchConfig) -> Vec<Figure> {
         ..DbOptions::default()
     };
     let spec = cfg.spec().with_threads(4).with_write_fraction(0.9);
-    let metrics = with_testbed(xpoint, opts, cfg, move |tb| {
-        // Drain fill-phase transitions so the timeline covers the run.
-        let _ = tb.db.metrics();
-        run_workload(&tb.db, &spec);
-        tb.db.metrics()
-    });
+    let metrics = with_testbed(
+        xpoint,
+        move || opts,
+        cfg,
+        move |tb| {
+            // Drain fill-phase transitions so the timeline covers the run.
+            let _ = tb.db.metrics();
+            run_workload(&tb.db, &spec);
+            tb.db.metrics()
+        },
+    );
     let timeline = stall_timeline_table(
         "Stall timeline: controller transitions, 90% writes, 3D XPoint",
         &metrics.stall_events,
@@ -732,14 +738,19 @@ pub fn fig_integrity(cfg: &BenchConfig) -> Vec<Figure> {
             ..DbOptions::default()
         };
         let spec = cfg.spec().with_threads(4).with_write_fraction(0.5);
-        let (r, verified, passes) = with_testbed(xpoint.clone(), opts, cfg, move |tb| {
-            let r = run_workload(&tb.db, &spec);
-            (
-                r,
-                tb.db.stats().ticker(Ticker::ScrubBytesVerified),
-                tb.db.metrics().scrub_pass.count,
-            )
-        });
+        let (r, verified, passes) = with_testbed(
+            xpoint.clone(),
+            move || opts,
+            cfg,
+            move |tb| {
+                let r = run_workload(&tb.db, &spec);
+                (
+                    r,
+                    tb.db.stats().ticker(Ticker::ScrubBytesVerified),
+                    tb.db.metrics().scrub_pass.count,
+                )
+            },
+        );
         scrub.row(vec![
             format!("{rate_mib}"),
             f(r.kops(), 1),
@@ -752,22 +763,6 @@ pub fn fig_integrity(cfg: &BenchConfig) -> Vec<Figure> {
         ("integrity_protection".into(), prot),
         ("integrity_scrub".into(), scrub),
     ]
-}
-
-/// Every figure in paper order. This is what `figures all` runs.
-pub fn all_figures(cfg: &BenchConfig) -> Vec<Figure> {
-    let mut out = Vec::new();
-    out.extend(fig01(cfg));
-    out.extend(fig03(cfg));
-    out.extend(fig04_to_07(cfg));
-    out.extend(fig08_to_12(cfg));
-    out.extend(fig13_to_16(cfg));
-    out.extend(fig17(cfg));
-    out.extend(fig18(cfg));
-    out.extend(fig19(cfg));
-    out.extend(fig20(cfg));
-    out.extend(fig_stalls(cfg));
-    out
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //!   compared with the same keys issued as sequential `get`s, at several
 //!   batch sizes.
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{
+    config_cells, devices, label, mib, us, with_testbed, BenchConfig, Cell, JsonReport,
+};
 use xlsm_core::experiment::Testbed;
 use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
@@ -84,14 +86,6 @@ pub struct ParallelismReport {
     pub multi_gets: Vec<MultiGetPoint>,
 }
 
-fn mb(bytes: u64) -> f64 {
-    bytes as f64 / (1 << 20) as f64
-}
-
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
 /// Fills a deferred-compaction database and times the Level-0 drain.
 fn drain_one(
     profile: DeviceProfile,
@@ -127,12 +121,12 @@ fn drain_one(
         let point = DrainPoint {
             device,
             max_subcompactions,
-            compact_read_mb: mb(read),
+            compact_read_mb: mib(read),
             drain_ms: drain_ns as f64 / 1e6,
             mb_per_s: if drain_ns == 0 {
                 0.0
             } else {
-                mb(read) / (drain_ns as f64 / 1e9)
+                mib(read) / (drain_ns as f64 / 1e9)
             },
             speedup_vs_serial: 1.0, // filled in by `run`
             subcompactions_launched: stats.ticker(Ticker::SubcompactionsLaunched),
@@ -150,9 +144,7 @@ fn multi_get_sweep(
     cfg: &BenchConfig,
 ) -> Vec<MultiGetPoint> {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, DbOptions::default(), cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    with_testbed(profile, DbOptions::default, &cfg, move |tb| {
         let ks = KeySpace::new(cfg.key_count);
 
         // Deterministic xorshift key picker, independent of the fill RNG.
@@ -198,7 +190,6 @@ fn multi_get_sweep(
                 p99_speedup: if b99 == 0.0 { 0.0 } else { s99 / b99 },
             });
         }
-        tb.close();
         points
     })
 }
@@ -235,61 +226,44 @@ pub fn run(cfg: &BenchConfig) -> ParallelismReport {
 }
 
 impl ParallelismReport {
-    /// Serializes the report as JSON. Hand-rolled (the bench crate carries
-    /// no serde) with a fixed field order and fixed-precision floats so the
-    /// output is byte-identical across runs with the same seed — this is
-    /// what the determinism gate in `scripts/check.sh` diffs.
+    /// The report as deterministic JSON (see [`JsonReport`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"parallelism\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}}},\n",
-            self.key_count, self.value_size, self.seed
-        ));
-        s.push_str("  \"compaction_drain\": [\n");
-        for (i, d) in self.drains.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"max_subcompactions\": {}, \
-                 \"compact_read_mb\": {:.3}, \"drain_ms\": {:.3}, \"mb_per_s\": {:.3}, \
-                 \"speedup_vs_serial\": {:.3}, \"subcompactions_launched\": {}, \
-                 \"fallbacks\": {}}}{}\n",
-                d.device,
-                d.max_subcompactions,
-                d.compact_read_mb,
-                d.drain_ms,
-                d.mb_per_s,
-                d.speedup_vs_serial,
-                d.subcompactions_launched,
-                d.fallbacks,
-                if i + 1 == self.drains.len() { "" } else { "," },
-            ));
+        let drains = self.drains.iter().map(|d| {
+            vec![
+                ("device", Cell::Str(d.device)),
+                ("max_subcompactions", Cell::Int(d.max_subcompactions as u64)),
+                ("compact_read_mb", Cell::F3(d.compact_read_mb)),
+                ("drain_ms", Cell::F3(d.drain_ms)),
+                ("mb_per_s", Cell::F3(d.mb_per_s)),
+                ("speedup_vs_serial", Cell::F3(d.speedup_vs_serial)),
+                (
+                    "subcompactions_launched",
+                    Cell::Int(d.subcompactions_launched),
+                ),
+                ("fallbacks", Cell::Int(d.fallbacks)),
+            ]
+        });
+        let multi_gets = self.multi_gets.iter().map(|m| {
+            vec![
+                ("device", Cell::Str(m.device)),
+                ("batch", Cell::Int(m.batch as u64)),
+                ("batched_p50_us", Cell::F3(m.batched_p50_us)),
+                ("batched_p99_us", Cell::F3(m.batched_p99_us)),
+                ("sequential_p50_us", Cell::F3(m.sequential_p50_us)),
+                ("sequential_p99_us", Cell::F3(m.sequential_p99_us)),
+                ("p99_speedup", Cell::F3(m.p99_speedup)),
+            ]
+        });
+        JsonReport {
+            bench: "parallelism",
+            config: config_cells(self.key_count, self.value_size, self.seed),
+            sections: vec![
+                ("compaction_drain", drains.collect()),
+                ("multi_get", multi_gets.collect()),
+            ],
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"multi_get\": [\n");
-        for (i, m) in self.multi_gets.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"batch\": {}, \
-                 \"batched_p50_us\": {:.3}, \"batched_p99_us\": {:.3}, \
-                 \"sequential_p50_us\": {:.3}, \"sequential_p99_us\": {:.3}, \
-                 \"p99_speedup\": {:.3}}}{}\n",
-                m.device,
-                m.batch,
-                m.batched_p50_us,
-                m.batched_p99_us,
-                m.sequential_p50_us,
-                m.sequential_p99_us,
-                m.p99_speedup,
-                if i + 1 == self.multi_gets.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        .to_json()
     }
 
     /// The report as printable tables (for the `figures` binary).

@@ -27,13 +27,15 @@
 //!   (Device-bound, the gate hides behind the device queue — the
 //!   point-miss and compression experiments cover that side.)
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{
+    config_cells, devices, label, us, with_testbed, BenchConfig, Cell, JsonReport,
+};
 use xlsm_core::experiment::Testbed;
 use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{CompressionType, DbOptions, Histogram, Ticker};
 use xlsm_sim::Runtime;
-use xlsm_workload::{fill_db, KeySpace};
+use xlsm_workload::KeySpace;
 
 /// Absent-key probes per point-miss measurement.
 const MISS_OPS: usize = 2_000;
@@ -133,10 +135,6 @@ pub struct ReadPathReport {
     pub multi_get: Vec<MultiGetPoint>,
 }
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
 fn kops(ops: usize, ns: u64) -> f64 {
     if ns == 0 {
         0.0
@@ -164,17 +162,15 @@ fn point_miss_one(
     filters: bool,
 ) -> PointMissPoint {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let opts = DbOptions {
-            bloom_bits_per_key: if filters { 10 } else { 0 },
-            memtable_bloom_bits: if filters { 10 } else { 0 },
-            // A deep Level-0 is the experiment, not a stall condition.
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
-            ..DbOptions::default()
-        };
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    let opts = move || DbOptions {
+        bloom_bits_per_key: if filters { 10 } else { 0 },
+        memtable_bloom_bits: if filters { 10 } else { 0 },
+        // A deep Level-0 is the experiment, not a stall condition.
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..DbOptions::default()
+    };
+    with_testbed(profile, opts, &cfg, move |tb| {
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
 
@@ -215,7 +211,7 @@ fn point_miss_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        let point = PointMissPoint {
+        PointMissPoint {
             device,
             filters: if filters { "bloom" } else { "none" },
             l0_files,
@@ -225,9 +221,7 @@ fn point_miss_one(
             bloom_useful: stats.ticker(Ticker::BloomUseful) - bloom0,
             memtable_bloom_useful: stats.ticker(Ticker::MemtableBloomUseful) - mbloom0,
             speedup_vs_none: 1.0, // filled in by `run`
-        };
-        tb.close();
-        point
+        }
     })
 }
 
@@ -305,22 +299,20 @@ fn multi_get_one(
     shards: usize,
 ) -> MultiGetPoint {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let opts = DbOptions {
-            multi_get_parallelism: fanout,
-            table_cache_shards: shards,
-            // The experiment isolates the table-cache critical section, so
-            // the data must not hide behind device reads: a cache big
-            // enough for the whole dataset plus a warmup pass makes the
-            // timed window block-cache-resident.
-            block_cache_capacity: (cfg.dataset_bytes() * 2) as usize,
-            // A deep Level-0 is the experiment, not a stall condition.
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
-            ..DbOptions::default()
-        };
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    let opts = move || DbOptions {
+        multi_get_parallelism: fanout,
+        table_cache_shards: shards,
+        // The experiment isolates the table-cache critical section, so
+        // the data must not hide behind device reads: a cache big
+        // enough for the whole dataset plus a warmup pass makes the
+        // timed window block-cache-resident.
+        block_cache_capacity: (cfg.dataset_bytes() * 2) as usize,
+        // A deep Level-0 is the experiment, not a stall condition.
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..DbOptions::default()
+    };
+    with_testbed(profile, opts, &cfg, move |tb| {
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
 
@@ -364,7 +356,7 @@ fn multi_get_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        let point = MultiGetPoint {
+        MultiGetPoint {
             device,
             fanout,
             shards,
@@ -372,9 +364,7 @@ fn multi_get_one(
             batch_p50_us: us(lat.quantile(0.5)),
             batch_p99_us: us(lat.quantile(0.99)),
             speedup_vs_single_shard: 1.0, // filled in by `run`
-        };
-        tb.close();
-        point
+        }
     })
 }
 
@@ -434,87 +424,58 @@ pub fn run(cfg: &BenchConfig) -> ReadPathReport {
 }
 
 impl ReadPathReport {
-    /// Serializes the report as JSON. Hand-rolled (the bench crate carries
-    /// no serde) with fixed field order and fixed-precision floats so runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
+    /// The report as deterministic JSON (see [`JsonReport`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"readpath\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}}},\n",
-            self.key_count, self.value_size, self.seed
-        ));
-        s.push_str("  \"point_miss\": [\n");
-        for (i, p) in self.point_miss.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"filters\": \"{}\", \"l0_files\": {}, \
-                 \"miss_kops\": {:.3}, \"miss_p50_us\": {:.3}, \"miss_p99_us\": {:.3}, \
-                 \"bloom_useful\": {}, \"memtable_bloom_useful\": {}, \
-                 \"speedup_vs_none\": {:.3}}}{}\n",
-                p.device,
-                p.filters,
-                p.l0_files,
-                p.miss_kops,
-                p.miss_p50_us,
-                p.miss_p99_us,
-                p.bloom_useful,
-                p.memtable_bloom_useful,
-                p.speedup_vs_none,
-                if i + 1 == self.point_miss.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
+        let point_miss = self.point_miss.iter().map(|p| {
+            vec![
+                ("device", Cell::Str(p.device)),
+                ("filters", Cell::Str(p.filters)),
+                ("l0_files", Cell::Int(p.l0_files)),
+                ("miss_kops", Cell::F3(p.miss_kops)),
+                ("miss_p50_us", Cell::F3(p.miss_p50_us)),
+                ("miss_p99_us", Cell::F3(p.miss_p99_us)),
+                ("bloom_useful", Cell::Int(p.bloom_useful)),
+                ("memtable_bloom_useful", Cell::Int(p.memtable_bloom_useful)),
+                ("speedup_vs_none", Cell::F3(p.speedup_vs_none)),
+            ]
+        });
+        let compression = self.compression.iter().map(|c| {
+            vec![
+                ("device", Cell::Str(c.device)),
+                ("codec", Cell::Str(c.codec)),
+                ("sst_mb", Cell::F3(c.sst_mb)),
+                ("size_ratio", Cell::F3(c.size_ratio)),
+                ("get_kops", Cell::F3(c.get_kops)),
+                ("get_p50_us", Cell::F3(c.get_p50_us)),
+                ("get_p99_us", Cell::F3(c.get_p99_us)),
+                ("decompressions", Cell::Int(c.decompressions)),
+            ]
+        });
+        let multi_get = self.multi_get.iter().map(|m| {
+            vec![
+                ("device", Cell::Str(m.device)),
+                ("fanout", Cell::Int(m.fanout as u64)),
+                ("shards", Cell::Int(m.shards as u64)),
+                ("kops", Cell::F3(m.kops)),
+                ("batch_p50_us", Cell::F3(m.batch_p50_us)),
+                ("batch_p99_us", Cell::F3(m.batch_p99_us)),
+                (
+                    "speedup_vs_single_shard",
+                    Cell::F3(m.speedup_vs_single_shard),
+                ),
+            ]
+        });
+        JsonReport {
+            bench: "readpath",
+            config: config_cells(self.key_count, self.value_size, self.seed),
+            sections: vec![
+                ("point_miss", point_miss.collect()),
+                ("compression", compression.collect()),
+                ("multi_get", multi_get.collect()),
+            ],
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"compression\": [\n");
-        for (i, c) in self.compression.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"codec\": \"{}\", \"sst_mb\": {:.3}, \
-                 \"size_ratio\": {:.3}, \"get_kops\": {:.3}, \"get_p50_us\": {:.3}, \
-                 \"get_p99_us\": {:.3}, \"decompressions\": {}}}{}\n",
-                c.device,
-                c.codec,
-                c.sst_mb,
-                c.size_ratio,
-                c.get_kops,
-                c.get_p50_us,
-                c.get_p99_us,
-                c.decompressions,
-                if i + 1 == self.compression.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"multi_get\": [\n");
-        for (i, m) in self.multi_get.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"fanout\": {}, \"shards\": {}, \
-                 \"kops\": {:.3}, \"batch_p50_us\": {:.3}, \"batch_p99_us\": {:.3}, \
-                 \"speedup_vs_single_shard\": {:.3}}}{}\n",
-                m.device,
-                m.fanout,
-                m.shards,
-                m.kops,
-                m.batch_p50_us,
-                m.batch_p99_us,
-                m.speedup_vs_single_shard,
-                if i + 1 == self.multi_get.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        .to_json()
     }
 
     /// The report as printable tables (for the `figures` binary).

@@ -22,15 +22,15 @@
 //! trash, no pacing. Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{
+    config_cells, devices, label, mib, us, with_testbed, BenchConfig, Cell, JsonReport,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xlsm_core::experiment::Testbed;
 use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Ticker};
-use xlsm_sim::Runtime;
-use xlsm_workload::{fill_db, run_workload, WorkloadSpec};
+use xlsm_workload::{run_workload, WorkloadSpec};
 
 /// The reclamation-rate sweep, bytes/second (0 = legacy inline deletion).
 pub const RATES: [u64; 4] = [0, 2 << 20, 8 << 20, 32 << 20];
@@ -97,14 +97,6 @@ pub struct SpaceReport {
     pub points: Vec<SpacePoint>,
 }
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
-fn mib(bytes: u64) -> f64 {
-    bytes as f64 / (1 << 20) as f64
-}
-
 /// The churn geometry every point shares: small files and a tight level
 /// base so overwrites obsolete SSTs continuously, plus a space cap with
 /// the watcher on — the regime where the reclamation rate decides how hard
@@ -139,71 +131,71 @@ fn run_point(
     rate: u64,
 ) -> SpacePoint {
     let cfg = *cfg;
-    Runtime::new().run(move || {
-        let tb = Testbed::new(profile, churn_geometry(&cfg, rate), cfg.dataset_bytes())
-            .expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
-        tb.db.flush().expect("fill flush");
-        tb.db.wait_for_compactions();
-        // Counters from here on cover exactly the measured churn window.
-        let trashed0 = tb.db.stats().ticker(Ticker::TrashQueueBytes);
-        let reclaimed0 = tb.db.stats().ticker(Ticker::SpaceReclaimedBytes);
+    with_testbed(
+        profile,
+        move || churn_geometry(&cfg, rate),
+        &cfg,
+        move |tb| {
+            tb.db.flush().expect("fill flush");
+            tb.db.wait_for_compactions();
+            // Counters from here on cover exactly the measured churn window.
+            let trashed0 = tb.db.stats().ticker(Ticker::TrashQueueBytes);
+            let reclaimed0 = tb.db.stats().ticker(Ticker::SpaceReclaimedBytes);
 
-        // A virtual-time sampler tracks the backlog's high-water mark while
-        // the closed-loop workload runs.
-        let stop = Arc::new(AtomicBool::new(false));
-        let sampler = {
-            let db = Arc::clone(&tb.db);
-            let stop = Arc::clone(&stop);
-            xlsm_sim::spawn("backlog-sampler", move || {
-                let mut peak = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    peak = peak.max(db.trash_queued_bytes());
-                    xlsm_sim::sleep_nanos(20_000_000);
-                }
-                peak
-            })
-        };
+            // A virtual-time sampler tracks the backlog's high-water mark while
+            // the closed-loop workload runs.
+            let stop = Arc::new(AtomicBool::new(false));
+            let sampler = {
+                let db = Arc::clone(&tb.db);
+                let stop = Arc::clone(&stop);
+                xlsm_sim::spawn("backlog-sampler", move || {
+                    let mut peak = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        peak = peak.max(db.trash_queued_bytes());
+                        xlsm_sim::sleep_nanos(20_000_000);
+                    }
+                    peak
+                })
+            };
 
-        let spec: WorkloadSpec = cfg
-            .spec()
-            .with_threads(4)
-            .with_write_fraction(0.5)
-            .with_duration(cfg.duration * 2);
-        let t0 = xlsm_sim::now_nanos();
-        let r = run_workload(&tb.db, &spec);
-        let t1 = xlsm_sim::now_nanos();
-        stop.store(true, Ordering::Relaxed);
-        let peak_backlog = sampler.join().max(tb.db.trash_queued_bytes());
+            let spec: WorkloadSpec = cfg
+                .spec()
+                .with_threads(4)
+                .with_write_fraction(0.5)
+                .with_duration(cfg.duration * 2);
+            let t0 = xlsm_sim::now_nanos();
+            let r = run_workload(&tb.db, &spec);
+            let t1 = xlsm_sim::now_nanos();
+            stop.store(true, Ordering::Relaxed);
+            let peak_backlog = sampler.join().max(tb.db.trash_queued_bytes());
 
-        let stats = tb.db.stats();
-        let window_secs = (t1 - t0) as f64 / 1e9;
-        let reclaimed = stats.ticker(Ticker::SpaceReclaimedBytes) - reclaimed0;
-        let point = SpacePoint {
-            device,
-            rate: rate_label(rate),
-            kops: r.kops(),
-            get_p50_us: us(stats.get_latency.quantile(0.5)),
-            get_p99_us: us(stats.get_latency.quantile(0.99)),
-            write_p99_us: us(stats.write_latency.quantile(0.99)),
-            trashed_mib: mib(stats.ticker(Ticker::TrashQueueBytes) - trashed0),
-            reclaimed_mib: mib(reclaimed),
-            reclaim_mibps: if window_secs > 0.0 {
-                mib(reclaimed) / window_secs
-            } else {
-                0.0
-            },
-            peak_backlog_mib: mib(peak_backlog),
-            final_backlog_mib: mib(tb.db.trash_queued_bytes()),
-            enospc_stalls: stats.ticker(Ticker::EnospcStalls),
-            auto_resumes: stats.ticker(Ticker::BackgroundAutoResumes),
-            compactions_deferred: stats.ticker(Ticker::SpaceCompactionsDeferred),
-            // Filled in by `run` once the device's inline baseline exists.
-            get_p99_vs_inline: 1.0,
-        };
-        tb.close();
-        point
-    })
+            let stats = tb.db.stats();
+            let window_secs = (t1 - t0) as f64 / 1e9;
+            let reclaimed = stats.ticker(Ticker::SpaceReclaimedBytes) - reclaimed0;
+            SpacePoint {
+                device,
+                rate: rate_label(rate),
+                kops: r.kops(),
+                get_p50_us: us(stats.get_latency.quantile(0.5)),
+                get_p99_us: us(stats.get_latency.quantile(0.99)),
+                write_p99_us: us(stats.write_latency.quantile(0.99)),
+                trashed_mib: mib(stats.ticker(Ticker::TrashQueueBytes) - trashed0),
+                reclaimed_mib: mib(reclaimed),
+                reclaim_mibps: if window_secs > 0.0 {
+                    mib(reclaimed) / window_secs
+                } else {
+                    0.0
+                },
+                peak_backlog_mib: mib(peak_backlog),
+                final_backlog_mib: mib(tb.db.trash_queued_bytes()),
+                enospc_stalls: stats.ticker(Ticker::EnospcStalls),
+                auto_resumes: stats.ticker(Ticker::BackgroundAutoResumes),
+                compactions_deferred: stats.ticker(Ticker::SpaceCompactionsDeferred),
+                // Filled in by `run` once the device's inline baseline exists.
+                get_p99_vs_inline: 1.0,
+            }
+        },
+    )
 }
 
 /// Runs the full (device × reclamation-rate) sweep.
@@ -237,50 +229,37 @@ pub fn run(cfg: &BenchConfig) -> SpaceReport {
 }
 
 impl SpaceReport {
-    /// Serializes the report as JSON. Hand-rolled (no serde in the bench
-    /// crate) with fixed field order and fixed-precision floats so two runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
+    /// The report as deterministic JSON (see [`JsonReport`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"space\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}, \
-             \"cap_mib\": {:.1}, \"window_secs\": {:.1}}},\n",
-            self.key_count, self.value_size, self.seed, self.cap_mib, self.window_secs
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"rate\": \"{}\", \"kops\": {:.3}, \
-                 \"get_p50_us\": {:.3}, \"get_p99_us\": {:.3}, \"write_p99_us\": {:.3}, \
-                 \"trashed_mib\": {:.3}, \"reclaimed_mib\": {:.3}, \
-                 \"reclaim_mibps\": {:.3}, \"peak_backlog_mib\": {:.3}, \
-                 \"final_backlog_mib\": {:.3}, \"enospc_stalls\": {}, \
-                 \"auto_resumes\": {}, \"compactions_deferred\": {}, \
-                 \"get_p99_vs_inline\": {:.3}}}{}\n",
-                p.device,
-                p.rate,
-                p.kops,
-                p.get_p50_us,
-                p.get_p99_us,
-                p.write_p99_us,
-                p.trashed_mib,
-                p.reclaimed_mib,
-                p.reclaim_mibps,
-                p.peak_backlog_mib,
-                p.final_backlog_mib,
-                p.enospc_stalls,
-                p.auto_resumes,
-                p.compactions_deferred,
-                p.get_p99_vs_inline,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
+        let points = self.points.iter().map(|p| {
+            vec![
+                ("device", Cell::Str(p.device)),
+                ("rate", Cell::Str(&p.rate)),
+                ("kops", Cell::F3(p.kops)),
+                ("get_p50_us", Cell::F3(p.get_p50_us)),
+                ("get_p99_us", Cell::F3(p.get_p99_us)),
+                ("write_p99_us", Cell::F3(p.write_p99_us)),
+                ("trashed_mib", Cell::F3(p.trashed_mib)),
+                ("reclaimed_mib", Cell::F3(p.reclaimed_mib)),
+                ("reclaim_mibps", Cell::F3(p.reclaim_mibps)),
+                ("peak_backlog_mib", Cell::F3(p.peak_backlog_mib)),
+                ("final_backlog_mib", Cell::F3(p.final_backlog_mib)),
+                ("enospc_stalls", Cell::Int(p.enospc_stalls)),
+                ("auto_resumes", Cell::Int(p.auto_resumes)),
+                ("compactions_deferred", Cell::Int(p.compactions_deferred)),
+                ("get_p99_vs_inline", Cell::F3(p.get_p99_vs_inline)),
+            ]
+        });
+        let mut config = config_cells(self.key_count, self.value_size, self.seed);
+        config.push(("cap_mib", Cell::F1(self.cap_mib)));
+        config.push(("window_secs", Cell::F1(self.window_secs)));
+        JsonReport {
+            bench: "space",
+            config,
+            sections: vec![("points", points.collect())],
         }
-        s.push_str("  ]\n}\n");
-        s
+        .to_json()
     }
 
     /// The report as printable tables (for the `figures` binary): the

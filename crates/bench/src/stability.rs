@@ -26,15 +26,15 @@
 //! Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{
+    config_cells, devices, label, us, with_testbed, BenchConfig, Cell, JsonReport,
+};
 use std::sync::Arc;
-use xlsm_core::experiment::Testbed;
 use xlsm_core::report::{f, Table};
 use xlsm_core::StabilityPolicy;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{episode_durations, DbOptions, Ticker};
-use xlsm_sim::Runtime;
-use xlsm_workload::{fill_db, run_workload, BurstSpec, WorkloadSpec};
+use xlsm_workload::{run_workload, BurstSpec, WorkloadSpec};
 
 /// Episode-duration CDF thresholds, in milliseconds.
 pub const CDF_THRESHOLDS_MS: [u64; 5] = [10, 50, 100, 500, 1000];
@@ -101,10 +101,6 @@ pub struct StabilityReport {
     pub points: Vec<StabilityPoint>,
 }
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
@@ -162,11 +158,12 @@ fn run_point(
     policy: StabilityPolicy,
 ) -> StabilityPoint {
     let cfg = *cfg;
-    Runtime::new().run(move || {
+    let opts = move || {
         let mut opts = stall_geometry();
         policy.apply(&mut opts);
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+        opts
+    };
+    with_testbed(profile, opts, &cfg, move |tb| {
         // Drain fill-phase controller transitions so the episode window
         // covers exactly the measured run.
         let _ = tb.db.metrics();
@@ -220,7 +217,6 @@ fn run_point(
             cv_vs_greedy: 1.0,
         };
         companion.stop();
-        tb.close();
         point
     })
 }
@@ -261,61 +257,40 @@ pub fn run(cfg: &BenchConfig) -> StabilityReport {
 }
 
 impl StabilityReport {
-    /// Serializes the report as JSON. Hand-rolled (no serde in the bench
-    /// crate) with fixed field order and fixed-precision floats so two runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
+    /// The report as deterministic JSON (see [`JsonReport`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"stability\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}, \
-             \"window_secs\": {:.1}}},\n",
-            self.key_count, self.value_size, self.seed, self.window_secs
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let cdf = p
-                .episode_cdf
-                .iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"policy\": \"{}\", \"kops\": {:.3}, \
-                 \"cv\": {:.3}, \"min_bucket_kops\": {:.3}, \
-                 \"write_p50_us\": {:.3}, \"write_p99_us\": {:.3}, \"write_p999_us\": {:.3}, \
-                 \"episodes\": {}, \"ep_p50_ms\": {:.3}, \"ep_p90_ms\": {:.3}, \
-                 \"ep_p99_ms\": {:.3}, \"ep_max_ms\": {:.3}, \"stalled_pct\": {:.3}, \
-                 \"episode_cdf\": [{}], \"bg_io_wait_ms\": {:.3}, \
-                 \"kops_vs_greedy\": {:.3}, \"ep_p99_vs_greedy\": {:.3}, \
-                 \"cv_vs_greedy\": {:.3}}}{}\n",
-                p.device,
-                p.policy,
-                p.kops,
-                p.cv,
-                p.min_bucket_kops,
-                p.write_p50_us,
-                p.write_p99_us,
-                p.write_p999_us,
-                p.episodes,
-                p.ep_p50_ms,
-                p.ep_p90_ms,
-                p.ep_p99_ms,
-                p.ep_max_ms,
-                p.stalled_pct,
-                cdf,
-                p.bg_io_wait_ms,
-                p.kops_vs_greedy,
-                p.ep_p99_vs_greedy,
-                p.cv_vs_greedy,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
+        let points = self.points.iter().map(|p| {
+            vec![
+                ("device", Cell::Str(p.device)),
+                ("policy", Cell::Str(p.policy)),
+                ("kops", Cell::F3(p.kops)),
+                ("cv", Cell::F3(p.cv)),
+                ("min_bucket_kops", Cell::F3(p.min_bucket_kops)),
+                ("write_p50_us", Cell::F3(p.write_p50_us)),
+                ("write_p99_us", Cell::F3(p.write_p99_us)),
+                ("write_p999_us", Cell::F3(p.write_p999_us)),
+                ("episodes", Cell::Int(p.episodes as u64)),
+                ("ep_p50_ms", Cell::F3(p.ep_p50_ms)),
+                ("ep_p90_ms", Cell::F3(p.ep_p90_ms)),
+                ("ep_p99_ms", Cell::F3(p.ep_p99_ms)),
+                ("ep_max_ms", Cell::F3(p.ep_max_ms)),
+                ("stalled_pct", Cell::F3(p.stalled_pct)),
+                ("episode_cdf", Cell::F3List(&p.episode_cdf)),
+                ("bg_io_wait_ms", Cell::F3(p.bg_io_wait_ms)),
+                ("kops_vs_greedy", Cell::F3(p.kops_vs_greedy)),
+                ("ep_p99_vs_greedy", Cell::F3(p.ep_p99_vs_greedy)),
+                ("cv_vs_greedy", Cell::F3(p.cv_vs_greedy)),
+            ]
+        });
+        let mut config = config_cells(self.key_count, self.value_size, self.seed);
+        config.push(("window_secs", Cell::F1(self.window_secs)));
+        JsonReport {
+            bench: "stability",
+            config,
+            sections: vec![("points", points.collect())],
         }
-        s.push_str("  ]\n}\n");
-        s
+        .to_json()
     }
 
     /// The report as printable tables (for the `figures` binary):

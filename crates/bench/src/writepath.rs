@@ -22,14 +22,13 @@
 //! Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
-use crate::common::{devices, label, BenchConfig};
+use crate::common::{
+    config_cells, devices, label, us, with_testbed, BenchConfig, Cell, JsonReport,
+};
 use std::sync::Arc;
-use xlsm_core::experiment::Testbed;
 use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Histogram, Ticker};
-use xlsm_sim::Runtime;
-use xlsm_workload::fill_db;
 
 /// Writer-thread counts swept per device (the paper sweeps client threads
 /// the same way in Figs. 15–16).
@@ -85,10 +84,6 @@ pub struct WritePathReport {
     pub points: Vec<WritePathPoint>,
 }
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
 /// Runs one (device, writers, mode) point.
 fn run_point(
     profile: DeviceProfile,
@@ -97,27 +92,24 @@ fn run_point(
     writers: usize,
     concurrent: bool,
 ) -> WritePathPoint {
-    let cfg = *cfg;
-    Runtime::new().run(move || {
-        // Lift the Algorithm-1 stall triggers and give the memtables some
-        // slack: controller pacing and flush backpressure would otherwise
-        // dominate the tail on every device and bury the write-path
-        // serialization this probe isolates (the drain probe lifts its
-        // triggers for the same reason).
-        let opts = DbOptions {
-            allow_concurrent_memtable_write: concurrent,
-            write_buffer_size: 8 << 20,
-            max_write_buffer_number: 4,
-            // Smooth the periodic WAL page-cache push: with the default
-            // threshold one unlucky group absorbs a large flush and that
-            // single commit owns p99 in BOTH modes, hiding the stage cost.
-            wal_bytes_per_sync: 4 << 10,
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
-            ..DbOptions::default()
-        };
-        let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
-        fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
+    // Lift the Algorithm-1 stall triggers and give the memtables some
+    // slack: controller pacing and flush backpressure would otherwise
+    // dominate the tail on every device and bury the write-path
+    // serialization this probe isolates (the drain probe lifts its
+    // triggers for the same reason).
+    let opts = move || DbOptions {
+        allow_concurrent_memtable_write: concurrent,
+        write_buffer_size: 8 << 20,
+        max_write_buffer_number: 4,
+        // Smooth the periodic WAL page-cache push: with the default
+        // threshold one unlucky group absorbs a large flush and that
+        // single commit owns p99 in BOTH modes, hiding the stage cost.
+        wal_bytes_per_sync: 4 << 10,
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..DbOptions::default()
+    };
+    with_testbed(profile, opts, cfg, move |tb| {
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
         let stats = Arc::clone(tb.db.stats());
@@ -144,7 +136,7 @@ fn run_point(
         }
 
         let group_batches = stats.write_group_batches.summary();
-        let point = WritePathPoint {
+        WritePathPoint {
             device,
             writers,
             mode: if concurrent { "concurrent" } else { "serial" },
@@ -154,9 +146,7 @@ fn run_point(
             avg_group_batches: group_batches.mean_ns as f64,
             concurrent_applies: stats.ticker(Ticker::ConcurrentMemtableApplies),
             p99_speedup_vs_serial: 1.0, // filled in by `run`
-        };
-        tb.close();
-        point
+        }
     })
 }
 
@@ -188,40 +178,28 @@ pub fn run(cfg: &BenchConfig) -> WritePathReport {
 }
 
 impl WritePathReport {
-    /// Serializes the report as JSON. Hand-rolled (no serde in the bench
-    /// crate) with fixed field order and fixed-precision floats so two runs
-    /// with the same seed emit byte-identical files — the determinism gate
-    /// in `scripts/check.sh` diffs exactly this.
+    /// The report as deterministic JSON (see [`JsonReport`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"writepath\",\n");
-        s.push_str(&format!(
-            "  \"config\": {{\"key_count\": {}, \"value_size\": {}, \"seed\": {}}},\n",
-            self.key_count, self.value_size, self.seed
-        ));
-        s.push_str("  \"put_latency\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"device\": \"{}\", \"writers\": {}, \"mode\": \"{}\", \
-                 \"put_p50_us\": {:.3}, \"put_p99_us\": {:.3}, \"avg_queue_depth\": {:.3}, \
-                 \"avg_group_batches\": {:.3}, \"concurrent_applies\": {}, \
-                 \"p99_speedup_vs_serial\": {:.3}}}{}\n",
-                p.device,
-                p.writers,
-                p.mode,
-                p.put_p50_us,
-                p.put_p99_us,
-                p.avg_queue_depth,
-                p.avg_group_batches,
-                p.concurrent_applies,
-                p.p99_speedup_vs_serial,
-                if i + 1 == self.points.len() { "" } else { "," },
-            ));
+        let points = self.points.iter().map(|p| {
+            vec![
+                ("device", Cell::Str(p.device)),
+                ("writers", Cell::Int(p.writers as u64)),
+                ("mode", Cell::Str(p.mode)),
+                ("put_p50_us", Cell::F3(p.put_p50_us)),
+                ("put_p99_us", Cell::F3(p.put_p99_us)),
+                ("avg_queue_depth", Cell::F3(p.avg_queue_depth)),
+                ("avg_group_batches", Cell::F3(p.avg_group_batches)),
+                ("concurrent_applies", Cell::Int(p.concurrent_applies)),
+                ("p99_speedup_vs_serial", Cell::F3(p.p99_speedup_vs_serial)),
+            ]
+        });
+        JsonReport {
+            bench: "writepath",
+            config: config_cells(self.key_count, self.value_size, self.seed),
+            sections: vec![("put_latency", points.collect())],
         }
-        s.push_str("  ]\n}\n");
-        s
+        .to_json()
     }
 
     /// The report as a printable table (for the `figures` binary).

@@ -1,0 +1,847 @@
+//! Background work: flush, compaction, obsolete-file and WAL purge, the
+//! trash reaper, the scrubber and the space watcher, all run through one
+//! retry / read-only error loop, plus the workers that drive them.
+
+use crate::bgerror::{BackgroundOp, ErrorSeverity};
+use crate::compaction::{pick_compaction, run_compaction, CompactionTask};
+use crate::costs;
+use crate::db::DbInner;
+use crate::error::{DbError, DbResult};
+use crate::integrity::verify_file_crc;
+use crate::iterator::InternalIterator;
+use crate::memtable::MemTable;
+use crate::options::DbOptions;
+use crate::recovery::parse_file_number;
+use crate::scheduler::BgIoPriority;
+use crate::sst::{sst_file_name, verify_table_file, TableBuilder, TableOptions, TableProperties};
+use crate::stats::Ticker;
+use crate::version::{FileMetaData, VersionEdit};
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use xlsm_sim::sync::Receiver;
+use xlsm_sim::JoinHandle;
+use xlsm_simfs::{FsError, SimFs};
+
+/// Flush worker threads (RocksDB `max_background_flushes`). Flush jobs are
+/// serialized by `flush_serial`, so more would only queue behind it.
+const MAX_BACKGROUND_FLUSHES: usize = 1;
+
+/// Bounded retries for a retryable (transient) background I/O error before
+/// it escalates to hard and the database goes read-only.
+const MAX_BACKGROUND_ERROR_RETRIES: u32 = 6;
+
+/// Backoff before the first background-error retry (1 ms); doubles on each
+/// subsequent attempt.
+const BACKGROUND_ERROR_RETRY_BACKOFF_NS: u64 = 1_000_000;
+
+/// Idle tick of the scrubber and the trash reaper; also their shutdown poll
+/// interval.
+const IDLE_TICK_NS: u64 = 10_000_000;
+
+/// Deletes `path`, treating "already gone" as success.
+pub(crate) fn delete_if_exists(fs: &SimFs, path: &str) -> Result<(), FsError> {
+    match fs.delete(path) {
+        Ok(()) | Err(FsError::NotFound(_)) => Ok(()),
+        Err(e) => Err(e),
+    }
+}
+
+/// Writes every entry of `mem` to a new table at `path` — what a flush,
+/// the recovery flush and repair's log salvage all do. Each entry's
+/// protection checksum is verified on the way in (a no-op for an
+/// unprotected memtable), and `entry_cpu_ns` of CPU is charged per entry,
+/// batched to one sleep per 256 entries.
+pub(crate) fn write_memtable_table(
+    fs: &Arc<SimFs>,
+    path: &str,
+    opts: &DbOptions,
+    mem: &Arc<MemTable>,
+    entry_cpu_ns: u64,
+) -> DbResult<TableProperties> {
+    let mut builder = TableBuilder::with_options(fs.create(path)?, TableOptions::from(opts));
+    let mut iter = mem.iter();
+    let mut ok = InternalIterator::seek_to_first(&mut iter)?;
+    let mut cpu = 0u64;
+    while ok {
+        iter.verify_entry()?;
+        builder.add(
+            &InternalIterator::key(&iter),
+            &InternalIterator::value(&iter),
+        )?;
+        cpu += entry_cpu_ns;
+        if cpu > 0 && cpu >= 256 * entry_cpu_ns {
+            xlsm_sim::sleep_nanos(cpu);
+            cpu = 0;
+        }
+        ok = InternalIterator::next(&mut iter)?;
+    }
+    if cpu > 0 {
+        xlsm_sim::sleep_nanos(cpu);
+    }
+    builder.finish()
+}
+
+/// Marks a compaction's input files busy for as long as it lives, so no
+/// other pick can take them.
+struct BusyInputs<'a> {
+    set: &'a parking_lot::Mutex<HashSet<u64>>,
+    numbers: Vec<u64>,
+}
+
+impl<'a> BusyInputs<'a> {
+    fn mark(set: &'a parking_lot::Mutex<HashSet<u64>>, numbers: Vec<u64>) -> BusyInputs<'a> {
+        set.lock().extend(numbers.iter().copied());
+        BusyInputs { set, numbers }
+    }
+}
+
+impl Drop for BusyInputs<'_> {
+    fn drop(&mut self) {
+        let mut set = self.set.lock();
+        for n in &self.numbers {
+            set.remove(n);
+        }
+    }
+}
+
+/// Cursor state for the background scrubber: it walks live SSTs in file-number
+/// order, wrapping around at the end of each pass.
+#[derive(Default)]
+pub(crate) struct ScrubState {
+    /// Highest file number verified so far in the current pass.
+    cursor: u64,
+    /// Virtual time the current pass started (0 = not started).
+    pass_start_ns: u64,
+    /// Files verified in the current pass.
+    files_scanned: u64,
+}
+
+impl DbInner {
+    /// Draws `bytes` from the shared background-I/O budget and attributes
+    /// the wait to `BgIoThrottledNs` + the `bg_io_wait` histogram.
+    fn charge_bg_io(&self, bytes: u64, pri: BgIoPriority) {
+        if !self.io_limiter.enabled() {
+            return;
+        }
+        let waited = self.io_limiter.acquire(bytes, pri);
+        self.stats.add(Ticker::BgIoThrottledNs, waited);
+        self.stats.bg_io_wait.record(waited);
+    }
+
+    pub(crate) fn schedule_flush(&self) {
+        let _ = self.flush_tx.send(());
+    }
+
+    pub(crate) fn maybe_schedule_compaction(&self) {
+        if self.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        let version = self.versions.current();
+        let (_, score) = version.compaction_score(&self.opts, self.dynamic.l0_compaction_trigger());
+        if score >= 1.0 {
+            let queued = self.compact_queued.load(Ordering::Relaxed);
+            if queued < self.opts.max_background_compactions * 2 {
+                self.compact_queued.fetch_add(1, Ordering::Relaxed);
+                let _ = self.compact_tx.send(());
+            }
+        }
+    }
+
+    /// Bytes the database is accountable for under the space cap: live SST
+    /// bytes in the current version plus the `trash/` backlog whose extents
+    /// are still allocated while they await rate-limited deletion.
+    fn accounted_space_bytes(&self) -> u64 {
+        let live = self.versions.current().total_bytes();
+        live.saturating_add(self.trash.queued_bytes())
+    }
+
+    /// Disposes of one obsolete SST. With the delete scheduler enabled the
+    /// file is renamed into `trash/` — atomic, crash-durable, and invisible
+    /// to the live set from that instant, while its extents stay allocated
+    /// until the paced reaper gets to it. Otherwise it is deleted inline
+    /// (the legacy path).
+    fn dispose_obsolete_sst(&self, number: u64) -> Result<(), FsError> {
+        let path = sst_file_name(&self.opts.db_path, number);
+        if !self.trash.enabled() {
+            return delete_if_exists(&self.fs, &path);
+        }
+        let bytes = match self.fs.open(&path) {
+            Ok(f) => f.len(),
+            Err(FsError::NotFound(_)) => return Ok(()), // already gone
+            Err(e) => return Err(e),
+        };
+        let dest = trash_file_name(&self.opts.db_path, number);
+        match self.fs.rename(&path, &dest) {
+            Ok(()) => {
+                self.stats.add(Ticker::TrashQueueBytes, bytes);
+                self.trash.schedule(dest, bytes);
+                Ok(())
+            }
+            Err(FsError::NotFound(_)) => Ok(()),
+            // A crash between a rename and its obsolete-queue entry being
+            // dropped can leave the destination occupied; the trash sweep
+            // at open owns that copy, so delete ours directly.
+            Err(FsError::AlreadyExists(_)) => delete_if_exists(&self.fs, &path),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Deletes (or trashes) SSTs queued as obsolete that no live version
+    /// references. A failed disposal re-queues the file and records the
+    /// error; it is retried at the next purge and never makes data unsafe,
+    /// so the database stays writable.
+    pub(crate) fn purge_obsolete(&self) {
+        let candidates: Vec<u64> = std::mem::take(&mut *self.obsolete.lock());
+        if candidates.is_empty() {
+            return;
+        }
+        let live = self.versions.live_files();
+        let mut still_pinned = Vec::new();
+        let mut had_error = false;
+        for n in candidates {
+            if live.contains(&n) {
+                still_pinned.push(n);
+            } else {
+                self.table_cache.evict(n);
+                match self.dispose_obsolete_sst(n) {
+                    Ok(()) => {}
+                    Err(e) => {
+                        had_error = true;
+                        still_pinned.push(n);
+                        self.stats.bump(Ticker::BackgroundErrors);
+                        let _ = self.bg.record(BackgroundOp::ObsoletePurge, e.into(), 0);
+                    }
+                }
+            }
+        }
+        self.obsolete.lock().extend(still_pinned);
+        if !had_error {
+            self.clear_resolved(BackgroundOp::ObsoletePurge);
+        }
+    }
+
+    /// A fully clean purge pass resolves an earlier failure of the same
+    /// purge.
+    fn clear_resolved(&self, op: BackgroundOp) {
+        if !self.bg.is_read_only() && matches!(self.bg.current(), Some(b) if b.op == op) {
+            self.bg.clear();
+        }
+    }
+
+    /// Deletes one file from the trash queue, paced to
+    /// `sst_delete_rate_bytes_per_sec`. Returns `Ok(false)` when the queue
+    /// is empty. A failed delete re-queues the entry; the file is disposed
+    /// of exactly once either way.
+    fn reap_trash_one(&self) -> DbResult<bool> {
+        if self.fs.is_powered_off() {
+            // A dead device owns its contents; the sweep at reopen will
+            // re-queue whatever is still in trash/.
+            return Ok(false);
+        }
+        let Some(entry) = self.trash.pop() else {
+            return Ok(false);
+        };
+        self.trash.pace(entry.bytes);
+        match delete_if_exists(&self.fs, &entry.path) {
+            Ok(()) => {
+                self.stats.add(Ticker::SpaceReclaimedBytes, entry.bytes);
+                Ok(true)
+            }
+            Err(e) => {
+                self.trash.schedule(entry.path, entry.bytes);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Deletes WAL files with number < the version set's log watermark.
+    /// Failures are recorded (`WalPurgeFailures` + the background-error
+    /// state) and the file is retried at the next purge pass; they were
+    /// previously swallowed silently.
+    pub(crate) fn purge_old_wals(&self) {
+        let watermark = self.versions.log_number();
+        let prefix = format!("{}/", self.opts.db_path);
+        let mut had_error = false;
+        for path in self.wal_fs.list(&prefix) {
+            if path[prefix.len()..].contains('/') {
+                continue; // files archived under lost/ are not ours to reap
+            }
+            if let Some(number) = parse_file_number(&path, ".log") {
+                if number < watermark {
+                    if let Err(e) = delete_if_exists(&self.wal_fs, &path) {
+                        had_error = true;
+                        self.stats.bump(Ticker::WalPurgeFailures);
+                        self.stats.bump(Ticker::BackgroundErrors);
+                        let _ = self.bg.record(BackgroundOp::WalPurge, e.into(), 0);
+                    }
+                }
+            }
+        }
+        if !had_error {
+            self.clear_resolved(BackgroundOp::WalPurge);
+        }
+    }
+
+    // -- space watcher ------------------------------------------------------
+
+    /// One `SpaceWatcher` poll: while the database is soft-stalled on
+    /// ENOSPC, check whether headroom has returned (the cap was raised,
+    /// trash was reaped, or device space freed) and auto-resume — clear the
+    /// error, lift the external writer stop, and reschedule the stalled
+    /// work. A power cut observed mid-stall ends the incarnation instead:
+    /// the stall escalates to read-only so parked writers fail fast rather
+    /// than hang on a dead device.
+    fn space_watch_tick(self: &Arc<Self>) {
+        if !self.bg.is_soft_stalled() {
+            return;
+        }
+        if self.fs.is_powered_off() {
+            self.bg.escalate();
+            self.enter_read_only_mode();
+            return;
+        }
+        // Headroom test: the next flush's estimated output must fit both
+        // under the cap and in the device's actual free space.
+        let needed = {
+            let mem = self.mem.lock();
+            mem.immutables
+                .first()
+                .map(|(m, _)| m.approximate_bytes() as u64)
+                .unwrap_or_else(|| mem.mutable.approximate_bytes() as u64)
+        };
+        let page = xlsm_device::PAGE_SIZE as u64;
+        let device_free = self.fs.free_space_pages().saturating_mul(page);
+        if self.space.would_fit(needed, self.accounted_space_bytes()) && device_free >= needed {
+            self.end_enospc_stall();
+            self.bg.clear();
+            self.controller.set_external_stop(false);
+            self.stats.bump(Ticker::BackgroundAutoResumes);
+            self.update_stall_conditions();
+            self.schedule_flush();
+            self.maybe_schedule_compaction();
+        }
+    }
+
+    /// Closes the current soft ENOSPC stall episode, if one is open, into
+    /// the `enospc_stall` histogram.
+    pub(crate) fn end_enospc_stall(&self) {
+        let t0 = self.enospc_stall_start.swap(0, Ordering::Relaxed);
+        if t0 > 0 {
+            self.stats
+                .enospc_stall
+                .record(xlsm_sim::now_nanos().saturating_sub(t0));
+        }
+    }
+
+    // -- scrubbing ---------------------------------------------------------
+
+    /// Verifies one live SST against its recorded checksums and advances the
+    /// scrub cursor (file-number order, wrapping at the end of a pass).
+    ///
+    /// Reads are paced to `scrub_rate_bytes_per_sec` so the scrubber's I/O
+    /// cost is honest but bounded. Returns `Ok(false)` when scrubbing is
+    /// disabled or there is nothing to scan; corruption errors propagate to
+    /// [`DbInner::run_background_job`], which counts them and flips the
+    /// database read-only.
+    fn scrub_one(self: &Arc<Self>) -> DbResult<bool> {
+        let rate = self.opts.scrub_rate_bytes_per_sec;
+        if rate == 0 {
+            return Ok(false);
+        }
+        let version = self.versions.current();
+        let mut metas: Vec<Arc<FileMetaData>> = version.levels.iter().flatten().cloned().collect();
+        metas.sort_by_key(|m| m.number);
+        metas.dedup_by_key(|m| m.number);
+        if metas.is_empty() {
+            return Ok(false);
+        }
+        let meta = {
+            let mut state = self.scrub.lock();
+            if state.pass_start_ns == 0 {
+                state.pass_start_ns = xlsm_sim::now_nanos();
+            }
+            match metas.iter().find(|m| m.number > state.cursor) {
+                Some(m) => {
+                    state.cursor = m.number;
+                    state.files_scanned += 1;
+                    Arc::clone(m)
+                }
+                None => {
+                    // Pass complete: record its duration, wrap around.
+                    if state.files_scanned > 0 {
+                        self.stats
+                            .scrub_pass
+                            .record(xlsm_sim::now_nanos() - state.pass_start_ns);
+                    }
+                    state.pass_start_ns = xlsm_sim::now_nanos();
+                    state.files_scanned = 1;
+                    let m = Arc::clone(&metas[0]);
+                    state.cursor = m.number;
+                    m
+                }
+            }
+        };
+        let path = sst_file_name(&self.opts.db_path, meta.number);
+        let file = match self.fs.open(&path) {
+            Ok(f) => f,
+            // Compacted away between the version snapshot and the open.
+            Err(FsError::NotFound(_)) => return Ok(true),
+            Err(e) => return Err(e.into()),
+        };
+        let mut pacer = |bytes: u64| {
+            xlsm_sim::sleep_nanos(bytes.saturating_mul(1_000_000_000) / rate);
+        };
+        let result = (|| {
+            if verify_file_crc(&file, &meta, &path, &mut pacer)? {
+                Ok(file.len())
+            } else {
+                verify_table_file(&file, meta.number, &mut pacer)
+            }
+        })();
+        match result {
+            Ok(bytes) => {
+                self.stats.add(Ticker::ScrubBytesVerified, bytes);
+                Ok(true)
+            }
+            Err(e) => {
+                if matches!(e, DbError::Corruption(_)) {
+                    self.stats.bump(Ticker::ScrubCorruptionsFound);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    // -- flush ------------------------------------------------------------
+
+    pub(crate) fn flush_one(self: &Arc<Self>) -> DbResult<bool> {
+        // Serialize flush jobs (RocksDB flushes one memtable at a time).
+        self.flush_serial.acquire(1);
+        let result = self.flush_one_locked();
+        self.flush_serial.release(1);
+        result
+    }
+
+    fn flush_one_locked(self: &Arc<Self>) -> DbResult<bool> {
+        let (mem, _wal_number) = {
+            let state = self.mem.lock();
+            match state.immutables.first() {
+                Some((m, w)) => (Arc::clone(m), *w),
+                None => return Ok(false),
+            }
+        };
+        let t0 = xlsm_sim::now_nanos();
+        // Pre-reserve the flush's estimated output under the space cap
+        // before writing a byte: with the cap held below device capacity,
+        // the WAL (which shares the device) is never the thing that hits
+        // ENOSPC — the flush is, here, before any I/O, and the failure
+        // takes the soft stall-and-resume path.
+        let space_reserve = mem.approximate_bytes() as u64;
+        if !self
+            .space
+            .try_reserve(space_reserve, self.accounted_space_bytes())
+        {
+            return Err(DbError::Fs(FsError::DeviceFull));
+        }
+        let number = self.versions.new_file_number();
+        let sst_path = sst_file_name(&self.opts.db_path, number);
+        let props = match write_memtable_table(
+            &self.fs,
+            &sst_path,
+            &self.opts,
+            &mem,
+            costs::FLUSH_ENTRY_NS,
+        ) {
+            Ok(props) => props,
+            Err(e) => {
+                // Drop the partial output so a retried flush starts clean;
+                // the immutable memtable stays queued for the retry.
+                let _ = self.fs.delete(&sst_path);
+                self.space.release(space_reserve);
+                return Err(e);
+            }
+        };
+        // Settle the flush's bytes against the shared background budget at
+        // flush priority: queued compactions must leave room for it.
+        self.charge_bg_io(props.file_size, BgIoPriority::Flush);
+
+        // Install. The watermark cannot move while we wait for the install
+        // lock: flushes are serialized, and a memtable switch only appends
+        // logs numbered above every one considered here.
+        let log_watermark = {
+            let state = self.mem.lock();
+            state
+                .immutables
+                .iter()
+                .skip(1)
+                .map(|(_, w)| *w)
+                .chain(std::iter::once(state.wal_number))
+                .min()
+                .unwrap_or(state.wal_number)
+        };
+        let mut edit = VersionEdit::default();
+        let file_size = props.file_size;
+        edit.added
+            .push((0, FileMetaData::from_props(number, props)));
+        edit.log_number = Some(log_watermark);
+        let install = self.install(edit);
+        // Installed (or abandoned) output stops being a reservation — on
+        // success it is counted as live bytes from here on.
+        self.space.release(space_reserve);
+        // After a failed install the manifest record may or may not be
+        // durable — its state is unknown, so the error is never retryable.
+        // The built SST stays on disk: if the edit did land, deleting it
+        // would leave the manifest pointing at a missing file.
+        install?;
+
+        {
+            let mut state = self.mem.lock();
+            debug_assert!(Arc::ptr_eq(&state.immutables[0].0, &mem));
+            state.immutables.remove(0);
+        }
+        self.stats.bump(Ticker::FlushCount);
+        self.stats.add(Ticker::FlushBytes, file_size);
+        self.stats.flush_duration.record(xlsm_sim::now_nanos() - t0);
+        self.purge_old_wals();
+        self.update_stall_conditions();
+        self.maybe_schedule_compaction();
+        Ok(true)
+    }
+
+    // -- compaction --------------------------------------------------------
+
+    fn compact_one(self: &Arc<Self>) -> DbResult<bool> {
+        // Headroom rule: a compaction whose estimated output (bounded by
+        // its input bytes — merging only shrinks) cannot fit under the
+        // space cap never starts. The picker masks that level and falls
+        // back to smaller eligible work instead.
+        let accounted = self.accounted_space_bytes();
+        let fits = |t: &CompactionTask| {
+            if t.is_trivial_move || self.space.would_fit(t.input_bytes(), accounted) {
+                true
+            } else {
+                self.stats.bump(Ticker::SpaceCompactionsDeferred);
+                false
+            }
+        };
+        let task = {
+            let version = self.versions.current();
+            let in_progress = self.in_compaction.lock();
+            let mut cursors = self.cursors.lock();
+            pick_compaction(
+                &version,
+                &self.opts,
+                self.dynamic.l0_compaction_trigger(),
+                &in_progress,
+                &mut cursors,
+                &*self.opts.compaction_scheduler,
+                &fits,
+            )
+        };
+        let Some(task) = task else {
+            return Ok(false);
+        };
+        // Reserve the estimated output for real (the pick-time check was
+        // advisory; a concurrent flush may have claimed the headroom).
+        let space_reserve = if task.is_trivial_move {
+            0
+        } else {
+            task.input_bytes()
+        };
+        if space_reserve > 0
+            && !self
+                .space
+                .try_reserve(space_reserve, self.accounted_space_bytes())
+        {
+            self.stats.bump(Ticker::SpaceCompactionsDeferred);
+            return Ok(false);
+        }
+        let busy = BusyInputs::mark(&self.in_compaction, task.input_numbers());
+        let t0 = xlsm_sim::now_nanos();
+        let min_snapshot = self
+            .snapshots
+            .lock()
+            .iter()
+            .min()
+            .copied()
+            .unwrap_or_else(|| self.versions.last_sequence());
+        // A real merge reads every input byte; settle that against the
+        // shared budget before touching the device (trivial moves are
+        // metadata-only and free). Compaction priority: any flush that has
+        // registered bytes overtakes us at the bucket.
+        if !task.is_trivial_move {
+            self.charge_bg_io(task.input_bytes(), BgIoPriority::Compaction);
+        }
+        let inner = Arc::clone(self);
+        let result = run_compaction(
+            &task,
+            &self.fs,
+            &self.opts.db_path,
+            &self.table_cache,
+            &self.stats,
+            &self.opts,
+            Arc::new(move || inner.versions.new_file_number()),
+            min_snapshot,
+        );
+        let edit = match result {
+            Ok(edit) => edit,
+            Err(e) => {
+                drop(busy);
+                self.space.release(space_reserve);
+                return Err(e);
+            }
+        };
+        if !task.is_trivial_move {
+            // …and the bytes the merge wrote back out.
+            let out_bytes: u64 = edit.added.iter().map(|(_, f)| f.file_size).sum();
+            self.charge_bg_io(out_bytes, BgIoPriority::Compaction);
+        }
+        let install = self.install(edit);
+        drop(busy);
+        // Installed (or abandoned) outputs count as live bytes, not a
+        // reservation, from here on.
+        self.space.release(space_reserve);
+        // Manifest state is unknown after an install failure: hard error,
+        // and the outputs stay on disk in case the edit landed.
+        install?;
+        if !task.is_trivial_move {
+            self.obsolete.lock().extend(task.input_numbers());
+            self.purge_obsolete();
+        }
+        self.stats.bump(Ticker::CompactionCount);
+        self.stats
+            .compaction_duration
+            .record(xlsm_sim::now_nanos() - t0);
+        self.update_stall_conditions();
+        self.maybe_schedule_compaction();
+        Ok(true)
+    }
+
+    // -- background-error handling ------------------------------------------
+
+    /// Runs one background job with RocksDB-style error handling: transient
+    /// I/O errors are retried with bounded exponential backoff (auto-resume
+    /// on success); hard errors — corruption, power loss, exhausted retries
+    /// — transition the database to read-only, where writes fail fast with
+    /// [`DbError::ReadOnly`] while reads keep serving. Workers never panic.
+    fn run_background_job(
+        self: &Arc<Self>,
+        op: BackgroundOp,
+        job: impl Fn(&Arc<Self>) -> DbResult<bool>,
+    ) {
+        let mut retries = 0u32;
+        loop {
+            if self.shutdown.load(Ordering::Relaxed) || self.bg.is_read_only() {
+                return;
+            }
+            let e = match job(self) {
+                Ok(_) => {
+                    if retries > 0 && !self.bg.is_read_only() {
+                        self.bg.clear();
+                        self.stats.bump(Ticker::BackgroundAutoResumes);
+                        self.update_stall_conditions();
+                    }
+                    return;
+                }
+                Err(e) => e,
+            };
+            if matches!(e, DbError::Corruption(_)) {
+                self.stats.bump(Ticker::CorruptionDetected);
+                if !self.opts.paranoid_checks && op == BackgroundOp::Compaction {
+                    // Without paranoid checks a corrupt compaction input
+                    // abandons that compaction but keeps the database
+                    // writable (the inputs stay in place).
+                    self.stats.bump(Ticker::BackgroundErrors);
+                    return;
+                }
+            }
+            self.stats.bump(Ticker::BackgroundErrors);
+            let severity = self.bg.record(op, e, retries);
+            if severity == ErrorSeverity::Soft {
+                // Soft ENOSPC: park writers behind the controller's
+                // external stop — they stall, never fail — and leave the
+                // job queued (the immutable memtable stays in place). The
+                // SpaceWatcher clears the stop once headroom returns and
+                // reschedules this work.
+                if self
+                    .enospc_stall_start
+                    .compare_exchange(
+                        0,
+                        xlsm_sim::now_nanos().max(1),
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok()
+                {
+                    self.stats.bump(Ticker::EnospcStalls);
+                }
+                self.controller.set_external_stop(true);
+                return;
+            }
+            if severity == ErrorSeverity::Retryable && retries < MAX_BACKGROUND_ERROR_RETRIES {
+                self.stats.bump(Ticker::BackgroundErrorRetries);
+                let backoff =
+                    BACKGROUND_ERROR_RETRY_BACKOFF_NS.saturating_mul(1u64 << retries.min(20));
+                retries += 1;
+                xlsm_sim::sleep_nanos(backoff.max(1));
+                continue;
+            }
+            self.bg.escalate();
+            self.enter_read_only_mode();
+            return;
+        }
+    }
+
+    /// Transitions to read-only mode and force-releases any writers stalled
+    /// inside the controller so they can observe the error and fail fast.
+    fn enter_read_only_mode(&self) {
+        if !self.bg.is_read_only() {
+            self.bg.enter_read_only();
+            self.stats.bump(Ticker::ReadOnlyTransitions);
+        }
+        self.controller.force_release(true);
+    }
+}
+
+/// Where an obsolete SST lives between being trashed and being reaped.
+fn trash_file_name(db_path: &str, number: u64) -> String {
+    format!("{db_path}/trash/{number:06}.sst")
+}
+
+/// Spawns the background workers `Db::open` hands to the `Db` for joining
+/// at close: the flush and compaction pools draining their job channels,
+/// plus the scrubber, trash reaper and space watcher when enabled.
+pub(crate) fn spawn_workers(
+    inner: &Arc<DbInner>,
+    flush_rx: &Receiver<()>,
+    compact_rx: &Receiver<()>,
+) -> Vec<JoinHandle<()>> {
+    let mut workers = Vec::new();
+    for i in 0..MAX_BACKGROUND_FLUSHES {
+        let rx = flush_rx.clone();
+        let inner = Arc::clone(inner);
+        workers.push(xlsm_sim::spawn(&format!("flush-{i}"), move || {
+            while rx.recv().is_some() {
+                if inner.shutdown.load(Ordering::Relaxed) {
+                    break;
+                }
+                inner.run_background_job(BackgroundOp::Flush, DbInner::flush_one);
+            }
+        }));
+    }
+    for i in 0..inner.opts.max_background_compactions {
+        let rx = compact_rx.clone();
+        let inner = Arc::clone(inner);
+        workers.push(xlsm_sim::spawn(&format!("compact-{i}"), move || {
+            while rx.recv().is_some() {
+                inner.compact_queued.fetch_sub(1, Ordering::Relaxed);
+                if inner.shutdown.load(Ordering::Relaxed) {
+                    break;
+                }
+                inner.run_background_job(BackgroundOp::Compaction, DbInner::compact_one);
+            }
+        }));
+    }
+    if inner.opts.scrub_rate_bytes_per_sec > 0 {
+        let inner = Arc::clone(inner);
+        workers.push(xlsm_sim::spawn("scrub-0", move || {
+            while !inner.shutdown.load(Ordering::Relaxed) {
+                inner.run_background_job(BackgroundOp::Scrub, DbInner::scrub_one);
+                // Idle tick between files; also the only wait while
+                // read-only.
+                xlsm_sim::sleep_nanos(IDLE_TICK_NS);
+            }
+        }));
+    }
+    if inner.trash.enabled() {
+        let inner = Arc::clone(inner);
+        workers.push(xlsm_sim::spawn("trash-reaper-0", move || {
+            while !inner.shutdown.load(Ordering::Relaxed) {
+                match inner.reap_trash_one() {
+                    // Drained one entry; go straight for the next (the
+                    // pace() inside already spent the virtual time).
+                    Ok(true) => {}
+                    Ok(false) => xlsm_sim::sleep_nanos(IDLE_TICK_NS),
+                    // A failed delete was re-queued; record it and back
+                    // off. Reap failures never escalate to read-only —
+                    // the data is already obsolete.
+                    Err(e) => {
+                        inner.stats.bump(Ticker::BackgroundErrors);
+                        let _ = inner.bg.record(BackgroundOp::TrashReap, e, 0);
+                        xlsm_sim::sleep_nanos(IDLE_TICK_NS);
+                    }
+                }
+            }
+        }));
+    }
+    if inner.opts.space_poll_interval_ns > 0 {
+        let inner = Arc::clone(inner);
+        workers.push(xlsm_sim::spawn("space-watcher-0", move || {
+            while !inner.shutdown.load(Ordering::Relaxed) {
+                inner.space_watch_tick();
+                xlsm_sim::sleep_nanos(inner.opts.space_poll_interval_ns);
+            }
+        }));
+    }
+    workers
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::db::tests::{open_db, small_opts};
+    use crate::Ticker;
+    use xlsm_sim::Runtime;
+
+    #[test]
+    fn values_survive_flush_to_l0() {
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(small_opts());
+            for i in 0..100u32 {
+                db.put(format!("key{i:04}").as_bytes(), &[b'v'; 100])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            assert!(db.num_l0_files() >= 1);
+            for i in 0..100u32 {
+                assert_eq!(
+                    db.get(format!("key{i:04}").as_bytes()).unwrap(),
+                    Some(vec![b'v'; 100]),
+                    "key{i:04} lost after flush"
+                );
+            }
+            assert!(db.stats().ticker(Ticker::GetHitL0) > 0);
+            db.close();
+        });
+    }
+
+    #[test]
+    fn heavy_writes_trigger_compaction_and_stay_readable() {
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(small_opts());
+            // ~4 MiB of data through a 64 KiB memtable => many flushes and
+            // at least one compaction into L1.
+            let value = vec![b'x'; 512];
+            for i in 0..8000u32 {
+                db.put(format!("key{:06}", i % 2000).as_bytes(), &value)
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            db.wait_for_compactions();
+            let shape = db.shape();
+            assert!(
+                shape.files_per_level[1..].iter().any(|&n| n > 0),
+                "compaction should have populated deeper levels: {shape:?}"
+            );
+            assert!(db.stats().ticker(Ticker::CompactionCount) > 0);
+            for i in 0..2000u32 {
+                assert_eq!(
+                    db.get(format!("key{i:06}").as_bytes()).unwrap(),
+                    Some(value.clone()),
+                    "key{i:06} lost after compaction"
+                );
+            }
+            db.close();
+        });
+    }
+}

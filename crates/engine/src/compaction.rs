@@ -17,13 +17,13 @@
 //! output level is bottommost for their key range.
 
 use crate::costs;
-use crate::db::TableCache;
 use crate::error::DbResult;
 use crate::iterator::{InternalIterator, LevelIterator, MergingIterator};
 use crate::options::DbOptions;
 use crate::scheduler::CompactionScheduler;
 use crate::sst::{sst_file_name, TableBuilder};
 use crate::stats::{DbStats, Ticker};
+use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
 use crate::version::{FileMetaData, Version, VersionEdit};
 use std::collections::HashSet;
@@ -116,12 +116,13 @@ impl CompactionCursors {
 pub fn pick_compaction(
     version: &Version,
     opts: &DbOptions,
+    l0_trigger: usize,
     in_progress: &HashSet<u64>,
     cursors: &mut CompactionCursors,
     scheduler: &dyn CompactionScheduler,
     fits: &dyn Fn(&CompactionTask) -> bool,
 ) -> Option<CompactionTask> {
-    let mut scores = version.level_scores(opts);
+    let mut scores = version.level_scores(opts, l0_trigger);
     loop {
         let level = scheduler.pick_level(&scores)?;
         if let Some(task) = pick_at_level(version, level, in_progress, cursors) {
@@ -478,17 +479,8 @@ fn merge_into_edit(
         |builder: &mut Option<TableBuilder>, number: u64, edit: &mut VersionEdit| -> DbResult<()> {
             if let Some(b) = builder.take() {
                 let props = b.finish()?;
-                edit.added.push((
-                    task.output_level,
-                    FileMetaData {
-                        number,
-                        file_size: props.file_size,
-                        smallest: props.smallest,
-                        largest: props.largest,
-                        num_entries: props.num_entries,
-                        file_crc: Some(props.file_crc),
-                    },
-                ));
+                edit.added
+                    .push((task.output_level, FileMetaData::from_props(number, props)));
             }
             Ok(())
         };
@@ -561,8 +553,10 @@ fn merge_into_edit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::tests::{open_db, small_opts};
     use crate::scheduler::GreedyScheduler;
     use crate::types::make_internal_key;
+    use xlsm_sim::Runtime;
 
     fn pick(
         v: &Version,
@@ -570,7 +564,15 @@ mod tests {
         busy: &HashSet<u64>,
         cursors: &mut CompactionCursors,
     ) -> Option<CompactionTask> {
-        pick_compaction(v, opts, busy, cursors, &GreedyScheduler, &|_| true)
+        pick_compaction(
+            v,
+            opts,
+            opts.level0_file_num_compaction_trigger,
+            busy,
+            cursors,
+            &GreedyScheduler,
+            &|_| true,
+        )
     }
 
     fn meta(number: u64, lo: &[u8], hi: &[u8], size: u64) -> FileMetaData {
@@ -701,5 +703,69 @@ mod tests {
             .map(|_| pick(&v, &opts, &busy, &mut cursors).unwrap().inputs[0].number)
             .collect();
         assert_eq!(order, vec![6, 7, 5, 6], "B must not be skipped");
+    }
+
+    #[test]
+    fn dropped_tombstone_must_not_resurrect_older_value() {
+        // Regression: when a droppable tombstone is the FIRST version of a
+        // key seen by a compaction, the older value beneath it must still
+        // be shadowed (the per-key state reset must precede the drop
+        // decision).
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(DbOptions {
+                // Trigger compaction with few files so the tombstone file
+                // and the value file merge.
+                level0_file_num_compaction_trigger: 2,
+                ..small_opts()
+            });
+            for i in 0..300u32 {
+                db.put(format!("k{i:05}").as_bytes(), &[b'v'; 128]).unwrap();
+            }
+            db.flush().unwrap();
+            for i in 0..300u32 {
+                db.delete(format!("k{i:05}").as_bytes()).unwrap();
+            }
+            db.flush().unwrap();
+            db.wait_for_compactions();
+            assert!(
+                db.stats().ticker(Ticker::CompactionCount) > 0,
+                "test requires a real compaction"
+            );
+            for i in 0..300u32 {
+                assert_eq!(
+                    db.get(format!("k{i:05}").as_bytes()).unwrap(),
+                    None,
+                    "key k{i:05} resurrected after compaction"
+                );
+            }
+            let mut scan = db.scan().unwrap();
+            assert!(!scan.seek_to_first().unwrap(), "scan must be empty");
+            drop(scan);
+            db.close();
+        });
+    }
+
+    #[test]
+    fn tombstones_collapse_at_bottom_level() {
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(small_opts());
+            for i in 0..400u32 {
+                db.put(format!("k{i:05}").as_bytes(), &vec![b'v'; 256])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            for i in 0..400u32 {
+                db.delete(format!("k{i:05}").as_bytes()).unwrap();
+            }
+            db.flush().unwrap();
+            db.wait_for_compactions();
+            for i in (0..400u32).step_by(37) {
+                assert_eq!(db.get(format!("k{i:05}").as_bytes()).unwrap(), None);
+            }
+            let mut scan = db.scan().unwrap();
+            assert!(!scan.seek_to_first().unwrap(), "everything was deleted");
+            drop(scan);
+            db.close();
+        });
     }
 }

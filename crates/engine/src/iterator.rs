@@ -1,10 +1,10 @@
 //! Internal iterators: the merging machinery behind scans and compaction.
 
-use crate::db::TableCache;
 use crate::error::DbResult;
 use crate::memtable::MemTableIter;
 use crate::sst::TableIterator;
 use crate::stats::DbStats;
+use crate::table_cache::TableCache;
 use crate::types::{self, compare_internal, SequenceNumber, ValueType};
 use crate::version::FileMetaData;
 use std::cmp::Ordering;

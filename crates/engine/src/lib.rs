@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+mod background;
 pub mod batch;
 pub mod bgerror;
 pub mod bloom;
@@ -71,12 +72,15 @@ pub mod integrity;
 pub mod iterator;
 pub mod memtable;
 pub mod options;
+pub mod read;
+mod recovery;
 pub mod repair;
 pub mod scheduler;
 pub mod space;
 pub mod sst;
 pub mod stall;
 pub mod stats;
+pub mod table_cache;
 pub mod types;
 pub mod version;
 pub mod wal;

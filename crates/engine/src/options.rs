@@ -79,16 +79,10 @@ pub struct DbOptions {
     pub level0_stop_writes_trigger: usize,
     /// Target size of L1 (bytes).
     pub max_bytes_for_level_base: u64,
-    /// Growth factor between levels.
-    pub max_bytes_for_level_multiplier: f64,
     /// Target SST size for compaction outputs (bytes).
     pub target_file_size_base: u64,
-    /// Number of levels.
-    pub num_levels: usize,
     /// Compaction worker threads (low-priority pool).
     pub max_background_compactions: usize,
-    /// Flush worker threads (high-priority pool).
-    pub max_background_flushes: usize,
     /// Maximum key-range partitions one compaction may fan out across
     /// (RocksDB `max_subcompactions`). `1` keeps the merge serial; higher
     /// values split the input key space at SST block boundaries and run one
@@ -138,8 +132,6 @@ pub struct DbOptions {
     /// Use the pipelined write path (Algorithm 2). When false, the group
     /// leader also performs all memtable inserts.
     pub pipelined_write: bool,
-    /// Maximum bytes gathered into one write batch group.
-    pub max_write_batch_group_size: usize,
     /// Concurrent memtable writes: group members insert their own
     /// sub-batches into the memtable in parallel (RocksDB's
     /// `allow_concurrent_memtable_write`) instead of the leader serially
@@ -230,12 +222,6 @@ pub struct DbOptions {
     /// watcher, preserving the legacy contract (`DeviceFull` is a hard
     /// error: the database goes permanently read-only).
     pub space_poll_interval_ns: u64,
-    /// Bounded retries for a retryable (transient) background I/O error
-    /// before it escalates to hard and the database goes read-only.
-    pub max_background_error_retries: u32,
-    /// Backoff before the first background-error retry (nanoseconds);
-    /// doubles on each subsequent attempt.
-    pub background_error_retry_backoff_ns: u64,
     /// Optional separate filesystem (device) for the WAL — the NVM-logging
     /// case study (Section V-C).
     pub wal_fs: Option<Arc<SimFs>>,
@@ -293,12 +279,9 @@ impl Default for DbOptions {
             level0_slowdown_writes_trigger: 20,
             level0_stop_writes_trigger: 36,
             max_bytes_for_level_base: 4 << 20, // 4 MiB (paper: 256 MB, scaled; keeps the 1:4 memtable:L1 ratio)
-            max_bytes_for_level_multiplier: 10.0,
             target_file_size_base: 1 << 20,
-            num_levels: 7,
             max_background_compactions: 1, // db_bench / RocksDB 5.17 default
-            max_background_flushes: 1,
-            max_subcompactions: 1, // RocksDB 5.17 default: serial compaction
+            max_subcompactions: 1,         // RocksDB 5.17 default: serial compaction
             multi_get_parallelism: 4,
             max_open_files: 256,
             table_cache_shards: 8,
@@ -309,7 +292,6 @@ impl Default for DbOptions {
             block_size: 4096,
             block_cache_capacity: 2 << 20,
             pipelined_write: true,
-            max_write_batch_group_size: 1 << 20,
             allow_concurrent_memtable_write: false, // RocksDB 5.17 db_bench default
             concurrent_apply_min_batches: 2,
             enable_wal: true,
@@ -324,8 +306,6 @@ impl Default for DbOptions {
             max_allowed_space_bytes: 0,
             sst_delete_rate_bytes_per_sec: 0,
             space_poll_interval_ns: 0,
-            max_background_error_retries: 6,
-            background_error_retry_backoff_ns: 1_000_000, // 1 ms, doubling
             throttle_policy: Arc::new(OriginalThrottlePolicy),
             compaction_scheduler: Arc::new(GreedyScheduler),
             bg_io_rate_bytes_per_sec: 0,
@@ -336,13 +316,16 @@ impl Default for DbOptions {
     }
 }
 
+/// Growth factor between levels (RocksDB `max_bytes_for_level_multiplier`).
+const MAX_BYTES_FOR_LEVEL_MULTIPLIER: f64 = 10.0;
+
 impl DbOptions {
     /// Target size in bytes for level `n` (1-based; L0 is file-count based).
     pub fn max_bytes_for_level(&self, level: usize) -> u64 {
         debug_assert!(level >= 1);
         let mut size = self.max_bytes_for_level_base as f64;
         for _ in 1..level {
-            size *= self.max_bytes_for_level_multiplier;
+            size *= MAX_BYTES_FOR_LEVEL_MULTIPLIER;
         }
         size as u64
     }
@@ -364,9 +347,6 @@ impl DbOptions {
         }
         if self.level0_stop_writes_trigger < self.level0_slowdown_writes_trigger {
             return Err("stop trigger must be >= slowdown trigger".into());
-        }
-        if self.num_levels < 2 || self.num_levels > 12 {
-            return Err("num_levels must be in 2..=12".into());
         }
         if self.block_size < 256 {
             return Err("block_size must be >= 256".into());

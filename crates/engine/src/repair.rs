@@ -24,13 +24,13 @@
 //! cleanly flushed: there are no logs left to replay, and every surviving
 //! key — including keys that only ever lived in the WAL — is readable.
 
+use crate::background::write_memtable_table;
 use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
 use crate::error::{DbError, DbResult};
-use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
 use crate::options::{DbOptions, WalRecoveryMode};
-use crate::sst::{sst_file_name, TableBuilder, TableReader};
+use crate::sst::{sst_file_name, TableReader};
 use crate::stats::{DbStats, Ticker};
 use crate::types::parse_internal_key;
 use crate::version::{self, FileMetaData, VersionEdit};
@@ -165,8 +165,9 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
         if !mem.is_empty() {
             let number = next_file;
             next_file += 1;
-            let meta = dump_memtable(&fs, db_path, number, &mem, opts)?;
-            metas.push(meta);
+            let path = sst_file_name(db_path, number);
+            let props = write_memtable_table(&fs, &path, opts, &mem, 0)?;
+            metas.push(FileMetaData::from_props(number, props));
             report.logs_converted += 1;
             report.wal_records_salvaged += salvaged;
         }
@@ -258,45 +259,11 @@ fn read_table_meta(
     }
     Ok((
         FileMetaData {
-            number,
-            file_size: props.file_size,
-            smallest: props.smallest,
-            largest: props.largest,
-            num_entries: props.num_entries,
             file_crc: Some(file_crc),
+            ..FileMetaData::from_props(number, props)
         },
         max_seq,
     ))
-}
-
-/// Builds a new table at `number` from the salvaged contents of one log.
-fn dump_memtable(
-    fs: &Arc<SimFs>,
-    db_path: &str,
-    number: u64,
-    mem: &Arc<MemTable>,
-    opts: &DbOptions,
-) -> DbResult<FileMetaData> {
-    let file = fs.create(&sst_file_name(db_path, number))?;
-    let mut builder = TableBuilder::with_options(file, crate::sst::TableOptions::from(opts));
-    let mut iter = mem.iter();
-    let mut ok = InternalIterator::seek_to_first(&mut iter)?;
-    while ok {
-        builder.add(
-            &InternalIterator::key(&iter),
-            &InternalIterator::value(&iter),
-        )?;
-        ok = InternalIterator::next(&mut iter)?;
-    }
-    let props = builder.finish()?;
-    Ok(FileMetaData {
-        number,
-        file_size: props.file_size,
-        smallest: props.smallest,
-        largest: props.largest,
-        num_entries: props.num_entries,
-        file_crc: Some(props.file_crc),
-    })
 }
 
 #[cfg(test)]

@@ -184,11 +184,6 @@ impl DeleteScheduler {
         self.rate > 0
     }
 
-    /// The configured reclamation rate, bytes per virtual second.
-    pub fn rate_bytes_per_sec(&self) -> u64 {
-        self.rate
-    }
-
     /// Enqueues a file already renamed into `trash/`.
     pub fn schedule(&self, path: String, bytes: u64) {
         self.queued_bytes.fetch_add(bytes, Ordering::Relaxed);

@@ -25,7 +25,6 @@ pub enum Ticker {
     BlockCacheHit,
     BlockCacheMiss,
     WalBytes,
-    WalSyncs,
     FlushCount,
     FlushBytes,
     CompactionCount,
@@ -46,7 +45,6 @@ pub enum Ticker {
     SubcompactionFallbacks,
     MultiGetBatches,
     MultiGetKeys,
-    MultiGetProbeThreads,
     /// Write-group member batches applied to the memtable *concurrently*
     /// (on the member's own thread, `allow_concurrent_memtable_write`).
     ConcurrentMemtableApplies,
@@ -82,12 +80,6 @@ pub enum Ticker {
     ScrubBytesVerified,
     /// Checksum mismatches the background scrubber found in live files.
     ScrubCorruptionsFound,
-    /// Compactions dispatched by the greedy (max-score) scheduler.
-    CompactionsScheduledGreedy,
-    /// Compactions dispatched by the round-robin scheduler.
-    CompactionsScheduledRoundRobin,
-    /// Compactions dispatched by the fair (deficit-based) scheduler.
-    CompactionsScheduledFair,
     /// Virtual nanoseconds background jobs spent waiting on the shared
     /// background-I/O budget (`bg_io_rate_bytes_per_sec`).
     BgIoThrottledNs,

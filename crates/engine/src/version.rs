@@ -7,6 +7,7 @@
 use crate::coding::*;
 use crate::error::{DbError, DbResult};
 use crate::options::DbOptions;
+use crate::sst::TableProperties;
 use crate::types::{compare_internal, user_key};
 use crate::wal;
 use std::cmp::Ordering as CmpOrdering;
@@ -15,6 +16,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xlsm_simfs::{FileHandle, SimFs};
+
+/// Number of LSM levels (RocksDB `num_levels`, at its default).
+pub const NUM_LEVELS: usize = 7;
 
 /// Immutable metadata for one SST file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,6 +39,18 @@ pub struct FileMetaData {
 }
 
 impl FileMetaData {
+    /// Metadata for table `number` as its builder reported it.
+    pub fn from_props(number: u64, props: TableProperties) -> FileMetaData {
+        FileMetaData {
+            number,
+            file_size: props.file_size,
+            smallest: props.smallest,
+            largest: props.largest,
+            num_entries: props.num_entries,
+            file_crc: Some(props.file_crc),
+        }
+    }
+
     /// Whether this file's user-key range may contain `key`.
     pub fn may_contain_user_key(&self, key: &[u8]) -> bool {
         user_key(&self.smallest) <= key && key <= user_key(&self.largest)
@@ -71,9 +87,9 @@ impl Version {
         self.levels[level].iter().map(|f| f.file_size).sum()
     }
 
-    /// Total files across levels.
-    pub fn num_files(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
+    /// Total bytes across levels.
+    pub fn total_bytes(&self) -> u64 {
+        (0..self.levels.len()).map(|l| self.level_bytes(l)).sum()
     }
 
     /// Files at `level` overlapping the user-key range `[lo, hi]`.
@@ -143,10 +159,11 @@ impl Version {
     /// count vs. trigger, deeper levels by size vs. target. The last level
     /// has no target (it only receives) so its score is always 0. This is
     /// the input a [`CompactionScheduler`](crate::scheduler::CompactionScheduler)
-    /// picks from; a score ≥ 1.0 warrants compaction.
-    pub fn level_scores(&self, opts: &DbOptions) -> Vec<f64> {
+    /// picks from; a score ≥ 1.0 warrants compaction. `l0_trigger` is the
+    /// Level-0 compaction trigger in effect (it can change at runtime).
+    pub fn level_scores(&self, opts: &DbOptions, l0_trigger: usize) -> Vec<f64> {
         let mut scores = vec![0.0f64; self.levels.len()];
-        scores[0] = self.num_l0_files() as f64 / opts.level0_file_num_compaction_trigger as f64;
+        scores[0] = self.num_l0_files() as f64 / l0_trigger as f64;
         let deepest = self.levels.len() - 1;
         for (level, score) in scores.iter_mut().enumerate().take(deepest).skip(1) {
             *score = self.level_bytes(level) as f64 / opts.max_bytes_for_level(level) as f64;
@@ -156,9 +173,9 @@ impl Version {
 
     /// Returns `(level, score)` of the neediest level, ties toward the
     /// shallower level — the greedy summary of [`Self::level_scores`].
-    pub fn compaction_score(&self, opts: &DbOptions) -> (usize, f64) {
+    pub fn compaction_score(&self, opts: &DbOptions, l0_trigger: usize) -> (usize, f64) {
         let mut best = (0usize, 0.0f64);
-        for (level, &score) in self.level_scores(opts).iter().enumerate() {
+        for (level, &score) in self.level_scores(opts, l0_trigger).iter().enumerate() {
             if score > best.1 {
                 best = (level, score);
             }
@@ -168,11 +185,10 @@ impl Version {
 
     /// Estimated bytes awaiting compaction — feeds the write controller's
     /// rate adaptation (Algorithm 1's `Prev/Esti` comparison).
-    pub fn pending_compaction_bytes(&self, opts: &DbOptions) -> u64 {
+    pub fn pending_compaction_bytes(&self, opts: &DbOptions, l0_trigger: usize) -> u64 {
         let mut pending = 0u64;
-        let trigger = opts.level0_file_num_compaction_trigger;
-        if self.num_l0_files() > trigger {
-            let extra = self.num_l0_files() - trigger;
+        if self.num_l0_files() > l0_trigger {
+            let extra = self.num_l0_files() - l0_trigger;
             let avg = self.level_bytes(0) / self.num_l0_files().max(1) as u64;
             pending += extra as u64 * avg;
         }
@@ -373,7 +389,6 @@ pub struct VersionSet {
     /// Sequence allocator (highest sequence ever handed out).
     next_sequence: AtomicU64,
     log_number: AtomicU64,
-    num_levels: usize,
     /// Whole-file CRCs of sealed WAL segments still at or above the WAL
     /// low-watermark, keyed by log number. Pruned as `log_number` advances.
     wal_crcs: parking_lot::Mutex<std::collections::BTreeMap<u64, u32>>,
@@ -414,7 +429,7 @@ impl VersionSet {
     /// # Errors
     ///
     /// Filesystem errors.
-    pub fn create_new(fs: Arc<SimFs>, db_path: &str, opts: &DbOptions) -> DbResult<VersionSet> {
+    pub fn create_new(fs: Arc<SimFs>, db_path: &str) -> DbResult<VersionSet> {
         let manifest = fs.create(&manifest_path(db_path))?;
         let current = fs.create(&current_path(db_path))?;
         current.append(MANIFEST_NAME.as_bytes())?;
@@ -422,14 +437,13 @@ impl VersionSet {
         let vs = VersionSet {
             fs,
             db_path: db_path.to_owned(),
-            current: parking_lot::Mutex::new(Arc::new(Version::empty(opts.num_levels))),
+            current: parking_lot::Mutex::new(Arc::new(Version::empty(NUM_LEVELS))),
             live: parking_lot::Mutex::new(Vec::new()),
             manifest: parking_lot::Mutex::new(manifest),
             next_file: AtomicU64::new(1),
             last_sequence: AtomicU64::new(0),
             next_sequence: AtomicU64::new(0),
             log_number: AtomicU64::new(0),
-            num_levels: opts.num_levels,
             wal_crcs: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
         };
         Ok(vs)
@@ -441,14 +455,14 @@ impl VersionSet {
     ///
     /// [`DbError::Corruption`] if the manifest is malformed, filesystem
     /// errors otherwise.
-    pub fn recover(fs: Arc<SimFs>, db_path: &str, opts: &DbOptions) -> DbResult<VersionSet> {
+    pub fn recover(fs: Arc<SimFs>, db_path: &str) -> DbResult<VersionSet> {
         let cur = fs.open(&current_path(db_path))?;
         let name = cur.read_at(0, cur.len() as usize)?;
         let name =
             String::from_utf8(name).map_err(|_| DbError::Corruption("CURRENT not utf-8".into()))?;
         let mpath = format!("{db_path}/{name}");
         let records = wal::read_wal(&fs, &mpath)?;
-        let mut version = Version::empty(opts.num_levels);
+        let mut version = Version::empty(NUM_LEVELS);
         let mut next_file = 1u64;
         let mut last_seq = 0u64;
         let mut log_number = 0u64;
@@ -479,7 +493,6 @@ impl VersionSet {
             last_sequence: AtomicU64::new(last_seq),
             next_sequence: AtomicU64::new(last_seq),
             log_number: AtomicU64::new(log_number),
-            num_levels: opts.num_levels,
             wal_crcs: parking_lot::Mutex::new(wal_crcs),
         })
     }
@@ -618,11 +631,6 @@ impl VersionSet {
         live
     }
 
-    /// Number of configured levels.
-    pub fn num_levels(&self) -> usize {
-        self.num_levels
-    }
-
     /// The filesystem this version set lives on.
     pub fn fs(&self) -> &Arc<SimFs> {
         &self.fs
@@ -729,10 +737,11 @@ mod tests {
             e.added.push((0, meta(i + 1, b"a", b"z")));
         }
         let v = apply_edit(&v0, &e);
-        let (level, score) = v.compaction_score(&opts);
+        let trigger = opts.level0_file_num_compaction_trigger;
+        let (level, score) = v.compaction_score(&opts, trigger);
         assert_eq!(level, 0);
         assert!((score - 2.0).abs() < 1e-9);
-        assert!(v.pending_compaction_bytes(&opts) > 0);
+        assert!(v.pending_compaction_bytes(&opts, trigger) > 0);
     }
 
     #[test]
@@ -742,8 +751,7 @@ mod tests {
                 SimDevice::shared(profiles::optane_900p()),
                 FsOptions::default(),
             );
-            let opts = DbOptions::default();
-            let vs = VersionSet::create_new(Arc::clone(&fs), "db", &opts).unwrap();
+            let vs = VersionSet::create_new(Arc::clone(&fs), "db").unwrap();
             let n1 = vs.new_file_number();
             let mut e = VersionEdit::default();
             e.added.push((0, meta(n1, b"a", b"k")));
@@ -757,7 +765,7 @@ mod tests {
             e2.added.push((1, meta(vs.new_file_number(), b"l", b"z")));
             vs.log_and_apply(e2).unwrap();
 
-            let vs2 = VersionSet::recover(Arc::clone(&fs), "db", &opts).unwrap();
+            let vs2 = VersionSet::recover(Arc::clone(&fs), "db").unwrap();
             let v = vs2.current();
             assert_eq!(v.num_l0_files(), 1);
             assert_eq!(v.levels[1].len(), 1);
@@ -781,8 +789,7 @@ mod tests {
                 SimDevice::shared(profiles::optane_900p()),
                 FsOptions::default(),
             );
-            let opts = DbOptions::default();
-            let vs = VersionSet::create_new(fs, "db", &opts).unwrap();
+            let vs = VersionSet::create_new(fs, "db").unwrap();
             let mut e = VersionEdit::default();
             e.added.push((0, meta(1, b"a", b"z")));
             vs.log_and_apply(e).unwrap();
@@ -816,8 +823,7 @@ mod tests {
                     SimDevice::shared(profiles::optane_900p()),
                     FsOptions::default(),
                 );
-                let opts = DbOptions::default();
-                let vs = VersionSet::create_new(Arc::clone(&fs), "db", &opts).unwrap();
+                let vs = VersionSet::create_new(Arc::clone(&fs), "db").unwrap();
                 let mfile = fs.open("db/MANIFEST").unwrap();
                 let mut ends = Vec::new(); // manifest size after each edit
                 for i in 0..n_edits {
@@ -836,7 +842,7 @@ mod tests {
                 }
                 let cur2 = fs.create("db2/CURRENT").unwrap();
                 cur2.append(b"MANIFEST").unwrap();
-                let vs2 = VersionSet::recover(Arc::clone(&fs), "db2", &opts)
+                let vs2 = VersionSet::recover(Arc::clone(&fs), "db2")
                     .expect("a torn manifest tail must never fail recovery");
                 let intact = ends.iter().filter(|e| **e <= cut).count();
                 assert_eq!(

@@ -4,7 +4,7 @@
 //!
 //! RocksDB keeps *one* write-thread queue. The writer at the head becomes
 //! the **leader** of a batch group: it merges the queued batches (up to
-//! `max_write_batch_group_size`), runs the stall/delay preprocessing, writes
+//! `max_group_bytes`), runs the stall/delay preprocessing, writes
 //! one WAL record for the whole group and applies it to the memtable. In
 //! **pipelined** mode the leader hands queue leadership to the next writer
 //! right after the WAL write, so group *N+1*'s WAL overlaps group *N*'s

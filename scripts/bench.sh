@@ -7,19 +7,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> parallelism probe -> BENCH_parallelism.json"
-cargo run -q --release -p xlsm-bench --bin parallelism -- BENCH_parallelism.json
-
-echo "==> writepath probe -> BENCH_writepath.json"
-cargo run -q --release -p xlsm-bench --bin writepath -- BENCH_writepath.json
-
-echo "==> readpath probe -> BENCH_readpath.json"
-cargo run -q --release -p xlsm-bench --bin readpath -- BENCH_readpath.json
-
-echo "==> stability probe -> BENCH_stability.json"
-cargo run -q --release -p xlsm-bench --bin stability -- BENCH_stability.json
-
-echo "==> space probe -> BENCH_space.json"
-cargo run -q --release -p xlsm-bench --bin space -- BENCH_space.json
+for probe in parallelism writepath readpath stability space; do
+    echo "==> $probe probe -> BENCH_$probe.json"
+    cargo run -q --release -p xlsm-bench --bin xlsm-bench -- "$probe" "BENCH_$probe.json"
+done
 
 echo "==> done"

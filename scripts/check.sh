@@ -64,7 +64,7 @@ trap 'rm -f "$probe_a" "$probe_b"' EXIT
 for probe in parallelism writepath readpath stability space; do
     step "determinism: $probe probe twice with one seed, byte-identical JSON"
     for out in "$probe_a" "$probe_b"; do
-        XLSM_QUICK=1 "${pin[@]}" cargo run -q --release -p xlsm-bench --bin "$probe" -- "$out" >/dev/null
+        XLSM_QUICK=1 "${pin[@]}" cargo run -q --release -p xlsm-bench --bin xlsm-bench -- "$probe" "$out" >/dev/null
     done
     cmp "$probe_a" "$probe_b"
 done
