@@ -1,92 +1,115 @@
-//! The probe CLI: one deterministic JSON report per subsystem, plus a
-//! diagnostic counter dump.
+//! The one experiment CLI: every figure and probe of the registry by name,
+//! plus a diagnostic counter dump.
 //!
 //! ```text
-//! cargo run -p xlsm-bench --release --bin xlsm-bench -- <parallelism|writepath|readpath|stability|space> [out.json]
-//! XLSM_QUICK=1 cargo run -p xlsm-bench --release --bin xlsm-bench -- stability
-//! cargo run -p xlsm-bench --release --bin xlsm-bench -- probe <device> <write_pct> <threads> [secs]
+//! cargo run -p xlsm-bench --release -- [--quick] <name>... | all
+//! cargo run -p xlsm-bench --release -- list [--probes]
+//! cargo run -p xlsm-bench --release -- [--quick] probe <device> <write_pct> <threads> [secs]
 //! ```
 //!
-//! A report (default `BENCH_<name>.json`) carries no timestamps or
+//! A figure prints its tables and writes `results/<table>.tsv`; a probe
+//! prints the tables derived from its report and writes `BENCH_<name>.json`,
+//! both relative to the working directory. Neither carries timestamps or
 //! wall-clock data: two runs with the same seed must produce byte-identical
-//! files (`scripts/check.sh` enforces this). `probe` runs one workload
-//! configuration and dumps engine, filesystem and device counters — a
-//! calibration/debugging aid, not a paper figure.
+//! files (`scripts/check.sh` enforces this for the probes). `probe` runs one
+//! workload configuration and dumps engine, filesystem and device counters —
+//! a calibration/debugging aid, not a paper figure.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use xlsm_bench::common::{with_testbed, BenchConfig};
-use xlsm_bench::{parallelism, readpath, space, stability, writepath};
-use xlsm_core::report::Table;
+use xlsm_bench::{names, select, Run, EXPERIMENTS};
 use xlsm_device::{profiles, Device};
 use xlsm_engine::{DbOptions, Ticker};
 use xlsm_workload::run_workload;
 
-/// Runs one probe, returning its printable tables and its JSON.
-type Probe = fn(&BenchConfig) -> (Vec<(String, Table)>, String);
-
-const PROBES: [(&str, Probe); 5] = [
-    ("parallelism", |cfg| {
-        let r = parallelism::run(cfg);
-        (r.tables(), r.to_json())
-    }),
-    ("writepath", |cfg| {
-        let r = writepath::run(cfg);
-        (r.tables(), r.to_json())
-    }),
-    ("readpath", |cfg| {
-        let r = readpath::run(cfg);
-        (r.tables(), r.to_json())
-    }),
-    ("stability", |cfg| {
-        let r = stability::run(cfg);
-        (r.tables(), r.to_json())
-    }),
-    ("space", |cfg| {
-        let r = space::run(cfg);
-        (r.tables(), r.to_json())
-    }),
-];
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map(String::as_str).unwrap_or("");
-    if name == "probe" {
-        return dump_counters(&args[1..]);
-    }
-    let Some((_, run)) = PROBES.iter().find(|(n, _)| *n == name) else {
-        let names: Vec<&str> = PROBES.iter().map(|(n, _)| *n).collect();
-        eprintln!(
-            "usage: xlsm-bench <{}> [out.json]\n       \
-             xlsm-bench probe <device> <write_pct> <threads> [secs]",
-            names.join("|")
-        );
-        std::process::exit(2);
-    };
-    let out = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| format!("BENCH_{name}.json"));
-    let cfg = BenchConfig::from_env();
+fn usage() -> ! {
     eprintln!(
-        "[{name}] config: {} keys x {} B, seed {:#x}",
-        cfg.key_count, cfg.value_size, cfg.seed
+        "usage: xlsm-bench [--quick] <name>... | all\n       \
+         xlsm-bench list [--probes]\n       \
+         xlsm-bench [--quick] probe <device> <write_pct> <threads> [secs]\n\
+         names: {}",
+        names().collect::<Vec<_>>().join(" ")
     );
-    let t0 = std::time::Instant::now();
-    let (tables, json) = run(&cfg);
-    for (_, table) in tables {
-        println!("{table}");
-    }
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("[{name}] failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "[{name}] wrote {out} in {:.1}s wall",
-        t0.elapsed().as_secs_f64()
-    );
+    std::process::exit(2);
 }
 
-fn dump_counters(args: &[String]) {
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    args.retain(|a| a != "--quick");
+    let cfg = if quick {
+        BenchConfig::quick()
+    } else {
+        BenchConfig::default()
+    };
+    match args.first().map(String::as_str) {
+        None => usage(),
+        Some("probe") => return dump_counters(&args[1..], cfg),
+        Some("list") => {
+            let probes_only = args.get(1).is_some_and(|a| a == "--probes");
+            for (names, run) in EXPERIMENTS {
+                if !probes_only || matches!(run, Run::Probe(_)) {
+                    names.iter().for_each(|n| println!("{n}"));
+                }
+            }
+            return;
+        }
+        Some(_) => {}
+    }
+    let selected = select(&args).unwrap_or_else(|unknown| {
+        eprintln!("xlsm-bench: unknown experiment {unknown:?}");
+        usage()
+    });
+    eprintln!(
+        "[xlsm-bench] config: {} keys x {} B, {:?} per point, seed {:#x}{}",
+        cfg.key_count,
+        cfg.value_size,
+        cfg.duration,
+        cfg.seed,
+        if quick { " (quick)" } else { "" }
+    );
+
+    let t0 = std::time::Instant::now();
+    let mut failed = false;
+    // Each file is written as soon as its experiment is done, so partial
+    // results survive an interruption.
+    let mut written = |path: &Path, result: std::io::Result<()>| match result {
+        Ok(()) => eprintln!(
+            "[xlsm-bench] wrote {} ({:.0}s elapsed)",
+            path.display(),
+            t0.elapsed().as_secs_f64()
+        ),
+        Err(e) => {
+            eprintln!("[xlsm-bench] failed to write {}: {e}", path.display());
+            failed = true;
+        }
+    };
+    for (_, run) in selected {
+        match run {
+            Run::Figures(figures) => {
+                for (name, table) in figures(&cfg) {
+                    println!("{table}");
+                    let path = Path::new("results").join(format!("{name}.tsv"));
+                    written(&path, table.write_tsv(&path));
+                }
+            }
+            Run::Probe(probe) => {
+                let report = probe(&cfg);
+                for table in report.section_tables() {
+                    println!("{table}");
+                }
+                let path = PathBuf::from(format!("BENCH_{}.json", report.bench));
+                written(&path, std::fs::write(&path, report.to_json()));
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+fn dump_counters(args: &[String], cfg: BenchConfig) {
     let device = args.first().map(String::as_str).unwrap_or("3d-xpoint");
     let write_pct: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(50.0);
     let threads: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
@@ -110,7 +133,7 @@ fn dump_counters(args: &[String]) {
     };
     let cfg = BenchConfig {
         duration: std::time::Duration::from_secs(secs),
-        ..BenchConfig::from_env()
+        ..cfg
     };
     let spec = cfg
         .spec()

@@ -2,6 +2,7 @@
 
 use std::time::Duration;
 use xlsm_core::experiment::Testbed;
+use xlsm_core::report::Table;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::DbOptions;
 use xlsm_sim::Runtime;
@@ -32,25 +33,13 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// A fast configuration for smoke tests (`figures --quick`, CI).
+    /// A fast configuration for smoke tests (`xlsm-bench --quick`, CI).
     pub fn quick() -> BenchConfig {
         BenchConfig {
             key_count: 8 << 10,
             value_size: 512,
             duration: Duration::from_millis(800),
             seed: 0xF16,
-        }
-    }
-
-    /// Reads `XLSM_QUICK=1` from the environment.
-    pub fn from_env() -> BenchConfig {
-        if std::env::var("XLSM_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            BenchConfig::quick()
-        } else {
-            BenchConfig::default()
         }
     }
 
@@ -156,6 +145,21 @@ pub fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1 << 20) as f64
 }
 
+/// `x / base`, or 0 when there is no baseline to divide by.
+pub fn ratio(x: f64, base: f64) -> f64 {
+    if base > 0.0 {
+        x / base
+    } else {
+        0.0
+    }
+}
+
+/// A "vs baseline" column: `x` over the baseline a sweep measured first, and
+/// 1 for the baseline point itself (`None`).
+pub fn vs_baseline(x: f64, baseline: Option<f64>) -> f64 {
+    baseline.map_or(1.0, |base| ratio(x, base))
+}
+
 /// Short device label for table rows.
 pub fn label(profile: &DeviceProfile) -> &'static str {
     profile.kind.label()
@@ -163,10 +167,10 @@ pub fn label(profile: &DeviceProfile) -> &'static str {
 
 /// One value in a [`JsonReport`]; the kind fixes how it prints, so a report
 /// is byte-identical across runs with the same seed.
-#[derive(Clone, Copy, Debug)]
-pub enum Cell<'a> {
+#[derive(Clone, Debug)]
+pub enum Cell {
     /// A quoted string.
-    Str(&'a str),
+    Str(String),
     /// An integer.
     Int(u64),
     /// A float printed `{:.3}` — every measured value.
@@ -174,10 +178,10 @@ pub enum Cell<'a> {
     /// A float printed `{:.1}` — configuration values.
     F1(f64),
     /// A list of floats, each printed `{:.3}`.
-    F3List(&'a [f64]),
+    F3List(Vec<f64>),
 }
 
-impl std::fmt::Display for Cell<'_> {
+impl std::fmt::Display for Cell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Cell::Str(s) => write!(f, "\"{s}\""),
@@ -193,29 +197,31 @@ impl std::fmt::Display for Cell<'_> {
 }
 
 /// One JSON object: named cells in declaration order.
-pub type JsonRow<'a> = Vec<(&'static str, Cell<'a>)>;
+pub type JsonRow = Vec<(&'static str, Cell)>;
 
-/// The one shape every probe emits: the bench name, a `config` object, and
-/// named sections of rows. Written by hand (the bench crate carries no
+/// The one thing a probe returns: the bench name, a `config` object, and
+/// named sections of rows. The JSON file and the printed tables both derive
+/// from it, so each column is declared once, where it is measured. Written
+/// by hand (the bench crate carries no
 /// serde) with the field order and float precision fixed by the
 /// declaration, so two runs with the same seed produce byte-identical
 /// files — which is what the determinism gate in `scripts/check.sh` diffs.
 #[derive(Clone, Debug)]
-pub struct JsonReport<'a> {
+pub struct JsonReport {
     /// Value of the top-level `"bench"` field.
     pub bench: &'static str,
     /// The `"config"` object.
-    pub config: JsonRow<'a>,
+    pub config: JsonRow,
     /// `(name, rows)` per section, one row per line.
-    pub sections: Vec<(&'static str, Vec<JsonRow<'a>>)>,
+    pub sections: Vec<(&'static str, Vec<JsonRow>)>,
 }
 
-fn json_object(row: &JsonRow<'_>) -> String {
+fn json_object(row: &JsonRow) -> String {
     let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
     format!("{{{}}}", fields.join(", "))
 }
 
-impl JsonReport<'_> {
+impl JsonReport {
     /// Serializes the report.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -235,14 +241,29 @@ impl JsonReport<'_> {
         s.push_str("\n}\n");
         s
     }
+
+    /// One printable table per section: the headers are the first row's
+    /// cell names, the cells print exactly as in the JSON.
+    #[must_use]
+    pub fn section_tables(&self) -> Vec<Table> {
+        let table = |(name, rows): &(&str, Vec<JsonRow>)| {
+            let headers: Vec<&str> = rows.first().into_iter().flatten().map(|c| c.0).collect();
+            let mut t = Table::new(&format!("{}: {name}", self.bench), &headers);
+            for row in rows {
+                t.row(row.iter().map(|(_, v)| v.to_string()).collect());
+            }
+            t
+        };
+        self.sections.iter().map(table).collect()
+    }
 }
 
 /// The `config` cells every probe reports: dataset shape and seed.
-pub fn config_cells(key_count: u64, value_size: usize, seed: u64) -> JsonRow<'static> {
+pub fn config_cells(cfg: &BenchConfig) -> JsonRow {
     vec![
-        ("key_count", Cell::Int(key_count)),
-        ("value_size", Cell::Int(value_size as u64)),
-        ("seed", Cell::Int(seed)),
+        ("key_count", Cell::Int(cfg.key_count)),
+        ("value_size", Cell::Int(cfg.value_size as u64)),
+        ("seed", Cell::Int(cfg.seed)),
     ]
 }
 
@@ -253,11 +274,13 @@ mod tests {
     /// The emitter must keep reproducing the committed artifacts byte for
     /// byte: header and first row of `BENCH_parallelism.json` (strings,
     /// integers, `{:.3}` floats, two sections) and of `BENCH_stability.json`
-    /// (a `{:.1}` config float and a float list).
+    /// (a `{:.1}` config float and a float list). The printed tables come
+    /// from the same rows: headers are the JSON keys in order, one line per
+    /// row.
     #[test]
     fn emitter_reproduces_committed_bench_files() {
         let drain = vec![
-            ("device", Cell::Str("sata-flash")),
+            ("device", Cell::Str("sata-flash".into())),
             ("max_subcompactions", Cell::Int(1)),
             ("compact_read_mb", Cell::F3(49.326)),
             ("drain_ms", Cell::F3(625.8)),
@@ -266,15 +289,16 @@ mod tests {
             ("subcompactions_launched", Cell::Int(0)),
             ("fallbacks", Cell::Int(0)),
         ];
-        let json = JsonReport {
+        let cfg = BenchConfig::default();
+        let report = JsonReport {
             bench: "parallelism",
-            config: config_cells(49152, 1024, 3862),
+            config: config_cells(&cfg),
             sections: vec![
-                ("compaction_drain", vec![drain.clone(), drain]),
+                ("compaction_drain", vec![drain.clone(), drain.clone()]),
                 ("multi_get", vec![]),
             ],
-        }
-        .to_json();
+        };
+        let json = report.to_json();
         assert!(
             json.starts_with(concat!(
                 "{\n",
@@ -292,13 +316,22 @@ mod tests {
             json.ends_with("\"fallbacks\": 0}\n  ],\n  \"multi_get\": [\n  ]\n}\n"),
             "{json}"
         );
+        let tables = report.section_tables();
+        assert_eq!(tables.len(), 2);
+        assert_eq!(tables[0].title, "parallelism: compaction_drain");
+        let keys: Vec<&str> = drain.iter().map(|c| c.0).collect();
+        assert_eq!(tables[0].headers, keys);
+        assert_eq!(tables[0].rows.len(), 2);
+        assert_eq!(tables[0].rows[0][..3], ["\"sata-flash\"", "1", "49.326"]);
+        // Title, blank line above it, header and rule, then one line per row.
+        assert_eq!(tables[0].to_string().lines().count(), 4 + 2);
+        assert!(tables[1].headers.is_empty() && tables[1].rows.is_empty());
 
-        let cdf = [0.333, 0.786, 0.81, 1.0, 1.0];
-        let mut config = config_cells(49152, 1024, 3862);
+        let mut config = config_cells(&cfg);
         config.push(("window_secs", Cell::F1(12.0)));
         let point = vec![
-            ("device", Cell::Str("sata-flash")),
-            ("policy", Cell::Str("greedy")),
+            ("device", Cell::Str("sata-flash".into())),
+            ("policy", Cell::Str("greedy".into())),
             ("kops", Cell::F3(14.285)),
             ("cv", Cell::F3(0.384)),
             ("min_bucket_kops", Cell::F3(3.83)),
@@ -311,7 +344,10 @@ mod tests {
             ("ep_p99_ms", Cell::F3(328.518)),
             ("ep_max_ms", Cell::F3(328.518)),
             ("stalled_pct", Cell::F3(20.494)),
-            ("episode_cdf", Cell::F3List(&cdf)),
+            (
+                "episode_cdf",
+                Cell::F3List(vec![0.333, 0.786, 0.81, 1.0, 1.0]),
+            ),
             ("bg_io_wait_ms", Cell::F3(0.0)),
             ("kops_vs_greedy", Cell::F3(1.0)),
             ("ep_p99_vs_greedy", Cell::F3(1.0)),

@@ -628,56 +628,6 @@ pub fn ext_skew(cfg: &BenchConfig) -> Vec<Figure> {
 }
 
 // ---------------------------------------------------------------------------
-// Extension — device parallelism (subcompactions + MultiGet)
-// ---------------------------------------------------------------------------
-
-/// Extension experiment: Level-0 drain throughput vs `max_subcompactions`
-/// and batched MultiGet vs sequential gets on each device. The faster the
-/// device, the more idle internal parallelism a serial compaction or a
-/// one-key-at-a-time read path leaves on the table — Section VI's
-/// "saturate the device" discussion, measured. Details and the JSON probe
-/// live in [`crate::parallelism`].
-pub fn fig_parallelism(cfg: &BenchConfig) -> Vec<Figure> {
-    crate::parallelism::run(cfg).tables()
-}
-
-/// Extension experiment: put latency and writer-queue depth vs writer
-/// count, serial vs concurrent memtable apply — Finding #3's software
-/// bottleneck and RocksDB's `allow_concurrent_memtable_write` answer to
-/// it, measured on all three devices. Details and the JSON probe live in
-/// [`crate::writepath`].
-pub fn fig_writepath(cfg: &BenchConfig) -> Vec<Figure> {
-    crate::writepath::run(cfg).tables()
-}
-
-/// Extension experiment: performance *stability* under periodic write
-/// bursts for the whole stability-policy family — greedy vs round-robin vs
-/// fair compaction scheduling (the latter with the shared background-I/O
-/// budget) vs the paper's two case-study mechanisms — on all three
-/// devices: throughput variance, stall-episode duration CDFs, and write
-/// p99.9. Details and the JSON probe live in [`crate::stability`].
-pub fn fig_stability(cfg: &BenchConfig) -> Vec<Figure> {
-    crate::stability::run(cfg).tables()
-}
-
-/// Extension experiment: the full-disk subsystem's central trade — how the
-/// obsolete-SST reclamation rate moves read tail latency, reclamation
-/// throughput, and trash backlog under a space cap. Details and the JSON
-/// probe live in [`crate::space`].
-pub fn fig_space(cfg: &BenchConfig) -> Vec<Figure> {
-    crate::space::run(cfg).tables()
-}
-
-/// Extension experiment: the read-path accelerators — bloom filters
-/// against Finding #2's Level-0 miss penalty, block compression against
-/// the device transfer, table-cache sharding against MultiGet fan-out
-/// serialization — measured on all three devices. Details and the JSON
-/// probe live in [`crate::readpath`].
-pub fn fig_readpath(cfg: &BenchConfig) -> Vec<Figure> {
-    crate::readpath::run(cfg).tables()
-}
-
-// ---------------------------------------------------------------------------
 // Extension — end-to-end integrity cost (protection + scrubber)
 // ---------------------------------------------------------------------------
 

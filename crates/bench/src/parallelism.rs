@@ -13,10 +13,10 @@
 //!   batch sizes.
 
 use crate::common::{
-    config_cells, devices, label, mib, us, with_testbed, BenchConfig, Cell, JsonReport,
+    config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
+    JsonReport, JsonRow,
 };
 use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Histogram, Ticker};
 use xlsm_sim::Runtime;
@@ -31,68 +31,16 @@ pub const BATCHES: [usize; 3] = [4, 8, 16];
 /// Batches issued per `(device, batch size)` point.
 const MULTIGET_ITERS: usize = 200;
 
-/// One compaction-drain measurement.
-#[derive(Clone, Debug)]
-pub struct DrainPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Configured `max_subcompactions`.
-    pub max_subcompactions: usize,
-    /// Bytes read by compactions during the drain, in MiB.
-    pub compact_read_mb: f64,
-    /// Virtual time to drain the Level-0 debt, in ms.
-    pub drain_ms: f64,
-    /// Drain throughput (compaction input consumed per second).
-    pub mb_per_s: f64,
-    /// Throughput relative to the serial run on the same device.
-    pub speedup_vs_serial: f64,
-    /// `SubcompactionsLaunched` ticker after the drain.
-    pub subcompactions_launched: u64,
-    /// `SubcompactionFallbacks` ticker after the drain.
-    pub fallbacks: u64,
-}
-
-/// One MultiGet-vs-sequential measurement.
-#[derive(Clone, Debug)]
-pub struct MultiGetPoint {
-    /// Device label.
-    pub device: &'static str,
-    /// Keys per batch.
-    pub batch: usize,
-    /// Batched `multi_get` latency, p50 in µs.
-    pub batched_p50_us: f64,
-    /// Batched `multi_get` latency, p99 in µs.
-    pub batched_p99_us: f64,
-    /// Same keys as sequential `get`s, p50 in µs.
-    pub sequential_p50_us: f64,
-    /// Same keys as sequential `get`s, p99 in µs.
-    pub sequential_p99_us: f64,
-    /// `sequential_p99_us / batched_p99_us`.
-    pub p99_speedup: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct ParallelismReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Drain sweep, grouped by device in [`FANOUTS`] order.
-    pub drains: Vec<DrainPoint>,
-    /// MultiGet sweep, grouped by device in [`BATCHES`] order.
-    pub multi_gets: Vec<MultiGetPoint>,
-}
-
 /// Fills a deferred-compaction database and times the Level-0 drain.
+/// Returns the row and its drain throughput; `serial_mb_per_s` is that of
+/// the same device's serial run (`None` while this is it).
 fn drain_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     max_subcompactions: usize,
-) -> DrainPoint {
+    serial_mb_per_s: Option<f64>,
+) -> (JsonRow, f64) {
     let cfg = *cfg;
     Runtime::new().run(move || {
         // Size the memtable so the deferred fill produces a deep Level-0
@@ -118,22 +66,29 @@ fn drain_one(
         let drain_ns = xlsm_sim::now_nanos() - t0;
         let read = stats.ticker(Ticker::CompactReadBytes) - read0;
 
-        let point = DrainPoint {
-            device,
-            max_subcompactions,
-            compact_read_mb: mib(read),
-            drain_ms: drain_ns as f64 / 1e6,
-            mb_per_s: if drain_ns == 0 {
-                0.0
-            } else {
-                mib(read) / (drain_ns as f64 / 1e9)
-            },
-            speedup_vs_serial: 1.0, // filled in by `run`
-            subcompactions_launched: stats.ticker(Ticker::SubcompactionsLaunched),
-            fallbacks: stats.ticker(Ticker::SubcompactionFallbacks),
-        };
+        // Compaction input consumed per second of drain.
+        let mb_per_s = ratio(mib(read), drain_ns as f64 / 1e9);
+        let row = vec![
+            ("device", Cell::Str(device.into())),
+            ("max_subcompactions", Cell::Int(max_subcompactions as u64)),
+            ("compact_read_mb", Cell::F3(mib(read))),
+            ("drain_ms", Cell::F3(drain_ns as f64 / 1e6)),
+            ("mb_per_s", Cell::F3(mb_per_s)),
+            (
+                "speedup_vs_serial",
+                Cell::F3(vs_baseline(mb_per_s, serial_mb_per_s)),
+            ),
+            (
+                "subcompactions_launched",
+                Cell::Int(stats.ticker(Ticker::SubcompactionsLaunched)),
+            ),
+            (
+                "fallbacks",
+                Cell::Int(stats.ticker(Ticker::SubcompactionFallbacks)),
+            ),
+        ];
         tb.close();
-        point
+        (row, mb_per_s)
     })
 }
 
@@ -142,7 +97,7 @@ fn multi_get_sweep(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
-) -> Vec<MultiGetPoint> {
+) -> Vec<JsonRow> {
     let cfg = *cfg;
     with_testbed(profile, DbOptions::default, &cfg, move |tb| {
         let ks = KeySpace::new(cfg.key_count);
@@ -180,142 +135,40 @@ fn multi_get_sweep(
             }
             let b99 = us(batched.quantile(0.99));
             let s99 = us(sequential.quantile(0.99));
-            points.push(MultiGetPoint {
-                device,
-                batch,
-                batched_p50_us: us(batched.quantile(0.5)),
-                batched_p99_us: b99,
-                sequential_p50_us: us(sequential.quantile(0.5)),
-                sequential_p99_us: s99,
-                p99_speedup: if b99 == 0.0 { 0.0 } else { s99 / b99 },
-            });
+            points.push(vec![
+                ("device", Cell::Str(device.into())),
+                ("batch", Cell::Int(batch as u64)),
+                ("batched_p50_us", Cell::F3(us(batched.quantile(0.5)))),
+                ("batched_p99_us", Cell::F3(b99)),
+                ("sequential_p50_us", Cell::F3(us(sequential.quantile(0.5)))),
+                ("sequential_p99_us", Cell::F3(s99)),
+                ("p99_speedup", Cell::F3(ratio(s99, b99))),
+            ]);
         }
         points
     })
 }
 
-/// Runs the full probe over the three study devices.
-pub fn run(cfg: &BenchConfig) -> ParallelismReport {
+/// Runs the full probe over the three study devices: drains grouped by
+/// device in [`FANOUTS`] order, MultiGet in [`BATCHES`] order.
+pub fn run(cfg: &BenchConfig) -> JsonReport {
     let mut drains = Vec::new();
     let mut multi_gets = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let base = drains.len();
+        let mut serial = None;
         for n in FANOUTS {
             eprintln!("[parallelism] drain: {device} max_subcompactions={n}");
-            drains.push(drain_one(profile.clone(), device, cfg, n));
-        }
-        let serial = drains[base].mb_per_s;
-        for p in &mut drains[base..] {
-            p.speedup_vs_serial = if serial == 0.0 {
-                0.0
-            } else {
-                p.mb_per_s / serial
-            };
+            let (row, mb_per_s) = drain_one(profile.clone(), device, cfg, n, serial);
+            serial.get_or_insert(mb_per_s);
+            drains.push(row);
         }
         eprintln!("[parallelism] multi_get: {device}");
         multi_gets.extend(multi_get_sweep(profile.clone(), device, cfg));
     }
-    ParallelismReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        drains,
-        multi_gets,
-    }
-}
-
-impl ParallelismReport {
-    /// The report as deterministic JSON (see [`JsonReport`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let drains = self.drains.iter().map(|d| {
-            vec![
-                ("device", Cell::Str(d.device)),
-                ("max_subcompactions", Cell::Int(d.max_subcompactions as u64)),
-                ("compact_read_mb", Cell::F3(d.compact_read_mb)),
-                ("drain_ms", Cell::F3(d.drain_ms)),
-                ("mb_per_s", Cell::F3(d.mb_per_s)),
-                ("speedup_vs_serial", Cell::F3(d.speedup_vs_serial)),
-                (
-                    "subcompactions_launched",
-                    Cell::Int(d.subcompactions_launched),
-                ),
-                ("fallbacks", Cell::Int(d.fallbacks)),
-            ]
-        });
-        let multi_gets = self.multi_gets.iter().map(|m| {
-            vec![
-                ("device", Cell::Str(m.device)),
-                ("batch", Cell::Int(m.batch as u64)),
-                ("batched_p50_us", Cell::F3(m.batched_p50_us)),
-                ("batched_p99_us", Cell::F3(m.batched_p99_us)),
-                ("sequential_p50_us", Cell::F3(m.sequential_p50_us)),
-                ("sequential_p99_us", Cell::F3(m.sequential_p99_us)),
-                ("p99_speedup", Cell::F3(m.p99_speedup)),
-            ]
-        });
-        JsonReport {
-            bench: "parallelism",
-            config: config_cells(self.key_count, self.value_size, self.seed),
-            sections: vec![
-                ("compaction_drain", drains.collect()),
-                ("multi_get", multi_gets.collect()),
-            ],
-        }
-        .to_json()
-    }
-
-    /// The report as printable tables (for the `figures` binary).
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut drain = Table::new(
-            "Parallelism: L0 debt drain throughput vs max_subcompactions",
-            &[
-                "device",
-                "subcompactions",
-                "mb_per_s",
-                "speedup",
-                "launched",
-                "fallbacks",
-            ],
-        );
-        for d in &self.drains {
-            drain.row(vec![
-                d.device.into(),
-                d.max_subcompactions.to_string(),
-                f(d.mb_per_s, 1),
-                f(d.speedup_vs_serial, 2),
-                d.subcompactions_launched.to_string(),
-                d.fallbacks.to_string(),
-            ]);
-        }
-        let mut mget = Table::new(
-            "Parallelism: batched MultiGet vs sequential gets (µs)",
-            &[
-                "device",
-                "batch",
-                "batched_p50",
-                "batched_p99",
-                "seq_p50",
-                "seq_p99",
-                "p99_speedup",
-            ],
-        );
-        for m in &self.multi_gets {
-            mget.row(vec![
-                m.device.into(),
-                m.batch.to_string(),
-                f(m.batched_p50_us, 1),
-                f(m.batched_p99_us, 1),
-                f(m.sequential_p50_us, 1),
-                f(m.sequential_p99_us, 1),
-                f(m.p99_speedup, 2),
-            ]);
-        }
-        vec![
-            ("parallelism_drain".into(), drain),
-            ("parallelism_multiget".into(), mget),
-        ]
+    JsonReport {
+        bench: "parallelism",
+        config: config_cells(cfg),
+        sections: vec![("compaction_drain", drains), ("multi_get", multi_gets)],
     }
 }

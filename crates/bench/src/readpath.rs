@@ -28,10 +28,10 @@
 //!   point-miss and compression experiments cover that side.)
 
 use crate::common::{
-    config_cells, devices, label, us, with_testbed, BenchConfig, Cell, JsonReport,
+    config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
+    JsonReport, JsonRow,
 };
 use xlsm_core::experiment::Testbed;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{CompressionType, DbOptions, Histogram, Ticker};
 use xlsm_sim::Runtime;
@@ -55,92 +55,8 @@ pub const FANOUTS: [usize; 2] = [4, 8];
 /// Table-cache shard counts swept.
 pub const SHARDS: [usize; 2] = [1, 8];
 
-/// One point-miss measurement.
-#[derive(Clone, Debug)]
-pub struct PointMissPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// `"none"` or `"bloom"` (SST whole-key + memtable blooms).
-    pub filters: &'static str,
-    /// Level-0 files at measurement time (the Finding #2 depth).
-    pub l0_files: u64,
-    /// Miss lookups per second.
-    pub miss_kops: f64,
-    /// Miss latency, p50 in µs.
-    pub miss_p50_us: f64,
-    /// Miss latency, p99 in µs.
-    pub miss_p99_us: f64,
-    /// SST bloom rejections during the window (`BloomUseful`).
-    pub bloom_useful: u64,
-    /// Memtable bloom rejections during the window.
-    pub memtable_bloom_useful: u64,
-    /// Throughput relative to the filterless run on the same device.
-    pub speedup_vs_none: f64,
-}
-
-/// One compression measurement.
-#[derive(Clone, Debug)]
-pub struct CompressionPoint {
-    /// Device label.
-    pub device: &'static str,
-    /// Codec name (`none`, `rle`).
-    pub codec: &'static str,
-    /// Total SST bytes on disk, in MiB.
-    pub sst_mb: f64,
-    /// On-disk size relative to the uncompressed run (1.0 for `none`).
-    pub size_ratio: f64,
-    /// Present-key reads per second.
-    pub get_kops: f64,
-    /// Get latency, p50 in µs.
-    pub get_p50_us: f64,
-    /// Get latency, p99 in µs.
-    pub get_p99_us: f64,
-    /// Blocks decompressed during the read window.
-    pub decompressions: u64,
-}
-
-/// One MultiGet fan-out measurement.
-#[derive(Clone, Debug)]
-pub struct MultiGetPoint {
-    /// Device label.
-    pub device: &'static str,
-    /// Configured `multi_get_parallelism`.
-    pub fanout: usize,
-    /// Configured `table_cache_shards`.
-    pub shards: usize,
-    /// Keys resolved per second across the window.
-    pub kops: f64,
-    /// Batch latency, p50 in µs.
-    pub batch_p50_us: f64,
-    /// Batch latency, p99 in µs.
-    pub batch_p99_us: f64,
-    /// Throughput relative to the single-shard run at the same fan-out.
-    pub speedup_vs_single_shard: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct ReadPathReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Point-miss sweep: device-major, `none` before `bloom`.
-    pub point_miss: Vec<PointMissPoint>,
-    /// Compression sweep: device-major, `none` before `rle`.
-    pub compression: Vec<CompressionPoint>,
-    /// MultiGet sweep: device-major, then fan-out, 1 shard before 8.
-    pub multi_get: Vec<MultiGetPoint>,
-}
-
 fn kops(ops: usize, ns: u64) -> f64 {
-    if ns == 0 {
-        0.0
-    } else {
-        ops as f64 / (ns as f64 / 1e9) / 1e3
-    }
+    ratio(ops as f64, ns as f64 / 1e9) / 1e3
 }
 
 /// Deterministic xorshift key picker, independent of the fill RNG.
@@ -154,14 +70,18 @@ fn picker(seed: u64, count: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// Point-miss probe on one device, with or without filters.
+/// Point-miss probe on one device. Every `*_one` below returns its row and
+/// the value its pair divides by; the baseline of a pair runs first and is
+/// handed to the other. Here the filterless run (`None`) comes before the
+/// one with blooms, which is given its miss throughput.
 fn point_miss_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
-    filters: bool,
-) -> PointMissPoint {
+    none_kops: Option<f64>,
+) -> (JsonRow, f64) {
     let cfg = *cfg;
+    let filters = none_kops.is_some();
     let opts = move || DbOptions {
         bloom_bits_per_key: if filters { 10 } else { 0 },
         memtable_bloom_bits: if filters { 10 } else { 0 },
@@ -211,27 +131,44 @@ fn point_miss_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        PointMissPoint {
-            device,
-            filters: if filters { "bloom" } else { "none" },
-            l0_files,
-            miss_kops: kops(MISS_OPS, elapsed),
-            miss_p50_us: us(lat.quantile(0.5)),
-            miss_p99_us: us(lat.quantile(0.99)),
-            bloom_useful: stats.ticker(Ticker::BloomUseful) - bloom0,
-            memtable_bloom_useful: stats.ticker(Ticker::MemtableBloomUseful) - mbloom0,
-            speedup_vs_none: 1.0, // filled in by `run`
-        }
+        let miss_kops = kops(MISS_OPS, elapsed);
+        // SST whole-key + memtable blooms, or neither.
+        let filters = if filters { "bloom" } else { "none" };
+        let row = vec![
+            ("device", Cell::Str(device.into())),
+            ("filters", Cell::Str(filters.into())),
+            // Level-0 depth at measurement time (the Finding #2 depth).
+            ("l0_files", Cell::Int(l0_files)),
+            ("miss_kops", Cell::F3(miss_kops)),
+            ("miss_p50_us", Cell::F3(us(lat.quantile(0.5)))),
+            ("miss_p99_us", Cell::F3(us(lat.quantile(0.99)))),
+            // Bloom rejections during the window, SST and memtable.
+            (
+                "bloom_useful",
+                Cell::Int(stats.ticker(Ticker::BloomUseful) - bloom0),
+            ),
+            (
+                "memtable_bloom_useful",
+                Cell::Int(stats.ticker(Ticker::MemtableBloomUseful) - mbloom0),
+            ),
+            (
+                "speedup_vs_none",
+                Cell::F3(vs_baseline(miss_kops, none_kops)),
+            ),
+        ];
+        (row, miss_kops)
     })
 }
 
-/// Compression probe on one device with one codec.
+/// Compression probe on one device with one codec; `plain_sst_mb` is the
+/// on-disk size of the uncompressed run.
 fn compression_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     codec: CompressionType,
-) -> CompressionPoint {
+    plain_sst_mb: Option<f64>,
+) -> (JsonRow, f64) {
     let cfg = *cfg;
     Runtime::new().run(move || {
         let opts = DbOptions {
@@ -275,29 +212,37 @@ fn compression_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        let point = CompressionPoint {
-            device,
-            codec: codec.name(),
-            sst_mb: sst_bytes as f64 / (1 << 20) as f64,
-            size_ratio: 1.0, // filled in by `run`
-            get_kops: kops(COMPRESSED_READS, elapsed),
-            get_p50_us: us(lat.quantile(0.5)),
-            get_p99_us: us(lat.quantile(0.99)),
-            decompressions: stats.ticker(Ticker::BlockDecompressions) - dec0,
-        };
+        let sst_mb = mib(sst_bytes);
+        let row = vec![
+            ("device", Cell::Str(device.into())),
+            ("codec", Cell::Str(codec.name().into())),
+            ("sst_mb", Cell::F3(sst_mb)),
+            ("size_ratio", Cell::F3(vs_baseline(sst_mb, plain_sst_mb))),
+            ("get_kops", Cell::F3(kops(COMPRESSED_READS, elapsed))),
+            ("get_p50_us", Cell::F3(us(lat.quantile(0.5)))),
+            ("get_p99_us", Cell::F3(us(lat.quantile(0.99)))),
+            // Blocks decompressed during the read window.
+            (
+                "decompressions",
+                Cell::Int(stats.ticker(Ticker::BlockDecompressions) - dec0),
+            ),
+        ];
         tb.close();
-        point
+        (row, sst_mb)
     })
 }
 
-/// MultiGet fan-out probe on one device with one shard count.
+/// MultiGet fan-out probe on one device with one shard count;
+/// `single_shard_kops` is the throughput of the one-shard run at the same
+/// fan-out.
 fn multi_get_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     fanout: usize,
     shards: usize,
-) -> MultiGetPoint {
+    single_shard_kops: Option<f64>,
+) -> (JsonRow, f64) {
     let cfg = *cfg;
     let opts = move || DbOptions {
         multi_get_parallelism: fanout,
@@ -356,20 +301,27 @@ fn multi_get_one(
         }
         let elapsed = xlsm_sim::now_nanos() - t0;
 
-        MultiGetPoint {
-            device,
-            fanout,
-            shards,
-            kops: kops(MULTIGET_ITERS * MULTIGET_BATCH, elapsed),
-            batch_p50_us: us(lat.quantile(0.5)),
-            batch_p99_us: us(lat.quantile(0.99)),
-            speedup_vs_single_shard: 1.0, // filled in by `run`
-        }
+        // Keys resolved per second across the window.
+        let kops = kops(MULTIGET_ITERS * MULTIGET_BATCH, elapsed);
+        let row = vec![
+            ("device", Cell::Str(device.into())),
+            ("fanout", Cell::Int(fanout as u64)),
+            ("shards", Cell::Int(shards as u64)),
+            ("kops", Cell::F3(kops)),
+            ("batch_p50_us", Cell::F3(us(lat.quantile(0.5)))),
+            ("batch_p99_us", Cell::F3(us(lat.quantile(0.99)))),
+            (
+                "speedup_vs_single_shard",
+                Cell::F3(vs_baseline(kops, single_shard_kops)),
+            ),
+        ];
+        (row, kops)
     })
 }
 
-/// Runs the full probe over the three study devices.
-pub fn run(cfg: &BenchConfig) -> ReadPathReport {
+/// Runs the full probe over the three study devices. Every section is
+/// device-major; within a device the baseline of each pair comes first.
+pub fn run(cfg: &BenchConfig) -> JsonReport {
     let mut point_miss = Vec::new();
     let mut compression = Vec::new();
     let mut multi_get = Vec::new();
@@ -377,189 +329,42 @@ pub fn run(cfg: &BenchConfig) -> ReadPathReport {
         let device = label(&profile);
 
         eprintln!("[readpath] point-miss: {device}, no filters");
-        let base = point_miss_one(profile.clone(), device, cfg, false);
+        let (none, none_kops) = point_miss_one(profile.clone(), device, cfg, None);
         eprintln!("[readpath] point-miss: {device}, blooms on");
-        let mut bloom = point_miss_one(profile.clone(), device, cfg, true);
-        bloom.speedup_vs_none = if base.miss_kops == 0.0 {
-            0.0
-        } else {
-            bloom.miss_kops / base.miss_kops
-        };
-        point_miss.push(base);
-        point_miss.push(bloom);
+        let (bloom, _) = point_miss_one(profile.clone(), device, cfg, Some(none_kops));
+        point_miss.extend([none, bloom]);
 
         eprintln!("[readpath] compression: {device}, none");
-        let plain = compression_one(profile.clone(), device, cfg, CompressionType::None);
+        let (plain, plain_mb) =
+            compression_one(profile.clone(), device, cfg, CompressionType::None, None);
         eprintln!("[readpath] compression: {device}, rle");
-        let mut rle = compression_one(profile.clone(), device, cfg, CompressionType::Rle);
-        rle.size_ratio = if plain.sst_mb == 0.0 {
-            0.0
-        } else {
-            rle.sst_mb / plain.sst_mb
-        };
-        compression.push(plain);
-        compression.push(rle);
+        let (rle, _) = compression_one(
+            profile.clone(),
+            device,
+            cfg,
+            CompressionType::Rle,
+            Some(plain_mb),
+        );
+        compression.extend([plain, rle]);
 
         for fanout in FANOUTS {
-            let mut pair = Vec::new();
+            let mut single = None;
             for shards in SHARDS {
                 eprintln!("[readpath] multi_get: {device}, fanout {fanout}, {shards} shard(s)");
-                pair.push(multi_get_one(profile.clone(), device, cfg, fanout, shards));
+                let (row, kops) =
+                    multi_get_one(profile.clone(), device, cfg, fanout, shards, single);
+                single.get_or_insert(kops);
+                multi_get.push(row);
             }
-            let single = pair[0].kops;
-            for p in &mut pair {
-                p.speedup_vs_single_shard = if single == 0.0 { 0.0 } else { p.kops / single };
-            }
-            multi_get.extend(pair);
         }
     }
-    ReadPathReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        point_miss,
-        compression,
-        multi_get,
-    }
-}
-
-impl ReadPathReport {
-    /// The report as deterministic JSON (see [`JsonReport`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let point_miss = self.point_miss.iter().map(|p| {
-            vec![
-                ("device", Cell::Str(p.device)),
-                ("filters", Cell::Str(p.filters)),
-                ("l0_files", Cell::Int(p.l0_files)),
-                ("miss_kops", Cell::F3(p.miss_kops)),
-                ("miss_p50_us", Cell::F3(p.miss_p50_us)),
-                ("miss_p99_us", Cell::F3(p.miss_p99_us)),
-                ("bloom_useful", Cell::Int(p.bloom_useful)),
-                ("memtable_bloom_useful", Cell::Int(p.memtable_bloom_useful)),
-                ("speedup_vs_none", Cell::F3(p.speedup_vs_none)),
-            ]
-        });
-        let compression = self.compression.iter().map(|c| {
-            vec![
-                ("device", Cell::Str(c.device)),
-                ("codec", Cell::Str(c.codec)),
-                ("sst_mb", Cell::F3(c.sst_mb)),
-                ("size_ratio", Cell::F3(c.size_ratio)),
-                ("get_kops", Cell::F3(c.get_kops)),
-                ("get_p50_us", Cell::F3(c.get_p50_us)),
-                ("get_p99_us", Cell::F3(c.get_p99_us)),
-                ("decompressions", Cell::Int(c.decompressions)),
-            ]
-        });
-        let multi_get = self.multi_get.iter().map(|m| {
-            vec![
-                ("device", Cell::Str(m.device)),
-                ("fanout", Cell::Int(m.fanout as u64)),
-                ("shards", Cell::Int(m.shards as u64)),
-                ("kops", Cell::F3(m.kops)),
-                ("batch_p50_us", Cell::F3(m.batch_p50_us)),
-                ("batch_p99_us", Cell::F3(m.batch_p99_us)),
-                (
-                    "speedup_vs_single_shard",
-                    Cell::F3(m.speedup_vs_single_shard),
-                ),
-            ]
-        });
-        JsonReport {
-            bench: "readpath",
-            config: config_cells(self.key_count, self.value_size, self.seed),
-            sections: vec![
-                ("point_miss", point_miss.collect()),
-                ("compression", compression.collect()),
-                ("multi_get", multi_get.collect()),
-            ],
-        }
-        .to_json()
-    }
-
-    /// The report as printable tables (for the `figures` binary).
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut miss = Table::new(
-            "Read path: point-miss cost vs blooms under a deep Level-0",
-            &[
-                "device",
-                "filters",
-                "l0_files",
-                "miss_kops",
-                "p50_us",
-                "p99_us",
-                "bloom_useful",
-                "mem_bloom",
-                "speedup",
-            ],
-        );
-        for p in &self.point_miss {
-            miss.row(vec![
-                p.device.into(),
-                p.filters.into(),
-                p.l0_files.to_string(),
-                f(p.miss_kops, 1),
-                f(p.miss_p50_us, 1),
-                f(p.miss_p99_us, 1),
-                p.bloom_useful.to_string(),
-                p.memtable_bloom_useful.to_string(),
-                f(p.speedup_vs_none, 2),
-            ]);
-        }
-        let mut comp = Table::new(
-            "Read path: block compression, on-disk size vs read throughput",
-            &[
-                "device",
-                "codec",
-                "sst_mb",
-                "size_ratio",
-                "get_kops",
-                "p50_us",
-                "p99_us",
-                "decompressions",
-            ],
-        );
-        for c in &self.compression {
-            comp.row(vec![
-                c.device.into(),
-                c.codec.into(),
-                f(c.sst_mb, 1),
-                f(c.size_ratio, 2),
-                f(c.get_kops, 1),
-                f(c.get_p50_us, 1),
-                f(c.get_p99_us, 1),
-                c.decompressions.to_string(),
-            ]);
-        }
-        let mut mget = Table::new(
-            "Read path: MultiGet fan-out vs table-cache shards",
-            &[
-                "device",
-                "fanout",
-                "shards",
-                "kops",
-                "batch_p50_us",
-                "batch_p99_us",
-                "speedup",
-            ],
-        );
-        for m in &self.multi_get {
-            mget.row(vec![
-                m.device.into(),
-                m.fanout.to_string(),
-                m.shards.to_string(),
-                f(m.kops, 1),
-                f(m.batch_p50_us, 1),
-                f(m.batch_p99_us, 1),
-                f(m.speedup_vs_single_shard, 2),
-            ]);
-        }
-        vec![
-            ("readpath_pointmiss".into(), miss),
-            ("readpath_compression".into(), comp),
-            ("readpath_multiget".into(), mget),
-        ]
+    JsonReport {
+        bench: "readpath",
+        config: config_cells(cfg),
+        sections: vec![
+            ("point_miss", point_miss),
+            ("compression", compression),
+            ("multi_get", multi_get),
+        ],
     }
 }

@@ -27,10 +27,10 @@
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
 use crate::common::{
-    config_cells, devices, label, us, with_testbed, BenchConfig, Cell, JsonReport,
+    config_cells, devices, label, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
+    JsonReport, JsonRow,
 };
 use std::sync::Arc;
-use xlsm_core::report::{f, Table};
 use xlsm_core::StabilityPolicy;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{episode_durations, DbOptions, Ticker};
@@ -39,66 +39,12 @@ use xlsm_workload::{run_workload, BurstSpec, WorkloadSpec};
 /// Episode-duration CDF thresholds, in milliseconds.
 pub const CDF_THRESHOLDS_MS: [u64; 5] = [10, 50, 100, 500, 1000];
 
-/// One (device, policy) measurement.
-#[derive(Clone, Debug)]
-pub struct StabilityPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Policy label (`greedy`, `round-robin`, `fair`, `two-stage`,
-    /// `dynamic-l0`).
-    pub policy: &'static str,
-    /// Mean throughput over the run, kop/s.
-    pub kops: f64,
-    /// Coefficient of variation (σ/µ) across 100 ms timeline buckets.
-    pub cv: f64,
-    /// Worst 100 ms bucket, kop/s (near-stop depth).
-    pub min_bucket_kops: f64,
-    /// Client write latency p50, µs.
-    pub write_p50_us: f64,
-    /// Client write latency p99, µs.
-    pub write_p99_us: f64,
-    /// Client write latency p99.9, µs.
-    pub write_p999_us: f64,
-    /// Stall episodes observed in the window.
-    pub episodes: usize,
-    /// Episode duration p50, ms.
-    pub ep_p50_ms: f64,
-    /// Episode duration p90, ms.
-    pub ep_p90_ms: f64,
-    /// Episode duration p99, ms.
-    pub ep_p99_ms: f64,
-    /// Longest episode, ms.
-    pub ep_max_ms: f64,
-    /// Fraction of the window spent inside stall episodes, percent.
-    pub stalled_pct: f64,
-    /// Fraction of episodes no longer than each [`CDF_THRESHOLDS_MS`]
-    /// entry.
-    pub episode_cdf: [f64; 5],
-    /// Total time background jobs waited on the shared I/O budget, ms
-    /// (0 for policies that leave the limiter off).
-    pub bg_io_wait_ms: f64,
-    /// Mean kop/s relative to the greedy baseline on the same device.
-    pub kops_vs_greedy: f64,
-    /// Episode p99 relative to greedy (< 1.0 = shorter stalls).
-    pub ep_p99_vs_greedy: f64,
-    /// Throughput CV relative to greedy (< 1.0 = steadier).
-    pub cv_vs_greedy: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct StabilityReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Measured window per point, seconds (virtual).
-    pub window_secs: f64,
-    /// Sweep points: device-major, policies in [`StabilityPolicy::ALL`]
-    /// order (greedy first).
-    pub points: Vec<StabilityPoint>,
+/// What the `*_vs_greedy` columns of a device's later points divide by.
+#[derive(Clone, Copy)]
+struct Baseline {
+    kops: f64,
+    ep_p99_ms: f64,
+    cv: f64,
 }
 
 fn ms(ns: u64) -> f64 {
@@ -150,13 +96,15 @@ fn burst_spec(cfg: &BenchConfig) -> WorkloadSpec {
     }
 }
 
-/// Runs one (device, policy) point in its own sim runtime.
+/// Runs one (device, policy) point in its own sim runtime. `greedy` is the
+/// same device's greedy point, `None` while this is it.
 fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     policy: StabilityPolicy,
-) -> StabilityPoint {
+    greedy: Option<Baseline>,
+) -> (JsonRow, Baseline) {
     let cfg = *cfg;
     let opts = move || {
         let mut opts = stall_geometry();
@@ -181,7 +129,8 @@ fn run_point(
         eps.sort_unstable();
         let window = (t1 - t0).max(1);
         let stalled: u64 = eps.iter().sum();
-        let mut episode_cdf = [0.0f64; 5];
+        // Fraction of episodes no longer than each `CDF_THRESHOLDS_MS` entry.
+        let mut episode_cdf = vec![0.0f64; CDF_THRESHOLDS_MS.len()];
         if !eps.is_empty() {
             for (slot, thr) in episode_cdf.iter_mut().zip(CDF_THRESHOLDS_MS) {
                 let within = eps.iter().filter(|&&e| e <= thr * 1_000_000).count();
@@ -192,184 +141,81 @@ fn run_point(
         let mean = buckets.iter().sum::<f64>() / buckets.len().max(1) as f64;
         let var =
             buckets.iter().map(|k| (k - mean).powi(2)).sum::<f64>() / buckets.len().max(1) as f64;
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
+        let cv = ratio(var.sqrt(), mean);
 
-        let point = StabilityPoint {
-            device,
-            policy: policy.name(),
+        let own = Baseline {
             kops: r.kops(),
-            cv,
-            min_bucket_kops: r.min_bucket_kops(),
-            write_p50_us: us(write_hist.quantile(0.5)),
-            write_p99_us: us(write_hist.quantile(0.99)),
-            write_p999_us: us(write_hist.quantile(0.999)),
-            episodes: eps.len(),
-            ep_p50_ms: ms(quantile_ns(&eps, 0.5)),
-            ep_p90_ms: ms(quantile_ns(&eps, 0.9)),
             ep_p99_ms: ms(quantile_ns(&eps, 0.99)),
-            ep_max_ms: ms(eps.last().copied().unwrap_or(0)),
-            stalled_pct: stalled as f64 / window as f64 * 100.0,
-            episode_cdf,
-            bg_io_wait_ms: stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6,
-            // Filled in by `run` once the device's greedy baseline exists.
-            kops_vs_greedy: 1.0,
-            ep_p99_vs_greedy: 1.0,
-            cv_vs_greedy: 1.0,
+            cv,
         };
+        let row = vec![
+            ("device", Cell::Str(device.into())),
+            ("policy", Cell::Str(policy.name().into())),
+            ("kops", Cell::F3(own.kops)),
+            // Coefficient of variation (σ/µ) across 100 ms timeline buckets.
+            ("cv", Cell::F3(cv)),
+            // Worst 100 ms bucket (near-stop depth).
+            ("min_bucket_kops", Cell::F3(r.min_bucket_kops())),
+            ("write_p50_us", Cell::F3(us(write_hist.quantile(0.5)))),
+            ("write_p99_us", Cell::F3(us(write_hist.quantile(0.99)))),
+            ("write_p999_us", Cell::F3(us(write_hist.quantile(0.999)))),
+            ("episodes", Cell::Int(eps.len() as u64)),
+            ("ep_p50_ms", Cell::F3(ms(quantile_ns(&eps, 0.5)))),
+            ("ep_p90_ms", Cell::F3(ms(quantile_ns(&eps, 0.9)))),
+            ("ep_p99_ms", Cell::F3(own.ep_p99_ms)),
+            ("ep_max_ms", Cell::F3(ms(eps.last().copied().unwrap_or(0)))),
+            // Share of the window spent inside stall episodes.
+            (
+                "stalled_pct",
+                Cell::F3(stalled as f64 / window as f64 * 100.0),
+            ),
+            ("episode_cdf", Cell::F3List(episode_cdf)),
+            // Time background jobs waited on the shared I/O budget (0 for
+            // policies that leave the limiter off).
+            (
+                "bg_io_wait_ms",
+                Cell::F3(stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6),
+            ),
+            (
+                "kops_vs_greedy",
+                Cell::F3(vs_baseline(own.kops, greedy.map(|g| g.kops))),
+            ),
+            // < 1.0 = shorter stalls.
+            (
+                "ep_p99_vs_greedy",
+                Cell::F3(vs_baseline(own.ep_p99_ms, greedy.map(|g| g.ep_p99_ms))),
+            ),
+            // < 1.0 = steadier.
+            (
+                "cv_vs_greedy",
+                Cell::F3(vs_baseline(cv, greedy.map(|g| g.cv))),
+            ),
+        ];
         companion.stop();
-        point
+        (row, own)
     })
 }
 
-/// Runs the full (device × policy) sweep.
-pub fn run(cfg: &BenchConfig) -> StabilityReport {
+/// Runs the full (device × policy) sweep: device-major, policies in
+/// [`StabilityPolicy::ALL`] order (greedy first).
+pub fn run(cfg: &BenchConfig) -> JsonReport {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let mut device_points: Vec<StabilityPoint> = Vec::new();
+        let mut greedy = None;
         for policy in StabilityPolicy::ALL {
             eprintln!("[stability] {device}: {}", policy.name());
-            let mut p = run_point(profile.clone(), device, cfg, policy);
-            if let Some(base) = device_points.first() {
-                p.kops_vs_greedy = if base.kops > 0.0 {
-                    p.kops / base.kops
-                } else {
-                    0.0
-                };
-                p.ep_p99_vs_greedy = if base.ep_p99_ms > 0.0 {
-                    p.ep_p99_ms / base.ep_p99_ms
-                } else {
-                    0.0
-                };
-                p.cv_vs_greedy = if base.cv > 0.0 { p.cv / base.cv } else { 0.0 };
-            }
-            device_points.push(p);
+            let (row, own) = run_point(profile.clone(), device, cfg, policy, greedy);
+            greedy.get_or_insert(own);
+            points.push(row);
         }
-        points.append(&mut device_points);
     }
-    StabilityReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        window_secs: cfg.duration.as_secs_f64() * 4.0,
-        points,
-    }
-}
-
-impl StabilityReport {
-    /// The report as deterministic JSON (see [`JsonReport`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let points = self.points.iter().map(|p| {
-            vec![
-                ("device", Cell::Str(p.device)),
-                ("policy", Cell::Str(p.policy)),
-                ("kops", Cell::F3(p.kops)),
-                ("cv", Cell::F3(p.cv)),
-                ("min_bucket_kops", Cell::F3(p.min_bucket_kops)),
-                ("write_p50_us", Cell::F3(p.write_p50_us)),
-                ("write_p99_us", Cell::F3(p.write_p99_us)),
-                ("write_p999_us", Cell::F3(p.write_p999_us)),
-                ("episodes", Cell::Int(p.episodes as u64)),
-                ("ep_p50_ms", Cell::F3(p.ep_p50_ms)),
-                ("ep_p90_ms", Cell::F3(p.ep_p90_ms)),
-                ("ep_p99_ms", Cell::F3(p.ep_p99_ms)),
-                ("ep_max_ms", Cell::F3(p.ep_max_ms)),
-                ("stalled_pct", Cell::F3(p.stalled_pct)),
-                ("episode_cdf", Cell::F3List(&p.episode_cdf)),
-                ("bg_io_wait_ms", Cell::F3(p.bg_io_wait_ms)),
-                ("kops_vs_greedy", Cell::F3(p.kops_vs_greedy)),
-                ("ep_p99_vs_greedy", Cell::F3(p.ep_p99_vs_greedy)),
-                ("cv_vs_greedy", Cell::F3(p.cv_vs_greedy)),
-            ]
-        });
-        let mut config = config_cells(self.key_count, self.value_size, self.seed);
-        config.push(("window_secs", Cell::F1(self.window_secs)));
-        JsonReport {
-            bench: "stability",
-            config,
-            sections: vec![("points", points.collect())],
-        }
-        .to_json()
-    }
-
-    /// The report as printable tables (for the `figures` binary):
-    /// throughput variance, stall-episode quantiles, and the episode CDF.
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut tput = Table::new(
-            "Stability: throughput variance under periodic write bursts",
-            &[
-                "device",
-                "policy",
-                "kops",
-                "cv",
-                "min_bucket",
-                "write_p99_us",
-                "write_p999_us",
-                "kops_vs_greedy",
-                "cv_vs_greedy",
-            ],
-        );
-        let mut stalls = Table::new(
-            "Stability: stall-episode durations (controller-level spans)",
-            &[
-                "device",
-                "policy",
-                "episodes",
-                "ep_p50_ms",
-                "ep_p90_ms",
-                "ep_p99_ms",
-                "ep_max_ms",
-                "stalled_pct",
-                "bg_io_wait_ms",
-                "p99_vs_greedy",
-            ],
-        );
-        let mut cdf = Table::new(
-            "Stability: stall-episode duration CDF (fraction of episodes <= threshold)",
-            &[
-                "device", "policy", "le_10ms", "le_50ms", "le_100ms", "le_500ms", "le_1s",
-            ],
-        );
-        for p in &self.points {
-            tput.row(vec![
-                p.device.into(),
-                p.policy.into(),
-                f(p.kops, 1),
-                f(p.cv, 3),
-                f(p.min_bucket_kops, 1),
-                f(p.write_p99_us, 1),
-                f(p.write_p999_us, 1),
-                f(p.kops_vs_greedy, 2),
-                f(p.cv_vs_greedy, 2),
-            ]);
-            stalls.row(vec![
-                p.device.into(),
-                p.policy.into(),
-                p.episodes.to_string(),
-                f(p.ep_p50_ms, 1),
-                f(p.ep_p90_ms, 1),
-                f(p.ep_p99_ms, 1),
-                f(p.ep_max_ms, 1),
-                f(p.stalled_pct, 1),
-                f(p.bg_io_wait_ms, 1),
-                f(p.ep_p99_vs_greedy, 2),
-            ]);
-            cdf.row(vec![
-                p.device.into(),
-                p.policy.into(),
-                f(p.episode_cdf[0], 2),
-                f(p.episode_cdf[1], 2),
-                f(p.episode_cdf[2], 2),
-                f(p.episode_cdf[3], 2),
-                f(p.episode_cdf[4], 2),
-            ]);
-        }
-        vec![
-            ("stability_throughput".into(), tput),
-            ("stability_stalls".into(), stalls),
-            ("stability_cdf".into(), cdf),
-        ]
+    let mut config = config_cells(cfg);
+    // Measured window per point, virtual seconds.
+    config.push(("window_secs", Cell::F1(cfg.duration.as_secs_f64() * 4.0)));
+    JsonReport {
+        bench: "stability",
+        config,
+        sections: vec![("points", points)],
     }
 }

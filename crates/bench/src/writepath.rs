@@ -23,10 +23,9 @@
 //! (`scripts/check.sh` runs the probe twice and diffs).
 
 use crate::common::{
-    config_cells, devices, label, us, with_testbed, BenchConfig, Cell, JsonReport,
+    config_cells, devices, label, ratio, us, with_testbed, BenchConfig, Cell, JsonReport, JsonRow,
 };
 use std::sync::Arc;
-use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Histogram, Ticker};
 
@@ -46,52 +45,17 @@ const OPS_PER_WRITER: usize = 256;
 /// fill still uses the configured value size.
 const PUT_VALUE_SIZE: usize = 128;
 
-/// One measurement point.
-#[derive(Clone, Debug)]
-pub struct WritePathPoint {
-    /// Device label (`sata-flash`, `pcie-flash`, `3d-xpoint`).
-    pub device: &'static str,
-    /// Concurrent writer threads.
-    pub writers: usize,
-    /// `"serial"` or `"concurrent"` memtable apply.
-    pub mode: &'static str,
-    /// Put latency, p50 in µs.
-    pub put_p50_us: f64,
-    /// Put latency, p99 in µs.
-    pub put_p99_us: f64,
-    /// Mean writer-queue depth sampled at group commits.
-    pub avg_queue_depth: f64,
-    /// Mean member batches per write group.
-    pub avg_group_batches: f64,
-    /// `ConcurrentMemtableApplies` ticker over the window.
-    pub concurrent_applies: u64,
-    /// Serial p99 / this p99 on the same (device, writers) point; 1.0 for
-    /// the serial rows.
-    pub p99_speedup_vs_serial: f64,
-}
-
-/// Full probe output.
-#[derive(Clone, Debug)]
-pub struct WritePathReport {
-    /// Dataset size in keys.
-    pub key_count: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Sweep points: device-major, then writer count, serial before
-    /// concurrent.
-    pub points: Vec<WritePathPoint>,
-}
-
-/// Runs one (device, writers, mode) point.
+/// Runs one (device, writers, mode) point and returns its row with its put
+/// p99 (µs); a concurrent point is given the p99 of the serial point it is
+/// compared with.
 fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     writers: usize,
-    concurrent: bool,
-) -> WritePathPoint {
+    serial_p99_us: Option<f64>,
+) -> (JsonRow, f64) {
+    let concurrent = serial_p99_us.is_some();
     // Lift the Algorithm-1 stall triggers and give the memtables some
     // slack: controller pacing and flush backpressure would otherwise
     // dominate the tail on every device and bury the write-path
@@ -135,101 +99,51 @@ fn run_point(
             h.join();
         }
 
-        let group_batches = stats.write_group_batches.summary();
-        WritePathPoint {
-            device,
-            writers,
-            mode: if concurrent { "concurrent" } else { "serial" },
-            put_p50_us: us(put_latency.quantile(0.5)),
-            put_p99_us: us(put_latency.quantile(0.99)),
-            avg_queue_depth: stats.avg_waiting_writers(),
-            avg_group_batches: group_batches.mean_ns as f64,
-            concurrent_applies: stats.ticker(Ticker::ConcurrentMemtableApplies),
-            p99_speedup_vs_serial: 1.0, // filled in by `run`
-        }
+        let put_p99_us = us(put_latency.quantile(0.99));
+        let mode = if concurrent { "concurrent" } else { "serial" };
+        let row = vec![
+            ("device", Cell::Str(device.into())),
+            ("writers", Cell::Int(writers as u64)),
+            ("mode", Cell::Str(mode.into())),
+            ("put_p50_us", Cell::F3(us(put_latency.quantile(0.5)))),
+            ("put_p99_us", Cell::F3(put_p99_us)),
+            // Mean writer-queue depth sampled at group commits.
+            ("avg_queue_depth", Cell::F3(stats.avg_waiting_writers())),
+            // Mean member batches per write group.
+            (
+                "avg_group_batches",
+                Cell::F3(stats.write_group_batches.summary().mean_ns as f64),
+            ),
+            (
+                "concurrent_applies",
+                Cell::Int(stats.ticker(Ticker::ConcurrentMemtableApplies)),
+            ),
+            (
+                "p99_speedup_vs_serial",
+                Cell::F3(serial_p99_us.map_or(1.0, |serial| ratio(serial, put_p99_us))),
+            ),
+        ];
+        (row, put_p99_us)
     })
 }
 
-/// Runs the full sweep over the three study devices.
-pub fn run(cfg: &BenchConfig) -> WritePathReport {
+/// Runs the full sweep over the three study devices: device-major, then
+/// writer count, serial before concurrent.
+pub fn run(cfg: &BenchConfig) -> JsonReport {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
         for writers in WRITERS {
             eprintln!("[writepath] {device}: {writers} writers, serial");
-            let serial = run_point(profile.clone(), device, cfg, writers, false);
+            let (serial, serial_p99_us) = run_point(profile.clone(), device, cfg, writers, None);
             eprintln!("[writepath] {device}: {writers} writers, concurrent");
-            let mut conc = run_point(profile.clone(), device, cfg, writers, true);
-            conc.p99_speedup_vs_serial = if conc.put_p99_us == 0.0 {
-                0.0
-            } else {
-                serial.put_p99_us / conc.put_p99_us
-            };
-            points.push(serial);
-            points.push(conc);
+            let (conc, _) = run_point(profile.clone(), device, cfg, writers, Some(serial_p99_us));
+            points.extend([serial, conc]);
         }
     }
-    WritePathReport {
-        key_count: cfg.key_count,
-        value_size: cfg.value_size,
-        seed: cfg.seed,
-        points,
-    }
-}
-
-impl WritePathReport {
-    /// The report as deterministic JSON (see [`JsonReport`]).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let points = self.points.iter().map(|p| {
-            vec![
-                ("device", Cell::Str(p.device)),
-                ("writers", Cell::Int(p.writers as u64)),
-                ("mode", Cell::Str(p.mode)),
-                ("put_p50_us", Cell::F3(p.put_p50_us)),
-                ("put_p99_us", Cell::F3(p.put_p99_us)),
-                ("avg_queue_depth", Cell::F3(p.avg_queue_depth)),
-                ("avg_group_batches", Cell::F3(p.avg_group_batches)),
-                ("concurrent_applies", Cell::Int(p.concurrent_applies)),
-                ("p99_speedup_vs_serial", Cell::F3(p.p99_speedup_vs_serial)),
-            ]
-        });
-        JsonReport {
-            bench: "writepath",
-            config: config_cells(self.key_count, self.value_size, self.seed),
-            sections: vec![("put_latency", points.collect())],
-        }
-        .to_json()
-    }
-
-    /// The report as a printable table (for the `figures` binary).
-    #[must_use]
-    pub fn tables(&self) -> Vec<(String, Table)> {
-        let mut t = Table::new(
-            "Write path: put latency vs writers, serial vs concurrent memtable apply",
-            &[
-                "device",
-                "writers",
-                "mode",
-                "put_p50_us",
-                "put_p99_us",
-                "queue_depth",
-                "group_batches",
-                "p99_speedup",
-            ],
-        );
-        for p in &self.points {
-            t.row(vec![
-                p.device.into(),
-                p.writers.to_string(),
-                p.mode.into(),
-                f(p.put_p50_us, 1),
-                f(p.put_p99_us, 1),
-                f(p.avg_queue_depth, 2),
-                f(p.avg_group_batches, 2),
-                f(p.p99_speedup_vs_serial, 2),
-            ]);
-        }
-        vec![("writepath".into(), t)]
+    JsonReport {
+        bench: "writepath",
+        config: config_cells(cfg),
+        sections: vec![("put_latency", points)],
     }
 }

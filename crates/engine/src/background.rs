@@ -27,6 +27,10 @@ use xlsm_simfs::{FsError, SimFs};
 /// serialized by `flush_serial`, so more would only queue behind it.
 const MAX_BACKGROUND_FLUSHES: usize = 1;
 
+/// Compaction worker threads (RocksDB `max_background_compactions`; 1 is
+/// the db_bench / RocksDB 5.17 default the paper runs).
+const MAX_BACKGROUND_COMPACTIONS: usize = 1;
+
 /// Bounded retries for a retryable (transient) background I/O error before
 /// it escalates to hard and the database goes read-only.
 const MAX_BACKGROUND_ERROR_RETRIES: u32 = 6;
@@ -119,14 +123,13 @@ pub(crate) struct ScrubState {
 
 impl DbInner {
     /// Draws `bytes` from the shared background-I/O budget and attributes
-    /// the wait to `BgIoThrottledNs` + the `bg_io_wait` histogram.
+    /// the wait to `BgIoThrottledNs`.
     fn charge_bg_io(&self, bytes: u64, pri: BgIoPriority) {
         if !self.io_limiter.enabled() {
             return;
         }
         let waited = self.io_limiter.acquire(bytes, pri);
         self.stats.add(Ticker::BgIoThrottledNs, waited);
-        self.stats.bg_io_wait.record(waited);
     }
 
     pub(crate) fn schedule_flush(&self) {
@@ -141,7 +144,7 @@ impl DbInner {
         let (_, score) = version.compaction_score(&self.opts, self.dynamic.l0_compaction_trigger());
         if score >= 1.0 {
             let queued = self.compact_queued.load(Ordering::Relaxed);
-            if queued < self.opts.max_background_compactions * 2 {
+            if queued < MAX_BACKGROUND_COMPACTIONS * 2 {
                 self.compact_queued.fetch_add(1, Ordering::Relaxed);
                 let _ = self.compact_tx.send(());
             }
@@ -730,7 +733,7 @@ pub(crate) fn spawn_workers(
             }
         }));
     }
-    for i in 0..inner.opts.max_background_compactions {
+    for i in 0..MAX_BACKGROUND_COMPACTIONS {
         let rx = compact_rx.clone();
         let inner = Arc::clone(inner);
         workers.push(xlsm_sim::spawn(&format!("compact-{i}"), move || {

@@ -381,7 +381,6 @@ fn run_subcompactions(
         let opts = opts.clone();
         let new_file_number = Arc::clone(new_file_number);
         handles.push(xlsm_sim::spawn(&format!("subcompact-{i}"), move || {
-            let t0 = xlsm_sim::now_nanos();
             let mut part = VersionEdit::default();
             let mut part_created = Vec::new();
             let r = merge_into_edit(
@@ -398,9 +397,6 @@ fn run_subcompactions(
                 &mut part,
                 &mut part_created,
             );
-            stats
-                .subcompaction_duration
-                .record(xlsm_sim::now_nanos() - t0);
             (r, part.added, part_created)
         }));
     }

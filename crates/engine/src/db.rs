@@ -702,22 +702,12 @@ impl Db {
     pub fn metrics(&self) -> Metrics {
         let stats = &self.inner.stats;
         let fs_stats = self.inner.fs.stats();
-        let data_dev = self.inner.fs.device();
-        let wal_dev = self.inner.wal_fs.device();
-        let wal_device = if Arc::ptr_eq(data_dev, wal_dev) {
-            None
-        } else {
-            Some(xlsm_device::Device::stats(&**wal_dev))
-        };
         Metrics {
             tickers: stats.ticker_snapshot(),
             get_latency: stats.get_latency.summary(),
             write_latency: stats.write_latency.summary(),
-            write_queue_wait: stats.write_queue_wait.summary(),
             write_group_batches: stats.write_group_batches.summary(),
-            write_group_bytes: stats.write_group_bytes.summary(),
             scrub_pass: stats.scrub_pass.summary(),
-            bg_io_wait: stats.bg_io_wait.summary(),
             enospc_stall: stats.enospc_stall.summary(),
             free_space_bytes: fs_stats
                 .free_space_pages
@@ -727,23 +717,18 @@ impl Db {
                 .saturating_mul(xlsm_device::PAGE_SIZE as u64),
             live_sst_bytes: self.inner.versions.current().total_bytes(),
             trash_queue_bytes: self.inner.trash.queued_bytes(),
-            space_reserved_bytes: self.inner.space.reserved_bytes(),
             compaction_debt_bytes: self.inner.versions.current().pending_compaction_bytes(
                 &self.inner.opts,
                 self.inner.dynamic.l0_compaction_trigger(),
             ),
-            bg_io_budget_bytes_per_sec: self.inner.io_limiter.current_rate(),
             wal_append: stats.wal_append.summary(),
             flush_duration: stats.flush_duration.summary(),
             compaction_duration: stats.compaction_duration.summary(),
-            subcompaction_duration: stats.subcompaction_duration.summary(),
-            multi_get_latency: stats.multi_get_latency.summary(),
             avg_waiting_writers: stats.avg_waiting_writers(),
             stall: stats.stall.snapshot(),
             stall_events: stats.stall.drain_events(),
             controller: self.inner.controller.snapshot(),
-            device: xlsm_device::Device::stats(&**data_dev),
-            wal_device,
+            device: xlsm_device::Device::stats(&**self.inner.fs.device()),
             background_error: self.inner.bg.current(),
             read_only: self.inner.bg.is_read_only(),
         }
@@ -839,81 +824,6 @@ impl Db {
     /// `DbOptions::max_open_files`).
     pub fn open_table_readers(&self) -> usize {
         self.inner.table_cache.open_readers()
-    }
-
-    /// A multi-line human-readable statistics report (the
-    /// `GetProperty("rocksdb.stats")` analogue).
-    pub fn stats_report(&self) -> String {
-        use std::fmt::Write as _;
-        let stats = &self.inner.stats;
-        let shape = self.shape();
-        let ctl = self.controller_snapshot();
-        let (cache_hits, cache_misses) = self.block_cache_counters();
-        let mut out = String::new();
-        let _ = writeln!(out, "== xlsm stats: {} ==", self.inner.opts.db_path);
-        let _ = writeln!(
-            out,
-            "ops: puts={} deletes={} gets={} (mem {} / imm {} / L0 {} / Ln {} / miss {})",
-            stats.ticker(Ticker::Puts),
-            stats.ticker(Ticker::Deletes),
-            stats.ticker(Ticker::Gets),
-            stats.ticker(Ticker::GetHitMemtable),
-            stats.ticker(Ticker::GetHitImmutable),
-            stats.ticker(Ticker::GetHitL0),
-            stats.ticker(Ticker::GetHitLn),
-            stats.ticker(Ticker::GetMiss),
-        );
-        let _ = writeln!(
-            out,
-            "latency us: get p50/p90/p99 = {:.0}/{:.0}/{:.0}  write p50/p90/p99 = {:.0}/{:.0}/{:.0}",
-            stats.get_latency.quantile(0.5) as f64 / 1e3,
-            stats.get_latency.quantile(0.9) as f64 / 1e3,
-            stats.get_latency.quantile(0.99) as f64 / 1e3,
-            stats.write_latency.quantile(0.5) as f64 / 1e3,
-            stats.write_latency.quantile(0.9) as f64 / 1e3,
-            stats.write_latency.quantile(0.99) as f64 / 1e3,
-        );
-        let _ = writeln!(
-            out,
-            "shape: files/level={:?} bytes/level={:?} imm={} mutable={}KB",
-            shape.files_per_level,
-            shape.bytes_per_level,
-            shape.immutables,
-            shape.mutable_bytes / 1024,
-        );
-        let _ = writeln!(
-            out,
-            "flush: n={} bytes={}  compaction: n={} read={} written={} trivial={}",
-            stats.ticker(Ticker::FlushCount),
-            stats.ticker(Ticker::FlushBytes),
-            stats.ticker(Ticker::CompactionCount),
-            stats.ticker(Ticker::CompactReadBytes),
-            stats.ticker(Ticker::CompactWriteBytes),
-            stats.ticker(Ticker::TrivialMoves),
-        );
-        let _ = writeln!(
-            out,
-            "stalls: delayed={} stopped={} total={}ms  controller: {:?} rate={}MB/s",
-            stats.ticker(Ticker::StallDelayedWrites),
-            stats.ticker(Ticker::StallStoppedWrites),
-            stats.ticker(Ticker::StallMicros) / 1_000,
-            ctl.level,
-            ctl.delayed_write_rate >> 20,
-        );
-        let _ = writeln!(
-            out,
-            "caches: block hit/miss = {cache_hits}/{cache_misses}  bloom useful={}  wal bytes={}",
-            stats.ticker(Ticker::BloomUseful),
-            stats.ticker(Ticker::WalBytes),
-        );
-        let _ = writeln!(
-            out,
-            "write groups: led={} joined={} avg waiting writers={:.2}",
-            stats.ticker(Ticker::WriteGroupsLed),
-            stats.ticker(Ticker::WritesJoinedGroup),
-            stats.avg_waiting_writers(),
-        );
-        out
     }
 
     /// Shuts down: stops background workers and joins them. Unflushed
@@ -1174,7 +1084,6 @@ pub(crate) mod tests {
             );
             assert_eq!(second.stall.events_pushed, first.stall.events_pushed);
             assert_eq!(second.tickers.get(Ticker::Puts), 600);
-            assert!(second.wal_device.is_none(), "shared device: no WAL split");
             db.flush().unwrap();
             db.wait_for_compactions();
             db.close();
@@ -1192,31 +1101,6 @@ pub(crate) mod tests {
             db.write(batch).unwrap();
             assert_eq!(db.get(b"a").unwrap(), None);
             assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
-            db.close();
-        });
-    }
-
-    #[test]
-    fn stats_report_mentions_key_sections() {
-        Runtime::new().run(|| {
-            let (db, _fs) = open_db(small_opts());
-            for i in 0..200u32 {
-                db.put(format!("k{i:04}").as_bytes(), &[b'v'; 200]).unwrap();
-            }
-            db.flush().unwrap();
-            let _ = db.get(b"k0001").unwrap();
-            let report = db.stats_report();
-            for needle in [
-                "ops:",
-                "latency us:",
-                "shape:",
-                "flush:",
-                "stalls:",
-                "caches:",
-                "write groups:",
-            ] {
-                assert!(report.contains(needle), "missing {needle} in:\n{report}");
-            }
             db.close();
         });
     }

@@ -81,8 +81,6 @@ pub struct DbOptions {
     pub max_bytes_for_level_base: u64,
     /// Target SST size for compaction outputs (bytes).
     pub target_file_size_base: u64,
-    /// Compaction worker threads (low-priority pool).
-    pub max_background_compactions: usize,
     /// Maximum key-range partitions one compaction may fan out across
     /// (RocksDB `max_subcompactions`). `1` keeps the merge serial; higher
     /// values split the input key space at SST block boundaries and run one
@@ -280,8 +278,7 @@ impl Default for DbOptions {
             level0_stop_writes_trigger: 36,
             max_bytes_for_level_base: 4 << 20, // 4 MiB (paper: 256 MB, scaled; keeps the 1:4 memtable:L1 ratio)
             target_file_size_base: 1 << 20,
-            max_background_compactions: 1, // db_bench / RocksDB 5.17 default
-            max_subcompactions: 1,         // RocksDB 5.17 default: serial compaction
+            max_subcompactions: 1, // RocksDB 5.17 default: serial compaction
             multi_get_parallelism: 4,
             max_open_files: 256,
             table_cache_shards: 8,

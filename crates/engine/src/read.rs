@@ -203,19 +203,13 @@ impl Db {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let t0 = xlsm_sim::now_nanos();
         // Batch setup (key hashing, version pinning) is paid once.
         xlsm_sim::sleep_nanos(costs::GET_SETUP_NS);
         let inner = &self.inner;
         inner.stats.bump(Ticker::MultiGetBatches);
         inner.stats.add(Ticker::MultiGetKeys, keys.len() as u64);
         inner.stats.add(Ticker::Gets, keys.len() as u64);
-        let result = self.multi_get_inner(keys, snapshot);
-        inner
-            .stats
-            .multi_get_latency
-            .record(xlsm_sim::now_nanos() - t0);
-        result
+        self.multi_get_inner(keys, snapshot)
     }
 
     fn multi_get_inner(

@@ -114,32 +114,19 @@ pub struct DbStats {
     pub get_latency: Histogram,
     /// Client-visible write (batch commit) latency.
     pub write_latency: Histogram,
-    /// Time writers spend queued before their batch commits.
-    pub write_queue_wait: Histogram,
     /// WAL append durations.
     pub wal_append: Histogram,
     /// Flush job durations.
     pub flush_duration: Histogram,
     /// Compaction job durations.
     pub compaction_duration: Histogram,
-    /// Per-subcompaction (one key range of a fanned-out compaction) merge
-    /// durations; empty while compactions run serial.
-    pub subcompaction_duration: Histogram,
-    /// Client-visible MultiGet batch latency (whole batch, not per key).
-    pub multi_get_latency: Histogram,
     /// Batches per committed write group (group-commit effectiveness; a
     /// deep queue on a fast device shows up as large groups here).
     pub write_group_batches: Histogram,
-    /// Bytes per committed write group.
-    pub write_group_bytes: Histogram,
     /// Duration of each completed scrub pass over the live file set. Not
     /// reset with the warm-up window: passes are long-lived and a reset
     /// mid-pass would discard the only samples.
     pub scrub_pass: Histogram,
-    /// Per-acquire waits on the shared background-I/O budget (ns); empty
-    /// while `bg_io_rate_bytes_per_sec` is 0. Like the other background
-    /// histograms, not reset with the warm-up window.
-    pub bg_io_wait: Histogram,
     /// Duration of each soft ENOSPC stall episode (ns), recorded when the
     /// `SpaceWatcher` auto-resumes the database. Like the other background
     /// histograms, not reset with the warm-up window.
@@ -168,16 +155,11 @@ impl DbStats {
             tickers: std::array::from_fn(|_| AtomicU64::new(0)),
             get_latency: Histogram::new(),
             write_latency: Histogram::new(),
-            write_queue_wait: Histogram::new(),
             wal_append: Histogram::new(),
             flush_duration: Histogram::new(),
             compaction_duration: Histogram::new(),
-            subcompaction_duration: Histogram::new(),
-            multi_get_latency: Histogram::new(),
             write_group_batches: Histogram::new(),
-            write_group_bytes: Histogram::new(),
             scrub_pass: Histogram::new(),
-            bg_io_wait: Histogram::new(),
             enospc_stall: Histogram::new(),
             stall: Arc::new(StallAccounting::default()),
             waiting_writers: AtomicU64::new(0),
@@ -238,11 +220,8 @@ impl DbStats {
     pub fn reset_window(&self) {
         self.get_latency.reset();
         self.write_latency.reset();
-        self.write_queue_wait.reset();
         self.wal_append.reset();
-        self.multi_get_latency.reset();
         self.write_group_batches.reset();
-        self.write_group_bytes.reset();
         self.stall.reset_window();
         self.waiting_sum.store(0, Ordering::Relaxed);
         self.waiting_samples.store(0, Ordering::Relaxed);
@@ -279,27 +258,17 @@ pub struct Metrics {
     pub get_latency: HistogramSummary,
     /// Client-visible write (batch commit) latency.
     pub write_latency: HistogramSummary,
-    /// Queue wait before a write's group committed.
-    pub write_queue_wait: HistogramSummary,
     /// WAL append durations.
     pub wal_append: HistogramSummary,
     /// Flush job durations.
     pub flush_duration: HistogramSummary,
     /// Compaction job durations.
     pub compaction_duration: HistogramSummary,
-    /// Per-subcompaction merge durations (empty while serial).
-    pub subcompaction_duration: HistogramSummary,
-    /// MultiGet batch latency.
-    pub multi_get_latency: HistogramSummary,
     /// Batches per committed write group.
     pub write_group_batches: HistogramSummary,
-    /// Bytes per committed write group.
-    pub write_group_bytes: HistogramSummary,
     /// Completed background scrub passes (duration per full sweep of the
     /// live file set).
     pub scrub_pass: HistogramSummary,
-    /// Waits on the shared background-I/O budget (per acquire, ns).
-    pub bg_io_wait: HistogramSummary,
     /// Soft ENOSPC stall episode durations (ns).
     pub enospc_stall: HistogramSummary,
     /// Unallocated bytes remaining on the SST filesystem.
@@ -312,16 +281,9 @@ pub struct Metrics {
     /// Bytes of obsolete SSTs currently sitting in `trash/` awaiting
     /// rate-limited deletion.
     pub trash_queue_bytes: u64,
-    /// Bytes pre-reserved by in-flight flushes/compactions against
-    /// `max_allowed_space_bytes`.
-    pub space_reserved_bytes: u64,
     /// Estimated bytes awaiting compaction right now — the scheduler's
     /// debt input (from `Version::pending_compaction_bytes`).
     pub compaction_debt_bytes: u64,
-    /// Background-I/O budget currently in effect, bytes per virtual second
-    /// (0 = unthrottled; differs from the configured base when auto-tune
-    /// has scaled it with debt).
-    pub bg_io_budget_bytes_per_sec: u64,
     /// Average queued writer threads (Fig. 16 metric).
     pub avg_waiting_writers: f64,
     /// Aggregate per-op stall breakdown totals.
@@ -334,8 +296,6 @@ pub struct Metrics {
     /// Device-side accounting (queueing, GC, write amplification) for the
     /// SST device.
     pub device: DeviceSnapshot,
-    /// Same for the WAL device, when the WAL lives on a separate one.
-    pub wal_device: Option<DeviceSnapshot>,
     /// The active background error, if the engine is in an error state
     /// (being retried, or hard and read-only).
     pub background_error: Option<crate::bgerror::BackgroundError>,

@@ -399,10 +399,8 @@ impl WriteQueue {
             let t_done = xlsm_sim::now_nanos();
             let mem_ns = t_done - t_apply;
             stats.write_group_batches.record(members.len() as u64);
-            stats.write_group_bytes.record(group_bytes as u64);
             for m in members {
                 let queue_wait = t_start.saturating_sub(m.enqueued_at);
-                stats.write_queue_wait.record(queue_wait);
                 stats.stall.record_op(
                     t_done.saturating_sub(m.enqueued_at),
                     &WriteBreakdown {
@@ -451,25 +449,6 @@ impl WriteQueue {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-}
-
-/// A backend that fails every operation — used to propagate shutdown.
-#[derive(Debug)]
-pub struct ClosedBackend;
-
-impl WriteBackend for ClosedBackend {
-    fn preprocess(&self, _group_bytes: u64) -> DbResult<PreprocessStalls> {
-        Err(DbError::ShuttingDown)
-    }
-    fn allocate_seq(&self, _count: u64) -> u64 {
-        0
-    }
-    fn write_wal(&self, _group: &WriteBatch) -> DbResult<()> {
-        Err(DbError::ShuttingDown)
-    }
-    fn write_memtable(&self, _group: &WriteBatch) -> DbResult<()> {
-        Err(DbError::ShuttingDown)
     }
 }
 
@@ -993,7 +972,6 @@ mod tests {
                 t.total_write_ns,
                 "breakdown must fully explain observed latency: {t:?}"
             );
-            assert_eq!(stats.write_queue_wait.count(), 6);
             assert!(t.queue_wait_ns > 0, "later groups waited in the queue");
         });
     }

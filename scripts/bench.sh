@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
-# Regenerates the committed bench artifacts (the device-parallelism,
-# write-path, read-path, stability, and space probes). Full-size by default;
-# XLSM_QUICK=1 for a fast smoke run — note the committed BENCH_*.json
-# files are the full-size output, so don't commit a quick-mode
-# regeneration.
+# Regenerates the committed BENCH_<probe>.json artifacts, full-size. (With
+# --quick the CLI runs a fast smoke size; the committed files are the
+# full-size output, so don't commit a quick-mode regeneration.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for probe in parallelism writepath readpath stability space; do
-    echo "==> $probe probe -> BENCH_$probe.json"
-    cargo run -q --release -p xlsm-bench --bin xlsm-bench -- "$probe" "BENCH_$probe.json"
-done
+cargo build -q --release -p xlsm-bench
+bin=${CARGO_TARGET_DIR:-target}/release/xlsm-bench
+# shellcheck disable=SC2046  # one word per probe name
+"$bin" $("$bin" list --probes)
 
 echo "==> done"

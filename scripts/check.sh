@@ -15,35 +15,27 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test -q --workspace"
+# The workspace run includes the suites that double as gates:
+# * crash_recovery: fault injection + power cuts;
+# * enospc: fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles
+#   and power_cut_at_the_capacity_edge_loses_no_acked_write are the
+#   acceptance legs: capacity overruns stall (never error), auto-resume
+#   within one SpaceWatcher poll, and lose no acked write across a cut at
+#   the edge;
+# * xlsm-engine's integrity: seeded_flip_sweep_never_silently_wrong_and_deterministic
+#   runs the full bit-flip sweep over SST/WAL/MANIFEST twice with one seed
+#   and asserts an identical outcome log;
+# * scheduling: every_policy_yields_byte_identical_final_state replays one
+#   op tape under greedy / round-robin / fair(+limiter) scheduling and
+#   asserts an identical logical database.
 cargo test -q --workspace
 
-step "crash-consistency suite (fault injection + power cuts)"
-cargo test -q --test crash_recovery
-
 step "crash-torture smoke: 64 seeded cut points, all four WAL recovery modes"
-# The binary's recovery_is_deterministic_for_seed_and_cut test re-runs two
-# cut points twice and asserts byte-identical recovered state, so this line
-# also covers the same-seed => same-bytes determinism gate.
+# The workspace run above sweeps the default 16 cut points, this one 64.
+# The binary's recovery_is_deterministic_for_seed_and_cut test
+# re-runs two cut points twice and asserts byte-identical recovered state,
+# so this line also covers the same-seed => same-bytes determinism gate.
 XLSM_TORTURE_CUTS=64 cargo test -q --test crash_torture
-
-step "full-disk suite: capacity exhaustion, soft-ENOSPC stalls, trash reclamation"
-# fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles and
-# power_cut_at_the_capacity_edge_loses_no_acked_write are the acceptance
-# legs: capacity overruns stall (never error), auto-resume within one
-# SpaceWatcher poll, and lose no acked write across a cut at the edge.
-cargo test -q --test enospc
-
-step "corruption sweep: seeded bit flips over SST/WAL/MANIFEST, scrubber cycle"
-# seeded_flip_sweep_never_silently_wrong_and_deterministic runs the full
-# sweep twice with one seed and asserts an identical outcome log, so this
-# line is also a determinism gate.
-cargo test -q -p xlsm-engine --test integrity
-
-step "scheduling suite: policy equivalence, fairness bound, I/O-budget admission"
-# every_policy_yields_byte_identical_final_state replays one op tape under
-# greedy / round-robin / fair(+limiter) scheduling and asserts an identical
-# logical database, so this line is also a determinism gate.
-cargo test -q --test scheduling
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -51,22 +43,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo fmt --check"
 cargo fmt --check
 
-# Sim threads are OS threads of which one runs at a time. On one CPU a
-# hand-off is a context switch; across CPUs it wakes an idle CPU each time
-# (the stability probe: 74 s pinned, 6 to 30 min not, on a 2-vCPU sandbox).
-pin=()
-if command -v taskset >/dev/null; then
-    cpus=$(awk '/^Cpus_allowed_list/ {print $2}' /proc/self/status)
-    pin=(taskset -c "${cpus##*[,-]}")
-fi
-probe_a="$(mktemp)" probe_b="$(mktemp)"
-trap 'rm -f "$probe_a" "$probe_b"' EXIT
-for probe in parallelism writepath readpath stability space; do
+source scripts/pin.sh
+cargo build -q --release -p xlsm-bench
+bin=${CARGO_TARGET_DIR:-$PWD/target}/release/xlsm-bench
+# The CLI writes BENCH_<probe>.json into its working directory.
+run_a="$(mktemp -d)" run_b="$(mktemp -d)"
+trap 'rm -rf "$run_a" "$run_b"' EXIT
+for probe in $("$bin" list --probes); do
     step "determinism: $probe probe twice with one seed, byte-identical JSON"
-    for out in "$probe_a" "$probe_b"; do
-        XLSM_QUICK=1 "${pin[@]}" cargo run -q --release -p xlsm-bench --bin xlsm-bench -- "$probe" "$out" >/dev/null
+    for dir in "$run_a" "$run_b"; do
+        (cd "$dir" && "${pin[@]}" "$bin" --quick "$probe" >/dev/null)
     done
-    cmp "$probe_a" "$probe_b"
+    cmp "$run_a/BENCH_$probe.json" "$run_b/BENCH_$probe.json"
 done
 
 step "benchmark package's own tests"
