@@ -23,6 +23,7 @@ fn bench_memtable(c: &mut Criterion) {
                         ValueType::Value,
                         format!("key{i:08}").as_bytes(),
                         b"value",
+                        0,
                     );
                 }
                 m
@@ -37,6 +38,7 @@ fn bench_memtable(c: &mut Criterion) {
             ValueType::Value,
             format!("key{i:08}").as_bytes(),
             b"value",
+            0,
         );
     }
     g.bench_function("get_hit_10k", |b| {

@@ -3,7 +3,7 @@
 //! retry / read-only error loop, plus the workers that drive them.
 
 use crate::bgerror::{BackgroundOp, ErrorSeverity};
-use crate::compaction::{pick_compaction, run_compaction, CompactionTask};
+use crate::compaction::{pick_compaction, run_compaction, CompactionJob, CompactionTask};
 use crate::costs;
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
@@ -63,22 +63,19 @@ pub(crate) fn write_memtable_table(
     mem: &Arc<MemTable>,
     entry_cpu_ns: u64,
 ) -> DbResult<TableProperties> {
-    let mut builder = TableBuilder::with_options(fs.create(path)?, TableOptions::from(opts));
+    let mut builder = TableBuilder::new(fs.create(path)?, TableOptions::from(opts));
     let mut iter = mem.iter();
-    let mut ok = InternalIterator::seek_to_first(&mut iter)?;
+    let mut ok = iter.seek_to_first()?;
     let mut cpu = 0u64;
     while ok {
         iter.verify_entry()?;
-        builder.add(
-            &InternalIterator::key(&iter),
-            &InternalIterator::value(&iter),
-        )?;
+        builder.add(iter.key(), iter.value())?;
         cpu += entry_cpu_ns;
         if cpu > 0 && cpu >= 256 * entry_cpu_ns {
             xlsm_sim::sleep_nanos(cpu);
             cpu = 0;
         }
-        ok = InternalIterator::next(&mut iter)?;
+        ok = iter.next()?;
     }
     if cpu > 0 {
         xlsm_sim::sleep_nanos(cpu);
@@ -577,16 +574,17 @@ impl DbInner {
             self.charge_bg_io(task.input_bytes(), BgIoPriority::Compaction);
         }
         let inner = Arc::clone(self);
-        let result = run_compaction(
-            &task,
-            &self.fs,
-            &self.opts.db_path,
-            &self.table_cache,
-            &self.stats,
-            &self.opts,
-            Arc::new(move || inner.versions.new_file_number()),
+        let new_file_number: Arc<dyn Fn() -> u64 + Send + Sync> =
+            Arc::new(move || inner.versions.new_file_number());
+        let result = run_compaction(&CompactionJob {
+            task: &task,
+            fs: &self.fs,
+            table_cache: &self.table_cache,
+            stats: &self.stats,
+            opts: &self.opts,
+            new_file_number: &new_file_number,
             min_snapshot,
-        );
+        });
         let edit = match result {
             Ok(edit) => edit,
             Err(e) => {

@@ -64,13 +64,14 @@ pub fn put_length_prefixed(out: &mut Vec<u8>, data: &[u8]) {
 }
 
 /// Decodes a length-prefixed slice at `*off`, advancing the offset.
+///
+/// Returns `None` when the length runs past the end of `data` — whatever
+/// the length says, `u64::MAX` included.
 pub fn get_length_prefixed<'a>(data: &'a [u8], off: &mut usize) -> Option<&'a [u8]> {
-    let len = get_varint64(data, off)? as usize;
-    if *off + len > data.len() {
-        return None;
-    }
-    let s = &data[*off..*off + len];
-    *off += len;
+    let len = usize::try_from(get_varint64(data, off)?).ok()?;
+    let end = off.checked_add(len)?;
+    let s = data.get(*off..end)?;
+    *off = end;
     Some(s)
 }
 

@@ -21,7 +21,7 @@ use crate::error::DbResult;
 use crate::iterator::{InternalIterator, LevelIterator, MergingIterator};
 use crate::options::DbOptions;
 use crate::scheduler::CompactionScheduler;
-use crate::sst::{sst_file_name, TableBuilder};
+use crate::sst::{sst_file_name, TableBuilder, TableOptions};
 use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
@@ -196,32 +196,39 @@ fn pick_at_level(
     })
 }
 
-/// Runs the merge for `task`, writing output SSTs and returning the version
-/// edit to install. Purely additive: installation and input deletion are
-/// the caller's job.
+/// What a compaction's merge needs besides the key range it covers: one
+/// borrowed bundle, handed down unchanged from [`run_compaction`] to every
+/// range's merge.
+pub(crate) struct CompactionJob<'a> {
+    pub(crate) task: &'a CompactionTask,
+    pub(crate) fs: &'a Arc<SimFs>,
+    pub(crate) table_cache: &'a Arc<TableCache>,
+    pub(crate) stats: &'a Arc<DbStats>,
+    pub(crate) opts: &'a DbOptions,
+    /// Allocates the file number of each output.
+    pub(crate) new_file_number: &'a Arc<dyn Fn() -> u64 + Send + Sync>,
+    /// The oldest sequence a live snapshot may still read: versions
+    /// shadowed at or below it can go.
+    pub(crate) min_snapshot: SequenceNumber,
+}
+
+/// Runs the merge for `job.task`, writing output SSTs and returning the
+/// version edit to install. Purely additive: installation and input deletion
+/// are the caller's job.
 ///
 /// When `opts.max_subcompactions > 1` the input key space is cut at SST
 /// block boundaries into up to that many disjoint user-key ranges, each
 /// merged by its own sim thread writing its own outputs; the partial edits
 /// are stitched back together in range order. Inputs that do not offer
-/// enough distinct boundary keys fall back to the serial merge.
+/// enough distinct boundary keys are one range, like the serial merge.
 ///
 /// # Errors
 ///
 /// Filesystem or corruption errors abort the compaction; outputs written so
 /// far (by every subcompaction) are deleted before returning, so a retried
 /// compaction starts clean.
-#[allow(clippy::too_many_arguments)]
-pub fn run_compaction(
-    task: &CompactionTask,
-    fs: &Arc<SimFs>,
-    db_path: &str,
-    table_cache: &Arc<TableCache>,
-    stats: &Arc<DbStats>,
-    opts: &DbOptions,
-    new_file_number: Arc<dyn Fn() -> u64 + Send + Sync>,
-    min_snapshot: SequenceNumber,
-) -> DbResult<VersionEdit> {
+pub(crate) fn run_compaction(job: &CompactionJob<'_>) -> DbResult<VersionEdit> {
+    let (task, stats) = (job.task, job.stats);
     let mut edit = VersionEdit::default();
     for (lvl, files) in [
         (task.level, &task.inputs),
@@ -239,59 +246,13 @@ pub fn run_compaction(
         return Ok(edit);
     }
 
-    let mut created: Vec<u64> = Vec::new();
-    let result = if opts.max_subcompactions > 1 {
-        match subcompaction_ranges(task, table_cache, opts.max_subcompactions) {
-            Ok(ranges) if ranges.len() > 1 => run_subcompactions(
-                task,
-                fs,
-                db_path,
-                table_cache,
-                stats,
-                opts,
-                &new_file_number,
-                min_snapshot,
-                ranges,
-                &mut edit,
-                &mut created,
-            ),
-            Ok(_) => {
-                // Not enough boundary keys to cut: serial merge.
-                stats.bump(Ticker::SubcompactionFallbacks);
-                merge_into_edit(
-                    task,
-                    fs,
-                    db_path,
-                    table_cache,
-                    stats,
-                    opts,
-                    &*new_file_number,
-                    min_snapshot,
-                    None,
-                    None,
-                    &mut edit,
-                    &mut created,
-                )
-            }
-            Err(e) => Err(e),
-        }
+    let ranges = if job.opts.max_subcompactions > 1 {
+        subcompaction_ranges(task, job.table_cache, job.opts.max_subcompactions)?
     } else {
-        merge_into_edit(
-            task,
-            fs,
-            db_path,
-            table_cache,
-            stats,
-            opts,
-            &*new_file_number,
-            min_snapshot,
-            None,
-            None,
-            &mut edit,
-            &mut created,
-        )
+        vec![(None, None)]
     };
-    match result {
+    let mut created: Vec<u64> = Vec::new();
+    match merge_ranges(job, ranges, &mut edit, &mut created) {
         Ok(()) => {
             stats.add(Ticker::CompactReadBytes, task.input_bytes());
             stats.add(
@@ -302,7 +263,7 @@ pub fn run_compaction(
         }
         Err(e) => {
             for n in created {
-                let _ = fs.delete(&sst_file_name(db_path, n));
+                let _ = job.fs.delete(&sst_file_name(&job.opts.db_path, n));
             }
             Err(e)
         }
@@ -351,47 +312,50 @@ fn subcompaction_ranges(
     Ok(ranges)
 }
 
-/// Fans the merge out: one sim thread per range, each writing its own
-/// outputs; partial edits are stitched in range order so the combined
-/// output file list stays sorted and disjoint. Every range's created file
-/// numbers reach `created` even on failure so the caller can clean up.
-#[allow(clippy::too_many_arguments)]
-fn run_subcompactions(
-    task: &CompactionTask,
-    fs: &Arc<SimFs>,
-    db_path: &str,
-    table_cache: &Arc<TableCache>,
-    stats: &Arc<DbStats>,
-    opts: &DbOptions,
-    new_file_number: &Arc<dyn Fn() -> u64 + Send + Sync>,
-    min_snapshot: SequenceNumber,
+/// Merges every range: a single range on the calling thread, several
+/// fanned out to one sim thread each, every thread writing its own outputs.
+/// Partial edits are stitched in range order so the combined output file
+/// list stays sorted and disjoint. Every range's created file numbers reach
+/// `created` even on failure so the caller can clean up.
+fn merge_ranges(
+    job: &CompactionJob<'_>,
     ranges: Vec<KeyRange>,
     edit: &mut VersionEdit,
     created: &mut Vec<u64>,
 ) -> DbResult<()> {
-    stats.add(Ticker::SubcompactionsLaunched, ranges.len() as u64);
-    let task = Arc::new(task.clone());
+    if let [(lo, hi)] = &ranges[..] {
+        if job.opts.max_subcompactions > 1 {
+            // Not enough boundary keys to cut.
+            job.stats.bump(Ticker::SubcompactionFallbacks);
+        }
+        return merge_range(job, lo.as_deref(), hi.as_deref(), edit, created);
+    }
+    job.stats
+        .add(Ticker::SubcompactionsLaunched, ranges.len() as u64);
+    let task = Arc::new(job.task.clone());
     let mut handles = Vec::with_capacity(ranges.len());
     for (i, (lo, hi)) in ranges.into_iter().enumerate() {
         let task = Arc::clone(&task);
-        let fs = Arc::clone(fs);
-        let db_path = db_path.to_owned();
-        let table_cache = Arc::clone(table_cache);
-        let stats = Arc::clone(stats);
-        let opts = opts.clone();
-        let new_file_number = Arc::clone(new_file_number);
+        let fs = Arc::clone(job.fs);
+        let table_cache = Arc::clone(job.table_cache);
+        let stats = Arc::clone(job.stats);
+        let opts = job.opts.clone();
+        let new_file_number = Arc::clone(job.new_file_number);
+        let min_snapshot = job.min_snapshot;
         handles.push(xlsm_sim::spawn(&format!("subcompact-{i}"), move || {
+            let job = CompactionJob {
+                task: &task,
+                fs: &fs,
+                table_cache: &table_cache,
+                stats: &stats,
+                opts: &opts,
+                new_file_number: &new_file_number,
+                min_snapshot,
+            };
             let mut part = VersionEdit::default();
             let mut part_created = Vec::new();
-            let r = merge_into_edit(
-                &task,
-                &fs,
-                &db_path,
-                &table_cache,
-                &stats,
-                &opts,
-                &*new_file_number,
-                min_snapshot,
+            let r = merge_range(
+                &job,
                 lo.as_deref(),
                 hi.as_deref(),
                 &mut part,
@@ -426,41 +390,44 @@ fn run_subcompactions(
 /// Ranges cut at user-key granularity keep the per-key shadowing state
 /// (`last_user_key` / `last_kept_visible`) self-contained: every version of
 /// one user key lands in exactly one range.
-#[allow(clippy::too_many_arguments)]
-fn merge_into_edit(
-    task: &CompactionTask,
-    fs: &Arc<SimFs>,
-    db_path: &str,
-    table_cache: &Arc<TableCache>,
-    stats: &Arc<DbStats>,
-    opts: &DbOptions,
-    new_file_number: &dyn Fn() -> u64,
-    min_snapshot: SequenceNumber,
+fn merge_range(
+    job: &CompactionJob<'_>,
     lo: Option<&[u8]>,
     hi: Option<&[u8]>,
     edit: &mut VersionEdit,
     created: &mut Vec<u64>,
 ) -> DbResult<()> {
+    let CompactionJob {
+        task,
+        fs,
+        table_cache,
+        stats,
+        opts,
+        new_file_number,
+        min_snapshot,
+    } = *job;
     // Build the merged input iterator: L0 files individually (overlapping),
     // the rest as level runs.
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     if task.level == 0 {
         for f in &task.inputs {
             let reader = table_cache.reader(f)?;
-            children.push(Box::new(reader.iter_with_readahead(Arc::clone(stats))));
+            children.push(Box::new(reader.iter(Arc::clone(stats), true)));
         }
     } else {
-        children.push(Box::new(LevelIterator::new_with_readahead(
+        children.push(Box::new(LevelIterator::new(
             task.inputs.clone(),
             Arc::clone(table_cache),
             Arc::clone(stats),
+            true,
         )));
     }
     if !task.inputs_next.is_empty() {
-        children.push(Box::new(LevelIterator::new_with_readahead(
+        children.push(Box::new(LevelIterator::new(
             task.inputs_next.clone(),
             Arc::clone(table_cache),
             Arc::clone(stats),
+            true,
         )));
     }
     let mut merged = MergingIterator::new(children);
@@ -489,7 +456,7 @@ fn merge_into_edit(
     };
     while ok {
         let ikey = merged.key();
-        let (uk, seq, t) = types::parse_internal_key(&ikey);
+        let (uk, seq, t) = types::parse_internal_key(ikey);
         if let Some(hi) = hi {
             if uk >= hi {
                 break; // next range's territory
@@ -525,14 +492,11 @@ fn merge_into_edit(
             if builder.is_none() {
                 builder_number = new_file_number();
                 created.push(builder_number);
-                let file = fs.create(&sst_file_name(db_path, builder_number))?;
-                builder = Some(TableBuilder::with_options(
-                    file,
-                    crate::sst::TableOptions::from(opts),
-                ));
+                let file = fs.create(&sst_file_name(&opts.db_path, builder_number))?;
+                builder = Some(TableBuilder::new(file, TableOptions::from(opts)));
             }
             let b = builder.as_mut().unwrap();
-            b.add(&ikey, &merged.value())?;
+            b.add(ikey, merged.value())?;
             if b.file_size() >= opts.target_file_size_base {
                 finish_builder(&mut builder, builder_number, edit)?;
             }

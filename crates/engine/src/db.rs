@@ -386,7 +386,7 @@ impl WriteBackend for DbBackend {
             // The per-insert CPU cost is charged inside the concurrent
             // insert, between splice location and CAS linking, so members'
             // costs overlap in virtual time (and CAS retries are real).
-            mem.add_concurrent(seq, t, key, value, per_insert);
+            mem.add(seq, t, key, value, per_insert);
         }
         Ok(())
     }

@@ -1,7 +1,6 @@
 //! Internal iterators: the merging machinery behind scans and compaction.
 
 use crate::error::DbResult;
-use crate::memtable::MemTableIter;
 use crate::sst::TableIterator;
 use crate::stats::DbStats;
 use crate::table_cache::TableCache;
@@ -10,10 +9,14 @@ use crate::version::FileMetaData;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A cursor over internal `(key, value)` entries in internal-key order.
+/// A cursor over internal `(key, value)` entries in internal-key order — the
+/// one cursor API: memtables, tables, levels and merges all implement it and
+/// nothing else.
 ///
 /// All movement methods return whether the iterator is positioned on a valid
-/// entry afterwards; I/O-backed implementations surface read errors.
+/// entry afterwards; I/O-backed implementations surface read errors. The
+/// cursor lends its entry: a key or value borrowed from a cursor is valid
+/// until the cursor moves, so a caller that needs it longer copies it.
 pub trait InternalIterator: Send {
     /// Positions at the first entry.
     ///
@@ -36,51 +39,9 @@ pub trait InternalIterator: Send {
     /// Whether positioned on an entry.
     fn valid(&self) -> bool;
     /// Current internal key (only when valid).
-    fn key(&self) -> Vec<u8>;
+    fn key(&self) -> &[u8];
     /// Current value (only when valid).
-    fn value(&self) -> Vec<u8>;
-}
-
-impl InternalIterator for MemTableIter {
-    fn seek_to_first(&mut self) -> DbResult<bool> {
-        Ok(MemTableIter::seek_to_first(self))
-    }
-    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
-        Ok(MemTableIter::seek(self, ikey))
-    }
-    fn next(&mut self) -> DbResult<bool> {
-        Ok(MemTableIter::next(self))
-    }
-    fn valid(&self) -> bool {
-        MemTableIter::valid(self)
-    }
-    fn key(&self) -> Vec<u8> {
-        MemTableIter::key(self)
-    }
-    fn value(&self) -> Vec<u8> {
-        MemTableIter::value(self)
-    }
-}
-
-impl InternalIterator for TableIterator {
-    fn seek_to_first(&mut self) -> DbResult<bool> {
-        TableIterator::seek_to_first(self)
-    }
-    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
-        TableIterator::seek(self, ikey)
-    }
-    fn next(&mut self) -> DbResult<bool> {
-        TableIterator::next(self)
-    }
-    fn valid(&self) -> bool {
-        TableIterator::valid(self)
-    }
-    fn key(&self) -> Vec<u8> {
-        TableIterator::key(self)
-    }
-    fn value(&self) -> Vec<u8> {
-        TableIterator::value(self)
-    }
+    fn value(&self) -> &[u8];
 }
 
 /// Concatenating iterator over the disjoint, sorted files of one level ≥ 1.
@@ -103,11 +64,14 @@ impl std::fmt::Debug for LevelIterator {
 }
 
 impl LevelIterator {
-    /// Creates an iterator over `files` (must be sorted and disjoint).
+    /// Creates an iterator over `files` (must be sorted and disjoint);
+    /// `readahead` asks for sequential readahead on each file (the
+    /// compaction access pattern).
     pub fn new(
         files: Vec<Arc<FileMetaData>>,
         cache: Arc<TableCache>,
         stats: Arc<DbStats>,
+        readahead: bool,
     ) -> LevelIterator {
         LevelIterator {
             files,
@@ -115,36 +79,27 @@ impl LevelIterator {
             stats,
             file_idx: 0,
             cur: None,
-            readahead: false,
+            readahead,
         }
     }
 
-    /// Like [`LevelIterator::new`] but with sequential readahead on each
-    /// file (compaction access pattern).
-    pub fn new_with_readahead(
-        files: Vec<Arc<FileMetaData>>,
-        cache: Arc<TableCache>,
-        stats: Arc<DbStats>,
-    ) -> LevelIterator {
-        LevelIterator {
-            readahead: true,
-            ..LevelIterator::new(files, cache, stats)
-        }
-    }
-
-    fn open_file(&mut self, idx: usize) -> DbResult<bool> {
-        if idx >= self.files.len() {
-            self.cur = None;
+    /// Makes file `idx` the current one and positions its iterator with
+    /// `position`; past the last file the level is exhausted.
+    fn open_file(
+        &mut self,
+        idx: usize,
+        position: impl FnOnce(&mut TableIterator) -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        self.cur = None;
+        let Some(file) = self.files.get(idx) else {
             return Ok(false);
-        }
-        self.file_idx = idx;
-        let reader = self.cache.reader(&self.files[idx])?;
-        let mut it = if self.readahead {
-            reader.iter_with_readahead(Arc::clone(&self.stats))
-        } else {
-            reader.iter(Arc::clone(&self.stats))
         };
-        let ok = it.seek_to_first()?;
+        self.file_idx = idx;
+        let mut it = self
+            .cache
+            .reader(file)?
+            .iter(Arc::clone(&self.stats), self.readahead);
+        let ok = position(&mut it)?;
         self.cur = Some(it);
         Ok(ok)
     }
@@ -152,7 +107,7 @@ impl LevelIterator {
 
 impl InternalIterator for LevelIterator {
     fn seek_to_first(&mut self) -> DbResult<bool> {
-        self.open_file(0)
+        self.open_file(0, TableIterator::seek_to_first)
     }
 
     fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
@@ -160,24 +115,11 @@ impl InternalIterator for LevelIterator {
         let idx = self
             .files
             .partition_point(|f| compare_internal(&f.largest, ikey) == Ordering::Less);
-        if idx >= self.files.len() {
-            self.cur = None;
-            return Ok(false);
+        if self.open_file(idx, |it| it.seek(ikey))? {
+            return Ok(true);
         }
-        let reader = self.cache.reader(&self.files[idx])?;
-        let mut it = if self.readahead {
-            reader.iter_with_readahead(Arc::clone(&self.stats))
-        } else {
-            reader.iter(Arc::clone(&self.stats))
-        };
-        self.file_idx = idx;
-        if it.seek(ikey)? {
-            self.cur = Some(it);
-            Ok(true)
-        } else {
-            // ikey is past this file (between files): start of the next one.
-            self.open_file(idx + 1)
-        }
+        // ikey is past this file (between files): start of the next one.
+        self.open_file(idx + 1, TableIterator::seek_to_first)
     }
 
     fn next(&mut self) -> DbResult<bool> {
@@ -187,18 +129,18 @@ impl InternalIterator for LevelIterator {
         if cur.next()? {
             return Ok(true);
         }
-        self.open_file(self.file_idx + 1)
+        self.open_file(self.file_idx + 1, TableIterator::seek_to_first)
     }
 
     fn valid(&self) -> bool {
         self.cur.as_ref().is_some_and(|c| c.valid())
     }
 
-    fn key(&self) -> Vec<u8> {
+    fn key(&self) -> &[u8] {
         self.cur.as_ref().unwrap().key()
     }
 
-    fn value(&self) -> Vec<u8> {
+    fn value(&self) -> &[u8] {
         self.cur.as_ref().unwrap().value()
     }
 }
@@ -232,19 +174,12 @@ impl MergingIterator {
     }
 
     fn pick_smallest(&mut self) {
-        let mut best: Option<(usize, Vec<u8>)> = None;
+        let mut best: Option<(usize, &[u8])> = None;
         for (i, c) in self.children.iter().enumerate() {
-            if !c.valid() {
-                continue;
-            }
-            let k = c.key();
-            match &best {
-                None => best = Some((i, k)),
-                Some((_, bk)) => {
-                    if compare_internal(&k, bk) == Ordering::Less {
-                        best = Some((i, k));
-                    }
-                }
+            if c.valid()
+                && best.is_none_or(|(_, bk)| compare_internal(c.key(), bk) == Ordering::Less)
+            {
+                best = Some((i, c.key()));
             }
         }
         self.current = best.map(|(i, _)| i);
@@ -280,11 +215,11 @@ impl InternalIterator for MergingIterator {
         self.current.is_some()
     }
 
-    fn key(&self) -> Vec<u8> {
+    fn key(&self) -> &[u8] {
         self.children[self.current.unwrap()].key()
     }
 
-    fn value(&self) -> Vec<u8> {
+    fn value(&self) -> &[u8] {
         self.children[self.current.unwrap()].value()
     }
 }
@@ -322,28 +257,17 @@ impl DbIterator {
     fn resolve_forward(&mut self, mut skip_user_key: Option<Vec<u8>>) -> DbResult<()> {
         self.entry = None;
         while self.inner.valid() {
-            let ikey = self.inner.key();
-            let (uk, seq, t) = types::parse_internal_key(&ikey);
-            if let Some(skip) = &skip_user_key {
-                if uk == &skip[..] {
-                    self.inner.next()?;
-                    continue;
+            let (uk, seq, t) = types::parse_internal_key(self.inner.key());
+            if skip_user_key.as_deref() != Some(uk) && seq <= self.snapshot {
+                match t {
+                    ValueType::Deletion => skip_user_key = Some(uk.to_vec()),
+                    ValueType::Value => {
+                        self.entry = Some((uk.to_vec(), self.inner.value().to_vec()));
+                        return Ok(());
+                    }
                 }
             }
-            if seq > self.snapshot {
-                self.inner.next()?;
-                continue;
-            }
-            match t {
-                ValueType::Deletion => {
-                    skip_user_key = Some(uk.to_vec());
-                    self.inner.next()?;
-                }
-                ValueType::Value => {
-                    self.entry = Some((uk.to_vec(), self.inner.value()));
-                    return Ok(());
-                }
-            }
+            self.inner.next()?;
         }
         Ok(())
     }
@@ -409,7 +333,7 @@ mod tests {
     fn mem_iter(entries: &[(&[u8], u64, ValueType, &[u8])]) -> Box<dyn InternalIterator> {
         let m = MemTable::new(0);
         for (k, seq, t, v) in entries {
-            m.add(*seq, *t, k, v);
+            m.add(*seq, *t, k, v, 0);
         }
         Box::new(m.iter())
     }
@@ -428,7 +352,7 @@ mod tests {
         assert!(m.seek_to_first().unwrap());
         let mut keys = Vec::new();
         while m.valid() {
-            keys.push(types::user_key(&m.key()).to_vec());
+            keys.push(types::user_key(m.key()).to_vec());
             m.next().unwrap();
         }
         assert_eq!(
@@ -443,10 +367,10 @@ mod tests {
         let older = mem_iter(&[(b"k", 3, ValueType::Value, b"old")]);
         let mut m = MergingIterator::new(vec![newer, older]);
         assert!(m.seek_to_first().unwrap());
-        let (_, seq, _) = types::parse_internal_key(&m.key());
+        let (_, seq, _) = types::parse_internal_key(m.key());
         assert_eq!(seq, 9);
         assert!(m.next().unwrap());
-        let (_, seq2, _) = types::parse_internal_key(&m.key());
+        let (_, seq2, _) = types::parse_internal_key(m.key());
         assert_eq!(seq2, 3);
     }
 
@@ -461,7 +385,7 @@ mod tests {
         assert!(m
             .seek(&make_internal_key(b"b", u64::MAX >> 8, ValueType::Value))
             .unwrap());
-        assert_eq!(types::user_key(&m.key()), b"c");
+        assert_eq!(types::user_key(m.key()), b"c");
     }
 
     #[test]

@@ -20,18 +20,20 @@
 //! `(Arc<MemTable>, index)` without pinning any lock across blocking
 //! operations.
 //!
-//! CPU time for the *serial* insert path ([`MemTable::add`]) and for all
-//! searches is charged by the callers via [`crate::costs`], keeping those
-//! paths synchronous and cheap to unit test. The *concurrent* path
-//! ([`MemTable::add_concurrent`]) instead charges the insert cost between
-//! locating the splice and publishing the links: that sleep is the yield
-//! point where other group members run, which both overlaps their insert
-//! costs in virtual time (the point of concurrent memtable writes) and
-//! exercises the CAS-retry path under real interleavings.
+//! CPU time for searches, and for the *serial* insert path
+//! ([`MemTable::add`] with `charge_ns == 0`), is charged by the callers via
+//! [`crate::costs`], keeping those paths synchronous and cheap to unit test.
+//! The *concurrent* path passes its insert cost as `charge_ns` and `add`
+//! sleeps it off between locating the splice and publishing the links: that
+//! sleep is the yield point where other group members run, which both
+//! overlaps their insert costs in virtual time (the point of concurrent
+//! memtable writes) and exercises the CAS-retry path under real
+//! interleavings.
 
 use crate::bloom::ConcurrentBloom;
 use crate::error::{DbError, DbResult};
 use crate::integrity;
+use crate::iterator::InternalIterator;
 use crate::types::{
     self, compare_internal, make_internal_key, make_lookup_key, SequenceNumber, ValueType,
 };
@@ -124,8 +126,6 @@ pub struct MemTable {
     rng: parking_lot::Mutex<Xoshiro256>,
     approx_bytes: AtomicUsize,
     entries: AtomicU64,
-    /// Sequence of the first entry inserted (for WAL retention decisions).
-    first_seq: AtomicU64,
     /// Optional whole-key bloom over user keys, populated *before* a node
     /// is linked so readers that can see an entry always see its bits
     /// (no false negatives, including on the concurrent insert path).
@@ -146,21 +146,16 @@ impl std::fmt::Debug for MemTable {
 }
 
 impl MemTable {
-    /// Creates an empty memtable with the given id (for diagnostics).
+    /// Creates an empty memtable with the given id (for diagnostics), no
+    /// bloom and no entry protection.
     pub fn new(id: u64) -> Arc<MemTable> {
-        MemTable::with_bloom(id, 0, 0)
+        MemTable::with_options(id, 0, 0, false)
     }
 
     /// Creates an empty memtable with a whole-key bloom sized for
-    /// `expected_entries` at `bits_per_key` (`0` bits disables the filter —
-    /// equivalent to [`MemTable::new`]). The filter is fixed-size and
-    /// atomic, so overshooting the estimate only raises its false-positive
-    /// rate.
-    pub fn with_bloom(id: u64, bits_per_key: usize, expected_entries: usize) -> Arc<MemTable> {
-        MemTable::with_options(id, bits_per_key, expected_entries, false)
-    }
-
-    /// [`MemTable::with_bloom`] plus an entry-protection switch: when
+    /// `expected_entries` at `bits_per_key` (`0` bits disables the filter;
+    /// it is fixed-size and atomic, so overshooting the estimate only raises
+    /// its false-positive rate) and an entry-protection switch: when
     /// `protect` is on, every node stores a checksum over (type, user key,
     /// value) computed at insert, and [`MemTable::get`] plus flush-side
     /// [`MemTableIter::verify_entry`] re-verify it, so an entry corrupted
@@ -179,16 +174,10 @@ impl MemTable {
             rng: parking_lot::Mutex::new(Xoshiro256::new(0x5EED ^ id)),
             approx_bytes: AtomicUsize::new(0),
             entries: AtomicU64::new(0),
-            first_seq: AtomicU64::new(u64::MAX),
             bloom: (bits_per_key > 0)
                 .then(|| ConcurrentBloom::new(bits_per_key, expected_entries.max(1))),
             protect,
         })
-    }
-
-    /// Whether per-entry at-rest protection is on.
-    pub fn protected(&self) -> bool {
-        self.protect
     }
 
     /// Whether this memtable carries a whole-key bloom (callers charge the
@@ -202,11 +191,6 @@ impl MemTable {
     /// bloom this is always `true`.
     pub fn may_contain(&self, user_key: &[u8]) -> bool {
         self.bloom.as_ref().is_none_or(|b| b.may_contain(user_key))
-    }
-
-    /// This memtable's id.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The link from `prev` (or the head when `prev == NIL`) at `level`.
@@ -306,30 +290,18 @@ impl MemTable {
         }
     }
 
-    fn record_entry(&self, seq: SequenceNumber, charge: usize) {
+    fn record_entry(&self, charge: usize) {
         self.approx_bytes.fetch_add(charge, AtOrd::Relaxed);
         self.entries.fetch_add(1, AtOrd::Relaxed);
-        self.first_seq.fetch_min(seq, AtOrd::Relaxed);
     }
 
-    /// Adds an entry (exclusive/serial path — the caller charges CPU cost
-    /// and provides external serialization, e.g. the write queue's
-    /// memtable stage).
-    pub fn add(&self, seq: SequenceNumber, t: ValueType, user_key: &[u8], value: &[u8]) {
-        let ikey = make_internal_key(user_key, seq, t);
-        let charge = ikey.len() + value.len() + 48; // node overhead estimate
-        if let Some(b) = &self.bloom {
-            b.insert(user_key);
-        }
-        let prot = self.checksum_for(t, user_key, value);
-        self.insert(ikey, value.to_vec(), prot, 0);
-        self.record_entry(seq, charge);
-    }
-
-    /// Adds an entry on the concurrent insert path: `charge_ns` of CPU
-    /// cost is slept off mid-insert, so concurrent group members overlap
-    /// their insert costs in virtual time and contend on the links.
-    pub fn add_concurrent(
+    /// Adds an entry. With `charge_ns == 0` this is the exclusive/serial
+    /// path: the caller charges the CPU cost and provides external
+    /// serialization (e.g. the write queue's memtable stage). With
+    /// `charge_ns > 0` it is the concurrent path: that much CPU cost is
+    /// slept off mid-insert, so concurrent group members overlap their
+    /// insert costs in virtual time and contend on the links.
+    pub fn add(
         &self,
         seq: SequenceNumber,
         t: ValueType,
@@ -338,6 +310,7 @@ impl MemTable {
         charge_ns: u64,
     ) {
         let ikey = make_internal_key(user_key, seq, t);
+        // Key, value and an estimate of the node overhead.
         let charge = ikey.len() + value.len() + 48;
         // Bloom bits go in before the node links: anyone who can observe
         // the entry already observes its bits, even mid-insert.
@@ -346,7 +319,7 @@ impl MemTable {
         }
         let prot = self.checksum_for(t, user_key, value);
         self.insert(ikey, value.to_vec(), prot, charge_ns);
-        self.record_entry(seq, charge);
+        self.record_entry(charge);
     }
 
     /// The checksum stored with a node (0 when protection is off).
@@ -415,11 +388,6 @@ impl MemTable {
         self.entries.load(AtOrd::Relaxed)
     }
 
-    /// Smallest sequence number inserted (`u64::MAX` when empty).
-    pub fn first_sequence(&self) -> SequenceNumber {
-        self.first_seq.load(AtOrd::Relaxed)
-    }
-
     /// Whether no entries have been added.
     pub fn is_empty(&self) -> bool {
         self.num_entries() == 0
@@ -449,47 +417,42 @@ pub struct MemTableIter {
     started: bool,
 }
 
-impl MemTableIter {
-    /// Positions at the first entry; returns false if empty.
-    pub fn seek_to_first(&mut self) -> bool {
+impl InternalIterator for MemTableIter {
+    fn seek_to_first(&mut self) -> DbResult<bool> {
         self.cur = self.mem.head[0].load(AtOrd::Acquire);
         self.started = true;
-        self.cur != NIL
+        Ok(self.cur != NIL)
     }
 
-    /// Positions at the first entry with internal key ≥ `ikey`.
-    pub fn seek(&mut self, ikey: &[u8]) -> bool {
+    fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
         self.cur = self.mem.seek_index(ikey);
         self.started = true;
-        self.cur != NIL
+        Ok(self.cur != NIL)
     }
 
-    /// Advances; returns false when exhausted.
-    #[allow(clippy::should_implement_trait)] // lock-coupled cursor, not an Iterator
-    pub fn next(&mut self) -> bool {
+    fn next(&mut self) -> DbResult<bool> {
         debug_assert!(self.started, "call seek_to_first/seek before next");
-        if self.cur == NIL {
-            return false;
+        if self.cur != NIL {
+            self.cur = self.mem.arena.node(self.cur).next[0].load(AtOrd::Acquire);
         }
-        self.cur = self.mem.arena.node(self.cur).next[0].load(AtOrd::Acquire);
-        self.cur != NIL
+        Ok(self.cur != NIL)
     }
 
-    /// Whether positioned on a valid entry.
-    pub fn valid(&self) -> bool {
+    fn valid(&self) -> bool {
         self.started && self.cur != NIL
     }
 
-    /// Current internal key (cloned; nodes are immutable once inserted).
-    pub fn key(&self) -> Vec<u8> {
-        self.mem.arena.node(self.cur).key.clone()
+    // Nodes are immutable once inserted, so the entry can be lent as is.
+    fn key(&self) -> &[u8] {
+        &self.mem.arena.node(self.cur).key
     }
 
-    /// Current value.
-    pub fn value(&self) -> Vec<u8> {
-        self.mem.arena.node(self.cur).value.clone()
+    fn value(&self) -> &[u8] {
+        &self.mem.arena.node(self.cur).value
     }
+}
 
+impl MemTableIter {
     /// Re-verifies the current entry against its stored per-entry checksum
     /// (no-op when the memtable does not protect entries). Flush calls this
     /// per entry so a corrupted buffered write is caught *before* it is
@@ -513,8 +476,8 @@ mod tests {
     #[test]
     fn add_get_roundtrip() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"alpha", b"1");
-        m.add(2, ValueType::Value, b"beta", b"2");
+        m.add(1, ValueType::Value, b"alpha", b"1", 0);
+        m.add(2, ValueType::Value, b"beta", b"2", 0);
         assert_eq!(m.get(b"alpha", 10).unwrap(), Some(Some(b"1".to_vec())));
         assert_eq!(m.get(b"beta", 10).unwrap(), Some(Some(b"2".to_vec())));
         assert_eq!(m.get(b"gamma", 10).unwrap(), None);
@@ -525,16 +488,16 @@ mod tests {
     #[test]
     fn newest_version_wins() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"k", b"old");
-        m.add(5, ValueType::Value, b"k", b"new");
+        m.add(1, ValueType::Value, b"k", b"old", 0);
+        m.add(5, ValueType::Value, b"k", b"new", 0);
         assert_eq!(m.get(b"k", 10).unwrap(), Some(Some(b"new".to_vec())));
     }
 
     #[test]
     fn snapshot_visibility() {
         let m = MemTable::new(1);
-        m.add(3, ValueType::Value, b"k", b"v3");
-        m.add(7, ValueType::Value, b"k", b"v7");
+        m.add(3, ValueType::Value, b"k", b"v3", 0);
+        m.add(7, ValueType::Value, b"k", b"v7", 0);
         assert_eq!(m.get(b"k", 2).unwrap(), None, "nothing visible below seq 3");
         assert_eq!(m.get(b"k", 3).unwrap(), Some(Some(b"v3".to_vec())));
         assert_eq!(m.get(b"k", 6).unwrap(), Some(Some(b"v3".to_vec())));
@@ -544,8 +507,8 @@ mod tests {
     #[test]
     fn deletion_shadows() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"k", b"v");
-        m.add(2, ValueType::Deletion, b"k", b"");
+        m.add(1, ValueType::Value, b"k", b"v", 0);
+        m.add(2, ValueType::Deletion, b"k", b"", 0);
         assert_eq!(m.get(b"k", 10).unwrap(), Some(None));
         assert_eq!(m.get(b"k", 1).unwrap(), Some(Some(b"v".to_vec())));
     }
@@ -553,7 +516,7 @@ mod tests {
     #[test]
     fn prefix_keys_do_not_collide() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"abc", b"1");
+        m.add(1, ValueType::Value, b"abc", b"1", 0);
         assert_eq!(m.get(b"ab", 10).unwrap(), None);
         assert_eq!(m.get(b"abcd", 10).unwrap(), None);
     }
@@ -562,14 +525,14 @@ mod tests {
     fn iterator_yields_sorted_internal_keys() {
         let m = MemTable::new(1);
         for (i, k) in [b"d", b"b", b"a", b"c"].iter().enumerate() {
-            m.add(i as u64 + 1, ValueType::Value, *k, b"v");
+            m.add(i as u64 + 1, ValueType::Value, *k, b"v", 0);
         }
         let mut it = m.iter();
-        assert!(it.seek_to_first());
+        assert!(it.seek_to_first().unwrap());
         let mut keys = Vec::new();
         loop {
-            keys.push(it.key());
-            if !it.next() {
+            keys.push(it.key().to_vec());
+            if !it.next().unwrap() {
                 break;
             }
         }
@@ -582,24 +545,14 @@ mod tests {
     #[test]
     fn iterator_seek() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"a", b"");
-        m.add(2, ValueType::Value, b"c", b"");
-        m.add(3, ValueType::Value, b"e", b"");
+        m.add(1, ValueType::Value, b"a", b"", 0);
+        m.add(2, ValueType::Value, b"c", b"", 0);
+        m.add(3, ValueType::Value, b"e", b"", 0);
         let mut it = m.iter();
-        assert!(it.seek(&make_lookup_key(b"b", u64::MAX >> 8)));
-        let key = it.key();
-        let (uk, ..) = types::parse_internal_key(&key);
+        assert!(it.seek(&make_lookup_key(b"b", u64::MAX >> 8)).unwrap());
+        let (uk, ..) = types::parse_internal_key(it.key());
         assert_eq!(uk, b"c");
-        assert!(!it.seek(&make_lookup_key(b"z", u64::MAX >> 8)));
-    }
-
-    #[test]
-    fn first_sequence_tracks_minimum() {
-        let m = MemTable::new(1);
-        assert_eq!(m.first_sequence(), u64::MAX);
-        m.add(9, ValueType::Value, b"a", b"");
-        m.add(4, ValueType::Value, b"b", b"");
-        assert_eq!(m.first_sequence(), 4);
+        assert!(!it.seek(&make_lookup_key(b"z", u64::MAX >> 8)).unwrap());
     }
 
     #[test]
@@ -627,12 +580,13 @@ mod tests {
                 ValueType::Value,
                 format!("k{i:08}").as_bytes(),
                 b"v",
+                0,
             );
         }
         let mut it = m.iter();
-        assert!(it.seek_to_first());
+        assert!(it.seek_to_first().unwrap());
         let mut count = 1;
-        while it.next() {
+        while it.next().unwrap() {
             count += 1;
         }
         assert_eq!(count, n);
@@ -665,7 +619,7 @@ mod tests {
                         // Overlapping key space across threads maximizes
                         // splice-point contention.
                         let key = format!("key{:04}", (seq * 31) % 512);
-                        m.add_concurrent(seq, ValueType::Value, key.as_bytes(), b"v", 750);
+                        m.add(seq, ValueType::Value, key.as_bytes(), b"v", 750);
                     }
                 }));
             }
@@ -674,10 +628,10 @@ mod tests {
             }
             assert_eq!(m.num_entries(), THREADS * PER_THREAD);
             let mut it = m.iter();
-            assert!(it.seek_to_first());
-            let mut keys = vec![it.key()];
-            while it.next() {
-                keys.push(it.key());
+            assert!(it.seek_to_first().unwrap());
+            let mut keys = vec![it.key().to_vec()];
+            while it.next().unwrap() {
+                keys.push(it.key().to_vec());
             }
             assert_eq!(keys.len() as u64, THREADS * PER_THREAD, "entries lost");
             for w in keys.windows(2) {
@@ -692,7 +646,7 @@ mod tests {
 
     #[test]
     fn bloom_filters_absent_keys_and_never_present_ones() {
-        let m = MemTable::with_bloom(11, 10, 1024);
+        let m = MemTable::with_options(11, 10, 1024, false);
         assert!(m.bloom_enabled());
         for i in 0..1000u32 {
             m.add(
@@ -700,6 +654,7 @@ mod tests {
                 ValueType::Value,
                 format!("in{i:05}").as_bytes(),
                 b"v",
+                0,
             );
         }
         for i in 0..1000u32 {
@@ -725,7 +680,7 @@ mod tests {
         const THREADS: u64 = 16;
         const PER_THREAD: u64 = 48;
         Runtime::new().run(|| {
-            let m = MemTable::with_bloom(13, 10, (THREADS * PER_THREAD) as usize);
+            let m = MemTable::with_options(13, 10, (THREADS * PER_THREAD) as usize, false);
             let mut handles = Vec::new();
             for t in 0..THREADS {
                 let m = Arc::clone(&m);
@@ -733,7 +688,7 @@ mod tests {
                     for i in 0..PER_THREAD {
                         let seq = t * PER_THREAD + i + 1;
                         let key = format!("key-{t:02}-{i:04}");
-                        m.add_concurrent(seq, ValueType::Value, key.as_bytes(), b"v", 500);
+                        m.add(seq, ValueType::Value, key.as_bytes(), b"v", 500);
                     }
                 }));
             }
@@ -756,8 +711,7 @@ mod tests {
     #[test]
     fn protected_get_roundtrip_and_detects_corruption() {
         let m = MemTable::with_options(21, 0, 0, true);
-        assert!(m.protected());
-        m.add(1, ValueType::Value, b"good", b"v");
+        m.add(1, ValueType::Value, b"good", b"v", 0);
         assert_eq!(m.get(b"good", 10).unwrap(), Some(Some(b"v".to_vec())));
         // Plant an entry whose stored checksum does not match its content —
         // the shape of an in-memory flip between insert and read.
@@ -768,7 +722,7 @@ mod tests {
             wrong,
             0,
         );
-        m.record_entry(2, 16);
+        m.record_entry(16);
         let err = m.get(b"bad", 10).unwrap_err();
         assert!(err.is_corruption());
         assert!(err.to_string().contains("memtable 21"), "{err}");
@@ -777,7 +731,7 @@ mod tests {
     #[test]
     fn flush_iterator_verifies_entries() {
         let m = MemTable::with_options(22, 0, 0, true);
-        m.add(1, ValueType::Value, b"a", b"1");
+        m.add(1, ValueType::Value, b"a", b"1", 0);
         let wrong = integrity::entry_checksum(ValueType::Deletion, b"b", b"") ^ 1;
         m.insert(
             make_internal_key(b"b", 2, ValueType::Deletion),
@@ -785,16 +739,16 @@ mod tests {
             wrong,
             0,
         );
-        m.record_entry(2, 16);
-        m.add(3, ValueType::Value, b"c", b"3");
+        m.record_entry(16);
+        m.add(3, ValueType::Value, b"c", b"3", 0);
         let mut it = m.iter();
-        assert!(it.seek_to_first());
+        assert!(it.seek_to_first().unwrap());
         let mut bad = 0;
         loop {
             if it.verify_entry().is_err() {
                 bad += 1;
             }
-            if !it.next() {
+            if !it.next().unwrap() {
                 break;
             }
         }
@@ -804,10 +758,9 @@ mod tests {
     #[test]
     fn unprotected_memtable_skips_verification() {
         let m = MemTable::new(23);
-        assert!(!m.protected());
-        m.add(1, ValueType::Value, b"k", b"v");
+        m.add(1, ValueType::Value, b"k", b"v", 0);
         let mut it = m.iter();
-        assert!(it.seek_to_first());
+        assert!(it.seek_to_first().unwrap());
         assert!(it.verify_entry().is_ok());
         assert_eq!(m.get(b"k", 10).unwrap(), Some(Some(b"v".to_vec())));
     }
@@ -828,11 +781,11 @@ mod tests {
                 let seq = seq as u64 + 1;
                 match val {
                     Some(v) => {
-                        m.add(seq, ValueType::Value, key, &[*v]);
+                        m.add(seq, ValueType::Value, key, &[*v], 0);
                         model.insert(key.clone(), Some(vec![*v]));
                     }
                     None => {
-                        m.add(seq, ValueType::Deletion, key, b"");
+                        m.add(seq, ValueType::Deletion, key, b"", 0);
                         model.insert(key.clone(), None);
                     }
                 }

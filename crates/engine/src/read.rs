@@ -6,7 +6,7 @@ use crate::db::{Db, DbInner};
 use crate::error::DbResult;
 use crate::iterator::{DbIterator, InternalIterator, LevelIterator, MergingIterator};
 use crate::memtable::MemTable;
-use crate::sst::TableProbe;
+use crate::sst::{TableEntry, TableProbe};
 use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
@@ -36,15 +36,89 @@ fn mem_probe(
     m.get(key, snapshot)
 }
 
+/// The memtables pinned for one read: the mutable one and the immutable
+/// ones, oldest first.
+struct MemTables {
+    mutable: Arc<MemTable>,
+    immutables: Vec<Arc<MemTable>>,
+}
+
+impl MemTables {
+    /// Probes the mutable memtable, then the immutables newest first,
+    /// bumping the hit ticker of whichever answers. Memtables are strictly
+    /// newer than any SST, so an answer here is final.
+    fn probe(
+        &self,
+        key: &[u8],
+        snapshot: SequenceNumber,
+        stats: &DbStats,
+    ) -> DbResult<Option<Option<Vec<u8>>>> {
+        let immutables = self.immutables.iter().rev();
+        let newest_first = std::iter::once((&self.mutable, Ticker::GetHitMemtable))
+            .chain(immutables.map(|m| (m, Ticker::GetHitImmutable)));
+        for (m, hit) in newest_first {
+            if let Some(found) = mem_probe(m, key, snapshot, stats)? {
+                stats.bump(hit);
+                return Ok(Some(found));
+            }
+        }
+        Ok(None)
+    }
+}
+
 impl DbInner {
-    /// The mutable memtable and the immutable ones (oldest first), pinned
-    /// for one read.
-    fn memtables(&self) -> (Arc<MemTable>, Vec<Arc<MemTable>>) {
+    fn memtables(&self) -> MemTables {
         let mem = self.mem.lock();
-        (
-            Arc::clone(&mem.mutable),
-            mem.immutables.iter().map(|(m, _)| Arc::clone(m)).collect(),
-        )
+        MemTables {
+            mutable: Arc::clone(&mem.mutable),
+            immutables: mem.immutables.iter().map(|(m, _)| Arc::clone(m)).collect(),
+        }
+    }
+
+    /// An unbounded scan cursor at the current snapshot over every memtable
+    /// (their blooms are whole-key, so the skiplists always join in) and the
+    /// files that `keep`: each Level-0 file is a merge child of its own,
+    /// since they overlap, and each deeper level one [`LevelIterator`].
+    fn scanner(
+        &self,
+        mut keep: impl FnMut(&Arc<FileMetaData>) -> DbResult<bool>,
+    ) -> DbResult<DbScanner> {
+        let snapshot = self.versions.last_sequence();
+        // Memtables before the version: a flush that lands between the two
+        // is then seen twice, never not at all.
+        let mems = self.memtables();
+        let version = self.versions.current();
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        children.push(Box::new(mems.mutable.iter()));
+        for m in mems.immutables.iter().rev() {
+            children.push(Box::new(m.iter()));
+        }
+        for (level, files) in version.levels.iter().enumerate() {
+            let mut kept = Vec::new();
+            for f in files {
+                if keep(f)? {
+                    kept.push(Arc::clone(f));
+                }
+            }
+            if level == 0 {
+                for f in kept {
+                    let reader = self.table_cache.reader(&f)?;
+                    children.push(Box::new(reader.iter(Arc::clone(&self.stats), false)));
+                }
+            } else if !kept.is_empty() {
+                children.push(Box::new(LevelIterator::new(
+                    kept,
+                    Arc::clone(&self.table_cache),
+                    Arc::clone(&self.stats),
+                    false,
+                )));
+            }
+        }
+        Ok(DbScanner {
+            iter: DbIterator::new(MergingIterator::new(children), snapshot),
+            _version: version,
+            upper_bound: None,
+        })
     }
 }
 
@@ -65,11 +139,11 @@ struct ProbeJob {
     probes: Vec<TableProbe>,
 }
 
-/// A MultiGet probe hit: `(batch slot, level, internal key, value)`.
-type ProbeHit = (usize, usize, Vec<u8>, Vec<u8>);
+/// A MultiGet probe hit: `(batch slot, level, entry)`.
+type ProbeHit = (usize, usize, TableEntry);
 
 /// Probes each job's table once with its whole probe set, returning
-/// `(slot, level, ikey, value)` hits. Runs on a MultiGet probe thread (or
+/// `(slot, level, entry)` hits. Runs on a MultiGet probe thread (or
 /// inline when the batch doesn't warrant fan-out).
 fn run_probe_jobs(
     table_cache: &Arc<TableCache>,
@@ -82,8 +156,8 @@ fn run_probe_jobs(
             stats.add(Ticker::L0FilesSearched, job.probes.len() as u64);
         }
         let reader = table_cache.reader(&job.file)?;
-        for (slot, (ikey, value)) in reader.get_many(&job.probes, stats)? {
-            hits.push((slot, job.level, ikey, value));
+        for (slot, entry) in reader.get_many(&job.probes, stats)? {
+            hits.push((slot, job.level, entry));
         }
     }
     Ok(hits)
@@ -133,18 +207,8 @@ impl Db {
 
     fn get_inner(&self, key: &[u8], snapshot: SequenceNumber) -> DbResult<Option<Vec<u8>>> {
         let inner = &self.inner;
-        let (mutable, immutables) = inner.memtables();
-        // Memtable.
-        if let Some(found) = mem_probe(&mutable, key, snapshot, &inner.stats)? {
-            inner.stats.bump(Ticker::GetHitMemtable);
+        if let Some(found) = inner.memtables().probe(key, snapshot, &inner.stats)? {
             return Ok(found);
-        }
-        // Immutables, newest first.
-        for m in immutables.iter().rev() {
-            if let Some(found) = mem_probe(m, key, snapshot, &inner.stats)? {
-                inner.stats.bump(Ticker::GetHitImmutable);
-                return Ok(found);
-            }
         }
         // SSTs.
         let version = inner.versions.current();
@@ -156,9 +220,9 @@ impl Db {
             }
             inner.stats.bump(Ticker::L0FilesSearched);
             let reader = inner.table_cache.reader(f)?;
-            if let Some((ikey, value)) = reader.get(&lookup, key, &inner.stats)? {
+            if let Some((_, t, value)) = reader.get(&lookup, key, &inner.stats)? {
                 inner.stats.bump(Ticker::GetHitL0);
-                return Ok(visible_value(types::parse_internal_key(&ikey).2, value));
+                return Ok(visible_value(t, value));
             }
         }
         // Deeper levels: binary search for the single candidate file.
@@ -167,9 +231,9 @@ impl Db {
                 continue;
             };
             let reader = inner.table_cache.reader(&f)?;
-            if let Some((ikey, value)) = reader.get(&lookup, key, &inner.stats)? {
+            if let Some((_, t, value)) = reader.get(&lookup, key, &inner.stats)? {
                 inner.stats.bump(Ticker::GetHitLn);
-                return Ok(visible_value(types::parse_internal_key(&ikey).2, value));
+                return Ok(visible_value(t, value));
             }
         }
         inner.stats.bump(Ticker::GetMiss);
@@ -218,23 +282,12 @@ impl Db {
         snapshot: SequenceNumber,
     ) -> DbResult<Vec<Option<Vec<u8>>>> {
         let inner = &self.inner;
-        let (mutable, immutables) = inner.memtables();
-        // Memtables are strictly newer than any SST: resolve inline first.
-        // Outer None = unresolved; `Some(found)` carries hit-or-tombstone.
-        let mut out: Vec<Option<Option<Vec<u8>>>> = vec![None; keys.len()];
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(found) = mem_probe(&mutable, key, snapshot, &inner.stats)? {
-                inner.stats.bump(Ticker::GetHitMemtable);
-                out[i] = Some(found);
-                continue;
-            }
-            for m in immutables.iter().rev() {
-                if let Some(found) = mem_probe(m, key, snapshot, &inner.stats)? {
-                    inner.stats.bump(Ticker::GetHitImmutable);
-                    out[i] = Some(found);
-                    break;
-                }
-            }
+        let mems = inner.memtables();
+        // Resolve from the memtables inline first. Outer None = unresolved;
+        // `Some(found)` carries hit-or-tombstone.
+        let mut out = Vec::with_capacity(keys.len());
+        for key in keys {
+            out.push(mems.probe(key, snapshot, &inner.stats)?);
         }
         let unresolved: Vec<(usize, &[u8])> = keys
             .iter()
@@ -304,8 +357,7 @@ impl Db {
 
         type BestVersion = (SequenceNumber, ValueType, Vec<u8>, usize);
         let mut best: Vec<Option<BestVersion>> = vec![None; keys.len()];
-        for (slot, level, ikey, value) in hits {
-            let (_, seq, t) = types::parse_internal_key(&ikey);
+        for (slot, level, (seq, t, value)) in hits {
             if best[slot].as_ref().is_none_or(|(bs, ..)| seq > *bs) {
                 best[slot] = Some((seq, t, value, level));
             }
@@ -338,33 +390,7 @@ impl Db {
     ///
     /// I/O failures opening tables.
     pub fn scan(&self) -> DbResult<DbScanner> {
-        let inner = &self.inner;
-        let snapshot = inner.versions.last_sequence();
-        let (mutable, immutables) = inner.memtables();
-        let version = inner.versions.current();
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(mutable.iter()));
-        for m in immutables.iter().rev() {
-            children.push(Box::new(m.iter()));
-        }
-        for f in &version.levels[0] {
-            let reader = inner.table_cache.reader(f)?;
-            children.push(Box::new(reader.iter(Arc::clone(&inner.stats))));
-        }
-        for level in 1..version.levels.len() {
-            if !version.levels[level].is_empty() {
-                children.push(Box::new(LevelIterator::new(
-                    version.levels[level].clone(),
-                    Arc::clone(&inner.table_cache),
-                    Arc::clone(&inner.stats),
-                )));
-            }
-        }
-        Ok(DbScanner {
-            iter: DbIterator::new(MergingIterator::new(children), snapshot),
-            _version: version,
-            upper_bound: None,
-        })
+        self.inner.scanner(|_| Ok(true))
     }
 
     /// A scan cursor restricted to user keys starting with `prefix`,
@@ -381,7 +407,6 @@ impl Db {
     /// I/O failures opening tables.
     pub fn scan_prefix(&self, prefix: &[u8]) -> DbResult<DbScanner> {
         let inner = &self.inner;
-        let snapshot = inner.versions.last_sequence();
         let upper = prefix_successor(prefix);
         let in_range = |f: &FileMetaData| {
             types::user_key(&f.largest) >= prefix
@@ -389,46 +414,17 @@ impl Db {
                     .as_deref()
                     .is_none_or(|u| types::user_key(&f.smallest) < u)
         };
-        let (mutable, immutables) = inner.memtables();
-        let version = inner.versions.current();
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        // Memtable blooms are whole-key, so the skiplists always join in.
-        children.push(Box::new(mutable.iter()));
-        for m in immutables.iter().rev() {
-            children.push(Box::new(m.iter()));
-        }
-        for level in 0..version.levels.len() {
-            let mut kept = Vec::new();
-            for f in &version.levels[level] {
-                if !in_range(f) {
-                    continue;
-                }
-                let reader = inner.table_cache.reader(f)?;
-                if !reader.may_contain_prefix(prefix) {
-                    inner.stats.bump(Ticker::PrefixBloomUseful);
-                    continue;
-                }
-                kept.push(Arc::clone(f));
+        let mut scanner = inner.scanner(|f| {
+            if !in_range(f) {
+                return Ok(false);
             }
-            if level == 0 {
-                // L0 files overlap; each needs its own merge child.
-                for f in kept {
-                    let reader = inner.table_cache.reader(&f)?;
-                    children.push(Box::new(reader.iter(Arc::clone(&inner.stats))));
-                }
-            } else if !kept.is_empty() {
-                children.push(Box::new(LevelIterator::new(
-                    kept,
-                    Arc::clone(&inner.table_cache),
-                    Arc::clone(&inner.stats),
-                )));
+            let keep = inner.table_cache.reader(f)?.may_contain_prefix(prefix);
+            if !keep {
+                inner.stats.bump(Ticker::PrefixBloomUseful);
             }
-        }
-        let mut scanner = DbScanner {
-            iter: DbIterator::new(MergingIterator::new(children), snapshot),
-            _version: version,
-            upper_bound: upper,
-        };
+            Ok(keep)
+        })?;
+        scanner.upper_bound = upper;
         scanner.seek(prefix)?;
         Ok(scanner)
     }

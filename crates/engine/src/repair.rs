@@ -28,6 +28,7 @@ use crate::background::write_memtable_table;
 use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
 use crate::error::{DbError, DbResult};
+use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
 use crate::options::{DbOptions, WalRecoveryMode};
 use crate::sst::{sst_file_name, TableReader};
@@ -250,10 +251,10 @@ fn read_table_meta(
     // sequence range; only a full scan proves every block is readable and
     // finds the true maximum sequence.
     let mut max_seq = 0u64;
-    let mut iter = reader.iter(Arc::clone(stats));
+    let mut iter = reader.iter(Arc::clone(stats), false);
     let mut ok = iter.seek_to_first()?;
     while ok {
-        let (_, seq, _) = parse_internal_key(&iter.key());
+        let (_, seq, _) = parse_internal_key(iter.key());
         max_seq = max_seq.max(seq);
         ok = iter.next()?;
     }

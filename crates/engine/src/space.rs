@@ -79,7 +79,8 @@ impl SpaceManager {
     }
 
     /// Bytes currently pre-reserved by in-flight background jobs.
-    pub fn reserved_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn reserved_bytes(&self) -> u64 {
         self.reserved.load(Ordering::Relaxed)
     }
 

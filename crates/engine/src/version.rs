@@ -688,6 +688,10 @@ mod tests {
     #[test]
     fn decode_garbage_fails() {
         assert!(VersionEdit::decode(&[200, 200, 200]).is_err());
+        // An add-file record whose `smallest` claims to be u64::MAX long.
+        let mut huge = vec![TAG_ADD as u8, 0, 1, 1, 1];
+        put_varint64(&mut huge, u64::MAX);
+        assert!(VersionEdit::decode(&huge).is_err());
     }
 
     #[test]

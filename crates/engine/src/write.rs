@@ -527,7 +527,7 @@ mod tests {
             }
             for (seq, op) in (batch.sequence()..).zip(batch.iter()) {
                 let (t, key, value) = op?;
-                self.mem.add_concurrent(seq, t, key, value, 0);
+                self.mem.add(seq, t, key, value, 0);
             }
             Ok(())
         }

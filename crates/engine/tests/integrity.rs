@@ -8,10 +8,14 @@
 //! recovery mode legitimately drops data, `None`; never garbage. And every
 //! sweep is byte-identically deterministic per seed.
 
+use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
-use xlsm_engine::{Db, DbError, DbOptions, Ticker, WalRecoveryMode};
+use xlsm_engine::coding::{get_length_prefixed, put_varint64};
+use xlsm_engine::sst::decode_block;
+use xlsm_engine::version::VersionEdit;
+use xlsm_engine::{Db, DbError, DbOptions, Ticker, WalRecoveryMode, WriteBatch};
 use xlsm_sim::rng::Xoshiro256;
 use xlsm_sim::Runtime;
 use xlsm_simfs::{FaultPlan, FsOptions, SimFs};
@@ -400,4 +404,67 @@ fn verify_checksums_walks_everything_and_pins_planted_flip() {
         );
         db.close();
     });
+}
+
+/// Runs `bytes` through every decoder of records read back from disk, bare
+/// and behind the envelope that gets a decoder past its header checks. Each
+/// may refuse (`None`, `Corruption`) or return a value; none may panic.
+fn decode_everything(bytes: &[u8]) {
+    let refused = |e: DbError| assert!(e.is_corruption(), "{e}");
+    let mut off = 0;
+    while off < bytes.len() && get_length_prefixed(bytes, &mut off).is_some() {}
+    // A block whose entry region is `bytes`: one restart point, at 0.
+    let block = [bytes, &[0, 0, 0, 0, 1, 0, 0, 0]].concat();
+    // A batch whose operations are `bytes`, behind a zeroed header.
+    let batch = [&[0; 12], bytes].concat();
+    for data in [bytes, &block, &batch] {
+        let _ = decode_block(data).map_err(refused);
+        let _ = VersionEdit::decode(data).map_err(refused);
+        // `from_data` walks `iter()` and stops at the first bad operation.
+        let _ = WriteBatch::from_data(data).map_err(refused);
+    }
+}
+
+/// A length varint of `u64::MAX` — what a mis-written or hostile record
+/// with a valid CRC can carry — must come back as `None` / `Corruption`: the
+/// bounds check may not overflow on the way to saying so.
+#[test]
+fn length_of_u64_max_is_refused_by_every_decoder() {
+    let mut huge = Vec::new();
+    put_varint64(&mut huge, u64::MAX);
+    assert_eq!(get_length_prefixed(&huge, &mut 0), None);
+    // As a key length in a block entry, a value length after a good key, a
+    // `smallest` key length in a version edit's add-file record, and a key
+    // length in a batch's put.
+    let with_huge = |head: &[u8], tail: &[u8]| [head, &huge, tail].concat();
+    let restarts = [0, 0, 0, 0, 1, 0, 0, 0];
+    for block in [
+        with_huge(&[0], &[[0].as_slice(), &restarts].concat()),
+        with_huge(&[0, 1], &[b"k".as_slice(), &restarts].concat()),
+    ] {
+        assert!(decode_block(&block).unwrap_err().is_corruption());
+    }
+    let edit = with_huge(&[4, 0, 1, 1, 1], &[]);
+    assert!(VersionEdit::decode(&edit).unwrap_err().is_corruption());
+    let batch = with_huge(&[0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1], &[]);
+    assert!(WriteBatch::from_data(&batch).unwrap_err().is_corruption());
+    decode_everything(&huge);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, alone and with the `u64::MAX` length spliced in at
+    /// an arbitrary point, never panic a decoder.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        at in 0usize..200,
+    ) {
+        decode_everything(&bytes);
+        let mut spliced = bytes.clone();
+        let at = at % (bytes.len() + 1);
+        spliced.splice(at..at, [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        decode_everything(&spliced);
+    }
 }

@@ -179,6 +179,33 @@ fn subcompactions_launch_and_preserve_data() {
     });
 }
 
+/// Two single-block files that end on the same key offer no boundary to cut
+/// at: the fan-out has one range, which is the serial merge, counted as a
+/// fallback.
+#[test]
+fn inputs_without_a_cut_point_merge_as_one_range() {
+    Runtime::new().run(|| {
+        let (db, _fs) = open(DbOptions {
+            level0_file_num_compaction_trigger: 2,
+            block_size: 1 << 20,
+            ..opts(4)
+        });
+        for round in 0..2u8 {
+            for i in 0..20u16 {
+                db.put(&key(i), &value(i, round)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.wait_for_compactions();
+        let stats = db.stats();
+        assert_eq!(stats.ticker(Ticker::CompactionCount), 1);
+        assert_eq!(stats.ticker(Ticker::SubcompactionFallbacks), 1);
+        assert_eq!(stats.ticker(Ticker::SubcompactionsLaunched), 0);
+        assert_eq!(db.get(&key(7)).unwrap(), Some(value(7, 1)));
+        db.close();
+    });
+}
+
 /// Batched MultiGet of N keys must not take longer (virtual time) than the
 /// same N keys issued as sequential gets once the data lives in SSTs.
 #[test]

@@ -176,14 +176,14 @@ fn prefix_scan_equals_filtered_full_scan() {
 fn concurrent_memtable_bloom_has_no_false_negatives() {
     use xlsm_engine::types::ValueType;
     Runtime::new().run(|| {
-        let mem = MemTable::with_bloom(1, 10, 4096);
+        let mem = MemTable::with_options(1, 10, 4096, false);
         let mut handles = Vec::new();
         for t in 0..12u64 {
             let m = Arc::clone(&mem);
             handles.push(xlsm_sim::spawn("bloom-writer", move || {
                 for i in 0..96u64 {
                     let k = format!("w{t:02}k{i:04}");
-                    m.add_concurrent(t * 96 + i + 1, ValueType::Value, k.as_bytes(), b"v", 500);
+                    m.add(t * 96 + i + 1, ValueType::Value, k.as_bytes(), b"v", 500);
                     assert!(
                         m.may_contain(k.as_bytes()),
                         "bloom lost {k} right after its own insert"

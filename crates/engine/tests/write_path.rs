@@ -18,6 +18,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
+use xlsm_engine::iterator::InternalIterator;
 use xlsm_engine::stall::PreprocessStalls;
 use xlsm_engine::types::{parse_internal_key, ValueType};
 use xlsm_engine::write::{WriteBackend, WriteQueue};
@@ -72,8 +73,7 @@ impl WriteBackend for MemBackend {
     fn write_memtable_member(&self, batch: &WriteBatch) -> DbResult<()> {
         for (seq, op) in (batch.sequence()..).zip(batch.iter()) {
             let (t, key, value) = op?;
-            self.mem
-                .add_concurrent(seq, t, key, value, self.per_insert_ns);
+            self.mem.add(seq, t, key, value, self.per_insert_ns);
         }
         Ok(())
     }
@@ -85,10 +85,10 @@ impl WriteBackend for MemBackend {
 fn dump_entries(mem: &Arc<MemTable>) -> Vec<(Vec<u8>, Vec<u8>)> {
     let mut it = mem.iter();
     let mut out = Vec::new();
-    let mut ok = it.seek_to_first();
+    let mut ok = it.seek_to_first().unwrap();
     while ok {
-        out.push((it.key(), it.value()));
-        ok = it.next();
+        out.push((it.key().to_vec(), it.value().to_vec()));
+        ok = it.next().unwrap();
     }
     out
 }

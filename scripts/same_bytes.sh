@@ -28,23 +28,13 @@ build() {
 build "$repo"
 probes=($("$repo/target/release/xlsm-bench" list --probes))
 
-# Writes the artifacts of the tree at $2 under $work/$1: both CLIs write
+# Writes the artifacts of the tree at $2 under $work/$1: the CLI writes
 # BENCH_<probe>.json and results/*.tsv relative to the working directory.
 run_side() {
-    local side=$1 bin=$2/target/release started=$SECONDS probe
+    local side=$1 bin=$2/target/release started=$SECONDS
     mkdir -p "$work/$side"
     cd "$work/$side"
-    if "$bin/xlsm-bench" list >/dev/null 2>&1; then
-        "${pin[@]}" "$bin/xlsm-bench" --quick "${probes[@]}" "${figures[@]}" >/dev/null 2>&1
-    else
-        # A base from before the one CLI: a figures bin, and a probe bin that
-        # takes one name, an output path and the quick size from the
-        # environment.
-        for probe in "${probes[@]}"; do
-            XLSM_QUICK=1 "${pin[@]}" "$bin/xlsm-bench" "$probe" "BENCH_$probe.json" >/dev/null 2>&1
-        done
-        "${pin[@]}" "$bin/figures" --quick "${figures[@]}" >/dev/null 2>&1
-    fi
+    "${pin[@]}" "$bin/xlsm-bench" --quick "${probes[@]}" "${figures[@]}" >/dev/null 2>&1
     cd "$repo"
     echo "    $side side: $((SECONDS - started)) s"
 }
