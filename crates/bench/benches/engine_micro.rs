@@ -4,7 +4,7 @@
 //! harness measures *virtual-time* behavior); they exist to catch
 //! performance regressions in the substrate itself.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use xlsm_engine::bloom::BloomFilter;
 use xlsm_engine::crc32c::crc32c;
 use xlsm_engine::memtable::MemTable;
@@ -77,10 +77,20 @@ fn bench_bloom(c: &mut Criterion) {
 }
 
 fn bench_crc(c: &mut Criterion) {
-    let data = vec![0xA5u8; 4096];
+    // The sizes the engine hashes: a record header, a value, a block, and
+    // one `integrity::FILE_CRC_CHUNK` of a whole-file pass.
+    let data = vec![0xA5u8; 64 << 10];
     let mut g = c.benchmark_group("crc32c");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("4k_block", |b| b.iter(|| crc32c(&data)));
+    for (name, len) in [
+        ("16b_header", 16),
+        ("1k_value", 1 << 10),
+        ("4k_block", 4 << 10),
+        ("64k_file_chunk", 64 << 10),
+    ] {
+        let data = &data[..len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| b.iter(|| crc32c(black_box(data))));
+    }
     g.finish();
 }
 

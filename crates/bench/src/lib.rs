@@ -8,6 +8,7 @@
 //! returns a [`JsonReport`] written to `BENCH_<name>.json` (its printed
 //! tables are derived from the same rows).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

@@ -19,6 +19,7 @@
 //!   the paper's scaled geometry, shared by every figure harness.
 //! * [`report`] — table/TSV emission for the figure binaries.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -52,6 +52,7 @@
 //! });
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod background;

@@ -77,8 +77,10 @@ impl WalWriter {
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         rec.extend_from_slice(payload);
         let written = rec.len() as u64;
-        self.file_crc.lock().update(&rec);
         self.file.append(&rec)?;
+        // Only what reached the file: a refused append (device full) leaves
+        // both the file and its checksum as they were.
+        self.file_crc.lock().update(&rec);
         if sync {
             self.file.sync()?;
         } else if self.bytes_per_sync > 0 {
@@ -260,6 +262,29 @@ mod tests {
                 recs,
                 vec![b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]
             );
+        });
+    }
+
+    #[test]
+    fn refused_append_leaves_file_and_checksum_unchanged() {
+        Runtime::new().run(|| {
+            let fs = fs();
+            let w = WalWriter::create(&fs, "db", 3, 0).unwrap();
+            fs.set_fault_plan(xlsm_simfs::FaultPlan {
+                fail_nth_alloc: Some(1),
+                ..xlsm_simfs::FaultPlan::default()
+            });
+            assert!(matches!(
+                w.append(b"refused", false),
+                Err(DbError::Fs(FsError::DeviceFull))
+            ));
+            assert_eq!(w.size(), 0);
+            w.append(b"kept", false).unwrap();
+            let path = wal_file_name("db", 3);
+            assert_eq!(read_wal(&fs, &path).unwrap(), vec![b"kept".to_vec()]);
+            let on_disk =
+                crate::integrity::file_crc32c(&fs.open(&path).unwrap(), &mut |_| {}).unwrap();
+            assert_eq!(w.file_crc(), on_disk);
         });
     }
 

@@ -83,6 +83,7 @@
 //! thread-local critical-section depth, and every blocking operation asserts
 //! that the depth is zero, turning that bug class into an immediate panic.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -762,24 +762,28 @@ impl FileHandle {
         if data.is_empty() {
             return Ok(self.len());
         }
-        // Extend content.
+        // Reserve the device extents that cover the new size first, and
+        // extend the content only once they exist: an append that fails
+        // with `DeviceFull` leaves the file as it was. The content lock is
+        // held across both so the size the extents were sized for is the
+        // size the file gets.
         let (offset, new_len) = {
             let mut content = self.data.content.write();
             let offset = content.len() as u64;
-            content.extend_from_slice(data);
-            (offset, content.len() as u64)
-        };
-        // Ensure device extents cover the new size.
-        let needed_pages = new_len.div_ceil(PAGE_SIZE as u64);
-        let have = self.data.allocated_pages();
-        if needed_pages > have {
-            let grow = (needed_pages - have).max(fs.opts.alloc_chunk_pages);
-            if fs.alloc_fault() == AllocFault::Fail {
-                return Err(FsError::DeviceFull);
+            let new_len = offset + data.len() as u64;
+            let needed_pages = new_len.div_ceil(PAGE_SIZE as u64);
+            let have = self.data.allocated_pages();
+            if needed_pages > have {
+                let grow = (needed_pages - have).max(fs.opts.alloc_chunk_pages);
+                if fs.alloc_fault() == AllocFault::Fail {
+                    return Err(FsError::DeviceFull);
+                }
+                let start = fs.alloc.lock().allocate(grow).ok_or(FsError::DeviceFull)?;
+                self.data.extents.lock().push((start, grow));
             }
-            let start = fs.alloc.lock().allocate(grow).ok_or(FsError::DeviceFull)?;
-            self.data.extents.lock().push((start, grow));
-        }
+            content.extend_from_slice(data);
+            (offset, new_len)
+        };
         // Mark the touched pages dirty.
         let first_page = offset / PAGE_SIZE as u64;
         let last_page = (new_len - 1) / PAGE_SIZE as u64;
@@ -1390,9 +1394,14 @@ mod tests {
                 Err(FsError::DeviceFull)
             ));
             assert_eq!(fs.stats().injected_errors, 1);
+            // The failed append left the file as it was.
+            assert_eq!(f.len(), 8 << 10);
+            assert_eq!(f.read_at(0, 8 << 10).unwrap(), vec![1u8; 8 << 10]);
             // Third allocation runs clean again, and a restore returns the
             // carved capacity.
-            f.append(&vec![3u8; chunk + 1]).unwrap();
+            let at = f.append(&vec![3u8; chunk + 1]).unwrap();
+            assert_eq!(at, 8 << 10);
+            assert_eq!(f.read_at(at, 1).unwrap(), [3u8]);
             fs.restore_capacity();
             assert_eq!(fs.capacity_pages(), cap);
             let s = fs.stats();

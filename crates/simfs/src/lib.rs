@@ -38,6 +38,7 @@
 //! });
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

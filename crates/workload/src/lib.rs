@@ -13,6 +13,7 @@
 //!   file count (Fig. 8) or the writer-queue depth (Fig. 16);
 //! * [`keys`] — deterministic key/value generation (uniform and zipfian).
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

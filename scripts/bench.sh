@@ -2,12 +2,48 @@
 # Regenerates the committed BENCH_<probe>.json artifacts, full-size. (With
 # --quick the CLI runs a fast smoke size; the committed files are the
 # full-size output, so don't commit a quick-mode regeneration.)
+#
+# Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
+# seconds per probe, mean ns of every engine_micro bench). Informational —
+# it differs run to run and host to host, and no script compares it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build -q --release -p xlsm-bench
+cargo bench -q -p xlsm-bench --bench engine_micro --no-run
 bin=${CARGO_TARGET_DIR:-target}/release/xlsm-bench
-# shellcheck disable=SC2046  # one word per probe name
-"$bin" $("$bin" list --probes)
+# One CPU, as in check.sh: unpinned, a probe's wall seconds swing severalfold.
+source scripts/pin.sh
+
+probe_rows=()
+for probe in $("$bin" list --probes); do
+    started=$SECONDS
+    "${pin[@]}" "$bin" "$probe"
+    probe_rows+=("    \"$probe\": $((SECONDS - started))")
+done
+
+echo "==> engine_micro"
+micro_rows=()
+while read -r name mean unit _; do
+    [[ $unit == ns/iter ]] || continue
+    echo "$name $mean ns/iter"
+    micro_rows+=("    \"$name\": $mean")
+done < <("${pin[@]}" cargo bench -q -p xlsm-bench --bench engine_micro)
+((${#micro_rows[@]})) || { echo "engine_micro printed no result" >&2; exit 1; }
+
+# One argument per line, a comma after all but the last.
+rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
+{
+    echo '{'
+    echo '  "note": "host clock, informational: differs run to run, compared by no script",'
+    echo "  \"pinned_to_one_cpu\": $([[ ${#pin[@]} -gt 0 ]] && echo true || echo false),"
+    echo '  "probe_wall_s": {'
+    rows "${probe_rows[@]}"
+    echo '  },'
+    echo '  "engine_micro_mean_ns": {'
+    rows "${micro_rows[@]}"
+    echo '  }'
+    echo '}'
+} >BENCH_wall.json
 
 echo "==> done"

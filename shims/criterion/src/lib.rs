@@ -8,7 +8,11 @@
 //!
 //! Like real criterion, benchmarks only execute when the binary receives
 //! the `--bench` flag (which `cargo bench` passes); under `cargo test`
-//! the harness exits immediately so bench targets stay cheap.
+//! the harness exits immediately so bench targets stay cheap. A positional
+//! argument is a name filter: `cargo bench --bench engine_micro -- crc32c`
+//! runs only the benchmarks whose `group/name` contains `crc32c`.
+
+#![deny(unsafe_code)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -134,7 +138,8 @@ impl BenchmarkGroup<'_> {
         id: impl Display,
         mut f: F,
     ) -> &mut Self {
-        if !self.criterion.enabled {
+        let id = id.to_string();
+        if !self.criterion.selects(&self.name, &id) {
             return self;
         }
         let mut b = Bencher {
@@ -143,7 +148,7 @@ impl BenchmarkGroup<'_> {
             mean_ns: 0.0,
         };
         f(&mut b);
-        self.report(&id.to_string(), b.mean_ns);
+        self.report(&id, b.mean_ns);
         self
     }
 
@@ -182,6 +187,8 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     enabled: bool,
+    /// Substring a benchmark's `group/name` must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -192,6 +199,8 @@ impl Default for Criterion {
             // Like real criterion, only measure when cargo bench passes
             // --bench; under cargo test the targets are built but skipped.
             enabled: std::env::args().any(|a| a == "--bench"),
+            // Like real criterion, the first positional argument.
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -226,6 +235,16 @@ impl Criterion {
     /// Whether measurement is enabled (`--bench` was passed).
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Whether benchmark `id` of `group` runs: measurement is on and the
+    /// name filter, if any, occurs in `group/id`.
+    fn selects(&self, group: &str, id: &str) -> bool {
+        self.enabled
+            && self
+                .filter
+                .as_ref()
+                .is_none_or(|f| format!("{group}/{id}").contains(f.as_str()))
     }
 }
 
@@ -271,6 +290,28 @@ mod tests {
         c.benchmark_group("g")
             .bench_function("noop", |_b| ran = true);
         assert!(!ran, "bench body must not run without --bench");
+    }
+
+    #[test]
+    fn name_filter_selects_by_substring_of_group_and_id() {
+        let mut c = Criterion {
+            enabled: true,
+            filter: Some("crc32c/4k".into()),
+            ..Criterion::default().sample_size(1)
+        };
+        assert!(c.selects("crc32c", "4k_block"));
+        assert!(!c.selects("crc32c", "64k_chunk"));
+        assert!(!c.selects("bloom", "probe"));
+        let mut ran = Vec::new();
+        for id in ["4k_block", "1k_value"] {
+            c.benchmark_group("crc32c")
+                .bench_function(id, |_b| ran.push(id));
+        }
+        assert_eq!(ran, ["4k_block"]);
+        c.filter = None;
+        assert!(c.selects("bloom", "probe"));
+        c.enabled = false;
+        assert!(!c.selects("bloom", "probe"));
     }
 
     #[test]

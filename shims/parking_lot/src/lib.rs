@@ -6,6 +6,8 @@
 //! non-poisoning mutexes/rwlocks (a panicked holder does not wedge later
 //! lockers) and a condvar whose `wait` takes the guard by `&mut`.
 
+#![deny(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 

@@ -6,6 +6,8 @@
 //! reports its generated inputs verbatim) and deterministic seeding, so a
 //! failure reproduces by re-running the same test binary.
 
+#![deny(unsafe_code)]
+
 use std::collections::{BTreeSet, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;

@@ -6,6 +6,8 @@
 //! (`random`, `random_range`, `random_bool`), and
 //! [`distr::Distribution`].
 
+#![deny(unsafe_code)]
+
 /// A source of randomness: the core trait, object-safe.
 pub trait Rng {
     /// Next 64 uniformly random bits.

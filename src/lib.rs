@@ -12,6 +12,8 @@
 //!
 //! See the repository README for a quickstart.
 
+#![deny(unsafe_code)]
+
 pub use xlsm_core as study;
 pub use xlsm_device as device;
 pub use xlsm_engine as engine;

@@ -18,6 +18,8 @@
 //!   as reclaimed.
 //! * A failed WAL purge is counted and retried instead of being silently
 //!   swallowed, and never makes the database read-only.
+//! * A write refused for lack of space leaves no bytes behind for a later
+//!   recovery to replay.
 
 use std::sync::Arc;
 use xlsm_suite::device::{profiles, DeviceProfile, SimDevice};
@@ -404,6 +406,32 @@ fn scripted_device_full_is_hard_without_the_watcher() {
             assert_eq!(db.get(key(i).as_bytes()).unwrap(), Some(vec![b'v'; 100]));
         }
         db.put(b"after-resume", b"ok").unwrap();
+        db.close();
+    });
+}
+
+/// A write the WAL refused (`DeviceFull` on its first extent) is not in the
+/// database — not now, and not after a reopen replays the log: the refused
+/// record must not have reached the file. No phantom.
+#[test]
+fn refused_wal_append_leaves_no_phantom_after_reopen() {
+    Runtime::new().run(|| {
+        let fs = fs_on(profiles::intel_750_pcie());
+        let db = Db::open(Arc::clone(&fs), DbOptions::default()).unwrap();
+        fs.set_fault_plan(FaultPlan {
+            fail_nth_alloc: Some(1),
+            ..FaultPlan::default()
+        });
+        let err = db.put(b"a", b"1").expect_err("the WAL's first extent");
+        assert!(err.to_string().contains("device is full"), "got {err}");
+        assert_eq!(fs.stats().injected_errors, 1, "the fault fired");
+        assert_eq!(db.get(b"a").unwrap(), None);
+        db.put(b"b", b"2").expect("the fault was one-shot");
+        db.close();
+
+        let db = Db::open(Arc::clone(&fs), DbOptions::default()).unwrap();
+        assert_eq!(db.get(b"a").unwrap(), None, "never acked, so never there");
+        assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
         db.close();
     });
 }
