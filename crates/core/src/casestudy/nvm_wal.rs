@@ -54,7 +54,6 @@ pub fn apply_wal_placement(
                     // meaningless for byte-addressable memory: give it a
                     // page cache covering the whole device.
                     page_cache_pages: 64 << 10,
-                    ..FsOptions::default()
                 },
             );
             opts.enable_wal = true;

@@ -16,15 +16,7 @@ pub fn scaled_fs_options(dataset_bytes: u64) -> FsOptions {
     let pages = ((dataset_bytes as f64 * CACHE_FRACTION) / 4096.0) as usize;
     FsOptions {
         page_cache_pages: pages.max(1024),
-        ..FsOptions::default()
     }
-}
-
-/// Engine options at the study's scaled geometry (2 MiB memtables standing
-/// in for the paper's 64 MB, etc.). Figure harnesses override single knobs
-/// from here.
-pub fn scaled_db_options() -> DbOptions {
-    DbOptions::default()
 }
 
 /// A complete experiment stack on one simulated device.
@@ -88,7 +80,7 @@ mod tests {
     #[test]
     fn testbed_builds_and_serves() {
         Runtime::new().run(|| {
-            let tb = Testbed::new(profiles::optane_900p(), scaled_db_options(), 64 << 20).unwrap();
+            let tb = Testbed::new(profiles::optane_900p(), DbOptions::default(), 64 << 20).unwrap();
             tb.db.put(b"k", b"v").unwrap();
             assert_eq!(tb.db.get(b"k").unwrap(), Some(b"v".to_vec()));
             use xlsm_device::Device;

@@ -31,5 +31,5 @@ pub mod report;
 pub use casestudy::dynamic_l0::DynamicL0Manager;
 pub use casestudy::policy::{PolicyRuntime, StabilityPolicy};
 pub use casestudy::two_stage::TwoStageThrottlePolicy;
-pub use experiment::{scaled_db_options, scaled_fs_options, Testbed};
+pub use experiment::{scaled_fs_options, Testbed};
 pub use model::throttled_throughput_kops;

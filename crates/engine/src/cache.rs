@@ -1,11 +1,12 @@
 //! Sharded LRU block cache (decoded data blocks).
 //!
 //! Keyed by `(file number, block offset)`. Capacity is charged by the
-//! on-disk block size. Deterministic: recency is a logical tick counter and
-//! eviction scans a queue with lazy invalidation.
+//! on-disk block size. The recency order is an `Lru`, which the table
+//! cache shares.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,75 +22,118 @@ pub struct Block {
     pub raw_size: usize,
 }
 
+/// Least-recently-used order over a map, shared by the block-cache shards
+/// and the table cache's reader maps. Deterministic: recency is a logical
+/// tick, and the eviction queue is invalidated lazily — every touch pushes
+/// a `(key, tick)` entry, and only the entry carrying a key's newest tick is
+/// live. What an entry costs and when the map is over budget is the
+/// caller's business: it calls [`Lru::pop_lru`] until it fits.
+pub(crate) struct Lru<K, V> {
+    map: HashMap<K, (V, u64)>, // value, last tick
+    queue: VecDeque<(K, u64)>,
+    tick: u64,
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    pub(crate) fn new() -> Lru<K, V> {
+        Lru {
+            map: HashMap::new(),
+            queue: VecDeque::new(),
+            tick: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
+        self.map.keys()
+    }
+
+    /// Looks `key` up; a hit makes it the most recently used.
+    pub(crate) fn touch(&mut self, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        let (value, last) = self.map.get_mut(key)?;
+        let value = value.clone();
+        self.tick += 1;
+        *last = self.tick;
+        self.queue.push_back((*key, self.tick));
+        Self::drain_stale(&mut self.queue, &self.map);
+        Some(value)
+    }
+
+    /// Stores `value` under `key` as the most recently used entry and
+    /// returns the value it displaced, if any.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.tick += 1;
+        self.queue.push_back((key, self.tick));
+        let old = self.map.insert(key, (value, self.tick));
+        Self::drain_stale(&mut self.queue, &self.map);
+        old.map(|(value, _)| value)
+    }
+
+    /// Removes and returns the least recently used entry.
+    pub(crate) fn pop_lru(&mut self) -> Option<(K, V)> {
+        while let Some((key, tick)) = self.queue.pop_front() {
+            if matches!(self.map.get(&key), Some((_, last)) if *last == tick) {
+                return self.map.remove(&key).map(|(value, _)| (key, value));
+            }
+        }
+        None
+    }
+
+    /// Removes `key`; its queue entries go stale and are skipped later.
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+        self.map.remove(key).map(|(value, _)| value)
+    }
+
+    /// Compacts the recency queue once stale entries dominate. A hit-heavy
+    /// workload would otherwise grow it without bound. Rebuilding keeps
+    /// exactly one entry per key and at least halves the queue, so the cost
+    /// is amortized O(1) per touch.
+    fn drain_stale(queue: &mut VecDeque<(K, u64)>, map: &HashMap<K, (V, u64)>) {
+        if queue.len() > 2 * map.len() {
+            queue.retain(|(k, t)| matches!(map.get(k), Some((_, last)) if last == t));
+        }
+    }
+}
+
+/// One block-cache shard: an [`Lru`] charged by serialized block size.
 struct Shard {
-    map: HashMap<BlockKey, (Arc<Block>, u64)>, // value, last tick
-    queue: VecDeque<(BlockKey, u64)>,
+    lru: Lru<BlockKey, Arc<Block>>,
     used: usize,
     capacity: usize,
-    tick: u64,
 }
 
 impl Shard {
     fn get(&mut self, key: &BlockKey) -> Option<Arc<Block>> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((block, last)) = self.map.get_mut(key) {
-            *last = tick;
-            let b = Arc::clone(block);
-            self.queue.push_back((*key, tick));
-            self.drain_stale();
-            Some(b)
-        } else {
-            None
-        }
-    }
-
-    /// Compacts the recency queue once stale entries dominate. Every touch
-    /// pushes a `(key, tick)` entry but only the newest tick per key is
-    /// live, so a read-heavy cache-hit workload would otherwise grow the
-    /// queue without bound. Rebuilding keeps exactly one entry per cached
-    /// block and at least halves the queue, so the cost is amortized O(1)
-    /// per touch.
-    fn drain_stale(&mut self) {
-        if self.queue.len() > 2 * self.map.len() {
-            self.queue
-                .retain(|(k, t)| matches!(self.map.get(k), Some((_, last)) if last == t));
-        }
+        self.lru.touch(key)
     }
 
     fn insert(&mut self, key: BlockKey, block: Arc<Block>) {
-        self.tick += 1;
-        let tick = self.tick;
-        let charge = block.raw_size;
-        self.used += charge;
-        if let Some((old, _)) = self.map.insert(key, (block, tick)) {
+        self.used += block.raw_size;
+        if let Some(old) = self.lru.insert(key, block) {
             // Replacement: release the displaced entry's charge. The new
             // block may be a different size (e.g. the file was rewritten
             // under the same number by repair), so the charges are not
             // interchangeable.
             self.used -= old.raw_size;
         }
-        self.queue.push_back((key, tick));
         while self.used > self.capacity {
-            match self.queue.pop_front() {
-                Some((k, t)) => {
-                    let evict = matches!(self.map.get(&k), Some((_, last)) if *last == t);
-                    if evict {
-                        if let Some((b, _)) = self.map.remove(&k) {
-                            self.used -= b.raw_size;
-                        }
-                    }
-                }
+            match self.lru.pop_lru() {
+                Some((_, evicted)) => self.used -= evicted.raw_size,
                 None => break,
             }
         }
-        self.drain_stale();
     }
 
     fn remove_file(&mut self, file: u64) {
-        let keys: Vec<BlockKey> = self.map.keys().filter(|k| k.0 == file).copied().collect();
+        let keys: Vec<BlockKey> = self.lru.keys().filter(|k| k.0 == file).copied().collect();
         for k in keys {
-            if let Some((b, _)) = self.map.remove(&k) {
+            if let Some(b) = self.lru.remove(&k) {
                 self.used -= b.raw_size;
             }
         }
@@ -122,11 +166,9 @@ impl BlockCache {
             shards: (0..SHARDS)
                 .map(|_| {
                     parking_lot::Mutex::new(Shard {
-                        map: HashMap::new(),
-                        queue: VecDeque::new(),
+                        lru: Lru::new(),
                         used: 0,
                         capacity: per_shard,
-                        tick: 0,
                     })
                 })
                 .collect(),
@@ -250,8 +292,8 @@ mod tests {
             assert!(c.get(&(1, 0)).is_some());
             assert!(c.get(&(1, 4096)).is_some());
         }
-        let queued: usize = c.shards.iter().map(|s| s.lock().queue.len()).sum();
-        let live: usize = c.shards.iter().map(|s| s.lock().map.len()).sum();
+        let queued: usize = c.shards.iter().map(|s| s.lock().lru.queue.len()).sum();
+        let live: usize = c.shards.iter().map(|s| s.lock().lru.len()).sum();
         assert!(
             queued <= 2 * live + 2,
             "recency queue grew unbounded: {queued} entries for {live} blocks"
@@ -278,7 +320,7 @@ mod tests {
             .iter()
             .map(|s| {
                 let s = s.lock();
-                s.map.values().map(|(b, _)| b.raw_size).sum::<usize>()
+                s.lru.map.values().map(|(b, _)| b.raw_size).sum::<usize>()
             })
             .sum();
         assert_eq!(

@@ -35,7 +35,7 @@ use crate::sst::{sst_file_name, TableReader};
 use crate::stats::{DbStats, Ticker};
 use crate::types::parse_internal_key;
 use crate::version::{self, FileMetaData, VersionEdit};
-use crate::wal::scan_wal;
+use crate::wal::{frame_record, scan_wal};
 use std::sync::Arc;
 use xlsm_simfs::SimFs;
 
@@ -211,7 +211,7 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
         fs.delete(&scratch)?;
     }
     let manifest = fs.create(&scratch)?;
-    manifest.append(&version::frame_manifest_record(&edit.encode()))?;
+    manifest.append(&frame_record(&edit.encode()))?;
     manifest.sync()?;
     let live = version::manifest_path(db_path);
     if fs.exists(&live) {

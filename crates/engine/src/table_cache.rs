@@ -1,7 +1,7 @@
 //! The table cache: open [`TableReader`]s kept in a sharded LRU, plus the
 //! shared decoded-block cache they read through.
 
-use crate::cache::BlockCache;
+use crate::cache::{BlockCache, Lru};
 use crate::costs;
 use crate::error::{DbError, DbResult};
 use crate::integrity;
@@ -12,67 +12,31 @@ use std::sync::Arc;
 use xlsm_sim::sync::Semaphore;
 use xlsm_simfs::SimFs;
 
-/// LRU state for the open-reader map: recency is a logical tick with a
-/// lazily-invalidated queue, mirroring the block-cache shards so eviction
-/// stays deterministic.
+/// The open readers of one shard, least recently used first out.
 struct ReaderMap {
-    map: std::collections::HashMap<u64, (Arc<TableReader>, u64)>,
-    queue: std::collections::VecDeque<(u64, u64)>,
-    tick: u64,
+    lru: Lru<u64, Arc<TableReader>>,
     /// Maximum cached readers (`0` = unbounded).
     cap: usize,
 }
 
 impl ReaderMap {
     fn touch(&mut self, number: u64) -> Option<Arc<TableReader>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let r = self.map.get_mut(&number).map(|(r, last)| {
-            *last = tick;
-            Arc::clone(r)
-        });
-        if r.is_some() {
-            self.queue.push_back((number, tick));
-            self.drain_stale();
-        }
-        r
+        self.lru.touch(&number)
     }
 
     fn insert(&mut self, number: u64, reader: Arc<TableReader>) -> Arc<TableReader> {
-        self.tick += 1;
-        let tick = self.tick;
-        let out = Arc::clone(
-            &self
-                .map
-                .entry(number)
-                .or_insert_with(|| (reader, tick))
-                // A racing open may have beaten us here; keep the first
-                // reader, but refresh its recency either way.
-                .0,
-        );
-        self.map.get_mut(&number).unwrap().1 = tick;
-        self.queue.push_back((number, tick));
-        while self.cap > 0 && self.map.len() > self.cap {
-            match self.queue.pop_front() {
-                Some((n, t)) => {
-                    if matches!(self.map.get(&n), Some((_, last)) if *last == t) {
-                        self.map.remove(&n);
-                    }
-                }
-                None => break,
+        // A racing open may have beaten us here; keep the first reader, but
+        // refresh its recency either way.
+        let out = self.lru.touch(&number).unwrap_or_else(|| {
+            self.lru.insert(number, Arc::clone(&reader));
+            reader
+        });
+        while self.cap > 0 && self.lru.len() > self.cap {
+            if self.lru.pop_lru().is_none() {
+                break;
             }
         }
-        self.drain_stale();
         out
-    }
-
-    /// Compacts the recency queue once stale entries dominate; afterwards
-    /// it holds exactly one entry per cached reader. Amortized O(1).
-    fn drain_stale(&mut self) {
-        if self.queue.len() > 2 * self.map.len() {
-            self.queue
-                .retain(|(n, t)| matches!(self.map.get(n), Some((_, last)) if last == t));
-        }
     }
 }
 
@@ -152,9 +116,7 @@ impl TableCache {
                 .map(|_| TableCacheShard {
                     gate: Semaphore::new("table-cache-shard", 1),
                     readers: parking_lot::Mutex::new(ReaderMap {
-                        map: std::collections::HashMap::new(),
-                        queue: std::collections::VecDeque::new(),
-                        tick: 0,
+                        lru: Lru::new(),
                         cap: per_shard_cap,
                     }),
                 })
@@ -211,7 +173,7 @@ impl TableCache {
 
     /// Currently cached open readers.
     pub fn open_readers(&self) -> usize {
-        self.shards.iter().map(|s| s.readers.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.readers.lock().lru.len()).sum()
     }
 
     /// Lifetime `(hits, misses)` of reader lookups.
@@ -224,7 +186,7 @@ impl TableCache {
 
     /// Drops cached state for a deleted file.
     pub fn evict(&self, number: u64) {
-        self.shard_of(number).readers.lock().map.remove(&number);
+        self.shard_of(number).readers.lock().lru.remove(&number);
         self.block_cache.remove_file(number);
     }
 

@@ -411,18 +411,6 @@ pub(crate) fn current_path(db_path: &str) -> String {
     format!("{db_path}/{CURRENT_NAME}")
 }
 
-/// Frames one manifest payload the way [`VersionSet::log_and_apply`] and
-/// the repairer write it: `[masked crc32c][len][payload]` — the same
-/// framing the WAL uses, so [`crate::wal::scan_wal`] replays both.
-pub(crate) fn frame_manifest_record(payload: &[u8]) -> Vec<u8> {
-    let crc = crate::crc32c::masked(crate::crc32c::crc32c(payload));
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&crc.to_le_bytes());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(payload);
-    rec
-}
-
 impl VersionSet {
     /// Creates a fresh database layout (empty manifest + CURRENT).
     ///
@@ -588,7 +576,7 @@ impl VersionSet {
         // Clone the handle out of the lock: append/sync block in sim time,
         // and callers are already serialized by the install lock.
         let manifest = self.manifest.lock().clone();
-        let rec = frame_manifest_record(&payload);
+        let rec = wal::frame_record(&payload);
         manifest.append(&rec)?;
         manifest.sync()?;
         let new_version = {

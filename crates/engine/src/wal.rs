@@ -71,11 +71,7 @@ impl WalWriter {
     /// Filesystem errors.
     pub fn append(&self, payload: &[u8], sync: bool) -> DbResult<u64> {
         xlsm_sim::sleep_nanos(costs::wal_encode_ns(payload.len()));
-        let crc = crc32c::masked(crc32c::crc32c(payload));
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&crc.to_le_bytes());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(payload);
+        let rec = frame_record(payload);
         let written = rec.len() as u64;
         self.file.append(&rec)?;
         // Only what reached the file: a refused append (device full) leaves
@@ -104,6 +100,17 @@ impl WalWriter {
     pub fn file_crc(&self) -> u32 {
         self.file_crc.lock().finish()
     }
+}
+
+/// Frames one payload as `[masked crc32c][len][payload]`: the record format
+/// of the WAL and of the MANIFEST, which is why [`scan_wal`] replays both.
+pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
+    let crc = crc32c::masked(crc32c::crc32c(payload));
+    let mut rec = Vec::with_capacity(8 + payload.len());
+    rec.extend_from_slice(&crc.to_le_bytes());
+    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    rec.extend_from_slice(payload);
+    rec
 }
 
 /// Outcome of scanning one WAL (or manifest) file under a

@@ -6,7 +6,7 @@
 //! Every logical thread of the simulated system (benchmark clients, the WAL
 //! group-commit leader, flush and compaction workers, device channel servers)
 //! runs as a real OS thread, but *exactly one of them executes at any time*.
-//! Whenever a thread blocks — on a [`sleep`], a [`sync::WaitSet`], a
+//! Whenever a thread blocks — on a [`sleep_nanos`], a [`sync::WaitSet`], a
 //! [`sync::Semaphore`] or a [`sync::channel`] — it hands the run token to the
 //! next runnable thread, or advances the virtual clock to the earliest pending
 //! timer when nobody is runnable.
@@ -25,14 +25,12 @@
 //! ## Example
 //!
 //! ```
-//! use std::time::Duration;
-//!
 //! let total = xlsm_sim::Runtime::new().run(|| {
 //!     let h = xlsm_sim::spawn("worker", || {
-//!         xlsm_sim::sleep(Duration::from_micros(250));
+//!         xlsm_sim::sleep_nanos(250_000);
 //!         xlsm_sim::now_nanos()
 //!     });
-//!     xlsm_sim::sleep(Duration::from_micros(100));
+//!     xlsm_sim::sleep_nanos(100_000);
 //!     h.join() + xlsm_sim::now_nanos()
 //! });
 //! assert_eq!(total, 250_000 + 250_000);
@@ -78,10 +76,23 @@
 //!
 //! Because only one sim thread runs at a time, ordinary mutexes never contend.
 //! The one hazard is holding a lock *across* a blocking sim operation: the
-//! thread that next acquires the lock would block outside the scheduler's
-//! knowledge and the simulation would stall. [`sync::Mutex`] tracks a
-//! thread-local critical-section depth, and every blocking operation asserts
-//! that the depth is zero, turning that bug class into an immediate panic.
+//! thread that runs next and takes the same lock parks on an OS mutex with
+//! the run token in hand, the scheduler believes it is running, and the
+//! simulation hangs without a word.
+//!
+//! The rule against it is enforced where the locks are. Every lock in the
+//! workspace is a `Mutex` or `RwLock` of the `parking_lot` shim, and the shim
+//! counts its live guards per thread (`parking_lot::guards_held()`: up when a
+//! `MutexGuard`, `RwLockReadGuard` or `RwLockWriteGuard` is made, down when
+//! it drops; the guards are `!Send`, so both happen on one thread). Every
+//! operation here that can give up the run token — [`sleep_nanos`],
+//! [`yield_now`], [`sync::WaitSet::wait`], [`sync::Semaphore::acquire`],
+//! [`sync::Receiver::recv`], [`spawn`], [`JoinHandle::join`] — first asserts
+//! that the count is zero, so the bug is a panic at the offending wait that
+//! names the operation. The count used to live in a lock type of this crate
+//! that no other crate used: the rule guarded no lock the code took, and a
+//! violation was the silent hang above. A lock built straight on
+//! `std::sync` would escape it again; there is none under `crates/`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,6 +103,5 @@ pub mod runtime;
 pub mod sync;
 
 pub use runtime::{
-    in_sim, now, now_nanos, sleep, sleep_nanos, spawn, spawn_daemon, yield_now, JoinHandle, Nanos,
-    Runtime, SimInstant,
+    now_nanos, sleep_nanos, spawn, spawn_daemon, yield_now, JoinHandle, Nanos, Runtime,
 };

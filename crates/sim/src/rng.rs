@@ -1,9 +1,11 @@
 //! Small deterministic PRNGs used throughout the simulator.
 //!
-//! The workloads use the `rand` crate; these generators exist for places
-//! where a tiny, dependency-free, seed-stable source is preferable (device
-//! service-time jitter, test scaffolding), so that simulator results never
-//! shift underneath a `rand` version bump.
+//! Everything inside the simulated stack draws from these: the FTL's
+//! victim sampling, the skiplist's tower heights, the fault plan, the raw
+//! device bench, the golden tapes and the benchmark's load generator. Only
+//! `xlsm-workload`'s key generators go through the `rand` API
+//! (`shims/rand`, a xoshiro256++ of its own), so no simulated number moves
+//! underneath a `rand` version bump.
 
 /// SplitMix64 — a tiny, high-quality 64-bit mixer; mainly used to expand one
 /// seed into many (e.g., per-thread streams).

@@ -6,14 +6,13 @@
 //! thread is runnable.
 
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
-use std::time::Duration;
 
 /// Virtual time in nanoseconds since the start of the simulation.
 pub type Nanos = u64;
@@ -33,7 +32,6 @@ struct Ctx {
 
 thread_local! {
     static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
-    static CS_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> T {
@@ -47,24 +45,20 @@ fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> T {
 }
 
 /// Returns `true` when the calling OS thread is a sim thread.
-pub fn in_sim() -> bool {
+fn in_sim() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-pub(crate) fn cs_enter() {
-    CS_DEPTH.with(|d| d.set(d.get() + 1));
-}
-
-pub(crate) fn cs_exit() {
-    CS_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-}
-
+/// Every operation that can give up the run token starts here. The count is
+/// kept by the lock shim itself, one per live guard on this thread, so it
+/// sees every `Mutex` and `RwLock` the workspace takes.
 pub(crate) fn assert_not_in_critical_section(op: &str) {
-    let depth = CS_DEPTH.with(|d| d.get());
+    let held = parking_lot::guards_held();
     assert!(
-        depth == 0,
-        "sim-blocking operation `{op}` called while holding {depth} xlsm_sim::sync::Mutex guard(s); \
-         this would stall the cooperative scheduler"
+        held == 0,
+        "sim-blocking operation `{op}` called while holding {held} parking_lot (shim) lock \
+         guard(s); the next thread to take that lock would block on an OS mutex with the run \
+         token in hand and stall the simulation"
     );
 }
 
@@ -401,20 +395,10 @@ pub fn now_nanos() -> Nanos {
     with_ctx(|ctx| ctx.sched.now())
 }
 
-/// Current virtual time as a [`SimInstant`].
-pub fn now() -> SimInstant {
-    SimInstant(now_nanos())
-}
-
-/// Advances the calling thread's virtual time by `d`, yielding to other
-/// runnable threads in the meantime.
-pub fn sleep(d: Duration) {
-    sleep_nanos(d.as_nanos() as Nanos);
-}
-
-/// [`sleep`] with a raw nanosecond count. `sleep_nanos(0)` still yields.
+/// Advances the calling thread's virtual time by `d` nanoseconds, yielding
+/// to other runnable threads in the meantime. `sleep_nanos(0)` still yields.
 pub fn sleep_nanos(d: Nanos) {
-    assert_not_in_critical_section("sleep");
+    assert_not_in_critical_section("sleep_nanos");
     with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
         st.seq += 1;
@@ -599,42 +583,6 @@ pub fn spawn_daemon<T: Send + 'static>(
     spawn_inner(name, true, f)
 }
 
-// ---------------------------------------------------------------------------
-// SimInstant
-// ---------------------------------------------------------------------------
-
-/// A point in virtual time, mirroring [`std::time::Instant`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SimInstant(Nanos);
-
-impl SimInstant {
-    /// The current virtual instant.
-    pub fn now() -> SimInstant {
-        SimInstant(now_nanos())
-    }
-
-    /// Nanoseconds since simulation start.
-    pub fn nanos(self) -> Nanos {
-        self.0
-    }
-
-    /// Time elapsed from `self` to now.
-    pub fn elapsed(self) -> Duration {
-        Duration::from_nanos(now_nanos().saturating_sub(self.0))
-    }
-
-    /// Time elapsed from `earlier` to `self` (saturating at zero).
-    pub fn duration_since(self, earlier: SimInstant) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-}
-
-impl From<Nanos> for SimInstant {
-    fn from(n: Nanos) -> Self {
-        SimInstant(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,7 +591,7 @@ mod tests {
     fn clock_starts_at_zero_and_sleep_advances() {
         Runtime::new().run(|| {
             assert_eq!(now_nanos(), 0);
-            sleep(Duration::from_micros(5));
+            sleep_nanos(5_000);
             assert_eq!(now_nanos(), 5_000);
             sleep_nanos(10);
             assert_eq!(now_nanos(), 5_010);
@@ -665,14 +613,14 @@ mod tests {
             let log = Arc::new(Mutex::new(Vec::new()));
             let l1 = Arc::clone(&log);
             let h1 = spawn("a", move || {
-                sleep(Duration::from_micros(30));
+                sleep_nanos(30_000);
                 l1.lock().push(('a', now_nanos()));
             });
             let l2 = Arc::clone(&log);
             let h2 = spawn("b", move || {
-                sleep(Duration::from_micros(10));
+                sleep_nanos(10_000);
                 l2.lock().push(('b', now_nanos()));
-                sleep(Duration::from_micros(40));
+                sleep_nanos(40_000);
                 l2.lock().push(('b', now_nanos()));
             });
             h1.join();
@@ -690,7 +638,7 @@ mod tests {
             for i in 0..8 {
                 let l = Arc::clone(&log);
                 handles.push(spawn(&format!("t{i}"), move || {
-                    sleep(Duration::from_micros(100));
+                    sleep_nanos(100_000);
                     l.lock().push(i);
                 }));
             }
@@ -761,18 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn instant_arithmetic() {
-        Runtime::new().run(|| {
-            let t0 = SimInstant::now();
-            sleep(Duration::from_millis(3));
-            assert_eq!(t0.elapsed(), Duration::from_millis(3));
-            let t1 = SimInstant::now();
-            assert_eq!(t1.duration_since(t0), Duration::from_millis(3));
-            assert_eq!(t0.duration_since(t1), Duration::ZERO);
-        });
-    }
-
-    #[test]
     fn grant_before_park_is_kept_and_consumed_once() {
         let parker = Parker::new(Some(std::thread::current()));
         // The early wake: the grant lands before its target has parked.
@@ -796,7 +732,7 @@ mod tests {
     #[test]
     fn runtime_stats_count_switches() {
         let s = Runtime::new().run(|| {
-            let h = spawn("w", || sleep(Duration::from_micros(1)));
+            let h = spawn("w", || sleep_nanos(1_000));
             h.join();
             stats()
         });
@@ -809,7 +745,7 @@ mod tests {
     fn leaked_thread_panics() {
         Runtime::new().run(|| {
             let _h = spawn("stuck", || {
-                sleep(Duration::from_secs(1_000_000));
+                sleep_nanos(1_000_000_000_000_000);
             });
             // root returns without joining
         });
@@ -821,7 +757,7 @@ mod tests {
             let _h = spawn_daemon("bg", || {
                 crate::sync::WaitSet::new("forever").wait();
             });
-            sleep(Duration::from_micros(1));
+            sleep_nanos(1_000);
         });
     }
 }

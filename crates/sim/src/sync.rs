@@ -6,95 +6,16 @@
 //! sequence with no intervening blocking call is atomic with respect to other
 //! sim threads — the primitives below rely on that property and therefore
 //! need no lost-wakeup dance.
+//!
+//! There is no lock type here: shared state sits behind the `parking_lot`
+//! shim's `Mutex` / `RwLock`, which can never be contended while one thread
+//! runs at a time, and every wait below first checks that the caller holds
+//! none of their guards (see the crate docs, "Sim-safety").
 
 use crate::runtime::{self, assert_not_in_critical_section, current_tid};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Mutex: a critical-section-tracked lock
-// ---------------------------------------------------------------------------
-
-/// A mutual-exclusion lock for sim threads.
-///
-/// Under the cooperative scheduler the lock can never be contended, so this is
-/// a thin wrapper over [`parking_lot::Mutex`] whose real job is *discipline*:
-/// it maintains a thread-local critical-section depth, and every blocking sim
-/// operation ([`crate::sleep`], [`WaitSet::wait`], [`Semaphore::acquire`], …)
-/// panics if invoked while any guard is alive. Holding a lock across a sim
-/// wait would stall the whole simulation; this turns that bug into a loud,
-/// immediate failure at the offending call site.
-pub struct Mutex<T> {
-    inner: parking_lot::Mutex<T>,
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mutex").field("data", &self.inner).finish()
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T> Mutex<T> {
-    /// Creates a new lock holding `value`.
-    pub fn new(value: T) -> Mutex<T> {
-        Mutex {
-            inner: parking_lot::Mutex::new(value),
-        }
-    }
-
-    /// Acquires the lock. Never blocks in virtual time.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self
-            .inner
-            .try_lock()
-            .expect("xlsm_sim::sync::Mutex contended — a guard was held across a sim wait");
-        runtime::cs_enter();
-        MutexGuard { guard }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-/// Guard for [`Mutex`]; releases the lock and decrements the thread-local
-/// critical-section depth on drop.
-pub struct MutexGuard<'a, T> {
-    guard: parking_lot::MutexGuard<'a, T>,
-}
-
-impl<T: fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        runtime::cs_exit();
-    }
-}
 
 // ---------------------------------------------------------------------------
 // WaitSet: the condition-variable analogue
@@ -264,27 +185,6 @@ impl Semaphore {
     }
 }
 
-/// RAII permit helper: acquires on construction, releases on drop.
-#[derive(Debug)]
-pub struct SemaphorePermit<'a> {
-    sem: &'a Semaphore,
-    n: u64,
-}
-
-impl<'a> SemaphorePermit<'a> {
-    /// Acquires `n` permits from `sem`, releasing them when dropped.
-    pub fn acquire(sem: &'a Semaphore, n: u64) -> SemaphorePermit<'a> {
-        sem.acquire(n);
-        SemaphorePermit { sem, n }
-    }
-}
-
-impl Drop for SemaphorePermit<'_> {
-    fn drop(&mut self) {
-        self.sem.release(self.n);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Channel
 // ---------------------------------------------------------------------------
@@ -399,11 +299,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.chan.inner.lock().queue.pop_front()
-    }
-
     /// Number of queued values (diagnostic).
     pub fn len(&self) -> usize {
         self.chan.inner.lock().queue.len()
@@ -418,29 +313,106 @@ impl<T> Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sleep, spawn, Runtime};
-    use std::time::Duration;
+    use crate::{sleep_nanos, spawn, yield_now, JoinHandle, Runtime};
+    use parking_lot::{Mutex, RwLock};
+    use std::cell::Cell;
+    use std::panic::catch_unwind;
+
+    /// What the waiting thread holds when it waits.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Hold {
+        Mutex,
+        Read,
+        Write,
+    }
+
+    struct Waitables {
+        ws: WaitSet,
+        sem: Semaphore,
+        rx: Receiver<u8>,
+        /// Already finished: joining it never has to park.
+        child: Cell<Option<JoinHandle<()>>>,
+    }
+
+    /// Every way of giving up the run token, under the name the panic
+    /// message gives it.
+    type Wait = fn(&Waitables);
+    const WAITS: [(&str, Wait); 7] = [
+        ("sleep_nanos", |_| sleep_nanos(1)),
+        ("yield_now", |_| yield_now()),
+        ("WaitSet::wait", |w| w.ws.wait()),
+        ("Semaphore::acquire", |w| w.sem.acquire(1)),
+        // A `recv` that finds nothing queued parks on the channel's wait set.
+        ("WaitSet::wait", |w| assert_eq!(w.rx.recv(), None)),
+        ("spawn", |_| spawn("late", || ()).join()),
+        ("join", |w| w.child.take().expect("joined once").join()),
+    ];
+
+    /// Runs `wait` on a fresh runtime while holding `hold`; returns the
+    /// panic message if it panicked.
+    fn wait_holding(hold: Hold, wait: Wait) -> Option<String> {
+        let outcome = catch_unwind(|| {
+            Runtime::new().run(|| {
+                let (m, l) = (Mutex::new(0u8), RwLock::new(0u8));
+                let (_tx, rx) = channel::<u8>("rule");
+                let w = Waitables {
+                    ws: WaitSet::new("rule"),
+                    sem: Semaphore::new("rule", 0),
+                    rx,
+                    child: Cell::new(Some(spawn("child", || ()))),
+                };
+                yield_now(); // the child runs and exits
+                let _held = (
+                    (hold == Hold::Mutex).then(|| m.lock()),
+                    (hold == Hold::Read).then(|| l.read()),
+                    (hold == Hold::Write).then(|| l.write()),
+                );
+                wait(&w);
+            })
+        });
+        outcome.err().map(|p| match p.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("panic payload")).to_owned(),
+        })
+    }
+
+    /// The rule fires where the locks are: a guard of any of the three shim
+    /// kinds, held across any operation that gives up the run token, panics
+    /// at that operation, and the message names it and the shim.
+    #[test]
+    fn wait_while_holding_a_shim_guard_panics() {
+        for hold in [Hold::Mutex, Hold::Read, Hold::Write] {
+            for (op, wait) in WAITS {
+                let msg = wait_holding(hold, wait)
+                    .unwrap_or_else(|| panic!("{hold:?} guard across {op} returned quietly"));
+                assert!(
+                    msg.contains(&format!("sim-blocking operation `{op}`"))
+                        && msg.contains("1 parking_lot (shim) lock guard"),
+                    "{hold:?} guard across {op}: {msg}"
+                );
+            }
+        }
+        assert_eq!(parking_lot::guards_held(), 0, "unwinding dropped them all");
+    }
 
     #[test]
-    fn mutex_tracks_critical_sections() {
+    fn guard_dropped_before_the_wait_does_not_fire() {
         Runtime::new().run(|| {
-            let m = Mutex::new(5);
-            {
-                let mut g = m.lock();
-                *g += 1;
-            }
-            assert_eq!(*m.lock(), 6);
+            let (m, l) = (Mutex::new(0u8), RwLock::new(0u8));
+            drop((m.lock(), l.read()));
+            *l.write() += 1;
+            sleep_nanos(1);
+            yield_now();
+            spawn("child", || ()).join();
         });
     }
 
     #[test]
-    #[should_panic(expected = "sim-blocking operation")]
-    fn sleep_inside_critical_section_panics() {
-        Runtime::new().run(|| {
-            let m = Mutex::new(());
-            let _g = m.lock();
-            sleep(Duration::from_micros(1));
-        });
+    fn guard_off_the_runtime_leaves_no_count() {
+        let m = Mutex::new(1);
+        *m.lock() += 1;
+        assert_eq!(parking_lot::guards_held(), 0);
+        Runtime::new().run(|| sleep_nanos(1));
     }
 
     #[test]
@@ -458,7 +430,7 @@ mod tests {
                 }));
             }
             // Let all three park.
-            sleep(Duration::from_micros(1));
+            sleep_nanos(1_000);
             assert_eq!(ws.len(), 3);
             assert_eq!(ws.notify_all(), 3);
             for h in handles {
@@ -484,7 +456,7 @@ mod tests {
                         p.0 += 1;
                         p.1 = p.1.max(p.0);
                     }
-                    sleep(Duration::from_micros(10));
+                    sleep_nanos(10_000);
                     peak.lock().0 -= 1;
                     sem.release(1);
                 }));
@@ -499,13 +471,12 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_permit_raii() {
+    fn semaphore_counts_permits() {
         Runtime::new().run(|| {
             let sem = Semaphore::new("p", 3);
-            {
-                let _p = SemaphorePermit::acquire(&sem, 2);
-                assert_eq!(sem.available(), 1);
-            }
+            sem.acquire(2);
+            assert_eq!(sem.available(), 1);
+            sem.release(2);
             assert_eq!(sem.available(), 3);
         });
     }
@@ -538,7 +509,7 @@ mod tests {
                 let v = rx.recv().unwrap();
                 (v, crate::now_nanos())
             });
-            sleep(Duration::from_micros(7));
+            sleep_nanos(7_000);
             tx.send("hello").unwrap();
             let (v, t) = h.join();
             assert_eq!(v, "hello");

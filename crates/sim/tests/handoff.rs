@@ -1,9 +1,10 @@
 //! The run-token hand-off protocol, from outside the crate: it must keep the
 //! scheduling order and the counters exactly, and it must never lose a wake-up.
 
+use parking_lot::Mutex;
 use std::sync::Arc;
 use xlsm_sim::runtime::stats;
-use xlsm_sim::sync::{channel, Mutex, Semaphore, WaitSet};
+use xlsm_sim::sync::{channel, Semaphore, WaitSet};
 use xlsm_sim::{now_nanos, sleep_nanos, spawn, yield_now, Nanos, Runtime};
 
 /// `(thread, now_nanos)` at every resume, in resume order.

@@ -1,11 +1,11 @@
 //! Scheduler stress and fairness tests: many threads, layered primitives,
 //! determinism under load.
 
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use xlsm_sim::sync::{channel, Mutex, Semaphore, WaitSet};
-use xlsm_sim::{now_nanos, sleep, sleep_nanos, spawn, Runtime};
+use xlsm_sim::sync::{channel, Semaphore, WaitSet};
+use xlsm_sim::{now_nanos, sleep_nanos, spawn, Runtime};
 
 #[test]
 fn hundred_threads_interleave_deterministically() {
@@ -110,7 +110,7 @@ fn waitset_handles_notify_storms() {
                 woken.fetch_add(1, Ordering::Relaxed);
             }));
         }
-        sleep(Duration::from_micros(5));
+        sleep_nanos(5_000);
         assert_eq!(ws.len(), 32);
         // Wake in three unequal batches.
         assert!(ws.notify_one());

@@ -40,6 +40,17 @@ pub enum FsError {
     },
 }
 
+impl FsError {
+    /// The one place an [`FsError::Io`] is built.
+    pub(crate) fn io(op: &'static str, path: &str, retryable: bool) -> FsError {
+        FsError::Io {
+            op,
+            path: path.to_owned(),
+            retryable,
+        }
+    }
+}
+
 impl fmt::Display for FsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

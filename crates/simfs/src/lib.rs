@@ -8,21 +8,33 @@
 //! * **Appends** are buffered: they memcpy into the file and mark pages dirty
 //!   in the page cache — the cheap path the paper describes for WAL updates
 //!   ("first written to the write buffer … flushed to disk asynchronously").
-//!   When the global dirty-page count exceeds the configured ratio, the
-//!   appender synchronously writes back the oldest dirty pages (Linux
-//!   dirty-throttling behavior).
-//! * **Reads** check the page cache; misses coalesce into ranged device
-//!   reads, and inserted pages may evict older ones (clock/second-chance).
-//! * **`sync`** writes back a file's dirty pages and issues a device barrier,
-//!   which on flash waits for the write-buffer drain.
+//!   Once a quarter of the cache is dirty the appender kicks a background
+//!   writeback daemon (Linux `dirty_background_ratio`); at half, it writes
+//!   the oldest dirty pages back itself before returning (`dirty_ratio`).
+//! * **Reads** and **`prefetch`** check the page cache; misses coalesce into
+//!   one device read per run of adjacent pages, and inserted pages may evict
+//!   older ones (clock/second-chance).
+//! * **`flush_data`** pushes a file's dirty pages to the device; **`sync`**
+//!   is that plus a device barrier, which on flash waits for the
+//!   write-buffer drain.
 //!
-//! The cache capacity is how experiments reproduce the paper's 8 GB RAM /
-//! 100 GB dataset ratio at scale.
+//! The cache capacity ([`FsOptions::page_cache_pages`], the one tunable) is
+//! how experiments reproduce the paper's 8 GB RAM / 100 GB dataset ratio at
+//! scale; the host costs, the dirty limits and the extent-growth step are
+//! constants in `file.rs`, next to the code that charges them.
+//!
+//! `fs.rs` is the namespace — which files exist, their extents, the
+//! counters, the power state; `file.rs` is what happens inside a file. Every
+//! file operation the fault plan counts starts at one gate (live → powered →
+//! fault plan), every miss goes through one page walk, and every page that
+//! reaches the device goes through one run coalescer.
 //!
 //! The layer also hosts deterministic **fault injection** ([`FaultPlan`]):
 //! scripted or probabilistic I/O errors, torn writes, read bit-flips, and
 //! [`SimFs::power_cut`], which discards everything not durably synced past
-//! the device barrier — the substrate for the crash-consistency harness.
+//! the device barrier and after which nothing — no file operation, no
+//! `create`, `rename` or `delete` — can change the disk until
+//! [`SimFs::power_restore`]: the substrate for the crash-consistency harness.
 //!
 //! ```
 //! use xlsm_device::{profiles, SimDevice};
@@ -45,9 +57,11 @@
 mod alloc;
 mod error;
 mod fault;
+mod file;
 mod fs;
 mod pagecache;
 
 pub use error::{FsError, FsResult};
 pub use fault::{FaultOp, FaultPlan};
-pub use fs::{FileHandle, FsOptions, FsStats, SimFs};
+pub use file::FileHandle;
+pub use fs::{FsOptions, FsStats, SimFs};

@@ -1,6 +1,5 @@
 //! Deterministic key and value generation (`db_bench` conventions).
 
-use rand::distr::Distribution;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -79,18 +78,6 @@ impl Zipfian {
         }
         if uz < 1.0 + 0.5f64.powf(self.theta) {
             return 1;
-        }
-        let idx = (self.count as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        idx.min(self.count - 1)
-    }
-}
-
-impl Distribution<u64> for Zipfian {
-    fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.random();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
         }
         let idx = (self.count as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         idx.min(self.count - 1)

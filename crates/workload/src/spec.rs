@@ -92,12 +92,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Builder-style: sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> WorkloadSpec {
-        self.seed = seed;
-        self
-    }
-
     /// Builder-style: sets the key distribution.
     pub fn with_distribution(mut self, d: KeyDistribution) -> WorkloadSpec {
         self.distribution = d;

@@ -45,6 +45,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # (crates/engine/src/crc32c.rs).
 unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates shims src tests examples | wc -l)
 [[ $unsafes == 1 ]] || { echo "expected one unsafe block, found $unsafes" >&2; exit 1; }
+# ROADMAP item 4's bar: no source file of a crate over 1,200 lines.
+largest=$(find crates/*/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -rn | head -3)
+echo "largest files under crates/*/src:"
+echo "$largest"
+[[ $(awk 'NR == 1 {print $1}' <<<"$largest") -le 1200 ]] || { echo "a file under crates/*/src exceeds 1,200 lines" >&2; exit 1; }
 
 step "cargo fmt --check"
 cargo fmt --check

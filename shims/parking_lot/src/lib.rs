@@ -4,12 +4,47 @@
 //! vendors a minimal, API-compatible subset of `parking_lot` implemented
 //! over `std::sync`. Semantics match what the workspace relies on:
 //! non-poisoning mutexes/rwlocks (a panicked holder does not wedge later
-//! lockers) and a condvar whose `wait` takes the guard by `&mut`.
+//! lockers).
+//!
+//! One addition the real crate does not have: every guard made here is
+//! counted per thread ([`guards_held`]). `xlsm-sim` reads the count before
+//! each operation that gives up the run token, so a lock held across a sim
+//! wait panics at the wait instead of parking the next locker on an OS
+//! mutex the scheduler knows nothing about.
 
 #![deny(unsafe_code)]
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+
+thread_local! {
+    static GUARDS: Cell<u32> = const { Cell::new(0) };
+}
+
+/// How many [`MutexGuard`]s, [`RwLockReadGuard`]s and [`RwLockWriteGuard`]s
+/// are alive on the calling thread.
+pub fn guards_held() -> u32 {
+    GUARDS.with(Cell::get)
+}
+
+/// One count in [`guards_held`] for as long as it lives. Every guard owns
+/// one; the guards are `!Send`, so the thread that counts one up is the
+/// thread that counts it down.
+struct Held;
+
+impl Held {
+    fn new() -> Held {
+        GUARDS.with(|g| g.set(g.get() + 1));
+        Held
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        GUARDS.with(|g| g.set(g.get() - 1));
+    }
+}
 
 /// A mutual-exclusion primitive. Unlike `std::sync::Mutex`, locking never
 /// returns a poison error: a panic while holding the lock is ignored by
@@ -38,22 +73,27 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = match self.inner.lock() {
+        let inner = match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        MutexGuard { inner: Some(guard) }
+        MutexGuard {
+            inner,
+            _held: Held::new(),
+        }
     }
 
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            inner,
+            _held: Held::new(),
+        })
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -80,22 +120,22 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// RAII guard for [`Mutex`]. The inner `Option` exists so [`Condvar::wait`]
-/// can temporarily take the `std` guard by value and put it back.
+/// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
+    _held: Held,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.inner
     }
 }
 
@@ -130,20 +170,26 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let guard = match self.inner.read() {
+        let inner = match self.inner.read() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        RwLockReadGuard { inner: guard }
+        RwLockReadGuard {
+            inner,
+            _held: Held::new(),
+        }
     }
 
     /// Acquires exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let guard = match self.inner.write() {
+        let inner = match self.inner.write() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        RwLockWriteGuard { inner: guard }
+        RwLockWriteGuard {
+            inner,
+            _held: Held::new(),
+        }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -170,6 +216,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
 /// Shared-access RAII guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: std::sync::RwLockReadGuard<'a, T>,
+    _held: Held,
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
@@ -182,6 +229,7 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
 /// Exclusive-access RAII guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: std::sync::RwLockWriteGuard<'a, T>,
+    _held: Held,
 }
 
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
@@ -194,50 +242,6 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-/// A condition variable compatible with [`Mutex`]: `wait` reborrows the
-/// guard in place instead of consuming it.
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically releases the guard's mutex and blocks until notified,
-    /// re-acquiring the mutex before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present");
-        let inner = match self.inner.wait(inner) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        guard.inner = Some(inner);
-    }
-
-    /// Wakes one blocked waiter.
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    /// Wakes all blocked waiters.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
     }
 }
 
@@ -279,18 +283,21 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        *pair.0.lock() = true;
-        pair.1.notify_one();
-        t.join().unwrap();
+    fn every_guard_is_counted_while_it_lives() {
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        assert_eq!(guards_held(), 0);
+        let g = m.lock();
+        assert!(m.try_lock().is_none(), "a refused lock makes no guard");
+        let (r1, r2) = (l.read(), l.read());
+        assert_eq!(guards_held(), 3);
+        // The count is the thread's own.
+        assert_eq!(std::thread::spawn(guards_held).join().unwrap(), 0);
+        drop((g, r1, r2));
+        let w = l.write();
+        let t = m.try_lock();
+        assert_eq!(guards_held(), 2);
+        drop((w, t));
+        assert_eq!(guards_held(), 0);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Provides the subset of the rand 0.10-era API the workspace uses:
 //! [`rngs::SmallRng`] (xoshiro256++), [`SeedableRng::seed_from_u64`],
-//! the core [`Rng`] source trait, the [`RngExt`] convenience extension
-//! (`random`, `random_range`, `random_bool`), and
-//! [`distr::Distribution`].
+//! the core [`Rng`] source trait and the [`RngExt`] convenience extension
+//! (`random`, `random_range`, `random_bool`).
 
 #![deny(unsafe_code)]
 
@@ -109,15 +108,6 @@ pub trait RngExt: Rng {
 }
 
 impl<R: Rng + ?Sized> RngExt for R {}
-
-/// Distributions samplable with any RNG.
-pub mod distr {
-    /// A sampling distribution over values of `T`.
-    pub trait Distribution<T> {
-        /// Draws one value.
-        fn sample<R: crate::Rng + ?Sized>(&self, rng: &mut R) -> T;
-    }
-}
 
 /// Concrete generators.
 pub mod rngs {

@@ -71,7 +71,6 @@ fn device_speed_ordering_propagates_to_kv_reads() {
                 device as _,
                 FsOptions {
                     page_cache_pages: 1024, // 4 MiB vs ~8 MiB dataset
-                    ..FsOptions::default()
                 },
             );
             let db = Arc::new(
