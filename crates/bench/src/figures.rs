@@ -8,8 +8,7 @@ use std::time::Duration;
 use xlsm_core::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
 use xlsm_core::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
 use xlsm_core::report::{f, stall_breakdown_table, stall_timeline_table, Table};
-use xlsm_core::TwoStageThrottlePolicy;
-use xlsm_engine::{DbOptions, Ticker};
+use xlsm_engine::{DbOptions, ThrottlePolicy, Ticker};
 use xlsm_sim::Runtime;
 use xlsm_workload::{
     raw_mixed_kops, run_workload, BurstSpec, KeyDistribution, Sampler, WorkloadSpec,
@@ -412,7 +411,7 @@ pub fn fig18(cfg: &BenchConfig) -> Vec<Figure> {
     let two_stage = run_one(
         xpoint,
         DbOptions {
-            throttle_policy: Arc::new(TwoStageThrottlePolicy::new(16 << 20)),
+            throttle_policy: ThrottlePolicy::TwoStage { min_rate: 16 << 20 },
             ..DbOptions::default()
         },
         cfg,

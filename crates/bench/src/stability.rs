@@ -18,10 +18,12 @@
 //!   latency histogram (the summary type stops at p99).
 //!
 //! Policies swept: the three compaction schedulers (greedy baseline,
-//! round-robin, fair+shared-I/O-budget) and the paper's two case-study
-//! mechanisms (two-stage throttling, dynamic L0) — all members of
+//! round-robin, fair+shared-I/O-budget) and the paper's two-stage
+//! throttling (case study V-A) — all members of
 //! [`xlsm_core::StabilityPolicy`], so scheduler-side and foreground-side
-//! interventions land in the same table.
+//! interventions land in the same table. Dynamic Level-0 (V-B) is not
+//! swept: this workload never drops to 25 % writes, so its manager would
+//! never decide anything (EXPERIMENTS.md, "Performance stability").
 //!
 //! Fully deterministic: same seed ⇒ byte-identical JSON
 //! (`scripts/check.sh` runs the probe twice and diffs).
@@ -115,7 +117,6 @@ fn run_point(
         // Drain fill-phase controller transitions so the episode window
         // covers exactly the measured run.
         let _ = tb.db.metrics();
-        let companion = policy.attach(&tb.db);
 
         let spec = burst_spec(&cfg);
         let t0 = xlsm_sim::now_nanos();
@@ -191,7 +192,6 @@ fn run_point(
                 Cell::F3(vs_baseline(cv, greedy.map(|g| g.cv))),
             ),
         ];
-        companion.stop();
         (row, own)
     })
 }

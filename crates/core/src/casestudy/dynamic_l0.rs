@@ -84,6 +84,10 @@ impl DynamicL0Manager {
     /// write-intensive phase gets many small files (cheap memtable inserts,
     /// fewer compaction runs), a read-intensive phase gets few large files
     /// (fewer per-file probes on the read path) — Section V-B.
+    ///
+    /// The file count it installs as the compaction trigger never exceeds
+    /// the database's `level0_slowdown_writes_trigger`: a trigger above it
+    /// would delay writes while no Level-0 compaction is eligible yet.
     pub fn start(db: Arc<Db>, cfg: DynamicL0Config) -> DynamicL0Manager {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -91,6 +95,10 @@ impl DynamicL0Manager {
             let mut decisions = Vec::new();
             let mut last_gets = db.stats().ticker(Ticker::Gets);
             let mut last_puts = db.stats().ticker(Ticker::Puts);
+            let max_files = db.options().level0_slowdown_writes_trigger;
+            // What the manager last asked for; the database's own values
+            // until its first decision.
+            let mut asked = (db.write_buffer_size(), db.l0_compaction_trigger());
             while !stop2.load(Ordering::Relaxed) {
                 xlsm_sim::sleep_nanos(cfg.sample_interval_nanos);
                 let gets = db.stats().ticker(Ticker::Gets);
@@ -104,11 +112,12 @@ impl DynamicL0Manager {
                 }
                 let wf = dp as f64 / (dg + dp) as f64;
                 let target = Self::target_bytes(&cfg, wf);
-                let files = Self::target_files(&cfg, wf) as usize;
-                if target != db.write_buffer_size() || files != db.l0_compaction_trigger() {
+                let files = (Self::target_files(&cfg, wf) as usize).min(max_files);
+                if (target, files) != asked {
                     db.set_write_buffer_size(target);
                     db.set_l0_compaction_trigger(files);
                     decisions.push((xlsm_sim::now_nanos(), target));
+                    asked = (target, files);
                 }
             }
             decisions
@@ -194,6 +203,39 @@ mod tests {
             );
             let log = mgr.stop();
             assert!(log.len() >= 2);
+            db.close();
+        });
+    }
+
+    /// The paper's 24 write-heavy files sit above the default slowdown
+    /// trigger (20): installed unclamped, writes would be delayed from 20
+    /// files while no Level-0 compaction is eligible before 24.
+    #[test]
+    fn compaction_trigger_stays_at_or_below_the_slowdown_trigger() {
+        Runtime::new().run(|| {
+            let fs = SimFs::new(
+                SimDevice::shared(profiles::optane_900p()),
+                FsOptions::default(),
+            );
+            let db = Arc::new(Db::open(fs, DbOptions::default()).unwrap());
+            let cfg = DynamicL0Config::default();
+            let mgr = DynamicL0Manager::start(Arc::clone(&db), cfg);
+            // Three write-heavy sampling intervals.
+            for round in 0..3u32 {
+                for i in 0..60u32 {
+                    db.put(format!("w{round}-{i}").as_bytes(), b"v").unwrap();
+                }
+                xlsm_sim::sleep_nanos(cfg.sample_interval_nanos);
+            }
+            assert_eq!(db.write_buffer_size(), 512 << 10, "write-heavy target");
+            assert!(
+                db.l0_compaction_trigger() <= db.options().level0_slowdown_writes_trigger,
+                "compaction trigger {} parked behind the slowdown trigger {}",
+                db.l0_compaction_trigger(),
+                db.options().level0_slowdown_writes_trigger
+            );
+            // The clamped target is one standing decision, not one per tick.
+            assert_eq!(mgr.stop().len(), 1);
             db.close();
         });
     }

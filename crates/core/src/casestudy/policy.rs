@@ -1,24 +1,21 @@
 //! The **stability-policy family**: one enum naming every performance-
-//! stability intervention studied by the suite, so the benches and figure
-//! harnesses can sweep them uniformly.
+//! stability intervention the stability probe sweeps, so the benches and
+//! figure harnesses can sweep them uniformly.
 //!
-//! The paper's two case-study mechanisms (two-stage throttling of V-A and
-//! dynamic Level-0 management of V-B) attack write-stall instability from
-//! the *foreground* side — pacing writers or resizing the memtable. The
-//! scheduler work re-expresses them as members of a wider family that also
-//! includes *background* interventions: which level the compactor services
-//! next ([`xlsm_engine::scheduler::CompactionScheduler`]) and how fast the
-//! background I/O may run ([`xlsm_engine::scheduler::BgIoLimiter`]).
+//! The paper's case study V-A (two-stage throttling) attacks write-stall
+//! instability from the *foreground* side — pacing writers. The scheduler
+//! work puts it in a wider family that also includes *background*
+//! interventions: which level the compactor services next
+//! ([`xlsm_engine::CompactionScheduler`]) and how fast the background I/O
+//! may run ([`xlsm_engine::BgIoLimiter`]).
 //!
-//! Each variant knows how to configure a fresh database
-//! ([`StabilityPolicy::apply`]) and, for policies that need a live
-//! companion thread, how to attach one ([`StabilityPolicy::attach`]).
+//! Every member is fully described by its options
+//! ([`StabilityPolicy::apply`]). Case study V-B (dynamic Level-0
+//! management) is not a member: under the probe's write-heavy bursts its
+//! manager never has a decision to make (see EXPERIMENTS.md); it is
+//! measured where it acts, by [`super::dynamic_l0`] and Fig. 19.
 
-use std::sync::Arc;
-use xlsm_engine::{Db, DbOptions, FairScheduler, GreedyScheduler, RoundRobinScheduler};
-
-use super::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
-use super::two_stage::TwoStageThrottlePolicy;
+use xlsm_engine::{CompactionScheduler, DbOptions, ThrottlePolicy};
 
 /// Background I/O budget granted to the [`StabilityPolicy::Fair`] variant,
 /// in bytes per second of virtual time. Chosen to sit above the steady
@@ -30,8 +27,9 @@ use super::two_stage::TwoStageThrottlePolicy;
 /// instead of wedging the LSM.
 pub const FAIR_BG_IO_RATE: u64 = 256 << 20;
 
-/// Stage-1 rate floor handed to [`TwoStageThrottlePolicy`] (bytes/s),
-/// matching the value used by the V-A case-study harness.
+/// Stage-1 rate floor of [`ThrottlePolicy::TwoStage`] in the stability sweep
+/// (bytes/s): half the default `delayed_write_rate`. Fig. 18's own harness
+/// floors at the full 16 MiB/s.
 pub const TWO_STAGE_MIN_RATE: u64 = 8 << 20;
 
 /// One member of the stability-policy family.
@@ -50,20 +48,15 @@ pub enum StabilityPolicy {
     /// Case study V-A: two-stage throttling (foreground-side), greedy
     /// compaction picking.
     TwoStage,
-    /// Case study V-B: dynamic Level-0 management (foreground-side), greedy
-    /// compaction picking. Requires [`StabilityPolicy::attach`] on the open
-    /// database.
-    DynamicL0,
 }
 
 impl StabilityPolicy {
     /// Every member, in the order the stability tables report them.
-    pub const ALL: [StabilityPolicy; 5] = [
+    pub const ALL: [StabilityPolicy; 4] = [
         StabilityPolicy::Greedy,
         StabilityPolicy::RoundRobin,
         StabilityPolicy::Fair,
         StabilityPolicy::TwoStage,
-        StabilityPolicy::DynamicL0,
     ];
 
     /// Stable identifier used in reports and JSON output.
@@ -73,76 +66,29 @@ impl StabilityPolicy {
             StabilityPolicy::RoundRobin => "round-robin",
             StabilityPolicy::Fair => "fair",
             StabilityPolicy::TwoStage => "two-stage",
-            StabilityPolicy::DynamicL0 => "dynamic-l0",
         }
     }
 
-    /// Configures `opts` for this policy. Builds a **fresh** scheduler for
-    /// every call: schedulers are stateful (cursors, banked credits), so
-    /// sharing one `Arc` across databases would leak scheduling state
-    /// between runs and break run-to-run determinism.
+    /// Configures `opts` for this policy.
     pub fn apply(self, opts: &mut DbOptions) {
         match self {
             StabilityPolicy::Greedy => {
-                opts.compaction_scheduler = Arc::new(GreedyScheduler);
+                opts.compaction_scheduler = CompactionScheduler::Greedy;
             }
             StabilityPolicy::RoundRobin => {
-                opts.compaction_scheduler = Arc::new(RoundRobinScheduler::default());
+                opts.compaction_scheduler = CompactionScheduler::RoundRobin;
             }
             StabilityPolicy::Fair => {
-                opts.compaction_scheduler = Arc::new(FairScheduler::default());
+                opts.compaction_scheduler = CompactionScheduler::Fair;
                 opts.bg_io_rate_bytes_per_sec = FAIR_BG_IO_RATE;
                 opts.bg_io_auto_tune = true;
             }
             StabilityPolicy::TwoStage => {
-                opts.compaction_scheduler = Arc::new(GreedyScheduler);
-                opts.throttle_policy = Arc::new(TwoStageThrottlePolicy::new(TWO_STAGE_MIN_RATE));
-            }
-            StabilityPolicy::DynamicL0 => {
-                opts.compaction_scheduler = Arc::new(GreedyScheduler);
-            }
-        }
-    }
-
-    /// Attaches any live companion the policy needs to the open database.
-    /// Only [`StabilityPolicy::DynamicL0`] starts one (the V-B manager
-    /// thread); every other variant is fully described by its options.
-    ///
-    /// The manager's geometry is derived from the database's own: the
-    /// aggregate Level-0 volume is the configured trigger × memtable size,
-    /// write-heavy phases keep the configured file count, read-heavy phases
-    /// consolidate to a quarter of it. Deriving (rather than using the
-    /// paper's absolute 24/6 split) keeps the manager's file-count targets
-    /// below the stall triggers on any geometry — a target *above*
-    /// `level0_stop_writes_trigger` would stop writes before compaction
-    /// ever became eligible and wedge the database.
-    pub fn attach(self, db: &Arc<Db>) -> PolicyRuntime {
-        match self {
-            StabilityPolicy::DynamicL0 => {
-                let trigger = (db.l0_compaction_trigger() as u64).max(1);
-                let cfg = DynamicL0Config {
-                    aggregate_l0_bytes: db.write_buffer_size() as u64 * trigger,
-                    files_when_write_heavy: trigger,
-                    files_when_read_heavy: (trigger / 4).max(1),
-                    ..DynamicL0Config::default()
+                opts.compaction_scheduler = CompactionScheduler::Greedy;
+                opts.throttle_policy = ThrottlePolicy::TwoStage {
+                    min_rate: TWO_STAGE_MIN_RATE,
                 };
-                PolicyRuntime(Some(DynamicL0Manager::start(Arc::clone(db), cfg)))
             }
-            _ => PolicyRuntime(None),
-        }
-    }
-}
-
-/// A running policy companion; [`PolicyRuntime::stop`] it before closing
-/// the database.
-#[derive(Debug)]
-pub struct PolicyRuntime(Option<DynamicL0Manager>);
-
-impl PolicyRuntime {
-    /// Stops the companion thread, if any.
-    pub fn stop(self) {
-        if let Some(mgr) = self.0 {
-            let _ = mgr.stop();
         }
     }
 }
@@ -157,11 +103,11 @@ mod tests {
             let mut opts = DbOptions::default();
             policy.apply(&mut opts);
             let expect = match policy {
-                StabilityPolicy::RoundRobin => "round-robin",
-                StabilityPolicy::Fair => "fair",
-                _ => "greedy",
+                StabilityPolicy::RoundRobin => CompactionScheduler::RoundRobin,
+                StabilityPolicy::Fair => CompactionScheduler::Fair,
+                _ => CompactionScheduler::Greedy,
             };
-            assert_eq!(opts.compaction_scheduler.name(), expect, "{policy:?}");
+            assert_eq!(opts.compaction_scheduler, expect, "{policy:?}");
         }
     }
 
@@ -185,7 +131,12 @@ mod tests {
     fn two_stage_installs_the_case_study_throttle() {
         let mut opts = DbOptions::default();
         StabilityPolicy::TwoStage.apply(&mut opts);
-        assert_eq!(opts.throttle_policy.name(), "two-stage");
+        assert_eq!(
+            opts.throttle_policy,
+            ThrottlePolicy::TwoStage {
+                min_rate: TWO_STAGE_MIN_RATE
+            }
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   (Equations 1–2): predicted application-level throughput once the write
 //!   controller engages, explaining why throttled throughput collapses to a
 //!   hardware-independent level.
-//! * [`casestudy::two_stage`] — case study V-A: the two-stage throttling
-//!   policy that removes the near-stop situation under periodic write
-//!   bursts.
+//! * case study V-A, the two-stage throttling policy that removes the
+//!   near-stop situation under periodic write bursts, is one decision of
+//!   the engine's write controller (`ThrottlePolicy::TwoStage`);
+//!   [`casestudy::policy`] sweeps it next to the compaction schedulers.
 //! * [`casestudy::dynamic_l0`] — case study V-B: dynamic Level-0 management
 //!   that adapts memtable/L0-file size to the observed read/write ratio
 //!   (+13 % throughput at 90 % reads in the paper).
@@ -29,7 +30,6 @@ pub mod model;
 pub mod report;
 
 pub use casestudy::dynamic_l0::DynamicL0Manager;
-pub use casestudy::policy::{PolicyRuntime, StabilityPolicy};
-pub use casestudy::two_stage::TwoStageThrottlePolicy;
+pub use casestudy::policy::StabilityPolicy;
 pub use experiment::{scaled_fs_options, Testbed};
 pub use model::throttled_throughput_kops;

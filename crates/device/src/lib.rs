@@ -47,26 +47,3 @@ pub use stats::DeviceSnapshot;
 
 /// The unit of device addressing: one 4-KiB logical page.
 pub const PAGE_SIZE: usize = 4096;
-
-/// Converts a byte count to a page count, rounding up.
-pub fn pages_for_bytes(bytes: usize) -> u32 {
-    if bytes == 0 {
-        0
-    } else {
-        bytes.div_ceil(PAGE_SIZE) as u32
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pages_for_bytes_rounds_up() {
-        assert_eq!(pages_for_bytes(0), 0);
-        assert_eq!(pages_for_bytes(1), 1);
-        assert_eq!(pages_for_bytes(4096), 1);
-        assert_eq!(pages_for_bytes(4097), 2);
-        assert_eq!(pages_for_bytes(1 << 20), 256);
-    }
-}

@@ -81,11 +81,6 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// Returns the capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_pages * PAGE_SIZE as u64
-    }
-
     /// Overrides the capacity (in bytes, rounded down to whole pages).
     pub fn with_capacity_bytes(mut self, bytes: u64) -> DeviceProfile {
         self.capacity_pages = bytes / PAGE_SIZE as u64;

@@ -529,13 +529,14 @@ impl DbInner {
             let version = self.versions.current();
             let in_progress = self.in_compaction.lock();
             let mut cursors = self.cursors.lock();
+            let mut level_picker = self.level_picker.lock();
             pick_compaction(
                 &version,
                 &self.opts,
                 self.dynamic.l0_compaction_trigger(),
                 &in_progress,
                 &mut cursors,
-                &*self.opts.compaction_scheduler,
+                &mut level_picker,
                 &fits,
             )
         };

@@ -1,8 +1,8 @@
 //! Leveled compaction: picking and execution.
 //!
-//! *Which level* gets serviced is delegated to a pluggable
-//! [`CompactionScheduler`] consulted with the per-level scores; *what* is
-//! compacted within the chosen level is fixed policy:
+//! *Which level* gets serviced is the database's [`LevelPicker`], consulted
+//! with the per-level scores; *what* is compacted within the chosen level
+//! is fixed policy:
 //!
 //! * **L0 → L1**: all Level-0 files (their ranges overlap) merge with the
 //!   overlapping L1 files.
@@ -20,7 +20,7 @@ use crate::costs;
 use crate::error::DbResult;
 use crate::iterator::{InternalIterator, LevelIterator, MergingIterator};
 use crate::options::DbOptions;
-use crate::scheduler::CompactionScheduler;
+use crate::scheduler::LevelPicker;
 use crate::sst::{sst_file_name, TableBuilder, TableOptions};
 use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
@@ -101,13 +101,13 @@ impl CompactionCursors {
     }
 }
 
-/// Picks the next compaction as directed by `scheduler`, or `None` when no
-/// level is eligible or every eligible level's candidate files are busy.
+/// Picks the next compaction as directed by `level_picker`, or `None` when
+/// no level is eligible or every eligible level's candidate files are busy.
 ///
-/// The scheduler is consulted with the per-level scores; if the level it
+/// The picker is consulted with the per-level scores; if the level it
 /// chooses cannot form a compaction right now (conflict with `in_progress`,
 /// or the formed task is rejected by `fits` — the space manager's headroom
-/// check), that level's score is masked to 0 and the scheduler is asked
+/// check), that level's score is masked to 0 and the picker is asked
 /// again, so one blocked level never idles the background workers while
 /// another has serviceable (and perhaps smaller) debt. A `fits`-rejected
 /// pick still advances that level's cursor, so the next lap tries the
@@ -119,12 +119,12 @@ pub fn pick_compaction(
     l0_trigger: usize,
     in_progress: &HashSet<u64>,
     cursors: &mut CompactionCursors,
-    scheduler: &dyn CompactionScheduler,
+    level_picker: &mut LevelPicker,
     fits: &dyn Fn(&CompactionTask) -> bool,
 ) -> Option<CompactionTask> {
     let mut scores = version.level_scores(opts, l0_trigger);
     loop {
-        let level = scheduler.pick_level(&scores)?;
+        let level = level_picker.pick_level(&scores)?;
         if let Some(task) = pick_at_level(version, level, in_progress, cursors) {
             if fits(&task) {
                 return Some(task);
@@ -514,7 +514,7 @@ fn merge_range(
 mod tests {
     use super::*;
     use crate::db::tests::{open_db, small_opts};
-    use crate::scheduler::GreedyScheduler;
+    use crate::scheduler::CompactionScheduler;
     use crate::types::make_internal_key;
     use xlsm_sim::Runtime;
 
@@ -530,7 +530,7 @@ mod tests {
             opts.level0_file_num_compaction_trigger,
             busy,
             cursors,
-            &GreedyScheduler,
+            &mut LevelPicker::new(CompactionScheduler::Greedy),
             &|_| true,
         )
     }

@@ -11,9 +11,20 @@
 //! * each delayed write sleeps per `DELAYWRITE` (Algorithm 1 lines 17–31)
 //!   with `refill_interval = 1024 µs`.
 //!
-//! The *policy* deciding which stall level applies is pluggable via
-//! [`ThrottlePolicy`]; the paper's case study V-A installs a two-stage
-//! policy (see `xlsm-core`) without touching this mechanism.
+//! *Which* stall level applies is the closed choice [`ThrottlePolicy`]:
+//! the original single-stage policy, the paper's case study V-A
+//! (**two-stage throttling**, which removes the near-stop situation) or no
+//! Level-0 throttling at all. The original policy jumps straight from "no
+//! throttling" to the full adaptive Algorithm 1 at
+//! `level0_slowdown_writes_trigger`, letting the adaptive rate spiral down
+//! to a few kop/s during periodic write bursts (the "flash of crowd"
+//! near-stop in Fig. 5/18). The two-stage variant:
+//!
+//! * **Stage 1 — slight throttling**: at the slowdown trigger, rate-limit
+//!   conservatively, never below a user-set floor (`min_rate`).
+//! * **Stage 2 — aggressive throttling**: only when L0 grows past
+//!   `(slowdown_threshold + stop_threshold) / 2` does the full Algorithm 1
+//!   adaptation apply.
 
 use crate::options::DbOptions;
 use crate::stall::{StallAccounting, StallCause, StallEvent};
@@ -46,12 +57,6 @@ pub struct StallSignals {
     /// Cumulative bytes processed by flush + compaction (the source of
     /// Algorithm 1's per-interval `Prev_Bytes`).
     pub compacted_bytes: u64,
-    /// Background-I/O budget currently in effect (bytes per virtual second,
-    /// 0 = unthrottled — see [`crate::scheduler::BgIoLimiter`]). The stock
-    /// policies ignore it; a custom [`ThrottlePolicy`] can use it to
-    /// coordinate foreground pacing with the background budget instead of
-    /// reacting to L0 shape alone.
-    pub bg_io_budget_bytes_per_sec: u64,
 }
 
 /// The stall level a policy selects.
@@ -83,61 +88,53 @@ impl StallLevel {
     }
 }
 
-/// Chooses a [`StallLevel`] from the signals. Implementations must be cheap
-/// and non-blocking.
-pub trait ThrottlePolicy: Send + Sync {
+/// Chooses a [`StallLevel`] from the signals — the one decision the
+/// paper's case study V-A changes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ThrottlePolicy {
+    /// RocksDB 5.17's original single-stage policy.
+    #[default]
+    Original,
+    /// The two-stage policy of Section V-A.
+    TwoStage {
+        /// Stage-1 rate floor in bytes/s ("the maximum acceptable
+        /// delayed_write_rate").
+        min_rate: u64,
+    },
+    /// Never throttles on Level-0 shape (ablation baseline).
+    Off,
+}
+
+impl ThrottlePolicy {
+    /// The stage-2 threshold of [`ThrottlePolicy::TwoStage`]:
+    /// `(slowdown + stop) / 2`.
+    pub fn stage2_threshold(opts: &DbOptions) -> usize {
+        (opts.level0_slowdown_writes_trigger + opts.level0_stop_writes_trigger) / 2
+    }
+
     /// Evaluates the current stall level.
-    fn evaluate(&self, sig: &StallSignals, opts: &DbOptions) -> StallLevel;
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-}
-
-impl fmt::Debug for dyn ThrottlePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ThrottlePolicy({})", self.name())
-    }
-}
-
-/// RocksDB 5.17's original single-stage policy.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OriginalThrottlePolicy;
-
-impl ThrottlePolicy for OriginalThrottlePolicy {
-    fn evaluate(&self, sig: &StallSignals, opts: &DbOptions) -> StallLevel {
-        if sig.memtables >= opts.max_write_buffer_number {
-            return StallLevel::Stop;
-        }
-        if sig.l0_files >= opts.level0_stop_writes_trigger {
-            return StallLevel::Stop;
-        }
-        if sig.l0_files >= opts.level0_slowdown_writes_trigger {
-            return StallLevel::Delay;
-        }
-        StallLevel::Clear
-    }
-
-    fn name(&self) -> &'static str {
-        "original"
-    }
-}
-
-/// A policy that never throttles (ablation baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoThrottlePolicy;
-
-impl ThrottlePolicy for NoThrottlePolicy {
-    fn evaluate(&self, sig: &StallSignals, opts: &DbOptions) -> StallLevel {
+    pub fn evaluate(self, sig: &StallSignals, opts: &DbOptions) -> StallLevel {
         // Memtable stop cannot be disabled: the write path has nowhere to
         // put data without a mutable memtable.
         if sig.memtables >= opts.max_write_buffer_number {
-            StallLevel::Stop
-        } else {
-            StallLevel::Clear
+            return StallLevel::Stop;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
+        if self == ThrottlePolicy::Off {
+            return StallLevel::Clear;
+        }
+        let l0 = sig.l0_files;
+        if l0 >= opts.level0_stop_writes_trigger {
+            return StallLevel::Stop;
+        }
+        if l0 < opts.level0_slowdown_writes_trigger {
+            return StallLevel::Clear;
+        }
+        match self {
+            ThrottlePolicy::TwoStage { min_rate } if l0 < Self::stage2_threshold(opts) => {
+                StallLevel::GentleDelay { min_rate }
+            }
+            _ => StallLevel::Delay,
+        }
     }
 }
 
@@ -165,7 +162,6 @@ pub struct ControllerSnapshot {
 
 /// The write controller instance owned by a database.
 pub struct WriteController {
-    policy: Arc<dyn ThrottlePolicy>,
     init_rate: u64,
     state: parking_lot::Mutex<CtlState>,
     stopped: WaitSet,
@@ -182,7 +178,6 @@ impl fmt::Debug for WriteController {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.state.lock();
         f.debug_struct("WriteController")
-            .field("policy", &self.policy.name())
             .field("level", &s.level)
             .field("rate", &s.rate)
             .finish()
@@ -190,10 +185,9 @@ impl fmt::Debug for WriteController {
 }
 
 impl WriteController {
-    /// Creates a controller with the policy and initial rate from `opts`.
+    /// Creates a controller with the initial rate from `opts`.
     pub fn new(opts: &DbOptions) -> WriteController {
         WriteController {
-            policy: Arc::clone(&opts.throttle_policy),
             init_rate: opts.delayed_write_rate,
             state: parking_lot::Mutex::new(CtlState {
                 level: StallLevel::Clear,
@@ -249,7 +243,7 @@ impl WriteController {
     ///
     /// Returns the new level.
     pub fn update(&self, sig: &StallSignals, opts: &DbOptions) -> StallLevel {
-        let new_level = self.policy.evaluate(sig, opts);
+        let new_level = opts.throttle_policy.evaluate(sig, opts);
         let mut wake = false;
         let mut event = None;
         {
@@ -435,7 +429,7 @@ mod tests {
     #[test]
     fn original_policy_thresholds() {
         let opts = DbOptions::default(); // max_write_buffer_number = 2
-        let p = OriginalThrottlePolicy;
+        let p = ThrottlePolicy::Original;
         assert_eq!(p.evaluate(&sig(0, 0, 0), &opts), StallLevel::Clear);
         assert_eq!(p.evaluate(&sig(19, 1, 0), &opts), StallLevel::Clear);
         assert_eq!(p.evaluate(&sig(20, 1, 0), &opts), StallLevel::Delay);
@@ -444,6 +438,37 @@ mod tests {
         // maximum, not only once it exceeds it.
         assert_eq!(p.evaluate(&sig(0, 2, 0), &opts), StallLevel::Stop);
         assert_eq!(p.evaluate(&sig(0, 3, 0), &opts), StallLevel::Stop);
+    }
+
+    #[test]
+    fn stages_follow_thresholds() {
+        let opts = DbOptions::default(); // slowdown 20, stop 36 → stage2 at 28
+        let p = ThrottlePolicy::TwoStage { min_rate: 8 << 20 };
+        assert_eq!(p.evaluate(&sig(10, 1, 0), &opts), StallLevel::Clear);
+        assert_eq!(
+            p.evaluate(&sig(20, 1, 0), &opts),
+            StallLevel::GentleDelay { min_rate: 8 << 20 }
+        );
+        assert_eq!(
+            p.evaluate(&sig(27, 1, 0), &opts),
+            StallLevel::GentleDelay { min_rate: 8 << 20 }
+        );
+        assert_eq!(p.evaluate(&sig(28, 1, 0), &opts), StallLevel::Delay);
+        assert_eq!(p.evaluate(&sig(36, 1, 0), &opts), StallLevel::Stop);
+    }
+
+    #[test]
+    fn memtable_pressure_still_stops() {
+        let opts = DbOptions::default();
+        let p = ThrottlePolicy::TwoStage { min_rate: 1 };
+        // Stops when the unflushed memtable count reaches the maximum.
+        assert_eq!(p.evaluate(&sig(0, 2, 0), &opts), StallLevel::Stop);
+    }
+
+    #[test]
+    fn stage2_threshold_matches_paper_formula() {
+        let opts = DbOptions::default();
+        assert_eq!(ThrottlePolicy::stage2_threshold(&opts), 28);
     }
 
     #[test]
@@ -456,7 +481,6 @@ mod tests {
                 memtables: 1,
                 pending_compaction_bytes: pending,
                 compacted_bytes: compacted,
-                ..StallSignals::default()
             };
             c.update(&sig_p(100 << 20, 0), &opts); // enter Delay at init rate
             let r0 = c.snapshot().delayed_write_rate;
@@ -618,7 +642,6 @@ mod tests {
                 memtables: 1,
                 pending_compaction_bytes: pending,
                 compacted_bytes: compacted,
-                ..StallSignals::default()
             };
             c.update(&sig_p(100 << 20, 0), &opts); // enter Delay
             c.update(&sig_p(100 << 20, 1 << 20), &opts); // rate ×0.8
@@ -684,22 +707,8 @@ mod tests {
                 memtables: 1,
                 ..StallSignals::default()
             };
-            // Hand-roll a gentle policy by driving update with a custom policy.
-            struct Gentle(u64);
-            impl ThrottlePolicy for Gentle {
-                fn evaluate(&self, s: &StallSignals, o: &DbOptions) -> StallLevel {
-                    if s.l0_files >= o.level0_slowdown_writes_trigger {
-                        StallLevel::GentleDelay { min_rate: self.0 }
-                    } else {
-                        StallLevel::Clear
-                    }
-                }
-                fn name(&self) -> &'static str {
-                    "gentle-test"
-                }
-            }
             let opts_g = DbOptions {
-                throttle_policy: Arc::new(Gentle(min_rate)),
+                throttle_policy: ThrottlePolicy::TwoStage { min_rate },
                 ..DbOptions::default()
             };
             let cg = WriteController::new(&opts_g);
@@ -712,7 +721,6 @@ mod tests {
                         memtables: 1,
                         pending_compaction_bytes: 1 << 30,
                         compacted_bytes: 1000 * (i + 1),
-                        ..StallSignals::default()
                     },
                     &opts_g,
                 );
@@ -727,7 +735,6 @@ mod tests {
                         memtables: 1,
                         pending_compaction_bytes: 1 << 30,
                         compacted_bytes: 1000 * (i + 1),
-                        ..StallSignals::default()
                     },
                     &opts,
                 );

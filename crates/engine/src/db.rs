@@ -13,7 +13,7 @@ use crate::error::{DbError, DbResult};
 use crate::memtable::MemTable;
 use crate::options::DbOptions;
 use crate::recovery;
-use crate::scheduler::BgIoLimiter;
+use crate::scheduler::{BgIoLimiter, LevelPicker};
 use crate::space::{DeleteScheduler, SpaceManager};
 use crate::stall::PreprocessStalls;
 use crate::stats::{DbStats, Metrics, Ticker};
@@ -127,6 +127,9 @@ pub(crate) struct DbInner {
     pub(crate) compact_queued: AtomicUsize,
     pub(crate) in_compaction: parking_lot::Mutex<HashSet<u64>>,
     pub(crate) cursors: parking_lot::Mutex<CompactionCursors>,
+    /// Which level compacts next (`compaction_scheduler`) and what that
+    /// policy remembers between picks.
+    pub(crate) level_picker: parking_lot::Mutex<LevelPicker>,
     pub(crate) obsolete: parking_lot::Mutex<Vec<u64>>,
     pub(crate) bg: ErrorHandler,
     /// Background scrubber position (see `DbInner::scrub_one`).
@@ -183,17 +186,14 @@ impl DbInner {
                 .pending_compaction_bytes(&self.opts, self.dynamic.l0_compaction_trigger()),
             compacted_bytes: self.stats.ticker(Ticker::FlushBytes)
                 + self.stats.ticker(Ticker::CompactWriteBytes),
-            bg_io_budget_bytes_per_sec: self.io_limiter.current_rate(),
         }
     }
 
     pub(crate) fn update_stall_conditions(&self) {
-        let mut sig = self.stall_signals();
+        let sig = self.stall_signals();
         // Auto-tune the background budget from the debt this update
-        // measured, so the signals handed to the throttle policy carry the
-        // budget actually in effect.
+        // measured.
         self.io_limiter.retune(sig.pending_compaction_bytes);
-        sig.bg_io_budget_bytes_per_sec = self.io_limiter.current_rate();
         self.controller.update(&sig, &self.opts);
     }
 
@@ -483,6 +483,7 @@ impl Db {
             compact_queued: AtomicUsize::new(0),
             in_compaction: parking_lot::Mutex::new(HashSet::new()),
             cursors: parking_lot::Mutex::new(CompactionCursors::new(NUM_LEVELS)),
+            level_picker: parking_lot::Mutex::new(LevelPicker::new(opts.compaction_scheduler)),
             obsolete: parking_lot::Mutex::new(Vec::new()),
             bg: ErrorHandler::new(),
             scrub: parking_lot::Mutex::new(ScrubState::default()),
@@ -803,11 +804,6 @@ impl Db {
     /// The options this database was opened with.
     pub fn options(&self) -> &DbOptions {
         &self.inner.opts
-    }
-
-    /// The filesystem hosting the SSTs.
-    pub fn fs(&self) -> &Arc<SimFs> {
-        &self.inner.fs
     }
 
     /// Block cache counters `(hits, misses)`.

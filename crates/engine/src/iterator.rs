@@ -5,7 +5,7 @@ use crate::sst::TableIterator;
 use crate::stats::DbStats;
 use crate::table_cache::TableCache;
 use crate::types::{self, compare_internal, SequenceNumber, ValueType};
-use crate::version::FileMetaData;
+use crate::version::{FileMetaData, Version};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -224,30 +224,42 @@ impl InternalIterator for MergingIterator {
     }
 }
 
-/// User-facing scan cursor: resolves versions and tombstones at a snapshot.
-pub struct DbIterator {
+/// User-facing scan cursor, returned by [`crate::Db::scan`] and
+/// [`crate::Db::scan_prefix`]: resolves versions and tombstones at a
+/// snapshot.
+pub struct DbScanner {
     inner: MergingIterator,
     snapshot: SequenceNumber,
     /// Current user-visible entry.
     entry: Option<(Vec<u8>, Vec<u8>)>,
+    /// The version the table children read from, held alive so compaction
+    /// cannot delete the files underneath the cursor.
+    pub(crate) version: Option<Arc<Version>>,
+    /// Exclusive user-key upper bound (`None` = unbounded); set by
+    /// [`crate::Db::scan_prefix`] so the cursor ends exactly where the
+    /// prefix does.
+    pub(crate) upper_bound: Option<Vec<u8>>,
 }
 
-impl std::fmt::Debug for DbIterator {
+impl std::fmt::Debug for DbScanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DbIterator")
+        f.debug_struct("DbScanner")
             .field("snapshot", &self.snapshot)
-            .field("valid", &self.entry.is_some())
+            .field("valid", &self.valid())
             .finish()
     }
 }
 
-impl DbIterator {
-    /// Wraps a merged internal iterator at `snapshot`.
-    pub fn new(inner: MergingIterator, snapshot: SequenceNumber) -> DbIterator {
-        DbIterator {
+impl DbScanner {
+    /// Wraps a merged internal iterator at `snapshot`, unbounded and
+    /// pinning no version.
+    pub fn new(inner: MergingIterator, snapshot: SequenceNumber) -> DbScanner {
+        DbScanner {
             inner,
             snapshot,
             entry: None,
+            version: None,
+            upper_bound: None,
         }
     }
 
@@ -308,9 +320,14 @@ impl DbIterator {
         Ok(self.valid())
     }
 
-    /// Whether positioned on a visible entry.
+    /// Whether positioned on a visible entry (inside the upper bound, if
+    /// any).
     pub fn valid(&self) -> bool {
-        self.entry.is_some()
+        self.entry.as_ref().is_some_and(|(key, _)| {
+            self.upper_bound
+                .as_deref()
+                .is_none_or(|upper| key.as_slice() < upper)
+        })
     }
 
     /// Current user key.
@@ -397,7 +414,7 @@ mod tests {
             (b"b", 6, ValueType::Deletion, b""),
             (b"c", 3, ValueType::Value, b"c3"),
         ]);
-        let mut it = DbIterator::new(MergingIterator::new(vec![src]), 100);
+        let mut it = DbScanner::new(MergingIterator::new(vec![src]), 100);
         assert!(it.seek_to_first().unwrap());
         assert_eq!((it.key(), it.value()), (&b"a"[..], &b"a5"[..]));
         assert!(it.next().unwrap());
@@ -412,7 +429,7 @@ mod tests {
             (b"a", 5, ValueType::Value, b"a5"),
             (b"b", 6, ValueType::Value, b"b6"),
         ]);
-        let mut it = DbIterator::new(MergingIterator::new(vec![src]), 4);
+        let mut it = DbScanner::new(MergingIterator::new(vec![src]), 4);
         assert!(it.seek_to_first().unwrap());
         assert_eq!((it.key(), it.value()), (&b"a"[..], &b"a1"[..]));
         assert!(!it.next().unwrap(), "b@6 is invisible at snapshot 4");
@@ -425,7 +442,7 @@ mod tests {
             (b"b", 2, ValueType::Deletion, b""),
             (b"c", 3, ValueType::Value, b"cv"),
         ]);
-        let mut it = DbIterator::new(MergingIterator::new(vec![src]), 100);
+        let mut it = DbScanner::new(MergingIterator::new(vec![src]), 100);
         assert!(it.seek(b"b").unwrap());
         assert_eq!(it.key(), b"c");
     }

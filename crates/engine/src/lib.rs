@@ -11,10 +11,11 @@
 //!   ([`bloom`]), and a sharded decoded-block [`cache`];
 //! * leveled compaction with overlapping Level-0 semantics ([`version`],
 //!   [`compaction`]);
-//! * the **write controller of Algorithm 1** ([`controller`]) with a
-//!   pluggable [`controller::ThrottlePolicy`];
-//! * **pluggable compaction scheduling** ([`scheduler`]): greedy /
-//!   round-robin / fair (deficit-based) level pickers behind
+//! * the **write controller of Algorithm 1** ([`controller`]), its stall
+//!   decision one of [`controller::ThrottlePolicy`] (original, the paper's
+//!   two-stage case study V-A, off);
+//! * **compaction scheduling** ([`scheduler`]): a greedy / round-robin /
+//!   fair (deficit-based) level picker chosen by
 //!   [`scheduler::CompactionScheduler`], plus a shared background-I/O
 //!   token bucket ([`scheduler::BgIoLimiter`]) with flush priority and
 //!   debt-scaled auto-tuning;
@@ -90,16 +91,14 @@ pub mod write;
 pub use batch::WriteBatch;
 pub use bgerror::{BackgroundError, BackgroundOp, ErrorSeverity};
 pub use compress::CompressionType;
+pub use controller::ThrottlePolicy;
 pub use db::Db;
 pub use error::{CorruptionDetail, DbError, DbResult};
 pub use histogram::{Histogram, HistogramSummary};
 pub use memtable::MemTable;
 pub use options::{DbOptions, WalRecoveryMode};
 pub use repair::{repair_db, RepairReport};
-pub use scheduler::{
-    BgIoLimiter, BgIoPriority, CompactionScheduler, FairScheduler, GreedyScheduler,
-    RoundRobinScheduler,
-};
+pub use scheduler::{BgIoLimiter, BgIoPriority, CompactionScheduler, LevelPicker};
 pub use space::{DeleteScheduler, SpaceManager, TrashEntry};
 pub use stall::{
     episode_durations, PreprocessStalls, StallAccounting, StallCause, StallEvent, StallTotals,

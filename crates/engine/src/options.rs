@@ -1,10 +1,15 @@
 //! Database configuration (the RocksDB 5.17 option surface the paper
 //! exercises, at scaled-down defaults).
+//!
+//! [`DbOptions`] is plain data: it derives `Clone` and `Debug`, the two
+//! policy axes ([`ThrottlePolicy`], [`CompactionScheduler`]) are `Copy`
+//! enums, and nothing in it changes after construction — what a policy
+//! remembers between decisions lives in the [`crate::Db`] opened with it.
+//! The one handle is `wal_fs`, the filesystem of a separate log device.
 
 use crate::compress::CompressionType;
-use crate::controller::{OriginalThrottlePolicy, ThrottlePolicy};
-use crate::scheduler::{CompactionScheduler, GreedyScheduler};
-use std::fmt;
+use crate::controller::ThrottlePolicy;
+use crate::scheduler::CompactionScheduler;
 use std::sync::Arc;
 use xlsm_simfs::SimFs;
 
@@ -65,7 +70,7 @@ impl WalRecoveryMode {
 /// ~32× down (see `DESIGN.md`): a 64 MB memtable becomes 2 MB, etc. The
 /// *thresholds that drive behavior* — Level-0 slowdown/stop triggers, write
 /// buffer count, level size multiplier — are kept at their paper values.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct DbOptions {
     /// Memtable size before it is switched to immutable (bytes).
     pub write_buffer_size: usize,
@@ -155,16 +160,13 @@ pub struct DbOptions {
     pub wal_bytes_per_sync: usize,
     /// Initial user-defined `delayed_write_rate` (bytes/s) — Algorithm 1.
     pub delayed_write_rate: u64,
-    /// Throttling policy (Algorithm 1 by default; the two-stage case study
-    /// installs a different one).
-    pub throttle_policy: Arc<dyn ThrottlePolicy>,
+    /// Throttling policy (Algorithm 1 by default; case study V-A is
+    /// [`ThrottlePolicy::TwoStage`]).
+    pub throttle_policy: ThrottlePolicy,
     /// Which level the next compaction services (RocksDB `CompactionPri`
-    /// family, lifted to a pluggable strategy): greedy max-score by
-    /// default; round-robin and fair/deficit pickers ship in
-    /// [`crate::scheduler`]. Schedulers are stateful — construct a fresh
-    /// instance per database rather than sharing one `Arc` across
-    /// databases.
-    pub compaction_scheduler: Arc<dyn CompactionScheduler>,
+    /// family, lifted from files to levels): greedy max-score by default,
+    /// round-robin or fair/deficit.
+    pub compaction_scheduler: CompactionScheduler,
     /// Shared background-I/O budget in bytes per (virtual) second drawn by
     /// flushes and compactions together, with flush priority — RocksDB's
     /// `rate_limiter`. `0` disables throttling.
@@ -227,47 +229,6 @@ pub struct DbOptions {
     pub db_path: String,
 }
 
-impl fmt::Debug for DbOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DbOptions")
-            .field("write_buffer_size", &self.write_buffer_size)
-            .field("max_write_buffer_number", &self.max_write_buffer_number)
-            .field(
-                "level0_triggers",
-                &(
-                    self.level0_file_num_compaction_trigger,
-                    self.level0_slowdown_writes_trigger,
-                    self.level0_stop_writes_trigger,
-                ),
-            )
-            .field("pipelined_write", &self.pipelined_write)
-            .field(
-                "allow_concurrent_memtable_write",
-                &self.allow_concurrent_memtable_write,
-            )
-            .field("enable_wal", &self.enable_wal)
-            .field("wal_recovery_mode", &self.wal_recovery_mode)
-            .field("bloom_bits_per_key", &self.bloom_bits_per_key)
-            .field("prefix_extractor", &self.prefix_extractor)
-            .field("memtable_bloom_bits", &self.memtable_bloom_bits)
-            .field("compression", &self.compression)
-            .field("table_cache_shards", &self.table_cache_shards)
-            .field("protection_bytes_per_key", &self.protection_bytes_per_key)
-            .field("paranoid_file_checks", &self.paranoid_file_checks)
-            .field("scrub_rate_bytes_per_sec", &self.scrub_rate_bytes_per_sec)
-            .field("compaction_scheduler", &self.compaction_scheduler.name())
-            .field("bg_io_rate_bytes_per_sec", &self.bg_io_rate_bytes_per_sec)
-            .field("bg_io_auto_tune", &self.bg_io_auto_tune)
-            .field("max_allowed_space_bytes", &self.max_allowed_space_bytes)
-            .field(
-                "sst_delete_rate_bytes_per_sec",
-                &self.sst_delete_rate_bytes_per_sec,
-            )
-            .field("space_poll_interval_ns", &self.space_poll_interval_ns)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Default for DbOptions {
     fn default() -> DbOptions {
         DbOptions {
@@ -303,8 +264,8 @@ impl Default for DbOptions {
             max_allowed_space_bytes: 0,
             sst_delete_rate_bytes_per_sec: 0,
             space_poll_interval_ns: 0,
-            throttle_policy: Arc::new(OriginalThrottlePolicy),
-            compaction_scheduler: Arc::new(GreedyScheduler),
+            throttle_policy: ThrottlePolicy::Original,
+            compaction_scheduler: CompactionScheduler::Greedy,
             bg_io_rate_bytes_per_sec: 0,
             bg_io_auto_tune: false,
             wal_fs: None,
@@ -502,11 +463,10 @@ mod tests {
         let ok = DbOptions {
             bg_io_rate_bytes_per_sec: 64 << 20,
             bg_io_auto_tune: true,
-            compaction_scheduler: Arc::new(crate::scheduler::FairScheduler::default()),
+            compaction_scheduler: CompactionScheduler::Fair,
             ..DbOptions::default()
         };
         ok.validate().unwrap();
-        assert_eq!(ok.compaction_scheduler.name(), "fair");
     }
 
     #[test]

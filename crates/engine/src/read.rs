@@ -4,13 +4,13 @@
 use crate::costs;
 use crate::db::{Db, DbInner};
 use crate::error::DbResult;
-use crate::iterator::{DbIterator, InternalIterator, LevelIterator, MergingIterator};
+use crate::iterator::{DbScanner, InternalIterator, LevelIterator, MergingIterator};
 use crate::memtable::MemTable;
 use crate::sst::{TableEntry, TableProbe};
 use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
-use crate::version::{FileMetaData, Version};
+use crate::version::FileMetaData;
 use std::sync::Arc;
 
 /// Probes one memtable for `key`, consulting its whole-key bloom first when
@@ -114,11 +114,9 @@ impl DbInner {
                 )));
             }
         }
-        Ok(DbScanner {
-            iter: DbIterator::new(MergingIterator::new(children), snapshot),
-            _version: version,
-            upper_bound: None,
-        })
+        let mut scanner = DbScanner::new(MergingIterator::new(children), snapshot);
+        scanner.version = Some(version);
+        Ok(scanner)
     }
 }
 
@@ -427,74 +425,6 @@ impl Db {
         scanner.upper_bound = upper;
         scanner.seek(prefix)?;
         Ok(scanner)
-    }
-}
-
-/// Pinned scan cursor returned by [`Db::scan`]; holds the version alive so
-/// compaction cannot delete the files underneath it.
-pub struct DbScanner {
-    iter: DbIterator,
-    _version: Arc<Version>,
-    /// Exclusive user-key upper bound (`None` = unbounded); set by
-    /// [`Db::scan_prefix`] so the cursor ends exactly where the prefix does.
-    upper_bound: Option<Vec<u8>>,
-}
-
-impl std::fmt::Debug for DbScanner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.iter.fmt(f)
-    }
-}
-
-impl DbScanner {
-    /// Positions at the first visible entry.
-    ///
-    /// # Errors
-    ///
-    /// Read failures.
-    pub fn seek_to_first(&mut self) -> DbResult<bool> {
-        self.iter.seek_to_first()?;
-        Ok(self.valid())
-    }
-
-    /// Positions at the first visible entry with user key ≥ `key`.
-    ///
-    /// # Errors
-    ///
-    /// Read failures.
-    pub fn seek(&mut self, key: &[u8]) -> DbResult<bool> {
-        self.iter.seek(key)?;
-        Ok(self.valid())
-    }
-
-    /// Advances to the next visible user key.
-    ///
-    /// # Errors
-    ///
-    /// Read failures.
-    #[allow(clippy::should_implement_trait)] // fallible cursor, not an Iterator
-    pub fn next(&mut self) -> DbResult<bool> {
-        self.iter.next()?;
-        Ok(self.valid())
-    }
-
-    /// Whether positioned on an entry (inside the upper bound, if any).
-    pub fn valid(&self) -> bool {
-        self.iter.valid()
-            && self
-                .upper_bound
-                .as_deref()
-                .is_none_or(|u| self.iter.key() < u)
-    }
-
-    /// Current user key.
-    pub fn key(&self) -> &[u8] {
-        self.iter.key()
-    }
-
-    /// Current value.
-    pub fn value(&self) -> &[u8] {
-        self.iter.value()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Pluggable compaction scheduling and the shared background-I/O budget.
+//! Compaction scheduling and the shared background-I/O budget.
 //!
 //! The paper's Finding #1 blames write throttling — not the device — for the
 //! throughput collapse on fast storage, and its case studies only tune the
@@ -7,151 +7,126 @@
 //! next, and how much device bandwidth background work may consume. This
 //! module provides both halves:
 //!
-//! * [`CompactionScheduler`] — a strategy trait deciding which level the next
+//! * [`CompactionScheduler`] — the closed choice of which level the next
 //!   compaction should service, given the per-level scores from
-//!   [`Version::level_scores`](crate::version::Version::level_scores).
-//!   Three built-in policies: [`GreedyScheduler`] (the classic max-score
-//!   picker, RocksDB's default `kByCompensatedSize` spirit),
-//!   [`RoundRobinScheduler`] (RocksDB's `kRoundRobin` `CompactionPri`), and
-//!   [`FairScheduler`] (a deficit-based picker that banks unserved score so
-//!   low-pressure levels cannot starve behind a perpetually hot one).
+//!   [`Version::level_scores`](crate::version::Version::level_scores):
+//!   `Greedy` (the classic max-score picker, RocksDB's default
+//!   `kByCompensatedSize` spirit), `RoundRobin` (RocksDB's `kRoundRobin`
+//!   `CompactionPri`) and `Fair` (a deficit-based picker that banks
+//!   unserved score so low-pressure levels cannot starve behind a
+//!   perpetually hot one). The option is a plain value; the rotation cursor
+//!   and the banked credits live in the [`LevelPicker`] each database
+//!   builds for itself at open.
 //! * [`BgIoLimiter`] — a token bucket in **virtual time** shared by flushes
 //!   and compactions (RocksDB's `rate_limiter`), with flush priority and an
 //!   optional auto-tuned mode that scales the budget with measured
 //!   compaction debt.
-//!
-//! Schedulers are stateful (cursor-like rotation, deficit credits) and are
-//! shared across [`DbOptions`](crate::options::DbOptions) clones via `Arc`,
-//! so a fresh instance should be constructed per database.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-/// Picks which level the next compaction should service.
-///
-/// `scores` holds one entry per LSM level (index = level), computed by
-/// [`Version::level_scores`](crate::version::Version::level_scores): L0 is
-/// `files / level0_file_num_compaction_trigger`, deeper levels are
-/// `bytes / target_bytes`, and the last level is always `0.0` (it only
-/// receives). A level is *eligible* iff its score is ≥ 1.0; implementations
-/// must only return eligible levels, and `None` when none is eligible.
-///
-/// When the chosen level cannot actually form a compaction right now (all
-/// candidate files busy), the caller zeroes that level's score and asks
-/// again, so a policy is re-consulted at most once per level per pick.
-pub trait CompactionScheduler: Send + Sync {
+/// Which level the next compaction services.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum CompactionScheduler {
+    /// The classic picker: always service the level with the highest score.
+    /// Ties break toward the shallower level.
+    #[default]
+    Greedy,
+    /// Rotates through eligible levels in level order, one pick per lap.
+    ///
+    /// The analogue of RocksDB's `CompactionPri::kRoundRobin`, lifted from
+    /// within-level file choice to across-level choice: every level with
+    /// debt gets serviced in turn regardless of how its score compares to
+    /// the hottest level's.
+    RoundRobin,
+    /// Deficit-based picker: banks unserved score so no eligible level
+    /// starves.
+    ///
+    /// Each consultation adds every eligible level's current score to its
+    /// credit balance, zeroes the balance of levels that dropped below 1.0
+    /// (their debt is gone), then services the eligible level with the
+    /// largest balance and resets it. A level whose score stays pinned at
+    /// `s ≥ 1.0` is therefore picked at least once every `⌈s_max / s⌉ + 1`
+    /// consultations no matter how hot another level runs — the starvation
+    /// bound `tests/scheduling.rs` asserts.
+    Fair,
+}
+
+/// One database's level picker: a [`CompactionScheduler`] with the state
+/// its policy keeps between picks.
+#[derive(Debug)]
+pub struct LevelPicker {
+    policy: CompactionScheduler,
+    /// Round-robin: level picked last; the scan for the next pick starts
+    /// just after it.
+    last: usize,
+    /// Fair: accumulated unserved score per level.
+    credits: Vec<f64>,
+}
+
+impl LevelPicker {
+    /// A picker for `policy` with no history.
+    pub fn new(policy: CompactionScheduler) -> LevelPicker {
+        LevelPicker {
+            policy,
+            last: 0,
+            credits: Vec::new(),
+        }
+    }
+
     /// Returns the level to compact next, or `None` if no level is eligible.
-    fn pick_level(&self, scores: &[f64]) -> Option<usize>;
-    /// Short policy name for stats attribution and reports.
-    fn name(&self) -> &'static str;
-}
-
-impl fmt::Debug for dyn CompactionScheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CompactionScheduler({})", self.name())
-    }
-}
-
-/// The classic picker: always service the level with the highest score.
-///
-/// Ties break toward the shallower level, matching the pre-trait behaviour
-/// of `Version::compaction_score`.
-#[derive(Debug, Default)]
-pub struct GreedyScheduler;
-
-impl CompactionScheduler for GreedyScheduler {
-    fn pick_level(&self, scores: &[f64]) -> Option<usize> {
-        let mut best = None;
-        let mut best_score = 0.0f64;
-        for (level, &score) in scores.iter().enumerate() {
-            if score >= 1.0 && score > best_score {
-                best = Some(level);
-                best_score = score;
-            }
-        }
-        best
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-}
-
-/// Rotates through eligible levels in level order, one pick per lap.
-///
-/// The analogue of RocksDB's `CompactionPri::kRoundRobin`, lifted from
-/// within-level file choice to across-level choice: every level with debt
-/// gets serviced in turn regardless of how its score compares to the
-/// hottest level's.
-#[derive(Debug, Default)]
-pub struct RoundRobinScheduler {
-    /// Level picked last; the scan for the next pick starts just after it.
-    last: AtomicUsize,
-}
-
-impl CompactionScheduler for RoundRobinScheduler {
-    fn pick_level(&self, scores: &[f64]) -> Option<usize> {
-        let n = scores.len();
-        if n == 0 {
-            return None;
-        }
-        let last = self.last.load(Ordering::Relaxed) % n;
-        for offset in 1..=n {
-            let level = (last + offset) % n;
-            if scores[level] >= 1.0 {
-                self.last.store(level, Ordering::Relaxed);
-                return Some(level);
-            }
-        }
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Deficit-based picker: banks unserved score so no eligible level starves.
-///
-/// Each consultation adds every eligible level's current score to its credit
-/// balance, zeroes the balance of levels that dropped below 1.0 (their debt
-/// is gone), then services the eligible level with the largest balance and
-/// resets it. A level whose score stays pinned at `s ≥ 1.0` is therefore
-/// picked at least once every `⌈s_max / s⌉ + 1` consultations no matter how
-/// hot another level runs — the starvation bound `tests/scheduling.rs`
-/// asserts.
-#[derive(Debug, Default)]
-pub struct FairScheduler {
-    /// Accumulated unserved score per level.
-    credits: Mutex<Vec<f64>>,
-}
-
-impl CompactionScheduler for FairScheduler {
-    fn pick_level(&self, scores: &[f64]) -> Option<usize> {
-        let mut credits = self.credits.lock();
-        credits.resize(scores.len(), 0.0);
-        let mut best = None;
-        let mut best_banked = 0.0f64;
-        for (level, &score) in scores.iter().enumerate() {
-            if score >= 1.0 {
-                credits[level] += score;
-                if credits[level] > best_banked {
-                    best = Some(level);
-                    best_banked = credits[level];
+    ///
+    /// `scores` holds one entry per LSM level (index = level): L0 is
+    /// `files / level0_file_num_compaction_trigger`, deeper levels are
+    /// `bytes / target_bytes`, and the last level is always `0.0` (it only
+    /// receives). A level is *eligible* iff its score is ≥ 1.0.
+    ///
+    /// When the chosen level cannot actually form a compaction right now
+    /// (all candidate files busy), the caller zeroes that level's score and
+    /// asks again, so the picker is re-consulted at most once per level per
+    /// pick.
+    pub fn pick_level(&mut self, scores: &[f64]) -> Option<usize> {
+        match self.policy {
+            CompactionScheduler::Greedy => {
+                let mut best = None;
+                let mut best_score = 0.0f64;
+                for (level, &score) in scores.iter().enumerate() {
+                    if score >= 1.0 && score > best_score {
+                        best = Some(level);
+                        best_score = score;
+                    }
                 }
-            } else {
-                credits[level] = 0.0;
+                best
+            }
+            CompactionScheduler::RoundRobin => {
+                let n = scores.len();
+                let level = (1..=n)
+                    .map(|offset| (self.last + offset) % n)
+                    .find(|&level| scores[level] >= 1.0)?;
+                self.last = level;
+                Some(level)
+            }
+            CompactionScheduler::Fair => {
+                self.credits.resize(scores.len(), 0.0);
+                let mut best = None;
+                let mut best_banked = 0.0f64;
+                for (level, &score) in scores.iter().enumerate() {
+                    if score >= 1.0 {
+                        self.credits[level] += score;
+                        if self.credits[level] > best_banked {
+                            best = Some(level);
+                            best_banked = self.credits[level];
+                        }
+                    } else {
+                        self.credits[level] = 0.0;
+                    }
+                }
+                let level = best?;
+                self.credits[level] = 0.0;
+                Some(level)
             }
         }
-        let level = best?;
-        credits[level] = 0.0;
-        Some(level)
-    }
-
-    fn name(&self) -> &'static str {
-        "fair"
     }
 }
 
@@ -334,7 +309,7 @@ mod tests {
 
     #[test]
     fn greedy_picks_max_score_ties_to_shallow() {
-        let s = GreedyScheduler;
+        let mut s = LevelPicker::new(CompactionScheduler::Greedy);
         assert_eq!(s.pick_level(&[0.5, 0.9, 0.0]), None);
         assert_eq!(s.pick_level(&[1.2, 3.0, 0.0]), Some(1));
         assert_eq!(s.pick_level(&[2.0, 2.0, 0.0]), Some(0));
@@ -342,7 +317,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_across_eligible_levels() {
-        let s = RoundRobinScheduler::default();
+        let mut s = LevelPicker::new(CompactionScheduler::RoundRobin);
         let scores = [1.5, 2.0, 1.1, 0.0];
         let picks: Vec<_> = (0..6).map(|_| s.pick_level(&scores).unwrap()).collect();
         assert_eq!(picks, vec![1, 2, 0, 1, 2, 0]);
@@ -351,7 +326,7 @@ mod tests {
 
     #[test]
     fn fair_services_low_score_level_within_bound() {
-        let s = FairScheduler::default();
+        let mut s = LevelPicker::new(CompactionScheduler::Fair);
         // L0 pinned at 5.0, L2 pinned at 1.2: L2 must still be picked
         // roughly every ⌈5/1.2⌉ + 1 = 6 consultations.
         let scores = [5.0, 0.0, 1.2, 0.0];
@@ -372,7 +347,7 @@ mod tests {
 
     #[test]
     fn fair_resets_credit_when_level_becomes_ineligible() {
-        let s = FairScheduler::default();
+        let mut s = LevelPicker::new(CompactionScheduler::Fair);
         // Bank credit for level 1, then drop it below 1.0: the stale credit
         // must not buy a pick once the level recovers.
         assert_eq!(s.pick_level(&[9.0, 1.5]), Some(0));

@@ -158,8 +158,8 @@ impl Version {
     /// Compaction score per level, RocksDB's leveled policy: L0 by file
     /// count vs. trigger, deeper levels by size vs. target. The last level
     /// has no target (it only receives) so its score is always 0. This is
-    /// the input a [`CompactionScheduler`](crate::scheduler::CompactionScheduler)
-    /// picks from; a score ≥ 1.0 warrants compaction. `l0_trigger` is the
+    /// the input a [`LevelPicker`](crate::scheduler::LevelPicker) picks
+    /// from; a score ≥ 1.0 warrants compaction. `l0_trigger` is the
     /// Level-0 compaction trigger in effect (it can change at runtime).
     pub fn level_scores(&self, opts: &DbOptions, l0_trigger: usize) -> Vec<f64> {
         let mut scores = vec![0.0f64; self.levels.len()];

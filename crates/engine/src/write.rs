@@ -539,6 +539,36 @@ mod tests {
         b
     }
 
+    /// Spawns writers `w0..w{n-1}`; writer `i` submits `batch(i)`.
+    fn spawn_writers<B: WriteBackend + 'static>(
+        n: u32,
+        q: &Arc<WriteQueue>,
+        be: &Arc<B>,
+        stats: &Arc<DbStats>,
+        batch: impl Fn(u32) -> WriteBatch,
+    ) -> Vec<xlsm_sim::JoinHandle<DbResult<()>>> {
+        (0..n)
+            .map(|i| {
+                let (q, be, stats) = (Arc::clone(q), Arc::clone(be), Arc::clone(stats));
+                let b = batch(i);
+                xlsm_sim::spawn(&format!("w{i}"), move || q.submit(b, be.as_ref(), &stats))
+            })
+            .collect()
+    }
+
+    /// [`spawn_writers`], joined in spawn order; every writer must succeed.
+    fn fan_out<B: WriteBackend + 'static>(
+        n: u32,
+        q: &Arc<WriteQueue>,
+        be: &Arc<B>,
+        stats: &Arc<DbStats>,
+        batch: impl Fn(u32) -> WriteBatch,
+    ) {
+        for writer in spawn_writers(n, q, be, stats, batch) {
+            writer.join().unwrap();
+        }
+    }
+
     #[test]
     fn single_writer_commits() {
         Runtime::new().run(|| {
@@ -560,20 +590,9 @@ mod tests {
             // and the second group should absorb them all.
             let be = TestBackend::new(50_000, 0);
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..10u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    let key = format!("key{i}");
-                    q.submit(batch_with(key.as_bytes(), b"v"), be.as_ref(), &stats)
-                        .unwrap();
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+            fan_out(10, &q, &be, &stats, |i| {
+                batch_with(format!("key{i}").as_bytes(), b"v")
+            });
             for i in 0..10u32 {
                 let key = format!("key{i}");
                 assert_eq!(
@@ -600,25 +619,11 @@ mod tests {
             let q = Arc::new(WriteQueue::new(true, 1 << 20));
             let be = TestBackend::new(10_000, 5_000);
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..20u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    // Every writer writes the same key; final value must be
-                    // the one with the highest sequence.
-                    q.submit(
-                        batch_with(b"shared", format!("{i}").as_bytes()),
-                        be.as_ref(),
-                        &stats,
-                    )
-                    .unwrap();
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+            // Every writer writes the same key; final value must be the
+            // one with the highest sequence.
+            fan_out(20, &q, &be, &stats, |i| {
+                batch_with(b"shared", format!("{i}").as_bytes())
+            });
             // 20 committed ops => last_sequence 20 and a well-defined winner.
             assert_eq!(be.seq.load(Ordering::Relaxed), 20);
             assert!(be.mem.get(b"shared", 1000).unwrap().unwrap().is_some());
@@ -637,23 +642,9 @@ mod tests {
                 let q = Arc::new(WriteQueue::new(pipelined, 1)); // no grouping
                 let be = TestBackend::new(40_000, 40_000);
                 let stats = Arc::new(DbStats::new());
-                let mut handles = Vec::new();
-                for i in 0..4u32 {
-                    let q = Arc::clone(&q);
-                    let be = Arc::clone(&be);
-                    let stats = Arc::clone(&stats);
-                    handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                        q.submit(
-                            batch_with(format!("k{i}").as_bytes(), b"v"),
-                            be.as_ref(),
-                            &stats,
-                        )
-                        .unwrap();
-                    }));
-                }
-                for h in handles {
-                    h.join();
-                }
+                fan_out(4, &q, &be, &stats, |i| {
+                    batch_with(format!("k{i}").as_bytes(), b"v")
+                });
                 xlsm_sim::now_nanos()
             })
         }
@@ -677,23 +668,9 @@ mod tests {
                 // into one group behind it.
                 let be = TestBackend::new(50_000, 30_000);
                 let stats = Arc::new(DbStats::new());
-                let mut handles = Vec::new();
-                for i in 0..9u32 {
-                    let q = Arc::clone(&q);
-                    let be = Arc::clone(&be);
-                    let stats = Arc::clone(&stats);
-                    handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                        q.submit(
-                            batch_with(format!("k{i}").as_bytes(), b"v"),
-                            be.as_ref(),
-                            &stats,
-                        )
-                        .unwrap();
-                    }));
-                }
-                for h in handles {
-                    h.join();
-                }
+                fan_out(9, &q, &be, &stats, |i| {
+                    batch_with(format!("k{i}").as_bytes(), b"v")
+                });
                 for i in 0..9u32 {
                     assert_eq!(
                         be.mem.get(format!("k{i}").as_bytes(), 1000).unwrap(),
@@ -733,20 +710,9 @@ mod tests {
             let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(true, 1));
             let be = TestBackend::new(50_000, 20_000);
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..6u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    q.submit(
-                        batch_with(format!("k{i}").as_bytes(), b"v"),
-                        be.as_ref(),
-                        &stats,
-                    )
-                    .unwrap();
-                }));
-            }
+            let writers = spawn_writers(6, &q, &be, &stats, |i| {
+                batch_with(format!("k{i}").as_bytes(), b"v")
+            });
             // Observer: whenever sequences are published, every entry at or
             // below the watermark must already be readable in the memtable.
             let be2 = Arc::clone(&be);
@@ -762,8 +728,8 @@ mod tests {
                     );
                 }
             });
-            for h in handles {
-                h.join();
+            for writer in writers {
+                writer.join().unwrap();
             }
             obs.join();
             assert_eq!(be.published.load(Ordering::Relaxed), 6);
@@ -810,20 +776,14 @@ mod tests {
             }
             let q = Arc::new(WriteQueue::new(false, 1 << 20));
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..3u32 {
-                let q = Arc::clone(&q);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    q.submit(batch_with(b"k", b"v"), &FailingBackend, &stats)
-                }));
-            }
-            let mut errors = 0;
-            for h in handles {
-                if h.join().is_err() {
-                    errors += 1;
-                }
-            }
+            let writers = spawn_writers(3, &q, &Arc::new(FailingBackend), &stats, |_| {
+                batch_with(b"k", b"v")
+            });
+            let errors = writers
+                .into_iter()
+                .map(|w| w.join())
+                .filter(Result::is_err)
+                .count();
             assert_eq!(errors, 3, "all writers in the failed group see the error");
             assert_eq!(q.queued(), 0);
         });
@@ -878,20 +838,10 @@ mod tests {
             // seq 1, succeeds); the next three pile up during its 20 µs
             // preprocess and form one concurrent group whose members all
             // fail (their sequences are > 1).
-            let mut handles = Vec::new();
-            for i in 0..4u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    q.submit(
-                        batch_with(format!("k{i}").as_bytes(), b"v"),
-                        be.as_ref(),
-                        &stats,
-                    )
-                }));
-            }
-            let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let writers = spawn_writers(4, &q, &be, &stats, |i| {
+                batch_with(format!("k{i}").as_bytes(), b"v")
+            });
+            let results: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
             assert!(results[0].is_ok(), "solo first group succeeds: {results:?}");
             assert!(
                 results[1..].iter().all(Result::is_err),
@@ -914,20 +864,11 @@ mod tests {
             let q = Arc::new(WriteQueue::new(false, 1 << 20));
             let be = TestBackend::new(50_000, 0);
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..6u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    let mut b = WriteBatch::with_protection(8);
-                    b.put(format!("k{i}").as_bytes(), b"v");
-                    q.submit(b, be.as_ref(), &stats).unwrap();
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+            fan_out(6, &q, &be, &stats, |i| {
+                let mut b = WriteBatch::with_protection(8);
+                b.put(format!("k{i}").as_bytes(), b"v");
+                b
+            });
             for i in 0..6u32 {
                 assert_eq!(
                     be.mem.get(format!("k{i}").as_bytes(), 1000).unwrap(),
@@ -948,23 +889,9 @@ mod tests {
             let q = Arc::new(WriteQueue::new(false, 1)); // no grouping
             let be = TestBackend::new(30_000, 20_000);
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..6u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    q.submit(
-                        batch_with(format!("k{i}").as_bytes(), b"v"),
-                        be.as_ref(),
-                        &stats,
-                    )
-                    .unwrap();
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+            fan_out(6, &q, &be, &stats, |i| {
+                batch_with(format!("k{i}").as_bytes(), b"v")
+            });
             let t = stats.stall.snapshot();
             assert_eq!(t.ops, 6);
             assert_eq!(
@@ -985,23 +912,9 @@ mod tests {
             let q = Arc::new(WriteQueue::new(true, 1)); // no grouping
             let be = TestBackend::new(20_000, 50_000); // memtable-bound
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..4u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    q.submit(
-                        batch_with(format!("k{i}").as_bytes(), b"v"),
-                        be.as_ref(),
-                        &stats,
-                    )
-                    .unwrap();
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+            fan_out(4, &q, &be, &stats, |i| {
+                batch_with(format!("k{i}").as_bytes(), b"v")
+            });
             let t = stats.stall.snapshot();
             assert_eq!(t.ops, 4);
             assert!(
@@ -1024,23 +937,9 @@ mod tests {
             let q = Arc::new(WriteQueue::new(false, 1)); // no grouping
             let be = TestBackend::new(100_000, 0); // slow WAL builds a queue
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for i in 0..8u32 {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{i}"), move || {
-                    q.submit(
-                        batch_with(format!("k{i}").as_bytes(), b"v"),
-                        be.as_ref(),
-                        &stats,
-                    )
-                    .unwrap();
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+            fan_out(8, &q, &be, &stats, |i| {
+                batch_with(format!("k{i}").as_bytes(), b"v")
+            });
             assert!(
                 stats.avg_waiting_writers() > 1.0,
                 "queue should have been observed non-trivial: {}",

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
-use xlsm_engine::controller::NoThrottlePolicy;
+use xlsm_engine::controller::ThrottlePolicy;
 use xlsm_engine::{Db, DbOptions, Ticker};
 use xlsm_sim::Runtime;
 use xlsm_simfs::{FsOptions, SimFs};
@@ -114,7 +114,7 @@ fn no_throttle_policy_never_delays() {
             FsOptions::default(),
         );
         let opts = DbOptions {
-            throttle_policy: Arc::new(NoThrottlePolicy),
+            throttle_policy: ThrottlePolicy::Off,
             level0_slowdown_writes_trigger: 2, // would throttle almost instantly
             level0_stop_writes_trigger: 1000,
             ..small_opts()

@@ -26,6 +26,27 @@ use xlsm_engine::{Db, DbOptions, DbResult, DbStats, MemTable, Ticker, WriteBatch
 use xlsm_sim::Runtime;
 use xlsm_simfs::{FsOptions, SimFs};
 
+/// Spawns writers `w0..w{n-1}`; writer `w` runs `work(w)`.
+fn spawn_writers(
+    n: usize,
+    work: impl Fn(usize) + Send + Sync + 'static,
+) -> Vec<xlsm_sim::JoinHandle<()>> {
+    let work = Arc::new(work);
+    (0..n)
+        .map(|w| {
+            let work = Arc::clone(&work);
+            xlsm_sim::spawn(&format!("w{w}"), move || work(w))
+        })
+        .collect()
+}
+
+/// [`spawn_writers`], joined in spawn order.
+fn fan_out(n: usize, work: impl Fn(usize) + Send + Sync + 'static) {
+    for writer in spawn_writers(n, work) {
+        writer.join();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Queue-level equivalence: concurrent apply vs. serial replay
 // ---------------------------------------------------------------------------
@@ -150,21 +171,15 @@ proptest! {
             );
             let be = MemBackend::new(20_000, 2_000);
             let stats = Arc::new(DbStats::new());
-            let mut handles = Vec::new();
-            for (w, batches) in writers.iter().cloned().enumerate() {
-                let q = Arc::clone(&q);
-                let be = Arc::clone(&be);
-                let stats = Arc::clone(&stats);
-                handles.push(xlsm_sim::spawn(&format!("w{w}"), move || {
-                    for (b, ops) in batches.iter().enumerate() {
+            fan_out(writers.len(), {
+                let (be, writers) = (Arc::clone(&be), writers.clone());
+                move |w| {
+                    for (b, ops) in writers[w].iter().enumerate() {
                         q.submit(build_batch(w, b, ops), be.as_ref(), &stats)
                             .unwrap();
                     }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+                }
+            });
             let concurrent_dump = dump_entries(&be.mem);
 
             // --- Recover each batch's assigned first sequence from the
@@ -277,18 +292,17 @@ fn dump_db(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
 fn reader_never_observes_half_applied_group() {
     Runtime::new().run(|| {
         let (db, _fs) = open(db_opts(true));
-        let mut writers = Vec::new();
-        for w in 0..8u32 {
+        let writers = spawn_writers(8, {
             let db = Arc::clone(&db);
-            writers.push(xlsm_sim::spawn(&format!("w{w}"), move || {
+            move |w| {
                 for i in 0..20u32 {
                     let mut b = WriteBatch::new();
                     b.put(format!("pair-a-{w:02}-{i:03}").as_bytes(), b"v");
                     b.put(format!("pair-b-{w:02}-{i:03}").as_bytes(), b"v");
                     db.write(b).unwrap();
                 }
-            }));
-        }
+            }
+        });
         let reader_db = Arc::clone(&db);
         let reader = xlsm_sim::spawn("reader", move || {
             for _ in 0..200 {
@@ -328,12 +342,11 @@ fn concurrent_db_final_state_matches_serial() {
     fn run(concurrent: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
         Runtime::new().run(move || {
             let (db, _fs) = open(db_opts(concurrent));
-            let mut handles = Vec::new();
-            for w in 0..6u32 {
+            fan_out(6, {
                 let db = Arc::clone(&db);
-                handles.push(xlsm_sim::spawn(&format!("w{w}"), move || {
-                    // Disjoint keyspace per writer; several overwrites and
-                    // deletes so ordering within a writer matters.
+                // Disjoint keyspace per writer; several overwrites and
+                // deletes so ordering within a writer matters.
+                move |w| {
                     for i in 0..120u32 {
                         let k = format!("w{w:02}-key{:03}", i % 40);
                         if i % 9 == 8 {
@@ -342,11 +355,8 @@ fn concurrent_db_final_state_matches_serial() {
                             db.put(k.as_bytes(), format!("v{i:03}").as_bytes()).unwrap();
                         }
                     }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
+                }
+            });
             let state = dump_db(&db);
             db.close();
             state
@@ -368,10 +378,9 @@ fn concurrent_db_final_state_matches_serial() {
 fn many_writer_stress_on_concurrent_path() {
     Runtime::new().run(|| {
         let (db, _fs) = open(db_opts(true));
-        let mut handles = Vec::new();
-        for w in 0..36u32 {
+        fan_out(36, {
             let db = Arc::clone(&db);
-            handles.push(xlsm_sim::spawn(&format!("w{w}"), move || {
+            move |w| {
                 for i in 0..40u32 {
                     db.put(
                         format!("stress-{w:02}-{i:03}").as_bytes(),
@@ -379,11 +388,8 @@ fn many_writer_stress_on_concurrent_path() {
                     )
                     .unwrap();
                 }
-            }));
-        }
-        for h in handles {
-            h.join();
-        }
+            }
+        });
         for w in 0..36u32 {
             for i in 0..40u32 {
                 assert!(

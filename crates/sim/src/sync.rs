@@ -178,11 +178,6 @@ impl Semaphore {
     pub fn available(&self) -> u64 {
         self.inner.lock().permits
     }
-
-    /// Number of threads queued for permits (diagnostic).
-    pub fn queued(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
 }
 
 // ---------------------------------------------------------------------------

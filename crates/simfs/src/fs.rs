@@ -256,12 +256,6 @@ impl SimFs {
         self.alloc.lock().free_pages()
     }
 
-    /// Largest single contiguous free extent, in pages — the fragmentation
-    /// companion to [`SimFs::free_space_pages`].
-    pub fn largest_free_extent_pages(&self) -> u64 {
-        self.alloc.lock().largest_free_extent()
-    }
-
     /// Usable device capacity in pages (minus any scripted shrink).
     pub fn capacity_pages(&self) -> u64 {
         self.alloc.lock().capacity_pages()

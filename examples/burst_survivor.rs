@@ -10,12 +10,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 use xlsm_suite::device::profiles;
-use xlsm_suite::engine::DbOptions;
+use xlsm_suite::engine::{DbOptions, ThrottlePolicy};
 use xlsm_suite::sim::Runtime;
 use xlsm_suite::study::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
 use xlsm_suite::study::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
 use xlsm_suite::study::experiment::Testbed;
-use xlsm_suite::study::TwoStageThrottlePolicy;
 use xlsm_suite::workload::{fill_db, run_workload, BurstSpec, KeyDistribution, WorkloadSpec};
 
 fn burst_spec() -> WorkloadSpec {
@@ -42,7 +41,9 @@ fn run(name: &str, optimized: bool) {
         let mut nvm = None;
         if optimized {
             // V-A: two-stage throttling with the floor at the configured rate.
-            opts.throttle_policy = Arc::new(TwoStageThrottlePolicy::new(opts.delayed_write_rate));
+            opts.throttle_policy = ThrottlePolicy::TwoStage {
+                min_rate: opts.delayed_write_rate,
+            };
             // V-C: WAL on byte-addressable NVM.
             let (o, n) = apply_wal_placement(opts, WalPlacement::Nvm);
             opts = o;

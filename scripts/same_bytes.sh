@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Same bytes before and after: exports <base-ref> into a temporary
 # directory, builds it and the working tree --release, runs the five probes
-# and four figures at the quick size on each, and compares every JSON/TSV
-# pair byte for byte. This is the acceptance a behaviour-preserving change
+# and five figures at the quick size on each, and compares every JSON/TSV
+# pair byte for byte; a pair that differs is shown as the first 20 lines of
+# its diff. This is the acceptance a behaviour-preserving change
 # has to pass (ROADMAP items 3 and 4).
 #
 #   scripts/same_bytes.sh <base-ref>
@@ -10,7 +11,7 @@ set -euo pipefail
 [[ $# == 1 ]] || { echo "usage: scripts/same_bytes.sh <base-ref>" >&2; exit 2; }
 base_ref=$1
 repo=$(cd "$(dirname "$0")/.." && pwd)
-figures=(fig03 fig18 stalls integrity)
+figures=(fig03 fig18 fig19 stalls integrity)
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -49,6 +50,7 @@ for f in $(cd "$work/base" && ls *.json results/*.tsv); do
         echo "same    $f"
     else
         echo "DIFFERS $f"
+        diff "$work/base/$f" "$work/change/$f" | head -20 || true
         status=1
     fi
 done

@@ -1,7 +1,7 @@
 //! Offline shim for the `criterion` crate.
 //!
-//! Implements the API surface the workspace's benches use: groups,
-//! `bench_function` / `bench_with_input`, `iter` / `iter_batched`,
+//! Implements the API surface the workspace's bench uses: groups,
+//! `bench_function`, `iter` / `iter_batched`,
 //! throughput annotation, and the `criterion_group!`/`criterion_main!`
 //! macros. Measurement is a simple mean-of-samples timer — adequate for
 //! spotting regressions, with none of real criterion's statistics.
@@ -42,28 +42,6 @@ pub enum BatchSize {
     LargeInput,
     /// One setup per iteration.
     PerIteration,
-}
-
-/// Identifies a parameterized benchmark within a group.
-#[derive(Clone, Debug)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// An id from a function name and parameter.
-    pub fn new(name: impl Display, parameter: impl Display) -> BenchmarkId {
-        BenchmarkId {
-            id: format!("{name}/{parameter}"),
-        }
-    }
-
-    /// An id from just the parameter value.
-    pub fn from_parameter(parameter: impl Display) -> BenchmarkId {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 /// Times closures for one benchmark.
@@ -152,16 +130,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one parameterized benchmark.
-    pub fn bench_with_input<I, F: FnMut(&mut Bencher, &I)>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self {
-        self.bench_function(id.id.clone(), |b| f(b, input))
-    }
-
     /// Finishes the group (reporting already happened per-benchmark).
     pub fn finish(&mut self) {}
 
@@ -206,18 +174,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the number of samples per benchmark.
-    pub fn sample_size(mut self, n: usize) -> Criterion {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets the target measurement time per benchmark.
-    pub fn measurement_time(mut self, t: Duration) -> Criterion {
-        self.measurement_time = t;
-        self
-    }
-
     /// Opens a benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -225,16 +181,6 @@ impl Criterion {
             name: name.into(),
             throughput: None,
         }
-    }
-
-    /// Runs a single unnamed-group benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, f: F) {
-        self.benchmark_group("bench").bench_function(id, f);
-    }
-
-    /// Whether measurement is enabled (`--bench` was passed).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Whether benchmark `id` of `group` runs: measurement is on and the
@@ -285,7 +231,7 @@ mod tests {
         // Test binaries never receive --bench, so measurement is off and
         // bench bodies are skipped entirely.
         let mut c = Criterion::default();
-        assert!(!c.is_enabled());
+        assert!(!c.enabled);
         let mut ran = false;
         c.benchmark_group("g")
             .bench_function("noop", |_b| ran = true);
@@ -297,7 +243,8 @@ mod tests {
         let mut c = Criterion {
             enabled: true,
             filter: Some("crc32c/4k".into()),
-            ..Criterion::default().sample_size(1)
+            sample_size: 1,
+            ..Criterion::default()
         };
         assert!(c.selects("crc32c", "4k_block"));
         assert!(!c.selects("crc32c", "64k_chunk"));

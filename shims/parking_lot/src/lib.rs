@@ -95,14 +95,6 @@ impl<T: ?Sized> Mutex<T> {
             _held: Held::new(),
         })
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -157,14 +149,6 @@ impl<T> RwLock<T> {
             inner: std::sync::RwLock::new(value),
         }
     }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -189,14 +173,6 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard {
             inner,
             _held: Held::new(),
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
         }
     }
 }

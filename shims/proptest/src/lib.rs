@@ -91,28 +91,6 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Generates an intermediate value, then a value from the strategy `f`
-    /// builds from it.
-    fn prop_flat_map<S: Strategy, F: Fn(Self::Value) -> S>(self, f: F) -> FlatMap<Self, F>
-    where
-        Self: Sized,
-    {
-        FlatMap { inner: self, f }
-    }
-
-    /// Retries generation until `f` accepts the value (best-effort; gives
-    /// up after a bounded number of attempts and panics).
-    fn prop_filter<F: Fn(&Self::Value) -> bool>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Type-erases the strategy.
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -165,39 +143,6 @@ impl<S: Strategy, O: Debug, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     type Value = O;
     fn generate(&self, rng: &mut TestRng) -> O {
         (self.f)(self.inner.generate(rng))
-    }
-}
-
-/// See [`Strategy::prop_flat_map`].
-pub struct FlatMap<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S: Strategy, S2: Strategy, F: Fn(S::Value) -> S2> Strategy for FlatMap<S, F> {
-    type Value = S2::Value;
-    fn generate(&self, rng: &mut TestRng) -> S2::Value {
-        (self.f)(self.inner.generate(rng)).generate(rng)
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter exhausted retries: {}", self.whence);
     }
 }
 

@@ -3,7 +3,7 @@
 //! Provides the subset of the rand 0.10-era API the workspace uses:
 //! [`rngs::SmallRng`] (xoshiro256++), [`SeedableRng::seed_from_u64`],
 //! the core [`Rng`] source trait and the [`RngExt`] convenience extension
-//! (`random`, `random_range`, `random_bool`).
+//! (`random`, `random_range`).
 
 #![deny(unsafe_code)]
 
@@ -37,20 +37,9 @@ pub trait FromRng: Sized {
     fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> Self;
 }
 
-macro_rules! impl_from_rng_int {
-    ($($t:ty),*) => {$(
-        impl FromRng for $t {
-            fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> $t {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
-}
-impl_from_rng_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl FromRng for bool {
-    fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> bool {
-        rng.next_u64() & 1 == 1
+impl FromRng for u64 {
+    fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+        rng.next_u64()
     }
 }
 
@@ -58,12 +47,6 @@ impl FromRng for f64 {
     fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         // 53 random mantissa bits → uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl FromRng for f32 {
-    fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -99,11 +82,6 @@ pub trait RngExt: Rng {
     /// A uniform value in `range` (half-open).
     fn random_range<T: SampleUniform>(&mut self, range: std::ops::Range<T>) -> T {
         T::sample_range(self, range.start, range.end)
-    }
-
-    /// `true` with probability `p`.
-    fn random_bool(&mut self, p: f64) -> bool {
-        self.random::<f64>() < p
     }
 }
 
@@ -194,13 +172,5 @@ mod tests {
             seen[(v - 3) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values in range reachable");
-    }
-
-    #[test]
-    fn random_bool_tracks_probability() {
-        let mut r = SmallRng::seed_from_u64(3);
-        let hits = (0..100_000).filter(|_| r.random_bool(0.25)).count();
-        let rate = hits as f64 / 100_000.0;
-        assert!((rate - 0.25).abs() < 0.01, "rate {rate} far from 0.25");
     }
 }

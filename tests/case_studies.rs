@@ -4,12 +4,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 use xlsm_suite::device::profiles;
-use xlsm_suite::engine::{Db, DbOptions};
+use xlsm_suite::engine::{Db, DbOptions, ThrottlePolicy};
 use xlsm_suite::sim::Runtime;
 use xlsm_suite::simfs::{FsOptions, SimFs};
 use xlsm_suite::study::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
 use xlsm_suite::study::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
-use xlsm_suite::study::TwoStageThrottlePolicy;
 use xlsm_suite::workload::{fill_db, run_workload, BurstSpec, KeyDistribution, WorkloadSpec};
 
 fn burst_workload() -> WorkloadSpec {
@@ -56,7 +55,9 @@ fn run_with_policy(two_stage: bool) -> PolicyRun {
     Runtime::new().run(move || {
         let mut opts = throttle_prone_opts();
         if two_stage {
-            opts.throttle_policy = Arc::new(TwoStageThrottlePolicy::new(opts.delayed_write_rate));
+            opts.throttle_policy = ThrottlePolicy::TwoStage {
+                min_rate: opts.delayed_write_rate,
+            };
         }
         let fs = SimFs::new(
             xlsm_suite::device::SimDevice::shared(profiles::optane_900p()) as _,

@@ -1,4 +1,4 @@
-//! Cross-crate integration: the pluggable compaction-scheduling subsystem.
+//! Cross-crate integration: the compaction-scheduling subsystem.
 //!
 //! Three properties the scheduler PR promises:
 //!
@@ -17,8 +17,7 @@
 use std::sync::Arc;
 use xlsm_suite::device::{profiles, SimDevice};
 use xlsm_suite::engine::{
-    BgIoLimiter, BgIoPriority, CompactionScheduler, Db, DbOptions, FairScheduler, GreedyScheduler,
-    RoundRobinScheduler,
+    BgIoLimiter, BgIoPriority, CompactionScheduler, Db, DbOptions, LevelPicker,
 };
 use xlsm_suite::sim::Runtime;
 use xlsm_suite::simfs::{FsOptions, SimFs};
@@ -83,7 +82,7 @@ fn final_state(opts: DbOptions) -> Vec<u8> {
 
 /// A geometry small enough that the op tape drives multi-level compaction
 /// (so the policies genuinely diverge in *which* compactions run when).
-fn tight_opts(scheduler: Arc<dyn CompactionScheduler>) -> DbOptions {
+fn tight_opts(scheduler: CompactionScheduler) -> DbOptions {
     DbOptions {
         compaction_scheduler: scheduler,
         write_buffer_size: 64 << 10,
@@ -96,13 +95,13 @@ fn tight_opts(scheduler: Arc<dyn CompactionScheduler>) -> DbOptions {
 
 #[test]
 fn every_policy_yields_byte_identical_final_state() {
-    let greedy = final_state(tight_opts(Arc::new(GreedyScheduler)));
-    let greedy_again = final_state(tight_opts(Arc::new(GreedyScheduler)));
+    let greedy = final_state(tight_opts(CompactionScheduler::Greedy));
+    let greedy_again = final_state(tight_opts(CompactionScheduler::Greedy));
     assert_eq!(
         greedy, greedy_again,
         "same policy, same tape must be deterministic"
     );
-    let round_robin = final_state(tight_opts(Arc::new(RoundRobinScheduler::default())));
+    let round_robin = final_state(tight_opts(CompactionScheduler::RoundRobin));
     assert_eq!(
         greedy, round_robin,
         "round-robin scheduling changed the logical database"
@@ -110,7 +109,7 @@ fn every_policy_yields_byte_identical_final_state() {
     let fair = final_state(DbOptions {
         bg_io_rate_bytes_per_sec: 8 << 20,
         bg_io_auto_tune: true,
-        ..tight_opts(Arc::new(FairScheduler::default()))
+        ..tight_opts(CompactionScheduler::Fair)
     });
     assert_eq!(
         greedy, fair,
@@ -124,7 +123,7 @@ fn fair_picker_bounds_per_level_starvation() {
     // level 2 forever. The deficit picker must service every eligible
     // level within K consecutive picks.
     const K: usize = 8;
-    let fair = FairScheduler::default();
+    let mut fair = LevelPicker::new(CompactionScheduler::Fair);
     let mut since_l2 = 0usize;
     let mut l2_picks = 0usize;
     for round in 0..200 {
@@ -147,7 +146,7 @@ fn fair_picker_bounds_per_level_starvation() {
     assert!(l2_picks >= 200 / K, "level 2 serviced implausibly rarely");
 
     // Greedy, for contrast, starves level 2 on the same score stream.
-    let greedy = GreedyScheduler;
+    let mut greedy = LevelPicker::new(CompactionScheduler::Greedy);
     assert!((0..200).all(|_| greedy.pick_level(&[0.0, 5.0, 1.2, 0.0]) == Some(1)));
 }
 
