@@ -5,7 +5,7 @@
 //! performance regressions in the substrate itself.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use xlsm_engine::bloom::BloomFilter;
+use xlsm_engine::bloom::{BloomBuilder, BloomFilter};
 use xlsm_engine::crc32c::crc32c;
 use xlsm_engine::memtable::MemTable;
 use xlsm_engine::types::ValueType;
@@ -58,13 +58,19 @@ fn bench_bloom(c: &mut Criterion) {
     let keys: Vec<Vec<u8>> = (0..4096u32)
         .map(|i| format!("key{i:08}").into_bytes())
         .collect();
-    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+    let build = || {
+        let mut b = BloomBuilder::new(10);
+        for k in &keys {
+            b.add_key(k);
+        }
+        b.finish()
+    };
     let mut g = c.benchmark_group("bloom");
     g.throughput(Throughput::Elements(keys.len() as u64));
     g.bench_function("build_4k_keys", |b| {
-        b.iter(|| BloomFilter::new(10).build(&refs));
+        b.iter(build);
     });
-    let filter = BloomFilter::new(10).build(&refs);
+    let filter = build();
     g.throughput(Throughput::Elements(1));
     g.bench_function("probe", |b| {
         let mut i = 0usize;

@@ -1,10 +1,11 @@
-//! Read-path probe: what block compression, bloom filters (SST whole-key,
-//! SST prefix, memtable), and table-cache sharding buy on each storage
-//! generation — the software fixes for the paper's Finding #2 (the
-//! Level-0 query penalty grows as the device gets faster).
+//! Read-path probe: what block compression and bloom filters (SST
+//! whole-key, SST prefix, memtable) buy on each storage generation — the
+//! software fixes for the paper's Finding #2 (the Level-0 query penalty
+//! grows as the device gets faster).
 //!
-//! Three experiments, all fully deterministic (same seed ⇒ byte-identical
-//! JSON; `scripts/check.sh` runs the probe twice and diffs):
+//! Two experiments, both fully deterministic (same seed ⇒ byte-identical
+//! JSON; `scripts/check.sh` compares a full-size run with the committed
+//! `BENCH_readpath.json`):
 //!
 //! * **Point-miss** — the database is filled, then a slice of keys is
 //!   overwritten under a deferred compaction trigger so a deep Level-0
@@ -17,15 +18,6 @@
 //!   `CompressionType::None` vs `Rle` and read back through a small block
 //!   cache. Compressed blocks shrink the simulated device transfer, so
 //!   the read win tracks how much of the get path the device owns.
-//! * **MultiGet fan-out** — batched lookups at `multi_get_parallelism`
-//!   4 and 8 with a single-shard vs 8-way-sharded table cache, against a
-//!   block-cache-resident working set (a warmup pass loads every block
-//!   the timed pass touches). That is the regime where the lock matters:
-//!   once no probe waits on the device, every probe's reader lookup runs
-//!   through the table-cache critical section, and with one shard those
-//!   lookups serialize behind one gate and the fan-out stops scaling.
-//!   (Device-bound, the gate hides behind the device queue — the
-//!   point-miss and compression experiments cover that side.)
 
 use crate::common::{
     config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
@@ -42,18 +34,6 @@ const MISS_OPS: usize = 2_000;
 
 /// Present-key reads per compression measurement.
 const COMPRESSED_READS: usize = 1_500;
-
-/// Keys per MultiGet batch (wide enough to fan out across L0 + Ln files).
-const MULTIGET_BATCH: usize = 32;
-
-/// Batches per MultiGet measurement.
-const MULTIGET_ITERS: usize = 100;
-
-/// `multi_get_parallelism` values swept against each shard count.
-pub const FANOUTS: [usize; 2] = [4, 8];
-
-/// Table-cache shard counts swept.
-pub const SHARDS: [usize; 2] = [1, 8];
 
 fn kops(ops: usize, ns: u64) -> f64 {
     ratio(ops as f64, ns as f64 / 1e9) / 1e3
@@ -232,99 +212,11 @@ fn compression_one(
     })
 }
 
-/// MultiGet fan-out probe on one device with one shard count;
-/// `single_shard_kops` is the throughput of the one-shard run at the same
-/// fan-out.
-fn multi_get_one(
-    profile: DeviceProfile,
-    device: &'static str,
-    cfg: &BenchConfig,
-    fanout: usize,
-    shards: usize,
-    single_shard_kops: Option<f64>,
-) -> (JsonRow, f64) {
-    let cfg = *cfg;
-    let opts = move || DbOptions {
-        multi_get_parallelism: fanout,
-        table_cache_shards: shards,
-        // The experiment isolates the table-cache critical section, so
-        // the data must not hide behind device reads: a cache big
-        // enough for the whole dataset plus a warmup pass makes the
-        // timed window block-cache-resident.
-        block_cache_capacity: (cfg.dataset_bytes() * 2) as usize,
-        // A deep Level-0 is the experiment, not a stall condition.
-        level0_slowdown_writes_trigger: 1 << 16,
-        level0_stop_writes_trigger: 1 << 16,
-        ..DbOptions::default()
-    };
-    with_testbed(profile, opts, &cfg, move |tb| {
-        tb.db.flush().expect("flush");
-        tb.db.wait_for_compactions();
-
-        let ks = KeySpace::new(cfg.key_count);
-        // Pile up full-range Level-0 files (strided overwrites, one flush
-        // each) so a 32-key batch shatters into a probe job per L0 file
-        // plus one per touched Ln file — the fan-out whose reader lookups
-        // the sharded table cache exists to parallelize.
-        tb.db.set_l0_compaction_trigger(1 << 20);
-        let stride = (cfg.key_count / 48).max(1);
-        for round in 0..10u64 {
-            for i in 0..stride {
-                let idx = i * 48 + round;
-                if idx < cfg.key_count {
-                    tb.db.put(&ks.key(idx), &[b'o'; 64]).expect("overwrite");
-                }
-            }
-            tb.db.flush().expect("flush");
-        }
-        let batches: Vec<Vec<Vec<u8>>> = {
-            let mut next = picker(cfg.seed ^ 0xFA57, cfg.key_count);
-            (0..MULTIGET_ITERS)
-                .map(|_| (0..MULTIGET_BATCH).map(|_| ks.key(next())).collect())
-                .collect()
-        };
-        // Warmup: pull every block the timed pass will touch into the
-        // block cache, so the measurement is the software path alone.
-        for keys in &batches {
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            tb.db.multi_get(&refs).expect("warmup multi_get");
-        }
-
-        let lat = Histogram::new();
-        let t0 = xlsm_sim::now_nanos();
-        for keys in &batches {
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let s0 = xlsm_sim::now_nanos();
-            let hits = tb.db.multi_get(&refs).expect("multi_get");
-            lat.record(xlsm_sim::now_nanos() - s0);
-            assert!(hits.iter().all(Option::is_some), "fill covers every key");
-        }
-        let elapsed = xlsm_sim::now_nanos() - t0;
-
-        // Keys resolved per second across the window.
-        let kops = kops(MULTIGET_ITERS * MULTIGET_BATCH, elapsed);
-        let row = vec![
-            ("device", Cell::Str(device.into())),
-            ("fanout", Cell::Int(fanout as u64)),
-            ("shards", Cell::Int(shards as u64)),
-            ("kops", Cell::F3(kops)),
-            ("batch_p50_us", Cell::F3(us(lat.quantile(0.5)))),
-            ("batch_p99_us", Cell::F3(us(lat.quantile(0.99)))),
-            (
-                "speedup_vs_single_shard",
-                Cell::F3(vs_baseline(kops, single_shard_kops)),
-            ),
-        ];
-        (row, kops)
-    })
-}
-
 /// Runs the full probe over the three study devices. Every section is
 /// device-major; within a device the baseline of each pair comes first.
 pub fn run(cfg: &BenchConfig) -> JsonReport {
     let mut point_miss = Vec::new();
     let mut compression = Vec::new();
-    let mut multi_get = Vec::new();
     for profile in devices() {
         let device = label(&profile);
 
@@ -346,25 +238,10 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
             Some(plain_mb),
         );
         compression.extend([plain, rle]);
-
-        for fanout in FANOUTS {
-            let mut single = None;
-            for shards in SHARDS {
-                eprintln!("[readpath] multi_get: {device}, fanout {fanout}, {shards} shard(s)");
-                let (row, kops) =
-                    multi_get_one(profile.clone(), device, cfg, fanout, shards, single);
-                single.get_or_insert(kops);
-                multi_get.push(row);
-            }
-        }
     }
     JsonReport {
         bench: "readpath",
         config: config_cells(cfg),
-        sections: vec![
-            ("point_miss", point_miss),
-            ("compression", compression),
-            ("multi_get", multi_get),
-        ],
+        sections: vec![("point_miss", point_miss), ("compression", compression)],
     }
 }

@@ -33,11 +33,6 @@ pub fn throttled_throughput_kops(
     median_write_us / (refill_interval_us + median_write_us) * lambda_s_kops
 }
 
-/// Equation 2 with the paper's default refill interval.
-pub fn throttled_throughput_default_kops(lambda_s_kops: f64, median_write_us: f64) -> f64 {
-    throttled_throughput_kops(lambda_s_kops, median_write_us, REFILL_INTERVAL_US)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,14 +40,14 @@ mod tests {
     #[test]
     fn paper_xpoint_prediction() {
         // λ_s = 190 kop/s, t = 15 µs → 2.74 kop/s (Section IV-A).
-        let got = throttled_throughput_default_kops(190.0, 15.0);
+        let got = throttled_throughput_kops(190.0, 15.0, REFILL_INTERVAL_US);
         assert!((got - 2.74).abs() < 0.01, "got {got}");
     }
 
     #[test]
     fn paper_sata_prediction() {
         // λ_s = 130 kop/s, t = 15 µs → 1.88 kop/s.
-        let got = throttled_throughput_default_kops(130.0, 15.0);
+        let got = throttled_throughput_kops(130.0, 15.0, REFILL_INTERVAL_US);
         assert!((got - 1.877).abs() < 0.01, "got {got}");
     }
 
@@ -60,8 +55,8 @@ mod tests {
     fn hardware_independence() {
         // The key insight: a 10× faster system only helps marginally while
         // throttled, because refill_interval dominates.
-        let slow = throttled_throughput_default_kops(100.0, 15.0);
-        let fast = throttled_throughput_default_kops(1000.0, 15.0);
+        let slow = throttled_throughput_kops(100.0, 15.0, REFILL_INTERVAL_US);
+        let fast = throttled_throughput_kops(1000.0, 15.0, REFILL_INTERVAL_US);
         assert!(fast / slow < 11.0);
         // Both are tiny compared to the unthrottled capacity.
         assert!(fast < 20.0);

@@ -303,7 +303,10 @@ mod tests {
     #[test]
     fn channels_bound_read_concurrency() {
         Runtime::new().run(|| {
-            let p = profiles::optane_900p().with_channels(2);
+            let p = DeviceProfile {
+                channels: 2,
+                ..profiles::optane_900p()
+            };
             let svc = p.read_lat_ns + p.bus_fixed_ns + p.bus_ns_per_page;
             let dev = Arc::new(SimDevice::new(p));
             let mut handles = Vec::new();

@@ -87,12 +87,6 @@ impl DeviceProfile {
         self
     }
 
-    /// Overrides the channel count.
-    pub fn with_channels(mut self, channels: u64) -> DeviceProfile {
-        self.channels = channels;
-        self
-    }
-
     /// Whether this profile carries an FTL (i.e., is NAND flash).
     pub fn has_ftl(&self) -> bool {
         self.pages_per_block > 0
@@ -235,9 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn builders_adjust_fields() {
-        let p = optane_900p().with_capacity_bytes(1 << 30).with_channels(3);
+    fn capacity_override_rounds_to_pages() {
+        let p = optane_900p().with_capacity_bytes(1 << 30);
         assert_eq!(p.capacity_pages, 1 << 18);
-        assert_eq!(p.channels, 3);
     }
 }

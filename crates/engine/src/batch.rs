@@ -47,15 +47,6 @@ impl WriteBatch {
         }
     }
 
-    /// An empty batch computing `width`-byte per-entry protection as
-    /// operations are queued. `width` must be in
-    /// [`integrity::VALID_PROTECTION_WIDTHS`].
-    pub fn with_protection(width: usize) -> WriteBatch {
-        let mut b = WriteBatch::new();
-        b.enable_protection(width);
-        b
-    }
-
     /// Queues a put.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
         self.rep.push(ValueType::Value as u8);
@@ -334,6 +325,13 @@ impl<'a> Iterator for BatchIter<'a> {
 mod tests {
     use super::*;
 
+    /// An empty batch with `width`-byte per-entry protection on.
+    fn protected(width: usize) -> WriteBatch {
+        let mut b = WriteBatch::new();
+        b.enable_protection(width);
+        b
+    }
+
     #[test]
     fn put_delete_roundtrip() {
         let mut b = WriteBatch::new();
@@ -419,7 +417,7 @@ mod tests {
     #[test]
     fn protection_sidecar_follows_operations() {
         for width in [1usize, 2, 4, 8] {
-            let mut b = WriteBatch::with_protection(width);
+            let mut b = protected(width);
             b.put(b"a", b"1");
             b.delete(b"b");
             b.set_sequence(42);
@@ -430,16 +428,16 @@ mod tests {
 
     #[test]
     fn protection_survives_merge_and_restamp() {
-        let mut leader = WriteBatch::with_protection(8);
+        let mut leader = protected(8);
         leader.put(b"a", b"1");
-        let mut follower = WriteBatch::with_protection(8);
+        let mut follower = protected(8);
         follower.put(b"b", b"2");
         follower.delete(b"c");
         leader.append_batch(&follower);
         leader.set_sequence(99);
         leader.verify_protection("post-merge").unwrap();
         // Mixed widths: recomputed at the leader's width.
-        let mut narrow = WriteBatch::with_protection(2);
+        let mut narrow = protected(2);
         narrow.put(b"d", b"4");
         leader.append_batch(&narrow);
         leader.verify_protection("post-mixed-merge").unwrap();
@@ -448,7 +446,7 @@ mod tests {
 
     #[test]
     fn protection_detects_rep_corruption() {
-        let mut b = WriteBatch::with_protection(8);
+        let mut b = protected(8);
         b.put(b"key", b"value");
         b.set_sequence(1);
         b.verify_protection("pre").unwrap();

@@ -18,12 +18,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Builds and queries a bloom filter over a set of keys.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BloomFilter {
-    bits_per_key: usize,
-    k: usize,
-}
+/// Queries a serialized filter block ([`BloomBuilder`] writes them).
+#[derive(Clone, Copy, Debug)]
+pub struct BloomFilter;
 
 fn bloom_hash(key: &[u8]) -> u32 {
     // LevelDB's Hash() with fixed seed.
@@ -55,7 +52,7 @@ fn probes_for(bits_per_key: usize) -> usize {
 
 /// Serializes a filter sized by the number of **distinct** hashes.
 /// `hashes` is deduplicated in place; bit-setting is order-independent, so
-/// one-shot and incremental construction produce identical bytes.
+/// the bytes depend only on the key set.
 fn build_from_hashes(bits_per_key: usize, k: usize, hashes: &mut Vec<u32>) -> Vec<u8> {
     hashes.sort_unstable();
     hashes.dedup();
@@ -77,22 +74,6 @@ fn build_from_hashes(bits_per_key: usize, k: usize, hashes: &mut Vec<u32>) -> Ve
 }
 
 impl BloomFilter {
-    /// Creates a builder with `bits_per_key` (10 is the common choice,
-    /// ~1 % false positives).
-    pub fn new(bits_per_key: usize) -> BloomFilter {
-        BloomFilter {
-            bits_per_key,
-            k: probes_for(bits_per_key),
-        }
-    }
-
-    /// Serializes a filter block for `keys` (duplicates are collapsed
-    /// before sizing the bit array).
-    pub fn build(&self, keys: &[&[u8]]) -> Vec<u8> {
-        let mut hashes: Vec<u32> = keys.iter().map(|k| bloom_hash(k)).collect();
-        build_from_hashes(self.bits_per_key, self.k, &mut hashes)
-    }
-
     /// Tests membership against a serialized filter block.
     pub fn may_contain(filter: &[u8], key: &[u8]) -> bool {
         if filter.len() < 2 {
@@ -130,7 +111,8 @@ pub struct BloomBuilder {
 }
 
 impl BloomBuilder {
-    /// Creates an incremental builder with `bits_per_key`.
+    /// Creates an incremental builder with `bits_per_key` (10 is the
+    /// common choice, ~1 % false positives).
     pub fn new(bits_per_key: usize) -> BloomBuilder {
         BloomBuilder {
             bits_per_key,
@@ -157,19 +139,14 @@ impl BloomBuilder {
         }
     }
 
-    /// Number of keys retained (post adjacent-duplicate skip).
-    pub fn num_hashes(&self) -> usize {
-        self.hashes.len()
-    }
-
     /// Bytes of heap the builder currently retains for filter state.
     pub fn memory_bytes(&self) -> usize {
         self.hashes.capacity() * std::mem::size_of::<u32>()
             + self.last.as_ref().map_or(0, |k| k.capacity())
     }
 
-    /// Serializes the filter block; byte-identical to
-    /// [`BloomFilter::build`] over the same key set.
+    /// Serializes the filter block (duplicates are collapsed before sizing
+    /// the bit array).
     pub fn finish(mut self) -> Vec<u8> {
         build_from_hashes(self.bits_per_key, self.k, &mut self.hashes)
     }
@@ -238,10 +215,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The one-shot construction the incremental builder is checked
+    /// against: hash every key, then size and fill.
+    fn build(keys: &[&[u8]]) -> Vec<u8> {
+        let mut hashes = keys.iter().map(|k| bloom_hash(k)).collect();
+        build_from_hashes(10, probes_for(10), &mut hashes)
+    }
+
     #[test]
     fn empty_filter_rejects_everything() {
         // A filter over zero keys correctly reports nothing as present.
-        let f = BloomFilter::new(10).build(&[]);
+        let f = build(&[]);
         assert!(!BloomFilter::may_contain(&f, b"anything"));
         // But a degenerate (too-short) filter blob is permissive.
         assert!(BloomFilter::may_contain(&[], b"anything"));
@@ -253,7 +237,7 @@ mod tests {
             .map(|i| format!("key{i:05}").into_bytes())
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let f = BloomFilter::new(10).build(&refs);
+        let f = build(&refs);
         for k in &keys {
             assert!(BloomFilter::may_contain(&f, k), "false negative for {k:?}");
         }
@@ -265,7 +249,7 @@ mod tests {
             .map(|i| format!("in{i:06}").into_bytes())
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let f = BloomFilter::new(10).build(&refs);
+        let f = build(&refs);
         let mut fp = 0;
         let probes = 10_000;
         for i in 0..probes {
@@ -292,9 +276,8 @@ mod tests {
             }
         }
         let refs: Vec<&[u8]> = distinct.iter().map(|k| k.as_slice()).collect();
-        let bloom = BloomFilter::new(10);
-        let from_dups = bloom.build(&dup_refs);
-        let from_distinct = bloom.build(&refs);
+        let from_dups = build(&dup_refs);
+        let from_distinct = build(&refs);
         assert_eq!(
             from_dups, from_distinct,
             "duplicate-heavy input must size and fill like the distinct set"
@@ -313,12 +296,12 @@ mod tests {
             .map(|i| format!("key{:04}", i / 3).into_bytes()) // heavy adjacent dups
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let one_shot = BloomFilter::new(10).build(&refs);
+        let one_shot = build(&refs);
         let mut b = BloomBuilder::new(10);
         for k in &keys {
             b.add_key(k);
         }
-        assert_eq!(b.num_hashes(), 100, "adjacent duplicates skipped");
+        assert_eq!(b.hashes.len(), 100, "adjacent duplicates skipped");
         assert_eq!(b.finish(), one_shot);
     }
 
@@ -366,7 +349,7 @@ mod tests {
         ) {
             let keys: Vec<Vec<u8>> = keys.into_iter().collect();
             let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let f = BloomFilter::new(10).build(&refs);
+            let f = build(&refs);
             for k in &keys {
                 prop_assert!(BloomFilter::may_contain(&f, k));
             }
@@ -387,7 +370,7 @@ mod tests {
                     refs.push(k.as_slice());
                 }
             }
-            prop_assert_eq!(b.finish(), BloomFilter::new(10).build(&refs));
+            prop_assert_eq!(b.finish(), build(&refs));
         }
     }
 }

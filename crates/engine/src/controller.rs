@@ -215,12 +215,6 @@ impl WriteController {
         }
     }
 
-    /// Whether an external (ENOSPC) stop is currently imposed.
-    pub fn external_stopped(&self) -> bool {
-        self.external_stop
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Forces writers out of (or back into) the stopped-wait: used when
     /// the database enters read-only mode, where the stall condition will
     /// never clear and blocked writers must observe the failure instead.
@@ -682,7 +676,7 @@ mod tests {
             c.update(&sig(0, 1, 0), &opts);
             c.set_external_stop(true);
             assert!(c.is_stopped());
-            assert!(c.external_stopped());
+            assert!(c.external_stop.load(std::sync::atomic::Ordering::Relaxed));
             let c2 = std::sync::Arc::clone(&c);
             let h = xlsm_sim::spawn("writer", move || c2.wait_while_stopped());
             xlsm_sim::sleep_nanos(3_000_000);

@@ -50,9 +50,9 @@ pub const BLOCK_DECODE_NS_PER_KIB: u64 = 220;
 /// multiple GB/s, so the per-byte cost is well below block decoding.
 pub const BLOCK_DECOMPRESS_NS_PER_KIB: u64 = 64;
 
-/// One table-cache lookup under the shard lock: hash, probe, LRU touch.
-/// This is the critical section `table_cache_shards` exists to split — at
-/// `multi_get` fan-out every probe thread passes through it.
+/// One table-cache lookup: hash, probe, LRU touch. CPU the calling thread
+/// pays on its own — `multi_get` probe threads do not queue behind one
+/// another for it.
 pub const TABLE_CACHE_FIND_NS: u64 = 350;
 
 /// One key comparison during binary search (index or restart array).

@@ -339,10 +339,6 @@ impl WriteBackend for DbBackend {
         }
     }
 
-    fn allocate_seq(&self, count: u64) -> u64 {
-        self.inner.versions.allocate_sequences(count)
-    }
-
     fn reserve_seq(&self, count: u64) -> u64 {
         self.inner.versions.reserve_sequences(count)
     }
@@ -417,7 +413,6 @@ impl Db {
             &db_path,
             opts.block_cache_capacity,
             opts.max_open_files,
-            opts.table_cache_shards,
             opts.paranoid_file_checks,
         );
         let stats = DbStats::shared();
@@ -459,10 +454,7 @@ impl Db {
             controller,
             io_limiter,
             queue: WriteQueue::new(opts.pipelined_write, MAX_WRITE_BATCH_GROUP_SIZE)
-                .with_concurrent_apply(
-                    opts.allow_concurrent_memtable_write,
-                    opts.concurrent_apply_min_batches,
-                ),
+                .with_concurrent_apply(opts.allow_concurrent_memtable_write),
             dynamic: DynamicOptions::new(&opts),
             mem: parking_lot::Mutex::new(MemState {
                 mutable: new_memtable(&opts, opts.write_buffer_size, 1),
@@ -1040,7 +1032,7 @@ pub(crate) mod tests {
                 "workload must actually throttle: {:?}",
                 m.stall
             );
-            let coverage = m.stall_coverage();
+            let coverage = m.stall.coverage();
             assert!(
                 (coverage - 1.0).abs() <= 0.10,
                 "breakdown must reconcile with observed latency within 10%: \

@@ -673,8 +673,10 @@ mod tests {
         assert!(plain.may_contain(b"whatever"));
     }
 
-    /// Concurrent inserters racing on the bloom + skiplist: a key visible
-    /// to `get` must always pass `may_contain` (no false negatives).
+    /// Concurrent inserters racing on the bloom + skiplist: a key passes
+    /// `may_contain` the instant its insert returns (bits are published
+    /// before the skiplist node links in), and a key visible to `get` always
+    /// does (no false negatives).
     #[test]
     fn concurrent_bloom_has_no_false_negatives() {
         const THREADS: u64 = 16;
@@ -689,6 +691,11 @@ mod tests {
                         let seq = t * PER_THREAD + i + 1;
                         let key = format!("key-{t:02}-{i:04}");
                         m.add(seq, ValueType::Value, key.as_bytes(), b"v", 500);
+                        assert!(
+                            m.may_contain(key.as_bytes()),
+                            "bloom lost {key} right after its own insert"
+                        );
+                        xlsm_sim::sleep_nanos(250);
                     }
                 }));
             }

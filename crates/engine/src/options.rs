@@ -100,12 +100,6 @@ pub struct DbOptions {
     /// least-recently-used reader handle is closed when over the cap
     /// (decoded blocks stay in the block cache).
     pub max_open_files: usize,
-    /// Number of independently locked table-cache shards. `1` reproduces
-    /// the historical single-lock cache (every reader lookup serializes);
-    /// higher values split the `max_open_files` budget and the lookup
-    /// critical section across shards so `multi_get` probe threads stop
-    /// contending.
-    pub table_cache_shards: usize,
     /// Bloom bits per key; `0` disables blooms (the `db_bench` default the
     /// paper runs with, which is why L0 file count hurts reads).
     pub bloom_bits_per_key: usize,
@@ -138,16 +132,13 @@ pub struct DbOptions {
     /// Concurrent memtable writes: group members insert their own
     /// sub-batches into the memtable in parallel (RocksDB's
     /// `allow_concurrent_memtable_write`) instead of the leader serially
-    /// applying the merged group. The group's last sequence is published
-    /// only after a `write_done_count` barrier, so readers never observe a
-    /// half-applied group. This is the software-side fix for the paper's
+    /// applying the merged group; groups of one stay on the serial apply.
+    /// Either way the group's last sequence is published only once its
+    /// memtable stage is done, so readers never observe a half-applied
+    /// group. This is the software-side fix for the paper's
     /// Finding #3: on 3D XPoint the serial memtable stage — not the device
     /// — dominates write tail latency.
     pub allow_concurrent_memtable_write: bool,
-    /// Minimum member batches in a group before it takes the concurrent
-    /// apply path; smaller groups stay serial (barrier overhead isn't worth
-    /// paying for one or two batches).
-    pub concurrent_apply_min_batches: usize,
     /// Write a WAL record for each batch.
     pub enable_wal: bool,
     /// fsync the WAL on every commit (paper and db_bench default: off).
@@ -242,7 +233,6 @@ impl Default for DbOptions {
             max_subcompactions: 1, // RocksDB 5.17 default: serial compaction
             multi_get_parallelism: 4,
             max_open_files: 256,
-            table_cache_shards: 8,
             bloom_bits_per_key: 0,
             prefix_extractor: None,
             memtable_bloom_bits: 0,
@@ -251,7 +241,6 @@ impl Default for DbOptions {
             block_cache_capacity: 2 << 20,
             pipelined_write: true,
             allow_concurrent_memtable_write: false, // RocksDB 5.17 db_bench default
-            concurrent_apply_min_batches: 2,
             enable_wal: true,
             wal_sync: false,
             wal_recovery_mode: WalRecoveryMode::PointInTimeRecovery,
@@ -315,14 +304,8 @@ impl DbOptions {
         if self.multi_get_parallelism == 0 {
             return Err("multi_get_parallelism must be >= 1".into());
         }
-        if self.concurrent_apply_min_batches == 0 {
-            return Err("concurrent_apply_min_batches must be >= 1".into());
-        }
         if self.max_open_files != 0 && self.max_open_files < 16 {
             return Err("max_open_files must be 0 (unbounded) or >= 16".into());
-        }
-        if self.table_cache_shards == 0 || self.table_cache_shards > 64 {
-            return Err("table_cache_shards must be in 1..=64".into());
         }
         if self.prefix_extractor == Some(0) {
             return Err("prefix_extractor length must be >= 1".into());
@@ -422,24 +405,12 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_read_path_options() {
-        for bad in [
-            DbOptions {
-                table_cache_shards: 0,
-                ..DbOptions::default()
-            },
-            DbOptions {
-                table_cache_shards: 128,
-                ..DbOptions::default()
-            },
-            DbOptions {
-                prefix_extractor: Some(0),
-                ..DbOptions::default()
-            },
-        ] {
-            assert!(bad.validate().is_err());
-        }
+        let bad = DbOptions {
+            prefix_extractor: Some(0),
+            ..DbOptions::default()
+        };
+        assert!(bad.validate().is_err());
         let ok = DbOptions {
-            table_cache_shards: 1,
             prefix_extractor: Some(8),
             memtable_bloom_bits: 10,
             compression: CompressionType::Rle,

@@ -75,14 +75,21 @@ impl DbInner {
         }
     }
 
-    /// An unbounded scan cursor at the current snapshot over every memtable
-    /// (their blooms are whole-key, so the skiplists always join in) and the
-    /// files that `keep`: each Level-0 file is a merge child of its own,
-    /// since they overlap, and each deeper level one [`LevelIterator`].
-    fn scanner(
-        &self,
-        mut keep: impl FnMut(&Arc<FileMetaData>) -> DbResult<bool>,
-    ) -> DbResult<DbScanner> {
+    /// A scan cursor at the current snapshot over every memtable (their
+    /// blooms are whole-key, so the skiplists always join in) and every
+    /// file — or, given a `prefix`, the files whose key range intersects
+    /// `[prefix, successor(prefix))` and whose prefix bloom does not rule it
+    /// out, bounded above by the successor. Each Level-0 file is a merge
+    /// child of its own, since they overlap, and each deeper level one
+    /// [`LevelIterator`].
+    fn scanner(&self, prefix: Option<&[u8]>) -> DbResult<DbScanner> {
+        let upper = prefix.and_then(prefix_successor);
+        let in_range = |f: &FileMetaData, prefix: &[u8]| {
+            types::user_key(&f.largest) >= prefix
+                && upper
+                    .as_deref()
+                    .is_none_or(|u| types::user_key(&f.smallest) < u)
+        };
         let snapshot = self.versions.last_sequence();
         // Memtables before the version: a flush that lands between the two
         // is then seen twice, never not at all.
@@ -94,20 +101,34 @@ impl DbInner {
             children.push(Box::new(m.iter()));
         }
         for (level, files) in version.levels.iter().enumerate() {
+            // Each kept file with the reader its prefix filter opened.
             let mut kept = Vec::new();
             for f in files {
-                if keep(f)? {
-                    kept.push(Arc::clone(f));
+                let mut opened = None;
+                if let Some(prefix) = prefix {
+                    if !in_range(f, prefix) {
+                        continue;
+                    }
+                    let reader = self.table_cache.reader(f)?;
+                    if !reader.may_contain_prefix(prefix) {
+                        self.stats.bump(Ticker::PrefixBloomUseful);
+                        continue;
+                    }
+                    opened = Some(reader);
                 }
+                kept.push((Arc::clone(f), opened));
             }
             if level == 0 {
-                for f in kept {
-                    let reader = self.table_cache.reader(&f)?;
+                for (f, opened) in kept {
+                    let reader = match opened {
+                        Some(reader) => reader,
+                        None => self.table_cache.reader(&f)?,
+                    };
                     children.push(Box::new(reader.iter(Arc::clone(&self.stats), false)));
                 }
             } else if !kept.is_empty() {
                 children.push(Box::new(LevelIterator::new(
-                    kept,
+                    kept.into_iter().map(|(f, _)| f).collect(),
                     Arc::clone(&self.table_cache),
                     Arc::clone(&self.stats),
                     false,
@@ -116,6 +137,7 @@ impl DbInner {
         }
         let mut scanner = DbScanner::new(MergingIterator::new(children), snapshot);
         scanner.version = Some(version);
+        scanner.upper_bound = upper;
         Ok(scanner)
     }
 }
@@ -388,7 +410,7 @@ impl Db {
     ///
     /// I/O failures opening tables.
     pub fn scan(&self) -> DbResult<DbScanner> {
-        self.inner.scanner(|_| Ok(true))
+        self.inner.scanner(None)
     }
 
     /// A scan cursor restricted to user keys starting with `prefix`,
@@ -398,31 +420,14 @@ impl Db {
     /// whose key range cannot intersect `[prefix, successor(prefix))` are
     /// never opened, and — when [`crate::DbOptions::prefix_extractor`] is set to
     /// exactly `prefix.len()` — files whose prefix bloom rules the prefix
-    /// out are skipped without touching a data block.
+    /// out are skipped without touching a data block. A file that survives
+    /// both is looked up in the table cache once.
     ///
     /// # Errors
     ///
     /// I/O failures opening tables.
     pub fn scan_prefix(&self, prefix: &[u8]) -> DbResult<DbScanner> {
-        let inner = &self.inner;
-        let upper = prefix_successor(prefix);
-        let in_range = |f: &FileMetaData| {
-            types::user_key(&f.largest) >= prefix
-                && upper
-                    .as_deref()
-                    .is_none_or(|u| types::user_key(&f.smallest) < u)
-        };
-        let mut scanner = inner.scanner(|f| {
-            if !in_range(f) {
-                return Ok(false);
-            }
-            let keep = inner.table_cache.reader(f)?.may_contain_prefix(prefix);
-            if !keep {
-                inner.stats.bump(Ticker::PrefixBloomUseful);
-            }
-            Ok(keep)
-        })?;
-        scanner.upper_bound = upper;
+        let mut scanner = self.inner.scanner(Some(prefix))?;
         scanner.seek(prefix)?;
         Ok(scanner)
     }

@@ -174,9 +174,8 @@ pub(crate) fn replay_wals(
             replay_stopped = true;
         }
     }
-    while versions.last_sequence() < max_seq {
-        versions.allocate_sequences(max_seq - versions.last_sequence());
-    }
+    versions.reserve_sequences(max_seq - versions.last_sequence());
+    versions.publish_sequence(max_seq);
     Ok(recovery_mem)
 }
 

@@ -31,6 +31,7 @@ use crate::error::{DbError, DbResult};
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
 use crate::options::{DbOptions, WalRecoveryMode};
+use crate::recovery::parse_file_number;
 use crate::sst::{sst_file_name, TableReader};
 use crate::stats::{DbStats, Ticker};
 use crate::types::parse_internal_key;
@@ -97,11 +98,7 @@ fn numbered_files(fs: &Arc<SimFs>, db_path: &str, suffix: &str) -> Vec<(u64, Str
         .list(&prefix)
         .into_iter()
         .filter(|p| !p[prefix.len()..].contains('/'))
-        .filter_map(|p| {
-            let name = p.rsplit('/').next()?;
-            let number: u64 = name.strip_suffix(suffix)?.parse().ok()?;
-            Some((number, p))
-        })
+        .filter_map(|p| parse_file_number(&p, suffix).map(|n| (n, p)))
         .collect();
     out.sort();
     out

@@ -175,16 +175,6 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Bytes of heap currently held for filter construction. The builder
-    /// keeps one 32-bit hash per distinct key — never the user keys
-    /// themselves — so this stays far below the size of the keys streamed
-    /// through (the regression guard for the old `user_keys: Vec<Vec<u8>>`
-    /// buffer that doubled flush memory).
-    pub fn filter_memory_bytes(&self) -> usize {
-        self.whole_bloom.as_ref().map_or(0, |b| b.memory_bytes())
-            + self.prefix_bloom.as_ref().map_or(0, |b| b.memory_bytes())
-    }
-
     /// Bytes written so far (flushed blocks).
     pub fn file_size(&self) -> u64 {
         self.offset
@@ -280,11 +270,17 @@ mod tests {
                 let k = make_internal_key(uk.as_bytes(), 1, ValueType::Value);
                 b.add(&k, b"v").unwrap();
             }
+            // One 32-bit hash per distinct key — never the user keys
+            // themselves (the old `user_keys: Vec<Vec<u8>>` buffer doubled
+            // flush memory).
+            let held: usize = [&b.whole_bloom, &b.prefix_bloom]
+                .into_iter()
+                .flatten()
+                .map(BloomBuilder::memory_bytes)
+                .sum();
             assert!(
-                b.filter_memory_bytes() < key_bytes / 4,
-                "filter state holds {} bytes for {} bytes of keys — keys are being retained",
-                b.filter_memory_bytes(),
-                key_bytes
+                held < key_bytes / 4,
+                "filter state holds {held} bytes for {key_bytes} bytes of keys — keys are being retained"
             );
             b.finish().unwrap();
         });

@@ -297,11 +297,6 @@ impl StallAccounting {
         self.events.lock().drain(..).collect()
     }
 
-    /// Buffered (undrained) event count.
-    pub fn pending_events(&self) -> usize {
-        self.events.lock().len()
-    }
-
     /// Cheap copy of the aggregate totals.
     pub fn snapshot(&self) -> StallTotals {
         StallTotals {
@@ -386,7 +381,7 @@ mod tests {
             vec![2, 3, 4],
             "oldest events evicted, order preserved"
         );
-        assert_eq!(acc.pending_events(), 0);
+        assert_eq!(acc.events.lock().len(), 0);
         assert!(acc.drain_events().is_empty());
     }
 
@@ -429,7 +424,7 @@ mod tests {
         assert_eq!(t.ops, 0);
         assert_eq!(t.total_write_ns, 0);
         assert_eq!(t.events_pushed, 1);
-        assert_eq!(acc.pending_events(), 1);
+        assert_eq!(acc.events.lock().len(), 1);
         assert_eq!(t.coverage(), 1.0, "empty totals count as fully covered");
     }
 }

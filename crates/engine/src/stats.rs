@@ -304,14 +304,6 @@ pub struct Metrics {
     pub read_only: bool,
 }
 
-impl Metrics {
-    /// Fraction of observed end-to-end write time explained by the stall
-    /// breakdown components.
-    pub fn stall_coverage(&self) -> f64 {
-        self.stall.coverage()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -383,8 +383,8 @@ pub struct VersionSet {
     manifest: parking_lot::Mutex<FileHandle>,
     next_file: AtomicU64,
     /// Highest sequence number *visible to readers*. Trails
-    /// `next_sequence` while a concurrent-memtable write group is between
-    /// reservation and its `write_done_count` barrier.
+    /// `next_sequence` while a write group is between reserving its range
+    /// and the end of its memtable stage.
     last_sequence: AtomicU64,
     /// Sequence allocator (highest sequence ever handed out).
     next_sequence: AtomicU64,
@@ -507,15 +507,6 @@ impl VersionSet {
     /// Last *published* (reader-visible) sequence number.
     pub fn last_sequence(&self) -> u64 {
         self.last_sequence.load(Ordering::Acquire)
-    }
-
-    /// Advances the sequence allocator by `n` and publishes the whole range
-    /// immediately, returning the *first* sequence of the reserved range
-    /// (the serial write path: allocation and visibility coincide).
-    pub fn allocate_sequences(&self, n: u64) -> u64 {
-        let first = self.reserve_sequences(n);
-        self.publish_sequence(first + n - 1);
-        first
     }
 
     /// Advances the sequence allocator by `n` *without* publishing,
@@ -752,7 +743,8 @@ mod tests {
             // one above it (kept).
             e.wal_crcs = vec![(5, 111), (9, 222)];
             vs.log_and_apply(e).unwrap();
-            vs.allocate_sequences(500);
+            vs.reserve_sequences(500);
+            vs.publish_sequence(500);
             let mut e2 = VersionEdit::default();
             e2.added.push((1, meta(vs.new_file_number(), b"l", b"z")));
             vs.log_and_apply(e2).unwrap();

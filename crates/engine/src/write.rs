@@ -20,8 +20,12 @@
 //! record for the group but does *not* merge follower batches into the
 //! memtable stage: each member applies its own sub-batch — with its own
 //! pre-allocated sequence range — on its own sim thread, and a
-//! `write_done_count` barrier holds the group's sequence publication until
-//! every member finished, so readers never observe a half-applied group.
+//! `write_done_count` barrier ends the stage once every member finished.
+//!
+//! Serial or concurrent, there is one sequence rule: a group *reserves* its
+//! range before the WAL append and *publishes* its last sequence once its
+//! memtable stage succeeded, before it releases the stage. Readers never
+//! observe a half-applied group, and a held snapshot never gains a key.
 
 use crate::batch::WriteBatch;
 use crate::costs;
@@ -44,19 +48,15 @@ pub trait WriteBackend: Send + Sync {
     ///
     /// Shutdown or filesystem failures abort the group.
     fn preprocess(&self, group_bytes: u64) -> DbResult<PreprocessStalls>;
-    /// Reserves `count` consecutive sequence numbers and makes them visible
-    /// to readers immediately (the serial path, where the group is fully
-    /// applied before anyone learns its sequences); returns the first.
-    fn allocate_seq(&self, count: u64) -> u64;
     /// Reserves `count` consecutive sequence numbers *without* publishing
-    /// them; the queue calls [`WriteBackend::publish_seq`] after the
-    /// group's `write_done_count` barrier. Backends that don't distinguish
-    /// reservation from publication fall back to [`WriteBackend::allocate_seq`].
-    fn reserve_seq(&self, count: u64) -> u64 {
-        self.allocate_seq(count)
-    }
-    /// Publishes every sequence up to `last` to readers (no-op by default).
-    fn publish_seq(&self, _last: u64) {}
+    /// them and returns the first. Readers learn the range only through
+    /// [`WriteBackend::publish_seq`].
+    fn reserve_seq(&self, count: u64) -> u64;
+    /// Publishes every sequence up to `last` to readers. The queue calls it
+    /// once per group, after the group's memtable stage succeeded and while
+    /// it still holds the stage, so a snapshot never names a sequence whose
+    /// entry is not in the memtable yet.
+    fn publish_seq(&self, last: u64);
     /// Appends the group's WAL record.
     ///
     /// # Errors
@@ -71,21 +71,18 @@ pub trait WriteBackend: Send + Sync {
     /// Corruption in the encoded batch.
     fn write_memtable(&self, group: &WriteBatch) -> DbResult<()>;
     /// Applies *one member's* sub-batch, called on the member's own sim
-    /// thread inside the concurrent memtable stage. Defaults to the serial
-    /// apply, which is correct (just not overlapped) for simple backends.
+    /// thread inside the concurrent memtable stage.
     ///
     /// # Errors
     ///
     /// Corruption in the encoded batch.
-    fn write_memtable_member(&self, batch: &WriteBatch) -> DbResult<()> {
-        self.write_memtable(batch)
-    }
+    fn write_memtable_member(&self, batch: &WriteBatch) -> DbResult<()>;
 }
 
 /// Coordination for one concurrently-applied write group: RocksDB's
 /// `write_done_count` barrier. Every member (leader included) decrements
 /// once its sub-batch is in the memtable; the leader waits for zero before
-/// publishing the group's last sequence and completing the group.
+/// completing the memtable stage.
 struct GroupSync {
     write_done: AtomicUsize,
     done: WaitSet,
@@ -142,6 +139,10 @@ impl Writer {
     }
 }
 
+/// Member batches a group needs before it applies concurrently; a solo
+/// group has nobody to overlap with and stays on the leader's serial apply.
+const CONCURRENT_APPLY_MIN_BATCHES: usize = 2;
+
 /// The single write-thread queue of a database.
 pub struct WriteQueue {
     queue: parking_lot::Mutex<VecDeque<Arc<Writer>>>,
@@ -149,8 +150,6 @@ pub struct WriteQueue {
     pipelined: bool,
     /// Concurrent memtable writes (`allow_concurrent_memtable_write`).
     concurrent: bool,
-    /// Minimum member batches before a group takes the concurrent path.
-    concurrent_min_batches: usize,
     max_group_bytes: usize,
 }
 
@@ -172,17 +171,16 @@ impl WriteQueue {
             mem_stage: Semaphore::new("memtable-stage", 1),
             pipelined,
             concurrent: false,
-            concurrent_min_batches: 2,
             max_group_bytes,
         }
     }
 
     /// Enables concurrent memtable writes: groups of at least
-    /// `min_batches` members apply per-member on their own threads.
+    /// [`CONCURRENT_APPLY_MIN_BATCHES`] members apply per-member on their
+    /// own threads.
     #[must_use]
-    pub fn with_concurrent_apply(mut self, enabled: bool, min_batches: usize) -> WriteQueue {
+    pub fn with_concurrent_apply(mut self, enabled: bool) -> WriteQueue {
         self.concurrent = enabled;
-        self.concurrent_min_batches = min_batches.max(1);
         self
     }
 
@@ -310,7 +308,7 @@ impl WriteQueue {
         stats: &DbStats,
     ) -> DbResult<()> {
         let t_start = xlsm_sim::now_nanos();
-        let concurrent = self.concurrent && batches.len() >= self.concurrent_min_batches;
+        let concurrent = self.concurrent && batches.len() >= CONCURRENT_APPLY_MIN_BATCHES;
         // Merge the group's WAL record outside the queue lock. The serial
         // path consumes the member batches; the concurrent path keeps them,
         // since each member will apply its own.
@@ -337,14 +335,10 @@ impl WriteQueue {
             }
         };
         let total = u64::from(group.count());
-        // Concurrent groups only *reserve* their range here; it becomes
-        // visible after the barrier, so a reader snapshotting mid-apply
-        // cannot observe part of the group.
-        let first = if concurrent {
-            backend.reserve_seq(total)
-        } else {
-            backend.allocate_seq(total)
-        };
+        // The range is only *reserved* here; it becomes visible once the
+        // memtable stage below is done, so a reader snapshotting while the
+        // group is in the WAL or mid-apply cannot observe part of it.
+        let first = backend.reserve_seq(total);
         let last = first + total - 1;
         group.set_sequence(first);
         if concurrent {
@@ -383,14 +377,13 @@ impl WriteQueue {
             self.pop_group(members, stats);
         }
         let r = if concurrent {
-            let r = self.apply_concurrent(member_batches, members, backend, stats);
-            if r.is_ok() {
-                backend.publish_seq(last);
-            }
-            r
+            self.apply_concurrent(member_batches, members, backend, stats)
         } else {
             backend.write_memtable(&group)
         };
+        if r.is_ok() {
+            backend.publish_seq(last);
+        }
         self.mem_stage.release(1);
         if !self.pipelined {
             self.pop_group(members, stats);
@@ -492,11 +485,6 @@ mod tests {
     impl WriteBackend for TestBackend {
         fn preprocess(&self, _b: u64) -> DbResult<PreprocessStalls> {
             Ok(PreprocessStalls::default())
-        }
-        fn allocate_seq(&self, count: u64) -> u64 {
-            let first = self.reserve_seq(count);
-            self.publish_seq(first + count - 1);
-            first
         }
         fn reserve_seq(&self, count: u64) -> u64 {
             self.seq.fetch_add(count, Ordering::Relaxed) + 1
@@ -662,8 +650,7 @@ mod tests {
     fn concurrent_members_overlap_memtable_inserts() {
         fn run(concurrent: bool) -> (u64, u64) {
             Runtime::new().run(move || {
-                let q =
-                    Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(concurrent, 2));
+                let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(concurrent));
                 // Slow first WAL (one batch alone), then everyone else piles
                 // into one group behind it.
                 let be = TestBackend::new(50_000, 30_000);
@@ -697,52 +684,51 @@ mod tests {
         );
     }
 
-    /// The `write_done_count` barrier: the group's last sequence is only
-    /// published once every member's sub-batch is applied — never while a
-    /// member is still mid-insert.
+    /// One publication rule for both apply modes: a group's last sequence is
+    /// only published once the whole group is in the memtable — never while
+    /// the serial leader or a concurrent member is still mid-insert.
     #[test]
     fn barrier_publishes_after_every_member_applied() {
-        Runtime::new().run(|| {
-            // min_batches = 1 so even the first writer's solo group defers
-            // publication to the barrier; otherwise the serial fallback
-            // publishes at allocation time and the invariant below only
-            // holds per-group, not globally.
-            let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(true, 1));
-            let be = TestBackend::new(50_000, 20_000);
-            let stats = Arc::new(DbStats::new());
-            let writers = spawn_writers(6, &q, &be, &stats, |i| {
-                batch_with(format!("k{i}").as_bytes(), b"v")
-            });
-            // Observer: whenever sequences are published, every entry at or
-            // below the watermark must already be readable in the memtable.
-            let be2 = Arc::clone(&be);
-            let obs = xlsm_sim::spawn("observer", move || {
-                for _ in 0..60 {
-                    xlsm_sim::sleep_nanos(5_000);
-                    let published = be2.published.load(Ordering::Relaxed);
-                    let visible = be2.mem.num_entries();
-                    assert!(
-                        visible >= published,
-                        "published watermark {published} ahead of applied entries {visible}: \
-                         a reader could observe a half-applied group"
-                    );
+        for concurrent in [false, true] {
+            Runtime::new().run(move || {
+                let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(concurrent));
+                let be = TestBackend::new(50_000, 20_000);
+                let stats = Arc::new(DbStats::new());
+                let writers = spawn_writers(6, &q, &be, &stats, |i| {
+                    batch_with(format!("k{i}").as_bytes(), b"v")
+                });
+                // Observer: whenever sequences are published, every entry at
+                // or below the watermark must already be readable in the
+                // memtable.
+                let be2 = Arc::clone(&be);
+                let obs = xlsm_sim::spawn("observer", move || {
+                    for _ in 0..60 {
+                        xlsm_sim::sleep_nanos(5_000);
+                        let published = be2.published.load(Ordering::Relaxed);
+                        let visible = be2.mem.num_entries();
+                        assert!(
+                            visible >= published,
+                            "published watermark {published} ahead of applied entries \
+                             {visible}: a reader could observe a half-applied group"
+                        );
+                    }
+                });
+                for writer in writers {
+                    writer.join().unwrap();
                 }
+                obs.join();
+                assert_eq!(be.published.load(Ordering::Relaxed), 6);
+                assert_eq!(be.mem.num_entries(), 6);
             });
-            for writer in writers {
-                writer.join().unwrap();
-            }
-            obs.join();
-            assert_eq!(be.published.load(Ordering::Relaxed), 6);
-            assert_eq!(be.mem.num_entries(), 6);
-        });
+        }
     }
 
-    /// Groups smaller than `concurrent_apply_min_batches` stay on the
+    /// Groups smaller than [`CONCURRENT_APPLY_MIN_BATCHES`] stay on the
     /// serial path even with concurrent mode enabled.
     #[test]
     fn small_groups_fall_back_to_serial_apply() {
         Runtime::new().run(|| {
-            let q = WriteQueue::new(true, 1 << 20).with_concurrent_apply(true, 2);
+            let q = WriteQueue::new(true, 1 << 20).with_concurrent_apply(true);
             let be = TestBackend::new(0, 0);
             let stats = DbStats::new();
             q.submit(batch_with(b"k", b"v"), be.as_ref(), &stats)
@@ -750,7 +736,7 @@ mod tests {
             assert_eq!(stats.ticker(Ticker::ConcurrentMemtableApplies), 0);
             assert_eq!(be.member_applies.load(Ordering::Relaxed), 0);
             assert_eq!(be.mem.get(b"k", 100).unwrap(), Some(Some(b"v".to_vec())));
-            // Serial fallback still publishes through allocate_seq.
+            // The serial apply publishes through the same `publish_seq`.
             assert_eq!(be.published.load(Ordering::Relaxed), 1);
         });
     }
@@ -764,13 +750,19 @@ mod tests {
                     xlsm_sim::sleep_nanos(20_000); // let followers enqueue
                     Err(DbError::ShuttingDown)
                 }
-                fn allocate_seq(&self, _c: u64) -> u64 {
-                    0
+                fn reserve_seq(&self, _c: u64) -> u64 {
+                    unreachable!()
+                }
+                fn publish_seq(&self, _last: u64) {
+                    unreachable!()
                 }
                 fn write_wal(&self, _g: &WriteBatch) -> DbResult<()> {
                     unreachable!()
                 }
                 fn write_memtable(&self, _g: &WriteBatch) -> DbResult<()> {
+                    unreachable!()
+                }
+                fn write_memtable_member(&self, _b: &WriteBatch) -> DbResult<()> {
                     unreachable!()
                 }
             }
@@ -803,11 +795,6 @@ mod tests {
                     xlsm_sim::sleep_nanos(20_000); // let followers enqueue
                     Ok(PreprocessStalls::default())
                 }
-                fn allocate_seq(&self, c: u64) -> u64 {
-                    let first = self.reserve_seq(c);
-                    self.publish_seq(first + c - 1);
-                    first
-                }
                 fn reserve_seq(&self, c: u64) -> u64 {
                     self.seq.fetch_add(c, Ordering::Relaxed) + 1
                 }
@@ -828,7 +815,7 @@ mod tests {
                     }
                 }
             }
-            let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(true, 2));
+            let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(true));
             let be = Arc::new(MemberFail {
                 seq: AtomicU64::new(0),
                 published: AtomicU64::new(0),
@@ -865,7 +852,8 @@ mod tests {
             let be = TestBackend::new(50_000, 0);
             let stats = Arc::new(DbStats::new());
             fan_out(6, &q, &be, &stats, |i| {
-                let mut b = WriteBatch::with_protection(8);
+                let mut b = WriteBatch::new();
+                b.enable_protection(8);
                 b.put(format!("k{i}").as_bytes(), b"v");
                 b
             });

@@ -1,15 +1,14 @@
 //! Read-path equivalence: every read-path acceleration knob — block
 //! compression, whole-key + prefix bloom filters, the memtable bloom, and
-//! table-cache sharding — must be invisible to results. A database opened
+//! the `multi_get` fan-out — must be invisible to results. A database opened
 //! with all of them on must answer every `get`, `multi_get`, full scan,
 //! and prefix scan byte-identically to a plain database fed the same
-//! operations. A separate test drives the memtable bloom from many
-//! concurrent writers and checks it never yields a false negative.
+//! operations.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
-use xlsm_engine::{CompressionType, Db, DbOptions, MemTable};
+use xlsm_engine::{CompressionType, Db, DbOptions};
 use xlsm_sim::Runtime;
 use xlsm_simfs::{FsOptions, SimFs};
 
@@ -47,7 +46,6 @@ fn plain_opts() -> DbOptions {
         block_size: 1024,
         target_file_size_base: 64 << 10,
         max_bytes_for_level_base: 256 << 10,
-        table_cache_shards: 1,
         ..DbOptions::default()
     }
 }
@@ -58,7 +56,6 @@ fn fancy_opts() -> DbOptions {
         bloom_bits_per_key: 10,
         prefix_extractor: Some(2),
         memtable_bloom_bits: 10,
-        table_cache_shards: 8,
         multi_get_parallelism: 4,
         ..plain_opts()
     }
@@ -131,7 +128,7 @@ struct WorkloadResult {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Compression + blooms + sharding change costs, never answers.
+    /// Compression + blooms + fan-out change costs, never answers.
     #[test]
     fn accelerated_reads_equal_plain_reads(
         ops in prop::collection::vec(op_strategy(), 1..220),
@@ -167,39 +164,4 @@ fn prefix_scan_equals_filtered_full_scan() {
             .collect();
         assert_eq!(actual, expect, "prefix {p} diverged");
     }
-}
-
-/// Memtable bloom under the concurrent-insert path: keys inserted from
-/// many threads are all visible through `may_contain` the instant their
-/// insert returns — bits are published before the skiplist node links in.
-#[test]
-fn concurrent_memtable_bloom_has_no_false_negatives() {
-    use xlsm_engine::types::ValueType;
-    Runtime::new().run(|| {
-        let mem = MemTable::with_options(1, 10, 4096, false);
-        let mut handles = Vec::new();
-        for t in 0..12u64 {
-            let m = Arc::clone(&mem);
-            handles.push(xlsm_sim::spawn("bloom-writer", move || {
-                for i in 0..96u64 {
-                    let k = format!("w{t:02}k{i:04}");
-                    m.add(t * 96 + i + 1, ValueType::Value, k.as_bytes(), b"v", 500);
-                    assert!(
-                        m.may_contain(k.as_bytes()),
-                        "bloom lost {k} right after its own insert"
-                    );
-                    xlsm_sim::sleep_nanos(250);
-                }
-            }));
-        }
-        for h in handles {
-            h.join();
-        }
-        for t in 0..12u64 {
-            for i in 0..96u64 {
-                let k = format!("w{t:02}k{i:04}");
-                assert!(mem.may_contain(k.as_bytes()), "bloom false negative on {k}");
-            }
-        }
-    });
 }

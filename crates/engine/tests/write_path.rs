@@ -76,9 +76,10 @@ impl WriteBackend for MemBackend {
     fn preprocess(&self, _group_bytes: u64) -> DbResult<PreprocessStalls> {
         Ok(PreprocessStalls::default())
     }
-    fn allocate_seq(&self, count: u64) -> u64 {
+    fn reserve_seq(&self, count: u64) -> u64 {
         self.seq.fetch_add(count, Ordering::Relaxed) + 1
     }
+    fn publish_seq(&self, _last: u64) {}
     fn write_wal(&self, _group: &WriteBatch) -> DbResult<()> {
         if self.wal_delay_ns > 0 {
             xlsm_sim::sleep_nanos(self.wal_delay_ns);
@@ -167,7 +168,7 @@ proptest! {
         Runtime::new().run(move || {
             // --- Concurrent run: interleaved writers, real grouping. ---
             let q = Arc::new(
-                WriteQueue::new(true, 1 << 20).with_concurrent_apply(true, 2),
+                WriteQueue::new(true, 1 << 20).with_concurrent_apply(true),
             );
             let be = MemBackend::new(20_000, 2_000);
             let stats = Arc::new(DbStats::new());
@@ -256,10 +257,6 @@ fn db_opts(concurrent: bool) -> DbOptions {
         write_buffer_size: 256 << 10,
         block_cache_capacity: 256 << 10,
         allow_concurrent_memtable_write: concurrent,
-        // Force even solo groups through the barrier so publication is
-        // all-or-none for every batch (the serial fallback publishes at
-        // allocation time).
-        concurrent_apply_min_batches: 1,
         ..DbOptions::default()
     }
 }
@@ -285,13 +282,20 @@ fn dump_db(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
     out
 }
 
-/// The group barrier end-to-end: each writer commits two-key batches; a
-/// reader snapshotting at arbitrary points must always see *both* keys of
-/// a batch or *neither* — never a half-applied group member.
+/// Publication end-to-end, in both apply modes: each writer commits
+/// two-key batches; a reader snapshotting at arbitrary points must always
+/// see *both* keys of a batch or *neither* — never a half-applied group
+/// member.
 #[test]
 fn reader_never_observes_half_applied_group() {
-    Runtime::new().run(|| {
-        let (db, _fs) = open(db_opts(true));
+    for concurrent in [false, true] {
+        half_applied_group_is_never_observed(concurrent);
+    }
+}
+
+fn half_applied_group_is_never_observed(concurrent: bool) {
+    Runtime::new().run(move || {
+        let (db, _fs) = open(db_opts(concurrent));
         let writers = spawn_writers(8, {
             let db = Arc::clone(&db);
             move |w| {
@@ -330,7 +334,59 @@ fn reader_never_observes_half_applied_group() {
             h.join();
         }
         reader.join();
-        assert!(db.stats().ticker(Ticker::ConcurrentMemtableApplies) > 0);
+        assert_eq!(
+            db.stats().ticker(Ticker::ConcurrentMemtableApplies) > 0,
+            concurrent
+        );
+        db.close();
+    });
+}
+
+/// A held snapshot is repeatable: a key absent at sequence `s` stays absent
+/// at `s`, however far the writer has got since. One writer, so every group
+/// is a solo group on the serial apply of `DbOptions::default()`; the reader
+/// always asks for the writer's *next* key, which puts its snapshot between
+/// a group learning its sequences and that group reaching the memtable.
+#[test]
+fn snapshot_stays_repeatable_while_a_serial_group_commits() {
+    const PUTS: u32 = 400;
+    Runtime::new().run(|| {
+        let fs = SimFs::new(
+            SimDevice::shared(profiles::intel_530_sata()),
+            FsOptions::default(),
+        );
+        let db = Arc::new(Db::open(fs, DbOptions::default()).unwrap());
+        let key = |i: u32| format!("key{i:05}").into_bytes();
+        let writer = xlsm_sim::spawn("writer", {
+            let db = Arc::clone(&db);
+            move || {
+                for i in 0..PUTS {
+                    db.put(&key(i), &[b'v'; 1024]).unwrap();
+                }
+            }
+        });
+        let (mut next, mut checks, mut appeared) = (0, 0u32, 0u32);
+        loop {
+            let snap = db.snapshot();
+            let s = snap.sequence();
+            while next < PUTS && db.get_at(&key(next), s).unwrap().is_some() {
+                next += 1;
+            }
+            if next == PUTS {
+                break;
+            }
+            xlsm_sim::sleep_nanos(30_000);
+            checks += 1;
+            if db.get_at(&key(next), s).unwrap().is_some() {
+                appeared += 1;
+            }
+        }
+        writer.join();
+        assert!(checks > 20, "the reader must overlap the writer: {checks}");
+        assert_eq!(
+            appeared, 0,
+            "a key absent at a held snapshot appeared inside it in {appeared} of {checks} checks"
+        );
         db.close();
     });
 }

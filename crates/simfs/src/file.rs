@@ -1,11 +1,10 @@
-//! File I/O: what an append, a read, a prefetch and a sync cost, which
-//! pages they leave in the cache, and what reaches the device when.
+//! File I/O: what an append, a read and a sync cost, which pages they
+//! leave in the cache, and what reaches the device when.
 //!
-//! Every operation on a [`FileHandle`] that the fault plan counts starts at
-//! one gate (`gate`: live → powered → fault plan; `prefetch`, which the plan
-//! has never counted, stops after the first two), every cache miss goes
-//! through one walk (`fault_in`), and every page that reaches the device,
-//! in either direction, goes through one run coalescer (`for_each_run`).
+//! Every operation on a [`FileHandle`] starts at one gate (`gate`: live →
+//! powered → fault plan), every cache miss goes through one walk
+//! (`fault_in`), and every page that reaches the device, in either
+//! direction, goes through one run coalescer (`for_each_run`).
 
 use crate::error::{FsError, FsResult};
 use crate::fault::{AllocFault, FaultOp, FaultOutcome, FaultState};
@@ -17,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xlsm_device::PAGE_SIZE;
 
-/// Host-side fixed cost per read or prefetch call (syscall + VFS), ns.
+/// Host-side fixed cost per read call (syscall + VFS), ns.
 const HOST_READ_NS: u64 = 1_800;
 /// Host-side fixed cost per append call, ns.
 const HOST_WRITE_NS: u64 = 1_200;
@@ -345,24 +344,16 @@ impl FileHandle {
         self.data.name.lock().clone()
     }
 
-    /// The handle is live and the machine is powered; returns the file's
-    /// path for the caller's error reports.
-    fn check_live(&self, op: &'static str) -> FsResult<String> {
+    /// The top of every operation: the handle is live, the machine is
+    /// powered, and the fault plan lets the call through. An injected error
+    /// or a power cut becomes the call's [`FsError::Io`] here; a torn write
+    /// or a bit flip is handed back to the one caller that acts on it.
+    fn gate(&self, op: FaultOp, len: usize) -> FsResult<FaultOutcome> {
         let name = self.name();
         if self.data.deleted.load(Ordering::Relaxed) {
             return Err(FsError::Stale(name));
         }
-        self.fs.fail_if_dead(op, &name)?;
-        Ok(name)
-    }
-
-    /// The top of every operation the fault plan counts: the handle is
-    /// live, the machine is powered, and the plan lets the call through. An
-    /// injected error or a power cut becomes the call's [`FsError::Io`]
-    /// here; a torn write or a bit flip is handed back to the one caller
-    /// that acts on it.
-    fn gate(&self, op: FaultOp, len: usize) -> FsResult<FaultOutcome> {
-        let name = self.check_live(op.name())?;
+        self.fs.fail_if_dead(op.name(), &name)?;
         match self.fs.fault_decide(op, &name, len) {
             FaultOutcome::Error { retryable } => Err(FsError::io(op.name(), &name, retryable)),
             FaultOutcome::PowerCut => Err(FsError::io(op.name(), &name, false)),
@@ -494,27 +485,6 @@ impl FileHandle {
             out[byte] ^= 1u8 << bit;
         }
         Ok(out)
-    }
-
-    /// Populates the page cache for `[offset, offset + len)` with coalesced
-    /// device reads, without copying any data to the caller — the readahead
-    /// primitive (`posix_fadvise(WILLNEED)` analogue). The fault plan neither
-    /// counts nor fails it.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::Stale`] if the file was deleted. Ranges beyond EOF are
-    /// clamped silently.
-    pub fn prefetch(&self, offset: u64, len: usize) -> FsResult<()> {
-        self.check_live("prefetch")?;
-        let size = self.len();
-        if offset >= size || len == 0 {
-            return Ok(());
-        }
-        let end = offset.saturating_add(len as u64).min(size);
-        xlsm_sim::sleep_nanos(HOST_READ_NS);
-        self.fault_in(offset / PAGE_SIZE as u64, (end - 1) / PAGE_SIZE as u64);
-        Ok(())
     }
 
     /// Pushes this file's dirty pages to the device without a barrier: they
@@ -850,72 +820,6 @@ mod tests {
             let s = fs.stats();
             assert!(s.free_space_pages < s.capacity_pages);
             assert!(s.largest_free_extent_pages <= s.free_space_pages);
-        });
-    }
-
-    #[test]
-    fn prefetch_warms_the_cache_in_one_device_read() {
-        Runtime::new().run(|| {
-            let dev = SimDevice::shared(profiles::intel_530_sata());
-            let fs = SimFs::new(
-                Arc::clone(&dev) as Arc<dyn Device>,
-                FsOptions {
-                    page_cache_pages: 4096,
-                },
-            );
-            let f = fs.create("big").unwrap();
-            f.append(&vec![7u8; 256 << 10]).unwrap();
-            f.sync().unwrap();
-            // Evict by recreating a cold filesystem? Instead drop residency:
-            // pages are resident from the append; delete + rebuild cold.
-            let reads_before = dev.stats().reads;
-            f.prefetch(0, 256 << 10).unwrap();
-            let reads_mid = dev.stats().reads;
-            assert_eq!(
-                reads_mid, reads_before,
-                "already-resident pages need no I/O"
-            );
-            // Cold path: new fs over same device style — use a fresh file
-            // whose pages we explicitly push out with a tiny cache.
-            let fs2 = SimFs::new(
-                Arc::clone(&dev) as Arc<dyn Device>,
-                FsOptions {
-                    page_cache_pages: 1024,
-                },
-            );
-            let g = fs2.create("cold").unwrap();
-            g.append(&vec![9u8; 8 << 20]).unwrap(); // far beyond the cache
-            g.sync().unwrap();
-            let r0 = dev.stats().reads;
-            g.prefetch(0, 256 << 10).unwrap();
-            let r1 = dev.stats().reads;
-            assert!(r1 > r0, "cold prefetch must read the device");
-            assert!(
-                r1 - r0 <= 4,
-                "prefetch must coalesce into few large reads, got {}",
-                r1 - r0
-            );
-            // Now the reads are cache hits (no further device reads).
-            let t0 = xlsm_sim::now_nanos();
-            g.read_at(0, 64 << 10).unwrap();
-            let warm = xlsm_sim::now_nanos() - t0;
-            assert_eq!(dev.stats().reads, r1, "post-prefetch read must hit cache");
-            assert!(warm < 100_000, "warm read should be CPU-cheap: {warm} ns");
-        });
-    }
-
-    #[test]
-    fn prefetch_clamps_past_eof() {
-        Runtime::new().run(|| {
-            let fs = SimFs::new(
-                SimDevice::shared(profiles::optane_900p()),
-                FsOptions::default(),
-            );
-            let f = fs.create("short").unwrap();
-            f.append(b"tiny").unwrap();
-            f.prefetch(0, 1 << 20).unwrap(); // way past EOF: fine
-            f.prefetch(1 << 30, 4096).unwrap(); // fully past EOF: no-op
-            f.prefetch(1, usize::MAX).unwrap(); // `offset + len` overflows u64
         });
     }
 

@@ -11,9 +11,9 @@
 //!   Once a quarter of the cache is dirty the appender kicks a background
 //!   writeback daemon (Linux `dirty_background_ratio`); at half, it writes
 //!   the oldest dirty pages back itself before returning (`dirty_ratio`).
-//! * **Reads** and **`prefetch`** check the page cache; misses coalesce into
-//!   one device read per run of adjacent pages, and inserted pages may evict
-//!   older ones (clock/second-chance).
+//! * **Reads** check the page cache; misses coalesce into one device read
+//!   per run of adjacent pages, and inserted pages may evict older ones
+//!   (clock/second-chance).
 //! * **`flush_data`** pushes a file's dirty pages to the device; **`sync`**
 //!   is that plus a device barrier, which on flash waits for the
 //!   write-buffer drain.
@@ -25,9 +25,9 @@
 //!
 //! `fs.rs` is the namespace — which files exist, their extents, the
 //! counters, the power state; `file.rs` is what happens inside a file. Every
-//! file operation the fault plan counts starts at one gate (live → powered →
-//! fault plan), every miss goes through one page walk, and every page that
-//! reaches the device goes through one run coalescer.
+//! file operation starts at one gate (live → powered → fault plan), every
+//! miss goes through one page walk, and every page that reaches the device
+//! goes through one run coalescer.
 //!
 //! The layer also hosts deterministic **fault injection** ([`FaultPlan`]):
 //! scripted or probabilistic I/O errors, torn writes, read bit-flips, and

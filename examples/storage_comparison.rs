@@ -63,7 +63,7 @@ fn main() {
     for (name, lambda_s) in [("3d-xpoint", 190.0), ("sata-flash", 130.0)] {
         println!(
             "  {name:<12} λs = {lambda_s:>5.0} kop/s → λa = {:.2} kop/s",
-            model::throttled_throughput_default_kops(lambda_s, 15.0)
+            model::throttled_throughput_kops(lambda_s, 15.0, model::REFILL_INTERVAL_US)
         );
     }
     println!(

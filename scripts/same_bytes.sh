@@ -6,10 +6,23 @@
 # its diff. This is the acceptance a behaviour-preserving change
 # has to pass (ROADMAP items 3 and 4).
 #
-#   scripts/same_bytes.sh <base-ref>
+# A change that moves the virtual clock on purpose states its blast radius:
+# every artifact named after --moved (as the comparison prints it, e.g.
+# BENCH_readpath.json or results/fig19.tsv) must differ, every other one must
+# still be identical — a named file that did not move fails like an unnamed
+# one that did.
+#
+#   scripts/same_bytes.sh <base-ref> [--moved <artifact>...]
 set -euo pipefail
-[[ $# == 1 ]] || { echo "usage: scripts/same_bytes.sh <base-ref>" >&2; exit 2; }
+usage() { echo "usage: scripts/same_bytes.sh <base-ref> [--moved <artifact>...]" >&2; exit 2; }
+[[ $# -ge 1 && $1 != --* ]] || usage
 base_ref=$1
+shift
+moved=()
+if [[ $# -gt 0 ]]; then
+    [[ $1 == --moved && $# -ge 2 ]] || usage
+    moved=("${@:2}")
+fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 figures=(fig03 fig18 fig19 stalls integrity)
 
@@ -45,14 +58,30 @@ run_side base "$work/tree"
 run_side change "$repo"
 
 status=0
-for f in $(cd "$work/base" && ls *.json results/*.tsv); do
+artifacts=$(cd "$work/base" && ls *.json results/*.tsv)
+for f in "${moved[@]}"; do
+    grep -qxF "$f" <<<"$artifacts" || { echo "UNKNOWN $f (named after --moved, not an artifact)"; status=1; }
+done
+for f in $artifacts; do
+    expected=same
+    [[ " ${moved[*]} " == *" $f "* ]] && expected=moved
     if cmp -s "$work/base/$f" "$work/change/$f"; then
         echo "same    $f"
+        [[ $expected == same ]] || { echo "        named after --moved, but it did not move"; status=1; }
+    elif [[ $expected == moved ]]; then
+        echo "moved   $f"
+        diff "$work/base/$f" "$work/change/$f" | head -20 || true
     else
         echo "DIFFERS $f"
         diff "$work/base/$f" "$work/change/$f" | head -20 || true
         status=1
     fi
 done
-[[ $status == 0 ]] && echo "==> byte-identical to $base_ref" || echo "==> NOT byte-identical to $base_ref"
+if [[ $status != 0 ]]; then
+    echo "==> NOT as stated against $base_ref"
+elif [[ ${#moved[@]} == 0 ]]; then
+    echo "==> byte-identical to $base_ref"
+else
+    echo "==> ${#moved[@]} moved as stated, the rest byte-identical to $base_ref"
+fi
 exit $status
