@@ -56,9 +56,10 @@ fn for_each_run(mut lpns: Vec<u64>, mut io: impl FnMut(u64, u32)) {
 /// written final page exactly as far as it was persisted.
 #[derive(Debug, Default)]
 struct Durability {
-    /// page index -> bytes of that page pushed to the device (possibly
-    /// still in its volatile write buffer, awaiting a barrier).
-    device: HashMap<u64, u32>,
+    /// page index -> bytes of that page pushed to the device since the last
+    /// barrier, possibly still in its volatile write buffer. A barrier
+    /// drains it, so it costs the pages pushed since the previous one.
+    pending: HashMap<u64, u32>,
     /// page index -> bytes of that page made durable by a device barrier
     /// (or by write-through on devices without a write buffer).
     durable: HashMap<u64, u32>,
@@ -68,39 +69,48 @@ impl Durability {
     /// Records that `bytes` of `page` reached the device; `write_through`
     /// devices (no volatile buffer) persist immediately.
     fn record_device_write(&mut self, page: u64, bytes: u32, write_through: bool) {
-        let e = self.device.entry(page).or_insert(0);
+        let ledger = if write_through {
+            &mut self.durable
+        } else {
+            &mut self.pending
+        };
+        let e = ledger.entry(page).or_insert(0);
         *e = (*e).max(bytes);
-        if write_through {
-            let d = self.durable.entry(page).or_insert(0);
-            *d = (*d).max(bytes);
-        }
     }
 
-    /// A device barrier completed: everything previously pushed to the
-    /// device is now durable.
+    /// A device barrier completed: everything pushed to the device since
+    /// the previous barrier is now durable.
     fn promote(&mut self) {
-        for (&page, &bytes) in &self.device {
+        for (page, bytes) in self.pending.drain() {
             let d = self.durable.entry(page).or_insert(0);
             *d = (*d).max(bytes);
         }
     }
 
-    /// Length of the longest durable prefix of the file: full pages until
-    /// the first page that is missing or partially durable.
-    fn durable_prefix_bytes(&self) -> u64 {
-        let mut len = 0u64;
-        let mut page = 0u64;
-        loop {
-            match self.durable.get(&page) {
-                Some(&bytes) => {
-                    len += bytes as u64;
-                    if (bytes as usize) < xlsm_device::PAGE_SIZE {
-                        return len;
-                    }
-                    page += 1;
+    /// Power is gone: what sat in the device's write buffer is lost.
+    /// Returns the length the file keeps, its durable prefix.
+    fn lose_volatile(&mut self) -> u64 {
+        self.pending.clear();
+        durable_prefix_bytes(&self.durable)
+    }
+}
+
+/// Length of the longest durable prefix of a file whose page index ->
+/// durable bytes is `durable`: full pages until the first page that is
+/// missing or partially durable.
+fn durable_prefix_bytes(durable: &HashMap<u64, u32>) -> u64 {
+    let mut len = 0u64;
+    let mut page = 0u64;
+    loop {
+        match durable.get(&page) {
+            Some(&bytes) => {
+                len += bytes as u64;
+                if (bytes as usize) < PAGE_SIZE {
+                    return len;
                 }
-                None => return len,
+                page += 1;
             }
+            None => return len,
         }
     }
 }
@@ -131,8 +141,7 @@ impl FileData {
     /// file shrinks to its durable prefix.
     pub(crate) fn lose_volatile(&self) {
         let mut dur = self.durability.lock();
-        dur.device.clear();
-        let keep = dur.durable_prefix_bytes() as usize;
+        let keep = dur.lose_volatile() as usize;
         let mut content = self.content.write();
         if content.len() > keep {
             content.truncate(keep);
@@ -213,10 +222,11 @@ impl SimFs {
     }
 
     /// Consults the fault plan for one operation and bumps the injection
-    /// counters. [`FaultOutcome::PowerCut`] is executed here.
-    fn fault_decide(&self, op: FaultOp, path: &str, len: usize) -> FaultOutcome {
+    /// counters. [`FaultOutcome::PowerCut`] is executed here. `path` is
+    /// asked for only when a plan is installed.
+    fn fault_decide(&self, op: FaultOp, path: impl FnOnce() -> String, len: usize) -> FaultOutcome {
         let outcome = self
-            .ask_plan(|plan| plan.decide(op, path, len))
+            .ask_plan(|plan| plan.decide(op, &path(), len))
             .unwrap_or(FaultOutcome::None);
         match outcome {
             FaultOutcome::Error { .. } => {
@@ -236,7 +246,8 @@ impl SimFs {
     }
 
     /// Promotes device-buffered bytes to durable for every file: called
-    /// after a device barrier completes.
+    /// after a device barrier completes. Costs the live files plus the pages
+    /// pushed since the previous barrier.
     fn promote_durable(&self) {
         let by_id = self.by_id.lock();
         for data in by_id.values() {
@@ -349,14 +360,15 @@ impl FileHandle {
     /// or a power cut becomes the call's [`FsError::Io`] here; a torn write
     /// or a bit flip is handed back to the one caller that acts on it.
     fn gate(&self, op: FaultOp, len: usize) -> FsResult<FaultOutcome> {
-        let name = self.name();
         if self.data.deleted.load(Ordering::Relaxed) {
-            return Err(FsError::Stale(name));
+            return Err(FsError::Stale(self.name()));
         }
-        self.fs.fail_if_dead(op.name(), &name)?;
-        match self.fs.fault_decide(op, &name, len) {
-            FaultOutcome::Error { retryable } => Err(FsError::io(op.name(), &name, retryable)),
-            FaultOutcome::PowerCut => Err(FsError::io(op.name(), &name, false)),
+        self.fs.fail_if_dead(op.name(), || self.name())?;
+        match self.fs.fault_decide(op, || self.name(), len) {
+            FaultOutcome::Error { retryable } => {
+                Err(FsError::io(op.name(), &self.name(), retryable))
+            }
+            FaultOutcome::PowerCut => Err(FsError::io(op.name(), &self.name(), false)),
             admitted => Ok(admitted),
         }
     }
@@ -524,7 +536,7 @@ impl FileHandle {
         // before power died must fail — the cut has already discarded the
         // device write buffer, so reporting success here would let the
         // caller acknowledge a write that was never durable.
-        self.fs.fail_if_dead("sync", &self.name())?;
+        self.fs.fail_if_dead("sync", || self.name())?;
         // The barrier has completed: everything previously pushed to the
         // device (any file) is now durable.
         self.fs.promote_durable();
@@ -537,6 +549,7 @@ mod tests {
     use super::*;
     use crate::fs::tests::fixture;
     use crate::{FaultPlan, FsOptions};
+    use proptest::prelude::*;
     use xlsm_device::{profiles, Device, SimDevice};
     use xlsm_sim::Runtime;
 
@@ -847,6 +860,123 @@ mod tests {
             fs.power_restore();
             let g = fs.open("db/000007.log").unwrap();
             assert_eq!(g.len(), 0, "nothing unacknowledged may survive the cut");
+        });
+    }
+
+    /// The ledger as it was before barriers drained it: `device` keeps every
+    /// page ever pushed and every barrier re-promotes all of it: the
+    /// reference the drained [`Durability`] must agree with.
+    #[derive(Default)]
+    struct NeverDrained {
+        device: HashMap<u64, u32>,
+        durable: HashMap<u64, u32>,
+    }
+
+    impl NeverDrained {
+        fn record_device_write(&mut self, page: u64, bytes: u32, write_through: bool) {
+            let e = self.device.entry(page).or_insert(0);
+            *e = (*e).max(bytes);
+            if write_through {
+                let d = self.durable.entry(page).or_insert(0);
+                *d = (*d).max(bytes);
+            }
+        }
+
+        fn promote(&mut self) {
+            for (&page, &bytes) in &self.device {
+                let d = self.durable.entry(page).or_insert(0);
+                *d = (*d).max(bytes);
+            }
+        }
+
+        fn lose_volatile(&mut self) {
+            self.device.clear();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One tape of pushes (each page's bytes only growing), barriers and
+        /// power cuts through the drained ledger and the never-drained
+        /// reference: the durable prefix agrees after every event.
+        #[test]
+        fn drained_ledger_matches_never_drained_reference(
+            tape in prop::collection::vec(
+                (0u8..10, 0u64..6, 1u32..2 * PAGE_SIZE as u32, any::<bool>()),
+                1..120,
+            )
+        ) {
+            let mut new = Durability::default();
+            let mut reference = NeverDrained::default();
+            let mut sizes = [0u32; 6];
+            for (kind, page, grow, write_through) in tape {
+                match kind {
+                    0..=6 => {
+                        let size = &mut sizes[page as usize];
+                        *size = (*size + grow).min(PAGE_SIZE as u32);
+                        new.record_device_write(page, *size, write_through);
+                        reference.record_device_write(page, *size, write_through);
+                    }
+                    7 | 8 => {
+                        new.promote();
+                        reference.promote();
+                        prop_assert!(new.pending.is_empty());
+                    }
+                    _ => {
+                        reference.lose_volatile();
+                        prop_assert_eq!(
+                            new.lose_volatile(),
+                            durable_prefix_bytes(&reference.durable)
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    durable_prefix_bytes(&new.durable),
+                    durable_prefix_bytes(&reference.durable)
+                );
+            }
+        }
+    }
+
+    /// What makes a barrier cheap: a sync of one file promotes every file's
+    /// pushed pages, so afterwards no live file has anything pending.
+    #[test]
+    fn sync_leaves_no_live_file_pending() {
+        Runtime::new().run(|| {
+            let fs = SimFs::new(
+                SimDevice::shared(profiles::intel_530_sata()),
+                FsOptions::default(),
+            );
+            let files: Vec<FileHandle> = (0..3)
+                .map(|i| fs.create(&format!("f{i}")).unwrap())
+                .collect();
+            for f in &files {
+                f.append(&[1u8; 10_000]).unwrap();
+                f.flush_data().unwrap();
+            }
+            let pending = |data: &FileData| data.durability.lock().pending.len();
+            assert!(files.iter().all(|f| pending(&f.data) > 0));
+            files[0].sync().unwrap();
+            assert!(fs.by_id.lock().values().all(|data| pending(data) == 0));
+        });
+    }
+
+    #[test]
+    fn power_cut_keeps_the_barriered_length_of_a_repushed_page() {
+        Runtime::new().run(|| {
+            let fs = SimFs::new(
+                SimDevice::shared(profiles::intel_530_sata()),
+                FsOptions::default(),
+            );
+            let f = fs.create("f").unwrap();
+            f.append(&[7u8; 5000]).unwrap(); // 1 full + 1 partial page
+            f.sync().unwrap();
+            f.append(&[8u8; 3]).unwrap(); // grows the partial page
+            f.flush_data().unwrap(); // re-pushed, no barrier
+            fs.power_cut();
+            fs.power_restore();
+            assert_eq!(fs.open("f").unwrap().len(), 5000);
         });
     }
 }

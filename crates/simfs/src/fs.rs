@@ -149,7 +149,7 @@ impl SimFs {
     /// [`FsError::AlreadyExists`] if the path is taken; a hard
     /// [`FsError::Io`] while a power cut is in effect.
     pub fn create(self: &Arc<Self>, path: &str) -> FsResult<FileHandle> {
-        self.fail_if_dead("create", path)?;
+        self.fail_if_dead("create", || path.to_owned())?;
         let data = Arc::new(FileData::new(
             self.next_id.fetch_add(1, Ordering::Relaxed),
             path,
@@ -204,7 +204,7 @@ impl SimFs {
     /// is left fully intact in that case); a hard [`FsError::Io`] while a
     /// power cut is in effect.
     pub fn delete(&self, path: &str) -> FsResult<()> {
-        self.fail_if_dead("delete", path)?;
+        self.fail_if_dead("delete", || path.to_owned())?;
         if let Some(retryable) = self.ask_plan(|plan| plan.decide_delete(path)).flatten() {
             self.injected_errors.fetch_add(1, Ordering::Relaxed);
             return Err(FsError::io("delete", path, retryable));
@@ -238,7 +238,7 @@ impl SimFs {
     /// if `to` is taken; a hard [`FsError::Io`] while a power cut is in
     /// effect.
     pub fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        self.fail_if_dead("rename", from)?;
+        self.fail_if_dead("rename", || from.to_owned())?;
         let mut files = self.files.lock();
         if files.contains_key(to) {
             return Err(FsError::AlreadyExists(to.to_owned()));
@@ -365,10 +365,15 @@ impl SimFs {
         self.fault.lock().as_mut().map(ask)
     }
 
-    /// Fails the operation if a power cut is in effect.
-    pub(crate) fn fail_if_dead(&self, op: &'static str, path: &str) -> FsResult<()> {
+    /// Fails the operation if a power cut is in effect. `path` is asked for
+    /// only to name the file in the error.
+    pub(crate) fn fail_if_dead(
+        &self,
+        op: &'static str,
+        path: impl FnOnce() -> String,
+    ) -> FsResult<()> {
         if self.dead.load(Ordering::Relaxed) {
-            Err(FsError::io(op, path, false))
+            Err(FsError::io(op, &path(), false))
         } else {
             Ok(())
         }
