@@ -81,7 +81,6 @@ impl StabilityPolicy {
             StabilityPolicy::Fair => {
                 opts.compaction_scheduler = CompactionScheduler::Fair;
                 opts.bg_io_rate_bytes_per_sec = FAIR_BG_IO_RATE;
-                opts.bg_io_auto_tune = true;
             }
             StabilityPolicy::TwoStage => {
                 opts.compaction_scheduler = CompactionScheduler::Greedy;
@@ -118,10 +117,8 @@ mod tests {
             policy.apply(&mut opts);
             if policy == StabilityPolicy::Fair {
                 assert_eq!(opts.bg_io_rate_bytes_per_sec, FAIR_BG_IO_RATE);
-                assert!(opts.bg_io_auto_tune);
             } else {
                 assert_eq!(opts.bg_io_rate_bytes_per_sec, 0);
-                assert!(!opts.bg_io_auto_tune);
             }
             opts.validate().expect("policy options must validate");
         }

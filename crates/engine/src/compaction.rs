@@ -489,6 +489,12 @@ fn merge_range(
             if seq <= min_snapshot {
                 last_kept_visible = true;
             }
+            // No key's versions straddle two outputs (a level is searched by
+            // user key): cut after a version all snapshots see, else before the next key.
+            let target = opts.target_file_size_base;
+            if !same_key && builder.as_ref().is_some_and(|b| b.file_size() >= target) {
+                finish_builder(&mut builder, builder_number, edit)?;
+            }
             if builder.is_none() {
                 builder_number = new_file_number();
                 created.push(builder_number);
@@ -497,7 +503,7 @@ fn merge_range(
             }
             let b = builder.as_mut().unwrap();
             b.add(ikey, merged.value())?;
-            if b.file_size() >= opts.target_file_size_base {
+            if last_kept_visible && b.file_size() >= target {
                 finish_builder(&mut builder, builder_number, edit)?;
             }
         }

@@ -443,18 +443,15 @@ impl Db {
         let (compact_tx, compact_rx) = channel::<()>("compaction-jobs");
         let controller = WriteController::new(&opts);
         controller.attach_accounting(Arc::clone(&stats.stall));
-        // Auto-tune reference: debt equal to 4× the L1 target doubles the
-        // budget; the scale caps at 4× base (see `BgIoLimiter::retune`).
-        let io_limiter = BgIoLimiter::new(
-            opts.bg_io_rate_bytes_per_sec,
-            opts.bg_io_auto_tune
-                .then(|| 4 * opts.max_bytes_for_level_base),
-        );
+        // Every budget auto-tunes (a rate of 0 is no budget): debt equal to
+        // 4× the L1 target doubles it, capped at 4× (`BgIoLimiter::retune`).
+        let reference = 4 * opts.max_bytes_for_level_base;
+        let io_limiter = BgIoLimiter::new(opts.bg_io_rate_bytes_per_sec, Some(reference));
+        let concurrent = opts.allow_concurrent_memtable_write;
         let inner = Arc::new(DbInner {
             controller,
             io_limiter,
-            queue: WriteQueue::new(opts.pipelined_write, MAX_WRITE_BATCH_GROUP_SIZE)
-                .with_concurrent_apply(opts.allow_concurrent_memtable_write),
+            queue: WriteQueue::new(MAX_WRITE_BATCH_GROUP_SIZE, concurrent),
             dynamic: DynamicOptions::new(&opts),
             mem: parking_lot::Mutex::new(MemState {
                 mutable: new_memtable(&opts, opts.write_buffer_size, 1),

@@ -20,7 +20,7 @@
 //!   token bucket ([`scheduler::BgIoLimiter`]) with flush priority and
 //!   debt-scaled auto-tuning;
 //! * the **pipelined write path of Algorithm 2** ([`mod@write`]): one writer
-//!   queue, leader-selected batch groups, optional WAL/memtable pipelining;
+//!   queue, leader-selected batch groups, WAL/memtable pipelining;
 //! * **cross-layer stall accounting** ([`stall`]): per-op write-latency
 //!   breakdowns and a controller-transition event log, snapshotted through
 //!   [`Db::metrics`](db::Db::metrics);

@@ -92,9 +92,6 @@ pub struct DbOptions {
     /// merge thread per range, draining compaction debt at device speed on
     /// devices with internal parallelism.
     pub max_subcompactions: usize,
-    /// Maximum concurrent SST probe threads for one [`crate::Db::multi_get`]
-    /// batch. `1` probes files sequentially (the `get` path, repeated).
-    pub multi_get_parallelism: usize,
     /// Maximum cached open [`crate::sst::TableReader`]s in the table cache
     /// (RocksDB `max_open_files`). `0` means unbounded; otherwise the
     /// least-recently-used reader handle is closed when over the cap
@@ -126,9 +123,6 @@ pub struct DbOptions {
     pub block_size: usize,
     /// Block cache capacity (bytes); decoded-block cache.
     pub block_cache_capacity: usize,
-    /// Use the pipelined write path (Algorithm 2). When false, the group
-    /// leader also performs all memtable inserts.
-    pub pipelined_write: bool,
     /// Concurrent memtable writes: group members insert their own
     /// sub-batches into the memtable in parallel (RocksDB's
     /// `allow_concurrent_memtable_write`) instead of the leader serially
@@ -160,13 +154,11 @@ pub struct DbOptions {
     pub compaction_scheduler: CompactionScheduler,
     /// Shared background-I/O budget in bytes per (virtual) second drawn by
     /// flushes and compactions together, with flush priority — RocksDB's
-    /// `rate_limiter`. `0` disables throttling.
-    pub bg_io_rate_bytes_per_sec: u64,
-    /// Auto-tune the background budget with measured compaction debt:
+    /// `rate_limiter`. `0` disables throttling. The budget auto-tunes with
+    /// measured compaction debt:
     /// `rate = base × (1 + min(debt / (4 × max_bytes_for_level_base), 3))`,
-    /// re-evaluated on every write-controller update. Requires
-    /// `bg_io_rate_bytes_per_sec > 0`.
-    pub bg_io_auto_tune: bool,
+    /// re-evaluated on every write-controller update.
+    pub bg_io_rate_bytes_per_sec: u64,
     /// Verify data integrity aggressively and escalate detected corruption
     /// in background jobs to a hard error (read-only mode) — RocksDB's
     /// `paranoid_checks`. When false, a corrupt compaction input aborts
@@ -231,7 +223,6 @@ impl Default for DbOptions {
             max_bytes_for_level_base: 4 << 20, // 4 MiB (paper: 256 MB, scaled; keeps the 1:4 memtable:L1 ratio)
             target_file_size_base: 1 << 20,
             max_subcompactions: 1, // RocksDB 5.17 default: serial compaction
-            multi_get_parallelism: 4,
             max_open_files: 256,
             bloom_bits_per_key: 0,
             prefix_extractor: None,
@@ -239,7 +230,6 @@ impl Default for DbOptions {
             compression: CompressionType::None,
             block_size: 4096,
             block_cache_capacity: 2 << 20,
-            pipelined_write: true,
             allow_concurrent_memtable_write: false, // RocksDB 5.17 db_bench default
             enable_wal: true,
             wal_sync: false,
@@ -256,7 +246,6 @@ impl Default for DbOptions {
             throttle_policy: ThrottlePolicy::Original,
             compaction_scheduler: CompactionScheduler::Greedy,
             bg_io_rate_bytes_per_sec: 0,
-            bg_io_auto_tune: false,
             wal_fs: None,
             db_path: "db".to_owned(),
         }
@@ -301,9 +290,6 @@ impl DbOptions {
         if self.max_subcompactions == 0 {
             return Err("max_subcompactions must be >= 1".into());
         }
-        if self.multi_get_parallelism == 0 {
-            return Err("multi_get_parallelism must be >= 1".into());
-        }
         if self.max_open_files != 0 && self.max_open_files < 16 {
             return Err("max_open_files must be 0 (unbounded) or >= 16".into());
         }
@@ -315,9 +301,6 @@ impl DbOptions {
         }
         if self.bg_io_rate_bytes_per_sec != 0 && self.bg_io_rate_bytes_per_sec < 64 << 10 {
             return Err("bg_io_rate_bytes_per_sec must be 0 (off) or >= 64 KiB/s".into());
-        }
-        if self.bg_io_auto_tune && self.bg_io_rate_bytes_per_sec == 0 {
-            return Err("bg_io_auto_tune requires bg_io_rate_bytes_per_sec > 0".into());
         }
         if self.sst_delete_rate_bytes_per_sec != 0 && self.sst_delete_rate_bytes_per_sec < 64 << 10
         {
@@ -386,10 +369,6 @@ mod tests {
                 ..DbOptions::default()
             },
             DbOptions {
-                multi_get_parallelism: 0,
-                ..DbOptions::default()
-            },
-            DbOptions {
                 max_open_files: 4,
                 ..DbOptions::default()
             },
@@ -426,14 +405,8 @@ mod tests {
             ..DbOptions::default()
         };
         assert!(bad_rate.validate().is_err());
-        let tune_without_budget = DbOptions {
-            bg_io_auto_tune: true,
-            ..DbOptions::default()
-        };
-        assert!(tune_without_budget.validate().is_err());
         let ok = DbOptions {
             bg_io_rate_bytes_per_sec: 64 << 20,
-            bg_io_auto_tune: true,
             compaction_scheduler: CompactionScheduler::Fair,
             ..DbOptions::default()
         };

@@ -13,6 +13,9 @@ use crate::types::{self, SequenceNumber, ValueType};
 use crate::version::FileMetaData;
 use std::sync::Arc;
 
+/// Most probe threads one [`Db::multi_get`] batch fans its SSTs out across.
+const MULTI_GET_PARALLELISM: usize = 4;
+
 /// Probes one memtable for `key`, consulting its whole-key bloom first when
 /// enabled: a bloom rejection answers without walking the skiplist at all,
 /// which is the entire point of `memtable_bloom_bits`.
@@ -341,7 +344,7 @@ impl Db {
                     .collect(),
             })
             .collect();
-        let threads = inner.opts.multi_get_parallelism.min(jobs.len());
+        let threads = MULTI_GET_PARALLELISM.min(jobs.len());
         let hits = if threads <= 1 {
             run_probe_jobs(&inner.table_cache, &inner.stats, &jobs)?
         } else {

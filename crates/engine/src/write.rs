@@ -5,11 +5,11 @@
 //! RocksDB keeps *one* write-thread queue. The writer at the head becomes
 //! the **leader** of a batch group: it merges the queued batches (up to
 //! `max_group_bytes`), runs the stall/delay preprocessing, writes
-//! one WAL record for the whole group and applies it to the memtable. In
-//! **pipelined** mode the leader hands queue leadership to the next writer
-//! right after the WAL write, so group *N+1*'s WAL overlaps group *N*'s
-//! memtable insertion; memtable insertions themselves stay serialized in
-//! group order (a FIFO semaphore).
+//! one WAL record for the whole group and applies it to the memtable. The
+//! leader hands queue leadership to the next writer right after the WAL
+//! write, so group *N+1*'s WAL overlaps group *N*'s memtable insertion;
+//! memtable insertions themselves stay serialized in group order (a FIFO
+//! semaphore).
 //!
 //! This queue is where the paper's Finding #3 lives: on 3D XPoint, reads
 //! complete quickly, client threads come back to write sooner, the queue
@@ -147,7 +147,6 @@ const CONCURRENT_APPLY_MIN_BATCHES: usize = 2;
 pub struct WriteQueue {
     queue: parking_lot::Mutex<VecDeque<Arc<Writer>>>,
     mem_stage: Semaphore,
-    pipelined: bool,
     /// Concurrent memtable writes (`allow_concurrent_memtable_write`).
     concurrent: bool,
     max_group_bytes: usize,
@@ -157,31 +156,22 @@ impl std::fmt::Debug for WriteQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WriteQueue")
             .field("queued", &self.queue.lock().len())
-            .field("pipelined", &self.pipelined)
             .field("concurrent", &self.concurrent)
             .finish()
     }
 }
 
 impl WriteQueue {
-    /// Creates the queue (serial memtable stage).
-    pub fn new(pipelined: bool, max_group_bytes: usize) -> WriteQueue {
+    /// Creates the queue. With `concurrent` (concurrent memtable writes),
+    /// groups of at least [`CONCURRENT_APPLY_MIN_BATCHES`] members apply
+    /// per-member on their own threads.
+    pub fn new(max_group_bytes: usize, concurrent: bool) -> WriteQueue {
         WriteQueue {
             queue: parking_lot::Mutex::new(VecDeque::new()),
             mem_stage: Semaphore::new("memtable-stage", 1),
-            pipelined,
-            concurrent: false,
+            concurrent,
             max_group_bytes,
         }
-    }
-
-    /// Enables concurrent memtable writes: groups of at least
-    /// [`CONCURRENT_APPLY_MIN_BATCHES`] members apply per-member on their
-    /// own threads.
-    #[must_use]
-    pub fn with_concurrent_apply(mut self, enabled: bool) -> WriteQueue {
-        self.concurrent = enabled;
-        self
     }
 
     /// Writers currently queued (Fig. 16's instantaneous value).
@@ -367,15 +357,13 @@ impl WriteQueue {
         let t_stage = xlsm_sim::now_nanos();
         let wal_ns = t_stage - t_wal;
         // Algorithm 2: acquire the memtable stage while still at the queue
-        // head (guarantees group-ordered memtable writes). In pipelined
-        // mode, hand queue leadership over right away so the next group's
-        // WAL overlaps our memtable insertion.
+        // head (guarantees group-ordered memtable writes), then hand queue
+        // leadership over right away so the next group's WAL overlaps our
+        // memtable insertion.
         self.mem_stage.acquire(1);
         let t_apply = xlsm_sim::now_nanos();
         let pipeline_wait_ns = t_apply - t_stage;
-        if self.pipelined {
-            self.pop_group(members, stats);
-        }
+        self.pop_group(members, stats);
         let r = if concurrent {
             self.apply_concurrent(member_batches, members, backend, stats)
         } else {
@@ -385,9 +373,6 @@ impl WriteQueue {
             backend.publish_seq(last);
         }
         self.mem_stage.release(1);
-        if !self.pipelined {
-            self.pop_group(members, stats);
-        }
         if r.is_ok() {
             let t_done = xlsm_sim::now_nanos();
             let mem_ns = t_done - t_apply;
@@ -560,7 +545,7 @@ mod tests {
     #[test]
     fn single_writer_commits() {
         Runtime::new().run(|| {
-            let q = WriteQueue::new(false, 1 << 20);
+            let q = WriteQueue::new(1 << 20, false);
             let be = TestBackend::new(0, 0);
             let stats = DbStats::new();
             q.submit(batch_with(b"k", b"v"), be.as_ref(), &stats)
@@ -573,7 +558,7 @@ mod tests {
     #[test]
     fn concurrent_writers_group_under_slow_wal() {
         Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(false, 1 << 20));
+            let q = Arc::new(WriteQueue::new(1 << 20, false));
             // 50 µs WAL: while the first leader is inside, the rest pile up
             // and the second group should absorb them all.
             let be = TestBackend::new(50_000, 0);
@@ -604,7 +589,7 @@ mod tests {
     #[test]
     fn sequences_are_unique_and_ordered() {
         Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(true, 1 << 20));
+            let q = Arc::new(WriteQueue::new(1 << 20, false));
             let be = TestBackend::new(10_000, 5_000);
             let stats = Arc::new(DbStats::new());
             // Every writer writes the same key; final value must be the
@@ -622,24 +607,17 @@ mod tests {
     #[test]
     fn pipelined_overlaps_wal_and_memtable() {
         // With WAL = 40 µs and memtable = 40 µs per group and grouping
-        // disabled (max group = 1 batch), 4 sequential groups take:
-        //   non-pipelined: 4 × 80 µs = 320 µs
-        //   pipelined:     WAL chain 4 × 40 + final memtable 40 = 200 µs
-        fn run(pipelined: bool) -> u64 {
-            Runtime::new().run(move || {
-                let q = Arc::new(WriteQueue::new(pipelined, 1)); // no grouping
-                let be = TestBackend::new(40_000, 40_000);
-                let stats = Arc::new(DbStats::new());
-                fan_out(4, &q, &be, &stats, |i| {
-                    batch_with(format!("k{i}").as_bytes(), b"v")
-                });
-                xlsm_sim::now_nanos()
-            })
-        }
-        let t_plain = run(false);
-        let t_pipe = run(true);
-        assert_eq!(t_plain, 320_000);
-        assert_eq!(t_pipe, 200_000);
+        // disabled (max group = 1 batch), 4 sequential groups take the WAL
+        // chain 4 × 40 + the final memtable 40 = 200 µs, not 4 × 80 µs.
+        Runtime::new().run(|| {
+            let q = Arc::new(WriteQueue::new(1, false)); // no grouping
+            let be = TestBackend::new(40_000, 40_000);
+            let stats = Arc::new(DbStats::new());
+            fan_out(4, &q, &be, &stats, |i| {
+                batch_with(format!("k{i}").as_bytes(), b"v")
+            });
+            assert_eq!(xlsm_sim::now_nanos(), 200_000);
+        });
     }
 
     /// Concurrent memtable mode: a group of members each pays its own
@@ -650,7 +628,7 @@ mod tests {
     fn concurrent_members_overlap_memtable_inserts() {
         fn run(concurrent: bool) -> (u64, u64) {
             Runtime::new().run(move || {
-                let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(concurrent));
+                let q = Arc::new(WriteQueue::new(1 << 20, concurrent));
                 // Slow first WAL (one batch alone), then everyone else piles
                 // into one group behind it.
                 let be = TestBackend::new(50_000, 30_000);
@@ -691,7 +669,7 @@ mod tests {
     fn barrier_publishes_after_every_member_applied() {
         for concurrent in [false, true] {
             Runtime::new().run(move || {
-                let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(concurrent));
+                let q = Arc::new(WriteQueue::new(1 << 20, concurrent));
                 let be = TestBackend::new(50_000, 20_000);
                 let stats = Arc::new(DbStats::new());
                 let writers = spawn_writers(6, &q, &be, &stats, |i| {
@@ -728,7 +706,7 @@ mod tests {
     #[test]
     fn small_groups_fall_back_to_serial_apply() {
         Runtime::new().run(|| {
-            let q = WriteQueue::new(true, 1 << 20).with_concurrent_apply(true);
+            let q = WriteQueue::new(1 << 20, true);
             let be = TestBackend::new(0, 0);
             let stats = DbStats::new();
             q.submit(batch_with(b"k", b"v"), be.as_ref(), &stats)
@@ -766,7 +744,7 @@ mod tests {
                     unreachable!()
                 }
             }
-            let q = Arc::new(WriteQueue::new(false, 1 << 20));
+            let q = Arc::new(WriteQueue::new(1 << 20, false));
             let stats = Arc::new(DbStats::new());
             let writers = spawn_writers(3, &q, &Arc::new(FailingBackend), &stats, |_| {
                 batch_with(b"k", b"v")
@@ -815,7 +793,7 @@ mod tests {
                     }
                 }
             }
-            let q = Arc::new(WriteQueue::new(true, 1 << 20).with_concurrent_apply(true));
+            let q = Arc::new(WriteQueue::new(1 << 20, true));
             let be = Arc::new(MemberFail {
                 seq: AtomicU64::new(0),
                 published: AtomicU64::new(0),
@@ -848,7 +826,7 @@ mod tests {
     #[test]
     fn protected_batches_group_and_commit() {
         Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(false, 1 << 20));
+            let q = Arc::new(WriteQueue::new(1 << 20, false));
             let be = TestBackend::new(50_000, 0);
             let stats = Arc::new(DbStats::new());
             fan_out(6, &q, &be, &stats, |i| {
@@ -874,7 +852,7 @@ mod tests {
         // With no controller stalls, queue-wait + WAL + pipeline-wait +
         // memtable must explain a writer's end-to-end latency exactly.
         Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(false, 1)); // no grouping
+            let q = Arc::new(WriteQueue::new(1, false)); // no grouping
             let be = TestBackend::new(30_000, 20_000);
             let stats = Arc::new(DbStats::new());
             fan_out(6, &q, &be, &stats, |i| {
@@ -897,7 +875,7 @@ mod tests {
     #[test]
     fn pipeline_wait_is_split_from_memtable_insert() {
         Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(true, 1)); // no grouping
+            let q = Arc::new(WriteQueue::new(1, false)); // no grouping
             let be = TestBackend::new(20_000, 50_000); // memtable-bound
             let stats = Arc::new(DbStats::new());
             fan_out(4, &q, &be, &stats, |i| {
@@ -922,7 +900,7 @@ mod tests {
     #[test]
     fn waiting_writers_gauge_reflects_queue() {
         Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(false, 1)); // no grouping
+            let q = Arc::new(WriteQueue::new(1, false)); // no grouping
             let be = TestBackend::new(100_000, 0); // slow WAL builds a queue
             let stats = Arc::new(DbStats::new());
             fan_out(8, &q, &be, &stats, |i| {

@@ -1,15 +1,8 @@
-//! Equivalence and speedup tests for the parallelism layer:
-//! range-partitioned subcompactions and batched MultiGet.
-//!
-//! * `multi_get` must return exactly what per-key `get` returns at the same
-//!   snapshot, including while a concurrent writer mutates the database;
-//! * a database compacted with `max_subcompactions = 4` must hold exactly
-//!   the same key/value state as one compacted serially from the same
-//!   operation sequence;
-//! * a batched MultiGet must not be slower (in virtual time) than issuing
-//!   the same keys as sequential gets once data sits in SSTs.
+//! The parallelism layer's fan-out: range-partitioned subcompactions launch
+//! (or fall back to one range when there is nothing to cut), and a batched
+//! MultiGet is not slower in virtual time than the same keys as sequential
+//! gets. That both leave answers unchanged is `oracle.rs`'s job.
 
-use proptest::prelude::*;
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
 use xlsm_engine::{Db, DbOptions, Ticker};
@@ -31,7 +24,6 @@ fn opts(max_subcompactions: usize) -> DbOptions {
         max_bytes_for_level_base: 256 << 10,
         block_cache_capacity: 256 << 10,
         max_subcompactions,
-        multi_get_parallelism: 4,
         ..DbOptions::default()
     }
 }
@@ -43,110 +35,6 @@ fn open(opts: DbOptions) -> (Arc<Db>, Arc<SimFs>) {
     );
     let db = Db::open(Arc::clone(&fs), opts).unwrap();
     (Arc::new(db), fs)
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Put(u16, u8),
-    Delete(u16),
-    Flush,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        8 => (0u16..600, any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
-        2 => (0u16..600).prop_map(Op::Delete),
-        1 => Just(Op::Flush),
-    ]
-}
-
-fn apply_ops(db: &Db, ops: &[Op]) {
-    for op in ops {
-        match op {
-            Op::Put(k, v) => db.put(&key(*k), &value(*k, *v)).unwrap(),
-            Op::Delete(k) => db.delete(&key(*k)).unwrap(),
-            Op::Flush => db.flush().unwrap(),
-        }
-    }
-}
-
-/// Full visible key/value state via the scan cursor.
-fn dump(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut scanner = db.scan().unwrap();
-    let mut out = Vec::new();
-    let mut ok = scanner.seek_to_first().unwrap();
-    while ok {
-        out.push((scanner.key().to_vec(), scanner.value().to_vec()));
-        ok = scanner.next().unwrap();
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 10,
-        max_shrink_iters: 100,
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn multi_get_matches_per_key_get_under_concurrent_writes(
-        ops in prop::collection::vec(op_strategy(), 1..200),
-        batch in prop::collection::vec(0u16..600, 1..24),
-    ) {
-        Runtime::new().run(move || {
-            let (db, _fs) = open(opts(1));
-            apply_ops(&db, &ops);
-
-            // Concurrent writer: keeps mutating while the batch reads run,
-            // interleaving at every simulated sleep.
-            let writer_db = Arc::clone(&db);
-            let writer = xlsm_sim::spawn("writer", move || {
-                for i in 0..300u16 {
-                    writer_db.put(&key(i % 600), &value(i % 600, 255)).unwrap();
-                }
-            });
-
-            let snap = db.snapshot();
-            let keys: Vec<Vec<u8>> = batch.iter().map(|k| key(*k)).collect();
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let batched = db.multi_get_at(&refs, snap.sequence()).unwrap();
-            for (i, k) in refs.iter().enumerate() {
-                let single = db.get_at(k, snap.sequence()).unwrap();
-                prop_assert_eq!(
-                    &batched[i], &single,
-                    "key {:?} diverged at snapshot {}", String::from_utf8_lossy(k), snap.sequence()
-                );
-            }
-            // The unpinned entry point stays well-formed under concurrency.
-            let live = db.multi_get(&refs).unwrap();
-            prop_assert_eq!(live.len(), refs.len());
-
-            writer.join();
-            drop(snap);
-            db.close();
-            Ok(())
-        })?;
-    }
-
-    #[test]
-    fn subcompacted_state_equals_serial_state(
-        ops in prop::collection::vec(op_strategy(), 50..250),
-    ) {
-        Runtime::new().run(move || {
-            let (serial, _fs1) = open(opts(1));
-            let (parallel, _fs2) = open(opts(4));
-            for db in [&serial, &parallel] {
-                apply_ops(db, &ops);
-                db.flush().unwrap();
-                db.wait_for_compactions();
-            }
-            prop_assert_eq!(dump(&serial), dump(&parallel));
-            serial.close();
-            parallel.close();
-            Ok(())
-        })?;
-    }
 }
 
 /// Deterministic heavy-write run that must actually fan out: with four

@@ -59,25 +59,6 @@ fn snapshot_survives_flush_and_compaction() {
 }
 
 #[test]
-fn snapshot_shields_from_deletion() {
-    Runtime::new().run(|| {
-        let (db, _fs) = open_db();
-        db.put(b"ghost", b"alive").unwrap();
-        let snap = db.snapshot();
-        db.delete(b"ghost").unwrap();
-        db.flush().unwrap();
-        db.wait_for_compactions();
-        assert_eq!(db.get(b"ghost").unwrap(), None);
-        assert_eq!(
-            db.get_at(b"ghost", snap.sequence()).unwrap(),
-            Some(b"alive".to_vec())
-        );
-        drop(snap);
-        db.close();
-    });
-}
-
-#[test]
 fn scanner_pins_files_against_compaction_deletes() {
     Runtime::new().run(|| {
         let (db, _fs) = open_db();
@@ -180,58 +161,5 @@ fn bloom_filters_cut_l0_block_reads() {
     assert!(
         misses_on < misses_off / 2,
         "blooms should cut block reads: {misses_on} vs {misses_off}"
-    );
-}
-
-#[test]
-fn pipelined_and_plain_write_paths_agree_on_content() {
-    fn checksum(pipelined: bool) -> u64 {
-        Runtime::new().run(move || {
-            let fs = SimFs::new(
-                SimDevice::shared(profiles::optane_900p()),
-                FsOptions::default(),
-            );
-            let db = Arc::new(
-                Db::open(
-                    fs,
-                    DbOptions {
-                        pipelined_write: pipelined,
-                        ..small_opts()
-                    },
-                )
-                .unwrap(),
-            );
-            let mut handles = Vec::new();
-            for t in 0..6u64 {
-                let db = Arc::clone(&db);
-                handles.push(xlsm_sim::spawn(&format!("w{t}"), move || {
-                    for i in 0..300u64 {
-                        let k = format!("t{t}k{i:04}");
-                        db.put(k.as_bytes(), k.as_bytes()).unwrap();
-                    }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            db.flush().unwrap();
-            // Fold the full scan into a checksum.
-            let mut scan = db.scan().unwrap();
-            let mut sum = 0u64;
-            let mut ok = scan.seek_to_first().unwrap();
-            while ok {
-                for &b in scan.key() {
-                    sum = sum.wrapping_mul(31).wrapping_add(b as u64);
-                }
-                ok = scan.next().unwrap();
-            }
-            db.close();
-            sum
-        })
-    }
-    assert_eq!(
-        checksum(true),
-        checksum(false),
-        "both write paths must produce identical database contents"
     );
 }

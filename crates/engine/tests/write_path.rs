@@ -8,9 +8,6 @@
 //!   which makes `get(key, s)` identical at *every* snapshot sequence `s`;
 //! * the `write_done_count` barrier must prevent a reader from ever
 //!   observing a partially-applied write group (all-or-none per batch);
-//! * a serial-mode and a concurrent-mode database fed the same per-writer
-//!   operation streams over disjoint keyspaces must converge to the same
-//!   final visible state;
 //! * ≥32 writer threads hammering the concurrent insert path end-to-end
 //!   must lose nothing.
 
@@ -168,7 +165,7 @@ proptest! {
         Runtime::new().run(move || {
             // --- Concurrent run: interleaved writers, real grouping. ---
             let q = Arc::new(
-                WriteQueue::new(true, 1 << 20).with_concurrent_apply(true),
+                WriteQueue::new(1 << 20, true),
             );
             let be = MemBackend::new(20_000, 2_000);
             let stats = Arc::new(DbStats::new());
@@ -212,7 +209,7 @@ proptest! {
                 next_seq += 1 + writers[*w][*b].len() as u64;
             }
 
-            let serial_q = WriteQueue::new(false, 1 << 20);
+            let serial_q = WriteQueue::new(1 << 20, false);
             let serial_be = MemBackend::new(0, 0);
             let serial_stats = DbStats::new();
             for (_seq, w, b) in &order {
@@ -268,18 +265,6 @@ fn open(opts: DbOptions) -> (Arc<Db>, Arc<SimFs>) {
     );
     let db = Db::open(Arc::clone(&fs), opts).unwrap();
     (Arc::new(db), fs)
-}
-
-/// Full visible key/value state via the scan cursor.
-fn dump_db(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut scanner = db.scan().unwrap();
-    let mut out = Vec::new();
-    let mut ok = scanner.seek_to_first().unwrap();
-    while ok {
-        out.push((scanner.key().to_vec(), scanner.value().to_vec()));
-        ok = scanner.next().unwrap();
-    }
-    out
 }
 
 /// Publication end-to-end, in both apply modes: each writer commits
@@ -389,42 +374,6 @@ fn snapshot_stays_repeatable_while_a_serial_group_commits() {
         );
         db.close();
     });
-}
-
-/// Serial-mode and concurrent-mode databases fed identical per-writer
-/// streams over disjoint keyspaces converge to the same final state.
-#[test]
-fn concurrent_db_final_state_matches_serial() {
-    fn run(concurrent: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
-        Runtime::new().run(move || {
-            let (db, _fs) = open(db_opts(concurrent));
-            fan_out(6, {
-                let db = Arc::clone(&db);
-                // Disjoint keyspace per writer; several overwrites and
-                // deletes so ordering within a writer matters.
-                move |w| {
-                    for i in 0..120u32 {
-                        let k = format!("w{w:02}-key{:03}", i % 40);
-                        if i % 9 == 8 {
-                            db.delete(k.as_bytes()).unwrap();
-                        } else {
-                            db.put(k.as_bytes(), format!("v{i:03}").as_bytes()).unwrap();
-                        }
-                    }
-                }
-            });
-            let state = dump_db(&db);
-            db.close();
-            state
-        })
-    }
-    let serial = run(false);
-    let concurrent = run(true);
-    assert_eq!(
-        serial, concurrent,
-        "final visible state must not depend on the memtable apply mode"
-    );
-    assert!(!serial.is_empty());
 }
 
 /// ≥32 writer threads through the full engine with concurrent memtable

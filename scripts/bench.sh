@@ -4,13 +4,15 @@
 # full-size output, so don't commit a quick-mode regeneration.)
 #
 # Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
-# seconds per probe, mean ns of every engine_micro bench). Informational —
-# it differs run to run and host to host, and no script compares it.
+# seconds per probe, the oracle test's seconds, mean ns of every engine_micro
+# bench). Informational — it differs run to run and host to host, and no
+# script compares it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build -q --release -p xlsm-bench
 cargo bench -q -p xlsm-bench --bench engine_micro --no-run
+cargo test -q -p xlsm-engine --test oracle --no-run
 bin=${CARGO_TARGET_DIR:-target}/release/xlsm-bench
 # One CPU, as in check.sh: unpinned, a probe's wall seconds swing severalfold.
 source scripts/pin.sh
@@ -21,6 +23,13 @@ for probe in $("$bin" list --probes); do
     "${pin[@]}" "$bin" "$probe"
     probe_rows+=("    \"$probe\": $((SECONDS - started))")
 done
+
+# The oracle's budget, as its test harness times it (no build, no cargo).
+echo "==> oracle"
+oracle_s=$("${pin[@]}" cargo test -q -p xlsm-engine --test oracle |
+    sed -n 's/.*finished in \([0-9.]*\)s.*/\1/p')
+[[ -n $oracle_s ]] || { echo "the oracle printed no time" >&2; exit 1; }
+echo "oracle $oracle_s s"
 
 echo "==> engine_micro"
 micro_rows=()
@@ -39,6 +48,9 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo "  \"pinned_to_one_cpu\": $([[ ${#pin[@]} -gt 0 ]] && echo true || echo false),"
     echo '  "probe_wall_s": {'
     rows "${probe_rows[@]}"
+    echo '  },'
+    echo '  "test_wall_s": {'
+    echo "    \"oracle\": $oracle_s"
     echo '  },'
     echo '  "engine_micro_mean_ns": {'
     rows "${micro_rows[@]}"

@@ -25,9 +25,10 @@ step "cargo test -q --workspace"
 # * xlsm-engine's integrity: seeded_flip_sweep_never_silently_wrong_and_deterministic
 #   runs the full bit-flip sweep over SST/WAL/MANIFEST twice with one seed
 #   and asserts an identical outcome log;
-# * scheduling: every_policy_yields_byte_identical_final_state replays one
-#   op tape under greedy / round-robin / fair(+limiter) scheduling and
-#   asserts an identical logical database.
+# * xlsm-engine's oracle: every_option_answers_like_the_model replays its
+#   corpus under the default and every one-axis config, then sampled
+#   (config, op tape) pairs over the whole option product, checking every
+#   read against one reference model.
 cargo test -q --workspace
 
 step "crash-torture smoke: 64 seeded cut points, all four WAL recovery modes"

@@ -1,12 +1,8 @@
 //! Cross-crate integration: the compaction-scheduling subsystem.
 //!
-//! Three properties the scheduler PR promises:
+//! Two properties a sequential op tape cannot express (that no policy
+//! changes the logical database is `crates/engine/tests/oracle.rs`'s job):
 //!
-//! * **equivalence** — which level the compactor services next (and how
-//!   fast the background I/O runs) must never change the *logical*
-//!   database: every policy ends a fixed workload with byte-identical
-//!   contents, including deletions (a policy that resurrects a tombstoned
-//!   key by compacting levels in the wrong order fails this);
 //! * **fairness** — the deficit-based picker bounds per-level starvation:
 //!   an eligible level is serviced within a bounded number of picks no
 //!   matter how hot another level runs;
@@ -14,22 +10,10 @@
 //!   bytes than `rate × elapsed` virtual time, under any interleaving of
 //!   flush- and compaction-priority acquires.
 
-use std::sync::Arc;
-use xlsm_suite::device::{profiles, SimDevice};
-use xlsm_suite::engine::{
-    BgIoLimiter, BgIoPriority, CompactionScheduler, Db, DbOptions, LevelPicker,
-};
+use xlsm_suite::engine::{BgIoLimiter, BgIoPriority, CompactionScheduler, LevelPicker};
 use xlsm_suite::sim::Runtime;
-use xlsm_suite::simfs::{FsOptions, SimFs};
 
-const KEYS: u64 = 400;
-const OPS: u64 = 4000;
-
-fn key(k: u64) -> Vec<u8> {
-    format!("sched-{k:06}").into_bytes()
-}
-
-/// Deterministic xorshift so every policy replays the exact same op tape.
+/// Deterministic xorshift for the limiter's request sizes.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -37,84 +21,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x
-}
-
-/// Applies a fixed operation sequence — puts whose value depends on the op
-/// index (so the final value per key is decided by the tape, not by
-/// scheduling), deletions, and periodic explicit flushes to pile up
-/// Level-0 files — then settles compactions and dumps the logical state.
-fn final_state(opts: DbOptions) -> Vec<u8> {
-    Runtime::new().run(move || {
-        let device = SimDevice::shared(profiles::optane_900p());
-        let fs = SimFs::new(device as _, FsOptions::default());
-        let db = Arc::new(Db::open(Arc::clone(&fs), opts).unwrap());
-        let mut rng = 0x5EEDu64;
-        for i in 0..OPS {
-            let k = xorshift(&mut rng) % KEYS;
-            if xorshift(&mut rng).is_multiple_of(10) {
-                db.delete(&key(k)).unwrap();
-            } else {
-                let value = format!("v-{k}-{i}-{}", "x".repeat((i % 40) as usize));
-                db.put(&key(k), value.as_bytes()).unwrap();
-            }
-            if i % 250 == 249 {
-                db.flush().unwrap();
-            }
-        }
-        db.flush().unwrap();
-        db.wait_for_compactions();
-        let mut dump = Vec::new();
-        for k in 0..KEYS {
-            dump.extend_from_slice(&key(k));
-            match db.get(&key(k)).unwrap() {
-                Some(v) => {
-                    dump.push(b'=');
-                    dump.extend_from_slice(&v);
-                }
-                None => dump.push(b'!'),
-            }
-            dump.push(b'\n');
-        }
-        db.close();
-        dump
-    })
-}
-
-/// A geometry small enough that the op tape drives multi-level compaction
-/// (so the policies genuinely diverge in *which* compactions run when).
-fn tight_opts(scheduler: CompactionScheduler) -> DbOptions {
-    DbOptions {
-        compaction_scheduler: scheduler,
-        write_buffer_size: 64 << 10,
-        target_file_size_base: 64 << 10,
-        max_bytes_for_level_base: 256 << 10,
-        level0_file_num_compaction_trigger: 2,
-        ..DbOptions::default()
-    }
-}
-
-#[test]
-fn every_policy_yields_byte_identical_final_state() {
-    let greedy = final_state(tight_opts(CompactionScheduler::Greedy));
-    let greedy_again = final_state(tight_opts(CompactionScheduler::Greedy));
-    assert_eq!(
-        greedy, greedy_again,
-        "same policy, same tape must be deterministic"
-    );
-    let round_robin = final_state(tight_opts(CompactionScheduler::RoundRobin));
-    assert_eq!(
-        greedy, round_robin,
-        "round-robin scheduling changed the logical database"
-    );
-    let fair = final_state(DbOptions {
-        bg_io_rate_bytes_per_sec: 8 << 20,
-        bg_io_auto_tune: true,
-        ..tight_opts(CompactionScheduler::Fair)
-    });
-    assert_eq!(
-        greedy, fair,
-        "fair scheduling + I/O budget changed the logical database"
-    );
 }
 
 #[test]
