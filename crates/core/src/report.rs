@@ -3,7 +3,7 @@
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
-use xlsm_engine::{RepairReport, StallEvent, StallTotals, Ticker, TickerSnapshot};
+use xlsm_engine::{StallEvent, StallTotals};
 
 /// A simple column-aligned table.
 #[derive(Clone, Debug, Default)]
@@ -169,46 +169,6 @@ pub fn stall_timeline_table(title: &str, events: &[StallEvent]) -> Table {
     table
 }
 
-/// Builds the crash-recovery accounting table: what WAL replay salvaged,
-/// dropped and skipped at the last open, what the orphan sweep collected,
-/// and — when a [`RepairReport`] is supplied — what `Db::repair` rebuilt.
-/// This is the human-readable summary the torture harness prints per run.
-pub fn recovery_table(
-    title: &str,
-    tickers: &TickerSnapshot,
-    repair: Option<&RepairReport>,
-) -> Table {
-    let mut table = Table::new(title, &["event", "count"]);
-    for (name, ticker) in [
-        ("wal-recovered-records", Ticker::WalRecoveredRecords),
-        ("wal-dropped-tail-bytes", Ticker::WalDroppedTailBytes),
-        (
-            "wal-skipped-corrupt-records",
-            Ticker::WalSkippedCorruptRecords,
-        ),
-        ("orphan-files-deleted", Ticker::OrphanFilesDeleted),
-        ("repair-ssts-recovered", Ticker::RepairSstsRecovered),
-    ] {
-        table.row(vec![name.into(), tickers.get(ticker).to_string()]);
-    }
-    if let Some(r) = repair {
-        for (name, v) in [
-            ("repair-tables-rebuilt", r.tables() as u64),
-            ("repair-ssts-surviving", r.ssts_recovered as u64),
-            ("repair-ssts-archived", r.ssts_discarded as u64),
-            ("repair-logs-converted", r.logs_converted as u64),
-            ("repair-logs-archived", r.logs_archived as u64),
-            ("repair-wal-records-salvaged", r.wal_records_salvaged),
-            ("repair-level0-files", r.level0_files as u64),
-            ("repair-level1-files", r.level1_files as u64),
-            ("repair-max-sequence", r.max_sequence),
-        ] {
-            table.row(vec![name.into(), v.to_string()]);
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,38 +264,6 @@ mod tests {
             ]
         );
         assert_eq!(table.rows[1][3], "cleared");
-    }
-
-    #[test]
-    fn recovery_table_rows_follow_tickers_and_report() {
-        use xlsm_engine::DbStats;
-        let stats = DbStats::new();
-        stats.add(Ticker::WalRecoveredRecords, 42);
-        stats.add(Ticker::WalDroppedTailBytes, 17);
-        stats.add(Ticker::OrphanFilesDeleted, 3);
-        let repair = RepairReport {
-            ssts_recovered: 4,
-            logs_converted: 2,
-            level0_files: 5,
-            level1_files: 1,
-            ..RepairReport::default()
-        };
-        let t = recovery_table("recovery", &stats.ticker_snapshot(), Some(&repair));
-        let row = |name: &str| {
-            t.rows
-                .iter()
-                .find(|r| r[0] == name)
-                .unwrap_or_else(|| panic!("missing row {name}"))[1]
-                .clone()
-        };
-        assert_eq!(row("wal-recovered-records"), "42");
-        assert_eq!(row("wal-dropped-tail-bytes"), "17");
-        assert_eq!(row("orphan-files-deleted"), "3");
-        assert_eq!(row("repair-tables-rebuilt"), "6");
-        assert_eq!(row("repair-logs-converted"), "2");
-        // Without a report the repair rows are absent.
-        let t2 = recovery_table("recovery", &stats.ticker_snapshot(), None);
-        assert_eq!(t2.rows.len(), 5);
     }
 
     #[test]

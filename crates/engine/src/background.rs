@@ -415,6 +415,16 @@ impl DbInner {
 
     // -- flush ------------------------------------------------------------
 
+    /// The oldest log still needed once the oldest immutable memtable is
+    /// flushed. It cannot move while a flush waits for the install lock:
+    /// flushes are serialized, and a memtable switch only appends logs
+    /// numbered above every one considered here.
+    fn log_watermark(&self) -> u64 {
+        let state = self.mem.lock();
+        let newer = state.immutables.iter().skip(1).map(|(_, w)| *w);
+        newer.fold(state.wal_number, u64::min)
+    }
+
     pub(crate) fn flush_one(self: &Arc<Self>) -> DbResult<bool> {
         // Serialize flush jobs (RocksDB flushes one memtable at a time).
         self.flush_serial.acquire(1);
@@ -431,6 +441,17 @@ impl DbInner {
                 None => return Ok(false),
             }
         };
+        if mem.is_empty() {
+            // Only `Db::resume` seals an empty memtable: nothing to write,
+            // but the log behind it, which a failed write damaged, retires.
+            self.install(VersionEdit {
+                log_number: Some(self.log_watermark()),
+                ..VersionEdit::default()
+            })?;
+            self.mem.lock().immutables.remove(0);
+            self.purge_old_wals();
+            return Ok(true);
+        }
         let t0 = xlsm_sim::now_nanos();
         // Pre-reserve the flush's estimated output under the space cap
         // before writing a byte: with the cap held below device capacity,
@@ -466,25 +487,11 @@ impl DbInner {
         // flush priority: queued compactions must leave room for it.
         self.charge_bg_io(props.file_size, BgIoPriority::Flush);
 
-        // Install. The watermark cannot move while we wait for the install
-        // lock: flushes are serialized, and a memtable switch only appends
-        // logs numbered above every one considered here.
-        let log_watermark = {
-            let state = self.mem.lock();
-            state
-                .immutables
-                .iter()
-                .skip(1)
-                .map(|(_, w)| *w)
-                .chain(std::iter::once(state.wal_number))
-                .min()
-                .unwrap_or(state.wal_number)
-        };
         let mut edit = VersionEdit::default();
         let file_size = props.file_size;
         edit.added
             .push((0, FileMetaData::from_props(number, props)));
-        edit.log_number = Some(log_watermark);
+        edit.log_number = Some(self.log_watermark());
         let install = self.install(edit);
         // Installed (or abandoned) output stops being a reservation — on
         // success it is counted as live bytes from here on.
@@ -650,13 +657,6 @@ impl DbInner {
             };
             if matches!(e, DbError::Corruption(_)) {
                 self.stats.bump(Ticker::CorruptionDetected);
-                if !self.opts.paranoid_checks && op == BackgroundOp::Compaction {
-                    // Without paranoid checks a corrupt compaction input
-                    // abandons that compaction but keeps the database
-                    // writable (the inputs stay in place).
-                    self.stats.bump(Ticker::BackgroundErrors);
-                    return;
-                }
             }
             self.stats.bump(Ticker::BackgroundErrors);
             let severity = self.bg.record(op, e, retries);
@@ -697,7 +697,7 @@ impl DbInner {
 
     /// Transitions to read-only mode and force-releases any writers stalled
     /// inside the controller so they can observe the error and fail fast.
-    fn enter_read_only_mode(&self) {
+    pub(crate) fn enter_read_only_mode(&self) {
         if !self.bg.is_read_only() {
             self.bg.enter_read_only();
             self.stats.bump(Ticker::ReadOnlyTransitions);

@@ -30,6 +30,11 @@ pub enum BackgroundOp {
     /// Background scrub: paced re-read and checksum verification of live
     /// SSTs. A scrub-detected corruption is a hard error like any other.
     Scrub,
+    /// A write group's WAL append or sync, on the writer's own thread. It is
+    /// always hard: the log may now hold a torn record or one whose write
+    /// failed, and [`crate::Db::resume`] retires that log before any later
+    /// write is acknowledged.
+    Wal,
 }
 
 /// How bad a background error is.

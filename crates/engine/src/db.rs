@@ -5,7 +5,7 @@
 
 use crate::background::{self, ScrubState};
 use crate::batch::WriteBatch;
-use crate::bgerror::ErrorHandler;
+use crate::bgerror::{BackgroundOp, ErrorHandler};
 use crate::compaction::CompactionCursors;
 use crate::controller::{StallSignals, WriteController};
 use crate::costs;
@@ -250,6 +250,18 @@ impl DbInner {
         Ok(())
     }
 
+    /// A failed WAL append or sync left the log with a torn record, which
+    /// stops replay, or with one the client was told had failed: no later
+    /// write may be acknowledged behind it. The database goes read-only
+    /// until [`Db::resume`] retires the log; the writer gets `e`.
+    fn fail_wal(&self, e: DbError) -> DbError {
+        self.stats.bump(Ticker::BackgroundErrors);
+        self.bg.record(BackgroundOp::Wal, e.clone(), 0);
+        self.bg.escalate();
+        self.enter_read_only_mode();
+        e
+    }
+
     /// Appends `edit` to the MANIFEST and makes the resulting version
     /// current, one install at a time. A failure comes back non-retryable
     /// (see [`harden_install_error`]).
@@ -359,7 +371,8 @@ impl WriteBackend for DbBackend {
             return Ok(());
         };
         let t0 = xlsm_sim::now_nanos();
-        let written = wal.append(group.data(), self.inner.opts.wal_sync)?;
+        let appended = wal.append(group.data(), self.inner.opts.wal_sync);
+        let written = appended.map_err(|e| self.inner.fail_wal(e))?;
         self.inner.stats.add(Ticker::WalBytes, written);
         self.inner
             .stats
@@ -648,7 +661,10 @@ impl Db {
     /// Clears the background-error state and re-runs the failed work — the
     /// RocksDB `DB::Resume()` analogue. Pending immutable memtables are
     /// flushed in the caller's thread; on success the read-only flag lifts,
-    /// stalled writers are re-admitted, and compactions reschedule.
+    /// stalled writers are re-admitted, and compactions reschedule. The
+    /// mutable memtable is flushed too, which retires its log: after a
+    /// failed WAL write that log may hold a torn record, or one the client
+    /// was told had failed, and no later write may land behind it.
     ///
     /// # Errors
     ///
@@ -658,6 +674,7 @@ impl Db {
         if self.inner.bg.current().is_none() && !self.inner.bg.is_read_only() {
             return Ok(());
         }
+        self.inner.switch_memtable()?;
         loop {
             match self.inner.flush_one() {
                 Ok(true) => continue,

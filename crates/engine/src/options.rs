@@ -159,11 +159,6 @@ pub struct DbOptions {
     /// `rate = base × (1 + min(debt / (4 × max_bytes_for_level_base), 3))`,
     /// re-evaluated on every write-controller update.
     pub bg_io_rate_bytes_per_sec: u64,
-    /// Verify data integrity aggressively and escalate detected corruption
-    /// in background jobs to a hard error (read-only mode) — RocksDB's
-    /// `paranoid_checks`. When false, a corrupt compaction input aborts
-    /// that compaction but leaves the database writable.
-    pub paranoid_checks: bool,
     /// Per-key-value protection width in bytes (RocksDB
     /// `protection_bytes_per_key`): 0 disables; otherwise each entry in a
     /// [`crate::WriteBatch`] carries a checksum of this many bytes over
@@ -236,7 +231,6 @@ impl Default for DbOptions {
             wal_recovery_mode: WalRecoveryMode::PointInTimeRecovery,
             wal_bytes_per_sync: 16 << 10, // 512 KB / 32 (scaled, like the rest of the geometry)
             delayed_write_rate: 16 << 20, // 16 MB/s
-            paranoid_checks: true,
             protection_bytes_per_key: 0,
             paranoid_file_checks: false,
             scrub_rate_bytes_per_sec: 0,

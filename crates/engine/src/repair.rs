@@ -33,7 +33,7 @@ use crate::memtable::MemTable;
 use crate::options::{DbOptions, WalRecoveryMode};
 use crate::recovery::parse_file_number;
 use crate::sst::{sst_file_name, TableReader};
-use crate::stats::{DbStats, Ticker};
+use crate::stats::DbStats;
 use crate::types::parse_internal_key;
 use crate::version::{self, FileMetaData, VersionEdit};
 use crate::wal::{frame_record, scan_wal};
@@ -67,12 +67,6 @@ impl RepairReport {
     /// Total tables referenced by the rebuilt manifest.
     pub fn tables(&self) -> usize {
         self.level0_files + self.level1_files
-    }
-
-    /// Folds this report into a stats sink (the repairer runs before any
-    /// `Db` exists, so ticker attribution is the caller's choice).
-    pub fn record(&self, stats: &DbStats) {
-        stats.add(Ticker::RepairSstsRecovered, self.tables() as u64);
     }
 }
 
@@ -319,12 +313,6 @@ mod tests {
             assert!(report.logs_archived >= 1);
             assert!(report.logs_converted >= 1, "WAL-only keys need a table");
             assert!(report.max_sequence > 0);
-            let stats = DbStats::new();
-            report.record(&stats);
-            assert_eq!(
-                stats.ticker(Ticker::RepairSstsRecovered),
-                report.tables() as u64
-            );
 
             let db2 = Db::open(Arc::clone(&fs), opts).unwrap();
             for i in 0..500u32 {

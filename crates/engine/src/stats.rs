@@ -56,9 +56,6 @@ pub enum Ticker {
     /// Corrupt or sequence-gapped WAL records skipped over under
     /// `WalRecoveryMode::SkipAnyCorruptedRecords`.
     WalSkippedCorruptRecords,
-    /// SSTs salvaged into the rebuilt manifest by `Db::repair` (surviving
-    /// tables plus tables converted from surviving logs).
-    RepairSstsRecovered,
     /// Unreferenced `.sst`/`.log` files deleted by the orphan sweep at
     /// `Db::open` (outputs stranded by a crash before their manifest
     /// install).

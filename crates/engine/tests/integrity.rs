@@ -1,6 +1,7 @@
 //! End-to-end data-integrity torture: seeded at-rest bit-flip sweeps over
-//! every file kind, transient read-flip injection through the fault layer,
-//! and the background scrubber's detect → read-only → resume cycle.
+//! every file kind and the background scrubber's detect → read-only →
+//! resume cycle. (Transient read flips are a value of the fault axis of
+//! `oracle.rs`.)
 //!
 //! The core invariant everywhere: a single flipped byte may cost an error
 //! or (for tolerated tail damage) lost tail data, but **never a silently
@@ -18,7 +19,7 @@ use xlsm_engine::version::VersionEdit;
 use xlsm_engine::{Db, DbError, DbOptions, Ticker, WalRecoveryMode, WriteBatch};
 use xlsm_sim::rng::Xoshiro256;
 use xlsm_sim::Runtime;
-use xlsm_simfs::{FaultPlan, FsOptions, SimFs};
+use xlsm_simfs::{FsOptions, SimFs};
 
 fn fs() -> Arc<SimFs> {
     SimFs::new(
@@ -219,60 +220,6 @@ fn seeded_flip_sweep_never_silently_wrong_and_deterministic() {
             .any(|l| l.contains("open=corruption") || l.contains("detected=")),
         "the sweep should detect at least some flips: {a:?}"
     );
-}
-
-#[test]
-fn transient_read_flips_detected_never_wrong() {
-    // Transient (bus/DRAM-style) bit flips injected by the fault layer on
-    // SST reads: every get is correct or a detected corruption, and the
-    // injected fault stream is deterministic per seed.
-    let run = |seed: u64| {
-        Runtime::new().run(move || {
-            let fs = fs();
-            let opts = protected_opts();
-            let db = Db::open(Arc::clone(&fs), opts).unwrap();
-            let mut model = BTreeMap::new();
-            for i in 0..400u32 {
-                let value = vec![(i % 249) as u8; 100];
-                db.put(&key(i), &value).unwrap();
-                model.insert(key(i), value);
-            }
-            db.flush().unwrap();
-            fs.set_fault_plan(FaultPlan {
-                seed,
-                path_filter: Some(".sst".into()),
-                // High rate on purpose: after the first pass the block
-                // cache absorbs most reads, so only a few dozen disk reads
-                // are exposed to the injector.
-                bit_flip_read_prob: 0.3,
-                ..FaultPlan::default()
-            });
-            let mut outcomes = Vec::new();
-            for (k, want) in &model {
-                match db.get(k) {
-                    Ok(Some(got)) => {
-                        assert_eq!(&got, want, "silently wrong value under read flips");
-                        outcomes.push(b'c');
-                    }
-                    Ok(None) => panic!("silent miss under read flips"),
-                    Err(DbError::Corruption(_)) => outcomes.push(b'x'),
-                    Err(e) => panic!("unexpected error kind: {e}"),
-                }
-            }
-            fs.clear_fault_plan();
-            db.close();
-            outcomes
-        })
-    };
-    for seed in [1u64, 7, 42] {
-        let a = run(seed);
-        let b = run(seed);
-        assert_eq!(a, b, "fault stream must be deterministic for seed {seed}");
-        assert!(
-            a.contains(&b'x'),
-            "at p=0.3 some disk reads should hit an injected flip"
-        );
-    }
 }
 
 #[test]

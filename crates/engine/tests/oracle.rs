@@ -1,21 +1,25 @@
-//! One op tape, one reference model and one configuration sampler for every
-//! option that changes what a read or write costs and never what it returns
-//! (one row of [`AXES`] each). Reads are checked as they run, writes are read
-//! back, and the whole key space after each settle, reopen and concurrent op
-//! and at the end. A divergence prints its config and tape prefix, which
-//! joins [`corpus`]: replayed first, under the default and each one-axis config.
+//! One op tape, one reference model and one sampler for every option that
+//! changes what a read or write costs and never what it returns (one row of
+//! [`AXES`] each), and for every fault the engine claims to survive (one
+//! value of [`Fault`] each, at most one per case). Reads are checked as they
+//! run, writes are read back, and the whole key space after each settle,
+//! reopen, concurrent op and fault and at the end. A divergence prints its
+//! config and tape prefix, which joins [`corpus`]: replayed first, under the
+//! default and each one-axis config, and under every fault twice.
 
 use proptest::prelude::*;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xlsm_device::{profiles, DeviceProfile, SimDevice};
 use xlsm_engine::db::Snapshot;
+use xlsm_engine::{repair_db, ErrorSeverity::Hard, Ticker, WalRecoveryMode as M};
 use xlsm_engine::{CompactionScheduler as Sched, CompressionType as C, ThrottlePolicy as T};
 use xlsm_engine::{Db, DbError, DbOptions, DbResult, WriteBatch};
-use xlsm_sim::Runtime;
-use xlsm_simfs::{FsOptions, SimFs};
+use xlsm_sim::{JoinHandle, Runtime};
+use xlsm_simfs::{FaultPlan, FsOptions, SimFs};
 
 /// Keys the tape writes.
 const KEYS: u16 = 400;
@@ -23,11 +27,18 @@ const KEYS: u16 = 400;
 const MISSES: u16 = 50;
 /// Sampled cases per run, after the corpus.
 const CASES: u32 = 48;
+/// Power cuts swept through each corpus tape.
+const CUTS: u16 = 16;
 
 /// Ten two-byte prefix families (`p0`..`p9`), so prefix blooms and prefix
 /// scans have something to prune; a miss sorts among the hits.
 fn key(k: u16) -> Vec<u8> {
     format!("p{}{k:05}", k % 10).into_bytes()
+}
+
+/// The `k` of [`key`]`(k)`.
+fn index(key: &[u8]) -> u16 {
+    String::from_utf8_lossy(&key[2..]).parse().unwrap()
 }
 
 /// A run of one byte, so RLE compresses, then the key and the version.
@@ -46,6 +57,13 @@ const PREFIXES: [&str; 8] = ["p0", "p3", "p9", "qq", "", "p", "p300", "p4004"];
 
 /// One write: its entries in order, `None` a delete.
 type Batch = Vec<(u16, Option<u8>)>;
+
+/// A key space as a scan returns it.
+type Dump = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Writers' streams of batches, each with the shortest and the longest
+/// prefix of it a recovery may show.
+type Streams = Vec<(Vec<Batch>, usize, usize)>;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -70,7 +88,83 @@ enum Op {
     /// `(len, seed)`: a snapshot, then one writer of [`stream`]`(0, 1, len,
     /// seed)` while its keys are read at the snapshot.
     ReadWhileWriting(u8, u8),
+    /// The sampler puts at most one in a tape.
+    Inject(Fault),
 }
+
+/// A fault the engine claims to survive, armed where its op stands.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// Power dies at the `n`th file operation from here, in the ops that
+    /// follow (or after the last), and the database reopens.
+    PowerCut(u16),
+    /// A power cut, then the MANIFEST is lost — deleted, or (`.1`) cut to
+    /// half — with (`.2`) every other log, and `repair_db` runs first.
+    ManifestLoss(u16, bool, bool),
+    /// A write whose WAL append fails whole, or (`true`) torn.
+    WalAppend(bool),
+    /// A write whose WAL sync fails.
+    WalSync,
+    /// The `n`th SST append of a flush fails, retryably or (`false`) hard.
+    SstWrite(u8, bool),
+    /// The `n`th SST read of a read of every key fails, retryably or not.
+    SstRead(u8, bool),
+    /// Three in ten SST reads of a read of every key flip a bit (a seed).
+    BitFlips(u8),
+    /// A flush's extent allocation fails, or (`true`) finds the device full.
+    Enospc(bool),
+    /// The next delete of a log or (`false`) a table fails, retryably or not.
+    DeleteFails(bool, bool),
+}
+
+impl Fault {
+    fn kind(self) -> &'static str {
+        match self {
+            Fault::PowerCut(_) => "power cut",
+            Fault::ManifestLoss(..) => "manifest loss",
+            Fault::WalAppend(false) => "wal append",
+            Fault::WalAppend(true) => "torn wal append",
+            Fault::WalSync => "wal sync",
+            Fault::SstWrite(_, true) => "retryable sst write",
+            Fault::SstWrite(_, false) => "hard sst write",
+            Fault::SstRead(..) => "sst read",
+            Fault::BitFlips(_) => "bit flips",
+            Fault::Enospc(false) => "enospc",
+            Fault::Enospc(true) => "capacity shrink",
+            Fault::DeleteFails(..) => "delete",
+        }
+    }
+
+    /// The plan that injects it, and whether on the log's filesystem.
+    #[rustfmt::skip]
+    fn plan(self) -> (FaultPlan, bool) {
+        use Fault::*;
+        let on = |filter: &str| FaultPlan { path_filter: Some(filter.into()), ..FaultPlan::default() };
+        let any = FaultPlan::default;
+        match self {
+            PowerCut(n) | ManifestLoss(n, ..) => (FaultPlan { power_cut_at_op: Some(n.into()), ..any() }, false),
+            WalAppend(false) => (FaultPlan { fail_nth_write: Some(1), ..on(".log") }, true),
+            WalAppend(true) => (FaultPlan { torn_write_nth: Some(1), ..on(".log") }, true),
+            WalSync => (FaultPlan { fail_nth_sync: Some(1), ..on(".log") }, true),
+            SstWrite(n, retryable) => (FaultPlan { fail_nth_write: Some(n.into()), retryable, ..on(".sst") }, false),
+            SstRead(n, retryable) => (FaultPlan { fail_nth_read: Some(n.into()), retryable, ..on(".sst") }, false),
+            BitFlips(seed) => (FaultPlan { seed: seed.into(), bit_flip_read_prob: 0.3, ..on(".sst") }, false),
+            Enospc(false) => (FaultPlan { fail_nth_alloc: Some(1), ..any() }, false),
+            Enospc(true) => (FaultPlan { shrink_at_alloc: Some((1, u64::MAX)), ..any() }, false),
+            DeleteFails(true, retryable) => (FaultPlan { fail_nth_delete: Some(1), retryable, ..on(".log") }, true),
+            DeleteFails(false, retryable) => (FaultPlan { fail_nth_delete: Some(1), retryable, ..on(".sst") }, false),
+        }
+    }
+}
+
+/// One fault of every kind, as the corpus replays them.
+#[rustfmt::skip]
+const FAULTS: [Fault; 12] = {
+    use Fault::*;
+    [PowerCut(60), ManifestLoss(60, true, false), WalAppend(false), WalAppend(true), WalSync,
+        SstWrite(1, true), SstWrite(1, false), SstRead(1, true), BitFlips(7), Enospc(false),
+        Enospc(true), DeleteFails(true, true)]
+};
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let entry = || (0..KEYS, prop::option::of(any::<u8>()));
@@ -91,6 +185,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::Reopen),
         1 => (2u8..5, 4u8..24, any::<u8>()).prop_map(|(n, len, seed)| Op::Parallel(n, len, seed)),
         1 => (8u8..64, any::<u8>()).prop_map(|(len, seed)| Op::ReadWhileWriting(len, seed)),
+    ]
+}
+
+fn fault_strategy() -> impl Strategy<Value = Fault> {
+    use Fault::*;
+    let flag = any::<bool>;
+    prop_oneof![
+        3 => (1u16..400).prop_map(PowerCut),
+        2 => (1u16..400, flag(), flag()).prop_map(|(n, t, d)| ManifestLoss(n, t, d)),
+        2 => flag().prop_map(WalAppend),
+        1 => Just(WalSync),
+        2 => (1u8..4, flag()).prop_map(|(n, r)| SstWrite(n, r)),
+        1 => (1u8..4, flag()).prop_map(|(n, r)| SstRead(n, r)),
+        1 => any::<u8>().prop_map(BitFlips),
+        2 => flag().prop_map(Enospc),
+        1 => (flag(), flag()).prop_map(|(l, r)| DeleteFails(l, r)),
     ]
 }
 
@@ -120,7 +230,7 @@ struct Setup {
 type Axis = (&'static str, &'static [&'static str], fn(&mut Setup, usize));
 
 #[rustfmt::skip] // one row per axis
-const AXES: [Axis; 17] = [
+const AXES: [Axis; 18] = [
     ("device", &["xpoint", "sata", "pcie"], |s, v| {
         s.device = [profiles::optane_900p, profiles::intel_530_sata, profiles::intel_750_pcie][v]();
     }),
@@ -156,6 +266,10 @@ const AXES: [Axis; 17] = [
         s.opts.space_poll_interval_ns = [0, 1_000_000][v];
     }),
     ("wal_sync", &["off", "on"], |s, v| s.opts.wal_sync = v == 1),
+    ("wal_recovery_mode", &["point-in-time", "absolute", "tolerate-tail", "skip-any"], |s, v| {
+        s.opts.wal_recovery_mode = [M::PointInTimeRecovery, M::AbsoluteConsistency,
+            M::TolerateCorruptedTailRecords, M::SkipAnyCorruptedRecords][v];
+    }),
     ("max_open_files", &["256", "16"], |s, v| s.opts.max_open_files = [256, 16][v]),
     ("wal_fs", &["data fs", "nvm fs"], |s, v| {
         // `apply_wal_placement`'s NVM log: a page cache over the whole device.
@@ -189,6 +303,12 @@ impl Config {
         (AXES.iter().zip(&self.0)).for_each(|((_, _, set), &v)| set(&mut setup, v));
         setup
     }
+
+    /// The default config with `axis` (by name) at value `v`.
+    fn with(mut self, axis: &str, v: usize) -> Config {
+        self.0[AXES.iter().position(|a| a.0 == axis).unwrap()] = v;
+        self
+    }
 }
 
 fn config_strategy() -> impl Strategy<Value = Config> {
@@ -201,7 +321,7 @@ fn config_strategy() -> impl Strategy<Value = Config> {
 type Versions = Vec<(usize, Option<Vec<u8>>)>;
 
 /// The reference model.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Model {
     versions: BTreeMap<Vec<u8>, Versions>,
     /// Writes applied so far, which is the index of the newest.
@@ -223,11 +343,32 @@ impl Model {
         versions.iter().rev().find(|(w, _)| *w <= at)?.1.clone()
     }
 
-    fn scan(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// The keys under `prefix` after write `at`.
+    fn state(&self, at: usize, prefix: &[u8]) -> Dump {
         (self.versions.range(prefix.to_vec()..))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, _)| Some((k.clone(), self.get(k, self.writes)?)))
+            .filter_map(|(k, _)| Some((k.clone(), self.get(k, at)?)))
             .collect()
+    }
+
+    /// Forgets every write after `at`.
+    fn truncate(&mut self, at: usize) {
+        let keep = |v: &mut Versions| v.retain(|(w, _)| *w <= at);
+        self.versions.values_mut().for_each(keep);
+        self.writes = at;
+    }
+
+    /// One write that makes the key space `got`: a delete of every key,
+    /// then a put of each in `got`, which wins.
+    fn reset(&mut self, got: &Dump) {
+        self.writes += 1;
+        self.versions
+            .values_mut()
+            .for_each(|v| v.push((self.writes, None)));
+        for (k, v) in got {
+            let versions = self.versions.entry(k.clone()).or_default();
+            versions.push((self.writes, Some(v.clone())));
+        }
     }
 }
 
@@ -255,6 +396,31 @@ fn point(what: fmt::Arguments<'_>, got: Option<Vec<u8>>, want: Option<Vec<u8>>) 
     Err(format!("{what}: got {got:?}, want {want:?}"))
 }
 
+/// Two key spaces, entry by entry.
+fn differ(what: fmt::Arguments<'_>, got: &Dump, want: &Dump) -> Check {
+    if got == want {
+        return Ok(());
+    }
+    let i = got.iter().zip(want).take_while(|(g, w)| g == w).count();
+    let [got, want] = [got, want].map(|e| e.get(i).map(|(k, v)| (show(k), show(v))));
+    Err(format!("{what}: entry {i} is {got:?}, want {want:?}"))
+}
+
+/// The keys of stripe `w` of `n`.
+fn stripe(dump: &Dump, w: usize, n: usize) -> Dump {
+    let on = |(k, _): &&(Vec<u8>, Vec<u8>)| usize::from(index(k)) % n == w;
+    dump.iter().filter(on).cloned().collect()
+}
+
+/// An answer, or `None` for an error `expected` allows.
+fn allowed<T>(read: DbResult<T>, expected: fn(&DbError) -> bool) -> Result<Option<T>, String> {
+    match read {
+        Ok(v) => Ok(Some(v)),
+        Err(e) if expected(&e) => Ok(None),
+        Err(e) => Err(fail(e)),
+    }
+}
+
 fn apply(db: &Db, batch: &[(u16, Option<u8>)]) -> DbResult<()> {
     let mut b = WriteBatch::new();
     for &(k, v) in batch {
@@ -266,16 +432,78 @@ fn apply(db: &Db, batch: &[(u16, Option<u8>)]) -> DbResult<()> {
     db.write(b)
 }
 
+/// The MANIFEST and CURRENT deleted, or the MANIFEST cut to half its length;
+/// with `drop_logs`, every other log deleted too.
+fn lose_manifest(fs: &Arc<SimFs>, wal_fs: &SimFs, truncate: bool, drop_logs: bool) {
+    for path in ["db/MANIFEST", "db/CURRENT"] {
+        let f = fs.open(path).unwrap();
+        let half = f.read_at(0, f.len() as usize / 2).unwrap();
+        fs.delete(path).unwrap();
+        if truncate && path == "db/MANIFEST" {
+            let f = fs.create(path).unwrap();
+            f.append(&half).and_then(|_| f.sync()).unwrap();
+        }
+    }
+    for log in logs(wal_fs).iter().step_by(2).filter(|_| drop_logs) {
+        wal_fs.delete(log).unwrap();
+    }
+}
+
+/// The logs on `fs`.
+fn logs(fs: &SimFs) -> Vec<String> {
+    let mut files = fs.list("db/");
+    files.retain(|p| p.ends_with(".log"));
+    files
+}
+
+thread_local! {
+    /// Every config the sampler drew on this thread, for the coverage check.
+    static DRAWN: RefCell<Vec<Config>> = const { RefCell::new(Vec::new()) };
+    /// Every fault kind that fired on this thread.
+    static FIRED: RefCell<BTreeSet<&'static str>> = const { RefCell::new(BTreeSet::new()) };
+}
+
+fn fired(fault: Fault, yes: bool) -> bool {
+    FIRED.with(|f| yes && f.borrow_mut().insert(fault.kind()));
+    yes
+}
+
 /// One case in flight: the database, the model and the held snapshots.
 struct Run {
     fs: Arc<SimFs>,
+    /// The log's filesystem: `fs`, or the NVM one of the `wal_fs` axis.
+    wal_fs: Arc<SimFs>,
     opts: DbOptions,
     db: Arc<Db>,
     model: Model,
     held: Vec<(Snapshot, usize)>,
+    /// The newest write a power cut may not take back: the last acked with
+    /// `wal_sync`, else the last a flush or a recovery made durable.
+    durable: usize,
+    /// The power cut armed, until it fired and the database reopened.
+    cut: Option<Fault>,
+    /// The writes of the op a fired power cut overtook; one write is one
+    /// stream.
+    pending: Streams,
+    /// Concurrent writes since the last recovery, after the model write
+    /// each op started at.
+    concurrent: Vec<(usize, Streams)>,
+    /// The key space after every recovery, for the same-seed check.
+    dumps: Vec<Dump>,
 }
 
 impl Run {
+    /// One op, then the recovery once an armed power cut has fired. What
+    /// the op saw after the cut is not checked: the recovery is.
+    fn step_armed(&mut self, op: &Op) -> Check {
+        let result = self.step(op);
+        if self.cut.is_some() && self.fs.is_powered_off() {
+            self.recover()
+        } else {
+            result
+        }
+    }
+
     fn step(&mut self, op: &Op) -> Check {
         let head = self.model.writes;
         match *op {
@@ -299,26 +527,28 @@ impl Run {
                 Ok(())
             }
             Op::ReadAt(_) | Op::Release(_) => Ok(()),
-            Op::Flush => self.db.flush().map_err(fail),
+            Op::Flush => {
+                self.db.flush().map_err(fail)?;
+                self.durable = head;
+                Ok(())
+            }
             Op::Settle => {
                 self.db.wait_for_compactions();
+                self.drain_trash()?;
                 self.check_head()
             }
             Op::Reopen => {
-                self.held.clear();
                 self.db.close();
-                self.db =
-                    Arc::new(Db::open(Arc::clone(&self.fs), self.opts.clone()).map_err(fail)?);
+                self.open(false)?;
                 self.check_head()
             }
             Op::Parallel(n, len, seed) => {
                 let streams: Vec<Vec<Batch>> = (0..n).map(|w| stream(w, n, len, seed)).collect();
                 let writers: Vec<_> = streams.iter().map(|s| self.spawn(s)).collect();
                 // Join every writer before failing: none may outlive the runtime.
-                let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
-                joined.into_iter().try_for_each(|r| r.map_err(fail))?;
+                let joined = writers.into_iter().map(JoinHandle::join).collect();
                 // The stripes are disjoint, so every interleaving ends here.
-                streams.iter().flatten().for_each(|b| self.model.apply(b));
+                self.finish(streams, joined)?;
                 self.check_head()
             }
             Op::ReadWhileWriting(len, seed) => {
@@ -327,26 +557,60 @@ impl Run {
                 let keys: Vec<Vec<u8>> = batches.iter().flatten().map(|&(k, _)| key(k)).collect();
                 let writer = self.spawn(&batches);
                 let read = self.read(&keys, Some((snap.sequence(), head)));
-                read.and(writer.join().map_err(fail))?;
-                batches.iter().for_each(|b| self.model.apply(b));
+                self.finish(vec![batches], vec![writer.join()])?;
+                read?;
                 self.check_head()
             }
+            Op::Inject(fault) => self.inject(fault),
         }
     }
 
     /// Applies one write to both sides and reads its keys back.
     fn write(&mut self, batch: &[(u16, Option<u8>)]) -> Check {
-        apply(&self.db, batch).map_err(fail)?;
-        self.model.apply(batch);
+        let result = apply(&self.db, batch);
+        self.finish(vec![vec![batch.to_vec()]], vec![(0, result)])?;
         let mut keys = batch.iter().map(|&(k, _)| key(k));
         keys.try_for_each(|k| self.get(&k, " after its write"))
     }
 
-    /// Writes `batches` on a sim thread of its own.
-    fn spawn(&self, batches: &[Batch]) -> xlsm_sim::JoinHandle<DbResult<()>> {
+    /// Writes `batches` on a sim thread of its own, up to the first error;
+    /// returns the batches acked.
+    fn spawn(&self, batches: &[Batch]) -> JoinHandle<(usize, DbResult<()>)> {
         let (db, batches) = (Arc::clone(&self.db), batches.to_vec());
-        let write_all = move || batches.iter().try_for_each(|b| apply(&db, b));
-        xlsm_sim::spawn("writer", write_all)
+        xlsm_sim::spawn("writer", move || {
+            for (acked, b) in batches.iter().enumerate() {
+                if let Err(e) = apply(&db, b) {
+                    return (acked, Err(e));
+                }
+            }
+            (batches.len(), Ok(()))
+        })
+    }
+
+    /// Streams that finished before any power cut go to the model. The
+    /// writes of an op a cut overtook are left pending for the recovery:
+    /// it shows what each stream acked if that was synced, and at most one
+    /// batch more.
+    fn finish(&mut self, streams: Vec<Vec<Batch>>, joined: Vec<(usize, DbResult<()>)>) -> Check {
+        let error = joined.iter().find_map(|(_, r)| r.clone().err());
+        if error.is_some() || self.cut.is_some() && self.fs.is_powered_off() {
+            let sync = self.opts.wal_sync;
+            let bound = |(s, (acked, _)): (Vec<Batch>, _)| {
+                let most = s.len().min(acked + 1);
+                (s, if sync { acked } else { 0 }, most)
+            };
+            self.pending = streams.into_iter().zip(joined).map(bound).collect();
+            return error.map_or(Ok(()), |e| Err(fail(e)));
+        }
+        if streams.len() > 1 {
+            let whole = streams.iter().map(|s| (s.clone(), 0, s.len())).collect();
+            self.concurrent.push((self.model.writes, whole));
+        }
+        streams.iter().flatten().for_each(|b| self.model.apply(b));
+        if self.opts.wal_sync {
+            self.durable = self.model.writes;
+        }
+        Ok(())
     }
 
     fn get(&self, k: &[u8], when: &str) -> Check {
@@ -355,8 +619,8 @@ impl Run {
         point(what, got, self.model.get(k, self.model.writes))
     }
 
-    /// The full scan, or the prefix scan of `p`, entry by entry.
-    fn scan(&self, p: Option<&str>) -> Check {
+    /// The full scan, or the prefix scan of `p`.
+    fn dump(&self, p: Option<&str>) -> Result<Dump, String> {
         let scan = match p {
             None => self.db.scan().and_then(|mut s| Ok((s.seek_to_first()?, s))),
             Some(p) => self.db.scan_prefix(p.as_bytes()).map(|s| (s.valid(), s)),
@@ -367,14 +631,13 @@ impl Run {
             got.push((scan.key().to_vec(), scan.value().to_vec()));
             ok = scan.next().map_err(fail)?;
         }
-        let want = self.model.scan(p.unwrap_or("").as_bytes());
-        if got == want {
-            return Ok(());
-        }
-        let i = got.iter().zip(&want).take_while(|(g, w)| g == w).count();
-        let at = |e: &[(Vec<u8>, Vec<u8>)]| e.get(i).map(|(k, v)| (show(k), show(v)));
-        let (got, want) = (at(&got), at(&want));
-        Err(format!("scan {p:?}: entry {i} is {got:?}, want {want:?}"))
+        Ok(got)
+    }
+
+    fn scan(&self, p: Option<&str>) -> Check {
+        let prefix = p.unwrap_or("").as_bytes();
+        let want = self.model.state(self.model.writes, prefix);
+        differ(format_args!("scan {p:?}"), &self.dump(p)?, &want)
     }
 
     /// The full scan and a `get` of every key. (Not a `multi_get`: its probe
@@ -403,45 +666,356 @@ impl Run {
         }
         Ok(())
     }
+
+    /// A `multi_get` and a `get` of every key while reads fail: each answer
+    /// is the model's, or an error `expected` allows, never a wrong value.
+    fn read_failing(&self, expected: fn(&DbError) -> bool) -> Check {
+        let (keys, at) = (all_keys(), self.model.writes);
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let batch = allowed(self.db.multi_get(&refs), expected)?;
+        for (i, k) in keys.iter().enumerate() {
+            let many = batch.as_ref().map(|b| b[i].clone());
+            let single = allowed(self.db.get(k), expected)?;
+            for got in [many, single].into_iter().flatten() {
+                let want = self.model.get(k, at);
+                point(format_args!("{} under faults", show(k)), got, want)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// With the space axis on, the reaper empties `trash/` and counts every
+    /// byte it queued as reclaimed.
+    fn drain_trash(&self) -> Check {
+        if self.opts.sst_delete_rate_bytes_per_sec == 0 {
+            return Ok(());
+        }
+        for _ in 0..60_000 {
+            let t = self.db.metrics().tickers;
+            let reclaimed = t.get(Ticker::SpaceReclaimedBytes) == t.get(Ticker::TrashQueueBytes);
+            let drained = reclaimed && self.fs.list("db/trash/").is_empty();
+            // A dead filesystem keeps its trash for the reopen to queue.
+            if drained || self.fs.is_powered_off() {
+                return Ok(());
+            }
+            xlsm_sim::sleep_nanos(5_000_000);
+        }
+        Err("the trash never drained".into())
+    }
+
+    /// Opens the closed database. After a power cut AbsoluteConsistency may
+    /// refuse a torn log, and point-in-time recovery then may not. No file
+    /// that was in `trash/` comes back to the live set.
+    fn open(&mut self, after_cut: bool) -> Check {
+        self.held.clear();
+        let trash = self.fs.list("db/trash/");
+        let mut opts = self.opts.clone();
+        let mut db = Db::open(Arc::clone(&self.fs), opts.clone());
+        let refused = matches!(&db, Err(e) if e.is_corruption());
+        if after_cut && refused && opts.wal_recovery_mode == M::AbsoluteConsistency {
+            opts.wal_recovery_mode = M::PointInTimeRecovery;
+            db = Db::open(Arc::clone(&self.fs), opts);
+        }
+        self.db = Arc::new(db.map_err(fail)?);
+        let back = |t: &&String| self.fs.exists(&t.replace("/trash/", "/"));
+        match trash.iter().find(back) {
+            Some(t) => Err(format!("{t} came back from the trash")),
+            None => Ok(()),
+        }
+    }
+
+    /// Power off (if the armed cut has not), restore, damage the manifest if
+    /// the fault says so, reopen, and match the key space to the model.
+    fn recover(&mut self) -> Check {
+        let Some(fault) = self.cut.take() else {
+            return Ok(());
+        };
+        fired(fault, self.fs.stats().power_cuts > 0);
+        // The whole machine: the log's device too, and again if the cut hit.
+        self.fs.power_cut();
+        self.wal_fs.power_cut();
+        self.held.clear();
+        self.db.close();
+        self.fs.power_restore();
+        self.wal_fs.power_restore();
+        let (sync, floor) = (self.opts.wal_sync, self.durable);
+        let mode = self.opts.wal_recovery_mode;
+        // What the recovery may land on: the model after one write from the
+        // floor on, or per key a value it had since `Some(write)`.
+        let per_key = match fault {
+            Fault::ManifestLoss(_, truncate, drop_logs) => {
+                lose_manifest(&self.fs, &self.wal_fs, truncate, drop_logs);
+                repair_db(Arc::clone(&self.fs), &self.opts).map_err(fail)?;
+                // Repair salvages each log apart, so only synced ones line up.
+                (drop_logs || !sync).then_some(if drop_logs { 0 } else { floor })
+            }
+            _ if matches!(mode, M::PointInTimeRecovery | M::AbsoluteConsistency) => None,
+            _ => Some(floor),
+        };
+        self.open(true)?;
+        let got = self.dump(None)?;
+        match per_key {
+            None => self.adopt(&got, floor)?,
+            Some(since) => self.adopt_per_key(&got, since)?,
+        }
+        self.durable = self.model.writes;
+        self.dumps.push(got);
+        self.drain_trash()?;
+        self.check_head()
+    }
+
+    /// Matches `got` to the model after one write from `floor` to the head,
+    /// then makes it the head. The writes of the op the cut overtook, and
+    /// of every concurrent op since the floor, commit interleaved on
+    /// disjoint stripes: there each stripe shows its own prefix.
+    fn adopt(&mut self, got: &Dump, floor: usize) -> Check {
+        let (head, pending) = (self.model.writes, std::mem::take(&mut self.pending));
+        if pending.iter().all(|(_, least, _)| *least == 0) {
+            let same = |&at: &usize| self.model.state(at, b"") == *got;
+            if let Some(at) = (floor..=head).rev().find(same) {
+                self.model.truncate(at);
+                return Ok(());
+            }
+        }
+        let mut ops = std::mem::take(&mut self.concurrent);
+        ops.retain(|(at, _)| *at >= floor);
+        ops.extend((!pending.is_empty()).then_some((head, pending)));
+        for (at, op) in &ops {
+            let n = op.len();
+            let with = |w: usize, p: usize| {
+                let mut m = self.model.clone();
+                m.truncate(*at);
+                op[w].0[..p].iter().for_each(|b| m.apply(b));
+                stripe(&m.state(m.writes, b""), w, n)
+            };
+            let prefix = |w: usize| (op[w].1..=op[w].2).find(|&p| with(w, p) == stripe(got, w, n));
+            if let Some(ps) = (0..n).map(prefix).collect::<Option<Vec<_>>>() {
+                self.model.truncate(*at);
+                let applied = ps.iter().enumerate().flat_map(|(w, &p)| &op[w].0[..p]);
+                applied.for_each(|b| self.model.apply(b));
+                return Ok(());
+            }
+        }
+        let want = self.model.state(head, b"");
+        let what = format_args!("no write {floor}..={head} matches");
+        differ(what, got, &want)
+    }
+
+    /// Checks that every key of `got` holds its value after write `since`,
+    /// one written later, or one in flight, then makes `got` the head.
+    fn adopt_per_key(&mut self, got: &Dump, since: usize) -> Check {
+        let (pending, got_map) = (std::mem::take(&mut self.pending), got.iter().cloned());
+        let got_map: BTreeMap<_, _> = got_map.collect();
+        for k in all_keys() {
+            let found = got_map.get(&k).cloned();
+            let versions = self.model.versions.get(&k).into_iter().flatten();
+            let mut later = versions.filter(|(w, _)| *w > since).map(|(_, v)| v);
+            let mut in_flight = pending.iter().flat_map(|(s, ..)| s.iter().flatten());
+            let sent = |&(i, v): &(u16, Option<u8>)| key(i) == k && v.map(|v| value(i, v)) == found;
+            let kept = found == self.model.get(&k, since) || later.any(|v| *v == found);
+            if !kept && !in_flight.any(sent) {
+                let found = found.as_deref().map(show);
+                return Err(format!("{} recovered as {found:?}", show(&k)));
+            }
+        }
+        self.concurrent.clear();
+        self.model.reset(got);
+        Ok(())
+    }
+
+    /// Arms `fault`: a power cut for the ops that follow, any other fault
+    /// for the few ops here that trigger it, with the strongest outcome the
+    /// engine promises for it.
+    fn inject(&mut self, fault: Fault) -> Check {
+        let (plan, on_log) = fault.plan();
+        let fs = Arc::clone(if on_log { &self.wal_fs } else { &self.fs });
+        if let Fault::PowerCut(_) | Fault::ManifestLoss(..) = fault {
+            fs.set_fault_plan(plan);
+            self.cut = Some(fault);
+            return Ok(());
+        }
+        // The write a fault rides on, or fails with.
+        let n = self.model.writes;
+        let batch = [((n * 37 % usize::from(KEYS)) as u16, Some(n as u8))];
+        let on_wal = matches!(fault, Fault::WalAppend(_) | Fault::WalSync);
+        if !on_wal {
+            self.write(&batch)?;
+        }
+        if let Fault::SstRead(..) | Fault::BitFlips(_) = fault {
+            self.flush_settled()?;
+        }
+        let before = fs.stats();
+        fs.set_fault_plan(plan);
+        let mut shrunk = false;
+        let triggered = match fault {
+            _ if on_wal => apply(&self.db, &batch).map_err(fail),
+            Fault::Enospc(_) => self.flush_while_full(&mut shrunk).map_err(fail),
+            // Every key read, then a write flushed with the compactions it
+            // starts: a foreground error reaches the client, a background
+            // one the error handler.
+            Fault::SstRead(..) | Fault::BitFlips(_) => {
+                let expected: fn(&DbError) -> bool = match fault {
+                    Fault::BitFlips(_) => DbError::is_corruption,
+                    _ => |e| matches!(e, DbError::Io { .. }),
+                };
+                let read = self.read_failing(expected);
+                read.and_then(|()| self.write(&batch))
+                    .and_then(|()| self.flush_settled())
+            }
+            _ => self.flush_settled(),
+        };
+        fs.clear_fault_plan();
+        let after = fs.stats();
+        let [before, after] = [before, after].map(|s| s.injected_errors + s.bit_flips);
+        let hit = fired(fault, shrunk || after > before);
+        let (m, watcher) = (self.db.metrics(), self.opts.space_poll_interval_ns > 0);
+        #[rustfmt::skip]
+        let hard = hit && match fault {
+            Fault::SstWrite(_, retryable) => !retryable,
+            Fault::SstRead(_, false) | Fault::BitFlips(_) => m.read_only,
+            Fault::Enospc(_) => !watcher,
+            Fault::DeleteFails(..) | Fault::SstRead(_, true) => false,
+            _ => true,
+        };
+        if hard {
+            return self.expect_hard();
+        }
+        triggered?;
+        if on_wal {
+            self.model.apply(&batch);
+        }
+        let t = |ticker| m.tickers.get(ticker);
+        #[rustfmt::skip]
+        let counted = match fault {
+            Fault::SstWrite(..) => t(Ticker::BackgroundErrorRetries) * t(Ticker::BackgroundAutoResumes) > 0,
+            Fault::Enospc(_) => t(Ticker::EnospcStalls) > 0,
+            Fault::DeleteFails(log, _) => !log || t(Ticker::WalPurgeFailures) > 0,
+            _ => true,
+        };
+        if hit && !counted {
+            return Err(format!("{fault:?} fired and the engine did not count it"));
+        }
+        self.expect_writable()?;
+        if let Fault::DeleteFails(..) = fault {
+            // The next purge retries a failed one.
+            self.write(&batch)?;
+            self.db.flush().map_err(fail)?;
+            if logs(&self.wal_fs).len() != 1 {
+                return Err("a log the purge failed to delete is still there".into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Flushes on a thread of its own while the device is full, until the
+    /// flush ends, the database stops or it stalls; then space comes back.
+    fn flush_while_full(&self, shrunk: &mut bool) -> DbResult<()> {
+        let (db, done) = (Arc::clone(&self.db), Arc::new(AtomicBool::new(false)));
+        let flushed = Arc::clone(&done);
+        let flusher = xlsm_sim::spawn("flusher", move || {
+            let result = db.flush();
+            flushed.store(true, Ordering::Relaxed);
+            result
+        });
+        for _ in 0..10_000 {
+            let m = self.db.metrics();
+            let stalled = m.read_only || m.tickers.get(Ticker::EnospcStalls) > 0;
+            if stalled || done.load(Ordering::Relaxed) {
+                break;
+            }
+            xlsm_sim::sleep_nanos(1_000_000);
+        }
+        *shrunk = self.fs.restore_capacity() > 0;
+        flusher.join()
+    }
+
+    fn flush_settled(&self) -> Check {
+        let flushed = self.db.flush();
+        self.db.wait_for_compactions();
+        flushed.map_err(fail)
+    }
+
+    /// A fault that never makes the database read-only.
+    fn expect_writable(&self) -> Check {
+        let m = self.db.metrics();
+        if m.read_only || m.tickers.get(Ticker::ReadOnlyTransitions) > 0 {
+            return Err(format!("read-only after a fault: {:?}", m.background_error));
+        }
+        self.check_head()
+    }
+
+    /// A hard fault: the database is read-only, a write fails with
+    /// `ReadOnly`, reads still match the model, and `resume` recovers it.
+    fn expect_hard(&mut self) -> Check {
+        let m = self.db.metrics();
+        if !m.read_only || m.background_error.as_ref().map(|b| b.severity) != Some(Hard) {
+            let error = m.background_error;
+            return Err(format!("writable after a hard fault: {error:?}"));
+        }
+        match apply(&self.db, &[(0, Some(0))]) {
+            Err(DbError::ReadOnly(_)) => {}
+            other => return Err(format!("a write while read-only returned {other:?}")),
+        }
+        self.check_head()?;
+        self.db.resume().map_err(fail)?;
+        self.check_head()
+    }
+
+    /// The end of a case: the head and every held snapshot, and after a
+    /// fault a last reopen.
+    fn end(&mut self, faulted: bool) -> Check {
+        self.recover()?;
+        self.check_head()?;
+        for (snap, at) in &self.held {
+            self.read(&all_keys(), Some((snap.sequence(), *at)))?;
+        }
+        if faulted {
+            self.db.close();
+            self.open(false)?;
+            self.dumps.push(self.dump(None)?);
+            self.check_head()?;
+        }
+        Ok(())
+    }
 }
 
-/// Replays `tape` under `config`. At a divergence, panics with the config
-/// and the tape up to the op that diverged, a literal to paste into
-/// [`corpus`].
-fn check(config: &Config, tape: &[Op]) {
+/// Replays `tape` under `config` and returns the key space after every
+/// recovery. At a divergence, panics with the config and the tape up to the
+/// op that diverged, a literal to paste into [`corpus`].
+fn check(config: &Config, tape: &[Op]) -> Vec<Dump> {
     let result = Runtime::new().run(|| {
         let Setup { device, opts } = config.setup();
         // Small, since a flash FTL's maps scale with capacity and a
         // filesystem's parked writeback daemon keeps it alive after the run.
         let device = SimDevice::shared(device.with_capacity_bytes(256 << 20));
         let fs = SimFs::new(device, FsOptions::default());
+        let wal_fs = opts.wal_fs.clone().unwrap_or_else(|| Arc::clone(&fs));
         let db = Arc::new(Db::open(Arc::clone(&fs), opts.clone()).map_err(|e| (0, fail(e)))?);
         #[rustfmt::skip]
-        let mut run = Run { fs, opts, db, model: Model::default(), held: Vec::new() };
-        let mut result =
-            (tape.iter().enumerate()).try_for_each(|(i, op)| run.step(op).map_err(|why| (i, why)));
+        let mut run = Run { fs, wal_fs, opts, db, model: Model::default(), held: Vec::new(),
+            durable: 0, cut: None, pending: Vec::new(), concurrent: Vec::new(), dumps: Vec::new() };
+        let mut result = (tape.iter().enumerate())
+            .try_for_each(|(i, op)| run.step_armed(op).map_err(|why| (i, why)));
         if result.is_ok() {
-            // The end: the head and every held snapshot.
-            let mut ends = run.held.iter().map(|(s, at)| Some((s.sequence(), *at)));
-            let end = run.check_head();
-            let end = end.and_then(|()| ends.try_for_each(|held| run.read(&all_keys(), held)));
-            result = end.map_err(|why| (tape.len() - 1, why));
+            let faulted = tape.iter().any(|op| matches!(op, Op::Inject(_)));
+            result = run.end(faulted).map_err(|why| (tape.len() - 1, why));
         }
         run.held.clear();
         run.db.close();
-        result
+        result.map(|()| run.dumps)
     });
-    if let Err((at, why)) = result {
+    result.unwrap_or_else(|(at, why)| {
         let name = |((axis, values, _), &v): (&Axis, _)| (v > 0).then(|| (*axis, values[v]));
         let names: Vec<_> = AXES.iter().zip(&config.0).filter_map(name).collect();
         let (op, prefix) = (&tape[at], &tape[..=at]);
         panic!("diverged at op {at}, {op:?}: {why}\n{config:?} {names:?}\nvec!{prefix:?}");
-    }
+    })
 }
 
 /// Tapes that once diverged, replayed before any sampled case.
 #[rustfmt::skip] // pasted literals, one tape to a paragraph
 fn corpus() -> Vec<Vec<Op>> {
+    use Fault::*;
     use Op::*;
     vec![
         // The one failure recorded for the model check this oracle replaced.
@@ -461,37 +1035,66 @@ fn corpus() -> Vec<Vec<Op>> {
             Write([(278, Some(190)), (235, Some(39)), (121, Some(168))]), Parallel(4, 13, 117),
             Parallel(4, 12, 173), Put(262, 3), Put(237, 83), Put(133, 24), Reopen, Snapshot,
             ReadWhileWriting(58, 156), Parallel(2, 21, 31)],
+        // A refused WAL append skipped a sequence range, and point-in-time
+        // replay stopped at the gap, before the next acked write.
+        vec![Put(1, 1), Inject(WalAppend(false)), Put(2, 3), Reopen],
+        // A torn append stopped replay before the next acked write.
+        vec![Put(1, 1), Inject(WalAppend(true)), Put(2, 3), Reopen],
+        // A write whose WAL sync failed was replayed at the next open.
+        vec![Put(1, 1), Inject(WalSync), Put(2, 3), Reopen],
+        // The same torn append as a log's first record: `resume` retires the
+        // log of an empty memtable.
+        vec![Put(1, 1), Flush, Inject(WalAppend(true)), Put(2, 3), Reopen],
     ]
-}
-
-thread_local! {
-    /// Every config the sampler drew on this thread, for the coverage check.
-    static DRAWN: RefCell<Vec<Config>> = const { RefCell::new(Vec::new()) };
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
 
-    /// Run by [`every_option_answers_like_the_model`], after the corpus.
+    /// Run by [`every_option_and_fault_answers_like_the_model`].
     fn sampled_cases(
         config in config_strategy(),
+        fault in prop::option::of(fault_strategy()),
+        at in any::<usize>(),
         tape in prop::collection::vec(op_strategy(), 1..160),
     ) {
         DRAWN.with(|d| d.borrow_mut().push(config.clone()));
+        let mut tape = tape;
+        fault.into_iter().for_each(|f| tape.insert(at % (tape.len() + 1), Op::Inject(f)));
         check(&config, &tape);
     }
 }
 
 #[test]
-fn every_option_answers_like_the_model() {
+fn every_option_and_fault_answers_like_the_model() {
     let axis_values =
         || (AXES.iter().enumerate()).flat_map(|(a, row)| (0..row.1.len()).map(move |v| (a, v)));
-    for tape in corpus() {
+    for (t, tape) in corpus().into_iter().enumerate() {
         // The default config, then every config one value away from it.
         for (axis, v) in axis_values().filter(|&(a, v)| v > 0 || a == 0) {
             let mut config = Config::default();
             config.0[axis] = v;
             check(&config, &tape);
+        }
+        if tape.iter().any(|op| matches!(op, Op::Inject(_))) {
+            continue;
+        }
+        // Every fault at the middle of the tape, twice: the same bytes.
+        let config = Config::default().with("device", 1).with("wal_sync", 1);
+        let config = config.with("space cap/reaper/watcher", t % 2);
+        for fault in FAULTS {
+            let mut tape = tape.clone();
+            tape.insert(tape.len() / 2, Op::Inject(fault));
+            let same = check(&config, &tape) == check(&config, &tape);
+            assert!(same, "{fault:?} recovered two ways");
+        }
+        // Power cuts swept through the tape, under every recovery mode with
+        // and without `wal_sync`.
+        let config = config.with("space cap/reaper/watcher", 1);
+        for i in 0..CUTS {
+            let tape = [&[Op::Inject(Fault::PowerCut(1 + i * 23))], &tape[..]].concat();
+            let mode = config.clone().with("wal_recovery_mode", usize::from(i % 4));
+            check(&mode.with("wal_sync", usize::from(i / 4 % 2)), &tape);
         }
     }
     sampled_cases();
@@ -500,4 +1103,7 @@ fn every_option_answers_like_the_model() {
         let drew = DRAWN.with(|d| d.borrow().iter().any(|c| c.0[axis] == v));
         assert!(drew, "no sampled case drew {name}={}", values[v]);
     }
+    let (fired, kinds) = (FIRED.with(|f| f.take()), FAULTS.map(Fault::kind));
+    let all = kinds.iter().all(|k| fired.contains(k));
+    assert!(all, "fired only {fired:?}");
 }

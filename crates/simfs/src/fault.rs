@@ -1,13 +1,14 @@
 //! Deterministic fault injection for the simulated filesystem.
 //!
-//! A [`FaultPlan`] describes *what* should go wrong — probabilistic I/O
-//! errors keyed on the sim RNG, scripted triggers on the Nth read/write/
-//! sync, torn-write truncation on append, bit-flip corruption on read, and
-//! a scripted power cut — and the filesystem consults it at the top of
+//! A [`FaultPlan`] describes *what* should go wrong — scripted I/O errors
+//! on the Nth read/write/sync/delete, torn-write truncation on append,
+//! bit-flip corruption on read (scripted, or drawn from the plan's seeded
+//! RNG), ENOSPC and capacity shrink at the Nth extent allocation, and a
+//! scripted power cut — and the filesystem consults it at the top of
 //! every [`crate::FileHandle`] operation. Because the plan is driven by a
 //! seeded [`Xoshiro256`] stream and per-operation counters, a given
 //! `(plan, workload)` pair always injects the exact same faults at the
-//! exact same points: failures found by the crash harness replay
+//! exact same points: failures found by the fault oracle replay
 //! deterministically.
 
 use xlsm_sim::rng::Xoshiro256;
@@ -36,9 +37,9 @@ impl FaultOp {
 
 /// A deterministic description of the faults to inject.
 ///
-/// Scripted `*_nth_*` triggers are 1-based and fire exactly once; the
-/// probabilistic knobs draw from the plan's seeded RNG on every matching
-/// operation. When [`FaultPlan::path_filter`] is set, error/torn/bit-flip
+/// Scripted `*_nth_*` triggers are 1-based and fire exactly once;
+/// [`FaultPlan::bit_flip_read_prob`] draws from the plan's seeded RNG on
+/// every matching read, and at zero draws nothing. When [`FaultPlan::path_filter`] is set, error/torn/bit-flip
 /// triggers (and their per-class counters) only consider files whose path
 /// contains the filter substring; the global operation counter that drives
 /// [`FaultPlan::power_cut_at_op`] counts *every* operation regardless,
@@ -50,12 +51,6 @@ pub struct FaultPlan {
     /// Only operations on paths containing this substring are candidates
     /// for error/torn/bit-flip injection (`None` = all files).
     pub path_filter: Option<String>,
-    /// Probability that a matching read fails with an I/O error.
-    pub read_error_prob: f64,
-    /// Probability that a matching append fails with an I/O error.
-    pub write_error_prob: f64,
-    /// Probability that a matching sync/flush fails with an I/O error.
-    pub sync_error_prob: f64,
     /// Fail the Nth matching read (1-based).
     pub fail_nth_read: Option<u64>,
     /// Fail the Nth matching append (1-based).
@@ -104,9 +99,6 @@ impl Default for FaultPlan {
         FaultPlan {
             seed: 0,
             path_filter: None,
-            read_error_prob: 0.0,
-            write_error_prob: 0.0,
-            sync_error_prob: 0.0,
             fail_nth_read: None,
             fail_nth_write: None,
             fail_nth_sync: None,
@@ -209,7 +201,7 @@ impl FaultState {
 
     /// Decides the fate of one extent allocation. Allocations run on their
     /// own counter so scripted ENOSPC/capacity-shrink triggers never shift
-    /// the operation counts that existing crash-harness sweeps rely on.
+    /// the operation counts that power-cut triggers are set against.
     pub fn decide_alloc(&mut self) -> AllocFault {
         self.allocs += 1;
         if let Some((nth, pages)) = self.plan.shrink_at_alloc {
@@ -225,7 +217,7 @@ impl FaultState {
 
     /// Decides the fate of one [`crate::SimFs::delete`] of `path`. Deletes
     /// run on their own counter, like allocations, so scripted delete
-    /// failures never shift existing power-cut sweeps. Returns whether the
+    /// failures never shift power-cut triggers. Returns whether the
     /// delete should fail (and whether the error is retryable).
     pub fn decide_delete(&mut self, path: &str) -> Option<bool> {
         if !self.matches(path) {
@@ -252,9 +244,7 @@ impl FaultState {
         match op {
             FaultOp::Read => {
                 self.reads += 1;
-                if self.plan.fail_nth_read == Some(self.reads)
-                    || self.chance(self.plan.read_error_prob)
-                {
+                if self.plan.fail_nth_read == Some(self.reads) {
                     return FaultOutcome::Error { retryable };
                 }
                 if len > 0
@@ -277,17 +267,13 @@ impl FaultState {
                     };
                     return FaultOutcome::Torn { keep, retryable };
                 }
-                if self.plan.fail_nth_write == Some(self.writes)
-                    || self.chance(self.plan.write_error_prob)
-                {
+                if self.plan.fail_nth_write == Some(self.writes) {
                     return FaultOutcome::Error { retryable };
                 }
             }
             FaultOp::Sync => {
                 self.syncs += 1;
-                if self.plan.fail_nth_sync == Some(self.syncs)
-                    || self.chance(self.plan.sync_error_prob)
-                {
+                if self.plan.fail_nth_sync == Some(self.syncs) {
                     return FaultOutcome::Error { retryable };
                 }
             }
@@ -403,7 +389,7 @@ mod tests {
     #[test]
     fn probabilistic_stream_is_deterministic() {
         let plan = FaultPlan {
-            read_error_prob: 0.3,
+            bit_flip_read_prob: 0.3,
             seed: 42,
             ..FaultPlan::default()
         };
@@ -416,8 +402,8 @@ mod tests {
         let a = run(plan.clone());
         let b = run(plan);
         assert_eq!(a, b);
-        assert!(a.iter().any(|&f| f), "some reads should fail at p=0.3");
-        assert!(!a.iter().all(|&f| f), "not all reads should fail at p=0.3");
+        assert!(a.iter().any(|&f| f), "some reads should flip at p=0.3");
+        assert!(!a.iter().all(|&f| f), "not all reads should flip at p=0.3");
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //! goes through one run coalescer.
 //!
 //! The layer also hosts deterministic **fault injection** ([`FaultPlan`]):
-//! scripted or probabilistic I/O errors, torn writes, read bit-flips, and
-//! [`SimFs::power_cut`], which discards everything not durably synced past
-//! the device barrier and after which nothing — no file operation, no
-//! `create`, `rename` or `delete` — can change the disk until
-//! [`SimFs::power_restore`]: the substrate for the crash-consistency harness.
+//! scripted I/O errors, torn writes, scripted or probabilistic read
+//! bit-flips, and [`SimFs::power_cut`], which discards everything not
+//! durably synced past the device barrier and after which nothing — no file
+//! operation, no `create`, `rename` or `delete` — can change the disk until
+//! [`SimFs::power_restore`]: the substrate for the engine's fault oracle.
 //!
 //! ```
 //! use xlsm_device::{profiles, SimDevice};

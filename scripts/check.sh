@@ -16,7 +16,6 @@ cargo build --release
 
 step "cargo test -q --workspace"
 # The workspace run includes the suites that double as gates:
-# * crash_recovery: fault injection + power cuts;
 # * enospc: fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles
 #   and power_cut_at_the_capacity_edge_loses_no_acked_write are the
 #   acceptance legs: capacity overruns stall (never error), auto-resume
@@ -25,18 +24,14 @@ step "cargo test -q --workspace"
 # * xlsm-engine's integrity: seeded_flip_sweep_never_silently_wrong_and_deterministic
 #   runs the full bit-flip sweep over SST/WAL/MANIFEST twice with one seed
 #   and asserts an identical outcome log;
-# * xlsm-engine's oracle: every_option_answers_like_the_model replays its
-#   corpus under the default and every one-axis config, then sampled
-#   (config, op tape) pairs over the whole option product, checking every
-#   read against one reference model.
+# * xlsm-engine's oracle, the fault oracle:
+#   every_option_and_fault_answers_like_the_model replays its corpus under
+#   the default and every one-axis config, under every fault twice (same
+#   seed => same recovered bytes) and through a power-cut sweep in all four
+#   WAL recovery modes, then sampled (config, fault, op tape) cases over the
+#   whole option x fault product, checking every read and every recovery
+#   against one reference model.
 cargo test -q --workspace
-
-step "crash-torture smoke: 64 seeded cut points, all four WAL recovery modes"
-# The workspace run above sweeps the default 16 cut points, this one 64.
-# The binary's recovery_is_deterministic_for_seed_and_cut test
-# re-runs two cut points twice and asserts byte-identical recovered state,
-# so this line also covers the same-seed => same-bytes determinism gate.
-XLSM_TORTURE_CUTS=64 cargo test -q --test crash_torture
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

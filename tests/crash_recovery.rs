@@ -10,6 +10,9 @@
 //!   auto-resume — no worker panics;
 //! * hard errors flip the database to read-only (writes fail fast, reads
 //!   keep serving) until an explicit `Db::resume`.
+//!
+//! The same faults, crossed with every option axis, are values of the fault
+//! axis of `crates/engine/tests/oracle.rs`; these are their named cases.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -158,16 +161,17 @@ fn hard_flush_error_enters_read_only_and_resume_recovers() {
         for i in 100..200u32 {
             db.put(format!("key{i:04}").as_bytes(), b"pending").unwrap();
         }
-        // Every SST write fails hard: the retry budget cannot help, so the
+        // A hard SST write fault: the retry budget does not apply, so the
         // database must transition to read-only.
         fs.set_fault_plan(FaultPlan {
-            write_error_prob: 1.0,
+            fail_nth_write: Some(1),
             path_filter: Some(".sst".into()),
             retryable: false,
             ..FaultPlan::default()
         });
         let err = db.flush().expect_err("hard fault must surface");
         assert!(matches!(err, DbError::ReadOnly(_)), "got {err:?}");
+        assert_eq!(fs.stats().injected_errors, 1, "the fault fired");
         // Writes fail fast...
         assert!(matches!(db.put(b"x", b"y"), Err(DbError::ReadOnly(_))));
         // ...while reads keep serving, from SSTs and the stuck memtable.
@@ -194,47 +198,43 @@ fn hard_flush_error_enters_read_only_and_resume_recovers() {
 }
 
 /// Builds several L0 files with compaction held back, then releases the
-/// compaction with a 100% read bit-flip rate on SSTs.
-fn corrupt_compaction_setup(paranoid: bool) -> (Arc<SimFs>, Db) {
-    let fs = crash_fs();
-    let opts = DbOptions {
-        paranoid_checks: paranoid,
-        level0_file_num_compaction_trigger: 4,
-        ..crash_opts()
-    };
-    let db = Db::open(Arc::clone(&fs), opts).unwrap();
-    db.set_l0_compaction_trigger(100); // hold compaction back
-    for round in 0..4u32 {
-        for i in 0..100u32 {
-            db.put(
-                format!("key{i:04}").as_bytes(),
-                format!("r{round}").as_bytes(),
-            )
-            .unwrap();
-        }
-        db.flush().unwrap();
-    }
-    assert_eq!(db.num_l0_files(), 4);
-    // The compaction opens all four L0 readers first (footer + index +
-    // properties = 3 raw reads each, bloom disabled), then starts on data
-    // blocks. Flip a bit in the first data-block read — data blocks are
-    // CRC-framed, so the flip must surface as checksum corruption.
-    fs.set_fault_plan(FaultPlan {
-        bit_flip_nth_read: Some(13),
-        path_filter: Some(".sst".into()),
-        retryable: false,
-        ..FaultPlan::default()
-    });
-    db.set_l0_compaction_trigger(2); // release the compaction
-    (fs, db)
-}
-
+/// compaction with a bit flip in its first SST data-block read.
 #[test]
 fn bit_flipped_compaction_reads_are_detected_and_escalate() {
     Runtime::new().run(|| {
-        let (fs, db) = corrupt_compaction_setup(true);
-        // With paranoid_checks (default), detected corruption is a hard
-        // error: wait for the read-only transition.
+        let fs = crash_fs();
+        let opts = DbOptions {
+            level0_file_num_compaction_trigger: 4,
+            ..crash_opts()
+        };
+        let db = Db::open(Arc::clone(&fs), opts).unwrap();
+        db.set_l0_compaction_trigger(100); // hold compaction back
+        for round in 0..4u32 {
+            for i in 0..100u32 {
+                db.put(
+                    format!("key{i:04}").as_bytes(),
+                    format!("r{round}").as_bytes(),
+                )
+                .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert_eq!(db.num_l0_files(), 4);
+        // The compaction opens all four L0 readers first (footer + index +
+        // properties = 3 raw reads each, bloom disabled), then starts on
+        // data blocks. Flip a bit in the first data-block read — data
+        // blocks are CRC-framed, so the flip must surface as checksum
+        // corruption.
+        fs.set_fault_plan(FaultPlan {
+            bit_flip_nth_read: Some(13),
+            path_filter: Some(".sst".into()),
+            retryable: false,
+            ..FaultPlan::default()
+        });
+        db.set_l0_compaction_trigger(2); // release the compaction
+
+        // Detected corruption is a hard error: wait for the read-only
+        // transition.
         let mut spins = 0u32;
         while !db.metrics().read_only {
             xlsm_suite::sim::sleep_nanos(200_000);
@@ -253,26 +253,6 @@ fn bit_flipped_compaction_reads_are_detected_and_escalate() {
         assert!(matches!(db.put(b"x", b"y"), Err(DbError::ReadOnly(_))));
         db.resume().unwrap();
         db.put(b"x", b"y").unwrap();
-        db.close();
-    });
-}
-
-#[test]
-fn without_paranoid_checks_corrupt_compaction_keeps_db_writable() {
-    Runtime::new().run(|| {
-        let (fs, db) = corrupt_compaction_setup(false);
-        let mut spins = 0u32;
-        while db.metrics().tickers.get(Ticker::CorruptionDetected) == 0 {
-            xlsm_suite::sim::sleep_nanos(200_000);
-            spins += 1;
-            assert!(spins < 50_000, "compaction corruption never detected");
-        }
-        let m = db.metrics();
-        assert!(!m.read_only, "paranoid_checks=false must not escalate");
-        fs.clear_fault_plan();
-        db.put(b"still", b"writable").unwrap();
-        assert_eq!(db.get(b"still").unwrap(), Some(b"writable".to_vec()));
-        assert_eq!(db.get(b"key0000").unwrap(), Some(b"r3".to_vec()));
         db.close();
     });
 }

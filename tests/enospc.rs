@@ -19,7 +19,10 @@
 //! * A failed WAL purge is counted and retried instead of being silently
 //!   swallowed, and never makes the database read-only.
 //! * A write refused for lack of space leaves no bytes behind for a later
-//!   recovery to replay.
+//!   recovery to replay, and the database read-only until `Db::resume`.
+//!
+//! Scripted ENOSPC with and without the watcher, and a failed WAL purge,
+//! are also values of the fault axis of `crates/engine/tests/oracle.rs`.
 
 use std::sync::Arc;
 use xlsm_suite::device::{profiles, DeviceProfile, SimDevice};
@@ -426,6 +429,10 @@ fn refused_wal_append_leaves_no_phantom_after_reopen() {
         assert!(err.to_string().contains("device is full"), "got {err}");
         assert_eq!(fs.stats().injected_errors, 1, "the fault fired");
         assert_eq!(db.get(b"a").unwrap(), None);
+        // A failed WAL write makes the database read-only until `resume`
+        // retires the log it failed in.
+        assert!(matches!(db.put(b"b", b"2"), Err(DbError::ReadOnly(_))));
+        db.resume().unwrap();
         db.put(b"b", b"2").expect("the fault was one-shot");
         db.close();
 
