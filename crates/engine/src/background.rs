@@ -31,10 +31,6 @@ const MAX_BACKGROUND_FLUSHES: usize = 1;
 /// the db_bench / RocksDB 5.17 default the paper runs).
 const MAX_BACKGROUND_COMPACTIONS: usize = 1;
 
-/// Bounded retries for a retryable (transient) background I/O error before
-/// it escalates to hard and the database goes read-only.
-const MAX_BACKGROUND_ERROR_RETRIES: u32 = 6;
-
 /// Backoff before the first background-error retry (1 ms); doubles on each
 /// subsequent attempt.
 const BACKGROUND_ERROR_RETRY_BACKOFF_NS: u64 = 1_000_000;
@@ -44,7 +40,7 @@ const BACKGROUND_ERROR_RETRY_BACKOFF_NS: u64 = 1_000_000;
 const IDLE_TICK_NS: u64 = 10_000_000;
 
 /// Deletes `path`, treating "already gone" as success.
-pub(crate) fn delete_if_exists(fs: &SimFs, path: &str) -> Result<(), FsError> {
+fn delete_if_exists(fs: &SimFs, path: &str) -> Result<(), FsError> {
     match fs.delete(path) {
         Ok(()) | Err(FsError::NotFound(_)) => Ok(()),
         Err(e) => Err(e),
@@ -190,8 +186,11 @@ impl DbInner {
     /// Deletes (or trashes) SSTs queued as obsolete that no live version
     /// references. A failed disposal re-queues the file and records the
     /// error; it is retried at the next purge and never makes data unsafe,
-    /// so the database stays writable.
+    /// so the database stays writable. A pass without a failure clears the
+    /// purge's own error. With the reaper off, the pass first retries the
+    /// trash deletes that failed before.
     pub(crate) fn purge_obsolete(&self) {
+        while !self.trash.enabled() && self.reap_trash_one() {}
         let candidates: Vec<u64> = std::mem::take(&mut *self.obsolete.lock());
         if candidates.is_empty() {
             return;
@@ -204,53 +203,44 @@ impl DbInner {
                 still_pinned.push(n);
             } else {
                 self.table_cache.evict(n);
-                match self.dispose_obsolete_sst(n) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        had_error = true;
-                        still_pinned.push(n);
-                        self.stats.bump(Ticker::BackgroundErrors);
-                        let _ = self.bg.record(BackgroundOp::ObsoletePurge, e.into(), 0);
-                    }
+                if let Err(e) = self.dispose_obsolete_sst(n) {
+                    had_error = true;
+                    still_pinned.push(n);
+                    self.bg.fail(BackgroundOp::ObsoletePurge, e.into(), 0);
                 }
             }
         }
         self.obsolete.lock().extend(still_pinned);
         if !had_error {
-            self.clear_resolved(BackgroundOp::ObsoletePurge);
-        }
-    }
-
-    /// A fully clean purge pass resolves an earlier failure of the same
-    /// purge.
-    fn clear_resolved(&self, op: BackgroundOp) {
-        if !self.bg.is_read_only() && matches!(self.bg.current(), Some(b) if b.op == op) {
-            self.bg.clear();
+            self.bg.succeed(BackgroundOp::ObsoletePurge);
         }
     }
 
     /// Deletes one file from the trash queue, paced to
-    /// `sst_delete_rate_bytes_per_sec`. Returns `Ok(false)` when the queue
-    /// is empty. A failed delete re-queues the entry; the file is disposed
-    /// of exactly once either way.
-    fn reap_trash_one(&self) -> DbResult<bool> {
+    /// `sst_delete_rate_bytes_per_sec` (unpaced at 0), and reports the
+    /// result as the reaper's: a success clears its error. Returns `false`
+    /// when the queue is empty or the delete failed; a failed delete
+    /// re-queues the entry, so the file is disposed of exactly once.
+    pub(crate) fn reap_trash_one(&self) -> bool {
         if self.fs.is_powered_off() {
             // A dead device owns its contents; the sweep at reopen will
             // re-queue whatever is still in trash/.
-            return Ok(false);
+            return false;
         }
         let Some(entry) = self.trash.pop() else {
-            return Ok(false);
+            return false;
         };
         self.trash.pace(entry.bytes);
         match delete_if_exists(&self.fs, &entry.path) {
             Ok(()) => {
                 self.stats.add(Ticker::SpaceReclaimedBytes, entry.bytes);
-                Ok(true)
+                self.bg.succeed(BackgroundOp::TrashReap);
+                true
             }
             Err(e) => {
                 self.trash.schedule(entry.path, entry.bytes);
-                Err(e.into())
+                self.bg.fail(BackgroundOp::TrashReap, e.into(), 0);
+                false
             }
         }
     }
@@ -272,33 +262,29 @@ impl DbInner {
                     if let Err(e) = delete_if_exists(&self.wal_fs, &path) {
                         had_error = true;
                         self.stats.bump(Ticker::WalPurgeFailures);
-                        self.stats.bump(Ticker::BackgroundErrors);
-                        let _ = self.bg.record(BackgroundOp::WalPurge, e.into(), 0);
+                        self.bg.fail(BackgroundOp::WalPurge, e.into(), 0);
                     }
                 }
             }
         }
         if !had_error {
-            self.clear_resolved(BackgroundOp::WalPurge);
+            self.bg.succeed(BackgroundOp::WalPurge);
         }
     }
 
     // -- space watcher ------------------------------------------------------
 
-    /// One `SpaceWatcher` poll: while the database is soft-stalled on
-    /// ENOSPC, check whether headroom has returned (the cap was raised,
-    /// trash was reaped, or device space freed) and auto-resume — clear the
-    /// error, lift the external writer stop, and reschedule the stalled
-    /// work. A power cut observed mid-stall ends the incarnation instead:
-    /// the stall escalates to read-only so parked writers fail fast rather
-    /// than hang on a dead device.
+    /// One `SpaceWatcher` poll: while the database is stalled on ENOSPC,
+    /// check whether headroom has returned (the cap was raised, trash was
+    /// reaped, or device space freed) and resume. A power cut observed
+    /// mid-stall ends the incarnation instead: the database goes read-only
+    /// so parked writers fail fast rather than hang on a dead device.
     fn space_watch_tick(self: &Arc<Self>) {
-        if !self.bg.is_soft_stalled() {
+        if !self.bg.is_stalled() {
             return;
         }
         if self.fs.is_powered_off() {
-            self.bg.escalate();
-            self.enter_read_only_mode();
+            self.bg.abandon_stall();
             return;
         }
         // Headroom test: the next flush's estimated output must fit both
@@ -313,25 +299,18 @@ impl DbInner {
         let page = xlsm_device::PAGE_SIZE as u64;
         let device_free = self.fs.free_space_pages().saturating_mul(page);
         if self.space.would_fit(needed, self.accounted_space_bytes()) && device_free >= needed {
-            self.end_enospc_stall();
-            self.bg.clear();
-            self.controller.set_external_stop(false);
-            self.stats.bump(Ticker::BackgroundAutoResumes);
-            self.update_stall_conditions();
-            self.schedule_flush();
-            self.maybe_schedule_compaction();
+            self.resume_work();
         }
     }
 
-    /// Closes the current soft ENOSPC stall episode, if one is open, into
-    /// the `enospc_stall` histogram.
-    pub(crate) fn end_enospc_stall(&self) {
-        let t0 = self.enospc_stall_start.swap(0, Ordering::Relaxed);
-        if t0 > 0 {
-            self.stats
-                .enospc_stall
-                .record(xlsm_sim::now_nanos().saturating_sub(t0));
-        }
+    /// Makes the database healthy and reschedules the work a stall or a
+    /// read-only state held back: the space watcher's auto-resume and
+    /// [`crate::Db::resume`] both end here.
+    pub(crate) fn resume_work(self: &Arc<Self>) {
+        self.bg.resume();
+        self.update_stall_conditions();
+        self.schedule_flush();
+        self.maybe_schedule_compaction();
     }
 
     // -- scrubbing ---------------------------------------------------------
@@ -629,80 +608,36 @@ impl DbInner {
 
     // -- background-error handling ------------------------------------------
 
-    /// Runs one background job with RocksDB-style error handling: transient
-    /// I/O errors are retried with bounded exponential backoff (auto-resume
-    /// on success); hard errors — corruption, power loss, exhausted retries
-    /// — transition the database to read-only, where writes fail fast with
-    /// [`DbError::ReadOnly`] while reads keep serving. Workers never panic.
+    /// Runs one background job with RocksDB-style error handling: the
+    /// handler classifies each failure, a retryable one runs again after an
+    /// exponential backoff, and the job's success clears the error it
+    /// recorded. A stall leaves the job queued (the immutable memtable stays
+    /// in place) for the space watcher to reschedule; a hard error leaves
+    /// the database read-only. Workers never panic.
     fn run_background_job(
         self: &Arc<Self>,
         op: BackgroundOp,
         job: impl Fn(&Arc<Self>) -> DbResult<bool>,
     ) {
         let mut retries = 0u32;
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) || self.bg.is_read_only() {
-                return;
-            }
+        while !self.shutdown.load(Ordering::Relaxed) && !self.bg.is_read_only() {
             let e = match job(self) {
                 Ok(_) => {
-                    if retries > 0 && !self.bg.is_read_only() {
-                        self.bg.clear();
-                        self.stats.bump(Ticker::BackgroundAutoResumes);
+                    if self.bg.succeed(op) {
                         self.update_stall_conditions();
                     }
                     return;
                 }
                 Err(e) => e,
             };
-            if matches!(e, DbError::Corruption(_)) {
-                self.stats.bump(Ticker::CorruptionDetected);
-            }
-            self.stats.bump(Ticker::BackgroundErrors);
-            let severity = self.bg.record(op, e, retries);
-            if severity == ErrorSeverity::Soft {
-                // Soft ENOSPC: park writers behind the controller's
-                // external stop — they stall, never fail — and leave the
-                // job queued (the immutable memtable stays in place). The
-                // SpaceWatcher clears the stop once headroom returns and
-                // reschedules this work.
-                if self
-                    .enospc_stall_start
-                    .compare_exchange(
-                        0,
-                        xlsm_sim::now_nanos().max(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    self.stats.bump(Ticker::EnospcStalls);
-                }
-                self.controller.set_external_stop(true);
+            if self.bg.fail(op, e, retries) != ErrorSeverity::Retryable {
                 return;
             }
-            if severity == ErrorSeverity::Retryable && retries < MAX_BACKGROUND_ERROR_RETRIES {
-                self.stats.bump(Ticker::BackgroundErrorRetries);
-                let backoff =
-                    BACKGROUND_ERROR_RETRY_BACKOFF_NS.saturating_mul(1u64 << retries.min(20));
-                retries += 1;
-                xlsm_sim::sleep_nanos(backoff.max(1));
-                continue;
-            }
-            self.bg.escalate();
-            self.enter_read_only_mode();
-            return;
+            self.stats.bump(Ticker::BackgroundErrorRetries);
+            let backoff = BACKGROUND_ERROR_RETRY_BACKOFF_NS.saturating_mul(1u64 << retries.min(20));
+            retries += 1;
+            xlsm_sim::sleep_nanos(backoff.max(1));
         }
-    }
-
-    /// Transitions to read-only mode and force-releases any writers stalled
-    /// inside the controller so they can observe the error and fail fast.
-    pub(crate) fn enter_read_only_mode(&self) {
-        if !self.bg.is_read_only() {
-            self.bg.enter_read_only();
-            self.stats.bump(Ticker::ReadOnlyTransitions);
-        }
-        self.controller.force_release(true);
     }
 }
 
@@ -760,19 +695,11 @@ pub(crate) fn spawn_workers(
         let inner = Arc::clone(inner);
         workers.push(xlsm_sim::spawn("trash-reaper-0", move || {
             while !inner.shutdown.load(Ordering::Relaxed) {
-                match inner.reap_trash_one() {
-                    // Drained one entry; go straight for the next (the
-                    // pace() inside already spent the virtual time).
-                    Ok(true) => {}
-                    Ok(false) => xlsm_sim::sleep_nanos(IDLE_TICK_NS),
-                    // A failed delete was re-queued; record it and back
-                    // off. Reap failures never escalate to read-only —
-                    // the data is already obsolete.
-                    Err(e) => {
-                        inner.stats.bump(Ticker::BackgroundErrors);
-                        let _ = inner.bg.record(BackgroundOp::TrashReap, e, 0);
-                        xlsm_sim::sleep_nanos(IDLE_TICK_NS);
-                    }
+                // After a delete go straight for the next (the pace()
+                // inside already spent the virtual time); idle or back off
+                // after an empty queue or a failed, re-queued delete.
+                if !inner.reap_trash_one() {
+                    xlsm_sim::sleep_nanos(IDLE_TICK_NS);
                 }
             }
         }));

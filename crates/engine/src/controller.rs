@@ -26,6 +26,7 @@
 //!   `(slowdown_threshold + stop_threshold) / 2` does the full Algorithm 1
 //!   adaptation apply.
 
+use crate::bgerror::ErrorHandler;
 use crate::options::DbOptions;
 use crate::stall::{StallAccounting, StallCause, StallEvent};
 use std::fmt;
@@ -164,14 +165,9 @@ pub struct ControllerSnapshot {
 pub struct WriteController {
     init_rate: u64,
     state: parking_lot::Mutex<CtlState>,
-    stopped: WaitSet,
-    /// When set, stopped writers pass through the stall wait immediately
-    /// (the database went read-only — the stall will never clear).
-    released: std::sync::atomic::AtomicBool,
-    /// An externally imposed stop, independent of the policy level: set
-    /// during a soft ENOSPC stall (the LSM shape may look healthy, yet no
-    /// flush can land until space frees). Cleared by the `SpaceWatcher`.
-    external_stop: std::sync::atomic::AtomicBool,
+    /// Writers stopped by the stall level or held by the database's health
+    /// (`ErrorHandler::holds_writers`), which wakes them too.
+    stopped: Arc<WaitSet>,
 }
 
 impl fmt::Debug for WriteController {
@@ -198,32 +194,13 @@ impl WriteController {
                 level_since: 0,
                 sink: None,
             }),
-            stopped: WaitSet::new("write-stopped"),
-            released: std::sync::atomic::AtomicBool::new(false),
-            external_stop: std::sync::atomic::AtomicBool::new(false),
+            stopped: Arc::new(WaitSet::new("write-stopped")),
         }
     }
 
-    /// Imposes (or lifts) a stop that does not come from the throttle
-    /// policy — the soft ENOSPC stall. Lifting it wakes every parked
-    /// writer so they re-check conditions.
-    pub fn set_external_stop(&self, on: bool) {
-        self.external_stop
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-        if !on {
-            self.stopped.notify_all();
-        }
-    }
-
-    /// Forces writers out of (or back into) the stopped-wait: used when
-    /// the database enters read-only mode, where the stall condition will
-    /// never clear and blocked writers must observe the failure instead.
-    pub fn force_release(&self, on: bool) {
-        self.released
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-        if on {
-            self.stopped.notify_all();
-        }
+    /// The stop wait, for the `ErrorHandler` to wake.
+    pub(crate) fn stop_wait(&self) -> Arc<WaitSet> {
+        Arc::clone(&self.stopped)
     }
 
     /// Attaches the stall registry that receives a [`StallEvent`] on every
@@ -328,24 +305,20 @@ impl WriteController {
         }
     }
 
-    /// Whether writes are currently fully stopped (by the policy level or
-    /// an external ENOSPC stop).
+    /// Whether the stall level stops writes.
     pub fn is_stopped(&self) -> bool {
-        self.external_stop
-            .load(std::sync::atomic::Ordering::Relaxed)
-            || matches!(self.state.lock().level, StallLevel::Stop)
+        matches!(self.state.lock().level, StallLevel::Stop)
     }
 
-    /// Blocks the caller while writes are stopped. Returns the nanoseconds
-    /// spent waiting.
-    pub fn wait_while_stopped(&self) -> Nanos {
+    /// Blocks the caller while `health` holds writers: while the stall
+    /// level stops them or the database is stalled on ENOSPC, and never
+    /// once it is read-only. Returns the nanoseconds spent waiting.
+    pub(crate) fn wait_while_stopped(&self, health: &ErrorHandler) -> Nanos {
         let t0 = xlsm_sim::now_nanos();
-        loop {
-            if !self.is_stopped() || self.released.load(std::sync::atomic::Ordering::Relaxed) {
-                return xlsm_sim::now_nanos() - t0;
-            }
+        while health.holds_writers(self.is_stopped()) {
             self.stopped.wait();
         }
+        xlsm_sim::now_nanos() - t0
     }
 
     /// How long the writer of `num_bytes` must sleep under the current
@@ -650,43 +623,68 @@ mod tests {
         });
     }
 
+    /// A controller and the health its stop wait asks, with the space
+    /// watcher on (`DeviceFull` stalls); a writer parked in the stop wait.
+    fn parked_writer() -> (
+        Arc<WriteController>,
+        Arc<ErrorHandler>,
+        xlsm_sim::JoinHandle<Nanos>,
+    ) {
+        let c = Arc::new(WriteController::new(&DbOptions::default()));
+        let stats = crate::stats::DbStats::shared();
+        let health = Arc::new(ErrorHandler::new(true, stats, c.stop_wait()));
+        let (c2, health2) = (Arc::clone(&c), Arc::clone(&health));
+        let writer = xlsm_sim::spawn("writer", move || c2.wait_while_stopped(&health2));
+        (c, health, writer)
+    }
+
     #[test]
     fn stop_blocks_until_cleared() {
         Runtime::new().run(|| {
             let opts = DbOptions::default();
-            let c = std::sync::Arc::new(WriteController::new(&opts));
+            let (c, _health, writer) = parked_writer();
             c.update(&sig(36, 1, 0), &opts);
-            let c2 = std::sync::Arc::clone(&c);
-            let h = xlsm_sim::spawn("writer", move || c2.wait_while_stopped());
             xlsm_sim::sleep_nanos(5_000_000);
-            let opts2 = DbOptions::default();
-            c.update(&sig(10, 1, 0), &opts2);
-            let waited = h.join();
+            c.update(&sig(10, 1, 0), &opts);
+            let waited = writer.join();
             assert!(waited >= 5_000_000, "writer should have waited: {waited}");
             assert!(!c.is_stopped());
         });
     }
 
     #[test]
-    fn external_stop_blocks_independently_of_policy() {
+    fn a_stall_blocks_writers_whatever_the_policy_level() {
         Runtime::new().run(|| {
+            use crate::bgerror::BackgroundOp;
+            use xlsm_simfs::FsError;
             let opts = DbOptions::default();
-            let c = std::sync::Arc::new(WriteController::new(&opts));
-            // Policy says Clear, yet the external (ENOSPC) stop holds.
+            let (c, health, writer) = parked_writer();
+            // Policy says Clear, yet the ENOSPC stall holds.
+            health.fail(BackgroundOp::Flush, FsError::DeviceFull.into(), 0);
             c.update(&sig(0, 1, 0), &opts);
-            c.set_external_stop(true);
-            assert!(c.is_stopped());
-            assert!(c.external_stop.load(std::sync::atomic::Ordering::Relaxed));
-            let c2 = std::sync::Arc::clone(&c);
-            let h = xlsm_sim::spawn("writer", move || c2.wait_while_stopped());
+            assert!(!c.is_stopped());
             xlsm_sim::sleep_nanos(3_000_000);
-            // Policy updates must not lift the external stop.
+            // A stop and its clearing do not lift the stall either.
+            c.update(&sig(36, 1, 0), &opts);
             c.update(&sig(0, 1, 0), &opts);
             xlsm_sim::sleep_nanos(2_000_000);
-            c.set_external_stop(false);
-            let waited = h.join();
+            health.resume();
+            let waited = writer.join();
             assert!(waited >= 5_000_000, "writer should have waited: {waited}");
-            assert!(!c.is_stopped());
+        });
+    }
+
+    #[test]
+    fn read_only_releases_stopped_writers() {
+        Runtime::new().run(|| {
+            use crate::bgerror::BackgroundOp;
+            let opts = DbOptions::default();
+            let (c, health, writer) = parked_writer();
+            c.update(&sig(36, 1, 0), &opts);
+            xlsm_sim::sleep_nanos(1_000_000);
+            health.fail(BackgroundOp::Compaction, crate::DbError::corruption("x"), 0);
+            assert_eq!(writer.join(), 1_000_000, "woken to fail, not to wait on");
+            assert!(c.is_stopped());
         });
     }
 

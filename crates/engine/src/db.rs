@@ -23,7 +23,7 @@ use crate::version::{VersionEdit, VersionSet, NUM_LEVELS};
 use crate::wal::WalWriter;
 use crate::write::{WriteBackend, WriteQueue};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xlsm_sim::sync::{channel, Semaphore, Sender};
 use xlsm_sim::JoinHandle;
@@ -131,6 +131,7 @@ pub(crate) struct DbInner {
     /// policy remembers between picks.
     pub(crate) level_picker: parking_lot::Mutex<LevelPicker>,
     pub(crate) obsolete: parking_lot::Mutex<Vec<u64>>,
+    /// The database's health: retrying, stalled on ENOSPC or read-only.
     pub(crate) bg: ErrorHandler,
     /// Background scrubber position (see `DbInner::scrub_one`).
     pub(crate) scrub: parking_lot::Mutex<ScrubState>,
@@ -140,9 +141,6 @@ pub(crate) struct DbInner {
     /// Trash queue + pacing for rate-limited obsolete-SST deletion
     /// (`sst_delete_rate_bytes_per_sec`).
     pub(crate) trash: DeleteScheduler,
-    /// Virtual time the current soft ENOSPC stall began (0 = not stalled);
-    /// feeds the `enospc_stall` histogram when the `SpaceWatcher` resumes.
-    pub(crate) enospc_stall_start: AtomicU64,
 }
 
 /// The key-value store handle. Share by reference or wrap in `Arc<Db>`;
@@ -250,18 +248,6 @@ impl DbInner {
         Ok(())
     }
 
-    /// A failed WAL append or sync left the log with a torn record, which
-    /// stops replay, or with one the client was told had failed: no later
-    /// write may be acknowledged behind it. The database goes read-only
-    /// until [`Db::resume`] retires the log; the writer gets `e`.
-    fn fail_wal(&self, e: DbError) -> DbError {
-        self.stats.bump(Ticker::BackgroundErrors);
-        self.bg.record(BackgroundOp::Wal, e.clone(), 0);
-        self.bg.escalate();
-        self.enter_read_only_mode();
-        e
-    }
-
     /// Appends `edit` to the MANIFEST and makes the resulting version
     /// current, one install at a time. A failure comes back non-retryable
     /// (see [`harden_install_error`]).
@@ -309,15 +295,16 @@ impl WriteBackend for DbBackend {
         }
         let mut stalls = PreprocessStalls::default();
         loop {
-            // Stop conditions (Algorithm 1's stop threshold, memtable limit).
-            let stopped_ns = inner.controller.wait_while_stopped();
+            // Stop conditions (Algorithm 1's stop threshold, memtable limit,
+            // an ENOSPC stall).
+            let stopped_ns = inner.controller.wait_while_stopped(&inner.bg);
             if stopped_ns > 0 {
                 inner.stats.bump(Ticker::StallStoppedWrites);
                 inner.stats.add(Ticker::StallMicros, stopped_ns / 1_000);
                 stalls.stop_wait_ns += stopped_ns;
             }
-            // A hard background error force-releases stalled writers; they
-            // must fail fast rather than re-enter the stall loop.
+            // A hard background error releases stopped writers; they must
+            // fail fast rather than re-enter the stall loop.
             if let Some(e) = inner.bg.read_only_error() {
                 return Err(e);
             }
@@ -371,8 +358,15 @@ impl WriteBackend for DbBackend {
             return Ok(());
         };
         let t0 = xlsm_sim::now_nanos();
+        // A failed append or sync left the log with a torn record, which
+        // stops replay, or with one the client was told had failed: no
+        // later write may be acknowledged behind it. The database goes
+        // read-only until `Db::resume` retires the log; the writer gets the
+        // error.
         let appended = wal.append(group.data(), self.inner.opts.wal_sync);
-        let written = appended.map_err(|e| self.inner.fail_wal(e))?;
+        let written = appended.inspect_err(|e| {
+            self.inner.bg.fail(BackgroundOp::Wal, e.clone(), 0);
+        })?;
         self.inner.stats.add(Ticker::WalBytes, written);
         self.inner
             .stats
@@ -461,6 +455,11 @@ impl Db {
         let reference = 4 * opts.max_bytes_for_level_base;
         let io_limiter = BgIoLimiter::new(opts.bg_io_rate_bytes_per_sec, Some(reference));
         let concurrent = opts.allow_concurrent_memtable_write;
+        // With the space watcher polling, DeviceFull from a background job
+        // is a stall the watcher ends; without it a full disk makes the
+        // database read-only until `Db::resume`.
+        let soft_enospc = opts.space_poll_interval_ns > 0;
+        let bg = ErrorHandler::new(soft_enospc, Arc::clone(&stats), controller.stop_wait());
         let inner = Arc::new(DbInner {
             controller,
             io_limiter,
@@ -487,21 +486,14 @@ impl Db {
             cursors: parking_lot::Mutex::new(CompactionCursors::new(NUM_LEVELS)),
             level_picker: parking_lot::Mutex::new(LevelPicker::new(opts.compaction_scheduler)),
             obsolete: parking_lot::Mutex::new(Vec::new()),
-            bg: ErrorHandler::new(),
+            bg,
             scrub: parking_lot::Mutex::new(ScrubState::default()),
             space: SpaceManager::new(opts.max_allowed_space_bytes),
             trash: DeleteScheduler::new(opts.sst_delete_rate_bytes_per_sec),
-            enospc_stall_start: AtomicU64::new(0),
             wal_fs,
             fs,
             opts,
         });
-        // With the SpaceWatcher polling, DeviceFull from background jobs is
-        // a soft, self-clearing stall; without it the legacy contract holds
-        // (full disk ⇒ permanent read-only until Db::resume).
-        inner
-            .bg
-            .set_soft_device_full(inner.opts.space_poll_interval_ns > 0);
         inner.purge_old_wals();
         if existing {
             recovery::sweep_trash(&inner);
@@ -658,37 +650,26 @@ impl Db {
         }
     }
 
-    /// Clears the background-error state and re-runs the failed work — the
-    /// RocksDB `DB::Resume()` analogue. Pending immutable memtables are
-    /// flushed in the caller's thread; on success the read-only flag lifts,
-    /// stalled writers are re-admitted, and compactions reschedule. The
-    /// mutable memtable is flushed too, which retires its log: after a
-    /// failed WAL write that log may hold a torn record, or one the client
-    /// was told had failed, and no later write may land behind it.
+    /// Re-runs the failed work and makes the database healthy — the RocksDB
+    /// `DB::Resume()` analogue; a healthy database has nothing to resume.
+    /// Pending immutable memtables are flushed in the caller's thread; on
+    /// success the read-only state or the ENOSPC stall ends, stalled
+    /// writers are re-admitted, and compactions reschedule. The mutable
+    /// memtable is flushed too, which retires its log: after a failed WAL
+    /// write that log may hold a torn record, or one the client was told
+    /// had failed, and no later write may land behind it.
     ///
     /// # Errors
     ///
     /// The error hit while re-running the work; the database stays
-    /// read-only in that case.
+    /// read-only (or stalled) in that case.
     pub fn resume(&self) -> DbResult<()> {
-        if self.inner.bg.current().is_none() && !self.inner.bg.is_read_only() {
+        if self.inner.bg.current().is_none() {
             return Ok(());
         }
         self.inner.switch_memtable()?;
-        loop {
-            match self.inner.flush_one() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(e) => return Err(e),
-            }
-        }
-        self.inner.bg.clear();
-        self.inner.end_enospc_stall();
-        self.inner.controller.set_external_stop(false);
-        self.inner.controller.force_release(false);
-        self.inner.stats.bump(Ticker::BackgroundAutoResumes);
-        self.inner.update_stall_conditions();
-        self.inner.maybe_schedule_compaction();
+        while self.inner.flush_one()? {}
+        self.inner.resume_work();
         Ok(())
     }
 

@@ -3,9 +3,8 @@
 //! under the four [`WalRecoveryMode`]s, the recovery flush, and the trash
 //! and orphan sweeps.
 
-use crate::background::{delete_if_exists, write_memtable_table};
+use crate::background::write_memtable_table;
 use crate::batch::WriteBatch;
-use crate::bgerror::BackgroundOp;
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::integrity;
@@ -207,8 +206,8 @@ pub(crate) fn flush_recovered(
 /// Files renamed into `trash/` before a crash were already dropped from the
 /// live set (the rename is atomic and survives power cuts), but their
 /// extents are still allocated. Re-queue each for the paced reaper — or
-/// delete inline when the reaper is disabled — so every trashed file is
-/// reclaimed exactly once and never resurrected.
+/// delete them inline when the reaper is disabled — so every trashed file
+/// is reclaimed exactly once and never resurrected.
 pub(crate) fn sweep_trash(inner: &DbInner) {
     let trash_prefix = format!("{}/trash/", inner.opts.db_path);
     let mut pending: Vec<String> = inner.fs.list(&trash_prefix);
@@ -220,17 +219,10 @@ pub(crate) fn sweep_trash(inner: &DbInner) {
         };
         if inner.trash.enabled() {
             inner.stats.add(Ticker::TrashQueueBytes, bytes);
-            inner.trash.schedule(path, bytes);
-        } else {
-            match delete_if_exists(&inner.fs, &path) {
-                Ok(()) => inner.stats.add(Ticker::SpaceReclaimedBytes, bytes),
-                Err(e) => {
-                    inner.stats.bump(Ticker::BackgroundErrors);
-                    let _ = inner.bg.record(BackgroundOp::TrashReap, e.into(), 0);
-                }
-            }
         }
+        inner.trash.schedule(path, bytes);
     }
+    while !inner.trash.enabled() && inner.reap_trash_one() {}
 }
 
 /// A crash between a flush/compaction output being written and its

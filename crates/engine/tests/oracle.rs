@@ -535,6 +535,7 @@ impl Run {
             Op::Settle => {
                 self.db.wait_for_compactions();
                 self.drain_trash()?;
+                self.expect_healthy()?;
                 self.check_head()
             }
             Op::Reopen => {
@@ -705,7 +706,8 @@ impl Run {
 
     /// Opens the closed database. After a power cut AbsoluteConsistency may
     /// refuse a torn log, and point-in-time recovery then may not. No file
-    /// that was in `trash/` comes back to the live set.
+    /// that was in `trash/` comes back to the live set, and the database
+    /// opens healthy.
     fn open(&mut self, after_cut: bool) -> Check {
         self.held.clear();
         let trash = self.fs.list("db/trash/");
@@ -720,7 +722,7 @@ impl Run {
         let back = |t: &&String| self.fs.exists(&t.replace("/trash/", "/"));
         match trash.iter().find(back) {
             Some(t) => Err(format!("{t} came back from the trash")),
-            None => Ok(()),
+            None => self.expect_healthy(),
         }
     }
 
@@ -897,12 +899,17 @@ impl Run {
         }
         self.expect_writable()?;
         if let Fault::DeleteFails(..) = fault {
-            // The next purge retries a failed one.
-            self.write(&batch)?;
-            self.db.flush().map_err(fail)?;
+            // The next purge retries a failed delete and the reaper its own:
+            // two more Level-0 files make a compaction, and its purge.
+            for _ in 0..2 {
+                self.write(&batch)?;
+                self.flush_settled()?;
+            }
+            self.drain_trash()?;
             if logs(&self.wal_fs).len() != 1 {
                 return Err("a log the purge failed to delete is still there".into());
             }
+            return self.expect_healthy();
         }
         Ok(())
     }
@@ -944,6 +951,14 @@ impl Run {
         self.check_head()
     }
 
+    /// No background error: nothing is retrying, stalled or read-only.
+    fn expect_healthy(&self) -> Check {
+        match self.db.metrics().background_error {
+            Some(e) => Err(format!("unhealthy: {e:?}")),
+            None => Ok(()),
+        }
+    }
+
     /// A hard fault: the database is read-only, a write fails with
     /// `ReadOnly`, reads still match the model, and `resume` recovers it.
     fn expect_hard(&mut self) -> Check {
@@ -958,6 +973,7 @@ impl Run {
         }
         self.check_head()?;
         self.db.resume().map_err(fail)?;
+        self.expect_healthy()?;
         self.check_head()
     }
 
@@ -985,10 +1001,7 @@ impl Run {
 fn check(config: &Config, tape: &[Op]) -> Vec<Dump> {
     let result = Runtime::new().run(|| {
         let Setup { device, opts } = config.setup();
-        // Small, since a flash FTL's maps scale with capacity and a
-        // filesystem's parked writeback daemon keeps it alive after the run.
-        let device = SimDevice::shared(device.with_capacity_bytes(256 << 20));
-        let fs = SimFs::new(device, FsOptions::default());
+        let fs = SimFs::new(SimDevice::shared(device), FsOptions::default());
         let wal_fs = opts.wal_fs.clone().unwrap_or_else(|| Arc::clone(&fs));
         let db = Arc::new(Db::open(Arc::clone(&fs), opts.clone()).map_err(|e| (0, fail(e)))?);
         #[rustfmt::skip]
@@ -1106,4 +1119,13 @@ fn every_option_and_fault_answers_like_the_model() {
     let (fired, kinds) = (FIRED.with(|f| f.take()), FAULTS.map(Fault::kind));
     let all = kinds.iter().all(|k| fired.contains(k));
     assert!(all, "fired only {fired:?}");
+    // The run's peak memory, which `scripts/bench.sh` reads with `--show-output`.
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    println!(
+        "{}",
+        status
+            .lines()
+            .find(|l| l.starts_with("VmHWM"))
+            .unwrap_or("VmHWM: n/a")
+    );
 }

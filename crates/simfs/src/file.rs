@@ -13,8 +13,9 @@ use crate::pagecache::PageKey;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use xlsm_device::PAGE_SIZE;
+use xlsm_sim::sync::WaitSet;
 
 /// Host-side fixed cost per read call (syscall + VFS), ns.
 const HOST_READ_NS: u64 = 1_800;
@@ -171,14 +172,19 @@ impl FileData {
 impl SimFs {
     /// The background writeback thread (the pdflush/kworker analogue):
     /// drains dirty pages above the soft limit so appenders normally never
-    /// block on the device. Parked until an appender kicks it.
-    pub(crate) fn writeback_daemon(&self) -> ! {
+    /// block on the device. Parked on `wake` until an appender kicks it, it
+    /// holds the filesystem only while it drains: a filesystem nobody else
+    /// holds is freed, its daemon left parked on nothing but `wake`.
+    pub(crate) fn writeback_daemon(fs: Weak<SimFs>, wake: Arc<WaitSet>) {
         loop {
-            self.wb_wake.wait();
+            wake.wait();
+            let Some(fs) = fs.upgrade() else {
+                return;
+            };
             loop {
                 let batch = {
-                    let mut cache = self.cache.lock();
-                    if cache.dirty_count() <= self.soft_dirty_limit() * 4 / 5 {
+                    let mut cache = fs.cache.lock();
+                    if cache.dirty_count() <= fs.soft_dirty_limit() * 4 / 5 {
                         break;
                     }
                     cache.take_dirty_batch(32)
@@ -186,9 +192,9 @@ impl SimFs {
                 if batch.is_empty() {
                     break;
                 }
-                self.bg_writebacks
+                fs.bg_writebacks
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                self.write_back(&batch);
+                fs.write_back(&batch);
             }
         }
     }

@@ -83,7 +83,7 @@ pub struct SimFs {
     pub(crate) throttle_writebacks: AtomicU64,
     pub(crate) sync_writebacks: AtomicU64,
     pub(crate) bg_writebacks: AtomicU64,
-    pub(crate) wb_wake: xlsm_sim::sync::WaitSet,
+    pub(crate) wb_wake: Arc<xlsm_sim::sync::WaitSet>,
     fault: parking_lot::Mutex<Option<FaultState>>,
     /// Set by [`SimFs::power_cut`]; every file operation, `create`, `rename`
     /// and `delete` fail until [`SimFs::power_restore`].
@@ -123,7 +123,7 @@ impl SimFs {
             throttle_writebacks: AtomicU64::new(0),
             sync_writebacks: AtomicU64::new(0),
             bg_writebacks: AtomicU64::new(0),
-            wb_wake: xlsm_sim::sync::WaitSet::new("fs-writeback"),
+            wb_wake: Arc::new(xlsm_sim::sync::WaitSet::new("fs-writeback")),
             fault: parking_lot::Mutex::new(None),
             dead: AtomicBool::new(false),
             write_through,
@@ -132,8 +132,8 @@ impl SimFs {
             bit_flips: AtomicU64::new(0),
             power_cuts: AtomicU64::new(0),
         });
-        let daemon = Arc::clone(&fs);
-        xlsm_sim::spawn_daemon("fs-writeback", move || daemon.writeback_daemon());
+        let (weak, wake) = (Arc::downgrade(&fs), Arc::clone(&fs.wb_wake));
+        xlsm_sim::spawn_daemon("fs-writeback", move || SimFs::writeback_daemon(weak, wake));
         fs
     }
 

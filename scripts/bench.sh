@@ -4,9 +4,9 @@
 # full-size output, so don't commit a quick-mode regeneration.)
 #
 # Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
-# seconds per probe, the oracle test's seconds, mean ns of every engine_micro
-# bench). Informational — it differs run to run and host to host, and no
-# script compares it.
+# seconds per probe, the oracle test's seconds and peak resident memory, mean
+# ns of every engine_micro bench). Informational — it differs run to run and
+# host to host, and no script compares it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,12 +24,14 @@ for probe in $("$bin" list --probes); do
     probe_rows+=("    \"$probe\": $((SECONDS - started))")
 done
 
-# The oracle's budget, as its test harness times it (no build, no cargo).
+# The oracle's budget, as its test harness times it (no build, no cargo), and
+# its peak resident memory (VmHWM), which the test prints.
 echo "==> oracle"
-oracle_s=$("${pin[@]}" cargo test -q -p xlsm-engine --test oracle |
-    sed -n 's/.*finished in \([0-9.]*\)s.*/\1/p')
-[[ -n $oracle_s ]] || { echo "the oracle printed no time" >&2; exit 1; }
-echo "oracle $oracle_s s"
+oracle_out=$("${pin[@]}" cargo test -q -p xlsm-engine --test oracle -- --show-output)
+oracle_s=$(sed -n 's/.*finished in \([0-9.]*\)s.*/\1/p' <<<"$oracle_out")
+oracle_mb=$(awk '$1 == "VmHWM:" {print int($2 / 1024)}' <<<"$oracle_out")
+[[ -n $oracle_s && -n $oracle_mb ]] || { echo "the oracle printed no time or memory" >&2; exit 1; }
+echo "oracle $oracle_s s, peak $oracle_mb MiB"
 
 echo "==> engine_micro"
 micro_rows=()
@@ -51,6 +53,9 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '  },'
     echo '  "test_wall_s": {'
     echo "    \"oracle\": $oracle_s"
+    echo '  },'
+    echo '  "test_peak_rss_mb": {'
+    echo "    \"oracle\": $oracle_mb"
     echo '  },'
     echo '  "engine_micro_mean_ns": {'
     rows "${micro_rows[@]}"

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 use xlsm_suite::device::{profiles, DeviceProfile, SimDevice};
-use xlsm_suite::engine::{BackgroundOp, Db, DbError, DbOptions, Ticker};
+use xlsm_suite::engine::{BackgroundOp, Db, DbError, DbOptions, ErrorSeverity, Ticker};
 use xlsm_suite::sim::{now_nanos, sleep_nanos, spawn, Runtime};
 use xlsm_suite::simfs::{FaultPlan, FsOptions, SimFs};
 
@@ -332,6 +332,158 @@ fn trash_reclamation_is_paced_and_drains_to_zero() {
             let want = format!("round05-{i:04}");
             assert_eq!(db.get(key(i).as_bytes()).unwrap(), Some(want.into_bytes()));
         }
+        db.close();
+    });
+}
+
+/// A failed trash delete is the reaper's own error, and its next successful
+/// delete clears it: once the backlog drains the database reports no error,
+/// and `resume` on it has nothing to do (no memtable switch, no flush).
+/// With the reaper off, a trash file whose delete failed at open is retried
+/// by the next compaction's purge, which clears the error the same way.
+#[test]
+fn a_failed_trash_delete_clears_at_the_reapers_next_delete() {
+    /// Overwrite rounds: each compaction obsoletes its inputs.
+    fn churn(db: &Db, rounds: u32) {
+        for round in 0..rounds {
+            for i in 0..300usize {
+                let v = format!("round{round:02}-{i:04}");
+                db.put(key(i).as_bytes(), v.as_bytes()).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.wait_for_compactions();
+    }
+    /// No error, no backlog, and `resume` leaves the database as it is.
+    fn assert_healthy(db: &Db) {
+        let m = db.metrics();
+        assert!(!m.read_only);
+        assert!(
+            m.background_error.is_none(),
+            "a later delete cleared the reaper's error, got {:?}",
+            m.background_error
+        );
+        assert_eq!(m.trash_queue_bytes, 0);
+        db.put(b"unflushed", b"v").unwrap();
+        db.resume().unwrap();
+        assert_eq!(
+            db.metrics().tickers.get(Ticker::FlushCount),
+            m.tickers.get(Ticker::FlushCount),
+            "resume on a healthy database flushes nothing"
+        );
+        assert!(db.shape().mutable_bytes > 0, "nor switches the memtable");
+    }
+    let trash_fault = || FaultPlan {
+        path_filter: Some("trash".to_owned()),
+        fail_nth_delete: Some(1),
+        ..FaultPlan::default()
+    };
+    Runtime::new().run(|| {
+        let fs = fs_on(profiles::optane_900p());
+        let opts = DbOptions {
+            write_buffer_size: 64 << 10,
+            target_file_size_base: 64 << 10,
+            max_bytes_for_level_base: 256 << 10,
+            level0_file_num_compaction_trigger: 2,
+            sst_delete_rate_bytes_per_sec: 256 << 10,
+            ..DbOptions::default()
+        };
+        let db = Db::open(Arc::clone(&fs), opts.clone()).unwrap();
+        fs.set_fault_plan(trash_fault());
+        churn(&db, 6);
+        wait_until(
+            "the trash backlog to drain",
+            120_000_000_000,
+            5_000_000,
+            || {
+                let t = db.metrics().tickers;
+                t.get(Ticker::SpaceReclaimedBytes) == t.get(Ticker::TrashQueueBytes)
+            },
+        );
+        assert_eq!(fs.stats().injected_errors, 1, "one trash delete failed");
+        assert_healthy(&db);
+        let trash = format!("{}/trash/", db.options().db_path);
+        db.close();
+
+        // The reaper off: a file a reaper-on run left in trash/ fails its
+        // first delete at open.
+        let left = fs.create(&format!("{trash}999999.sst")).unwrap();
+        left.append(&[0u8; 4096]).unwrap();
+        left.sync().unwrap();
+        fs.set_fault_plan(trash_fault());
+        let inline = DbOptions {
+            sst_delete_rate_bytes_per_sec: 0,
+            ..opts
+        };
+        let db = Db::open(Arc::clone(&fs), inline).unwrap();
+        let m = db.metrics();
+        let failed = m.background_error.map(|e| (e.op, e.severity));
+        assert_eq!(
+            failed,
+            Some((BackgroundOp::TrashReap, ErrorSeverity::Retryable))
+        );
+        assert_eq!(m.trash_queue_bytes, 4096, "the failed file stays queued");
+        churn(&db, 2);
+        assert!(fs.list(&trash).is_empty(), "the purge retried it");
+        assert_healthy(&db);
+        db.close();
+    });
+}
+
+/// A job's success clears only its own error. One scripted ENOSPC stalls a
+/// flush, then one retryable read fails under the scrubber, whose retry
+/// succeeds while the flush is still stalled. The stall must still end at
+/// the watcher's next poll: the flush lands within two polls of the stall,
+/// a later write is acknowledged, and the database ends with no error.
+#[test]
+fn a_retried_scrub_leaves_an_enospc_stall_to_the_watcher() {
+    const SLOW_POLL_NS: u64 = 200_000_000;
+    Runtime::new().run(|| {
+        let fs = fs_on(profiles::intel_750_pcie());
+        let opts = DbOptions {
+            write_buffer_size: 64 << 10,
+            enable_wal: false, // the next allocation is the SST build's
+            scrub_rate_bytes_per_sec: 64 << 20,
+            space_poll_interval_ns: SLOW_POLL_NS,
+            ..DbOptions::default()
+        };
+        let db = Arc::new(Db::open(Arc::clone(&fs), opts).unwrap());
+        for i in 0..400usize {
+            db.put(key(i).as_bytes(), &[b'v'; 100]).unwrap();
+            if i == 199 {
+                db.flush().unwrap(); // a table for the scrubber to read
+            }
+        }
+        fs.set_fault_plan(FaultPlan {
+            path_filter: Some(".sst".to_owned()),
+            fail_nth_alloc: Some(1),
+            fail_nth_read: Some(1),
+            ..FaultPlan::default()
+        });
+        let flusher = {
+            let db = Arc::clone(&db);
+            spawn("flusher", move || db.flush())
+        };
+        wait_until("the capacity stall", SLOW_POLL_NS, 100_000, || {
+            db.metrics().tickers.get(Ticker::EnospcStalls) == 1
+        });
+        wait_until(
+            "the stalled flush to land",
+            2 * SLOW_POLL_NS,
+            1_000_000,
+            || db.shape().immutables == 0,
+        );
+        flusher.join().expect("a transient ENOSPC must not surface");
+        let m = db.metrics();
+        assert_eq!(fs.stats().injected_errors, 2, "both faults fired");
+        assert!(
+            m.tickers.get(Ticker::BackgroundErrorRetries) >= 1,
+            "the scrub retried"
+        );
+        db.put(b"after-the-stall", b"ok").unwrap();
+        let m = db.metrics();
+        assert!(!m.read_only);
+        assert!(m.background_error.is_none(), "got {:?}", m.background_error);
         db.close();
     });
 }
