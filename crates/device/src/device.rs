@@ -282,7 +282,6 @@ impl Device for SimDevice {
 mod tests {
     use super::*;
     use crate::profiles;
-    use std::time::Duration;
     use xlsm_sim::Runtime;
 
     #[test]
@@ -546,10 +545,6 @@ mod tests {
             assert!(t_nvm < 2_000, "NVM write should be sub-2µs, got {t_nvm}");
         });
     }
-
-    // Keep Duration import used even if future edits drop a test.
-    #[allow(dead_code)]
-    fn _unused(_: Duration) {}
 }
 
 #[cfg(test)]

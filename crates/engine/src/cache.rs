@@ -4,6 +4,7 @@
 //! on-disk block size. The recency order is an `Lru`, which the table
 //! cache shares.
 
+use crate::types::compare_internal;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
@@ -13,13 +14,61 @@ use std::sync::Arc;
 /// Cache key: `(file number, block offset within file)`.
 pub type BlockKey = (u64, u64);
 
-/// A decoded data block: sorted `(internal key, value)` pairs.
+/// A decoded data block: sorted `(internal key, value)` entries in three
+/// allocations — the bytes the block was decoded from (shared, and its
+/// values are slices of them), every entry's key rebuilt back to back in one
+/// buffer, and where each entry lies in the two.
 #[derive(Debug, Default)]
 pub struct Block {
-    /// Entries in internal-key order.
-    pub entries: Vec<(Vec<u8>, Vec<u8>)>,
+    pub(crate) bytes: Arc<Vec<u8>>,
+    pub(crate) keys: Vec<u8>,
+    pub(crate) entries: Vec<EntryAt>,
     /// Serialized size (cache charge).
     pub raw_size: usize,
+}
+
+/// Where one entry of a [`Block`] lies: its key ends at `key_end` in
+/// `keys` (and starts where the previous one ended), its value is
+/// `bytes[value_start..value_end]`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EntryAt {
+    pub(crate) key_end: u32,
+    pub(crate) value_start: u32,
+    pub(crate) value_end: u32,
+}
+
+impl Block {
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The internal key of entry `i`.
+    pub(crate) fn key(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |p| self.entries[p].key_end);
+        &self.keys[start as usize..self.entries[i].key_end as usize]
+    }
+
+    /// The value of entry `i`.
+    pub(crate) fn value(&self, i: usize) -> &[u8] {
+        let e = self.entries[i];
+        &self.bytes[e.value_start as usize..e.value_end as usize]
+    }
+
+    /// Index of the first entry whose internal key is not less than `ikey`
+    /// (`len()` when there is none).
+    pub(crate) fn seek(&self, ikey: &[u8]) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if compare_internal(self.key(mid), ikey) == std::cmp::Ordering::Less {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
 }
 
 /// Least-recently-used order over a map, shared by the block-cache shards
@@ -229,8 +278,8 @@ mod tests {
 
     fn block(n: usize) -> Arc<Block> {
         Arc::new(Block {
-            entries: vec![],
             raw_size: n,
+            ..Block::default()
         })
     }
 

@@ -85,20 +85,19 @@ pub fn rle_decompress(data: &[u8]) -> DbResult<Vec<u8>> {
     Ok(out)
 }
 
-/// Applies `codec` to one finished block, returning `(tag, payload)`.
-///
-/// Falls back to a raw block (tag 0) whenever the compressed form is not
-/// strictly smaller, so compression never inflates a block.
-pub fn compress_block(codec: CompressionType, data: Vec<u8>) -> (u8, Vec<u8>) {
+/// Applies `codec` to one finished block: writes the frame body — the
+/// codec's tag, then the compressed block — into `out` and returns `true`
+/// when the compressed block is strictly smaller than `block`. Returns
+/// `false` otherwise (`out` is then scratch), and the caller stores the
+/// block raw, so compression never inflates a block.
+pub fn compress_block(codec: CompressionType, block: &[u8], out: &mut Vec<u8>) -> bool {
     match codec {
-        CompressionType::None => (CompressionType::None.tag(), data),
+        CompressionType::None => false,
         CompressionType::Rle => {
-            let compressed = rle_compress(&data);
-            if compressed.len() < data.len() {
-                (CompressionType::Rle.tag(), compressed)
-            } else {
-                (CompressionType::None.tag(), data)
-            }
+            out.clear();
+            out.push(CompressionType::Rle.tag());
+            out.extend_from_slice(&rle_compress(block));
+            out.len() - 1 < block.len()
         }
     }
 }
@@ -121,17 +120,20 @@ mod tests {
     #[test]
     fn incompressible_blocks_stay_raw() {
         let data: Vec<u8> = (0..=255u8).collect();
-        let (tag, payload) = compress_block(CompressionType::Rle, data.clone());
-        assert_eq!(tag, CompressionType::None.tag());
-        assert_eq!(payload, data);
+        assert!(!compress_block(
+            CompressionType::Rle,
+            &data,
+            &mut Vec::new()
+        ));
     }
 
     #[test]
     fn none_codec_is_identity() {
-        let data = b"abc".to_vec();
-        let (tag, payload) = compress_block(CompressionType::None, data.clone());
-        assert_eq!(tag, 0);
-        assert_eq!(payload, data);
+        assert!(!compress_block(
+            CompressionType::None,
+            b"aaaa",
+            &mut Vec::new()
+        ));
     }
 
     #[test]
@@ -145,12 +147,13 @@ mod tests {
             let c = rle_compress(&data);
             prop_assert_eq!(rle_decompress(&c).unwrap(), data.clone());
             // And the builder-side gate never inflates the stored payload.
-            let (tag, payload) = compress_block(CompressionType::Rle, data.clone());
-            prop_assert!(payload.len() <= data.len());
-            if tag == 1 {
-                prop_assert_eq!(rle_decompress(&payload).unwrap(), data);
+            let mut body = Vec::new();
+            if compress_block(CompressionType::Rle, &data, &mut body) {
+                prop_assert!(body.len() <= data.len());
+                prop_assert_eq!(body[0], CompressionType::Rle.tag());
+                prop_assert_eq!(rle_decompress(&body[1..]).unwrap(), data);
             } else {
-                prop_assert_eq!(payload, data);
+                prop_assert!(c.len() >= data.len());
             }
         }
     }

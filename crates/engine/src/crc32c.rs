@@ -6,6 +6,13 @@
 //! the CPU's CRC32 instruction on x86-64 with SSE 4.2 (detected at run
 //! time), the bytewise table loop everywhere else. The table loop is also
 //! the reference the tests hold the instruction to.
+//!
+//! The instruction takes three cycles to produce a result but can start a
+//! new one every cycle, so one dependent chain of them runs at a third of
+//! its speed. Inputs of `3 * LANE` bytes or more are therefore hashed in
+//! rounds of three independent lanes, joined after each round by shifting
+//! the first two lanes' CRCs past the bytes that follow them
+//! (`SHIFT_LANE`, `SHIFT_TWO_LANES`).
 
 const POLY: u32 = 0x82F6_3B78; // reversed Castagnoli polynomial
 
@@ -39,20 +46,93 @@ fn update_table(state: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// Advances `state` over `data` eight bytes per `crc32` instruction, the
-/// 0–7-byte tail one byte per instruction. Callable only where SSE 4.2 is
-/// known to be present.
+/// Bytes each lane of the three-lane kernel hashes per round.
+const LANE: usize = 256;
+
+/// A table that advances a CRC state over a fixed run of zero bytes, one
+/// lookup per byte of the state: `shift(table, crc)`.
+type ShiftTable = [[u32; 256]; 4];
+
+/// The [`ShiftTable`] for `n` zero bytes. Feeding zero bytes is linear in
+/// the state, so it is fixed by where each of the 32 state bits goes.
+const fn shift_table(n: usize) -> ShiftTable {
+    let mut basis = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut crc = 1u32 << bit;
+        let mut k = 0;
+        while k < n {
+            crc = (crc >> 8) ^ TABLE[(crc & 0xff) as usize];
+            k += 1;
+        }
+        basis[bit] = crc;
+        bit += 1;
+    }
+    let mut table = [[0u32; 256]; 4];
+    let mut byte = 0;
+    while byte < 4 {
+        let mut v = 0;
+        while v < 256 {
+            let mut b = 0;
+            while b < 8 {
+                if (v >> b) & 1 != 0 {
+                    table[byte][v] ^= basis[8 * byte + b];
+                }
+                b += 1;
+            }
+            v += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// Shifts a lane's CRC past one lane of bytes.
+const SHIFT_LANE: ShiftTable = shift_table(LANE);
+/// Shifts a lane's CRC past two lanes of bytes.
+const SHIFT_TWO_LANES: ShiftTable = shift_table(2 * LANE);
+
+/// `crc` advanced over the zero bytes `table` was built for.
+fn shift(table: &ShiftTable, crc: u32) -> u32 {
+    let [b0, b1, b2, b3] = crc.to_le_bytes();
+    table[0][b0 as usize] ^ table[1][b1 as usize] ^ table[2][b2 as usize] ^ table[3][b3 as usize]
+}
+
+/// Advances `state` over `data` with the `crc32` instruction: rounds of
+/// three interleaved lanes of [`LANE`] bytes while `3 * LANE` bytes remain,
+/// then one lane eight bytes per instruction, then the 0–7-byte tail one
+/// byte per instruction. Callable only where SSE 4.2 is known to be
+/// present.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn update_sse42(state: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut words = data.chunks_exact(8);
-    let mut crc = u64::from(state);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-        crc = _mm_crc32_u64(crc, word);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)"));
+    let mut crc = state;
+    let mut rounds = data.chunks_exact(3 * LANE);
+    for round in &mut rounds {
+        let (a, rest) = round.split_at(LANE);
+        let (b, c) = rest.split_at(LANE);
+        // Lane `a` continues the running CRC; `b` and `c` start from zero
+        // and are shifted into place below, which is what linearity allows.
+        let (mut ca, mut cb, mut cc) = (u64::from(crc), 0u64, 0u64);
+        for ((wa, wb), wc) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8))
+        {
+            ca = _mm_crc32_u64(ca, word(wa));
+            cb = _mm_crc32_u64(cb, word(wb));
+            cc = _mm_crc32_u64(cc, word(wc));
+        }
+        // The instruction leaves the upper half of its 64-bit result zero.
+        crc = shift(&SHIFT_TWO_LANES, ca as u32) ^ shift(&SHIFT_LANE, cb as u32) ^ cc as u32;
     }
-    // The instruction leaves the upper half of its 64-bit result zero.
+    let mut words = rounds.remainder().chunks_exact(8);
+    let mut crc = u64::from(crc);
+    for w in &mut words {
+        crc = _mm_crc32_u64(crc, word(w));
+    }
     let mut crc = crc as u32;
     for &b in words.remainder() {
         crc = _mm_crc32_u8(crc, b);
@@ -175,12 +255,24 @@ mod tests {
         assert_eq!(unmask(masked(c)), c);
     }
 
+    #[test]
+    fn shift_tables_feed_zero_bytes() {
+        for crc in [0u32, 1, 0x8000_0000, 0xdead_beef, !0] {
+            assert_eq!(shift(&SHIFT_LANE, crc), update_table(crc, &[0; LANE]));
+            assert_eq!(
+                shift(&SHIFT_TWO_LANES, crc),
+                update_table(crc, &[0; 2 * LANE])
+            );
+        }
+    }
+
     proptest! {
         /// Every length the engine hashes in one call (up to two blocks and
-        /// a bit), at every alignment of the first byte, in one piece and
-        /// cut into `update` calls — 1–7-byte pieces included, which is how
-        /// `integrity::feed_entry` feeds a hasher and what sends a whole
-        /// `update` through the kernel's tail loop.
+        /// a bit, so every count of three-lane rounds from none to eleven
+        /// with every remainder), at every alignment of the first byte, in
+        /// one piece and cut into `update` calls — 1–7-byte pieces
+        /// included, which is how `integrity::feed_entry` feeds a hasher and
+        /// what sends a whole `update` through the kernel's tail loop.
         #[test]
         fn dispatch_matches_the_table_loop(
             seed in any::<u64>(),

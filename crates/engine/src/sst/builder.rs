@@ -6,7 +6,7 @@ use super::block::{seal_frame, BlockBuilder};
 use super::{encode_index, Footer, IndexEntry, MetaHandle};
 use crate::bloom::BloomBuilder;
 use crate::coding::*;
-use crate::compress::{self, CompressionType};
+use crate::compress::CompressionType;
 use crate::crc32c;
 use crate::error::{DbError, DbResult};
 use crate::types::{self, compare_internal};
@@ -68,22 +68,40 @@ impl From<&crate::options::DbOptions> for TableOptions {
     }
 }
 
+/// The file a table is written to, with the running count and checksum of
+/// what it holds.
+#[derive(Debug)]
+struct TableFile {
+    file: FileHandle,
+    /// Bytes appended so far.
+    offset: u64,
+    /// Running CRC over every byte appended so far (the whole-file
+    /// checksum recorded in the manifest).
+    crc: crc32c::Hasher,
+}
+
+impl TableFile {
+    /// Appends `data` to the file, folding it into the whole-file CRC.
+    fn append(&mut self, data: &[u8]) -> DbResult<()> {
+        self.crc.update(data);
+        self.file.append(data)?;
+        self.offset += data.len() as u64;
+        Ok(())
+    }
+}
+
 /// Streams sorted internal entries into an SST file.
 #[derive(Debug)]
 pub struct TableBuilder {
-    file: FileHandle,
+    out: TableFile,
     opts: TableOptions,
     block: BlockBuilder,
     index: Vec<IndexEntry>,
     whole_bloom: Option<BloomBuilder>,
     prefix_bloom: Option<BloomBuilder>,
-    offset: u64,
     num_entries: u64,
     smallest: Vec<u8>,
     largest: Vec<u8>,
-    /// Running CRC over every byte appended so far (the whole-file
-    /// checksum recorded in the manifest).
-    file_crc: crc32c::Hasher,
 }
 
 impl TableBuilder {
@@ -94,34 +112,28 @@ impl TableBuilder {
         let prefix_bloom = (opts.bloom_bits_per_key > 0 && opts.prefix_extractor.is_some())
             .then(|| BloomBuilder::new(opts.bloom_bits_per_key));
         TableBuilder {
-            file,
+            out: TableFile {
+                file,
+                offset: 0,
+                crc: crc32c::Hasher::new(),
+            },
+            block: BlockBuilder::new(opts.block_size),
             opts,
-            block: BlockBuilder::default(),
             index: Vec::new(),
             whole_bloom,
             prefix_bloom,
-            offset: 0,
             num_entries: 0,
             smallest: Vec::new(),
             largest: Vec::new(),
-            file_crc: crc32c::Hasher::new(),
         }
-    }
-
-    /// Appends `data` to the file, folding it into the whole-file CRC.
-    fn append_raw(&mut self, data: &[u8]) -> DbResult<()> {
-        self.file_crc.update(data);
-        self.file.append(data)?;
-        self.offset += data.len() as u64;
-        Ok(())
     }
 
     /// Appends a meta block as a frame around `payload`, returning the
     /// handle the footer records.
     fn append_meta_block(&mut self, mut payload: Vec<u8>) -> DbResult<MetaHandle> {
-        let handle = (self.offset, payload.len() as u64);
+        let handle = (self.out.offset, payload.len() as u64);
         seal_frame(&mut payload);
-        self.append_raw(&payload)?;
+        self.out.append(&payload)?;
         Ok(handle)
     }
 
@@ -162,22 +174,17 @@ impl TableBuilder {
         if self.block.is_empty() {
             return Ok(());
         }
-        let (data, last_key) = std::mem::take(&mut self.block).finish();
-        let (tag, payload) = compress::compress_block(self.opts.compression, data);
-        let mut framed = Vec::with_capacity(payload.len() + 5);
-        framed.push(tag);
-        framed.extend_from_slice(&payload);
-        seal_frame(&mut framed);
-        let size = framed.len() as u64;
-        let off = self.offset;
-        self.append_raw(&framed)?;
-        self.index.push((last_key, off, size));
+        let off = self.out.offset;
+        let appended = self.out.append(self.block.finish(self.opts.compression));
+        let last_key = self.block.reset();
+        appended?;
+        self.index.push((last_key, off, self.out.offset - off));
         Ok(())
     }
 
     /// Bytes written so far (flushed blocks).
     pub fn file_size(&self) -> u64 {
-        self.offset
+        self.out.offset
     }
 
     /// Finishes the table: writes filter/index/properties/footer and syncs.
@@ -209,7 +216,7 @@ impl TableBuilder {
             }
             self.append_meta_block(buf)?
         } else {
-            (self.offset, 0)
+            (self.out.offset, 0)
         };
 
         let index = self.append_meta_block(encode_index(&self.index))?;
@@ -226,15 +233,15 @@ impl TableBuilder {
             index,
             props,
         };
-        self.append_raw(&footer.encode())?;
+        self.out.append(&footer.encode())?;
 
-        self.file.sync()?;
+        self.out.file.sync()?;
         Ok(TableProperties {
-            file_size: self.offset,
+            file_size: self.out.offset,
             num_entries: self.num_entries,
             smallest: self.smallest,
             largest: self.largest,
-            file_crc: self.file_crc.finish(),
+            file_crc: self.out.crc.finish(),
         })
     }
 }

@@ -13,6 +13,7 @@ use crate::iterator::InternalIterator;
 use crate::stats::{DbStats, Ticker};
 use crate::types::{self, compare_internal, SequenceNumber, ValueType};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use xlsm_simfs::FileHandle;
 
@@ -228,8 +229,14 @@ impl TableReader {
 
     /// Checks and decodes the frame of the data block at `off`, naming this
     /// file and that offset in any corruption error.
-    fn decode_at(&self, framed: &[u8], off: u64, stats: &DbStats) -> DbResult<Block> {
-        decode_framed(framed, Some(stats))
+    fn decode_at(
+        &self,
+        bytes: Arc<Vec<u8>>,
+        frame: Range<usize>,
+        off: u64,
+        stats: &DbStats,
+    ) -> DbResult<Block> {
+        decode_framed(bytes, frame, Some(stats))
             .map_err(|e| attribute(table_display_name(self.file_number), off, e))
     }
 
@@ -243,7 +250,8 @@ impl TableReader {
         }
         stats.bump(Ticker::BlockCacheMiss);
         let framed = self.file.read_at(off, size as usize)?;
-        let block = Arc::new(self.decode_at(&framed, off, stats)?);
+        let frame = 0..framed.len();
+        let block = Arc::new(self.decode_at(Arc::new(framed), frame, off, stats)?);
         self.cache.insert(key, Arc::clone(&block));
         Ok(block)
     }
@@ -392,14 +400,14 @@ impl TableReader {
 /// The in-block half of a point lookup (charging the binary search): the
 /// first entry of `block` with internal key ≥ `lookup`, if it is a version
 /// of `user_key`.
-fn search_block(block: &Block, lookup: &[u8], user_key: &[u8]) -> Option<TableEntry> {
-    xlsm_sim::sleep_nanos(costs::binary_search_ns(block.entries.len() as u64));
-    let pos = block
-        .entries
-        .partition_point(|(k, _)| compare_internal(k, lookup) == Ordering::Less);
-    let (k, v) = block.entries.get(pos)?;
-    let (uk, seq, t) = types::parse_internal_key(k);
-    (uk == user_key).then(|| (seq, t, v.clone()))
+pub(super) fn search_block(block: &Block, lookup: &[u8], user_key: &[u8]) -> Option<TableEntry> {
+    xlsm_sim::sleep_nanos(costs::binary_search_ns(block.len() as u64));
+    let pos = block.seek(lookup);
+    if pos == block.len() {
+        return None;
+    }
+    let (uk, seq, t) = types::parse_internal_key(block.key(pos));
+    (uk == user_key).then(|| (seq, t, block.value(pos).to_vec()))
 }
 
 /// Sequential readahead window for compaction-style iteration (RocksDB's
@@ -417,8 +425,8 @@ pub struct TableIterator {
     /// Private readahead buffer `(file offset, bytes)`: compaction reads
     /// large sequential spans once and decodes blocks from process memory,
     /// independent of page-cache pressure (and without polluting the block
-    /// cache).
-    ra_buf: Option<(u64, Vec<u8>)>,
+    /// cache). The blocks decoded from it share it.
+    ra_buf: Option<(u64, Arc<Vec<u8>>)>,
 }
 
 impl std::fmt::Debug for TableIterator {
@@ -447,20 +455,23 @@ impl TableIterator {
                 let avail = (self.table.file.len() - off) as usize;
                 let len = want.min(avail);
                 let buf = self.table.file.read_at(off, len)?;
-                self.ra_buf = Some((off, buf));
+                self.ra_buf = Some((off, Arc::new(buf)));
             }
             let (start, buf) = self.ra_buf.as_ref().unwrap();
             let lo = (off - start) as usize;
-            let framed = &buf[lo..lo + size as usize];
-            Arc::new(self.table.decode_at(framed, off, &self.stats)?)
+            let frame = lo..lo + size as usize;
+            Arc::new(
+                self.table
+                    .decode_at(Arc::clone(buf), frame, off, &self.stats)?,
+            )
         } else {
             self.table.block(i, &self.stats)?
         });
         Ok(true)
     }
 
-    fn entry(&self) -> &(Vec<u8>, Vec<u8>) {
-        &self.block.as_ref().expect("valid iterator").entries[self.entry_idx]
+    fn current(&self) -> &Block {
+        self.block.as_ref().expect("valid iterator")
     }
 }
 
@@ -479,10 +490,8 @@ impl InternalIterator for TableIterator {
             return Ok(false);
         }
         let block = self.block.as_ref().unwrap();
-        self.entry_idx = block
-            .entries
-            .partition_point(|(k, _)| compare_internal(k, ikey) == Ordering::Less);
-        if self.entry_idx >= block.entries.len() {
+        self.entry_idx = block.seek(ikey);
+        if self.entry_idx >= block.len() {
             // Key is past this block's last entry: move on.
             self.entry_idx = 0;
             return self.load_block(bi + 1);
@@ -495,7 +504,7 @@ impl InternalIterator for TableIterator {
             return Ok(false);
         };
         self.entry_idx += 1;
-        if self.entry_idx < block.entries.len() {
+        if self.entry_idx < block.len() {
             return Ok(true);
         }
         self.entry_idx = 0;
@@ -505,15 +514,15 @@ impl InternalIterator for TableIterator {
     fn valid(&self) -> bool {
         self.block
             .as_ref()
-            .is_some_and(|b| self.entry_idx < b.entries.len())
+            .is_some_and(|b| self.entry_idx < b.len())
     }
 
     fn key(&self) -> &[u8] {
-        &self.entry().0
+        self.current().key(self.entry_idx)
     }
 
     fn value(&self) -> &[u8] {
-        &self.entry().1
+        self.current().value(self.entry_idx)
     }
 }
 

@@ -127,6 +127,8 @@ struct ThreadInfo {
     status: Status,
     daemon: bool,
     joiners: Vec<Tid>,
+    /// Hand-offs that gave this thread the run token.
+    switched_to: u64,
 }
 
 struct Timer {
@@ -234,6 +236,7 @@ impl Scheduler {
             return Next::Caller;
         }
         st.switches += 1;
+        st.threads[next].switched_to += 1;
         Next::Wake(Arc::clone(&st.threads[next].parker))
     }
 
@@ -340,6 +343,7 @@ impl Runtime {
                 status: Status::Running,
                 daemon: false,
                 joiners: Vec::new(),
+                switched_to: 0,
             });
             st.live = 1;
         }
@@ -383,6 +387,23 @@ pub fn stats() -> RuntimeStats {
             timer_events: st.timer_events,
             now: ctx.sched.now(),
         }
+    })
+}
+
+/// The run-token hand-offs of the current simulation so far, by whom they
+/// woke: one `(name, hand-offs)` row per thread name with its trailing
+/// number cut (`client-3` counts as `client-`, `root` as `root`), threads
+/// that have exited included, sorted by name. The rows sum to
+/// [`RuntimeStats::switches`].
+pub fn switches_by_thread() -> Vec<(String, u64)> {
+    with_ctx(|ctx| {
+        let st = ctx.sched.state.lock();
+        let mut by_name = std::collections::BTreeMap::<String, u64>::new();
+        for th in &st.threads {
+            let group = th.name.trim_end_matches(|c: char| c.is_ascii_digit());
+            *by_name.entry(group.to_owned()).or_default() += th.switched_to;
+        }
+        by_name.into_iter().collect()
     })
 }
 
@@ -524,6 +545,7 @@ fn spawn_inner<T: Send + 'static>(
             status: Status::Runnable,
             daemon,
             joiners: Vec::new(),
+            switched_to: 0,
         });
         st.live += 1;
         st.run_queue.push_back(tid);
@@ -738,6 +760,34 @@ mod tests {
         });
         assert!(s.switches >= 2);
         assert_eq!(s.now, 1_000);
+    }
+
+    #[test]
+    fn switches_are_counted_for_the_thread_they_wake() {
+        let (by_thread, total) = Runtime::new().run(|| {
+            let workers: Vec<_> = (0..3)
+                .map(|i| spawn(&format!("client-{i}"), || sleep_nanos(1_000)))
+                .collect();
+            let flusher = spawn("flush-0", yield_now);
+            for w in workers {
+                w.join();
+            }
+            flusher.join();
+            (switches_by_thread(), stats().switches)
+        });
+        // Each client is woken to start and again after its sleep. The
+        // flusher is woken once: when it yields nobody else is runnable, so
+        // it keeps the token. Root is woken by each client's exit, one per
+        // join it parked in.
+        assert_eq!(
+            by_thread,
+            vec![
+                ("client-".to_owned(), 6),
+                ("flush-".to_owned(), 1),
+                ("root".to_owned(), 3),
+            ]
+        );
+        assert_eq!(by_thread.iter().map(|(_, n)| n).sum::<u64>(), total);
     }
 
     #[test]

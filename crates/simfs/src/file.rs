@@ -116,10 +116,97 @@ fn durable_prefix_bytes(durable: &HashMap<u64, u32>) -> u64 {
     }
 }
 
+/// Bytes in one content chunk. Smaller chunks read slower (more of them per
+/// block, scattered over the heap); larger ones strand more room at the end
+/// of every file (EXPERIMENTS.md "Host cost, round 4").
+const CHUNK: usize = 16 << 10;
+
+/// Content chunks given back by deleted files, handed to the next append
+/// before a new one is allocated. Which sim thread appends and which drops a
+/// file is up to the engine; through the pool the chunks of one are reused
+/// by the other instead of sitting in the allocator's arena of the thread
+/// that allocated them, and the filesystem's content never holds more
+/// chunks than its files held at their peak.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkPool(parking_lot::Mutex<Vec<Vec<u8>>>);
+
+impl ChunkPool {
+    fn take(&self) -> Vec<u8> {
+        self.0
+            .lock()
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(CHUNK))
+    }
+
+    fn give(&self, chunks: impl IntoIterator<Item = Vec<u8>>) {
+        let mut pool = self.0.lock();
+        for mut chunk in chunks {
+            chunk.clear();
+            pool.push(chunk);
+        }
+    }
+}
+
+/// A file's bytes, in fixed-size chunks that are filled in order and never
+/// moved: an append copies its bytes once, where one growing buffer would
+/// copy the whole file again each time it doubled.
+#[derive(Debug, Default)]
+struct Content {
+    chunks: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Content {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn extend(&mut self, mut data: &[u8], pool: &ChunkPool) {
+        self.len += data.len();
+        while !data.is_empty() {
+            if self.chunks.last().is_none_or(|last| last.len() == CHUNK) {
+                self.chunks.push(pool.take());
+            }
+            let last = self.chunks.last_mut().expect("pushed above");
+            let (now, rest) = data.split_at(data.len().min(CHUNK - last.len()));
+            last.extend_from_slice(now);
+            data = rest;
+        }
+    }
+
+    /// Copies `range` out; the caller has checked it lies in the file.
+    fn read(&self, range: std::ops::Range<usize>) -> Vec<u8> {
+        let mut out = Vec::with_capacity(range.len());
+        let mut at = range.start;
+        while at < range.end {
+            let chunk = &self.chunks[at / CHUNK];
+            let (from, to) = (at % CHUNK, (range.end - at + at % CHUNK).min(CHUNK));
+            out.extend_from_slice(&chunk[from..to]);
+            at += to - from;
+        }
+        out
+    }
+
+    /// Shrinks the file to its first `len` bytes.
+    fn truncate(&mut self, len: usize, pool: &ChunkPool) {
+        if len >= self.len {
+            return;
+        }
+        self.len = len;
+        pool.give(self.chunks.drain(len.div_ceil(CHUNK)..));
+        let full = self.chunks.len().saturating_sub(1);
+        if let Some(last) = self.chunks.last_mut() {
+            last.truncate(len - full * CHUNK);
+        }
+    }
+}
+
 pub(crate) struct FileData {
     pub(crate) id: u64,
     pub(crate) name: parking_lot::Mutex<String>,
-    content: parking_lot::RwLock<Vec<u8>>,
+    content: parking_lot::RwLock<Content>,
+    /// The filesystem's pool, where the content goes when the file does.
+    pool: Arc<ChunkPool>,
     /// Allocated device extents `(start_lpn, pages)` covering the file.
     pub(crate) extents: parking_lot::Mutex<Vec<(u64, u64)>>,
     pub(crate) deleted: AtomicBool,
@@ -127,11 +214,12 @@ pub(crate) struct FileData {
 }
 
 impl FileData {
-    pub(crate) fn new(id: u64, path: &str) -> FileData {
+    pub(crate) fn new(id: u64, path: &str, pool: Arc<ChunkPool>) -> FileData {
         FileData {
             id,
             name: parking_lot::Mutex::new(path.to_owned()),
-            content: parking_lot::RwLock::new(Vec::new()),
+            content: parking_lot::RwLock::new(Content::default()),
+            pool,
             extents: parking_lot::Mutex::new(Vec::new()),
             deleted: AtomicBool::new(false),
             durability: parking_lot::Mutex::new(Durability::default()),
@@ -143,10 +231,7 @@ impl FileData {
     pub(crate) fn lose_volatile(&self) {
         let mut dur = self.durability.lock();
         let keep = dur.lose_volatile() as usize;
-        let mut content = self.content.write();
-        if content.len() > keep {
-            content.truncate(keep);
-        }
+        self.content.write().truncate(keep, &self.pool);
     }
 
     /// Device LPN of the file's `page`-th page, if allocated.
@@ -164,6 +249,13 @@ impl FileData {
 
     fn allocated_pages(&self) -> u64 {
         self.extents.lock().iter().map(|&(_, l)| l).sum()
+    }
+}
+
+impl Drop for FileData {
+    fn drop(&mut self) {
+        let chunks = std::mem::take(&mut self.content.write().chunks);
+        self.pool.give(chunks);
     }
 }
 
@@ -454,7 +546,7 @@ impl FileHandle {
                 let start = fs.alloc.lock().allocate(grow).ok_or(FsError::DeviceFull)?;
                 self.data.extents.lock().push((start, grow));
             }
-            content.extend_from_slice(data);
+            content.extend(data, &self.data.pool);
             (offset, new_len)
         };
         // Mark the touched pages dirty.
@@ -496,8 +588,7 @@ impl FileHandle {
             return Ok(Vec::new());
         }
         self.fault_in(offset / PAGE_SIZE as u64, (end - 1) / PAGE_SIZE as u64);
-        let content = self.data.content.read();
-        let mut out = content[offset as usize..end as usize].to_vec();
+        let mut out = self.data.content.read().read(offset as usize..end as usize);
         if let Some((byte, bit)) = flip {
             // Transient corruption: only the returned copy is flipped.
             out[byte] ^= 1u8 << bit;
@@ -866,6 +957,80 @@ mod tests {
             fs.power_restore();
             let g = fs.open("db/000007.log").unwrap();
             assert_eq!(g.len(), 0, "nothing unacknowledged may survive the cut");
+        });
+    }
+
+    proptest! {
+        /// One tape of appends, reads of every range shape and truncations
+        /// (what a power cut does to a file) through the chunked content and
+        /// a plain vector: every read and every length agree, and every
+        /// chunk but the last is full. Appends and truncations land on chunk
+        /// boundaries and a byte either side of them as often as anywhere.
+        #[test]
+        fn content_matches_a_plain_vector(
+            tape in prop::collection::vec(
+                (0u8..10, prop_oneof![3 => 0usize..3 * CHUNK, 1 => 0usize..20 * CHUNK], any::<u64>(), any::<u64>()),
+                1..40,
+            )
+        ) {
+            let pool = ChunkPool::default();
+            let (mut content, mut reference) = (Content::default(), Vec::new());
+            // `len` moved to a chunk boundary and then by -2..=2 bytes.
+            let near_boundary = |len: usize, pick: u64| {
+                (len.next_multiple_of(CHUNK) + (pick % 5) as usize).saturating_sub(2)
+            };
+            for (kind, size, a, b) in tape {
+                let len = reference.len();
+                match kind {
+                    0..=4 => {
+                        let size = if kind < 3 { size } else { near_boundary(len, a).saturating_sub(len) };
+                        let data: Vec<u8> = (0..size).map(|i| (a as usize + i * 31) as u8).collect();
+                        content.extend(&data, &pool);
+                        reference.extend_from_slice(&data);
+                    }
+                    5..=7 => {
+                        let start = (a % (len as u64 + 1)) as usize;
+                        let end = start + (b % ((len - start) as u64 + 1)) as usize;
+                        prop_assert_eq!(content.read(start..end), reference[start..end].to_vec());
+                    }
+                    _ => {
+                        let keep = if kind == 8 {
+                            (a % (len as u64 + 1)) as usize
+                        } else {
+                            near_boundary(len / 2, a).min(len)
+                        };
+                        content.truncate(keep, &pool);
+                        reference.truncate(keep);
+                    }
+                }
+                prop_assert_eq!(content.len(), reference.len());
+                prop_assert_eq!(content.chunks.len(), reference.len().div_ceil(CHUNK));
+                prop_assert!(content.chunks.iter().rev().skip(1).all(|c| c.len() == CHUNK));
+                prop_assert_eq!(content.read(0..reference.len()), reference.clone());
+            }
+        }
+    }
+
+    /// A deleted file's chunks are reused by the next file's appends, in
+    /// place of new ones.
+    #[test]
+    fn a_deleted_files_chunks_are_reused() {
+        Runtime::new().run(|| {
+            let (fs, _) = fixture(1024);
+            let f = fs.create("a").unwrap();
+            f.append(&vec![1u8; 10 * CHUNK]).unwrap();
+            fs.delete("a").unwrap();
+            // The handle keeps the file's bytes until it goes.
+            assert_eq!(fs.pool.0.lock().len(), 0);
+            drop(f);
+            assert_eq!(fs.pool.0.lock().len(), 10);
+            let g = fs.create("b").unwrap();
+            g.append(&vec![2u8; 4 * CHUNK + 1]).unwrap();
+            assert_eq!(fs.pool.0.lock().len(), 5);
+            assert_eq!(
+                g.read_at(0, 4 * CHUNK + 1).unwrap(),
+                vec![2u8; 4 * CHUNK + 1]
+            );
         });
     }
 

@@ -5,7 +5,7 @@
 use crate::alloc::ExtentAllocator;
 use crate::error::{FsError, FsResult};
 use crate::fault::{FaultPlan, FaultState};
-use crate::file::{FileData, FileHandle};
+use crate::file::{ChunkPool, FileData, FileHandle};
 use crate::pagecache::PageCache;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -77,6 +77,8 @@ pub struct SimFs {
     pub(crate) cache_pages: usize,
     files: parking_lot::Mutex<BTreeMap<String, Arc<FileData>>>,
     pub(crate) by_id: parking_lot::Mutex<HashMap<u64, Arc<FileData>>>,
+    /// The chunks of deleted files' content, for the next appends.
+    pub(crate) pool: Arc<ChunkPool>,
     pub(crate) cache: parking_lot::Mutex<PageCache>,
     pub(crate) alloc: parking_lot::Mutex<ExtentAllocator>,
     next_id: AtomicU64,
@@ -119,6 +121,7 @@ impl SimFs {
             alloc: parking_lot::Mutex::new(ExtentAllocator::new(capacity)),
             files: parking_lot::Mutex::new(BTreeMap::new()),
             by_id: parking_lot::Mutex::new(HashMap::new()),
+            pool: Arc::default(),
             next_id: AtomicU64::new(1),
             throttle_writebacks: AtomicU64::new(0),
             sync_writebacks: AtomicU64::new(0),
@@ -153,6 +156,7 @@ impl SimFs {
         let data = Arc::new(FileData::new(
             self.next_id.fetch_add(1, Ordering::Relaxed),
             path,
+            Arc::clone(&self.pool),
         ));
         {
             let mut files = self.files.lock();

@@ -1,0 +1,98 @@
+#!/usr/bin/env bash
+# Host-speed pairs: exports <base-ref> under target/host_pairs/, builds it
+# and the working tree, then runs the benchmark's one-run command
+# (`benchmark/run.sh --workload W --seed S --seconds 10`, pinned by run.sh)
+# <pairs> times on each side, alternating which side goes first. Prints,
+# per host metric, each side's q1 / median / q3 (linear interpolation), the
+# ratio of the medians (change / parent), the pairs the change won, and the
+# change's worst run against the parent's best. Fails if a virtual-clock or
+# exact metric, or the attempted / failed counts, differ between any two
+# runs: a host-speed change must not move them.
+#
+#   scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>
+#
+# The runs' JSON lines stay in target/host_pairs/<workload>-<seed>/.
+set -euo pipefail
+[[ $# == 4 ]] || { echo "usage: scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>" >&2; exit 2; }
+base_ref=$1 workload=$2 seed=$3 pairs=$4
+repo=$(cd "$(dirname "$0")/.." && pwd)
+sha=$(git -C "$repo" rev-parse --verify "$base_ref^{commit}")
+base=$repo/target/host_pairs/$sha
+if [[ ! -d $base ]]; then
+    rm -rf "$base.partial"
+    mkdir -p "$base.partial"
+    git -C "$repo" archive "$sha" | tar -x -C "$base.partial"
+    mv "$base.partial" "$base"
+fi
+out=$repo/target/host_pairs/$workload-$seed
+rm -rf "$out"
+mkdir -p "$out"
+
+# Each tree builds into its own target/, where its run.sh looks.
+for tree in "$base" "$repo"; do
+    echo "==> build $tree" >&2
+    CARGO_TARGET_DIR=$tree/target cargo build -q --release --offline --manifest-path "$tree/benchmark/Cargo.toml"
+done
+
+run() { # side tree pair
+    CARGO_TARGET_DIR=$2/target bash "$2/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds 10 \
+        2>/dev/null | tail -1 >"$out/$1.$3.json"
+}
+for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then
+        run parent "$base" "$i"
+        run change "$repo" "$i"
+    else
+        run change "$repo" "$i"
+        run parent "$base" "$i"
+    fi
+    echo "    pair $((i + 1))/$pairs done" >&2
+done
+
+python3 - "$out" "$pairs" "$workload" "$seed" "$sha" <<'EOF'
+import json, sys
+
+out, pairs, workload, seed, sha = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+HOST = {"setup_s": "lower", "host_ops_per_s": "higher", "peak_rss_mb": "lower"}
+runs = {side: [json.load(open(f"{out}/{side}.{i}.json")) for i in range(pairs)]
+        for side in ("parent", "change")}
+
+def quartiles(xs):
+    xs = sorted(xs)
+    def q(p):
+        pos = p * (len(xs) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+    return q(0.25), q(0.5), q(0.75)
+
+status = 0
+first = runs["parent"][0]
+for side, rs in runs.items():
+    for i, r in enumerate(rs):
+        for key in ("correct", "attempted", "failed"):
+            if r[key] != first[key]:
+                print(f"DIFFERS {key}: {side} run {i} {r[key]} vs parent run 0 {first[key]}")
+                status = 1
+        for name, m in r["metrics"].items():
+            if name not in HOST and m["value"] != first["metrics"][name]["value"]:
+                print(f"DIFFERS {name}: {side} run {i} {m['value']} vs parent run 0 "
+                      f"{first['metrics'][name]['value']}")
+                status = 1
+
+print(f"{workload}, seed {seed}, {pairs} pairs, parent {sha[:7]}; failed {first['failed']} of {first['attempted']}")
+print(f"{'metric':<15} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} {'ratio':>7} {'won':>6}  change worst / parent best")
+for name, better in HOST.items():
+    p = [r["metrics"][name]["value"] for r in runs["parent"]]
+    c = [r["metrics"][name]["value"] for r in runs["change"]]
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
+    won = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
+    worst, best = (max(c), min(p)) if better == "lower" else (min(c), max(p))
+    fmt = (lambda v: f"{v:.3f}") if name == "setup_s" else (lambda v: f"{v:.1f}")
+    print(f"{name:<15} {fmt(pq1) + ' / ' + fmt(pm) + ' / ' + fmt(pq3):>30} "
+          f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {won:>3}/{pairs}  "
+          f"{fmt(worst)} / {fmt(best)} ({worst / best:.3f}x)")
+if status:
+    print("==> a virtual-clock or exact metric moved")
+sys.exit(status)
+EOF
