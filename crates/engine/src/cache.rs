@@ -5,11 +5,13 @@
 //! cache shares.
 
 use crate::types::compare_internal;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use xlsm_sim::hash::FxHashMap;
+use xlsm_simfs::FileBytes;
 
 /// Cache key: `(file number, block offset within file)`.
 pub type BlockKey = (u64, u64);
@@ -20,7 +22,7 @@ pub type BlockKey = (u64, u64);
 /// buffer, and where each entry lies in the two.
 #[derive(Debug, Default)]
 pub struct Block {
-    pub(crate) bytes: Arc<Vec<u8>>,
+    pub(crate) bytes: FileBytes,
     pub(crate) keys: Vec<u8>,
     pub(crate) entries: Vec<EntryAt>,
     /// Serialized size (cache charge).
@@ -78,7 +80,7 @@ impl Block {
 /// live. What an entry costs and when the map is over budget is the
 /// caller's business: it calls [`Lru::pop_lru`] until it fits.
 pub(crate) struct Lru<K, V> {
-    map: HashMap<K, (V, u64)>, // value, last tick
+    map: FxHashMap<K, (V, u64)>, // value, last tick
     queue: VecDeque<(K, u64)>,
     tick: u64,
 }
@@ -86,7 +88,7 @@ pub(crate) struct Lru<K, V> {
 impl<K: Copy + Eq + Hash, V> Lru<K, V> {
     pub(crate) fn new() -> Lru<K, V> {
         Lru {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             queue: VecDeque::new(),
             tick: 0,
         }
@@ -143,7 +145,7 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
     /// workload would otherwise grow it without bound. Rebuilding keeps
     /// exactly one entry per key and at least halves the queue, so the cost
     /// is amortized O(1) per touch.
-    fn drain_stale(queue: &mut VecDeque<(K, u64)>, map: &HashMap<K, (V, u64)>) {
+    fn drain_stale(queue: &mut VecDeque<(K, u64)>, map: &FxHashMap<K, (V, u64)>) {
         if queue.len() > 2 * map.len() {
             queue.retain(|(k, t)| matches!(map.get(k), Some((_, last)) if last == t));
         }

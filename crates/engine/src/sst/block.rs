@@ -18,7 +18,7 @@ use crate::crc32c;
 use crate::error::{DbError, DbResult};
 use crate::stats::{DbStats, Ticker};
 use std::ops::Range;
-use std::sync::Arc;
+use xlsm_simfs::FileBytes;
 
 /// Restart-point spacing within a data block.
 pub const RESTART_INTERVAL: usize = 16;
@@ -143,30 +143,24 @@ pub(super) fn check_frame(framed: &[u8]) -> Result<&[u8], &'static str> {
     Ok(body)
 }
 
-/// Verifies the trailing CRC of the framed data block `bytes[frame]`,
+/// Verifies the trailing CRC of the framed data block `bytes`,
 /// decompresses it if its tag says so (charging the decompression CPU and,
 /// when `stats` is given, the `BlockDecompressions`/`Block*Bytes` tickers),
-/// and decodes it. An uncompressed block keeps `bytes` — the buffer a block
-/// read returned, or the readahead window the frame sits in — and its
-/// values are slices of it.
+/// and decodes it. An uncompressed block keeps `bytes` — what a block read
+/// returned (often the file's own memory, shared), or the readahead window
+/// the frame sits in — and its values are slices of it.
 ///
 /// # Errors
 ///
 /// [`DbError::Corruption`] on checksum or structural failures, naming no
 /// file: the caller knows which one, and where in it the frame sits.
-pub fn decode_framed(
-    bytes: Arc<Vec<u8>>,
-    frame: Range<usize>,
-    stats: Option<&DbStats>,
-) -> DbResult<Block> {
-    let body_len = check_frame(&bytes[frame.clone()])
-        .map_err(DbError::corruption)?
-        .len();
+pub fn decode_framed(bytes: FileBytes, stats: Option<&DbStats>) -> DbResult<Block> {
+    let body_len = check_frame(&bytes).map_err(DbError::corruption)?.len();
     if body_len == 0 {
         return Err(DbError::corruption("block truncated"));
     }
-    let tag = bytes[frame.start];
-    let payload = frame.start + 1..frame.start + body_len;
+    let tag = bytes[0];
+    let payload = 1..body_len;
     if tag == CompressionType::None.tag() {
         xlsm_sim::sleep_nanos(costs::block_decode_ns(payload.len()));
         return decode(bytes, payload);
@@ -181,7 +175,7 @@ pub fn decode_framed(
         }
         xlsm_sim::sleep_nanos(costs::block_decode_ns(raw.len()));
         let all = 0..raw.len();
-        return decode(Arc::new(raw), all);
+        return decode(FileBytes::from(raw), all);
     }
     Err(DbError::corruption(format!(
         "unknown block compression tag {tag}"
@@ -194,12 +188,12 @@ pub fn decode_framed(
 ///
 /// [`DbError::Corruption`] on any structural violation.
 pub fn decode_block(data: &[u8]) -> DbResult<Block> {
-    decode(Arc::new(data.to_vec()), 0..data.len())
+    decode(FileBytes::from(data.to_vec()), 0..data.len())
 }
 
 /// Decodes the block that is `bytes[block]`, keeping `bytes`: each entry's
 /// value stays where it is, its key is rebuilt into one shared buffer.
-fn decode(bytes: Arc<Vec<u8>>, block: Range<usize>) -> DbResult<Block> {
+fn decode(bytes: FileBytes, block: Range<usize>) -> DbResult<Block> {
     let data = &bytes[block.clone()];
     if data.len() < 8 {
         return Err(DbError::Corruption("block too small".into()));
@@ -358,9 +352,8 @@ mod tests {
         assert_eq!(frames[0][0], CompressionType::None.tag());
         assert_eq!(frames[2][0], CompressionType::Rle.tag());
         for frame in frames {
-            let len = frame.len();
             let block = xlsm_sim::Runtime::new()
-                .run(|| decode_framed(Arc::new(frame), 0..len, None))
+                .run(|| decode_framed(FileBytes::from(frame), None))
                 .unwrap();
             assert_eq!(block.len(), 40);
             assert_eq!(block.value(39), [b'v'; 100]);
@@ -445,11 +438,17 @@ mod tests {
                 for (k, v) in &entries {
                     b.add(k, v);
                 }
-                // Inside a larger buffer, as in a readahead window.
+                // Shared out of a file, between other bytes, as a block
+                // read or a readahead window returns it.
                 let frame = b.finish(codec);
                 let window = [&[7; 5][..], frame, &[9; 3]].concat();
-                let at = 5..5 + frame.len();
-                let block = xlsm_sim::Runtime::new().run(|| decode_framed(Arc::new(window), at, None)).unwrap();
+                let at = 5..5 + frame.len() as u64;
+                let block = xlsm_sim::Runtime::new().run(|| {
+                    let file = super::super::test_fs().create("w.sst").unwrap();
+                    file.append(&window).unwrap();
+                    let span = file.read_shared(0, window.len()).unwrap();
+                    decode_framed(span.get(at), None)
+                }).unwrap();
                 prop_assert_eq!(pairs(&block), entries.clone());
             }
         }

@@ -36,6 +36,7 @@
 
 mod block;
 mod builder;
+mod index;
 mod reader;
 
 pub use block::{decode_block, decode_framed, RESTART_INTERVAL};
@@ -47,6 +48,7 @@ pub use reader::{
 
 use crate::coding::*;
 use crate::error::{DbError, DbResult};
+use index::{encode_index, FlatIndex, IndexEntry};
 use xlsm_simfs::FileHandle;
 
 const FOOTER_SIZE: usize = 6 * 8 + 4 + 8; // offsets + crc32 + magic
@@ -129,42 +131,6 @@ impl Footer {
     }
 }
 
-/// One index entry: a data block's last internal key, and the offset and
-/// size of its frame.
-type IndexEntry = (Vec<u8>, u64, u64);
-
-fn encode_index(index: &[IndexEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint64(&mut out, index.len() as u64);
-    for (key, off, size) in index {
-        put_length_prefixed(&mut out, key);
-        put_varint64(&mut out, *off);
-        put_varint64(&mut out, *size);
-    }
-    out
-}
-
-/// Decodes an index block of a file `file_len` bytes long; every frame it
-/// returns lies inside the file.
-fn decode_index(raw: &[u8], file_len: u64) -> DbResult<Vec<IndexEntry>> {
-    let bad = |what: &str| DbError::corruption(format!("bad index {what}"));
-    let mut off = 0usize;
-    let n = get_varint64(raw, &mut off).ok_or_else(|| bad("count"))?;
-    // An entry takes at least three bytes, so a count from a hostile file
-    // cannot make this reserve more than the block is long.
-    let mut index = Vec::with_capacity((n as usize).min(raw.len()));
-    for _ in 0..n {
-        let key = get_length_prefixed(raw, &mut off).ok_or_else(|| bad("key"))?;
-        let boff = get_varint64(raw, &mut off).ok_or_else(|| bad("offset"))?;
-        let bsize = get_varint64(raw, &mut off).ok_or_else(|| bad("size"))?;
-        if boff.checked_add(bsize).is_none_or(|end| end > file_len) {
-            return Err(bad("entry: block past the end of the file"));
-        }
-        index.push((key.to_vec(), boff, bsize));
-    }
-    Ok(index)
-}
-
 #[cfg(test)]
 fn test_fs() -> std::sync::Arc<xlsm_simfs::SimFs> {
     xlsm_simfs::SimFs::new(
@@ -195,10 +161,14 @@ mod tests {
             assert!(err.is_corruption(), "{err}");
         });
         let index = encode_index(&[(b"k".to_vec(), u64::MAX, 2)]);
-        assert!(decode_index(&index, 1 << 20).unwrap_err().is_corruption());
+        assert!(FlatIndex::decode(&index, 1 << 20)
+            .unwrap_err()
+            .is_corruption());
         // A count no block this short could hold must not size a buffer.
         let mut count = Vec::new();
         put_varint64(&mut count, u64::MAX);
-        assert!(decode_index(&count, 1 << 20).unwrap_err().is_corruption());
+        assert!(FlatIndex::decode(&count, 1 << 20)
+            .unwrap_err()
+            .is_corruption());
     }
 }

@@ -3,7 +3,7 @@
 //! the CRC-only pass the scrubber makes.
 
 use super::block::{check_frame, decode_framed};
-use super::{decode_index, table_display_name, Footer, IndexEntry, MetaHandle, TableProperties};
+use super::{table_display_name, FlatIndex, Footer, MetaHandle, TableProperties};
 use crate::bloom::BloomFilter;
 use crate::cache::{Block, BlockCache};
 use crate::coding::*;
@@ -11,11 +11,9 @@ use crate::costs;
 use crate::error::{DbError, DbResult};
 use crate::iterator::InternalIterator;
 use crate::stats::{DbStats, Ticker};
-use crate::types::{self, compare_internal, SequenceNumber, ValueType};
-use std::cmp::Ordering;
-use std::ops::Range;
+use crate::types::{self, SequenceNumber, ValueType};
 use std::sync::Arc;
-use xlsm_simfs::FileHandle;
+use xlsm_simfs::{FileBytes, FileHandle, FileSpan};
 
 /// One key of a [`TableReader::get_many`] batch.
 #[derive(Clone, Debug)]
@@ -41,7 +39,7 @@ pub struct TableReader {
     file: FileHandle,
     file_number: u64,
     cache: Arc<BlockCache>,
-    index: Vec<IndexEntry>,
+    index: FlatIndex,
     bloom: Option<Vec<u8>>,
     prefix_bloom: Option<Vec<u8>>,
     prefix_len: Option<usize>,
@@ -80,7 +78,7 @@ fn read_meta_block(
 
 /// Everything in a table file that is not a data block, CRC-checked.
 struct Meta {
-    index: Vec<IndexEntry>,
+    index: FlatIndex,
     /// The filter block's payload; `None` when the table carries no filters.
     filter: Option<Vec<u8>>,
     props: Vec<u8>,
@@ -92,7 +90,7 @@ struct Meta {
 fn read_meta(file: &FileHandle, file_number: u64, pacer: &mut dyn FnMut(u64)) -> DbResult<Meta> {
     let footer = Footer::read(file, file_number, pacer)?;
     let index_raw = read_meta_block(file, file_number, footer.index, pacer)?;
-    let index = decode_index(&index_raw, file.len())
+    let index = FlatIndex::decode(&index_raw, file.len())
         .map_err(|e| attribute(table_display_name(file_number), footer.index.0, e))?;
     let filter = if footer.filter.1 > 0 {
         Some(read_meta_block(file, file_number, footer.filter, pacer)?)
@@ -130,7 +128,7 @@ pub fn verify_table_file(
     pacer: &mut dyn FnMut(u64),
 ) -> DbResult<u64> {
     let meta = read_meta(file, file_number, pacer)?;
-    for (_, off, size) in meta.index {
+    for (off, size) in meta.index.frames() {
         let framed = file.read_at(off, size as usize)?;
         pacer(size);
         check_frame(&framed)
@@ -224,34 +222,30 @@ impl TableReader {
     /// in ascending order — the candidate cut points for range-partitioned
     /// subcompactions. Served from the already-parsed index: no I/O.
     pub fn block_boundary_user_keys(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        self.index.iter().map(|(last, _, _)| types::user_key(last))
+        self.index.block_boundary_user_keys()
     }
 
     /// Checks and decodes the frame of the data block at `off`, naming this
     /// file and that offset in any corruption error.
-    fn decode_at(
-        &self,
-        bytes: Arc<Vec<u8>>,
-        frame: Range<usize>,
-        off: u64,
-        stats: &DbStats,
-    ) -> DbResult<Block> {
-        decode_framed(bytes, frame, Some(stats))
+    fn decode_at(&self, bytes: FileBytes, off: u64, stats: &DbStats) -> DbResult<Block> {
+        decode_framed(bytes, Some(stats))
             .map_err(|e| attribute(table_display_name(self.file_number), off, e))
     }
 
     /// Loads block `i` through the cache, charging read + decode costs.
     fn block(&self, i: usize, stats: &DbStats) -> DbResult<Arc<Block>> {
-        let (_, off, size) = self.index[i];
+        let (off, size) = self.index.frame(i);
         let key = (self.file_number, off);
         if let Some(b) = self.cache.get(&key) {
             stats.bump(Ticker::BlockCacheHit);
             return Ok(b);
         }
         stats.bump(Ticker::BlockCacheMiss);
-        let framed = self.file.read_at(off, size as usize)?;
-        let frame = 0..framed.len();
-        let block = Arc::new(self.decode_at(Arc::new(framed), frame, off, stats)?);
+        let framed = self
+            .file
+            .read_shared(off, size as usize)?
+            .get(off..off + size);
+        let block = Arc::new(self.decode_at(framed, off, stats)?);
         self.cache.insert(key, Arc::clone(&block));
         Ok(block)
     }
@@ -307,9 +301,7 @@ impl TableReader {
     /// Index of the first block whose last key is ≥ `ikey`, or None.
     fn block_for(&self, ikey: &[u8]) -> Option<usize> {
         xlsm_sim::sleep_nanos(costs::binary_search_ns(self.index.len() as u64));
-        let idx = self
-            .index
-            .partition_point(|(last, _, _)| compare_internal(last, ikey) == Ordering::Less);
+        let idx = self.index.partition_point(ikey);
         (idx < self.index.len()).then_some(idx)
     }
 
@@ -422,11 +414,11 @@ pub struct TableIterator {
     block: Option<Arc<Block>>,
     entry_idx: usize,
     readahead: bool,
-    /// Private readahead buffer `(file offset, bytes)`: compaction reads
-    /// large sequential spans once and decodes blocks from process memory,
-    /// independent of page-cache pressure (and without polluting the block
-    /// cache). The blocks decoded from it share it.
-    ra_buf: Option<(u64, Arc<Vec<u8>>)>,
+    /// Private readahead window: compaction reads large sequential spans
+    /// once and decodes blocks from them, independent of page-cache pressure
+    /// (and without polluting the block cache). The window shares the
+    /// file's memory, and so do the blocks decoded from it.
+    ra_buf: Option<FileSpan>,
 }
 
 impl std::fmt::Debug for TableIterator {
@@ -446,24 +438,17 @@ impl TableIterator {
         }
         self.block_idx = i;
         self.block = Some(if self.readahead {
-            let (_, off, size) = self.table.index[i];
-            let in_buf = self.ra_buf.as_ref().is_some_and(|(start, buf)| {
-                off >= *start && off + size <= *start + buf.len() as u64
-            });
+            let (off, size) = self.table.index.frame(i);
+            let in_buf = (self.ra_buf.as_ref())
+                .is_some_and(|span| off >= span.start() && off + size <= span.end());
             if !in_buf {
                 let want = (size as usize).max(READAHEAD_BYTES);
                 let avail = (self.table.file.len() - off) as usize;
                 let len = want.min(avail);
-                let buf = self.table.file.read_at(off, len)?;
-                self.ra_buf = Some((off, Arc::new(buf)));
+                self.ra_buf = Some(self.table.file.read_shared(off, len)?);
             }
-            let (start, buf) = self.ra_buf.as_ref().unwrap();
-            let lo = (off - start) as usize;
-            let frame = lo..lo + size as usize;
-            Arc::new(
-                self.table
-                    .decode_at(Arc::clone(buf), frame, off, &self.stats)?,
-            )
+            let frame = (self.ra_buf.as_ref().expect("filled above")).get(off..off + size);
+            Arc::new(self.table.decode_at(frame, off, &self.stats)?)
         } else {
             self.table.block(i, &self.stats)?
         });
@@ -532,8 +517,9 @@ mod tests {
     use super::super::{TableBuilder, TableOptions, FOOTER_SIZE};
     use super::*;
     use crate::compress::CompressionType;
-    use crate::types::{make_internal_key, make_lookup_key};
+    use crate::types::{compare_internal, make_internal_key, make_lookup_key};
     use proptest::prelude::*;
+    use std::cmp::Ordering;
     use xlsm_sim::Runtime;
     use xlsm_simfs::SimFs;
 

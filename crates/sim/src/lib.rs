@@ -98,6 +98,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod hash;
 pub mod rng;
 pub mod runtime;
 pub mod sync;

@@ -428,6 +428,21 @@ pub fn sleep_nanos(d: Nanos) {
             seq: st.seq,
             tid: ctx.tid,
         };
+        // Nobody is runnable and every pending timer is due later (an equal
+        // deadline has the smaller sequence number and goes first): the
+        // pick would pop this very timer and hand the token back to the
+        // caller. Do what that pick does without the round trip through
+        // the heap.
+        if st.run_queue.is_empty()
+            && st
+                .timers
+                .peek()
+                .is_none_or(|next| next.wake_at > timer.wake_at)
+        {
+            ctx.sched.now.store(timer.wake_at, Ordering::Relaxed);
+            st.timer_events += 1;
+            return;
+        }
         st.timers.push(timer);
         st.threads[ctx.tid].status = Status::Sleeping;
         ctx.grant_and_park(st);

@@ -12,8 +12,9 @@
 //! runs at a time, and every wait below first checks that the caller holds
 //! none of their guards (see the crate docs, "Sim-safety").
 
+use crate::hash::FxHashSet;
 use crate::runtime::{self, assert_not_in_critical_section, current_tid};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -98,7 +99,7 @@ impl WaitSet {
 struct SemInner {
     permits: u64,
     queue: VecDeque<(usize, u64)>,
-    granted: HashSet<usize>,
+    granted: FxHashSet<usize>,
 }
 
 /// A FIFO counting semaphore; models bounded resources such as a device's
@@ -127,7 +128,7 @@ impl Semaphore {
             inner: parking_lot::Mutex::new(SemInner {
                 permits,
                 queue: VecDeque::new(),
-                granted: HashSet::new(),
+                granted: FxHashSet::default(),
             }),
         }
     }

@@ -6,12 +6,13 @@
 //! (`fault_in`), and every page that reaches the device, in either
 //! direction, goes through one run coalescer (`for_each_run`).
 
+use crate::content::{ChunkPool, Content, Durability, FileSpan};
 use crate::error::{FsError, FsResult};
 use crate::fault::{AllocFault, FaultOp, FaultOutcome, FaultState};
 use crate::fs::SimFs;
 use crate::pagecache::PageKey;
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use xlsm_device::PAGE_SIZE;
@@ -51,155 +52,8 @@ fn for_each_run(mut lpns: Vec<u64>, mut io: impl FnMut(u64, u32)) {
     }
 }
 
-/// Per-file crash-durability bookkeeping. Files are append-only, so a
-/// page's "valid bytes" count only ever grows; tracking byte counts per
-/// page (rather than whole pages) lets a power cut keep a partially
-/// written final page exactly as far as it was persisted.
-#[derive(Debug, Default)]
-struct Durability {
-    /// page index -> bytes of that page pushed to the device since the last
-    /// barrier, possibly still in its volatile write buffer. A barrier
-    /// drains it, so it costs the pages pushed since the previous one.
-    pending: HashMap<u64, u32>,
-    /// page index -> bytes of that page made durable by a device barrier
-    /// (or by write-through on devices without a write buffer).
-    durable: HashMap<u64, u32>,
-}
-
-impl Durability {
-    /// Records that `bytes` of `page` reached the device; `write_through`
-    /// devices (no volatile buffer) persist immediately.
-    fn record_device_write(&mut self, page: u64, bytes: u32, write_through: bool) {
-        let ledger = if write_through {
-            &mut self.durable
-        } else {
-            &mut self.pending
-        };
-        let e = ledger.entry(page).or_insert(0);
-        *e = (*e).max(bytes);
-    }
-
-    /// A device barrier completed: everything pushed to the device since
-    /// the previous barrier is now durable.
-    fn promote(&mut self) {
-        for (page, bytes) in self.pending.drain() {
-            let d = self.durable.entry(page).or_insert(0);
-            *d = (*d).max(bytes);
-        }
-    }
-
-    /// Power is gone: what sat in the device's write buffer is lost.
-    /// Returns the length the file keeps, its durable prefix.
-    fn lose_volatile(&mut self) -> u64 {
-        self.pending.clear();
-        durable_prefix_bytes(&self.durable)
-    }
-}
-
-/// Length of the longest durable prefix of a file whose page index ->
-/// durable bytes is `durable`: full pages until the first page that is
-/// missing or partially durable.
-fn durable_prefix_bytes(durable: &HashMap<u64, u32>) -> u64 {
-    let mut len = 0u64;
-    let mut page = 0u64;
-    loop {
-        match durable.get(&page) {
-            Some(&bytes) => {
-                len += bytes as u64;
-                if (bytes as usize) < PAGE_SIZE {
-                    return len;
-                }
-                page += 1;
-            }
-            None => return len,
-        }
-    }
-}
-
-/// Bytes in one content chunk. Smaller chunks read slower (more of them per
-/// block, scattered over the heap); larger ones strand more room at the end
-/// of every file (EXPERIMENTS.md "Host cost, round 4").
-const CHUNK: usize = 16 << 10;
-
-/// Content chunks given back by deleted files, handed to the next append
-/// before a new one is allocated. Which sim thread appends and which drops a
-/// file is up to the engine; through the pool the chunks of one are reused
-/// by the other instead of sitting in the allocator's arena of the thread
-/// that allocated them, and the filesystem's content never holds more
-/// chunks than its files held at their peak.
-#[derive(Debug, Default)]
-pub(crate) struct ChunkPool(parking_lot::Mutex<Vec<Vec<u8>>>);
-
-impl ChunkPool {
-    fn take(&self) -> Vec<u8> {
-        self.0
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(CHUNK))
-    }
-
-    fn give(&self, chunks: impl IntoIterator<Item = Vec<u8>>) {
-        let mut pool = self.0.lock();
-        for mut chunk in chunks {
-            chunk.clear();
-            pool.push(chunk);
-        }
-    }
-}
-
-/// A file's bytes, in fixed-size chunks that are filled in order and never
-/// moved: an append copies its bytes once, where one growing buffer would
-/// copy the whole file again each time it doubled.
-#[derive(Debug, Default)]
-struct Content {
-    chunks: Vec<Vec<u8>>,
-    len: usize,
-}
-
-impl Content {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn extend(&mut self, mut data: &[u8], pool: &ChunkPool) {
-        self.len += data.len();
-        while !data.is_empty() {
-            if self.chunks.last().is_none_or(|last| last.len() == CHUNK) {
-                self.chunks.push(pool.take());
-            }
-            let last = self.chunks.last_mut().expect("pushed above");
-            let (now, rest) = data.split_at(data.len().min(CHUNK - last.len()));
-            last.extend_from_slice(now);
-            data = rest;
-        }
-    }
-
-    /// Copies `range` out; the caller has checked it lies in the file.
-    fn read(&self, range: std::ops::Range<usize>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(range.len());
-        let mut at = range.start;
-        while at < range.end {
-            let chunk = &self.chunks[at / CHUNK];
-            let (from, to) = (at % CHUNK, (range.end - at + at % CHUNK).min(CHUNK));
-            out.extend_from_slice(&chunk[from..to]);
-            at += to - from;
-        }
-        out
-    }
-
-    /// Shrinks the file to its first `len` bytes.
-    fn truncate(&mut self, len: usize, pool: &ChunkPool) {
-        if len >= self.len {
-            return;
-        }
-        self.len = len;
-        pool.give(self.chunks.drain(len.div_ceil(CHUNK)..));
-        let full = self.chunks.len().saturating_sub(1);
-        if let Some(last) = self.chunks.last_mut() {
-            last.truncate(len - full * CHUNK);
-        }
-    }
-}
+/// A byte of a read's result, and the bit of it the fault plan flips.
+type BitFlip = (usize, u32);
 
 pub(crate) struct FileData {
     pub(crate) id: u64,
@@ -254,8 +108,7 @@ impl FileData {
 
 impl Drop for FileData {
     fn drop(&mut self) {
-        let chunks = std::mem::take(&mut self.content.write().chunks);
-        self.pool.give(chunks);
+        self.content.write().truncate(0, &self.pool);
     }
 }
 
@@ -573,6 +426,35 @@ impl FileHandle {
     /// fault layer injects a failure (a bit-flip fault corrupts one bit of
     /// the returned payload instead of erroring).
     pub fn read_at(&self, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        let (range, flip) = self.admit_read(offset, len)?;
+        let mut out = self.data.content.read().read(range);
+        if let Some((byte, bit)) = flip {
+            // Transient corruption: only the returned copy is flipped.
+            out[byte] ^= 1u8 << bit;
+        }
+        Ok(out)
+    }
+
+    /// [`FileHandle::read_at`] without the copy: the bytes stay the file's
+    /// own, shared (see [`FileSpan`]). Costs, cache traffic and faults are
+    /// `read_at`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileHandle::read_at`].
+    pub fn read_shared(&self, offset: u64, len: usize) -> FsResult<FileSpan> {
+        let (range, flip) = self.admit_read(offset, len)?;
+        let mut span = self.data.content.read().read_shared(range);
+        if let Some((byte, bit)) = flip {
+            span.flip(byte, bit);
+        }
+        Ok(span)
+    }
+
+    /// Everything a read does before its bytes are taken: the gate, the
+    /// host cost, the bounds check and the page-cache walk. Returns the
+    /// range to take and the bit to flip, if the fault plan flips one.
+    fn admit_read(&self, offset: u64, len: usize) -> FsResult<(Range<usize>, Option<BitFlip>)> {
         let flip = match self.gate(FaultOp::Read, len)? {
             FaultOutcome::None => None,
             FaultOutcome::BitFlip { byte, bit } => Some((byte, bit)),
@@ -585,15 +467,10 @@ impl FileHandle {
             .filter(|&end| end <= size)
             .ok_or(FsError::OutOfRange { offset, len, size })?;
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok((offset as usize..offset as usize, None));
         }
         self.fault_in(offset / PAGE_SIZE as u64, (end - 1) / PAGE_SIZE as u64);
-        let mut out = self.data.content.read().read(offset as usize..end as usize);
-        if let Some((byte, bit)) = flip {
-            // Transient corruption: only the returned copy is flipped.
-            out[byte] ^= 1u8 << bit;
-        }
-        Ok(out)
+        Ok((offset as usize..end as usize, flip))
     }
 
     /// Pushes this file's dirty pages to the device without a barrier: they
@@ -646,7 +523,6 @@ mod tests {
     use super::*;
     use crate::fs::tests::fixture;
     use crate::{FaultPlan, FsOptions};
-    use proptest::prelude::*;
     use xlsm_device::{profiles, Device, SimDevice};
     use xlsm_sim::Runtime;
 
@@ -880,6 +756,24 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_read_flips_only_its_own_copy() {
+        Runtime::new().run(|| {
+            let (fs, _) = fixture(64);
+            let f = fs.create("f").unwrap();
+            f.append(&[0u8; 100]).unwrap();
+            let earlier = f.read_shared(0, 100).unwrap().get(0..100);
+            fs.set_fault_plan(FaultPlan {
+                bit_flip_nth_read: Some(1),
+                ..FaultPlan::default()
+            });
+            let flipped = f.read_shared(0, 100).unwrap().get(0..100);
+            assert_eq!(flipped.iter().filter(|&&b| b != 0).count(), 1);
+            assert_eq!(&earlier[..], &[0u8; 100][..]);
+            assert_eq!(f.read_at(0, 100).unwrap(), vec![0u8; 100]);
+        });
+    }
+
+    #[test]
     fn scripted_power_cut_fires_mid_workload() {
         Runtime::new().run(|| {
             let (fs, _) = fixture(64);
@@ -960,156 +854,6 @@ mod tests {
         });
     }
 
-    proptest! {
-        /// One tape of appends, reads of every range shape and truncations
-        /// (what a power cut does to a file) through the chunked content and
-        /// a plain vector: every read and every length agree, and every
-        /// chunk but the last is full. Appends and truncations land on chunk
-        /// boundaries and a byte either side of them as often as anywhere.
-        #[test]
-        fn content_matches_a_plain_vector(
-            tape in prop::collection::vec(
-                (0u8..10, prop_oneof![3 => 0usize..3 * CHUNK, 1 => 0usize..20 * CHUNK], any::<u64>(), any::<u64>()),
-                1..40,
-            )
-        ) {
-            let pool = ChunkPool::default();
-            let (mut content, mut reference) = (Content::default(), Vec::new());
-            // `len` moved to a chunk boundary and then by -2..=2 bytes.
-            let near_boundary = |len: usize, pick: u64| {
-                (len.next_multiple_of(CHUNK) + (pick % 5) as usize).saturating_sub(2)
-            };
-            for (kind, size, a, b) in tape {
-                let len = reference.len();
-                match kind {
-                    0..=4 => {
-                        let size = if kind < 3 { size } else { near_boundary(len, a).saturating_sub(len) };
-                        let data: Vec<u8> = (0..size).map(|i| (a as usize + i * 31) as u8).collect();
-                        content.extend(&data, &pool);
-                        reference.extend_from_slice(&data);
-                    }
-                    5..=7 => {
-                        let start = (a % (len as u64 + 1)) as usize;
-                        let end = start + (b % ((len - start) as u64 + 1)) as usize;
-                        prop_assert_eq!(content.read(start..end), reference[start..end].to_vec());
-                    }
-                    _ => {
-                        let keep = if kind == 8 {
-                            (a % (len as u64 + 1)) as usize
-                        } else {
-                            near_boundary(len / 2, a).min(len)
-                        };
-                        content.truncate(keep, &pool);
-                        reference.truncate(keep);
-                    }
-                }
-                prop_assert_eq!(content.len(), reference.len());
-                prop_assert_eq!(content.chunks.len(), reference.len().div_ceil(CHUNK));
-                prop_assert!(content.chunks.iter().rev().skip(1).all(|c| c.len() == CHUNK));
-                prop_assert_eq!(content.read(0..reference.len()), reference.clone());
-            }
-        }
-    }
-
-    /// A deleted file's chunks are reused by the next file's appends, in
-    /// place of new ones.
-    #[test]
-    fn a_deleted_files_chunks_are_reused() {
-        Runtime::new().run(|| {
-            let (fs, _) = fixture(1024);
-            let f = fs.create("a").unwrap();
-            f.append(&vec![1u8; 10 * CHUNK]).unwrap();
-            fs.delete("a").unwrap();
-            // The handle keeps the file's bytes until it goes.
-            assert_eq!(fs.pool.0.lock().len(), 0);
-            drop(f);
-            assert_eq!(fs.pool.0.lock().len(), 10);
-            let g = fs.create("b").unwrap();
-            g.append(&vec![2u8; 4 * CHUNK + 1]).unwrap();
-            assert_eq!(fs.pool.0.lock().len(), 5);
-            assert_eq!(
-                g.read_at(0, 4 * CHUNK + 1).unwrap(),
-                vec![2u8; 4 * CHUNK + 1]
-            );
-        });
-    }
-
-    /// The ledger as it was before barriers drained it: `device` keeps every
-    /// page ever pushed and every barrier re-promotes all of it: the
-    /// reference the drained [`Durability`] must agree with.
-    #[derive(Default)]
-    struct NeverDrained {
-        device: HashMap<u64, u32>,
-        durable: HashMap<u64, u32>,
-    }
-
-    impl NeverDrained {
-        fn record_device_write(&mut self, page: u64, bytes: u32, write_through: bool) {
-            let e = self.device.entry(page).or_insert(0);
-            *e = (*e).max(bytes);
-            if write_through {
-                let d = self.durable.entry(page).or_insert(0);
-                *d = (*d).max(bytes);
-            }
-        }
-
-        fn promote(&mut self) {
-            for (&page, &bytes) in &self.device {
-                let d = self.durable.entry(page).or_insert(0);
-                *d = (*d).max(bytes);
-            }
-        }
-
-        fn lose_volatile(&mut self) {
-            self.device.clear();
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// One tape of pushes (each page's bytes only growing), barriers and
-        /// power cuts through the drained ledger and the never-drained
-        /// reference: the durable prefix agrees after every event.
-        #[test]
-        fn drained_ledger_matches_never_drained_reference(
-            tape in prop::collection::vec(
-                (0u8..10, 0u64..6, 1u32..2 * PAGE_SIZE as u32, any::<bool>()),
-                1..120,
-            )
-        ) {
-            let mut new = Durability::default();
-            let mut reference = NeverDrained::default();
-            let mut sizes = [0u32; 6];
-            for (kind, page, grow, write_through) in tape {
-                match kind {
-                    0..=6 => {
-                        let size = &mut sizes[page as usize];
-                        *size = (*size + grow).min(PAGE_SIZE as u32);
-                        new.record_device_write(page, *size, write_through);
-                        reference.record_device_write(page, *size, write_through);
-                    }
-                    7 | 8 => {
-                        new.promote();
-                        reference.promote();
-                        prop_assert!(new.pending.is_empty());
-                    }
-                    _ => {
-                        reference.lose_volatile();
-                        prop_assert_eq!(
-                            new.lose_volatile(),
-                            durable_prefix_bytes(&reference.durable)
-                        );
-                    }
-                }
-                prop_assert_eq!(
-                    durable_prefix_bytes(&new.durable),
-                    durable_prefix_bytes(&reference.durable)
-                );
-            }
-        }
-    }
-
     /// What makes a barrier cheap: a sync of one file promotes every file's
     /// pushed pages, so afterwards no live file has anything pending.
     #[test]
@@ -1126,7 +870,7 @@ mod tests {
                 f.append(&[1u8; 10_000]).unwrap();
                 f.flush_data().unwrap();
             }
-            let pending = |data: &FileData| data.durability.lock().pending.len();
+            let pending = |data: &FileData| data.durability.lock().pending_pages();
             assert!(files.iter().all(|f| pending(&f.data) > 0));
             files[0].sync().unwrap();
             assert!(fs.by_id.lock().values().all(|data| pending(data) == 0));

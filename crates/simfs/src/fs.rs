@@ -3,15 +3,17 @@
 //! *inside* a file — appends, reads, write-back — is `file.rs`.
 
 use crate::alloc::ExtentAllocator;
+use crate::content::ChunkPool;
 use crate::error::{FsError, FsResult};
 use crate::fault::{FaultPlan, FaultState};
-use crate::file::{ChunkPool, FileData, FileHandle};
+use crate::file::{FileData, FileHandle};
 use crate::pagecache::PageCache;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use xlsm_device::Device;
+use xlsm_sim::hash::FxHashMap;
 
 /// Tunables for the filesystem and its OS page-cache model.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,7 +78,7 @@ pub struct SimFs {
     /// Page-cache capacity, the base of the dirty limits.
     pub(crate) cache_pages: usize,
     files: parking_lot::Mutex<BTreeMap<String, Arc<FileData>>>,
-    pub(crate) by_id: parking_lot::Mutex<HashMap<u64, Arc<FileData>>>,
+    pub(crate) by_id: parking_lot::Mutex<FxHashMap<u64, Arc<FileData>>>,
     /// The chunks of deleted files' content, for the next appends.
     pub(crate) pool: Arc<ChunkPool>,
     pub(crate) cache: parking_lot::Mutex<PageCache>,
@@ -120,7 +122,7 @@ impl SimFs {
             cache: parking_lot::Mutex::new(PageCache::new(opts.page_cache_pages)),
             alloc: parking_lot::Mutex::new(ExtentAllocator::new(capacity)),
             files: parking_lot::Mutex::new(BTreeMap::new()),
-            by_id: parking_lot::Mutex::new(HashMap::new()),
+            by_id: parking_lot::Mutex::new(FxHashMap::default()),
             pool: Arc::default(),
             next_id: AtomicU64::new(1),
             throttle_writebacks: AtomicU64::new(0),

@@ -13,7 +13,8 @@
 //!   the oldest dirty pages back itself before returning (`dirty_ratio`).
 //! * **Reads** check the page cache; misses coalesce into one device read
 //!   per run of adjacent pages, and inserted pages may evict older ones
-//!   (clock/second-chance).
+//!   (clock/second-chance). `read_at` returns a copy; `read_shared` costs
+//!   the same and returns the file's own memory ([`FileSpan`]).
 //! * **`flush_data`** pushes a file's dirty pages to the device; **`sync`**
 //!   is that plus a device barrier, which on flash waits for the
 //!   write-buffer drain.
@@ -24,10 +25,11 @@
 //! constants in `file.rs`, next to the code that charges them.
 //!
 //! `fs.rs` is the namespace — which files exist, their extents, the
-//! counters, the power state; `file.rs` is what happens inside a file. Every
-//! file operation starts at one gate (live → powered → fault plan), every
-//! miss goes through one page walk, and every page that reaches the device
-//! goes through one run coalescer.
+//! counters, the power state; `file.rs` is what happens inside a file, and
+//! `content.rs` what a file holds in host memory (its bytes and its
+//! durability ledger). Every file operation starts at one gate (live →
+//! powered → fault plan), every miss goes through one page walk, and every
+//! page that reaches the device goes through one run coalescer.
 //!
 //! The layer also hosts deterministic **fault injection** ([`FaultPlan`]):
 //! scripted I/O errors, torn writes, scripted or probabilistic read
@@ -55,12 +57,14 @@
 #![warn(missing_debug_implementations)]
 
 mod alloc;
+mod content;
 mod error;
 mod fault;
 mod file;
 mod fs;
 mod pagecache;
 
+pub use content::{FileBytes, FileSpan};
 pub use error::{FsError, FsResult};
 pub use fault::{FaultOp, FaultPlan};
 pub use file::FileHandle;

@@ -41,6 +41,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # (crates/engine/src/crc32c.rs).
 unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates shims src tests examples | wc -l)
 [[ $unsafes == 1 ]] || { echo "expected one unsafe block, found $unsafes" >&2; exit 1; }
+# The integer-keyed maps a table probe walks hash with xlsm_sim::hash's
+# FxHasher, not std's per-process SipHash (DESIGN.md §4): the files that hold
+# them name no map under the default hasher, so none can slide back.
+hot_maps=(crates/simfs/src/{pagecache,file,fs,content}.rs crates/engine/src/{cache,table_cache}.rs)
+if grep -nwE 'HashMap|HashSet|RandomState' "${hot_maps[@]}"; then
+    echo "a default-hasher map in a hot-map file: use xlsm_sim::hash::{FxHashMap, FxHashSet}" >&2
+    exit 1
+fi
 # ROADMAP item 4's bar: no source file of a crate over 1,200 lines.
 largest=$(find crates/*/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -rn | head -3)
 echo "largest files under crates/*/src:"

@@ -7,7 +7,10 @@
 # ratio of the medians (change / parent), the pairs the change won, and the
 # change's worst run against the parent's best. Fails if a virtual-clock or
 # exact metric, or the attempted / failed counts, differ between any two
-# runs: a host-speed change must not move them.
+# runs: a host-speed change must not move them. After the pairs, one traced
+# run per side (`--trace 1`, same seed) prints the host-clock per-layer rows
+# side by side — `sim.host_cpu_us_per_op`, `simfs.host_ns_per_read_{hit,miss}`
+# and every `engine.call.*.host_ns` — so a claim can name its layer.
 #
 #   scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>
 #
@@ -34,9 +37,9 @@ for tree in "$base" "$repo"; do
     CARGO_TARGET_DIR=$tree/target cargo build -q --release --offline --manifest-path "$tree/benchmark/Cargo.toml"
 done
 
-run() { # side tree pair
+run() { # side tree pair [run.sh flags]
     CARGO_TARGET_DIR=$2/target bash "$2/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds 10 \
-        2>/dev/null | tail -1 >"$out/$1.$3.json"
+        "${@:4}" 2>/dev/null | tail -1 >"$out/$1.$3.json"
 }
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
@@ -48,6 +51,8 @@ for ((i = 0; i < pairs; i++)); do
     fi
     echo "    pair $((i + 1))/$pairs done" >&2
 done
+run parent "$base" trace --trace 1
+run change "$repo" trace --trace 1
 
 python3 - "$out" "$pairs" "$workload" "$seed" "$sha" <<'EOF'
 import json, sys
@@ -92,6 +97,15 @@ for name, better in HOST.items():
     print(f"{name:<15} {fmt(pq1) + ' / ' + fmt(pm) + ' / ' + fmt(pq3):>30} "
           f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {won:>3}/{pairs}  "
           f"{fmt(worst)} / {fmt(best)} ({worst / best:.3f}x)")
+traced = {side: json.load(open(f"{out}/{side}.trace.json"))["metrics"] for side in runs}
+layers = [name for name in traced["parent"]
+          if name in ("sim.host_cpu_us_per_op", "simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
+          or (name.startswith("engine.call.") and name.endswith(".host_ns"))]
+print(f"one traced run per side, host clock per layer")
+print(f"{'layer':<32} {'parent':>12} {'change':>12} {'ratio':>7}")
+for name in layers:
+    p, c = traced["parent"][name]["value"], traced["change"][name]["value"]
+    print(f"{name:<32} {p:>12.1f} {c:>12.1f} " + (f"{c / p:>6.3f}x" if p else f"{'-':>7}"))
 if status:
     print("==> a virtual-clock or exact metric moved")
 sys.exit(status)
