@@ -555,8 +555,9 @@ pub fn fig20(cfg: &BenchConfig) -> Vec<Figure> {
 ///   delay/stop episode began, what triggered it (L0 pressure vs memtable
 ///   limit), how long the previous level lasted, and the adaptive rate;
 /// * `stall_breakdown` — where every write nanosecond went (queue wait, WAL
-///   append, memtable insert, delay pacing, stop wait) plus the
-///   reconciliation coverage against observed end-to-end latency.
+///   append, pipeline wait, memtable insert, delay pacing, stop wait,
+///   setup) plus the reconciliation coverage against observed end-to-end
+///   latency.
 pub fn fig_stalls(cfg: &BenchConfig) -> Vec<Figure> {
     let xpoint = xlsm_device::profiles::optane_900p();
     let opts = DbOptions {

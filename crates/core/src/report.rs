@@ -96,7 +96,7 @@ fn ms(ns: u64) -> f64 {
 
 /// Builds the per-mechanism write-time attribution table from the engine's
 /// stall-accounting totals: one row per component (queue wait, WAL append,
-/// pipeline wait, memtable insert, delay pacing, stop wait), each with its
+/// pipeline wait, memtable insert, delay pacing, stop wait, setup), each with its
 /// total time and
 /// share of observed end-to-end write latency, plus the unattributed
 /// remainder and the coverage summary the reconciliation tests assert on.
@@ -117,6 +117,7 @@ pub fn stall_breakdown_table(title: &str, t: &StallTotals) -> Table {
         ("memtable-insert", t.memtable_insert_ns),
         ("delay-sleep", t.delay_sleep_ns),
         ("stop-wait", t.stop_wait_ns),
+        ("setup", t.setup_ns),
     ] {
         table.row(vec![name.into(), f(ms(ns), 3), f(pct(ns), 1)]);
     }
@@ -195,12 +196,13 @@ mod tests {
             memtable_insert_ns: 100_000,
             delay_sleep_ns: 200_000,
             stop_wait_ns: 100_000,
+            setup_ns: 50_000,
             events_pushed: 0,
             events_dropped: 0,
         };
         let table = stall_breakdown_table("breakdown", &t);
-        // 6 components + unattributed + total + ops summary.
-        assert_eq!(table.rows.len(), 9);
+        // 7 components + unattributed + total + ops summary.
+        assert_eq!(table.rows.len(), 10);
         let row = |name: &str| {
             table
                 .rows
@@ -211,7 +213,7 @@ mod tests {
         };
         assert_eq!(row("queue-wait")[2], "40.0");
         assert_eq!(row("delay-sleep")[2], "20.0");
-        assert_eq!(row("unattributed")[1], "0.100"); // 100 µs unexplained
+        assert_eq!(row("unattributed")[1], "0.050"); // 50 µs unexplained
         assert_eq!(row("ops")[1], "4");
         assert!(row("ops")[2].starts_with("coverage=0.9"));
     }

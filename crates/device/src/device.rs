@@ -22,7 +22,7 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xlsm_sim::sync::Semaphore;
-use xlsm_sim::Nanos;
+use xlsm_sim::{Class, Nanos};
 
 /// Writes at least this many pages long drain at the sequential pace.
 pub const SEQ_WRITE_PAGES: u64 = 32;
@@ -147,6 +147,15 @@ impl SimDevice {
         backlog.saturating_sub(capacity_ns)
     }
 
+    /// Takes a media channel, charging the wait for it; returns the wait.
+    fn acquire_channel(&self) -> Nanos {
+        let t0 = xlsm_sim::now_nanos();
+        self.channels.acquire(1);
+        let queued = xlsm_sim::now_nanos() - t0;
+        xlsm_sim::waited(Class::DeviceQueue, queued);
+        queued
+    }
+
     fn ftl_write(&self, lpn: u64, pages: u32) -> GcWork {
         let mut total = GcWork::default();
         if let Some(ftl) = &self.ftl {
@@ -166,12 +175,10 @@ impl Device for SimDevice {
     }
 
     fn read(&self, _lpn: u64, pages: u32) {
-        let t0 = xlsm_sim::now_nanos();
-        self.channels.acquire(1);
-        let queued = xlsm_sim::now_nanos() - t0;
+        let queued = self.acquire_channel();
         let bus = self.reserve_bus(pages);
         let service = self.profile.read_lat_ns + bus;
-        xlsm_sim::sleep_nanos(service);
+        xlsm_sim::charge(Class::DeviceService, service);
         self.channels.release(1);
         self.stats.add(&self.stats.reads, 1);
         self.stats.add(&self.stats.pages_read, pages as u64);
@@ -188,20 +195,21 @@ impl Device for SimDevice {
             let stall = self.reserve_drain(pages, gc);
             let bus = self.reserve_bus(pages);
             let service = bus + self.profile.buf_insert_ns;
-            xlsm_sim::sleep_nanos(service + stall);
+            xlsm_sim::charge_split(&[
+                (Class::DeviceService, service),
+                (Class::DeviceBufferStall, stall),
+            ]);
             self.stats.add(&self.stats.write_service_ns, service);
             self.stats.add(&self.stats.write_stall_ns, stall);
         } else {
             // XPoint / NVM: direct write through a channel.
-            let t0 = xlsm_sim::now_nanos();
-            self.channels.acquire(1);
-            let queued = xlsm_sim::now_nanos() - t0;
+            let queued = self.acquire_channel();
             let bus = self.reserve_bus(pages);
             let service = self.profile.prog_lat_ns + bus;
-            xlsm_sim::sleep_nanos(service);
+            xlsm_sim::charge(Class::DeviceService, service);
             self.channels.release(1);
-            self.stats
-                .add(&self.stats.write_service_ns, queued + service);
+            self.stats.add(&self.stats.write_queue_ns, queued);
+            self.stats.add(&self.stats.write_service_ns, service);
         }
         self.stats.add(&self.stats.writes, 1);
         self.stats.add(&self.stats.pages_written, pages as u64);
@@ -227,7 +235,7 @@ impl Device for SimDevice {
         let target = self.buf.lock().drain_next_free;
         if target > now {
             let wait = target - now;
-            xlsm_sim::sleep_nanos(wait);
+            xlsm_sim::charge(Class::DeviceSyncWait, wait);
             self.stats.add(&self.stats.sync_wait_ns, wait);
         }
     }
@@ -264,6 +272,7 @@ impl Device for SimDevice {
             pages_written: s.pages_written.load(Ordering::Relaxed),
             read_queue_ns: s.read_queue_ns.load(Ordering::Relaxed),
             read_service_ns: s.read_service_ns.load(Ordering::Relaxed),
+            write_queue_ns: s.write_queue_ns.load(Ordering::Relaxed),
             write_service_ns: s.write_service_ns.load(Ordering::Relaxed),
             write_stall_ns: s.write_stall_ns.load(Ordering::Relaxed),
             syncs: s.syncs.load(Ordering::Relaxed),
@@ -320,6 +329,39 @@ mod tests {
             // (bus adds a bit more on the queued pair).
             assert!(xlsm_sim::now_nanos() >= 2 * svc);
             assert!(dev.stats().read_queue_ns > 0);
+        });
+    }
+
+    /// A direct write's wait for a channel is queue time, as a read's is,
+    /// not service time, in the snapshot and in the writer's charges.
+    #[test]
+    fn direct_write_queue_is_apart_from_service() {
+        Runtime::new().run(|| {
+            let p = DeviceProfile {
+                channels: 2,
+                ..profiles::optane_900p()
+            };
+            let dev = Arc::new(SimDevice::new(p));
+            let before = dev.stats();
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let dev = Arc::clone(&dev);
+                    xlsm_sim::spawn(&format!("w{i}"), move || {
+                        dev.write(i, 1);
+                        let c = xlsm_sim::charges();
+                        assert_eq!(c.total(), xlsm_sim::now_nanos());
+                        c.get(Class::DeviceQueue)
+                    })
+                })
+                .collect();
+            let queued: u64 = handles.into_iter().map(|h| h.join()).sum();
+            let s = dev.stats().delta_since(&before);
+            assert!(s.write_queue_ns > 0);
+            assert_eq!(s.write_queue_ns, queued);
+            assert_eq!(
+                s.mean_write_ns(),
+                (s.write_queue_ns + s.write_service_ns) / 4
+            );
         });
     }
 

@@ -11,6 +11,7 @@ pub(crate) struct Stats {
     pub pages_written: AtomicU64,
     pub read_queue_ns: AtomicU64,
     pub read_service_ns: AtomicU64,
+    pub write_queue_ns: AtomicU64,
     pub write_service_ns: AtomicU64,
     pub write_stall_ns: AtomicU64,
     pub syncs: AtomicU64,
@@ -40,6 +41,9 @@ pub struct DeviceSnapshot {
     pub read_queue_ns: u64,
     /// Total read service time (media + bus).
     pub read_service_ns: u64,
+    /// Total virtual time direct (unbuffered) writes spent queued for a
+    /// channel.
+    pub write_queue_ns: u64,
     /// Total write service time (bus + buffer insert or media).
     pub write_service_ns: u64,
     /// Total time writers stalled on a full write buffer.
@@ -70,9 +74,10 @@ impl DeviceSnapshot {
             .unwrap_or(0)
     }
 
-    /// Mean write latency (service + stall) in nanoseconds, or 0 if none.
+    /// Mean write latency (queue + service + stall) in nanoseconds, or 0 if
+    /// none.
     pub fn mean_write_ns(&self) -> u64 {
-        (self.write_service_ns + self.write_stall_ns)
+        (self.write_queue_ns + self.write_service_ns + self.write_stall_ns)
             .checked_div(self.writes)
             .unwrap_or(0)
     }
@@ -86,6 +91,7 @@ impl DeviceSnapshot {
             pages_written: self.pages_written - earlier.pages_written,
             read_queue_ns: self.read_queue_ns - earlier.read_queue_ns,
             read_service_ns: self.read_service_ns - earlier.read_service_ns,
+            write_queue_ns: self.write_queue_ns - earlier.write_queue_ns,
             write_service_ns: self.write_service_ns - earlier.write_service_ns,
             write_stall_ns: self.write_stall_ns - earlier.write_stall_ns,
             syncs: self.syncs - earlier.syncs,

@@ -4,7 +4,7 @@
 
 use crate::bgerror::{BackgroundOp, ErrorSeverity};
 use crate::compaction::{pick_compaction, run_compaction, CompactionJob, CompactionTask};
-use crate::costs;
+use crate::costs::{self, EntryCharge};
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
 use crate::integrity::verify_file_crc;
@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xlsm_sim::sync::Receiver;
-use xlsm_sim::JoinHandle;
+use xlsm_sim::{Class, JoinHandle};
 use xlsm_simfs::{FsError, SimFs};
 
 /// Flush worker threads (RocksDB `max_background_flushes`). Flush jobs are
@@ -50,8 +50,8 @@ fn delete_if_exists(fs: &SimFs, path: &str) -> Result<(), FsError> {
 /// Writes every entry of `mem` to a new table at `path` — what a flush,
 /// the recovery flush and repair's log salvage all do. Each entry's
 /// protection checksum is verified on the way in (a no-op for an
-/// unprotected memtable), and `entry_cpu_ns` of CPU is charged per entry,
-/// batched to one sleep per 256 entries.
+/// unprotected memtable), and `entry_cpu_ns` of CPU is charged per entry
+/// ([`EntryCharge`]).
 pub(crate) fn write_memtable_table(
     fs: &Arc<SimFs>,
     path: &str,
@@ -62,20 +62,14 @@ pub(crate) fn write_memtable_table(
     let mut builder = TableBuilder::new(fs.create(path)?, TableOptions::from(opts));
     let mut iter = mem.iter();
     let mut ok = iter.seek_to_first()?;
-    let mut cpu = 0u64;
+    let mut cpu = EntryCharge::new(Class::Flush, entry_cpu_ns);
     while ok {
         iter.verify_entry()?;
         builder.add(iter.key(), iter.value())?;
-        cpu += entry_cpu_ns;
-        if cpu > 0 && cpu >= 256 * entry_cpu_ns {
-            xlsm_sim::sleep_nanos(cpu);
-            cpu = 0;
-        }
+        cpu.entry();
         ok = iter.next()?;
     }
-    if cpu > 0 {
-        xlsm_sim::sleep_nanos(cpu);
-    }
+    cpu.finish();
     builder.finish()
 }
 
@@ -369,7 +363,7 @@ impl DbInner {
             Err(e) => return Err(e.into()),
         };
         let mut pacer = |bytes: u64| {
-            xlsm_sim::sleep_nanos(bytes.saturating_mul(1_000_000_000) / rate);
+            xlsm_sim::charge(Class::Pacing, bytes.saturating_mul(1_000_000_000) / rate);
         };
         let result = (|| {
             if verify_file_crc(&file, &meta, &path, &mut pacer)? {
@@ -636,7 +630,7 @@ impl DbInner {
             self.stats.bump(Ticker::BackgroundErrorRetries);
             let backoff = BACKGROUND_ERROR_RETRY_BACKOFF_NS.saturating_mul(1u64 << retries.min(20));
             retries += 1;
-            xlsm_sim::sleep_nanos(backoff.max(1));
+            xlsm_sim::charge(Class::Backoff, backoff.max(1));
         }
     }
 }
@@ -687,7 +681,7 @@ pub(crate) fn spawn_workers(
                 inner.run_background_job(BackgroundOp::Scrub, DbInner::scrub_one);
                 // Idle tick between files; also the only wait while
                 // read-only.
-                xlsm_sim::sleep_nanos(IDLE_TICK_NS);
+                xlsm_sim::charge(Class::Idle, IDLE_TICK_NS);
             }
         }));
     }
@@ -699,7 +693,7 @@ pub(crate) fn spawn_workers(
                 // inside already spent the virtual time); idle or back off
                 // after an empty queue or a failed, re-queued delete.
                 if !inner.reap_trash_one() {
-                    xlsm_sim::sleep_nanos(IDLE_TICK_NS);
+                    xlsm_sim::charge(Class::Idle, IDLE_TICK_NS);
                 }
             }
         }));
@@ -709,7 +703,7 @@ pub(crate) fn spawn_workers(
         workers.push(xlsm_sim::spawn("space-watcher-0", move || {
             while !inner.shutdown.load(Ordering::Relaxed) {
                 inner.space_watch_tick();
-                xlsm_sim::sleep_nanos(inner.opts.space_poll_interval_ns);
+                xlsm_sim::charge(Class::Idle, inner.opts.space_poll_interval_ns);
             }
         }));
     }

@@ -16,7 +16,7 @@
 //! active snapshot; deletion tombstones are additionally dropped when the
 //! output level is bottommost for their key range.
 
-use crate::costs;
+use crate::costs::{self, EntryCharge};
 use crate::error::DbResult;
 use crate::iterator::{InternalIterator, LevelIterator, MergingIterator};
 use crate::options::DbOptions;
@@ -28,6 +28,7 @@ use crate::types::{self, SequenceNumber, ValueType};
 use crate::version::{FileMetaData, Version, VersionEdit};
 use std::collections::HashSet;
 use std::sync::Arc;
+use xlsm_sim::Class;
 use xlsm_simfs::SimFs;
 
 /// A picked compaction: inputs at `level` and overlapping files at
@@ -436,7 +437,7 @@ fn merge_range(
     let mut builder_number = 0u64;
     let mut last_user_key: Option<Vec<u8>> = None;
     let mut last_kept_visible = false; // kept an entry for last_user_key with seq <= min_snapshot
-    let mut cpu_ns_accum = 0u64;
+    let mut cpu = EntryCharge::new(Class::Merge, costs::MERGE_ENTRY_NS);
 
     let finish_builder =
         |builder: &mut Option<TableBuilder>, number: u64, edit: &mut VersionEdit| -> DbResult<()> {
@@ -462,12 +463,7 @@ fn merge_range(
                 break; // next range's territory
             }
         }
-        // Batch the per-entry CPU charge to one sleep per 256 entries.
-        cpu_ns_accum += costs::MERGE_ENTRY_NS;
-        if cpu_ns_accum >= 256 * costs::MERGE_ENTRY_NS {
-            xlsm_sim::sleep_nanos(cpu_ns_accum);
-            cpu_ns_accum = 0;
-        }
+        cpu.entry();
 
         let same_key = last_user_key.as_deref() == Some(uk);
         if !same_key {
@@ -509,9 +505,7 @@ fn merge_range(
         }
         ok = merged.next()?;
     }
-    if cpu_ns_accum > 0 {
-        xlsm_sim::sleep_nanos(cpu_ns_accum);
-    }
+    cpu.finish();
     finish_builder(&mut builder, builder_number, edit)?;
     Ok(())
 }

@@ -32,7 +32,7 @@ use crate::stall::{StallAccounting, StallCause, StallEvent};
 use std::fmt;
 use std::sync::Arc;
 use xlsm_sim::sync::WaitSet;
-use xlsm_sim::Nanos;
+use xlsm_sim::{Class, Nanos};
 
 /// Refill interval of Algorithm 1 (1024 µs).
 pub const REFILL_INTERVAL_NS: Nanos = 1_024_000;
@@ -312,13 +312,16 @@ impl WriteController {
 
     /// Blocks the caller while `health` holds writers: while the stall
     /// level stops them or the database is stalled on ENOSPC, and never
-    /// once it is read-only. Returns the nanoseconds spent waiting.
+    /// once it is read-only. Returns the nanoseconds spent waiting, which it
+    /// charges to [`Class::Stop`].
     pub(crate) fn wait_while_stopped(&self, health: &ErrorHandler) -> Nanos {
         let t0 = xlsm_sim::now_nanos();
         while health.holds_writers(self.is_stopped()) {
             self.stopped.wait();
         }
-        xlsm_sim::now_nanos() - t0
+        let waited = xlsm_sim::now_nanos() - t0;
+        xlsm_sim::waited(Class::Stop, waited);
+        waited
     }
 
     /// How long the writer of `num_bytes` must sleep under the current

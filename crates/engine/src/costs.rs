@@ -15,7 +15,9 @@
 //!   (cache misses), not just `O(log N)` hop counts.
 //!
 //! All functions return nanoseconds; callers charge them with
-//! [`xlsm_sim::sleep_nanos`].
+//! [`xlsm_sim::charge`] under the [`xlsm_sim::Class`] of their role.
+
+use xlsm_sim::Class;
 
 /// Fixed cost of entering the write path (batch setup, sequence assignment).
 pub const WRITE_SETUP_NS: u64 = 1_500;
@@ -123,6 +125,40 @@ pub fn block_decompress_ns(bytes: usize) -> u64 {
 /// Cost of encoding `bytes` of WAL payload.
 pub fn wal_encode_ns(bytes: usize) -> u64 {
     (bytes as u64 * WAL_ENCODE_NS_PER_KIB) / 1024 + 300
+}
+
+/// Per-entry CPU charged in batches: one sleep each time 256 entries'
+/// worth has built up and one for the rest at [`EntryCharge::finish`]. A
+/// zero per-entry cost never sleeps.
+pub(crate) struct EntryCharge {
+    class: Class,
+    per_entry: u64,
+    pending: u64,
+}
+
+impl EntryCharge {
+    pub(crate) fn new(class: Class, per_entry: u64) -> EntryCharge {
+        EntryCharge {
+            class,
+            per_entry,
+            pending: 0,
+        }
+    }
+
+    /// Adds one entry's cost, sleeping once a batch is due.
+    pub(crate) fn entry(&mut self) {
+        self.pending += self.per_entry;
+        if self.pending > 0 && self.pending >= 256 * self.per_entry {
+            xlsm_sim::charge(self.class, std::mem::take(&mut self.pending));
+        }
+    }
+
+    /// Sleeps off what is left.
+    pub(crate) fn finish(self) {
+        if self.pending > 0 {
+            xlsm_sim::charge(self.class, self.pending);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@
 //!   debt-scaled auto-tuning;
 //! * the **pipelined write path of Algorithm 2** ([`mod@write`]): one writer
 //!   queue, leader-selected batch groups, WAL/memtable pipelining;
-//! * **cross-layer stall accounting** ([`stall`]): per-op write-latency
-//!   breakdowns and a controller-transition event log, snapshotted through
+//! * **per-op attribution** ([`stats::OpTotals`], [`stall`]): every get,
+//!   `multi_get` and write's parts by `xlsm_sim::Class`, their write view by
+//!   mechanism and a controller-transition event log, snapshotted through
 //!   [`Db::metrics`](db::Db::metrics);
 //! * **background-error handling** ([`bgerror`]): flush/compaction failures
 //!   are classified instead of panicking — transient faults retry with
@@ -100,9 +101,6 @@ pub use options::{DbOptions, WalRecoveryMode};
 pub use repair::{repair_db, RepairReport};
 pub use scheduler::{BgIoLimiter, BgIoPriority, CompactionScheduler, LevelPicker};
 pub use space::{DeleteScheduler, SpaceManager, TrashEntry};
-pub use stall::{
-    episode_durations, PreprocessStalls, StallAccounting, StallCause, StallEvent, StallTotals,
-    WriteBreakdown,
-};
-pub use stats::{DbStats, Metrics, Ticker, TickerSnapshot};
+pub use stall::{episode_durations, StallAccounting, StallCause, StallEvent, StallTotals};
+pub use stats::{DbStats, Metrics, OpTotals, Ticker, TickerSnapshot};
 pub use types::SequenceNumber;

@@ -40,7 +40,7 @@ use crate::types::{
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::{Arc, OnceLock};
-use xlsm_sim::rng::Xoshiro256;
+use xlsm_sim::{rng::Xoshiro256, Class};
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
@@ -253,7 +253,7 @@ impl MemTable {
             // Other writers run during this sleep and may insert around our
             // splice point; the CAS loop below recovers, exactly like
             // InlineSkipList's insert-with-hint.
-            xlsm_sim::sleep_nanos(charge_ns);
+            xlsm_sim::charge(Class::MemtableInsert, charge_ns);
         }
         self.height.fetch_max(h, AtOrd::AcqRel);
         let idx = self.arena.alloc(Node {

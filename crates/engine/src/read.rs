@@ -12,6 +12,7 @@ use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
 use crate::version::FileMetaData;
 use std::sync::Arc;
+use xlsm_sim::Class;
 
 /// Most probe threads one [`Db::multi_get`] batch fans its SSTs out across.
 const MULTI_GET_PARALLELISM: usize = 4;
@@ -26,16 +27,16 @@ fn mem_probe(
     stats: &DbStats,
 ) -> DbResult<Option<Option<Vec<u8>>>> {
     if m.bloom_enabled() {
-        xlsm_sim::sleep_nanos(costs::BLOOM_CHECK_NS);
+        xlsm_sim::charge(Class::Bloom, costs::BLOOM_CHECK_NS);
         if !m.may_contain(key) {
             stats.bump(Ticker::MemtableBloomUseful);
             return Ok(None);
         }
     }
-    xlsm_sim::sleep_nanos(costs::skiplist_search_ns(
-        m.num_entries().max(1),
-        m.approximate_bytes().max(1) as u64,
-    ));
+    xlsm_sim::charge(
+        Class::MemtableProbe,
+        costs::skiplist_search_ns(m.num_entries().max(1), m.approximate_bytes().max(1) as u64),
+    );
     m.get(key, snapshot)
 }
 
@@ -219,12 +220,13 @@ impl Db {
     ///
     /// I/O or corruption failures.
     pub fn get_at(&self, key: &[u8], snapshot: SequenceNumber) -> DbResult<Option<Vec<u8>>> {
-        let t0 = xlsm_sim::now_nanos();
-        xlsm_sim::sleep_nanos(costs::GET_SETUP_NS);
-        let inner = &self.inner;
-        inner.stats.bump(Ticker::Gets);
+        let (t0, c0) = (xlsm_sim::now_nanos(), xlsm_sim::charges());
+        xlsm_sim::charge(Class::Setup, costs::GET_SETUP_NS);
+        let stats = &self.inner.stats;
+        stats.bump(Ticker::Gets);
         let result = self.get_inner(key, snapshot);
-        inner.stats.get_latency.record(xlsm_sim::now_nanos() - t0);
+        stats.gets.lock().record(t0, c0);
+        stats.get_latency.record(xlsm_sim::now_nanos() - t0);
         result
     }
 
@@ -291,12 +293,15 @@ impl Db {
             return Ok(Vec::new());
         }
         // Batch setup (key hashing, version pinning) is paid once.
-        xlsm_sim::sleep_nanos(costs::GET_SETUP_NS);
-        let inner = &self.inner;
-        inner.stats.bump(Ticker::MultiGetBatches);
-        inner.stats.add(Ticker::MultiGetKeys, keys.len() as u64);
-        inner.stats.add(Ticker::Gets, keys.len() as u64);
-        self.multi_get_inner(keys, snapshot)
+        let (t0, c0) = (xlsm_sim::now_nanos(), xlsm_sim::charges());
+        xlsm_sim::charge(Class::Setup, costs::GET_SETUP_NS);
+        let stats = &self.inner.stats;
+        stats.bump(Ticker::MultiGetBatches);
+        stats.add(Ticker::MultiGetKeys, keys.len() as u64);
+        stats.add(Ticker::Gets, keys.len() as u64);
+        let result = self.multi_get_inner(keys, snapshot);
+        stats.multi_gets.lock().record(t0, c0);
+        result
     }
 
     fn multi_get_inner(
@@ -362,6 +367,7 @@ impl Db {
             }
             let mut hits = Vec::new();
             let mut first_err = None;
+            let t0 = xlsm_sim::now_nanos();
             for h in handles {
                 match h.join() {
                     Ok(hs) => hits.extend(hs),
@@ -372,6 +378,7 @@ impl Db {
                     }
                 }
             }
+            xlsm_sim::waited(Class::MultiGetJoin, xlsm_sim::now_nanos() - t0);
             if let Some(e) = first_err {
                 return Err(e);
             }

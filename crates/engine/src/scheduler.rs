@@ -23,6 +23,7 @@
 //!   compaction debt.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use xlsm_sim::Class;
 
 use parking_lot::Mutex;
 
@@ -295,7 +296,7 @@ impl BgIoLimiter {
                 }
             };
             if wait_ns > 0 {
-                xlsm_sim::sleep_nanos(wait_ns);
+                xlsm_sim::charge(Class::BgIoBudget, wait_ns);
             }
         }
         xlsm_sim::now_nanos() - started

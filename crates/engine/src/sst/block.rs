@@ -18,6 +18,7 @@ use crate::crc32c;
 use crate::error::{DbError, DbResult};
 use crate::stats::{DbStats, Ticker};
 use std::ops::Range;
+use xlsm_sim::Class;
 use xlsm_simfs::FileBytes;
 
 /// Restart-point spacing within a data block.
@@ -162,18 +163,21 @@ pub fn decode_framed(bytes: FileBytes, stats: Option<&DbStats>) -> DbResult<Bloc
     let tag = bytes[0];
     let payload = 1..body_len;
     if tag == CompressionType::None.tag() {
-        xlsm_sim::sleep_nanos(costs::block_decode_ns(payload.len()));
+        xlsm_sim::charge(Class::BlockDecode, costs::block_decode_ns(payload.len()));
         return decode(bytes, payload);
     }
     if tag == CompressionType::Rle.tag() {
-        xlsm_sim::sleep_nanos(costs::block_decompress_ns(payload.len()));
+        xlsm_sim::charge(
+            Class::BlockDecompress,
+            costs::block_decompress_ns(payload.len()),
+        );
         let raw = compress::rle_decompress(&bytes[payload.clone()])?;
         if let Some(s) = stats {
             s.bump(Ticker::BlockDecompressions);
             s.add(Ticker::BlockCompressedBytes, payload.len() as u64);
             s.add(Ticker::BlockUncompressedBytes, raw.len() as u64);
         }
-        xlsm_sim::sleep_nanos(costs::block_decode_ns(raw.len()));
+        xlsm_sim::charge(Class::BlockDecode, costs::block_decode_ns(raw.len()));
         let all = 0..raw.len();
         return decode(FileBytes::from(raw), all);
     }

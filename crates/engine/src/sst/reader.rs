@@ -13,6 +13,7 @@ use crate::iterator::InternalIterator;
 use crate::stats::{DbStats, Ticker};
 use crate::types::{self, SequenceNumber, ValueType};
 use std::sync::Arc;
+use xlsm_sim::Class;
 use xlsm_simfs::{FileBytes, FileHandle, FileSpan};
 
 /// One key of a [`TableReader::get_many`] batch.
@@ -274,7 +275,7 @@ impl TableReader {
         if user_key.len() < len {
             return true;
         }
-        xlsm_sim::sleep_nanos(costs::BLOOM_CHECK_NS);
+        xlsm_sim::charge(Class::Bloom, costs::BLOOM_CHECK_NS);
         if BloomFilter::may_contain(pf, &user_key[..len]) {
             true
         } else {
@@ -289,7 +290,7 @@ impl TableReader {
     /// — that skip is the whole value of the filters on a deep Level-0.
     fn filters_may_match(&self, user_key: &[u8], stats: &DbStats) -> bool {
         if let Some(bloom) = &self.bloom {
-            xlsm_sim::sleep_nanos(costs::BLOOM_CHECK_NS);
+            xlsm_sim::charge(Class::Bloom, costs::BLOOM_CHECK_NS);
             if !BloomFilter::may_contain(bloom, user_key) {
                 stats.bump(Ticker::BloomUseful);
                 return false;
@@ -300,7 +301,10 @@ impl TableReader {
 
     /// Index of the first block whose last key is ≥ `ikey`, or None.
     fn block_for(&self, ikey: &[u8]) -> Option<usize> {
-        xlsm_sim::sleep_nanos(costs::binary_search_ns(self.index.len() as u64));
+        xlsm_sim::charge(
+            Class::Search,
+            costs::binary_search_ns(self.index.len() as u64),
+        );
         let idx = self.index.partition_point(ikey);
         (idx < self.index.len()).then_some(idx)
     }
@@ -320,7 +324,7 @@ impl TableReader {
         if !self.filters_may_match(user_key, stats) {
             return Ok(None);
         }
-        xlsm_sim::sleep_nanos(costs::TABLE_LOOKUP_BASE_NS);
+        xlsm_sim::charge(Class::TableLookup, costs::TABLE_LOOKUP_BASE_NS);
         let Some(bi) = self.block_for(lookup) else {
             return Ok(None);
         };
@@ -349,7 +353,7 @@ impl TableReader {
                 continue;
             }
             if !charged_base {
-                xlsm_sim::sleep_nanos(costs::TABLE_LOOKUP_BASE_NS);
+                xlsm_sim::charge(Class::TableLookup, costs::TABLE_LOOKUP_BASE_NS);
                 charged_base = true;
             }
             if let Some(bi) = self.block_for(&p.lookup) {
@@ -393,7 +397,7 @@ impl TableReader {
 /// first entry of `block` with internal key ≥ `lookup`, if it is a version
 /// of `user_key`.
 pub(super) fn search_block(block: &Block, lookup: &[u8], user_key: &[u8]) -> Option<TableEntry> {
-    xlsm_sim::sleep_nanos(costs::binary_search_ns(block.len() as u64));
+    xlsm_sim::charge(Class::Search, costs::binary_search_ns(block.len() as u64));
     let pos = block.seek(lookup);
     if pos == block.len() {
         return None;

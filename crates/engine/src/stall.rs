@@ -1,29 +1,23 @@
-//! Cross-layer write-stall accounting.
+//! The write-stall view and the controller's event log.
 //!
 //! The paper's analysis (Figs. 6/7, 15/16) attributes write latency to the
 //! software mechanisms that generate it: queueing in the batch group, WAL
 //! appends, memtable insertion, and the two faces of Algorithm 1 throttling
-//! (delay pacing and full stops). This module is the registry those
-//! attributions land in:
-//!
-//! * every committed write records a [`WriteBreakdown`] — one duration per
-//!   mechanism — via [`StallAccounting::record_op`], alongside the observed
-//!   end-to-end latency, so the totals *self-reconcile*: summed components
-//!   must approximately equal total observed write time (asserted in the
-//!   engine's tests);
-//! * every [`WriteController`](crate::controller::WriteController) level or
-//!   rate transition appends a [`StallEvent`] to a bounded ring buffer,
-//!   preserving the stall *timeline* the paper plots, drained cheaply via
-//!   [`StallAccounting::drain_events`] (exposed through `Db::metrics()`).
-//!
-//! All durations are passed in by the instrumented call sites; nothing here
-//! reads the virtual clock, so the registry works outside a sim runtime.
+//! (delay pacing and full stops). A write's parts are its class totals from
+//! the one charge path ([`xlsm_sim::charge`]), recorded per op in
+//! [`DbStats::writes`](crate::stats::DbStats::writes); [`StallTotals`] is a
+//! fixed mapping of those classes onto the mechanisms. Every
+//! [`WriteController`](crate::controller::WriteController) level or rate
+//! transition appends a [`StallEvent`] to a bounded ring buffer, preserving
+//! the stall *timeline* the paper plots, drained cheaply via
+//! [`StallAccounting::drain_events`] (exposed through `Db::metrics()`).
 
 use crate::controller::StallLevel;
+use crate::stats::OpTotals;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xlsm_sim::Nanos;
+use xlsm_sim::{Class, Nanos};
 
 /// Default capacity of the stall-event ring buffer.
 pub const EVENT_LOG_CAPACITY: usize = 4096;
@@ -73,53 +67,8 @@ pub struct StallEvent {
     pub rate: u64,
 }
 
-/// Per-operation attribution of a write's end-to-end latency.
-///
-/// Each field is the nanoseconds one mechanism contributed to this write.
-/// The wait to *enter* the serialized memtable stage (Algorithm 2's
-/// pipeline handoff) is reported separately as `pipeline_wait_ns`, so
-/// queue pressure is never misattributed to memtable insert cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriteBreakdown {
-    /// Queued behind other writers before this write's group committed.
-    pub queue_wait_ns: u64,
-    /// WAL append (group-level; shared by every member of the group).
-    pub wal_append_ns: u64,
-    /// Waiting to enter the memtable stage behind the previous group
-    /// (Algorithm 2's pipeline handoff semaphore).
-    pub pipeline_wait_ns: u64,
-    /// Memtable insertion proper (the stage itself, pipeline wait excluded).
-    pub memtable_insert_ns: u64,
-    /// Algorithm 1 delay pacing (`DELAYWRITE` sleeps).
-    pub delay_sleep_ns: u64,
-    /// Fully stopped, waiting for flush/compaction to clear the condition.
-    pub stop_wait_ns: u64,
-}
-
-impl WriteBreakdown {
-    /// Sum of every attributed component.
-    pub fn accounted_ns(&self) -> u64 {
-        self.queue_wait_ns
-            + self.wal_append_ns
-            + self.pipeline_wait_ns
-            + self.memtable_insert_ns
-            + self.delay_sleep_ns
-            + self.stop_wait_ns
-    }
-}
-
-/// Controller-induced waiting observed during group preprocessing,
-/// returned by the write backend so the queue can fold it into each
-/// member's [`WriteBreakdown`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PreprocessStalls {
-    /// Time fully stopped (Algorithm 1 stop conditions).
-    pub stop_wait_ns: u64,
-    /// Time sleeping in delay pacing (Algorithm 1 `DELAYWRITE`).
-    pub delay_sleep_ns: u64,
-}
-
-/// Aggregate totals of everything recorded so far (cheap copy).
+/// The recorded writes by mechanism, plus the event log's counters: see
+/// [`StallAccounting::totals`] for which classes each field sums.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StallTotals {
     /// Writes recorded.
@@ -138,6 +87,8 @@ pub struct StallTotals {
     pub delay_sleep_ns: u64,
     /// Summed stop wait.
     pub stop_wait_ns: u64,
+    /// Summed write setup and per-key protection CPU.
+    pub setup_ns: u64,
     /// Stall events ever pushed to the ring buffer.
     pub events_pushed: u64,
     /// Stall events evicted because the ring buffer was full.
@@ -153,6 +104,7 @@ impl StallTotals {
             + self.memtable_insert_ns
             + self.delay_sleep_ns
             + self.stop_wait_ns
+            + self.setup_ns
     }
 
     /// Fraction of observed end-to-end write time the components explain
@@ -207,31 +159,13 @@ pub fn episode_durations(
     episodes
 }
 
-/// The registry: per-op component totals plus the stall-event ring buffer.
+/// The stall-event ring buffer.
+#[derive(Debug)]
 pub struct StallAccounting {
-    ops: AtomicU64,
-    total_write_ns: AtomicU64,
-    queue_wait_ns: AtomicU64,
-    wal_append_ns: AtomicU64,
-    pipeline_wait_ns: AtomicU64,
-    memtable_insert_ns: AtomicU64,
-    delay_sleep_ns: AtomicU64,
-    stop_wait_ns: AtomicU64,
     events_pushed: AtomicU64,
     events_dropped: AtomicU64,
     events: parking_lot::Mutex<VecDeque<StallEvent>>,
     capacity: usize,
-}
-
-impl fmt::Debug for StallAccounting {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let t = self.snapshot();
-        f.debug_struct("StallAccounting")
-            .field("ops", &t.ops)
-            .field("coverage", &t.coverage())
-            .field("events_pushed", &t.events_pushed)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for StallAccounting {
@@ -245,39 +179,11 @@ impl StallAccounting {
     /// (oldest evicted first).
     pub fn new(capacity: usize) -> StallAccounting {
         StallAccounting {
-            ops: AtomicU64::new(0),
-            total_write_ns: AtomicU64::new(0),
-            queue_wait_ns: AtomicU64::new(0),
-            wal_append_ns: AtomicU64::new(0),
-            pipeline_wait_ns: AtomicU64::new(0),
-            memtable_insert_ns: AtomicU64::new(0),
-            delay_sleep_ns: AtomicU64::new(0),
-            stop_wait_ns: AtomicU64::new(0),
             events_pushed: AtomicU64::new(0),
             events_dropped: AtomicU64::new(0),
             events: parking_lot::Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
-    }
-
-    /// Records one committed write: its observed end-to-end latency and the
-    /// per-mechanism attribution.
-    pub fn record_op(&self, end_to_end_ns: u64, bd: &WriteBreakdown) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.total_write_ns
-            .fetch_add(end_to_end_ns, Ordering::Relaxed);
-        self.queue_wait_ns
-            .fetch_add(bd.queue_wait_ns, Ordering::Relaxed);
-        self.wal_append_ns
-            .fetch_add(bd.wal_append_ns, Ordering::Relaxed);
-        self.pipeline_wait_ns
-            .fetch_add(bd.pipeline_wait_ns, Ordering::Relaxed);
-        self.memtable_insert_ns
-            .fetch_add(bd.memtable_insert_ns, Ordering::Relaxed);
-        self.delay_sleep_ns
-            .fetch_add(bd.delay_sleep_ns, Ordering::Relaxed);
-        self.stop_wait_ns
-            .fetch_add(bd.stop_wait_ns, Ordering::Relaxed);
     }
 
     /// Appends a controller transition to the ring buffer, evicting the
@@ -297,40 +203,41 @@ impl StallAccounting {
         self.events.lock().drain(..).collect()
     }
 
-    /// Cheap copy of the aggregate totals.
-    pub fn snapshot(&self) -> StallTotals {
+    /// The write view of `writes`. Each mechanism sums fixed classes; a
+    /// write's file-system and device time is its WAL append (at a memtable
+    /// switch, also the sealed log's MANIFEST record). A wait for another
+    /// MANIFEST install stays unattributed.
+    pub fn totals(&self, writes: &OpTotals) -> StallTotals {
+        use Class::*;
+        let sum = |classes: &[Class]| classes.iter().map(|&c| writes.parts.get(c)).sum();
         StallTotals {
-            ops: self.ops.load(Ordering::Relaxed),
-            total_write_ns: self.total_write_ns.load(Ordering::Relaxed),
-            queue_wait_ns: self.queue_wait_ns.load(Ordering::Relaxed),
-            wal_append_ns: self.wal_append_ns.load(Ordering::Relaxed),
-            pipeline_wait_ns: self.pipeline_wait_ns.load(Ordering::Relaxed),
-            memtable_insert_ns: self.memtable_insert_ns.load(Ordering::Relaxed),
-            delay_sleep_ns: self.delay_sleep_ns.load(Ordering::Relaxed),
-            stop_wait_ns: self.stop_wait_ns.load(Ordering::Relaxed),
+            ops: writes.ops,
+            total_write_ns: writes.total_ns,
+            queue_wait_ns: sum(&[WriterQueue]),
+            wal_append_ns: sum(&[
+                WalEncode,
+                HostCopy,
+                DeviceQueue,
+                DeviceService,
+                DeviceBufferStall,
+                DeviceSyncWait,
+            ]),
+            pipeline_wait_ns: sum(&[MemtableStage]),
+            memtable_insert_ns: sum(&[MemtableInsert, GroupApply]),
+            delay_sleep_ns: sum(&[Delay]),
+            stop_wait_ns: sum(&[Stop]),
+            setup_ns: sum(&[Setup, Protection]),
             events_pushed: self.events_pushed.load(Ordering::Relaxed),
             events_dropped: self.events_dropped.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zeroes the per-op totals (the event log and its pushed/dropped
-    /// counters are left alone) — used with `DbStats::reset_window` to
-    /// discard warm-up effects.
-    pub fn reset_window(&self) {
-        self.ops.store(0, Ordering::Relaxed);
-        self.total_write_ns.store(0, Ordering::Relaxed);
-        self.queue_wait_ns.store(0, Ordering::Relaxed);
-        self.wal_append_ns.store(0, Ordering::Relaxed);
-        self.pipeline_wait_ns.store(0, Ordering::Relaxed);
-        self.memtable_insert_ns.store(0, Ordering::Relaxed);
-        self.delay_sleep_ns.store(0, Ordering::Relaxed);
-        self.stop_wait_ns.store(0, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::DbStats;
+    use xlsm_sim::Charges;
 
     fn ev(at: Nanos) -> StallEvent {
         StallEvent {
@@ -348,22 +255,38 @@ mod tests {
     #[test]
     fn totals_accumulate_and_reconcile() {
         let acc = StallAccounting::default();
-        let bd = WriteBreakdown {
-            queue_wait_ns: 10,
-            wal_append_ns: 20,
-            pipeline_wait_ns: 12,
-            memtable_insert_ns: 18,
-            delay_sleep_ns: 40,
-            stop_wait_ns: 0,
+        let mut parts = Charges::default();
+        for (class, ns) in [
+            (Class::WriterQueue, 10),
+            (Class::WalEncode, 5),
+            (Class::DeviceService, 15),
+            (Class::MemtableStage, 12),
+            (Class::MemtableInsert, 18),
+            (Class::Delay, 40),
+            (Class::Setup, 5),
+            (Class::Install, 5),
+        ] {
+            parts.record(class, ns);
+        }
+        let writes = OpTotals {
+            ops: 2,
+            total_ns: 220,
+            parts: parts + parts,
         };
-        acc.record_op(100, &bd);
-        acc.record_op(110, &bd);
-        let t = acc.snapshot();
+        let t = acc.totals(&writes);
         assert_eq!(t.ops, 2);
-        assert_eq!(t.total_write_ns, 210);
-        assert_eq!(t.accounted_ns(), 200);
-        assert_eq!(bd.accounted_ns(), 100);
-        assert!((t.coverage() - 200.0 / 210.0).abs() < 1e-12);
+        assert_eq!(t.total_write_ns, 220);
+        assert_eq!(
+            (t.queue_wait_ns, t.wal_append_ns, t.pipeline_wait_ns),
+            (20, 40, 24)
+        );
+        assert_eq!(
+            (t.memtable_insert_ns, t.delay_sleep_ns, t.stop_wait_ns),
+            (36, 80, 0)
+        );
+        assert_eq!(t.setup_ns, 10);
+        assert_eq!(t.accounted_ns(), 210, "install waits stay unattributed");
+        assert!((t.coverage() - 210.0 / 220.0).abs() < 1e-12);
     }
 
     #[test]
@@ -372,7 +295,7 @@ mod tests {
         for i in 0..5u64 {
             acc.record_event(ev(i));
         }
-        let t = acc.snapshot();
+        let t = acc.totals(&OpTotals::default());
         assert_eq!(t.events_pushed, 5);
         assert_eq!(t.events_dropped, 2);
         let drained = acc.drain_events();
@@ -416,15 +339,20 @@ mod tests {
 
     #[test]
     fn reset_window_clears_totals_not_events() {
-        let acc = StallAccounting::default();
-        acc.record_op(50, &WriteBreakdown::default());
-        acc.record_event(ev(1));
-        acc.reset_window();
-        let t = acc.snapshot();
-        assert_eq!(t.ops, 0);
-        assert_eq!(t.total_write_ns, 0);
-        assert_eq!(t.events_pushed, 1);
-        assert_eq!(acc.events.lock().len(), 1);
-        assert_eq!(t.coverage(), 1.0, "empty totals count as fully covered");
+        xlsm_sim::Runtime::new().run(|| {
+            let stats = DbStats::new();
+            let c0 = xlsm_sim::charges();
+            xlsm_sim::charge(Class::Setup, 50);
+            stats.writes.lock().record(0, c0);
+            stats.stall.record_event(ev(1));
+            assert_eq!(stats.stall.totals(&stats.writes.lock()).total_write_ns, 50);
+            stats.reset_window();
+            let t = stats.stall.totals(&stats.writes.lock());
+            assert_eq!(t.ops, 0);
+            assert_eq!(t.total_write_ns, 0);
+            assert_eq!(t.events_pushed, 1);
+            assert_eq!(stats.stall.events.lock().len(), 1);
+            assert_eq!(t.coverage(), 1.0, "empty totals count as fully covered");
+        });
     }
 }

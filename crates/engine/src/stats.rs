@@ -3,9 +3,11 @@
 use crate::controller::ControllerSnapshot;
 use crate::histogram::{Histogram, HistogramSummary};
 use crate::stall::{StallAccounting, StallEvent, StallTotals};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlsm_device::DeviceSnapshot;
+use xlsm_sim::{Charges, Nanos};
 
 /// Monotonic event counters (RocksDB "tickers").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +105,28 @@ pub enum Ticker {
 
 const TICKER_COUNT: usize = Ticker::TickerCount as usize;
 
+/// Where the recorded ops of one kind spent their virtual time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpTotals {
+    /// Ops recorded.
+    pub ops: u64,
+    /// Their summed end-to-end latency.
+    pub total_ns: u64,
+    /// Their summed charges per class; they add up to `total_ns` when every
+    /// wait on an op's thread is charged.
+    pub parts: Charges,
+}
+
+impl OpTotals {
+    /// Adds the op the calling thread began at `t0`, having been charged
+    /// `c0` by then: its latency and what it has been charged since.
+    pub(crate) fn record(&mut self, t0: Nanos, c0: Charges) {
+        self.ops += 1;
+        self.total_ns += xlsm_sim::now_nanos() - t0;
+        self.parts = self.parts + (xlsm_sim::charges() - c0);
+    }
+}
+
 /// Shared statistics sink for one database instance.
 #[derive(Debug)]
 pub struct DbStats {
@@ -128,8 +152,13 @@ pub struct DbStats {
     /// `SpaceWatcher` auto-resumes the database. Like the other background
     /// histograms, not reset with the warm-up window.
     pub enospc_stall: Histogram,
-    /// Cross-layer write-stall accounting (per-op breakdowns + the
-    /// controller-transition event log).
+    /// Parts of every get.
+    pub gets: Mutex<OpTotals>,
+    /// Parts of every `multi_get` batch.
+    pub multi_gets: Mutex<OpTotals>,
+    /// Parts of every committed write.
+    pub writes: Mutex<OpTotals>,
+    /// The controller-transition event log.
     pub stall: Arc<StallAccounting>,
     /// Currently-waiting writer threads (gauge).
     waiting_writers: AtomicU64,
@@ -158,6 +187,9 @@ impl DbStats {
             write_group_batches: Histogram::new(),
             scrub_pass: Histogram::new(),
             enospc_stall: Histogram::new(),
+            gets: Mutex::default(),
+            multi_gets: Mutex::default(),
+            writes: Mutex::default(),
             stall: Arc::new(StallAccounting::default()),
             waiting_writers: AtomicU64::new(0),
             waiting_sum: AtomicU64::new(0),
@@ -212,14 +244,17 @@ impl DbStats {
         }
     }
 
-    /// Resets latency histograms and waiting-writer samples (tickers are
-    /// monotonic and left untouched) — used to discard warm-up effects.
+    /// Resets latency histograms, per-op parts and waiting-writer samples
+    /// (tickers are monotonic and left untouched) — used to discard warm-up
+    /// effects.
     pub fn reset_window(&self) {
         self.get_latency.reset();
         self.write_latency.reset();
         self.wal_append.reset();
         self.write_group_batches.reset();
-        self.stall.reset_window();
+        for ops in [&self.gets, &self.multi_gets, &self.writes] {
+            *ops.lock() = OpTotals::default();
+        }
         self.waiting_sum.store(0, Ordering::Relaxed);
         self.waiting_samples.store(0, Ordering::Relaxed);
     }
@@ -283,7 +318,13 @@ pub struct Metrics {
     pub compaction_debt_bytes: u64,
     /// Average queued writer threads (Fig. 16 metric).
     pub avg_waiting_writers: f64,
-    /// Aggregate per-op stall breakdown totals.
+    /// Parts of every get.
+    pub gets: OpTotals,
+    /// Parts of every `multi_get` batch.
+    pub multi_gets: OpTotals,
+    /// Parts of every committed write; `stall` is their write view.
+    pub writes: OpTotals,
+    /// The write view of `writes` by mechanism.
     pub stall: StallTotals,
     /// Controller transitions since the previous snapshot (draining: each
     /// event is returned exactly once across successive calls).

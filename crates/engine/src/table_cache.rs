@@ -9,6 +9,7 @@ use crate::sst::{sst_file_name, TableReader};
 use crate::version::FileMetaData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use xlsm_sim::Class;
 use xlsm_simfs::SimFs;
 
 /// Caches open [`TableReader`]s (bounded by `max_open_files`, LRU) and owns
@@ -65,7 +66,7 @@ impl TableCache {
 
     /// Runs `f` on the reader map, charging one lookup of CPU first.
     fn lookup<T>(&self, f: impl FnOnce(&mut Lru<u64, Arc<TableReader>>) -> T) -> T {
-        xlsm_sim::sleep_nanos(costs::TABLE_CACHE_FIND_NS);
+        xlsm_sim::charge(Class::TableCacheFind, costs::TABLE_CACHE_FIND_NS);
         f(&mut self.readers.lock())
     }
 

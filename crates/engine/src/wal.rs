@@ -12,6 +12,7 @@ use crate::crc32c;
 use crate::error::{DbError, DbResult};
 use crate::options::WalRecoveryMode;
 use std::sync::atomic::{AtomicU64, Ordering};
+use xlsm_sim::Class;
 use xlsm_simfs::{FileHandle, FsError, SimFs};
 
 /// WAL file names: `<db>/<number>.log`.
@@ -70,7 +71,7 @@ impl WalWriter {
     ///
     /// Filesystem errors.
     pub fn append(&self, payload: &[u8], sync: bool) -> DbResult<u64> {
-        xlsm_sim::sleep_nanos(costs::wal_encode_ns(payload.len()));
+        xlsm_sim::charge(Class::WalEncode, costs::wal_encode_ns(payload.len()));
         let rec = frame_record(payload);
         let written = rec.len() as u64;
         self.file.append(&rec)?;

@@ -30,24 +30,22 @@
 use crate::batch::WriteBatch;
 use crate::costs;
 use crate::error::{DbError, DbResult};
-use crate::stall::{PreprocessStalls, WriteBreakdown};
 use crate::stats::{DbStats, Ticker};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
 use std::sync::Arc;
 use xlsm_sim::sync::{Semaphore, WaitSet};
-use xlsm_sim::Nanos;
+use xlsm_sim::{Charges, Class, Nanos};
 
 /// Stage callbacks supplied by the database.
 pub trait WriteBackend: Send + Sync {
     /// Stall handling (Algorithm 1) and memtable room-making. Runs once per
-    /// group, before sequence allocation. Returns the controller-induced
-    /// waiting it performed, for the group's stall accounting.
+    /// group, before sequence allocation.
     ///
     /// # Errors
     ///
     /// Shutdown or filesystem failures abort the group.
-    fn preprocess(&self, group_bytes: u64) -> DbResult<PreprocessStalls>;
+    fn preprocess(&self, group_bytes: u64) -> DbResult<()>;
     /// Reserves `count` consecutive sequence numbers *without* publishing
     /// them and returns the first. Readers learn the range only through
     /// [`WriteBackend::publish_seq`].
@@ -116,12 +114,22 @@ struct ApplyJob {
     sync: Arc<GroupSync>,
 }
 
+/// What a leader hands each follower once the group is done.
+struct GroupDone {
+    result: DbResult<()>,
+    /// When the leader started the group: the end of the follower's queue
+    /// wait.
+    started: Nanos,
+    /// What the leader was charged for the group.
+    parts: Charges,
+}
+
 struct Writer {
     batch: parking_lot::Mutex<Option<WriteBatch>>,
     /// Set by the leader in concurrent-memtable mode; the follower applies
     /// the job on its own thread instead of idling out the memtable stage.
     apply: parking_lot::Mutex<Option<ApplyJob>>,
-    result: parking_lot::Mutex<Option<DbResult<()>>>,
+    done: parking_lot::Mutex<Option<GroupDone>>,
     wake: WaitSet,
     /// When this writer joined the queue (for queue-wait attribution).
     enqueued_at: Nanos,
@@ -132,7 +140,7 @@ impl Writer {
         Arc::new(Writer {
             batch: parking_lot::Mutex::new(Some(batch)),
             apply: parking_lot::Mutex::new(None),
-            result: parking_lot::Mutex::new(None),
+            done: parking_lot::Mutex::new(None),
             wake: WaitSet::new("writer"),
             enqueued_at: xlsm_sim::now_nanos(),
         })
@@ -180,11 +188,14 @@ impl WriteQueue {
     }
 
     /// Acquires the memtable-stage permit, excluding every in-flight
-    /// group apply (serial or concurrent). `switch_memtable` holds this
-    /// while rotating the mutable memtable so a switch can never strand
-    /// half of a write group in a memtable that flush already iterates.
+    /// group apply (serial or concurrent), and charges the wait to
+    /// [`Class::MemtableStage`]. `switch_memtable` holds this while rotating
+    /// the mutable memtable so a switch can never strand half of a write
+    /// group in a memtable that flush already iterates.
     pub(crate) fn lock_mem_stage(&self) {
+        let t0 = xlsm_sim::now_nanos();
         self.mem_stage.acquire(1);
+        xlsm_sim::waited(Class::MemtableStage, xlsm_sim::now_nanos() - t0);
     }
 
     /// Releases the permit taken by [`WriteQueue::lock_mem_stage`].
@@ -197,7 +208,8 @@ impl WriteQueue {
     }
 
     /// Submits `batch` and blocks until it commits (possibly as part of a
-    /// group led by another writer).
+    /// group led by another writer). The calling thread is charged its
+    /// queue wait under [`Class::WriterQueue`] plus its group's parts.
     ///
     /// # Errors
     ///
@@ -208,6 +220,7 @@ impl WriteQueue {
         backend: &dyn WriteBackend,
         stats: &DbStats,
     ) -> DbResult<()> {
+        let entry = xlsm_sim::charges();
         let me = Writer::new(batch);
         {
             self.queue.lock().push_back(Arc::clone(&me));
@@ -217,9 +230,15 @@ impl WriteQueue {
         // Wait until we are committed by a leader, become leader, or get
         // handed our own sub-batch to apply (concurrent memtable mode).
         loop {
-            if let Some(result) = me.result.lock().clone() {
+            let done = me.done.lock().take();
+            if let Some(done) = done {
+                // A follower's own concurrent insert ran inside the group's
+                // memtable stage, which the group's parts already cover.
+                let mut parts = entry + done.parts;
+                parts.record(Class::WriterQueue, done.started - me.enqueued_at);
+                xlsm_sim::set_charges(parts);
                 stats.bump(Ticker::WritesJoinedGroup);
-                return result;
+                return done.result;
             }
             let job = me.apply.lock().take();
             if let Some(job) = job {
@@ -233,14 +252,20 @@ impl WriteQueue {
         }
 
         // --- We are the leader. ---
+        let started = xlsm_sim::now_nanos();
+        xlsm_sim::waited(Class::WriterQueue, started - me.enqueued_at);
+        let before = xlsm_sim::charges();
         stats.bump(Ticker::WriteGroupsLed);
         let (batches, members) = self.build_group(&me);
         let result = self.commit_group(batches, &members, backend, stats);
-        for m in &members {
-            if !Arc::ptr_eq(m, &me) {
-                *m.result.lock() = Some(result.clone());
-                m.wake.notify_all();
-            }
+        let parts = xlsm_sim::charges() - before;
+        for m in &members[1..] {
+            *m.done.lock() = Some(GroupDone {
+                result: result.clone(),
+                started,
+                parts,
+            });
+            m.wake.notify_all();
         }
         stats.sample_waiting_writers();
         result
@@ -297,7 +322,6 @@ impl WriteQueue {
         backend: &dyn WriteBackend,
         stats: &DbStats,
     ) -> DbResult<()> {
-        let t_start = xlsm_sim::now_nanos();
         let concurrent = self.concurrent && batches.len() >= CONCURRENT_APPLY_MIN_BATCHES;
         // Merge the group's WAL record outside the queue lock. The serial
         // path consumes the member batches; the concurrent path keeps them,
@@ -317,13 +341,10 @@ impl WriteQueue {
             (group, Vec::new())
         };
         let group_bytes = group.byte_size();
-        let pre = match backend.preprocess(group_bytes as u64) {
-            Ok(pre) => pre,
-            Err(e) => {
-                self.pop_group(members, stats);
-                return Err(e);
-            }
-        };
+        if let Err(e) = backend.preprocess(group_bytes as u64) {
+            self.pop_group(members, stats);
+            return Err(e);
+        }
         let total = u64::from(group.count());
         // The range is only *reserved* here; it becomes visible once the
         // memtable stage below is done, so a reader snapshotting while the
@@ -343,26 +364,24 @@ impl WriteQueue {
         // window is caught here instead of persisted under a fresh record
         // CRC. The sidecar was carried (not recomputed) through the merge.
         if group.protection_width() > 0 {
-            xlsm_sim::sleep_nanos(costs::KV_PROTECTION_NS * u64::from(group.count()));
+            xlsm_sim::charge(
+                Class::Protection,
+                costs::KV_PROTECTION_NS * u64::from(group.count()),
+            );
             if let Err(e) = group.verify_protection("wal encode") {
                 self.pop_group(members, stats);
                 return Err(e);
             }
         }
-        let t_wal = xlsm_sim::now_nanos();
         if let Err(e) = backend.write_wal(&group) {
             self.pop_group(members, stats);
             return Err(e);
         }
-        let t_stage = xlsm_sim::now_nanos();
-        let wal_ns = t_stage - t_wal;
         // Algorithm 2: acquire the memtable stage while still at the queue
         // head (guarantees group-ordered memtable writes), then hand queue
         // leadership over right away so the next group's WAL overlaps our
         // memtable insertion.
-        self.mem_stage.acquire(1);
-        let t_apply = xlsm_sim::now_nanos();
-        let pipeline_wait_ns = t_apply - t_stage;
+        self.lock_mem_stage();
         self.pop_group(members, stats);
         let r = if concurrent {
             self.apply_concurrent(member_batches, members, backend, stats)
@@ -372,25 +391,9 @@ impl WriteQueue {
         if r.is_ok() {
             backend.publish_seq(last);
         }
-        self.mem_stage.release(1);
+        self.unlock_mem_stage();
         if r.is_ok() {
-            let t_done = xlsm_sim::now_nanos();
-            let mem_ns = t_done - t_apply;
             stats.write_group_batches.record(members.len() as u64);
-            for m in members {
-                let queue_wait = t_start.saturating_sub(m.enqueued_at);
-                stats.stall.record_op(
-                    t_done.saturating_sub(m.enqueued_at),
-                    &WriteBreakdown {
-                        queue_wait_ns: queue_wait,
-                        wal_append_ns: wal_ns,
-                        pipeline_wait_ns,
-                        memtable_insert_ns: mem_ns,
-                        delay_sleep_ns: pre.delay_sleep_ns,
-                        stop_wait_ns: pre.stop_wait_ns,
-                    },
-                );
-            }
         }
         r
     }
@@ -419,9 +422,11 @@ impl WriteQueue {
             m.wake.notify_all();
         }
         sync.finish(backend.write_memtable_member(&leader_batch));
+        let t0 = xlsm_sim::now_nanos();
         while sync.write_done.load(AtOrd::Acquire) > 0 {
             sync.done.wait();
         }
+        xlsm_sim::waited(Class::GroupApply, xlsm_sim::now_nanos() - t0);
         let first_error = sync.error.lock().take();
         match first_error {
             Some(e) => Err(e),
@@ -438,9 +443,10 @@ mod tests {
     use xlsm_sim::Runtime;
 
     /// Test backend: applies to a memtable, counts WAL writes, optionally
-    /// sleeps in the WAL stage to create grouping/overlap windows. The
-    /// sequence counter distinguishes reservation from publication so the
-    /// barrier tests can observe the reader-visible watermark.
+    /// charges time in the WAL and memtable stages to create grouping and
+    /// overlap windows. The sequence counter distinguishes reservation from
+    /// publication so the barrier tests can observe the reader-visible
+    /// watermark.
     struct TestBackend {
         mem: Arc<MemTable>,
         seq: AtomicU64,
@@ -468,8 +474,8 @@ mod tests {
     }
 
     impl WriteBackend for TestBackend {
-        fn preprocess(&self, _b: u64) -> DbResult<PreprocessStalls> {
-            Ok(PreprocessStalls::default())
+        fn preprocess(&self, _b: u64) -> DbResult<()> {
+            Ok(())
         }
         fn reserve_seq(&self, count: u64) -> u64 {
             self.seq.fetch_add(count, Ordering::Relaxed) + 1
@@ -482,21 +488,27 @@ mod tests {
             self.wal_bytes
                 .fetch_add(group.byte_size() as u64, Ordering::Relaxed);
             if self.wal_delay_ns > 0 {
-                xlsm_sim::sleep_nanos(self.wal_delay_ns);
+                xlsm_sim::charge(Class::WalEncode, self.wal_delay_ns);
             }
             Ok(())
         }
         fn write_memtable(&self, group: &WriteBatch) -> DbResult<()> {
             // Per-entry cost: the serial leader pays for the whole group.
             if self.mem_delay_ns > 0 {
-                xlsm_sim::sleep_nanos(self.mem_delay_ns * u64::from(group.count()));
+                xlsm_sim::charge(
+                    Class::MemtableInsert,
+                    self.mem_delay_ns * u64::from(group.count()),
+                );
             }
             group.apply_to(&self.mem)
         }
         fn write_memtable_member(&self, batch: &WriteBatch) -> DbResult<()> {
             self.member_applies.fetch_add(1, Ordering::Relaxed);
             if self.mem_delay_ns > 0 {
-                xlsm_sim::sleep_nanos(self.mem_delay_ns * u64::from(batch.count()));
+                xlsm_sim::charge(
+                    Class::MemtableInsert,
+                    self.mem_delay_ns * u64::from(batch.count()),
+                );
             }
             for (seq, op) in (batch.sequence()..).zip(batch.iter()) {
                 let (t, key, value) = op?;
@@ -512,7 +524,9 @@ mod tests {
         b
     }
 
-    /// Spawns writers `w0..w{n-1}`; writer `i` submits `batch(i)`.
+    /// Spawns writers `w0..w{n-1}`; writer `i` submits `batch(i)`. Each
+    /// records its write as `Db::write` does and checks that its parts add
+    /// up to its latency exactly.
     fn spawn_writers<B: WriteBackend + 'static>(
         n: u32,
         q: &Arc<WriteQueue>,
@@ -524,7 +538,16 @@ mod tests {
             .map(|i| {
                 let (q, be, stats) = (Arc::clone(q), Arc::clone(be), Arc::clone(stats));
                 let b = batch(i);
-                xlsm_sim::spawn(&format!("w{i}"), move || q.submit(b, be.as_ref(), &stats))
+                xlsm_sim::spawn(&format!("w{i}"), move || {
+                    let (t0, c0) = (xlsm_sim::now_nanos(), xlsm_sim::charges());
+                    let r = q.submit(b, be.as_ref(), &stats);
+                    let parts = xlsm_sim::charges() - c0;
+                    assert_eq!(parts.total(), xlsm_sim::now_nanos() - t0, "w{i}: {parts:?}");
+                    if r.is_ok() {
+                        stats.writes.lock().record(t0, c0);
+                    }
+                    r
+                })
             })
             .collect()
     }
@@ -724,8 +747,8 @@ mod tests {
         Runtime::new().run(|| {
             struct FailingBackend;
             impl WriteBackend for FailingBackend {
-                fn preprocess(&self, _b: u64) -> DbResult<PreprocessStalls> {
-                    xlsm_sim::sleep_nanos(20_000); // let followers enqueue
+                fn preprocess(&self, _b: u64) -> DbResult<()> {
+                    xlsm_sim::charge(Class::Delay, 20_000); // let followers enqueue
                     Err(DbError::ShuttingDown)
                 }
                 fn reserve_seq(&self, _c: u64) -> u64 {
@@ -769,9 +792,9 @@ mod tests {
                 published: AtomicU64,
             }
             impl WriteBackend for MemberFail {
-                fn preprocess(&self, _b: u64) -> DbResult<PreprocessStalls> {
-                    xlsm_sim::sleep_nanos(20_000); // let followers enqueue
-                    Ok(PreprocessStalls::default())
+                fn preprocess(&self, _b: u64) -> DbResult<()> {
+                    xlsm_sim::charge(Class::Delay, 20_000); // let followers enqueue
+                    Ok(())
                 }
                 fn reserve_seq(&self, c: u64) -> u64 {
                     self.seq.fetch_add(c, Ordering::Relaxed) + 1
@@ -850,23 +873,27 @@ mod tests {
     #[test]
     fn breakdowns_reconcile_with_observed_latency() {
         // With no controller stalls, queue-wait + WAL + pipeline-wait +
-        // memtable must explain a writer's end-to-end latency exactly.
-        Runtime::new().run(|| {
-            let q = Arc::new(WriteQueue::new(1, false)); // no grouping
-            let be = TestBackend::new(30_000, 20_000);
-            let stats = Arc::new(DbStats::new());
-            fan_out(6, &q, &be, &stats, |i| {
-                batch_with(format!("k{i}").as_bytes(), b"v")
+        // memtable must explain a writer's end-to-end latency exactly:
+        // ungrouped, and as one concurrent group whose followers copy the
+        // group's parts.
+        for (max_group_bytes, concurrent) in [(1, false), (1 << 20, true)] {
+            Runtime::new().run(move || {
+                let q = Arc::new(WriteQueue::new(max_group_bytes, concurrent));
+                let be = TestBackend::new(30_000, 20_000);
+                let stats = Arc::new(DbStats::new());
+                fan_out(6, &q, &be, &stats, |i| {
+                    batch_with(format!("k{i}").as_bytes(), b"v")
+                });
+                let t = stats.stall.totals(&stats.writes.lock());
+                assert_eq!(t.ops, 6);
+                assert_eq!(
+                    t.accounted_ns(),
+                    t.total_write_ns,
+                    "breakdown must fully explain observed latency: {t:?}"
+                );
+                assert!(t.queue_wait_ns > 0, "later groups waited in the queue");
             });
-            let t = stats.stall.snapshot();
-            assert_eq!(t.ops, 6);
-            assert_eq!(
-                t.accounted_ns(),
-                t.total_write_ns,
-                "breakdown must fully explain observed latency: {t:?}"
-            );
-            assert!(t.queue_wait_ns > 0, "later groups waited in the queue");
-        });
+        }
     }
 
     /// Pipelined mode with the memtable stage slower than the WAL: the
@@ -881,7 +908,7 @@ mod tests {
             fan_out(4, &q, &be, &stats, |i| {
                 batch_with(format!("k{i}").as_bytes(), b"v")
             });
-            let t = stats.stall.snapshot();
+            let t = stats.stall.totals(&stats.writes.lock());
             assert_eq!(t.ops, 4);
             assert!(
                 t.pipeline_wait_ns > 0,

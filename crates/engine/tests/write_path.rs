@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
 use xlsm_engine::iterator::InternalIterator;
-use xlsm_engine::stall::PreprocessStalls;
 use xlsm_engine::types::{parse_internal_key, ValueType};
 use xlsm_engine::write::{WriteBackend, WriteQueue};
 use xlsm_engine::{Db, DbOptions, DbResult, DbStats, MemTable, Ticker, WriteBatch};
@@ -70,8 +69,8 @@ impl MemBackend {
 }
 
 impl WriteBackend for MemBackend {
-    fn preprocess(&self, _group_bytes: u64) -> DbResult<PreprocessStalls> {
-        Ok(PreprocessStalls::default())
+    fn preprocess(&self, _group_bytes: u64) -> DbResult<()> {
+        Ok(())
     }
     fn reserve_seq(&self, count: u64) -> u64 {
         self.seq.fetch_add(count, Ordering::Relaxed) + 1

@@ -98,11 +98,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod charge;
 pub mod hash;
 pub mod rng;
 pub mod runtime;
 pub mod sync;
 
+pub use charge::{charge, charge_split, charges, set_charges, waited, Charges, Class};
 pub use runtime::{
     now_nanos, sleep_nanos, spawn, spawn_daemon, yield_now, JoinHandle, Nanos, Runtime,
 };

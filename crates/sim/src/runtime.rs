@@ -5,6 +5,7 @@
 //! at a time, and the global clock advances to the earliest timer whenever no
 //! thread is runnable.
 
+use crate::charge::Charges;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, VecDeque};
@@ -23,18 +24,20 @@ type Tid = usize;
 // Thread-local context
 // ---------------------------------------------------------------------------
 
-struct Ctx {
+pub(crate) struct Ctx {
     sched: Arc<Scheduler>,
     tid: Tid,
     /// This thread's own parker, so that parking never touches scheduler state.
     parker: Arc<Parker>,
+    /// What this thread has been charged ([`crate::charge`]).
+    pub(crate) charges: RefCell<Charges>,
 }
 
 thread_local! {
     static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
 
-fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> T {
+pub(crate) fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> T {
     CURRENT.with(|c| {
         let b = c.borrow();
         let ctx = b
@@ -352,6 +355,7 @@ impl Runtime {
                 sched: Arc::clone(&sched),
                 tid: 0,
                 parker,
+                charges: RefCell::default(),
             })
         });
         let result = catch_unwind(AssertUnwindSafe(f));
@@ -579,6 +583,7 @@ fn spawn_inner<T: Send + 'static>(
                     sched: Arc::clone(&sched),
                     tid,
                     parker: parker2,
+                    charges: RefCell::default(),
                 })
             });
             let result = catch_unwind(AssertUnwindSafe(f));

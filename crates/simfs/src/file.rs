@@ -16,7 +16,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use xlsm_device::PAGE_SIZE;
-use xlsm_sim::sync::WaitSet;
+use xlsm_sim::{sync::WaitSet, Class};
 
 /// Host-side fixed cost per read call (syscall + VFS), ns.
 const HOST_READ_NS: u64 = 1_800;
@@ -376,7 +376,7 @@ impl FileHandle {
 
     fn append_inner(&self, data: &[u8]) -> FsResult<u64> {
         let fs = &self.fs;
-        xlsm_sim::sleep_nanos(HOST_WRITE_NS + memcpy_ns(data.len()));
+        xlsm_sim::charge(Class::HostCopy, HOST_WRITE_NS + memcpy_ns(data.len()));
         if data.is_empty() {
             return Ok(self.len());
         }
@@ -460,7 +460,7 @@ impl FileHandle {
             FaultOutcome::BitFlip { byte, bit } => Some((byte, bit)),
             other => unreachable!("read faults cannot be {other:?}"),
         };
-        xlsm_sim::sleep_nanos(HOST_READ_NS + memcpy_ns(len));
+        xlsm_sim::charge(Class::HostCopy, HOST_READ_NS + memcpy_ns(len));
         let size = self.len();
         let end = offset
             .checked_add(len as u64)

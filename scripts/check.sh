@@ -49,6 +49,17 @@ if grep -nwE 'HashMap|HashSet|RandomState' "${hot_maps[@]}"; then
     echo "a default-hasher map in a hot-map file: use xlsm_sim::hash::{FxHashMap, FxHashSet}" >&2
     exit 1
 fi
+# Every sleep in the engine, the file system and the device is charged to a
+# class (xlsm_sim::charge): no bare sleep_nanos in product code, meaning
+# above a file's first top-level #[cfg(test)].
+bare=$(find crates/{engine,simfs,device}/src -name '*.rs' -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /sleep_nanos\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [[ -n $bare ]]; then
+    echo "$bare"
+    echo "a bare sleep_nanos in product code: charge it with xlsm_sim::charge" >&2
+    exit 1
+fi
 # ROADMAP item 4's bar: no source file of a crate over 1,200 lines.
 largest=$(find crates/*/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -rn | head -3)
 echo "largest files under crates/*/src:"
