@@ -1,24 +1,32 @@
 //! The cooperative virtual-time scheduler.
 //!
 //! See the crate docs for the execution model and the hand-off protocol. In
-//! short: every sim thread is an OS thread, exactly one holds the *run token*
-//! at a time, and the global clock advances to the earliest timer whenever no
-//! thread is runnable.
+//! short: exactly one sim thread holds the *run token* at a time, and the
+//! global clock advances to the earliest timer whenever no thread is runnable.
+//! A sim thread is a fiber on the OS thread that called [`Runtime::run`] on
+//! x86-64 Linux (`crate::fiber`), and an OS thread everywhere else
+//! (`crate::threads`); the unit tests run the scheduler on both.
 
 use crate::charge::Charges;
+#[cfg(fibers)]
+use crate::fiber::{self, Fiber};
+#[cfg(any(test, not(fibers)))]
+use crate::threads::Parker;
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::sync::Arc;
 
 /// Virtual time in nanoseconds since the start of the simulation.
 pub type Nanos = u64;
 
 type Tid = usize;
+
+/// The thread that runs the body of [`Runtime::run`], on the caller's stack.
+const ROOT: Tid = 0;
 
 // ---------------------------------------------------------------------------
 // Thread-local context
@@ -26,11 +34,23 @@ type Tid = usize;
 
 pub(crate) struct Ctx {
     sched: Arc<Scheduler>,
-    tid: Tid,
-    /// This thread's own parker, so that parking never touches scheduler state.
-    parker: Arc<Parker>,
-    /// What this thread has been charged ([`crate::charge`]).
+    /// The sim thread that holds the run token on this OS thread: fixed for
+    /// an OS-thread body, installed by every switch between fibers.
+    tid: Cell<Tid>,
+    /// What the running thread has been charged ([`mod@crate::charge`]). A
+    /// fiber switch keeps the outgoing thread's in its [`ThreadInfo`] and
+    /// installs the incoming one's.
     pub(crate) charges: RefCell<Charges>,
+}
+
+impl Ctx {
+    fn new(sched: Arc<Scheduler>, tid: Tid) -> Ctx {
+        Ctx {
+            sched,
+            tid: Cell::new(tid),
+            charges: RefCell::default(),
+        }
+    }
 }
 
 thread_local! {
@@ -66,47 +86,74 @@ pub(crate) fn assert_not_in_critical_section(op: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Parker
+// Transport: how the run token moves
 // ---------------------------------------------------------------------------
 
-/// Where a sim thread waits for the run token: one flag plus the OS thread's
-/// own park/unpark. The woken thread takes no lock, so it cannot be woken into
-/// one its waker still holds.
-struct Parker {
-    granted: AtomicBool,
-    /// The OS thread to wake. Empty only between registering a spawned thread
-    /// and its OS thread existing, and the spawner holds the run token for
-    /// all of that time, so no grant can find it empty.
-    thread: OnceLock<Thread>,
+/// What a sim thread is on the host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Transport {
+    /// A fiber on the OS thread that called [`Runtime::run`]: a hand-off is a
+    /// swap of stack pointers.
+    #[cfg(fibers)]
+    Fibers,
+    /// An OS thread of its own, parked while it does not hold the token: a
+    /// hand-off is an unpark and a park.
+    #[cfg(any(test, not(fibers)))]
+    Threads,
 }
 
-impl Parker {
-    fn new(thread: Option<Thread>) -> Arc<Parker> {
-        Arc::new(Parker {
-            granted: AtomicBool::new(false),
-            thread: thread.map(OnceLock::from).unwrap_or_default(),
-        })
-    }
+impl Transport {
+    #[cfg(fibers)]
+    const DEFAULT: Transport = Transport::Fibers;
+    #[cfg(not(fibers))]
+    const DEFAULT: Transport = Transport::Threads;
+}
 
-    /// Waits for a grant and consumes it. A grant that arrived before this
-    /// call (the successor ran and handed the token back before its
-    /// predecessor got here) returns at once; the loop absorbs the stale
-    /// `unpark` token that leaves behind, and spurious wake-ups.
-    fn park(&self) {
-        // Acquire pairs with the Release in `unpark`: everything the granting
-        // thread did while it held the token is visible to this one.
-        while !self.granted.swap(false, Ordering::Acquire) {
-            std::thread::park();
+/// A hand-off decided under the state lock and inside the context borrow,
+/// and made once both are released.
+enum Swap {
+    #[cfg(fibers)]
+    Fiber(fiber::Swap),
+    #[cfg(any(test, not(fibers)))]
+    Thread {
+        wake: Arc<Parker>,
+        park: Arc<Parker>,
+    },
+}
+
+impl Swap {
+    /// Hands the token over; returns when this thread holds it again.
+    fn run(self) {
+        match self {
+            #[cfg(fibers)]
+            Swap::Fiber(swap) => {
+                // A guard alive here would be alive in whichever fiber runs
+                // next, on this same OS thread.
+                assert_eq!(
+                    parking_lot::guards_held(),
+                    0,
+                    "a lock guard across a fiber switch"
+                );
+                swap.run();
+            }
+            #[cfg(any(test, not(fibers)))]
+            Swap::Thread { wake, park } => {
+                wake.unpark();
+                park.park();
+            }
         }
     }
 
-    /// Grants the run token. Call with no lock held.
-    fn unpark(&self) {
-        self.granted.store(true, Ordering::Release);
-        self.thread
-            .get()
-            .expect("a thread is granted only after its OS thread was spawned")
-            .unpark();
+    /// Hands the token over for good: the calling thread has exited. An OS
+    /// thread returns and finishes; a fiber returns only once a later spawn
+    /// reuses it.
+    fn run_exit(self) {
+        match self {
+            #[cfg(fibers)]
+            Swap::Fiber(_) => self.run(),
+            #[cfg(any(test, not(fibers)))]
+            Swap::Thread { wake, .. } => wake.unpark(),
+        }
     }
 }
 
@@ -124,14 +171,57 @@ enum Status {
     Dead,
 }
 
+/// A spawned thread's body, run under `catch_unwind` with its result stored
+/// for the join.
+type Start = Box<dyn FnOnce() + Send>;
+
 struct ThreadInfo {
     name: String,
-    parker: Arc<Parker>,
     status: Status,
     daemon: bool,
     joiners: Vec<Tid>,
     /// Hand-offs that gave this thread the run token.
     switched_to: u64,
+    /// The closure a spawned thread runs, until its first run takes it.
+    start: Option<Start>,
+    /// The thread's charges while another fiber runs.
+    #[cfg(fibers)]
+    charges: Charges,
+    /// The thread's fiber, until it exits and goes back to the pool.
+    #[cfg(fibers)]
+    fiber: Option<Fiber>,
+    /// The thread's parker, under OS threads.
+    #[cfg(any(test, not(fibers)))]
+    parker: Option<Arc<Parker>>,
+}
+
+impl ThreadInfo {
+    fn new(name: &str, status: Status, daemon: bool, start: Option<Start>) -> ThreadInfo {
+        ThreadInfo {
+            name: name.to_owned(),
+            status,
+            daemon,
+            joiners: Vec::new(),
+            switched_to: 0,
+            start,
+            #[cfg(fibers)]
+            charges: Charges::default(),
+            #[cfg(fibers)]
+            fiber: None,
+            #[cfg(any(test, not(fibers)))]
+            parker: None,
+        }
+    }
+
+    #[cfg(fibers)]
+    fn fiber(&self) -> &Fiber {
+        self.fiber.as_ref().expect("a live thread's fiber")
+    }
+
+    #[cfg(any(test, not(fibers)))]
+    fn parker(&self) -> Arc<Parker> {
+        Arc::clone(self.parker.as_ref().expect("an OS-thread body's parker"))
+    }
 }
 
 struct Timer {
@@ -162,10 +252,16 @@ struct State {
     run_queue: VecDeque<Tid>,
     timers: BinaryHeap<Timer>,
     threads: Vec<ThreadInfo>,
-    live: usize,
     seq: u64,
     switches: u64,
     timer_events: u64,
+    /// A deadlock found by a thread other than root, which handed root the
+    /// token for root to raise it from [`Runtime::run`]
+    /// ([`Scheduler::deadlocked`]).
+    deadlock: Option<String>,
+    /// Fibers whose threads exited, for the next spawns.
+    #[cfg(fibers)]
+    pool: Vec<Fiber>,
 }
 
 struct Scheduler {
@@ -173,34 +269,42 @@ struct Scheduler {
     /// The virtual clock. Written only under the `state` lock, by the thread
     /// that holds the run token; read without it by `now_nanos`. Relaxed is
     /// enough: a reader holds the run token, and the hand-off that gave it
-    /// the token (state lock, then `Parker` Release/Acquire) orders every
-    /// earlier write before it.
+    /// the token (state lock, then a fiber switch on the same OS thread or a
+    /// `Parker` Release/Acquire) orders every earlier write before it.
     now: AtomicU64,
+    /// Whether `State::deadlock` holds a report. Root reads it at every
+    /// resume, so it is kept outside the lock; the hand-off orders it.
+    deadlocked: AtomicBool,
+    transport: Transport,
 }
 
 /// What [`Scheduler::pick_next`] decided.
 enum Next {
     /// The pick landed on the caller, which keeps the run token.
     Caller,
-    /// Wake this thread once the state lock is released.
-    Wake(Arc<Parker>),
-    /// No live thread is left; only the last thread to exit sees this.
-    Drained,
+    /// Hand the token to this thread once the state lock is released.
+    Wake(Tid),
+    /// Nothing is runnable and no timer is pending: the report.
+    Deadlock(String),
 }
 
 impl Scheduler {
-    fn new() -> Arc<Scheduler> {
+    fn new(transport: Transport) -> Arc<Scheduler> {
         Arc::new(Scheduler {
             now: AtomicU64::new(0),
+            deadlocked: AtomicBool::new(false),
             state: Mutex::new(State {
                 run_queue: VecDeque::new(),
                 timers: BinaryHeap::new(),
                 threads: Vec::new(),
-                live: 0,
                 seq: 0,
                 switches: 0,
                 timer_events: 0,
+                deadlock: None,
+                #[cfg(fibers)]
+                pool: Vec::new(),
             }),
+            transport,
         })
     }
 
@@ -210,8 +314,7 @@ impl Scheduler {
 
     /// Picks the next thread to run and marks it running, advancing the clock
     /// to the earliest timer if nobody is runnable. `me` is the calling
-    /// thread if it intends to park. Wakes nobody: the caller does that after
-    /// releasing the state lock.
+    /// thread if it intends to wait. Hands nothing over: the caller does that.
     fn pick_next(&self, st: &mut State, me: Option<Tid>) -> Next {
         let next = if let Some(next) = st.run_queue.pop_front() {
             next
@@ -220,8 +323,6 @@ impl Scheduler {
             self.now.store(self.now().max(t.wake_at), Ordering::Relaxed);
             st.timer_events += 1;
             t.tid
-        } else if st.live == 0 {
-            return Next::Drained;
         } else {
             let mut report = String::new();
             for (i, th) in st.threads.iter().enumerate() {
@@ -229,10 +330,10 @@ impl Scheduler {
                     report.push_str(&format!("\n  [{}] {:?} — {:?}", i, th.name, th.status));
                 }
             }
-            panic!(
+            return Next::Deadlock(format!(
                 "xlsm-sim deadlock at t={} ns: no runnable threads and no pending timers; live threads:{report}",
                 self.now()
-            );
+            ));
         };
         st.threads[next].status = Status::Running;
         if Some(next) == me {
@@ -240,46 +341,154 @@ impl Scheduler {
         }
         st.switches += 1;
         st.threads[next].switched_to += 1;
-        Next::Wake(Arc::clone(&st.threads[next].parker))
-    }
-
-    /// Retires the calling thread and hands the token on; its OS thread is
-    /// about to finish.
-    fn exit_current(&self, tid: Tid) {
-        let mut st = self.state.lock();
-        st.threads[tid].status = Status::Dead;
-        st.live -= 1;
-        let joiners = std::mem::take(&mut st.threads[tid].joiners);
-        for j in joiners {
-            st.threads[j].status = Status::Runnable;
-            st.run_queue.push_back(j);
-        }
-        let next = self.pick_next(&mut st, None);
-        drop(st);
-        match next {
-            Next::Caller => unreachable!("exiting thread cannot be rescheduled"),
-            Next::Wake(successor) => successor.unpark(),
-            Next::Drained => {}
-        }
+        Next::Wake(next)
     }
 }
 
 impl Ctx {
-    /// Gives up the run token: pick the successor under the lock, release the
-    /// lock, wake the successor, then park. Waking first and unlocking second
-    /// would schedule the successor straight into the held lock.
-    fn grant_and_park(&self, mut st: parking_lot::MutexGuard<'_, State>) {
-        let next = self.sched.pick_next(&mut st, Some(self.tid));
-        drop(st);
-        match next {
-            Next::Caller => {}
-            Next::Wake(successor) => {
-                successor.unpark();
-                self.parker.park();
-            }
-            Next::Drained => unreachable!("the calling thread is alive"),
+    /// Gives up the run token: the caller has queued, timed or blocked itself
+    /// under `st`. Returns the swap to the successor, to be run once the lock
+    /// and the context borrow are released, or `None` when the pick lands
+    /// on the caller.
+    ///
+    /// # Panics
+    ///
+    /// If root finds the simulation deadlocked. Another thread that finds it
+    /// hands root the token with the report, for root to raise.
+    fn give_up(&self, st: &mut State) -> Option<Swap> {
+        let me = self.tid.get();
+        match self.sched.pick_next(st, Some(me)) {
+            Next::Caller => None,
+            Next::Wake(next) => Some(self.hand_to(st, next)),
+            Next::Deadlock(report) if me == ROOT => panic!("{report}"),
+            Next::Deadlock(report) => Some(self.hand_deadlock_to_root(st, report)),
         }
     }
+
+    /// The swap that gives root the token and `report` to raise.
+    fn hand_deadlock_to_root(&self, st: &mut State, report: String) -> Swap {
+        st.deadlock = Some(report);
+        self.sched.deadlocked.store(true, Ordering::Relaxed);
+        self.hand_to(st, ROOT)
+    }
+
+    /// The swap from the running thread to `next`. Between fibers it also
+    /// moves the context over: the running thread's charges go to its
+    /// `ThreadInfo`, and `next`'s tid and charges come in.
+    fn hand_to(&self, st: &mut State, next: Tid) -> Swap {
+        let me = self.tid.get();
+        match self.sched.transport {
+            #[cfg(fibers)]
+            Transport::Fibers => {
+                st.threads[me].charges = self.charges.replace(st.threads[next].charges);
+                self.tid.set(next);
+                Swap::Fiber(st.threads[me].fiber().swap_to(st.threads[next].fiber()))
+            }
+            #[cfg(any(test, not(fibers)))]
+            Transport::Threads => Swap::Thread {
+                wake: st.threads[next].parker(),
+                park: st.threads[me].parker(),
+            },
+        }
+    }
+}
+
+/// Makes `swap`, if there is one, and returns once the calling thread holds
+/// the token again. Call with no lock guard and no context borrow alive.
+/// Inlined, so that a sleep that keeps the token pays one branch for it.
+///
+/// # Panics
+///
+/// When root gets the token back from a thread that found the simulation
+/// deadlocked, with that thread's report.
+#[inline(always)]
+fn switch(swap: Option<Swap>) {
+    if let Some(swap) = swap {
+        hand_over(swap);
+    }
+}
+
+/// The out-of-line half of [`switch`].
+fn hand_over(swap: Swap) {
+    swap.run();
+    let deadlock = with_ctx(|ctx| {
+        if ctx.tid.get() != ROOT || !ctx.sched.deadlocked.load(Ordering::Relaxed) {
+            return None;
+        }
+        ctx.sched.deadlocked.store(false, Ordering::Relaxed);
+        ctx.sched.state.lock().deadlock.take()
+    });
+    if let Some(report) = deadlock {
+        panic!("{report}");
+    }
+}
+
+/// The life of a spawned thread on its body: run the closure registered
+/// for its tid, then retire.
+fn run_spawned() {
+    let start = with_ctx(|ctx| ctx.sched.state.lock().threads[ctx.tid.get()].start.take());
+    start.expect("a spawned thread runs its closure once")();
+    let swap = with_ctx(|ctx| {
+        let mut st = ctx.sched.state.lock();
+        let me = ctx.tid.get();
+        st.threads[me].status = Status::Dead;
+        let joiners = std::mem::take(&mut st.threads[me].joiners);
+        for j in joiners {
+            st.threads[j].status = Status::Runnable;
+            st.run_queue.push_back(j);
+        }
+        let swap = match ctx.sched.pick_next(&mut st, None) {
+            Next::Caller => unreachable!("an exiting thread cannot be rescheduled"),
+            Next::Wake(next) => ctx.hand_to(&mut st, next),
+            Next::Deadlock(report) => ctx.hand_deadlock_to_root(&mut st, report),
+        };
+        // The swap already holds the stack-pointer cell, which moves with
+        // the fiber; nothing reuses the fiber before the swap, since only
+        // this thread runs until then.
+        #[cfg(fibers)]
+        if let Some(fiber) = st.threads[me].fiber.take() {
+            st.pool.push(fiber);
+        }
+        swap
+    });
+    swap.run_exit();
+}
+
+/// Where every fiber starts: a fiber whose thread has exited sits in the
+/// pool, inside `run_spawned`, until a spawn hands it the next thread.
+#[cfg(fibers)]
+extern "C" fn fiber_main() -> ! {
+    loop {
+        run_spawned();
+    }
+}
+
+/// Starts the OS thread of a spawned thread under the OS-thread body.
+#[cfg(any(test, not(fibers)))]
+fn spawn_os_thread(
+    name: &str,
+    sched: Arc<Scheduler>,
+    tid: Tid,
+    parker: Arc<Parker>,
+) -> std::thread::JoinHandle<()> {
+    let parker2 = Arc::clone(&parker);
+    let os_handle = std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn(move || {
+            // Wait to be granted the run token for the first time.
+            parker2.park();
+            CURRENT.with(|c| *c.borrow_mut() = Some(Ctx::new(sched, tid)));
+            run_spawned();
+            CURRENT.with(|c| *c.borrow_mut() = None);
+        })
+        .expect("failed to spawn OS thread for sim thread");
+    // The spawner still holds the run token, so nobody has tried to wake the
+    // new thread yet.
+    parker
+        .thread
+        .set(os_handle.thread().clone())
+        .expect("set once, here");
+    os_handle
 }
 
 // ---------------------------------------------------------------------------
@@ -320,44 +529,46 @@ impl Default for Runtime {
 impl Runtime {
     /// Creates a fresh runtime with the clock at zero.
     pub fn new() -> Runtime {
+        Runtime::on(Transport::DEFAULT)
+    }
+
+    fn on(transport: Transport) -> Runtime {
         Runtime {
-            sched: Scheduler::new(),
+            sched: Scheduler::new(transport),
         }
     }
 
     /// Runs `f` as the root sim thread on the calling OS thread and returns
     /// its result once it completes.
     ///
+    /// A daemon still waiting when `f` returns never runs again: its stack
+    /// is unmapped here, with the scheduler, which no fiber holds a
+    /// reference to, and what its frames own leaks. (On targets where sim
+    /// threads are OS threads, its OS thread stays parked.)
+    ///
     /// # Panics
     ///
     /// * if called from inside another sim thread (no nesting);
     /// * if non-daemon sim threads are still alive when `f` returns (thread
     ///   leak — join your workers);
-    /// * if the simulation deadlocks (no runnable thread and no timer).
+    /// * if the simulation deadlocks (no runnable thread and no timer), with
+    ///   the report, whichever thread found it.
     pub fn run<T>(self, f: impl FnOnce() -> T) -> T {
         assert!(!in_sim(), "nested Runtime::run is not supported");
         let sched = self.sched;
-        let parker = Parker::new(Some(std::thread::current()));
         {
-            let mut st = sched.state.lock();
-            st.threads.push(ThreadInfo {
-                name: "root".to_owned(),
-                parker: Arc::clone(&parker),
-                status: Status::Running,
-                daemon: false,
-                joiners: Vec::new(),
-                switched_to: 0,
-            });
-            st.live = 1;
+            let mut root = ThreadInfo::new("root", Status::Running, false, None);
+            match sched.transport {
+                #[cfg(fibers)]
+                Transport::Fibers => root.fiber = Some(Fiber::native()),
+                #[cfg(any(test, not(fibers)))]
+                Transport::Threads => {
+                    root.parker = Some(Parker::new(Some(std::thread::current())));
+                }
+            }
+            sched.state.lock().threads.push(root);
         }
-        CURRENT.with(|c| {
-            *c.borrow_mut() = Some(Ctx {
-                sched: Arc::clone(&sched),
-                tid: 0,
-                parker,
-                charges: RefCell::default(),
-            })
-        });
+        CURRENT.with(|c| *c.borrow_mut() = Some(Ctx::new(Arc::clone(&sched), ROOT)));
         let result = catch_unwind(AssertUnwindSafe(f));
         CURRENT.with(|c| *c.borrow_mut() = None);
         let leaked: Vec<String> = {
@@ -424,13 +635,14 @@ pub fn now_nanos() -> Nanos {
 /// to other runnable threads in the meantime. `sleep_nanos(0)` still yields.
 pub fn sleep_nanos(d: Nanos) {
     assert_not_in_critical_section("sleep_nanos");
-    with_ctx(|ctx| {
+    switch(with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
         st.seq += 1;
+        let me = ctx.tid.get();
         let timer = Timer {
             wake_at: ctx.sched.now().saturating_add(d),
             seq: st.seq,
-            tid: ctx.tid,
+            tid: me,
         };
         // Nobody is runnable and every pending timer is due later (an equal
         // deadline has the smaller sequence number and goes first): the
@@ -445,38 +657,39 @@ pub fn sleep_nanos(d: Nanos) {
         {
             ctx.sched.now.store(timer.wake_at, Ordering::Relaxed);
             st.timer_events += 1;
-            return;
+            return None;
         }
         st.timers.push(timer);
-        st.threads[ctx.tid].status = Status::Sleeping;
-        ctx.grant_and_park(st);
-    });
+        st.threads[me].status = Status::Sleeping;
+        ctx.give_up(&mut st)
+    }));
 }
 
 /// Cooperatively yields to other runnable threads without advancing time.
 pub fn yield_now() {
     assert_not_in_critical_section("yield_now");
-    with_ctx(|ctx| {
+    switch(with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
-        st.threads[ctx.tid].status = Status::Runnable;
-        st.run_queue.push_back(ctx.tid);
-        ctx.grant_and_park(st);
-    });
+        let me = ctx.tid.get();
+        st.threads[me].status = Status::Runnable;
+        st.run_queue.push_back(me);
+        ctx.give_up(&mut st)
+    }));
 }
 
 pub(crate) fn current_tid() -> Tid {
-    with_ctx(|ctx| ctx.tid)
+    with_ctx(|ctx| ctx.tid.get())
 }
 
 /// Blocks the calling thread for `reason` (shown in deadlock reports) until
 /// another thread calls [`unblock`] on it. The caller must already have
 /// registered itself with whatever object will later wake it.
 pub(crate) fn block_current(reason: &'static str) {
-    with_ctx(|ctx| {
+    switch(with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
-        st.threads[ctx.tid].status = Status::Blocked(reason);
-        ctx.grant_and_park(st);
-    });
+        st.threads[ctx.tid.get()].status = Status::Blocked(reason);
+        ctx.give_up(&mut st)
+    }));
 }
 
 /// Makes a blocked thread runnable again (FIFO order).
@@ -501,6 +714,7 @@ type ResultSlot<T> = Arc<Mutex<Option<std::thread::Result<T>>>>;
 pub struct JoinHandle<T> {
     tid: Tid,
     slot: ResultSlot<T>,
+    /// The OS thread, under OS-thread bodies.
     os_handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -521,14 +735,16 @@ impl<T> JoinHandle<T> {
     /// followed by `unwrap`.
     pub fn join(mut self) -> T {
         assert_not_in_critical_section("join");
-        with_ctx(|ctx| {
+        switch(with_ctx(|ctx| {
             let mut st = ctx.sched.state.lock();
-            if st.threads[self.tid].status != Status::Dead {
-                st.threads[self.tid].joiners.push(ctx.tid);
-                st.threads[ctx.tid].status = Status::Blocked("join");
-                ctx.grant_and_park(st);
+            if st.threads[self.tid].status == Status::Dead {
+                return None;
             }
-        });
+            let me = ctx.tid.get();
+            st.threads[self.tid].joiners.push(me);
+            st.threads[me].status = Status::Blocked("join");
+            ctx.give_up(&mut st)
+        }));
         // Reap the OS thread so nothing leaks past the runtime.
         if let Some(h) = self.os_handle.take() {
             let _ = h.join();
@@ -551,58 +767,38 @@ fn spawn_inner<T: Send + 'static>(
     f: impl FnOnce() -> T + Send + 'static,
 ) -> JoinHandle<T> {
     assert_not_in_critical_section("spawn");
-    let sched = with_ctx(|ctx| Arc::clone(&ctx.sched));
     let slot: ResultSlot<T> = Arc::new(Mutex::new(None));
-    let parker = Parker::new(None);
-
-    let tid = {
-        let mut st = sched.state.lock();
-        let tid = st.threads.len();
-        st.threads.push(ThreadInfo {
-            name: name.to_owned(),
-            parker: Arc::clone(&parker),
-            status: Status::Runnable,
-            daemon,
-            joiners: Vec::new(),
-            switched_to: 0,
-        });
-        st.live += 1;
-        st.run_queue.push_back(tid);
-        tid
-    };
-
     let slot2 = Arc::clone(&slot);
-    let parker2 = Arc::clone(&parker);
-    let os_handle = std::thread::Builder::new()
-        .name(name.to_owned())
-        .spawn(move || {
-            // Wait to be granted the run token for the first time.
-            parker2.park();
-            CURRENT.with(|c| {
-                *c.borrow_mut() = Some(Ctx {
-                    sched: Arc::clone(&sched),
-                    tid,
-                    parker: parker2,
-                    charges: RefCell::default(),
-                })
-            });
-            let result = catch_unwind(AssertUnwindSafe(f));
-            *slot2.lock() = Some(result);
-            CURRENT.with(|c| *c.borrow_mut() = None);
-            sched.exit_current(tid);
-        })
-        .expect("failed to spawn OS thread for sim thread");
-    // The spawner still holds the run token, so nobody has tried to wake the
-    // new thread yet.
-    parker
-        .thread
-        .set(os_handle.thread().clone())
-        .expect("set once, here");
-
+    let start: Start = Box::new(move || {
+        let result = catch_unwind(AssertUnwindSafe(f));
+        *slot2.lock() = Some(result);
+    });
+    let mut info = ThreadInfo::new(name, Status::Runnable, daemon, Some(start));
+    let (tid, os_handle) = with_ctx(|ctx| {
+        let mut st = ctx.sched.state.lock();
+        let tid = st.threads.len();
+        let os_handle = match ctx.sched.transport {
+            #[cfg(fibers)]
+            Transport::Fibers => {
+                let fiber = st.pool.pop();
+                info.fiber = Some(fiber.unwrap_or_else(|| Fiber::new(fiber_main)));
+                None
+            }
+            #[cfg(any(test, not(fibers)))]
+            Transport::Threads => {
+                let parker = Parker::new(None);
+                info.parker = Some(Arc::clone(&parker));
+                Some(spawn_os_thread(name, Arc::clone(&ctx.sched), tid, parker))
+            }
+        };
+        st.threads.push(info);
+        st.run_queue.push_back(tid);
+        (tid, os_handle)
+    });
     JoinHandle {
         tid,
         slot,
-        os_handle: Some(os_handle),
+        os_handle,
     }
 }
 
@@ -628,73 +824,100 @@ pub fn spawn_daemon<T: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::WaitSet;
+
+    /// Every body this target has: fibers on x86-64 Linux, OS threads
+    /// everywhere.
+    #[cfg(fibers)]
+    const BODIES: [Transport; 2] = [Transport::Fibers, Transport::Threads];
+    #[cfg(not(fibers))]
+    const BODIES: [Transport; 1] = [Transport::Threads];
+
+    /// Runs `test` once on a runtime of each body. Both must pass, or both
+    /// must panic; the first panic is raised again once both have run.
+    fn on_each_body(test: impl Fn(Runtime)) {
+        let outcomes = BODIES.map(|t| catch_unwind(AssertUnwindSafe(|| test(Runtime::on(t)))));
+        let panicked = outcomes.iter().filter(|o| o.is_err()).count();
+        if let Some(Err(payload)) = outcomes.into_iter().find(Result::is_err) {
+            assert_eq!(panicked, BODIES.len(), "the bodies disagree on panicking");
+            resume_unwind(payload);
+        }
+    }
 
     #[test]
     fn clock_starts_at_zero_and_sleep_advances() {
-        Runtime::new().run(|| {
-            assert_eq!(now_nanos(), 0);
-            sleep_nanos(5_000);
-            assert_eq!(now_nanos(), 5_000);
-            sleep_nanos(10);
-            assert_eq!(now_nanos(), 5_010);
+        on_each_body(|rt| {
+            rt.run(|| {
+                assert_eq!(now_nanos(), 0);
+                sleep_nanos(5_000);
+                assert_eq!(now_nanos(), 5_000);
+                sleep_nanos(10);
+                assert_eq!(now_nanos(), 5_010);
+            })
         });
     }
 
     #[test]
     fn spawn_and_join_returns_value() {
-        let v = Runtime::new().run(|| {
-            let h = spawn("child", || 41 + 1);
-            h.join()
+        on_each_body(|rt| {
+            let v = rt.run(|| {
+                let h = spawn("child", || 41 + 1);
+                h.join()
+            });
+            assert_eq!(v, 42);
         });
-        assert_eq!(v, 42);
     }
 
     #[test]
     fn concurrent_sleeps_interleave_by_deadline() {
-        Runtime::new().run(|| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let l1 = Arc::clone(&log);
-            let h1 = spawn("a", move || {
-                sleep_nanos(30_000);
-                l1.lock().push(('a', now_nanos()));
-            });
-            let l2 = Arc::clone(&log);
-            let h2 = spawn("b", move || {
-                sleep_nanos(10_000);
-                l2.lock().push(('b', now_nanos()));
-                sleep_nanos(40_000);
-                l2.lock().push(('b', now_nanos()));
-            });
-            h1.join();
-            h2.join();
-            let got = log.lock().clone();
-            assert_eq!(got, vec![('b', 10_000), ('a', 30_000), ('b', 50_000)]);
+        on_each_body(|rt| {
+            rt.run(|| {
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let l1 = Arc::clone(&log);
+                let h1 = spawn("a", move || {
+                    sleep_nanos(30_000);
+                    l1.lock().push(('a', now_nanos()));
+                });
+                let l2 = Arc::clone(&log);
+                let h2 = spawn("b", move || {
+                    sleep_nanos(10_000);
+                    l2.lock().push(('b', now_nanos()));
+                    sleep_nanos(40_000);
+                    l2.lock().push(('b', now_nanos()));
+                });
+                h1.join();
+                h2.join();
+                let got = log.lock().clone();
+                assert_eq!(got, vec![('b', 10_000), ('a', 30_000), ('b', 50_000)]);
+            })
         });
     }
 
     #[test]
     fn same_deadline_fires_in_registration_order() {
-        Runtime::new().run(|| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            for i in 0..8 {
-                let l = Arc::clone(&log);
-                handles.push(spawn(&format!("t{i}"), move || {
-                    sleep_nanos(100_000);
-                    l.lock().push(i);
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            assert_eq!(log.lock().clone(), vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        on_each_body(|rt| {
+            rt.run(|| {
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let mut handles = Vec::new();
+                for i in 0..8 {
+                    let l = Arc::clone(&log);
+                    handles.push(spawn(&format!("t{i}"), move || {
+                        sleep_nanos(100_000);
+                        l.lock().push(i);
+                    }));
+                }
+                for h in handles {
+                    h.join();
+                }
+                assert_eq!(log.lock().clone(), vec![0, 1, 2, 3, 4, 5, 6, 7]);
+            })
         });
     }
 
     #[test]
     fn determinism_across_runs() {
-        fn once() -> Vec<(u32, Nanos)> {
-            Runtime::new().run(|| {
+        fn once(rt: Runtime) -> Vec<(u32, Nanos)> {
+            rt.run(|| {
                 let log = Arc::new(Mutex::new(Vec::new()));
                 let mut handles = Vec::new();
                 for i in 0..5u32 {
@@ -712,122 +935,186 @@ mod tests {
                 Arc::try_unwrap(log).unwrap().into_inner()
             })
         }
-        assert_eq!(once(), once());
+        let runs = BODIES.map(|t| (once(Runtime::on(t)), once(Runtime::on(t))));
+        for (a, b) in &runs {
+            assert_eq!(a, b);
+            assert_eq!(a, &runs[0].0, "every body, one schedule");
+        }
+    }
+
+    /// Panics from `depth` frames down.
+    #[inline(never)]
+    fn explode(depth: u32) -> u32 {
+        if depth == 0 {
+            panic!("exploded deep");
+        }
+        explode(std::hint::black_box(depth - 1)) + 1
     }
 
     #[test]
     fn child_panic_propagates_on_join() {
-        let result = std::panic::catch_unwind(|| {
-            Runtime::new().run(|| {
-                let h = spawn("boom", || panic!("exploded"));
-                h.join()
-            })
+        on_each_body(|rt| {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                rt.run(|| {
+                    let h = spawn("boom", || panic!("exploded"));
+                    h.join()
+                })
+            }));
+            assert!(result.is_err());
         });
-        assert!(result.is_err());
+        // Several frames deep, in a thread that has already switched out and
+        // back, while another thread is alive; the runtime's other threads
+        // carry on and root re-raises it at the join.
+        on_each_body(|rt| {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                rt.run(|| {
+                    let other = spawn("other", || sleep_nanos(2_000));
+                    let deep = spawn("deep", || {
+                        sleep_nanos(1_000);
+                        explode(8)
+                    });
+                    other.join();
+                    deep.join()
+                })
+            }))
+            .expect_err("the panic reaches the joiner");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"exploded deep"));
+        });
     }
 
     #[test]
     #[should_panic(expected = "deadlock")]
     fn deadlock_is_detected() {
-        Runtime::new().run(|| {
-            let ws = crate::sync::WaitSet::new("never");
-            ws.wait(); // nobody will ever notify
+        on_each_body(|rt| {
+            rt.run(|| {
+                let ws = WaitSet::new("never");
+                ws.wait(); // nobody will ever notify
+            })
+        });
+    }
+
+    /// Found by a spawned thread: root waits on one set, the spawned thread on
+    /// another. The report comes out of `Runtime::run`, once.
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn deadlock_found_on_a_spawned_thread_panics_run() {
+        on_each_body(|rt| {
+            rt.run(|| {
+                let _spawned = spawn("waits-on-b", || WaitSet::new("b").wait());
+                WaitSet::new("a").wait();
+            })
         });
     }
 
     #[test]
     fn yield_now_round_robins() {
-        Runtime::new().run(|| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let l1 = Arc::clone(&log);
-            let h = spawn("other", move || {
-                l1.lock().push("other");
-            });
-            yield_now();
-            log.lock().push("root");
-            h.join();
-            assert_eq!(log.lock().clone(), vec!["other", "root"]);
-        });
-    }
-
-    #[test]
-    fn grant_before_park_is_kept_and_consumed_once() {
-        let parker = Parker::new(Some(std::thread::current()));
-        // The early wake: the grant lands before its target has parked.
-        parker.unpark();
-        parker.park();
-        // That park consumed the grant but not the OS-level unpark token; the
-        // stale token must not satisfy the next park on its own.
-        let granted_again = Arc::new(AtomicBool::new(false));
-        let waker = {
-            let (parker, granted_again) = (Arc::clone(&parker), Arc::clone(&granted_again));
-            std::thread::spawn(move || {
-                granted_again.store(true, Ordering::SeqCst);
-                parker.unpark();
+        on_each_body(|rt| {
+            rt.run(|| {
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let l1 = Arc::clone(&log);
+                let h = spawn("other", move || {
+                    l1.lock().push("other");
+                });
+                yield_now();
+                log.lock().push("root");
+                h.join();
+                assert_eq!(log.lock().clone(), vec!["other", "root"]);
             })
-        };
-        parker.park();
-        assert!(granted_again.load(Ordering::SeqCst));
-        waker.join().unwrap();
+        });
     }
 
     #[test]
     fn runtime_stats_count_switches() {
-        let s = Runtime::new().run(|| {
-            let h = spawn("w", || sleep_nanos(1_000));
-            h.join();
-            stats()
+        on_each_body(|rt| {
+            let s = rt.run(|| {
+                let h = spawn("w", || sleep_nanos(1_000));
+                h.join();
+                stats()
+            });
+            assert!(s.switches >= 2);
+            assert_eq!(s.now, 1_000);
         });
-        assert!(s.switches >= 2);
-        assert_eq!(s.now, 1_000);
     }
 
     #[test]
     fn switches_are_counted_for_the_thread_they_wake() {
-        let (by_thread, total) = Runtime::new().run(|| {
-            let workers: Vec<_> = (0..3)
-                .map(|i| spawn(&format!("client-{i}"), || sleep_nanos(1_000)))
-                .collect();
-            let flusher = spawn("flush-0", yield_now);
-            for w in workers {
-                w.join();
-            }
-            flusher.join();
-            (switches_by_thread(), stats().switches)
+        on_each_body(|rt| {
+            let (by_thread, total) = rt.run(|| {
+                let workers: Vec<_> = (0..3)
+                    .map(|i| spawn(&format!("client-{i}"), || sleep_nanos(1_000)))
+                    .collect();
+                let flusher = spawn("flush-0", yield_now);
+                for w in workers {
+                    w.join();
+                }
+                flusher.join();
+                (switches_by_thread(), stats().switches)
+            });
+            // Each client is woken to start and again after its sleep. The
+            // flusher is woken once: when it yields nobody else is runnable,
+            // so it keeps the token. Root is woken by each client's exit, one
+            // per join it parked in.
+            assert_eq!(
+                by_thread,
+                vec![
+                    ("client-".to_owned(), 6),
+                    ("flush-".to_owned(), 1),
+                    ("root".to_owned(), 3),
+                ]
+            );
+            assert_eq!(by_thread.iter().map(|(_, n)| n).sum::<u64>(), total);
         });
-        // Each client is woken to start and again after its sleep. The
-        // flusher is woken once: when it yields nobody else is runnable, so
-        // it keeps the token. Root is woken by each client's exit, one per
-        // join it parked in.
-        assert_eq!(
-            by_thread,
-            vec![
-                ("client-".to_owned(), 6),
-                ("flush-".to_owned(), 1),
-                ("root".to_owned(), 3),
-            ]
-        );
-        assert_eq!(by_thread.iter().map(|(_, n)| n).sum::<u64>(), total);
+    }
+
+    /// A thread's charges survive every switch, and a thread that reuses an
+    /// exited thread's fiber starts at zero.
+    #[test]
+    fn charges_follow_their_thread_across_switches() {
+        use crate::charge::{charge, charges, Class};
+        on_each_body(|rt| {
+            rt.run(|| {
+                let first = spawn("first", || {
+                    charge(Class::Setup, 10);
+                    charge(Class::Search, 5);
+                    charges().total()
+                });
+                charge(Class::Flush, 7);
+                assert_eq!(first.join(), 15);
+                let second = spawn("second", || {
+                    let fresh = charges().total();
+                    charge(Class::Merge, 3);
+                    (fresh, charges().total())
+                });
+                yield_now();
+                assert_eq!(second.join(), (0, 3));
+                assert_eq!(charges().total(), 7);
+                assert_eq!(charges().get(Class::Flush), 7);
+            })
+        });
     }
 
     #[test]
     #[should_panic(expected = "leaked")]
     fn leaked_thread_panics() {
-        Runtime::new().run(|| {
-            let _h = spawn("stuck", || {
-                sleep_nanos(1_000_000_000_000_000);
-            });
-            // root returns without joining
+        on_each_body(|rt| {
+            rt.run(|| {
+                let _h = spawn("stuck", || {
+                    sleep_nanos(1_000_000_000_000_000);
+                });
+                // root returns without joining
+            })
         });
     }
 
     #[test]
     fn daemon_thread_may_outlive_root() {
-        Runtime::new().run(|| {
-            let _h = spawn_daemon("bg", || {
-                crate::sync::WaitSet::new("forever").wait();
-            });
-            sleep_nanos(1_000);
+        on_each_body(|rt| {
+            rt.run(|| {
+                let _h = spawn_daemon("bg", || {
+                    WaitSet::new("forever").wait();
+                });
+                sleep_nanos(1_000);
+            })
         });
     }
 }

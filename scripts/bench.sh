@@ -4,7 +4,8 @@
 # full-size output, so don't commit a quick-mode regeneration.)
 #
 # Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
-# seconds per probe, the oracle test's seconds and peak resident memory, mean
+# seconds per probe, the oracle test's seconds and peak resident memory, the
+# seconds of every test binary of `cargo test --release --workspace`, mean
 # ns of every engine_micro bench). Informational — it differs run to run and
 # host to host, and no script compares it.
 set -euo pipefail
@@ -13,6 +14,7 @@ cd "$(dirname "$0")/.."
 cargo build -q --release -p xlsm-bench
 cargo bench -q -p xlsm-bench --bench engine_micro --no-run
 cargo test -q -p xlsm-engine --test oracle --no-run
+cargo test -q --release --workspace --no-run
 bin=${CARGO_TARGET_DIR:-target}/release/xlsm-bench
 # One CPU, as in check.sh: unpinned, a probe's wall seconds swing severalfold.
 source scripts/pin.sh
@@ -32,6 +34,36 @@ oracle_s=$(sed -n 's/.*finished in \([0-9.]*\)s.*/\1/p' <<<"$oracle_out")
 oracle_mb=$(awk '$1 == "VmHWM:" {print int($2 / 1024)}' <<<"$oracle_out")
 [[ -n $oracle_s && -n $oracle_mb ]] || { echo "the oracle printed no time or memory" >&2; exit 1; }
 echo "oracle $oracle_s s, peak $oracle_mb MiB"
+
+# Every test binary of the release workspace run, as its harness times it,
+# keyed by its source file (doc-tests by crate). Cargo names the binary it
+# runs; its build record maps the binary to the source file.
+echo "==> cargo test --release --workspace"
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+cargo test -q --release --workspace --no-run --message-format=json >"$scratch/builds.json"
+"${pin[@]}" cargo test --release --workspace >"$scratch/tests.txt" 2>&1
+mapfile -t test_rows < <(python3 - "$scratch/builds.json" "$scratch/tests.txt" "$PWD" <<'EOF'
+import json, os, re, sys
+
+builds, tests, root = sys.argv[1:]
+source = {}
+for line in open(builds):
+    m = json.loads(line)
+    if m.get("executable"):
+        source[os.path.basename(m["executable"])] = os.path.relpath(m["target"]["src_path"], root)
+label = None
+for line in open(tests):
+    if m := re.match(r"\s*Running .* \((.*)\)$", line):
+        label = source[os.path.basename(m[1])]
+    elif m := re.match(r"\s*Doc-tests (\S+)", line):
+        label = f"doc-tests {m[1]}"
+    elif m := re.search(r"^test result: .* finished in ([0-9.]+)s", line):
+        print(f'    "{label}": {m[1]}')
+EOF
+)
+((${#test_rows[@]})) || { echo "cargo test printed no result" >&2; exit 1; }
+printf '%s\n' "${test_rows[@]}"
 
 echo "==> engine_micro"
 micro_rows=()
@@ -56,6 +88,9 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '  },'
     echo '  "test_peak_rss_mb": {'
     echo "    \"oracle\": $oracle_mb"
+    echo '  },'
+    echo '  "release_test_binary_s": {'
+    rows "${test_rows[@]}"
     echo '  },'
     echo '  "engine_micro_mean_ns": {'
     rows "${micro_rows[@]}"

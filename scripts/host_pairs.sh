@@ -9,8 +9,10 @@
 # exact metric, or the attempted / failed counts, differ between any two
 # runs: a host-speed change must not move them. After the pairs, one traced
 # run per side (`--trace 1`, same seed) prints the host-clock per-layer rows
-# side by side — `sim.host_cpu_us_per_op`, `simfs.host_ns_per_read_{hit,miss}`
-# and every `engine.call.*.host_ns` — so a claim can name its layer.
+# side by side — every `sim.*` row (hand-off, sleep and spawn costs, the
+# system-time share, switches and timer events per op),
+# `simfs.host_ns_per_read_{hit,miss}` and every `engine.call.*.host_ns` — so
+# a claim can name its layer.
 #
 #   scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>
 #
@@ -99,7 +101,7 @@ for name, better in HOST.items():
           f"{fmt(worst)} / {fmt(best)} ({worst / best:.3f}x)")
 traced = {side: json.load(open(f"{out}/{side}.trace.json"))["metrics"] for side in runs}
 layers = [name for name in traced["parent"]
-          if name in ("sim.host_cpu_us_per_op", "simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
+          if name.startswith("sim.") or name in ("simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
           or (name.startswith("engine.call.") and name.endswith(".host_ns"))]
 print(f"one traced run per side, host clock per layer")
 print(f"{'layer':<32} {'parent':>12} {'change':>12} {'ratio':>7}")

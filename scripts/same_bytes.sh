@@ -32,7 +32,7 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/tree"
 git -C "$repo" archive "$base_ref" | tar -x -C "$work/tree"
 
-# Same pinning as check.sh: one CPU, so a sim hand-off is a context switch.
+# Same pinning as check.sh: one CPU.
 source "$repo/scripts/pin.sh"
 
 build() {

@@ -24,6 +24,7 @@ thread_local! {
 
 /// How many [`MutexGuard`]s, [`RwLockReadGuard`]s and [`RwLockWriteGuard`]s
 /// are alive on the calling thread.
+#[inline]
 pub fn guards_held() -> u32 {
     GUARDS.with(Cell::get)
 }
@@ -34,6 +35,9 @@ pub fn guards_held() -> u32 {
 struct Held;
 
 impl Held {
+    /// Inlined, like the count's other two sides: every lock the workspace
+    /// takes runs them, and a call would cost more than the count.
+    #[inline]
     fn new() -> Held {
         GUARDS.with(|g| g.set(g.get() + 1));
         Held
@@ -41,6 +45,7 @@ impl Held {
 }
 
 impl Drop for Held {
+    #[inline]
     fn drop(&mut self) {
         GUARDS.with(|g| g.set(g.get() - 1));
     }
