@@ -431,13 +431,12 @@ impl DbInner {
         // the WAL (which shares the device) is never the thing that hits
         // ENOSPC — the flush is, here, before any I/O, and the failure
         // takes the soft stall-and-resume path.
-        let space_reserve = mem.approximate_bytes() as u64;
-        if !self
+        let Some(reservation) = self
             .space
-            .try_reserve(space_reserve, self.accounted_space_bytes())
-        {
+            .reserve(mem.approximate_bytes() as u64, self.accounted_space_bytes())
+        else {
             return Err(DbError::Fs(FsError::DeviceFull));
-        }
+        };
         let number = self.versions.new_file_number();
         let sst_path = sst_file_name(&self.opts.db_path, number);
         let props = match write_memtable_table(
@@ -452,7 +451,7 @@ impl DbInner {
                 // Drop the partial output so a retried flush starts clean;
                 // the immutable memtable stays queued for the retry.
                 let _ = self.fs.delete(&sst_path);
-                self.space.release(space_reserve);
+                drop(reservation);
                 return Err(e);
             }
         };
@@ -468,7 +467,7 @@ impl DbInner {
         let install = self.install(edit);
         // Installed (or abandoned) output stops being a reservation — on
         // success it is counted as live bytes from here on.
-        self.space.release(space_reserve);
+        drop(reservation);
         // After a failed install the manifest record may or may not be
         // durable — its state is unknown, so the error is never retryable.
         // The built SST stays on disk: if the edit did land, deleting it
@@ -530,14 +529,16 @@ impl DbInner {
         } else {
             task.input_bytes()
         };
-        if space_reserve > 0
-            && !self
-                .space
-                .try_reserve(space_reserve, self.accounted_space_bytes())
-        {
-            self.stats.bump(Ticker::SpaceCompactionsDeferred);
-            return Ok(false);
-        }
+        let reservation = match space_reserve {
+            0 => None,
+            bytes => match self.space.reserve(bytes, self.accounted_space_bytes()) {
+                None => {
+                    self.stats.bump(Ticker::SpaceCompactionsDeferred);
+                    return Ok(false);
+                }
+                reservation => reservation,
+            },
+        };
         let busy = BusyInputs::mark(&self.in_compaction, task.input_numbers());
         let t0 = xlsm_sim::now_nanos();
         let min_snapshot = self
@@ -570,7 +571,7 @@ impl DbInner {
             Ok(edit) => edit,
             Err(e) => {
                 drop(busy);
-                self.space.release(space_reserve);
+                drop(reservation);
                 return Err(e);
             }
         };
@@ -583,7 +584,7 @@ impl DbInner {
         drop(busy);
         // Installed (or abandoned) outputs count as live bytes, not a
         // reservation, from here on.
-        self.space.release(space_reserve);
+        drop(reservation);
         // Manifest state is unknown after an install failure: hard error,
         // and the outputs stay on disk in case the edit landed.
         install?;

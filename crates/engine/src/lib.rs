@@ -100,7 +100,7 @@ pub use memtable::MemTable;
 pub use options::{DbOptions, WalRecoveryMode};
 pub use repair::{repair_db, RepairReport};
 pub use scheduler::{BgIoLimiter, BgIoPriority, CompactionScheduler, LevelPicker};
-pub use space::{DeleteScheduler, SpaceManager, TrashEntry};
+pub use space::{DeleteScheduler, Reservation, SpaceManager, TrashEntry};
 pub use stall::{episode_durations, StallAccounting, StallCause, StallEvent, StallTotals};
 pub use stats::{DbStats, Metrics, OpTotals, Ticker, TickerSnapshot};
 pub use types::SequenceNumber;

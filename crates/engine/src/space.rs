@@ -99,14 +99,29 @@ impl SpaceManager {
     }
 
     /// Atomically reserves `bytes` of output headroom if it fits under the
-    /// cap given `used_bytes` of accounted usage. Returns whether the
-    /// reservation was taken; a successful reservation must be paired with
-    /// [`SpaceManager::release`] once the output is installed (it then
-    /// counts as live bytes) or abandoned.
+    /// cap given `used_bytes` of accounted usage, and returns the receipt:
+    /// drop it once the output is installed (it then counts as live bytes)
+    /// or abandoned. It gives back what it counted, which is nothing while
+    /// the cap is off, so turning the cap on under an in-flight job cannot
+    /// release another job's headroom.
+    pub fn reserve(&self, bytes: u64, used_bytes: u64) -> Option<Reservation<'_>> {
+        let bytes = self.count(bytes, used_bytes)?;
+        Some(Reservation { space: self, bytes })
+    }
+
+    /// [`SpaceManager::reserve`] without the receipt: whether the bytes were
+    /// reserved. Giving them back with [`SpaceManager::release`] is right
+    /// only if the cap was on when they were taken.
     pub fn try_reserve(&self, bytes: u64, used_bytes: u64) -> bool {
+        self.count(bytes, used_bytes).is_some()
+    }
+
+    /// Counts `bytes` against the cap if they fit, and returns what it
+    /// counted: all of them, or none while the cap is off.
+    fn count(&self, bytes: u64, used_bytes: u64) -> Option<u64> {
         let max = self.max_allowed_space_bytes.load(Ordering::Relaxed);
         if max == 0 {
-            return true;
+            return Some(0);
         }
         self.reserved
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
@@ -116,27 +131,33 @@ impl SpaceManager {
                     None
                 }
             })
-            .is_ok()
+            .ok()
+            .map(|_| bytes)
     }
 
-    /// Returns a reservation taken by [`SpaceManager::try_reserve`].
+    /// Gives back `bytes` of reservation, saturating at zero.
     pub fn release(&self, bytes: u64) {
-        if self.max_allowed_space_bytes.load(Ordering::Relaxed) == 0 && bytes == 0 {
-            return;
-        }
-        let mut cur = self.reserved.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.reserved.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
+        let _ = self
+            .reserved
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.saturating_sub(bytes))
+            });
+    }
+}
+
+/// Output headroom held by an in-flight job ([`SpaceManager::reserve`]),
+/// given back when dropped.
+#[must_use = "dropping a reservation releases it"]
+#[derive(Debug)]
+pub struct Reservation<'a> {
+    space: &'a SpaceManager,
+    /// What the reservation counted against the cap.
+    bytes: u64,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.space.release(self.bytes);
     }
 }
 
@@ -263,6 +284,20 @@ mod tests {
         assert!(m.try_reserve(200, 0));
         m.set_max_allowed_space_bytes(0);
         assert!(!m.enabled());
+    }
+
+    /// A reservation taken while the cap was off counted nothing, so it
+    /// gives nothing back once the cap is on.
+    #[test]
+    fn a_reservation_from_before_the_cap_releases_nothing() {
+        let m = SpaceManager::new(0);
+        let uncapped = m.reserve(100, 0).expect("no cap, always fits");
+        m.set_max_allowed_space_bytes(1_000);
+        let capped = m.reserve(600, 0).expect("600 of 1,000");
+        drop(uncapped);
+        assert!(!m.would_fit(450, 0), "600 + 450 > 1,000");
+        drop(capped);
+        assert!(m.would_fit(450, 0));
     }
 
     #[test]

@@ -1,26 +1,33 @@
-//! Sim threads as fibers, on x86-64 Linux: every sim thread of a
-//! [`Runtime`](crate::Runtime) runs on the OS thread that called
-//! `Runtime::run`, each on a stack of its own, and a run-token hand-off is a
-//! swap of stack pointers in user space instead of a futex wake and wait.
+//! Sim threads as fibers, the [`Body`] on x86-64 Linux: every sim thread of
+//! a [`Runtime`](crate::Runtime) runs on the OS thread that called
+//! `Runtime::run`, root on that thread's own stack and each spawned thread on
+//! a stack of its own, and a run-token hand-off is a swap of stack pointers
+//! in user space instead of a futex wake and wait: about a hundred
+//! nanoseconds where a kernel context switch costs two microseconds.
 //!
 //! A [`Fiber`] is a [`STACK_SIZE`] stack `mmap`'d above a `PROT_NONE` guard
 //! page, so a sim thread that overflows its stack dies of `SIGSEGV` on the
 //! guard instead of writing over memory it does not own. A stack is made once,
-//! holding a fresh frame that enters `entry`, and the runtime pools a fiber
-//! whose sim thread has exited and hands it the next spawn: its `entry` loops,
-//! so a pooled fiber resumes where it left off and runs its next closure.
+//! holding a fresh frame that enters `entry`, and a fiber whose sim thread has
+//! exited waits in the runtime's idle list for the next spawn: its `entry`
+//! loops, so a reused fiber resumes where it left off and runs its next
+//! thread. The stacks are unmapped when `run` returns, a suspended daemon's
+//! included.
 //!
-//! [`Swap::run`] saves the registers a call must preserve (`rbx`, `rbp`,
+//! The switch saves the registers a call must preserve (`rbx`, `rbp`,
 //! `r12`–`r15`, the MXCSR and the x87 control word) on the running stack,
 //! stores the stack pointer in the running fiber's cell, loads the next
 //! fiber's and restores what that stack saved. To its caller it is a call
-//! that returns when another switch hands the token back.
+//! that returns when another switch hands the token back. Because all fibers
+//! share one OS thread, no lock guard may be alive across the switch, or it
+//! would be held by whichever fiber runs next; the switch asserts that.
 //!
-//! This module holds the crate's `unsafe`, three blocks: mapping a stack and
-//! writing its first frame, unmapping it, and the switch.
+//! This module holds three of the workspace's `unsafe` blocks: mapping a
+//! stack and writing its first frame, unmapping it, and the switch.
 
 #![allow(unsafe_code)]
 
+use crate::runtime::{run_spawned, Body, Ctx};
 use std::cell::Cell;
 use std::ffi::{c_int, c_long, c_void};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,28 +133,28 @@ impl Drop for Stack {
 pub(crate) struct Fiber {
     /// The stack pointer the fiber resumes at, or 0 while it runs. A heap
     /// cell, so that it stays put while the runtime's thread table grows and
-    /// while the fiber moves in and out of the pool.
+    /// while the fiber moves in and out of the idle list.
     sp: Box<Cell<usize>>,
     /// Held for its mapping, which goes with the fiber; `None` for the OS
     /// thread's own stack, which the root runs on.
     _stack: Option<Stack>,
 }
 
-impl Fiber {
-    /// The context of the OS thread's own stack, which is running.
-    pub(crate) fn native() -> Fiber {
-        Fiber {
-            sp: Box::default(),
-            _stack: None,
-        }
+/// Where every fiber starts: a fiber runs one spawned thread after another,
+/// and waits inside `run_spawned` between them.
+extern "C" fn entry() -> ! {
+    loop {
+        run_spawned();
     }
+}
 
+impl Fiber {
     /// A fiber on a fresh stack whose first switch-in calls `entry`.
     ///
     /// # Panics
     ///
     /// If the stack cannot be mapped.
-    pub(crate) fn new(entry: extern "C" fn() -> !) -> Fiber {
+    fn new() -> Fiber {
         let len = GUARD + STACK_SIZE;
         let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
         // SAFETY: a fresh anonymous mapping aliases nothing. Once the guard
@@ -172,7 +179,9 @@ impl Fiber {
             assert_eq!(guarded, 0, "mprotect of a fiber's guard page failed");
             let frame = base.cast::<u8>().add(len).cast::<u64>().sub(FRAME_WORDS);
             frame.write(FRESH_FP_CONTROL);
-            frame.add(FRAME_WORDS - 2).write(entry as usize as u64);
+            frame
+                .add(FRAME_WORDS - 2)
+                .write(entry as extern "C" fn() -> ! as usize as u64);
             (base as usize, frame as usize)
         };
         LIVE_STACKS.fetch_add(1, Ordering::Relaxed);
@@ -184,12 +193,27 @@ impl Fiber {
             _stack: Some(Stack { base }),
         }
     }
+}
+
+impl Body for Fiber {
+    type Swap = Swap;
+
+    /// The context of the OS thread's own stack, which is running.
+    fn root() -> Fiber {
+        Fiber {
+            sp: Box::default(),
+            _stack: None,
+        }
+    }
+
+    fn start(&self, idle: Option<Fiber>, _: &str, _: impl FnOnce() -> Ctx) -> Fiber {
+        idle.unwrap_or_else(Fiber::new)
+    }
 
     /// The switch from this fiber, which must be the one running, to `next`,
     /// which must be switched out; the asserts hold the runtime to that, so a
-    /// switch only ever loads what a switch or [`Fiber::new`] saved. Make it
-    /// under the scheduler's lock, run it once the lock is released.
-    pub(crate) fn swap_to(&self, next: &Fiber) -> Swap {
+    /// switch only ever loads what a switch or [`Fiber::new`] saved.
+    fn swap_to(&self, next: &Fiber) -> Swap {
         assert_eq!(
             self.sp.get(),
             0,
@@ -202,28 +226,31 @@ impl Fiber {
             load,
         }
     }
-}
 
-/// A switch decided by [`Fiber::swap_to`]: the two stack-pointer words.
-pub(crate) struct Swap {
-    save: *mut usize,
-    load: usize,
-}
-
-impl Swap {
-    /// Switches to the next fiber; returns when some switch comes back.
-    pub(crate) fn run(self) {
+    fn switch(swap: Swap) {
+        assert_eq!(
+            parking_lot::guards_held(),
+            0,
+            "a lock guard across a fiber switch"
+        );
         // SAFETY: `save` is the heap cell of the running fiber, and `load`
         // (by `swap_to`'s asserts) the stack pointer the next fiber's last
         // switch saved, or its fresh frame's, on a stack mapped for as long as
         // the fiber lives, with the frame the switch pops on top. The runtime
         // drops fibers only with its scheduler, after `Runtime::run`'s body
         // returned on the OS thread's own stack, and between `swap_to` and
-        // this call it only releases its lock, so both fibers are alive and as
-        // `swap_to` found them. The switch preserves every register a call
-        // must, so to the compiler this is an ordinary call.
-        unsafe { xlsm_sim_fiber_switch(self.save, self.load) }
+        // this call it only releases its lock and reads the caller's
+        // charges, so both fibers are alive and as `swap_to` found them. The
+        // switch preserves every register a call must, so to the compiler
+        // this is an ordinary call.
+        unsafe { xlsm_sim_fiber_switch(swap.save, swap.load) }
     }
+}
+
+/// A switch decided by [`Body::swap_to`]: the two stack-pointer words.
+pub(crate) struct Swap {
+    save: *mut usize,
+    load: usize,
 }
 
 #[cfg(test)]

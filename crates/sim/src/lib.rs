@@ -49,29 +49,22 @@
 //! 2. **Hand over**, with the state lock released and nothing else held, and
 //!    wait until some later pick hands the token back.
 //!
-//! How step 2 is done depends on what a sim thread is on the host.
+//! Step 2 is the one thing the scheduler leaves to the host: what a sim
+//! thread is there, its *body*, decides how a thread starts, how the token
+//! passes and how a thread exits. It is a fiber on x86-64 Linux (`fiber.rs`:
+//! every sim thread of a [`Runtime`] runs on the OS thread that called
+//! [`Runtime::run`], and a hand-off swaps stack pointers) and an OS thread
+//! everywhere else (`threads.rs`: a hand-off unparks the successor and parks
+//! the caller). The body is chosen in one place, the `Host` type below, and
+//! the unit tests run the scheduler on every body the target has.
 //!
-//! * **Fibers, on x86-64 Linux.** Every sim thread of a [`Runtime`] runs on
-//!   the OS thread that called [`Runtime::run`]: root on that thread's own
-//!   stack, each spawned thread on a 2 MiB stack of its own behind a
-//!   `PROT_NONE` guard page. Before the switch the picker moves the thread
-//!   context over (its own charges into its thread record, the successor's
-//!   tid and charges in); the switch itself saves the callee-saved registers
-//!   and swaps the stack pointer, a hundred nanoseconds where a kernel
-//!   context switch costs two microseconds. A fiber whose thread exited is
-//!   pooled and runs the next spawn; the stacks are unmapped when `run`
-//!   returns, a suspended daemon's included. Because all fibers share one OS
-//!   thread, no lock guard and no borrow of the thread context may be alive
-//!   across the switch; the switch asserts the first.
-//! * **OS threads, everywhere else.** Each sim thread is an OS thread that
-//!   waits on its own parker (one atomic flag plus
-//!   [`std::thread::park`]/[`std::thread::Thread::unpark`]): the predecessor
-//!   grants its successor's flag and unparks it, then parks on its own. The
-//!   state lock must be released first: a thread woken into a lock its waker
-//!   still holds is scheduled at once, blocks on it, and the kernel switches
-//!   back ("hurry up and wait"). A grant that lands before its target has
-//!   parked stays in the flag and the park returns at once. The unit tests
-//!   run the scheduler on this body too.
+//! Whatever the body, a running thread sees one context: its runtime's
+//! scheduler, its tid and its [`Charges`]. The tid is the scheduler's: each
+//! hand-off records the thread its pick chose. The charges are the
+//! thread's own: it keeps them on its own stack while it gives up the token,
+//! puts them back when it gets the token again, and a spawned thread starts
+//! at zero. So no thread ever writes another's context, whether the fibers
+//! of a runtime share one OS thread's or each OS thread has its own.
 //!
 //! A deadlock (nothing runnable, no timer pending) is raised by
 //! [`Runtime::run`] with a report of every live thread, whichever thread found
@@ -99,11 +92,11 @@
 //! [`sync::Receiver::recv`], [`spawn`], [`JoinHandle::join`] — first asserts
 //! that the count is zero, so the bug is a panic at the offending wait that
 //! names the operation. Fibers share their OS thread's count, which is
-//! therefore always the running fiber's: no guard crosses a switch. The
-//! count used to live in a lock type of this crate that no other crate used:
-//! the rule guarded no lock the code took, and a violation was the silent
-//! hang above. A lock built straight on `std::sync` would escape it again;
-//! there is none under `crates/`.
+//! therefore always the running fiber's: the fiber switch asserts that no
+//! guard crosses it. The count used to live in a lock type of this crate that
+//! no other crate used: the rule guarded no lock the code took, and a
+//! violation was the silent hang above. A lock built straight on
+//! `std::sync` would escape it again; there is none under `crates/`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -119,7 +112,111 @@ pub mod sync;
 #[cfg(any(test, not(fibers)))]
 mod threads;
 
+/// What a sim thread is on this host (`runtime::Body`), chosen here and
+/// nowhere else: a fiber where `build.rs` sets `cfg(fibers)` (x86-64 Linux)
+/// and an OS thread elsewhere; in the unit tests there, either
+/// (`tests::each_body`).
+#[cfg(all(fibers, not(test)))]
+type Host = fiber::Fiber;
+#[cfg(all(fibers, test))]
+type Host = tests::Either<fiber::Fiber, threads::OsThread>;
+#[cfg(not(fibers))]
+type Host = threads::OsThread;
+
 pub use charge::{charge, charge_split, charges, set_charges, waited, Charges, Class};
 pub use runtime::{
     now_nanos, sleep_nanos, spawn, spawn_daemon, yield_now, JoinHandle, Nanos, Runtime,
 };
+
+#[cfg(test)]
+mod tests {
+    /// Runs `f` once per body this target has, the runtimes it makes using
+    /// that body, and returns what each run returned.
+    #[cfg(not(fibers))]
+    pub(crate) fn each_body<T>(f: impl Fn() -> T) -> Vec<T> {
+        vec![f()]
+    }
+
+    #[cfg(fibers)]
+    pub(crate) use both::{each_body, Either};
+
+    /// Fibers and OS threads in one build, for the unit tests.
+    #[cfg(fibers)]
+    mod both {
+        use crate::runtime::{Body, Ctx};
+        use std::cell::Cell;
+
+        thread_local! {
+            /// Whether the runtimes this OS thread makes run on the right body.
+            static RIGHT: Cell<bool> = const { Cell::new(false) };
+        }
+
+        /// Runs `f` once per body, the runtimes it makes using that body,
+        /// and returns what each run returned.
+        pub(crate) fn each_body<T>(f: impl Fn() -> T) -> Vec<T> {
+            [false, true]
+                .map(|right| {
+                    RIGHT.set(right);
+                    let result = f();
+                    RIGHT.set(false);
+                    result
+                })
+                .into()
+        }
+
+        /// A body that is one of two, chosen for root by [`each_body`]. Every
+        /// thread of a runtime has the body of the thread that spawned it.
+        pub(crate) enum Either<A, B> {
+            Left(A),
+            Right(B),
+        }
+
+        impl<A: Body, B: Body> Body for Either<A, B> {
+            type Swap = Either<A::Swap, B::Swap>;
+
+            fn root() -> Self {
+                if RIGHT.get() {
+                    Either::Right(B::root())
+                } else {
+                    Either::Left(A::root())
+                }
+            }
+
+            fn start(&self, idle: Option<Self>, name: &str, ctx: impl FnOnce() -> Ctx) -> Self {
+                match (self, idle) {
+                    (Either::Left(a), None) => Either::Left(a.start(None, name, ctx)),
+                    (Either::Left(a), Some(Either::Left(i))) => {
+                        Either::Left(a.start(Some(i), name, ctx))
+                    }
+                    (Either::Right(b), None) => Either::Right(b.start(None, name, ctx)),
+                    (Either::Right(b), Some(Either::Right(i))) => {
+                        Either::Right(b.start(Some(i), name, ctx))
+                    }
+                    _ => unreachable!("one runtime, one body"),
+                }
+            }
+
+            fn swap_to(&self, next: &Self) -> Self::Swap {
+                match (self, next) {
+                    (Either::Left(a), Either::Left(b)) => Either::Left(a.swap_to(b)),
+                    (Either::Right(a), Either::Right(b)) => Either::Right(a.swap_to(b)),
+                    _ => unreachable!("one runtime, one body"),
+                }
+            }
+
+            fn switch(swap: Self::Swap) {
+                match swap {
+                    Either::Left(s) => A::switch(s),
+                    Either::Right(s) => B::switch(s),
+                }
+            }
+
+            fn exit(swap: Self::Swap) {
+                match swap {
+                    Either::Left(s) => A::exit(s),
+                    Either::Right(s) => B::exit(s),
+                }
+            }
+        }
+    }
+}

@@ -3,21 +3,18 @@
 //! See the crate docs for the execution model and the hand-off protocol. In
 //! short: exactly one sim thread holds the *run token* at a time, and the
 //! global clock advances to the earliest timer whenever no thread is runnable.
-//! A sim thread is a fiber on the OS thread that called [`Runtime::run`] on
-//! x86-64 Linux (`crate::fiber`), and an OS thread everywhere else
-//! (`crate::threads`); the unit tests run the scheduler on both.
+//! This module decides which thread runs and when; how a sim thread runs on
+//! the host is its [`Body`]'s business.
 
 use crate::charge::Charges;
-#[cfg(fibers)]
-use crate::fiber::{self, Fiber};
-#[cfg(any(test, not(fibers)))]
-use crate::threads::Parker;
+use crate::Host;
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Virtual time in nanoseconds since the start of the simulation.
@@ -25,31 +22,38 @@ pub type Nanos = u64;
 
 type Tid = usize;
 
-/// The thread that runs the body of [`Runtime::run`], on the caller's stack.
+/// The thread that runs the body of [`Runtime::run`], on the caller's stack:
+/// the first, and the one running when a scheduler is made.
 const ROOT: Tid = 0;
 
 // ---------------------------------------------------------------------------
 // Thread-local context
 // ---------------------------------------------------------------------------
 
+/// What a sim thread finds on its OS thread: its runtime's scheduler and its
+/// charges. The fibers of a runtime share one; an OS-thread body has its own.
 pub(crate) struct Ctx {
     sched: Arc<Scheduler>,
-    /// The sim thread that holds the run token on this OS thread: fixed for
-    /// an OS-thread body, installed by every switch between fibers.
-    tid: Cell<Tid>,
     /// What the running thread has been charged ([`mod@crate::charge`]). A
-    /// fiber switch keeps the outgoing thread's in its [`ThreadInfo`] and
-    /// installs the incoming one's.
+    /// thread starts at zero, keeps its own on its stack while another runs
+    /// and puts them back when it gets the token again ([`hand_over`]).
     pub(crate) charges: RefCell<Charges>,
 }
 
 impl Ctx {
-    fn new(sched: Arc<Scheduler>, tid: Tid) -> Ctx {
+    fn new(sched: Arc<Scheduler>) -> Ctx {
         Ctx {
             sched,
-            tid: Cell::new(tid),
             charges: RefCell::default(),
         }
+    }
+
+    /// Runs `f` with this context installed on the calling OS thread.
+    pub(crate) fn enter<T>(self, f: impl FnOnce() -> T) -> T {
+        CURRENT.with(|c| *c.borrow_mut() = Some(self));
+        let result = f();
+        CURRENT.with(|c| *c.borrow_mut() = None);
+        result
     }
 }
 
@@ -67,11 +71,6 @@ pub(crate) fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> T {
     })
 }
 
-/// Returns `true` when the calling OS thread is a sim thread.
-fn in_sim() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// Every operation that can give up the run token starts here. The count is
 /// kept by the lock shim itself, one per live guard on this thread, so it
 /// sees every `Mutex` and `RwLock` the workspace takes.
@@ -86,76 +85,42 @@ pub(crate) fn assert_not_in_critical_section(op: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport: how the run token moves
+// The body: what a sim thread is on the host
 // ---------------------------------------------------------------------------
 
-/// What a sim thread is on the host.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Transport {
-    /// A fiber on the OS thread that called [`Runtime::run`]: a hand-off is a
-    /// swap of stack pointers.
-    #[cfg(fibers)]
-    Fibers,
-    /// An OS thread of its own, parked while it does not hold the token: a
-    /// hand-off is an unpark and a park.
-    #[cfg(any(test, not(fibers)))]
-    Threads,
-}
+/// What a sim thread is on the host, and all that the scheduler leaves to
+/// it: how a thread starts, how the run token passes to the next thread, and
+/// how a thread exits. Implemented by a fiber (`crate::fiber`) and an OS
+/// thread (`crate::threads`); `crate::Host` is the one a [`Runtime`] uses.
+pub(crate) trait Body: Sized + Send {
+    /// A hand-off, decided under the state lock and made once it is released.
+    type Swap;
 
-impl Transport {
-    #[cfg(fibers)]
-    const DEFAULT: Transport = Transport::Fibers;
-    #[cfg(not(fibers))]
-    const DEFAULT: Transport = Transport::Threads;
-}
+    /// The body of root, on the OS thread that calls [`Runtime::run`].
+    fn root() -> Self;
 
-/// A hand-off decided under the state lock and inside the context borrow,
-/// and made once both are released.
-enum Swap {
-    #[cfg(fibers)]
-    Fiber(fiber::Swap),
-    #[cfg(any(test, not(fibers)))]
-    Thread {
-        wake: Arc<Parker>,
-        park: Arc<Parker>,
-    },
-}
+    /// The body of a thread that this one spawns, which calls
+    /// [`run_spawned`] once it is first handed the token. `idle` is the body
+    /// of a thread that has exited, for a body that can run another thread;
+    /// `ctx` makes a context for a new OS thread of this runtime.
+    fn start(&self, idle: Option<Self>, name: &str, ctx: impl FnOnce() -> Ctx) -> Self;
 
-impl Swap {
-    /// Hands the token over; returns when this thread holds it again.
-    fn run(self) {
-        match self {
-            #[cfg(fibers)]
-            Swap::Fiber(swap) => {
-                // A guard alive here would be alive in whichever fiber runs
-                // next, on this same OS thread.
-                assert_eq!(
-                    parking_lot::guards_held(),
-                    0,
-                    "a lock guard across a fiber switch"
-                );
-                swap.run();
-            }
-            #[cfg(any(test, not(fibers)))]
-            Swap::Thread { wake, park } => {
-                wake.unpark();
-                park.park();
-            }
-        }
-    }
+    /// The hand-off from this thread, which holds the token, to `next`.
+    fn swap_to(&self, next: &Self) -> Self::Swap;
 
-    /// Hands the token over for good: the calling thread has exited. An OS
-    /// thread returns and finishes; a fiber returns only once a later spawn
-    /// reuses it.
-    fn run_exit(self) {
-        match self {
-            #[cfg(fibers)]
-            Swap::Fiber(_) => self.run(),
-            #[cfg(any(test, not(fibers)))]
-            Swap::Thread { wake, .. } => wake.unpark(),
-        }
+    /// Makes `swap`; returns once a later hand-off gives the token back.
+    /// Called with no lock guard and no context borrow alive.
+    fn switch(swap: Self::Swap);
+
+    /// Makes `swap` from a thread that has exited; returns once the body is
+    /// free. By default that is a switch, which returns when a spawn hands
+    /// the body its next thread; an OS thread returns at once, and ends.
+    fn exit(swap: Self::Swap) {
+        Self::switch(swap);
     }
 }
+
+type Swap = <Host as Body>::Swap;
 
 // ---------------------------------------------------------------------------
 // Scheduler state
@@ -184,19 +149,13 @@ struct ThreadInfo {
     switched_to: u64,
     /// The closure a spawned thread runs, until its first run takes it.
     start: Option<Start>,
-    /// The thread's charges while another fiber runs.
-    #[cfg(fibers)]
-    charges: Charges,
-    /// The thread's fiber, until it exits and goes back to the pool.
-    #[cfg(fibers)]
-    fiber: Option<Fiber>,
-    /// The thread's parker, under OS threads.
-    #[cfg(any(test, not(fibers)))]
-    parker: Option<Arc<Parker>>,
+    /// What the thread runs on, until it exits and leaves it to the next
+    /// spawn ([`State::idle`]).
+    body: Option<Host>,
 }
 
 impl ThreadInfo {
-    fn new(name: &str, status: Status, daemon: bool, start: Option<Start>) -> ThreadInfo {
+    fn new(name: &str, status: Status, daemon: bool, start: Option<Start>, body: Host) -> Self {
         ThreadInfo {
             name: name.to_owned(),
             status,
@@ -204,50 +163,21 @@ impl ThreadInfo {
             joiners: Vec::new(),
             switched_to: 0,
             start,
-            #[cfg(fibers)]
-            charges: Charges::default(),
-            #[cfg(fibers)]
-            fiber: None,
-            #[cfg(any(test, not(fibers)))]
-            parker: None,
+            body: Some(body),
         }
     }
 
-    #[cfg(fibers)]
-    fn fiber(&self) -> &Fiber {
-        self.fiber.as_ref().expect("a live thread's fiber")
-    }
-
-    #[cfg(any(test, not(fibers)))]
-    fn parker(&self) -> Arc<Parker> {
-        Arc::clone(self.parker.as_ref().expect("an OS-thread body's parker"))
+    fn body(&self) -> &Host {
+        self.body.as_ref().expect("a live thread's body")
     }
 }
 
-struct Timer {
-    wake_at: Nanos,
-    seq: u64,
-    tid: Tid,
-}
+/// A sleeper's wake-up, `(deadline, sequence, tid)`, reversed so that the
+/// max-heap pops the earliest deadline first and, of equal deadlines, the
+/// first registered. Sequence numbers are unique: the tid never decides.
+type Timer = Reverse<(Nanos, u64, Tid)>;
 
-impl PartialEq for Timer {
-    fn eq(&self, other: &Self) -> bool {
-        self.wake_at == other.wake_at && self.seq == other.seq
-    }
-}
-impl Eq for Timer {}
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest (deadline, seq) pops first.
-        (other.wake_at, other.seq).cmp(&(self.wake_at, self.seq))
-    }
-}
-
+#[derive(Default)]
 struct State {
     run_queue: VecDeque<Tid>,
     timers: BinaryHeap<Timer>,
@@ -259,23 +189,26 @@ struct State {
     /// token for root to raise it from [`Runtime::run`]
     /// ([`Scheduler::deadlocked`]).
     deadlock: Option<String>,
-    /// Fibers whose threads exited, for the next spawns.
-    #[cfg(fibers)]
-    pool: Vec<Fiber>,
+    /// Bodies of exited threads, for the next spawns.
+    idle: Vec<Host>,
 }
 
+#[derive(Default)]
 struct Scheduler {
     state: Mutex<State>,
     /// The virtual clock. Written only under the `state` lock, by the thread
     /// that holds the run token; read without it by `now_nanos`. Relaxed is
     /// enough: a reader holds the run token, and the hand-off that gave it
-    /// the token (state lock, then a fiber switch on the same OS thread or a
-    /// `Parker` Release/Acquire) orders every earlier write before it.
+    /// the token (state lock, then the body's switch, which orders memory
+    /// like a lock hand-over) orders every earlier write before it.
     now: AtomicU64,
+    /// The thread that holds the run token, [`ROOT`] at first: set by every
+    /// hand-off to the thread the pick chose, and read, like `now`, by the
+    /// token holder.
+    running: AtomicUsize,
     /// Whether `State::deadlock` holds a report. Root reads it at every
     /// resume, so it is kept outside the lock; the hand-off orders it.
     deadlocked: AtomicBool,
-    transport: Transport,
 }
 
 /// What [`Scheduler::pick_next`] decided.
@@ -289,27 +222,12 @@ enum Next {
 }
 
 impl Scheduler {
-    fn new(transport: Transport) -> Arc<Scheduler> {
-        Arc::new(Scheduler {
-            now: AtomicU64::new(0),
-            deadlocked: AtomicBool::new(false),
-            state: Mutex::new(State {
-                run_queue: VecDeque::new(),
-                timers: BinaryHeap::new(),
-                threads: Vec::new(),
-                seq: 0,
-                switches: 0,
-                timer_events: 0,
-                deadlock: None,
-                #[cfg(fibers)]
-                pool: Vec::new(),
-            }),
-            transport,
-        })
-    }
-
     fn now(&self) -> Nanos {
         self.now.load(Ordering::Relaxed)
+    }
+
+    fn running(&self) -> Tid {
+        self.running.load(Ordering::Relaxed)
     }
 
     /// Picks the next thread to run and marks it running, advancing the clock
@@ -318,11 +236,11 @@ impl Scheduler {
     fn pick_next(&self, st: &mut State, me: Option<Tid>) -> Next {
         let next = if let Some(next) = st.run_queue.pop_front() {
             next
-        } else if let Some(t) = st.timers.pop() {
-            debug_assert!(t.wake_at >= self.now(), "timer in the past");
-            self.now.store(self.now().max(t.wake_at), Ordering::Relaxed);
+        } else if let Some(Reverse((wake_at, _, tid))) = st.timers.pop() {
+            debug_assert!(wake_at >= self.now(), "timer in the past");
+            self.now.store(self.now().max(wake_at), Ordering::Relaxed);
             st.timer_events += 1;
-            t.tid
+            tid
         } else {
             let mut report = String::new();
             for (i, th) in st.threads.iter().enumerate() {
@@ -343,53 +261,36 @@ impl Scheduler {
         st.threads[next].switched_to += 1;
         Next::Wake(next)
     }
-}
 
-impl Ctx {
-    /// Gives up the run token: the caller has queued, timed or blocked itself
-    /// under `st`. Returns the swap to the successor, to be run once the lock
-    /// and the context borrow are released, or `None` when the pick lands
-    /// on the caller.
+    /// Gives up the run token: `me`, the caller, has queued, timed or blocked
+    /// itself under `st`. Returns the hand-off to the successor, to be made
+    /// once the lock and the context borrow are released, or `None` when
+    /// the pick lands on the caller.
     ///
     /// # Panics
     ///
     /// If root finds the simulation deadlocked. Another thread that finds it
     /// hands root the token with the report, for root to raise.
-    fn give_up(&self, st: &mut State) -> Option<Swap> {
-        let me = self.tid.get();
-        match self.sched.pick_next(st, Some(me)) {
+    fn give_up(&self, st: &mut State, me: Tid) -> Option<Swap> {
+        match self.pick_next(st, Some(me)) {
             Next::Caller => None,
-            Next::Wake(next) => Some(self.hand_to(st, next)),
+            Next::Wake(next) => Some(self.hand_to(st, me, next)),
             Next::Deadlock(report) if me == ROOT => panic!("{report}"),
-            Next::Deadlock(report) => Some(self.hand_deadlock_to_root(st, report)),
+            Next::Deadlock(report) => Some(self.hand_deadlock_to_root(st, me, report)),
         }
     }
 
-    /// The swap that gives root the token and `report` to raise.
-    fn hand_deadlock_to_root(&self, st: &mut State, report: String) -> Swap {
+    /// The hand-off that gives root the token and `report` to raise.
+    fn hand_deadlock_to_root(&self, st: &mut State, me: Tid, report: String) -> Swap {
         st.deadlock = Some(report);
-        self.sched.deadlocked.store(true, Ordering::Relaxed);
-        self.hand_to(st, ROOT)
+        self.deadlocked.store(true, Ordering::Relaxed);
+        self.hand_to(st, me, ROOT)
     }
 
-    /// The swap from the running thread to `next`. Between fibers it also
-    /// moves the context over: the running thread's charges go to its
-    /// `ThreadInfo`, and `next`'s tid and charges come in.
-    fn hand_to(&self, st: &mut State, next: Tid) -> Swap {
-        let me = self.tid.get();
-        match self.sched.transport {
-            #[cfg(fibers)]
-            Transport::Fibers => {
-                st.threads[me].charges = self.charges.replace(st.threads[next].charges);
-                self.tid.set(next);
-                Swap::Fiber(st.threads[me].fiber().swap_to(st.threads[next].fiber()))
-            }
-            #[cfg(any(test, not(fibers)))]
-            Transport::Threads => Swap::Thread {
-                wake: st.threads[next].parker(),
-                park: st.threads[me].parker(),
-            },
-        }
+    /// The hand-off from `me` to `next`, which holds the token from here on.
+    fn hand_to(&self, st: &State, me: Tid, next: Tid) -> Swap {
+        self.running.store(next, Ordering::Relaxed);
+        st.threads[me].body().swap_to(st.threads[next].body())
     }
 }
 
@@ -408,13 +309,17 @@ fn switch(swap: Option<Swap>) {
     }
 }
 
-/// The out-of-line half of [`switch`].
+/// The out-of-line half of [`switch`]. The caller's charges wait on its own
+/// stack while other threads run, so no thread writes another's.
 fn hand_over(swap: Swap) {
-    swap.run();
+    let mine = crate::charges();
+    Host::switch(swap);
     let deadlock = with_ctx(|ctx| {
-        if ctx.tid.get() != ROOT || !ctx.sched.deadlocked.load(Ordering::Relaxed) {
+        *ctx.charges.borrow_mut() = mine;
+        if !ctx.sched.deadlocked.load(Ordering::Relaxed) {
             return None;
         }
+        debug_assert_eq!(ctx.sched.running(), ROOT, "a deadlock is handed to root");
         ctx.sched.deadlocked.store(false, Ordering::Relaxed);
         ctx.sched.state.lock().deadlock.take()
     });
@@ -423,72 +328,39 @@ fn hand_over(swap: Swap) {
     }
 }
 
-/// The life of a spawned thread on its body: run the closure registered
-/// for its tid, then retire.
-fn run_spawned() {
-    let start = with_ctx(|ctx| ctx.sched.state.lock().threads[ctx.tid.get()].start.take());
+/// The life of a spawned thread, on a body just handed the token for it: run
+/// the closure registered for its tid from zero charges, then retire and
+/// leave the body to the next spawn. Returns once the body is free
+/// ([`Body::exit`]).
+pub(crate) fn run_spawned() {
+    let start = with_ctx(|ctx| {
+        *ctx.charges.borrow_mut() = Charges::default();
+        ctx.sched.state.lock().threads[ctx.sched.running()]
+            .start
+            .take()
+    });
     start.expect("a spawned thread runs its closure once")();
     let swap = with_ctx(|ctx| {
-        let mut st = ctx.sched.state.lock();
-        let me = ctx.tid.get();
+        let sched = &ctx.sched;
+        let mut st = sched.state.lock();
+        let me = sched.running();
         st.threads[me].status = Status::Dead;
-        let joiners = std::mem::take(&mut st.threads[me].joiners);
-        for j in joiners {
+        for j in std::mem::take(&mut st.threads[me].joiners) {
             st.threads[j].status = Status::Runnable;
             st.run_queue.push_back(j);
         }
-        let swap = match ctx.sched.pick_next(&mut st, None) {
+        let swap = match sched.pick_next(&mut st, None) {
             Next::Caller => unreachable!("an exiting thread cannot be rescheduled"),
-            Next::Wake(next) => ctx.hand_to(&mut st, next),
-            Next::Deadlock(report) => ctx.hand_deadlock_to_root(&mut st, report),
+            Next::Wake(next) => sched.hand_to(&st, me, next),
+            Next::Deadlock(report) => sched.hand_deadlock_to_root(&mut st, me, report),
         };
-        // The swap already holds the stack-pointer cell, which moves with
-        // the fiber; nothing reuses the fiber before the swap, since only
-        // this thread runs until then.
-        #[cfg(fibers)]
-        if let Some(fiber) = st.threads[me].fiber.take() {
-            st.pool.push(fiber);
-        }
+        // The swap already holds what it needs of the body, and nothing
+        // reuses the body before the swap: only this thread runs until then.
+        let body = st.threads[me].body.take();
+        st.idle.extend(body);
         swap
     });
-    swap.run_exit();
-}
-
-/// Where every fiber starts: a fiber whose thread has exited sits in the
-/// pool, inside `run_spawned`, until a spawn hands it the next thread.
-#[cfg(fibers)]
-extern "C" fn fiber_main() -> ! {
-    loop {
-        run_spawned();
-    }
-}
-
-/// Starts the OS thread of a spawned thread under the OS-thread body.
-#[cfg(any(test, not(fibers)))]
-fn spawn_os_thread(
-    name: &str,
-    sched: Arc<Scheduler>,
-    tid: Tid,
-    parker: Arc<Parker>,
-) -> std::thread::JoinHandle<()> {
-    let parker2 = Arc::clone(&parker);
-    let os_handle = std::thread::Builder::new()
-        .name(name.to_owned())
-        .spawn(move || {
-            // Wait to be granted the run token for the first time.
-            parker2.park();
-            CURRENT.with(|c| *c.borrow_mut() = Some(Ctx::new(sched, tid)));
-            run_spawned();
-            CURRENT.with(|c| *c.borrow_mut() = None);
-        })
-        .expect("failed to spawn OS thread for sim thread");
-    // The spawner still holds the run token, so nobody has tried to wake the
-    // new thread yet.
-    parker
-        .thread
-        .set(os_handle.thread().clone())
-        .expect("set once, here");
-    os_handle
+    Host::exit(swap);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,22 +401,17 @@ impl Default for Runtime {
 impl Runtime {
     /// Creates a fresh runtime with the clock at zero.
     pub fn new() -> Runtime {
-        Runtime::on(Transport::DEFAULT)
-    }
-
-    fn on(transport: Transport) -> Runtime {
         Runtime {
-            sched: Scheduler::new(transport),
+            sched: Arc::default(),
         }
     }
 
     /// Runs `f` as the root sim thread on the calling OS thread and returns
     /// its result once it completes.
     ///
-    /// A daemon still waiting when `f` returns never runs again: its stack
-    /// is unmapped here, with the scheduler, which no fiber holds a
-    /// reference to, and what its frames own leaks. (On targets where sim
-    /// threads are OS threads, its OS thread stays parked.)
+    /// A daemon still waiting when `f` returns never runs again: its body
+    /// goes with the scheduler, and what its frames own leaks. (A fiber's
+    /// stack is unmapped here; an OS thread stays parked.)
     ///
     /// # Panics
     ///
@@ -554,23 +421,12 @@ impl Runtime {
     /// * if the simulation deadlocks (no runnable thread and no timer), with
     ///   the report, whichever thread found it.
     pub fn run<T>(self, f: impl FnOnce() -> T) -> T {
-        assert!(!in_sim(), "nested Runtime::run is not supported");
+        let nested = CURRENT.with(|c| c.borrow().is_some());
+        assert!(!nested, "nested Runtime::run is not supported");
         let sched = self.sched;
-        {
-            let mut root = ThreadInfo::new("root", Status::Running, false, None);
-            match sched.transport {
-                #[cfg(fibers)]
-                Transport::Fibers => root.fiber = Some(Fiber::native()),
-                #[cfg(any(test, not(fibers)))]
-                Transport::Threads => {
-                    root.parker = Some(Parker::new(Some(std::thread::current())));
-                }
-            }
-            sched.state.lock().threads.push(root);
-        }
-        CURRENT.with(|c| *c.borrow_mut() = Some(Ctx::new(Arc::clone(&sched), ROOT)));
-        let result = catch_unwind(AssertUnwindSafe(f));
-        CURRENT.with(|c| *c.borrow_mut() = None);
+        let root = ThreadInfo::new("root", Status::Running, false, None, Host::root());
+        sched.state.lock().threads.push(root);
+        let result = Ctx::new(Arc::clone(&sched)).enter(|| catch_unwind(AssertUnwindSafe(f)));
         let leaked: Vec<String> = {
             let st = sched.state.lock();
             st.threads
@@ -638,12 +494,8 @@ pub fn sleep_nanos(d: Nanos) {
     switch(with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
         st.seq += 1;
-        let me = ctx.tid.get();
-        let timer = Timer {
-            wake_at: ctx.sched.now().saturating_add(d),
-            seq: st.seq,
-            tid: me,
-        };
+        let me = ctx.sched.running();
+        let wake_at = ctx.sched.now().saturating_add(d);
         // Nobody is runnable and every pending timer is due later (an equal
         // deadline has the smaller sequence number and goes first): the
         // pick would pop this very timer and hand the token back to the
@@ -653,15 +505,16 @@ pub fn sleep_nanos(d: Nanos) {
             && st
                 .timers
                 .peek()
-                .is_none_or(|next| next.wake_at > timer.wake_at)
+                .is_none_or(|Reverse((next, ..))| *next > wake_at)
         {
-            ctx.sched.now.store(timer.wake_at, Ordering::Relaxed);
+            ctx.sched.now.store(wake_at, Ordering::Relaxed);
             st.timer_events += 1;
             return None;
         }
-        st.timers.push(timer);
+        let seq = st.seq;
+        st.timers.push(Reverse((wake_at, seq, me)));
         st.threads[me].status = Status::Sleeping;
-        ctx.give_up(&mut st)
+        ctx.sched.give_up(&mut st, me)
     }));
 }
 
@@ -670,15 +523,15 @@ pub fn yield_now() {
     assert_not_in_critical_section("yield_now");
     switch(with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
-        let me = ctx.tid.get();
+        let me = ctx.sched.running();
         st.threads[me].status = Status::Runnable;
         st.run_queue.push_back(me);
-        ctx.give_up(&mut st)
+        ctx.sched.give_up(&mut st, me)
     }));
 }
 
 pub(crate) fn current_tid() -> Tid {
-    with_ctx(|ctx| ctx.tid.get())
+    with_ctx(|ctx| ctx.sched.running())
 }
 
 /// Blocks the calling thread for `reason` (shown in deadlock reports) until
@@ -687,8 +540,9 @@ pub(crate) fn current_tid() -> Tid {
 pub(crate) fn block_current(reason: &'static str) {
     switch(with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
-        st.threads[ctx.tid.get()].status = Status::Blocked(reason);
-        ctx.give_up(&mut st)
+        let me = ctx.sched.running();
+        st.threads[me].status = Status::Blocked(reason);
+        ctx.sched.give_up(&mut st, me)
     }));
 }
 
@@ -714,8 +568,6 @@ type ResultSlot<T> = Arc<Mutex<Option<std::thread::Result<T>>>>;
 pub struct JoinHandle<T> {
     tid: Tid,
     slot: ResultSlot<T>,
-    /// The OS thread, under OS-thread bodies.
-    os_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<T> fmt::Debug for JoinHandle<T> {
@@ -733,22 +585,18 @@ impl<T> JoinHandle<T> {
     ///
     /// Re-raises the thread's panic, like [`std::thread::JoinHandle::join`]
     /// followed by `unwrap`.
-    pub fn join(mut self) -> T {
+    pub fn join(self) -> T {
         assert_not_in_critical_section("join");
         switch(with_ctx(|ctx| {
             let mut st = ctx.sched.state.lock();
             if st.threads[self.tid].status == Status::Dead {
                 return None;
             }
-            let me = ctx.tid.get();
+            let me = ctx.sched.running();
             st.threads[self.tid].joiners.push(me);
             st.threads[me].status = Status::Blocked("join");
-            ctx.give_up(&mut st)
+            ctx.sched.give_up(&mut st, me)
         }));
-        // Reap the OS thread so nothing leaks past the runtime.
-        if let Some(h) = self.os_handle.take() {
-            let _ = h.join();
-        }
         let result = self
             .slot
             .lock()
@@ -773,33 +621,24 @@ fn spawn_inner<T: Send + 'static>(
         let result = catch_unwind(AssertUnwindSafe(f));
         *slot2.lock() = Some(result);
     });
-    let mut info = ThreadInfo::new(name, Status::Runnable, daemon, Some(start));
-    let (tid, os_handle) = with_ctx(|ctx| {
+    let tid = with_ctx(|ctx| {
         let mut st = ctx.sched.state.lock();
         let tid = st.threads.len();
-        let os_handle = match ctx.sched.transport {
-            #[cfg(fibers)]
-            Transport::Fibers => {
-                let fiber = st.pool.pop();
-                info.fiber = Some(fiber.unwrap_or_else(|| Fiber::new(fiber_main)));
-                None
-            }
-            #[cfg(any(test, not(fibers)))]
-            Transport::Threads => {
-                let parker = Parker::new(None);
-                info.parker = Some(Arc::clone(&parker));
-                Some(spawn_os_thread(name, Arc::clone(&ctx.sched), tid, parker))
-            }
-        };
-        st.threads.push(info);
+        let idle = st.idle.pop();
+        let body = st.threads[ctx.sched.running()]
+            .body()
+            .start(idle, name, || Ctx::new(Arc::clone(&ctx.sched)));
+        st.threads.push(ThreadInfo::new(
+            name,
+            Status::Runnable,
+            daemon,
+            Some(start),
+            body,
+        ));
         st.run_queue.push_back(tid);
-        (tid, os_handle)
+        tid
     });
-    JoinHandle {
-        tid,
-        slot,
-        os_handle,
-    }
+    JoinHandle { tid, slot }
 }
 
 /// Spawns a named sim thread. It becomes runnable immediately (the spawner
@@ -826,20 +665,16 @@ mod tests {
     use super::*;
     use crate::sync::WaitSet;
 
-    /// Every body this target has: fibers on x86-64 Linux, OS threads
-    /// everywhere.
-    #[cfg(fibers)]
-    const BODIES: [Transport; 2] = [Transport::Fibers, Transport::Threads];
-    #[cfg(not(fibers))]
-    const BODIES: [Transport; 1] = [Transport::Threads];
+    use crate::tests::each_body;
 
-    /// Runs `test` once on a runtime of each body. Both must pass, or both
-    /// must panic; the first panic is raised again once both have run.
+    /// Runs `test` once on a runtime of each body. All must pass, or all
+    /// must panic; the first panic is raised again once all have run.
     fn on_each_body(test: impl Fn(Runtime)) {
-        let outcomes = BODIES.map(|t| catch_unwind(AssertUnwindSafe(|| test(Runtime::on(t)))));
+        let outcomes = each_body(|| catch_unwind(AssertUnwindSafe(|| test(Runtime::new()))));
         let panicked = outcomes.iter().filter(|o| o.is_err()).count();
+        let bodies = outcomes.len();
         if let Some(Err(payload)) = outcomes.into_iter().find(Result::is_err) {
-            assert_eq!(panicked, BODIES.len(), "the bodies disagree on panicking");
+            assert_eq!(panicked, bodies, "the bodies disagree on panicking");
             resume_unwind(payload);
         }
     }
@@ -935,7 +770,7 @@ mod tests {
                 Arc::try_unwrap(log).unwrap().into_inner()
             })
         }
-        let runs = BODIES.map(|t| (once(Runtime::on(t)), once(Runtime::on(t))));
+        let runs = each_body(|| (once(Runtime::new()), once(Runtime::new())));
         for (a, b) in &runs {
             assert_eq!(a, b);
             assert_eq!(a, &runs[0].0, "every body, one schedule");
@@ -1089,6 +924,30 @@ mod tests {
                 assert_eq!(second.join(), (0, 3));
                 assert_eq!(charges().total(), 7);
                 assert_eq!(charges().get(Class::Flush), 7);
+            })
+        });
+    }
+
+    /// An exiting thread hands the token straight to one that has never run
+    /// (on fibers, a fresh one, while the exited fiber goes idle): the
+    /// newcomer starts at zero under its own tid, and the exit leaves the
+    /// joiner's charges as they were.
+    #[test]
+    fn an_exit_hands_a_fresh_thread_a_clean_context() {
+        use crate::charge::{charge, charges, waited, Class};
+        on_each_body(|rt| {
+            rt.run(|| {
+                charge(Class::Flush, 7);
+                let a = spawn("a", || {
+                    waited(Class::Search, 5);
+                    current_tid()
+                });
+                let b = spawn("b", || (charges().total(), current_tid()));
+                assert_eq!(a.join(), 1);
+                assert_eq!(charges().total(), 7);
+                assert_eq!(charges().get(Class::Flush), 7);
+                assert_eq!(b.join(), (0, 2));
+                assert_eq!(stats().switches, 3, "root -> a -> b -> root");
             })
         });
     }

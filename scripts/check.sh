@@ -38,8 +38,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Every crate root denies unsafe_code, so clippy has just refused any unsafe
 # a library does not explicitly allow; this count also covers the bins,
 # tests, benches and examples. The four: the CRC32C kernel's call site
-# (crates/engine/src/crc32c.rs), and in crates/sim/src/fiber.rs, the sim
-# threads' fibers, mapping a stack with its guard page and first frame,
+# (crates/engine/src/crc32c.rs), and in crates/sim/src/fiber.rs, the fiber
+# body of sim threads, mapping a stack with its guard page and first frame,
 # unmapping it, and the stack switch.
 unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates shims src tests examples | wc -l)
 [[ $unsafes == 4 ]] || { echo "expected four unsafe blocks, found $unsafes" >&2; exit 1; }
@@ -49,6 +49,12 @@ unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates 
 hot_maps=(crates/simfs/src/{pagecache,file,fs,content}.rs crates/engine/src/{cache,table_cache}.rs)
 if grep -nwE 'HashMap|HashSet|RandomState' "${hot_maps[@]}"; then
     echo "a default-hasher map in a hot-map file: use xlsm_sim::hash::{FxHashMap, FxHashSet}" >&2
+    exit 1
+fi
+# The scheduler knows no body: what a sim thread is on the host lives in
+# crates/sim/src/{fiber,threads}.rs behind runtime::Body, and lib.rs picks one.
+if grep -nE 'cfg\([^)]*fibers|\<(Fiber|Parker|Transport)\>' crates/sim/src/runtime.rs; then
+    echo "a body's name or cfg(fibers) in the scheduler: keep it behind runtime::Body" >&2
     exit 1
 fi
 # Every sleep in the engine, the file system and the device is charged to a

@@ -4,9 +4,9 @@
 # and counted with the code they hide what a change removed.
 #
 #   product      outside tests/, benches/, examples/ and above a file's first
-#                top-level `#[cfg(test)]` (test modules sit at the end of
-#                their file; three small `#[cfg(test)]` helper methods inside
-#                impl blocks count as product)
+#                top-level `#[cfg(test)]` that opens a `mod` (test modules
+#                sit at the end of their file; a `#[cfg(test)]` helper
+#                outside one counts as product)
 #   inline-test  from that `#[cfg(test)]` line to the end of the file
 #   test-files   everything under a tests/, benches/ or examples/ directory
 #
@@ -21,12 +21,17 @@ roots=(crates shims src tests examples)
 # Prints "product inline-test test-files" for the tree at $1.
 count() {
     (cd "$1" && find "${roots[@]}" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { inline = 0; apart = FILENAME ~ /(^|\/)(tests|benches|examples)\// }
+        FNR == 1 {
+            product += held; held = inline = 0
+            apart = FILENAME ~ /(^|\/)(tests|benches|examples)\//
+        }
         apart { files++; next }
-        /^#\[cfg\(test\)\]/ { inline = 1 }
         inline { tests++; next }
+        held && /^(pub(\([a-z]+\))? )?mod / { inline = 1; tests += 2; held = 0; next }
+        { product += held; held = 0 }
+        /^#\[cfg\(test\)\]/ { held = 1; next }
         { product++ }
-        END { print product + 0, tests + 0, files + 0 }
+        END { print product + held, tests + 0, files + 0 }
     ' | awk '{ p += $1; t += $2; f += $3 } END { print p, t, f }')
 }
 
