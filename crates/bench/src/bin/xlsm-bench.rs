@@ -9,13 +9,15 @@
 //!
 //! A figure prints its tables and writes `results/<table>.tsv`; a probe
 //! prints the tables derived from its report and writes `BENCH_<name>.json`,
-//! both relative to the working directory. Neither carries timestamps or
-//! wall-clock data: two runs with the same seed must produce byte-identical
-//! files (`scripts/check.sh` enforces this for the probes). `probe` runs one
+//! both relative to the working directory. At `--quick` both go under
+//! `results/quick/` instead, so a quick file never lands under a full-size
+//! name. Neither carries timestamps or wall-clock data: two runs with the
+//! same seed must produce byte-identical files (`scripts/check.sh` compares
+//! a fresh quick run with the committed `results/quick/`). `probe` runs one
 //! workload configuration and dumps engine, filesystem and device counters —
 //! a calibration/debugging aid, not a paper figure.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use xlsm_bench::common::{with_testbed, BenchConfig};
 use xlsm_bench::{names, select, Run, EXPERIMENTS};
@@ -70,6 +72,11 @@ fn main() {
         if quick { " (quick)" } else { "" }
     );
 
+    let (table_dir, probe_dir) = if quick {
+        ("results/quick", "results/quick")
+    } else {
+        ("results", "")
+    };
     let t0 = std::time::Instant::now();
     let mut failed = false;
     // Each file is written as soon as its experiment is done, so partial
@@ -90,7 +97,7 @@ fn main() {
             Run::Figures(figures) => {
                 for (name, table) in figures(&cfg) {
                     println!("{table}");
-                    let path = Path::new("results").join(format!("{name}.tsv"));
+                    let path = Path::new(table_dir).join(format!("{name}.tsv"));
                     written(&path, table.write_tsv(&path));
                 }
             }
@@ -99,8 +106,10 @@ fn main() {
                 for table in report.section_tables() {
                     println!("{table}");
                 }
-                let path = PathBuf::from(format!("BENCH_{}.json", report.bench));
-                written(&path, std::fs::write(&path, report.to_json()));
+                let path = Path::new(probe_dir).join(format!("BENCH_{}.json", report.bench));
+                let result = std::fs::create_dir_all(probe_dir)
+                    .and_then(|()| std::fs::write(&path, report.to_json()));
+                written(&path, result);
             }
         }
     }

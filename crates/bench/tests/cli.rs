@@ -1,5 +1,6 @@
-//! The `xlsm-bench` binary's argument handling; no experiment is run.
+//! The `xlsm-bench` binary's argument handling and where its output goes.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn xlsm_bench(args: &[&str]) -> Output {
@@ -35,4 +36,46 @@ fn an_unknown_name_exits_2_listing_the_valid_ones() {
             assert!(err.contains(name), "{name} missing from:\n{err}");
         }
     }
+}
+
+/// Every file under `dir`, as a path relative to it.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(
+                files_under(&path)
+                    .into_iter()
+                    .map(|f| path.strip_prefix(dir).unwrap().join(f)),
+            );
+        } else {
+            files.push(path.strip_prefix(dir).unwrap().to_owned());
+        }
+    }
+    files
+}
+
+#[test]
+fn a_quick_run_writes_only_under_results_quick() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-quick-stalls");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_xlsm-bench"))
+        .args(["--quick", "stalls"])
+        .current_dir(&dir)
+        .output()
+        .expect("run xlsm-bench");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut files = files_under(&dir);
+    files.sort();
+    assert_eq!(
+        files,
+        ["stall_breakdown.tsv", "stall_timeline.tsv"].map(|f| Path::new("results/quick").join(f))
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

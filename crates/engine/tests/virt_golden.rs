@@ -8,8 +8,8 @@
 //! change under `sst/`, `iterator.rs`, `memtable.rs`, `read.rs` or
 //! `compaction.rs` that adds, drops or reorders one `sleep_nanos` charge,
 //! table-cache lookup or device read moves a literal here, in seconds, where
-//! `scripts/same_bytes.sh` would take a quarter of an hour to say so — and
-//! nothing else times `scan_prefix` at all.
+//! `scripts/same_bytes.sh` takes a build and a three-minute quick suite to
+//! say so — and nothing else times `scan_prefix` at all.
 //!
 //! Re-captured once since, for the second configuration only (the first has
 //! no Level-0 file when it scans and runs nothing in parallel, so neither

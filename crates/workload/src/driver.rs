@@ -26,7 +26,8 @@ pub struct WorkloadResult {
     pub read_latency: HistogramSummary,
     /// Write-latency summary.
     pub write_latency: HistogramSummary,
-    /// Completed ops per 100 ms bucket, as `(seconds, kop/s)`.
+    /// Completed ops per 100 ms bucket, as `(seconds, kop/s)`; a bucket is
+    /// labelled by its end, so the labels are 0.1, 0.2, 0.3, … s.
     pub timeline: Vec<(f64, f64)>,
     /// Average writer-queue depth sampled at group commits (Fig. 16).
     pub avg_waiting_writers: f64,
@@ -158,7 +159,7 @@ pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
         .enumerate()
         .map(|(i, b)| {
             (
-                (i as f64 + 0.5) * (BUCKET_NANOS as f64 / 1e9),
+                (i as f64 + 1.0) * (BUCKET_NANOS as f64 / 1e9),
                 b.load(Ordering::Relaxed) as f64 / (BUCKET_NANOS as f64 / 1e9) / 1e3,
             )
         })
@@ -225,6 +226,14 @@ mod tests {
             assert!((0.35..0.65).contains(&wf), "write fraction {wf}");
             assert!(r.kops() > 0.0);
             assert_eq!(r.timeline.len(), 5);
+            // As the figures print them, to one decimal: no two rows share a time.
+            let labels: Vec<f64> = r
+                .timeline
+                .iter()
+                .map(|&(t, _)| format!("{t:.1}").parse().unwrap())
+                .collect();
+            assert!(labels.windows(2).all(|w| w[0] < w[1]), "{labels:?}");
+            assert_eq!(labels.first(), Some(&0.1));
             assert!(r.read_latency.count > 0);
             assert!(r.write_latency.p90_ns > 0);
             db.close();

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Regenerates the committed BENCH_<probe>.json artifacts, full-size. (With
-# --quick the CLI runs a fast smoke size; the committed files are the
-# full-size output, so don't commit a quick-mode regeneration.)
+# Rewrites every committed artifact at both sizes: full-size results/*.tsv
+# and BENCH_<probe>.json, and the quick copy of all of them under
+# results/quick/ that scripts/same_bytes.sh compares a fresh quick run with.
 #
 # Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
-# seconds per probe, the oracle test's seconds and peak resident memory, the
-# seconds of every test binary of `cargo test --release --workspace`, mean
-# ns of every engine_micro bench). Informational — it differs run to run and
-# host to host, and no script compares it.
+# seconds of the full-size figures, of each probe and of the quick suite, the
+# oracle test's seconds and peak resident memory, the seconds of every test
+# binary of `cargo test --release --workspace`, mean ns of every engine_micro
+# bench). Informational — it differs run to run and host to host, and no
+# script compares it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,12 +20,22 @@ bin=${CARGO_TARGET_DIR:-target}/release/xlsm-bench
 # One CPU, as in check.sh: unpinned, a probe's wall seconds swing severalfold.
 source scripts/pin.sh
 
-probe_rows=()
-for probe in $("$bin" list --probes); do
-    started=$SECONDS
-    "${pin[@]}" "$bin" "$probe"
-    probe_rows+=("    \"$probe\": $((SECONDS - started))")
+# A file no experiment writes any more must not outlive it.
+rm -rf results/*.tsv results/quick
+# Runs xlsm-bench pinned on ${@:3}; appends "$2": <its seconds> to array $1.
+timed() {
+    local -n into=$1
+    local started=$SECONDS
+    "${pin[@]}" "$bin" "${@:3}"
+    into+=("    \"$2\": $((SECONDS - started))")
+}
+probes=$("$bin" list --probes)
+suite_rows=() probe_rows=()
+timed suite_rows figures $("$bin" list | grep -vxF "$probes")
+for probe in $probes; do
+    timed probe_rows "$probe" "$probe"
 done
+timed suite_rows quick_all --quick all
 
 # The oracle's budget, as its test harness times it (no build, no cargo), and
 # its peak resident memory (VmHWM), which the test prints.
@@ -80,6 +91,9 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '{'
     echo '  "note": "host clock, informational: differs run to run, compared by no script",'
     echo "  \"pinned_to_one_cpu\": $([[ ${#pin[@]} -gt 0 ]] && echo true || echo false),"
+    echo '  "suite_wall_s": {'
+    rows "${suite_rows[@]}"
+    echo '  },'
     echo '  "probe_wall_s": {'
     rows "${probe_rows[@]}"
     echo '  },'

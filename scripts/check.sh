@@ -77,30 +77,18 @@ echo "$largest"
 step "cargo fmt --check"
 cargo fmt --check
 
+step "committed artifacts: xlsm-bench --quick all byte-identical to results/quick/"
+scripts/same_bytes.sh
+
 source scripts/pin.sh
-cargo build -q --release -p xlsm-bench
 bin=${CARGO_TARGET_DIR:-$PWD/target}/release/xlsm-bench
-# The CLI writes BENCH_<probe>.json into its working directory.
-run_a="$(mktemp -d)" run_b="$(mktemp -d)"
-trap 'rm -rf "$run_a" "$run_b"' EXIT
-# A probe that runs full-size in under a minute is gated on what is
-# committed: equal to an earlier run is both fresh and deterministic. The two
-# that take minutes full-size are gated on determinism alone, at --quick.
-for probe in $("$bin" list --probes); do
-    case $probe in
-        stability | space)
-            step "determinism: $probe probe twice with one seed, byte-identical JSON"
-            for dir in "$run_a" "$run_b"; do
-                (cd "$dir" && "${pin[@]}" "$bin" --quick "$probe" >/dev/null)
-            done
-            cmp "$run_a/BENCH_$probe.json" "$run_b/BENCH_$probe.json"
-            ;;
-        *)
-            step "committed artifact: $probe probe full-size, byte-identical to BENCH_$probe.json"
-            (cd "$run_a" && "${pin[@]}" "$bin" "$probe" >/dev/null)
-            cmp "$run_a/BENCH_$probe.json" "BENCH_$probe.json"
-            ;;
-    esac
+run="$(mktemp -d)"
+trap 'rm -rf "$run"' EXIT
+# The three probes that run full-size in seconds are also gated at full size.
+for probe in parallelism writepath readpath; do
+    step "committed artifact: $probe probe full-size, byte-identical to BENCH_$probe.json"
+    (cd "$run" && "${pin[@]}" "$bin" "$probe" >/dev/null)
+    cmp "$run/BENCH_$probe.json" "BENCH_$probe.json"
 done
 
 step "benchmark package's own tests"
