@@ -26,11 +26,10 @@ use crate::common::{
     config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
     JsonReport, JsonRow,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Ticker};
-use xlsm_workload::{run_workload, WorkloadSpec};
+use xlsm_workload::{run_workload, Sampler, WorkloadSpec};
 
 /// The reclamation-rate sweep, bytes/second (0 = legacy inline deletion).
 pub const RATES: [u64; 4] = [0, 2 << 20, 8 << 20, 32 << 20];
@@ -95,17 +94,10 @@ fn run_point(
 
             // A virtual-time sampler tracks the backlog's high-water mark while
             // the closed-loop workload runs.
-            let stop = Arc::new(AtomicBool::new(false));
             let sampler = {
                 let db = Arc::clone(&tb.db);
-                let stop = Arc::clone(&stop);
-                xlsm_sim::spawn("backlog-sampler", move || {
-                    let mut peak = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        peak = peak.max(db.trash_queued_bytes());
-                        xlsm_sim::sleep_nanos(20_000_000);
-                    }
-                    peak
+                Sampler::start("backlog-sampler", 20_000_000, move || {
+                    db.trash_queued_bytes() as f64
                 })
             };
 
@@ -117,8 +109,11 @@ fn run_point(
             let t0 = xlsm_sim::now_nanos();
             let r = run_workload(&tb.db, &spec);
             let t1 = xlsm_sim::now_nanos();
-            stop.store(true, Ordering::Relaxed);
-            let peak_backlog = sampler.join().max(tb.db.trash_queued_bytes());
+            let peak_backlog = sampler
+                .finish()
+                .into_iter()
+                .map(|(_, bytes)| bytes as u64)
+                .fold(tb.db.trash_queued_bytes(), u64::max);
 
             let stats = tb.db.stats();
             let window_secs = (t1 - t0) as f64 / 1e9;

@@ -1,9 +1,11 @@
 //! Background work: flush, compaction, obsolete-file and WAL purge, the
 //! trash reaper, the scrubber and the space watcher, all run through one
-//! retry / read-only error loop, plus the workers that drive them.
+//! retry / read-only error loop, plus the one daemon loop that drives them.
 
 use crate::bgerror::{BackgroundOp, ErrorSeverity};
-use crate::compaction::{pick_compaction, run_compaction, CompactionJob, CompactionTask};
+use crate::compaction::{
+    pick_compaction, run_compaction, CompactionJob, CompactionPicker, CompactionTask,
+};
 use crate::costs::{self, EntryCharge};
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
@@ -20,16 +22,8 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xlsm_sim::sync::Receiver;
-use xlsm_sim::{Class, JoinHandle};
+use xlsm_sim::{Class, JoinHandle, Nanos};
 use xlsm_simfs::{FsError, SimFs};
-
-/// Flush worker threads (RocksDB `max_background_flushes`). Flush jobs are
-/// serialized by `flush_serial`, so more would only queue behind it.
-const MAX_BACKGROUND_FLUSHES: usize = 1;
-
-/// Compaction worker threads (RocksDB `max_background_compactions`; 1 is
-/// the db_bench / RocksDB 5.17 default the paper runs).
-const MAX_BACKGROUND_COMPACTIONS: usize = 1;
 
 /// Backoff before the first background-error retry (1 ms); doubles on each
 /// subsequent attempt.
@@ -38,6 +32,10 @@ const BACKGROUND_ERROR_RETRY_BACKOFF_NS: u64 = 1_000_000;
 /// Idle tick of the scrubber and the trash reaper; also their shutdown poll
 /// interval.
 const IDLE_TICK_NS: u64 = 10_000_000;
+
+/// Compaction signals that may wait for the compaction daemon: one to start
+/// the next job and one more for work a running job leaves behind.
+const MAX_QUEUED_COMPACTIONS: usize = 2;
 
 /// Deletes `path`, treating "already gone" as success.
 fn delete_if_exists(fs: &SimFs, path: &str) -> Result<(), FsError> {
@@ -96,10 +94,10 @@ impl Drop for BusyInputs<'_> {
     }
 }
 
-/// Cursor state for the background scrubber: it walks live SSTs in file-number
-/// order, wrapping around at the end of each pass.
+/// The scrubber's cursor: it walks live SSTs in file-number order, wrapping
+/// around at the end of each pass.
 #[derive(Default)]
-pub(crate) struct ScrubState {
+struct ScrubState {
     /// Highest file number verified so far in the current pass.
     cursor: u64,
     /// Virtual time the current pass started (0 = not started).
@@ -129,12 +127,8 @@ impl DbInner {
         }
         let version = self.versions.current();
         let (_, score) = version.compaction_score(&self.opts, self.dynamic.l0_compaction_trigger());
-        if score >= 1.0 {
-            let queued = self.compact_queued.load(Ordering::Relaxed);
-            if queued < MAX_BACKGROUND_COMPACTIONS * 2 {
-                self.compact_queued.fetch_add(1, Ordering::Relaxed);
-                let _ = self.compact_tx.send(());
-            }
+        if score >= 1.0 && self.compact_rx.len() < MAX_QUEUED_COMPACTIONS {
+            let _ = self.compact_tx.send(());
         }
     }
 
@@ -184,7 +178,7 @@ impl DbInner {
     /// purge's own error. With the reaper off, the pass first retries the
     /// trash deletes that failed before.
     pub(crate) fn purge_obsolete(&self) {
-        while !self.trash.enabled() && self.reap_trash_one() {}
+        self.reap_trash_inline();
         let candidates: Vec<u64> = std::mem::take(&mut *self.obsolete.lock());
         if candidates.is_empty() {
             return;
@@ -208,6 +202,12 @@ impl DbInner {
         if !had_error {
             self.bg.succeed(BackgroundOp::ObsoletePurge);
         }
+    }
+
+    /// With the reaper off, deletes every file in the trash queue now,
+    /// stopping at the first failure (that file stays queued).
+    pub(crate) fn reap_trash_inline(&self) {
+        while !self.trash.enabled() && self.reap_trash_one() {}
     }
 
     /// Deletes one file from the trash queue, paced to
@@ -310,14 +310,14 @@ impl DbInner {
     // -- scrubbing ---------------------------------------------------------
 
     /// Verifies one live SST against its recorded checksums and advances the
-    /// scrub cursor (file-number order, wrapping at the end of a pass).
+    /// scrubber's cursor (file-number order, wrapping at the end of a pass).
     ///
     /// Reads are paced to `scrub_rate_bytes_per_sec` so the scrubber's I/O
     /// cost is honest but bounded. Returns `Ok(false)` when scrubbing is
     /// disabled or there is nothing to scan; corruption errors propagate to
     /// [`DbInner::run_background_job`], which counts them and flips the
     /// database read-only.
-    fn scrub_one(self: &Arc<Self>) -> DbResult<bool> {
+    fn scrub_one(self: &Arc<Self>, state: &mut ScrubState) -> DbResult<bool> {
         let rate = self.opts.scrub_rate_bytes_per_sec;
         if rate == 0 {
             return Ok(false);
@@ -329,32 +329,27 @@ impl DbInner {
         if metas.is_empty() {
             return Ok(false);
         }
-        let meta = {
-            let mut state = self.scrub.lock();
-            if state.pass_start_ns == 0 {
-                state.pass_start_ns = xlsm_sim::now_nanos();
+        if state.pass_start_ns == 0 {
+            state.pass_start_ns = xlsm_sim::now_nanos();
+        }
+        let meta = match metas.iter().find(|m| m.number > state.cursor) {
+            Some(m) => {
+                state.files_scanned += 1;
+                Arc::clone(m)
             }
-            match metas.iter().find(|m| m.number > state.cursor) {
-                Some(m) => {
-                    state.cursor = m.number;
-                    state.files_scanned += 1;
-                    Arc::clone(m)
+            None => {
+                // Pass complete: record its duration, wrap around.
+                if state.files_scanned > 0 {
+                    self.stats
+                        .scrub_pass
+                        .record(xlsm_sim::now_nanos() - state.pass_start_ns);
                 }
-                None => {
-                    // Pass complete: record its duration, wrap around.
-                    if state.files_scanned > 0 {
-                        self.stats
-                            .scrub_pass
-                            .record(xlsm_sim::now_nanos() - state.pass_start_ns);
-                    }
-                    state.pass_start_ns = xlsm_sim::now_nanos();
-                    state.files_scanned = 1;
-                    let m = Arc::clone(&metas[0]);
-                    state.cursor = m.number;
-                    m
-                }
+                state.pass_start_ns = xlsm_sim::now_nanos();
+                state.files_scanned = 1;
+                Arc::clone(&metas[0])
             }
         };
+        state.cursor = meta.number;
         let path = sst_file_name(&self.opts.db_path, meta.number);
         let file = match self.fs.open(&path) {
             Ok(f) => f,
@@ -490,7 +485,7 @@ impl DbInner {
 
     // -- compaction --------------------------------------------------------
 
-    fn compact_one(self: &Arc<Self>) -> DbResult<bool> {
+    fn compact_one(self: &Arc<Self>, picker: &mut CompactionPicker) -> DbResult<bool> {
         // Headroom rule: a compaction whose estimated output (bounded by
         // its input bytes — merging only shrinks) cannot fit under the
         // space cap never starts. The picker masks that level and falls
@@ -504,21 +499,14 @@ impl DbInner {
                 false
             }
         };
-        let task = {
-            let version = self.versions.current();
-            let in_progress = self.in_compaction.lock();
-            let mut cursors = self.cursors.lock();
-            let mut level_picker = self.level_picker.lock();
-            pick_compaction(
-                &version,
-                &self.opts,
-                self.dynamic.l0_compaction_trigger(),
-                &in_progress,
-                &mut cursors,
-                &mut level_picker,
-                &fits,
-            )
-        };
+        let task = pick_compaction(
+            &self.versions.current(),
+            &self.opts,
+            self.dynamic.l0_compaction_trigger(),
+            &self.in_compaction.lock(),
+            picker,
+            &fits,
+        );
         let Some(task) = task else {
             return Ok(false);
         };
@@ -608,11 +596,11 @@ impl DbInner {
     /// exponential backoff, and the job's success clears the error it
     /// recorded. A stall leaves the job queued (the immutable memtable stays
     /// in place) for the space watcher to reschedule; a hard error leaves
-    /// the database read-only. Workers never panic.
+    /// the database read-only. Daemons never panic.
     fn run_background_job(
         self: &Arc<Self>,
         op: BackgroundOp,
-        job: impl Fn(&Arc<Self>) -> DbResult<bool>,
+        mut job: impl FnMut(&Arc<Self>) -> DbResult<bool>,
     ) {
         let mut retries = 0u32;
         while !self.shutdown.load(Ordering::Relaxed) && !self.bg.is_read_only() {
@@ -641,74 +629,99 @@ fn trash_file_name(db_path: &str, number: u64) -> String {
     format!("{db_path}/trash/{number:06}.sst")
 }
 
-/// Spawns the background workers `Db::open` hands to the `Db` for joining
-/// at close: the flush and compaction pools draining their job channels,
-/// plus the scrubber, trash reaper and space watcher when enabled.
-pub(crate) fn spawn_workers(
+/// What a daemon waits for before its next step.
+enum Wake {
+    /// The next signal on its job channel.
+    Job,
+    /// Nothing: the step already spent its virtual time.
+    Now,
+    /// That much idle virtual time.
+    After(Nanos),
+}
+
+/// Spawns one daemon: a thread that runs `step`, which does one unit of
+/// work and returns its next wake, until the database shuts down or `jobs`
+/// closes. The step owns whatever state no other thread touches. A daemon
+/// with a job channel waits for a job before its first step; one without
+/// steps at once.
+fn spawn_daemon(
     inner: &Arc<DbInner>,
-    flush_rx: &Receiver<()>,
-    compact_rx: &Receiver<()>,
-) -> Vec<JoinHandle<()>> {
-    let mut workers = Vec::new();
-    for i in 0..MAX_BACKGROUND_FLUSHES {
-        let rx = flush_rx.clone();
-        let inner = Arc::clone(inner);
-        workers.push(xlsm_sim::spawn(&format!("flush-{i}"), move || {
-            while rx.recv().is_some() {
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    break;
+    name: &str,
+    jobs: Option<Receiver<()>>,
+    mut step: impl FnMut(&Arc<DbInner>) -> Wake + Send + 'static,
+) -> JoinHandle<()> {
+    let inner = Arc::clone(inner);
+    xlsm_sim::spawn(name, move || {
+        let mut wake = jobs.as_ref().map_or(Wake::Now, |_| Wake::Job);
+        loop {
+            match wake {
+                Wake::Job => {
+                    if jobs.as_ref().is_none_or(|rx| rx.recv().is_none()) {
+                        return;
+                    }
                 }
-                inner.run_background_job(BackgroundOp::Flush, DbInner::flush_one);
+                Wake::Now => {}
+                Wake::After(ns) => xlsm_sim::charge(Class::Idle, ns),
             }
-        }));
-    }
-    for i in 0..MAX_BACKGROUND_COMPACTIONS {
-        let rx = compact_rx.clone();
-        let inner = Arc::clone(inner);
-        workers.push(xlsm_sim::spawn(&format!("compact-{i}"), move || {
-            while rx.recv().is_some() {
-                inner.compact_queued.fetch_sub(1, Ordering::Relaxed);
-                if inner.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                inner.run_background_job(BackgroundOp::Compaction, DbInner::compact_one);
+            if inner.shutdown.load(Ordering::Relaxed) {
+                return;
             }
-        }));
-    }
-    if inner.opts.scrub_rate_bytes_per_sec > 0 {
-        let inner = Arc::clone(inner);
-        workers.push(xlsm_sim::spawn("scrub-0", move || {
-            while !inner.shutdown.load(Ordering::Relaxed) {
-                inner.run_background_job(BackgroundOp::Scrub, DbInner::scrub_one);
+            wake = step(&inner);
+        }
+    })
+}
+
+/// Spawns the daemon table `Db::open` hands to the `Db` for joining at
+/// close, in table order: flush and compaction, each draining its job
+/// channel, then the scrubber, the trash reaper and the space watcher when
+/// enabled.
+///
+/// One flush and one compaction daemon: RocksDB 5.17's
+/// `max_background_flushes` and `max_background_compactions` default, which
+/// db_bench and the paper run. Flushes are serialized by `flush_serial`, so
+/// a second flush daemon would only queue behind it.
+pub(crate) fn spawn_workers(inner: &Arc<DbInner>, flush_rx: Receiver<()>) -> Vec<JoinHandle<()>> {
+    let opts = &inner.opts;
+    let mut picker = CompactionPicker::new(opts.compaction_scheduler);
+    let mut scrub = ScrubState::default();
+    let compact_rx = Some(inner.compact_rx.clone());
+    let daemons = [
+        Some(spawn_daemon(inner, "flush-0", Some(flush_rx), |db| {
+            db.run_background_job(BackgroundOp::Flush, DbInner::flush_one);
+            Wake::Job
+        })),
+        Some(spawn_daemon(inner, "compact-0", compact_rx, move |db| {
+            db.run_background_job(BackgroundOp::Compaction, |db| db.compact_one(&mut picker));
+            Wake::Job
+        })),
+        (opts.scrub_rate_bytes_per_sec > 0).then(|| {
+            spawn_daemon(inner, "scrub-0", None, move |db| {
+                db.run_background_job(BackgroundOp::Scrub, |db| db.scrub_one(&mut scrub));
                 // Idle tick between files; also the only wait while
                 // read-only.
-                xlsm_sim::charge(Class::Idle, IDLE_TICK_NS);
-            }
-        }));
-    }
-    if inner.trash.enabled() {
-        let inner = Arc::clone(inner);
-        workers.push(xlsm_sim::spawn("trash-reaper-0", move || {
-            while !inner.shutdown.load(Ordering::Relaxed) {
-                // After a delete go straight for the next (the pace()
-                // inside already spent the virtual time); idle or back off
-                // after an empty queue or a failed, re-queued delete.
-                if !inner.reap_trash_one() {
-                    xlsm_sim::charge(Class::Idle, IDLE_TICK_NS);
+                Wake::After(IDLE_TICK_NS)
+            })
+        }),
+        inner.trash.enabled().then(|| {
+            // After a delete go straight for the next (the pace() inside
+            // already spent the virtual time); idle or back off after an
+            // empty queue or a failed, re-queued delete.
+            spawn_daemon(inner, "trash-reaper-0", None, |db| {
+                if db.reap_trash_one() {
+                    Wake::Now
+                } else {
+                    Wake::After(IDLE_TICK_NS)
                 }
-            }
-        }));
-    }
-    if inner.opts.space_poll_interval_ns > 0 {
-        let inner = Arc::clone(inner);
-        workers.push(xlsm_sim::spawn("space-watcher-0", move || {
-            while !inner.shutdown.load(Ordering::Relaxed) {
-                inner.space_watch_tick();
-                xlsm_sim::charge(Class::Idle, inner.opts.space_poll_interval_ns);
-            }
-        }));
-    }
-    workers
+            })
+        }),
+        (opts.space_poll_interval_ns > 0).then(|| {
+            spawn_daemon(inner, "space-watcher-0", None, |db| {
+                db.space_watch_tick();
+                Wake::After(db.opts.space_poll_interval_ns)
+            })
+        }),
+    ];
+    daemons.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Leveled compaction: picking and execution.
 //!
-//! *Which level* gets serviced is the database's [`LevelPicker`], consulted
-//! with the per-level scores; *what* is compacted within the chosen level
-//! is fixed policy:
+//! *Which level* gets serviced is the compaction daemon's [`LevelPicker`],
+//! consulted with the per-level scores; *what* is compacted within the
+//! chosen level is fixed policy:
 //!
 //! * **L0 → L1**: all Level-0 files (their ranges overlap) merge with the
 //!   overlapping L1 files.
@@ -20,12 +20,12 @@ use crate::costs::{self, EntryCharge};
 use crate::error::DbResult;
 use crate::iterator::{InternalIterator, LevelIterator, MergingIterator};
 use crate::options::DbOptions;
-use crate::scheduler::LevelPicker;
+use crate::scheduler::{CompactionScheduler, LevelPicker};
 use crate::sst::{sst_file_name, TableBuilder, TableOptions};
 use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
-use crate::version::{FileMetaData, Version, VersionEdit};
+use crate::version::{FileMetaData, Version, VersionEdit, NUM_LEVELS};
 use std::collections::HashSet;
 use std::sync::Arc;
 use xlsm_sim::Class;
@@ -86,23 +86,26 @@ fn key_range(files: &[Arc<FileMetaData>]) -> Option<(Vec<u8>, Vec<u8>)> {
     lo.zip(hi)
 }
 
-/// Round-robin cursors, one per level, storing the user key after which the
-/// next pick starts.
-#[derive(Debug, Default)]
-pub struct CompactionCursors {
+/// What the compaction daemon remembers between picks: its level picker and,
+/// per level, the user key after which the next round-robin file pick
+/// starts.
+#[derive(Debug)]
+pub(crate) struct CompactionPicker {
+    levels: LevelPicker,
     cursors: Vec<Option<Vec<u8>>>,
 }
 
-impl CompactionCursors {
-    /// Cursors for `n` levels.
-    pub fn new(n: usize) -> CompactionCursors {
-        CompactionCursors {
-            cursors: vec![None; n],
+impl CompactionPicker {
+    /// A picker with no history that chooses levels by `policy`.
+    pub(crate) fn new(policy: CompactionScheduler) -> CompactionPicker {
+        CompactionPicker {
+            levels: LevelPicker::new(policy),
+            cursors: vec![None; NUM_LEVELS],
         }
     }
 }
 
-/// Picks the next compaction as directed by `level_picker`, or `None` when
+/// Picks the next compaction as directed by the level picker, or `None` when
 /// no level is eligible or every eligible level's candidate files are busy.
 ///
 /// The picker is consulted with the per-level scores; if the level it
@@ -114,19 +117,18 @@ impl CompactionCursors {
 /// pick still advances that level's cursor, so the next lap tries the
 /// following — possibly smaller — file instead of re-forming the same
 /// oversized task forever.
-pub fn pick_compaction(
+pub(crate) fn pick_compaction(
     version: &Version,
     opts: &DbOptions,
     l0_trigger: usize,
     in_progress: &HashSet<u64>,
-    cursors: &mut CompactionCursors,
-    level_picker: &mut LevelPicker,
+    picker: &mut CompactionPicker,
     fits: &dyn Fn(&CompactionTask) -> bool,
 ) -> Option<CompactionTask> {
     let mut scores = version.level_scores(opts, l0_trigger);
     loop {
-        let level = level_picker.pick_level(&scores)?;
-        if let Some(task) = pick_at_level(version, level, in_progress, cursors) {
+        let level = picker.levels.pick_level(&scores)?;
+        if let Some(task) = pick_at_level(version, level, in_progress, &mut picker.cursors) {
             if fits(&task) {
                 return Some(task);
             }
@@ -142,7 +144,7 @@ fn pick_at_level(
     version: &Version,
     level: usize,
     in_progress: &HashSet<u64>,
-    cursors: &mut CompactionCursors,
+    cursors: &mut [Option<Vec<u8>>],
 ) -> Option<CompactionTask> {
     let output_level = level + 1;
     let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
@@ -155,7 +157,7 @@ fn pick_at_level(
         all
     } else {
         let files = &version.levels[level];
-        let cursor = cursors.cursors[level].clone();
+        let cursor = cursors[level].clone();
         let start = match &cursor {
             None => 0,
             Some(c) => files.partition_point(|f| types::user_key(&f.smallest) <= &c[..]),
@@ -181,7 +183,7 @@ fn pick_at_level(
         return None;
     }
     if level > 0 {
-        cursors.cursors[level] = Some(types::user_key(&inputs[0].largest).to_vec());
+        cursors[level] = Some(types::user_key(&inputs[0].largest).to_vec());
     }
     // Bottommost check: no file in any deeper level overlaps the range.
     let can_drop_tombstones = (output_level + 1..version.levels.len())
@@ -514,7 +516,6 @@ fn merge_range(
 mod tests {
     use super::*;
     use crate::db::tests::{open_db, small_opts};
-    use crate::scheduler::CompactionScheduler;
     use crate::types::make_internal_key;
     use xlsm_sim::Runtime;
 
@@ -522,17 +523,10 @@ mod tests {
         v: &Version,
         opts: &DbOptions,
         busy: &HashSet<u64>,
-        cursors: &mut CompactionCursors,
+        picker: &mut CompactionPicker,
     ) -> Option<CompactionTask> {
-        pick_compaction(
-            v,
-            opts,
-            opts.level0_file_num_compaction_trigger,
-            busy,
-            cursors,
-            &mut LevelPicker::new(CompactionScheduler::Greedy),
-            &|_| true,
-        )
+        let trigger = opts.level0_file_num_compaction_trigger;
+        pick_compaction(v, opts, trigger, busy, picker, &|_| true)
     }
 
     fn meta(number: u64, lo: &[u8], hi: &[u8], size: u64) -> FileMetaData {
@@ -561,8 +555,8 @@ mod tests {
     fn no_compaction_below_trigger() {
         let opts = DbOptions::default();
         let v = version_with(vec![meta(1, b"a", b"z", 100)], vec![]);
-        let mut cursors = CompactionCursors::new(7);
-        assert!(pick(&v, &opts, &HashSet::new(), &mut cursors).is_none());
+        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
+        assert!(pick(&v, &opts, &HashSet::new(), &mut picker).is_none());
     }
 
     #[test]
@@ -576,8 +570,8 @@ mod tests {
                 meta(12, b"x", b"z", 100),
             ],
         );
-        let mut cursors = CompactionCursors::new(7);
-        let t = pick(&v, &opts, &HashSet::new(), &mut cursors).unwrap();
+        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
+        let t = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
         assert_eq!(t.level, 0);
         assert_eq!(t.inputs.len(), 4);
         // Overlapping L1: [a,d] and [k,p], not [x,z].
@@ -590,10 +584,10 @@ mod tests {
     fn busy_l0_defers() {
         let opts = DbOptions::default();
         let v = version_with((1..=4).map(|i| meta(i, b"a", b"z", 100)).collect(), vec![]);
-        let mut cursors = CompactionCursors::new(7);
+        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
         let mut busy = HashSet::new();
         busy.insert(2u64);
-        assert!(pick(&v, &opts, &busy, &mut cursors).is_none());
+        assert!(pick(&v, &opts, &busy, &mut picker).is_none());
     }
 
     #[test]
@@ -603,8 +597,8 @@ mod tests {
             ..DbOptions::default()
         };
         let v = version_with(vec![], vec![meta(5, b"a", b"c", 100)]);
-        let mut cursors = CompactionCursors::new(7);
-        let t = pick(&v, &opts, &HashSet::new(), &mut cursors).unwrap();
+        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
+        let t = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
         assert_eq!(t.level, 1);
         assert!(t.is_trivial_move);
         assert_eq!(t.input_numbers(), vec![5]);
@@ -620,12 +614,12 @@ mod tests {
             vec![],
             vec![meta(5, b"a", b"c", 100), meta(6, b"m", b"p", 100)],
         );
-        let mut cursors = CompactionCursors::new(7);
-        let t1 = pick(&v, &opts, &HashSet::new(), &mut cursors).unwrap();
+        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
+        let t1 = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
         assert_eq!(t1.inputs[0].number, 5);
-        let t2 = pick(&v, &opts, &HashSet::new(), &mut cursors).unwrap();
+        let t2 = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
         assert_eq!(t2.inputs[0].number, 6, "cursor should advance");
-        let t3 = pick(&v, &opts, &HashSet::new(), &mut cursors).unwrap();
+        let t3 = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
         assert_eq!(t3.inputs[0].number, 5, "cursor should wrap");
     }
 
@@ -649,18 +643,18 @@ mod tests {
         }
         e.added.push((2, meta(20, b"n", b"o", 100)));
         let v = crate::version::apply_edit(&Version::empty(7), &e);
-        let mut cursors = CompactionCursors::new(7);
+        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
         let mut busy = HashSet::new();
         busy.insert(20u64);
 
-        let t1 = pick(&v, &opts, &busy, &mut cursors).unwrap();
+        let t1 = pick(&v, &opts, &busy, &mut picker).unwrap();
         assert_eq!(t1.inputs[0].number, 5);
         // Next pick lands on B, whose L2 overlap is busy: no task, and the
         // cursor must still point just past A.
-        assert!(pick(&v, &opts, &busy, &mut cursors).is_none());
+        assert!(pick(&v, &opts, &busy, &mut picker).is_none());
         busy.clear();
         let order: Vec<u64> = (0..4)
-            .map(|_| pick(&v, &opts, &busy, &mut cursors).unwrap().inputs[0].number)
+            .map(|_| pick(&v, &opts, &busy, &mut picker).unwrap().inputs[0].number)
             .collect();
         assert_eq!(order, vec![6, 7, 5, 6], "B must not be skipped");
     }

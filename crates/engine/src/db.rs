@@ -3,28 +3,27 @@
 //! [`crate::read`], background jobs in `background.rs`, the steps of
 //! recovery in `recovery.rs`.
 
-use crate::background::{self, ScrubState};
+use crate::background;
 use crate::batch::WriteBatch;
 use crate::bgerror::{BackgroundOp, ErrorHandler};
-use crate::compaction::CompactionCursors;
 use crate::controller::{StallSignals, WriteController};
 use crate::costs;
 use crate::error::{DbError, DbResult};
 use crate::memtable::MemTable;
 use crate::options::DbOptions;
 use crate::recovery;
-use crate::scheduler::{BgIoLimiter, LevelPicker};
+use crate::scheduler::BgIoLimiter;
 use crate::space::{DeleteScheduler, SpaceManager};
 use crate::stats::{DbStats, Metrics, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::SequenceNumber;
-use crate::version::{VersionEdit, VersionSet, NUM_LEVELS};
+use crate::version::{VersionEdit, VersionSet};
 use crate::wal::WalWriter;
 use crate::write::{WriteBackend, WriteQueue};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use xlsm_sim::sync::{channel, Semaphore, Sender};
+use xlsm_sim::sync::{channel, Receiver, Semaphore, Sender};
 use xlsm_sim::{Class, JoinHandle};
 use xlsm_simfs::SimFs;
 
@@ -123,17 +122,13 @@ pub(crate) struct DbInner {
     pub(crate) flush_serial: Semaphore,
     pub(crate) flush_tx: Sender<()>,
     pub(crate) compact_tx: Sender<()>,
-    pub(crate) compact_queued: AtomicUsize,
+    /// The compaction daemon's end of `compact_tx`; its length is the
+    /// compaction signals not yet taken.
+    pub(crate) compact_rx: Receiver<()>,
     pub(crate) in_compaction: parking_lot::Mutex<HashSet<u64>>,
-    pub(crate) cursors: parking_lot::Mutex<CompactionCursors>,
-    /// Which level compacts next (`compaction_scheduler`) and what that
-    /// policy remembers between picks.
-    pub(crate) level_picker: parking_lot::Mutex<LevelPicker>,
     pub(crate) obsolete: parking_lot::Mutex<Vec<u64>>,
     /// The database's health: retrying, stalled on ENOSPC or read-only.
     pub(crate) bg: ErrorHandler,
-    /// Background scrubber position (see `DbInner::scrub_one`).
-    pub(crate) scrub: parking_lot::Mutex<ScrubState>,
     /// Space cap + background-output reservations
     /// (`max_allowed_space_bytes`).
     pub(crate) space: SpaceManager,
@@ -479,13 +474,10 @@ impl Db {
             flush_serial: Semaphore::new("flush-serial", 1),
             flush_tx,
             compact_tx,
-            compact_queued: AtomicUsize::new(0),
+            compact_rx,
             in_compaction: parking_lot::Mutex::new(HashSet::new()),
-            cursors: parking_lot::Mutex::new(CompactionCursors::new(NUM_LEVELS)),
-            level_picker: parking_lot::Mutex::new(LevelPicker::new(opts.compaction_scheduler)),
             obsolete: parking_lot::Mutex::new(Vec::new()),
             bg,
-            scrub: parking_lot::Mutex::new(ScrubState::default()),
             space: SpaceManager::new(opts.max_allowed_space_bytes),
             trash: DeleteScheduler::new(opts.sst_delete_rate_bytes_per_sec),
             wal_fs,
@@ -497,7 +489,7 @@ impl Db {
             recovery::sweep_trash(&inner);
             recovery::sweep_orphans(&inner);
         }
-        let workers = background::spawn_workers(&inner, &flush_rx, &compact_rx);
+        let workers = background::spawn_workers(&inner, flush_rx);
         Ok(Db {
             inner,
             workers: parking_lot::Mutex::new(workers),
@@ -642,8 +634,8 @@ impl Db {
                 .current()
                 .compaction_score(&self.inner.opts, self.inner.dynamic.l0_compaction_trigger())
                 .1;
-            let busy = !self.inner.in_compaction.lock().is_empty()
-                || self.inner.compact_queued.load(Ordering::Relaxed) > 0;
+            let busy =
+                !self.inner.in_compaction.lock().is_empty() || !self.inner.compact_rx.is_empty();
             if score < 1.0 && !busy {
                 return;
             }

@@ -222,7 +222,7 @@ pub(crate) fn sweep_trash(inner: &DbInner) {
         }
         inner.trash.schedule(path, bytes);
     }
-    while !inner.trash.enabled() && inner.reap_trash_one() {}
+    inner.reap_trash_inline();
 }
 
 /// A crash between a flush/compaction output being written and its

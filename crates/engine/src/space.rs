@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Tracks the bytes a database occupies against `max_allowed_space_bytes`
 /// and hands out output reservations to in-flight flushes and compactions.
 ///
-/// The accounted usage passed to [`SpaceManager::try_reserve`] /
+/// The accounted usage passed to [`SpaceManager::reserve`] /
 /// [`SpaceManager::would_fit`] is computed by the caller (live SST bytes
 /// from the current version plus the trash backlog); the manager itself
 /// only owns the cap and the reservation counter, so it has no lock
@@ -105,23 +105,12 @@ impl SpaceManager {
     /// the cap is off, so turning the cap on under an in-flight job cannot
     /// release another job's headroom.
     pub fn reserve(&self, bytes: u64, used_bytes: u64) -> Option<Reservation<'_>> {
-        let bytes = self.count(bytes, used_bytes)?;
-        Some(Reservation { space: self, bytes })
-    }
-
-    /// [`SpaceManager::reserve`] without the receipt: whether the bytes were
-    /// reserved. Giving them back with [`SpaceManager::release`] is right
-    /// only if the cap was on when they were taken.
-    pub fn try_reserve(&self, bytes: u64, used_bytes: u64) -> bool {
-        self.count(bytes, used_bytes).is_some()
-    }
-
-    /// Counts `bytes` against the cap if they fit, and returns what it
-    /// counted: all of them, or none while the cap is off.
-    fn count(&self, bytes: u64, used_bytes: u64) -> Option<u64> {
         let max = self.max_allowed_space_bytes.load(Ordering::Relaxed);
         if max == 0 {
-            return Some(0);
+            return Some(Reservation {
+                space: self,
+                bytes: 0,
+            });
         }
         self.reserved
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
@@ -132,11 +121,11 @@ impl SpaceManager {
                 }
             })
             .ok()
-            .map(|_| bytes)
+            .map(|_| Reservation { space: self, bytes })
     }
 
     /// Gives back `bytes` of reservation, saturating at zero.
-    pub fn release(&self, bytes: u64) {
+    fn release(&self, bytes: u64) {
         let _ = self
             .reserved
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
@@ -254,34 +243,33 @@ mod tests {
     fn reservations_respect_the_cap() {
         let m = SpaceManager::new(100);
         assert!(m.enabled());
-        assert!(m.try_reserve(40, 30)); // 30 used + 40 = 70 <= 100
+        let first = m.reserve(40, 30).expect("30 used + 40 = 70 <= 100");
         assert_eq!(m.reserved_bytes(), 40);
-        assert!(!m.try_reserve(40, 30), "30 + 40 + 40 > 100");
+        assert!(m.reserve(40, 30).is_none(), "30 + 40 + 40 > 100");
         assert!(m.would_fit(30, 30));
         assert!(!m.would_fit(31, 30));
-        m.release(40);
+        drop(first);
         assert_eq!(m.reserved_bytes(), 0);
-        assert!(m.try_reserve(70, 30));
-        // Over-release saturates instead of wrapping.
-        m.release(1_000);
-        assert_eq!(m.reserved_bytes(), 0);
+        assert!(m.reserve(70, 30).is_some());
+        assert_eq!(m.reserved_bytes(), 0, "the dropped receipt gave it back");
     }
 
     #[test]
     fn disabled_cap_always_fits() {
         let m = SpaceManager::new(0);
         assert!(!m.enabled());
-        assert!(m.try_reserve(u64::MAX, u64::MAX));
+        let all = m.reserve(u64::MAX, u64::MAX).expect("no cap, always fits");
         assert!(m.would_fit(u64::MAX, u64::MAX));
         assert_eq!(m.reserved_bytes(), 0, "disabled cap never accumulates");
+        drop(all);
     }
 
     #[test]
     fn cap_is_runtime_adjustable() {
         let m = SpaceManager::new(100);
-        assert!(!m.try_reserve(200, 0));
+        assert!(m.reserve(200, 0).is_none());
         m.set_max_allowed_space_bytes(1000);
-        assert!(m.try_reserve(200, 0));
+        assert!(m.reserve(200, 0).is_some());
         m.set_max_allowed_space_bytes(0);
         assert!(!m.enabled());
     }

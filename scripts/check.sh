@@ -68,7 +68,13 @@ if [[ -n $bare ]]; then
     echo "a bare sleep_nanos in product code: charge it with xlsm_sim::charge" >&2
     exit 1
 fi
-# ROADMAP item 4's bar: no source file of a crate over 1,200 lines.
+# Every background thread of the engine is a row of the daemon table in
+# crates/engine/src/background.rs, spawned by its one loop: a second spawn
+# there is a bespoke loop sliding back in.
+spawns=$(grep -c 'xlsm_sim::spawn(' crates/engine/src/background.rs)
+[[ $spawns -le 1 ]] || { echo "background.rs spawns $spawns times: add a row to the daemon table instead" >&2; exit 1; }
+# The standing file-size rule (ROADMAP "Standing rules for every item"): no
+# source file of a crate over 1,200 lines.
 largest=$(find crates/*/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -rn | head -3)
 echo "largest files under crates/*/src:"
 echo "$largest"
