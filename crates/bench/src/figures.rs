@@ -575,7 +575,7 @@ pub fn fig_stalls(cfg: &BenchConfig) -> Vec<Figure> {
         cfg,
         move |tb| {
             // Drain fill-phase transitions so the timeline covers the run.
-            let _ = tb.db.metrics();
+            tb.db.stats().stall.drain_events();
             run_workload(&tb.db, &spec);
             tb.db.metrics()
         },

@@ -25,7 +25,7 @@ use crate::common::{
 };
 use xlsm_core::experiment::Testbed;
 use xlsm_device::DeviceProfile;
-use xlsm_engine::{CompressionType, DbOptions, Histogram, Ticker};
+use xlsm_engine::{CompressionType, DbOptions, OpTotals, Ticker};
 use xlsm_sim::Runtime;
 use xlsm_workload::KeySpace;
 
@@ -35,8 +35,10 @@ const MISS_OPS: usize = 2_000;
 /// Present-key reads per compression measurement.
 const COMPRESSED_READS: usize = 1_500;
 
-fn kops(ops: usize, ns: u64) -> f64 {
-    ratio(ops as f64, ns as f64 / 1e9) / 1e3
+/// Throughput of a window of back-to-back gets, in kop/s. Nothing is charged
+/// between them, so their summed latency is the window's length.
+fn kops(gets: OpTotals) -> f64 {
+    ratio(gets.ops as f64, gets.total_ns as f64 / 1e9) / 1e3
 }
 
 /// Deterministic xorshift key picker, independent of the fill RNG.
@@ -97,21 +99,18 @@ fn point_miss_one(
         let bloom0 = stats.ticker(Ticker::BloomUseful);
         let mbloom0 = stats.ticker(Ticker::MemtableBloomUseful);
         let mut next = picker(cfg.seed ^ 0x04D1_55E5, cfg.key_count);
-        let lat = Histogram::new();
-        let t0 = xlsm_sim::now_nanos();
+        stats.reset_window();
         for _ in 0..MISS_OPS {
             // In-range key index with an out-of-alphabet suffix: lands
             // inside every file's key range, exists in none.
             let mut key = ks.key(next());
             key.push(b'x');
-            let s0 = xlsm_sim::now_nanos();
             let got = tb.db.get(&key).expect("get");
-            lat.record(xlsm_sim::now_nanos() - s0);
             assert!(got.is_none(), "miss key unexpectedly present");
         }
-        let elapsed = xlsm_sim::now_nanos() - t0;
+        let lat = stats.gets.latency();
 
-        let miss_kops = kops(MISS_OPS, elapsed);
+        let miss_kops = kops(stats.gets.totals());
         // SST whole-key + memtable blooms, or neither.
         let filters = if filters { "bloom" } else { "none" };
         let row = vec![
@@ -181,16 +180,13 @@ fn compression_one(
         let stats = tb.db.stats();
         let dec0 = stats.ticker(Ticker::BlockDecompressions);
         let mut next = picker(cfg.seed ^ 0xC0DE, cfg.key_count);
-        let lat = Histogram::new();
-        let t0 = xlsm_sim::now_nanos();
+        stats.reset_window();
         for _ in 0..COMPRESSED_READS {
             let key = ks.key(next());
-            let s0 = xlsm_sim::now_nanos();
             let got = tb.db.get(&key).expect("get");
-            lat.record(xlsm_sim::now_nanos() - s0);
             assert!(got.is_some(), "fill covers every key");
         }
-        let elapsed = xlsm_sim::now_nanos() - t0;
+        let lat = stats.gets.latency();
 
         let sst_mb = mib(sst_bytes);
         let row = vec![
@@ -198,7 +194,7 @@ fn compression_one(
             ("codec", Cell::Str(codec.name().into())),
             ("sst_mb", Cell::F3(sst_mb)),
             ("size_ratio", Cell::F3(vs_baseline(sst_mb, plain_sst_mb))),
-            ("get_kops", Cell::F3(kops(COMPRESSED_READS, elapsed))),
+            ("get_kops", Cell::F3(kops(stats.gets.totals()))),
             ("get_p50_us", Cell::F3(us(lat.quantile(0.5)))),
             ("get_p99_us", Cell::F3(us(lat.quantile(0.99)))),
             // Blocks decompressed during the read window.

@@ -118,17 +118,14 @@ fn run_point(
             let stats = tb.db.stats();
             let window_secs = (t1 - t0) as f64 / 1e9;
             let reclaimed = stats.ticker(Ticker::SpaceReclaimedBytes) - reclaimed0;
-            let get_p99_us = us(stats.get_latency.quantile(0.99));
+            let get_p99_us = us(r.read_latency.p99_ns);
             let row = vec![
                 ("device", Cell::Str(device.into())),
                 ("rate", Cell::Str(rate_label(rate))),
                 ("kops", Cell::F3(r.kops())),
-                ("get_p50_us", Cell::F3(us(stats.get_latency.quantile(0.5)))),
+                ("get_p50_us", Cell::F3(us(r.read_latency.p50_ns))),
                 ("get_p99_us", Cell::F3(get_p99_us)),
-                (
-                    "write_p99_us",
-                    Cell::F3(us(stats.write_latency.quantile(0.99))),
-                ),
+                ("write_p99_us", Cell::F3(us(r.write_latency.p99_ns))),
                 // Bytes that entered `trash/` over the run (0 when inline).
                 (
                     "trashed_mib",

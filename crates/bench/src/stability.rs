@@ -116,7 +116,7 @@ fn run_point(
     with_testbed(profile, opts, &cfg, move |tb| {
         // Drain fill-phase controller transitions so the episode window
         // covers exactly the measured run.
-        let _ = tb.db.metrics();
+        tb.db.stats().stall.drain_events();
 
         let spec = burst_spec(&cfg);
         let t0 = xlsm_sim::now_nanos();
@@ -124,7 +124,7 @@ fn run_point(
         let t1 = xlsm_sim::now_nanos();
 
         let stats = Arc::clone(tb.db.stats());
-        let write_hist = &stats.write_latency;
+        let write_hist = stats.writes.latency();
         let m = tb.db.metrics();
         let mut eps = episode_durations(&m.stall_events, t0, t1);
         eps.sort_unstable();

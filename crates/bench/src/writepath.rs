@@ -27,7 +27,7 @@ use crate::common::{
 };
 use std::sync::Arc;
 use xlsm_device::DeviceProfile;
-use xlsm_engine::{DbOptions, Histogram, Ticker};
+use xlsm_engine::{DbOptions, Ticker};
 
 /// Writer-thread counts swept per device (the paper sweeps client threads
 /// the same way in Figs. 15–16).
@@ -77,21 +77,18 @@ fn run_point(
         tb.db.flush().expect("flush");
         tb.db.wait_for_compactions();
         let stats = Arc::clone(tb.db.stats());
-        stats.reset_window(); // drop fill-time samples from the gauges
+        // Drop fill-time samples: the window's write record is the puts below.
+        stats.reset_window();
 
-        let put_latency = Arc::new(Histogram::new());
         let value = vec![b'w'; PUT_VALUE_SIZE];
         let mut handles = Vec::new();
         for w in 0..writers {
             let db = Arc::clone(&tb.db);
-            let put_latency = Arc::clone(&put_latency);
             let value = value.clone();
             handles.push(xlsm_sim::spawn(&format!("wp-writer-{w}"), move || {
                 for i in 0..OPS_PER_WRITER {
                     let key = format!("wp{w:03}-{i:04}");
-                    let t0 = xlsm_sim::now_nanos();
                     db.put(key.as_bytes(), &value).expect("put");
-                    put_latency.record(xlsm_sim::now_nanos() - t0);
                 }
             }));
         }
@@ -99,6 +96,7 @@ fn run_point(
             h.join();
         }
 
+        let put_latency = stats.writes.latency();
         let put_p99_us = us(put_latency.quantile(0.99));
         let mode = if concurrent { "concurrent" } else { "serial" };
         let row = vec![

@@ -141,7 +141,7 @@ mod tests {
                     db.put(format!("key{i:06}").as_bytes(), &[0u8; 256])
                         .unwrap();
                 }
-                let p90 = db.stats().write_latency.quantile(0.9);
+                let p90 = db.stats().writes.latency().quantile(0.9);
                 db.close();
                 p90
             })

@@ -539,9 +539,8 @@ impl Db {
         let stats = &self.inner.stats;
         let r = self.inner.queue.submit(batch, &backend, stats);
         if r.is_ok() {
-            stats.writes.lock().record(t0, c0);
+            stats.writes.record(t0, c0);
         }
-        stats.write_latency.record(xlsm_sim::now_nanos() - t0);
         r
     }
 
@@ -684,11 +683,11 @@ impl Db {
     pub fn metrics(&self) -> Metrics {
         let stats = &self.inner.stats;
         let fs_stats = self.inner.fs.stats();
-        let writes = *stats.writes.lock();
+        let writes = stats.writes.totals();
         Metrics {
             tickers: stats.ticker_snapshot(),
-            get_latency: stats.get_latency.summary(),
-            write_latency: stats.write_latency.summary(),
+            get_latency: stats.gets.latency().summary(),
+            write_latency: stats.writes.latency().summary(),
             write_group_batches: stats.write_group_batches.summary(),
             scrub_pass: stats.scrub_pass.summary(),
             enospc_stall: stats.enospc_stall.summary(),
@@ -708,8 +707,8 @@ impl Db {
             flush_duration: stats.flush_duration.summary(),
             compaction_duration: stats.compaction_duration.summary(),
             avg_waiting_writers: stats.avg_waiting_writers(),
-            gets: *stats.gets.lock(),
-            multi_gets: *stats.multi_gets.lock(),
+            gets: stats.gets.totals(),
+            multi_gets: stats.multi_gets.totals(),
             writes,
             stall: stats.stall.totals(&writes),
             stall_events: stats.stall.drain_events(),

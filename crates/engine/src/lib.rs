@@ -21,9 +21,10 @@
 //!   debt-scaled auto-tuning;
 //! * the **pipelined write path of Algorithm 2** ([`mod@write`]): one writer
 //!   queue, leader-selected batch groups, WAL/memtable pipelining;
-//! * **per-op attribution** ([`stats::OpTotals`], [`stall`]): every get,
-//!   `multi_get` and write's parts by `xlsm_sim::Class`, their write view by
-//!   mechanism and a controller-transition event log, snapshotted through
+//! * **per-op attribution** ([`stats::OpRecord`], [`stall`]): one record
+//!   per op kind holds every get, `multi_get` and write's latency and its
+//!   parts by `xlsm_sim::Class`; the write view by mechanism and a
+//!   controller-transition event log sit beside it, all snapshotted through
 //!   [`Db::metrics`](db::Db::metrics);
 //! * **background-error handling** ([`bgerror`]): flush/compaction failures
 //!   are classified instead of panicking — transient faults retry with
@@ -102,5 +103,5 @@ pub use repair::{repair_db, RepairReport};
 pub use scheduler::{BgIoLimiter, BgIoPriority, CompactionScheduler, LevelPicker};
 pub use space::{DeleteScheduler, Reservation, SpaceManager, TrashEntry};
 pub use stall::{episode_durations, StallAccounting, StallCause, StallEvent, StallTotals};
-pub use stats::{DbStats, Metrics, OpTotals, Ticker, TickerSnapshot};
+pub use stats::{DbStats, Metrics, OpRecord, OpTotals, Ticker, TickerSnapshot};
 pub use types::SequenceNumber;

@@ -225,8 +225,7 @@ impl Db {
         let stats = &self.inner.stats;
         stats.bump(Ticker::Gets);
         let result = self.get_inner(key, snapshot);
-        stats.gets.lock().record(t0, c0);
-        stats.get_latency.record(xlsm_sim::now_nanos() - t0);
+        stats.gets.record(t0, c0);
         result
     }
 
@@ -300,7 +299,7 @@ impl Db {
         stats.add(Ticker::MultiGetKeys, keys.len() as u64);
         stats.add(Ticker::Gets, keys.len() as u64);
         let result = self.multi_get_inner(keys, snapshot);
-        stats.multi_gets.lock().record(t0, c0);
+        stats.multi_gets.record(t0, c0);
         result
     }
 

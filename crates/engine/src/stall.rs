@@ -343,11 +343,14 @@ mod tests {
             let stats = DbStats::new();
             let c0 = xlsm_sim::charges();
             xlsm_sim::charge(Class::Setup, 50);
-            stats.writes.lock().record(0, c0);
+            stats.writes.record(0, c0);
             stats.stall.record_event(ev(1));
-            assert_eq!(stats.stall.totals(&stats.writes.lock()).total_write_ns, 50);
+            assert_eq!(
+                stats.stall.totals(&stats.writes.totals()).total_write_ns,
+                50
+            );
             stats.reset_window();
-            let t = stats.stall.totals(&stats.writes.lock());
+            let t = stats.stall.totals(&stats.writes.totals());
             assert_eq!(t.ops, 0);
             assert_eq!(t.total_write_ns, 0);
             assert_eq!(t.events_pushed, 1);

@@ -117,13 +117,35 @@ pub struct OpTotals {
     pub parts: Charges,
 }
 
-impl OpTotals {
+/// The one record of an op kind: where its ops spent their virtual time and
+/// how long each took. The op's exit writes both with one
+/// [`OpRecord::record`] call, so every client op is timed once, by the engine.
+#[derive(Debug, Default)]
+pub struct OpRecord {
+    totals: Mutex<OpTotals>,
+    latency: Histogram,
+}
+
+impl OpRecord {
     /// Adds the op the calling thread began at `t0`, having been charged
     /// `c0` by then: its latency and what it has been charged since.
-    pub(crate) fn record(&mut self, t0: Nanos, c0: Charges) {
-        self.ops += 1;
-        self.total_ns += xlsm_sim::now_nanos() - t0;
-        self.parts = self.parts + (xlsm_sim::charges() - c0);
+    pub(crate) fn record(&self, t0: Nanos, c0: Charges) {
+        let ns = xlsm_sim::now_nanos() - t0;
+        let mut totals = self.totals.lock();
+        totals.ops += 1;
+        totals.total_ns += ns;
+        totals.parts = totals.parts + (xlsm_sim::charges() - c0);
+        self.latency.record(ns);
+    }
+
+    /// The summed parts of the ops recorded in this window.
+    pub fn totals(&self) -> OpTotals {
+        *self.totals.lock()
+    }
+
+    /// The latency of each op recorded in this window.
+    pub fn latency(&self) -> &Histogram {
+        &self.latency
     }
 }
 
@@ -131,10 +153,6 @@ impl OpTotals {
 #[derive(Debug)]
 pub struct DbStats {
     tickers: [AtomicU64; TICKER_COUNT],
-    /// Client-visible Get latency.
-    pub get_latency: Histogram,
-    /// Client-visible write (batch commit) latency.
-    pub write_latency: Histogram,
     /// WAL append durations.
     pub wal_append: Histogram,
     /// Flush job durations.
@@ -152,12 +170,12 @@ pub struct DbStats {
     /// `SpaceWatcher` auto-resumes the database. Like the other background
     /// histograms, not reset with the warm-up window.
     pub enospc_stall: Histogram,
-    /// Parts of every get.
-    pub gets: Mutex<OpTotals>,
-    /// Parts of every `multi_get` batch.
-    pub multi_gets: Mutex<OpTotals>,
-    /// Parts of every committed write.
-    pub writes: Mutex<OpTotals>,
+    /// Every get.
+    pub gets: OpRecord,
+    /// Every `multi_get` batch.
+    pub multi_gets: OpRecord,
+    /// Every committed write (batch commit); a failed write is not recorded.
+    pub writes: OpRecord,
     /// The controller-transition event log.
     pub stall: Arc<StallAccounting>,
     /// Currently-waiting writer threads (gauge).
@@ -179,17 +197,15 @@ impl DbStats {
     pub fn new() -> DbStats {
         DbStats {
             tickers: std::array::from_fn(|_| AtomicU64::new(0)),
-            get_latency: Histogram::new(),
-            write_latency: Histogram::new(),
             wal_append: Histogram::new(),
             flush_duration: Histogram::new(),
             compaction_duration: Histogram::new(),
             write_group_batches: Histogram::new(),
             scrub_pass: Histogram::new(),
             enospc_stall: Histogram::new(),
-            gets: Mutex::default(),
-            multi_gets: Mutex::default(),
-            writes: Mutex::default(),
+            gets: OpRecord::default(),
+            multi_gets: OpRecord::default(),
+            writes: OpRecord::default(),
             stall: Arc::new(StallAccounting::default()),
             waiting_writers: AtomicU64::new(0),
             waiting_sum: AtomicU64::new(0),
@@ -244,16 +260,15 @@ impl DbStats {
         }
     }
 
-    /// Resets latency histograms, per-op parts and waiting-writer samples
-    /// (tickers are monotonic and left untouched) — used to discard warm-up
-    /// effects.
+    /// Resets the op records, the WAL and write-group histograms and the
+    /// waiting-writer samples (tickers are monotonic and left untouched) —
+    /// used to discard warm-up effects.
     pub fn reset_window(&self) {
-        self.get_latency.reset();
-        self.write_latency.reset();
         self.wal_append.reset();
         self.write_group_batches.reset();
-        for ops in [&self.gets, &self.multi_gets, &self.writes] {
-            *ops.lock() = OpTotals::default();
+        for op in [&self.gets, &self.multi_gets, &self.writes] {
+            *op.totals.lock() = OpTotals::default();
+            op.latency.reset();
         }
         self.waiting_sum.store(0, Ordering::Relaxed);
         self.waiting_samples.store(0, Ordering::Relaxed);
@@ -286,9 +301,9 @@ impl TickerSnapshot {
 pub struct Metrics {
     /// All engine tickers.
     pub tickers: TickerSnapshot,
-    /// Client-visible Get latency.
+    /// Client-visible get latency, from `gets`' record.
     pub get_latency: HistogramSummary,
-    /// Client-visible write (batch commit) latency.
+    /// Client-visible write (batch commit) latency, from `writes`' record.
     pub write_latency: HistogramSummary,
     /// WAL append durations.
     pub wal_append: HistogramSummary,
@@ -345,6 +360,8 @@ pub struct Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::tests::{open_db, small_opts};
+    use xlsm_sim::{Class, Runtime};
 
     #[test]
     fn tickers_accumulate() {
@@ -369,12 +386,60 @@ mod tests {
     }
 
     #[test]
+    fn one_record_call_times_the_op_once() {
+        Runtime::new().run(|| {
+            let s = DbStats::new();
+            let (t0, c0) = (xlsm_sim::now_nanos(), xlsm_sim::charges());
+            xlsm_sim::charge(Class::Setup, 700);
+            s.gets.record(t0, c0);
+            let t = s.gets.totals();
+            assert_eq!((t.ops, t.total_ns, t.parts.total()), (1, 700, 700));
+            let lat = s.gets.latency();
+            assert_eq!((lat.count(), lat.max()), (1, 700));
+            s.reset_window();
+            assert_eq!(s.gets.totals(), OpTotals::default());
+            assert_eq!(s.gets.latency().count(), 0);
+        });
+    }
+
+    #[test]
+    fn every_multi_get_batch_is_one_sample() {
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(small_opts());
+            db.put(b"a", b"1").unwrap();
+            db.put(b"b", b"2").unwrap();
+            db.stats().reset_window();
+            for _ in 0..5 {
+                db.multi_get(&[b"a".as_slice(), b"b", b"c"]).unwrap();
+            }
+            let s = db.stats();
+            assert_eq!(s.multi_gets.totals().ops, 5);
+            assert_eq!(s.multi_gets.latency().count(), 5);
+            assert_eq!(s.gets.latency().count(), 0, "a batch is not a get");
+            db.close();
+        });
+    }
+
+    #[test]
+    fn a_failed_write_is_recorded_nowhere() {
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(small_opts());
+            db.put(b"k", b"v").unwrap();
+            db.close();
+            assert!(db.put(b"k2", b"v").is_err());
+            let s = db.stats();
+            assert_eq!(s.writes.totals().ops, 1);
+            assert_eq!(s.writes.latency().count(), 1);
+        });
+    }
+
+    #[test]
     fn reset_window_keeps_tickers() {
         let s = DbStats::new();
         s.bump(Ticker::FlushCount);
-        s.get_latency.record(100);
+        s.wal_append.record(100);
         s.reset_window();
         assert_eq!(s.ticker(Ticker::FlushCount), 1);
-        assert_eq!(s.get_latency.count(), 0);
+        assert_eq!(s.wal_append.count(), 0);
     }
 }

@@ -544,7 +544,7 @@ mod tests {
                     let parts = xlsm_sim::charges() - c0;
                     assert_eq!(parts.total(), xlsm_sim::now_nanos() - t0, "w{i}: {parts:?}");
                     if r.is_ok() {
-                        stats.writes.lock().record(t0, c0);
+                        stats.writes.record(t0, c0);
                     }
                     r
                 })
@@ -884,7 +884,7 @@ mod tests {
                 fan_out(6, &q, &be, &stats, |i| {
                     batch_with(format!("k{i}").as_bytes(), b"v")
                 });
-                let t = stats.stall.totals(&stats.writes.lock());
+                let t = stats.stall.totals(&stats.writes.totals());
                 assert_eq!(t.ops, 6);
                 assert_eq!(
                     t.accounted_ns(),
@@ -908,7 +908,7 @@ mod tests {
             fan_out(4, &q, &be, &stats, |i| {
                 batch_with(format!("k{i}").as_bytes(), b"v")
             });
-            let t = stats.stall.totals(&stats.writes.lock());
+            let t = stats.stall.totals(&stats.writes.totals());
             assert_eq!(t.ops, 4);
             assert!(
                 t.pipeline_wait_ns > 0,

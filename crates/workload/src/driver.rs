@@ -6,7 +6,7 @@ use rand::RngExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xlsm_engine::{Db, DbResult, Histogram, HistogramSummary};
+use xlsm_engine::{Db, DbResult, HistogramSummary};
 
 /// Timeline bucket width (100 ms of virtual time).
 pub const BUCKET_NANOS: u64 = 100_000_000;
@@ -22,9 +22,9 @@ pub struct WorkloadResult {
     pub writes: u64,
     /// Measured duration (virtual).
     pub duration: Duration,
-    /// Read-latency summary.
+    /// Read-latency summary (the engine's get record).
     pub read_latency: HistogramSummary,
-    /// Write-latency summary.
+    /// Write-latency summary (the engine's write record).
     pub write_latency: HistogramSummary,
     /// Completed ops per 100 ms bucket, as `(seconds, kop/s)`; a bucket is
     /// labelled by its end, so the labels are 0.1, 0.2, 0.3, … s.
@@ -86,7 +86,9 @@ pub fn fill_db(db: &Db, key_count: u64, value_size: usize, seed: u64) -> DbResul
 /// Runs `spec` against `db` and gathers the measurements.
 ///
 /// Must be called from inside a sim runtime. The database should already be
-/// filled (reads probe existing keys).
+/// filled (reads probe existing keys). The run opens the engine's window
+/// (`reset_window`), so its op counts and latencies are the engine's own
+/// get and write records; the driver keeps only the timeline.
 pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
     let ks = KeySpace::new(spec.key_count);
     let vg = ValueGenerator::new(spec.value_size);
@@ -95,8 +97,6 @@ pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
     let n_buckets = (spec.duration.as_nanos() as u64).div_ceil(BUCKET_NANOS) as usize;
     let buckets: Arc<Vec<AtomicU64>> =
         Arc::new((0..n_buckets).map(|_| AtomicU64::new(0)).collect());
-    let read_hist = Arc::new(Histogram::new());
-    let write_hist = Arc::new(Histogram::new());
 
     db.stats().reset_window();
     let mut handles = Vec::new();
@@ -104,16 +104,12 @@ pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
         let db = Arc::clone(db);
         let spec = spec.clone();
         let buckets = Arc::clone(&buckets);
-        let read_hist = Arc::clone(&read_hist);
-        let write_hist = Arc::clone(&write_hist);
         handles.push(xlsm_sim::spawn(&format!("client-{t}"), move || {
             let mut rng = thread_rng(spec.seed, t as u64);
             let zipf = match spec.distribution {
                 KeyDistribution::Zipfian(theta) => Some(Zipfian::new(spec.key_count, theta)),
                 KeyDistribution::Uniform => None,
             };
-            let mut reads = 0u64;
-            let mut writes = 0u64;
             loop {
                 let now = xlsm_sim::now_nanos();
                 if now >= end {
@@ -124,35 +120,21 @@ pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
                     Some(z) => z.sample(&mut rng),
                     None => ks.uniform(&mut rng),
                 };
-                let is_write = rng.random::<f64>() < wf;
-                let t0 = xlsm_sim::now_nanos();
-                if is_write {
+                if rng.random::<f64>() < wf {
                     db.put(&ks.key(idx), &vg.value(idx)).expect("put failed");
                 } else {
                     let _ = db.get(&ks.key(idx)).expect("get failed");
                 }
                 let done = xlsm_sim::now_nanos();
-                let hist = if is_write { &write_hist } else { &read_hist };
-                hist.record(done - t0);
-                if is_write {
-                    writes += 1;
-                } else {
-                    reads += 1;
-                }
                 let bucket = ((done.saturating_sub(start)) / BUCKET_NANOS) as usize;
                 if let Some(b) = buckets.get(bucket) {
                     b.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            (reads, writes)
         }));
     }
-    let mut reads = 0u64;
-    let mut writes = 0u64;
     for h in handles {
-        let (r, w) = h.join();
-        reads += r;
-        writes += w;
+        h.join();
     }
     let timeline: Vec<(f64, f64)> = buckets
         .iter()
@@ -164,15 +146,18 @@ pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
             )
         })
         .collect();
+    let stats = db.stats();
+    let read_latency = stats.gets.latency().summary();
+    let write_latency = stats.writes.latency().summary();
     WorkloadResult {
-        total_ops: reads + writes,
-        reads,
-        writes,
+        total_ops: read_latency.count + write_latency.count,
+        reads: read_latency.count,
+        writes: write_latency.count,
         duration: spec.duration,
-        read_latency: read_hist.summary(),
-        write_latency: write_hist.summary(),
+        read_latency,
+        write_latency,
         timeline,
-        avg_waiting_writers: db.stats().avg_waiting_writers(),
+        avg_waiting_writers: stats.avg_waiting_writers(),
     }
 }
 

@@ -6,7 +6,8 @@
 //!   configurable read/write ratio, value size, thread count, duration and
 //!   periodic write bursts (for the case-study experiments);
 //! * [`driver`] — closed-loop client threads against an [`xlsm_engine::Db`],
-//!   with per-op latency histograms and 100 ms throughput timelines;
+//!   with 100 ms throughput timelines; per-op latency is the engine's own
+//!   op record ([`xlsm_engine::OpRecord`]);
 //! * [`rawio`] — raw-device microbenchmarks (the Intel Open Storage Toolkit
 //!   stand-in behind the paper's Fig. 1);
 //! * [`sampler`] — background samplers for time series such as the Level-0

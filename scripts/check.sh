@@ -73,6 +73,13 @@ fi
 # there is a bespoke loop sliding back in.
 spawns=$(grep -c 'xlsm_sim::spawn(' crates/engine/src/background.rs)
 [[ $spawns -le 1 ]] || { echo "background.rs spawns $spawns times: add a row to the daemon table instead" >&2; exit 1; }
+# Every client op is timed once, by the engine's op record (DbStats::{gets,
+# multi_gets, writes}), which the driver and the probes read after
+# reset_window. The one histogram they build is parallelism's sequential
+# timer, which times a loop of gets as one unit: a second is a self-timed
+# latency path sliding back in.
+hists=$(cat crates/workload/src/driver.rs crates/bench/src/*.rs | grep -c 'Histogram::new()' || true)
+[[ $hists -le 1 ]] || { echo "the driver and probes build $hists histograms: read the engine's op record instead" >&2; exit 1; }
 # The standing file-size rule (ROADMAP "Standing rules for every item"): no
 # source file of a crate over 1,200 lines.
 largest=$(find crates/*/src -name '*.rs' -exec wc -l {} + | grep -v ' total$' | sort -rn | head -3)
