@@ -135,6 +135,18 @@ pub fn run_one(
         .expect("one result")
 }
 
+/// Deterministic xorshift key picker, independent of the fill RNG: the
+/// next key index below `count`.
+pub fn picker(seed: u64, count: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % count
+    }
+}
+
 /// Nanoseconds as microseconds.
 pub fn us(ns: u64) -> f64 {
     ns as f64 / 1e3

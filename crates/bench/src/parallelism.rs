@@ -13,8 +13,8 @@
 //!   batch sizes.
 
 use crate::common::{
-    config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
-    JsonReport, JsonRow,
+    config_cells, devices, label, mib, picker, ratio, us, vs_baseline, with_testbed, BenchConfig,
+    Cell, JsonReport, JsonRow,
 };
 use xlsm_core::experiment::Testbed;
 use xlsm_device::DeviceProfile;
@@ -102,14 +102,7 @@ fn multi_get_sweep(
     with_testbed(profile, DbOptions::default, &cfg, move |tb| {
         let ks = KeySpace::new(cfg.key_count);
 
-        // Deterministic xorshift key picker, independent of the fill RNG.
-        let mut state = cfg.seed | 1;
-        let mut next_key = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % cfg.key_count
-        };
+        let mut next_key = picker(cfg.seed, cfg.key_count);
 
         let mut points = Vec::new();
         let stats = tb.db.stats();

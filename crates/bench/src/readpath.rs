@@ -20,8 +20,8 @@
 //!   the read win tracks how much of the get path the device owns.
 
 use crate::common::{
-    config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
-    JsonReport, JsonRow,
+    config_cells, devices, label, mib, picker, ratio, us, vs_baseline, with_testbed, BenchConfig,
+    Cell, JsonReport, JsonRow,
 };
 use xlsm_core::experiment::Testbed;
 use xlsm_device::DeviceProfile;
@@ -39,17 +39,6 @@ const COMPRESSED_READS: usize = 1_500;
 /// between them, so their summed latency is the window's length.
 fn kops(gets: OpTotals) -> f64 {
     ratio(gets.ops as f64, gets.total_ns as f64 / 1e9) / 1e3
-}
-
-/// Deterministic xorshift key picker, independent of the fill RNG.
-fn picker(seed: u64, count: u64) -> impl FnMut() -> u64 {
-    let mut state = seed | 1;
-    move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state % count
-    }
 }
 
 /// Point-miss probe on one device. Every `*_one` below returns its row and

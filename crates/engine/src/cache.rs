@@ -6,9 +6,7 @@
 
 use crate::types::compare_internal;
 use std::collections::VecDeque;
-use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xlsm_sim::hash::FxHashMap;
 use xlsm_simfs::FileBytes;
@@ -194,17 +192,6 @@ impl Shard {
 /// The sharded LRU cache.
 pub struct BlockCache {
     shards: Vec<parking_lot::Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl fmt::Debug for BlockCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BlockCache")
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
 }
 
 const SHARDS: usize = 16;
@@ -223,8 +210,6 @@ impl BlockCache {
                     })
                 })
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         })
     }
 
@@ -239,13 +224,7 @@ impl BlockCache {
 
     /// Looks up a block.
     pub fn get(&self, key: &BlockKey) -> Option<Arc<Block>> {
-        let r = self.shards[Self::shard_of(key)].lock().get(key);
-        if r.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        r
+        self.shards[Self::shard_of(key)].lock().get(key)
     }
 
     /// Inserts a block (evicting LRU entries to fit).
@@ -258,14 +237,6 @@ impl BlockCache {
         for s in &self.shards {
             s.lock().remove_file(file);
         }
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Bytes currently cached.
@@ -291,8 +262,6 @@ mod tests {
         c.insert((1, 0), block(100));
         assert!(c.get(&(1, 0)).is_some());
         assert!(c.get(&(1, 4096)).is_none());
-        let (h, m) = c.counters();
-        assert_eq!((h, m), (1, 1));
     }
 
     #[test]

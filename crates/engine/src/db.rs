@@ -790,9 +790,11 @@ impl Db {
         &self.inner.opts
     }
 
-    /// Block cache counters `(hits, misses)`.
+    /// Block cache counters `(hits, misses)`: the
+    /// [`Ticker::BlockCacheHit`] and [`Ticker::BlockCacheMiss`] tickers.
     pub fn block_cache_counters(&self) -> (u64, u64) {
-        self.inner.table_cache.block_cache().counters()
+        let t = |ticker| self.inner.stats.ticker(ticker);
+        (t(Ticker::BlockCacheHit), t(Ticker::BlockCacheMiss))
     }
 
     /// Table cache reader-lookup counters `(hits, misses)`.

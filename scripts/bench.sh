@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 cargo build -q --release -p xlsm-bench
 cargo bench -q -p xlsm-bench --bench engine_micro --no-run
-cargo test -q -p xlsm-engine --test oracle --no-run
+cargo test -q -p xlsm-suite --test oracle --no-run
 cargo test -q --release --workspace --no-run
 bin=${CARGO_TARGET_DIR:-target}/release/xlsm-bench
 # One CPU, as in check.sh: unpinned, a probe's wall seconds swing severalfold.
@@ -40,7 +40,7 @@ timed suite_rows quick_all --quick all
 # The oracle's budget, as its test harness times it (no build, no cargo), and
 # its peak resident memory (VmHWM), which the test prints.
 echo "==> oracle"
-oracle_out=$("${pin[@]}" cargo test -q -p xlsm-engine --test oracle -- --show-output)
+oracle_out=$("${pin[@]}" cargo test -q -p xlsm-suite --test oracle -- --show-output)
 oracle_s=$(sed -n 's/.*finished in \([0-9.]*\)s.*/\1/p' <<<"$oracle_out")
 oracle_mb=$(awk '$1 == "VmHWM:" {print int($2 / 1024)}' <<<"$oracle_out")
 [[ -n $oracle_s && -n $oracle_mb ]] || { echo "the oracle printed no time or memory" >&2; exit 1; }

@@ -16,21 +16,23 @@ cargo build --release
 
 step "cargo test -q --workspace"
 # The workspace run includes the suites that double as gates:
-# * enospc: fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles
-#   and power_cut_at_the_capacity_edge_loses_no_acked_write are the
-#   acceptance legs: capacity overruns stall (never error), auto-resume
-#   within one SpaceWatcher poll, and lose no acked write across a cut at
-#   the edge;
-# * xlsm-engine's integrity: seeded_flip_sweep_never_silently_wrong_and_deterministic
-#   runs the full bit-flip sweep over SST/WAL/MANIFEST twice with one seed
-#   and asserts an identical outcome log;
-# * xlsm-engine's oracle, the fault oracle:
+# * the root suite's oracle (tests/oracle.rs), the fault oracle:
 #   every_option_and_fault_answers_like_the_model replays its corpus under
 #   the default and every one-axis config, under every fault twice (same
 #   seed => same recovered bytes) and through a power-cut sweep in all four
-#   WAL recovery modes, then sampled (config, fault, op tape) cases over the
+#   WAL recovery modes, then the pinned fault schedules (a power cut at the
+#   capacity edge on every device, a retried scrub under an ENOSPC stall, a
+#   trash delete failing under the reaper, a torn WAL or bit flips before
+#   MANIFEST loss and repair), each of which must fire all of its faults in
+#   order, then sampled (config, up to three faults, op tape) cases over the
 #   whole option x fault product, checking every read and every recovery
-#   against one reference model.
+#   against one reference model;
+# * enospc: fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles
+#   is the acceptance leg on real capacity: overruns stall (never error)
+#   and auto-resume within one SpaceWatcher poll;
+# * xlsm-engine's integrity: seeded_flip_sweep_never_silently_wrong_and_deterministic
+#   runs the full bit-flip sweep over SST/WAL/MANIFEST twice with one seed
+#   and asserts an identical outcome log.
 cargo test -q --workspace
 
 step "cargo clippy --workspace --all-targets -- -D warnings"

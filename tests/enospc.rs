@@ -1,7 +1,5 @@
 //! Full-disk survival suite.
 //!
-//! The contract under test, from both directions:
-//!
 //! * **Legacy** (space subsystem off): real capacity exhaustion flips the
 //!   database read-only — clients get errors, nothing panics, and an
 //!   explicit [`Db::resume`] after space returns makes it writable again.
@@ -9,20 +7,20 @@
 //!   writers — no client ever sees an error — and the `SpaceWatcher`
 //!   auto-resumes them within one poll interval of headroom returning,
 //!   on every device profile the study models.
-//! * A power cut at the capacity edge loses no acknowledged write: the
-//!   stall escalates so parked writers fail fast instead of hanging, and
-//!   the reopened database holds exactly the acked prefix (plus at most
-//!   the one in-flight key).
 //! * Obsolete SSTs ride through `trash/` and are reaped at the configured
 //!   rate; the backlog drains to zero and every queued byte is accounted
 //!   as reclaimed.
-//! * A failed WAL purge is counted and retried instead of being silently
-//!   swallowed, and never makes the database read-only.
+//! * A failed trash delete is cleared by the next delete: the reaper's,
+//!   or with the reaper off, the next purge's.
 //! * A write refused for lack of space leaves no bytes behind for a later
 //!   recovery to replay, and the database read-only until `Db::resume`.
+//! * A failed WAL purge is counted and retried instead of being silently
+//!   swallowed, and never makes the database read-only.
 //!
-//! Scripted ENOSPC with and without the watcher, and a failed WAL purge,
-//! are also values of the fault axis of `crates/engine/tests/oracle.rs`.
+//! Scripted ENOSPC with and without the watcher, a failed WAL purge, a
+//! power cut at the capacity edge, a retried scrub under a stall and a
+//! failed trash delete under the reaper are also cases of
+//! `tests/oracle.rs`.
 
 use std::sync::Arc;
 use xlsm_suite::device::{profiles, DeviceProfile, SimDevice};
@@ -57,6 +55,20 @@ fn space_opts() -> DbOptions {
         max_bytes_for_level_base: 256 << 10,
         max_allowed_space_bytes: CAP_BYTES,
         space_poll_interval_ns: POLL_NS,
+        ..DbOptions::default()
+    }
+}
+
+/// Small buffers and a compaction at every second Level-0 file, so
+/// overwrite rounds obsolete tables; trash reaped at `reap_rate` (0: the
+/// reaper off).
+fn churn_opts(reap_rate: u64) -> DbOptions {
+    DbOptions {
+        write_buffer_size: 64 << 10,
+        target_file_size_base: 64 << 10,
+        max_bytes_for_level_base: 256 << 10,
+        level0_file_num_compaction_trigger: 2,
+        sst_delete_rate_bytes_per_sec: reap_rate,
         ..DbOptions::default()
     }
 }
@@ -202,80 +214,6 @@ fn fill_to_capacity_stalls_never_errors_and_auto_resumes_on_all_profiles() {
     }
 }
 
-/// Power cut at the capacity edge, on every profile: the database is
-/// mid-stall when the lights go out. Parked writers fail fast (the stall
-/// escalates — no hang), and after restore + reopen the store holds every
-/// acknowledged write and nothing beyond the one in-flight key.
-#[test]
-fn power_cut_at_the_capacity_edge_loses_no_acked_write() {
-    for (name, profile) in PROFILES {
-        Runtime::new().run(|| {
-            let fs = fs_on(profile());
-            let opts = DbOptions {
-                wal_sync: true, // acked ⇒ durable, so the shadow model is exact
-                ..space_opts()
-            };
-            let db = Arc::new(Db::open(Arc::clone(&fs), opts.clone()).unwrap());
-
-            const N: usize = 4000;
-            let writer = {
-                let db = Arc::clone(&db);
-                spawn("edge-filler", move || {
-                    let mut acked = 0usize;
-                    for i in 0..N {
-                        if db.put(key(i).as_bytes(), &[b'v'; 100]).is_err() {
-                            return acked;
-                        }
-                        acked += 1;
-                    }
-                    acked
-                })
-            };
-
-            wait_until("the capacity stall", 60_000_000_000, 200_000, || {
-                db.metrics().tickers.get(Ticker::EnospcStalls) >= 1
-            });
-            fs.power_cut();
-            // Liveness: the watcher observes the dead device and escalates,
-            // so the parked writer errors out instead of hanging forever.
-            let acked = writer.join();
-            assert!(acked < N, "[{name}] the cut must interrupt the workload");
-            db.close();
-
-            fs.power_restore();
-            let reopened = DbOptions {
-                max_allowed_space_bytes: 1 << 30, // space "freed" while down
-                ..opts
-            };
-            let db2 = Db::open(Arc::clone(&fs), reopened).unwrap();
-            for i in 0..acked {
-                assert_eq!(
-                    db2.get(key(i).as_bytes()).unwrap(),
-                    Some(vec![b'v'; 100]),
-                    "[{name}] acked key {i} lost across the capacity-edge cut"
-                );
-            }
-            // Nothing beyond the acked prefix plus the single in-flight op.
-            let mut scan = db2.scan().unwrap();
-            if scan.seek_to_first().unwrap() {
-                loop {
-                    let k = String::from_utf8(scan.key().to_vec()).unwrap();
-                    let i: usize = k.trim_start_matches("key").parse().unwrap();
-                    assert!(
-                        i <= acked,
-                        "[{name}] phantom key {k} beyond the in-flight frontier"
-                    );
-                    if !scan.next().unwrap() {
-                        break;
-                    }
-                }
-            }
-            db2.put(b"post-recovery", b"ok").unwrap();
-            db2.close();
-        });
-    }
-}
-
 /// Obsolete SSTs are renamed into `trash/` and reaped at the configured
 /// rate: the backlog is visible while it lasts, drains to zero, every
 /// queued byte is counted as reclaimed, and no file leaks.
@@ -283,15 +221,7 @@ fn power_cut_at_the_capacity_edge_loses_no_acked_write() {
 fn trash_reclamation_is_paced_and_drains_to_zero() {
     Runtime::new().run(|| {
         let fs = fs_on(profiles::optane_900p());
-        let opts = DbOptions {
-            write_buffer_size: 64 << 10,
-            target_file_size_base: 64 << 10,
-            max_bytes_for_level_base: 256 << 10,
-            level0_file_num_compaction_trigger: 2,
-            sst_delete_rate_bytes_per_sec: 256 << 10,
-            ..DbOptions::default()
-        };
-        let db = Db::open(Arc::clone(&fs), opts).unwrap();
+        let db = Db::open(Arc::clone(&fs), churn_opts(256 << 10)).unwrap();
 
         // Overwrite churn: every round rewrites the same keyspace, so each
         // compaction obsoletes its inputs.
@@ -380,15 +310,8 @@ fn a_failed_trash_delete_clears_at_the_reapers_next_delete() {
     };
     Runtime::new().run(|| {
         let fs = fs_on(profiles::optane_900p());
-        let opts = DbOptions {
-            write_buffer_size: 64 << 10,
-            target_file_size_base: 64 << 10,
-            max_bytes_for_level_base: 256 << 10,
-            level0_file_num_compaction_trigger: 2,
-            sst_delete_rate_bytes_per_sec: 256 << 10,
-            ..DbOptions::default()
-        };
-        let db = Db::open(Arc::clone(&fs), opts.clone()).unwrap();
+        let opts = churn_opts(256 << 10);
+        let db = Db::open(Arc::clone(&fs), opts).unwrap();
         fs.set_fault_plan(trash_fault());
         churn(&db, 6);
         wait_until(
@@ -411,11 +334,7 @@ fn a_failed_trash_delete_clears_at_the_reapers_next_delete() {
         left.append(&[0u8; 4096]).unwrap();
         left.sync().unwrap();
         fs.set_fault_plan(trash_fault());
-        let inline = DbOptions {
-            sst_delete_rate_bytes_per_sec: 0,
-            ..opts
-        };
-        let db = Db::open(Arc::clone(&fs), inline).unwrap();
+        let db = Db::open(Arc::clone(&fs), churn_opts(0)).unwrap();
         let m = db.metrics();
         let failed = m.background_error.map(|e| (e.op, e.severity));
         assert_eq!(
@@ -426,141 +345,6 @@ fn a_failed_trash_delete_clears_at_the_reapers_next_delete() {
         churn(&db, 2);
         assert!(fs.list(&trash).is_empty(), "the purge retried it");
         assert_healthy(&db);
-        db.close();
-    });
-}
-
-/// A job's success clears only its own error. One scripted ENOSPC stalls a
-/// flush, then one retryable read fails under the scrubber, whose retry
-/// succeeds while the flush is still stalled. The stall must still end at
-/// the watcher's next poll: the flush lands within two polls of the stall,
-/// a later write is acknowledged, and the database ends with no error.
-#[test]
-fn a_retried_scrub_leaves_an_enospc_stall_to_the_watcher() {
-    const SLOW_POLL_NS: u64 = 200_000_000;
-    Runtime::new().run(|| {
-        let fs = fs_on(profiles::intel_750_pcie());
-        let opts = DbOptions {
-            write_buffer_size: 64 << 10,
-            enable_wal: false, // the next allocation is the SST build's
-            scrub_rate_bytes_per_sec: 64 << 20,
-            space_poll_interval_ns: SLOW_POLL_NS,
-            ..DbOptions::default()
-        };
-        let db = Arc::new(Db::open(Arc::clone(&fs), opts).unwrap());
-        for i in 0..400usize {
-            db.put(key(i).as_bytes(), &[b'v'; 100]).unwrap();
-            if i == 199 {
-                db.flush().unwrap(); // a table for the scrubber to read
-            }
-        }
-        fs.set_fault_plan(FaultPlan {
-            path_filter: Some(".sst".to_owned()),
-            fail_nth_alloc: Some(1),
-            fail_nth_read: Some(1),
-            ..FaultPlan::default()
-        });
-        let flusher = {
-            let db = Arc::clone(&db);
-            spawn("flusher", move || db.flush())
-        };
-        wait_until("the capacity stall", SLOW_POLL_NS, 100_000, || {
-            db.metrics().tickers.get(Ticker::EnospcStalls) == 1
-        });
-        wait_until(
-            "the stalled flush to land",
-            2 * SLOW_POLL_NS,
-            1_000_000,
-            || db.shape().immutables == 0,
-        );
-        flusher.join().expect("a transient ENOSPC must not surface");
-        let m = db.metrics();
-        assert_eq!(fs.stats().injected_errors, 2, "both faults fired");
-        assert!(
-            m.tickers.get(Ticker::BackgroundErrorRetries) >= 1,
-            "the scrub retried"
-        );
-        db.put(b"after-the-stall", b"ok").unwrap();
-        let m = db.metrics();
-        assert!(!m.read_only);
-        assert!(m.background_error.is_none(), "got {:?}", m.background_error);
-        db.close();
-    });
-}
-
-/// A scripted `DeviceFull` on the flush path takes the soft route when the
-/// watcher is on: the flush stalls, the watcher sees the device actually
-/// has space, and the retried flush completes — the client-visible
-/// `Db::flush` returns `Ok` and the database was never read-only.
-#[test]
-fn scripted_device_full_takes_the_soft_path_and_auto_resumes() {
-    Runtime::new().run(|| {
-        let fs = fs_on(profiles::intel_750_pcie());
-        let opts = DbOptions {
-            write_buffer_size: 64 << 10,
-            enable_wal: false, // the next allocation is the SST build's
-            space_poll_interval_ns: POLL_NS,
-            ..DbOptions::default()
-        };
-        let db = Db::open(Arc::clone(&fs), opts).unwrap();
-        for i in 0..200usize {
-            db.put(key(i).as_bytes(), &[b'v'; 100]).unwrap();
-        }
-        fs.set_fault_plan(FaultPlan {
-            fail_nth_alloc: Some(1),
-            ..FaultPlan::default()
-        });
-        db.flush()
-            .expect("a transient ENOSPC must not surface to clients");
-
-        let m = db.metrics();
-        assert_eq!(fs.stats().injected_errors, 1, "the fault fired");
-        assert_eq!(m.tickers.get(Ticker::EnospcStalls), 1);
-        assert!(m.tickers.get(Ticker::BackgroundAutoResumes) >= 1);
-        assert_eq!(m.tickers.get(Ticker::ReadOnlyTransitions), 0);
-        assert!(!m.read_only);
-        assert!(m.background_error.is_none(), "the stall was cleared");
-        for i in 0..200usize {
-            assert_eq!(db.get(key(i).as_bytes()).unwrap(), Some(vec![b'v'; 100]));
-        }
-        db.close();
-    });
-}
-
-/// The same scripted `DeviceFull` without the watcher preserves the legacy
-/// contract: hard error, read-only, explicit resume required.
-#[test]
-fn scripted_device_full_is_hard_without_the_watcher() {
-    Runtime::new().run(|| {
-        let fs = fs_on(profiles::intel_750_pcie());
-        let opts = DbOptions {
-            write_buffer_size: 64 << 10,
-            enable_wal: false,
-            ..DbOptions::default()
-        };
-        let db = Db::open(Arc::clone(&fs), opts).unwrap();
-        for i in 0..200usize {
-            db.put(key(i).as_bytes(), &[b'v'; 100]).unwrap();
-        }
-        fs.set_fault_plan(FaultPlan {
-            fail_nth_alloc: Some(1),
-            ..FaultPlan::default()
-        });
-        let err = db
-            .flush()
-            .expect_err("DeviceFull is hard without the watcher");
-        assert!(matches!(err, DbError::ReadOnly(_)), "got {err:?}");
-        let m = db.metrics();
-        assert!(m.read_only);
-        assert_eq!(m.tickers.get(Ticker::EnospcStalls), 0);
-        assert!(m.tickers.get(Ticker::ReadOnlyTransitions) >= 1);
-
-        db.resume().unwrap(); // the fault was one-shot; the retry succeeds
-        assert!(!db.metrics().read_only);
-        for i in 0..200usize {
-            assert_eq!(db.get(key(i).as_bytes()).unwrap(), Some(vec![b'v'; 100]));
-        }
-        db.put(b"after-resume", b"ok").unwrap();
         db.close();
     });
 }

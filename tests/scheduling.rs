@@ -1,7 +1,7 @@
 //! Cross-crate integration: the compaction-scheduling subsystem.
 //!
 //! Two properties a sequential op tape cannot express (that no policy
-//! changes the logical database is `crates/engine/tests/oracle.rs`'s job):
+//! changes the logical database is `tests/oracle.rs`'s job):
 //!
 //! * **fairness** — the deficit-based picker bounds per-level starvation:
 //!   an eligible level is serviced within a bounded number of picks no
