@@ -85,34 +85,10 @@ pub fn with_testbed<T: Send + 'static>(
     })
 }
 
-/// Runs `specs` back to back on one filled database, returning one result
-/// per spec.
-pub fn run_sequence(
-    profile: DeviceProfile,
-    opts: DbOptions,
-    cfg: &BenchConfig,
-    specs: Vec<WorkloadSpec>,
-) -> Vec<WorkloadResult> {
-    with_testbed(
-        profile,
-        move || opts,
-        cfg,
-        move |tb| {
-            let mut out = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                out.push(run_workload(&tb.db, spec));
-                // Let the LSM settle between points so each measurement starts
-                // from a comparable shape (like separate db_bench invocations).
-                tb.db.flush().expect("flush");
-                tb.db.wait_for_compactions();
-            }
-            out
-        },
-    )
-}
-
-/// One workload on options constructed inside the sim runtime.
-pub fn run_one_with_opts(
+/// One workload on its own freshly filled testbed: the one point primitive.
+/// A point owns its database from fill to close, so its number does not
+/// depend on which points ran before it, as with separate `db_bench` runs.
+pub fn run_one(
     profile: DeviceProfile,
     make_opts: impl FnOnce() -> DbOptions + Send + 'static,
     cfg: &BenchConfig,
@@ -121,18 +97,6 @@ pub fn run_one_with_opts(
     with_testbed(profile, make_opts, cfg, move |tb| {
         run_workload(&tb.db, &spec)
     })
-}
-
-/// One-spec convenience wrapper around [`run_sequence`].
-pub fn run_one(
-    profile: DeviceProfile,
-    opts: DbOptions,
-    cfg: &BenchConfig,
-    spec: WorkloadSpec,
-) -> WorkloadResult {
-    run_sequence(profile, opts, cfg, vec![spec])
-        .pop()
-        .expect("one result")
 }
 
 /// Deterministic xorshift key picker, independent of the fill RNG: the
@@ -282,6 +246,33 @@ pub fn config_cells(cfg: &BenchConfig) -> JsonRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A point owns its testbed: a write-heavy point run between two runs
+    /// of the same point leaves the second run identical to the first.
+    #[test]
+    fn a_point_does_not_depend_on_the_points_before_it() {
+        let cfg = BenchConfig {
+            key_count: 2 << 10,
+            value_size: 512,
+            duration: Duration::from_millis(300),
+            seed: 0xF16,
+        };
+        let point = |write_fraction| {
+            let spec = cfg
+                .spec()
+                .with_threads(4)
+                .with_write_fraction(write_fraction);
+            run_one(devices().remove(0), DbOptions::default, &cfg, spec)
+        };
+        let first = point(0.5);
+        let heavy = point(0.9);
+        let again = point(0.5);
+        assert!(first.reads > 0 && first.writes > 0 && heavy.writes > first.writes);
+        assert_eq!((first.reads, first.writes), (again.reads, again.writes));
+        assert_eq!(first.read_latency, again.read_latency);
+        assert_eq!(first.write_latency, again.write_latency);
+        assert_eq!(first.timeline, again.timeline);
+    }
 
     /// The emitter must keep reproducing the committed artifacts byte for
     /// byte: header and first row of `BENCH_parallelism.json` (strings,

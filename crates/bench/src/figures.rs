@@ -1,21 +1,81 @@
-//! One function per paper figure (or per shared sweep).
+//! One function per paper figure (or per shared sweep). A figure is a list
+//! of points and the columns it projects from their results; every point
+//! runs on its own freshly filled testbed ([`run_one`] or [`with_testbed`]),
+//! so no point's number depends on the points that ran before it.
 
-use crate::common::{
-    devices, label, run_one, run_one_with_opts, run_sequence, us, with_testbed, BenchConfig,
-};
+use crate::common::{devices, label, run_one, us, with_testbed, BenchConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use xlsm_core::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
 use xlsm_core::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
 use xlsm_core::report::{f, stall_breakdown_table, stall_timeline_table, Table};
-use xlsm_engine::{DbOptions, ThrottlePolicy, Ticker};
+use xlsm_engine::{DbOptions, HistogramSummary, ThrottlePolicy, Ticker};
 use xlsm_sim::Runtime;
 use xlsm_workload::{
-    raw_mixed_kops, run_workload, BurstSpec, KeyDistribution, Sampler, WorkloadSpec,
+    raw_mixed_kops, run_workload, BurstSpec, KeyDistribution, Sampler, WorkloadResult, WorkloadSpec,
 };
 
 /// A named table destined for `results/<name>.tsv`.
 pub type Figure = (String, Table);
+
+/// Every spec on every paper device with default options, one point each:
+/// `results[device][spec]`.
+fn on_every_device(cfg: &BenchConfig, specs: &[WorkloadSpec]) -> Vec<Vec<WorkloadResult>> {
+    devices()
+        .into_iter()
+        .map(|profile| {
+            specs
+                .iter()
+                .map(|spec| run_one(profile.clone(), DbOptions::default, cfg, spec.clone()))
+                .collect()
+        })
+        .collect()
+}
+
+/// A table keyed by `key` with one column per device.
+fn device_table(title: &str, key: &str) -> Table {
+    let labels: Vec<&str> = devices().iter().map(label).collect();
+    Table::new(title, &[key, labels[0], labels[1], labels[2]])
+}
+
+/// One row: its key, then its cells.
+fn row(key: String, cells: impl IntoIterator<Item = String>) -> Vec<String> {
+    std::iter::once(key).chain(cells).collect()
+}
+
+/// A latency table: one `p50_us, p90_us, p99_us` row per `(name, summary)`.
+fn latency_table<'a>(
+    title: &str,
+    key: &str,
+    rows: impl IntoIterator<Item = (&'a str, HistogramSummary)>,
+) -> Table {
+    let mut t = Table::new(title, &[key, "p50_us", "p90_us", "p99_us"]);
+    for (name, s) in rows {
+        t.row(row(
+            name.into(),
+            [s.p50_ns, s.p90_ns, s.p99_ns].map(|ns| f(us(ns), 1)),
+        ));
+    }
+    t
+}
+
+/// Figs. 6/7 and 14/15: the read and the write latency table of one point
+/// per device, each `(name, title)`.
+fn read_and_write_latency(
+    points: &[&WorkloadResult],
+    read: (&str, &str),
+    write: (&str, &str),
+) -> Vec<Figure> {
+    let table = |(name, title): (&str, &str), side: fn(&WorkloadResult) -> HistogramSummary| {
+        let labels = devices().into_iter().map(|p| label(&p));
+        let rows = labels.zip(points.iter().map(|r| side(r)));
+        (name.to_owned(), latency_table(title, "device", rows))
+    };
+    vec![
+        table(read, |r| r.read_latency),
+        table(write, |r| r.write_latency),
+    ]
+}
 
 // ---------------------------------------------------------------------------
 // Fig. 1 — motivating example: raw vs KV speedup
@@ -47,7 +107,7 @@ pub fn fig01(cfg: &BenchConfig) -> Vec<Figure> {
         });
         let kv = run_one(
             profile.clone(),
-            DbOptions::default(),
+            DbOptions::default,
             &kv_cfg,
             kv_cfg.spec().with_threads(8).with_write_fraction(0.5),
         );
@@ -76,28 +136,22 @@ pub fn fig01(cfg: &BenchConfig) -> Vec<Figure> {
 /// the throttling mechanism engages.
 pub fn fig03(cfg: &BenchConfig) -> Vec<Figure> {
     let ratios = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
-    let mut table = Table::new(
+    let specs: Vec<WorkloadSpec> = ratios
+        .iter()
+        .map(|&r| cfg.spec().with_threads(4).with_write_fraction(r))
+        .collect();
+    let results = on_every_device(cfg, &specs);
+    let mut t = device_table(
         "Fig 3: throughput (kop/s) vs insertion ratio, 4 threads",
-        &["insert_pct", "sata-flash", "pcie-flash", "3d-xpoint"],
+        "insert_pct",
     );
-    let mut columns = Vec::new();
-    for profile in devices() {
-        let specs: Vec<WorkloadSpec> = ratios
-            .iter()
-            .map(|&r| cfg.spec().with_threads(4).with_write_fraction(r))
-            .collect();
-        let results = run_sequence(profile, DbOptions::default(), cfg, specs);
-        columns.push(results.iter().map(|r| r.kops()).collect::<Vec<_>>());
-    }
-    for (i, &r) in ratios.iter().enumerate() {
-        table.row(vec![
+    for (i, r) in ratios.iter().enumerate() {
+        t.row(row(
             f(r * 100.0, 0),
-            f(columns[0][i], 1),
-            f(columns[1][i], 1),
-            f(columns[2][i], 1),
-        ]);
+            results.iter().map(|d| f(d[i].kops(), 1)),
+        ));
     }
-    vec![("fig03".into(), table)]
+    vec![("fig03".into(), t)]
 }
 
 // ---------------------------------------------------------------------------
@@ -111,74 +165,33 @@ pub fn fig03(cfg: &BenchConfig) -> Vec<Figure> {
 /// * Fig. 6: read latency @90 % writes (p90: XPoint 251 µs ≪ SATA 839 µs);
 /// * Fig. 7: write latency @90 % writes (p90 ≈ 26 vs 28 µs — similar!).
 pub fn fig04_to_07(cfg: &BenchConfig) -> Vec<Figure> {
-    let timeline_duration = cfg.duration * 2;
-    let mut results_5 = Vec::new();
-    let mut results_90 = Vec::new();
-    for profile in devices() {
-        let specs = vec![
-            cfg.spec()
-                .with_threads(4)
-                .with_write_fraction(0.05)
-                .with_duration(timeline_duration),
-            cfg.spec()
-                .with_threads(4)
-                .with_write_fraction(0.9)
-                .with_duration(timeline_duration),
-        ];
-        let mut rs = run_sequence(profile, DbOptions::default(), cfg, specs);
-        results_90.push(rs.pop().unwrap());
-        results_5.push(rs.pop().unwrap());
-    }
+    let specs = [0.05, 0.9].map(|w| {
+        cfg.spec()
+            .with_threads(4)
+            .with_write_fraction(w)
+            .with_duration(cfg.duration * 2)
+    });
+    let results = on_every_device(cfg, &specs);
     let mut out = Vec::new();
-    for (name, title, results) in [
-        (
-            "fig04",
-            "Fig 4: throughput timeline, 5% writes (kop/s per 100ms)",
-            &results_5,
-        ),
-        (
-            "fig05",
-            "Fig 5: throughput timeline, 90% writes (kop/s per 100ms)",
-            &results_90,
-        ),
-    ] {
-        let mut t = Table::new(title, &["t_s", "sata-flash", "pcie-flash", "3d-xpoint"]);
-        for i in 0..results[0].timeline.len() {
-            t.row(vec![
-                f(results[0].timeline[i].0, 1),
-                f(results[0].timeline[i].1, 1),
-                f(results[1].timeline[i].1, 1),
-                f(results[2].timeline[i].1, 1),
-            ]);
+    for (point, fig, writes) in [(0, 4, 5), (1, 5, 90)] {
+        let title = format!("Fig {fig}: throughput timeline, {writes}% writes (kop/s per 100ms)");
+        let rs: Vec<&WorkloadResult> = results.iter().map(|d| &d[point]).collect();
+        let mut t = device_table(&title, "t_s");
+        for (i, &(t_s, _)) in rs[0].timeline.iter().enumerate() {
+            t.row(row(f(t_s, 1), rs.iter().map(|r| f(r.timeline[i].1, 1))));
         }
-        t.row(vec![
+        t.row(row(
             "min_bucket".into(),
-            f(results[0].min_bucket_kops(), 1),
-            f(results[1].min_bucket_kops(), 1),
-            f(results[2].min_bucket_kops(), 1),
-        ]);
-        out.push((name.to_owned(), t));
+            rs.iter().map(|r| f(r.min_bucket_kops(), 1)),
+        ));
+        out.push((format!("fig{fig:02}"), t));
     }
-    for (name, title, pick) in [
-        ("fig06", "Fig 6: read latency at 90% writes (us)", true),
-        ("fig07", "Fig 7: write latency at 90% writes (us)", false),
-    ] {
-        let mut t = Table::new(title, &["device", "p50_us", "p90_us", "p99_us"]);
-        for (i, profile) in devices().iter().enumerate() {
-            let s = if pick {
-                results_90[i].read_latency
-            } else {
-                results_90[i].write_latency
-            };
-            t.row(vec![
-                label(profile).into(),
-                f(us(s.p50_ns), 1),
-                f(us(s.p90_ns), 1),
-                f(us(s.p99_ns), 1),
-            ]);
-        }
-        out.push((name.to_owned(), t));
-    }
+    let at_90: Vec<&WorkloadResult> = results.iter().map(|d| &d[1]).collect();
+    out.extend(read_and_write_latency(
+        &at_90,
+        ("fig06", "Fig 6: read latency at 90% writes (us)"),
+        ("fig07", "Fig 7: write latency at 90% writes (us)"),
+    ));
     out
 }
 
@@ -291,60 +304,35 @@ pub fn fig08_to_12(cfg: &BenchConfig) -> Vec<Figure> {
 /// * Fig. 16: average waiting writer threads per device.
 pub fn fig13_to_16(cfg: &BenchConfig) -> Vec<Figure> {
     let threads = [1usize, 2, 4, 8, 16, 32];
-    let mut all = Vec::new();
-    for profile in devices() {
-        let specs: Vec<WorkloadSpec> = threads
-            .iter()
-            .map(|&t| cfg.spec().with_threads(t).with_write_fraction(0.5))
-            .collect();
-        all.push(run_sequence(profile, DbOptions::default(), cfg, specs));
-    }
-    let dev_labels: Vec<&str> = devices().iter().map(label).collect();
-    let mut out = Vec::new();
-    let mut t13 = Table::new(
+    let specs: Vec<WorkloadSpec> = threads
+        .iter()
+        .map(|&t| cfg.spec().with_threads(t).with_write_fraction(0.5))
+        .collect();
+    let results = on_every_device(cfg, &specs);
+    let mut t13 = device_table(
         "Fig 13: throughput (kop/s) vs parallelism (1:1 R/W)",
-        &["threads", dev_labels[0], dev_labels[1], dev_labels[2]],
+        "threads",
     );
-    for (i, &t) in threads.iter().enumerate() {
-        t13.row(vec![
+    for (i, t) in threads.iter().enumerate() {
+        t13.row(row(
             t.to_string(),
-            f(all[0][i].kops(), 1),
-            f(all[1][i].kops(), 1),
-            f(all[2][i].kops(), 1),
-        ]);
+            results.iter().map(|d| f(d[i].kops(), 1)),
+        ));
     }
-    out.push(("fig13".into(), t13));
-    let last = threads.len() - 1;
-    for (name, title, read_side) in [
-        ("fig14", "Fig 14: read latency at 32 threads (us)", true),
-        ("fig15", "Fig 15: write latency at 32 threads (us)", false),
-    ] {
-        let mut t = Table::new(title, &["device", "p50_us", "p90_us", "p99_us"]);
-        for (d, label) in dev_labels.iter().enumerate() {
-            let s = if read_side {
-                all[d][last].read_latency
-            } else {
-                all[d][last].write_latency
-            };
-            t.row(vec![
-                (*label).into(),
-                f(us(s.p50_ns), 1),
-                f(us(s.p90_ns), 1),
-                f(us(s.p99_ns), 1),
-            ]);
-        }
-        out.push((name.to_owned(), t));
-    }
+    let at_32: Vec<&WorkloadResult> = results.iter().map(|d| &d[threads.len() - 1]).collect();
     let mut t16 = Table::new(
         "Fig 16: avg waiting writer threads at 32 threads",
         &["device", "avg_waiting_writers"],
     );
-    for (d, label) in dev_labels.iter().enumerate() {
-        t16.row(vec![
-            (*label).into(),
-            f(all[d][last].avg_waiting_writers, 2),
-        ]);
+    for (profile, r) in devices().iter().zip(&at_32) {
+        t16.row(vec![label(profile).into(), f(r.avg_waiting_writers, 2)]);
     }
+    let mut out = vec![("fig13".into(), t13)];
+    out.extend(read_and_write_latency(
+        &at_32,
+        ("fig14", "Fig 14: read latency at 32 threads (us)"),
+        ("fig15", "Fig 15: write latency at 32 threads (us)"),
+    ));
     out.push(("fig16".into(), t16));
     out
 }
@@ -363,10 +351,10 @@ pub fn fig17(cfg: &BenchConfig) -> Vec<Figure> {
     );
     for profile in devices() {
         let spec = cfg.spec().with_threads(4).with_write_fraction(0.9);
-        let with_wal = run_one(profile.clone(), DbOptions::default(), cfg, spec.clone());
+        let with_wal = run_one(profile.clone(), DbOptions::default, cfg, spec.clone());
         let without = run_one(
             profile.clone(),
-            DbOptions {
+            || DbOptions {
                 enable_wal: false,
                 ..DbOptions::default()
             },
@@ -407,10 +395,10 @@ pub fn fig18(cfg: &BenchConfig) -> Vec<Figure> {
             .with_duration(cfg.duration * 4)
     };
     let xpoint = xlsm_device::profiles::optane_900p();
-    let original = run_one(xpoint.clone(), DbOptions::default(), cfg, spec.clone());
+    let original = run_one(xpoint.clone(), DbOptions::default, cfg, spec.clone());
     let two_stage = run_one(
         xpoint,
-        DbOptions {
+        || DbOptions {
             throttle_policy: ThrottlePolicy::TwoStage { min_rate: 16 << 20 },
             ..DbOptions::default()
         },
@@ -449,8 +437,6 @@ pub fn fig18(cfg: &BenchConfig) -> Vec<Figure> {
 /// management on the 3D XPoint SSD. Paper: +13 % at 90 % reads, parity at
 /// 5 % reads.
 pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
-    let read_ratios = [0.05, 0.25, 0.5, 0.75, 0.9];
-    let xpoint = xlsm_device::profiles::optane_900p();
     let mut t = Table::new(
         "Fig 19: throughput (kop/s) vs read ratio, 3D XPoint",
         &["read_pct", "default", "dynamic_l0"],
@@ -467,41 +453,38 @@ pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
         level0_stop_writes_trigger: 36,
         ..DbOptions::default()
     };
-    let specs: Vec<WorkloadSpec> = read_ratios
-        .iter()
-        .map(|&r| cfg.spec().with_threads(4).with_write_fraction(1.0 - r))
-        .collect();
-    let base = run_sequence(xpoint.clone(), base_opts(), cfg, specs.clone());
     // Dynamic: same aggregate L0 volume (12 × 1 MiB), but the manager trades
     // file count against file size with the mix: read-heavy → 3 × 4 MiB,
     // write-heavy → 12 × 1 MiB (the paper uses 24 small files; at our scale
     // a 0.5 MiB memtable collides with the two-memtable stop budget, so the
     // write-heavy geometry equals the baseline — matching the paper's
     // observed parity at low read ratios).
-    let mut dynamic = Vec::new();
-    for spec in specs {
-        let r = with_testbed(xpoint.clone(), base_opts, cfg, move |tb| {
-            let mgr = DynamicL0Manager::start(
-                Arc::clone(&tb.db),
-                DynamicL0Config {
-                    aggregate_l0_bytes: 12 << 20,
-                    files_when_read_heavy: 3,
-                    files_when_write_heavy: 12,
-                    sample_interval_nanos: 100_000_000,
-                    ..DynamicL0Config::default()
-                },
-            );
+    let kops = |read: f64, dynamic: bool| {
+        let spec = cfg.spec().with_threads(4).with_write_fraction(1.0 - read);
+        let xpoint = xlsm_device::profiles::optane_900p();
+        with_testbed(xpoint, base_opts, cfg, move |tb| {
+            let mgr = dynamic.then(|| {
+                DynamicL0Manager::start(
+                    Arc::clone(&tb.db),
+                    DynamicL0Config {
+                        aggregate_l0_bytes: 12 << 20,
+                        files_when_read_heavy: 3,
+                        files_when_write_heavy: 12,
+                        sample_interval_nanos: 100_000_000,
+                        ..DynamicL0Config::default()
+                    },
+                )
+            });
             let r = run_workload(&tb.db, &spec);
-            let _ = mgr.stop();
-            r
-        });
-        dynamic.push(r);
-    }
-    for (i, &r) in read_ratios.iter().enumerate() {
+            mgr.map(DynamicL0Manager::stop);
+            r.kops()
+        })
+    };
+    for read in [0.05, 0.25, 0.5, 0.75, 0.9] {
         t.row(vec![
-            f(r * 100.0, 0),
-            f(base[i].kops(), 1),
-            f(dynamic[i].kops(), 1),
+            f(read * 100.0, 0),
+            f(kops(read, false), 1),
+            f(kops(read, true), 1),
         ]);
     }
     vec![("fig19".into(), t)]
@@ -515,31 +498,27 @@ pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
 /// disabled, at 50 % inserts on the 3D XPoint SSD. Paper: p90 16 µs →
 /// 13 µs with NVM logging (−18.8 %), still above WAL-disabled.
 pub fn fig20(cfg: &BenchConfig) -> Vec<Figure> {
-    let xpoint = xlsm_device::profiles::optane_900p();
-    let mut t = Table::new(
-        "Fig 20: write latency (us) vs logging placement, 50% inserts, 3D XPoint",
-        &["placement", "p50_us", "p90_us", "p99_us"],
-    );
-    for placement in [
+    let placements = [
         WalPlacement::SameDevice,
         WalPlacement::Nvm,
         WalPlacement::Disabled,
-    ] {
+    ];
+    let rows = placements.map(|placement| {
         // The NVM filesystem spawns its writeback daemon, so the options
         // must be assembled inside the sim runtime.
-        let r = run_one_with_opts(
-            xpoint.clone(),
+        let r = run_one(
+            xlsm_device::profiles::optane_900p(),
             move || apply_wal_placement(DbOptions::default(), placement).0,
             cfg,
             cfg.spec().with_threads(4).with_write_fraction(0.5),
         );
-        t.row(vec![
-            placement.label().into(),
-            f(us(r.write_latency.p50_ns), 1),
-            f(us(r.write_latency.p90_ns), 1),
-            f(us(r.write_latency.p99_ns), 1),
-        ]);
-    }
+        (placement.label(), r.write_latency)
+    });
+    let t = latency_table(
+        "Fig 20: write latency (us) vs logging placement, 50% inserts, 3D XPoint",
+        "placement",
+        rows,
+    );
     vec![("fig20".into(), t)]
 }
 
@@ -600,25 +579,21 @@ pub fn fig_stalls(cfg: &BenchConfig) -> Vec<Figure> {
 
 /// Extension experiment: the paper's uniform `randomreadrandomwrite` versus
 /// a YCSB-style zipfian (θ = 0.99) on each device, 1:1 mix. Skew
-/// concentrates reads on cache-resident keys, so the *slower* the device,
-/// the larger the relative gain — the memory/storage gap discussion of
-/// Section VI from another angle.
+/// concentrates reads on cache-resident keys — the memory/storage gap
+/// discussion of Section VI from another angle.
 pub fn ext_skew(cfg: &BenchConfig) -> Vec<Figure> {
     let mut t = Table::new(
         "Extension: uniform vs zipfian(0.99) throughput (kop/s), 1:1 R/W, 4 threads",
         &["device", "uniform", "zipfian", "gain"],
     );
-    for profile in devices() {
-        let specs = vec![
-            cfg.spec().with_threads(4).with_write_fraction(0.5),
-            cfg.spec()
-                .with_threads(4)
-                .with_write_fraction(0.5)
-                .with_distribution(KeyDistribution::Zipfian(0.99)),
-        ];
-        let rs = run_sequence(profile.clone(), DbOptions::default(), cfg, specs);
+    let uniform = cfg.spec().with_threads(4).with_write_fraction(0.5);
+    let zipfian = uniform
+        .clone()
+        .with_distribution(KeyDistribution::Zipfian(0.99));
+    let results = on_every_device(cfg, &[uniform, zipfian]);
+    for (profile, rs) in devices().iter().zip(&results) {
         t.row(vec![
-            label(&profile).into(),
+            label(profile).into(),
             f(rs[0].kops(), 1),
             f(rs[1].kops(), 1),
             format!("{:.2}x", rs[1].kops() / rs[0].kops()),
@@ -659,7 +634,7 @@ pub fn fig_integrity(cfg: &BenchConfig) -> Vec<Figure> {
         };
         let r = run_one(
             xpoint.clone(),
-            opts,
+            move || opts,
             cfg,
             cfg.spec().with_threads(4).with_write_fraction(0.9),
         );
