@@ -15,14 +15,17 @@
 //! same seed must produce byte-identical files (`scripts/check.sh` compares
 //! a fresh quick run with the committed `results/quick/`). `probe` runs one
 //! workload configuration and dumps engine, filesystem and device counters —
-//! a calibration/debugging aid, not a paper figure.
+//! a calibration/debugging aid, not a paper figure — and where the host
+//! clock went, per charge class, in the fill and in the window.
 
 use std::path::Path;
 use std::sync::Arc;
-use xlsm_bench::common::{with_testbed, BenchConfig};
+use std::time::Instant;
+use xlsm_bench::common::{with_testbed_on, BenchConfig};
 use xlsm_bench::{names, select, Run, EXPERIMENTS};
 use xlsm_device::{profiles, Device};
 use xlsm_engine::{DbOptions, Ticker};
+use xlsm_sim::{runtime::RuntimeStats, Class, HostTimes, Runtime};
 use xlsm_workload::run_workload;
 
 fn usage() -> ! {
@@ -150,8 +153,12 @@ fn dump_counters(args: &[String], cfg: BenchConfig) {
         .with_write_fraction(write_pct / 100.0);
     let device = device.to_owned();
 
-    with_testbed(profile, DbOptions::default, &cfg, move |tb| {
+    let started = Instant::now();
+    let rt = Runtime::new().attribute_host_time();
+    with_testbed_on(rt, profile, DbOptions::default, &cfg, move |tb| {
         let fill_done = xlsm_sim::now_nanos();
+        let (fill_host, fill_wall) = (host_times(), started.elapsed());
+        let fill_sched = xlsm_sim::runtime::stats();
         let db_probe = Arc::clone(&tb.db);
         let l0_sampler =
             xlsm_workload::Sampler::start("l0", 20_000_000, move || db_probe.num_l0_files() as f64);
@@ -165,7 +172,12 @@ fn dump_counters(args: &[String], cfg: BenchConfig) {
                 StallLevel::Stop => 3.0,
             }
         });
+        let window_started = Instant::now();
+        let (window_host, window_sched) = (host_times(), xlsm_sim::runtime::stats());
         let r = run_workload(&tb.db, &spec);
+        let window_host = host_times() - window_host;
+        let window_wall = window_started.elapsed();
+        let window_sched = since(xlsm_sim::runtime::stats(), window_sched);
         let l0s = l0_sampler.finish();
         let levels = rate_sampler.finish();
         let max_l0 = l0s.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
@@ -241,5 +253,79 @@ fn dump_counters(args: &[String], cfg: BenchConfig) {
             d.mean_read_ns() / 1000, d.mean_write_ns() / 1000,
             d.write_stall_ns / 1_000_000, d.write_amp
         );
+        let fill_ops = cfg.key_count;
+        print_host_rows(
+            "fill",
+            fill_host,
+            fill_wall.as_nanos(),
+            fill_sched,
+            fill_ops,
+        );
+        let window_ops = r.reads + r.writes;
+        print_host_rows(
+            "window",
+            window_host,
+            window_wall.as_nanos(),
+            window_sched,
+            window_ops,
+        );
     });
+}
+
+fn host_times() -> HostTimes {
+    xlsm_sim::host_times().expect("the probe's runtime attributes host time")
+}
+
+/// The scheduler counters `now` gained since `then`.
+fn since(now: RuntimeStats, then: RuntimeStats) -> RuntimeStats {
+    RuntimeStats {
+        switches: now.switches - then.switches,
+        timer_events: now.timer_events - then.timer_events,
+        now: now.now - then.now,
+    }
+}
+
+/// Where a phase's host time went: one row per class that ran or was
+/// charged (host ms, virtual ms, host ns per virtual µs), then the
+/// scheduler, switch and uncharged rows, with how much of the phase's wall
+/// time the rows cover, sim events (switches and timer firings) per host
+/// second and switches per op.
+fn print_host_rows(phase: &str, t: HostTimes, wall_ns: u128, sched: RuntimeStats, ops: u64) {
+    let wall_s = wall_ns as f64 / 1e9;
+    println!(
+        "host clock, {phase}: {:.1} ms, rows {:.1} % of it; {:.2} M sim events/s; {:.2} switches/op",
+        wall_s * 1e3,
+        t.total() as f64 * 100.0 / wall_ns as f64,
+        (sched.switches + sched.timer_events) as f64 / wall_s / 1e6,
+        sched.switches as f64 / ops.max(1) as f64,
+    );
+    println!(
+        "  {:<18} {:>10} {:>10} {:>16}",
+        "row", "host_ms", "virt_ms", "host_ns/virt_us"
+    );
+    let ms = |ns: u64| ns as f64 / 1e6;
+    for class in Class::ALL {
+        let (host, virt) = (t.classes.get(class), t.virt.get(class));
+        if host == 0 && virt == 0 {
+            continue;
+        }
+        let per_us = if virt > 0 {
+            format!("{:.1}", host as f64 * 1e3 / virt as f64)
+        } else {
+            "-".to_owned()
+        };
+        println!(
+            "  {:<18} {:>10.3} {:>10.3} {per_us:>16}",
+            format!("{class:?}"),
+            ms(host),
+            ms(virt)
+        );
+    }
+    for (row, host) in [
+        ("scheduler", t.scheduler),
+        ("switch", t.switch),
+        ("uncharged", t.uncharged),
+    ] {
+        println!("  {row:<18} {:>10.3} {:>10} {:>16}", ms(host), "-", "-");
+    }
 }

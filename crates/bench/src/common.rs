@@ -75,8 +75,20 @@ pub fn with_testbed<T: Send + 'static>(
     cfg: &BenchConfig,
     body: impl FnOnce(&Testbed) -> T + Send + 'static,
 ) -> T {
+    with_testbed_on(Runtime::new(), profile, make_opts, cfg, body)
+}
+
+/// [`with_testbed`] on `rt`, a runtime the caller built (one that
+/// attributes host time, say).
+pub fn with_testbed_on<T: Send + 'static>(
+    rt: Runtime,
+    profile: DeviceProfile,
+    make_opts: impl FnOnce() -> DbOptions + Send + 'static,
+    cfg: &BenchConfig,
+    body: impl FnOnce(&Testbed) -> T + Send + 'static,
+) -> T {
     let cfg = *cfg;
-    Runtime::new().run(move || {
+    rt.run(move || {
         let tb = Testbed::new(profile, make_opts(), cfg.dataset_bytes()).expect("testbed");
         fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");
         let out = body(&tb);

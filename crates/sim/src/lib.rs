@@ -123,7 +123,9 @@ type Host = tests::Either<fiber::Fiber, threads::OsThread>;
 #[cfg(not(fibers))]
 type Host = threads::OsThread;
 
-pub use charge::{charge, charge_split, charges, set_charges, waited, Charges, Class};
+pub use charge::{
+    charge, charge_split, charges, host_times, set_charges, waited, Charges, Class, HostTimes,
+};
 pub use runtime::{
     now_nanos, sleep_nanos, spawn, spawn_daemon, yield_now, JoinHandle, Nanos, Runtime,
 };

@@ -6,7 +6,7 @@
 //! This module decides which thread runs and when; how a sim thread runs on
 //! the host is its [`Body`]'s business.
 
-use crate::charge::Charges;
+use crate::charge::{Charges, Class, Ledger};
 use crate::Host;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -46,6 +46,12 @@ impl Ctx {
             sched,
             charges: RefCell::default(),
         }
+    }
+
+    /// Runs `f` on the runtime's host-time books, if it keeps them.
+    #[inline(always)]
+    pub(crate) fn host(&self, f: impl FnOnce(&mut Ledger)) {
+        self.sched.host(f);
     }
 
     /// Runs `f` with this context installed on the calling OS thread.
@@ -209,6 +215,9 @@ struct Scheduler {
     /// Whether `State::deadlock` holds a report. Root reads it at every
     /// resume, so it is kept outside the lock; the hand-off orders it.
     deadlocked: AtomicBool,
+    /// The host-time books ([`Runtime::attribute_host_time`]), written by
+    /// the token holder at its charges, waits, picks and resumes.
+    host: Option<Mutex<Ledger>>,
 }
 
 /// What [`Scheduler::pick_next`] decided.
@@ -228,6 +237,34 @@ impl Scheduler {
 
     fn running(&self) -> Tid {
         self.running.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f` on the host-time books, if this runtime keeps them: with
+    /// attribution off, a hook is this one branch.
+    #[inline(always)]
+    fn host(&self, f: impl FnOnce(&mut Ledger)) {
+        if let Some(h) = &self.host {
+            f(&mut h.lock());
+        }
+    }
+
+    /// Runs `decide`, which picks who runs next, as thread `me`'s stop to
+    /// charge `parts` (none: a wait): the books close `me`'s run before it
+    /// and the scheduler's work after it.
+    #[inline(always)]
+    fn attributed(
+        &self,
+        me: Tid,
+        parts: &[(Class, Nanos)],
+        decide: impl FnOnce() -> Option<Swap>,
+    ) -> Option<Swap> {
+        let Some(h) = &self.host else {
+            return decide();
+        };
+        h.lock().ran(me, parts);
+        let swap = decide();
+        h.lock().picked();
+        swap
     }
 
     /// Picks the next thread to run and marks it running, advancing the clock
@@ -315,6 +352,7 @@ fn hand_over(swap: Swap) {
     let mine = crate::charges();
     Host::switch(swap);
     let deadlock = with_ctx(|ctx| {
+        ctx.host(Ledger::resumed);
         *ctx.charges.borrow_mut() = mine;
         if !ctx.sched.deadlocked.load(Ordering::Relaxed) {
             return None;
@@ -334,6 +372,7 @@ fn hand_over(swap: Swap) {
 /// ([`Body::exit`]).
 pub(crate) fn run_spawned() {
     let start = with_ctx(|ctx| {
+        ctx.host(Ledger::resumed);
         *ctx.charges.borrow_mut() = Charges::default();
         ctx.sched.state.lock().threads[ctx.sched.running()]
             .start
@@ -344,6 +383,7 @@ pub(crate) fn run_spawned() {
         let sched = &ctx.sched;
         let mut st = sched.state.lock();
         let me = sched.running();
+        sched.host(|h| h.exited(me));
         st.threads[me].status = Status::Dead;
         for j in std::mem::take(&mut st.threads[me].joiners) {
             st.threads[j].status = Status::Runnable;
@@ -354,6 +394,7 @@ pub(crate) fn run_spawned() {
             Next::Wake(next) => sched.hand_to(&st, me, next),
             Next::Deadlock(report) => sched.hand_deadlock_to_root(&mut st, me, report),
         };
+        sched.host(Ledger::picked);
         // The swap already holds what it needs of the body, and nothing
         // reuses the body before the swap: only this thread runs until then.
         let body = st.threads[me].body.take();
@@ -406,6 +447,17 @@ impl Runtime {
         }
     }
 
+    /// Makes the runtime attribute host time to charge classes, read with
+    /// [`host_times`](crate::charge::host_times). It costs two clock reads
+    /// per charge or wait and one per hand-off; without it, each of those
+    /// hooks is one branch. Every virtual number is the same either way.
+    pub fn attribute_host_time(mut self) -> Runtime {
+        Arc::get_mut(&mut self.sched)
+            .expect("a runtime that has not run")
+            .host = Some(Mutex::new(Ledger::new()));
+        self
+    }
+
     /// Runs `f` as the root sim thread on the calling OS thread and returns
     /// its result once it completes.
     ///
@@ -426,6 +478,7 @@ impl Runtime {
         let sched = self.sched;
         let root = ThreadInfo::new("root", Status::Running, false, None, Host::root());
         sched.state.lock().threads.push(root);
+        sched.host(|h| *h = Ledger::new());
         let result = Ctx::new(Arc::clone(&sched)).enter(|| catch_unwind(AssertUnwindSafe(f)));
         let leaked: Vec<String> = {
             let st = sched.state.lock();
@@ -490,31 +543,40 @@ pub fn now_nanos() -> Nanos {
 /// Advances the calling thread's virtual time by `d` nanoseconds, yielding
 /// to other runnable threads in the meantime. `sleep_nanos(0)` still yields.
 pub fn sleep_nanos(d: Nanos) {
+    sleep_charged(d, &[]);
+}
+
+/// [`sleep_nanos`] as a charge of `parts` (none: a bare sleep), for the
+/// host-time books.
+pub(crate) fn sleep_charged(d: Nanos, parts: &[(Class, Nanos)]) {
     assert_not_in_critical_section("sleep_nanos");
     switch(with_ctx(|ctx| {
-        let mut st = ctx.sched.state.lock();
-        st.seq += 1;
-        let me = ctx.sched.running();
-        let wake_at = ctx.sched.now().saturating_add(d);
-        // Nobody is runnable and every pending timer is due later (an equal
-        // deadline has the smaller sequence number and goes first): the
-        // pick would pop this very timer and hand the token back to the
-        // caller. Do what that pick does without the round trip through
-        // the heap.
-        if st.run_queue.is_empty()
-            && st
-                .timers
-                .peek()
-                .is_none_or(|Reverse((next, ..))| *next > wake_at)
-        {
-            ctx.sched.now.store(wake_at, Ordering::Relaxed);
-            st.timer_events += 1;
-            return None;
-        }
-        let seq = st.seq;
-        st.timers.push(Reverse((wake_at, seq, me)));
-        st.threads[me].status = Status::Sleeping;
-        ctx.sched.give_up(&mut st, me)
+        let sched = &ctx.sched;
+        let mut st = sched.state.lock();
+        let me = sched.running();
+        sched.attributed(me, parts, || {
+            st.seq += 1;
+            let wake_at = sched.now().saturating_add(d);
+            // Nobody is runnable and every pending timer is due later (an
+            // equal deadline has the smaller sequence number and goes
+            // first): the pick would pop this very timer and hand the token
+            // back to the caller. Do what that pick does without the round
+            // trip through the heap.
+            if st.run_queue.is_empty()
+                && st
+                    .timers
+                    .peek()
+                    .is_none_or(|Reverse((next, ..))| *next > wake_at)
+            {
+                sched.now.store(wake_at, Ordering::Relaxed);
+                st.timer_events += 1;
+                return None;
+            }
+            let seq = st.seq;
+            st.timers.push(Reverse((wake_at, seq, me)));
+            st.threads[me].status = Status::Sleeping;
+            sched.give_up(&mut st, me)
+        })
     }));
 }
 
@@ -526,7 +588,8 @@ pub fn yield_now() {
         let me = ctx.sched.running();
         st.threads[me].status = Status::Runnable;
         st.run_queue.push_back(me);
-        ctx.sched.give_up(&mut st, me)
+        ctx.sched
+            .attributed(me, &[], || ctx.sched.give_up(&mut st, me))
     }));
 }
 
@@ -542,7 +605,8 @@ pub(crate) fn block_current(reason: &'static str) {
         let mut st = ctx.sched.state.lock();
         let me = ctx.sched.running();
         st.threads[me].status = Status::Blocked(reason);
-        ctx.sched.give_up(&mut st, me)
+        ctx.sched
+            .attributed(me, &[], || ctx.sched.give_up(&mut st, me))
     }));
 }
 
@@ -595,7 +659,8 @@ impl<T> JoinHandle<T> {
             let me = ctx.sched.running();
             st.threads[self.tid].joiners.push(me);
             st.threads[me].status = Status::Blocked("join");
-            ctx.sched.give_up(&mut st, me)
+            ctx.sched
+                .attributed(me, &[], || ctx.sched.give_up(&mut st, me))
         }));
         let result = self
             .slot
