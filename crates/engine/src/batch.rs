@@ -47,6 +47,19 @@ impl WriteBatch {
         }
     }
 
+    /// An empty batch that [`WriteBatch::put`] of `key` and `value` fills
+    /// exactly, so the put never grows it.
+    pub fn for_put(key: &[u8], value: &[u8]) -> WriteBatch {
+        let mut rep = Vec::with_capacity(HEADER + put_size(key, value));
+        rep.resize(HEADER, 0);
+        WriteBatch {
+            rep,
+            count: 0,
+            prot: Vec::new(),
+            prot_width: 0,
+        }
+    }
+
     /// Queues a put.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
         self.rep.push(ValueType::Value as u8);
@@ -72,6 +85,19 @@ impl WriteBatch {
                 self.prot_width,
             ));
         }
+    }
+
+    /// Empties the batch, protection off, with room for a put of `key` and
+    /// `value`: a reused batch grows only for a put larger than any before.
+    pub(crate) fn reset_for_put(&mut self, key: &[u8], value: &[u8]) {
+        self.clear();
+        self.enable_protection(0);
+        self.rep.reserve(put_size(key, value));
+    }
+
+    /// Bytes the batch holds room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.rep.capacity()
     }
 
     /// Empties the batch (protection width is retained).
@@ -285,6 +311,11 @@ impl WriteBatch {
     }
 }
 
+/// Bytes [`WriteBatch::put`] of `key` and `value` adds to a batch.
+fn put_size(key: &[u8], value: &[u8]) -> usize {
+    1 + length_prefixed_size(key) + length_prefixed_size(value)
+}
+
 /// Iterator over batch operations.
 #[derive(Debug)]
 pub struct BatchIter<'a> {
@@ -330,6 +361,24 @@ mod tests {
         let mut b = WriteBatch::new();
         b.enable_protection(width);
         b
+    }
+
+    #[test]
+    fn for_put_is_filled_exactly_by_its_put() {
+        for (klen, vlen) in [(0, 0), (16, 1024), (127, 128), (128, 16_383), (3, 16_384)] {
+            let (key, value) = (vec![7u8; klen], vec![9u8; vlen]);
+            let mut b = WriteBatch::for_put(&key, &value);
+            let cap = b.rep.capacity();
+            b.put(&key, &value);
+            assert_eq!(
+                (b.rep.len(), b.rep.capacity()),
+                (cap, cap),
+                "{klen} + {vlen}"
+            );
+            let mut grown = WriteBatch::new();
+            grown.put(&key, &value);
+            assert_eq!(b, grown);
+        }
     }
 
     #[test]

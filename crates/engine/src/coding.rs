@@ -57,6 +57,12 @@ pub fn get_varint64(data: &[u8], off: &mut usize) -> Option<u64> {
     }
 }
 
+/// Bytes [`put_length_prefixed`] appends for `data`.
+pub fn length_prefixed_size(data: &[u8]) -> usize {
+    let bits = u64::BITS - (data.len() as u64 | 1).leading_zeros();
+    bits.div_ceil(7) as usize + data.len()
+}
+
 /// Appends a varint length followed by the bytes.
 pub fn put_length_prefixed(out: &mut Vec<u8>, data: &[u8]) {
     put_varint64(out, data.len() as u64);

@@ -437,6 +437,7 @@ fn merge_range(
 
     let mut builder: Option<TableBuilder> = None;
     let mut builder_number = 0u64;
+    // The previous entry's user key, in one buffer every key reuses.
     let mut last_user_key: Option<Vec<u8>> = None;
     let mut last_kept_visible = false; // kept an entry for last_user_key with seq <= min_snapshot
     let mut cpu = EntryCharge::new(Class::Merge, costs::MERGE_ENTRY_NS);
@@ -471,7 +472,9 @@ fn merge_range(
         if !same_key {
             // Reset per-key state *before* the drop decision, so a dropped
             // leading tombstone's shadow survives for the older versions.
-            last_user_key = Some(uk.to_vec());
+            let key = last_user_key.get_or_insert_with(Vec::new);
+            key.clear();
+            key.extend_from_slice(uk);
             last_kept_visible = false;
         }
         let mut drop = false;

@@ -550,9 +550,7 @@ impl Db {
     ///
     /// See [`Db::write`].
     pub fn put(&self, key: &[u8], value: &[u8]) -> DbResult<()> {
-        let mut b = WriteBatch::new();
-        b.put(key, value);
-        self.write(b)
+        self.write(self.inner.queue.batch_for_put(key, value))
     }
 
     /// Deletes one key.

@@ -16,9 +16,11 @@
 //!   allocated, so a node index handed to a reader stays valid while other
 //!   threads allocate — no single `Vec` behind one lock to invalidate it.
 //!
-//! Once inserted a node's key/value never move, so iterators hold
-//! `(Arc<MemTable>, index)` without pinning any lock across blocking
-//! operations.
+//! A node is one arena slot: its links inline, and its internal key and
+//! value together in one heap allocation, so a put allocates once and a
+//! search that follows a link lands on the node it compares. Once inserted
+//! a node's key/value never move, so iterators hold `(Arc<MemTable>,
+//! index)` without pinning any lock across blocking operations.
 //!
 //! CPU time for searches, and for the *serial* insert path
 //! ([`MemTable::add`] with `charge_ns == 0`), is charged by the callers via
@@ -34,9 +36,7 @@ use crate::bloom::ConcurrentBloom;
 use crate::error::{DbError, DbResult};
 use crate::integrity;
 use crate::iterator::InternalIterator;
-use crate::types::{
-    self, compare_internal, make_internal_key, make_lookup_key, SequenceNumber, ValueType,
-};
+use crate::types::{self, compare_internal, make_lookup_key, SequenceNumber, ValueType};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::{Arc, OnceLock};
@@ -53,14 +53,27 @@ const BASE_CHUNK: usize = 1 << 10;
 const NUM_CHUNKS: usize = 22;
 
 struct Node {
-    /// Full internal key (`user_key ++ trailer`). Immutable once inserted.
-    key: Vec<u8>,
-    value: Vec<u8>,
+    /// The full internal key (`user_key ++ trailer`), then the value.
+    /// Immutable once inserted.
+    entry: Box<[u8]>,
+    /// Where the key ends in `entry`.
+    key_len: u32,
     /// Per-entry checksum over (type, user key, value) when the memtable
     /// protects entries at rest; `0` when protection is off.
     prot: u32,
-    /// `next[level]` — atomic node indices, linked bottom-up via CAS.
-    next: Box<[AtomicU32]>,
+    /// `next[level]` — atomic node indices, linked bottom-up via CAS. A
+    /// node of height `h` uses the first `h`.
+    next: [AtomicU32; MAX_HEIGHT],
+}
+
+impl Node {
+    fn key(&self) -> &[u8] {
+        &self.entry[..self.key_len as usize]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.entry[self.key_len as usize..]
+    }
 }
 
 /// Chunked node arena. The spine is a fixed array of once-initialized
@@ -202,7 +215,7 @@ impl MemTable {
     }
 
     fn key_at(&self, idx: u32) -> &[u8] {
-        &self.arena.node(idx).key
+        self.arena.node(idx).key()
     }
 
     /// Finds, per level, the last node whose key is `< key` (`NIL` = head).
@@ -241,14 +254,29 @@ impl MemTable {
         h
     }
 
-    /// Inserts `key` → `value`. With `charge_ns > 0` the insert's CPU cost
-    /// is slept off *between* splice location and link publication — the
-    /// concurrent path's yield point; with `charge_ns == 0` there is no
-    /// blocking point, so the insert is atomic under the cooperative
-    /// runtime (the serial mode's exclusive path).
-    fn insert(&self, key: Vec<u8>, value: Vec<u8>, prot: u32, charge_ns: u64) {
+    /// Inserts the internal key of `user_key` at `seq` and `t` → `value`.
+    /// With `charge_ns > 0` the insert's CPU cost is slept off *between*
+    /// splice location and link publication — the concurrent path's yield
+    /// point; with `charge_ns == 0` there is no blocking point, so the
+    /// insert is atomic under the cooperative runtime (the serial mode's
+    /// exclusive path).
+    fn insert(
+        &self,
+        seq: SequenceNumber,
+        t: ValueType,
+        user_key: &[u8],
+        value: &[u8],
+        prot: u32,
+        charge_ns: u64,
+    ) {
+        let key_len = user_key.len() + 8;
+        let mut entry = Vec::with_capacity(key_len + value.len());
+        entry.extend_from_slice(user_key);
+        entry.extend_from_slice(&types::pack_seq_type(seq, t).to_le_bytes());
+        entry.extend_from_slice(value);
+        let entry = entry.into_boxed_slice();
         let h = self.random_height();
-        let mut splice = self.find_predecessors(&key);
+        let mut splice = self.find_predecessors(&entry[..key_len]);
         if charge_ns > 0 {
             // Other writers run during this sleep and may insert around our
             // splice point; the CAS loop below recovers, exactly like
@@ -257,13 +285,10 @@ impl MemTable {
         }
         self.height.fetch_max(h, AtOrd::AcqRel);
         let idx = self.arena.alloc(Node {
-            key,
-            value,
+            entry,
+            key_len: key_len as u32,
             prot,
-            next: (0..h)
-                .map(|_| AtomicU32::new(NIL))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            next: std::array::from_fn(|_| AtomicU32::new(NIL)),
         });
         let node = self.arena.node(idx);
         for (level, hint) in splice.iter_mut().enumerate().take(h) {
@@ -271,7 +296,8 @@ impl MemTable {
                 let prev = *hint;
                 let link = self.link(prev, level);
                 let next = link.load(AtOrd::Acquire);
-                if next != NIL && compare_internal(self.key_at(next), &node.key) == Ordering::Less {
+                if next != NIL && compare_internal(self.key_at(next), node.key()) == Ordering::Less
+                {
                     // A concurrent insert landed between `prev` and us;
                     // advance the splice hint along this level.
                     *hint = next;
@@ -309,16 +335,15 @@ impl MemTable {
         value: &[u8],
         charge_ns: u64,
     ) {
-        let ikey = make_internal_key(user_key, seq, t);
         // Key, value and an estimate of the node overhead.
-        let charge = ikey.len() + value.len() + 48;
+        let charge = user_key.len() + 8 + value.len() + 48;
         // Bloom bits go in before the node links: anyone who can observe
         // the entry already observes its bits, even mid-insert.
         if let Some(b) = &self.bloom {
             b.insert(user_key);
         }
         let prot = self.checksum_for(t, user_key, value);
-        self.insert(ikey, value.to_vec(), prot, charge_ns);
+        self.insert(seq, t, user_key, value, prot, charge_ns);
         self.record_entry(charge);
     }
 
@@ -337,8 +362,8 @@ impl MemTable {
             return Ok(());
         }
         let node = self.arena.node(idx);
-        let (uk, seq, t) = types::parse_internal_key(&node.key);
-        if integrity::entry_checksum(t, uk, &node.value) != node.prot {
+        let (uk, seq, t) = types::parse_internal_key(node.key());
+        if integrity::entry_checksum(t, uk, node.value()) != node.prot {
             return Err(DbError::corruption(format!(
                 "memtable {} entry checksum mismatch (seq {seq})",
                 self.id
@@ -367,13 +392,13 @@ impl MemTable {
             return Ok(None);
         }
         let node = self.arena.node(idx);
-        let (uk, _seq, t) = types::parse_internal_key(&node.key);
+        let (uk, _seq, t) = types::parse_internal_key(node.key());
         if uk != user_key {
             return Ok(None);
         }
         self.verify_node(idx)?;
         Ok(match t {
-            ValueType::Value => Some(Some(node.value.clone())),
+            ValueType::Value => Some(Some(node.value().to_vec())),
             ValueType::Deletion => Some(None),
         })
     }
@@ -444,11 +469,11 @@ impl InternalIterator for MemTableIter {
 
     // Nodes are immutable once inserted, so the entry can be lent as is.
     fn key(&self) -> &[u8] {
-        &self.mem.arena.node(self.cur).key
+        self.mem.arena.node(self.cur).key()
     }
 
     fn value(&self) -> &[u8] {
-        &self.mem.arena.node(self.cur).value
+        self.mem.arena.node(self.cur).value()
     }
 }
 
@@ -723,12 +748,7 @@ mod tests {
         // Plant an entry whose stored checksum does not match its content —
         // the shape of an in-memory flip between insert and read.
         let wrong = integrity::entry_checksum(ValueType::Value, b"bad", b"v") ^ 1;
-        m.insert(
-            make_internal_key(b"bad", 2, ValueType::Value),
-            b"v".to_vec(),
-            wrong,
-            0,
-        );
+        m.insert(2, ValueType::Value, b"bad", b"v", wrong, 0);
         m.record_entry(16);
         let err = m.get(b"bad", 10).unwrap_err();
         assert!(err.is_corruption());
@@ -740,12 +760,7 @@ mod tests {
         let m = MemTable::with_options(22, 0, 0, true);
         m.add(1, ValueType::Value, b"a", b"1", 0);
         let wrong = integrity::entry_checksum(ValueType::Deletion, b"b", b"") ^ 1;
-        m.insert(
-            make_internal_key(b"b", 2, ValueType::Deletion),
-            Vec::new(),
-            wrong,
-            0,
-        );
+        m.insert(2, ValueType::Deletion, b"b", b"", wrong, 0);
         m.record_entry(16);
         m.add(3, ValueType::Value, b"c", b"3", 0);
         let mut it = m.iter();

@@ -87,9 +87,10 @@ impl BlockBuilder {
     }
 
     /// Closes the block and returns its sealed frame, compressed with
-    /// `codec` when that makes it smaller. [`reset`](Self::reset) before
-    /// the next [`add`](Self::add).
-    pub(super) fn finish(&mut self, codec: CompressionType) -> &[u8] {
+    /// `codec` when that makes it smaller, and the CRC of the frame's body
+    /// ([`seal_frame`]). [`reset`](Self::reset) before the next
+    /// [`add`](Self::add).
+    pub(super) fn finish(&mut self, codec: CompressionType) -> (&[u8], u32) {
         if self.restarts.is_empty() {
             self.restarts.push(0);
         }
@@ -102,18 +103,22 @@ impl BlockBuilder {
         } else {
             &mut self.buf
         };
-        seal_frame(frame);
-        frame
+        let crc = seal_frame(frame);
+        (frame, crc)
     }
 
-    /// Empties the builder for the next block, keeping its buffers, and
-    /// returns the last key added to the finished one.
-    pub(super) fn reset(&mut self) -> Vec<u8> {
+    /// The last key added to the block.
+    pub(super) fn last_key(&self) -> &[u8] {
+        &self.last_key
+    }
+
+    /// Empties the builder for the next block, keeping its buffers.
+    pub(super) fn reset(&mut self) {
         self.buf.truncate(1);
         self.restarts.clear();
+        self.last_key.clear();
         self.count_since_restart = 0;
         self.entries = 0;
-        std::mem::take(&mut self.last_key)
     }
 
     pub(super) fn size_estimate(&self) -> usize {
@@ -126,9 +131,11 @@ impl BlockBuilder {
 }
 
 /// Appends the frame trailer: a masked CRC32-C over everything in `body`.
-pub(super) fn seal_frame(body: &mut Vec<u8>) {
-    let crc = crc32c::masked(crc32c::crc32c(body));
-    put_fixed32(body, crc);
+/// Returns the body's (unmasked) CRC.
+pub(super) fn seal_frame(body: &mut Vec<u8>) -> u32 {
+    let crc = crc32c::crc32c(body);
+    put_fixed32(body, crc32c::masked(crc));
+    crc
 }
 
 /// Checks a frame's trailing CRC and returns its body; the error says what
@@ -211,11 +218,9 @@ fn decode(bytes: FileBytes, block: Range<usize>) -> DbResult<Block> {
         .len()
         .checked_sub(4 + n_restarts * 4)
         .ok_or_else(|| DbError::Corruption("bad restart count".into()))?;
-    let mut keys: Vec<u8> = Vec::new();
-    // A restart point starts at most `RESTART_INTERVAL` entries; an entry
-    // takes at least three bytes, which bounds a count from a corrupt block.
-    let mut entries: Vec<EntryAt> =
-        Vec::with_capacity((n_restarts * RESTART_INTERVAL).min(restarts_off / 3));
+    let (n_entries, key_bytes) = entry_sizes(data, restarts_off);
+    let mut keys: Vec<u8> = Vec::with_capacity(key_bytes);
+    let mut entries: Vec<EntryAt> = Vec::with_capacity(n_entries);
     let mut off = 0usize;
     let mut prev_key = 0..0;
     while off < restarts_off {
@@ -255,6 +260,32 @@ fn decode(bytes: FileBytes, block: Range<usize>) -> DbResult<Block> {
     })
 }
 
+/// How many entries `data[..restarts_off]` holds and how many bytes their
+/// keys take once decoded, from the entry headers alone, so that [`decode`]
+/// sizes its two buffers once. Stops counting where [`decode`] will report
+/// corruption.
+fn entry_sizes(data: &[u8], restarts_off: usize) -> (usize, usize) {
+    let (mut off, mut entries, mut key_bytes, mut key_len) = (0usize, 0, 0, 0);
+    while off < restarts_off {
+        let mut len = || get_varint64(data, &mut off).map(|v| v as usize);
+        let (Some(shared), Some(non_shared), Some(vlen)) = (len(), len(), len()) else {
+            break;
+        };
+        let end = off
+            .checked_add(non_shared)
+            .and_then(|value_off| value_off.checked_add(vlen))
+            .filter(|end| *end <= restarts_off);
+        let (Some(end), true) = (end, shared <= key_len) else {
+            break;
+        };
+        key_len = shared + non_shared;
+        key_bytes += key_len;
+        entries += 1;
+        off = end;
+    }
+    (entries, key_bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::reader::search_block;
@@ -272,7 +303,7 @@ mod tests {
         for (k, v) in entries {
             b.add(k, v);
         }
-        let frame = b.finish(CompressionType::None);
+        let (frame, _) = b.finish(CompressionType::None);
         frame[1..frame.len() - 4].to_vec()
     }
 
@@ -335,6 +366,9 @@ mod tests {
         let block = decode_block(&build(&entries)).unwrap();
         assert_eq!(block.len(), 50);
         assert_eq!(pairs(&block), entries);
+        // Sized once, from the entry headers: nothing grew.
+        assert_eq!(block.keys.capacity(), block.keys.len());
+        assert_eq!(block.entries.capacity(), 50);
     }
 
     #[test]
@@ -347,8 +381,9 @@ mod tests {
                     let k = make_internal_key(format!("k{i:03}").as_bytes(), 1, ValueType::Value);
                     b.add(&k, &[b'v'; 100]);
                 }
-                frames.push(b.finish(codec).to_vec());
-                assert_eq!(types::user_key(&b.reset()), b"k039");
+                frames.push(b.finish(codec).0.to_vec());
+                assert_eq!(types::user_key(b.last_key()), b"k039");
+                b.reset();
             }
         }
         assert_eq!(frames[0], frames[1]);
@@ -444,7 +479,7 @@ mod tests {
                 }
                 // Shared out of a file, between other bytes, as a block
                 // read or a readahead window returns it.
-                let frame = b.finish(codec);
+                let (frame, _) = b.finish(codec);
                 let window = [&[7; 5][..], frame, &[9; 3]].concat();
                 let at = 5..5 + frame.len() as u64;
                 let block = xlsm_sim::Runtime::new().run(|| {

@@ -3,7 +3,7 @@
 //! footer.
 
 use super::block::{seal_frame, BlockBuilder};
-use super::{encode_index, Footer, IndexEntry, MetaHandle};
+use super::{Footer, IndexBuilder, MetaHandle};
 use crate::bloom::BloomBuilder;
 use crate::coding::*;
 use crate::compress::CompressionType;
@@ -77,13 +77,27 @@ struct TableFile {
     offset: u64,
     /// Running CRC over every byte appended so far (the whole-file
     /// checksum recorded in the manifest).
-    crc: crc32c::Hasher,
+    crc: u32,
 }
 
 impl TableFile {
     /// Appends `data` to the file, folding it into the whole-file CRC.
     fn append(&mut self, data: &[u8]) -> DbResult<()> {
-        self.crc.update(data);
+        self.crc = crc32c::combine(self.crc, crc32c::crc32c(data), data.len() as u64);
+        self.write(data)
+    }
+
+    /// Appends a sealed frame whose body hashed to `body_crc`
+    /// ([`seal_frame`]), folding that CRC into the whole-file CRC: only the
+    /// four-byte trailer is hashed again.
+    fn append_frame(&mut self, frame: &[u8], body_crc: u32) -> DbResult<()> {
+        let (body, trailer) = frame.split_at(frame.len() - 4);
+        self.crc = crc32c::combine(self.crc, body_crc, body.len() as u64);
+        self.crc = crc32c::combine(self.crc, crc32c::crc32c(trailer), 4);
+        self.write(frame)
+    }
+
+    fn write(&mut self, data: &[u8]) -> DbResult<()> {
         self.file.append(data)?;
         self.offset += data.len() as u64;
         Ok(())
@@ -96,7 +110,7 @@ pub struct TableBuilder {
     out: TableFile,
     opts: TableOptions,
     block: BlockBuilder,
-    index: Vec<IndexEntry>,
+    index: IndexBuilder,
     whole_bloom: Option<BloomBuilder>,
     prefix_bloom: Option<BloomBuilder>,
     num_entries: u64,
@@ -115,11 +129,11 @@ impl TableBuilder {
             out: TableFile {
                 file,
                 offset: 0,
-                crc: crc32c::Hasher::new(),
+                crc: 0,
             },
             block: BlockBuilder::new(opts.block_size),
             opts,
-            index: Vec::new(),
+            index: IndexBuilder::default(),
             whole_bloom,
             prefix_bloom,
             num_entries: 0,
@@ -132,8 +146,8 @@ impl TableBuilder {
     /// handle the footer records.
     fn append_meta_block(&mut self, mut payload: Vec<u8>) -> DbResult<MetaHandle> {
         let handle = (self.out.offset, payload.len() as u64);
-        seal_frame(&mut payload);
-        self.out.append(&payload)?;
+        let crc = seal_frame(&mut payload);
+        self.out.append_frame(&payload, crc)?;
         Ok(handle)
     }
 
@@ -175,10 +189,14 @@ impl TableBuilder {
             return Ok(());
         }
         let off = self.out.offset;
-        let appended = self.out.append(self.block.finish(self.opts.compression));
-        let last_key = self.block.reset();
+        let (frame, crc) = self.block.finish(self.opts.compression);
+        let appended = self.out.append_frame(frame, crc);
+        if appended.is_ok() {
+            let size = self.out.offset - off;
+            self.index.add(self.block.last_key(), off, size);
+        }
+        self.block.reset();
         appended?;
-        self.index.push((last_key, off, self.out.offset - off));
         Ok(())
     }
 
@@ -219,7 +237,7 @@ impl TableBuilder {
             (self.out.offset, 0)
         };
 
-        let index = self.append_meta_block(encode_index(&self.index))?;
+        let index = self.append_meta_block(self.index.finish())?;
 
         // Properties block.
         let mut props = Vec::new();
@@ -241,7 +259,7 @@ impl TableBuilder {
             num_entries: self.num_entries,
             smallest: self.smallest,
             largest: self.largest,
-            file_crc: self.out.crc.finish(),
+            file_crc: self.out.crc,
         })
     }
 }

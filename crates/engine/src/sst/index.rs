@@ -1,25 +1,53 @@
 //! The index block: one entry per data block — the block's last internal
-//! key and the offset and size of its frame — written by the builder as a
-//! list of [`IndexEntry`] and held by an open reader as one [`FlatIndex`].
+//! key and the offset and size of its frame — encoded by an
+//! [`IndexBuilder`] as the table's blocks are written and held by an open
+//! reader as one [`FlatIndex`].
 
 use crate::coding::*;
 use crate::error::{DbError, DbResult};
 use crate::types::{self, compare_internal};
 use std::cmp::Ordering;
 
-/// One index entry as the builder collects it: a data block's last internal
+/// The index block under construction: each entry encoded into one buffer
+/// as its data block is written, so a block's key is copied, not kept.
+#[derive(Debug, Default)]
+pub(super) struct IndexBuilder {
+    entries: Vec<u8>,
+    count: u64,
+}
+
+impl IndexBuilder {
+    /// Adds the entry of a data block: its last internal key, and the
+    /// offset and size of its frame.
+    pub(super) fn add(&mut self, last_key: &[u8], off: u64, size: u64) {
+        put_length_prefixed(&mut self.entries, last_key);
+        put_varint64(&mut self.entries, off);
+        put_varint64(&mut self.entries, size);
+        self.count += 1;
+    }
+
+    /// The encoded index block: the entry count, then the entries.
+    pub(super) fn finish(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(10 + self.entries.len());
+        put_varint64(&mut out, self.count);
+        out.extend_from_slice(&self.entries);
+        out
+    }
+}
+
+/// One index entry as the tests spell it: a data block's last internal
 /// key, and the offset and size of its frame.
+#[cfg(test)]
 pub(super) type IndexEntry = (Vec<u8>, u64, u64);
 
+/// The index block of `index`.
+#[cfg(test)]
 pub(super) fn encode_index(index: &[IndexEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint64(&mut out, index.len() as u64);
+    let mut b = IndexBuilder::default();
     for (key, off, size) in index {
-        put_length_prefixed(&mut out, key);
-        put_varint64(&mut out, *off);
-        put_varint64(&mut out, *size);
+        b.add(key, *off, *size);
     }
-    out
+    b.finish()
 }
 
 /// An open table's index in flat memory, the layout of a decoded

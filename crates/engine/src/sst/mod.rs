@@ -48,7 +48,7 @@ pub use reader::{
 
 use crate::coding::*;
 use crate::error::{DbError, DbResult};
-use index::{encode_index, FlatIndex, IndexEntry};
+use index::{FlatIndex, IndexBuilder};
 use xlsm_simfs::FileHandle;
 
 const FOOTER_SIZE: usize = 6 * 8 + 4 + 8; // offsets + crc32 + magic
@@ -141,6 +141,7 @@ fn test_fs() -> std::sync::Arc<xlsm_simfs::SimFs> {
 
 #[cfg(test)]
 mod tests {
+    use super::index::encode_index;
     use super::*;
 
     /// A footer or an index with a valid CRC may still point anywhere: a

@@ -30,8 +30,12 @@ pub struct WalWriter {
     /// Running CRC over every byte appended (headers included) — the
     /// whole-file checksum recorded in the MANIFEST when this log is
     /// rotated out, so recovery can tell a clean closed log from one
-    /// damaged at rest.
-    file_crc: parking_lot::Mutex<crc32c::Hasher>,
+    /// damaged at rest. Each record's own CRC is folded in
+    /// ([`crc32c::combine`]); its payload is not hashed twice.
+    file_crc: parking_lot::Mutex<u32>,
+    /// The buffer records are framed in, kept between appends and taken
+    /// out of its lock while an append runs.
+    frame: parking_lot::Mutex<Vec<u8>>,
 }
 
 impl WalWriter {
@@ -52,7 +56,8 @@ impl WalWriter {
             number,
             bytes_since_flush: AtomicU64::new(0),
             bytes_per_sync: bytes_per_sync as u64,
-            file_crc: parking_lot::Mutex::new(crc32c::Hasher::new()),
+            file_crc: parking_lot::Mutex::new(0),
+            frame: parking_lot::Mutex::new(Vec::new()),
         })
     }
 
@@ -72,12 +77,20 @@ impl WalWriter {
     /// Filesystem errors.
     pub fn append(&self, payload: &[u8], sync: bool) -> DbResult<u64> {
         xlsm_sim::charge(Class::WalEncode, costs::wal_encode_ns(payload.len()));
-        let rec = frame_record(payload);
+        let mut rec = std::mem::take(&mut *self.frame.lock());
+        let payload_crc = frame_into(&mut rec, payload);
         let written = rec.len() as u64;
-        self.file.append(&rec)?;
+        let appended = self.file.append(&rec);
         // Only what reached the file: a refused append (device full) leaves
         // both the file and its checksum as they were.
-        self.file_crc.lock().update(&rec);
+        if appended.is_ok() {
+            let header = crc32c::crc32c(&rec[..8]);
+            let mut crc = self.file_crc.lock();
+            *crc = crc32c::combine(*crc, header, 8);
+            *crc = crc32c::combine(*crc, payload_crc, payload.len() as u64);
+        }
+        *self.frame.lock() = rec;
+        appended?;
         if sync {
             self.file.sync()?;
         } else if self.bytes_per_sync > 0 {
@@ -99,19 +112,28 @@ impl WalWriter {
     /// (no appends can race it: the write queue's memtable stage excludes
     /// in-flight groups while the memtable — and its WAL — switch).
     pub fn file_crc(&self) -> u32 {
-        self.file_crc.lock().finish()
+        *self.file_crc.lock()
     }
 }
 
 /// Frames one payload as `[masked crc32c][len][payload]`: the record format
 /// of the WAL and of the MANIFEST, which is why [`scan_wal`] replays both.
 pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let crc = crc32c::masked(crc32c::crc32c(payload));
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&crc.to_le_bytes());
+    let mut rec = Vec::new();
+    frame_into(&mut rec, payload);
+    rec
+}
+
+/// [`frame_record`] into `rec`, which it empties first; returns the
+/// payload's (unmasked) CRC.
+fn frame_into(rec: &mut Vec<u8>, payload: &[u8]) -> u32 {
+    let crc = crc32c::crc32c(payload);
+    rec.clear();
+    rec.reserve(8 + payload.len());
+    rec.extend_from_slice(&crc32c::masked(crc).to_le_bytes());
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     rec.extend_from_slice(payload);
-    rec
+    crc
 }
 
 /// Outcome of scanning one WAL (or manifest) file under a

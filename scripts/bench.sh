@@ -7,7 +7,8 @@
 # seconds of the full-size figures, of each probe and of the quick suite, the
 # oracle test's seconds and peak resident memory, the seconds of every test
 # binary of `cargo test --release --workspace`, mean ns of every engine_micro
-# bench). Informational — it differs run to run and host to host, and no
+# bench, and where one write-only `--quick probe` on SATA spent its host
+# time: host ms per charge class, scheduler and switch, fill and window). Informational — it differs run to run and host to host, and no
 # script compares it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,6 +77,22 @@ EOF
 ((${#test_rows[@]})) || { echo "cargo test printed no result" >&2; exit 1; }
 printf '%s\n' "${test_rows[@]}"
 
+echo "==> host time per charge class"
+mapfile -t probe_host_rows < <("${pin[@]}" "$bin" --quick probe sata 100 4 1 | python3 -c '
+import re, sys
+phases = {}
+for line in sys.stdin:
+    if m := re.match(r"host clock, (\w+): ([0-9.]+) ms, rows ([0-9.]+) %", line):
+        rows = phases[m[1]] = {"wall_ms": m[2], "rows_pct": m[3]}
+    elif phases and (m := re.match(r"  (\w+)\s+([0-9.]+)\s", line)) and m[1] != "row":
+        rows[m[1]] = m[2]
+for phase, rows in phases.items():
+    cells = ", ".join(f"\"{k}\": {v}" for k, v in rows.items())
+    print(f"    \"{phase}\": {{{cells}}}")
+')
+((${#probe_host_rows[@]})) || { echo "the probe printed no host rows" >&2; exit 1; }
+printf '%s\n' "${probe_host_rows[@]}"
+
 echo "==> engine_micro"
 micro_rows=()
 while read -r name mean unit _; do
@@ -108,6 +125,9 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '  },'
     echo '  "engine_micro_mean_ns": {'
     rows "${micro_rows[@]}"
+    echo '  },'
+    echo '  "probe_sata_100_host_ms": {'
+    rows "${probe_host_rows[@]}"
     echo '  }'
     echo '}'
 } >BENCH_wall.json

@@ -12,7 +12,11 @@
 # side by side — every `sim.*` row (hand-off, sleep and spawn costs, the
 # system-time share, switches and timer events per op),
 # `simfs.host_ns_per_read_{hit,miss}` and every `engine.call.*.host_ns` — so
-# a claim can name its layer.
+# a claim can name its layer. Last, one `xlsm-bench --quick probe` per side
+# on the workload's device and write share prints the host clock per charge
+# class, scheduler and switch, for the fill and the window, side by side, so
+# a claim can name its class too (a tree whose probe attributes no host time
+# shows `-`).
 #
 #   scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>
 #
@@ -37,6 +41,7 @@ mkdir -p "$out"
 for tree in "$base" "$repo"; do
     echo "==> build $tree" >&2
     CARGO_TARGET_DIR=$tree/target cargo build -q --release --offline --manifest-path "$tree/benchmark/Cargo.toml"
+    CARGO_TARGET_DIR=$tree/target cargo build -q --release --offline --manifest-path "$tree/Cargo.toml" -p xlsm-bench
 done
 
 run() { # side tree pair [run.sh flags]
@@ -56,10 +61,28 @@ done
 run parent "$base" trace --trace 1
 run change "$repo" trace --trace 1
 
-python3 - "$out" "$pairs" "$workload" "$seed" "$sha" <<'EOF'
-import json, sys
+# The probe closest to the workload: its device and write share, 4 clients.
+case $workload in
+    *_sata) device=sata ;;
+    *_pcie) device=pcie ;;
+    *) device=xpoint ;;
+esac
+case $workload in
+    readrandom_*) write_pct=0 ;;
+    overwrite_*) write_pct=100 ;;
+    *) write_pct=50 ;;
+esac
+source "$repo/scripts/pin.sh"
+for side in parent change; do
+    tree=$base
+    [[ $side == change ]] && tree=$repo
+    "${pin[@]}" "$tree/target/release/xlsm-bench" --quick probe "$device" "$write_pct" 4 1 >"$out/$side.probe.txt"
+done
 
-out, pairs, workload, seed, sha = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+python3 - "$out" "$pairs" "$workload" "$seed" "$sha" "$device $write_pct" <<'EOF'
+import json, re, sys
+
+out, pairs, workload, seed, sha, probe = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6]
 HOST = {"setup_s": "lower", "host_ops_per_s": "higher", "peak_rss_mb": "lower"}
 runs = {side: [json.load(open(f"{out}/{side}.{i}.json")) for i in range(pairs)]
         for side in ("parent", "change")}
@@ -108,6 +131,29 @@ print(f"{'layer':<32} {'parent':>12} {'change':>12} {'ratio':>7}")
 for name in layers:
     p, c = traced["parent"][name]["value"], traced["change"][name]["value"]
     print(f"{name:<32} {p:>12.1f} {c:>12.1f} " + (f"{c / p:>6.3f}x" if p else f"{'-':>7}"))
+def host_rows(side):
+    """{phase: (summary, {row: host ms})} from a probe's host-clock tables."""
+    phases, rows = {}, None
+    for line in open(f"{out}/{side}.probe.txt"):
+        if m := re.match(r"host clock, (\w+): (.*)", line):
+            rows = {}
+            phases[m[1]] = (m[2].strip(), rows)
+        elif rows is not None and (m := re.match(r"  (\w+)\s+([0-9.]+)\s", line)) and m[1] != "row":
+            rows[m[1]] = float(m[2])
+    return phases
+probes = {side: host_rows(side) for side in runs}
+print(f"xlsm-bench --quick probe {probe} 4 1 per side, host ms per charge class")
+for phase in ("fill", "window"):
+    sides = [probes[s].get(phase, ("no host rows", {})) for s in ("parent", "change")]
+    print(f"{phase}: parent {sides[0][0]}")
+    print(f"{phase}: change {sides[1][0]}")
+    print(f"{'row':<18} {'parent':>10} {'change':>10} {'ratio':>7}")
+    names = list(sides[1][1]) + [n for n in sides[0][1] if n not in sides[1][1]]
+    for name in names:
+        p, c = sides[0][1].get(name), sides[1][1].get(name)
+        cell = lambda v: f"{v:>10.3f}" if v is not None else f"{'-':>10}"
+        ratio = f"{c / p:>6.3f}x" if p and c is not None else f"{'-':>7}"
+        print(f"{name:<18} {cell(p)} {cell(c)} {ratio}")
 if status:
     print("==> a virtual-clock or exact metric moved")
 sys.exit(status)
