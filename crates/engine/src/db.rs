@@ -190,7 +190,8 @@ impl DbInner {
     }
 
     /// Rotates the mutable memtable to immutable, creating a fresh memtable
-    /// and WAL. Caller must be the (serialized) write leader.
+    /// and WAL. The caller is at the write queue's head (a leader's
+    /// `preprocess`, or [`WriteQueue::at_head`]), except [`Db::resume`].
     fn switch_memtable(self: &Arc<Self>) -> DbResult<()> {
         // Create the new WAL outside any lock.
         let (new_wal, new_number) = if self.opts.enable_wal {
@@ -205,11 +206,8 @@ impl DbInner {
         } else {
             (None, self.versions.new_file_number())
         };
-        // Hold the memtable-stage permit across the swap: a concurrent
-        // write group's members each apply straight into `mutable`, and
-        // rotating it mid-group would strand part of the group in a
-        // memtable that flush is already iterating. Callers (preprocess,
-        // Db::flush) never hold the permit here, so this cannot deadlock.
+        // Hold the memtable-stage permit across the swap, behind the apply of
+        // the group ahead; no caller holds it here, so this cannot deadlock.
         self.queue.lock_mem_stage();
         let old_wal = {
             let mut mem = self.mem.lock();
@@ -227,9 +225,9 @@ impl DbInner {
             old_wal.map(|w| (old_wal_number, w))
         };
         self.queue.unlock_mem_stage();
-        // The sealed log will never be appended to again (the mem-stage
-        // permit serialized us against in-flight groups), so its whole-file
-        // CRC is final. Record it in the manifest for recovery to check.
+        // The sealed log will never be appended to again (no group appends
+        // while the switch holds the queue head), so its whole-file CRC is
+        // final. Record it in the manifest for recovery to check.
         if let Some((old_number, wal)) = old_wal {
             let edit = VersionEdit {
                 wal_crcs: vec![(old_number, wal.file_crc())],
@@ -578,7 +576,8 @@ impl Db {
     }
 
     /// Forces a memtable switch + flush and waits until no immutables
-    /// remain (test/diagnostic helper).
+    /// remain (test/diagnostic helper). The switch queues behind the writers
+    /// already in the write queue and waits for them.
     ///
     /// # Errors
     ///
@@ -591,18 +590,17 @@ impl Db {
         if let Some(e) = self.inner.bg.read_only_error() {
             return Err(e);
         }
-        {
+        let mutable_empty = {
             let state = self.inner.mem.lock();
             if state.mutable.is_empty() && state.immutables.is_empty() {
                 return Ok(());
             }
-            if state.mutable.is_empty() {
-                drop(state);
-                self.inner.schedule_flush();
-            }
-        }
-        if !{ self.inner.mem.lock().mutable.is_empty() } {
-            self.inner.switch_memtable()?;
+            state.mutable.is_empty()
+        };
+        if mutable_empty {
+            self.inner.schedule_flush();
+        } else {
+            self.inner.queue.at_head(|| self.inner.switch_memtable())?;
         }
         while !{ self.inner.mem.lock().immutables.is_empty() } {
             if let Some(e) = self.inner.bg.read_only_error() {
@@ -658,6 +656,8 @@ impl Db {
         if self.inner.bg.current().is_none() {
             return Ok(());
         }
+        // Not at the write queue's head: on an ENOSPC stall that is a leader
+        // parked before its WAL append until a resume ends the stall.
         self.inner.switch_memtable()?;
         while self.inner.flush_one()? {}
         self.inner.resume_work();

@@ -109,8 +109,9 @@ impl WalWriter {
     }
 
     /// CRC32-C over every byte appended so far. Captured at rotation time
-    /// (no appends can race it: the write queue's memtable stage excludes
-    /// in-flight groups while the memtable — and its WAL — switch).
+    /// (no appends can race it: the memtable — and its WAL — switch at the
+    /// write queue's head, where no group is appending; `Db::resume` is the
+    /// exception, see there).
     pub fn file_crc(&self) -> u32 {
         *self.file_crc.lock()
     }

@@ -26,13 +26,16 @@
 //! range before the WAL append and *publishes* its last sequence once its
 //! memtable stage succeeded, before it releases the stage. Readers never
 //! observe a half-applied group, and a held snapshot never gains a key.
+//!
+//! The queue owns write order: its whole state sits under one lock, and a
+//! memtable switch runs only at its head ([`WriteQueue::at_head`]), where
+//! no group is between its WAL append and its memtable apply.
 
 use crate::batch::WriteBatch;
 use crate::costs;
 use crate::error::{DbError, DbResult};
 use crate::stats::{DbStats, Ticker};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::Arc;
 use xlsm_sim::sync::{Semaphore, WaitSet};
 use xlsm_sim::{Charges, Class, Nanos};
@@ -77,89 +80,36 @@ pub trait WriteBackend: Send + Sync {
     fn write_memtable_member(&self, batch: &WriteBatch) -> DbResult<()>;
 }
 
-/// Coordination for one concurrently-applied write group: RocksDB's
-/// `write_done_count` barrier. Every member (leader included) decrements
-/// once its sub-batch is in the memtable; the leader waits for zero before
-/// completing the memtable stage.
-struct GroupSync {
-    write_done: AtomicUsize,
-    done: WaitSet,
-    error: parking_lot::Mutex<Option<DbError>>,
+/// What a writer and its leader hand each other.
+enum Slot {
+    /// Nothing; in the queue, a memtable switch waiting for the head.
+    Empty,
+    /// A queued writer's batch, for the leader that groups it.
+    Queued(WriteBatch),
+    /// Concurrent mode: the member's sub-batch to apply on its own thread.
+    Apply(WriteBatch),
+    /// The group's result, and when its leader started it: the end of this
+    /// writer's queue wait.
+    Done(DbResult<()>, Nanos),
 }
 
-impl GroupSync {
-    fn new(members: usize) -> Arc<GroupSync> {
-        Arc::new(GroupSync {
-            write_done: AtomicUsize::new(members),
-            done: WaitSet::new("group-apply-barrier"),
-            error: parking_lot::Mutex::new(None),
-        })
-    }
-
-    /// Records one member's apply result and trips the barrier when last.
-    fn finish(&self, r: DbResult<()>) {
-        if let Err(e) = r {
-            self.error.lock().get_or_insert(e);
-        }
-        if self.write_done.fetch_sub(1, AtOrd::AcqRel) == 1 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// A follower's concurrent-apply assignment: its own sequence-stamped
-/// sub-batch plus the group barrier to report into.
-struct ApplyJob {
-    batch: WriteBatch,
-    sync: Arc<GroupSync>,
-}
-
-/// What a leader hands each follower once the group is done.
-struct GroupDone {
-    result: DbResult<()>,
-    /// When the leader started the group: the end of the follower's queue
-    /// wait.
-    started: Nanos,
-    /// What the leader was charged for the group.
-    parts: Charges,
-}
-
+/// A writer, known by its index in [`State::writers`].
 struct Writer {
-    batch: parking_lot::Mutex<Option<WriteBatch>>,
-    /// Set by the leader in concurrent-memtable mode; the follower applies
-    /// the job on its own thread instead of idling out the memtable stage.
-    apply: parking_lot::Mutex<Option<ApplyJob>>,
-    done: parking_lot::Mutex<Option<GroupDone>>,
-    wake: WaitSet,
-    /// When this writer joined the queue (for queue-wait attribution).
-    enqueued_at: AtomicU64,
-}
-
-impl Writer {
-    fn new() -> Arc<Writer> {
-        Arc::new(Writer {
-            batch: parking_lot::Mutex::new(None),
-            apply: parking_lot::Mutex::new(None),
-            done: parking_lot::Mutex::new(None),
-            wake: WaitSet::new("writer"),
-            enqueued_at: AtomicU64::new(0),
-        })
-    }
-
-    fn enqueued_at(&self) -> Nanos {
-        self.enqueued_at.load(AtOrd::Relaxed)
-    }
+    slot: Slot,
+    /// What the leader was charged for the group, set with [`Slot::Done`].
+    parts: Charges,
+    wake: Arc<WaitSet>,
 }
 
 /// One group's working set: its members, their batches and the merged
-/// WAL record. A leader takes one from the queue's spares and gives it
-/// back empty, so that a group in steady state allocates nothing.
+/// WAL record. A leader takes one from the spares and gives it back
+/// empty, so that a group in steady state allocates nothing.
 #[derive(Default)]
 struct Group {
-    members: Vec<Arc<Writer>>,
+    members: Vec<usize>,
     batches: Vec<WriteBatch>,
     /// The buffer several batches merge into, kept between groups.
-    merged: Option<WriteBatch>,
+    merged: WriteBatch,
 }
 
 /// Member batches a group needs before it applies concurrently; a solo
@@ -172,17 +122,52 @@ const CONCURRENT_APPLY_MIN_BATCHES: usize = 2;
 const SPARE_BATCHES: usize = 64;
 const SPARE_BATCH_BYTES: usize = 64 << 10;
 
-/// What the queue keeps between uses: idle writers, group working sets and
-/// committed batches. Each is taken out of the lock before use, so no
-/// guard is held across a wait.
+/// Everything the queue's one lock guards. Nothing is held across a wait:
+/// a thread takes what it needs out of the lock first.
 #[derive(Default)]
-struct Spares {
-    writers: Vec<Arc<Writer>>,
+struct State {
+    /// Queued writers, the head first.
+    queue: VecDeque<usize>,
+    /// Every writer made so far, and the spares: idle writers, group
+    /// working sets and committed batches.
+    writers: Vec<Writer>,
+    idle: Vec<usize>,
     groups: Vec<Group>,
     batches: Vec<WriteBatch>,
+    /// The concurrent group in its memtable stage (RocksDB's
+    /// `write_done_count`): members yet to apply, and the first error.
+    applying: usize,
+    apply_error: Option<DbError>,
 }
 
-impl Spares {
+impl State {
+    /// Queues a writer holding `slot`; returns it and its wake-up.
+    fn enqueue(&mut self, slot: Slot) -> (usize, Arc<WaitSet>) {
+        let id = self.idle.pop().unwrap_or_else(|| {
+            self.writers.push(Writer {
+                slot: Slot::Empty,
+                parts: Charges::default(),
+                wake: Arc::new(WaitSet::new("writer")),
+            });
+            self.writers.len() - 1
+        });
+        self.writers[id].slot = slot;
+        self.queue.push_back(id);
+        (id, Arc::clone(&self.writers[id].wake))
+    }
+
+    fn wake_head(&self) {
+        if let Some(&head) = self.queue.front() {
+            self.writers[head].wake.notify_all();
+        }
+    }
+
+    /// Hands writer `id` its slot and wakes it.
+    fn hand(&mut self, id: usize, slot: Slot) {
+        self.writers[id].slot = slot;
+        self.writers[id].wake.notify_all();
+    }
+
     /// Keeps a committed batch's buffer for [`WriteQueue::batch_for_put`],
     /// unless [`SPARE_BATCHES`] are kept or it is larger than
     /// [`SPARE_BATCH_BYTES`].
@@ -191,22 +176,62 @@ impl Spares {
             self.batches.push(batch);
         }
     }
+
+    /// Counts one member of the concurrent group applied, keeping its
+    /// batch and its first error, and wakes the leader when it is the last.
+    fn member_applied(&mut self, r: DbResult<()>, batch: WriteBatch, leader: &WaitSet) {
+        if let Err(e) = r {
+            self.apply_error.get_or_insert(e);
+        }
+        self.keep_batch(batch);
+        self.applying -= 1;
+        if self.applying == 0 {
+            leader.notify_all();
+        }
+    }
+
+    /// Collects the group the queue head leads: the queued batches from the
+    /// head on, up to `max_bytes`, stopping at a memtable switch. Batches
+    /// move out of their slots; the O(group-bytes) merge happens in
+    /// `commit_group`, outside the lock.
+    fn take_group(&mut self, max_bytes: usize) -> Group {
+        let mut group = self.groups.pop().unwrap_or_default();
+        let State { queue, writers, .. } = self;
+        let mut bytes = 0;
+        for &w in queue.iter() {
+            let slot = &mut writers[w].slot;
+            // An empty slot in the queue is a memtable switch.
+            let Slot::Queued(b) = std::mem::replace(slot, Slot::Empty) else {
+                break;
+            };
+            let size = b.byte_size();
+            if !group.members.is_empty() && bytes + size > max_bytes {
+                *slot = Slot::Queued(b);
+                break;
+            }
+            group.batches.push(b);
+            bytes += size;
+            group.members.push(w);
+        }
+        group
+    }
 }
 
 /// The single write-thread queue of a database.
 pub struct WriteQueue {
-    queue: parking_lot::Mutex<VecDeque<Arc<Writer>>>,
+    state: parking_lot::Mutex<State>,
     mem_stage: Semaphore,
+    /// Where the concurrent group's leader waits for its members.
+    applied: WaitSet,
     /// Concurrent memtable writes (`allow_concurrent_memtable_write`).
     concurrent: bool,
     max_group_bytes: usize,
-    spares: parking_lot::Mutex<Spares>,
 }
 
 impl std::fmt::Debug for WriteQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WriteQueue")
-            .field("queued", &self.queue.lock().len())
+            .field("queued", &self.queued())
             .field("concurrent", &self.concurrent)
             .finish()
     }
@@ -218,18 +243,18 @@ impl WriteQueue {
     /// per-member on their own threads.
     pub fn new(max_group_bytes: usize, concurrent: bool) -> WriteQueue {
         WriteQueue {
-            queue: parking_lot::Mutex::new(VecDeque::new()),
+            state: parking_lot::Mutex::default(),
             mem_stage: Semaphore::new("memtable-stage", 1),
+            applied: WaitSet::new("group-apply-barrier"),
             concurrent,
             max_group_bytes,
-            spares: parking_lot::Mutex::default(),
         }
     }
 
     /// A batch holding a put of `key` and `value`, in the buffer of a batch
     /// an earlier group committed when one is spare.
     pub(crate) fn batch_for_put(&self, key: &[u8], value: &[u8]) -> WriteBatch {
-        let spare = self.spares.lock().batches.pop();
+        let spare = self.state.lock().batches.pop();
         let mut batch = match spare {
             Some(mut batch) => {
                 batch.reset_for_put(key, value);
@@ -241,16 +266,13 @@ impl WriteQueue {
         batch
     }
 
-    /// Writers currently queued (Fig. 16's instantaneous value).
+    /// Writers and memtable switches currently queued.
     pub fn queued(&self) -> usize {
-        self.queue.lock().len()
+        self.state.lock().queue.len()
     }
 
-    /// Acquires the memtable-stage permit, excluding every in-flight
-    /// group apply (serial or concurrent), and charges the wait to
-    /// [`Class::MemtableStage`]. `switch_memtable` holds this while rotating
-    /// the mutable memtable so a switch can never strand half of a write
-    /// group in a memtable that flush already iterates.
+    /// Acquires the memtable-stage permit, excluding every in-flight group
+    /// apply, and charges the wait to [`Class::MemtableStage`].
     pub(crate) fn lock_mem_stage(&self) {
         let t0 = xlsm_sim::now_nanos();
         self.mem_stage.acquire(1);
@@ -262,8 +284,26 @@ impl WriteQueue {
         self.mem_stage.release(1);
     }
 
-    fn is_front(&self, w: &Arc<Writer>) -> bool {
-        self.queue.lock().front().is_some_and(|f| Arc::ptr_eq(f, w))
+    /// Queues like a writer without a batch and runs `switch` at the head,
+    /// after every group ahead has written its WAL record and before any
+    /// behind does (LevelDB's `Write(nullptr)`, RocksDB's `EnterUnbatched`).
+    /// Its wait is charged to no class; it joins no group and counts in no
+    /// write statistic.
+    pub(crate) fn at_head<R>(&self, switch: impl FnOnce() -> R) -> R {
+        let mut st = self.state.lock();
+        let (me, wake) = st.enqueue(Slot::Empty);
+        while st.queue.front() != Some(&me) {
+            drop(st);
+            wake.wait();
+            st = self.state.lock();
+        }
+        drop(st);
+        let r = switch();
+        let mut st = self.state.lock();
+        st.queue.pop_front();
+        st.idle.push(me);
+        st.wake_head();
+        r
     }
 
     /// Submits `batch` and blocks until it commits (possibly as part of a
@@ -280,108 +320,79 @@ impl WriteQueue {
         stats: &DbStats,
     ) -> DbResult<()> {
         let entry = xlsm_sim::charges();
-        let me = self.spares.lock().writers.pop().unwrap_or_else(Writer::new);
-        *me.batch.lock() = Some(batch);
-        me.enqueued_at.store(xlsm_sim::now_nanos(), AtOrd::Relaxed);
-        self.queue.lock().push_back(Arc::clone(&me));
+        let enqueued = xlsm_sim::now_nanos();
+        let mut st = self.state.lock();
+        let (me, wake) = st.enqueue(Slot::Queued(batch));
         stats.writer_waiting_inc();
 
         // Wait until we are committed by a leader, become leader, or get
-        // handed our own sub-batch to apply (concurrent memtable mode).
+        // handed our own sub-batch to apply (concurrent memtable mode):
+        // the slot and the head are checked under one acquisition per wake.
         loop {
-            let done = me.done.lock().take();
-            if let Some(done) = done {
-                // A follower's own concurrent insert ran inside the group's
-                // memtable stage, which the group's parts already cover.
-                let mut parts = entry + done.parts;
-                parts.record(Class::WriterQueue, done.started - me.enqueued_at());
-                xlsm_sim::set_charges(parts);
-                stats.bump(Ticker::WritesJoinedGroup);
-                self.spares.lock().writers.push(me);
-                return done.result;
+            match std::mem::replace(&mut st.writers[me].slot, Slot::Empty) {
+                Slot::Done(result, started) => {
+                    // A follower's own concurrent insert ran inside the
+                    // group's memtable stage, which the group's parts
+                    // already cover.
+                    let mut parts = entry + st.writers[me].parts;
+                    st.idle.push(me);
+                    drop(st);
+                    parts.record(Class::WriterQueue, started - enqueued);
+                    xlsm_sim::set_charges(parts);
+                    stats.bump(Ticker::WritesJoinedGroup);
+                    return result;
+                }
+                Slot::Apply(batch) => {
+                    drop(st);
+                    let r = backend.write_memtable_member(&batch);
+                    st = self.state.lock();
+                    st.member_applied(r, batch, &self.applied);
+                    continue; // the leader completes us after the barrier
+                }
+                slot => st.writers[me].slot = slot,
             }
-            let job = me.apply.lock().take();
-            if let Some(job) = job {
-                job.sync.finish(backend.write_memtable_member(&job.batch));
-                self.spares.lock().keep_batch(job.batch);
-                continue; // the leader completes us after the barrier
-            }
-            if self.is_front(&me) {
+            if st.queue.front() == Some(&me) {
                 break;
             }
-            me.wake.wait();
+            drop(st);
+            wake.wait();
+            st = self.state.lock();
         }
 
         // --- We are the leader. ---
+        let mut group = st.take_group(self.max_group_bytes);
+        drop(st);
         let started = xlsm_sim::now_nanos();
-        xlsm_sim::waited(Class::WriterQueue, started - me.enqueued_at());
+        xlsm_sim::waited(Class::WriterQueue, started - enqueued);
         let before = xlsm_sim::charges();
         stats.bump(Ticker::WriteGroupsLed);
-        let mut group = self.spares.lock().groups.pop().unwrap_or_default();
-        self.build_group(&me, &mut group);
         let result = self.commit_group(&mut group, backend, stats);
         let parts = xlsm_sim::charges() - before;
-        for m in group.members.drain(1..) {
-            *m.done.lock() = Some(GroupDone {
-                result: result.clone(),
-                started,
-                parts,
-            });
-            m.wake.notify_all();
+        let mut st = self.state.lock();
+        for &m in &group.members[1..] {
+            st.writers[m].parts = parts;
+            st.hand(m, Slot::Done(result.clone(), started));
         }
         group.members.clear();
-        let mut spares = self.spares.lock();
         for b in group.batches.drain(..) {
-            spares.keep_batch(b);
+            st.keep_batch(b);
         }
-        spares.groups.push(group);
-        spares.writers.push(me);
-        drop(spares);
+        st.groups.push(group);
+        st.idle.push(me);
+        drop(st);
         stats.sample_waiting_writers();
         result
     }
 
-    /// Collects the batch group starting at the queue head (which must be
-    /// `leader`) into the empty `group`. Batches are *moved out* of the
-    /// member writers — cheap pointer moves only — while holding the queue
-    /// mutex; the O(group-bytes) merge happens in `commit_group` after the
-    /// lock is dropped, so enqueuing writers never serialize behind the
-    /// leader's memcpy.
-    fn build_group(&self, leader: &Arc<Writer>, group: &mut Group) {
-        let queue = self.queue.lock();
-        debug_assert!(Arc::ptr_eq(queue.front().unwrap(), leader));
-        let lead = leader.batch.lock().take().expect("leader batch taken");
-        let mut bytes = lead.byte_size();
-        group.batches.push(lead);
-        group.members.push(Arc::clone(leader));
-        for w in queue.iter().skip(1) {
-            let mut slot = w.batch.lock();
-            let size = slot.as_ref().map_or(0, WriteBatch::byte_size);
-            if bytes + size > self.max_group_bytes {
-                break;
-            }
-            if let Some(b) = slot.take() {
-                group.batches.push(b);
-                bytes += size;
-                group.members.push(Arc::clone(w));
-            }
+    /// Pops `members` off the queue head and wakes the next head.
+    fn pop_group(&self, members: &[usize], stats: &DbStats) {
+        let mut st = self.state.lock();
+        for &m in members {
+            debug_assert_eq!(st.queue.front(), Some(&m));
+            st.queue.pop_front();
+            stats.writer_waiting_dec();
         }
-    }
-
-    /// Pops `members` off the queue head and wakes the next leader.
-    fn pop_group(&self, members: &[Arc<Writer>], stats: &DbStats) {
-        let next = {
-            let mut queue = self.queue.lock();
-            for m in members {
-                debug_assert!(Arc::ptr_eq(queue.front().unwrap(), m));
-                queue.pop_front();
-                stats.writer_waiting_dec();
-            }
-            queue.front().cloned()
-        };
-        if let Some(n) = next {
-            n.wake.notify_all();
-        }
+        st.wake_head();
     }
 
     fn commit_group(
@@ -390,48 +401,38 @@ impl WriteQueue {
         backend: &dyn WriteBackend,
         stats: &DbStats,
     ) -> DbResult<()> {
+        // The group's WAL record, built outside the queue lock: a lone
+        // batch is its own; several merge, at the leader's protection
+        // width, into the buffer the group keeps for that. The member
+        // batches stay, for the concurrent path to apply each its own.
         let Group {
             members,
             batches,
             merged,
         } = group;
-        let concurrent = self.concurrent && batches.len() >= CONCURRENT_APPLY_MIN_BATCHES;
-        // The group's WAL record, built outside the queue lock: a lone
-        // batch is its own; several merge, at the leader's protection
-        // width, into the buffer the group keeps for that. The member
-        // batches stay, for the concurrent path to apply each its own.
-        let solo = batches.len() == 1;
-        let mut record = if solo {
-            batches.pop().expect("group has a leader batch")
-        } else {
-            let mut record = merged.take().unwrap_or_default();
-            record.clear();
-            record.enable_protection(batches[0].protection_width());
-            for b in batches.iter() {
-                record.append_batch(b);
-            }
-            record
-        };
-        let r = self.commit_record(&mut record, members, batches, concurrent, backend, stats);
-        if solo {
-            batches.push(record);
-        } else {
-            *merged = Some(record);
+        if let [solo] = batches.as_mut_slice() {
+            return self.commit_record(solo, members, &mut Vec::new(), backend, stats);
         }
-        r
+        merged.clear();
+        merged.enable_protection(batches[0].protection_width());
+        for b in batches.iter() {
+            merged.append_batch(b);
+        }
+        self.commit_record(merged, members, batches, backend, stats)
     }
 
     /// Commits a group's WAL record `group` and applies it: serially, or
-    /// with `concurrent`, each member its own of `member_batches`.
+    /// with concurrent memtable writes each member its own of
+    /// `member_batches`.
     fn commit_record(
         &self,
         group: &mut WriteBatch,
-        members: &[Arc<Writer>],
+        members: &[usize],
         member_batches: &mut Vec<WriteBatch>,
-        concurrent: bool,
         backend: &dyn WriteBackend,
         stats: &DbStats,
     ) -> DbResult<()> {
+        let concurrent = self.concurrent && members.len() >= CONCURRENT_APPLY_MIN_BATCHES;
         let group_bytes = group.byte_size();
         if let Err(e) = backend.preprocess(group_bytes as u64) {
             self.pop_group(members, stats);
@@ -498,40 +499,38 @@ impl WriteQueue {
     fn apply_concurrent(
         &self,
         batches: &mut Vec<WriteBatch>,
-        members: &[Arc<Writer>],
+        members: &[usize],
         backend: &dyn WriteBackend,
         stats: &DbStats,
     ) -> DbResult<()> {
         debug_assert_eq!(batches.len(), members.len());
-        let sync = GroupSync::new(members.len());
         stats.add(Ticker::ConcurrentMemtableApplies, members.len() as u64);
         let mut batches = batches.drain(..);
         let leader_batch = batches.next().expect("group has a leader batch");
-        for (m, b) in members[1..].iter().zip(batches) {
-            *m.apply.lock() = Some(ApplyJob {
-                batch: b,
-                sync: Arc::clone(&sync),
-            });
-            m.wake.notify_all();
+        let mut st = self.state.lock();
+        st.applying = members.len();
+        for (&m, b) in members[1..].iter().zip(batches) {
+            st.hand(m, Slot::Apply(b));
         }
-        sync.finish(backend.write_memtable_member(&leader_batch));
-        self.spares.lock().keep_batch(leader_batch);
+        drop(st);
+        let r = backend.write_memtable_member(&leader_batch);
+        let mut st = self.state.lock();
+        st.member_applied(r, leader_batch, &self.applied);
         let t0 = xlsm_sim::now_nanos();
-        while sync.write_done.load(AtOrd::Acquire) > 0 {
-            sync.done.wait();
+        while st.applying > 0 {
+            drop(st);
+            self.applied.wait();
+            st = self.state.lock();
         }
         xlsm_sim::waited(Class::GroupApply, xlsm_sim::now_nanos() - t0);
-        let first_error = sync.error.lock().take();
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        st.apply_error.take().map_or(Ok(()), Err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::HistogramSummary;
     use crate::memtable::MemTable;
     use std::sync::atomic::{AtomicU64, Ordering};
     use xlsm_sim::Runtime;
@@ -1015,6 +1014,94 @@ mod tests {
                 t.total_write_ns,
                 "split components must still reconcile: {t:?}"
             );
+        });
+    }
+
+    /// Spawns a writer that submits a put of `key` after `delay_ns`.
+    fn submit_after(
+        (q, be, stats): (&Arc<WriteQueue>, &Arc<TestBackend>, &Arc<DbStats>),
+        delay_ns: u64,
+        key: &'static [u8],
+    ) -> xlsm_sim::JoinHandle<DbResult<()>> {
+        let (q, be, stats) = (Arc::clone(q), Arc::clone(be), Arc::clone(stats));
+        xlsm_sim::spawn("writer", move || {
+            xlsm_sim::sleep_nanos(delay_ns);
+            q.submit(batch_with(key, b"v"), be.as_ref(), &stats)
+        })
+    }
+
+    /// A memtable switch queued behind a group runs at the head once that
+    /// group has applied and published, before the writer queued behind it
+    /// writes its WAL record, and leaves every write statistic as it would
+    /// be without the switch.
+    #[test]
+    fn a_switch_at_the_head_is_invisible_to_write_statistics() {
+        fn run(switch: bool) -> (u64, u64, HistogramSummary, f64) {
+            Runtime::new().run(move || {
+                let q = Arc::new(WriteQueue::new(1 << 20, false));
+                let be = TestBackend::new(50_000, 20_000); // slow WAL
+                let stats = Arc::new(DbStats::new());
+                // k0 leads alone and sits in its WAL; k1 queues 20 µs in,
+                // behind the switch when there is one.
+                let writers = [
+                    submit_after((&q, &be, &stats), 0, b"k0"),
+                    submit_after((&q, &be, &stats), 20_000, b"k1"),
+                ];
+                xlsm_sim::sleep_nanos(10_000);
+                if switch {
+                    let seen = q.at_head(|| {
+                        // As `switch_memtable` does: behind the group's apply.
+                        q.lock_mem_stage();
+                        let seen = (
+                            be.published.load(Ordering::Relaxed),
+                            be.mem.num_entries(),
+                            be.wal_records.load(Ordering::Relaxed),
+                        );
+                        q.unlock_mem_stage();
+                        seen
+                    });
+                    assert_eq!(seen, (1, 1, 1), "(published, applied, WAL records)");
+                }
+                for w in writers {
+                    w.join().unwrap();
+                }
+                assert_eq!(q.queued(), 0);
+                (
+                    stats.ticker(Ticker::WriteGroupsLed),
+                    stats.ticker(Ticker::WritesJoinedGroup),
+                    stats.write_group_batches.summary(),
+                    stats.avg_waiting_writers(),
+                )
+            })
+        }
+        let with = run(true);
+        assert_eq!(with, run(false));
+        assert_eq!((with.0, with.1, with.3), (2, 0, 0.5));
+    }
+
+    /// A leader's group stops at a queued memtable switch: the writer
+    /// queued behind the switch commits in a group of its own after it.
+    #[test]
+    fn a_group_stops_at_a_queued_switch() {
+        Runtime::new().run(|| {
+            let q = Arc::new(WriteQueue::new(1 << 20, false));
+            let be = TestBackend::new(50_000, 0); // slow WAL
+            let stats = Arc::new(DbStats::new());
+            // k0 leads alone and sits in its WAL while k1, the switch and
+            // k2 queue behind it, in that order.
+            let writers = [(0, b"k0"), (10_000, b"k1"), (30_000, b"k2")]
+                .map(|(delay_ns, key)| submit_after((&q, &be, &stats), delay_ns, key));
+            xlsm_sim::sleep_nanos(20_000);
+            let wal_records = q.at_head(|| be.wal_records.load(Ordering::Relaxed));
+            for w in writers {
+                w.join().unwrap();
+            }
+            assert_eq!(
+                wal_records, 2,
+                "the switch runs between k1's and k2's groups"
+            );
+            assert_eq!(stats.ticker(Ticker::WriteGroupsLed), 3);
+            assert_eq!(q.queued(), 0);
         });
     }
 

@@ -409,3 +409,65 @@ fn many_writer_stress_on_concurrent_path() {
         db.close();
     });
 }
+
+/// A `Db::flush` from another thread switches the memtable at the write
+/// queue's head, so it never seals the log under a group that has written
+/// its WAL record but not yet applied it: a writer's acked keys all survive
+/// a power cut, whenever the flush lands among its puts. Each run puts a
+/// key, races a writer's 40 synced puts against a flush issued after a
+/// swept offset, puts one more key, then cuts power and reopens.
+#[test]
+fn a_flush_racing_a_put_loses_no_acked_write() {
+    let (mut runs, mut losses) = (0, Vec::new());
+    for profile in [profiles::optane_900p(), profiles::intel_530_sata()] {
+        let device = profile.kind.label();
+        for offset_ns in (0..=400_000u64).step_by(10_000) {
+            let profile = profile.clone();
+            let lost = Runtime::new().run(move || {
+                let fs = SimFs::new(SimDevice::shared(profile), FsOptions::default());
+                let opts = DbOptions {
+                    wal_sync: true,
+                    write_buffer_size: 64 << 10,
+                    ..DbOptions::default()
+                };
+                let db = Arc::new(Db::open(Arc::clone(&fs), opts.clone()).unwrap());
+                let value = [b'v'; 256];
+                db.put(b"before", &value).unwrap();
+                let writer = xlsm_sim::spawn("writer", {
+                    let db = Arc::clone(&db);
+                    move || {
+                        (0..40u32)
+                            .map(|i| format!("key{i:02}").into_bytes())
+                            .filter(|key| db.put(key, &value).is_ok())
+                            .collect::<Vec<_>>()
+                    }
+                });
+                xlsm_sim::sleep_nanos(offset_ns);
+                db.flush().unwrap();
+                let mut acked = writer.join();
+                db.put(b"after", &value).unwrap();
+                acked.extend([b"before".to_vec(), b"after".to_vec()]);
+                fs.power_cut();
+                db.close();
+                fs.power_restore();
+                let db = Db::open(fs, opts).unwrap();
+                let lost: Vec<String> = acked
+                    .iter()
+                    .filter(|key| db.get(key).unwrap().is_none())
+                    .map(|key| String::from_utf8_lossy(key).into_owned())
+                    .collect();
+                db.close();
+                lost
+            });
+            runs += 1;
+            if !lost.is_empty() {
+                losses.push(format!("{device} at {offset_ns} ns: {lost:?}"));
+            }
+        }
+    }
+    assert!(
+        losses.is_empty(),
+        "acked keys lost at {} of {runs} flush offsets: {losses:#?}",
+        losses.len()
+    );
+}

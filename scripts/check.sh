@@ -78,6 +78,9 @@ fi
 # there is a bespoke loop sliding back in.
 spawns=$(grep -c 'xlsm_sim::spawn(' crates/engine/src/background.rs)
 [[ $spawns -le 1 ]] || { echo "background.rs spawns $spawns times: add a row to the daemon table instead" >&2; exit 1; }
+# The write queue's state sits under one lock (DESIGN.md §4): a second Mutex in write.rs is state sliding out from under it.
+mutexes=$(awk '/^#\[cfg\(test\)\]/ { exit } /Mutex</ { n++ } END { print n + 0 }' crates/engine/src/write.rs)
+[[ $mutexes -le 1 ]] || { echo "write.rs holds $mutexes Mutex types: keep the queue's state under its one lock" >&2; exit 1; }
 # Every client op is timed once, by the engine's op record (DbStats::{gets,
 # multi_gets, writes}), which the driver and the probes read after
 # reset_window. The one histogram they build is parallelism's sequential

@@ -7,12 +7,14 @@
 # ratio of the medians (change / parent), the pairs the change won, and the
 # change's worst run against the parent's best. Fails if a virtual-clock or
 # exact metric, or the attempted / failed counts, differ between any two
-# runs: a host-speed change must not move them. After the pairs, one traced
-# run per side (`--trace 1`, same seed) prints the host-clock per-layer rows
-# side by side — every `sim.*` row (hand-off, sleep and spawn costs, the
+# runs: a host-speed change must not move them. After the pairs, three
+# traced runs per side (`--trace 1`, same seed, alternating sides like the
+# pairs) print the host-clock per-layer rows side by side, each as its median
+# with its min–max — every `sim.*` row (hand-off, sleep and spawn costs, the
 # system-time share, switches and timer events per op),
 # `simfs.host_ns_per_read_{hit,miss}` and every `engine.call.*.host_ns` — so
-# a claim can name its layer. Last, one `xlsm-bench --quick probe` per side
+# a claim can name its layer; one traced run swings more than the effects
+# these rows are read for. Last, one `xlsm-bench --quick probe` per side
 # on the workload's device and write share prints the host clock per charge
 # class, scheduler and switch, for the fill and the window, side by side, so
 # a claim can name its class too (a tree whose probe attributes no host time
@@ -58,8 +60,16 @@ for ((i = 0; i < pairs; i++)); do
     fi
     echo "    pair $((i + 1))/$pairs done" >&2
 done
-run parent "$base" trace --trace 1
-run change "$repo" trace --trace 1
+traces=3
+for ((i = 0; i < traces; i++)); do
+    if ((i % 2 == 0)); then
+        run parent "$base" "trace$i" --trace 1
+        run change "$repo" "trace$i" --trace 1
+    else
+        run change "$repo" "trace$i" --trace 1
+        run parent "$base" "trace$i" --trace 1
+    fi
+done
 
 # The probe closest to the workload: its device and write share, 4 clients.
 case $workload in
@@ -79,10 +89,11 @@ for side in parent change; do
     "${pin[@]}" "$tree/target/release/xlsm-bench" --quick probe "$device" "$write_pct" 4 1 >"$out/$side.probe.txt"
 done
 
-python3 - "$out" "$pairs" "$workload" "$seed" "$sha" "$device $write_pct" <<'EOF'
+python3 - "$out" "$pairs" "$workload" "$seed" "$sha" "$device $write_pct" "$traces" <<'EOF'
 import json, re, sys
 
 out, pairs, workload, seed, sha, probe = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6]
+traces = int(sys.argv[7])
 HOST = {"setup_s": "lower", "host_ops_per_s": "higher", "peak_rss_mb": "lower"}
 runs = {side: [json.load(open(f"{out}/{side}.{i}.json")) for i in range(pairs)]
         for side in ("parent", "change")}
@@ -122,15 +133,21 @@ for name, better in HOST.items():
     print(f"{name:<15} {fmt(pq1) + ' / ' + fmt(pm) + ' / ' + fmt(pq3):>30} "
           f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {won:>3}/{pairs}  "
           f"{fmt(worst)} / {fmt(best)} ({worst / best:.3f}x)")
-traced = {side: json.load(open(f"{out}/{side}.trace.json"))["metrics"] for side in runs}
-layers = [name for name in traced["parent"]
+traced = {side: [json.load(open(f"{out}/{side}.trace{i}.json"))["metrics"] for i in range(traces)]
+          for side in runs}
+layers = [name for name in traced["parent"][0]
           if name.startswith("sim.") or name in ("simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
           or (name.startswith("engine.call.") and name.endswith(".host_ns"))]
-print(f"one traced run per side, host clock per layer")
-print(f"{'layer':<32} {'parent':>12} {'change':>12} {'ratio':>7}")
+print(f"{traces} traced runs per side, host clock per layer: median [min-max]")
+print(f"{'layer':<32} {'parent':>28} {'change':>28} {'ratio':>7}")
 for name in layers:
-    p, c = traced["parent"][name]["value"], traced["change"][name]["value"]
-    print(f"{name:<32} {p:>12.1f} {c:>12.1f} " + (f"{c / p:>6.3f}x" if p else f"{'-':>7}"))
+    cells, medians = [], []
+    for side in ("parent", "change"):
+        vs = sorted(t[name]["value"] for t in traced[side])
+        medians.append(quartiles(vs)[1])
+        cells.append(f"{medians[-1]:.1f} [{vs[0]:.1f}-{vs[-1]:.1f}]")
+    p, c = medians
+    print(f"{name:<32} {cells[0]:>28} {cells[1]:>28} " + (f"{c / p:>6.3f}x" if p else f"{'-':>7}"))
 def host_rows(side):
     """{phase: (summary, {row: host ms})} from a probe's host-clock tables."""
     phases, rows = {}, None
