@@ -1,12 +1,14 @@
-//! Sharded LRU block cache (decoded data blocks).
+//! Sharded LRU block cache (validated data blocks).
 //!
 //! Keyed by `(file number, block offset)`. Capacity is charged by the
 //! on-disk block size. The recency order is an `Lru`, which the table
 //! cache shares.
 
-use crate::types::compare_internal;
-use std::collections::VecDeque;
+use crate::coding::get_varint64;
+use crate::types::{compare_internal, KeyBuf};
+use std::cmp::Ordering;
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 use xlsm_sim::hash::FxHashMap;
 use xlsm_simfs::FileBytes;
@@ -14,81 +16,129 @@ use xlsm_simfs::FileBytes;
 /// Cache key: `(file number, block offset within file)`.
 pub type BlockKey = (u64, u64);
 
-/// A decoded data block: sorted `(internal key, value)` entries in three
-/// allocations — the bytes the block was decoded from (shared, and its
-/// values are slices of them), every entry's key rebuilt back to back in one
-/// buffer, and where each entry lies in the two.
+/// A data block as its frame holds it: the bytes it was read into (the
+/// file's own memory, shared, a readahead window, or a decompressed copy),
+/// where its entries lie in them, and how many there are. One walk counted
+/// them when the block was read and checked every entry's bounds on the
+/// way ([`crate::sst::decode_framed`]); a reader parses them again in
+/// place, each key rebuilt from the one before it into a [`KeyBuf`].
 #[derive(Debug, Default)]
 pub struct Block {
-    pub(crate) bytes: FileBytes,
-    pub(crate) keys: Vec<u8>,
-    pub(crate) entries: Vec<EntryAt>,
+    bytes: FileBytes,
+    /// Where the entries lie in `bytes` (the restart array follows them).
+    at: Range<usize>,
+    /// How many entries the walk counted.
+    count: usize,
     /// Serialized size (cache charge).
     pub raw_size: usize,
 }
 
-/// Where one entry of a [`Block`] lies: its key ends at `key_end` in
-/// `keys` (and starts where the previous one ended), its value is
-/// `bytes[value_start..value_end]`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EntryAt {
-    pub(crate) key_end: u32,
-    pub(crate) value_start: u32,
-    pub(crate) value_end: u32,
+/// One parsed entry of a [`Block`]: where its value lies in the block's
+/// bytes and where the next entry starts. Its key is in the [`KeyBuf`] it
+/// was parsed into.
+#[derive(Clone, Debug)]
+pub(crate) struct Entry {
+    pub(crate) value: Range<usize>,
+    pub(crate) next: usize,
 }
 
 impl Block {
+    /// A block over `bytes[at]`, whose `count` entries the caller has
+    /// walked and bounds-checked.
+    pub(crate) fn new(bytes: FileBytes, at: Range<usize>, count: usize, raw_size: usize) -> Block {
+        Block {
+            bytes,
+            at,
+            count,
+            raw_size,
+        }
+    }
+
     /// Number of entries.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.count
     }
 
-    /// The internal key of entry `i`.
-    pub(crate) fn key(&self, i: usize) -> &[u8] {
-        let start = i.checked_sub(1).map_or(0, |p| self.entries[p].key_end);
-        &self.keys[start as usize..self.entries[i].key_end as usize]
-    }
-
-    /// The value of entry `i`.
-    pub(crate) fn value(&self, i: usize) -> &[u8] {
-        let e = self.entries[i];
-        &self.bytes[e.value_start as usize..e.value_end as usize]
-    }
-
-    /// Index of the first entry whose internal key is not less than `ikey`
-    /// (`len()` when there is none).
-    pub(crate) fn seek(&self, ikey: &[u8]) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if compare_internal(self.key(mid), ikey) == std::cmp::Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+    /// Parses the entry that starts `at` bytes into the entries (0: the
+    /// first), rebuilding its key in `key`, which holds the previous
+    /// entry's key (any key for the first). `None` past the last entry.
+    pub(crate) fn entry(&self, at: usize, key: &mut KeyBuf) -> Option<Entry> {
+        let data = &self.bytes[self.at.clone()];
+        let mut off = at;
+        if off >= data.len() {
+            return None;
         }
-        lo
+        let shared = get_varint64(data, &mut off)? as usize;
+        let non_shared = get_varint64(data, &mut off)? as usize;
+        let value_len = get_varint64(data, &mut off)? as usize;
+        let value_at = off + non_shared;
+        key.truncate(shared);
+        key.extend_from_slice(&data[off..value_at]);
+        let next = value_at + value_len;
+        Some(Entry {
+            value: self.at.start + value_at..self.at.start + next,
+            next,
+        })
+    }
+
+    /// The bytes of a value [`Block::entry`] found.
+    pub(crate) fn value(&self, entry: &Entry) -> &[u8] {
+        &self.bytes[entry.value.clone()]
+    }
+
+    /// The first entry whose internal key is not less than `ikey`, its key
+    /// in `key`. The walk starts at the first entry: the restart array is
+    /// not trusted.
+    pub(crate) fn seek(&self, ikey: &[u8], key: &mut KeyBuf) -> Option<Entry> {
+        let mut at = 0;
+        while let Some(entry) = self.entry(at, key) {
+            if compare_internal(key, ikey) != Ordering::Less {
+                return Some(entry);
+            }
+            at = entry.next;
+        }
+        None
     }
 }
 
+/// No node: the end of the recency list, or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One key of an [`Lru`], linked into its recency list, or into its free
+/// list once the key is gone (`value` then `None`).
+struct Node<K, V> {
+    key: K,
+    value: Option<V>,
+    prev: u32,
+    next: u32,
+}
+
 /// Least-recently-used order over a map, shared by the block-cache shards
-/// and the table cache's reader maps. Deterministic: recency is a logical
-/// tick, and the eviction queue is invalidated lazily — every touch pushes
-/// a `(key, tick)` entry, and only the entry carrying a key's newest tick is
-/// live. What an entry costs and when the map is over budget is the
+/// and the table cache's reader maps. Every key owns one node of a slab,
+/// linked from the least to the most recently used: a touch is one hash
+/// probe and a relink, and a removed key's node is the next insert's.
+/// Deterministic: the order is the order of the last touch or insert of
+/// each key. What an entry costs and when the map is over budget is the
 /// caller's business: it calls [`Lru::pop_lru`] until it fits.
 pub(crate) struct Lru<K, V> {
-    map: FxHashMap<K, (V, u64)>, // value, last tick
-    queue: VecDeque<(K, u64)>,
-    tick: u64,
+    map: FxHashMap<K, u32>,
+    nodes: Vec<Node<K, V>>,
+    /// Least recently used.
+    head: u32,
+    /// Most recently used.
+    tail: u32,
+    /// Nodes of removed keys.
+    free: u32,
 }
 
 impl<K: Copy + Eq + Hash, V> Lru<K, V> {
     pub(crate) fn new() -> Lru<K, V> {
         Lru {
             map: FxHashMap::default(),
-            queue: VecDeque::new(),
-            tick: 0,
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
         }
     }
 
@@ -100,53 +150,104 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         self.map.keys()
     }
 
+    fn node(&mut self, i: u32) -> &mut Node<K, V> {
+        &mut self.nodes[i as usize]
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = *self.node(i);
+        match prev {
+            NIL => self.head = next,
+            p => self.node(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.node(n).prev = prev,
+        }
+    }
+
+    /// Links node `i` in as the most recently used.
+    fn push_back(&mut self, i: u32) {
+        let tail = self.tail;
+        let node = self.node(i);
+        (node.prev, node.next) = (tail, NIL);
+        match tail {
+            NIL => self.head = i,
+            t => self.node(t).next = i,
+        }
+        self.tail = i;
+    }
+
+    /// Unlinks node `i`, frees it and returns its key and value.
+    fn release(&mut self, i: u32) -> (K, V) {
+        self.unlink(i);
+        let free = self.free;
+        let node = self.node(i);
+        node.next = free;
+        let (key, value) = (node.key, node.value.take());
+        self.free = i;
+        (key, value.expect("a linked node holds a value"))
+    }
+
     /// Looks `key` up; a hit makes it the most recently used.
     pub(crate) fn touch(&mut self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        let (value, last) = self.map.get_mut(key)?;
-        let value = value.clone();
-        self.tick += 1;
-        *last = self.tick;
-        self.queue.push_back((*key, self.tick));
-        Self::drain_stale(&mut self.queue, &self.map);
-        Some(value)
+        let i = *self.map.get(key)?;
+        if self.tail != i {
+            self.unlink(i);
+            self.push_back(i);
+        }
+        self.node(i).value.clone()
     }
 
     /// Stores `value` under `key` as the most recently used entry and
     /// returns the value it displaced, if any.
     pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.tick += 1;
-        self.queue.push_back((key, self.tick));
-        let old = self.map.insert(key, (value, self.tick));
-        Self::drain_stale(&mut self.queue, &self.map);
-        old.map(|(value, _)| value)
+        if let Some(&i) = self.map.get(&key) {
+            let old = self.node(i).value.replace(value);
+            self.unlink(i);
+            self.push_back(i);
+            return old;
+        }
+        let node = Node {
+            key,
+            value: Some(value),
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 keys")
+            }
+            i => {
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        self.map.insert(key, i);
+        self.push_back(i);
+        None
     }
 
     /// Removes and returns the least recently used entry.
     pub(crate) fn pop_lru(&mut self) -> Option<(K, V)> {
-        while let Some((key, tick)) = self.queue.pop_front() {
-            if matches!(self.map.get(&key), Some((_, last)) if *last == tick) {
-                return self.map.remove(&key).map(|(value, _)| (key, value));
-            }
+        let head = self.head;
+        if head == NIL {
+            return None;
         }
-        None
+        let (key, value) = self.release(head);
+        self.map.remove(&key);
+        Some((key, value))
     }
 
-    /// Removes `key`; its queue entries go stale and are skipped later.
+    /// Removes `key`.
     pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
-        self.map.remove(key).map(|(value, _)| value)
-    }
-
-    /// Compacts the recency queue once stale entries dominate. A hit-heavy
-    /// workload would otherwise grow it without bound. Rebuilding keeps
-    /// exactly one entry per key and at least halves the queue, so the cost
-    /// is amortized O(1) per touch.
-    fn drain_stale(queue: &mut VecDeque<(K, u64)>, map: &FxHashMap<K, (V, u64)>) {
-        if queue.len() > 2 * map.len() {
-            queue.retain(|(k, t)| matches!(map.get(k), Some((_, last)) if last == t));
-        }
+        let i = self.map.remove(key)?;
+        Some(self.release(i).1)
     }
 }
 
@@ -248,6 +349,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn block(n: usize) -> Arc<Block> {
         Arc::new(Block {
@@ -304,20 +406,36 @@ mod tests {
     }
 
     #[test]
-    fn hit_heavy_workload_keeps_recency_queue_bounded() {
-        let c = BlockCache::new(1 << 20);
-        c.insert((1, 0), block(100));
-        c.insert((1, 4096), block(100));
-        for _ in 0..10_000 {
-            assert!(c.get(&(1, 0)).is_some());
-            assert!(c.get(&(1, 4096)).is_some());
+    fn the_slab_never_outgrows_the_peak_live_count() {
+        let mut lru = Lru::new();
+        let (mut peak, mut state) = (0usize, 7u64);
+        for step in 0..20_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let key = (state >> 33) % 64;
+            match step % 4 {
+                0 | 1 => {
+                    lru.touch(&key);
+                }
+                2 => {
+                    lru.insert(key, step);
+                }
+                _ if state >> 62 == 0 => {
+                    lru.pop_lru();
+                }
+                _ => {
+                    lru.remove(&key);
+                }
+            }
+            peak = peak.max(lru.len());
+            assert!(
+                lru.nodes.len() <= peak,
+                "{} nodes for a peak of {peak} keys",
+                lru.nodes.len()
+            );
         }
-        let queued: usize = c.shards.iter().map(|s| s.lock().lru.queue.len()).sum();
-        let live: usize = c.shards.iter().map(|s| s.lock().lru.len()).sum();
-        assert!(
-            queued <= 2 * live + 2,
-            "recency queue grew unbounded: {queued} entries for {live} blocks"
-        );
+        assert!(peak > 8, "the tape must keep several keys live");
     }
 
     #[test]
@@ -340,7 +458,8 @@ mod tests {
             .iter()
             .map(|s| {
                 let s = s.lock();
-                s.lru.map.values().map(|(b, _)| b.raw_size).sum::<usize>()
+                let blocks = s.lru.nodes.iter().filter_map(|n| n.value.as_ref());
+                blocks.map(|b| b.raw_size).sum::<usize>()
             })
             .sum();
         assert_eq!(
@@ -356,6 +475,75 @@ mod tests {
         c.insert((1, 0), block(10_000));
         c.insert((1, 0), block(10));
         assert_eq!(c.used_bytes(), 10, "old charge must be released");
+    }
+
+    /// The recency queue every build used before the slab: every touch and
+    /// insert pushes `(key, tick)`, and only the entry carrying a key's
+    /// newest tick is live. The reference [`Lru`] must evict like.
+    struct LazyQueue {
+        map: FxHashMap<u64, (u64, u64)>, // value, last tick
+        queue: std::collections::VecDeque<(u64, u64)>,
+        tick: u64,
+    }
+
+    impl LazyQueue {
+        fn touch(&mut self, key: u64) -> Option<u64> {
+            let (value, last) = self.map.get_mut(&key)?;
+            self.tick += 1;
+            *last = self.tick;
+            self.queue.push_back((key, self.tick));
+            Some(*value)
+        }
+
+        fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+            self.tick += 1;
+            self.queue.push_back((key, self.tick));
+            self.map.insert(key, (value, self.tick)).map(|(v, _)| v)
+        }
+
+        fn pop_lru(&mut self) -> Option<(u64, u64)> {
+            while let Some((key, tick)) = self.queue.pop_front() {
+                if matches!(self.map.get(&key), Some((_, last)) if *last == tick) {
+                    return self.map.remove(&key).map(|(v, _)| (key, v));
+                }
+            }
+            None
+        }
+
+        fn remove(&mut self, key: u64) -> Option<u64> {
+            self.map.remove(&key).map(|(v, _)| v)
+        }
+    }
+
+    proptest! {
+        /// The slab evicts in the lazy queue's order: one tape of touches,
+        /// inserts (new keys and replacements), removals and pops over a
+        /// few keys answers the same through both, and both hold the same
+        /// number of keys after every step.
+        #[test]
+        fn lru_evicts_like_the_lazy_queue(
+            tape in prop::collection::vec((0u8..4, 0u64..12, any::<u64>()), 1..300),
+        ) {
+            let mut lru = Lru::new();
+            let mut model = LazyQueue {
+                map: FxHashMap::default(),
+                queue: std::collections::VecDeque::new(),
+                tick: 0,
+            };
+            for (op, key, value) in tape {
+                match op {
+                    0 => prop_assert_eq!(lru.touch(&key), model.touch(key)),
+                    1 => prop_assert_eq!(lru.insert(key, value), model.insert(key, value)),
+                    2 => prop_assert_eq!(lru.remove(&key), model.remove(key)),
+                    _ => prop_assert_eq!(lru.pop_lru(), model.pop_lru()),
+                }
+                prop_assert_eq!(lru.len(), model.map.len());
+            }
+            while let Some(popped) = model.pop_lru() {
+                prop_assert_eq!(lru.pop_lru(), Some(popped));
+            }
+            prop_assert_eq!(lru.pop_lru(), None);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * a write-ahead log ([`wal`]) with buffered appends and group commit;
 //! * SSTables ([`sst`]) with prefix-compressed blocks, optional per-block
 //!   compression ([`compress`]), whole-key + prefix bloom filters
-//!   ([`bloom`]), and a sharded decoded-block [`cache`];
+//!   ([`bloom`]), and a sharded block [`cache`];
 //! * leveled compaction with overlapping Level-0 semantics ([`version`],
 //!   [`compaction`]);
 //! * the **write controller of Algorithm 1** ([`controller`]), its stall

@@ -36,7 +36,7 @@ use crate::bloom::ConcurrentBloom;
 use crate::error::{DbError, DbResult};
 use crate::integrity;
 use crate::iterator::InternalIterator;
-use crate::types::{self, compare_internal, make_lookup_key, SequenceNumber, ValueType};
+use crate::types::{self, compare_internal, SequenceNumber, ValueType};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering as AtOrd};
 use std::sync::{Arc, OnceLock};
@@ -386,7 +386,7 @@ impl MemTable {
         user_key: &[u8],
         snapshot: SequenceNumber,
     ) -> DbResult<Option<Option<Vec<u8>>>> {
-        let lookup = make_lookup_key(user_key, snapshot);
+        let lookup = types::lookup_key(user_key, snapshot);
         let idx = self.seek_index(&lookup);
         if idx == NIL {
             return Ok(None);
@@ -495,6 +495,7 @@ impl MemTableIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::make_lookup_key;
     use proptest::prelude::*;
     use xlsm_sim::Runtime;
 

@@ -236,12 +236,9 @@ impl Db {
         }
         // SSTs.
         let version = inner.versions.current();
-        let lookup = types::make_lookup_key(key, snapshot);
+        let lookup = types::lookup_key(key, snapshot);
         // L0: newest-first, all covering files (the paper's Finding #2).
-        for f in &version.levels[0] {
-            if !f.may_contain_user_key(key) {
-                continue;
-            }
+        for f in version.l0_covering(key) {
             inner.stats.bump(Ticker::L0FilesSearched);
             let reader = inner.table_cache.reader(f)?;
             if let Some((_, t, value)) = reader.get(&lookup, key, &inner.stats)? {
@@ -254,7 +251,7 @@ impl Db {
             let Some(f) = version.file_for_key(level, key) else {
                 continue;
             };
-            let reader = inner.table_cache.reader(&f)?;
+            let reader = inner.table_cache.reader(f)?;
             if let Some((_, t, value)) = reader.get(&lookup, key, &inner.stats)? {
                 inner.stats.bump(Ticker::GetHitLn);
                 return Ok(visible_value(t, value));

@@ -5,12 +5,14 @@
 //! meta block's body is its bare payload. [`seal_frame`] and [`check_frame`]
 //! are the only code that knows where the CRC sits.
 //!
-//! A block's bytes are copied once into the file and once out of it: the
-//! builder writes entries straight into the frame it appends, and a decoded
-//! [`Block`] keeps the buffer the file read returned (a block read's, or
-//! compaction's readahead window).
+//! A block's bytes are copied once into the file and never out of it: the
+//! builder writes entries straight into the frame it appends, and a
+//! [`Block`] is the frame the file read returned (a block read's, or
+//! compaction's readahead window), validated by one walk over its entries
+//! that counts them and allocates nothing. Readers parse the entries in
+//! place.
 
-use crate::cache::{Block, EntryAt};
+use crate::cache::Block;
 use crate::coding::*;
 use crate::compress::{self, CompressionType};
 use crate::costs;
@@ -154,9 +156,9 @@ pub(super) fn check_frame(framed: &[u8]) -> Result<&[u8], &'static str> {
 /// Verifies the trailing CRC of the framed data block `bytes`,
 /// decompresses it if its tag says so (charging the decompression CPU and,
 /// when `stats` is given, the `BlockDecompressions`/`Block*Bytes` tickers),
-/// and decodes it. An uncompressed block keeps `bytes` — what a block read
-/// returned (often the file's own memory, shared), or the readahead window
-/// the frame sits in — and its values are slices of it.
+/// and validates its entries. An uncompressed block keeps `bytes` — what a
+/// block read returned (often the file's own memory, shared), or the
+/// readahead window the frame sits in — and its entries are read there.
 ///
 /// # Errors
 ///
@@ -193,7 +195,7 @@ pub fn decode_framed(bytes: FileBytes, stats: Option<&DbStats>) -> DbResult<Bloc
     )))
 }
 
-/// Decodes a serialized data block.
+/// Validates a serialized data block.
 ///
 /// # Errors
 ///
@@ -202,27 +204,21 @@ pub fn decode_block(data: &[u8]) -> DbResult<Block> {
     decode(FileBytes::from(data.to_vec()), 0..data.len())
 }
 
-/// Decodes the block that is `bytes[block]`, keeping `bytes`: each entry's
-/// value stays where it is, its key is rebuilt into one shared buffer.
+/// Validates the block that is `bytes[block]`, keeping `bytes`: one walk
+/// over the entry headers checks that every entry lies inside the entries
+/// and shares no more of a key than the entry before it had, and counts
+/// them. The restart array is checked for size only; nothing reads it.
 fn decode(bytes: FileBytes, block: Range<usize>) -> DbResult<Block> {
     let data = &bytes[block.clone()];
     if data.len() < 8 {
         return Err(DbError::Corruption("block too small".into()));
-    }
-    // Entry offsets are stored as `u32`, absolute in `bytes`.
-    if u32::try_from(bytes.len()).is_err() {
-        return Err(DbError::Corruption("block too large".into()));
     }
     let n_restarts = get_fixed32(data, data.len() - 4) as usize;
     let restarts_off = data
         .len()
         .checked_sub(4 + n_restarts * 4)
         .ok_or_else(|| DbError::Corruption("bad restart count".into()))?;
-    let (n_entries, key_bytes) = entry_sizes(data, restarts_off);
-    let mut keys: Vec<u8> = Vec::with_capacity(key_bytes);
-    let mut entries: Vec<EntryAt> = Vec::with_capacity(n_entries);
-    let mut off = 0usize;
-    let mut prev_key = 0..0;
+    let (mut off, mut count, mut key_len) = (0usize, 0usize, 0usize);
     while off < restarts_off {
         let mut len = |what| {
             get_varint64(data, &mut off)
@@ -232,58 +228,20 @@ fn decode(bytes: FileBytes, block: Range<usize>) -> DbResult<Block> {
         let (shared, non_shared, vlen) = (len("shared")?, len("non-shared")?, len("value")?);
         // The lengths come off the disk: a sum that overflows is out of
         // bounds like any other.
-        let bounds = off
-            .checked_add(non_shared)
-            .and_then(|value_off| Some((value_off, value_off.checked_add(vlen)?)))
-            .filter(|(_, end)| *end <= restarts_off);
-        let (Some((value_off, end)), true) = (bounds, shared <= prev_key.len()) else {
-            return Err(DbError::Corruption("block entry out of bounds".into()));
-        };
-        let key_start = keys.len();
-        keys.extend_from_within(prev_key.start..prev_key.start + shared);
-        keys.extend_from_slice(&data[off..value_off]);
-        prev_key = key_start..keys.len();
-        let key_end = u32::try_from(keys.len())
-            .map_err(|_| DbError::Corruption("block keys too large".into()))?;
-        entries.push(EntryAt {
-            key_end,
-            value_start: (block.start + value_off) as u32,
-            value_end: (block.start + end) as u32,
-        });
-        off = end;
-    }
-    Ok(Block {
-        raw_size: data.len(),
-        bytes,
-        keys,
-        entries,
-    })
-}
-
-/// How many entries `data[..restarts_off]` holds and how many bytes their
-/// keys take once decoded, from the entry headers alone, so that [`decode`]
-/// sizes its two buffers once. Stops counting where [`decode`] will report
-/// corruption.
-fn entry_sizes(data: &[u8], restarts_off: usize) -> (usize, usize) {
-    let (mut off, mut entries, mut key_bytes, mut key_len) = (0usize, 0, 0, 0);
-    while off < restarts_off {
-        let mut len = || get_varint64(data, &mut off).map(|v| v as usize);
-        let (Some(shared), Some(non_shared), Some(vlen)) = (len(), len(), len()) else {
-            break;
-        };
         let end = off
             .checked_add(non_shared)
             .and_then(|value_off| value_off.checked_add(vlen))
             .filter(|end| *end <= restarts_off);
         let (Some(end), true) = (end, shared <= key_len) else {
-            break;
+            return Err(DbError::Corruption("block entry out of bounds".into()));
         };
         key_len = shared + non_shared;
-        key_bytes += key_len;
-        entries += 1;
+        count += 1;
         off = end;
     }
-    (entries, key_bytes)
+    let raw_size = data.len();
+    let at = block.start..block.start + restarts_off;
+    Ok(Block::new(bytes, at, count, raw_size))
 }
 
 #[cfg(test)]
@@ -291,7 +249,9 @@ mod tests {
     use super::super::reader::search_block;
     use super::super::TableEntry;
     use super::*;
-    use crate::types::{self, compare_internal, make_internal_key, make_lookup_key, ValueType};
+    use crate::types::{
+        self, compare_internal, make_internal_key, make_lookup_key, KeyBuf, ValueType,
+    };
     use proptest::prelude::*;
     use std::cmp::Ordering;
     use std::collections::BTreeSet;
@@ -345,10 +305,15 @@ mod tests {
         Ok(entries)
     }
 
+    /// A block's entries, parsed in place one after the other.
     fn pairs(block: &Block) -> Vec<(Vec<u8>, Vec<u8>)> {
-        (0..block.len())
-            .map(|i| (block.key(i).to_vec(), block.value(i).to_vec()))
-            .collect()
+        let (mut key, mut at, mut out) = (KeyBuf::default(), 0, Vec::new());
+        while let Some(entry) = block.entry(at, &mut key) {
+            out.push((key.to_vec(), block.value(&entry).to_vec()));
+            at = entry.next;
+        }
+        assert_eq!(out.len(), block.len(), "the walk counted every entry");
+        out
     }
 
     #[test]
@@ -366,9 +331,6 @@ mod tests {
         let block = decode_block(&build(&entries)).unwrap();
         assert_eq!(block.len(), 50);
         assert_eq!(pairs(&block), entries);
-        // Sized once, from the entry headers: nothing grew.
-        assert_eq!(block.keys.capacity(), block.keys.len());
-        assert_eq!(block.entries.capacity(), 50);
     }
 
     #[test]
@@ -395,7 +357,7 @@ mod tests {
                 .run(|| decode_framed(FileBytes::from(frame), None))
                 .unwrap();
             assert_eq!(block.len(), 40);
-            assert_eq!(block.value(39), [b'v'; 100]);
+            assert_eq!(pairs(&block)[39].1, [b'v'; 100]);
         }
     }
 

@@ -50,9 +50,8 @@ pub(super) fn encode_index(index: &[IndexEntry]) -> Vec<u8> {
     b.finish()
 }
 
-/// An open table's index in flat memory, the layout of a decoded
-/// [`crate::cache::Block`]: every entry's key back to back in one buffer,
-/// where each key ends, and each data block's frame. A probe's binary
+/// An open table's index in flat memory: every entry's key back to back
+/// in one buffer, where each key ends, and each data block's frame. A probe's binary
 /// search compares keys inside one buffer instead of following one heap
 /// pointer per entry it visits.
 #[derive(Debug)]

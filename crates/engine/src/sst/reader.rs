@@ -5,13 +5,13 @@
 use super::block::{check_frame, decode_framed};
 use super::{table_display_name, FlatIndex, Footer, MetaHandle, TableProperties};
 use crate::bloom::BloomFilter;
-use crate::cache::{Block, BlockCache};
+use crate::cache::{Block, BlockCache, Entry};
 use crate::coding::*;
 use crate::costs;
 use crate::error::{DbError, DbResult};
 use crate::iterator::InternalIterator;
 use crate::stats::{DbStats, Ticker};
-use crate::types::{self, SequenceNumber, ValueType};
+use crate::types::{self, KeyBuf, SequenceNumber, ValueType};
 use std::sync::Arc;
 use xlsm_sim::Class;
 use xlsm_simfs::{FileBytes, FileHandle, FileSpan};
@@ -242,10 +242,7 @@ impl TableReader {
             return Ok(b);
         }
         stats.bump(Ticker::BlockCacheMiss);
-        let framed = self
-            .file
-            .read_shared(off, size as usize)?
-            .get(off..off + size);
+        let framed = self.file.read_frame(off, size as usize)?;
         let block = Arc::new(self.decode_at(framed, off, stats)?);
         self.cache.insert(key, Arc::clone(&block));
         Ok(block)
@@ -386,37 +383,42 @@ impl TableReader {
             stats,
             block_idx: 0,
             block: None,
-            entry_idx: 0,
+            entry: None,
+            key: KeyBuf::default(),
             readahead,
             ra_buf: None,
         }
     }
 }
 
-/// The in-block half of a point lookup (charging the binary search): the
-/// first entry of `block` with internal key ≥ `lookup`, if it is a version
-/// of `user_key`.
+/// The in-block half of a point lookup (charging a binary search over the
+/// block's entries, as RocksDB's restart-array search costs): the first
+/// entry of `block` with internal key ≥ `lookup`, if it is a version of
+/// `user_key`. The entries are parsed in place into a key buffer on the
+/// stack; the value is the one allocation.
 pub(super) fn search_block(block: &Block, lookup: &[u8], user_key: &[u8]) -> Option<TableEntry> {
     xlsm_sim::charge(Class::Search, costs::binary_search_ns(block.len() as u64));
-    let pos = block.seek(lookup);
-    if pos == block.len() {
-        return None;
-    }
-    let (uk, seq, t) = types::parse_internal_key(block.key(pos));
-    (uk == user_key).then(|| (seq, t, block.value(pos).to_vec()))
+    let mut key = KeyBuf::default();
+    let entry = block.seek(lookup, &mut key)?;
+    let (uk, seq, t) = types::parse_internal_key(&key);
+    (uk == user_key).then(|| (seq, t, block.value(&entry).to_vec()))
 }
 
 /// Sequential readahead window for compaction-style iteration (RocksDB's
 /// `compaction_readahead_size` default is 2 MB on disks; scaled here).
 pub const READAHEAD_BYTES: usize = 256 << 10;
 
-/// Sequential/seekable iterator over a table's entries.
+/// Sequential/seekable iterator over a table's entries, parsed in place
+/// into one reused key buffer.
 pub struct TableIterator {
     table: Arc<TableReader>,
     stats: Arc<DbStats>,
     block_idx: usize,
     block: Option<Arc<Block>>,
-    entry_idx: usize,
+    /// The current entry of `block`, its key in `key`; `None` past the
+    /// last.
+    entry: Option<Entry>,
+    key: KeyBuf,
     readahead: bool,
     /// Private readahead window: compaction reads large sequential spans
     /// once and decodes blocks from them, independent of page-cache pressure
@@ -435,13 +437,16 @@ impl std::fmt::Debug for TableIterator {
 }
 
 impl TableIterator {
+    /// Loads block `i` (none: the end of the table) and stands on its first
+    /// entry. Returns whether there is one.
     fn load_block(&mut self, i: usize) -> DbResult<bool> {
+        self.entry = None;
         if i >= self.table.index.len() {
             self.block = None;
             return Ok(false);
         }
         self.block_idx = i;
-        self.block = Some(if self.readahead {
+        if self.readahead {
             let (off, size) = self.table.index.frame(i);
             let in_buf = (self.ra_buf.as_ref())
                 .is_some_and(|span| off >= span.start() && off + size <= span.end());
@@ -452,66 +457,69 @@ impl TableIterator {
                 self.ra_buf = Some(self.table.file.read_shared(off, len)?);
             }
             let frame = (self.ra_buf.as_ref().expect("filled above")).get(off..off + size);
-            Arc::new(self.table.decode_at(frame, off, &self.stats)?)
+            let block = self.table.decode_at(frame, off, &self.stats)?;
+            // A block only this iterator holds takes the next in place.
+            match self.block.as_mut().and_then(Arc::get_mut) {
+                Some(held) => *held = block,
+                None => self.block = Some(Arc::new(block)),
+            }
         } else {
-            self.table.block(i, &self.stats)?
-        });
-        Ok(true)
-    }
-
-    fn current(&self) -> &Block {
-        self.block.as_ref().expect("valid iterator")
+            self.block = Some(self.table.block(i, &self.stats)?);
+        }
+        let block = self.block.as_ref().expect("loaded above");
+        self.entry = block.entry(0, &mut self.key);
+        Ok(self.entry.is_some())
     }
 }
 
 impl InternalIterator for TableIterator {
     fn seek_to_first(&mut self) -> DbResult<bool> {
-        self.entry_idx = 0;
         self.load_block(0)
     }
 
     fn seek(&mut self, ikey: &[u8]) -> DbResult<bool> {
         let Some(bi) = self.table.block_for(ikey) else {
             self.block = None;
+            self.entry = None;
             return Ok(false);
         };
         if !self.load_block(bi)? {
             return Ok(false);
         }
-        let block = self.block.as_ref().unwrap();
-        self.entry_idx = block.seek(ikey);
-        if self.entry_idx >= block.len() {
+        let block = self.block.as_ref().expect("loaded above");
+        self.entry = block.seek(ikey, &mut self.key);
+        if self.entry.is_none() {
             // Key is past this block's last entry: move on.
-            self.entry_idx = 0;
             return self.load_block(bi + 1);
         }
         Ok(true)
     }
 
     fn next(&mut self) -> DbResult<bool> {
-        let Some(block) = &self.block else {
+        let (Some(block), Some(entry)) = (&self.block, &self.entry) else {
             return Ok(false);
         };
-        self.entry_idx += 1;
-        if self.entry_idx < block.len() {
+        self.entry = block.entry(entry.next, &mut self.key);
+        if self.entry.is_some() {
             return Ok(true);
         }
-        self.entry_idx = 0;
         self.load_block(self.block_idx + 1)
     }
 
     fn valid(&self) -> bool {
-        self.block
-            .as_ref()
-            .is_some_and(|b| self.entry_idx < b.len())
+        self.entry.is_some()
     }
 
     fn key(&self) -> &[u8] {
-        self.current().key(self.entry_idx)
+        assert!(self.valid(), "valid iterator");
+        &self.key
     }
 
     fn value(&self) -> &[u8] {
-        self.current().value(self.entry_idx)
+        let (Some(block), Some(entry)) = (&self.block, &self.entry) else {
+            panic!("valid iterator");
+        };
+        block.value(entry)
     }
 }
 

@@ -82,9 +82,31 @@ pub fn user_key(ikey: &[u8]) -> &[u8] {
 pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
     let (ua, sa, ta) = parse_internal_key(a);
     let (ub, sb, tb) = parse_internal_key(b);
-    ua.cmp(ub)
+    compare_keys(ua, ub)
         .then(sb.cmp(&sa))
         .then((tb as u8).cmp(&(ta as u8)))
+}
+
+/// `a.cmp(b)` for byte strings, eight bytes at a time and inline: a lookup
+/// compares short user keys dozens of times, and a call into the C
+/// library's `memcmp` costs more than such a compare does.
+#[inline]
+pub(crate) fn compare_keys(a: &[u8], b: &[u8]) -> Ordering {
+    let common = a.len().min(b.len());
+    let (mut wa, mut wb) = (a[..common].chunks_exact(8), b[..common].chunks_exact(8));
+    for (x, y) in (&mut wa).zip(&mut wb) {
+        let x = u64::from_be_bytes(x.try_into().expect("eight bytes"));
+        let y = u64::from_be_bytes(y.try_into().expect("eight bytes"));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    for (x, y) in wa.remainder().iter().zip(wb.remainder()) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
 }
 
 /// A lookup key: the internal key that sorts *before* every entry for
@@ -95,9 +117,47 @@ pub fn make_lookup_key(user_key: &[u8], snapshot: SequenceNumber) -> Vec<u8> {
     make_internal_key(user_key, snapshot, ValueType::Value)
 }
 
+/// A key buffer that lives where its owner does — on the stack for a point
+/// lookup — while the key fits 64 bytes, and on the heap beyond. A block's
+/// entries are parsed into one, each key rebuilt from the one before it.
+pub(crate) type KeyBuf = xlsm_sim::few::Few<u8, 64>;
+
+/// The lookup key [`make_lookup_key`] builds, in a [`KeyBuf`].
+pub(crate) fn lookup_key(user_key: &[u8], snapshot: SequenceNumber) -> KeyBuf {
+    let mut key = KeyBuf::default();
+    key.extend_from_slice(user_key);
+    key.extend_from_slice(&pack_seq_type(snapshot, ValueType::Value).to_le_bytes());
+    key
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `compare_keys` orders like the slice order, on keys that share
+        /// prefixes of every length.
+        #[test]
+        fn compare_keys_is_the_slice_order(
+            prefix in prop::collection::vec(any::<u8>(), 0..20),
+            a in prop::collection::vec(0u8..3, 0..12),
+            b in prop::collection::vec(0u8..3, 0..12),
+        ) {
+            let (a, b) = ([&prefix[..], &a].concat(), [&prefix[..], &b].concat());
+            prop_assert_eq!(compare_keys(&a, &b), a.cmp(&b));
+            prop_assert_eq!(compare_keys(&b, &a), b.cmp(&a));
+            prop_assert_eq!(compare_keys(&a, &a), std::cmp::Ordering::Equal);
+        }
+    }
+
+    #[test]
+    fn lookup_key_is_make_lookup_key() {
+        for len in [0, 10, 56, 57, 100] {
+            let uk = vec![b'k'; len];
+            assert_eq!(&lookup_key(&uk, 77)[..], &make_lookup_key(&uk, 77)[..]);
+        }
+    }
 
     #[test]
     fn pack_roundtrip() {

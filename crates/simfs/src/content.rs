@@ -87,24 +87,26 @@ pub(crate) const CHUNK: usize = 16 << 10;
 /// by the other instead of sitting in the allocator's arena of the thread
 /// that allocated them, and the filesystem's content never holds more
 /// chunks than its files held at their peak.
+/// A chunk keeps its `Arc` in the pool, so reusing one allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct ChunkPool(parking_lot::Mutex<Vec<Vec<u8>>>);
+pub(crate) struct ChunkPool(parking_lot::Mutex<Vec<Arc<Vec<u8>>>>);
 
 impl ChunkPool {
-    fn take(&self) -> Vec<u8> {
+    /// An empty chunk no reader shares.
+    fn take(&self) -> Arc<Vec<u8>> {
         self.0
             .lock()
             .pop()
-            .unwrap_or_else(|| Vec::with_capacity(CHUNK))
+            .unwrap_or_else(|| Arc::new(Vec::with_capacity(CHUNK)))
     }
 
     /// Takes `chunks` back; one a reader still shares goes when the reader
     /// lets go of it instead.
     fn give(&self, chunks: impl IntoIterator<Item = Arc<Vec<u8>>>) {
         let mut pool = self.0.lock();
-        for chunk in chunks {
-            if let Ok(mut chunk) = Arc::try_unwrap(chunk) {
-                chunk.clear();
+        for mut chunk in chunks {
+            if let Some(bytes) = Arc::get_mut(&mut chunk) {
+                bytes.clear();
                 pool.push(chunk);
             }
         }
@@ -115,12 +117,31 @@ impl ChunkPool {
 /// memory they are that chunk, shared: the read copies nothing, and nothing
 /// the file does afterwards changes them (a chunk a reader still holds is
 /// copied before the file writes to it or shrinks it). Elsewhere they are a
-/// copy. Cheap to clone; dereferences to the bytes.
+/// copy, made in one allocation. Cheap to clone; dereferences to the bytes.
 #[derive(Clone, Default)]
 pub struct FileBytes {
-    buf: Arc<Vec<u8>>,
+    buf: Buf,
     range: Range<usize>,
 }
+
+/// What a [`FileBytes`] holds its bytes in.
+#[derive(Clone)]
+enum Buf {
+    /// A chunk of a file's memory, or a caller's vector.
+    Vec(Arc<Vec<u8>>),
+    /// A copy of bytes that spanned chunks.
+    Joined(Arc<[u8]>),
+}
+
+impl Default for Buf {
+    fn default() -> Buf {
+        Buf::Vec(Arc::default())
+    }
+}
+
+/// What a copy of up to a chunk is sized from: `Arc::from` a slice is one
+/// allocation, where a vector and then an `Arc` around it are two.
+static ZEROS: [u8; CHUNK] = [0; CHUNK];
 
 impl FileBytes {
     /// `range` of these bytes, sharing them.
@@ -128,8 +149,29 @@ impl FileBytes {
         assert!(range.start <= range.end && range.end <= self.len());
         let start = self.range.start;
         FileBytes {
-            buf: Arc::clone(&self.buf),
+            buf: self.buf.clone(),
             range: start + range.start..start + range.end,
+        }
+    }
+
+    /// `parts`, `len` bytes in all, copied back to back.
+    fn joined<'a>(parts: impl Iterator<Item = &'a [u8]>, len: usize) -> FileBytes {
+        let Some(zeros) = ZEROS.get(..len) else {
+            let mut out = Vec::with_capacity(len);
+            parts.for_each(|part| out.extend_from_slice(part));
+            return FileBytes::from(out);
+        };
+        let mut buf: Arc<[u8]> = Arc::from(zeros);
+        let out = Arc::get_mut(&mut buf).expect("a new Arc is unshared");
+        let mut at = 0;
+        for part in parts {
+            out[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        debug_assert_eq!(at, len);
+        FileBytes {
+            buf: Buf::Joined(buf),
+            range: 0..len,
         }
     }
 }
@@ -138,7 +180,7 @@ impl From<Vec<u8>> for FileBytes {
     fn from(bytes: Vec<u8>) -> FileBytes {
         FileBytes {
             range: 0..bytes.len(),
-            buf: Arc::new(bytes),
+            buf: Buf::Vec(Arc::new(bytes)),
         }
     }
 }
@@ -147,7 +189,11 @@ impl Deref for FileBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.buf[self.range.clone()]
+        let all: &[u8] = match &self.buf {
+            Buf::Vec(bytes) => bytes,
+            Buf::Joined(bytes) => bytes,
+        };
+        &all[self.range.clone()]
     }
 }
 
@@ -208,15 +254,14 @@ impl FileSpan {
         if first == last {
             return self.pieces[first].slice(at.start - first_at..at.end - first_at);
         }
-        let mut out = Vec::with_capacity(at.len());
         let mut piece_at = first_at;
-        for piece in &self.pieces[first..=last] {
+        let parts = self.pieces[first..=last].iter().map(|piece| {
             let from = at.start.max(piece_at) - piece_at;
             let to = at.end.min(piece_at + piece.len()) - piece_at;
-            out.extend_from_slice(&piece[from..to]);
             piece_at += piece.len();
-        }
-        FileBytes::from(out)
+            &piece[from..to]
+        });
+        FileBytes::joined(parts, at.len())
     }
 
     /// Flips one bit of span byte `byte` in a private copy of its piece:
@@ -251,8 +296,10 @@ impl Content {
             .expect("a file with bytes has a chunk");
         if Arc::get_mut(last).is_none() {
             let mut copy = pool.take();
-            copy.extend_from_slice(last);
-            *last = Arc::new(copy);
+            Arc::get_mut(&mut copy)
+                .expect("a pooled chunk is unshared")
+                .extend_from_slice(last);
+            *last = copy;
         }
         Arc::get_mut(last).expect("copied above")
     }
@@ -261,7 +308,7 @@ impl Content {
         self.len += data.len();
         while !data.is_empty() {
             if self.chunks.last().is_none_or(|last| last.len() == CHUNK) {
-                self.chunks.push(Arc::new(pool.take()));
+                self.chunks.push(pool.take());
             }
             let last = self.last_mut(pool);
             let (now, rest) = data.split_at(data.len().min(CHUNK - last.len()));
@@ -292,6 +339,20 @@ impl Content {
         out
     }
 
+    /// `range` as one piece of bytes: the chunk that holds it, shared, or a
+    /// copy when it spans two. The caller has checked it lies in the file.
+    pub(crate) fn read_bytes(&self, range: Range<usize>) -> FileBytes {
+        let (first, at) = (range.start / CHUNK, range.start % CHUNK);
+        if range.is_empty() || at + range.len() > CHUNK {
+            let len = range.len();
+            return FileBytes::joined(self.pieces(range).map(|(chunk, part)| &chunk[part]), len);
+        }
+        FileBytes {
+            buf: Buf::Vec(Arc::clone(&self.chunks[first])),
+            range: at..at + range.len(),
+        }
+    }
+
     /// `range` as the chunks that hold it, shared; the caller has checked it
     /// lies in the file.
     pub(crate) fn read_shared(&self, range: Range<usize>) -> FileSpan {
@@ -300,7 +361,7 @@ impl Content {
             len: range.len(),
             pieces: (self.pieces(range))
                 .map(|(chunk, part)| FileBytes {
-                    buf: Arc::clone(chunk),
+                    buf: Buf::Vec(Arc::clone(chunk)),
                     range: part,
                 })
                 .collect(),
@@ -374,6 +435,9 @@ mod tests {
                             span.get((end - (end - start) / 3) as u64..end as u64),
                         );
                         prop_assert_eq!(&whole[..], &reference[start..end]);
+                        let bytes = content.read_bytes(start..end);
+                        prop_assert_eq!(&bytes[..], &reference[start..end]);
+                        shared.push((bytes, reference[start..end].to_vec()));
                         shared.push((whole, reference[start..end].to_vec()));
                         shared.push((part, reference[end - (end - start) / 3..end].to_vec()));
                     }

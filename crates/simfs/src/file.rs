@@ -6,7 +6,7 @@
 //! (`fault_in`), and every page that reaches the device, in either
 //! direction, goes through one run coalescer (`for_each_run`).
 
-use crate::content::{ChunkPool, Content, Durability, FileSpan};
+use crate::content::{ChunkPool, Content, Durability, FileBytes, FileSpan};
 use crate::error::{FsError, FsResult};
 use crate::fault::{AllocFault, FaultOp, FaultOutcome, FaultState};
 use crate::fs::SimFs;
@@ -16,7 +16,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use xlsm_device::PAGE_SIZE;
-use xlsm_sim::{sync::WaitSet, Class};
+use xlsm_sim::{few::Few, sync::WaitSet, Class};
 
 /// Host-side fixed cost per read call (syscall + VFS), ns.
 const HOST_READ_NS: u64 = 1_800;
@@ -38,7 +38,7 @@ fn memcpy_ns(bytes: usize) -> u64 {
 
 /// Sorts `lpns` and issues one `io(start, pages)` per run of adjacent pages:
 /// every device read and write is coalesced here.
-fn for_each_run(mut lpns: Vec<u64>, mut io: impl FnMut(u64, u32)) {
+fn for_each_run(lpns: &mut [u64], mut io: impl FnMut(u64, u32)) {
     lpns.sort_unstable();
     let mut i = 0;
     while i < lpns.len() {
@@ -222,7 +222,7 @@ impl SimFs {
         // point where data reaches the device, so durability bookkeeping
         // (for power-cut simulation) is recorded here too.
         let by_id = self.by_id.lock();
-        let lpns: Vec<u64> = victims
+        let mut lpns: Vec<u64> = victims
             .iter()
             .filter_map(|&(file, page)| {
                 let f = by_id.get(&file)?;
@@ -240,7 +240,7 @@ impl SimFs {
             })
             .collect();
         drop(by_id);
-        for_each_run(lpns, |start, run| self.device.write(start, run));
+        for_each_run(&mut lpns, |start, run| self.device.write(start, run));
     }
 
     /// Dirty-page policy, called by appenders after dirtying pages: above
@@ -327,27 +327,36 @@ impl FileHandle {
     /// Brings pages `first_page..=last_page` into the cache: counts each a
     /// hit or a miss, inserts the missing ones clean, writes back the dirty
     /// pages that made room for them, and reads the missing ones from the
-    /// device, one command per run of adjacent LPNs.
+    /// device, one command per run of adjacent LPNs. A block read's few
+    /// pages are listed inline; a readahead's spill to the heap.
     fn fault_in(&self, first_page: u64, last_page: u64) {
         let fs = &self.fs;
-        let mut missing = Vec::new();
-        let mut victims = Vec::new();
+        let mut missing = Few::<u64, 4>::default();
+        let mut victims = Few::<PageKey, 4>::default();
         {
             let mut cache = fs.cache.lock();
             for page in first_page..=last_page {
                 let key = (self.data.id, page);
                 if !cache.touch(key) {
                     missing.push(page);
-                    victims.extend(cache.insert(key, false));
+                    if let Some(victim) = cache.insert(key, false) {
+                        victims.push(victim);
+                    }
                 }
             }
         }
         fs.write_back(&victims);
-        let lpns = missing
-            .iter()
-            .filter_map(|&p| self.data.lpn_of(p))
-            .collect();
-        for_each_run(lpns, |start, run| fs.device.read(start, run));
+        // Each missing page becomes its LPN in place.
+        let mut lpns = 0;
+        for i in 0..missing.len() {
+            if let Some(lpn) = self.data.lpn_of(missing[i]) {
+                missing[lpns] = lpn;
+                lpns += 1;
+            }
+        }
+        for_each_run(&mut missing[..lpns], |start, run| {
+            fs.device.read(start, run)
+        });
     }
 
     /// Appends `data`, returning the offset it was written at.
@@ -449,6 +458,26 @@ impl FileHandle {
             span.flip(byte, bit);
         }
         Ok(span)
+    }
+
+    /// [`FileHandle::read_shared`] of a range that is read whole, such as a
+    /// block's frame: the bytes in one piece, shared where they lie in one
+    /// chunk of the file and copied where they span two, with no span
+    /// around them. Costs, cache traffic and faults are `read_at`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`FileHandle::read_at`].
+    pub fn read_frame(&self, offset: u64, len: usize) -> FsResult<FileBytes> {
+        let (range, flip) = self.admit_read(offset, len)?;
+        let bytes = self.data.content.read().read_bytes(range);
+        let Some((byte, bit)) = flip else {
+            return Ok(bytes);
+        };
+        // Transient corruption: only this copy is flipped.
+        let mut copy = bytes.to_vec();
+        copy[byte] ^= 1u8 << bit;
+        Ok(FileBytes::from(copy))
     }
 
     /// Everything a read does before its bytes are taken: the gate, the
@@ -770,6 +799,14 @@ mod tests {
             assert_eq!(flipped.iter().filter(|&&b| b != 0).count(), 1);
             assert_eq!(&earlier[..], &[0u8; 100][..]);
             assert_eq!(f.read_at(0, 100).unwrap(), vec![0u8; 100]);
+            fs.set_fault_plan(FaultPlan {
+                bit_flip_nth_read: Some(1),
+                ..FaultPlan::default()
+            });
+            let framed = f.read_frame(0, 100).unwrap();
+            assert_eq!(framed.iter().filter(|&&b| b != 0).count(), 1);
+            assert_eq!(&earlier[..], &[0u8; 100][..]);
+            assert_eq!(&f.read_frame(0, 100).unwrap()[..], &[0u8; 100][..]);
         });
     }
 

@@ -14,7 +14,9 @@
 //! * **Reads** check the page cache; misses coalesce into one device read
 //!   per run of adjacent pages, and inserted pages may evict older ones
 //!   (clock/second-chance). `read_at` returns a copy; `read_shared` costs
-//!   the same and returns the file's own memory ([`FileSpan`]).
+//!   the same and returns the file's own memory ([`FileSpan`]), and
+//!   `read_frame` returns it in one piece ([`FileBytes`]), copied only
+//!   where it spans two chunks.
 //! * **`flush_data`** pushes a file's dirty pages to the device; **`sync`**
 //!   is that plus a device barrier, which on flash waits for the
 //!   write-buffer drain.

@@ -7,9 +7,11 @@
 # seconds of the full-size figures, of each probe and of the quick suite, the
 # oracle test's seconds and peak resident memory, the seconds of every test
 # binary of `cargo test --release --workspace`, mean ns of every engine_micro
-# bench, and where one write-only `--quick probe` on SATA spent its host
-# time: host ms per charge class, scheduler and switch, fill and window). Informational — it differs run to run and host to host, and no
-# script compares it.
+# bench, and where two probes spent their host time: host ms per charge
+# class, scheduler and switch, fill and window, for one write-only `--quick
+# probe` on SATA and one read-only full-size probe on XPoint, ROADMAP item
+# 10's read-path rows). Informational — it differs run to run and host to
+# host, and no script compares it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,8 +79,11 @@ EOF
 ((${#test_rows[@]})) || { echo "cargo test printed no result" >&2; exit 1; }
 printf '%s\n' "${test_rows[@]}"
 
-echo "==> host time per charge class"
-mapfile -t probe_host_rows < <("${pin[@]}" "$bin" --quick probe sata 100 4 1 | python3 -c '
+# Runs xlsm-bench pinned on ${@:2} and stores its host-clock rows, one JSON
+# line per phase, in array $1.
+host_rows() {
+    local -n into=$1
+    mapfile -t into < <("${pin[@]}" "$bin" "${@:2}" | python3 -c '
 import re, sys
 phases = {}
 for line in sys.stdin:
@@ -90,8 +95,12 @@ for phase, rows in phases.items():
     cells = ", ".join(f"\"{k}\": {v}" for k, v in rows.items())
     print(f"    \"{phase}\": {{{cells}}}")
 ')
-((${#probe_host_rows[@]})) || { echo "the probe printed no host rows" >&2; exit 1; }
-printf '%s\n' "${probe_host_rows[@]}"
+    ((${#into[@]})) || { echo "the probe printed no host rows" >&2; exit 1; }
+    printf '%s\n' "${into[@]}"
+}
+echo "==> host time per charge class"
+host_rows probe_host_rows --quick probe sata 100 4 1
+host_rows read_host_rows probe xpoint 0 4 1
 
 echo "==> engine_micro"
 micro_rows=()
@@ -128,6 +137,9 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '  },'
     echo '  "probe_sata_100_host_ms": {'
     rows "${probe_host_rows[@]}"
+    echo '  },'
+    echo '  "probe_xpoint_0_host_ms": {'
+    rows "${read_host_rows[@]}"
     echo '  }'
     echo '}'
 } >BENCH_wall.json
