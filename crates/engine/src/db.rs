@@ -226,9 +226,12 @@ impl DbInner {
         };
         self.queue.unlock_mem_stage();
         // The sealed log will never be appended to again (no group appends
-        // while the switch holds the queue head), so its whole-file CRC is
-        // final. Record it in the manifest for recovery to check.
+        // while the switch holds the queue head; under `Db::resume` the
+        // parked leader has not taken a log yet and takes the new one), so
+        // it gives back its spare pages and its whole-file CRC is final.
+        // Record the CRC in the manifest for recovery to check.
         if let Some((old_number, wal)) = old_wal {
+            wal.seal()?;
             let edit = VersionEdit {
                 wal_crcs: vec![(old_number, wal.file_crc())],
                 ..VersionEdit::default()

@@ -213,9 +213,7 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
     if fs.exists(&current) {
         fs.delete(&current)?;
     }
-    let cur = fs.create(&current)?;
-    cur.append(version::MANIFEST_NAME.as_bytes())?;
-    cur.sync()?;
+    version::write_current(&fs, db_path)?;
     Ok(report)
 }
 

@@ -254,6 +254,9 @@ impl TableBuilder {
         self.out.append(&footer.encode())?;
 
         self.out.file.sync()?;
+        // A finished table is never appended to again: give back the rest of
+        // its last extent.
+        self.out.file.seal()?;
         Ok(TableProperties {
             file_size: self.out.offset,
             num_entries: self.num_entries,

@@ -504,6 +504,16 @@ pub(crate) fn current_path(db_path: &str) -> String {
     format!("{db_path}/{CURRENT_NAME}")
 }
 
+/// Writes CURRENT, naming the MANIFEST: durable, and holding only the page
+/// its bytes need.
+pub(crate) fn write_current(fs: &Arc<SimFs>, db_path: &str) -> DbResult<()> {
+    let current = fs.create(&current_path(db_path))?;
+    current.append(MANIFEST_NAME.as_bytes())?;
+    current.sync()?;
+    current.seal()?;
+    Ok(())
+}
+
 impl VersionSet {
     /// Creates a fresh database layout (empty manifest + CURRENT).
     ///
@@ -512,9 +522,7 @@ impl VersionSet {
     /// Filesystem errors.
     pub fn create_new(fs: Arc<SimFs>, db_path: &str) -> DbResult<VersionSet> {
         let manifest = fs.create(&manifest_path(db_path))?;
-        let current = fs.create(&current_path(db_path))?;
-        current.append(MANIFEST_NAME.as_bytes())?;
-        current.sync()?;
+        write_current(&fs, db_path)?;
         let vs = VersionSet {
             fs,
             db_path: db_path.to_owned(),

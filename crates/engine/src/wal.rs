@@ -108,6 +108,16 @@ impl WalWriter {
         self.file.len()
     }
 
+    /// Gives back the pages past the log's last byte once it is rotated out
+    /// and no group can append to it any more (see [`FileHandle::seal`]).
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors.
+    pub fn seal(&self) -> DbResult<()> {
+        Ok(self.file.seal()?)
+    }
+
     /// CRC32-C over every byte appended so far. Captured at rotation time
     /// (no appends can race it: the memtable — and its WAL — switch at the
     /// write queue's head, where no group is appending; `Db::resume` is the

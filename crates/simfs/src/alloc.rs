@@ -7,6 +7,9 @@
 pub(crate) struct ExtentAllocator {
     /// Sorted, non-adjacent free ranges `(start, len)`.
     free: Vec<(u64, u64)>,
+    /// The sum of `free`'s lengths, kept as it changes: sealed files leave
+    /// many small holes, and `SimFs::stats` asks for it on every call.
+    free_pages: u64,
     capacity: u64,
     /// Ranges carved out of the free pool by a scripted capacity shrink
     /// (fault injection); held here so `restore` can return them.
@@ -17,6 +20,7 @@ impl ExtentAllocator {
     pub fn new(capacity_pages: u64) -> ExtentAllocator {
         ExtentAllocator {
             free: vec![(0, capacity_pages)],
+            free_pages: capacity_pages,
             capacity: capacity_pages,
             shrunk: Vec::new(),
         }
@@ -33,6 +37,7 @@ impl ExtentAllocator {
                 } else {
                     self.free[i] = (start + pages, len - pages);
                 }
+                self.free_pages -= pages;
                 return Some(start);
             }
         }
@@ -60,6 +65,7 @@ impl ExtentAllocator {
             ps + pl == start
         };
         let merges_next = idx < self.free.len() && start + pages == self.free[idx].0;
+        self.free_pages += pages;
         match (merges_prev, merges_next) {
             (true, true) => {
                 let next_len = self.free[idx].1;
@@ -77,7 +83,7 @@ impl ExtentAllocator {
 
     /// Total free pages remaining.
     pub fn free_pages(&self) -> u64 {
-        self.free.iter().map(|&(_, l)| l).sum()
+        self.free_pages
     }
 
     /// Largest single contiguous free extent, in pages. Distinguishes "no
@@ -113,6 +119,7 @@ impl ExtentAllocator {
             }
             pages -= take;
             carved += take;
+            self.free_pages -= take;
         }
         carved
     }
@@ -197,8 +204,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random alloc/free interleavings conserve pages and never hand out
-        /// overlapping ranges.
+        /// Random alloc/free interleavings conserve pages, never hand out
+        /// overlapping ranges, and keep the running free total equal to the
+        /// free list's sum. Every other free gives back only a held range's
+        /// tail, as a seal does, and keeps its head.
         #[test]
         fn conservation(ops in prop::collection::vec(1u64..16, 1..200)) {
             let cap = 256u64;
@@ -206,8 +215,16 @@ mod tests {
             let mut held: Vec<(u64, u64)> = Vec::new();
             for (i, n) in ops.into_iter().enumerate() {
                 if i % 3 == 2 && !held.is_empty() {
-                    let (s, l) = held.swap_remove(i % held.len());
-                    a.free(s, l);
+                    let j = i % held.len();
+                    let (s, l) = held[j];
+                    // A whole free, or a seal keeping `keep < l` pages.
+                    let keep = if i % 2 == 0 { 0 } else { n % l };
+                    a.free(s + keep, l - keep);
+                    if keep == 0 {
+                        held.swap_remove(j);
+                    } else {
+                        held[j].1 = keep;
+                    }
                 } else if let Some(s) = a.allocate(n) {
                     // No overlap with anything currently held.
                     for &(hs, hl) in &held {
@@ -217,6 +234,7 @@ mod tests {
                 }
                 let held_total: u64 = held.iter().map(|&(_, l)| l).sum();
                 prop_assert_eq!(a.free_pages() + held_total, cap);
+                prop_assert_eq!(a.free_pages(), a.free.iter().map(|&(_, l)| l).sum::<u64>());
             }
         }
     }

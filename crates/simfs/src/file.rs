@@ -24,7 +24,11 @@ const HOST_READ_NS: u64 = 1_800;
 const HOST_WRITE_NS: u64 = 1_200;
 /// Memcpy cost per KiB moved between user and page cache, ns (≈ 33 GB/s).
 const MEMCPY_NS_PER_KIB: u64 = 30;
-/// Device pages allocated per extent-growth step.
+/// Device pages allocated per extent-growth step. A file grows by whole
+/// extents while it is written and gives back the unused tail of the last
+/// one at [`FileHandle::seal`]. An extent this long is what lets a
+/// write-back run reach the device's `SEQ_WRITE_PAGES` and drain at the
+/// sequential pace; a smaller one would slow every flush.
 const ALLOC_CHUNK_PAGES: u64 = 256;
 /// Fraction of the cache that may be dirty before the *background
 /// writeback daemon* starts draining (Linux `dirty_background_ratio`
@@ -50,6 +54,21 @@ fn for_each_run(lpns: &mut [u64], mut io: impl FnMut(u64, u32)) {
         io(start, run);
         i += run as usize;
     }
+}
+
+/// Cuts `extents` down to their first `keep` pages; returns what was cut.
+fn cut_extents(extents: &mut Vec<(u64, u64)>, keep: u64) -> Vec<(u64, u64)> {
+    let (mut base, mut cut) = (0, Vec::new());
+    extents.retain_mut(|(start, len)| {
+        let held = keep.saturating_sub(base).min(*len);
+        base += *len;
+        if held < *len {
+            cut.push((*start + held, *len - held));
+        }
+        *len = held;
+        held > 0
+    });
+    cut
 }
 
 /// A byte of a read's result, and the bit of it the fault plan flips.
@@ -502,6 +521,34 @@ impl FileHandle {
         Ok((offset as usize..end as usize, flip))
     }
 
+    /// Gives back every device page past the file's last byte: the pages go
+    /// back to the allocator and the device gets a TRIM for them, as a
+    /// delete does for a whole file. This is the truncate RocksDB does on
+    /// `Close` after growing a file by `preallocation_block_size`: a file
+    /// grows by whole extents while it is written and is sealed once it is
+    /// finished. An append after a seal grows the file again. A seal takes
+    /// no virtual time and is not an operation of the fault plan.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::Stale`] if the file was deleted (its pages are already
+    /// free); a hard [`FsError::Io`] while a power cut is in effect.
+    pub fn seal(&self) -> FsResult<()> {
+        if self.data.deleted.load(Ordering::Relaxed) {
+            return Err(FsError::Stale(self.name()));
+        }
+        self.fs.fail_if_dead("seal", || self.name())?;
+        // The content lock keeps an append from growing the file between
+        // reading its size and cutting its extents.
+        let cut = {
+            let content = self.data.content.read();
+            let keep = (content.len() as u64).div_ceil(PAGE_SIZE as u64);
+            cut_extents(&mut self.data.extents.lock(), keep)
+        };
+        self.fs.give_back(&cut);
+        Ok(())
+    }
+
     /// Pushes this file's dirty pages to the device without a barrier: they
     /// may still sit in its volatile write buffer (`sync_file_range`
     /// analogue, used for WAL `bytes_per_sync` style background flushing).
@@ -552,8 +599,43 @@ mod tests {
     use super::*;
     use crate::fs::tests::fixture;
     use crate::{FaultPlan, FsOptions};
-    use xlsm_device::{profiles, Device, SimDevice};
+    use xlsm_device::{profiles, Device, DeviceProfile, DeviceSnapshot, SimDevice};
     use xlsm_sim::Runtime;
+
+    /// An Optane device that logs every TRIM it is sent.
+    #[derive(Debug)]
+    struct TrimLog {
+        dev: SimDevice,
+        trims: parking_lot::Mutex<Vec<(u64, u64)>>,
+    }
+
+    impl Device for TrimLog {
+        fn profile(&self) -> &DeviceProfile {
+            self.dev.profile()
+        }
+        fn read(&self, lpn: u64, pages: u32) {
+            self.dev.read(lpn, pages);
+        }
+        fn write(&self, lpn: u64, pages: u32) {
+            self.dev.write(lpn, pages);
+        }
+        fn trim(&self, lpn: u64, pages: u64) {
+            self.trims.lock().push((lpn, pages));
+            self.dev.trim(lpn, pages);
+        }
+        fn sync(&self) {
+            self.dev.sync();
+        }
+        fn stats(&self) -> DeviceSnapshot {
+            self.dev.stats()
+        }
+    }
+
+    /// The device pages a file holds, in file order.
+    fn pages_of(f: &FileHandle) -> Vec<u64> {
+        let extents = f.data.extents.lock();
+        extents.iter().flat_map(|&(s, l)| s..s + l).collect()
+    }
 
     #[test]
     fn create_append_read_roundtrip() {
@@ -929,6 +1011,111 @@ mod tests {
             fs.power_cut();
             fs.power_restore();
             assert_eq!(fs.open("f").unwrap().len(), 5000);
+        });
+    }
+
+    #[test]
+    fn seal_gives_back_and_trims_the_tail() {
+        Runtime::new().run(|| {
+            let dev = Arc::new(TrimLog {
+                dev: SimDevice::new(profiles::optane_900p()),
+                trims: parking_lot::Mutex::default(),
+            });
+            let fs = SimFs::new(
+                Arc::clone(&dev) as Arc<dyn Device>,
+                FsOptions {
+                    page_cache_pages: 1024,
+                },
+            );
+            let f = fs.create("f").unwrap();
+            // Two appends grow two extents; the file ends 10 bytes into its
+            // 300th page.
+            f.append(&vec![1u8; 200 * PAGE_SIZE]).unwrap();
+            f.append(&vec![2u8; 99 * PAGE_SIZE + 10]).unwrap();
+            let before = pages_of(&f);
+            assert_eq!(before.len() as u64, 2 * ALLOC_CHUNK_PAGES);
+            let free = fs.free_space_pages();
+            f.seal().unwrap();
+            let kept = pages_of(&f);
+            assert_eq!(kept.len() as u64, f.len().div_ceil(PAGE_SIZE as u64));
+            assert_eq!(kept[..], before[..300]);
+            assert_eq!(fs.free_space_pages(), free + 212);
+            let trimmed = |dev: &TrimLog| -> Vec<u64> {
+                let trims = dev.trims.lock();
+                trims.iter().flat_map(|&(s, l)| s..s + l).collect()
+            };
+            assert_eq!(trimmed(&dev)[..], before[300..]);
+            // A second seal has nothing left to give back.
+            f.seal().unwrap();
+            assert_eq!(dev.trims.lock().len(), 1);
+            assert_eq!(f.read_at(0, PAGE_SIZE).unwrap(), vec![1u8; PAGE_SIZE]);
+            assert_eq!(
+                f.read_at(299 * PAGE_SIZE as u64, 10).unwrap(),
+                vec![2u8; 10]
+            );
+        });
+    }
+
+    #[test]
+    fn append_after_seal_grows_the_file_again() {
+        Runtime::new().run(|| {
+            let (fs, _) = fixture(16); // tiny cache: reads come from the device
+            let f = fs.create("f").unwrap();
+            f.append(&[1u8; 5000]).unwrap();
+            f.sync().unwrap();
+            f.seal().unwrap();
+            assert_eq!(f.data.allocated_pages(), 2);
+            assert_eq!(f.append(&vec![2u8; 40 * PAGE_SIZE]).unwrap(), 5000);
+            assert_eq!(f.data.allocated_pages(), 2 + ALLOC_CHUNK_PAGES);
+            f.sync().unwrap();
+            f.seal().unwrap();
+            assert_eq!(f.data.allocated_pages(), 42);
+            assert_eq!(f.read_at(0, 5000).unwrap(), vec![1u8; 5000]);
+            let tail = f.read_at(5000, 40 * PAGE_SIZE).unwrap();
+            assert_eq!(tail, vec![2u8; 40 * PAGE_SIZE]);
+        });
+    }
+
+    #[test]
+    fn seal_of_a_deleted_file_frees_nothing_twice() {
+        Runtime::new().run(|| {
+            let (fs, dev) = fixture(64);
+            let f = fs.create("f").unwrap();
+            f.append(&[1u8; 5000]).unwrap();
+            fs.delete("f").unwrap();
+            assert_eq!(fs.free_space_pages(), fs.capacity_pages());
+            let trims = dev.stats().trims;
+            assert!(matches!(f.seal(), Err(FsError::Stale(_))));
+            assert_eq!(fs.free_space_pages(), fs.capacity_pages());
+            assert_eq!(dev.stats().trims, trims);
+        });
+    }
+
+    #[test]
+    fn seal_after_power_cut_keeps_the_durable_pages() {
+        Runtime::new().run(|| {
+            let fs = SimFs::new(
+                SimDevice::shared(profiles::intel_530_sata()),
+                FsOptions::default(),
+            );
+            let f = fs.create("f").unwrap();
+            let durable = 3 * PAGE_SIZE + 100;
+            f.append(&vec![1u8; durable]).unwrap();
+            f.sync().unwrap();
+            // Buffered only, and grows a second extent.
+            f.append(&vec![2u8; 300 * PAGE_SIZE]).unwrap();
+            let before = pages_of(&f);
+            // Every file loses its volatile bytes, and a dead machine
+            // cannot change the disk.
+            fs.power_cut();
+            assert!(matches!(f.seal(), Err(FsError::Io { op: "seal", .. })));
+            assert_eq!(pages_of(&f), before);
+            fs.power_restore();
+            let g = fs.open("f").unwrap();
+            assert_eq!(g.len(), durable as u64);
+            g.seal().unwrap();
+            assert_eq!(pages_of(&g)[..], before[..4]);
+            assert_eq!(g.read_at(0, durable).unwrap(), vec![1u8; durable]);
         });
     }
 }

@@ -224,16 +224,22 @@ impl SimFs {
         data.deleted.store(true, Ordering::Relaxed);
         self.cache.lock().remove_file(data.id);
         let extents = std::mem::take(&mut *data.extents.lock());
+        self.give_back(&extents);
+        Ok(())
+    }
+
+    /// Returns `extents`, which no file holds any longer, to the allocator
+    /// and TRIMs them on the device.
+    pub(crate) fn give_back(&self, extents: &[(u64, u64)]) {
         {
             let mut alloc = self.alloc.lock();
-            for &(start, len) in &extents {
+            for &(start, len) in extents {
                 alloc.free(start, len);
             }
         }
-        for (start, len) in extents {
+        for &(start, len) in extents {
             self.device.trim(start, len);
         }
-        Ok(())
     }
 
     /// Atomically renames a file.

@@ -14,7 +14,10 @@
 # system-time share, switches and timer events per op),
 # `simfs.host_ns_per_read_{hit,miss}` and every `engine.call.*.host_ns` — so
 # a claim can name its layer; one traced run swings more than the effects
-# these rows are read for. Last, one `xlsm-bench --quick probe` per side
+# these rows are read for. Two control rows follow, from layers most changes
+# leave alone (`device.host_ns_per_io`, `loadgen.host_ns_per_op`): a layer
+# row also moves with the binary's code layout, so it reads a change only
+# where it moves more than the controls do. Last, one `xlsm-bench --quick probe` per side
 # on the workload's device and write share prints the host clock per charge
 # class, scheduler and switch, for the fill and the window, side by side, so
 # a claim can name its class too (a tree whose probe attributes no host time
@@ -138,9 +141,15 @@ traced = {side: [json.load(open(f"{out}/{side}.trace{i}.json"))["metrics"] for i
 layers = [name for name in traced["parent"][0]
           if name.startswith("sim.") or name in ("simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
           or (name.startswith("engine.call.") and name.endswith(".host_ns"))]
+# Controls: layers most changes leave alone. A layer row moves with the
+# binary's code layout too; it reads a change only where it moves more than
+# these do.
+controls = ["device.host_ns_per_io", "loadgen.host_ns_per_op"]
 print(f"{traces} traced runs per side, host clock per layer: median [min-max]")
 print(f"{'layer':<32} {'parent':>28} {'change':>28} {'ratio':>7}")
-for name in layers:
+for name in layers + controls:
+    if name == controls[0]:
+        print("control rows:")
     cells, medians = [], []
     for side in ("parent", "change"):
         vs = sorted(t[name]["value"] for t in traced[side])

@@ -16,6 +16,9 @@
 //!   recovery to replay, and the database read-only until `Db::resume`.
 //! * A failed WAL purge is counted and retried instead of being silently
 //!   swallowed, and never makes the database read-only.
+//! * With the space subsystem off, a device four times the dataset (the
+//!   paper's PCIe ratio) holds a fill and a write-heavy window: finished
+//!   files give back their unused extent tails.
 //!
 //! Scripted ENOSPC with and without the watcher, a failed WAL purge, a
 //! power cut at the capacity edge, a retried scrub under a stall and a
@@ -23,10 +26,13 @@
 //! `tests/oracle.rs`.
 
 use std::sync::Arc;
+use std::time::Duration;
 use xlsm_suite::device::{profiles, DeviceProfile, SimDevice};
 use xlsm_suite::engine::{BackgroundOp, Db, DbError, DbOptions, ErrorSeverity, Ticker};
 use xlsm_suite::sim::{now_nanos, sleep_nanos, spawn, Runtime};
 use xlsm_suite::simfs::{FaultPlan, FsOptions, SimFs};
+use xlsm_suite::study::experiment::Testbed;
+use xlsm_suite::workload::{fill_db, run_workload, WorkloadSpec};
 
 /// SpaceWatcher poll interval used throughout: 2ms of virtual time.
 const POLL_NS: u64 = 2_000_000;
@@ -473,4 +479,41 @@ fn space_gauges_surface_fragmentation_in_metrics() {
         assert_eq!(db.metrics().free_space_bytes, before);
         db.close();
     });
+}
+
+/// On every device profile sized to four times the dataset, with the space
+/// watcher off, a 48 MiB fill and two seconds of 90 %-write churn never run
+/// the device out of space. A finished file gives back the unused tail of
+/// its last 1 MiB extent, so the device peaks near 2–2.6× the dataset; when
+/// every file kept that tail, use reached the 4× capacity and the database
+/// turned read-only ("simulated device is full").
+#[test]
+fn a_device_four_times_the_dataset_holds_fill_and_churn() {
+    const KEYS: u64 = 48 << 10;
+    const VALUE: usize = 1024;
+    let dataset = KEYS * (VALUE as u64 + 16);
+    for (name, profile) in PROFILES {
+        Runtime::new().run(|| {
+            let device = profile().with_capacity_bytes(4 * dataset);
+            let tb = Testbed::new(device, DbOptions::default(), dataset).unwrap();
+            fill_db(&tb.db, KEYS, VALUE, 46).unwrap();
+            let spec = WorkloadSpec {
+                key_count: KEYS,
+                value_size: VALUE,
+                write_fraction: 0.9,
+                duration: Duration::from_secs(2),
+                seed: 46,
+                ..WorkloadSpec::default()
+            };
+            // The driver panics on a refused put.
+            run_workload(&tb.db, &spec);
+            let m = tb.db.metrics();
+            assert!(
+                !m.read_only && m.background_error.is_none(),
+                "[{name}] the device ran out of space: {:?}",
+                m.background_error
+            );
+            tb.close();
+        });
+    }
 }
