@@ -173,16 +173,6 @@ fn bench_sim_scheduler(c: &mut Criterion) {
             })
         });
     });
-    // A charge that keeps the run token: nothing else runs or waits.
-    g.bench_function("keep_1000", |b| {
-        b.iter(|| {
-            xlsm_sim::Runtime::new().run(|| {
-                for _ in 0..1000 {
-                    xlsm_sim::charge(xlsm_sim::Class::Setup, 10);
-                }
-            })
-        });
-    });
     g.finish();
 }
 

@@ -455,7 +455,7 @@ fn merge_range(
     let mut ok = match lo {
         // The lookup key for `lo` (seq = MAX) is the smallest internal key
         // of that user key, so the range starts at its newest version.
-        Some(lo) => merged.seek(&types::make_lookup_key(lo, types::MAX_SEQUENCE))?,
+        Some(lo) => merged.seek(&types::lookup_key(lo, types::MAX_SEQUENCE))?,
         None => merged.seek_to_first()?,
     };
     while ok {

@@ -301,7 +301,7 @@ impl DbScanner {
     ///
     /// Underlying read failures.
     pub fn seek(&mut self, key: &[u8]) -> DbResult<bool> {
-        let lookup = types::make_lookup_key(key, self.snapshot);
+        let lookup = types::lookup_key(key, self.snapshot);
         self.inner.seek(&lookup)?;
         self.resolve_forward(None)?;
         Ok(self.valid())

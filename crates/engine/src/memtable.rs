@@ -495,7 +495,7 @@ impl MemTableIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::make_lookup_key;
+    use crate::types::lookup_key;
     use proptest::prelude::*;
     use xlsm_sim::Runtime;
 
@@ -575,10 +575,10 @@ mod tests {
         m.add(2, ValueType::Value, b"c", b"", 0);
         m.add(3, ValueType::Value, b"e", b"", 0);
         let mut it = m.iter();
-        assert!(it.seek(&make_lookup_key(b"b", u64::MAX >> 8)).unwrap());
+        assert!(it.seek(&lookup_key(b"b", u64::MAX >> 8)).unwrap());
         let (uk, ..) = types::parse_internal_key(it.key());
         assert_eq!(uk, b"c");
-        assert!(!it.seek(&make_lookup_key(b"z", u64::MAX >> 8)).unwrap());
+        assert!(!it.seek(&lookup_key(b"z", u64::MAX >> 8)).unwrap());
     }
 
     #[test]

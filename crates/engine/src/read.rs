@@ -339,7 +339,7 @@ impl Db {
                     .into_iter()
                     .map(|slot| TableProbe {
                         slot,
-                        lookup: types::make_lookup_key(keys[slot], snapshot),
+                        lookup: types::lookup_key(keys[slot], snapshot),
                         user_key: keys[slot].to_vec(),
                     })
                     .collect(),

@@ -89,10 +89,9 @@ impl BlockBuilder {
     }
 
     /// Closes the block and returns its sealed frame, compressed with
-    /// `codec` when that makes it smaller, and the CRC of the frame's body
-    /// ([`seal_frame`]). [`reset`](Self::reset) before the next
-    /// [`add`](Self::add).
-    pub(super) fn finish(&mut self, codec: CompressionType) -> (&[u8], u32) {
+    /// `codec` when that makes it smaller. [`reset`](Self::reset) before
+    /// the next [`add`](Self::add).
+    pub(super) fn finish(&mut self, codec: CompressionType) -> &[u8] {
         if self.restarts.is_empty() {
             self.restarts.push(0);
         }
@@ -105,8 +104,8 @@ impl BlockBuilder {
         } else {
             &mut self.buf
         };
-        let crc = seal_frame(frame);
-        (frame, crc)
+        seal_frame(frame);
+        frame
     }
 
     /// The last key added to the block.
@@ -133,11 +132,9 @@ impl BlockBuilder {
 }
 
 /// Appends the frame trailer: a masked CRC32-C over everything in `body`.
-/// Returns the body's (unmasked) CRC.
-pub(super) fn seal_frame(body: &mut Vec<u8>) -> u32 {
+pub(super) fn seal_frame(body: &mut Vec<u8>) {
     let crc = crc32c::crc32c(body);
     put_fixed32(body, crc32c::masked(crc));
-    crc
 }
 
 /// Checks a frame's trailing CRC and returns its body; the error says what
@@ -249,9 +246,7 @@ mod tests {
     use super::super::reader::search_block;
     use super::super::TableEntry;
     use super::*;
-    use crate::types::{
-        self, compare_internal, make_internal_key, make_lookup_key, KeyBuf, ValueType,
-    };
+    use crate::types::{self, compare_internal, lookup_key, make_internal_key, KeyBuf, ValueType};
     use proptest::prelude::*;
     use std::cmp::Ordering;
     use std::collections::BTreeSet;
@@ -263,7 +258,7 @@ mod tests {
         for (k, v) in entries {
             b.add(k, v);
         }
-        let (frame, _) = b.finish(CompressionType::None);
+        let frame = b.finish(CompressionType::None);
         frame[1..frame.len() - 4].to_vec()
     }
 
@@ -343,7 +338,7 @@ mod tests {
                     let k = make_internal_key(format!("k{i:03}").as_bytes(), 1, ValueType::Value);
                     b.add(&k, &[b'v'; 100]);
                 }
-                frames.push(b.finish(codec).0.to_vec());
+                frames.push(b.finish(codec).to_vec());
                 assert_eq!(types::user_key(b.last_key()), b"k039");
                 b.reset();
             }
@@ -422,9 +417,9 @@ mod tests {
                         let past = [uk, b"\0"].concat();
                         for (lookup, user_key) in [
                             (k.clone(), uk),
-                            (make_lookup_key(uk, u64::MAX >> 8), uk),
-                            (make_lookup_key(uk, 0), uk),
-                            (make_lookup_key(&past, u64::MAX >> 8), &past[..]),
+                            (lookup_key(uk, u64::MAX >> 8).to_vec(), uk),
+                            (lookup_key(uk, 0).to_vec(), uk),
+                            (lookup_key(&past, u64::MAX >> 8).to_vec(), &past[..]),
                         ] {
                             assert_eq!(
                                 search_block(&got, &lookup, user_key),
@@ -441,7 +436,7 @@ mod tests {
                 }
                 // Shared out of a file, between other bytes, as a block
                 // read or a readahead window returns it.
-                let (frame, _) = b.finish(codec);
+                let frame = b.finish(codec);
                 let window = [&[7; 5][..], frame, &[9; 3]].concat();
                 let at = 5..5 + frame.len() as u64;
                 let block = xlsm_sim::Runtime::new().run(|| {

@@ -77,27 +77,13 @@ struct TableFile {
     offset: u64,
     /// Running CRC over every byte appended so far (the whole-file
     /// checksum recorded in the manifest).
-    crc: u32,
+    crc: crc32c::Hasher,
 }
 
 impl TableFile {
     /// Appends `data` to the file, folding it into the whole-file CRC.
     fn append(&mut self, data: &[u8]) -> DbResult<()> {
-        self.crc = crc32c::combine(self.crc, crc32c::crc32c(data), data.len() as u64);
-        self.write(data)
-    }
-
-    /// Appends a sealed frame whose body hashed to `body_crc`
-    /// ([`seal_frame`]), folding that CRC into the whole-file CRC: only the
-    /// four-byte trailer is hashed again.
-    fn append_frame(&mut self, frame: &[u8], body_crc: u32) -> DbResult<()> {
-        let (body, trailer) = frame.split_at(frame.len() - 4);
-        self.crc = crc32c::combine(self.crc, body_crc, body.len() as u64);
-        self.crc = crc32c::combine(self.crc, crc32c::crc32c(trailer), 4);
-        self.write(frame)
-    }
-
-    fn write(&mut self, data: &[u8]) -> DbResult<()> {
+        self.crc.update(data);
         self.file.append(data)?;
         self.offset += data.len() as u64;
         Ok(())
@@ -129,7 +115,7 @@ impl TableBuilder {
             out: TableFile {
                 file,
                 offset: 0,
-                crc: 0,
+                crc: crc32c::Hasher::new(),
             },
             block: BlockBuilder::new(opts.block_size),
             opts,
@@ -146,8 +132,8 @@ impl TableBuilder {
     /// handle the footer records.
     fn append_meta_block(&mut self, mut payload: Vec<u8>) -> DbResult<MetaHandle> {
         let handle = (self.out.offset, payload.len() as u64);
-        let crc = seal_frame(&mut payload);
-        self.out.append_frame(&payload, crc)?;
+        seal_frame(&mut payload);
+        self.out.append(&payload)?;
         Ok(handle)
     }
 
@@ -189,8 +175,8 @@ impl TableBuilder {
             return Ok(());
         }
         let off = self.out.offset;
-        let (frame, crc) = self.block.finish(self.opts.compression);
-        let appended = self.out.append_frame(frame, crc);
+        let frame = self.block.finish(self.opts.compression);
+        let appended = self.out.append(frame);
         if appended.is_ok() {
             let size = self.out.offset - off;
             self.index.add(self.block.last_key(), off, size);
@@ -262,7 +248,7 @@ impl TableBuilder {
             num_entries: self.num_entries,
             smallest: self.smallest,
             largest: self.largest,
-            file_crc: self.out.crc,
+            file_crc: self.out.crc.finish(),
         })
     }
 }

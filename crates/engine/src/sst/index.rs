@@ -143,7 +143,7 @@ impl FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{make_internal_key, make_lookup_key, ValueType};
+    use crate::types::{lookup_key, make_internal_key, ValueType};
     use proptest::prelude::*;
 
     /// The form the reader held before the flat index: one heap key per
@@ -213,14 +213,14 @@ mod tests {
                 flat.block_boundary_user_keys().collect::<Vec<_>>(),
                 entries.iter().map(|(k, _, _)| types::user_key(k)).collect::<Vec<_>>()
             );
-            let before_first = make_lookup_key(b"", types::MAX_SEQUENCE);
+            let before_first = lookup_key(b"", types::MAX_SEQUENCE).to_vec();
             let past_last = make_internal_key(b"zzz", 0, ValueType::Deletion);
             let lookups = keys
                 .iter()
                 .cloned()
                 .chain(probes.iter().map(|(cut, suffix, seq)| {
                     let kept = &prefix[..cut % (prefix.len() + 1)];
-                    make_lookup_key(&[kept, suffix].concat(), *seq)
+                    lookup_key(&[kept, suffix].concat(), *seq).to_vec()
                 }))
                 .chain([before_first, past_last]);
             for ikey in lookups {

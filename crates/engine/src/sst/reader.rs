@@ -22,8 +22,8 @@ pub struct TableProbe {
     /// Caller-side index of the key this probe answers (opaque to the
     /// reader; echoed back with any hit).
     pub slot: usize,
-    /// Internal lookup key (`make_lookup_key(user_key, snapshot)`).
-    pub lookup: Vec<u8>,
+    /// Internal lookup key (`types::lookup_key(user_key, snapshot)`).
+    pub lookup: KeyBuf,
     /// The bare user key (bloom check + hit validation).
     pub user_key: Vec<u8>,
 }
@@ -529,7 +529,7 @@ mod tests {
     use super::super::{TableBuilder, TableOptions, FOOTER_SIZE};
     use super::*;
     use crate::compress::CompressionType;
-    use crate::types::{compare_internal, make_internal_key, make_lookup_key};
+    use crate::types::{compare_internal, lookup_key, make_internal_key};
     use proptest::prelude::*;
     use std::cmp::Ordering;
     use xlsm_sim::Runtime;
@@ -568,15 +568,15 @@ mod tests {
             let stats = DbStats::new();
             for i in (0..500).step_by(7) {
                 let uk = format!("key{i:06}");
-                let lookup = make_lookup_key(uk.as_bytes(), u64::MAX >> 8);
+                let lookup = lookup_key(uk.as_bytes(), u64::MAX >> 8);
                 let r = t.get(&lookup, uk.as_bytes(), &stats).unwrap();
                 let (_, _, v) = r.expect("key must be found");
                 assert_eq!(v, format!("value-{i}").into_bytes());
             }
             // Absent keys.
-            let lookup = make_lookup_key(b"zzz", u64::MAX >> 8);
+            let lookup = lookup_key(b"zzz", u64::MAX >> 8);
             assert!(t.get(&lookup, b"zzz", &stats).unwrap().is_none());
-            let lookup = make_lookup_key(b"key000500", u64::MAX >> 8);
+            let lookup = lookup_key(b"key000500", u64::MAX >> 8);
             assert!(t.get(&lookup, b"key000500", &stats).unwrap().is_none());
         });
     }
@@ -601,7 +601,7 @@ mod tests {
             let stats = DbStats::new();
             for i in 0..200 {
                 let uk = format!("nope{i:06}");
-                let lookup = make_lookup_key(uk.as_bytes(), u64::MAX >> 8);
+                let lookup = lookup_key(uk.as_bytes(), u64::MAX >> 8);
                 assert!(t.get(&lookup, uk.as_bytes(), &stats).unwrap().is_none());
             }
             assert!(
@@ -619,7 +619,7 @@ mod tests {
             let (t, _) = build_table(&fs, "t.sst", 200, 0);
             let stats = DbStats::new();
             let uk = b"key000050";
-            let lookup = make_lookup_key(uk, u64::MAX >> 8);
+            let lookup = lookup_key(uk, u64::MAX >> 8);
             t.get(&lookup, uk, &stats).unwrap();
             let counters = || {
                 let tick = |which| stats.ticker(which);
@@ -663,15 +663,15 @@ mod tests {
             let (t, _) = build_table(&fs, "t.sst", 300, 0);
             let stats = DbStats::shared();
             let mut it = t.iter(stats, false);
-            let target = make_lookup_key(b"key000123", u64::MAX >> 8);
+            let target = lookup_key(b"key000123", u64::MAX >> 8);
             assert!(it.seek(&target).unwrap());
             assert_eq!(types::user_key(it.key()), b"key000123");
             // Seek between keys lands on the next one.
-            let target = make_lookup_key(b"key000123x", u64::MAX >> 8);
+            let target = lookup_key(b"key000123x", u64::MAX >> 8);
             assert!(it.seek(&target).unwrap());
             assert_eq!(types::user_key(it.key()), b"key000124");
             // Seek past the end invalidates.
-            let target = make_lookup_key(b"zzz", u64::MAX >> 8);
+            let target = lookup_key(b"zzz", u64::MAX >> 8);
             assert!(!it.seek(&target).unwrap());
             assert!(!it.valid());
         });
@@ -707,7 +707,7 @@ mod tests {
                 let stats = DbStats::new();
                 for i in (0..400).step_by(13) {
                     let uk = format!("key{i:06}");
-                    let lookup = make_lookup_key(uk.as_bytes(), u64::MAX >> 8);
+                    let lookup = lookup_key(uk.as_bytes(), u64::MAX >> 8);
                     let (_, _, v) = t.get(&lookup, uk.as_bytes(), &stats).unwrap().unwrap();
                     assert_eq!(v, value, "codec {codec:?} must round-trip");
                 }
@@ -777,7 +777,7 @@ mod tests {
             // present key's prefix — use the ticker to observe the path).
             let stats = DbStats::new();
             let uk = b"zz99-suffix-not-present";
-            let lookup = make_lookup_key(uk, u64::MAX >> 8);
+            let lookup = lookup_key(uk, u64::MAX >> 8);
             assert!(t.get(&lookup, uk, &stats).unwrap().is_none());
             assert_eq!(
                 stats.ticker(Ticker::BloomUseful) + stats.ticker(Ticker::PrefixBloomUseful),
@@ -879,7 +879,7 @@ mod tests {
                         let stats = DbStats::new();
                         for i in 0..400 {
                             let uk = format!("key{i:06}");
-                            let lookup = make_lookup_key(uk.as_bytes(), u64::MAX >> 8);
+                            let lookup = lookup_key(uk.as_bytes(), u64::MAX >> 8);
                             match t.get(&lookup, uk.as_bytes(), &stats) {
                                 Ok(Some((_, _, v))) => {
                                     assert_eq!(
@@ -944,7 +944,7 @@ mod tests {
                 let stats = DbStats::new();
                 // Every key is found with its value.
                 for (i, k) in keys.iter().enumerate() {
-                    let lookup = make_lookup_key(k, u64::MAX >> 8);
+                    let lookup = lookup_key(k, u64::MAX >> 8);
                     let got = t.get(&lookup, k, &stats).unwrap();
                     let (_, _, v) = got.unwrap_or_else(|| panic!("key {i} missing"));
                     assert_eq!(v, format!("v{i}").into_bytes());

@@ -109,20 +109,15 @@ pub(crate) fn compare_keys(a: &[u8], b: &[u8]) -> Ordering {
     a.len().cmp(&b.len())
 }
 
-/// A lookup key: the internal key that sorts *before* every entry for
-/// `user_key` with sequence ≤ `snapshot` would... precisely, seeking to this
-/// key in a structure ordered by [`compare_internal`] lands on the newest
-/// visible version.
-pub fn make_lookup_key(user_key: &[u8], snapshot: SequenceNumber) -> Vec<u8> {
-    make_internal_key(user_key, snapshot, ValueType::Value)
-}
-
 /// A key buffer that lives where its owner does — on the stack for a point
 /// lookup — while the key fits 64 bytes, and on the heap beyond. A block's
 /// entries are parsed into one, each key rebuilt from the one before it.
 pub(crate) type KeyBuf = xlsm_sim::few::Few<u8, 64>;
 
-/// The lookup key [`make_lookup_key`] builds, in a [`KeyBuf`].
+/// A lookup key: the internal key that sorts *before* every entry for
+/// `user_key` with sequence ≤ `snapshot` would... precisely, seeking to this
+/// key in a structure ordered by [`compare_internal`] lands on the newest
+/// visible version.
 pub(crate) fn lookup_key(user_key: &[u8], snapshot: SequenceNumber) -> KeyBuf {
     let mut key = KeyBuf::default();
     key.extend_from_slice(user_key);
@@ -152,14 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_key_is_make_lookup_key() {
-        for len in [0, 10, 56, 57, 100] {
-            let uk = vec![b'k'; len];
-            assert_eq!(&lookup_key(&uk, 77)[..], &make_lookup_key(&uk, 77)[..]);
-        }
-    }
-
-    #[test]
     fn pack_roundtrip() {
         let ik = make_internal_key(b"apple", 42, ValueType::Value);
         let (uk, seq, t) = parse_internal_key(&ik);
@@ -185,7 +172,7 @@ mod tests {
     #[test]
     fn lookup_key_sees_visible_versions() {
         // Seeking lookup(k, snapshot=7) must land at seq 7, skipping seq 9.
-        let lookup = make_lookup_key(b"k", 7);
+        let lookup = lookup_key(b"k", 7);
         let v9 = make_internal_key(b"k", 9, ValueType::Value);
         let v7 = make_internal_key(b"k", 7, ValueType::Deletion);
         let v3 = make_internal_key(b"k", 3, ValueType::Value);

@@ -8,7 +8,7 @@ use crate::coding::*;
 use crate::error::{DbError, DbResult};
 use crate::options::DbOptions;
 use crate::sst::TableProperties;
-use crate::types::{compare_internal, compare_keys, user_key};
+use crate::types::{compare_internal, user_key};
 use crate::wal;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashSet;
@@ -62,110 +62,19 @@ impl FileMetaData {
     }
 }
 
-/// Every file's user-key bounds, level by level and in each level's order,
-/// in one buffer (RocksDB's `LevelFilesBrief`): a point lookup's search over
-/// a level reads these bytes instead of following a pointer per file to
-/// its [`FileMetaData`].
-#[derive(Debug, Default)]
-struct LevelBounds {
-    /// Each file's smallest user key, then its largest, back to back.
-    keys: Vec<u8>,
-    /// Per file: where its smallest and its largest user key end in
-    /// `keys`. Its smallest starts where the file before it ends.
-    ends: Vec<(u32, u32)>,
-    /// Per level, its first file's index in `ends`, and one past the last
-    /// file at the end.
-    first: Vec<usize>,
-}
-
-impl LevelBounds {
-    fn new(levels: &[Vec<Arc<FileMetaData>>]) -> LevelBounds {
-        // A bound too short to be an internal key (a MANIFEST record can
-        // say anything) is an empty user key here, not a panic.
-        let user_key = |ikey: &[u8]| -> usize { ikey.len().saturating_sub(8) };
-        let files = levels.iter().map(Vec::len).sum();
-        let bytes = levels.iter().flatten();
-        let bytes = bytes
-            .map(|f| user_key(&f.smallest) + user_key(&f.largest))
-            .sum();
-        let mut bounds = LevelBounds {
-            keys: Vec::with_capacity(bytes),
-            ends: Vec::with_capacity(files),
-            first: Vec::with_capacity(levels.len() + 1),
-        };
-        let end = |keys: &Vec<u8>| u32::try_from(keys.len()).expect("level bounds under 4 GiB");
-        for level in levels {
-            bounds.first.push(bounds.ends.len());
-            for f in level {
-                bounds
-                    .keys
-                    .extend_from_slice(&f.smallest[..user_key(&f.smallest)]);
-                let smallest_end = end(&bounds.keys);
-                bounds
-                    .keys
-                    .extend_from_slice(&f.largest[..user_key(&f.largest)]);
-                bounds.ends.push((smallest_end, end(&bounds.keys)));
-            }
-        }
-        bounds.first.push(bounds.ends.len());
-        bounds
-    }
-
-    /// File `j`'s (in `ends`) smallest and largest user keys.
-    fn bounds(&self, j: usize) -> (&[u8], &[u8]) {
-        let start = j.checked_sub(1).map_or(0, |p| self.ends[p].1) as usize;
-        let (smallest_end, largest_end) = self.ends[j];
-        (
-            &self.keys[start..smallest_end as usize],
-            &self.keys[smallest_end as usize..largest_end as usize],
-        )
-    }
-
-    /// Whether file `j`'s user-key range may contain `key`.
-    fn covers(&self, j: usize, key: &[u8]) -> bool {
-        let (smallest, largest) = self.bounds(j);
-        compare_keys(smallest, key).is_le() && compare_keys(key, largest).is_le()
-    }
-
-    /// The position in `level` (≥ 1, disjoint) of the one file that may
-    /// contain `key`, found by binary search over the largest keys.
-    fn find(&self, level: usize, key: &[u8]) -> Option<usize> {
-        let first = self.first[level];
-        let files = self.first[level + 1] - first;
-        let (mut lo, mut hi) = (0, files);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if compare_keys(self.bounds(first + mid).1, key).is_lt() {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo < files && self.covers(first + lo, key)).then_some(lo)
-    }
-}
-
 /// An immutable snapshot of the LSM file layout.
 #[derive(Debug)]
 pub struct Version {
     /// `levels[0]` newest-first; `levels[1..]` sorted by smallest key.
     pub levels: Vec<Vec<Arc<FileMetaData>>>,
-    /// The files' user-key bounds, flat.
-    bounds: LevelBounds,
 }
 
 impl Version {
-    /// The version of `levels`, which keep their order invariants.
-    fn new(levels: Vec<Vec<Arc<FileMetaData>>>) -> Version {
-        Version {
-            bounds: LevelBounds::new(&levels),
-            levels,
-        }
-    }
-
     /// An empty version with `n` levels.
     pub fn empty(n: usize) -> Version {
-        Version::new((0..n).map(|_| Vec::new()).collect())
+        Version {
+            levels: (0..n).map(|_| Vec::new()).collect(),
+        }
     }
 
     /// Level-0 file count (the paper's central stall signal).
@@ -196,16 +105,17 @@ impl Version {
     /// binary search over the disjoint ranges.
     pub fn file_for_key(&self, level: usize, key: &[u8]) -> Option<&Arc<FileMetaData>> {
         debug_assert!(level >= 1);
-        let idx = self.bounds.find(level, key)?;
-        Some(&self.levels[level][idx])
+        let files = &self.levels[level];
+        let idx = files.partition_point(|f| user_key(&f.largest) < key);
+        files.get(idx).filter(|f| f.may_contain_user_key(key))
     }
 
     /// The Level-0 files whose user-key range may contain `key`, newest
     /// first.
     pub fn l0_covering<'a>(&'a self, key: &'a [u8]) -> impl Iterator<Item = &'a Arc<FileMetaData>> {
-        let bounds = &self.bounds;
-        let files = self.levels[0].iter().enumerate();
-        files.filter_map(move |(j, f)| bounds.covers(j, key).then_some(f))
+        self.levels[0]
+            .iter()
+            .filter(move |f| f.may_contain_user_key(key))
     }
 
     /// Groups point-lookup keys by the SST files that may hold them — the
@@ -219,10 +129,10 @@ impl Version {
         keys: &[(usize, &[u8])],
     ) -> Vec<(usize, Arc<FileMetaData>, Vec<usize>)> {
         let mut groups = Vec::new();
-        for (j, f) in self.levels[0].iter().enumerate() {
+        for f in &self.levels[0] {
             let slots: Vec<usize> = keys
                 .iter()
-                .filter(|(_, k)| self.bounds.covers(j, k))
+                .filter(|(_, k)| f.may_contain_user_key(k))
                 .map(|(slot, _)| *slot)
                 .collect();
             if !slots.is_empty() {
@@ -237,7 +147,9 @@ impl Version {
             let mut per_file: std::collections::BTreeMap<usize, Vec<usize>> =
                 std::collections::BTreeMap::new();
             for (slot, key) in keys {
-                if let Some(idx) = self.bounds.find(level, key) {
+                let files = &self.levels[level];
+                let idx = files.partition_point(|f| user_key(&f.largest) < *key);
+                if files.get(idx).is_some_and(|f| f.may_contain_user_key(key)) {
                     per_file.entry(idx).or_default().push(*slot);
                 }
             }
@@ -460,7 +372,7 @@ pub fn apply_edit(base: &Version, edit: &VersionEdit) -> Version {
             "level files must be disjoint"
         );
     }
-    Version::new(levels)
+    Version { levels }
 }
 
 pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
@@ -892,19 +804,17 @@ mod tests {
         });
     }
 
-    /// What `file_for_key` answered before the flat bounds: a binary search
-    /// over each file's metadata.
-    fn file_for_key_by_meta(v: &Version, level: usize, key: &[u8]) -> Option<u64> {
-        let files = &v.levels[level];
-        let idx = files.partition_point(|f| user_key(&f.largest) < key);
+    /// The one file at a disjoint `level` that may hold `key`, by a scan of
+    /// every file.
+    fn file_for_key_by_scan(v: &Version, level: usize, key: &[u8]) -> Option<u64> {
+        let mut files = v.levels[level].iter();
         files
-            .get(idx)
-            .filter(|f| f.may_contain_user_key(key))
+            .find(|f| f.may_contain_user_key(key))
             .map(|f| f.number)
     }
 
-    /// What `probe_groups` answered before the flat bounds.
-    fn probe_groups_by_meta(v: &Version, keys: &[(usize, &[u8])]) -> Vec<(usize, u64, Vec<usize>)> {
+    /// `probe_groups`, with every deeper level scanned file by file.
+    fn probe_groups_by_scan(v: &Version, keys: &[(usize, &[u8])]) -> Vec<(usize, u64, Vec<usize>)> {
         let mut groups = Vec::new();
         for f in &v.levels[0] {
             let slots: Vec<usize> = keys
@@ -917,16 +827,15 @@ mod tests {
             }
         }
         for level in 1..v.levels.len() {
-            let mut per_file = std::collections::BTreeMap::<u64, Vec<usize>>::new();
-            for (slot, key) in keys {
-                let files = &v.levels[level];
-                let idx = files.partition_point(|f| user_key(&f.largest) < *key);
-                if files.get(idx).is_some_and(|f| f.may_contain_user_key(key)) {
-                    per_file.entry(idx as u64).or_default().push(*slot);
+            for f in &v.levels[level] {
+                let slots: Vec<usize> = keys
+                    .iter()
+                    .filter(|(_, k)| f.may_contain_user_key(k))
+                    .map(|(slot, _)| *slot)
+                    .collect();
+                if !slots.is_empty() {
+                    groups.push((level, f.number, slots));
                 }
-            }
-            for (idx, slots) in per_file {
-                groups.push((level, v.levels[level][idx as usize].number, slots));
             }
         }
         groups
@@ -935,13 +844,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
-        /// The flat bounds answer like the per-file metadata they copy:
-        /// `file_for_key` on every deeper level, the Level-0 covering check
-        /// and `probe_groups`, over random disjoint levels (bounds drawn from
-        /// one sorted key set, so a file may be a single key) and overlapping
-        /// Level-0 files, at every bound, in every gap, and past both ends.
+        /// The binary searches answer like a scan of every file:
+        /// `file_for_key` on every deeper level and `probe_groups`, over
+        /// random disjoint levels (bounds drawn from one sorted key set, so a
+        /// file may be a single key) and overlapping Level-0 files, at every
+        /// bound, in every gap, and past both ends.
         #[test]
-        fn flat_bounds_answer_like_the_file_metadata(
+        fn level_lookups_answer_like_a_scan_of_every_file(
             cuts in proptest::prelude::prop::collection::btree_set(proptest::prelude::prop::collection::vec(1u8..6, 1..4), 2..40),
             spans in proptest::prelude::prop::collection::vec((0usize..3, 1usize..3), 1..12),
             l0 in proptest::prelude::prop::collection::vec((0usize..40, 0usize..40), 0..5),
@@ -993,12 +902,9 @@ mod tests {
                 for level in 1..NUM_LEVELS {
                     proptest::prop_assert_eq!(
                         v.file_for_key(level, key).map(|f| f.number),
-                        file_for_key_by_meta(&v, level, key)
+                        file_for_key_by_scan(&v, level, key)
                     );
                 }
-                let covering: Vec<u64> = v.l0_covering(key).map(|f| f.number).collect();
-                let by_meta = v.levels[0].iter().filter(|f| f.may_contain_user_key(key));
-                proptest::prop_assert_eq!(covering, by_meta.map(|f| f.number).collect::<Vec<_>>());
             }
             let keys: Vec<(usize, &[u8])> = probes.iter().map(|k| &k[..]).enumerate().collect();
             let groups: Vec<(usize, u64, Vec<usize>)> = v
@@ -1006,7 +912,7 @@ mod tests {
                 .into_iter()
                 .map(|(level, f, slots)| (level, f.number, slots))
                 .collect();
-            proptest::prop_assert_eq!(groups, probe_groups_by_meta(&v, &keys));
+            proptest::prop_assert_eq!(groups, probe_groups_by_scan(&v, &keys));
         }
     }
 

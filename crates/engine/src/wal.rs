@@ -30,9 +30,8 @@ pub struct WalWriter {
     /// Running CRC over every byte appended (headers included) — the
     /// whole-file checksum recorded in the MANIFEST when this log is
     /// rotated out, so recovery can tell a clean closed log from one
-    /// damaged at rest. Each record's own CRC is folded in
-    /// ([`crc32c::combine`]); its payload is not hashed twice.
-    file_crc: parking_lot::Mutex<u32>,
+    /// damaged at rest.
+    file_crc: parking_lot::Mutex<crc32c::Hasher>,
     /// The buffer records are framed in, kept between appends and taken
     /// out of its lock while an append runs.
     frame: parking_lot::Mutex<Vec<u8>>,
@@ -56,7 +55,7 @@ impl WalWriter {
             number,
             bytes_since_flush: AtomicU64::new(0),
             bytes_per_sync: bytes_per_sync as u64,
-            file_crc: parking_lot::Mutex::new(0),
+            file_crc: parking_lot::Mutex::new(crc32c::Hasher::new()),
             frame: parking_lot::Mutex::new(Vec::new()),
         })
     }
@@ -78,16 +77,13 @@ impl WalWriter {
     pub fn append(&self, payload: &[u8], sync: bool) -> DbResult<u64> {
         xlsm_sim::charge(Class::WalEncode, costs::wal_encode_ns(payload.len()));
         let mut rec = std::mem::take(&mut *self.frame.lock());
-        let payload_crc = frame_into(&mut rec, payload);
+        frame_into(&mut rec, payload);
         let written = rec.len() as u64;
         let appended = self.file.append(&rec);
         // Only what reached the file: a refused append (device full) leaves
         // both the file and its checksum as they were.
         if appended.is_ok() {
-            let header = crc32c::crc32c(&rec[..8]);
-            let mut crc = self.file_crc.lock();
-            *crc = crc32c::combine(*crc, header, 8);
-            *crc = crc32c::combine(*crc, payload_crc, payload.len() as u64);
+            self.file_crc.lock().update(&rec);
         }
         *self.frame.lock() = rec;
         appended?;
@@ -123,7 +119,7 @@ impl WalWriter {
     /// write queue's head, where no group is appending; `Db::resume` is the
     /// exception, see there).
     pub fn file_crc(&self) -> u32 {
-        *self.file_crc.lock()
+        self.file_crc.lock().finish()
     }
 }
 
@@ -135,16 +131,14 @@ pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
     rec
 }
 
-/// [`frame_record`] into `rec`, which it empties first; returns the
-/// payload's (unmasked) CRC.
-fn frame_into(rec: &mut Vec<u8>, payload: &[u8]) -> u32 {
+/// [`frame_record`] into `rec`, which it empties first.
+fn frame_into(rec: &mut Vec<u8>, payload: &[u8]) {
     let crc = crc32c::crc32c(payload);
     rec.clear();
     rec.reserve(8 + payload.len());
     rec.extend_from_slice(&crc32c::masked(crc).to_le_bytes());
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     rec.extend_from_slice(payload);
-    crc
 }
 
 /// Outcome of scanning one WAL (or manifest) file under a

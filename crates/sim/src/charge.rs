@@ -167,6 +167,12 @@ pub fn charge(class: Class, ns: Nanos) {
 /// part's class.
 pub fn charge_split(parts: &[(Class, Nanos)]) {
     sleep_charged(parts.iter().map(|&(_, ns)| ns).sum(), parts);
+    with_ctx(|ctx| {
+        let mut charges = ctx.charges.borrow_mut();
+        for &(class, ns) in parts {
+            charges.record(class, ns);
+        }
+    });
 }
 
 /// Charges `ns` the caller has already spent blocked to `class`.

@@ -70,12 +70,9 @@
 //! [`Runtime::run`] with a report of every live thread, whichever thread found
 //! it: one other than root hands root the token and the report.
 //!
-//! The clock itself is an atomic written only by the token holder, so
+//! The clock itself is an atomic written only under the state lock, so
 //! [`now_nanos`] — called from some eighty places in the device, file-system
-//! and engine layers — is one load, not a lock. A sleep that wakes strictly
-//! before the earliest armed timer, with no thread queued, keeps the token:
-//! it reads one more atomic, that bound, and moves the clock and the
-//! counters without taking the state lock at all.
+//! and engine layers — is one load, not a lock.
 //!
 //! ## Sim-safety
 //!

@@ -188,7 +188,9 @@ struct State {
     run_queue: VecDeque<Tid>,
     timers: BinaryHeap<Timer>,
     threads: Vec<ThreadInfo>,
+    seq: u64,
     switches: u64,
+    timer_events: u64,
     /// A deadlock found by a thread other than root, which handed root the
     /// token for root to raise it from [`Runtime::run`]
     /// ([`Scheduler::deadlocked`]).
@@ -200,12 +202,11 @@ struct State {
 #[derive(Default)]
 struct Scheduler {
     state: Mutex<State>,
-    /// The virtual clock. Written only by the thread that holds the run
-    /// token (under the `state` lock, or by a sleep that keeps the token);
-    /// read without the lock by `now_nanos`. Relaxed is enough: a reader
-    /// holds the run token, and the hand-off that gave it the token (state
-    /// lock, then the body's switch, which orders memory like a lock
-    /// hand-over) orders every earlier write before it.
+    /// The virtual clock. Written only under the `state` lock, by the thread
+    /// that holds the run token; read without it by `now_nanos`. Relaxed is
+    /// enough: a reader holds the run token, and the hand-off that gave it
+    /// the token (state lock, then the body's switch, which orders memory
+    /// like a lock hand-over) orders every earlier write before it.
     now: AtomicU64,
     /// The thread that holds the run token, [`ROOT`] at first: set by every
     /// hand-off to the thread the pick chose, and read, like `now`, by the
@@ -214,19 +215,6 @@ struct Scheduler {
     /// Whether `State::deadlock` holds a report. Root reads it at every
     /// resume, so it is kept outside the lock; the hand-off orders it.
     deadlocked: AtomicBool,
-    /// The first instant a sleep may not reach without the lock: the
-    /// earliest armed timer's deadline, `Nanos::MAX` with none, and 0 while
-    /// a thread is queued or before the first pick. Like `now`, written by
-    /// the token holder (under the lock, at every change to the run queue
-    /// or the timers) and read by it ([`sleep_charged`]).
-    bound: AtomicU64,
-    /// Sleeps so far, each a timer's sequence number; the token holder's.
-    seq: AtomicU64,
-    /// Timer firings (clock advances) so far; the token holder's.
-    timer_events: AtomicU64,
-    /// Sleeps that kept the token without taking the lock.
-    #[cfg(test)]
-    lock_free: AtomicU64,
     /// The host-time books ([`Runtime::attribute_host_time`]), written by
     /// the token holder at its charges, waits, picks and resumes.
     host: Option<Mutex<Ledger>>,
@@ -251,25 +239,6 @@ impl Scheduler {
         self.running.load(Ordering::Relaxed)
     }
 
-    /// Adds one to a counter only the token holder writes: a load and a
-    /// store, no read-modify-write.
-    fn bump(counter: &AtomicU64) -> u64 {
-        let next = counter.load(Ordering::Relaxed) + 1;
-        counter.store(next, Ordering::Relaxed);
-        next
-    }
-
-    /// Sets `bound` from the run queue and the timers, after a change to
-    /// either.
-    fn rebound(&self, st: &State) {
-        let bound = if st.run_queue.is_empty() {
-            st.timers.peek().map_or(Nanos::MAX, |Reverse((at, ..))| *at)
-        } else {
-            0
-        };
-        self.bound.store(bound, Ordering::Relaxed);
-    }
-
     /// Runs `f` on the host-time books, if this runtime keeps them: with
     /// attribution off, a hook is this one branch.
     #[inline(always)]
@@ -281,7 +250,7 @@ impl Scheduler {
 
     /// Runs `decide`, which picks who runs next, as thread `me`'s stop to
     /// charge `parts` (none: a wait): the books close `me`'s run before it
-    /// and the scheduler's work after it, in one hold of their lock.
+    /// and the scheduler's work after it.
     #[inline(always)]
     fn attributed(
         &self,
@@ -292,10 +261,9 @@ impl Scheduler {
         let Some(h) = &self.host else {
             return decide();
         };
-        let mut books = h.lock();
-        books.ran(me, parts);
+        h.lock().ran(me, parts);
         let swap = decide();
-        books.picked();
+        h.lock().picked();
         swap
     }
 
@@ -308,7 +276,7 @@ impl Scheduler {
         } else if let Some(Reverse((wake_at, _, tid))) = st.timers.pop() {
             debug_assert!(wake_at >= self.now(), "timer in the past");
             self.now.store(self.now().max(wake_at), Ordering::Relaxed);
-            Self::bump(&self.timer_events);
+            st.timer_events += 1;
             tid
         } else {
             let mut report = String::new();
@@ -322,7 +290,6 @@ impl Scheduler {
                 self.now()
             ));
         };
-        self.rebound(st);
         st.threads[next].status = Status::Running;
         if Some(next) == me {
             return Next::Caller;
@@ -541,7 +508,7 @@ pub fn stats() -> RuntimeStats {
         let st = ctx.sched.state.lock();
         RuntimeStats {
             switches: st.switches,
-            timer_events: ctx.sched.timer_events.load(Ordering::Relaxed),
+            timer_events: st.timer_events,
             now: ctx.sched.now(),
         }
     })
@@ -580,38 +547,32 @@ pub fn sleep_nanos(d: Nanos) {
 }
 
 /// [`sleep_nanos`] as a charge of `parts` (none: a bare sleep), for the
-/// host-time books. The parts go to the caller's charges first: they wait
-/// on its stack through a hand-off like the rest of them.
+/// host-time books.
 pub(crate) fn sleep_charged(d: Nanos, parts: &[(Class, Nanos)]) {
     assert_not_in_critical_section("sleep_nanos");
     switch(with_ctx(|ctx| {
-        if !parts.is_empty() {
-            let mut charges = ctx.charges.borrow_mut();
-            for &(class, ns) in parts {
-                charges.record(class, ns);
-            }
-        }
         let sched = &ctx.sched;
-        let me = sched.running();
-        let wake_at = sched.now().saturating_add(d);
-        // Nobody is queued and every armed timer is due later (an equal
-        // deadline has the smaller sequence number and goes first): the
-        // pick would pop this very timer and hand the token back to the
-        // caller. Do what that pick does, without the lock: only the token
-        // holder writes the bound, the sequence and the counters.
-        if wake_at < sched.bound.load(Ordering::Relaxed) {
-            return sched.attributed(me, parts, || {
-                Scheduler::bump(&sched.seq);
-                sched.now.store(wake_at, Ordering::Relaxed);
-                Scheduler::bump(&sched.timer_events);
-                #[cfg(test)]
-                Scheduler::bump(&sched.lock_free);
-                None
-            });
-        }
         let mut st = sched.state.lock();
+        let me = sched.running();
         sched.attributed(me, parts, || {
-            let seq = Scheduler::bump(&sched.seq);
+            st.seq += 1;
+            let wake_at = sched.now().saturating_add(d);
+            // Nobody is runnable and every pending timer is due later (an
+            // equal deadline has the smaller sequence number and goes
+            // first): the pick would pop this very timer and hand the token
+            // back to the caller. Do what that pick does without the round
+            // trip through the heap.
+            if st.run_queue.is_empty()
+                && st
+                    .timers
+                    .peek()
+                    .is_none_or(|Reverse((next, ..))| *next > wake_at)
+            {
+                sched.now.store(wake_at, Ordering::Relaxed);
+                st.timer_events += 1;
+                return None;
+            }
+            let seq = st.seq;
             st.timers.push(Reverse((wake_at, seq, me)));
             st.threads[me].status = Status::Sleeping;
             sched.give_up(&mut st, me)
@@ -661,7 +622,6 @@ pub(crate) fn unblock(tid: Tid) {
         );
         st.threads[tid].status = Status::Runnable;
         st.run_queue.push_back(tid);
-        ctx.sched.rebound(&st);
     });
 }
 
@@ -741,7 +701,6 @@ fn spawn_inner<T: Send + 'static>(
             body,
         ));
         st.run_queue.push_back(tid);
-        ctx.sched.rebound(&st);
         tid
     });
     JoinHandle { tid, slot }
@@ -944,60 +903,6 @@ mod tests {
                 let _spawned = spawn("waits-on-b", || WaitSet::new("b").wait());
                 WaitSet::new("a").wait();
             })
-        });
-    }
-
-    /// Root charges while a thread is queued, before, at and past the
-    /// other thread's armed timer: `(what ran, when, whether that charge
-    /// kept the token without the lock)` for each step, and the counters.
-    fn lock_free_run(rt: Runtime) -> (Vec<(&'static str, Nanos, bool)>, RuntimeStats) {
-        let lock_free = || with_ctx(|ctx| ctx.sched.lock_free.load(Ordering::Relaxed));
-        rt.run(|| {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let child_log = Arc::clone(&log);
-            let child = spawn("sleeper", move || {
-                sleep_nanos(100);
-                child_log.lock().push(("sleeper", now_nanos(), false));
-                sleep_nanos(100);
-                child_log.lock().push(("sleeper", now_nanos(), false));
-            });
-            // The sleeper is queued: 10 wakes before it could run.
-            // Then its timer at 100 is armed: 60 is before it, 100 ties it
-            // (the timer armed first goes first) and 250 is past the next
-            // one, at 200.
-            for (step, ns) in [("queued", 10), ("before", 50), ("tie", 40), ("past", 150)] {
-                let before = lock_free();
-                crate::charge(Class::Setup, ns);
-                let kept = lock_free() > before;
-                log.lock().push((step, now_nanos(), kept));
-            }
-            child.join();
-            let got = log.lock().clone();
-            (got, stats())
-        })
-    }
-
-    #[test]
-    fn a_charge_before_every_timer_keeps_the_token_without_the_lock() {
-        on_each_body(|rt| {
-            let (log, counters) = lock_free_run(rt);
-            assert_eq!(
-                log,
-                [
-                    ("queued", 10, false),
-                    ("before", 60, true),
-                    ("sleeper", 100, false),
-                    ("tie", 100, false),
-                    ("sleeper", 200, false),
-                    ("past", 250, false),
-                ]
-            );
-            let books = lock_free_run(Runtime::new().attribute_host_time());
-            assert_eq!((log, counters), books, "the books move nothing");
-            assert_eq!(
-                (counters.now, counters.timer_events, counters.switches),
-                (250, 6, 6)
-            );
         });
     }
 

@@ -4,12 +4,14 @@
 # (`benchmark/run.sh --workload W --seed S --seconds 10`, pinned by run.sh)
 # <pairs> times on each side, alternating which side goes first. Prints,
 # per host metric, each side's q1 / median / q3 (linear interpolation), the
-# ratio of the medians (change / parent), the pairs the change won, and the
-# change's worst run against the parent's best. Fails if a virtual-clock or
-# exact metric, or the attempted / failed counts, differ between any two
-# runs: a host-speed change must not move them. After the pairs, three
-# traced runs per side (`--trace 1`, same seed, alternating sides like the
-# pairs) print the host-clock per-layer rows side by side, each as its median
+# ratio of the medians (change / parent), the gap of the medians over the
+# parent's interquartile range (change minus parent, signed so that worse is
+# positive: a gap under 1 is inside the parent's own spread), the pairs the
+# change won, and the change's worst run against the parent's best. Fails
+# if a virtual-clock or exact metric, or the attempted / failed counts,
+# differ between any two runs: a host-speed change must not move them.
+# After the pairs, three traced runs per side (`--trace 1`, same seed,
+# alternating sides like the pairs) print the host-clock per-layer rows side by side, each as its median
 # with its min–max — every `sim.*` row (hand-off, sleep and spawn costs, the
 # system-time share, switches and timer events per op),
 # `simfs.host_ns_per_read_{hit,miss}` and every `engine.call.*.host_ns` — so
@@ -125,16 +127,18 @@ for side, rs in runs.items():
                 status = 1
 
 print(f"{workload}, seed {seed}, {pairs} pairs, parent {sha[:7]}; failed {first['failed']} of {first['attempted']}")
-print(f"{'metric':<15} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} {'ratio':>7} {'won':>6}  change worst / parent best")
+print(f"{'metric':<15} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} {'ratio':>7} {'gap/IQR':>8} {'won':>6}  change worst / parent best")
 for name, better in HOST.items():
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
     (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
     won = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
     worst, best = (max(c), min(p)) if better == "lower" else (min(c), max(p))
+    gap = (cm - pm) if better == "lower" else (pm - cm)
+    gap = f"{gap / (pq3 - pq1):>+8.2f}" if pq3 > pq1 else f"{'-':>8}"
     fmt = (lambda v: f"{v:.3f}") if name == "setup_s" else (lambda v: f"{v:.1f}")
     print(f"{name:<15} {fmt(pq1) + ' / ' + fmt(pm) + ' / ' + fmt(pq3):>30} "
-          f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {won:>3}/{pairs}  "
+          f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {gap} {won:>3}/{pairs}  "
           f"{fmt(worst)} / {fmt(best)} ({worst / best:.3f}x)")
 traced = {side: [json.load(open(f"{out}/{side}.trace{i}.json"))["metrics"] for i in range(traces)]
           for side in runs}

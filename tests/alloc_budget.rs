@@ -12,7 +12,7 @@
 //! 12.63 allocations + 4.15 reallocations per put and 81.26 + 27.11 per
 //! get; before the read path stopped decoding blocks into buffers of their
 //! own, 3.26 + 0.28 per put and 61.05 + 1.08 per get. The budgets sit just
-//! above what it counts now: 1.73 + 0.28 per put and 14.68 + 1.00 per get.
+//! above what it counts now: 1.72 + 0.28 per put and 14.71 + 0.99 per get.
 //! A get's own are its value and one block handle per block it reads, plus
 //! one copy per frame that spans two chunks of the file's memory; the rest
 //! are the flushes and compactions that run alongside.

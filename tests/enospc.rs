@@ -14,8 +14,6 @@
 //!   or with the reaper off, the next purge's.
 //! * A write refused for lack of space leaves no bytes behind for a later
 //!   recovery to replay, and the database read-only until `Db::resume`.
-//! * A failed WAL purge is counted and retried instead of being silently
-//!   swallowed, and never makes the database read-only.
 //! * With the space subsystem off, a device four times the dataset (the
 //!   paper's PCIe ratio) holds a fill and a write-heavy window: finished
 //!   files give back their unused extent tails.
@@ -381,58 +379,6 @@ fn refused_wal_append_leaves_no_phantom_after_reopen() {
         let db = Db::open(Arc::clone(&fs), DbOptions::default()).unwrap();
         assert_eq!(db.get(b"a").unwrap(), None, "never acked, so never there");
         assert_eq!(db.get(b"b").unwrap(), Some(b"2".to_vec()));
-        db.close();
-    });
-}
-
-/// A failed WAL purge is no longer silently swallowed: it bumps
-/// `WalPurgeFailures`, records a background error, leaves the database
-/// writable, and the next purge pass retries the delete and clears the
-/// error.
-#[test]
-fn wal_purge_failures_are_counted_and_retried() {
-    Runtime::new().run(|| {
-        let fs = fs_on(profiles::optane_900p());
-        let wal_fs = fs_on(profiles::nvm_dram());
-        let opts = DbOptions {
-            write_buffer_size: 64 << 10,
-            wal_fs: Some(Arc::clone(&wal_fs)),
-            ..DbOptions::default()
-        };
-        let db = Db::open(Arc::clone(&fs), opts).unwrap();
-        wal_fs.set_fault_plan(FaultPlan {
-            path_filter: Some(".log".to_owned()),
-            fail_nth_delete: Some(1),
-            retryable: false,
-            ..FaultPlan::default()
-        });
-
-        db.put(b"k1", b"v1").unwrap();
-        db.flush().unwrap(); // rotates the WAL, then fails to purge the old one
-        let m = db.metrics();
-        assert_eq!(m.tickers.get(Ticker::WalPurgeFailures), 1);
-        assert!(
-            matches!(&m.background_error, Some(b) if b.op == BackgroundOp::WalPurge),
-            "the purge failure is recorded, got {:?}",
-            m.background_error
-        );
-        assert!(!m.read_only, "a failed WAL purge never blocks writes");
-        db.put(b"k2", b"v2").unwrap();
-
-        db.flush().unwrap(); // the purge pass retries and succeeds
-        let m = db.metrics();
-        assert_eq!(m.tickers.get(Ticker::WalPurgeFailures), 1, "no new failure");
-        assert!(
-            m.background_error.is_none(),
-            "a clean pass clears the error"
-        );
-        let prefix = format!("{}/", db.options().db_path);
-        let logs: Vec<String> = wal_fs
-            .list(&prefix)
-            .into_iter()
-            .filter(|p| p.ends_with(".log"))
-            .collect();
-        assert_eq!(logs.len(), 1, "only the active WAL remains: {logs:?}");
         db.close();
     });
 }

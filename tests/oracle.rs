@@ -120,6 +120,9 @@ enum Fault {
     /// A flush's extent allocation fails, or (`true`) finds the device full.
     Enospc(bool),
     /// The next delete of a log or (`false`) a table fails, retryably or not.
+    /// A failed log purge is counted, leaves the database writable, and the
+    /// next purge deletes the log and clears the error (the mutation "the
+    /// purge pass never clears the `WalPurge` error" fails here).
     DeleteFails(bool, bool),
 }
 
