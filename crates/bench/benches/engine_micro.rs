@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use xlsm_engine::bloom::{BloomBuilder, BloomFilter};
-use xlsm_engine::crc32c::crc32c;
+use xlsm_engine::crc32c::{crc32c, Body};
 use xlsm_engine::memtable::MemTable;
 use xlsm_engine::types::ValueType;
 use xlsm_engine::{Histogram, WriteBatch};
@@ -84,7 +84,9 @@ fn bench_bloom(c: &mut Criterion) {
 
 fn bench_crc(c: &mut Criterion) {
     // The sizes the engine hashes: a record header, a value, a block, and
-    // one `integrity::FILE_CRC_CHUNK` of a whole-file pass.
+    // one `integrity::FILE_CRC_CHUNK` of a whole-file pass; through the
+    // dispatch and through every body this host runs (the folding body
+    // hands the header to the three lanes).
     let data = vec![0xA5u8; 64 << 10];
     let mut g = c.benchmark_group("crc32c");
     for (name, len) in [
@@ -96,6 +98,10 @@ fn bench_crc(c: &mut Criterion) {
         let data = &data[..len];
         g.throughput(Throughput::Bytes(len as u64));
         g.bench_function(name, |b| b.iter(|| crc32c(black_box(data))));
+        for body in Body::available() {
+            let row = format!("{name}/{}", format!("{body:?}").to_lowercase());
+            g.bench_function(&row, |b| b.iter(|| body.crc32c(black_box(data))));
+        }
     }
     g.finish();
 }

@@ -2,10 +2,15 @@
 //! MANIFEST records, SST block frames, whole-file CRCs and per-entry
 //! protection.
 //!
-//! [`Hasher::update`] is the one place that computes it, with two bodies:
-//! the CPU's CRC32 instruction on x86-64 with SSE 4.2 (detected at run
-//! time), the bytewise table loop everywhere else. The table loop is also
-//! the reference the tests hold the instruction to.
+//! [`Hasher::update`] is the one place that computes it, with three
+//! [`Body`]s, picked once per process:
+//! - the bytewise table loop, the reference the tests hold the others to
+//!   and the only body off x86-64;
+//! - the CPU's `crc32` instruction in three interleaved lanes, on x86-64
+//!   with SSE 4.2;
+//! - carry-less multiplication folding 256 bytes per step, on x86-64 with
+//!   AVX-512 `VPCLMULQDQ`, for inputs of 256 bytes or more; shorter ones go
+//!   to the three lanes.
 //!
 //! The instruction takes three cycles to produce a result but can start a
 //! new one every cycle, so one dependent chain of them runs at a third of
@@ -13,6 +18,16 @@
 //! rounds of three independent lanes, joined after each round by shifting
 //! the first two lanes' CRCs past the bytes that follow them
 //! (`ZERO_RUNS`).
+//!
+//! The folding body keeps four 512-bit accumulators: CRC is linear, so
+//! multiplying 16 bytes by `x^n mod P` moves them `n` bits further on
+//! without changing the remainder, and one multiply-and-XOR per 64 bytes
+//! carries each accumulator over the 256 bytes the step reads. What is left
+//! at the end is one 16-byte value, and the `crc32` instruction finishes it
+//! and the tail. On a 2.1 GHz Xeon, pinned (`engine_micro`'s `crc32c`
+//! rows), a hot 4 KiB block hashes in about 71 ns against 266 through the
+//! three lanes and 14,800 through the table loop, and a 1 KiB value in 26
+//! against 76 (EXPERIMENTS.md "Host cost, round 11").
 
 const POLY: u32 = 0x82F6_3B78; // reversed Castagnoli polynomial
 
@@ -152,6 +167,217 @@ fn update_sse42(state: u32, data: &[u8]) -> u32 {
     crc
 }
 
+/// The shortest input the folding body takes: its four accumulators'
+/// first load. Below it [`update_fold`] hands the input to the three lanes.
+/// A folding body from one accumulator would win only from about 192
+/// bytes, and the engine hashes almost nothing between that and 256
+/// (EXPERIMENTS.md "Host cost, round 11").
+const FOLD_MIN: usize = 4 * 64;
+
+/// The multiplier that carries a reflected 64-bit half `n` bits further:
+/// `x^n mod P`, bit-reflected and shifted left by one (a carry-less
+/// product of two reflected values comes out one bit short).
+const fn fold_constant(n: u32) -> u64 {
+    let mut rem = 1u32; // x^0, in the polynomial's normal bit order
+    let mut i = 0;
+    while i < n {
+        let carry = rem & 0x8000_0000 != 0;
+        rem <<= 1;
+        if carry {
+            rem ^= POLY.reverse_bits();
+        }
+        i += 1;
+    }
+    (rem.reverse_bits() as u64) << 1
+}
+
+/// The pair that carries a 16-byte value `n` bits further on: the low
+/// (earlier) half's multiplier, then the high half's. The halves sit 64
+/// bits apart and a 32-bit multiplier sits 32 bits up in its 64, hence
+/// `n + 32` and `n - 32`.
+const fn fold_by(n: u32) -> [i64; 2] {
+    [fold_constant(n + 32) as i64, fold_constant(n - 32) as i64]
+}
+
+/// One accumulator's way over a step of four: 256 bytes.
+const FOLD_2048: [i64; 2] = fold_by(2048);
+/// One accumulator into the next: 64 bytes.
+const FOLD_512: [i64; 2] = fold_by(512);
+/// The four 16-byte quarters of the last accumulator into its last one.
+const FOLD_384: [i64; 2] = fold_by(384);
+const FOLD_256: [i64; 2] = fold_by(256);
+const FOLD_128: [i64; 2] = fold_by(128);
+
+/// Advances `state` over `data` by carry-less multiplication: four 512-bit
+/// accumulators take 256 bytes per step, fold into one by 512 bits, that
+/// one takes the 64-byte blocks left, then its four quarters fold into one
+/// 16-byte value by 384, 256 and 128 bits, which takes the 16-byte pieces
+/// left. The `crc32` instruction hashes that value and the 0–15-byte tail
+/// from state 0. Inputs shorter than [`FOLD_MIN`] go to [`update_sse42`].
+/// Callable only where every feature it names is known to be present.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
+fn update_fold(state: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    let (blocks, rest) = data.as_chunks::<64>();
+    let Some((first, blocks)) = blocks.split_first_chunk::<{ FOLD_MIN / 64 }>() else {
+        return update_sse42(state, data);
+    };
+    let wide = |[lo, hi]: [i64; 2]| _mm512_broadcast_i32x4(_mm_set_epi64x(hi, lo));
+    let (k2048, k512) = (wide(FOLD_2048), wide(FOLD_512));
+    // The caller's state is XORed into the first four bytes: the CRC of
+    // `data` from `state` is the CRC from 0 of `data` so changed.
+    let mut acc = first.each_ref().map(|block| load_512(block));
+    acc[0] = _mm512_xor_si512(
+        acc[0],
+        _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, i64::from(state)),
+    );
+    let (steps, blocks) = blocks.as_chunks::<4>();
+    for step in steps {
+        for (a, block) in acc.iter_mut().zip(step) {
+            *a = _mm512_xor_si512(fold_512(*a, k2048), load_512(block));
+        }
+    }
+    let mut one = acc[0];
+    for a in &acc[1..] {
+        one = _mm512_xor_si512(fold_512(one, k512), *a);
+    }
+    for block in blocks {
+        one = _mm512_xor_si512(fold_512(one, k512), load_512(block));
+    }
+    let ([a0, a1], [b0, b1], [c0, c1]) = (FOLD_384, FOLD_256, FOLD_128);
+    let quarters = fold_512(one, _mm512_set_epi64(0, 0, c1, c0, b1, b0, a1, a0));
+    let mut x = _mm_xor_si128(
+        _mm_xor_si128(
+            _mm512_extracti32x4_epi32::<0>(quarters),
+            _mm512_extracti32x4_epi32::<1>(quarters),
+        ),
+        _mm_xor_si128(
+            _mm512_extracti32x4_epi32::<2>(quarters),
+            _mm512_extracti32x4_epi32::<3>(one),
+        ),
+    );
+    let (pieces, tail) = rest.as_chunks::<16>();
+    let k128 = _mm_set_epi64x(c1, c0);
+    let word = |w: &[u8]| i64::from_le_bytes(w.try_into().expect("split_at(8) of 16"));
+    for piece in pieces {
+        let (lo, hi) = piece.split_at(8);
+        let folded = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(x, k128),
+            _mm_clmulepi64_si128::<0x11>(x, k128),
+        );
+        x = _mm_xor_si128(folded, _mm_set_epi64x(word(hi), word(lo)));
+    }
+    let mut last = [0u8; 16];
+    last[..8].copy_from_slice(&_mm_cvtsi128_si64(x).to_le_bytes());
+    last[8..].copy_from_slice(&_mm_extract_epi64::<1>(x).to_le_bytes());
+    update_sse42(update_sse42(0, &last), tail)
+}
+
+/// `acc`'s four 16-byte quarters each carried on by the pair `k` holds in
+/// that quarter.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq")]
+fn fold_512(
+    acc: std::arch::x86_64::__m512i,
+    k: std::arch::x86_64::__m512i,
+) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::{_mm512_clmulepi64_epi128, _mm512_xor_si512};
+    _mm512_xor_si512(
+        _mm512_clmulepi64_epi128::<0x00>(acc, k),
+        _mm512_clmulepi64_epi128::<0x11>(acc, k),
+    )
+}
+
+/// The 64 bytes of `block` as one 512-bit value.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn load_512(block: &[u8; 64]) -> std::arch::x86_64::__m512i {
+    // SAFETY: `block` is 64 readable bytes, and an unaligned load asks for
+    // nothing more; the caller's `target_feature` proves AVX-512F.
+    #[allow(unsafe_code)]
+    unsafe {
+        std::arch::x86_64::_mm512_loadu_si512(block.as_ptr().cast())
+    }
+}
+
+/// One way to compute the CRC. Every body computes the same function;
+/// they differ in speed and in what the CPU must have. Each needs what the
+/// one before it needs and more, so a host runs every body up to the one it
+/// picks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Body {
+    /// The bytewise table loop: the reference, and the only body off
+    /// x86-64.
+    Table,
+    /// The `crc32` instruction in three interleaved lanes (SSE 4.2).
+    #[cfg(target_arch = "x86_64")]
+    ThreeLane,
+    /// Carry-less multiplication, 256 bytes per step (AVX-512
+    /// `VPCLMULQDQ`), on inputs of 256 bytes or more; shorter ones take
+    /// [`Body::ThreeLane`].
+    #[cfg(target_arch = "x86_64")]
+    Fold,
+}
+
+impl Body {
+    /// The fastest body this host can run: what [`Hasher::update`] uses,
+    /// found on the first call and kept for the life of the process.
+    pub fn picked() -> Body {
+        static PICKED: std::sync::LazyLock<Body> = std::sync::LazyLock::new(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx512f") && has!("vpclmulqdq") && has!("pclmulqdq") && has!("sse4.2") {
+                    return Body::Fold;
+                }
+                if has!("sse4.2") {
+                    return Body::ThreeLane;
+                }
+            }
+            Body::Table
+        });
+        *PICKED
+    }
+
+    /// Every body this host can run, slowest first.
+    pub fn available() -> Vec<Body> {
+        let mut bodies = vec![Body::Table];
+        #[cfg(target_arch = "x86_64")]
+        bodies.extend([Body::ThreeLane, Body::Fold]);
+        bodies.retain(|&body| body <= Body::picked());
+        bodies
+    }
+
+    /// The CRC32-C of `data` through this body alone. Panics if the host
+    /// cannot run it.
+    pub fn crc32c(self, data: &[u8]) -> u32 {
+        !self.update(!0, data)
+    }
+
+    /// Advances the (pre-inversion) CRC `state` over `data`.
+    fn update(self, state: u32, data: &[u8]) -> u32 {
+        assert!(
+            self <= Body::picked(),
+            "{self:?} needs a CPU feature this host lacks"
+        );
+        match self {
+            Body::Table => update_table(state, data),
+            // SAFETY: a body needs the features `Body::picked` saw and
+            // nothing more (the assert above), so the bodies' features are
+            // present.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            body => unsafe {
+                match body {
+                    Body::Fold => update_fold(state, data),
+                    _ => update_sse42(state, data),
+                }
+            },
+        }
+    }
+}
+
 /// CRC32-C of `data`.
 pub fn crc32c(data: &[u8]) -> u32 {
     let mut h = Hasher::new();
@@ -181,18 +407,9 @@ impl Hasher {
         Hasher { state: !0u32 }
     }
 
-    /// Feeds `data` into the running CRC.
+    /// Feeds `data` into the running CRC, through [`Body::picked`].
     pub fn update(&mut self, data: &[u8]) -> &mut Hasher {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            // SAFETY: `update_sse42` requires SSE 4.2 and nothing else; the
-            // `is_x86_feature_detected!("sse4.2")` check above just saw it.
-            #[allow(unsafe_code)]
-            let state = unsafe { update_sse42(self.state, data) };
-            self.state = state;
-            return self;
-        }
-        self.state = update_table(self.state, data);
+        self.state = Body::picked().update(self.state, data);
         self
     }
 
@@ -228,17 +445,67 @@ mod tests {
 
     #[test]
     fn known_vectors() {
-        // RFC 3720 test vectors, through the dispatch and through the
-        // reference.
+        // RFC 3720 test vectors, through the dispatch, the reference and
+        // every body this host runs, and the same bytes repeated past the
+        // folding body's minimum against the reference.
         let ascending: Vec<u8> = (0..32).collect();
         let descending: Vec<u8> = (0..32).rev().collect();
-        for crc in [crc32c as fn(&[u8]) -> u32, reference] {
-            assert_eq!(crc(&[0u8; 32]), 0x8A91_36AA);
-            assert_eq!(crc(&[0xffu8; 32]), 0x62A8_AB43);
-            assert_eq!(crc(&ascending), 0x46DD_794E);
-            assert_eq!(crc(&descending), 0x113F_DB5C);
-            assert_eq!(crc(b"123456789"), 0xE306_9283);
-            assert_eq!(crc(b""), 0);
+        let every_crc = |data: &[u8]| {
+            let bodies = Body::available().into_iter().map(|body| body.crc32c(data));
+            [crc32c(data), reference(data)]
+                .into_iter()
+                .chain(bodies)
+                .collect::<Vec<_>>()
+        };
+        for (data, want) in [
+            (&[0u8; 32][..], 0x8A91_36AA),
+            (&[0xffu8; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+            (b"123456789", 0xE306_9283),
+            (b"", 0),
+        ] {
+            assert!(every_crc(data).iter().all(|&crc| crc == want), "{data:?}");
+            let long = data.repeat(FOLD_MIN / 32 * 3 + 1);
+            assert!(every_crc(&long).iter().all(|&crc| crc == reference(&long)));
+        }
+    }
+
+    #[test]
+    fn fold_constants_are_the_known_ones() {
+        assert_eq!(FOLD_2048, [0xdcb1_7aa4, 0xb9e0_2b86]);
+        assert_eq!(FOLD_512, [0x740e_ef02, 0x9e4a_ddf8]);
+    }
+
+    /// Every length through two full folding steps after the first and
+    /// every 64- and 16-byte remainder after them, at every alignment of
+    /// the first byte, through every body this host runs, in one piece and
+    /// cut in two at one of several points.
+    #[test]
+    fn every_body_matches_the_table_loop() {
+        let mut rng = xlsm_sim::rng::SplitMix64::new(48);
+        let buf: Vec<u8> = (0..4 * FOLD_MIN + 8)
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        for body in Body::available() {
+            for len in 0..4 * FOLD_MIN {
+                for offset in 0..8 {
+                    let data = &buf[offset..offset + len];
+                    let want = reference(data);
+                    assert_eq!(
+                        body.crc32c(data),
+                        want,
+                        "{body:?}, {len} bytes at +{offset}"
+                    );
+                    let cut = [1, 7, 16, FOLD_MIN, len / 2][len % 5].min(len);
+                    let (a, b) = data.split_at(cut);
+                    assert_eq!(
+                        !body.update(body.update(!0, a), b),
+                        want,
+                        "{body:?}, {len} cut at {cut}"
+                    );
+                }
+            }
         }
     }
 
@@ -284,10 +551,12 @@ mod tests {
     proptest! {
         /// Every length the engine hashes in one call (up to two blocks and
         /// a bit, so every count of three-lane rounds from none to eleven
-        /// with every remainder), at every alignment of the first byte, in
-        /// one piece and cut into `update` calls — 1–7-byte pieces
-        /// included, which is how `integrity::feed_entry` feeds a hasher and
-        /// what sends a whole `update` through the kernel's tail loop.
+        /// and of folding steps to thirty-five, with every remainder), at
+        /// every alignment of the first byte, in one piece and cut into
+        /// `update` calls — 1–7-byte pieces included, which is how
+        /// `integrity::feed_entry` feeds a hasher and what sends a whole
+        /// `update` through the kernel's tail loop — through the dispatch
+        /// and through every body this host runs.
         #[test]
         fn dispatch_matches_the_table_loop(
             seed in any::<u64>(),
@@ -302,13 +571,24 @@ mod tests {
             prop_assert_eq!(crc32c(data), want);
             let mut h = Hasher::new();
             let mut rest = data;
-            for cut in cuts {
+            for &cut in &cuts {
                 let (piece, tail) = rest.split_at(cut.min(rest.len()));
                 h.update(piece);
                 rest = tail;
             }
             h.update(rest);
             prop_assert_eq!(h.finish(), want);
+            for body in Body::available() {
+                prop_assert_eq!(body.crc32c(data), want);
+                let mut state = !0;
+                let mut rest = data;
+                for &cut in &cuts {
+                    let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                    state = body.update(state, piece);
+                    rest = tail;
+                }
+                prop_assert_eq!(!body.update(state, rest), want, "{:?}", body);
+            }
         }
 
         #[test]

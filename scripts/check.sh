@@ -39,15 +39,17 @@ step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # Every crate root denies unsafe_code, so clippy has just refused any unsafe
 # a library does not explicitly allow; this count also covers the bins,
-# tests, benches and examples. The eight: the CRC32C kernel's call site
-# (crates/engine/src/crc32c.rs), and in crates/sim/src/fiber.rs, the fiber
-# body of sim threads, mapping a stack with its guard page and first frame,
-# unmapping it, and the stack switch; in the test binary
+# tests, benches and examples. The nine: in crates/engine/src/crc32c.rs,
+# the call into the CRC32C bodies and the folding body's unaligned 512-bit
+# load (its safe form, built from byte reads, kept two fifths of the set-up
+# gain: EXPERIMENTS.md "Host cost, round 11"); in crates/sim/src/fiber.rs,
+# the fiber body of sim threads, mapping a stack with its guard page and
+# first frame, unmapping it, and the stack switch; in the test binary
 # tests/alloc_budget.rs, the counting global allocator (`unsafe impl
 # GlobalAlloc` and its alloc, dealloc and realloc), which no safe code can
 # write.
 unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates shims src tests examples | wc -l)
-[[ $unsafes == 8 ]] || { echo "expected eight unsafe sites, found $unsafes" >&2; exit 1; }
+[[ $unsafes == 9 ]] || { echo "expected nine unsafe sites, found $unsafes" >&2; exit 1; }
 # The integer-keyed maps a table probe walks hash with xlsm_sim::hash's
 # FxHasher, not std's per-process SipHash (DESIGN.md §4): the files that hold
 # them name no map under the default hasher, so none can slide back.
