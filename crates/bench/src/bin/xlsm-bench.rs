@@ -121,11 +121,23 @@ fn main() {
     }
 }
 
+/// Argument `i`, `default` when absent; one that does not parse is a usage
+/// error, not the default.
+fn number<T: std::str::FromStr>(args: &[String], i: usize, name: &str, default: T) -> T {
+    let Some(arg) = args.get(i) else {
+        return default;
+    };
+    arg.parse().unwrap_or_else(|_| {
+        eprintln!("error: {name} must be a number, got {arg:?}");
+        usage()
+    })
+}
+
 fn dump_counters(args: &[String], cfg: BenchConfig) {
     let device = args.first().map(String::as_str).unwrap_or("3d-xpoint");
-    let write_pct: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(50.0);
-    let threads: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let secs: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(3);
+    let write_pct: f64 = number(args, 1, "write_pct", 50.0);
+    let threads: usize = number(args, 2, "threads", 4);
+    let secs: u64 = number(args, 3, "secs", 3);
     if !(0.0..=100.0).contains(&write_pct) {
         eprintln!("error: write_pct must be in 0..=100, got {write_pct}");
         std::process::exit(2);

@@ -7,7 +7,7 @@ use crate::common::{devices, label, run_one, us, with_testbed, BenchConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use xlsm_core::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
-use xlsm_core::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
+use xlsm_core::casestudy::nvm_wal;
 use xlsm_core::report::{f, stall_breakdown_table, stall_timeline_table, Table};
 use xlsm_engine::{DbOptions, HistogramSummary, ThrottlePolicy, Ticker};
 use xlsm_sim::Runtime;
@@ -498,21 +498,25 @@ pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
 /// disabled, at 50 % inserts on the 3D XPoint SSD. Paper: p90 16 µs →
 /// 13 µs with NVM logging (−18.8 %), still above WAL-disabled.
 pub fn fig20(cfg: &BenchConfig) -> Vec<Figure> {
+    // (label, WAL on, WAL on NVM). The NVM filesystem spawns its writeback
+    // daemon, so the options are assembled inside the sim runtime.
     let placements = [
-        WalPlacement::SameDevice,
-        WalPlacement::Nvm,
-        WalPlacement::Disabled,
+        ("wal-on-ssd", true, false),
+        ("wal-on-nvm", true, true),
+        ("wal-disabled", false, false),
     ];
-    let rows = placements.map(|placement| {
-        // The NVM filesystem spawns its writeback daemon, so the options
-        // must be assembled inside the sim runtime.
+    let rows = placements.map(|(placement, enable_wal, on_nvm)| {
         let r = run_one(
             xlsm_device::profiles::optane_900p(),
-            move || apply_wal_placement(DbOptions::default(), placement).0,
+            move || DbOptions {
+                enable_wal,
+                wal_fs: on_nvm.then(nvm_wal::log_fs),
+                ..DbOptions::default()
+            },
             cfg,
             cfg.spec().with_threads(4).with_write_fraction(0.5),
         );
-        (placement.label(), r.write_latency)
+        (placement, r.write_latency)
     });
     let t = latency_table(
         "Fig 20: write latency (us) vs logging placement, 50% inserts, 3D XPoint",

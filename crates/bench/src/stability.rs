@@ -19,8 +19,8 @@
 //!
 //! Policies swept: the three compaction schedulers (greedy baseline,
 //! round-robin, fair+shared-I/O-budget) and the paper's two-stage
-//! throttling (case study V-A) — all members of
-//! [`xlsm_core::StabilityPolicy`], so scheduler-side and foreground-side
+//! throttling (case study V-A) — the rows of [`POLICIES`], each a setting
+//! of the engine's options, so scheduler-side and foreground-side
 //! interventions land in the same table. Dynamic Level-0 (V-B) is not
 //! swept: this workload never drops to 25 % writes, so its manager would
 //! never decide anything (EXPERIMENTS.md, "Performance stability").
@@ -33,13 +33,51 @@ use crate::common::{
     JsonReport, JsonRow,
 };
 use std::sync::Arc;
-use xlsm_core::StabilityPolicy;
 use xlsm_device::DeviceProfile;
-use xlsm_engine::{episode_durations, DbOptions, Ticker};
+use xlsm_engine::{episode_durations, CompactionScheduler, DbOptions, ThrottlePolicy, Ticker};
 use xlsm_workload::{run_workload, BurstSpec, WorkloadSpec};
 
 /// Episode-duration CDF thresholds, in milliseconds.
 pub const CDF_THRESHOLDS_MS: [u64; 5] = [10, 50, 100, 500, 1000];
+
+/// Background I/O budget of the `fair` row, in bytes per second of virtual
+/// time. Chosen to sit above the steady compaction demand of the scaled
+/// testbeds on every device (so the mean throughput stays within a few
+/// percent of greedy) while clipping the bursts where flush and compaction
+/// I/O gang up on the device at once. Auto-tuning scales it up with
+/// measured compaction debt (to 4× under sustained pressure), so a
+/// temporarily undersized budget self-corrects instead of wedging the LSM.
+pub const FAIR_BG_IO_RATE: u64 = 256 << 20;
+
+/// Stage-1 rate floor of [`ThrottlePolicy::TwoStage`] in the `two-stage`
+/// row (bytes/s): half the default `delayed_write_rate`. Fig. 18's own
+/// harness floors at the full 16 MiB/s.
+pub const TWO_STAGE_MIN_RATE: u64 = 8 << 20;
+
+/// A policy the probe sweeps: its report name and how it sets the options.
+pub type Policy = (&'static str, fn(&mut DbOptions));
+
+/// The stability-policy family, in the order the tables report it.
+/// `greedy` is the baseline: greedy max-score compaction picking,
+/// unlimited background I/O and the stock Algorithm-1 write controller.
+/// `round-robin` picks across eligible levels in turn. `fair` is the full
+/// scheduler-side intervention: deficit-based fair picking plus the shared
+/// background-I/O budget with flush priority and debt-scaled auto-tuning.
+/// `two-stage` is case study V-A, the foreground side, under greedy
+/// picking.
+#[rustfmt::skip] // one row per policy
+pub const POLICIES: [Policy; 4] = [
+    ("greedy", |o| o.compaction_scheduler = CompactionScheduler::Greedy),
+    ("round-robin", |o| o.compaction_scheduler = CompactionScheduler::RoundRobin),
+    ("fair", |o| {
+        o.compaction_scheduler = CompactionScheduler::Fair;
+        o.bg_io_rate_bytes_per_sec = FAIR_BG_IO_RATE;
+    }),
+    ("two-stage", |o| {
+        o.compaction_scheduler = CompactionScheduler::Greedy;
+        o.throttle_policy = ThrottlePolicy::TwoStage { min_rate: TWO_STAGE_MIN_RATE };
+    }),
+];
 
 /// What the `*_vs_greedy` columns of a device's later points divide by.
 #[derive(Clone, Copy)]
@@ -104,13 +142,13 @@ fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
-    policy: StabilityPolicy,
+    (policy, apply): Policy,
     greedy: Option<Baseline>,
 ) -> (JsonRow, Baseline) {
     let cfg = *cfg;
     let opts = move || {
         let mut opts = stall_geometry();
-        policy.apply(&mut opts);
+        apply(&mut opts);
         opts
     };
     with_testbed(profile, opts, &cfg, move |tb| {
@@ -151,7 +189,7 @@ fn run_point(
         };
         let row = vec![
             ("device", Cell::Str(device.into())),
-            ("policy", Cell::Str(policy.name().into())),
+            ("policy", Cell::Str(policy.into())),
             ("kops", Cell::F3(own.kops)),
             // Coefficient of variation (σ/µ) across 100 ms timeline buckets.
             ("cv", Cell::F3(cv)),
@@ -197,14 +235,14 @@ fn run_point(
 }
 
 /// Runs the full (device × policy) sweep: device-major, policies in
-/// [`StabilityPolicy::ALL`] order (greedy first).
+/// [`POLICIES`] order (greedy first).
 pub fn run(cfg: &BenchConfig) -> JsonReport {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
         let mut greedy = None;
-        for policy in StabilityPolicy::ALL {
-            eprintln!("[stability] {device}: {}", policy.name());
+        for policy in POLICIES {
+            eprintln!("[stability] {device}: {}", policy.0);
             let (row, own) = run_point(profile.clone(), device, cfg, policy, greedy);
             greedy.get_or_insert(own);
             points.push(row);
@@ -217,5 +255,34 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
         bench: "stability",
         config,
         sections: vec![("points", points)],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policies_are_named_valid_option_settings() {
+        let names = POLICIES.map(|p| p.0);
+        assert_eq!(names, ["greedy", "round-robin", "fair", "two-stage"]);
+        for (name, apply) in POLICIES {
+            let mut opts = DbOptions::default();
+            apply(&mut opts);
+            opts.validate().expect(name);
+            let fair = name == "fair";
+            let budget = if fair { FAIR_BG_IO_RATE } else { 0 };
+            assert_eq!(opts.bg_io_rate_bytes_per_sec, budget, "{name}");
+            assert_eq!(
+                opts.compaction_scheduler == CompactionScheduler::Fair,
+                fair,
+                "{name}"
+            );
+            let throttle = match name {
+                "two-stage" => ThrottlePolicy::TwoStage { min_rate: 8 << 20 },
+                _ => ThrottlePolicy::Original,
+            };
+            assert_eq!(opts.throttle_policy, throttle, "{name}");
+        }
     }
 }

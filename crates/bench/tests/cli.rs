@@ -38,6 +38,21 @@ fn an_unknown_name_exits_2_listing_the_valid_ones() {
     }
 }
 
+#[test]
+fn a_probe_number_that_does_not_parse_exits_2_with_the_usage() {
+    for args in [
+        &["probe", "xpoint", "9O", "4"][..],
+        &["probe", "xpoint", "90", "four"],
+        &["probe", "xpoint", "90", "4", "1s"],
+    ] {
+        let out = xlsm_bench(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "nothing may run: {args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("usage: xlsm-bench"), "{args:?}:\n{err}");
+    }
+}
+
 /// Every file under `dir`, as a path relative to it.
 fn files_under(dir: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();

@@ -12,9 +12,10 @@
 //!   with `refill_interval = 1024 µs`.
 //!
 //! *Which* stall level applies is the closed choice [`ThrottlePolicy`]:
-//! the original single-stage policy, the paper's case study V-A
-//! (**two-stage throttling**, which removes the near-stop situation) or no
-//! Level-0 throttling at all. The original policy jumps straight from "no
+//! the original single-stage policy or the paper's case study V-A
+//! (**two-stage throttling**, which removes the near-stop situation). No
+//! Level-0 throttling at all is the original policy with both Level-0
+//! triggers out of reach. The original policy jumps straight from "no
 //! throttling" to the full adaptive Algorithm 1 at
 //! `level0_slowdown_writes_trigger`, letting the adaptive rate spiral down
 //! to a few kop/s during periodic write bursts (the "flash of crowd"
@@ -102,8 +103,6 @@ pub enum ThrottlePolicy {
         /// delayed_write_rate").
         min_rate: u64,
     },
-    /// Never throttles on Level-0 shape (ablation baseline).
-    Off,
 }
 
 impl ThrottlePolicy {
@@ -119,9 +118,6 @@ impl ThrottlePolicy {
         // put data without a mutable memtable.
         if sig.memtables >= opts.max_write_buffer_number {
             return StallLevel::Stop;
-        }
-        if self == ThrottlePolicy::Off {
-            return StallLevel::Clear;
         }
         let l0 = sig.l0_files;
         if l0 >= opts.level0_stop_writes_trigger {

@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 use xlsm_device::{profiles, SimDevice};
-use xlsm_engine::controller::ThrottlePolicy;
 use xlsm_engine::{Db, DbOptions, Ticker};
 use xlsm_sim::Runtime;
 use xlsm_simfs::{FsOptions, SimFs};
@@ -83,35 +82,6 @@ fn scanner_pins_files_against_compaction_deletes() {
         }
         assert_eq!(n, 400, "scanner should see keys k00400..k00799");
         drop(scan);
-        db.close();
-    });
-}
-
-#[test]
-fn no_throttle_policy_never_delays() {
-    Runtime::new().run(|| {
-        let fs = SimFs::new(
-            SimDevice::shared(profiles::optane_900p()),
-            FsOptions::default(),
-        );
-        let opts = DbOptions {
-            throttle_policy: ThrottlePolicy::Off,
-            level0_slowdown_writes_trigger: 2, // would throttle almost instantly
-            level0_stop_writes_trigger: 1000,
-            ..small_opts()
-        };
-        let db = Db::open(fs, opts).unwrap();
-        for i in 0..2000u32 {
-            db.put(format!("k{i:05}").as_bytes(), &vec![b'x'; 256])
-                .unwrap();
-        }
-        assert_eq!(
-            db.stats().ticker(Ticker::StallDelayedWrites),
-            0,
-            "the no-throttle ablation must never delay"
-        );
-        db.flush().unwrap();
-        db.wait_for_compactions();
         db.close();
     });
 }

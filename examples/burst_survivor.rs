@@ -13,7 +13,7 @@ use xlsm_suite::device::profiles;
 use xlsm_suite::engine::{DbOptions, ThrottlePolicy};
 use xlsm_suite::sim::Runtime;
 use xlsm_suite::study::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
-use xlsm_suite::study::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
+use xlsm_suite::study::casestudy::nvm_wal;
 use xlsm_suite::study::experiment::Testbed;
 use xlsm_suite::workload::{fill_db, run_workload, BurstSpec, KeyDistribution, WorkloadSpec};
 
@@ -38,16 +38,13 @@ fn run(name: &str, optimized: bool) {
     let spec = burst_spec();
     let r = Runtime::new().run(move || {
         let mut opts = DbOptions::default();
-        let mut nvm = None;
         if optimized {
             // V-A: two-stage throttling with the floor at the configured rate.
             opts.throttle_policy = ThrottlePolicy::TwoStage {
                 min_rate: opts.delayed_write_rate,
             };
             // V-C: WAL on byte-addressable NVM.
-            let (o, n) = apply_wal_placement(opts, WalPlacement::Nvm);
-            opts = o;
-            nvm = n;
+            opts.wal_fs = Some(nvm_wal::log_fs());
         }
         let dataset = spec.key_count * (spec.value_size as u64 + 16);
         let tb = Testbed::new(profiles::optane_900p(), opts, dataset).expect("testbed");
@@ -71,7 +68,6 @@ fn run(name: &str, optimized: bool) {
                 decisions.len()
             );
         }
-        let _ = nvm;
         tb.close();
         r
     });

@@ -80,6 +80,17 @@ fi
 # there is a bespoke loop sliding back in.
 spawns=$(grep -c 'xlsm_sim::spawn(' crates/engine/src/background.rs)
 [[ $spawns -le 1 ]] || { echo "background.rs spawns $spawns times: add a row to the daemon table instead" >&2; exit 1; }
+# A case study is logic the engine lacks, not a spelling of its options: the
+# options are set where the experiment runs, so no DbOptions in the product
+# code of crates/core/src/casestudy (above a file's first top-level #[cfg(test)]).
+spelled=$(find crates/core/src/casestudy -name '*.rs' -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /DbOptions/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [[ -n $spelled ]]; then
+    echo "$spelled"
+    echo "DbOptions in case-study product code: set the options where the experiment runs" >&2
+    exit 1
+fi
 # The write queue's state sits under one lock (DESIGN.md §4): a second Mutex in write.rs is state sliding out from under it.
 mutexes=$(awk '/^#\[cfg\(test\)\]/ { exit } /Mutex</ { n++ } END { print n + 0 }' crates/engine/src/write.rs)
 [[ $mutexes -le 1 ]] || { echo "write.rs holds $mutexes Mutex types: keep the queue's state under its one lock" >&2; exit 1; }

@@ -8,7 +8,7 @@ use xlsm_suite::engine::{Db, DbOptions, ThrottlePolicy};
 use xlsm_suite::sim::Runtime;
 use xlsm_suite::simfs::{FsOptions, SimFs};
 use xlsm_suite::study::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
-use xlsm_suite::study::casestudy::nvm_wal::{apply_wal_placement, WalPlacement};
+use xlsm_suite::study::casestudy::nvm_wal;
 use xlsm_suite::workload::{fill_db, run_workload, BurstSpec, KeyDistribution, WorkloadSpec};
 
 fn burst_workload() -> WorkloadSpec {
@@ -173,19 +173,18 @@ fn dynamic_l0_follows_workload_mix() {
 /// lower bound.
 #[test]
 fn nvm_wal_cuts_synced_write_tail() {
-    fn p90(placement: WalPlacement) -> u64 {
+    fn p90(enable_wal: bool, on_nvm: bool) -> u64 {
         Runtime::new().run(move || {
             let fs = SimFs::new(
                 xlsm_suite::device::SimDevice::shared(profiles::intel_750_pcie()) as _,
                 FsOptions::default(),
             );
-            let (opts, _nvm) = apply_wal_placement(
-                DbOptions {
-                    wal_sync: true,
-                    ..DbOptions::default()
-                },
-                placement,
-            );
+            let opts = DbOptions {
+                wal_sync: true,
+                enable_wal,
+                wal_fs: on_nvm.then(nvm_wal::log_fs),
+                ..DbOptions::default()
+            };
             let db = Arc::new(Db::open(fs, opts).unwrap());
             let spec = WorkloadSpec {
                 key_count: 2 << 10,
@@ -203,9 +202,9 @@ fn nvm_wal_cuts_synced_write_tail() {
             r.write_latency.p90_ns
         })
     }
-    let ssd = p90(WalPlacement::SameDevice);
-    let nvm = p90(WalPlacement::Nvm);
-    let off = p90(WalPlacement::Disabled);
+    let ssd = p90(true, false);
+    let nvm = p90(true, true);
+    let off = p90(false, false);
     assert!(
         nvm < ssd,
         "NVM WAL should beat same-device WAL: {nvm} vs {ssd} ns"

@@ -23,6 +23,7 @@ use xlsm_suite::engine::{CompactionScheduler as Sched, CompressionType as C, Thr
 use xlsm_suite::engine::{Db, DbError, DbOptions, DbResult, WriteBatch};
 use xlsm_suite::sim::{self, JoinHandle, Runtime};
 use xlsm_suite::simfs::{FaultPlan, FsError, FsOptions, FsStats, SimFs};
+use xlsm_suite::study::casestudy::nvm_wal;
 
 /// Keys the tape writes.
 const KEYS: u16 = 400;
@@ -314,8 +315,13 @@ const AXES: [Axis; 18] = [
     ("bg_io_rate_bytes_per_sec", &["0", "8M"], |s, v| {
         s.opts.bg_io_rate_bytes_per_sec = [0, 8 << 20][v];
     }),
-    ("throttle_policy", &["original", "two-stage", "off"], |s, v| {
-        s.opts.throttle_policy = [T::Original, T::TwoStage { min_rate: 8 << 20 }, T::Off][v];
+    ("throttle_policy", &["original", "two-stage", "original, no level-0 throttle"], |s, v| {
+        s.opts.throttle_policy = [T::Original, T::TwoStage { min_rate: 8 << 20 }, T::Original][v];
+        if v == 2 {
+            // Neither Level-0 trigger is reachable: only the memtable stop.
+            s.opts.level0_slowdown_writes_trigger = 1 << 16;
+            s.opts.level0_stop_writes_trigger = 1 << 16;
+        }
     }),
     ("protection_bytes_per_key", &["0", "1", "8"], |s, v| {
         s.opts.protection_bytes_per_key = [0, 1, 8][v];
@@ -336,10 +342,7 @@ const AXES: [Axis; 18] = [
     }),
     ("max_open_files", &["256", "16"], |s, v| s.opts.max_open_files = [256, 16][v]),
     ("wal_fs", &["data fs", "nvm fs"], |s, v| {
-        // `apply_wal_placement`'s NVM log: a page cache over the whole device.
-        let nvm = || SimDevice::shared(profiles::nvm_dram());
-        let fs = || SimFs::new(nvm(), FsOptions { page_cache_pages: 64 << 10 });
-        s.opts.wal_fs = (v == 1).then(fs);
+        s.opts.wal_fs = (v == 1).then(nvm_wal::log_fs);
     }),
 ];
 
