@@ -9,7 +9,7 @@ use xlsm_engine::bloom::{BloomBuilder, BloomFilter};
 use xlsm_engine::crc32c::{crc32c, Body};
 use xlsm_engine::memtable::MemTable;
 use xlsm_engine::types::ValueType;
-use xlsm_engine::{Histogram, WriteBatch};
+use xlsm_engine::{DbStats, Histogram, Ticker, WriteBatch};
 
 fn bench_memtable(c: &mut Criterion) {
     let mut g = c.benchmark_group("memtable");
@@ -137,16 +137,34 @@ fn bench_batch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_histogram(c: &mut Criterion) {
+/// What every engine op pays for exclusion and bookkeeping: an uncontended
+/// lock taken and dropped, one of each shim kind, and the per-op counters
+/// (a ticker bump and a histogram record), all on one OS thread.
+fn bench_sync(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sync");
+    let m = parking_lot::Mutex::new(0u64);
+    g.bench_function("mutex_lock", |b| b.iter(|| *black_box(&m).lock() += 1));
+    let l = parking_lot::RwLock::new(0u64);
+    g.bench_function("rwlock_read", |b| b.iter(|| *black_box(&l).read()));
+    g.bench_function("rwlock_write", |b| b.iter(|| *black_box(&l).write() += 1));
+    let stats = DbStats::new();
+    g.bench_function("stats_bump", |b| {
+        b.iter(|| black_box(&stats).bump(Ticker::Gets))
+    });
     let h = Histogram::new();
-    let mut g = c.benchmark_group("histogram");
-    g.bench_function("record", |b| {
+    g.bench_function("histogram_record", |b| {
         let mut v = 1u64;
         b.iter(|| {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            h.record(v % 1_000_000);
+            black_box(&h).record(v % 1_000_000);
         });
     });
+    g.finish();
+}
+
+fn bench_histogram(c: &mut Criterion) {
+    let h = Histogram::new();
+    let mut g = c.benchmark_group("histogram");
     for _ in 0..100_000 {
         h.record(rand_like(&h));
     }
@@ -188,6 +206,7 @@ criterion_group!(
     bench_bloom,
     bench_crc,
     bench_batch,
+    bench_sync,
     bench_histogram,
     bench_sim_scheduler
 );

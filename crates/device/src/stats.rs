@@ -1,6 +1,6 @@
-//! Lock-free device counters.
+//! Device counters, written only by the run-token holder.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 /// Internal atomic counter block (one per device).
 #[derive(Debug, Default)]
@@ -22,7 +22,7 @@ pub(crate) struct Stats {
 
 impl Stats {
     pub(crate) fn add(&self, counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
+        xlsm_sim::sync::add(counter, v);
     }
 }
 

@@ -1,8 +1,9 @@
-//! Concurrent log-bucketed latency histogram (HDR-lite).
+//! Log-bucketed latency histogram (HDR-lite).
 //!
 //! Values are bucketed by `(exponent, 64 sub-buckets)` giving ≤ ~1.6 %
-//! relative error — plenty for p50/p90/p99 reporting — with lock-free
-//! recording from any number of threads.
+//! relative error — plenty for p50/p90/p99 reporting. Recording is a load
+//! and a store per counter (`xlsm_sim::sync::add`): only the run-token
+//! holder records, and any thread may read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,7 +33,7 @@ fn bucket_low(idx: usize) -> u64 {
     (1u64 << e) | (sub << (e - SUB_BITS))
 }
 
-/// A thread-safe latency histogram in nanoseconds.
+/// A latency histogram in nanoseconds, recorded by the run-token holder.
 #[derive(Debug)]
 pub struct Histogram {
     counts: Box<[AtomicU64]>,
@@ -61,10 +62,10 @@ impl Histogram {
 
     /// Records one value (nanoseconds).
     pub fn record(&self, v: u64) {
-        self.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.n.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.counts[bucket_of(v)], 1);
+        xlsm_sim::sync::add(&self.n, 1);
+        xlsm_sim::sync::add(&self.sum, v);
+        xlsm_sim::sync::max(&self.max, v);
     }
 
     /// Number of recorded values.

@@ -220,7 +220,7 @@ impl DbStats {
 
     /// Increments `t` by `n`.
     pub fn add(&self, t: Ticker, n: u64) {
-        self.tickers[t as usize].fetch_add(n, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.tickers[t as usize], n);
     }
 
     /// Increments `t` by one.
@@ -235,19 +235,20 @@ impl DbStats {
 
     /// A writer entered the queue.
     pub fn writer_waiting_inc(&self) {
-        self.waiting_writers.fetch_add(1, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.waiting_writers, 1);
     }
 
     /// A writer left the queue.
     pub fn writer_waiting_dec(&self) {
-        self.waiting_writers.fetch_sub(1, Ordering::Relaxed);
+        let waiting = self.waiting_writers.load(Ordering::Relaxed);
+        self.waiting_writers.store(waiting - 1, Ordering::Relaxed);
     }
 
     /// Samples the waiting-writers gauge (called at each group commit).
     pub fn sample_waiting_writers(&self) {
         let cur = self.waiting_writers.load(Ordering::Relaxed);
-        self.waiting_sum.fetch_add(cur, Ordering::Relaxed);
-        self.waiting_samples.fetch_add(1, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.waiting_sum, cur);
+        xlsm_sim::sync::add(&self.waiting_samples, 1);
     }
 
     /// Average number of waiting writer threads over all samples (Fig. 16).

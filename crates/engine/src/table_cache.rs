@@ -77,10 +77,10 @@ impl TableCache {
     /// Filesystem or corruption errors from opening the table.
     pub fn reader(&self, meta: &Arc<FileMetaData>) -> DbResult<Arc<TableReader>> {
         if let Some(r) = self.lookup(|lru| lru.touch(&meta.number)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            xlsm_sim::sync::add(&self.hits, 1);
             return Ok(r);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.misses, 1);
         let file = self.fs.open(&sst_file_name(&self.db_path, meta.number))?;
         if self.paranoid_file_checks {
             if let Some(expected) = meta.file_crc {

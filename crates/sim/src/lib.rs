@@ -76,11 +76,14 @@
 //!
 //! ## Sim-safety
 //!
-//! Because only one sim thread runs at a time, ordinary mutexes never contend.
-//! The one hazard is holding a lock *across* a blocking sim operation: the
-//! thread that runs next and takes the same lock parks on an OS mutex with
-//! the run token in hand, the scheduler believes it is running, and the
-//! simulation hangs without a word.
+//! Because only one sim thread runs at a time, ordinary mutexes never contend,
+//! and the shim's locks do not exclude on their own at all: they are borrow
+//! flags owned by the runtime's lock domain, which every sim thread shares
+//! (`parking_lot`'s crate docs; `Ctx::enter` enters it on an OS-thread
+//! body). The one hazard is holding a lock *across* a blocking sim
+//! operation: the thread that runs next and takes the same lock finds it
+//! held. With an OS mutex it would park with the run token in hand and the
+//! simulation hang without a word; the shim panics at that take.
 //!
 //! The rule against it is enforced where the locks are. Every lock in the
 //! workspace is a `Mutex` or `RwLock` of the `parking_lot` shim, and the shim
@@ -91,12 +94,13 @@
 //! [`yield_now`], [`sync::WaitSet::wait`], [`sync::Semaphore::acquire`],
 //! [`sync::Receiver::recv`], [`spawn`], [`JoinHandle::join`] — first asserts
 //! that the count is zero, so the bug is a panic at the offending wait that
-//! names the operation. Fibers share their OS thread's count, which is
-//! therefore always the running fiber's: the fiber switch asserts that no
-//! guard crosses it. The count used to live in a lock type of this crate that
+//! names the operation, before any other thread can take the lock. Fibers
+//! share their OS thread's count, which is therefore always the running
+//! fiber's: the fiber switch asserts that no guard crosses it. The count used to live in a lock type of this crate that
 //! no other crate used: the rule guarded no lock the code took, and a
 //! violation was the silent hang above. A lock built straight on
-//! `std::sync` would escape it again; there is none under `crates/`.
+//! `std::sync` would escape it again; `scripts/check.sh` refuses one in the
+//! product code under `crates/`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

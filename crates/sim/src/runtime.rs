@@ -30,10 +30,15 @@ const ROOT: Tid = 0;
 // Thread-local context
 // ---------------------------------------------------------------------------
 
-/// What a sim thread finds on its OS thread: its runtime's scheduler and its
-/// charges. The fibers of a runtime share one; an OS-thread body has its own.
+/// What a sim thread finds on its OS thread: its runtime's scheduler, its
+/// lock domain and its charges. The fibers of a runtime share one; an
+/// OS-thread body has its own.
 pub(crate) struct Ctx {
     sched: Arc<Scheduler>,
+    /// The lock domain of root's OS thread, which every sim thread of the
+    /// runtime takes its locks in: the run token is the only lock
+    /// (`parking_lot`'s crate docs).
+    domain: parking_lot::Domain,
     /// What the running thread has been charged ([`mod@crate::charge`]). A
     /// thread starts at zero, keeps its own on its stack while another runs
     /// and puts them back when it gets the token again ([`hand_over`]).
@@ -41,9 +46,10 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    fn new(sched: Arc<Scheduler>) -> Ctx {
+    fn new(sched: Arc<Scheduler>, domain: parking_lot::Domain) -> Ctx {
         Ctx {
             sched,
+            domain,
             charges: RefCell::default(),
         }
     }
@@ -54,12 +60,18 @@ impl Ctx {
         self.sched.host(f);
     }
 
-    /// Runs `f` with this context installed on the calling OS thread.
+    /// Runs `f` with this context installed on the calling OS thread, in
+    /// the runtime's lock domain: root's OS thread is in it already, and an
+    /// OS-thread body's thread enters it here (and passes it on at each
+    /// hand-off, `threads.rs`).
     pub(crate) fn enter<T>(self, f: impl FnOnce() -> T) -> T {
-        CURRENT.with(|c| *c.borrow_mut() = Some(self));
-        let result = f();
-        CURRENT.with(|c| *c.borrow_mut() = None);
-        result
+        let domain = self.domain.clone();
+        domain.enter(|| {
+            CURRENT.with(|c| *c.borrow_mut() = Some(self));
+            let result = f();
+            CURRENT.with(|c| *c.borrow_mut() = None);
+            result
+        })
     }
 }
 
@@ -85,8 +97,7 @@ pub(crate) fn assert_not_in_critical_section(op: &str) {
     assert!(
         held == 0,
         "sim-blocking operation `{op}` called while holding {held} parking_lot (shim) lock \
-         guard(s); the next thread to take that lock would block on an OS mutex with the run \
-         token in hand and stall the simulation"
+         guard(s); the next thread to take that lock would find it held"
     );
 }
 
@@ -479,7 +490,8 @@ impl Runtime {
         let root = ThreadInfo::new("root", Status::Running, false, None, Host::root());
         sched.state.lock().threads.push(root);
         sched.host(|h| *h = Ledger::new());
-        let result = Ctx::new(Arc::clone(&sched)).enter(|| catch_unwind(AssertUnwindSafe(f)));
+        let ctx = Ctx::new(Arc::clone(&sched), parking_lot::Domain::current());
+        let result = ctx.enter(|| catch_unwind(AssertUnwindSafe(f)));
         let leaked: Vec<String> = {
             let st = sched.state.lock();
             st.threads
@@ -692,7 +704,9 @@ fn spawn_inner<T: Send + 'static>(
         let idle = st.idle.pop();
         let body = st.threads[ctx.sched.running()]
             .body()
-            .start(idle, name, || Ctx::new(Arc::clone(&ctx.sched)));
+            .start(idle, name, || {
+                Ctx::new(Arc::clone(&ctx.sched), ctx.domain.clone())
+            });
         st.threads.push(ThreadInfo::new(
             name,
             Status::Runnable,
@@ -1027,6 +1041,71 @@ mod tests {
                 });
                 // root returns without joining
             })
+        });
+    }
+
+    /// Every sim thread of a runtime takes its locks in root's domain, on
+    /// OS threads too: a lock passes between them, and between runtimes that
+    /// run one after another on one OS thread.
+    #[test]
+    fn sim_threads_share_locks_with_root() {
+        let shared = Arc::new(Mutex::new(Vec::new()));
+        *shared.lock() = vec!["before"];
+        on_each_body(|rt| {
+            let lock = Arc::clone(&shared);
+            rt.run(move || {
+                lock.lock().push("root");
+                let children: Vec<_> = (0..2)
+                    .map(|_| {
+                        let lock = Arc::clone(&lock);
+                        spawn("child", move || {
+                            lock.lock().push("child");
+                            sleep_nanos(10);
+                            lock.lock().push("child");
+                        })
+                    })
+                    .collect();
+                yield_now();
+                lock.lock().push("root");
+                children.into_iter().for_each(JoinHandle::join);
+            });
+        });
+        let runs = shared.lock().len();
+        assert_eq!(runs, 1 + 6 * crate::tests::each_body(|| ()).len());
+    }
+
+    /// Two runtimes alive at once on two OS threads are two domains: a lock
+    /// one has taken panics in the other, and is left as it was.
+    #[test]
+    fn live_runtimes_on_two_os_threads_do_not_share_a_lock() {
+        use std::sync::mpsc;
+        on_each_body(|_| {
+            let shared = Arc::new(Mutex::new(0));
+            let (taken, finish) = (mpsc::channel(), mpsc::channel::<()>());
+            let first = {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    Runtime::new().run(|| {
+                        *shared.lock() += 1;
+                        taken.0.send(()).unwrap();
+                        finish.1.recv().unwrap();
+                    })
+                })
+            };
+            taken.1.recv().unwrap();
+            let second = catch_unwind(AssertUnwindSafe(|| {
+                Runtime::new().run(|| *shared.lock() += 1);
+            }));
+            finish.0.send(()).unwrap();
+            first.join().unwrap();
+            let msg = second.expect_err("a second live domain's take panics");
+            let msg = msg.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("taken from another"), "{msg}");
+            assert_eq!(
+                *shared.lock(),
+                1,
+                "the first domain ended: the lock passes on"
+            );
         });
     }
 

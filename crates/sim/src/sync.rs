@@ -16,7 +16,32 @@ use crate::hash::FxHashSet;
 use crate::runtime::{self, assert_not_in_critical_section, current_tid};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+// ---------------------------------------------------------------------------
+// Single-writer counters
+// ---------------------------------------------------------------------------
+
+/// Adds `n` to a counter that only the run-token holder writes, wrapping like
+/// `fetch_add`. It is a load and a store: one sim thread runs at a time, so no
+/// write can land between them, and a `fetch_add` would pay a `lock`-prefixed
+/// read-modify-write for an atomicity the run token already gives. Readers
+/// anywhere see whole values; the counter stays an atomic for them.
+#[inline]
+pub fn add(counter: &AtomicU64, n: u64) {
+    let sum = counter.load(Ordering::Relaxed).wrapping_add(n);
+    counter.store(sum, Ordering::Relaxed);
+}
+
+/// Raises a counter that only the run-token holder writes to `v`, if `v` is
+/// larger: [`add`]'s load and store in place of `fetch_max`.
+#[inline]
+pub fn max(counter: &AtomicU64, v: u64) {
+    if v > counter.load(Ordering::Relaxed) {
+        counter.store(v, Ordering::Relaxed);
+    }
+}
 
 // ---------------------------------------------------------------------------
 // WaitSet: the condition-variable analogue

@@ -104,12 +104,17 @@ impl Body for OsThread {
         (next.parker.clone(), self.parker.clone())
     }
 
+    /// Passes the runtime's lock domain on with the token: out of it before
+    /// the grant, back in once granted again.
     fn switch((wake, park): Self::Swap) {
-        wake.unpark();
-        park.park();
+        parking_lot::step_out(|| {
+            wake.unpark();
+            park.park();
+        });
     }
 
     fn exit((wake, _): Self::Swap) {
+        parking_lot::leave();
         wake.unpark();
     }
 }

@@ -156,8 +156,7 @@ impl SimFs {
                 if batch.is_empty() {
                     break;
                 }
-                fs.bg_writebacks
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                xlsm_sim::sync::add(&fs.bg_writebacks, batch.len() as u64);
                 fs.write_back(&batch);
             }
         }
@@ -282,8 +281,7 @@ impl SimFs {
             if batch.is_empty() {
                 return;
             }
-            self.throttle_writebacks
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            xlsm_sim::sync::add(&self.throttle_writebacks, batch.len() as u64);
             self.write_back(&batch);
         }
     }
@@ -563,9 +561,7 @@ impl FileHandle {
             other => unreachable!("sync faults cannot be {other:?}"),
         }
         let pages = self.fs.cache.lock().clean_file(self.data.id);
-        self.fs
-            .sync_writebacks
-            .fetch_add(pages.len() as u64, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.fs.sync_writebacks, pages.len() as u64);
         let keys: Vec<PageKey> = pages.into_iter().map(|p| (self.data.id, p)).collect();
         self.fs.write_back(&keys);
         Ok(())

@@ -39,7 +39,11 @@ step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # Every crate root denies unsafe_code, so clippy has just refused any unsafe
 # a library does not explicitly allow; this count also covers the bins,
-# tests, benches and examples. The nine: in crates/engine/src/crc32c.rs,
+# tests, benches and examples. The fourteen: in shims/parking_lot/src/lock.rs,
+# the lock that is a borrow flag owned by a run-token domain, its two Sync
+# impls and the three guard dereferences of the value cell (a lock without
+# them is a std lock, two full fences per take: EXPERIMENTS.md "Host cost,
+# round 12"); in crates/engine/src/crc32c.rs,
 # the call into the CRC32C bodies and the folding body's unaligned 512-bit
 # load (its safe form, built from byte reads, kept two fifths of the set-up
 # gain: EXPERIMENTS.md "Host cost, round 11"); in crates/sim/src/fiber.rs,
@@ -49,7 +53,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 # GlobalAlloc` and its alloc, dealloc and realloc), which no safe code can
 # write.
 unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates shims src tests examples | wc -l)
-[[ $unsafes == 9 ]] || { echo "expected nine unsafe sites, found $unsafes" >&2; exit 1; }
+[[ $unsafes == 14 ]] || { echo "expected fourteen unsafe sites, found $unsafes" >&2; exit 1; }
+# The run token is the only lock (DESIGN.md §4): every lock is the shim's,
+# whose take is a borrow flag, so no product code under crates/*/src (above a
+# file's first top-level #[cfg(test)]) names a std::sync lock, which would
+# pay two full fences per take and escape guards_held.
+std_locks=$(find crates/*/src -name '*.rs' -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /std::sync::(\{([^}]*[^A-Za-z_0-9])?)?(Mutex|RwLock)([^A-Za-z_0-9]|$)/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [[ -n $std_locks ]]; then
+    echo "$std_locks"
+    echo "a std::sync lock in product code: use the parking_lot shim's" >&2
+    exit 1
+fi
+# The per-op counters are written only by the run-token holder, so they add
+# with a load and a store (xlsm_sim::sync::{add, max}), not a lock-prefixed
+# read-modify-write.
+if grep -nE 'fetch_(add|sub|max)' crates/engine/src/{stats,histogram}.rs crates/device/src/stats.rs; then
+    echo "an atomic read-modify-write on a per-op counter: use xlsm_sim::sync::{add, max}" >&2
+    exit 1
+fi
 # The integer-keyed maps a table probe walks hash with xlsm_sim::hash's
 # FxHasher, not std's per-process SipHash (DESIGN.md §4): the files that hold
 # them name no map under the default hasher, so none can slide back.

@@ -2,15 +2,20 @@
 # Host-speed pairs: exports <base-ref> under target/host_pairs/, builds it
 # and the working tree, then runs the benchmark's one-run command
 # (`benchmark/run.sh --workload W --seed S --seconds 10`, pinned by run.sh)
-# <pairs> times on each side, alternating which side goes first. Prints,
-# per host metric, each side's q1 / median / q3 (linear interpolation), the
+# <pairs> times on each side per seed, alternating which side goes first.
+# Prints, per host metric, one row per seed and, with several seeds, a
+# pooled row over every pair: each side's q1 / median / q3 (linear
+# interpolation; the pooled quartiles hold the seeds' own spread too), the
 # ratio of the medians (change / parent), the gap of the medians over the
 # parent's interquartile range (change minus parent, signed so that worse is
 # positive: a gap under 1 is inside the parent's own spread), the pairs the
 # change won, and the change's worst run against the parent's best. Fails
 # if a virtual-clock or exact metric, or the attempted / failed counts,
-# differ between any two runs: a host-speed change must not move them.
-# After the pairs, three traced runs per side (`--trace 1`, same seed,
+# differ between any two runs of one seed: a host-speed change must not
+# move them. Ten pairs resolve a host effect of about a tenth; several seeds
+# pool more pairs, and show whether a claim holds on a seed not used while
+# writing the change.
+# After the pairs, three traced runs per side (`--trace 1`, the first seed,
 # alternating sides like the pairs) print the host-clock per-layer rows side by side, each as its median
 # with its min–max — every `sim.*` row (hand-off, sleep and spawn costs, the
 # system-time share, switches and timer events per op),
@@ -25,12 +30,15 @@
 # a claim can name its class too (a tree whose probe attributes no host time
 # shows `-`).
 #
-#   scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>
+#   scripts/host_pairs.sh <base-ref> <workload> <seed>[,<seed>...] <pairs>
 #
-# The runs' JSON lines stay in target/host_pairs/<workload>-<seed>/.
+# The runs' JSON lines stay in target/host_pairs/<workload>-<seeds>/.
 set -euo pipefail
-[[ $# == 4 ]] || { echo "usage: scripts/host_pairs.sh <base-ref> <workload> <seed> <pairs>" >&2; exit 2; }
-base_ref=$1 workload=$2 seed=$3 pairs=$4
+usage="usage: scripts/host_pairs.sh <base-ref> <workload> <seed>[,<seed>...] <pairs>"
+[[ $# == 4 ]] || { echo "$usage" >&2; exit 2; }
+base_ref=$1 workload=$2 seeds=$3 pairs=$4
+[[ $seeds =~ ^[0-9]+(,[0-9]+)*$ ]] || { echo "$usage" >&2; exit 2; }
+IFS=, read -ra seed_list <<<"$seeds"
 repo=$(cd "$(dirname "$0")/.." && pwd)
 sha=$(git -C "$repo" rev-parse --verify "$base_ref^{commit}")
 base=$repo/target/host_pairs/$sha
@@ -40,7 +48,7 @@ if [[ ! -d $base ]]; then
     git -C "$repo" archive "$sha" | tar -x -C "$base.partial"
     mv "$base.partial" "$base"
 fi
-out=$repo/target/host_pairs/$workload-$seed
+out=$repo/target/host_pairs/$workload-$seeds
 rm -rf "$out"
 mkdir -p "$out"
 
@@ -51,28 +59,31 @@ for tree in "$base" "$repo"; do
     CARGO_TARGET_DIR=$tree/target cargo build -q --release --offline --manifest-path "$tree/Cargo.toml" -p xlsm-bench
 done
 
-run() { # side tree pair [run.sh flags]
-    CARGO_TARGET_DIR=$2/target bash "$2/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds 10 \
-        "${@:4}" 2>/dev/null | tail -1 >"$out/$1.$3.json"
+run() { # side tree seed pair [run.sh flags]
+    CARGO_TARGET_DIR=$2/target bash "$2/benchmark/run.sh" --workload "$workload" --seed "$3" --seconds 10 \
+        "${@:5}" 2>/dev/null | tail -1 >"$out/$1.$3.$4.json"
 }
-for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then
-        run parent "$base" "$i"
-        run change "$repo" "$i"
-    else
-        run change "$repo" "$i"
-        run parent "$base" "$i"
-    fi
-    echo "    pair $((i + 1))/$pairs done" >&2
+for seed in "${seed_list[@]}"; do
+    for ((i = 0; i < pairs; i++)); do
+        if ((i % 2 == 0)); then
+            run parent "$base" "$seed" "$i"
+            run change "$repo" "$seed" "$i"
+        else
+            run change "$repo" "$seed" "$i"
+            run parent "$base" "$seed" "$i"
+        fi
+        echo "    seed $seed: pair $((i + 1))/$pairs done" >&2
+    done
 done
+seed=${seed_list[0]}
 traces=3
 for ((i = 0; i < traces; i++)); do
     if ((i % 2 == 0)); then
-        run parent "$base" "trace$i" --trace 1
-        run change "$repo" "trace$i" --trace 1
+        run parent "$base" "$seed" "trace$i" --trace 1
+        run change "$repo" "$seed" "trace$i" --trace 1
     else
-        run change "$repo" "trace$i" --trace 1
-        run parent "$base" "trace$i" --trace 1
+        run change "$repo" "$seed" "trace$i" --trace 1
+        run parent "$base" "$seed" "trace$i" --trace 1
     fi
 done
 
@@ -94,14 +105,16 @@ for side in parent change; do
     "${pin[@]}" "$tree/target/release/xlsm-bench" --quick probe "$device" "$write_pct" 4 1 >"$out/$side.probe.txt"
 done
 
-python3 - "$out" "$pairs" "$workload" "$seed" "$sha" "$device $write_pct" "$traces" <<'EOF'
+python3 - "$out" "$pairs" "$workload" "$seeds" "$sha" "$device $write_pct" "$traces" <<'EOF'
 import json, re, sys
 
-out, pairs, workload, seed, sha, probe = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6]
+out, pairs, workload, seeds, sha, probe = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4].split(","), sys.argv[5], sys.argv[6]
 traces = int(sys.argv[7])
 HOST = {"setup_s": "lower", "host_ops_per_s": "higher", "peak_rss_mb": "lower"}
-runs = {side: [json.load(open(f"{out}/{side}.{i}.json")) for i in range(pairs)]
-        for side in ("parent", "change")}
+# runs[seed][side]: that seed's runs, in pair order.
+runs = {seed: {side: [json.load(open(f"{out}/{side}.{seed}.{i}.json")) for i in range(pairs)]
+               for side in ("parent", "change")}
+        for seed in seeds}
 
 def quartiles(xs):
     xs = sorted(xs)
@@ -113,35 +126,46 @@ def quartiles(xs):
     return q(0.25), q(0.5), q(0.75)
 
 status = 0
-first = runs["parent"][0]
-for side, rs in runs.items():
-    for i, r in enumerate(rs):
-        for key in ("correct", "attempted", "failed"):
-            if r[key] != first[key]:
-                print(f"DIFFERS {key}: {side} run {i} {r[key]} vs parent run 0 {first[key]}")
-                status = 1
-        for name, m in r["metrics"].items():
-            if name not in HOST and m["value"] != first["metrics"][name]["value"]:
-                print(f"DIFFERS {name}: {side} run {i} {m['value']} vs parent run 0 "
-                      f"{first['metrics'][name]['value']}")
-                status = 1
+for seed, sides in runs.items():
+    first = sides["parent"][0]
+    for side, rs in sides.items():
+        for i, r in enumerate(rs):
+            for key in ("correct", "attempted", "failed"):
+                if r[key] != first[key]:
+                    print(f"DIFFERS {key}: seed {seed} {side} run {i} {r[key]} vs parent run 0 {first[key]}")
+                    status = 1
+            for name, m in r["metrics"].items():
+                if name not in HOST and m["value"] != first["metrics"][name]["value"]:
+                    print(f"DIFFERS {name}: seed {seed} {side} run {i} {m['value']} vs parent run 0 "
+                          f"{first['metrics'][name]['value']}")
+                    status = 1
+    print(f"{workload}, seed {seed}, {pairs} pairs, parent {sha[:7]}; "
+          f"failed {first['failed']} of {first['attempted']}")
 
-print(f"{workload}, seed {seed}, {pairs} pairs, parent {sha[:7]}; failed {first['failed']} of {first['attempted']}")
-print(f"{'metric':<15} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} {'ratio':>7} {'gap/IQR':>8} {'won':>6}  change worst / parent best")
-for name, better in HOST.items():
-    p = [r["metrics"][name]["value"] for r in runs["parent"]]
-    c = [r["metrics"][name]["value"] for r in runs["change"]]
+def row(name, better, label, p, c):
     (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
     won = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
     worst, best = (max(c), min(p)) if better == "lower" else (min(c), max(p))
     gap = (cm - pm) if better == "lower" else (pm - cm)
     gap = f"{gap / (pq3 - pq1):>+8.2f}" if pq3 > pq1 else f"{'-':>8}"
     fmt = (lambda v: f"{v:.3f}") if name == "setup_s" else (lambda v: f"{v:.1f}")
-    print(f"{name:<15} {fmt(pq1) + ' / ' + fmt(pm) + ' / ' + fmt(pq3):>30} "
-          f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {gap} {won:>3}/{pairs}  "
+    print(f"{name:<15} {label:>6} {fmt(pq1) + ' / ' + fmt(pm) + ' / ' + fmt(pq3):>30} "
+          f"{fmt(cq1) + ' / ' + fmt(cm) + ' / ' + fmt(cq3):>30} {cm / pm:>6.3f}x {gap} {won:>3}/{len(p)}  "
           f"{fmt(worst)} / {fmt(best)} ({worst / best:.3f}x)")
-traced = {side: [json.load(open(f"{out}/{side}.trace{i}.json"))["metrics"] for i in range(traces)]
-          for side in runs}
+
+print(f"{'metric':<15} {'seed':>6} {'parent q1 / median / q3':>30} {'change q1 / median / q3':>30} {'ratio':>7} {'gap/IQR':>8} {'won':>6}  change worst / parent best")
+for name, better in HOST.items():
+    pooled = {"parent": [], "change": []}
+    for seed, sides in runs.items():
+        p, c = ([r["metrics"][name]["value"] for r in sides[s]] for s in ("parent", "change"))
+        pooled["parent"] += p
+        pooled["change"] += c
+        row(name, better, seed, p, c)
+    if len(seeds) > 1:
+        row(name, better, "pooled", pooled["parent"], pooled["change"])
+seed = seeds[0]
+traced = {side: [json.load(open(f"{out}/{side}.{seed}.trace{i}.json"))["metrics"] for i in range(traces)]
+          for side in ("parent", "change")}
 layers = [name for name in traced["parent"][0]
           if name.startswith("sim.") or name in ("simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
           or (name.startswith("engine.call.") and name.endswith(".host_ns"))]
@@ -149,7 +173,7 @@ layers = [name for name in traced["parent"][0]
 # binary's code layout too; it reads a change only where it moves more than
 # these do.
 controls = ["device.host_ns_per_io", "loadgen.host_ns_per_op"]
-print(f"{traces} traced runs per side, host clock per layer: median [min-max]")
+print(f"{traces} traced runs per side, seed {seed}, host clock per layer: median [min-max]")
 print(f"{'layer':<32} {'parent':>28} {'change':>28} {'ratio':>7}")
 for name in layers + controls:
     if name == controls[0]:
@@ -171,7 +195,7 @@ def host_rows(side):
         elif rows is not None and (m := re.match(r"  (\w+)\s+([0-9.]+)\s", line)) and m[1] != "row":
             rows[m[1]] = float(m[2])
     return phases
-probes = {side: host_rows(side) for side in runs}
+probes = {side: host_rows(side) for side in ("parent", "change")}
 print(f"xlsm-bench --quick probe {probe} 4 1 per side, host ms per charge class")
 for phase in ("fill", "window"):
     sides = [probes[s].get(phase, ("no host rows", {})) for s in ("parent", "change")]

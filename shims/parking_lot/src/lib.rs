@@ -1,242 +1,77 @@
 //! Offline shim for the `parking_lot` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors a minimal, API-compatible subset of `parking_lot` implemented
-//! over `std::sync`. Semantics match what the workspace relies on:
-//! non-poisoning mutexes/rwlocks (a panicked holder does not wedge later
+//! vendors a minimal, API-compatible subset of `parking_lot`: a `Mutex` and
+//! an `RwLock` that never poison (a panicked holder does not wedge later
 //! lockers).
 //!
-//! One addition the real crate does not have: every guard made here is
+//! ## The run token is the only lock
+//!
+//! Every lock of the workspace is taken by a sim thread of `xlsm-sim`, and
+//! exactly one sim thread of a runtime runs at a time: the run token already
+//! excludes. So a lock here is not an OS lock but a borrow flag, like a
+//! `RefCell`'s, owned by a [`Domain`]: the OS threads that take turns under
+//! one run token. A lock belongs to the first domain that takes it. Outside
+//! a runtime each OS thread is a domain of its own; every sim thread of a
+//! runtime is in its root OS thread's, which `xlsm-sim` enters on the OS
+//! threads of a body that has them.
+//!
+//! * The fast path is a thread-local compare (the caller's domain against
+//!   the lock's owner, a plain load) and a plain read and write of the
+//!   borrow flag: no `lock`-prefixed instruction on the way in or out.
+//! * A take that the flag refuses (a second `lock`, `write` under `read`,
+//!   anything under `write`) can only be the same sim thread taking the lock
+//!   again, since no guard lives across a wait. A real lock would deadlock
+//!   there; this one panics. `try_lock` returns `None`.
+//! * A take from a second domain panics without touching the flag or the
+//!   value, while the owning domain lives; once it has ended, the lock
+//!   passes to the taker.
+//! * A domain has at most one OS thread in it at a time ([`Domain::enter`]
+//!   panics otherwise), and an OS thread moves between domains only with no
+//!   guard alive. So the flag and the value are only ever touched by one OS
+//!   thread at a time, and every hand-over between them is ordered by the
+//!   domain's own flag: that is what makes the `Sync` impls in `lock.rs`
+//!   sound.
+//!
+//! One more addition the real crate does not have: every guard made here is
 //! counted per thread ([`guards_held`]). `xlsm-sim` reads the count before
 //! each operation that gives up the run token, so a lock held across a sim
-//! wait panics at the wait instead of parking the next locker on an OS
-//! mutex the scheduler knows nothing about.
+//! wait panics at the wait instead of at the next taker.
+//!
+//! The domains and the lock types live in `lock.rs`, the one module that may
+//! use `unsafe`.
 
 #![deny(unsafe_code)]
 
-use std::cell::Cell;
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+mod lock;
 
-thread_local! {
-    static GUARDS: Cell<u32> = const { Cell::new(0) };
-}
-
-/// How many [`MutexGuard`]s, [`RwLockReadGuard`]s and [`RwLockWriteGuard`]s
-/// are alive on the calling thread.
-#[inline]
-pub fn guards_held() -> u32 {
-    GUARDS.with(Cell::get)
-}
-
-/// One count in [`guards_held`] for as long as it lives. Every guard owns
-/// one; the guards are `!Send`, so the thread that counts one up is the
-/// thread that counts it down.
-struct Held;
-
-impl Held {
-    /// Inlined, like the count's other two sides: every lock the workspace
-    /// takes runs them, and a call would cost more than the count.
-    #[inline]
-    fn new() -> Held {
-        GUARDS.with(|g| g.set(g.get() + 1));
-        Held
-    }
-}
-
-impl Drop for Held {
-    #[inline]
-    fn drop(&mut self) {
-        GUARDS.with(|g| g.set(g.get() - 1));
-    }
-}
-
-/// A mutual-exclusion primitive. Unlike `std::sync::Mutex`, locking never
-/// returns a poison error: a panic while holding the lock is ignored by
-/// subsequent lockers, matching `parking_lot` semantics.
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex protecting `value`.
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the mutex, blocking until it is available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        MutexGuard {
-            inner,
-            _held: Held::new(),
-        }
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        Some(MutexGuard {
-            inner,
-            _held: Held::new(),
-        })
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Mutex<T> {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.write_str("Mutex { <locked> }"),
-        }
-    }
-}
-
-/// RAII guard for [`Mutex`].
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: std::sync::MutexGuard<'a, T>,
-    _held: Held,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A reader-writer lock with non-poisoning semantics.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new rwlock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let inner = match self.inner.read() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        RwLockReadGuard {
-            inner,
-            _held: Held::new(),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let inner = match self.inner.write() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        RwLockWriteGuard {
-            inner,
-            _held: Held::new(),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RwLock { .. }")
-    }
-}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    _held: Held,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    _held: Held,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
+pub use lock::{
+    guards_held, leave, step_out, Domain, Mutex, MutexGuard, RwLock, RwLockReadGuard,
+    RwLockWriteGuard,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+
+    /// The panic message of `f`, which must panic.
+    fn panic_of(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("the take panics");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("a message")).to_owned(),
+        }
+    }
 
     #[test]
     fn mutex_roundtrip() {
-        let m = Mutex::new(1);
+        let mut m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
+        *m.get_mut() += 1;
+        assert_eq!(m.into_inner(), 3);
     }
 
     #[test]
@@ -253,14 +88,132 @@ mod tests {
 
     #[test]
     fn lock_survives_holder_panic() {
-        let m = Arc::new(Mutex::new(0));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _g = (m.lock(), l.write());
             panic!("poison attempt");
-        })
-        .join();
-        assert_eq!(*m.lock(), 0, "lock must not be poisoned");
+        }));
+        assert_eq!(*m.lock(), 0, "mutex must not be poisoned");
+        assert_eq!(*l.write(), 0, "rwlock must not be poisoned");
+        assert_eq!(guards_held(), 0);
+    }
+
+    /// A take the flag refuses panics, where a real lock would deadlock,
+    /// and leaves the held guards and their count as they were.
+    #[test]
+    fn a_take_this_domain_already_holds_panics() {
+        let (m, l) = (Mutex::new(0), RwLock::new(0));
+        let mut g = m.lock();
+        let msg = panic_of(|| drop(m.lock()));
+        assert!(
+            msg.contains("Mutex::lock on a lock this domain already holds"),
+            "{msg}"
+        );
+        assert!(m.try_lock().is_none(), "try_lock refuses without a panic");
+        assert_eq!(guards_held(), 1);
+        *g += 1;
+        drop(g);
+        let r = l.read();
+        let msg = panic_of(|| drop(l.write()));
+        assert!(msg.contains("RwLock::write"), "{msg}");
+        assert_eq!(guards_held(), 1);
+        drop(r);
+        let w = l.write();
+        assert!(panic_of(|| drop(l.read())).contains("RwLock::read"));
+        assert!(panic_of(|| drop(l.write())).contains("RwLock::write"));
+        assert_eq!(guards_held(), 1);
+        drop(w);
+        assert_eq!(guards_held(), 0);
+        assert_eq!((*m.lock(), *l.read()), (1, 0), "both free and intact");
+    }
+
+    /// A lock taken on one OS thread belongs to that thread's domain: a take
+    /// from a second live one panics before it touches the flag or the
+    /// value, and once the first thread has ended the lock passes on.
+    #[test]
+    fn a_take_from_a_second_live_domain_panics() {
+        let m = Arc::new(Mutex::new(7));
+        let l = Arc::new(RwLock::new(7));
+        let (taken, take) = (mpsc::channel(), mpsc::channel::<()>());
+        let owner = {
+            let (m, l) = (Arc::clone(&m), Arc::clone(&l));
+            std::thread::spawn(move || {
+                let g = m.lock();
+                drop(l.read());
+                taken.0.send(()).unwrap();
+                take.1.recv().unwrap();
+                assert_eq!(*g, 7);
+                drop(g);
+                *m.lock() += 1;
+            })
+        };
+        taken.1.recv().unwrap();
+        for msg in [
+            panic_of(|| drop(m.lock())),
+            panic_of(|| drop(m.try_lock())),
+            panic_of(|| drop(l.read())),
+            panic_of(|| drop(l.write())),
+        ] {
+            assert!(msg.contains("taken from another"), "{msg}");
+        }
+        assert_eq!(guards_held(), 0);
+        // The owner's guard is untouched: it still holds the flag.
+        take.0.send(()).unwrap();
+        owner.join().unwrap();
+        assert_eq!(*m.lock(), 8, "an ended domain's lock passes on");
+        *l.write() += 1;
+        assert_eq!(*l.read(), 8);
+    }
+
+    /// Owning a lock is exclusive access: `get_mut` and `into_inner` reach
+    /// the value of a lock another live domain owns.
+    #[test]
+    fn get_mut_and_into_inner_need_no_domain() {
+        let (owned, done) = (mpsc::channel(), mpsc::channel::<()>());
+        let owner = std::thread::spawn(move || {
+            let m = Mutex::new(1);
+            *m.lock() += 1;
+            owned.0.send(m).unwrap();
+            done.1.recv().unwrap();
+        });
+        let mut m = owned.1.recv().unwrap();
+        *m.get_mut() += 1;
+        assert_eq!(m.into_inner(), 3);
+        done.0.send(()).unwrap();
+        owner.join().unwrap();
+    }
+
+    /// OS threads that enter one domain share its locks while they take
+    /// turns; two at once is refused.
+    #[test]
+    fn threads_of_one_domain_share_its_locks() {
+        let m = Arc::new(Mutex::new(0));
+        *m.lock() += 1;
+        let home = Domain::current();
+        let turn = {
+            let (m, home) = (Arc::clone(&m), home.clone());
+            move || home.enter(|| *m.lock() += 1)
+        };
+        let msg = panic_of(|| {
+            let joined = std::thread::spawn(turn.clone()).join();
+            joined.unwrap_or_else(|p| std::panic::resume_unwind(p))
+        });
+        assert!(
+            msg.contains("another OS thread is in this lock domain"),
+            "{msg}"
+        );
+        step_out(|| std::thread::spawn(turn).join().unwrap());
+        assert_eq!(*m.lock(), 2);
+        let msg = panic_of(|| {
+            let _g = m.lock();
+            step_out(|| ());
+        });
+        assert!(
+            msg.contains("a lock guard across a change of lock domain"),
+            "{msg}"
+        );
+        assert_eq!(guards_held(), 0);
     }
 
     #[test]
