@@ -3,26 +3,27 @@
 //!
 //! ```text
 //! cargo run -p xlsm-bench --release -- [--quick] <name>... | all
-//! cargo run -p xlsm-bench --release -- list [--probes]
+//! cargo run -p xlsm-bench --release -- list
 //! cargo run -p xlsm-bench --release -- [--quick] probe <device> <write_pct> <threads> [secs]
 //! ```
 //!
-//! A figure prints its tables and writes `results/<table>.tsv`; a probe
-//! prints the tables derived from its report and writes `BENCH_<name>.json`,
-//! both relative to the working directory. At `--quick` both go under
-//! `results/quick/` instead, so a quick file never lands under a full-size
-//! name. Neither carries timestamps or wall-clock data: two runs with the
-//! same seed must produce byte-identical files (`scripts/check.sh` compares
-//! a fresh quick run with the committed `results/quick/`). `probe` runs one
-//! workload configuration and dumps engine, filesystem and device counters —
-//! a calibration/debugging aid, not a paper figure — and where the host
-//! clock went, per charge class, in the fill and in the window.
+//! Every experiment prints its tables and writes each to
+//! `results/<table>.tsv`, relative to the working directory; at `--quick`
+//! they go under `results/quick/` instead, so a quick file never lands under
+//! a full-size name. No table carries timestamps or wall-clock data: two
+//! runs with the same seed must produce byte-identical files
+//! (`scripts/check.sh` compares a fresh quick run with the committed
+//! `results/quick/`). `list` prints the registry, one entry per line, the
+//! names that select it separated by spaces. `probe` runs one workload
+//! configuration and dumps engine, filesystem and device counters — a
+//! calibration/debugging aid, not a paper figure — and where the host clock
+//! went, per charge class, in the fill and in the window.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use xlsm_bench::common::{with_testbed_on, BenchConfig};
-use xlsm_bench::{names, select, Run, EXPERIMENTS};
+use xlsm_bench::{names, select, EXPERIMENTS};
 use xlsm_device::{profiles, Device};
 use xlsm_engine::{DbOptions, Ticker};
 use xlsm_sim::{runtime::RuntimeStats, Class, HostTimes, Runtime};
@@ -31,7 +32,7 @@ use xlsm_workload::run_workload;
 fn usage() -> ! {
     eprintln!(
         "usage: xlsm-bench [--quick] <name>... | all\n       \
-         xlsm-bench list [--probes]\n       \
+         xlsm-bench list\n       \
          xlsm-bench [--quick] probe <device> <write_pct> <threads> [secs]\n\
          names: {}",
         names().collect::<Vec<_>>().join(" ")
@@ -52,11 +53,8 @@ fn main() {
         None => usage(),
         Some("probe") => return dump_counters(&args[1..], cfg),
         Some("list") => {
-            let probes_only = args.get(1).is_some_and(|a| a == "--probes");
-            for (names, run) in EXPERIMENTS {
-                if !probes_only || matches!(run, Run::Probe(_)) {
-                    names.iter().for_each(|n| println!("{n}"));
-                }
+            for (names, _) in EXPERIMENTS {
+                println!("{}", names.join(" "));
             }
             return;
         }
@@ -75,11 +73,7 @@ fn main() {
         if quick { " (quick)" } else { "" }
     );
 
-    let (table_dir, probe_dir) = if quick {
-        ("results/quick", "results/quick")
-    } else {
-        ("results", "")
-    };
+    let table_dir = if quick { "results/quick" } else { "results" };
     let t0 = std::time::Instant::now();
     let mut failed = false;
     // Each file is written as soon as its experiment is done, so partial
@@ -96,24 +90,10 @@ fn main() {
         }
     };
     for (_, run) in selected {
-        match run {
-            Run::Figures(figures) => {
-                for (name, table) in figures(&cfg) {
-                    println!("{table}");
-                    let path = Path::new(table_dir).join(format!("{name}.tsv"));
-                    written(&path, table.write_tsv(&path));
-                }
-            }
-            Run::Probe(probe) => {
-                let report = probe(&cfg);
-                for table in report.section_tables() {
-                    println!("{table}");
-                }
-                let path = Path::new(probe_dir).join(format!("BENCH_{}.json", report.bench));
-                let result = std::fs::create_dir_all(probe_dir)
-                    .and_then(|()| std::fs::write(&path, report.to_json()));
-                written(&path, result);
-            }
+        for (name, table) in run(&cfg) {
+            println!("{table}");
+            let path = Path::new(table_dir).join(format!("{name}.tsv"));
+            written(&path, table.write_tsv(&path));
         }
     }
     if failed {

@@ -1,5 +1,6 @@
 //! Shared configuration and run helpers for the figure harnesses.
 
+use crate::figures::Figure;
 use std::time::Duration;
 use xlsm_core::experiment::Testbed;
 use xlsm_core::report::Table;
@@ -153,106 +154,31 @@ pub fn label(profile: &DeviceProfile) -> &'static str {
     profile.kind.label()
 }
 
-/// One value in a [`JsonReport`]; the kind fixes how it prints, so a report
-/// is byte-identical across runs with the same seed.
-#[derive(Clone, Debug)]
-pub enum Cell {
-    /// A quoted string.
-    Str(String),
-    /// An integer.
-    Int(u64),
-    /// A float printed `{:.3}` — every measured value.
-    F3(f64),
-    /// A float printed `{:.1}` — configuration values.
-    F1(f64),
-    /// A list of floats, each printed `{:.3}`.
-    F3List(Vec<f64>),
-}
+/// One row of a probe table: each cell with its column's name, declared
+/// where the value is measured ([`Table::from_named_rows`]).
+pub type Row = Vec<(&'static str, String)>;
 
-impl std::fmt::Display for Cell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Cell::Str(s) => write!(f, "\"{s}\""),
-            Cell::Int(n) => write!(f, "{n}"),
-            Cell::F3(x) => write!(f, "{x:.3}"),
-            Cell::F1(x) => write!(f, "{x:.1}"),
-            Cell::F3List(xs) => {
-                let items: Vec<String> = xs.iter().map(|x| format!("{x:.3}")).collect();
-                write!(f, "[{}]", items.join(", "))
-            }
-        }
-    }
-}
-
-/// One JSON object: named cells in declaration order.
-pub type JsonRow = Vec<(&'static str, Cell)>;
-
-/// The one thing a probe returns: the bench name, a `config` object, and
-/// named sections of rows. The JSON file and the printed tables both derive
-/// from it, so each column is declared once, where it is measured. Written
-/// by hand (the bench crate carries no
-/// serde) with the field order and float precision fixed by the
-/// declaration, so two runs with the same seed produce byte-identical
-/// files — which is what the determinism gate in `scripts/check.sh` diffs.
-#[derive(Clone, Debug)]
-pub struct JsonReport {
-    /// Value of the top-level `"bench"` field.
-    pub bench: &'static str,
-    /// The `"config"` object.
-    pub config: JsonRow,
-    /// `(name, rows)` per section, one row per line.
-    pub sections: Vec<(&'static str, Vec<JsonRow>)>,
-}
-
-fn json_object(row: &JsonRow) -> String {
-    let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-impl JsonReport {
-    /// Serializes the report.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"{}\",\n  \"config\": {}",
-            self.bench,
-            json_object(&self.config)
-        );
-        for (name, rows) in &self.sections {
-            s.push_str(&format!(",\n  \"{name}\": [\n"));
-            for (i, row) in rows.iter().enumerate() {
-                let comma = if i + 1 == rows.len() { "" } else { "," };
-                s.push_str(&format!("    {}{comma}\n", json_object(row)));
-            }
-            s.push_str("  ]");
-        }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// One printable table per section: the headers are the first row's
-    /// cell names, the cells print exactly as in the JSON.
-    #[must_use]
-    pub fn section_tables(&self) -> Vec<Table> {
-        let table = |(name, rows): &(&str, Vec<JsonRow>)| {
-            let headers: Vec<&str> = rows.first().into_iter().flatten().map(|c| c.0).collect();
-            let mut t = Table::new(&format!("{}: {name}", self.bench), &headers);
-            for row in rows {
-                t.row(row.iter().map(|(_, v)| v.to_string()).collect());
-            }
-            t
-        };
-        self.sections.iter().map(table).collect()
-    }
-}
-
-/// The `config` cells every probe reports: dataset shape and seed.
-pub fn config_cells(cfg: &BenchConfig) -> JsonRow {
-    vec![
-        ("key_count", Cell::Int(cfg.key_count)),
-        ("value_size", Cell::Int(cfg.value_size as u64)),
-        ("seed", Cell::Int(cfg.seed)),
-    ]
+/// A probe's table `name`, for `results/<name>.tsv`. Its title carries the
+/// run's configuration as `key=value` pairs: dataset shape and seed, then
+/// `extra`.
+pub fn probe_table(
+    name: &str,
+    cfg: &BenchConfig,
+    extra: &[(&str, String)],
+    rows: Vec<Row>,
+) -> Figure {
+    let config = [
+        ("key_count", cfg.key_count.to_string()),
+        ("value_size", cfg.value_size.to_string()),
+        ("seed", cfg.seed.to_string()),
+    ];
+    let config: Vec<String> = config
+        .iter()
+        .chain(extra)
+        .map(|(key, value)| format!("{key}={value}"))
+        .collect();
+    let title = format!("{name}: {}", config.join(" "));
+    (name.to_owned(), Table::from_named_rows(&title, rows))
 }
 
 #[cfg(test)]
@@ -284,115 +210,5 @@ mod tests {
         assert_eq!(first.read_latency, again.read_latency);
         assert_eq!(first.write_latency, again.write_latency);
         assert_eq!(first.timeline, again.timeline);
-    }
-
-    /// The emitter must keep reproducing the committed artifacts byte for
-    /// byte: header and first row of `BENCH_parallelism.json` (strings,
-    /// integers, `{:.3}` floats, two sections) and of `BENCH_stability.json`
-    /// (a `{:.1}` config float and a float list). The printed tables come
-    /// from the same rows: headers are the JSON keys in order, one line per
-    /// row.
-    #[test]
-    fn emitter_reproduces_committed_bench_files() {
-        let drain = vec![
-            ("device", Cell::Str("sata-flash".into())),
-            ("max_subcompactions", Cell::Int(1)),
-            ("compact_read_mb", Cell::F3(49.326)),
-            ("drain_ms", Cell::F3(625.8)),
-            ("mb_per_s", Cell::F3(78.82)),
-            ("speedup_vs_serial", Cell::F3(1.0)),
-            ("subcompactions_launched", Cell::Int(0)),
-            ("fallbacks", Cell::Int(0)),
-        ];
-        let cfg = BenchConfig::default();
-        let report = JsonReport {
-            bench: "parallelism",
-            config: config_cells(&cfg),
-            sections: vec![
-                ("compaction_drain", vec![drain.clone(), drain.clone()]),
-                ("multi_get", vec![]),
-            ],
-        };
-        let json = report.to_json();
-        assert!(
-            json.starts_with(concat!(
-                "{\n",
-                "  \"bench\": \"parallelism\",\n",
-                "  \"config\": {\"key_count\": 49152, \"value_size\": 1024, \"seed\": 3862},\n",
-                "  \"compaction_drain\": [\n",
-                "    {\"device\": \"sata-flash\", \"max_subcompactions\": 1, ",
-                "\"compact_read_mb\": 49.326, \"drain_ms\": 625.800, \"mb_per_s\": 78.820, ",
-                "\"speedup_vs_serial\": 1.000, \"subcompactions_launched\": 0, ",
-                "\"fallbacks\": 0},\n",
-            )),
-            "{json}"
-        );
-        assert!(
-            json.ends_with("\"fallbacks\": 0}\n  ],\n  \"multi_get\": [\n  ]\n}\n"),
-            "{json}"
-        );
-        let tables = report.section_tables();
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].title, "parallelism: compaction_drain");
-        let keys: Vec<&str> = drain.iter().map(|c| c.0).collect();
-        assert_eq!(tables[0].headers, keys);
-        assert_eq!(tables[0].rows.len(), 2);
-        assert_eq!(tables[0].rows[0][..3], ["\"sata-flash\"", "1", "49.326"]);
-        // Title, blank line above it, header and rule, then one line per row.
-        assert_eq!(tables[0].to_string().lines().count(), 4 + 2);
-        assert!(tables[1].headers.is_empty() && tables[1].rows.is_empty());
-
-        let mut config = config_cells(&cfg);
-        config.push(("window_secs", Cell::F1(12.0)));
-        let point = vec![
-            ("device", Cell::Str("sata-flash".into())),
-            ("policy", Cell::Str("greedy".into())),
-            ("kops", Cell::F3(14.285)),
-            ("cv", Cell::F3(0.384)),
-            ("min_bucket_kops", Cell::F3(3.83)),
-            ("write_p50_us", Cell::F3(4.928)),
-            ("write_p99_us", Cell::F3(1081.344)),
-            ("write_p999_us", Cell::F3(25690.112)),
-            ("episodes", Cell::Int(42)),
-            ("ep_p50_ms", Cell::F3(16.63)),
-            ("ep_p90_ms", Cell::F3(226.259)),
-            ("ep_p99_ms", Cell::F3(328.518)),
-            ("ep_max_ms", Cell::F3(328.518)),
-            ("stalled_pct", Cell::F3(20.494)),
-            (
-                "episode_cdf",
-                Cell::F3List(vec![0.333, 0.786, 0.81, 1.0, 1.0]),
-            ),
-            ("bg_io_wait_ms", Cell::F3(0.0)),
-            ("kops_vs_greedy", Cell::F3(1.0)),
-            ("ep_p99_vs_greedy", Cell::F3(1.0)),
-            ("cv_vs_greedy", Cell::F3(1.0)),
-        ];
-        let json = JsonReport {
-            bench: "stability",
-            config,
-            sections: vec![("points", vec![point])],
-        }
-        .to_json();
-        assert_eq!(
-            json,
-            concat!(
-                "{\n",
-                "  \"bench\": \"stability\",\n",
-                "  \"config\": {\"key_count\": 49152, \"value_size\": 1024, \"seed\": 3862, ",
-                "\"window_secs\": 12.0},\n",
-                "  \"points\": [\n",
-                "    {\"device\": \"sata-flash\", \"policy\": \"greedy\", \"kops\": 14.285, ",
-                "\"cv\": 0.384, \"min_bucket_kops\": 3.830, \"write_p50_us\": 4.928, ",
-                "\"write_p99_us\": 1081.344, \"write_p999_us\": 25690.112, \"episodes\": 42, ",
-                "\"ep_p50_ms\": 16.630, \"ep_p90_ms\": 226.259, \"ep_p99_ms\": 328.518, ",
-                "\"ep_max_ms\": 328.518, \"stalled_pct\": 20.494, ",
-                "\"episode_cdf\": [0.333, 0.786, 0.810, 1.000, 1.000], ",
-                "\"bg_io_wait_ms\": 0.000, \"kops_vs_greedy\": 1.000, ",
-                "\"ep_p99_vs_greedy\": 1.000, \"cv_vs_greedy\": 1.000}\n",
-                "  ]\n",
-                "}\n",
-            )
-        );
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! [`EXPERIMENTS`] is the whole list: the paper's figures (`fig01`…`fig20`,
 //! see [`figures`]), the stall, skew and integrity extensions, and the five
-//! subsystem probes. The `xlsm-bench` binary runs entries by name and keeps
-//! one committed artifact per experiment: a figure returns
-//! [`xlsm_core::report::Table`]s written to `results/<table>.tsv`, a probe
-//! returns a [`JsonReport`] written to `BENCH_<name>.json` (its printed
-//! tables are derived from the same rows).
+//! subsystem probes. The `xlsm-bench` binary runs entries by name, and every
+//! entry returns [`xlsm_core::report::Table`]s, each written to
+//! `results/<table>.tsv`: one committed artifact per table.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,67 +17,50 @@ pub mod space;
 pub mod stability;
 pub mod writepath;
 
-pub use common::{BenchConfig, JsonReport};
+pub use common::BenchConfig;
 pub use figures::Figure;
 
-/// How an experiment runs and what it leaves behind.
-#[derive(Clone, Copy, Debug)]
-pub enum Run {
-    /// Tables for `results/<table>.tsv`. Figures that share a parameter
-    /// sweep share one entry, so `all` pays for each sweep once.
-    Figures(fn(&BenchConfig) -> Vec<Figure>),
-    /// One deterministic report for `BENCH_<name>.json`.
-    Probe(fn(&BenchConfig) -> JsonReport),
-}
-
-/// One registry entry: the names that select it, and how it runs.
-pub type Experiment = (&'static [&'static str], Run);
+/// One registry entry: the names that select it, and what it runs. Figures
+/// that share a parameter sweep share one entry, so `all` pays for each
+/// sweep once.
+pub type Experiment = (&'static [&'static str], fn(&BenchConfig) -> Vec<Figure>);
 
 /// Every experiment, in presentation order.
 pub const EXPERIMENTS: &[Experiment] = &[
     // Fig. 1: raw vs KV speedup, SATA → XPoint.
-    (&["fig01"], Run::Figures(figures::fig01)),
+    (&["fig01"], figures::fig01),
     // Fig. 3: throughput vs insertion ratio.
-    (&["fig03"], Run::Figures(figures::fig03)),
+    (&["fig03"], figures::fig03),
     // Figs. 4–7: timelines + latency @5 %, 90 % writes.
-    (
-        &["fig04", "fig05", "fig06", "fig07"],
-        Run::Figures(figures::fig04_to_07),
-    ),
+    (&["fig04", "fig05", "fig06", "fig07"], figures::fig04_to_07),
     // Figs. 8–10, 12: Level-0 geometry sweep.
-    (
-        &["fig08", "fig09", "fig10", "fig12"],
-        Run::Figures(figures::fig08_to_12),
-    ),
+    (&["fig08", "fig09", "fig10", "fig12"], figures::fig08_to_12),
     // Figs. 13–16: parallelism sweep + interference.
-    (
-        &["fig13", "fig14", "fig15", "fig16"],
-        Run::Figures(figures::fig13_to_16),
-    ),
+    (&["fig13", "fig14", "fig15", "fig16"], figures::fig13_to_16),
     // Fig. 17: WAL on/off write latency.
-    (&["fig17"], Run::Figures(figures::fig17)),
+    (&["fig17"], figures::fig17),
     // Fig. 18: two-stage throttling under bursts.
-    (&["fig18"], Run::Figures(figures::fig18)),
+    (&["fig18"], figures::fig18),
     // Fig. 19: dynamic Level-0 management.
-    (&["fig19"], Run::Figures(figures::fig19)),
+    (&["fig19"], figures::fig19),
     // Fig. 20: WAL placement, SSD vs NVM vs disabled.
-    (&["fig20"], Run::Figures(figures::fig20)),
+    (&["fig20"], figures::fig20),
     // Figs. 6/7, stall view: controller timeline + write-time breakdown.
-    (&["stalls"], Run::Figures(figures::fig_stalls)),
+    (&["stalls"], figures::fig_stalls),
     // Extension: uniform vs zipfian keys.
-    (&["ext_skew"], Run::Figures(figures::ext_skew)),
+    (&["ext_skew"], figures::ext_skew),
     // Extension: per-KV protection and scrubber pacing cost.
-    (&["integrity"], Run::Figures(figures::fig_integrity)),
+    (&["integrity"], figures::fig_integrity),
     // §VI: subcompaction drain throughput + batched MultiGet.
-    (&["parallelism"], Run::Probe(parallelism::run)),
+    (&["parallelism"], parallelism::run),
     // Figs. 15–16, fix side: serial vs concurrent memtable apply.
-    (&["writepath"], Run::Probe(writepath::run)),
+    (&["writepath"], writepath::run),
     // Finding #2, fix side: blooms, block compression, sharded table cache.
-    (&["readpath"], Run::Probe(readpath::run)),
+    (&["readpath"], readpath::run),
     // Figs. 5/18 as a policy family: throughput variance + stall episodes.
-    (&["stability"], Run::Probe(stability::run)),
+    (&["stability"], stability::run),
     // Full-disk robustness: reclamation rate vs read tail and backlog.
-    (&["space"], Run::Probe(space::run)),
+    (&["space"], space::run),
 ];
 
 /// Every name the registry answers to, in order.

@@ -1,8 +1,10 @@
 //! Device-parallelism probe: how far range-partitioned subcompactions and
 //! batched MultiGet push each device toward its internal parallelism.
 //!
-//! Two experiments, both fully deterministic (same seed ⇒ byte-identical
-//! JSON, which `scripts/check.sh` verifies by running the probe twice):
+//! Two experiments, one table each, both fully deterministic (same seed ⇒
+//! byte-identical `results/parallelism_compaction_drain.tsv` and
+//! `results/parallelism_multi_get.tsv`, which `scripts/check.sh` compares
+//! with the committed copies at both sizes):
 //!
 //! * **Compaction drain** — the whole dataset is written with compactions
 //!   deferred so it piles up in Level-0, then the trigger is restored and
@@ -13,10 +15,12 @@
 //!   batch sizes.
 
 use crate::common::{
-    config_cells, devices, label, mib, picker, ratio, us, vs_baseline, with_testbed, BenchConfig,
-    Cell, JsonReport, JsonRow,
+    devices, label, mib, picker, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig,
+    Row,
 };
+use crate::figures::Figure;
 use xlsm_core::experiment::Testbed;
+use xlsm_core::report::f;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Histogram, Ticker};
 use xlsm_sim::Runtime;
@@ -40,7 +44,7 @@ fn drain_one(
     cfg: &BenchConfig,
     max_subcompactions: usize,
     serial_mb_per_s: Option<f64>,
-) -> (JsonRow, f64) {
+) -> (Row, f64) {
     let cfg = *cfg;
     Runtime::new().run(move || {
         // Size the memtable so the deferred fill produces a deep Level-0
@@ -68,23 +72,23 @@ fn drain_one(
 
         // Compaction input consumed per second of drain.
         let mb_per_s = ratio(mib(read), drain_ns as f64 / 1e9);
-        let row = vec![
-            ("device", Cell::Str(device.into())),
-            ("max_subcompactions", Cell::Int(max_subcompactions as u64)),
-            ("compact_read_mb", Cell::F3(mib(read))),
-            ("drain_ms", Cell::F3(drain_ns as f64 / 1e6)),
-            ("mb_per_s", Cell::F3(mb_per_s)),
+        let row: Row = vec![
+            ("device", device.into()),
+            ("max_subcompactions", max_subcompactions.to_string()),
+            ("compact_read_mb", f(mib(read), 3)),
+            ("drain_ms", f(drain_ns as f64 / 1e6, 3)),
+            ("mb_per_s", f(mb_per_s, 3)),
             (
                 "speedup_vs_serial",
-                Cell::F3(vs_baseline(mb_per_s, serial_mb_per_s)),
+                f(vs_baseline(mb_per_s, serial_mb_per_s), 3),
             ),
             (
                 "subcompactions_launched",
-                Cell::Int(stats.ticker(Ticker::SubcompactionsLaunched)),
+                stats.ticker(Ticker::SubcompactionsLaunched).to_string(),
             ),
             (
                 "fallbacks",
-                Cell::Int(stats.ticker(Ticker::SubcompactionFallbacks)),
+                stats.ticker(Ticker::SubcompactionFallbacks).to_string(),
             ),
         ];
         tb.close();
@@ -93,11 +97,7 @@ fn drain_one(
 }
 
 /// Measures batched MultiGet against sequential gets on one device.
-fn multi_get_sweep(
-    profile: DeviceProfile,
-    device: &'static str,
-    cfg: &BenchConfig,
-) -> Vec<JsonRow> {
+fn multi_get_sweep(profile: DeviceProfile, device: &'static str, cfg: &BenchConfig) -> Vec<Row> {
     let cfg = *cfg;
     with_testbed(profile, DbOptions::default, &cfg, move |tb| {
         let ks = KeySpace::new(cfg.key_count);
@@ -131,13 +131,13 @@ fn multi_get_sweep(
             let b99 = us(batched.quantile(0.99));
             let s99 = us(sequential.quantile(0.99));
             points.push(vec![
-                ("device", Cell::Str(device.into())),
-                ("batch", Cell::Int(batch as u64)),
-                ("batched_p50_us", Cell::F3(us(batched.quantile(0.5)))),
-                ("batched_p99_us", Cell::F3(b99)),
-                ("sequential_p50_us", Cell::F3(us(sequential.quantile(0.5)))),
-                ("sequential_p99_us", Cell::F3(s99)),
-                ("p99_speedup", Cell::F3(ratio(s99, b99))),
+                ("device", device.into()),
+                ("batch", batch.to_string()),
+                ("batched_p50_us", f(us(batched.quantile(0.5)), 3)),
+                ("batched_p99_us", f(b99, 3)),
+                ("sequential_p50_us", f(us(sequential.quantile(0.5)), 3)),
+                ("sequential_p99_us", f(s99, 3)),
+                ("p99_speedup", f(ratio(s99, b99), 3)),
             ]);
         }
         points
@@ -146,7 +146,7 @@ fn multi_get_sweep(
 
 /// Runs the full probe over the three study devices: drains grouped by
 /// device in [`FANOUTS`] order, MultiGet in [`BATCHES`] order.
-pub fn run(cfg: &BenchConfig) -> JsonReport {
+pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut drains = Vec::new();
     let mut multi_gets = Vec::new();
     for profile in devices() {
@@ -161,9 +161,8 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
         eprintln!("[parallelism] multi_get: {device}");
         multi_gets.extend(multi_get_sweep(profile.clone(), device, cfg));
     }
-    JsonReport {
-        bench: "parallelism",
-        config: config_cells(cfg),
-        sections: vec![("compaction_drain", drains), ("multi_get", multi_gets)],
-    }
+    vec![
+        probe_table("parallelism_compaction_drain", cfg, &[], drains),
+        probe_table("parallelism_multi_get", cfg, &[], multi_gets),
+    ]
 }

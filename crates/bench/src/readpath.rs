@@ -3,9 +3,10 @@
 //! software fixes for the paper's Finding #2 (the Level-0 query penalty
 //! grows as the device gets faster).
 //!
-//! Two experiments, both fully deterministic (same seed ⇒ byte-identical
-//! JSON; `scripts/check.sh` compares a full-size run with the committed
-//! `BENCH_readpath.json`):
+//! Two experiments, one table each, both fully deterministic (same seed ⇒
+//! byte-identical `results/readpath_point_miss.tsv` and
+//! `results/readpath_compression.tsv`; `scripts/check.sh` compares them
+//! with the committed copies at both sizes):
 //!
 //! * **Point-miss** — the database is filled, then a slice of keys is
 //!   overwritten under a deferred compaction trigger so a deep Level-0
@@ -20,10 +21,12 @@
 //!   the read win tracks how much of the get path the device owns.
 
 use crate::common::{
-    config_cells, devices, label, mib, picker, ratio, us, vs_baseline, with_testbed, BenchConfig,
-    Cell, JsonReport, JsonRow,
+    devices, label, mib, picker, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig,
+    Row,
 };
+use crate::figures::Figure;
 use xlsm_core::experiment::Testbed;
+use xlsm_core::report::f;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{CompressionType, DbOptions, OpTotals, Ticker};
 use xlsm_sim::Runtime;
@@ -50,7 +53,7 @@ fn point_miss_one(
     device: &'static str,
     cfg: &BenchConfig,
     none_kops: Option<f64>,
-) -> (JsonRow, f64) {
+) -> (Row, f64) {
     let cfg = *cfg;
     let filters = none_kops.is_some();
     let opts = move || DbOptions {
@@ -102,27 +105,24 @@ fn point_miss_one(
         let miss_kops = kops(stats.gets.totals());
         // SST whole-key + memtable blooms, or neither.
         let filters = if filters { "bloom" } else { "none" };
-        let row = vec![
-            ("device", Cell::Str(device.into())),
-            ("filters", Cell::Str(filters.into())),
+        let row: Row = vec![
+            ("device", device.into()),
+            ("filters", filters.into()),
             // Level-0 depth at measurement time (the Finding #2 depth).
-            ("l0_files", Cell::Int(l0_files)),
-            ("miss_kops", Cell::F3(miss_kops)),
-            ("miss_p50_us", Cell::F3(us(lat.quantile(0.5)))),
-            ("miss_p99_us", Cell::F3(us(lat.quantile(0.99)))),
+            ("l0_files", l0_files.to_string()),
+            ("miss_kops", f(miss_kops, 3)),
+            ("miss_p50_us", f(us(lat.quantile(0.5)), 3)),
+            ("miss_p99_us", f(us(lat.quantile(0.99)), 3)),
             // Bloom rejections during the window, SST and memtable.
             (
                 "bloom_useful",
-                Cell::Int(stats.ticker(Ticker::BloomUseful) - bloom0),
+                (stats.ticker(Ticker::BloomUseful) - bloom0).to_string(),
             ),
             (
                 "memtable_bloom_useful",
-                Cell::Int(stats.ticker(Ticker::MemtableBloomUseful) - mbloom0),
+                (stats.ticker(Ticker::MemtableBloomUseful) - mbloom0).to_string(),
             ),
-            (
-                "speedup_vs_none",
-                Cell::F3(vs_baseline(miss_kops, none_kops)),
-            ),
+            ("speedup_vs_none", f(vs_baseline(miss_kops, none_kops), 3)),
         ];
         (row, miss_kops)
     })
@@ -136,7 +136,7 @@ fn compression_one(
     cfg: &BenchConfig,
     codec: CompressionType,
     plain_sst_mb: Option<f64>,
-) -> (JsonRow, f64) {
+) -> (Row, f64) {
     let cfg = *cfg;
     Runtime::new().run(move || {
         let opts = DbOptions {
@@ -178,18 +178,18 @@ fn compression_one(
         let lat = stats.gets.latency();
 
         let sst_mb = mib(sst_bytes);
-        let row = vec![
-            ("device", Cell::Str(device.into())),
-            ("codec", Cell::Str(codec.name().into())),
-            ("sst_mb", Cell::F3(sst_mb)),
-            ("size_ratio", Cell::F3(vs_baseline(sst_mb, plain_sst_mb))),
-            ("get_kops", Cell::F3(kops(stats.gets.totals()))),
-            ("get_p50_us", Cell::F3(us(lat.quantile(0.5)))),
-            ("get_p99_us", Cell::F3(us(lat.quantile(0.99)))),
+        let row: Row = vec![
+            ("device", device.into()),
+            ("codec", codec.name().into()),
+            ("sst_mb", f(sst_mb, 3)),
+            ("size_ratio", f(vs_baseline(sst_mb, plain_sst_mb), 3)),
+            ("get_kops", f(kops(stats.gets.totals()), 3)),
+            ("get_p50_us", f(us(lat.quantile(0.5)), 3)),
+            ("get_p99_us", f(us(lat.quantile(0.99)), 3)),
             // Blocks decompressed during the read window.
             (
                 "decompressions",
-                Cell::Int(stats.ticker(Ticker::BlockDecompressions) - dec0),
+                (stats.ticker(Ticker::BlockDecompressions) - dec0).to_string(),
             ),
         ];
         tb.close();
@@ -199,7 +199,7 @@ fn compression_one(
 
 /// Runs the full probe over the three study devices. Every section is
 /// device-major; within a device the baseline of each pair comes first.
-pub fn run(cfg: &BenchConfig) -> JsonReport {
+pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut point_miss = Vec::new();
     let mut compression = Vec::new();
     for profile in devices() {
@@ -224,9 +224,8 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
         );
         compression.extend([plain, rle]);
     }
-    JsonReport {
-        bench: "readpath",
-        config: config_cells(cfg),
-        sections: vec![("point_miss", point_miss), ("compression", compression)],
-    }
+    vec![
+        probe_table("readpath_point_miss", cfg, &[], point_miss),
+        probe_table("readpath_compression", cfg, &[], compression),
+    ]
 }

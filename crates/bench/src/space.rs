@@ -19,14 +19,16 @@
 //!   auto-resumes, and compactions deferred by the space cap.
 //!
 //! Rate 0 is the legacy baseline: obsolete files are deleted inline, no
-//! trash, no pacing. Fully deterministic: same seed ⇒ byte-identical JSON
-//! (`scripts/check.sh` runs the probe twice and diffs).
+//! trash, no pacing. Fully deterministic: same seed ⇒ byte-identical
+//! `results/space.tsv` (`scripts/check.sh` compares its quick run with the
+//! committed `results/quick/space.tsv`).
 
 use crate::common::{
-    config_cells, devices, label, mib, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
-    JsonReport, JsonRow,
+    devices, label, mib, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig, Row,
 };
+use crate::figures::Figure;
 use std::sync::Arc;
+use xlsm_core::report::f;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Ticker};
 use xlsm_workload::{run_workload, Sampler, WorkloadSpec};
@@ -79,7 +81,7 @@ fn run_point(
     cfg: &BenchConfig,
     rate: u64,
     inline_p99_us: Option<f64>,
-) -> (JsonRow, f64) {
+) -> (Row, f64) {
     let cfg = *cfg;
     with_testbed(
         profile,
@@ -119,45 +121,39 @@ fn run_point(
             let window_secs = (t1 - t0) as f64 / 1e9;
             let reclaimed = stats.ticker(Ticker::SpaceReclaimedBytes) - reclaimed0;
             let get_p99_us = us(r.read_latency.p99_ns);
-            let row = vec![
-                ("device", Cell::Str(device.into())),
-                ("rate", Cell::Str(rate_label(rate))),
-                ("kops", Cell::F3(r.kops())),
-                ("get_p50_us", Cell::F3(us(r.read_latency.p50_ns))),
-                ("get_p99_us", Cell::F3(get_p99_us)),
-                ("write_p99_us", Cell::F3(us(r.write_latency.p99_ns))),
+            let row: Row = vec![
+                ("device", device.into()),
+                ("rate", rate_label(rate)),
+                ("kops", f(r.kops(), 3)),
+                ("get_p50_us", f(us(r.read_latency.p50_ns), 3)),
+                ("get_p99_us", f(get_p99_us, 3)),
+                ("write_p99_us", f(us(r.write_latency.p99_ns), 3)),
                 // Bytes that entered `trash/` over the run (0 when inline).
                 (
                     "trashed_mib",
-                    Cell::F3(mib(stats.ticker(Ticker::TrashQueueBytes) - trashed0)),
+                    f(mib(stats.ticker(Ticker::TrashQueueBytes) - trashed0), 3),
                 ),
-                ("reclaimed_mib", Cell::F3(mib(reclaimed))),
-                (
-                    "reclaim_mibps",
-                    Cell::F3(ratio(mib(reclaimed), window_secs)),
-                ),
-                ("peak_backlog_mib", Cell::F3(mib(peak_backlog))),
+                ("reclaimed_mib", f(mib(reclaimed), 3)),
+                ("reclaim_mibps", f(ratio(mib(reclaimed), window_secs), 3)),
+                ("peak_backlog_mib", f(mib(peak_backlog), 3)),
                 // Backlog still queued when the window closed.
-                (
-                    "final_backlog_mib",
-                    Cell::F3(mib(tb.db.trash_queued_bytes())),
-                ),
+                ("final_backlog_mib", f(mib(tb.db.trash_queued_bytes()), 3)),
                 (
                     "enospc_stalls",
-                    Cell::Int(stats.ticker(Ticker::EnospcStalls)),
+                    stats.ticker(Ticker::EnospcStalls).to_string(),
                 ),
                 (
                     "auto_resumes",
-                    Cell::Int(stats.ticker(Ticker::BackgroundAutoResumes)),
+                    stats.ticker(Ticker::BackgroundAutoResumes).to_string(),
                 ),
                 // Compactions whose output would not fit under the cap.
                 (
                     "compactions_deferred",
-                    Cell::Int(stats.ticker(Ticker::SpaceCompactionsDeferred)),
+                    stats.ticker(Ticker::SpaceCompactionsDeferred).to_string(),
                 ),
                 (
                     "get_p99_vs_inline",
-                    Cell::F3(vs_baseline(get_p99_us, inline_p99_us)),
+                    f(vs_baseline(get_p99_us, inline_p99_us), 3),
                 ),
             ];
             (row, get_p99_us)
@@ -167,7 +163,7 @@ fn run_point(
 
 /// Runs the full (device × reclamation-rate) sweep: device-major, rates in
 /// [`RATES`] order (inline first).
-pub fn run(cfg: &BenchConfig) -> JsonReport {
+pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
@@ -179,13 +175,10 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
             points.push(row);
         }
     }
-    let mut config = config_cells(cfg);
-    config.push(("cap_mib", Cell::F1(mib(cap_bytes(cfg)))));
-    // Measured window per point, virtual seconds.
-    config.push(("window_secs", Cell::F1(cfg.duration.as_secs_f64() * 2.0)));
-    JsonReport {
-        bench: "space",
-        config,
-        sections: vec![("points", points)],
-    }
+    let config = [
+        ("cap_mib", f(mib(cap_bytes(cfg)), 1)),
+        // Measured window per point, virtual seconds.
+        ("window_secs", f(cfg.duration.as_secs_f64() * 2.0, 1)),
+    ];
+    vec![probe_table("space", cfg, &config, points)]
 }

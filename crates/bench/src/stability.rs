@@ -25,20 +25,29 @@
 //! swept: this workload never drops to 25 % writes, so its manager would
 //! never decide anything (EXPERIMENTS.md, "Performance stability").
 //!
-//! Fully deterministic: same seed ⇒ byte-identical JSON
-//! (`scripts/check.sh` runs the probe twice and diffs).
+//! Fully deterministic: same seed ⇒ byte-identical `results/stability.tsv`
+//! (`scripts/check.sh` compares its quick run with the committed
+//! `results/quick/stability.tsv`).
 
 use crate::common::{
-    config_cells, devices, label, ratio, us, vs_baseline, with_testbed, BenchConfig, Cell,
-    JsonReport, JsonRow,
+    devices, label, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig, Row,
 };
+use crate::figures::Figure;
 use std::sync::Arc;
+use xlsm_core::report::f;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{episode_durations, CompactionScheduler, DbOptions, ThrottlePolicy, Ticker};
 use xlsm_workload::{run_workload, BurstSpec, WorkloadSpec};
 
-/// Episode-duration CDF thresholds, in milliseconds.
-pub const CDF_THRESHOLDS_MS: [u64; 5] = [10, 50, 100, 500, 1000];
+/// The episode-duration CDF: each column is the share of episodes no longer
+/// than its threshold, in milliseconds.
+pub const EPISODE_CDF_MS: [(&str, u64); 5] = [
+    ("ep_le_10ms", 10),
+    ("ep_le_50ms", 50),
+    ("ep_le_100ms", 100),
+    ("ep_le_500ms", 500),
+    ("ep_le_1000ms", 1000),
+];
 
 /// Background I/O budget of the `fair` row, in bytes per second of virtual
 /// time. Chosen to sit above the steady compaction demand of the scaled
@@ -144,7 +153,7 @@ fn run_point(
     cfg: &BenchConfig,
     (policy, apply): Policy,
     greedy: Option<Baseline>,
-) -> (JsonRow, Baseline) {
+) -> (Row, Baseline) {
     let cfg = *cfg;
     let opts = move || {
         let mut opts = stall_geometry();
@@ -168,14 +177,6 @@ fn run_point(
         eps.sort_unstable();
         let window = (t1 - t0).max(1);
         let stalled: u64 = eps.iter().sum();
-        // Fraction of episodes no longer than each `CDF_THRESHOLDS_MS` entry.
-        let mut episode_cdf = vec![0.0f64; CDF_THRESHOLDS_MS.len()];
-        if !eps.is_empty() {
-            for (slot, thr) in episode_cdf.iter_mut().zip(CDF_THRESHOLDS_MS) {
-                let within = eps.iter().filter(|&&e| e <= thr * 1_000_000).count();
-                *slot = within as f64 / eps.len() as f64;
-            }
-        }
         let buckets: Vec<f64> = r.timeline.iter().map(|&(_, k)| k).collect();
         let mean = buckets.iter().sum::<f64>() / buckets.len().max(1) as f64;
         let var =
@@ -187,56 +188,55 @@ fn run_point(
             ep_p99_ms: ms(quantile_ns(&eps, 0.99)),
             cv,
         };
-        let row = vec![
-            ("device", Cell::Str(device.into())),
-            ("policy", Cell::Str(policy.into())),
-            ("kops", Cell::F3(own.kops)),
+        let mut row: Row = vec![
+            ("device", device.into()),
+            ("policy", policy.into()),
+            ("kops", f(own.kops, 3)),
             // Coefficient of variation (σ/µ) across 100 ms timeline buckets.
-            ("cv", Cell::F3(cv)),
+            ("cv", f(cv, 3)),
             // Worst 100 ms bucket (near-stop depth).
-            ("min_bucket_kops", Cell::F3(r.min_bucket_kops())),
-            ("write_p50_us", Cell::F3(us(write_hist.quantile(0.5)))),
-            ("write_p99_us", Cell::F3(us(write_hist.quantile(0.99)))),
-            ("write_p999_us", Cell::F3(us(write_hist.quantile(0.999)))),
-            ("episodes", Cell::Int(eps.len() as u64)),
-            ("ep_p50_ms", Cell::F3(ms(quantile_ns(&eps, 0.5)))),
-            ("ep_p90_ms", Cell::F3(ms(quantile_ns(&eps, 0.9)))),
-            ("ep_p99_ms", Cell::F3(own.ep_p99_ms)),
-            ("ep_max_ms", Cell::F3(ms(eps.last().copied().unwrap_or(0)))),
+            ("min_bucket_kops", f(r.min_bucket_kops(), 3)),
+            ("write_p50_us", f(us(write_hist.quantile(0.5)), 3)),
+            ("write_p99_us", f(us(write_hist.quantile(0.99)), 3)),
+            ("write_p999_us", f(us(write_hist.quantile(0.999)), 3)),
+            ("episodes", eps.len().to_string()),
+            ("ep_p50_ms", f(ms(quantile_ns(&eps, 0.5)), 3)),
+            ("ep_p90_ms", f(ms(quantile_ns(&eps, 0.9)), 3)),
+            ("ep_p99_ms", f(own.ep_p99_ms, 3)),
+            ("ep_max_ms", f(ms(eps.last().copied().unwrap_or(0)), 3)),
             // Share of the window spent inside stall episodes.
-            (
-                "stalled_pct",
-                Cell::F3(stalled as f64 / window as f64 * 100.0),
-            ),
-            ("episode_cdf", Cell::F3List(episode_cdf)),
+            ("stalled_pct", f(stalled as f64 / window as f64 * 100.0, 3)),
+        ];
+        row.extend(EPISODE_CDF_MS.map(|(column, limit_ms)| {
+            let within = eps.iter().filter(|&&e| e <= limit_ms * 1_000_000).count();
+            (column, f(ratio(within as f64, eps.len() as f64), 3))
+        }));
+        row.extend([
             // Time background jobs waited on the shared I/O budget (0 for
             // policies that leave the limiter off).
             (
                 "bg_io_wait_ms",
-                Cell::F3(stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6),
+                f(stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6, 3),
             ),
             (
                 "kops_vs_greedy",
-                Cell::F3(vs_baseline(own.kops, greedy.map(|g| g.kops))),
+                f(vs_baseline(own.kops, greedy.map(|g| g.kops)), 3),
             ),
             // < 1.0 = shorter stalls.
             (
                 "ep_p99_vs_greedy",
-                Cell::F3(vs_baseline(own.ep_p99_ms, greedy.map(|g| g.ep_p99_ms))),
+                f(vs_baseline(own.ep_p99_ms, greedy.map(|g| g.ep_p99_ms)), 3),
             ),
             // < 1.0 = steadier.
-            (
-                "cv_vs_greedy",
-                Cell::F3(vs_baseline(cv, greedy.map(|g| g.cv))),
-            ),
-        ];
+            ("cv_vs_greedy", f(vs_baseline(cv, greedy.map(|g| g.cv)), 3)),
+        ]);
         (row, own)
     })
 }
 
 /// Runs the full (device × policy) sweep: device-major, policies in
 /// [`POLICIES`] order (greedy first).
-pub fn run(cfg: &BenchConfig) -> JsonReport {
+pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
@@ -248,14 +248,14 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
             points.push(row);
         }
     }
-    let mut config = config_cells(cfg);
     // Measured window per point, virtual seconds.
-    config.push(("window_secs", Cell::F1(cfg.duration.as_secs_f64() * 4.0)));
-    JsonReport {
-        bench: "stability",
-        config,
-        sections: vec![("points", points)],
-    }
+    let window_secs = f(cfg.duration.as_secs_f64() * 4.0, 1);
+    vec![probe_table(
+        "stability",
+        cfg,
+        &[("window_secs", window_secs)],
+        points,
+    )]
 }
 
 #[cfg(test)]

@@ -19,13 +19,14 @@
 //! themselves (the device still charges every WAL push at its own
 //! latency/bandwidth, which is where the sata/pcie/xpoint rows differ).
 //!
-//! Fully deterministic: same seed ⇒ byte-identical JSON
-//! (`scripts/check.sh` runs the probe twice and diffs).
+//! Fully deterministic: same seed ⇒ byte-identical
+//! `results/writepath_put_latency.tsv` (`scripts/check.sh` compares it with
+//! the committed copy at both sizes).
 
-use crate::common::{
-    config_cells, devices, label, ratio, us, with_testbed, BenchConfig, Cell, JsonReport, JsonRow,
-};
+use crate::common::{devices, label, probe_table, ratio, us, with_testbed, BenchConfig, Row};
+use crate::figures::Figure;
 use std::sync::Arc;
+use xlsm_core::report::f;
 use xlsm_device::DeviceProfile;
 use xlsm_engine::{DbOptions, Ticker};
 
@@ -54,7 +55,7 @@ fn run_point(
     cfg: &BenchConfig,
     writers: usize,
     serial_p99_us: Option<f64>,
-) -> (JsonRow, f64) {
+) -> (Row, f64) {
     let concurrent = serial_p99_us.is_some();
     // Lift the Algorithm-1 stall triggers and give the memtables some
     // slack: controller pacing and flush backpressure would otherwise
@@ -99,26 +100,29 @@ fn run_point(
         let put_latency = stats.writes.latency();
         let put_p99_us = us(put_latency.quantile(0.99));
         let mode = if concurrent { "concurrent" } else { "serial" };
-        let row = vec![
-            ("device", Cell::Str(device.into())),
-            ("writers", Cell::Int(writers as u64)),
-            ("mode", Cell::Str(mode.into())),
-            ("put_p50_us", Cell::F3(us(put_latency.quantile(0.5)))),
-            ("put_p99_us", Cell::F3(put_p99_us)),
+        let row: Row = vec![
+            ("device", device.into()),
+            ("writers", writers.to_string()),
+            ("mode", mode.into()),
+            ("put_p50_us", f(us(put_latency.quantile(0.5)), 3)),
+            ("put_p99_us", f(put_p99_us, 3)),
             // Mean writer-queue depth sampled at group commits.
-            ("avg_queue_depth", Cell::F3(stats.avg_waiting_writers())),
+            ("avg_queue_depth", f(stats.avg_waiting_writers(), 3)),
             // Mean member batches per write group.
             (
                 "avg_group_batches",
-                Cell::F3(stats.write_group_batches.summary().mean_ns as f64),
+                f(stats.write_group_batches.summary().mean_ns as f64, 3),
             ),
             (
                 "concurrent_applies",
-                Cell::Int(stats.ticker(Ticker::ConcurrentMemtableApplies)),
+                stats.ticker(Ticker::ConcurrentMemtableApplies).to_string(),
             ),
             (
                 "p99_speedup_vs_serial",
-                Cell::F3(serial_p99_us.map_or(1.0, |serial| ratio(serial, put_p99_us))),
+                f(
+                    serial_p99_us.map_or(1.0, |serial| ratio(serial, put_p99_us)),
+                    3,
+                ),
             ),
         ];
         (row, put_p99_us)
@@ -127,7 +131,7 @@ fn run_point(
 
 /// Runs the full sweep over the three study devices: device-major, then
 /// writer count, serial before concurrent.
-pub fn run(cfg: &BenchConfig) -> JsonReport {
+pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
@@ -139,9 +143,5 @@ pub fn run(cfg: &BenchConfig) -> JsonReport {
             points.extend([serial, conc]);
         }
     }
-    JsonReport {
-        bench: "writepath",
-        config: config_cells(cfg),
-        sections: vec![("put_latency", points)],
-    }
+    vec![probe_table("writepath_put_latency", cfg, &[], points)]
 }

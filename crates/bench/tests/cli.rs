@@ -10,19 +10,17 @@ fn xlsm_bench(args: &[&str]) -> Output {
         .expect("run xlsm-bench")
 }
 
+/// One line per registry entry: the names that select it.
 #[test]
-fn list_prints_the_registry_and_its_probes() {
+fn list_prints_the_registry() {
     let out = xlsm_bench(&["list"]);
     assert!(out.status.success());
     let listed = String::from_utf8(out.stdout).unwrap();
-    let names: Vec<&str> = xlsm_bench::names().collect();
-    assert_eq!(listed.lines().collect::<Vec<_>>(), names);
-
-    let out = xlsm_bench(&["list", "--probes"]);
-    assert_eq!(
-        String::from_utf8(out.stdout).unwrap(),
-        "parallelism\nwritepath\nreadpath\nstability\nspace\n"
-    );
+    let entries: Vec<String> = xlsm_bench::EXPERIMENTS
+        .iter()
+        .map(|(names, _)| names.join(" "))
+        .collect();
+    assert_eq!(listed.lines().collect::<Vec<_>>(), entries);
 }
 
 #[test]
@@ -71,13 +69,14 @@ fn files_under(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-#[test]
-fn a_quick_run_writes_only_under_results_quick() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-quick-stalls");
+/// Runs `xlsm-bench --quick <name>` in an empty directory and returns every
+/// file it wrote, sorted.
+fn quick_run_writes(name: &str) -> Vec<PathBuf> {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-quick-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_xlsm-bench"))
-        .args(["--quick", "stalls"])
+        .args(["--quick", name])
         .current_dir(&dir)
         .output()
         .expect("run xlsm-bench");
@@ -88,9 +87,24 @@ fn a_quick_run_writes_only_under_results_quick() {
     );
     let mut files = files_under(&dir);
     files.sort();
+    std::fs::remove_dir_all(&dir).unwrap();
+    files
+}
+
+#[test]
+fn a_quick_run_writes_only_under_results_quick() {
     assert_eq!(
-        files,
+        quick_run_writes("stalls"),
         ["stall_breakdown.tsv", "stall_timeline.tsv"].map(|f| Path::new("results/quick").join(f))
     );
-    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A probe is an experiment like a figure: its tables, and nothing else.
+#[test]
+fn a_probe_writes_only_its_tables() {
+    assert_eq!(
+        quick_run_writes("readpath"),
+        ["readpath_compression.tsv", "readpath_point_miss.tsv"]
+            .map(|f| Path::new("results/quick").join(f))
+    );
 }

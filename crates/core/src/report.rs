@@ -26,6 +26,24 @@ impl Table {
         }
     }
 
+    /// Creates a table from named rows: each cell carries its column's
+    /// header, so a column is declared where its value is measured. The
+    /// headers are the first row's names; every row names the same columns
+    /// in the same order.
+    pub fn from_named_rows(title: &str, rows: Vec<Vec<(&str, String)>>) -> Table {
+        let headers: Vec<&str> = rows.first().into_iter().flatten().map(|c| c.0).collect();
+        let mut table = Table::new(title, &headers);
+        for row in rows {
+            let names = row.iter().map(|c| c.0);
+            assert!(
+                names.eq(headers.iter().copied()),
+                "{title}: a row names other columns"
+            );
+            table.rows.push(row.into_iter().map(|c| c.1).collect());
+        }
+        table
+    }
+
     /// Appends a row.
     pub fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.headers.len());
@@ -266,6 +284,19 @@ mod tests {
             ]
         );
         assert_eq!(table.rows[1][3], "cleared");
+    }
+
+    #[test]
+    fn named_rows_give_the_headers_and_the_cells() {
+        let point =
+            |device: &str, kops: f64| vec![("device", device.to_owned()), ("kops", f(kops, 3))];
+        let t = Table::from_named_rows(
+            "probe",
+            vec![point("sata-flash", 14.28), point("3d-xpoint", 1.0)],
+        );
+        assert_eq!(t.headers, ["device", "kops"]);
+        assert_eq!(t.rows, [["sata-flash", "14.280"], ["3d-xpoint", "1.000"]]);
+        assert!(Table::from_named_rows("empty", vec![]).headers.is_empty());
     }
 
     #[test]

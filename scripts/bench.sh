@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Rewrites every committed artifact at both sizes: full-size results/*.tsv
-# and BENCH_<probe>.json, and the quick copy of all of them under
-# results/quick/ that scripts/same_bytes.sh compares a fresh quick run with.
+# Rewrites every committed artifact at both sizes: the full-size tables
+# under results/ and the quick copy of all of them under results/quick/ that
+# scripts/same_bytes.sh compares a fresh quick run with.
 #
 # Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
-# seconds of the full-size figures, of each probe and of the quick suite, the
+# seconds of each registry entry at full size and of the quick suite, the
 # oracle test's seconds and peak resident memory, the seconds of every test
 # binary of `cargo test --release --workspace`, mean ns of every engine_micro
 # bench, and where two probes spent their host time: host ms per charge
@@ -32,11 +32,12 @@ timed() {
     "${pin[@]}" "$bin" "${@:3}"
     into+=("    \"$2\": $((SECONDS - started))")
 }
-probes=$("$bin" list --probes)
-suite_rows=() probe_rows=()
-timed suite_rows figures $("$bin" list | grep -vxF "$probes")
-for probe in $probes; do
-    timed probe_rows "$probe" "$probe"
+# One row per registry entry, named by its first name (`list` prints an
+# entry's names on one line).
+mapfile -t entries < <("$bin" list)
+entry_rows=() suite_rows=()
+for entry in "${entries[@]%% *}"; do
+    timed entry_rows "$entry" "$entry"
 done
 timed suite_rows quick_all --quick all
 
@@ -120,8 +121,8 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '  "suite_wall_s": {'
     rows "${suite_rows[@]}"
     echo '  },'
-    echo '  "probe_wall_s": {'
-    rows "${probe_rows[@]}"
+    echo '  "entry_wall_s": {'
+    rows "${entry_rows[@]}"
     echo '  },'
     echo '  "test_wall_s": {'
     echo "    \"oracle\": $oracle_s"

@@ -24,7 +24,9 @@
 # these rows are read for. Two control rows follow, from layers most changes
 # leave alone (`device.host_ns_per_io`, `loadgen.host_ns_per_op`): a layer
 # row also moves with the binary's code layout, so it reads a change only
-# where it moves more than the controls do. Last, one `xlsm-bench --quick probe` per side
+# where it moves more than the controls do. Next to them it prints the crates
+# that `git diff <base-ref>` touches, and flags a control row whose code
+# lies in one of them: that row is no control for this change. Last, one `xlsm-bench --quick probe` per side
 # on the workload's device and write share prints the host clock per charge
 # class, scheduler and switch, for the fill and the window, side by side, so
 # a claim can name its class too (a tree whose probe attributes no host time
@@ -48,6 +50,11 @@ if [[ ! -d $base ]]; then
     git -C "$repo" archive "$sha" | tar -x -C "$base.partial"
     mv "$base.partial" "$base"
 fi
+# The crates the change touches: the directory under crates/ or shims/, or
+# benchmark.
+touched=$(git -C "$repo" diff --name-only "$sha" |
+    awk -F/ '$1 == "crates" || $1 == "shims" { print $2 } $1 == "benchmark" { print $1 }' |
+    sort -u | paste -sd, -)
 out=$repo/target/host_pairs/$workload-$seeds
 rm -rf "$out"
 mkdir -p "$out"
@@ -105,11 +112,12 @@ for side in parent change; do
     "${pin[@]}" "$tree/target/release/xlsm-bench" --quick probe "$device" "$write_pct" 4 1 >"$out/$side.probe.txt"
 done
 
-python3 - "$out" "$pairs" "$workload" "$seeds" "$sha" "$device $write_pct" "$traces" <<'EOF'
+python3 - "$out" "$pairs" "$workload" "$seeds" "$sha" "$device $write_pct" "$traces" "$touched" <<'EOF'
 import json, re, sys
 
 out, pairs, workload, seeds, sha, probe = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4].split(","), sys.argv[5], sys.argv[6]
 traces = int(sys.argv[7])
+touched = set(filter(None, sys.argv[8].split(",")))
 HOST = {"setup_s": "lower", "host_ops_per_s": "higher", "peak_rss_mb": "lower"}
 # runs[seed][side]: that seed's runs, in pair order.
 runs = {seed: {side: [json.load(open(f"{out}/{side}.{seed}.{i}.json")) for i in range(pairs)]
@@ -169,22 +177,28 @@ traced = {side: [json.load(open(f"{out}/{side}.{seed}.trace{i}.json"))["metrics"
 layers = [name for name in traced["parent"][0]
           if name.startswith("sim.") or name in ("simfs.host_ns_per_read_hit", "simfs.host_ns_per_read_miss")
           or (name.startswith("engine.call.") and name.endswith(".host_ns"))]
-# Controls: layers most changes leave alone. A layer row moves with the
-# binary's code layout too; it reads a change only where it moves more than
-# these do.
-controls = ["device.host_ns_per_io", "loadgen.host_ns_per_op"]
+# Controls: layers most changes leave alone, each with the crates its timed
+# code runs in. A layer row moves with the binary's code layout too; it reads
+# a change only where it moves more than these do, and a control whose code
+# the change touches is none.
+controls = {
+    "device.host_ns_per_io": {"device", "sim", "workload", "parking_lot"},
+    "loadgen.host_ns_per_op": {"benchmark", "workload", "sim"},
+}
 print(f"{traces} traced runs per side, seed {seed}, host clock per layer: median [min-max]")
 print(f"{'layer':<32} {'parent':>28} {'change':>28} {'ratio':>7}")
-for name in layers + controls:
-    if name == controls[0]:
-        print("control rows:")
+for name in layers + list(controls):
+    if name == next(iter(controls)):
+        print(f"control rows (crates the diff touches: {', '.join(sorted(touched)) or 'none'}):")
     cells, medians = [], []
     for side in ("parent", "change"):
         vs = sorted(t[name]["value"] for t in traced[side])
         medians.append(quartiles(vs)[1])
         cells.append(f"{medians[-1]:.1f} [{vs[0]:.1f}-{vs[-1]:.1f}]")
     p, c = medians
-    print(f"{name:<32} {cells[0]:>28} {cells[1]:>28} " + (f"{c / p:>6.3f}x" if p else f"{'-':>7}"))
+    hit = sorted(controls.get(name, set()) & touched)
+    flag = f"  NOT A CONTROL: the diff touches {', '.join(hit)}" if hit else ""
+    print(f"{name:<32} {cells[0]:>28} {cells[1]:>28} " + (f"{c / p:>6.3f}x" if p else f"{'-':>7}") + flag)
 def host_rows(side):
     """{phase: (summary, {row: host ms})} from a probe's host-clock tables."""
     phases, rows = {}, None
