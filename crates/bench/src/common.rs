@@ -149,6 +149,17 @@ pub fn vs_baseline(x: f64, baseline: Option<f64>) -> f64 {
     baseline.map_or(1.0, |base| ratio(x, base))
 }
 
+/// `opts` with no Level-0 throttle: both Level-0 write triggers lifted out
+/// of reach (the memtable stop stays), for an experiment whose point is a
+/// deep Level-0 or a write path without controller pacing.
+pub fn no_l0_throttle(opts: DbOptions) -> DbOptions {
+    DbOptions {
+        level0_slowdown_writes_trigger: 1 << 16,
+        level0_stop_writes_trigger: 1 << 16,
+        ..opts
+    }
+}
+
 /// Short device label for table rows.
 pub fn label(profile: &DeviceProfile) -> &'static str {
     profile.kind.label()

@@ -3,7 +3,7 @@
 //! runs on its own freshly filled testbed ([`run_one`] or [`with_testbed`]),
 //! so no point's number depends on the points that ran before it.
 
-use crate::common::{devices, label, run_one, us, with_testbed, BenchConfig};
+use crate::common::{devices, label, run_one, us, with_testbed, BenchConfig, Row};
 use std::sync::Arc;
 use std::time::Duration;
 use xlsm_core::casestudy::dynamic_l0::{DynamicL0Config, DynamicL0Manager};
@@ -32,31 +32,29 @@ fn on_every_device(cfg: &BenchConfig, specs: &[WorkloadSpec]) -> Vec<Vec<Workloa
         .collect()
 }
 
-/// A table keyed by `key` with one column per device.
-fn device_table(title: &str, key: &str) -> Table {
-    let labels: Vec<&str> = devices().iter().map(label).collect();
-    Table::new(title, &[key, labels[0], labels[1], labels[2]])
+/// A row keyed by `key`, then one cell per paper device, each named by the
+/// device's label.
+fn device_row(key: (&'static str, String), cells: impl IntoIterator<Item = String>) -> Row {
+    let labels = devices().into_iter().map(|profile| label(&profile));
+    std::iter::once(key).chain(labels.zip(cells)).collect()
 }
 
-/// One row: its key, then its cells.
-fn row(key: String, cells: impl IntoIterator<Item = String>) -> Vec<String> {
-    std::iter::once(key).chain(cells).collect()
-}
-
-/// A latency table: one `p50_us, p90_us, p99_us` row per `(name, summary)`.
+/// A latency table: one `p50_us, p90_us, p99_us` row per `(name, summary)`,
+/// the name in column `key`.
 fn latency_table<'a>(
     title: &str,
-    key: &str,
+    key: &'static str,
     rows: impl IntoIterator<Item = (&'a str, HistogramSummary)>,
 ) -> Table {
-    let mut t = Table::new(title, &[key, "p50_us", "p90_us", "p99_us"]);
-    for (name, s) in rows {
-        t.row(row(
-            name.into(),
-            [s.p50_ns, s.p90_ns, s.p99_ns].map(|ns| f(us(ns), 1)),
-        ));
-    }
-    t
+    let rows = rows.into_iter().map(|(name, s)| {
+        vec![
+            (key, name.to_owned()),
+            ("p50_us", f(us(s.p50_ns), 1)),
+            ("p90_us", f(us(s.p90_ns), 1)),
+            ("p99_us", f(us(s.p99_ns), 1)),
+        ]
+    });
+    Table::from_named_rows(title, rows)
 }
 
 /// Figs. 6/7 and 14/15: the read and the write latency table of one point
@@ -85,10 +83,7 @@ fn read_and_write_latency(
 /// each device (8 threads). Paper: raw 26 → 408 kop/s (15.7×) but KV only
 /// 13 → 23 kop/s (+76.9 %).
 pub fn fig01(cfg: &BenchConfig) -> Vec<Figure> {
-    let mut table = Table::new(
-        "Fig 1: raw device vs KV throughput (4KiB random, 1:1 R/W, 8 threads)",
-        &["device", "raw_kops", "kv_kops"],
-    );
+    let mut rows = Vec::new();
     let mut raw_vals = Vec::new();
     let mut kv_vals = Vec::new();
     // Fig. 1 uses 4 KiB requests at both layers (unlike the 1 KiB values of
@@ -111,20 +106,21 @@ pub fn fig01(cfg: &BenchConfig) -> Vec<Figure> {
             &kv_cfg,
             kv_cfg.spec().with_threads(8).with_write_fraction(0.5),
         );
-        table.row(vec![
-            label(&profile).into(),
-            f(raw.kops, 1),
-            f(kv.kops(), 1),
+        rows.push(vec![
+            ("device", label(&profile).into()),
+            ("raw_kops", f(raw.kops, 1)),
+            ("kv_kops", f(kv.kops(), 1)),
         ]);
         raw_vals.push(raw.kops);
         kv_vals.push(kv.kops());
     }
-    table.row(vec![
-        "xpoint/sata".into(),
-        f(raw_vals[2] / raw_vals[0], 2),
-        f(kv_vals[2] / kv_vals[0], 2),
+    rows.push(vec![
+        ("device", "xpoint/sata".into()),
+        ("raw_kops", f(raw_vals[2] / raw_vals[0], 2)),
+        ("kv_kops", f(kv_vals[2] / kv_vals[0], 2)),
     ]);
-    vec![("fig01".into(), table)]
+    let title = "Fig 1: raw device vs KV throughput (4KiB random, 1:1 R/W, 8 threads)";
+    vec![("fig01".into(), Table::from_named_rows(title, rows))]
 }
 
 // ---------------------------------------------------------------------------
@@ -141,17 +137,14 @@ pub fn fig03(cfg: &BenchConfig) -> Vec<Figure> {
         .map(|&r| cfg.spec().with_threads(4).with_write_fraction(r))
         .collect();
     let results = on_every_device(cfg, &specs);
-    let mut t = device_table(
-        "Fig 3: throughput (kop/s) vs insertion ratio, 4 threads",
-        "insert_pct",
-    );
-    for (i, r) in ratios.iter().enumerate() {
-        t.row(row(
-            f(r * 100.0, 0),
+    let rows = ratios.iter().enumerate().map(|(i, r)| {
+        device_row(
+            ("insert_pct", f(r * 100.0, 0)),
             results.iter().map(|d| f(d[i].kops(), 1)),
-        ));
-    }
-    vec![("fig03".into(), t)]
+        )
+    });
+    let title = "Fig 3: throughput (kop/s) vs insertion ratio, 4 threads";
+    vec![("fig03".into(), Table::from_named_rows(title, rows))]
 }
 
 // ---------------------------------------------------------------------------
@@ -176,15 +169,15 @@ pub fn fig04_to_07(cfg: &BenchConfig) -> Vec<Figure> {
     for (point, fig, writes) in [(0, 4, 5), (1, 5, 90)] {
         let title = format!("Fig {fig}: throughput timeline, {writes}% writes (kop/s per 100ms)");
         let rs: Vec<&WorkloadResult> = results.iter().map(|d| &d[point]).collect();
-        let mut t = device_table(&title, "t_s");
-        for (i, &(t_s, _)) in rs[0].timeline.iter().enumerate() {
-            t.row(row(f(t_s, 1), rs.iter().map(|r| f(r.timeline[i].1, 1))));
-        }
-        t.row(row(
-            "min_bucket".into(),
+        let buckets = rs[0].timeline.iter().enumerate().map(|(i, &(t_s, _))| {
+            device_row(("t_s", f(t_s, 1)), rs.iter().map(|r| f(r.timeline[i].1, 1)))
+        });
+        let min_bucket = device_row(
+            ("t_s", "min_bucket".into()),
             rs.iter().map(|r| f(r.min_bucket_kops(), 1)),
-        ));
-        out.push((format!("fig{fig:02}"), t));
+        );
+        let rows = buckets.chain([min_bucket]);
+        out.push((format!("fig{fig:02}"), Table::from_named_rows(&title, rows)));
     }
     let at_90: Vec<&WorkloadResult> = results.iter().map(|d| &d[1]).collect();
     out.extend(read_and_write_latency(
@@ -252,42 +245,37 @@ pub fn fig08_to_12(cfg: &BenchConfig) -> Vec<Figure> {
     let dev_labels: Vec<&str> = devices().iter().map(label).collect::<Vec<_>>();
     let mut out = Vec::new();
     // Fig 8: size → avg L0 files.
-    let mut t8 = Table::new(
-        "Fig 8: avg num of Level-0 files vs file size (1:1, 4 threads)",
-        &["file_size_mb", dev_labels[0], dev_labels[1], dev_labels[2]],
-    );
-    for ((d0, d1), d2) in per_device[0].iter().zip(&per_device[1]).zip(&per_device[2]) {
-        t8.row(vec![
-            f(d0.size_mb, 1),
-            f(d0.avg_l0, 2),
-            f(d1.avg_l0, 2),
-            f(d2.avg_l0, 2),
-        ]);
-    }
-    out.push(("fig08".into(), t8));
+    let rows = per_device[0].iter().enumerate().map(|(i, p)| {
+        device_row(
+            ("file_size_mb", f(p.size_mb, 1)),
+            per_device.iter().map(|points| f(points[i].avg_l0, 2)),
+        )
+    });
+    let title = "Fig 8: avg num of Level-0 files vs file size (1:1, 4 threads)";
+    out.push(("fig08".into(), Table::from_named_rows(title, rows)));
     // Figs 9, 10, 12: per device rows keyed by geometry.
     for (name, title) in [
         ("fig09", "Fig 9: throughput (kop/s) vs num of L0 files"),
         ("fig10", "Fig 10: read p90 (us) vs num of L0 files"),
         ("fig12", "Fig 12: write p90 (us) vs SST file size (MB)"),
     ] {
-        let mut t = Table::new(title, &["device", "file_size_mb", "avg_l0_files", "value"]);
-        for (d, points) in per_device.iter().enumerate() {
+        let mut rows = Vec::new();
+        for (&device, points) in dev_labels.iter().zip(&per_device) {
             for p in points {
                 let v = match name {
                     "fig09" => p.kops,
                     "fig10" => p.read_p90_us,
                     _ => p.write_p90_us,
                 };
-                t.row(vec![
-                    dev_labels[d].into(),
-                    f(p.size_mb, 1),
-                    f(p.avg_l0, 2),
-                    f(v, 1),
+                rows.push(vec![
+                    ("device", device.into()),
+                    ("file_size_mb", f(p.size_mb, 1)),
+                    ("avg_l0_files", f(p.avg_l0, 2)),
+                    ("value", f(v, 1)),
                 ]);
             }
         }
-        out.push((name.to_owned(), t));
+        out.push((name.to_owned(), Table::from_named_rows(title, rows)));
     }
     out
 }
@@ -309,24 +297,21 @@ pub fn fig13_to_16(cfg: &BenchConfig) -> Vec<Figure> {
         .map(|&t| cfg.spec().with_threads(t).with_write_fraction(0.5))
         .collect();
     let results = on_every_device(cfg, &specs);
-    let mut t13 = device_table(
-        "Fig 13: throughput (kop/s) vs parallelism (1:1 R/W)",
-        "threads",
-    );
-    for (i, t) in threads.iter().enumerate() {
-        t13.row(row(
-            t.to_string(),
+    let rows = threads.iter().enumerate().map(|(i, t)| {
+        device_row(
+            ("threads", t.to_string()),
             results.iter().map(|d| f(d[i].kops(), 1)),
-        ));
-    }
+        )
+    });
+    let t13 = Table::from_named_rows("Fig 13: throughput (kop/s) vs parallelism (1:1 R/W)", rows);
     let at_32: Vec<&WorkloadResult> = results.iter().map(|d| &d[threads.len() - 1]).collect();
-    let mut t16 = Table::new(
-        "Fig 16: avg waiting writer threads at 32 threads",
-        &["device", "avg_waiting_writers"],
-    );
-    for (profile, r) in devices().iter().zip(&at_32) {
-        t16.row(vec![label(profile).into(), f(r.avg_waiting_writers, 2)]);
-    }
+    let rows = devices().into_iter().zip(&at_32).map(|(profile, r)| {
+        vec![
+            ("device", label(&profile).into()),
+            ("avg_waiting_writers", f(r.avg_waiting_writers, 2)),
+        ]
+    });
+    let t16 = Table::from_named_rows("Fig 16: avg waiting writer threads at 32 threads", rows);
     let mut out = vec![("fig13".into(), t13)];
     out.extend(read_and_write_latency(
         &at_32,
@@ -345,10 +330,7 @@ pub fn fig13_to_16(cfg: &BenchConfig) -> Vec<Figure> {
 /// XPoint 54 µs → 22 µs when disabling the WAL — logging still matters on
 /// fast storage.
 pub fn fig17(cfg: &BenchConfig) -> Vec<Figure> {
-    let mut t = Table::new(
-        "Fig 17: write latency (us) vs WAL, 1:9 R/W",
-        &["device", "wal_p50", "wal_p90", "nowal_p50", "nowal_p90"],
-    );
+    let mut rows = Vec::new();
     for profile in devices() {
         let spec = cfg.spec().with_threads(4).with_write_fraction(0.9);
         let with_wal = run_one(profile.clone(), DbOptions::default, cfg, spec.clone());
@@ -361,15 +343,16 @@ pub fn fig17(cfg: &BenchConfig) -> Vec<Figure> {
             cfg,
             spec,
         );
-        t.row(vec![
-            label(&profile).into(),
-            f(us(with_wal.write_latency.p50_ns), 1),
-            f(us(with_wal.write_latency.p90_ns), 1),
-            f(us(without.write_latency.p50_ns), 1),
-            f(us(without.write_latency.p90_ns), 1),
+        rows.push(vec![
+            ("device", label(&profile).into()),
+            ("wal_p50", f(us(with_wal.write_latency.p50_ns), 1)),
+            ("wal_p90", f(us(with_wal.write_latency.p90_ns), 1)),
+            ("nowal_p50", f(us(without.write_latency.p50_ns), 1)),
+            ("nowal_p90", f(us(without.write_latency.p90_ns), 1)),
         ]);
     }
-    vec![("fig17".into(), t)]
+    let title = "Fig 17: write latency (us) vs WAL, 1:9 R/W";
+    vec![("fig17".into(), Table::from_named_rows(title, rows))]
 }
 
 // ---------------------------------------------------------------------------
@@ -405,28 +388,26 @@ pub fn fig18(cfg: &BenchConfig) -> Vec<Figure> {
         cfg,
         spec,
     );
-    let mut t = Table::new(
-        "Fig 18: throughput under periodic write bursts (kop/s per 100ms), 3D XPoint",
-        &["t_s", "original", "two_stage"],
-    );
-    for i in 0..original.timeline.len() {
-        t.row(vec![
-            f(original.timeline[i].0, 1),
-            f(original.timeline[i].1, 1),
-            f(two_stage.timeline[i].1, 1),
+    let row = |t_s: String, original: f64, two_stage: f64| {
+        vec![
+            ("t_s", t_s),
+            ("original", f(original, 1)),
+            ("two_stage", f(two_stage, 1)),
+        ]
+    };
+    let buckets = original.timeline.iter().zip(&two_stage.timeline);
+    let rows = buckets
+        .map(|(&(t_s, kops), &(_, two_stage_kops))| row(f(t_s, 1), kops, two_stage_kops))
+        .chain([
+            row(
+                "min_bucket".into(),
+                original.min_bucket_kops(),
+                two_stage.min_bucket_kops(),
+            ),
+            row("total_kops".into(), original.kops(), two_stage.kops()),
         ]);
-    }
-    t.row(vec![
-        "min_bucket".into(),
-        f(original.min_bucket_kops(), 1),
-        f(two_stage.min_bucket_kops(), 1),
-    ]);
-    t.row(vec![
-        "total_kops".into(),
-        f(original.kops(), 1),
-        f(two_stage.kops(), 1),
-    ]);
-    vec![("fig18".into(), t)]
+    let title = "Fig 18: throughput under periodic write bursts (kop/s per 100ms), 3D XPoint";
+    vec![("fig18".into(), Table::from_named_rows(title, rows))]
 }
 
 // ---------------------------------------------------------------------------
@@ -437,10 +418,6 @@ pub fn fig18(cfg: &BenchConfig) -> Vec<Figure> {
 /// management on the 3D XPoint SSD. Paper: +13 % at 90 % reads, parity at
 /// 5 % reads.
 pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
-    let mut t = Table::new(
-        "Fig 19: throughput (kop/s) vs read ratio, 3D XPoint",
-        &["read_pct", "default", "dynamic_l0"],
-    );
     // Both configurations share the paper's baseline geometry: Level-0 is
     // "initialized to throttle writes when the number of files reaches 24",
     // with a deliberately lazy compaction trigger so a standing population
@@ -480,14 +457,15 @@ pub fn fig19(cfg: &BenchConfig) -> Vec<Figure> {
             r.kops()
         })
     };
-    for read in [0.05, 0.25, 0.5, 0.75, 0.9] {
-        t.row(vec![
-            f(read * 100.0, 0),
-            f(kops(read, false), 1),
-            f(kops(read, true), 1),
-        ]);
-    }
-    vec![("fig19".into(), t)]
+    let rows = [0.05, 0.25, 0.5, 0.75, 0.9].map(|read| {
+        vec![
+            ("read_pct", f(read * 100.0, 0)),
+            ("default", f(kops(read, false), 1)),
+            ("dynamic_l0", f(kops(read, true), 1)),
+        ]
+    });
+    let title = "Fig 19: throughput (kop/s) vs read ratio, 3D XPoint";
+    vec![("fig19".into(), Table::from_named_rows(title, rows))]
 }
 
 // ---------------------------------------------------------------------------
@@ -586,24 +564,21 @@ pub fn fig_stalls(cfg: &BenchConfig) -> Vec<Figure> {
 /// concentrates reads on cache-resident keys — the memory/storage gap
 /// discussion of Section VI from another angle.
 pub fn ext_skew(cfg: &BenchConfig) -> Vec<Figure> {
-    let mut t = Table::new(
-        "Extension: uniform vs zipfian(0.99) throughput (kop/s), 1:1 R/W, 4 threads",
-        &["device", "uniform", "zipfian", "gain"],
-    );
     let uniform = cfg.spec().with_threads(4).with_write_fraction(0.5);
     let zipfian = uniform
         .clone()
         .with_distribution(KeyDistribution::Zipfian(0.99));
     let results = on_every_device(cfg, &[uniform, zipfian]);
-    for (profile, rs) in devices().iter().zip(&results) {
-        t.row(vec![
-            label(profile).into(),
-            f(rs[0].kops(), 1),
-            f(rs[1].kops(), 1),
-            format!("{:.2}x", rs[1].kops() / rs[0].kops()),
-        ]);
-    }
-    vec![("ext_skew".into(), t)]
+    let rows = devices().into_iter().zip(&results).map(|(profile, rs)| {
+        vec![
+            ("device", label(&profile).into()),
+            ("uniform", f(rs[0].kops(), 1)),
+            ("zipfian", f(rs[1].kops(), 1)),
+            ("gain", format!("{:.2}x", rs[1].kops() / rs[0].kops())),
+        ]
+    });
+    let title = "Extension: uniform vs zipfian(0.99) throughput (kop/s), 1:1 R/W, 4 threads";
+    vec![("ext_skew".into(), Table::from_named_rows(title, rows))]
 }
 
 // ---------------------------------------------------------------------------
@@ -621,17 +596,7 @@ pub fn ext_skew(cfg: &BenchConfig) -> Vec<Figure> {
 ///   actually re-verified and how many full passes it completed, 1:1 mix.
 pub fn fig_integrity(cfg: &BenchConfig) -> Vec<Figure> {
     let xpoint = xlsm_device::profiles::optane_900p();
-    let mut prot = Table::new(
-        "Integrity: per-KV protection write overhead, 90% writes, 3D XPoint",
-        &[
-            "protection_bytes",
-            "kops",
-            "put_p50_us",
-            "put_p90_us",
-            "put_p99_us",
-        ],
-    );
-    for width in [0usize, 1, 8] {
+    let prot = [0usize, 1, 8].map(|width| {
         let opts = DbOptions {
             protection_bytes_per_key: width,
             ..DbOptions::default()
@@ -642,25 +607,15 @@ pub fn fig_integrity(cfg: &BenchConfig) -> Vec<Figure> {
             cfg,
             cfg.spec().with_threads(4).with_write_fraction(0.9),
         );
-        prot.row(vec![
-            format!("{width}"),
-            f(r.kops(), 1),
-            f(us(r.write_latency.p50_ns), 1),
-            f(us(r.write_latency.p90_ns), 1),
-            f(us(r.write_latency.p99_ns), 1),
-        ]);
-    }
-    let mut scrub = Table::new(
-        "Integrity: background scrubber pacing, 1:1 R/W, 3D XPoint",
-        &[
-            "scrub_mib_s",
-            "kops",
-            "get_p99_us",
-            "verified_mib",
-            "passes",
-        ],
-    );
-    for rate_mib in [0u64, 16, 64] {
+        vec![
+            ("protection_bytes", format!("{width}")),
+            ("kops", f(r.kops(), 1)),
+            ("put_p50_us", f(us(r.write_latency.p50_ns), 1)),
+            ("put_p90_us", f(us(r.write_latency.p90_ns), 1)),
+            ("put_p99_us", f(us(r.write_latency.p99_ns), 1)),
+        ]
+    });
+    let scrub = [0u64, 16, 64].map(|rate_mib| {
         let opts = DbOptions {
             protection_bytes_per_key: 8,
             scrub_rate_bytes_per_sec: rate_mib << 20,
@@ -680,17 +635,25 @@ pub fn fig_integrity(cfg: &BenchConfig) -> Vec<Figure> {
                 )
             },
         );
-        scrub.row(vec![
-            format!("{rate_mib}"),
-            f(r.kops(), 1),
-            f(us(r.read_latency.p99_ns), 1),
-            f(verified as f64 / (1 << 20) as f64, 1),
-            format!("{passes}"),
-        ]);
-    }
+        vec![
+            ("scrub_mib_s", format!("{rate_mib}")),
+            ("kops", f(r.kops(), 1)),
+            ("get_p99_us", f(us(r.read_latency.p99_ns), 1)),
+            ("verified_mib", f(verified as f64 / (1 << 20) as f64, 1)),
+            ("passes", format!("{passes}")),
+        ]
+    });
+    let prot_title = "Integrity: per-KV protection write overhead, 90% writes, 3D XPoint";
+    let scrub_title = "Integrity: background scrubber pacing, 1:1 R/W, 3D XPoint";
     vec![
-        ("integrity_protection".into(), prot),
-        ("integrity_scrub".into(), scrub),
+        (
+            "integrity_protection".into(),
+            Table::from_named_rows(prot_title, prot),
+        ),
+        (
+            "integrity_scrub".into(),
+            Table::from_named_rows(scrub_title, scrub),
+        ),
     ]
 }
 

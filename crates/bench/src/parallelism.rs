@@ -15,8 +15,8 @@
 //!   batch sizes.
 
 use crate::common::{
-    devices, label, mib, picker, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig,
-    Row,
+    devices, label, mib, no_l0_throttle, picker, probe_table, ratio, us, vs_baseline, with_testbed,
+    BenchConfig, Row,
 };
 use crate::figures::Figure;
 use xlsm_core::experiment::Testbed;
@@ -51,13 +51,11 @@ fn drain_one(
         // (~24 files) at any dataset scale, and lift the stall triggers:
         // exceeding the default L0 limits is the point of the experiment,
         // not a condition to throttle.
-        let opts = DbOptions {
+        let opts = no_l0_throttle(DbOptions {
             max_subcompactions,
             write_buffer_size: (cfg.dataset_bytes() as usize / 24).clamp(256 << 10, 2 << 20),
-            level0_slowdown_writes_trigger: 1 << 16,
-            level0_stop_writes_trigger: 1 << 16,
             ..DbOptions::default()
-        };
+        });
         let tb = Testbed::new(profile, opts, cfg.dataset_bytes()).expect("testbed");
         tb.db.set_l0_compaction_trigger(1 << 20); // defer compactions
         fill_db(&tb.db, cfg.key_count, cfg.value_size, cfg.seed).expect("fill");

@@ -21,8 +21,8 @@
 //!   the read win tracks how much of the get path the device owns.
 
 use crate::common::{
-    devices, label, mib, picker, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig,
-    Row,
+    devices, label, mib, no_l0_throttle, picker, probe_table, ratio, us, vs_baseline, with_testbed,
+    BenchConfig, Row,
 };
 use crate::figures::Figure;
 use xlsm_core::experiment::Testbed;
@@ -44,25 +44,27 @@ fn kops(gets: OpTotals) -> f64 {
     ratio(gets.ops as f64, gets.total_ns as f64 / 1e9) / 1e3
 }
 
-/// Point-miss probe on one device. Every `*_one` below returns its row and
-/// the value its pair divides by; the baseline of a pair runs first and is
-/// handed to the other. Here the filterless run (`None`) comes before the
-/// one with blooms, which is given its miss throughput.
+/// Point-miss probe on one device, with SST whole-key and memtable blooms
+/// (`filters`) or neither. Every `*_one` below returns its row and the value
+/// its pair divides by; the baseline of a pair runs first and is handed to
+/// the other (`None` for the baseline itself). Here the filterless run comes
+/// before the one with blooms, which is given its miss throughput.
 fn point_miss_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
+    filters: bool,
     none_kops: Option<f64>,
 ) -> (Row, f64) {
     let cfg = *cfg;
-    let filters = none_kops.is_some();
-    let opts = move || DbOptions {
-        bloom_bits_per_key: if filters { 10 } else { 0 },
-        memtable_bloom_bits: if filters { 10 } else { 0 },
-        // A deep Level-0 is the experiment, not a stall condition.
-        level0_slowdown_writes_trigger: 1 << 16,
-        level0_stop_writes_trigger: 1 << 16,
-        ..DbOptions::default()
+    let bits = if filters { 10 } else { 0 };
+    // A deep Level-0 is the experiment, not a stall condition.
+    let opts = move || {
+        no_l0_throttle(DbOptions {
+            bloom_bits_per_key: bits,
+            memtable_bloom_bits: bits,
+            ..DbOptions::default()
+        })
     };
     with_testbed(profile, opts, &cfg, move |tb| {
         tb.db.flush().expect("flush");
@@ -206,9 +208,9 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
         let device = label(&profile);
 
         eprintln!("[readpath] point-miss: {device}, no filters");
-        let (none, none_kops) = point_miss_one(profile.clone(), device, cfg, None);
+        let (none, none_kops) = point_miss_one(profile.clone(), device, cfg, false, None);
         eprintln!("[readpath] point-miss: {device}, blooms on");
-        let (bloom, _) = point_miss_one(profile.clone(), device, cfg, Some(none_kops));
+        let (bloom, _) = point_miss_one(profile.clone(), device, cfg, true, Some(none_kops));
         point_miss.extend([none, bloom]);
 
         eprintln!("[readpath] compression: {device}, none");

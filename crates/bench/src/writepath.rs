@@ -23,7 +23,9 @@
 //! `results/writepath_put_latency.tsv` (`scripts/check.sh` compares it with
 //! the committed copy at both sizes).
 
-use crate::common::{devices, label, probe_table, ratio, us, with_testbed, BenchConfig, Row};
+use crate::common::{
+    devices, label, no_l0_throttle, probe_table, ratio, us, with_testbed, BenchConfig, Row,
+};
 use crate::figures::Figure;
 use std::sync::Arc;
 use xlsm_core::report::f;
@@ -48,31 +50,31 @@ const PUT_VALUE_SIZE: usize = 128;
 
 /// Runs one (device, writers, mode) point and returns its row with its put
 /// p99 (µs); a concurrent point is given the p99 of the serial point it is
-/// compared with.
+/// compared with (`None` for the serial point itself).
 fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     writers: usize,
+    concurrent: bool,
     serial_p99_us: Option<f64>,
 ) -> (Row, f64) {
-    let concurrent = serial_p99_us.is_some();
     // Lift the Algorithm-1 stall triggers and give the memtables some
     // slack: controller pacing and flush backpressure would otherwise
     // dominate the tail on every device and bury the write-path
     // serialization this probe isolates (the drain probe lifts its
     // triggers for the same reason).
-    let opts = move || DbOptions {
-        allow_concurrent_memtable_write: concurrent,
-        write_buffer_size: 8 << 20,
-        max_write_buffer_number: 4,
-        // Smooth the periodic WAL page-cache push: with the default
-        // threshold one unlucky group absorbs a large flush and that
-        // single commit owns p99 in BOTH modes, hiding the stage cost.
-        wal_bytes_per_sync: 4 << 10,
-        level0_slowdown_writes_trigger: 1 << 16,
-        level0_stop_writes_trigger: 1 << 16,
-        ..DbOptions::default()
+    let opts = move || {
+        no_l0_throttle(DbOptions {
+            allow_concurrent_memtable_write: concurrent,
+            write_buffer_size: 8 << 20,
+            max_write_buffer_number: 4,
+            // Smooth the periodic WAL page-cache push: with the default
+            // threshold one unlucky group absorbs a large flush and that
+            // single commit owns p99 in BOTH modes, hiding the stage cost.
+            wal_bytes_per_sync: 4 << 10,
+            ..DbOptions::default()
+        })
     };
     with_testbed(profile, opts, cfg, move |tb| {
         tb.db.flush().expect("flush");
@@ -137,9 +139,17 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
         let device = label(&profile);
         for writers in WRITERS {
             eprintln!("[writepath] {device}: {writers} writers, serial");
-            let (serial, serial_p99_us) = run_point(profile.clone(), device, cfg, writers, None);
+            let (serial, serial_p99_us) =
+                run_point(profile.clone(), device, cfg, writers, false, None);
             eprintln!("[writepath] {device}: {writers} writers, concurrent");
-            let (conc, _) = run_point(profile.clone(), device, cfg, writers, Some(serial_p99_us));
+            let (conc, _) = run_point(
+                profile.clone(),
+                device,
+                cfg,
+                writers,
+                true,
+                Some(serial_p99_us),
+            );
             points.extend([serial, conc]);
         }
     }

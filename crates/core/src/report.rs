@@ -17,37 +17,33 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table with a title and headers.
-    pub fn new(title: &str, headers: &[&str]) -> Table {
-        Table {
-            title: title.to_owned(),
-            headers: headers.iter().map(|s| (*s).to_owned()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
     /// Creates a table from named rows: each cell carries its column's
     /// header, so a column is declared where its value is measured. The
     /// headers are the first row's names; every row names the same columns
-    /// in the same order.
-    pub fn from_named_rows(title: &str, rows: Vec<Vec<(&str, String)>>) -> Table {
-        let headers: Vec<&str> = rows.first().into_iter().flatten().map(|c| c.0).collect();
-        let mut table = Table::new(title, &headers);
+    /// in the same order. A table with no rows has no columns either (its
+    /// TSV is the title line and an empty header line); no committed table
+    /// is empty.
+    pub fn from_named_rows<'a>(
+        title: &str,
+        rows: impl IntoIterator<Item = Vec<(&'a str, String)>>,
+    ) -> Table {
+        let mut table = Table {
+            title: title.to_owned(),
+            ..Table::default()
+        };
         for row in rows {
             let names = row.iter().map(|c| c.0);
-            assert!(
-                names.eq(headers.iter().copied()),
-                "{title}: a row names other columns"
-            );
+            if table.rows.is_empty() {
+                table.headers = names.map(str::to_owned).collect();
+            } else {
+                assert!(
+                    names.eq(table.headers.iter().map(String::as_str)),
+                    "{title}: a row names other columns"
+                );
+            }
             table.rows.push(row.into_iter().map(|c| c.1).collect());
         }
         table
-    }
-
-    /// Appends a row.
-    pub fn row(&mut self, cells: Vec<String>) {
-        debug_assert_eq!(cells.len(), self.headers.len());
-        self.rows.push(cells);
     }
 
     /// Writes the table as TSV (with a `#` title line) to `path`, creating
@@ -119,7 +115,6 @@ fn ms(ns: u64) -> f64 {
 /// share of observed end-to-end write latency, plus the unattributed
 /// remainder and the coverage summary the reconciliation tests assert on.
 pub fn stall_breakdown_table(title: &str, t: &StallTotals) -> Table {
-    let mut table = Table::new(title, &["component", "total_ms", "pct_of_write_time"]);
     let total = t.total_write_ns;
     let pct = |ns: u64| {
         if total == 0 {
@@ -128,7 +123,16 @@ pub fn stall_breakdown_table(title: &str, t: &StallTotals) -> Table {
             ns as f64 * 100.0 / total as f64
         }
     };
-    for (name, ns) in [
+    let row = |component: &str, total_ms: String, pct_of_write_time: String| {
+        vec![
+            ("component", component.to_owned()),
+            ("total_ms", total_ms),
+            ("pct_of_write_time", pct_of_write_time),
+        ]
+    };
+    let component = |(name, ns): (&str, u64)| row(name, f(ms(ns), 3), f(pct(ns), 1));
+    let unattributed = total.saturating_sub(t.accounted_ns());
+    let components = [
         ("queue-wait", t.queue_wait_ns),
         ("wal-append", t.wal_append_ns),
         ("pipeline-wait", t.pipeline_wait_ns),
@@ -136,22 +140,17 @@ pub fn stall_breakdown_table(title: &str, t: &StallTotals) -> Table {
         ("delay-sleep", t.delay_sleep_ns),
         ("stop-wait", t.stop_wait_ns),
         ("setup", t.setup_ns),
-    ] {
-        table.row(vec![name.into(), f(ms(ns), 3), f(pct(ns), 1)]);
-    }
-    let unattributed = total.saturating_sub(t.accounted_ns());
-    table.row(vec![
-        "unattributed".into(),
-        f(ms(unattributed), 3),
-        f(pct(unattributed), 1),
+        ("unattributed", unattributed),
+    ];
+    let rows = components.into_iter().map(component).chain([
+        row("total-observed", f(ms(total), 3), f(100.0, 1)),
+        row(
+            "ops",
+            t.ops.to_string(),
+            format!("coverage={:.3}", t.coverage()),
+        ),
     ]);
-    table.row(vec!["total-observed".into(), f(ms(total), 3), f(100.0, 1)]);
-    table.row(vec![
-        "ops".into(),
-        t.ops.to_string(),
-        format!("coverage={:.3}", t.coverage()),
-    ]);
-    table
+    Table::from_named_rows(title, rows)
 }
 
 /// Builds the Fig. 6/7-style stall timeline from the controller-transition
@@ -160,32 +159,19 @@ pub fn stall_breakdown_table(title: &str, t: &StallTotals) -> Table {
 /// and the LSM shape (L0 files, memtables, adaptive rate) at the moment of
 /// the transition.
 pub fn stall_timeline_table(title: &str, events: &[StallEvent]) -> Table {
-    let mut table = Table::new(
-        title,
-        &[
-            "t_s",
-            "level",
-            "prev_level",
-            "cause",
-            "prev_level_ms",
-            "l0_files",
-            "memtables",
-            "rate_mb_s",
-        ],
-    );
-    for ev in events {
-        table.row(vec![
-            f(ev.at as f64 / 1e9, 3),
-            ev.level.name().into(),
-            ev.prev_level.name().into(),
-            ev.cause.to_string(),
-            f(ms(ev.duration), 3),
-            ev.l0_files.to_string(),
-            ev.memtables.to_string(),
-            f(ev.rate as f64 / (1 << 20) as f64, 2),
-        ]);
-    }
-    table
+    let rows = events.iter().map(|ev| {
+        vec![
+            ("t_s", f(ev.at as f64 / 1e9, 3)),
+            ("level", ev.level.name().into()),
+            ("prev_level", ev.prev_level.name().into()),
+            ("cause", ev.cause.to_string()),
+            ("prev_level_ms", f(ms(ev.duration), 3)),
+            ("l0_files", ev.l0_files.to_string()),
+            ("memtables", ev.memtables.to_string()),
+            ("rate_mb_s", f(ev.rate as f64 / (1 << 20) as f64, 2)),
+        ]
+    });
+    Table::from_named_rows(title, rows)
 }
 
 #[cfg(test)]
@@ -194,9 +180,12 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("Fig X", &["device", "kops"]);
-        t.row(vec!["sata-flash".into(), f(26.0, 1)]);
-        t.row(vec!["3d-xpoint".into(), f(408.12, 1)]);
+        let point =
+            |device: &str, kops: f64| vec![("device", device.to_owned()), ("kops", f(kops, 1))];
+        let t = Table::from_named_rows(
+            "Fig X",
+            [point("sata-flash", 26.0), point("3d-xpoint", 408.12)],
+        );
         let s = t.to_string();
         assert!(s.contains("Fig X"));
         assert!(s.contains("sata-flash"));
@@ -299,15 +288,31 @@ mod tests {
         assert!(Table::from_named_rows("empty", vec![]).headers.is_empty());
     }
 
-    #[test]
-    fn tsv_roundtrip() {
-        let mut t = Table::new("Fig Y", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let dir = std::env::temp_dir().join("xlsm-report-test");
-        let path = dir.join("fig_y.tsv");
+    /// Writes `t` as TSV to a scratch file named `name` and reads it back.
+    fn tsv(t: &Table, name: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("xlsm-report-{}-{name}", std::process::id()));
+        let path = dir.join(name);
         t.write_tsv(&path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "# Fig Y\na\tb\n1\t2\n");
         let _ = std::fs::remove_dir_all(dir);
+        content
+    }
+
+    #[test]
+    fn tsv_roundtrip() {
+        let t = Table::from_named_rows(
+            "Fig Y",
+            [vec![("a", "1".to_owned()), ("b", "2".to_owned())]],
+        );
+        assert_eq!(tsv(&t, "fig_y.tsv"), "# Fig Y\na\tb\n1\t2\n");
+    }
+
+    /// No transition, no rows, and so no columns: the title line and an
+    /// empty header line.
+    #[test]
+    fn an_empty_stall_timeline_is_its_title_and_an_empty_header_line() {
+        let table = stall_timeline_table("timeline", &[]);
+        assert!(table.headers.is_empty() && table.rows.is_empty());
+        assert_eq!(tsv(&table, "empty_timeline.tsv"), "# timeline\n\n");
     }
 }

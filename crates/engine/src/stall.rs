@@ -189,11 +189,11 @@ impl StallAccounting {
     /// Appends a controller transition to the ring buffer, evicting the
     /// oldest event when full.
     pub fn record_event(&self, ev: StallEvent) {
-        self.events_pushed.fetch_add(1, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.events_pushed, 1);
         let mut log = self.events.lock();
         if log.len() >= self.capacity {
             log.pop_front();
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
+            xlsm_sim::sync::add(&self.events_dropped, 1);
         }
         log.push_back(ev);
     }

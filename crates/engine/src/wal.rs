@@ -90,8 +90,8 @@ impl WalWriter {
         if sync {
             self.file.sync()?;
         } else if self.bytes_per_sync > 0 {
-            let acc = self.bytes_since_flush.fetch_add(written, Ordering::Relaxed) + written;
-            if acc >= self.bytes_per_sync {
+            xlsm_sim::sync::add(&self.bytes_since_flush, written);
+            if self.bytes_since_flush.load(Ordering::Relaxed) >= self.bytes_per_sync {
                 self.bytes_since_flush.store(0, Ordering::Relaxed);
                 self.file.flush_data()?;
             }

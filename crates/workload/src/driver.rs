@@ -128,7 +128,7 @@ pub fn run_workload(db: &Arc<Db>, spec: &WorkloadSpec) -> WorkloadResult {
                 let done = xlsm_sim::now_nanos();
                 let bucket = ((done.saturating_sub(start)) / BUCKET_NANOS) as usize;
                 if let Some(b) = buckets.get(bucket) {
-                    b.fetch_add(1, Ordering::Relaxed);
+                    xlsm_sim::sync::add(b, 1);
                 }
             }
         }));

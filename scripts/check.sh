@@ -66,10 +66,12 @@ if [[ -n $std_locks ]]; then
     echo "a std::sync lock in product code: use the parking_lot shim's" >&2
     exit 1
 fi
-# The per-op counters are written only by the run-token holder, so they add
-# with a load and a store (xlsm_sim::sync::{add, max}), not a lock-prefixed
-# read-modify-write.
-if grep -nE 'fetch_(add|sub|max)' crates/engine/src/{stats,histogram}.rs crates/device/src/stats.rs; then
+# The per-op counters, the stall log's counts, the WAL's bytes since its last
+# flush and the driver's timeline buckets are written only by the run-token
+# holder, so they add with a load and a store (xlsm_sim::sync::{add, max}),
+# not a lock-prefixed read-modify-write.
+if grep -nE 'fetch_(add|sub|max)' crates/engine/src/{stats,histogram,stall,wal}.rs crates/device/src/stats.rs \
+    crates/workload/src/driver.rs; then
     echo "an atomic read-modify-write on a per-op counter: use xlsm_sim::sync::{add, max}" >&2
     exit 1
 fi
