@@ -23,7 +23,6 @@ fn bench_memtable(c: &mut Criterion) {
                         ValueType::Value,
                         format!("key{i:08}").as_bytes(),
                         b"value",
-                        0,
                     );
                 }
                 m
@@ -38,7 +37,6 @@ fn bench_memtable(c: &mut Criterion) {
             ValueType::Value,
             format!("key{i:08}").as_bytes(),
             b"value",
-            0,
         );
     }
     g.bench_function("get_hit_10k", |b| {
@@ -138,15 +136,12 @@ fn bench_batch(c: &mut Criterion) {
 }
 
 /// What every engine op pays for exclusion and bookkeeping: an uncontended
-/// lock taken and dropped, one of each shim kind, and the per-op counters
+/// lock taken and dropped (the shim's one kind), and the per-op counters
 /// (a ticker bump and a histogram record), all on one OS thread.
 fn bench_sync(c: &mut Criterion) {
     let mut g = c.benchmark_group("sync");
     let m = parking_lot::Mutex::new(0u64);
     g.bench_function("mutex_lock", |b| b.iter(|| *black_box(&m).lock() += 1));
-    let l = parking_lot::RwLock::new(0u64);
-    g.bench_function("rwlock_read", |b| b.iter(|| *black_box(&l).read()));
-    g.bench_function("rwlock_write", |b| b.iter(|| *black_box(&l).write() += 1));
     let stats = DbStats::new();
     g.bench_function("stats_bump", |b| {
         b.iter(|| black_box(&stats).bump(Ticker::Gets))

@@ -282,7 +282,7 @@ impl WriteBatch {
         for ((i, op), seq) in self.iter().enumerate().zip(self.sequence()..) {
             let (t, key, value) = op?;
             self.verify_entry(i, t, key, value, "memtable insert")?;
-            mem.add(seq, t, key, value, 0);
+            mem.add(seq, t, key, value);
         }
         Ok(())
     }

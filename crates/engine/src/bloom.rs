@@ -154,9 +154,11 @@ impl BloomBuilder {
 
 /// A fixed-size whole-key bloom over an atomic bit array, for the memtable.
 ///
-/// Bits are ORed in with `fetch_or`, so concurrent inserters never lose a
-/// bit: once [`ConcurrentBloom::insert`] returns, every probe of that key
-/// observes all `k` bits set (no false negatives). The array is sized once
+/// Bits are ORed in with a load and a store: only the run-token holder
+/// inserts, so no other insert lands between them and no bit is lost. Once
+/// [`ConcurrentBloom::insert`] returns, every probe of that key, from any
+/// sim thread, observes all `k` bits set (no false negatives); the words
+/// are atomics so that readers see whole values. The array is sized once
 /// at construction from the expected entry count — memtables have a byte
 /// budget, so the bound is known up front; overshooting the estimate only
 /// raises the false-positive rate, never correctness.
@@ -179,13 +181,18 @@ impl ConcurrentBloom {
         }
     }
 
-    /// Marks `key` present. Safe to call from concurrent inserters.
+    /// Marks `key` present. Call from a sim thread: it relies on the run
+    /// token for exclusion.
     pub fn insert(&self, key: &[u8]) {
         let mut h = bloom_hash(key);
         let delta = h.rotate_right(17);
         for _ in 0..self.k {
             let bitpos = (h as usize) % self.nbits;
-            self.words[bitpos / 64].fetch_or(1 << (bitpos % 64), Ordering::Relaxed);
+            let word = &self.words[bitpos / 64];
+            word.store(
+                word.load(Ordering::Relaxed) | 1 << (bitpos % 64),
+                Ordering::Relaxed,
+            );
             h = h.wrapping_add(delta);
         }
     }

@@ -380,10 +380,10 @@ impl WriteBackend for DbBackend {
         for (i, (seq, op)) in (batch.sequence()..).zip(batch.iter()).enumerate() {
             let (t, key, value) = op?;
             batch.verify_entry(i, t, key, value, "concurrent memtable insert")?;
-            // The per-insert CPU cost is charged inside the concurrent
-            // insert, between splice location and CAS linking, so members'
-            // costs overlap in virtual time (and CAS retries are real).
-            mem.add(seq, t, key, value, per_insert);
+            // Each member charges its own inserts, so the members' costs
+            // overlap in virtual time; `add` itself never yields.
+            xlsm_sim::charge(Class::MemtableInsert, per_insert);
+            mem.add(seq, t, key, value);
         }
         Ok(())
     }
@@ -495,19 +495,6 @@ impl Db {
             inner,
             workers: parking_lot::Mutex::new(workers),
         })
-    }
-
-    /// Rebuilds the database's MANIFEST from surviving files alone — the
-    /// last-resort path when [`Db::open`] fails because the manifest (or
-    /// CURRENT) is torn, missing, or corrupt. See [`crate::repair`] for
-    /// the full contract.
-    ///
-    /// # Errors
-    ///
-    /// Option validation and filesystem errors; damaged tables and logs
-    /// are salvaged or archived rather than reported.
-    pub fn repair(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<crate::repair::RepairReport> {
-        crate::repair::repair_db(fs, opts)
     }
 
     /// Writes a batch (group-committed).

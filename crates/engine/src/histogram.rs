@@ -147,13 +147,6 @@ pub struct HistogramSummary {
     pub max_ns: u64,
 }
 
-impl HistogramSummary {
-    /// 90th percentile in microseconds (float), as the paper reports.
-    pub fn p90_us(&self) -> f64 {
-        self.p90_ns as f64 / 1_000.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -350,7 +350,7 @@ mod tests {
     fn mem_iter(entries: &[(&[u8], u64, ValueType, &[u8])]) -> Box<dyn InternalIterator> {
         let m = MemTable::new(0);
         for (k, seq, t, v) in entries {
-            m.add(*seq, *t, k, v, 0);
+            m.add(*seq, *t, k, v);
         }
         Box::new(m.iter())
     }

@@ -1,20 +1,24 @@
-//! The memtable: an arena-backed concurrent skiplist over internal keys.
+//! The memtable: an arena-backed skiplist over internal keys.
 //!
 //! The paper leans on the skiplist's `O(log N)` insert/search complexity in
 //! two findings (Level-0 query overhead, write-latency growth with memtable
 //! size), so the memtable here is a real skiplist, not a `BTreeMap` stand-in.
 //! Finding #3 adds a third requirement: with
 //! `allow_concurrent_memtable_write`, every member of a write group inserts
-//! its own sub-batch on its own sim thread, so the structure must tolerate
-//! concurrent inserts and lock-free readers:
+//! its own sub-batch on its own sim thread, and readers walk the list while
+//! writers insert. Callers charge, no method yields: a member charges each
+//! entry's insert cost before its [`MemTable::add`] (so the members' costs
+//! overlap in virtual time), and `add` itself charges nothing and never
+//! gives up the run token. So an insert runs whole between two of another
+//! thread's steps, the splice it locates is exact when it links, and:
 //!
-//! * next-links are `AtomicU32` node indices updated with a per-level CAS
-//!   (RocksDB `InlineSkipList` style) — an insert that loses a race at a
-//!   level re-locates its splice point and retries;
+//! * next-links are `AtomicU32` node indices, published with a load and a
+//!   store (atomics only so that readers on other sim threads see whole
+//!   values; no insert can race another);
 //! * nodes live in a *chunked* arena: a fixed spine of lazily-allocated,
 //!   geometrically-growing chunks. A chunk never moves or grows once
-//!   allocated, so a node index handed to a reader stays valid while other
-//!   threads allocate — no single `Vec` behind one lock to invalidate it.
+//!   allocated, so a node index handed to a reader stays valid while the
+//!   arena grows — no single `Vec` behind one lock to invalidate it.
 //!
 //! A node is one arena slot: its links inline, and its internal key and
 //! value together in one heap allocation, so a put allocates once and a
@@ -22,15 +26,9 @@
 //! a node's key/value never move, so iterators hold `(Arc<MemTable>,
 //! index)` without pinning any lock across blocking operations.
 //!
-//! CPU time for searches, and for the *serial* insert path
-//! ([`MemTable::add`] with `charge_ns == 0`), is charged by the callers via
-//! [`crate::costs`], keeping those paths synchronous and cheap to unit test.
-//! The *concurrent* path passes its insert cost as `charge_ns` and `add`
-//! sleeps it off between locating the splice and publishing the links: that
-//! sleep is the yield point where other group members run, which both
-//! overlaps their insert costs in virtual time (the point of concurrent
-//! memtable writes) and exercises the CAS-retry path under real
-//! interleavings.
+//! CPU time for searches and inserts is charged by the callers via
+//! [`crate::costs`], keeping every method synchronous and cheap to unit
+//! test.
 
 use crate::bloom::ConcurrentBloom;
 use crate::error::{DbError, DbResult};
@@ -38,9 +36,9 @@ use crate::integrity;
 use crate::iterator::InternalIterator;
 use crate::types::{self, compare_internal, SequenceNumber, ValueType};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering as AtOrd};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering as AtOrd};
 use std::sync::{Arc, OnceLock};
-use xlsm_sim::{rng::Xoshiro256, Class};
+use xlsm_sim::rng::Xoshiro256;
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
@@ -61,8 +59,8 @@ struct Node {
     /// Per-entry checksum over (type, user key, value) when the memtable
     /// protects entries at rest; `0` when protection is off.
     prot: u32,
-    /// `next[level]` — atomic node indices, linked bottom-up via CAS. A
-    /// node of height `h` uses the first `h`.
+    /// `next[level]` — node indices, linked bottom-up. A node of height `h`
+    /// uses the first `h`.
     next: [AtomicU32; MAX_HEIGHT],
 }
 
@@ -78,19 +76,18 @@ impl Node {
 
 /// Chunked node arena. The spine is a fixed array of once-initialized
 /// chunks; a chunk is a fixed slice of once-initialized slots. Allocation
-/// reserves a slot with a fetch-add and writes the node before any link
-/// publishes its index, so readers traversing links never observe an
-/// uninitialized slot.
+/// takes the next slot and writes the node before any link publishes its
+/// index, so readers traversing links never observe an uninitialized slot.
 struct Arena {
     spine: [OnceLock<Box<[OnceLock<Node>]>>; NUM_CHUNKS],
-    len: AtomicUsize,
+    len: AtomicU64,
 }
 
 impl Arena {
     fn new() -> Arena {
         Arena {
             spine: std::array::from_fn(|_| OnceLock::new()),
-            len: AtomicUsize::new(0),
+            len: AtomicU64::new(0),
         }
     }
 
@@ -102,7 +99,8 @@ impl Arena {
     }
 
     fn alloc(&self, node: Node) -> u32 {
-        let idx = self.len.fetch_add(1, AtOrd::Relaxed);
+        let idx = self.len.load(AtOrd::Relaxed) as usize;
+        xlsm_sim::sync::add(&self.len, 1);
         assert!(
             idx < BASE_CHUNK * ((1usize << NUM_CHUNKS) - 1),
             "memtable arena exhausted"
@@ -135,13 +133,13 @@ pub struct MemTable {
     arena: Arena,
     /// Head node's next pointers (one per level).
     head: [AtomicU32; MAX_HEIGHT],
-    height: AtomicUsize,
+    height: AtomicU64,
     rng: parking_lot::Mutex<Xoshiro256>,
-    approx_bytes: AtomicUsize,
+    approx_bytes: AtomicU64,
     entries: AtomicU64,
-    /// Optional whole-key bloom over user keys, populated *before* a node
-    /// is linked so readers that can see an entry always see its bits
-    /// (no false negatives, including on the concurrent insert path).
+    /// Optional whole-key bloom over user keys, populated before a node is
+    /// linked, in the same insert, so a reader that can see an entry sees
+    /// its bits (no false negatives).
     bloom: Option<ConcurrentBloom>,
     /// Whether each node stores (and `get`/flush re-verify) a per-entry
     /// checksum — the memtable leg of the per-key protection chain.
@@ -183,9 +181,9 @@ impl MemTable {
             id,
             arena: Arena::new(),
             head: std::array::from_fn(|_| AtomicU32::new(NIL)),
-            height: AtomicUsize::new(1),
+            height: AtomicU64::new(1),
             rng: parking_lot::Mutex::new(Xoshiro256::new(0x5EED ^ id)),
-            approx_bytes: AtomicUsize::new(0),
+            approx_bytes: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             bloom: (bits_per_key > 0)
                 .then(|| ConcurrentBloom::new(bits_per_key, expected_entries.max(1))),
@@ -221,12 +219,12 @@ impl MemTable {
     /// Finds, per level, the last node whose key is `< key` (`NIL` = head).
     fn find_predecessors(&self, key: &[u8]) -> [u32; MAX_HEIGHT] {
         let mut prev = [NIL; MAX_HEIGHT];
-        let mut level = self.height.load(AtOrd::Acquire);
+        let mut level = self.height.load(AtOrd::Relaxed) as usize;
         let mut cur = NIL; // NIL = head
         while level > 0 {
             let l = level - 1;
             loop {
-                let next = self.link(cur, l).load(AtOrd::Acquire);
+                let next = self.link(cur, l).load(AtOrd::Relaxed);
                 if next != NIL && compare_internal(self.key_at(next), key) == Ordering::Less {
                     cur = next;
                 } else {
@@ -242,7 +240,7 @@ impl MemTable {
     /// First node with key ≥ `key` (index), or `NIL`.
     fn seek_index(&self, key: &[u8]) -> u32 {
         let prev = self.find_predecessors(key);
-        self.link(prev[0], 0).load(AtOrd::Acquire)
+        self.link(prev[0], 0).load(AtOrd::Relaxed)
     }
 
     fn random_height(&self) -> usize {
@@ -255,20 +253,9 @@ impl MemTable {
     }
 
     /// Inserts the internal key of `user_key` at `seq` and `t` → `value`.
-    /// With `charge_ns > 0` the insert's CPU cost is slept off *between*
-    /// splice location and link publication — the concurrent path's yield
-    /// point; with `charge_ns == 0` there is no blocking point, so the
-    /// insert is atomic under the cooperative runtime (the serial mode's
-    /// exclusive path).
-    fn insert(
-        &self,
-        seq: SequenceNumber,
-        t: ValueType,
-        user_key: &[u8],
-        value: &[u8],
-        prot: u32,
-        charge_ns: u64,
-    ) {
+    /// Nothing here yields, so the splice located is still exact when the
+    /// links are published, bottom-up.
+    fn insert(&self, seq: SequenceNumber, t: ValueType, user_key: &[u8], value: &[u8], prot: u32) {
         let key_len = user_key.len() + 8;
         let mut entry = Vec::with_capacity(key_len + value.len());
         entry.extend_from_slice(user_key);
@@ -276,14 +263,8 @@ impl MemTable {
         entry.extend_from_slice(value);
         let entry = entry.into_boxed_slice();
         let h = self.random_height();
-        let mut splice = self.find_predecessors(&entry[..key_len]);
-        if charge_ns > 0 {
-            // Other writers run during this sleep and may insert around our
-            // splice point; the CAS loop below recovers, exactly like
-            // InlineSkipList's insert-with-hint.
-            xlsm_sim::charge(Class::MemtableInsert, charge_ns);
-        }
-        self.height.fetch_max(h, AtOrd::AcqRel);
+        let splice = self.find_predecessors(&entry[..key_len]);
+        xlsm_sim::sync::max(&self.height, h as u64);
         let idx = self.arena.alloc(Node {
             entry,
             key_len: key_len as u32,
@@ -291,59 +272,29 @@ impl MemTable {
             next: std::array::from_fn(|_| AtomicU32::new(NIL)),
         });
         let node = self.arena.node(idx);
-        for (level, hint) in splice.iter_mut().enumerate().take(h) {
-            loop {
-                let prev = *hint;
-                let link = self.link(prev, level);
-                let next = link.load(AtOrd::Acquire);
-                if next != NIL && compare_internal(self.key_at(next), node.key()) == Ordering::Less
-                {
-                    // A concurrent insert landed between `prev` and us;
-                    // advance the splice hint along this level.
-                    *hint = next;
-                    continue;
-                }
-                node.next[level].store(next, AtOrd::Release);
-                if link
-                    .compare_exchange(next, idx, AtOrd::AcqRel, AtOrd::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-                // Lost the race on this link: reload and retry from the
-                // same predecessor.
-            }
+        for (level, &prev) in splice.iter().enumerate().take(h) {
+            let link = self.link(prev, level);
+            node.next[level].store(link.load(AtOrd::Relaxed), AtOrd::Relaxed);
+            link.store(idx, AtOrd::Relaxed);
         }
     }
 
     fn record_entry(&self, charge: usize) {
-        self.approx_bytes.fetch_add(charge, AtOrd::Relaxed);
-        self.entries.fetch_add(1, AtOrd::Relaxed);
+        xlsm_sim::sync::add(&self.approx_bytes, charge as u64);
+        xlsm_sim::sync::add(&self.entries, 1);
     }
 
-    /// Adds an entry. With `charge_ns == 0` this is the exclusive/serial
-    /// path: the caller charges the CPU cost and provides external
-    /// serialization (e.g. the write queue's memtable stage). With
-    /// `charge_ns > 0` it is the concurrent path: that much CPU cost is
-    /// slept off mid-insert, so concurrent group members overlap their
-    /// insert costs in virtual time and contend on the links.
-    pub fn add(
-        &self,
-        seq: SequenceNumber,
-        t: ValueType,
-        user_key: &[u8],
-        value: &[u8],
-        charge_ns: u64,
-    ) {
+    /// Adds an entry. The caller charges its CPU cost
+    /// ([`crate::costs`]), before or after: this charges nothing and never
+    /// yields, so no other sim thread runs while the entry goes in.
+    pub fn add(&self, seq: SequenceNumber, t: ValueType, user_key: &[u8], value: &[u8]) {
         // Key, value and an estimate of the node overhead.
         let charge = user_key.len() + 8 + value.len() + 48;
-        // Bloom bits go in before the node links: anyone who can observe
-        // the entry already observes its bits, even mid-insert.
         if let Some(b) = &self.bloom {
             b.insert(user_key);
         }
         let prot = self.checksum_for(t, user_key, value);
-        self.insert(seq, t, user_key, value, prot, charge_ns);
+        self.insert(seq, t, user_key, value, prot);
         self.record_entry(charge);
     }
 
@@ -405,7 +356,7 @@ impl MemTable {
 
     /// Approximate memory footprint in bytes.
     pub fn approximate_bytes(&self) -> usize {
-        self.approx_bytes.load(AtOrd::Relaxed)
+        self.approx_bytes.load(AtOrd::Relaxed) as usize
     }
 
     /// Number of entries.
@@ -444,7 +395,7 @@ pub struct MemTableIter {
 
 impl InternalIterator for MemTableIter {
     fn seek_to_first(&mut self) -> DbResult<bool> {
-        self.cur = self.mem.head[0].load(AtOrd::Acquire);
+        self.cur = self.mem.head[0].load(AtOrd::Relaxed);
         self.started = true;
         Ok(self.cur != NIL)
     }
@@ -458,7 +409,7 @@ impl InternalIterator for MemTableIter {
     fn next(&mut self) -> DbResult<bool> {
         debug_assert!(self.started, "call seek_to_first/seek before next");
         if self.cur != NIL {
-            self.cur = self.mem.arena.node(self.cur).next[0].load(AtOrd::Acquire);
+            self.cur = self.mem.arena.node(self.cur).next[0].load(AtOrd::Relaxed);
         }
         Ok(self.cur != NIL)
     }
@@ -497,13 +448,13 @@ mod tests {
     use super::*;
     use crate::types::lookup_key;
     use proptest::prelude::*;
-    use xlsm_sim::Runtime;
+    use xlsm_sim::{Class, Runtime};
 
     #[test]
     fn add_get_roundtrip() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"alpha", b"1", 0);
-        m.add(2, ValueType::Value, b"beta", b"2", 0);
+        m.add(1, ValueType::Value, b"alpha", b"1");
+        m.add(2, ValueType::Value, b"beta", b"2");
         assert_eq!(m.get(b"alpha", 10).unwrap(), Some(Some(b"1".to_vec())));
         assert_eq!(m.get(b"beta", 10).unwrap(), Some(Some(b"2".to_vec())));
         assert_eq!(m.get(b"gamma", 10).unwrap(), None);
@@ -514,16 +465,16 @@ mod tests {
     #[test]
     fn newest_version_wins() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"k", b"old", 0);
-        m.add(5, ValueType::Value, b"k", b"new", 0);
+        m.add(1, ValueType::Value, b"k", b"old");
+        m.add(5, ValueType::Value, b"k", b"new");
         assert_eq!(m.get(b"k", 10).unwrap(), Some(Some(b"new".to_vec())));
     }
 
     #[test]
     fn snapshot_visibility() {
         let m = MemTable::new(1);
-        m.add(3, ValueType::Value, b"k", b"v3", 0);
-        m.add(7, ValueType::Value, b"k", b"v7", 0);
+        m.add(3, ValueType::Value, b"k", b"v3");
+        m.add(7, ValueType::Value, b"k", b"v7");
         assert_eq!(m.get(b"k", 2).unwrap(), None, "nothing visible below seq 3");
         assert_eq!(m.get(b"k", 3).unwrap(), Some(Some(b"v3".to_vec())));
         assert_eq!(m.get(b"k", 6).unwrap(), Some(Some(b"v3".to_vec())));
@@ -533,8 +484,8 @@ mod tests {
     #[test]
     fn deletion_shadows() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"k", b"v", 0);
-        m.add(2, ValueType::Deletion, b"k", b"", 0);
+        m.add(1, ValueType::Value, b"k", b"v");
+        m.add(2, ValueType::Deletion, b"k", b"");
         assert_eq!(m.get(b"k", 10).unwrap(), Some(None));
         assert_eq!(m.get(b"k", 1).unwrap(), Some(Some(b"v".to_vec())));
     }
@@ -542,7 +493,7 @@ mod tests {
     #[test]
     fn prefix_keys_do_not_collide() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"abc", b"1", 0);
+        m.add(1, ValueType::Value, b"abc", b"1");
         assert_eq!(m.get(b"ab", 10).unwrap(), None);
         assert_eq!(m.get(b"abcd", 10).unwrap(), None);
     }
@@ -551,7 +502,7 @@ mod tests {
     fn iterator_yields_sorted_internal_keys() {
         let m = MemTable::new(1);
         for (i, k) in [b"d", b"b", b"a", b"c"].iter().enumerate() {
-            m.add(i as u64 + 1, ValueType::Value, *k, b"v", 0);
+            m.add(i as u64 + 1, ValueType::Value, *k, b"v");
         }
         let mut it = m.iter();
         assert!(it.seek_to_first().unwrap());
@@ -571,9 +522,9 @@ mod tests {
     #[test]
     fn iterator_seek() {
         let m = MemTable::new(1);
-        m.add(1, ValueType::Value, b"a", b"", 0);
-        m.add(2, ValueType::Value, b"c", b"", 0);
-        m.add(3, ValueType::Value, b"e", b"", 0);
+        m.add(1, ValueType::Value, b"a", b"");
+        m.add(2, ValueType::Value, b"c", b"");
+        m.add(3, ValueType::Value, b"e", b"");
         let mut it = m.iter();
         assert!(it.seek(&lookup_key(b"b", u64::MAX >> 8)).unwrap());
         let (uk, ..) = types::parse_internal_key(it.key());
@@ -606,7 +557,6 @@ mod tests {
                 ValueType::Value,
                 format!("k{i:08}").as_bytes(),
                 b"v",
-                0,
             );
         }
         let mut it = m.iter();
@@ -627,9 +577,10 @@ mod tests {
         );
     }
 
-    /// ≥32 sim threads hammer the concurrent insert path with interleaved
-    /// mid-insert sleeps (the CAS-retry window) on overlapping keys; every
-    /// entry must land, sorted, with nothing lost or duplicated.
+    /// ≥32 sim threads insert overlapping keys, each charging its insert
+    /// before `add` as the engine's write-group members do, so their
+    /// inserts interleave; every entry must land, sorted, with nothing lost
+    /// or duplicated.
     #[test]
     fn concurrent_inserts_from_many_threads_preserve_all_entries() {
         const THREADS: u64 = 36;
@@ -642,10 +593,11 @@ mod tests {
                 handles.push(xlsm_sim::spawn(&format!("ins-{t}"), move || {
                     for i in 0..PER_THREAD {
                         let seq = t * PER_THREAD + i + 1;
-                        // Overlapping key space across threads maximizes
-                        // splice-point contention.
+                        // Overlapping key space across threads, so inserts
+                        // land between each other's nodes.
                         let key = format!("key{:04}", (seq * 31) % 512);
-                        m.add(seq, ValueType::Value, key.as_bytes(), b"v", 750);
+                        xlsm_sim::charge(Class::MemtableInsert, 750);
+                        m.add(seq, ValueType::Value, key.as_bytes(), b"v");
                     }
                 }));
             }
@@ -670,6 +622,25 @@ mod tests {
         });
     }
 
+    /// `add` gives up the run token nowhere: with another sim thread
+    /// runnable all along, a run of inserts moves neither the clock nor the
+    /// switch count.
+    #[test]
+    fn add_neither_charges_nor_yields() {
+        Runtime::new().run(|| {
+            let m = MemTable::with_options(4, 10, 256, true);
+            let other = xlsm_sim::spawn("runnable", xlsm_sim::yield_now);
+            let (t0, switches) = (xlsm_sim::now_nanos(), xlsm_sim::runtime::stats().switches);
+            for i in 0..256u64 {
+                m.add(i + 1, ValueType::Value, format!("k{i:04}").as_bytes(), b"v");
+            }
+            assert_eq!(xlsm_sim::now_nanos(), t0);
+            assert_eq!(xlsm_sim::runtime::stats().switches, switches);
+            other.join();
+            assert_eq!(m.num_entries(), 256);
+        });
+    }
+
     #[test]
     fn bloom_filters_absent_keys_and_never_present_ones() {
         let m = MemTable::with_options(11, 10, 1024, false);
@@ -680,7 +651,6 @@ mod tests {
                 ValueType::Value,
                 format!("in{i:05}").as_bytes(),
                 b"v",
-                0,
             );
         }
         for i in 0..1000u32 {
@@ -699,10 +669,10 @@ mod tests {
         assert!(plain.may_contain(b"whatever"));
     }
 
-    /// Concurrent inserters racing on the bloom + skiplist: a key passes
-    /// `may_contain` the instant its insert returns (bits are published
-    /// before the skiplist node links in), and a key visible to `get` always
-    /// does (no false negatives).
+    /// Interleaved inserters on the bloom + skiplist: a key passes
+    /// `may_contain` the instant its insert returns (bits are set before the
+    /// skiplist node links in), and a key visible to `get` always does (no
+    /// false negatives).
     #[test]
     fn concurrent_bloom_has_no_false_negatives() {
         const THREADS: u64 = 16;
@@ -716,7 +686,8 @@ mod tests {
                     for i in 0..PER_THREAD {
                         let seq = t * PER_THREAD + i + 1;
                         let key = format!("key-{t:02}-{i:04}");
-                        m.add(seq, ValueType::Value, key.as_bytes(), b"v", 500);
+                        xlsm_sim::charge(Class::MemtableInsert, 500);
+                        m.add(seq, ValueType::Value, key.as_bytes(), b"v");
                         assert!(
                             m.may_contain(key.as_bytes()),
                             "bloom lost {key} right after its own insert"
@@ -744,12 +715,12 @@ mod tests {
     #[test]
     fn protected_get_roundtrip_and_detects_corruption() {
         let m = MemTable::with_options(21, 0, 0, true);
-        m.add(1, ValueType::Value, b"good", b"v", 0);
+        m.add(1, ValueType::Value, b"good", b"v");
         assert_eq!(m.get(b"good", 10).unwrap(), Some(Some(b"v".to_vec())));
         // Plant an entry whose stored checksum does not match its content —
         // the shape of an in-memory flip between insert and read.
         let wrong = integrity::entry_checksum(ValueType::Value, b"bad", b"v") ^ 1;
-        m.insert(2, ValueType::Value, b"bad", b"v", wrong, 0);
+        m.insert(2, ValueType::Value, b"bad", b"v", wrong);
         m.record_entry(16);
         let err = m.get(b"bad", 10).unwrap_err();
         assert!(err.is_corruption());
@@ -759,11 +730,11 @@ mod tests {
     #[test]
     fn flush_iterator_verifies_entries() {
         let m = MemTable::with_options(22, 0, 0, true);
-        m.add(1, ValueType::Value, b"a", b"1", 0);
+        m.add(1, ValueType::Value, b"a", b"1");
         let wrong = integrity::entry_checksum(ValueType::Deletion, b"b", b"") ^ 1;
-        m.insert(2, ValueType::Deletion, b"b", b"", wrong, 0);
+        m.insert(2, ValueType::Deletion, b"b", b"", wrong);
         m.record_entry(16);
-        m.add(3, ValueType::Value, b"c", b"3", 0);
+        m.add(3, ValueType::Value, b"c", b"3");
         let mut it = m.iter();
         assert!(it.seek_to_first().unwrap());
         let mut bad = 0;
@@ -781,7 +752,7 @@ mod tests {
     #[test]
     fn unprotected_memtable_skips_verification() {
         let m = MemTable::new(23);
-        m.add(1, ValueType::Value, b"k", b"v", 0);
+        m.add(1, ValueType::Value, b"k", b"v");
         let mut it = m.iter();
         assert!(it.seek_to_first().unwrap());
         assert!(it.verify_entry().is_ok());
@@ -804,11 +775,11 @@ mod tests {
                 let seq = seq as u64 + 1;
                 match val {
                     Some(v) => {
-                        m.add(seq, ValueType::Value, key, &[*v], 0);
+                        m.add(seq, ValueType::Value, key, &[*v]);
                         model.insert(key.clone(), Some(vec![*v]));
                     }
                     None => {
-                        m.add(seq, ValueType::Deletion, key, b"", 0);
+                        m.add(seq, ValueType::Deletion, key, b"");
                         model.insert(key.clone(), None);
                     }
                 }

@@ -22,7 +22,6 @@
 //!   optional auto-tuned mode that scales the budget with measured
 //!   compaction debt.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use xlsm_sim::Class;
 
 use parking_lot::Mutex;
@@ -175,8 +174,6 @@ pub struct BgIoLimiter {
     base_rate: u64,
     /// Debt level at which the budget reaches 2× base (cap at 4×).
     auto_tune_reference: Option<u64>,
-    /// Rate currently in effect, mirrored for lock-free observability.
-    current_rate: AtomicU64,
     state: Mutex<BucketState>,
 }
 
@@ -188,7 +185,6 @@ impl BgIoLimiter {
         Self {
             base_rate,
             auto_tune_reference: auto_tune_reference.filter(|&r| r > 0 && base_rate > 0),
-            current_rate: AtomicU64::new(base_rate),
             state: Mutex::new(BucketState {
                 tokens: 0,
                 rate: base_rate,
@@ -205,9 +201,10 @@ impl BgIoLimiter {
 
     /// The budget currently in effect, bytes per virtual second
     /// (0 = unthrottled).
-    pub fn current_rate(&self) -> u64 {
+    #[cfg(test)]
+    fn current_rate(&self) -> u64 {
         if self.enabled() {
-            self.current_rate.load(Ordering::Relaxed)
+            self.state.lock().rate
         } else {
             0
         }
@@ -234,7 +231,6 @@ impl BgIoLimiter {
             // Settle the bucket at the old rate before switching.
             Self::refill(&mut st);
             st.rate = new_rate;
-            self.current_rate.store(new_rate, Ordering::Relaxed);
         }
     }
 

@@ -61,16 +61,6 @@ impl SpaceManager {
         }
     }
 
-    /// Whether the cap is active.
-    pub fn enabled(&self) -> bool {
-        self.max_allowed_space_bytes.load(Ordering::Relaxed) > 0
-    }
-
-    /// The cap currently in effect (`0` = no cap).
-    pub fn max_allowed_space_bytes(&self) -> u64 {
-        self.max_allowed_space_bytes.load(Ordering::Relaxed)
-    }
-
     /// Adjusts the cap at runtime (`0` disables it). Raising the cap frees
     /// headroom: the `SpaceWatcher` picks that up on its next poll and
     /// resumes a soft-stalled database.
@@ -98,8 +88,8 @@ impl SpaceManager {
             <= max as u128
     }
 
-    /// Atomically reserves `bytes` of output headroom if it fits under the
-    /// cap given `used_bytes` of accounted usage, and returns the receipt:
+    /// Reserves `bytes` of output headroom if it fits under the cap given
+    /// `used_bytes` of accounted usage, and returns the receipt:
     /// drop it once the output is installed (it then counts as live bytes)
     /// or abandoned. It gives back what it counted, which is nothing while
     /// the cap is off, so turning the cap on under an in-flight job cannot
@@ -112,25 +102,21 @@ impl SpaceManager {
                 bytes: 0,
             });
         }
-        self.reserved
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                if used_bytes.saturating_add(cur).saturating_add(bytes) as u128 <= max as u128 {
-                    Some(cur + bytes)
-                } else {
-                    None
-                }
-            })
-            .ok()
-            .map(|_| Reservation { space: self, bytes })
+        // A load, a check and a store: only the run-token holder runs, so
+        // nothing reserves in between.
+        let cur = self.reserved.load(Ordering::Relaxed);
+        if used_bytes.saturating_add(cur).saturating_add(bytes) as u128 > max as u128 {
+            return None;
+        }
+        self.reserved.store(cur + bytes, Ordering::Relaxed);
+        Some(Reservation { space: self, bytes })
     }
 
     /// Gives back `bytes` of reservation, saturating at zero.
     fn release(&self, bytes: u64) {
-        let _ = self
-            .reserved
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(bytes))
-            });
+        let cur = self.reserved.load(Ordering::Relaxed);
+        self.reserved
+            .store(cur.saturating_sub(bytes), Ordering::Relaxed);
     }
 }
 
@@ -164,16 +150,23 @@ pub struct TrashEntry {
 pub struct DeleteScheduler {
     rate: u64,
     limiter: BgIoLimiter,
-    queue: parking_lot::Mutex<VecDeque<TrashEntry>>,
-    queued_bytes: AtomicU64,
+    queue: parking_lot::Mutex<Trash>,
+}
+
+/// The pending deletions and their byte sum, kept together under one lock.
+#[derive(Debug, Default)]
+struct Trash {
+    entries: VecDeque<TrashEntry>,
+    bytes: u64,
 }
 
 impl fmt::Debug for DeleteScheduler {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let queue = self.queue.lock();
         f.debug_struct("DeleteScheduler")
             .field("rate", &self.rate)
-            .field("queued_bytes", &self.queued_bytes)
-            .field("queue_len", &self.queue.lock().len())
+            .field("queued_bytes", &queue.bytes)
+            .field("queue_len", &queue.entries.len())
             .finish()
     }
 }
@@ -185,8 +178,7 @@ impl DeleteScheduler {
         DeleteScheduler {
             rate,
             limiter: BgIoLimiter::new(rate, None),
-            queue: parking_lot::Mutex::new(VecDeque::new()),
-            queued_bytes: AtomicU64::new(0),
+            queue: parking_lot::Mutex::default(),
         }
     }
 
@@ -197,34 +189,24 @@ impl DeleteScheduler {
 
     /// Enqueues a file already renamed into `trash/`.
     pub fn schedule(&self, path: String, bytes: u64) {
-        self.queued_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.queue.lock().push_back(TrashEntry { path, bytes });
+        let mut queue = self.queue.lock();
+        queue.bytes += bytes;
+        queue.entries.push_back(TrashEntry { path, bytes });
     }
 
     /// Takes the oldest pending deletion, if any. The entry's bytes leave
     /// the backlog gauge immediately; a failed delete must be returned via
     /// [`DeleteScheduler::schedule`].
     pub fn pop(&self) -> Option<TrashEntry> {
-        let entry = self.queue.lock().pop_front()?;
-        let mut cur = self.queued_bytes.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(entry.bytes);
-            match self.queued_bytes.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
+        let mut queue = self.queue.lock();
+        let entry = queue.entries.pop_front()?;
+        queue.bytes -= entry.bytes;
         Some(entry)
     }
 
     /// Bytes currently sitting in `trash/` awaiting deletion.
     pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes.load(Ordering::Relaxed)
+        self.queue.lock().bytes
     }
 
     /// Blocks the reaper until the token bucket covers `bytes`, returning
@@ -242,7 +224,6 @@ mod tests {
     #[test]
     fn reservations_respect_the_cap() {
         let m = SpaceManager::new(100);
-        assert!(m.enabled());
         let first = m.reserve(40, 30).expect("30 used + 40 = 70 <= 100");
         assert_eq!(m.reserved_bytes(), 40);
         assert!(m.reserve(40, 30).is_none(), "30 + 40 + 40 > 100");
@@ -257,7 +238,6 @@ mod tests {
     #[test]
     fn disabled_cap_always_fits() {
         let m = SpaceManager::new(0);
-        assert!(!m.enabled());
         let all = m.reserve(u64::MAX, u64::MAX).expect("no cap, always fits");
         assert!(m.would_fit(u64::MAX, u64::MAX));
         assert_eq!(m.reserved_bytes(), 0, "disabled cap never accumulates");
@@ -271,7 +251,8 @@ mod tests {
         m.set_max_allowed_space_bytes(1000);
         assert!(m.reserve(200, 0).is_some());
         m.set_max_allowed_space_bytes(0);
-        assert!(!m.enabled());
+        assert!(m.reserve(u64::MAX, 0).is_some(), "no cap once it is 0");
+        assert_eq!(m.reserved_bytes(), 0);
     }
 
     /// A reservation taken while the cap was off counted nothing, so it
@@ -305,6 +286,33 @@ mod tests {
             assert_eq!(d.queued_bytes(), 1000);
             assert_eq!(d.pop().unwrap().path, "db/trash/000009.sst");
             assert_eq!(d.pop().unwrap().path, "db/trash/000005.sst");
+            assert_eq!(d.queued_bytes(), 0);
+        });
+    }
+
+    /// The byte count is the sum of the queued entries after every step:
+    /// schedule, pop, and a failed delete's re-schedule.
+    #[test]
+    fn trash_bytes_are_the_sum_of_the_queued_entries() {
+        xlsm_sim::Runtime::new().run(|| {
+            let d = DeleteScheduler::new(1 << 20);
+            let sum = |d: &DeleteScheduler| {
+                let queue = d.queue.lock();
+                let entries = queue.entries.iter().map(|e| e.bytes).sum::<u64>();
+                assert_eq!(queue.bytes, entries);
+                queue.bytes
+            };
+            for (i, bytes) in [4_096u64, 1, 70_000].into_iter().enumerate() {
+                d.schedule(format!("db/trash/{i:06}.sst"), bytes);
+                sum(&d);
+            }
+            let failed = d.pop().expect("three queued");
+            assert_eq!(sum(&d), 70_001);
+            d.schedule(failed.path, failed.bytes);
+            assert_eq!(sum(&d), 74_097);
+            while d.pop().is_some() {
+                sum(&d);
+            }
             assert_eq!(d.queued_bytes(), 0);
         });
     }

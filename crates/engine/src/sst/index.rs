@@ -35,21 +35,6 @@ impl IndexBuilder {
     }
 }
 
-/// One index entry as the tests spell it: a data block's last internal
-/// key, and the offset and size of its frame.
-#[cfg(test)]
-pub(super) type IndexEntry = (Vec<u8>, u64, u64);
-
-/// The index block of `index`.
-#[cfg(test)]
-pub(super) fn encode_index(index: &[IndexEntry]) -> Vec<u8> {
-    let mut b = IndexBuilder::default();
-    for (key, off, size) in index {
-        b.add(key, *off, *size);
-    }
-    b.finish()
-}
-
 /// An open table's index in flat memory: every entry's key back to back
 /// in one buffer, where each key ends, and each data block's frame. A probe's binary
 /// search compares keys inside one buffer instead of following one heap
@@ -138,6 +123,21 @@ impl FlatIndex {
     pub(super) fn block_boundary_user_keys(&self) -> impl Iterator<Item = &[u8]> + '_ {
         (0..self.len()).map(|i| types::user_key(self.key(i)))
     }
+}
+
+/// One index entry as the tests spell it: a data block's last internal
+/// key, and the offset and size of its frame.
+#[cfg(test)]
+pub(super) type IndexEntry = (Vec<u8>, u64, u64);
+
+/// The index block of `index`.
+#[cfg(test)]
+pub(super) fn encode_index(index: &[IndexEntry]) -> Vec<u8> {
+    let mut b = IndexBuilder::default();
+    for (key, off, size) in index {
+        b.add(key, *off, *size);
+    }
+    b.finish()
 }
 
 #[cfg(test)]

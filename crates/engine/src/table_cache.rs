@@ -135,11 +135,6 @@ impl TableCache {
         self.readers.lock().remove(&number);
         self.block_cache.remove_file(number);
     }
-
-    /// The shared decoded-block cache.
-    pub fn block_cache(&self) -> &Arc<BlockCache> {
-        &self.block_cache
-    }
 }
 
 #[cfg(test)]

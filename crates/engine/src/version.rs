@@ -505,7 +505,9 @@ impl VersionSet {
 
     /// Allocates a fresh file number.
     pub fn new_file_number(&self) -> u64 {
-        self.next_file.fetch_add(1, Ordering::Relaxed)
+        let number = self.next_file.load(Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.next_file, 1);
+        number
     }
 
     /// Advances the allocator past `number`. A crash can leave files on
@@ -514,12 +516,12 @@ impl VersionSet {
     /// with the power); open re-claims every number it sees so fresh
     /// allocations cannot collide with the leftovers.
     pub fn mark_file_number_used(&self, number: u64) {
-        self.next_file.fetch_max(number + 1, Ordering::Relaxed);
+        xlsm_sim::sync::max(&self.next_file, number + 1);
     }
 
     /// Last *published* (reader-visible) sequence number.
     pub fn last_sequence(&self) -> u64 {
-        self.last_sequence.load(Ordering::Acquire)
+        self.last_sequence.load(Ordering::Relaxed)
     }
 
     /// Advances the sequence allocator by `n` *without* publishing,
@@ -527,12 +529,14 @@ impl VersionSet {
     /// [`VersionSet::publish_sequence`] once the whole group is applied, so
     /// readers never snapshot into a half-applied write group.
     pub fn reserve_sequences(&self, n: u64) -> u64 {
-        self.next_sequence.fetch_add(n, Ordering::AcqRel) + 1
+        let first = self.next_sequence.load(Ordering::Relaxed) + 1;
+        xlsm_sim::sync::add(&self.next_sequence, n);
+        first
     }
 
     /// Makes every sequence up to `seq` visible to readers (monotonic).
     pub fn publish_sequence(&self, seq: u64) {
-        self.last_sequence.fetch_max(seq, Ordering::AcqRel);
+        xlsm_sim::sync::max(&self.last_sequence, seq);
     }
 
     /// WAL low-watermark.
@@ -574,7 +578,7 @@ impl VersionSet {
         edit.next_file_number = Some(self.next_file.load(Ordering::Relaxed));
         edit.last_sequence = Some(self.last_sequence());
         if let Some(v) = edit.log_number {
-            self.log_number.fetch_max(v, Ordering::Relaxed);
+            xlsm_sim::sync::max(&self.log_number, v);
         }
         let payload = edit.encode();
         // Clone the handle out of the lock: append/sync block in sim time,

@@ -605,7 +605,7 @@ mod tests {
             }
             for (seq, op) in (batch.sequence()..).zip(batch.iter()) {
                 let (t, key, value) = op?;
-                self.mem.add(seq, t, key, value, 0);
+                self.mem.add(seq, t, key, value);
             }
             Ok(())
         }

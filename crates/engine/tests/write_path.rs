@@ -19,7 +19,7 @@ use xlsm_engine::iterator::InternalIterator;
 use xlsm_engine::types::{parse_internal_key, ValueType};
 use xlsm_engine::write::{WriteBackend, WriteQueue};
 use xlsm_engine::{Db, DbOptions, DbResult, DbStats, MemTable, Ticker, WriteBatch};
-use xlsm_sim::Runtime;
+use xlsm_sim::{Class, Runtime};
 use xlsm_simfs::{FsOptions, SimFs};
 
 /// Spawns writers `w0..w{n-1}`; writer `w` runs `work(w)`.
@@ -48,8 +48,8 @@ fn fan_out(n: usize, work: impl Fn(usize) + Send + Sync + 'static) {
 // ---------------------------------------------------------------------------
 
 /// Minimal backend over a bare memtable. WAL latency creates the grouping
-/// window; memtable cost scales per entry so the concurrent path genuinely
-/// overlaps work (and exercises CAS contention in the skiplist).
+/// window; memtable cost scales per entry, charged before each insert as
+/// the engine charges it, so the concurrent path genuinely overlaps work.
 struct MemBackend {
     mem: Arc<MemTable>,
     seq: AtomicU64,
@@ -91,7 +91,10 @@ impl WriteBackend for MemBackend {
     fn write_memtable_member(&self, batch: &WriteBatch) -> DbResult<()> {
         for (seq, op) in (batch.sequence()..).zip(batch.iter()) {
             let (t, key, value) = op?;
-            self.mem.add(seq, t, key, value, self.per_insert_ns);
+            if self.per_insert_ns > 0 {
+                xlsm_sim::charge(Class::MemtableInsert, self.per_insert_ns);
+            }
+            self.mem.add(seq, t, key, value);
         }
         Ok(())
     }

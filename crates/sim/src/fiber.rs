@@ -30,7 +30,6 @@
 use crate::runtime::{run_spawned, Body, Ctx};
 use std::cell::Cell;
 use std::ffi::{c_int, c_long, c_void};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Usable bytes of a fiber's stack: what `std::thread` gives a thread.
 const STACK_SIZE: usize = 2 << 20;
@@ -103,13 +102,11 @@ std::arch::global_asm!(
     ".size xlsm_sim_fiber_switch, . - xlsm_sim_fiber_switch",
 );
 
-/// Stacks mapped and not yet unmapped, in this process.
-static LIVE_STACKS: AtomicUsize = AtomicUsize::new(0);
-
-/// How many fiber stacks are mapped in this process right now.
-#[cfg(test)]
-pub(crate) fn live_stacks() -> usize {
-    LIVE_STACKS.load(Ordering::Relaxed)
+thread_local! {
+    /// Stacks this OS thread has mapped and not yet unmapped. A runtime's
+    /// fibers all run on the OS thread that runs it, which maps and unmaps
+    /// their stacks, so the count needs no atomic.
+    static LIVE_STACKS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A mapping of the guard page and the stack above it, unmapped on drop.
@@ -124,7 +121,7 @@ impl Drop for Stack {
         // by the runtime after its last switch away from it, on another stack.
         let unmapped = unsafe { munmap(self.base as *mut c_void, GUARD + STACK_SIZE) };
         debug_assert_eq!(unmapped, 0, "munmap of a fiber stack failed");
-        LIVE_STACKS.fetch_sub(1, Ordering::Relaxed);
+        LIVE_STACKS.with(|n| n.set(n.get() - 1));
     }
 }
 
@@ -184,7 +181,7 @@ impl Fiber {
                 .write(entry as extern "C" fn() -> ! as usize as u64);
             (base as usize, frame as usize)
         };
-        LIVE_STACKS.fetch_add(1, Ordering::Relaxed);
+        LIVE_STACKS.with(|n| n.set(n.get() + 1));
         // The top is 16-aligned, so `entry` starts with `rsp` 8 below a
         // multiple of 16, as after a call.
         debug_assert_eq!((sp + 8 * FRAME_WORDS) % 16, 0);
@@ -259,6 +256,11 @@ mod tests {
     use crate::{spawn, spawn_daemon, sync::WaitSet, Runtime};
     use std::os::unix::process::ExitStatusExt;
     use std::process::{Command, Output};
+
+    /// How many fiber stacks this OS thread has mapped right now.
+    fn live_stacks() -> usize {
+        LIVE_STACKS.with(Cell::get)
+    }
 
     /// Set in a child process this test binary started, to make the test it
     /// was started for do its work instead of starting another child.

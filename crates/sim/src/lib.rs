@@ -86,10 +86,10 @@
 //! simulation hang without a word; the shim panics at that take.
 //!
 //! The rule against it is enforced where the locks are. Every lock in the
-//! workspace is a `Mutex` or `RwLock` of the `parking_lot` shim, and the shim
-//! counts its live guards per thread (`parking_lot::guards_held()`: up when a
-//! `MutexGuard`, `RwLockReadGuard` or `RwLockWriteGuard` is made, down when
-//! it drops; the guards are `!Send`, so both happen on one thread). Every
+//! workspace is a `Mutex` of the `parking_lot` shim, and the shim counts its
+//! live guards per thread (`parking_lot::guards_held()`: up when a
+//! `MutexGuard` is made, down when it drops; the guards are `!Send`, so both
+//! happen on one thread). Every
 //! operation here that can give up the run token — [`sleep_nanos`],
 //! [`yield_now`], [`sync::WaitSet::wait`], [`sync::Semaphore::acquire`],
 //! [`sync::Receiver::recv`], [`spawn`], [`JoinHandle::join`] — first asserts
@@ -101,6 +101,18 @@
 //! violation was the silent hang above. A lock built straight on
 //! `std::sync` would escape it again; `scripts/check.sh` refuses one in the
 //! product code under `crates/`.
+//!
+//! The same fact leaves no room for a retry loop. Between two points where
+//! a sim thread can give up the run token nothing else runs, so shared state
+//! changes with plain loads and stores: a counter that only the run-token
+//! holder writes adds with [`sync::add`] and [`sync::max`], and a structure
+//! that is written in place (the engine's memtable skiplist) is written by
+//! code that charges nothing and yields nowhere until the write is done.
+//! `scripts/check.sh` refuses an atomic read-modify-write (a `fetch_*`, a
+//! `swap` or a compare-exchange) anywhere in the product code under
+//! `crates/*/src`, except the one two OS threads really share: the grant
+//! flag of the OS-thread body's parker (`threads.rs`), written by the thread
+//! that hands the token over and consumed by the one that takes it.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -91,7 +91,7 @@ pub(crate) fn with_ctx<T>(f: impl FnOnce(&Ctx) -> T) -> T {
 
 /// Every operation that can give up the run token starts here. The count is
 /// kept by the lock shim itself, one per live guard on this thread, so it
-/// sees every `Mutex` and `RwLock` the workspace takes.
+/// sees every `Mutex` the workspace takes.
 pub(crate) fn assert_not_in_critical_section(op: &str) {
     let held = parking_lot::guards_held();
     assert!(

@@ -8,9 +8,12 @@
 //! need no lost-wakeup dance.
 //!
 //! There is no lock type here: shared state sits behind the `parking_lot`
-//! shim's `Mutex` / `RwLock`, which can never be contended while one thread
-//! runs at a time, and every wait below first checks that the caller holds
-//! none of their guards (see the crate docs, "Sim-safety").
+//! shim's `Mutex`, the workspace's one lock kind, which can never be
+//! contended while one thread runs at a time, and every wait below first
+//! checks that the caller holds none of its guards (see the crate docs,
+//! "Sim-safety"). For the same reason nothing here retries: no
+//! compare-exchange loop, no atomic read-modify-write. A counter only the
+//! run-token holder writes adds with [`add`] and [`max`], a load and a store.
 
 use crate::hash::FxHashSet;
 use crate::runtime::{self, assert_not_in_critical_section, current_tid};
@@ -335,17 +338,9 @@ impl<T> Receiver<T> {
 mod tests {
     use super::*;
     use crate::{sleep_nanos, spawn, yield_now, JoinHandle, Runtime};
-    use parking_lot::{Mutex, RwLock};
+    use parking_lot::Mutex;
     use std::cell::Cell;
     use std::panic::catch_unwind;
-
-    /// What the waiting thread holds when it waits.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    enum Hold {
-        Mutex,
-        Read,
-        Write,
-    }
 
     struct Waitables {
         ws: WaitSet,
@@ -369,12 +364,12 @@ mod tests {
         ("join", |w| w.child.take().expect("joined once").join()),
     ];
 
-    /// Runs `wait` on a fresh runtime while holding `hold`; returns the
-    /// panic message if it panicked.
-    fn wait_holding(hold: Hold, wait: Wait) -> Option<String> {
+    /// Runs `wait` on a fresh runtime while holding a shim mutex; returns
+    /// the panic message if it panicked.
+    fn wait_holding(wait: Wait) -> Option<String> {
         let outcome = catch_unwind(|| {
             Runtime::new().run(|| {
-                let (m, l) = (Mutex::new(0u8), RwLock::new(0u8));
+                let m = Mutex::new(0u8);
                 let (_tx, rx) = channel::<u8>("rule");
                 let w = Waitables {
                     ws: WaitSet::new("rule"),
@@ -383,11 +378,7 @@ mod tests {
                     child: Cell::new(Some(spawn("child", || ()))),
                 };
                 yield_now(); // the child runs and exits
-                let _held = (
-                    (hold == Hold::Mutex).then(|| m.lock()),
-                    (hold == Hold::Read).then(|| l.read()),
-                    (hold == Hold::Write).then(|| l.write()),
-                );
+                let _held = m.lock();
                 wait(&w);
             })
         });
@@ -397,21 +388,19 @@ mod tests {
         })
     }
 
-    /// The rule fires where the locks are: a guard of any of the three shim
-    /// kinds, held across any operation that gives up the run token, panics
-    /// at that operation, and the message names it and the shim.
+    /// The rule fires where the locks are: a shim guard, held across any
+    /// operation that gives up the run token, panics at that operation, and
+    /// the message names it and the shim.
     #[test]
     fn wait_while_holding_a_shim_guard_panics() {
-        for hold in [Hold::Mutex, Hold::Read, Hold::Write] {
-            for (op, wait) in WAITS {
-                let msg = wait_holding(hold, wait)
-                    .unwrap_or_else(|| panic!("{hold:?} guard across {op} returned quietly"));
-                assert!(
-                    msg.contains(&format!("sim-blocking operation `{op}`"))
-                        && msg.contains("1 parking_lot (shim) lock guard"),
-                    "{hold:?} guard across {op}: {msg}"
-                );
-            }
+        for (op, wait) in WAITS {
+            let msg = wait_holding(wait)
+                .unwrap_or_else(|| panic!("a guard across {op} returned quietly"));
+            assert!(
+                msg.contains(&format!("sim-blocking operation `{op}`"))
+                    && msg.contains("1 parking_lot (shim) lock guard"),
+                "a guard across {op}: {msg}"
+            );
         }
         assert_eq!(parking_lot::guards_held(), 0, "unwinding dropped them all");
     }
@@ -419,9 +408,9 @@ mod tests {
     #[test]
     fn guard_dropped_before_the_wait_does_not_fire() {
         Runtime::new().run(|| {
-            let (m, l) = (Mutex::new(0u8), RwLock::new(0u8));
-            drop((m.lock(), l.read()));
-            *l.write() += 1;
+            let (m, n) = (Mutex::new(0u8), Mutex::new(0u8));
+            drop((m.lock(), n.lock()));
+            *n.lock() += 1;
             sleep_nanos(1);
             yield_now();
             spawn("child", || ()).join();

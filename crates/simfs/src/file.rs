@@ -77,7 +77,7 @@ type BitFlip = (usize, u32);
 pub(crate) struct FileData {
     pub(crate) id: u64,
     pub(crate) name: parking_lot::Mutex<String>,
-    content: parking_lot::RwLock<Content>,
+    content: parking_lot::Mutex<Content>,
     /// The filesystem's pool, where the content goes when the file does.
     pool: Arc<ChunkPool>,
     /// Allocated device extents `(start_lpn, pages)` covering the file.
@@ -91,7 +91,7 @@ impl FileData {
         FileData {
             id,
             name: parking_lot::Mutex::new(path.to_owned()),
-            content: parking_lot::RwLock::new(Content::default()),
+            content: parking_lot::Mutex::new(Content::default()),
             pool,
             extents: parking_lot::Mutex::new(Vec::new()),
             deleted: AtomicBool::new(false),
@@ -104,7 +104,7 @@ impl FileData {
     pub(crate) fn lose_volatile(&self) {
         let mut dur = self.durability.lock();
         let keep = dur.lose_volatile() as usize;
-        self.content.write().truncate(keep, &self.pool);
+        self.content.lock().truncate(keep, &self.pool);
     }
 
     /// Device LPN of the file's `page`-th page, if allocated.
@@ -127,7 +127,7 @@ impl FileData {
 
 impl Drop for FileData {
     fn drop(&mut self) {
-        self.content.write().truncate(0, &self.pool);
+        self.content.lock().truncate(0, &self.pool);
     }
 }
 
@@ -180,7 +180,7 @@ impl SimFs {
             .unwrap_or(AllocFault::None);
         match outcome {
             AllocFault::Fail => {
-                self.injected_errors.fetch_add(1, Ordering::Relaxed);
+                xlsm_sim::sync::add(&self.injected_errors, 1);
             }
             AllocFault::Shrink(pages) => {
                 self.alloc.lock().shrink(pages);
@@ -199,14 +199,14 @@ impl SimFs {
             .unwrap_or(FaultOutcome::None);
         match outcome {
             FaultOutcome::Error { .. } => {
-                self.injected_errors.fetch_add(1, Ordering::Relaxed);
+                xlsm_sim::sync::add(&self.injected_errors, 1);
             }
             FaultOutcome::Torn { .. } => {
-                self.injected_errors.fetch_add(1, Ordering::Relaxed);
-                self.torn_writes.fetch_add(1, Ordering::Relaxed);
+                xlsm_sim::sync::add(&self.injected_errors, 1);
+                xlsm_sim::sync::add(&self.torn_writes, 1);
             }
             FaultOutcome::BitFlip { .. } => {
-                self.bit_flips.fetch_add(1, Ordering::Relaxed);
+                xlsm_sim::sync::add(&self.bit_flips, 1);
             }
             FaultOutcome::PowerCut => self.power_cut(),
             FaultOutcome::None => {}
@@ -245,7 +245,7 @@ impl SimFs {
             .filter_map(|&(file, page)| {
                 let f = by_id.get(&file)?;
                 let lpn = f.lpn_of(page)?;
-                let len = f.content.read().len() as u64;
+                let len = f.content.lock().len() as u64;
                 let valid = len
                     .saturating_sub(page * PAGE_SIZE as u64)
                     .min(PAGE_SIZE as u64) as u32;
@@ -310,7 +310,7 @@ impl FileHandle {
 
     /// Current file size in bytes.
     pub fn len(&self) -> u64 {
-        self.data.content.read().len() as u64
+        self.data.content.lock().len() as u64
     }
 
     /// Whether the file is empty.
@@ -412,7 +412,7 @@ impl FileHandle {
         // held across both so the size the extents were sized for is the
         // size the file gets.
         let (offset, new_len) = {
-            let mut content = self.data.content.write();
+            let mut content = self.data.content.lock();
             let offset = content.len() as u64;
             let new_len = offset + data.len() as u64;
             let needed_pages = new_len.div_ceil(PAGE_SIZE as u64);
@@ -453,7 +453,7 @@ impl FileHandle {
     /// the returned payload instead of erroring).
     pub fn read_at(&self, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let (range, flip) = self.admit_read(offset, len)?;
-        let mut out = self.data.content.read().read(range);
+        let mut out = self.data.content.lock().read(range);
         if let Some((byte, bit)) = flip {
             // Transient corruption: only the returned copy is flipped.
             out[byte] ^= 1u8 << bit;
@@ -470,7 +470,7 @@ impl FileHandle {
     /// As [`FileHandle::read_at`].
     pub fn read_shared(&self, offset: u64, len: usize) -> FsResult<FileSpan> {
         let (range, flip) = self.admit_read(offset, len)?;
-        let mut span = self.data.content.read().read_shared(range);
+        let mut span = self.data.content.lock().read_shared(range);
         if let Some((byte, bit)) = flip {
             span.flip(byte, bit);
         }
@@ -487,7 +487,7 @@ impl FileHandle {
     /// As [`FileHandle::read_at`].
     pub fn read_frame(&self, offset: u64, len: usize) -> FsResult<FileBytes> {
         let (range, flip) = self.admit_read(offset, len)?;
-        let bytes = self.data.content.read().read_bytes(range);
+        let bytes = self.data.content.lock().read_bytes(range);
         let Some((byte, bit)) = flip else {
             return Ok(bytes);
         };
@@ -539,7 +539,7 @@ impl FileHandle {
         // The content lock keeps an append from growing the file between
         // reading its size and cutting its extents.
         let cut = {
-            let content = self.data.content.read();
+            let content = self.data.content.lock();
             let keep = (content.len() as u64).div_ceil(PAGE_SIZE as u64);
             cut_extents(&mut self.data.extents.lock(), keep)
         };

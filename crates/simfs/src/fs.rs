@@ -155,11 +155,9 @@ impl SimFs {
     /// [`FsError::Io`] while a power cut is in effect.
     pub fn create(self: &Arc<Self>, path: &str) -> FsResult<FileHandle> {
         self.fail_if_dead("create", || path.to_owned())?;
-        let data = Arc::new(FileData::new(
-            self.next_id.fetch_add(1, Ordering::Relaxed),
-            path,
-            Arc::clone(&self.pool),
-        ));
+        let id = self.next_id.load(Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.next_id, 1);
+        let data = Arc::new(FileData::new(id, path, Arc::clone(&self.pool)));
         {
             let mut files = self.files.lock();
             if files.contains_key(path) {
@@ -212,7 +210,7 @@ impl SimFs {
     pub fn delete(&self, path: &str) -> FsResult<()> {
         self.fail_if_dead("delete", || path.to_owned())?;
         if let Some(retryable) = self.ask_plan(|plan| plan.decide_delete(path)).flatten() {
-            self.injected_errors.fetch_add(1, Ordering::Relaxed);
+            xlsm_sim::sync::add(&self.injected_errors, 1);
             return Err(FsError::io("delete", path, retryable));
         }
         let data = self
@@ -355,7 +353,7 @@ impl SimFs {
     /// a journaled-metadata filesystem where only data buffered in RAM or
     /// the device write buffer is lost.
     pub fn power_cut(&self) {
-        self.power_cuts.fetch_add(1, Ordering::Relaxed);
+        xlsm_sim::sync::add(&self.power_cuts, 1);
         self.dead.store(true, Ordering::Relaxed);
         self.device.power_cut();
         for data in self.by_id.lock().values() {

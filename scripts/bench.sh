@@ -5,7 +5,8 @@
 #
 # Ends by writing BENCH_wall.json: what the run cost on the host clock (wall
 # seconds of each registry entry at full size and of the quick suite, the
-# oracle test's seconds and peak resident memory, the seconds of every test
+# oracle test's seconds, peak resident memory and peak of live heap bytes,
+# the seconds of every test
 # binary of `cargo test --release --workspace`, mean ns of every engine_micro
 # bench, and where two probes spent their host time: host ms per charge
 # class, scheduler and switch, fill and window, for one write-only `--quick
@@ -41,14 +42,18 @@ for entry in "${entries[@]%% *}"; do
 done
 timed suite_rows quick_all --quick all
 
-# The oracle's budget, as its test harness times it (no build, no cargo), and
-# its peak resident memory (VmHWM), which the test prints.
+# The oracle's budget, as its test harness times it (no build, no cargo), its
+# peak resident memory (VmHWM) and its peak of live heap bytes (its counting
+# allocator's), which the test prints. VmHWM also counts the freed heap the C
+# allocator keeps, which moves with allocation order; the live peak does not.
 echo "==> oracle"
 oracle_out=$("${pin[@]}" cargo test -q -p xlsm-suite --test oracle -- --show-output)
 oracle_s=$(sed -n 's/.*finished in \([0-9.]*\)s.*/\1/p' <<<"$oracle_out")
 oracle_mb=$(awk '$1 == "VmHWM:" {print int($2 / 1024)}' <<<"$oracle_out")
-[[ -n $oracle_s && -n $oracle_mb ]] || { echo "the oracle printed no time or memory" >&2; exit 1; }
-echo "oracle $oracle_s s, peak $oracle_mb MiB"
+oracle_live_mb=$(awk '/^live heap peak:/ {print int($4 / 1024)}' <<<"$oracle_out")
+[[ -n $oracle_s && -n $oracle_mb && -n $oracle_live_mb ]] ||
+    { echo "the oracle printed no time or memory" >&2; exit 1; }
+echo "oracle $oracle_s s, peak $oracle_mb MiB, live heap peak $oracle_live_mb MiB"
 
 # Every test binary of the release workspace run, as its harness times it,
 # keyed by its source file (doc-tests by crate). Cargo names the binary it
@@ -130,6 +135,7 @@ rows() { printf '%s\n' "$@" | sed '$!s/$/,/'; }
     echo '  "test_peak_rss_mb": {'
     echo "    \"oracle\": $oracle_mb"
     echo '  },'
+    echo "  \"oracle_live_heap_mb\": $oracle_live_mb,"
     echo '  "release_test_binary_s": {'
     rows "${test_rows[@]}"
     echo '  },'

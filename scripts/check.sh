@@ -39,21 +39,21 @@ step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # Every crate root denies unsafe_code, so clippy has just refused any unsafe
 # a library does not explicitly allow; this count also covers the bins,
-# tests, benches and examples. The fourteen: in shims/parking_lot/src/lock.rs,
-# the lock that is a borrow flag owned by a run-token domain, its two Sync
-# impls and the three guard dereferences of the value cell (a lock without
-# them is a std lock, two full fences per take: EXPERIMENTS.md "Host cost,
-# round 12"); in crates/engine/src/crc32c.rs,
+# tests, benches and examples. The twelve: in shims/parking_lot/src/lock.rs,
+# the one lock kind, a mutex that is a borrow flag owned by a run-token
+# domain: its Sync impl and its guard's two dereferences of the value cell (a
+# lock without them is a std lock, two full fences per take: EXPERIMENTS.md
+# "Host cost, round 12"); in crates/engine/src/crc32c.rs,
 # the call into the CRC32C bodies and the folding body's unaligned 512-bit
 # load (its safe form, built from byte reads, kept two fifths of the set-up
 # gain: EXPERIMENTS.md "Host cost, round 11"); in crates/sim/src/fiber.rs,
 # the fiber body of sim threads, mapping a stack with its guard page and
-# first frame, unmapping it, and the stack switch; in the test binary
-# tests/alloc_budget.rs, the counting global allocator (`unsafe impl
-# GlobalAlloc` and its alloc, dealloc and realloc), which no safe code can
-# write.
+# first frame, unmapping it, and the stack switch; in
+# tests/support/counting_alloc.rs, which the alloc_budget and oracle test
+# binaries include, the counting global allocator (`unsafe impl GlobalAlloc`
+# and its alloc, dealloc and realloc), which no safe code can write.
 unsafes=$(grep -rE --include='*.rs' 'unsafe\s*(\{|fn|impl|trait|extern)' crates shims src tests examples | wc -l)
-[[ $unsafes == 14 ]] || { echo "expected fourteen unsafe sites, found $unsafes" >&2; exit 1; }
+[[ $unsafes == 12 ]] || { echo "expected twelve unsafe sites, found $unsafes" >&2; exit 1; }
 # The run token is the only lock (DESIGN.md §4): every lock is the shim's,
 # whose take is a borrow flag, so no product code under crates/*/src (above a
 # file's first top-level #[cfg(test)]) names a std::sync lock, which would
@@ -66,13 +66,22 @@ if [[ -n $std_locks ]]; then
     echo "a std::sync lock in product code: use the parking_lot shim's" >&2
     exit 1
 fi
-# The per-op counters, the stall log's counts, the WAL's bytes since its last
-# flush and the driver's timeline buckets are written only by the run-token
-# holder, so they add with a load and a store (xlsm_sim::sync::{add, max}),
-# not a lock-prefixed read-modify-write.
-if grep -nE 'fetch_(add|sub|max)' crates/engine/src/{stats,histogram,stall,wal}.rs crates/device/src/stats.rs \
-    crates/workload/src/driver.rs; then
-    echo "an atomic read-modify-write on a per-op counter: use xlsm_sim::sync::{add, max}" >&2
+# One sim thread runs at a time (DESIGN.md §4), so product code needs no
+# atomic read-modify-write and no retry loop: a counter only the run-token
+# holder writes adds with a load and a store (xlsm_sim::sync::{add, max}).
+# No fetch_*, swap or compare-exchange call in product code under
+# crates/*/src (above a file's first top-level #[cfg(test)]), except the one
+# flag two OS threads really share: the parker's grant flag in
+# crates/sim/src/threads.rs, set by the thread that hands the run token over
+# and consumed by the one that takes it.
+rmw=$(find crates/*/src -name '*.rs' -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    FILENAME == "crates/sim/src/threads.rs" && /self\.granted\.swap\(/ { next }
+    /\.(fetch_(add|sub|max|min|or|and|nand|xor|update)|compare_exchange(_weak)?|swap)\(/ {
+        print FILENAME ":" FNR ": " $0 }' {} +)
+if [[ -n $rmw ]]; then
+    echo "$rmw"
+    echo "an atomic read-modify-write in product code: use xlsm_sim::sync::{add, max}" >&2
     exit 1
 fi
 # The integer-keyed maps a table probe walks hash with xlsm_sim::hash's

@@ -1,9 +1,10 @@
 //! Offline shim for the `parking_lot` crate.
 //!
 //! The build environment has no access to crates.io, so this workspace
-//! vendors a minimal, API-compatible subset of `parking_lot`: a `Mutex` and
-//! an `RwLock` that never poison (a panicked holder does not wedge later
-//! lockers).
+//! vendors a minimal, API-compatible subset of `parking_lot`: a `Mutex` that
+//! never poisons (a panicked holder does not wedge later lockers). It is the
+//! one lock kind of the workspace: with one sim thread running at a time no
+//! two readers ever overlap, so a reader-writer lock would buy nothing.
 //!
 //! ## The run token is the only lock
 //!
@@ -18,11 +19,10 @@
 //!
 //! * The fast path is a thread-local compare (the caller's domain against
 //!   the lock's owner, a plain load) and a plain read and write of the
-//!   borrow flag: no `lock`-prefixed instruction on the way in or out.
-//! * A take that the flag refuses (a second `lock`, `write` under `read`,
-//!   anything under `write`) can only be the same sim thread taking the lock
-//!   again, since no guard lives across a wait. A real lock would deadlock
-//!   there; this one panics. `try_lock` returns `None`.
+//!   `held` flag: no `lock`-prefixed instruction on the way in or out.
+//! * A take that the flag refuses can only be the same sim thread taking the
+//!   lock again, since no guard lives across a wait. A real lock would
+//!   deadlock there; this one panics. `try_lock` returns `None`.
 //! * A take from a second domain panics without touching the flag or the
 //!   value, while the owning domain lives; once it has ended, the lock
 //!   passes to the taker.
@@ -30,7 +30,7 @@
 //!   panics otherwise), and an OS thread moves between domains only with no
 //!   guard alive. So the flag and the value are only ever touched by one OS
 //!   thread at a time, and every hand-over between them is ordered by the
-//!   domain's own flag: that is what makes the `Sync` impls in `lock.rs`
+//!   domain's own flag: that is what makes the `Sync` impl in `lock.rs`
 //!   sound.
 //!
 //! One more addition the real crate does not have: every guard made here is
@@ -38,17 +38,14 @@
 //! each operation that gives up the run token, so a lock held across a sim
 //! wait panics at the wait instead of at the next taker.
 //!
-//! The domains and the lock types live in `lock.rs`, the one module that may
-//! use `unsafe`.
+//! The domains and the lock live in `lock.rs`, the one module that may use
+//! `unsafe`.
 
 #![deny(unsafe_code)]
 
 mod lock;
 
-pub use lock::{
-    guards_held, leave, step_out, Domain, Mutex, MutexGuard, RwLock, RwLockReadGuard,
-    RwLockWriteGuard,
-};
+pub use lock::{guards_held, leave, step_out, Domain, Mutex, MutexGuard};
 
 #[cfg(test)]
 mod tests {
@@ -75,27 +72,13 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
-    }
-
-    #[test]
     fn lock_survives_holder_panic() {
         let m = Mutex::new(0);
-        let l = RwLock::new(0);
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _g = (m.lock(), l.write());
+            let _g = m.lock();
             panic!("poison attempt");
         }));
         assert_eq!(*m.lock(), 0, "mutex must not be poisoned");
-        assert_eq!(*l.write(), 0, "rwlock must not be poisoned");
         assert_eq!(guards_held(), 0);
     }
 
@@ -103,7 +86,7 @@ mod tests {
     /// and leaves the held guards and their count as they were.
     #[test]
     fn a_take_this_domain_already_holds_panics() {
-        let (m, l) = (Mutex::new(0), RwLock::new(0));
+        let m = Mutex::new(0);
         let mut g = m.lock();
         let msg = panic_of(|| drop(m.lock()));
         assert!(
@@ -114,18 +97,8 @@ mod tests {
         assert_eq!(guards_held(), 1);
         *g += 1;
         drop(g);
-        let r = l.read();
-        let msg = panic_of(|| drop(l.write()));
-        assert!(msg.contains("RwLock::write"), "{msg}");
-        assert_eq!(guards_held(), 1);
-        drop(r);
-        let w = l.write();
-        assert!(panic_of(|| drop(l.read())).contains("RwLock::read"));
-        assert!(panic_of(|| drop(l.write())).contains("RwLock::write"));
-        assert_eq!(guards_held(), 1);
-        drop(w);
         assert_eq!(guards_held(), 0);
-        assert_eq!((*m.lock(), *l.read()), (1, 0), "both free and intact");
+        assert_eq!(*m.lock(), 1, "free and intact");
     }
 
     /// A lock taken on one OS thread belongs to that thread's domain: a take
@@ -134,13 +107,11 @@ mod tests {
     #[test]
     fn a_take_from_a_second_live_domain_panics() {
         let m = Arc::new(Mutex::new(7));
-        let l = Arc::new(RwLock::new(7));
         let (taken, take) = (mpsc::channel(), mpsc::channel::<()>());
         let owner = {
-            let (m, l) = (Arc::clone(&m), Arc::clone(&l));
+            let m = Arc::clone(&m);
             std::thread::spawn(move || {
                 let g = m.lock();
-                drop(l.read());
                 taken.0.send(()).unwrap();
                 take.1.recv().unwrap();
                 assert_eq!(*g, 7);
@@ -149,12 +120,7 @@ mod tests {
             })
         };
         taken.1.recv().unwrap();
-        for msg in [
-            panic_of(|| drop(m.lock())),
-            panic_of(|| drop(m.try_lock())),
-            panic_of(|| drop(l.read())),
-            panic_of(|| drop(l.write())),
-        ] {
+        for msg in [panic_of(|| drop(m.lock())), panic_of(|| drop(m.try_lock()))] {
             assert!(msg.contains("taken from another"), "{msg}");
         }
         assert_eq!(guards_held(), 0);
@@ -162,8 +128,6 @@ mod tests {
         take.0.send(()).unwrap();
         owner.join().unwrap();
         assert_eq!(*m.lock(), 8, "an ended domain's lock passes on");
-        *l.write() += 1;
-        assert_eq!(*l.read(), 8);
     }
 
     /// Owning a lock is exclusive access: `get_mut` and `into_inner` reach
@@ -218,20 +182,18 @@ mod tests {
 
     #[test]
     fn every_guard_is_counted_while_it_lives() {
-        let m = Mutex::new(0);
-        let l = RwLock::new(0);
+        let (m, n) = (Mutex::new(0), Mutex::new(0));
         assert_eq!(guards_held(), 0);
         let g = m.lock();
         assert!(m.try_lock().is_none(), "a refused lock makes no guard");
-        let (r1, r2) = (l.read(), l.read());
-        assert_eq!(guards_held(), 3);
+        let h = n.lock();
+        assert_eq!(guards_held(), 2);
         // The count is the thread's own.
         assert_eq!(std::thread::spawn(guards_held).join().unwrap(), 0);
-        drop((g, r1, r2));
-        let w = l.write();
+        drop((g, h));
         let t = m.try_lock();
-        assert_eq!(guards_held(), 2);
-        drop((w, t));
+        assert_eq!(guards_held(), 1);
+        drop(t);
         assert_eq!(guards_held(), 0);
     }
 }

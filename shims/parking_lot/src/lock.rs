@@ -1,17 +1,17 @@
-//! Domains and the locks they own: the thread-local domain id, the domain
+//! Domains and the lock they own: the thread-local domain id, the domain
 //! hand-over that keeps one OS thread in a domain at a time, and the
-//! borrow-flag locks whose soundness rests on both. Everything that sets up
+//! borrow-flag mutex whose soundness rests on both. Everything that sets up
 //! what the lock's `unsafe` relies on lives here, with it.
 //!
-//! This module holds the shim's five `unsafe` sites: the `Sync` impls of
-//! [`Mutex`] and [`RwLock`] and the three guard dereferences of the value
-//! cell.
+//! This module holds the shim's three `unsafe` sites: the `Sync` impl of
+//! [`Mutex`] and the two dereferences of its value cell by [`MutexGuard`].
 
 #![allow(unsafe_code)]
 
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
@@ -41,8 +41,7 @@ thread_local! {
     static MEMBER: RefCell<Member> = const { RefCell::new(Member(None)) };
 }
 
-/// How many [`MutexGuard`]s, [`RwLockReadGuard`]s and [`RwLockWriteGuard`]s
-/// are alive on the calling thread.
+/// How many [`MutexGuard`]s are alive on the calling thread.
 #[inline]
 pub fn guards_held() -> u32 {
     LOCAL.with(|l| l.guards.get())
@@ -217,37 +216,94 @@ fn current_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The lock
+// Mutex
 // ---------------------------------------------------------------------------
 
-/// The state of a [`Mutex`] or an [`RwLock`]: its owning domain, its borrow
-/// flag and its value.
-struct Core<T: ?Sized> {
+/// A mutual-exclusion primitive. Locking never returns a poison error: a
+/// panic while holding the lock is ignored by subsequent lockers, matching
+/// `parking_lot` semantics.
+pub struct Mutex<T: ?Sized> {
     /// The id of the domain the lock belongs to, or [`UNOWNED`]. Set by a
     /// compare-exchange at the first take and when an ended domain's lock
     /// passes on; read by every take, with a plain load.
     owner: AtomicU64,
-    /// 0 free, -1 taken exclusively, n > 0 taken by n readers. Touched only
-    /// by the owning domain's threads, one at a time.
-    flag: Cell<isize>,
+    /// Whether a guard is alive. Touched only by the owning domain's
+    /// threads, one at a time.
+    held: Cell<bool>,
     value: UnsafeCell<T>,
 }
 
-impl<T> Core<T> {
-    const fn new(value: T) -> Core<T> {
-        Core {
+// SAFETY: field by field. `owner` is an atomic. `held` is read and written
+// only after `check_domain` has found the caller's domain to own the lock,
+// and a domain has one OS thread in it at a time, each hand-over ordered by
+// its `busy` flag (`occupy` acquires what `vacate` released) and each pass
+// of a lock from an ended domain by the `LIVE` set's lock; a guard cannot
+// cross a change of domain (`vacate` asserts none is alive). `value` is
+// reached only through a guard, one at a time by `held`, so sharing a
+// `Mutex` between threads hands `T` from one to another, as for
+// `std::sync::Mutex`: `T: Send` suffices.
+unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
+
+impl<T> Mutex<T> {
+    /// Creates a new mutex protecting `value`.
+    pub const fn new(value: T) -> Mutex<T> {
+        Mutex {
             owner: AtomicU64::new(UNOWNED),
-            flag: Cell::new(0),
+            held: Cell::new(false),
             value: UnsafeCell::new(value),
         }
     }
+
+    /// Consumes the mutex, returning the protected value. Owning the mutex
+    /// is exclusive access: no domain check.
+    pub fn into_inner(self) -> T {
+        self.value.into_inner()
+    }
 }
 
-impl<T: ?Sized> Core<T> {
+impl<T: ?Sized> Mutex<T> {
+    /// Acquires the mutex.
+    ///
+    /// # Panics
+    ///
+    /// If this domain already holds it (a real lock would deadlock), or if
+    /// it belongs to another live domain.
+    #[inline]
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        match self.try_lock() {
+            Some(g) => g,
+            None => refused(),
+        }
+    }
+
+    /// Acquires the mutex if this domain does not hold it already.
+    ///
+    /// # Panics
+    ///
+    /// If it belongs to another live domain.
+    #[inline]
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        self.check_domain();
+        if self.held.get() {
+            return None;
+        }
+        self.held.set(true);
+        Some(MutexGuard {
+            mutex: self,
+            _held: Held::new(),
+        })
+    }
+
+    /// The protected value, through exclusive access to the mutex: no lock
+    /// and no domain check.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.value.get_mut()
+    }
+
     /// Makes sure the calling thread's domain owns the lock. The fast path
     /// is one thread-local load and one compare: a thread in no domain
     /// (`NO_DOMAIN`) matches no owner and an unowned lock (`UNOWNED`) no
-    /// thread, so both fall through to [`Core::claim`].
+    /// thread, so both fall through to [`Mutex::claim`].
     #[inline]
     fn check_domain(&self) {
         // Relaxed is enough: a lock shows the caller's own id only if the
@@ -258,13 +314,13 @@ impl<T: ?Sized> Core<T> {
         }
     }
 
-    /// The slow path of [`Core::check_domain`]: takes an unowned lock, or
+    /// The slow path of [`Mutex::check_domain`]: takes an unowned lock, or
     /// one whose domain has ended, for the calling thread's domain.
     ///
     /// # Panics
     ///
-    /// If the lock belongs to another live domain; the flag and the value
-    /// are left untouched.
+    /// If the lock belongs to another live domain; `held` and the value are
+    /// left untouched.
     #[cold]
     #[inline(never)]
     fn claim(&self) {
@@ -290,199 +346,16 @@ impl<T: ?Sized> Core<T> {
             }
         }
     }
-
-    /// Takes the flag exclusively, if it is free.
-    #[inline]
-    fn try_exclusive(&self) -> Option<Exclusive<'_, T>> {
-        self.check_domain();
-        if self.flag.get() != 0 {
-            return None;
-        }
-        self.flag.set(-1);
-        Some(Exclusive {
-            core: self,
-            _held: Held::new(),
-        })
-    }
-
-    /// Takes the flag exclusively.
-    #[inline]
-    fn exclusive(&self, what: &str) -> Exclusive<'_, T> {
-        match self.try_exclusive() {
-            Some(g) => g,
-            None => refused(what),
-        }
-    }
-
-    /// Takes the flag shared.
-    #[inline]
-    fn shared(&self) -> Shared<'_, T> {
-        self.check_domain();
-        let readers = self.flag.get();
-        if readers < 0 {
-            refused("RwLock::read");
-        }
-        self.flag.set(readers + 1);
-        Shared {
-            core: self,
-            _held: Held::new(),
-        }
-    }
 }
 
-/// The panic of a take the flag refuses.
+/// The panic of a take that `held` refuses.
 #[cold]
 #[inline(never)]
-fn refused(what: &str) -> ! {
+fn refused() -> ! {
     panic!(
-        "parking_lot (shim): {what} on a lock this domain already holds; \
+        "parking_lot (shim): Mutex::lock on a lock this domain already holds; \
          only the holder's own sim thread can run here, so a real lock would deadlock"
     )
-}
-
-/// One count in [`guards_held`] for as long as it lives. Every guard owns
-/// one; the guards are `!Send`, so the thread that counts one up is the
-/// thread that counts it down.
-struct Held;
-
-impl Held {
-    /// Inlined, like the count's other two sides: every lock the workspace
-    /// takes runs them, and a call would cost more than the count.
-    #[inline]
-    fn new() -> Held {
-        LOCAL.with(|l| l.guards.set(l.guards.get() + 1));
-        Held
-    }
-}
-
-impl Drop for Held {
-    #[inline]
-    fn drop(&mut self) {
-        LOCAL.with(|l| l.guards.set(l.guards.get() - 1));
-    }
-}
-
-/// The flag taken exclusively. `!Send` and `!Sync`: `Core` holds a `Cell`.
-struct Exclusive<'a, T: ?Sized> {
-    core: &'a Core<T>,
-    _held: Held,
-}
-
-impl<T: ?Sized> Deref for Exclusive<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: this guard set the flag to -1, and nothing else touches the
-        // value until its drop resets it: another take in this domain is
-        // refused by the flag, one from another domain by the owner check,
-        // and the domain's threads run one at a time.
-        unsafe { &*self.core.value.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for Exclusive<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as in `deref`; `&mut self` makes this the only reference
-        // the guard hands out.
-        unsafe { &mut *self.core.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for Exclusive<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.core.flag.set(0);
-    }
-}
-
-/// The flag taken by one reader. `!Send` and `!Sync`, like [`Exclusive`].
-struct Shared<'a, T: ?Sized> {
-    core: &'a Core<T>,
-    _held: Held,
-}
-
-impl<T: ?Sized> Deref for Shared<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: this guard counted itself into the flag, which refuses an
-        // exclusive take until every reader has dropped; readers only share.
-        unsafe { &*self.core.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for Shared<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.core.flag.set(self.core.flag.get() - 1);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mutex
-// ---------------------------------------------------------------------------
-
-/// A mutual-exclusion primitive. Locking never returns a poison error: a
-/// panic while holding the lock is ignored by subsequent lockers, matching
-/// `parking_lot` semantics.
-pub struct Mutex<T: ?Sized> {
-    core: Core<T>,
-}
-
-// SAFETY: field by field. `owner` is an atomic. `flag` is read and written
-// only after `check_domain` has found the caller's domain to own the lock,
-// and a domain has one OS thread in it at a time, each hand-over ordered by
-// its `busy` flag (`occupy` acquires what `vacate` released) and each pass
-// of a lock from an ended domain by the `LIVE` set's lock; a guard cannot
-// cross a change of domain (`vacate` asserts none is alive). `value` is
-// reached only through an `Exclusive` guard, one at a time by the flag, so
-// sharing a `Mutex` between threads hands `T` from one to another, as for
-// `std::sync::Mutex`: `T: Send` suffices.
-unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex protecting `value`.
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex {
-            core: Core::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the protected value. Owning the mutex
-    /// is exclusive access: no domain check.
-    pub fn into_inner(self) -> T {
-        self.core.value.into_inner()
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the mutex.
-    ///
-    /// # Panics
-    ///
-    /// If this domain already holds it (a real lock would deadlock), or if
-    /// it belongs to another live domain.
-    #[inline]
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(self.core.exclusive("Mutex::lock"))
-    }
-
-    /// Acquires the mutex if this domain does not hold it already.
-    ///
-    /// # Panics
-    ///
-    /// If it belongs to another live domain.
-    #[inline]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        self.core.try_exclusive().map(MutexGuard)
-    }
-
-    /// The protected value, through exclusive access to the mutex: no lock
-    /// and no domain check.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.core.value.get_mut()
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -500,115 +373,64 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// RAII guard for [`Mutex`].
-pub struct MutexGuard<'a, T: ?Sized>(Exclusive<'a, T>);
+/// One count in [`guards_held`] for as long as it lives. Every guard owns
+/// one, and it makes the guard `!Send`, so the thread that counts one up is
+/// the thread that counts it down.
+struct Held(PhantomData<*const ()>);
+
+impl Held {
+    /// Inlined, like the count's other two sides: every lock the workspace
+    /// takes runs them, and a call would cost more than the count.
+    #[inline]
+    fn new() -> Held {
+        LOCAL.with(|l| l.guards.set(l.guards.get() + 1));
+        Held(PhantomData)
+    }
+}
+
+impl Drop for Held {
+    #[inline]
+    fn drop(&mut self) {
+        LOCAL.with(|l| l.guards.set(l.guards.get() - 1));
+    }
+}
+
+/// RAII guard for [`Mutex`]. `!Send` and `!Sync`, by [`Held`].
+pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a Mutex<T>,
+    _held: Held,
+}
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        &self.0
+        // SAFETY: this guard set `held`, and nothing else touches the value
+        // until its drop clears it: another take in this domain is refused
+        // by `held`, one from another domain by the owner check, and the
+        // domain's threads run one at a time.
+        unsafe { &*self.mutex.value.get() }
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
+        // SAFETY: as in `deref`; `&mut self` makes this the only reference
+        // the guard hands out.
+        unsafe { &mut *self.mutex.value.get() }
+    }
+}
+
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        self.mutex.held.set(false);
     }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------------
-
-/// A reader-writer lock with non-poisoning semantics.
-pub struct RwLock<T: ?Sized> {
-    core: Core<T>,
-}
-
-// SAFETY: `owner` and `flag` as for `Mutex`. `value` is reached through one
-// `Exclusive` guard or any number of `Shared` ones, never both, by the flag;
-// readers share `&T`, so `T` must be `Sync` as well as `Send`, as for
-// `std::sync::RwLock`.
-unsafe impl<T: ?Sized + Send + Sync> Sync for RwLock<T> {}
-
-impl<T> RwLock<T> {
-    /// Creates a new rwlock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            core: Core::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    ///
-    /// # Panics
-    ///
-    /// If this domain holds it for writing, or if it belongs to another live
-    /// domain.
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.core.shared())
-    }
-
-    /// Acquires exclusive write access.
-    ///
-    /// # Panics
-    ///
-    /// If this domain holds it at all, or if it belongs to another live
-    /// domain.
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.core.exclusive("RwLock::write"))
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RwLock { .. }")
-    }
-}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(Shared<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(Exclusive<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
     }
 }

@@ -18,37 +18,19 @@
 //! are the flushes and compactions that run alongside.
 //!
 //! Run with `cargo test -q -p xlsm-suite --test alloc_budget -- --nocapture`
-//! to see the counts.
+//! to see the counts. The allocator is `tests/support/counting_alloc.rs`,
+//! which the oracle's binary installs too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{Counting, ALLOCS, REALLOCS};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use xlsm_suite::device::{profiles, SimDevice};
 use xlsm_suite::engine::{Db, DbOptions};
 use xlsm_suite::sim::Runtime;
 use xlsm_suite::simfs::{FsOptions, SimFs};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting.
-struct Counting;
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -111,8 +93,13 @@ fn puts_and_gets_stay_within_their_allocation_budgets() {
         (put, get)
     });
     println!(
-        "per put: {:.2} allocations + {:.2} reallocations; per get: {:.2} + {:.2}",
-        put.0, put.1, get.0, get.1
+        "per put: {:.2} allocations + {:.2} reallocations; per get: {:.2} + {:.2}; \
+         live heap peak: {} kB",
+        put.0,
+        put.1,
+        get.0,
+        get.1,
+        counting_alloc::live_peak_kib()
     );
     assert!(put.0 + put.1 <= PUT_BUDGET, "per put: {put:?}");
     assert!(get.0 + get.1 <= GET_BUDGET, "per get: {get:?}");

@@ -10,6 +10,9 @@
 //! combination the engine claims to survive is one of [`schedules`], which
 //! must fire every fault, in order.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1380,7 +1383,9 @@ fn every_option_and_fault_answers_like_the_model() {
     let (fired, kinds) = (FIRED.with(|f| f.take()), FAULTS.map(Fault::kind));
     let all = kinds.iter().all(|k| fired.contains(k));
     assert!(all, "fired only {fired:?}");
-    // The run's peak memory, which `scripts/bench.sh` reads with `--show-output`.
+    // The run's peak memory, which `scripts/bench.sh` reads with
+    // `--show-output`: the resident high-water mark, which also counts what
+    // the C allocator keeps after frees, and the peak of live heap bytes.
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     println!(
         "{}",
@@ -1389,4 +1394,8 @@ fn every_option_and_fault_answers_like_the_model() {
             .find(|l| l.starts_with("VmHWM"))
             .unwrap_or("VmHWM: n/a")
     );
+    println!("live heap peak: {} kB", counting_alloc::live_peak_kib());
 }
+
+#[global_allocator]
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
