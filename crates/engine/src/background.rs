@@ -3,9 +3,7 @@
 //! retry / read-only error loop, plus the one daemon loop that drives them.
 
 use crate::bgerror::{BackgroundOp, ErrorSeverity};
-use crate::compaction::{
-    pick_compaction, run_compaction, CompactionJob, CompactionPicker, CompactionTask,
-};
+use crate::compaction::{pick_compaction, run_compaction, CompactionJob, CompactionPicker};
 use crate::costs::{self, EntryCharge};
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
@@ -18,7 +16,6 @@ use crate::scheduler::BgIoPriority;
 use crate::sst::{sst_file_name, verify_table_file, TableBuilder, TableOptions, TableProperties};
 use crate::stats::Ticker;
 use crate::version::{FileMetaData, VersionEdit};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xlsm_sim::sync::Receiver;
@@ -69,29 +66,6 @@ pub(crate) fn write_memtable_table(
     }
     cpu.finish();
     builder.finish()
-}
-
-/// Marks a compaction's input files busy for as long as it lives, so no
-/// other pick can take them.
-struct BusyInputs<'a> {
-    set: &'a parking_lot::Mutex<HashSet<u64>>,
-    numbers: Vec<u64>,
-}
-
-impl<'a> BusyInputs<'a> {
-    fn mark(set: &'a parking_lot::Mutex<HashSet<u64>>, numbers: Vec<u64>) -> BusyInputs<'a> {
-        set.lock().extend(numbers.iter().copied());
-        BusyInputs { set, numbers }
-    }
-}
-
-impl Drop for BusyInputs<'_> {
-    fn drop(&mut self) {
-        let mut set = self.set.lock();
-        for n in &self.numbers {
-            set.remove(n);
-        }
-    }
 }
 
 /// The scrubber's cursor: it walks live SSTs in file-number order, wrapping
@@ -487,47 +461,44 @@ impl DbInner {
 
     fn compact_one(self: &Arc<Self>, picker: &mut CompactionPicker) -> DbResult<bool> {
         // Headroom rule: a compaction whose estimated output (bounded by
-        // its input bytes — merging only shrinks) cannot fit under the
-        // space cap never starts. The picker masks that level and falls
-        // back to smaller eligible work instead.
+        // its input bytes — merging only shrinks) cannot be reserved under
+        // the space cap never starts. The picker masks that level and falls
+        // back to smaller eligible work instead. A trivial move writes
+        // nothing, and nothing always fits.
         let accounted = self.accounted_space_bytes();
-        let fits = |t: &CompactionTask| {
-            if t.is_trivial_move || self.space.would_fit(t.input_bytes(), accounted) {
-                true
-            } else {
-                self.stats.bump(Ticker::SpaceCompactionsDeferred);
-                false
-            }
-        };
-        let task = pick_compaction(
+        let mut deferred = false;
+        let picked = pick_compaction(
             &self.versions.current(),
             &self.opts,
             self.dynamic.l0_compaction_trigger(),
-            &self.in_compaction.lock(),
             picker,
-            &fits,
+            |t| {
+                let bytes = if t.is_trivial_move {
+                    0
+                } else {
+                    t.input_bytes()
+                };
+                let reservation = self.space.reserve(bytes, accounted);
+                if reservation.is_none() {
+                    self.stats.bump(Ticker::SpaceCompactionsDeferred);
+                    deferred = true;
+                }
+                reservation
+            },
         );
-        let Some(task) = task else {
+        // A pick that deferred every eligible compaction while no trash
+        // awaits the reaper and no flush holds a reservation stays deferred
+        // until a flush, a compaction signal or a raised cap: what
+        // `Db::wait_for_compactions` reads to stop waiting.
+        let stuck = picked.is_none()
+            && deferred
+            && self.trash.queued_bytes() == 0
+            && self.space.reserved_bytes() == 0;
+        self.compactions_stuck.store(stuck, Ordering::Relaxed);
+        let Some((task, reservation)) = picked else {
             return Ok(false);
         };
-        // Reserve the estimated output for real (the pick-time check was
-        // advisory; a concurrent flush may have claimed the headroom).
-        let space_reserve = if task.is_trivial_move {
-            0
-        } else {
-            task.input_bytes()
-        };
-        let reservation = match space_reserve {
-            0 => None,
-            bytes => match self.space.reserve(bytes, self.accounted_space_bytes()) {
-                None => {
-                    self.stats.bump(Ticker::SpaceCompactionsDeferred);
-                    return Ok(false);
-                }
-                reservation => reservation,
-            },
-        };
-        let busy = BusyInputs::mark(&self.in_compaction, task.input_numbers());
+        self.compacting.store(true, Ordering::Relaxed);
         let t0 = xlsm_sim::now_nanos();
         let min_snapshot = self
             .snapshots
@@ -558,7 +529,7 @@ impl DbInner {
         let edit = match result {
             Ok(edit) => edit,
             Err(e) => {
-                drop(busy);
+                self.compacting.store(false, Ordering::Relaxed);
                 drop(reservation);
                 return Err(e);
             }
@@ -569,7 +540,7 @@ impl DbInner {
             self.charge_bg_io(out_bytes, BgIoPriority::Compaction);
         }
         let install = self.install(edit);
-        drop(busy);
+        self.compacting.store(false, Ordering::Relaxed);
         // Installed (or abandoned) outputs count as live bytes, not a
         // reservation, from here on.
         drop(reservation);
@@ -727,8 +698,51 @@ pub(crate) fn spawn_workers(inner: &Arc<DbInner>, flush_rx: Receiver<()>) -> Vec
 #[cfg(test)]
 mod tests {
     use crate::db::tests::{open_db, small_opts};
-    use crate::Ticker;
+    use crate::{Db, DbOptions, Ticker};
     use xlsm_sim::Runtime;
+
+    /// Puts `count` 512-byte values under keys `key000000`, `key000001`, …
+    fn put_keys(db: &Db, count: u32) {
+        for i in 0..count {
+            db.put(format!("key{i:06}").as_bytes(), &[b'v'; 512])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_compaction_in_flight_holds_the_wait_under_a_raised_trigger() {
+        Runtime::new().run(|| {
+            let (db, _fs) = open_db(DbOptions {
+                level0_file_num_compaction_trigger: 2,
+                ..small_opts()
+            });
+            put_keys(&db, 4_000);
+            db.flush().unwrap();
+            db.wait_for_compactions();
+            let compactions = db.stats().ticker(Ticker::CompactionCount);
+            for _ in 0..2 {
+                put_keys(&db, 110);
+                db.flush().unwrap();
+            }
+            xlsm_sim::sleep_nanos(100_000);
+            // The daemon has taken the signal and not installed: its
+            // compaction is in flight.
+            assert!(db.inner.compact_rx.is_empty());
+            assert_eq!(db.num_l0_files(), 2);
+            assert_eq!(db.stats().ticker(Ticker::CompactionCount), compactions);
+            // The score now reads below 1; only the running compaction
+            // holds the wait.
+            db.set_l0_compaction_trigger(100);
+            db.wait_for_compactions();
+            assert_eq!(
+                db.num_l0_files(),
+                0,
+                "the wait returned before the running compaction installed"
+            );
+            assert!(db.stats().ticker(Ticker::CompactionCount) > compactions);
+            db.close();
+        });
+    }
 
     #[test]
     fn values_survive_flush_to_l0() {

@@ -8,9 +8,9 @@
 //!   overlapping L1 files.
 //! * **Ln → Ln+1** (n ≥ 1): a cursor walks the level round-robin; the picked
 //!   file merges with its overlapping Ln+1 files. A file with no overlap is
-//!   *trivially moved* (metadata-only). The cursor only advances when the
-//!   pick actually succeeds — a fallback (conflict with the in-progress
-//!   set) leaves it in place so no file is skipped within a lap.
+//!   *trivially moved* (metadata-only). Every pick advances the cursor,
+//!   one the space cap refuses too, so an oversized file cannot hold the
+//!   level's next pick.
 //!
 //! Obsolete versions of a user key are dropped when invisible to every
 //! active snapshot; deletion tombstones are additionally dropped when the
@@ -26,7 +26,6 @@ use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};
 use crate::version::{FileMetaData, Version, VersionEdit, NUM_LEVELS};
-use std::collections::HashSet;
 use std::sync::Arc;
 use xlsm_sim::Class;
 use xlsm_simfs::SimFs;
@@ -105,98 +104,72 @@ impl CompactionPicker {
     }
 }
 
-/// Picks the next compaction as directed by the level picker, or `None` when
-/// no level is eligible or every eligible level's candidate files are busy.
+/// Picks the next compaction as directed by the level picker and admits it
+/// through `admit`, returning the task with what `admit` gave for it, or
+/// `None` when no level is eligible or `admit` refused every eligible
+/// level's task.
 ///
-/// The picker is consulted with the per-level scores; if the level it
-/// chooses cannot form a compaction right now (conflict with `in_progress`,
-/// or the formed task is rejected by `fits` — the space manager's headroom
-/// check), that level's score is masked to 0 and the picker is asked
-/// again, so one blocked level never idles the background workers while
-/// another has serviceable (and perhaps smaller) debt. A `fits`-rejected
-/// pick still advances that level's cursor, so the next lap tries the
-/// following — possibly smaller — file instead of re-forming the same
-/// oversized task forever.
-pub(crate) fn pick_compaction(
+/// One compaction runs at a time (the compaction daemon is the only
+/// caller), so no input can be busy and the level the picker chooses always
+/// forms a task. `admit` is the space manager's headroom check: it hands
+/// back the task's output reservation, or refuses. A refused level's score
+/// is masked to 0 and the picker is asked again, so one oversized task
+/// never idles the daemon while another level has serviceable (and perhaps
+/// smaller) debt. A refused pick still advances that level's cursor, so the
+/// next lap tries the following — possibly smaller — file instead of
+/// re-forming the same oversized task forever.
+pub(crate) fn pick_compaction<R>(
     version: &Version,
     opts: &DbOptions,
     l0_trigger: usize,
-    in_progress: &HashSet<u64>,
     picker: &mut CompactionPicker,
-    fits: &dyn Fn(&CompactionTask) -> bool,
-) -> Option<CompactionTask> {
+    mut admit: impl FnMut(&CompactionTask) -> Option<R>,
+) -> Option<(CompactionTask, R)> {
     let mut scores = version.level_scores(opts, l0_trigger);
     loop {
         let level = picker.levels.pick_level(&scores)?;
-        if let Some(task) = pick_at_level(version, level, in_progress, &mut picker.cursors) {
-            if fits(&task) {
-                return Some(task);
-            }
+        let task = pick_at_level(version, level, &mut picker.cursors);
+        if let Some(admitted) = admit(&task) {
+            return Some((task, admitted));
         }
         scores[level] = 0.0;
     }
 }
 
-/// Forms a compaction at `level`, or `None` when its candidates are busy.
-/// The level cursor is committed only on success, so a fallback does not
-/// skip the blocked file's position.
+/// Forms the compaction at `level`, which must be eligible (and so holds a
+/// file), and commits the level's cursor past the file it takes.
 fn pick_at_level(
     version: &Version,
     level: usize,
-    in_progress: &HashSet<u64>,
     cursors: &mut [Option<Vec<u8>>],
-) -> Option<CompactionTask> {
+) -> CompactionTask {
     let output_level = level + 1;
     let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
-        let all = version.levels[0].clone();
-        // One L0→L1 compaction at a time (RocksDB behavior): if any L0 file
-        // is already being compacted, wait.
-        if all.iter().any(|f| in_progress.contains(&f.number)) {
-            return None;
-        }
-        all
+        version.levels[0].clone()
     } else {
         let files = &version.levels[level];
-        let cursor = cursors[level].clone();
-        let start = match &cursor {
+        let start = match &cursors[level] {
             None => 0,
             Some(c) => files.partition_point(|f| types::user_key(&f.smallest) <= &c[..]),
         };
-        let pick = files
-            .iter()
-            .cycle()
-            .skip(start)
-            .take(files.len())
-            .find(|f| !in_progress.contains(&f.number))
-            .cloned();
-        match pick {
-            Some(f) => vec![f],
-            None => return None,
-        }
+        let pick = Arc::clone(&files[start % files.len()]);
+        cursors[level] = Some(types::user_key(&pick.largest).to_vec());
+        vec![pick]
     };
-    if inputs.is_empty() {
-        return None;
-    }
-    let (lo, hi) = key_range(&inputs).expect("non-empty inputs");
+    let (lo, hi) = key_range(&inputs).expect("an eligible level holds a file");
     let inputs_next = version.overlapping(output_level, &lo, &hi);
-    if inputs_next.iter().any(|f| in_progress.contains(&f.number)) {
-        return None;
-    }
-    if level > 0 {
-        cursors[level] = Some(types::user_key(&inputs[0].largest).to_vec());
-    }
     // Bottommost check: no file in any deeper level overlaps the range.
     let can_drop_tombstones = (output_level + 1..version.levels.len())
         .all(|deep| version.overlapping(deep, &lo, &hi).is_empty());
     let is_trivial_move = level > 0 && inputs.len() == 1 && inputs_next.is_empty();
-    Some(CompactionTask {
+    CompactionTask {
         level,
         output_level,
         inputs,
         inputs_next,
         is_trivial_move,
         can_drop_tombstones,
-    })
+    }
 }
 
 /// What a compaction's merge needs besides the key range it covers: one
@@ -525,11 +498,10 @@ mod tests {
     fn pick(
         v: &Version,
         opts: &DbOptions,
-        busy: &HashSet<u64>,
         picker: &mut CompactionPicker,
     ) -> Option<CompactionTask> {
         let trigger = opts.level0_file_num_compaction_trigger;
-        pick_compaction(v, opts, trigger, busy, picker, &|_| true)
+        pick_compaction(v, opts, trigger, picker, |_| Some(())).map(|(task, ())| task)
     }
 
     fn meta(number: u64, lo: &[u8], hi: &[u8], size: u64) -> FileMetaData {
@@ -559,7 +531,7 @@ mod tests {
         let opts = DbOptions::default();
         let v = version_with(vec![meta(1, b"a", b"z", 100)], vec![]);
         let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
-        assert!(pick(&v, &opts, &HashSet::new(), &mut picker).is_none());
+        assert!(pick(&v, &opts, &mut picker).is_none());
     }
 
     #[test]
@@ -574,23 +546,13 @@ mod tests {
             ],
         );
         let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
-        let t = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
+        let t = pick(&v, &opts, &mut picker).unwrap();
         assert_eq!(t.level, 0);
         assert_eq!(t.inputs.len(), 4);
         // Overlapping L1: [a,d] and [k,p], not [x,z].
         assert_eq!(t.inputs_next.len(), 2);
         assert!(!t.is_trivial_move);
         assert!(t.can_drop_tombstones, "nothing deeper than L1 here");
-    }
-
-    #[test]
-    fn busy_l0_defers() {
-        let opts = DbOptions::default();
-        let v = version_with((1..=4).map(|i| meta(i, b"a", b"z", 100)).collect(), vec![]);
-        let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
-        let mut busy = HashSet::new();
-        busy.insert(2u64);
-        assert!(pick(&v, &opts, &busy, &mut picker).is_none());
     }
 
     #[test]
@@ -601,7 +563,7 @@ mod tests {
         };
         let v = version_with(vec![], vec![meta(5, b"a", b"c", 100)]);
         let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
-        let t = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
+        let t = pick(&v, &opts, &mut picker).unwrap();
         assert_eq!(t.level, 1);
         assert!(t.is_trivial_move);
         assert_eq!(t.input_numbers(), vec![5]);
@@ -618,48 +580,48 @@ mod tests {
             vec![meta(5, b"a", b"c", 100), meta(6, b"m", b"p", 100)],
         );
         let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
-        let t1 = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
+        let t1 = pick(&v, &opts, &mut picker).unwrap();
         assert_eq!(t1.inputs[0].number, 5);
-        let t2 = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
+        let t2 = pick(&v, &opts, &mut picker).unwrap();
         assert_eq!(t2.inputs[0].number, 6, "cursor should advance");
-        let t3 = pick(&v, &opts, &HashSet::new(), &mut picker).unwrap();
+        let t3 = pick(&v, &opts, &mut picker).unwrap();
         assert_eq!(t3.inputs[0].number, 5, "cursor should wrap");
     }
 
     #[test]
-    fn busy_fallback_does_not_skip_cursor_position() {
-        // L1 files A(a..c), B(m..p), C(x..z); an in-progress L2 file
-        // overlaps B. The pick that lands on B must fall back WITHOUT
-        // advancing the cursor past it, so once the conflict clears the lap
-        // visits every file exactly once: A, B, C, A, ...
+    fn refused_level_falls_back_and_advances_its_cursor() {
+        // L0 at its trigger (score 1) and L1 files A(a..c), B(m..p), C(x..z)
+        // far over target (score 6): the greedy picker chooses L1 first.
+        // The admission callback refuses L1's task, so L1 is masked and the
+        // pick falls back to L0; L1's cursor has still moved past A.
         let opts = DbOptions {
             max_bytes_for_level_base: 50,
             ..DbOptions::default()
         };
-        let mut e = VersionEdit::default();
-        for f in [
-            meta(5, b"a", b"c", 100),
-            meta(6, b"m", b"p", 100),
-            meta(7, b"x", b"z", 100),
-        ] {
-            e.added.push((1, f));
-        }
-        e.added.push((2, meta(20, b"n", b"o", 100)));
-        let v = crate::version::apply_edit(&Version::empty(7), &e);
+        let v = version_with(
+            (1..=4).map(|i| meta(i, b"a", b"z", 100)).collect(),
+            vec![
+                meta(5, b"a", b"c", 100),
+                meta(6, b"m", b"p", 100),
+                meta(7, b"x", b"z", 100),
+            ],
+        );
         let mut picker = CompactionPicker::new(CompactionScheduler::Greedy);
-        let mut busy = HashSet::new();
-        busy.insert(20u64);
-
-        let t1 = pick(&v, &opts, &busy, &mut picker).unwrap();
-        assert_eq!(t1.inputs[0].number, 5);
-        // Next pick lands on B, whose L2 overlap is busy: no task, and the
-        // cursor must still point just past A.
-        assert!(pick(&v, &opts, &busy, &mut picker).is_none());
-        busy.clear();
-        let order: Vec<u64> = (0..4)
-            .map(|_| pick(&v, &opts, &busy, &mut picker).unwrap().inputs[0].number)
-            .collect();
-        assert_eq!(order, vec![6, 7, 5, 6], "B must not be skipped");
+        let trigger = opts.level0_file_num_compaction_trigger;
+        let mut asked = Vec::new();
+        let (task, ()) = pick_compaction(&v, &opts, trigger, &mut picker, |t| {
+            asked.push((t.level, t.inputs.len()));
+            (t.level != 1).then_some(())
+        })
+        .expect("L0 is still eligible");
+        assert_eq!(asked, vec![(1, 1), (0, 4)], "L1 is asked once, then masked");
+        assert_eq!(task.level, 0);
+        assert_eq!(task.inputs.len(), 4);
+        // Only L1 is left once L0 is refused too: nothing to pick.
+        let refuse_all = pick_compaction(&v, &opts, trigger, &mut picker, |_| None::<()>);
+        assert!(refuse_all.is_none());
+        // Two refused L1 picks moved its cursor past A, then past B.
+        assert_eq!(pick(&v, &opts, &mut picker).unwrap().inputs[0].number, 7);
     }
 
     #[test]

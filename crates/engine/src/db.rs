@@ -20,7 +20,6 @@ use crate::types::SequenceNumber;
 use crate::version::{VersionEdit, VersionSet};
 use crate::wal::WalWriter;
 use crate::write::{WriteBackend, WriteQueue};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use xlsm_sim::sync::{channel, Receiver, Semaphore, Sender};
@@ -125,7 +124,13 @@ pub(crate) struct DbInner {
     /// The compaction daemon's end of `compact_tx`; its length is the
     /// compaction signals not yet taken.
     pub(crate) compact_rx: Receiver<()>,
-    pub(crate) in_compaction: parking_lot::Mutex<HashSet<u64>>,
+    /// Set while the compaction daemon runs a compaction, from its headroom
+    /// reservation to its install.
+    pub(crate) compacting: AtomicBool,
+    /// Whether the compaction daemon's latest pick deferred every eligible
+    /// compaction under the space cap with nothing left to free headroom.
+    /// `Db::wait_for_compactions` clears it to ask for a fresh pick.
+    pub(crate) compactions_stuck: AtomicBool,
     pub(crate) obsolete: parking_lot::Mutex<Vec<u64>>,
     /// The database's health: retrying, stalled on ENOSPC or read-only.
     pub(crate) bg: ErrorHandler,
@@ -476,7 +481,8 @@ impl Db {
             flush_tx,
             compact_tx,
             compact_rx,
-            in_compaction: parking_lot::Mutex::new(HashSet::new()),
+            compacting: AtomicBool::new(false),
+            compactions_stuck: AtomicBool::new(false),
             obsolete: parking_lot::Mutex::new(Vec::new()),
             bg,
             space: SpaceManager::new(opts.max_allowed_space_bytes),
@@ -602,29 +608,40 @@ impl Db {
     }
 
     /// Blocks until no compaction is warranted and none is running
-    /// (test/diagnostic helper). Returns immediately once the database is
-    /// read-only — no further compactions will run until [`Db::resume`].
+    /// (test/diagnostic helper). Reads the compaction daemon's in-flight
+    /// flag and its pending signals; one compaction runs at a time.
+    ///
+    /// Returns early in two states that waiting does not end:
+    /// * the database is read-only: no compaction runs until
+    ///   [`Db::resume`];
+    /// * a pick made after the call began deferred every eligible
+    ///   compaction under the space cap, and nothing left can free
+    ///   headroom: no compaction in flight, no compaction signal pending,
+    ///   no trash backlog for the reaper and no flush output reserved.
+    ///   Raising the cap ([`Db::set_max_allowed_space_bytes`]) and waiting
+    ///   again compacts.
     pub fn wait_for_compactions(&self) {
+        let inner = &self.inner;
+        // Only a pick made from here on may end the wait deferred.
+        inner.compactions_stuck.store(false, Ordering::Relaxed);
         loop {
-            if self.inner.bg.is_read_only() {
+            if inner.bg.is_read_only() {
                 return;
             }
             // Score against the trigger in effect: with the runtime L0
             // trigger raised (deferred compactions), the scheduler will
             // not pick work the configured trigger would, and waiting on
             // the configured score would spin forever.
-            let score = self
-                .inner
+            let score = inner
                 .versions
                 .current()
-                .compaction_score(&self.inner.opts, self.inner.dynamic.l0_compaction_trigger())
+                .compaction_score(&inner.opts, inner.dynamic.l0_compaction_trigger())
                 .1;
-            let busy =
-                !self.inner.in_compaction.lock().is_empty() || !self.inner.compact_rx.is_empty();
-            if score < 1.0 && !busy {
+            let idle = !inner.compacting.load(Ordering::Relaxed) && inner.compact_rx.is_empty();
+            if idle && (score < 1.0 || inner.compactions_stuck.load(Ordering::Relaxed)) {
                 return;
             }
-            self.inner.maybe_schedule_compaction();
+            inner.maybe_schedule_compaction();
             xlsm_sim::charge(Class::Idle, 200_000);
         }
     }

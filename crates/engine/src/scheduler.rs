@@ -82,10 +82,9 @@ impl LevelPicker {
     /// `bytes / target_bytes`, and the last level is always `0.0` (it only
     /// receives). A level is *eligible* iff its score is ≥ 1.0.
     ///
-    /// When the chosen level cannot actually form a compaction right now
-    /// (all candidate files busy), the caller zeroes that level's score and
-    /// asks again, so the picker is re-consulted at most once per level per
-    /// pick.
+    /// When the chosen level's compaction does not fit under the space cap,
+    /// the caller zeroes that level's score and asks again, so the picker is
+    /// re-consulted at most once per level per pick.
     pub fn pick_level(&mut self, scores: &[f64]) -> Option<usize> {
         match self.policy {
             CompactionScheduler::Greedy => {

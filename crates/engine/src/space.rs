@@ -69,7 +69,6 @@ impl SpaceManager {
     }
 
     /// Bytes currently pre-reserved by in-flight background jobs.
-    #[cfg(test)]
     pub(crate) fn reserved_bytes(&self) -> u64 {
         self.reserved.load(Ordering::Relaxed)
     }
@@ -93,10 +92,11 @@ impl SpaceManager {
     /// drop it once the output is installed (it then counts as live bytes)
     /// or abandoned. It gives back what it counted, which is nothing while
     /// the cap is off, so turning the cap on under an in-flight job cannot
-    /// release another job's headroom.
+    /// release another job's headroom. Zero bytes always fit, over the cap
+    /// too.
     pub fn reserve(&self, bytes: u64, used_bytes: u64) -> Option<Reservation<'_>> {
         let max = self.max_allowed_space_bytes.load(Ordering::Relaxed);
-        if max == 0 {
+        if max == 0 || bytes == 0 {
             return Some(Reservation {
                 space: self,
                 bytes: 0,
@@ -232,6 +232,10 @@ mod tests {
         drop(first);
         assert_eq!(m.reserved_bytes(), 0);
         assert!(m.reserve(70, 30).is_some());
+        assert!(
+            m.reserve(0, 200).is_some(),
+            "zero bytes fit over the cap too"
+        );
         assert_eq!(m.reserved_bytes(), 0, "the dropped receipt gave it back");
     }
 

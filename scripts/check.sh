@@ -114,6 +114,23 @@ fi
 # there is a bespoke loop sliding back in.
 spawns=$(grep -c 'xlsm_sim::spawn(' crates/engine/src/background.rs)
 [[ $spawns -le 1 ]] || { echo "background.rs spawns $spawns times: add a row to the daemon table instead" >&2; exit 1; }
+# One compaction runs at a time (DESIGN.md §4), so the picker keeps no busy
+# set: that holds only while one thread picks. In product code under
+# crates/engine/src (above a file's first top-level #[cfg(test)]; comments
+# skipped), pick_compaction( is called only inside compact_one, and
+# compact_one( only in the compaction row ("compact-0") of the daemon table.
+pickers=$(find crates/engine/src -name '*.rs' -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*\/\// { next }
+    match($0, /(^|[^a-z_0-9])fn [a-z_0-9]+/) { split(substr($0, RSTART, RLENGTH), w, "fn "); in_fn = w[2]; row = "" }
+    match($0, /spawn_daemon\(inner, "[^"]*"/) { row = substr($0, RSTART + 21, RLENGTH - 22) }
+    /(^|[^a-z_0-9])pick_compaction\(/ && !/fn pick_compaction/ && in_fn != "compact_one" { print FILENAME ":" FNR ": " $0 }
+    /(^|[^a-z_0-9])compact_one\(/ && !/fn compact_one/ && row != "compact-0" { print FILENAME ":" FNR ": " $0 }' {} +)
+if [[ -n $pickers ]]; then
+    echo "$pickers"
+    echo "a second caller of pick_compaction or compact_one: the picker assumes one compaction at a time" >&2
+    exit 1
+fi
 # A case study is logic the engine lacks, not a spelling of its options: the
 # options are set where the experiment runs, so no DbOptions in the product
 # code of crates/core/src/casestudy (above a file's first top-level #[cfg(test)]).

@@ -17,12 +17,16 @@
 //! * With the space subsystem off, a device four times the dataset (the
 //!   paper's PCIe ratio) holds a fill and a write-heavy window: finished
 //!   files give back their unused extent tails.
+//! * `Db::wait_for_compactions` returns on a compaction the cap defers
+//!   for good, and still waits out one that the reaper's draining lets
+//!   fit.
 //!
 //! Scripted ENOSPC with and without the watcher, a failed WAL purge, a
 //! power cut at the capacity edge, a retried scrub under a stall and a
 //! failed trash delete under the reaper are also cases of
 //! `tests/oracle.rs`.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xlsm_suite::device::{profiles, DeviceProfile, SimDevice};
@@ -462,4 +466,105 @@ fn a_device_four_times_the_dataset_holds_fill_and_churn() {
             tb.close();
         });
     }
+}
+
+/// Puts `count` 512-byte values under keys `key000000`, `key000001`, …
+fn put_512(db: &Db, count: u32) {
+    for i in 0..count {
+        db.put(format!("key{i:06}").as_bytes(), &[b'v'; 512])
+            .unwrap();
+    }
+}
+
+/// Live SST bytes: what the space cap counts besides the trash backlog.
+fn live_bytes(db: &Db) -> u64 {
+    db.shape().bytes_per_level.iter().sum()
+}
+
+/// 4,000 puts settled into [0, 4, 31] files per level on Optane, a space
+/// cap 150,000 bytes over the live set, then two flushes of 110 puts each:
+/// the L0→L1 compaction they warrant needs more headroom than the cap
+/// leaves, with no trash (the reaper is off) and no flush reservation that
+/// could free any.
+fn db_with_a_deferred_compaction() -> Arc<Db> {
+    let db = Db::open(fs_on(profiles::optane_900p()), churn_opts(0)).unwrap();
+    put_512(&db, 4_000);
+    db.flush().unwrap();
+    db.wait_for_compactions();
+    assert_eq!(db.shape().files_per_level[..3], [0, 4, 31]);
+    assert_eq!(live_bytes(&db), 2_126_267);
+    db.set_max_allowed_space_bytes(live_bytes(&db) + 150_000);
+    for _ in 0..2 {
+        put_512(&db, 110);
+        db.flush().unwrap();
+    }
+    assert_eq!(db.num_l0_files(), 2);
+    Arc::new(db)
+}
+
+/// The wait used to re-pick every 200 µs forever once the cap deferred
+/// every eligible compaction with nothing left to free headroom. After it
+/// returns, a raised cap lets the next wait compact.
+#[test]
+fn a_compaction_the_cap_defers_for_good_ends_the_wait() {
+    Runtime::new().run(|| {
+        let db = db_with_a_deferred_compaction();
+        let compactions = db.stats().ticker(Ticker::CompactionCount);
+        let returned = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (db, returned) = (Arc::clone(&db), Arc::clone(&returned));
+            spawn("waiter", move || {
+                db.wait_for_compactions();
+                returned.store(true, Ordering::Relaxed);
+            })
+        };
+        sleep_nanos(10_000_000_000);
+        assert!(
+            returned.load(Ordering::Relaxed),
+            "the wait still spins on a deferred compaction after 10 s"
+        );
+        waiter.join();
+        assert_eq!(db.num_l0_files(), 2, "nothing could compact");
+        let deferred = db.stats().ticker(Ticker::SpaceCompactionsDeferred);
+        assert!((1..100).contains(&deferred), "{deferred} deferrals");
+
+        db.set_max_allowed_space_bytes(4 * live_bytes(&db));
+        db.wait_for_compactions();
+        assert_eq!(db.num_l0_files(), 0);
+        assert!(db.stats().ticker(Ticker::CompactionCount) > compactions);
+        db.close();
+    });
+}
+
+#[test]
+fn a_deferral_the_reaper_drains_still_compacts_before_the_wait_returns() {
+    Runtime::new().run(|| {
+        let db = Db::open(fs_on(profiles::optane_900p()), churn_opts(256 << 10)).unwrap();
+        put_512(&db, 4_000);
+        db.flush().unwrap();
+        db.wait_for_compactions();
+        // Hold the next L0 compaction until the cap is in place.
+        db.set_l0_compaction_trigger(100);
+        for _ in 0..2 {
+            put_512(&db, 110);
+            db.flush().unwrap();
+        }
+        let shape = db.shape();
+        let trash = db.trash_queued_bytes();
+        let most_input = shape.bytes_per_level[0] + shape.bytes_per_level[1];
+        assert!(
+            trash > 2 * most_input,
+            "{trash} B of trash, {most_input} B of input"
+        );
+        // With the trash the compaction cannot fit; once half of it is
+        // reaped, it can.
+        db.set_max_allowed_space_bytes(live_bytes(&db) + trash / 2);
+        db.set_l0_compaction_trigger(2);
+        let compactions = db.stats().ticker(Ticker::CompactionCount);
+        db.wait_for_compactions();
+        assert!(db.stats().ticker(Ticker::SpaceCompactionsDeferred) > 0);
+        assert_eq!(db.num_l0_files(), 0);
+        assert!(db.stats().ticker(Ticker::CompactionCount) > compactions);
+        db.close();
+    });
 }
