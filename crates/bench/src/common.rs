@@ -3,7 +3,7 @@
 use crate::figures::Figure;
 use std::time::Duration;
 use xlsm_core::experiment::Testbed;
-use xlsm_core::report::Table;
+use xlsm_core::report::{f, Table};
 use xlsm_device::DeviceProfile;
 use xlsm_engine::DbOptions;
 use xlsm_sim::Runtime;
@@ -143,10 +143,18 @@ pub fn ratio(x: f64, base: f64) -> f64 {
     }
 }
 
-/// A "vs baseline" column: `x` over the baseline a sweep measured first, and
-/// 1 for the baseline point itself (`None`).
-pub fn vs_baseline(x: f64, baseline: Option<f64>) -> f64 {
-    baseline.map_or(1.0, |base| ratio(x, base))
+/// One sweep's rows, each given a "vs baseline" cell as its column `at`:
+/// the row's value over the first row's, the sweep's baseline. The baseline
+/// row reads 1 by construction (`ratio(x, x)` would read 0 where `x` is 0).
+/// Every point has run when this is called, so no point depends on another.
+pub fn with_vs_first(points: Vec<(Row, f64)>, at: usize, column: &'static str) -> Vec<Row> {
+    let base = points.first().map_or(0.0, |(_, x)| *x);
+    let rows = points.into_iter().enumerate().map(|(i, (mut row, x))| {
+        let vs = if i == 0 { 1.0 } else { ratio(x, base) };
+        row.insert(at, (column, f(vs, 3)));
+        row
+    });
+    rows.collect()
 }
 
 /// `opts` with no Level-0 throttle: both Level-0 write triggers lifted out

@@ -15,8 +15,8 @@
 //!   batch sizes.
 
 use crate::common::{
-    devices, label, mib, no_l0_throttle, picker, probe_table, ratio, us, vs_baseline, with_testbed,
-    BenchConfig, Row,
+    devices, label, mib, no_l0_throttle, picker, probe_table, ratio, us, with_testbed,
+    with_vs_first, BenchConfig, Row,
 };
 use crate::figures::Figure;
 use xlsm_core::experiment::Testbed;
@@ -36,14 +36,13 @@ pub const BATCHES: [usize; 3] = [4, 8, 16];
 const MULTIGET_ITERS: usize = 200;
 
 /// Fills a deferred-compaction database and times the Level-0 drain.
-/// Returns the row and its drain throughput; `serial_mb_per_s` is that of
-/// the same device's serial run (`None` while this is it).
+/// Returns the row and its drain throughput, which `run` compares with the
+/// same device's serial run.
 fn drain_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     max_subcompactions: usize,
-    serial_mb_per_s: Option<f64>,
 ) -> (Row, f64) {
     let cfg = *cfg;
     Runtime::new().run(move || {
@@ -76,10 +75,6 @@ fn drain_one(
             ("compact_read_mb", f(mib(read), 3)),
             ("drain_ms", f(drain_ns as f64 / 1e6, 3)),
             ("mb_per_s", f(mb_per_s, 3)),
-            (
-                "speedup_vs_serial",
-                f(vs_baseline(mb_per_s, serial_mb_per_s), 3),
-            ),
             (
                 "subcompactions_launched",
                 stats.ticker(Ticker::SubcompactionsLaunched).to_string(),
@@ -149,13 +144,12 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut multi_gets = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let mut serial = None;
-        for n in FANOUTS {
+        let points = FANOUTS.map(|n| {
             eprintln!("[parallelism] drain: {device} max_subcompactions={n}");
-            let (row, mb_per_s) = drain_one(profile.clone(), device, cfg, n, serial);
-            serial.get_or_insert(mb_per_s);
-            drains.push(row);
-        }
+            drain_one(profile.clone(), device, cfg, n)
+        });
+        // After mb_per_s: 6th of 8.
+        drains.extend(with_vs_first(points.into(), 5, "speedup_vs_serial"));
         eprintln!("[parallelism] multi_get: {device}");
         multi_gets.extend(multi_get_sweep(profile.clone(), device, cfg));
     }

@@ -21,8 +21,8 @@
 //!   the read win tracks how much of the get path the device owns.
 
 use crate::common::{
-    devices, label, mib, no_l0_throttle, picker, probe_table, ratio, us, vs_baseline, with_testbed,
-    BenchConfig, Row,
+    devices, label, mib, no_l0_throttle, picker, probe_table, ratio, us, with_testbed,
+    with_vs_first, BenchConfig, Row,
 };
 use crate::figures::Figure;
 use xlsm_core::experiment::Testbed;
@@ -46,15 +46,13 @@ fn kops(gets: OpTotals) -> f64 {
 
 /// Point-miss probe on one device, with SST whole-key and memtable blooms
 /// (`filters`) or neither. Every `*_one` below returns its row and the value
-/// its pair divides by; the baseline of a pair runs first and is handed to
-/// the other (`None` for the baseline itself). Here the filterless run comes
-/// before the one with blooms, which is given its miss throughput.
+/// `run` compares with its pair's baseline: here the miss throughput, whose
+/// baseline is the filterless run.
 fn point_miss_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     filters: bool,
-    none_kops: Option<f64>,
 ) -> (Row, f64) {
     let cfg = *cfg;
     let bits = if filters { 10 } else { 0 };
@@ -67,9 +65,6 @@ fn point_miss_one(
         })
     };
     with_testbed(profile, opts, &cfg, move |tb| {
-        tb.db.flush().expect("flush");
-        tb.db.wait_for_compactions();
-
         // Finding #2 geometry: defer compactions and overwrite disjoint
         // key slices, flushing each — every flush adds one full-range L0
         // file a miss must consult.
@@ -124,20 +119,18 @@ fn point_miss_one(
                 "memtable_bloom_useful",
                 (stats.ticker(Ticker::MemtableBloomUseful) - mbloom0).to_string(),
             ),
-            ("speedup_vs_none", f(vs_baseline(miss_kops, none_kops), 3)),
         ];
         (row, miss_kops)
     })
 }
 
-/// Compression probe on one device with one codec; `plain_sst_mb` is the
-/// on-disk size of the uncompressed run.
+/// Compression probe on one device with one codec; the value returned is
+/// the on-disk size, whose baseline is the uncompressed run's.
 fn compression_one(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     codec: CompressionType,
-    plain_sst_mb: Option<f64>,
 ) -> (Row, f64) {
     let cfg = *cfg;
     Runtime::new().run(move || {
@@ -184,7 +177,6 @@ fn compression_one(
             ("device", device.into()),
             ("codec", codec.name().into()),
             ("sst_mb", f(sst_mb, 3)),
-            ("size_ratio", f(vs_baseline(sst_mb, plain_sst_mb), 3)),
             ("get_kops", f(kops(stats.gets.totals()), 3)),
             ("get_p50_us", f(us(lat.quantile(0.5)), 3)),
             ("get_p99_us", f(us(lat.quantile(0.99)), 3)),
@@ -207,24 +199,20 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     for profile in devices() {
         let device = label(&profile);
 
-        eprintln!("[readpath] point-miss: {device}, no filters");
-        let (none, none_kops) = point_miss_one(profile.clone(), device, cfg, false, None);
-        eprintln!("[readpath] point-miss: {device}, blooms on");
-        let (bloom, _) = point_miss_one(profile.clone(), device, cfg, true, Some(none_kops));
-        point_miss.extend([none, bloom]);
+        let misses = [false, true].map(|filters| {
+            let on = if filters { "blooms on" } else { "no filters" };
+            eprintln!("[readpath] point-miss: {device}, {on}");
+            point_miss_one(profile.clone(), device, cfg, filters)
+        });
+        // Last of 9.
+        point_miss.extend(with_vs_first(misses.into(), 8, "speedup_vs_none"));
 
-        eprintln!("[readpath] compression: {device}, none");
-        let (plain, plain_mb) =
-            compression_one(profile.clone(), device, cfg, CompressionType::None, None);
-        eprintln!("[readpath] compression: {device}, rle");
-        let (rle, _) = compression_one(
-            profile.clone(),
-            device,
-            cfg,
-            CompressionType::Rle,
-            Some(plain_mb),
-        );
-        compression.extend([plain, rle]);
+        let sizes = [CompressionType::None, CompressionType::Rle].map(|codec| {
+            eprintln!("[readpath] compression: {device}, {}", codec.name());
+            compression_one(profile.clone(), device, cfg, codec)
+        });
+        // After sst_mb: 4th of 8.
+        compression.extend(with_vs_first(sizes.into(), 3, "size_ratio"));
     }
     vec![
         probe_table("readpath_point_miss", cfg, &[], point_miss),

@@ -24,7 +24,7 @@
 //! committed `results/quick/space.tsv`).
 
 use crate::common::{
-    devices, label, mib, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig, Row,
+    devices, label, mib, probe_table, ratio, us, with_testbed, with_vs_first, BenchConfig, Row,
 };
 use crate::figures::Figure;
 use std::sync::Arc;
@@ -73,14 +73,13 @@ fn cap_bytes(cfg: &BenchConfig) -> u64 {
 }
 
 /// Runs one (device, rate) point in its own sim runtime and returns its row
-/// with its get p99 (µs) — the first point of a device is the inline
-/// baseline the later ones are divided by.
+/// with its get p99 (µs), which `run` compares with the same device's
+/// inline baseline.
 fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     rate: u64,
-    inline_p99_us: Option<f64>,
 ) -> (Row, f64) {
     let cfg = *cfg;
     with_testbed(
@@ -88,8 +87,6 @@ fn run_point(
         move || churn_geometry(&cfg, rate),
         &cfg,
         move |tb| {
-            tb.db.flush().expect("fill flush");
-            tb.db.wait_for_compactions();
             // Counters from here on cover exactly the measured churn window.
             let trashed0 = tb.db.stats().ticker(Ticker::TrashQueueBytes);
             let reclaimed0 = tb.db.stats().ticker(Ticker::SpaceReclaimedBytes);
@@ -151,10 +148,6 @@ fn run_point(
                     "compactions_deferred",
                     stats.ticker(Ticker::SpaceCompactionsDeferred).to_string(),
                 ),
-                (
-                    "get_p99_vs_inline",
-                    f(vs_baseline(get_p99_us, inline_p99_us), 3),
-                ),
             ];
             (row, get_p99_us)
         },
@@ -167,13 +160,12 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let mut inline_p99_us = None;
-        for rate in RATES {
+        let rates = RATES.map(|rate| {
             eprintln!("[space] {device}: rate {}", rate_label(rate));
-            let (row, p99_us) = run_point(profile.clone(), device, cfg, rate, inline_p99_us);
-            inline_p99_us.get_or_insert(p99_us);
-            points.push(row);
-        }
+            run_point(profile.clone(), device, cfg, rate)
+        });
+        // Last of 15.
+        points.extend(with_vs_first(rates.into(), 14, "get_p99_vs_inline"));
     }
     let config = [
         ("cap_mib", f(mib(cap_bytes(cfg)), 1)),

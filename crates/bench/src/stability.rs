@@ -30,7 +30,7 @@
 //! `results/quick/stability.tsv`).
 
 use crate::common::{
-    devices, label, probe_table, ratio, us, vs_baseline, with_testbed, BenchConfig, Row,
+    devices, label, probe_table, ratio, us, with_testbed, with_vs_first, BenchConfig, Row,
 };
 use crate::figures::Figure;
 use std::sync::Arc;
@@ -88,9 +88,9 @@ pub const POLICIES: [Policy; 4] = [
     }),
 ];
 
-/// What the `*_vs_greedy` columns of a device's later points divide by.
-#[derive(Clone, Copy)]
-struct Baseline {
+/// What the `*_vs_greedy` columns compare, each with the same device's
+/// greedy point.
+struct Measured {
     kops: f64,
     ep_p99_ms: f64,
     cv: f64,
@@ -145,15 +145,13 @@ fn burst_spec(cfg: &BenchConfig) -> WorkloadSpec {
     }
 }
 
-/// Runs one (device, policy) point in its own sim runtime. `greedy` is the
-/// same device's greedy point, `None` while this is it.
+/// Runs one (device, policy) point in its own sim runtime.
 fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     (policy, apply): Policy,
-    greedy: Option<Baseline>,
-) -> (Row, Baseline) {
+) -> (Row, Measured) {
     let cfg = *cfg;
     let opts = move || {
         let mut opts = stall_geometry();
@@ -183,7 +181,7 @@ fn run_point(
             buckets.iter().map(|k| (k - mean).powi(2)).sum::<f64>() / buckets.len().max(1) as f64;
         let cv = ratio(var.sqrt(), mean);
 
-        let own = Baseline {
+        let own = Measured {
             kops: r.kops(),
             ep_p99_ms: ms(quantile_ns(&eps, 0.99)),
             cv,
@@ -211,25 +209,12 @@ fn run_point(
             let within = eps.iter().filter(|&&e| e <= limit_ms * 1_000_000).count();
             (column, f(ratio(within as f64, eps.len() as f64), 3))
         }));
-        row.extend([
-            // Time background jobs waited on the shared I/O budget (0 for
-            // policies that leave the limiter off).
-            (
-                "bg_io_wait_ms",
-                f(stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6, 3),
-            ),
-            (
-                "kops_vs_greedy",
-                f(vs_baseline(own.kops, greedy.map(|g| g.kops)), 3),
-            ),
-            // < 1.0 = shorter stalls.
-            (
-                "ep_p99_vs_greedy",
-                f(vs_baseline(own.ep_p99_ms, greedy.map(|g| g.ep_p99_ms)), 3),
-            ),
-            // < 1.0 = steadier.
-            ("cv_vs_greedy", f(vs_baseline(cv, greedy.map(|g| g.cv)), 3)),
-        ]);
+        // Time background jobs waited on the shared I/O budget (0 for
+        // policies that leave the limiter off).
+        row.push((
+            "bg_io_wait_ms",
+            f(stats.ticker(Ticker::BgIoThrottledNs) as f64 / 1e6, 3),
+        ));
         (row, own)
     })
 }
@@ -240,13 +225,31 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
     let mut points = Vec::new();
     for profile in devices() {
         let device = label(&profile);
-        let mut greedy = None;
-        for policy in POLICIES {
-            eprintln!("[stability] {device}: {}", policy.0);
-            let (row, own) = run_point(profile.clone(), device, cfg, policy, greedy);
-            greedy.get_or_insert(own);
-            points.push(row);
+        let (mut rows, own): (Vec<Row>, Vec<Measured>) = POLICIES
+            .into_iter()
+            .map(|policy| {
+                eprintln!("[stability] {device}: {}", policy.0);
+                run_point(profile.clone(), device, cfg, policy)
+            })
+            .unzip();
+        let vs_greedy = [
+            (
+                "kops_vs_greedy",
+                own.iter().map(|m| m.kops).collect::<Vec<_>>(),
+            ),
+            // < 1.0 = shorter stalls.
+            (
+                "ep_p99_vs_greedy",
+                own.iter().map(|m| m.ep_p99_ms).collect(),
+            ),
+            // < 1.0 = steadier.
+            ("cv_vs_greedy", own.iter().map(|m| m.cv).collect()),
+        ];
+        for (column, values) in vs_greedy {
+            let at = rows[0].len();
+            rows = with_vs_first(rows.into_iter().zip(values).collect(), at, column);
         }
+        points.extend(rows);
     }
     // Measured window per point, virtual seconds.
     let window_secs = f(cfg.duration.as_secs_f64() * 4.0, 1);

@@ -49,15 +49,13 @@ const OPS_PER_WRITER: usize = 256;
 const PUT_VALUE_SIZE: usize = 128;
 
 /// Runs one (device, writers, mode) point and returns its row with its put
-/// p99 (µs); a concurrent point is given the p99 of the serial point it is
-/// compared with (`None` for the serial point itself).
+/// p99 (µs), which `run` compares with the serial point's.
 fn run_point(
     profile: DeviceProfile,
     device: &'static str,
     cfg: &BenchConfig,
     writers: usize,
     concurrent: bool,
-    serial_p99_us: Option<f64>,
 ) -> (Row, f64) {
     // Lift the Algorithm-1 stall triggers and give the memtables some
     // slack: controller pacing and flush backpressure would otherwise
@@ -77,11 +75,9 @@ fn run_point(
         })
     };
     with_testbed(profile, opts, cfg, move |tb| {
-        tb.db.flush().expect("flush");
-        tb.db.wait_for_compactions();
+        // The fill left the window open on a settled database: its write
+        // record is the puts below.
         let stats = Arc::clone(tb.db.stats());
-        // Drop fill-time samples: the window's write record is the puts below.
-        stats.reset_window();
 
         let value = vec![b'w'; PUT_VALUE_SIZE];
         let mut handles = Vec::new();
@@ -119,13 +115,6 @@ fn run_point(
                 "concurrent_applies",
                 stats.ticker(Ticker::ConcurrentMemtableApplies).to_string(),
             ),
-            (
-                "p99_speedup_vs_serial",
-                f(
-                    serial_p99_us.map_or(1.0, |serial| ratio(serial, put_p99_us)),
-                    3,
-                ),
-            ),
         ];
         (row, put_p99_us)
     })
@@ -139,18 +128,15 @@ pub fn run(cfg: &BenchConfig) -> Vec<Figure> {
         let device = label(&profile);
         for writers in WRITERS {
             eprintln!("[writepath] {device}: {writers} writers, serial");
-            let (serial, serial_p99_us) =
-                run_point(profile.clone(), device, cfg, writers, false, None);
+            let (serial, serial_p99_us) = run_point(profile.clone(), device, cfg, writers, false);
             eprintln!("[writepath] {device}: {writers} writers, concurrent");
-            let (conc, _) = run_point(
-                profile.clone(),
-                device,
-                cfg,
-                writers,
-                true,
-                Some(serial_p99_us),
-            );
-            points.extend([serial, conc]);
+            let (conc, conc_p99_us) = run_point(profile.clone(), device, cfg, writers, true);
+            // The serial point is the baseline: 1 by construction.
+            let speedups = [1.0, ratio(serial_p99_us, conc_p99_us)];
+            for (mut row, speedup) in [serial, conc].into_iter().zip(speedups) {
+                row.push(("p99_speedup_vs_serial", f(speedup, 3)));
+                points.push(row);
+            }
         }
     }
     vec![probe_table("writepath_put_latency", cfg, &[], points)]

@@ -7,13 +7,13 @@ use crate::compaction::{pick_compaction, run_compaction, CompactionJob, Compacti
 use crate::costs::{self, EntryCharge};
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
+use crate::filenames::{numbered_files, sst_file_name, trash_file_name, LOG};
 use crate::integrity::verify_file_crc;
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
 use crate::options::DbOptions;
-use crate::recovery::parse_file_number;
 use crate::scheduler::BgIoPriority;
-use crate::sst::{sst_file_name, verify_table_file, TableBuilder, TableOptions, TableProperties};
+use crate::sst::{verify_table_file, TableBuilder, TableOptions, TableProperties};
 use crate::stats::Ticker;
 use crate::version::{FileMetaData, VersionEdit};
 use std::sync::atomic::Ordering;
@@ -219,19 +219,13 @@ impl DbInner {
     /// previously swallowed silently.
     pub(crate) fn purge_old_wals(&self) {
         let watermark = self.versions.log_number();
-        let prefix = format!("{}/", self.opts.db_path);
         let mut had_error = false;
-        for path in self.wal_fs.list(&prefix) {
-            if path[prefix.len()..].contains('/') {
-                continue; // files archived under lost/ are not ours to reap
-            }
-            if let Some(number) = parse_file_number(&path, ".log") {
-                if number < watermark {
-                    if let Err(e) = delete_if_exists(&self.wal_fs, &path) {
-                        had_error = true;
-                        self.stats.bump(Ticker::WalPurgeFailures);
-                        self.bg.fail(BackgroundOp::WalPurge, e.into(), 0);
-                    }
+        for (number, path) in numbered_files(&self.wal_fs, &self.opts.db_path, LOG) {
+            if number < watermark {
+                if let Err(e) = delete_if_exists(&self.wal_fs, &path) {
+                    had_error = true;
+                    self.stats.bump(Ticker::WalPurgeFailures);
+                    self.bg.fail(BackgroundOp::WalPurge, e.into(), 0);
                 }
             }
         }
@@ -593,11 +587,6 @@ impl DbInner {
             xlsm_sim::charge(Class::Backoff, backoff.max(1));
         }
     }
-}
-
-/// Where an obsolete SST lives between being trashed and being reaped.
-fn trash_file_name(db_path: &str, number: u64) -> String {
-    format!("{db_path}/trash/{number:06}.sst")
 }
 
 /// What a daemon waits for before its next step.

@@ -18,10 +18,11 @@
 
 use crate::costs::{self, EntryCharge};
 use crate::error::DbResult;
+use crate::filenames::sst_file_name;
 use crate::iterator::{InternalIterator, LevelIterator, MergingIterator};
 use crate::options::DbOptions;
 use crate::scheduler::{CompactionScheduler, LevelPicker};
-use crate::sst::{sst_file_name, TableBuilder, TableOptions};
+use crate::sst::{TableBuilder, TableOptions};
 use crate::stats::{DbStats, Ticker};
 use crate::table_cache::TableCache;
 use crate::types::{self, SequenceNumber, ValueType};

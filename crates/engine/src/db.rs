@@ -9,6 +9,7 @@ use crate::bgerror::{BackgroundOp, ErrorHandler};
 use crate::controller::{StallSignals, WriteController};
 use crate::costs;
 use crate::error::{DbError, DbResult};
+use crate::filenames;
 use crate::memtable::MemTable;
 use crate::options::DbOptions;
 use crate::recovery;
@@ -408,7 +409,7 @@ impl Db {
         opts.validate().map_err(DbError::InvalidArgument)?;
         let wal_fs = opts.wal_fs.clone().unwrap_or_else(|| Arc::clone(&fs));
         let db_path = opts.db_path.clone();
-        let existing = fs.exists(&format!("{db_path}/CURRENT"));
+        let existing = fs.exists(&filenames::current_file_name(&db_path));
         let versions = if existing {
             VersionSet::recover(Arc::clone(&fs), &db_path)?
         } else {

@@ -17,10 +17,11 @@
 use crate::crc32c;
 use crate::db::Db;
 use crate::error::{DbError, DbResult};
-use crate::sst::{sst_file_name, verify_table_file};
+use crate::filenames::{manifest_file_name, sst_file_name, wal_file_name};
+use crate::sst::verify_table_file;
 use crate::types::ValueType;
 use crate::version::FileMetaData;
-use crate::wal::{read_wal, wal_file_name};
+use crate::wal::read_wal;
 use xlsm_simfs::{FileHandle, FsError};
 
 /// Protection widths accepted by
@@ -219,7 +220,7 @@ impl Db {
         }
         // The MANIFEST is itself a log; reading it verifies every record's
         // framing CRC.
-        let manifest = crate::version::manifest_path(&inner.opts.db_path);
+        let manifest = manifest_file_name(&inner.opts.db_path);
         report.manifest_records = read_wal(&inner.fs, &manifest)?.len() as u64;
         Ok(report)
     }

@@ -71,6 +71,7 @@ pub mod costs;
 pub mod crc32c;
 pub mod db;
 pub mod error;
+mod filenames;
 pub mod histogram;
 pub mod integrity;
 pub mod iterator;

@@ -7,20 +7,15 @@ use crate::background::write_memtable_table;
 use crate::batch::WriteBatch;
 use crate::db::DbInner;
 use crate::error::{DbError, DbResult};
+use crate::filenames::{self, numbered_files, sst_file_name, LOG, TABLE};
 use crate::integrity;
 use crate::memtable::MemTable;
 use crate::options::{DbOptions, WalRecoveryMode};
-use crate::sst::sst_file_name;
 use crate::stats::{DbStats, Ticker};
 use crate::version::{FileMetaData, VersionEdit, VersionSet};
 use crate::wal::scan_wal;
 use std::sync::Arc;
 use xlsm_simfs::SimFs;
-
-pub(crate) fn parse_file_number(path: &str, suffix: &str) -> Option<u64> {
-    let name = path.rsplit('/').next()?;
-    name.strip_suffix(suffix)?.parse().ok()
-}
 
 /// A power cut between a file's creation and the durable MANIFEST record of
 /// its number leaves the file on disk with the recovered counter still
@@ -28,16 +23,11 @@ pub(crate) fn parse_file_number(path: &str, suffix: &str) -> Option<u64> {
 /// flush and fresh WAL never collide with a leftover the orphan sweep has
 /// yet to collect.
 pub(crate) fn reclaim_file_numbers(fs: &SimFs, wal_fs: &SimFs, versions: &VersionSet) {
-    let prefix = format!("{}/", versions.db_path());
-    for path in fs.list(&prefix) {
-        if let Some(n) = parse_file_number(&path, ".sst") {
-            versions.mark_file_number_used(n);
-        }
-    }
-    for path in wal_fs.list(&prefix) {
-        if let Some(n) = parse_file_number(&path, ".log") {
-            versions.mark_file_number_used(n);
-        }
+    let db_path = versions.db_path();
+    let tables = numbered_files(fs, db_path, TABLE);
+    let logs = numbered_files(wal_fs, db_path, LOG);
+    for (n, _) in tables.into_iter().chain(logs) {
+        versions.mark_file_number_used(n);
     }
 }
 
@@ -55,14 +45,8 @@ pub(crate) fn replay_wals(
     opts: &DbOptions,
     stats: &DbStats,
 ) -> DbResult<Arc<MemTable>> {
-    let prefix = format!("{}/", versions.db_path());
-    let mut recovered: Vec<(u64, String)> = wal_fs
-        .list(&prefix)
-        .into_iter()
-        .filter_map(|p| parse_file_number(&p, ".log").map(|n| (n, p)))
-        .filter(|(n, _)| *n >= versions.log_number())
-        .collect();
-    recovered.sort();
+    let mut recovered = numbered_files(wal_fs, versions.db_path(), LOG);
+    recovered.retain(|(n, _)| *n >= versions.log_number());
     let mode = opts.wal_recovery_mode;
     let recovery_mem = MemTable::with_options(0, 0, 1, opts.protection_bytes_per_key > 0);
     let mut max_seq = versions.last_sequence();
@@ -209,10 +193,8 @@ pub(crate) fn flush_recovered(
 /// delete them inline when the reaper is disabled — so every trashed file
 /// is reclaimed exactly once and never resurrected.
 pub(crate) fn sweep_trash(inner: &DbInner) {
-    let trash_prefix = format!("{}/trash/", inner.opts.db_path);
-    let mut pending: Vec<String> = inner.fs.list(&trash_prefix);
-    pending.sort();
-    for path in pending {
+    let trash = filenames::trash_dir(&inner.opts.db_path);
+    for (_, path) in numbered_files(&inner.fs, &trash, TABLE) {
         let bytes = match inner.fs.open(&path) {
             Ok(f) => f.len(),
             Err(_) => 0,
@@ -232,13 +214,9 @@ pub(crate) fn sweep_trash(inner: &DbInner) {
 /// with the steady state.
 pub(crate) fn sweep_orphans(inner: &DbInner) {
     let live = inner.versions.live_files();
-    let prefix = format!("{}/", inner.opts.db_path);
-    let orphans: Vec<u64> = inner
-        .fs
-        .list(&prefix)
+    let orphans: Vec<u64> = numbered_files(&inner.fs, &inner.opts.db_path, TABLE)
         .into_iter()
-        .filter(|p| !p[prefix.len()..].contains('/'))
-        .filter_map(|p| parse_file_number(&p, ".sst"))
+        .map(|(n, _)| n)
         .filter(|n| !live.contains(n))
         .collect();
     if !orphans.is_empty() {
@@ -335,7 +313,8 @@ mod tests {
                 .list("db/")
                 .into_iter()
                 .filter_map(|p| {
-                    parse_file_number(&p, ".sst").or_else(|| parse_file_number(&p, ".log"))
+                    filenames::parse_file_number(&p, TABLE)
+                        .or_else(|| filenames::parse_file_number(&p, LOG))
                 })
                 .max()
                 .unwrap();
@@ -352,6 +331,33 @@ mod tests {
                     Some(b"walv".to_vec())
                 );
             }
+            db2.close();
+        });
+    }
+
+    /// Replay lists the top level of the database directory only: a valid
+    /// log archived under `lost/`, numbered above the watermark and
+    /// continuing the live log's sequence, is not replayed.
+    #[test]
+    fn a_log_under_lost_is_not_replayed() {
+        Runtime::new().run(|| {
+            let (db, fs) = open_db(small_opts());
+            db.put(b"live", b"1").unwrap(); // sequence 1, in the live log
+            db.close();
+            let lost = filenames::lost_file_name("db", 900_000, LOG);
+            let archive = lost.rsplit_once('/').unwrap().0;
+            let w = WalWriter::create(&fs, archive, 900_000, 0).unwrap();
+            let mut batch = WriteBatch::new();
+            batch.put(b"ghost", b"2");
+            batch.set_sequence(2);
+            w.append(batch.data(), true).unwrap();
+            w.seal().unwrap();
+            drop(w);
+            let db2 = Db::open(Arc::clone(&fs), small_opts()).unwrap();
+            assert_eq!(db2.get(b"live").unwrap(), Some(b"1".to_vec()));
+            assert_eq!(db2.get(b"ghost").unwrap(), None, "replayed {lost}");
+            assert_eq!(db2.stats().ticker(Ticker::WalRecoveredRecords), 1);
+            assert!(fs.exists(&lost), "the archive is left where repair put it");
             db2.close();
         });
     }
@@ -411,7 +417,7 @@ mod tests {
             .unwrap()
             .records;
         assert_eq!(records.len(), 3, "one record per serial put");
-        let number = parse_file_number(&log, ".log").unwrap();
+        let number = filenames::parse_file_number(&log, LOG).unwrap();
         fs.delete(&log).unwrap();
         let w = WalWriter::create(&fs, "db", number, 0).unwrap();
         for (i, rec) in records.iter().enumerate() {

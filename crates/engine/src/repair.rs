@@ -28,14 +28,14 @@ use crate::background::write_memtable_table;
 use crate::batch::WriteBatch;
 use crate::cache::BlockCache;
 use crate::error::{DbError, DbResult};
+use crate::filenames::{self, numbered_files, LOG, TABLE};
 use crate::iterator::InternalIterator;
 use crate::memtable::MemTable;
 use crate::options::{DbOptions, WalRecoveryMode};
-use crate::recovery::parse_file_number;
-use crate::sst::{sst_file_name, TableReader};
+use crate::sst::TableReader;
 use crate::stats::DbStats;
 use crate::types::parse_internal_key;
-use crate::version::{self, FileMetaData, VersionEdit};
+use crate::version::{FileMetaData, VersionEdit};
 use crate::wal::{frame_record, scan_wal};
 use std::sync::Arc;
 use xlsm_simfs::SimFs;
@@ -70,32 +70,16 @@ impl RepairReport {
     }
 }
 
-/// Moves `path` into `<db_path>/lost/`, replacing any previous archive of
-/// the same name; falls back to deletion so a failed rename can never
-/// leave the file where recovery would trip over it again.
-fn archive_file(fs: &Arc<SimFs>, db_path: &str, path: &str) {
-    let name = path.rsplit('/').next().unwrap_or(path);
-    let dest = format!("{db_path}/lost/{name}");
-    if fs.exists(&dest) {
-        let _ = fs.delete(&dest);
+/// Moves `path` to `dest`, its name under `<db>/lost/`, replacing any
+/// previous archive of the same name; falls back to deletion so a failed
+/// rename can never leave the file where recovery would trip over it again.
+fn archive_file(fs: &Arc<SimFs>, path: &str, dest: &str) {
+    if fs.exists(dest) {
+        let _ = fs.delete(dest);
     }
-    if fs.rename(path, &dest).is_err() {
+    if fs.rename(path, dest).is_err() {
         let _ = fs.delete(path);
     }
-}
-
-/// Top-level files under `db_path` ending in `suffix`, as
-/// `(file_number, path)` sorted by number.
-fn numbered_files(fs: &Arc<SimFs>, db_path: &str, suffix: &str) -> Vec<(u64, String)> {
-    let prefix = format!("{db_path}/");
-    let mut out: Vec<(u64, String)> = fs
-        .list(&prefix)
-        .into_iter()
-        .filter(|p| !p[prefix.len()..].contains('/'))
-        .filter_map(|p| parse_file_number(&p, suffix).map(|n| (n, p)))
-        .collect();
-    out.sort();
-    out
 }
 
 /// Rebuilds the MANIFEST of the database at `opts.db_path` from surviving
@@ -116,7 +100,7 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
     let mut max_number = 0u64;
 
     // 1. Salvage surviving tables.
-    for (number, path) in numbered_files(&fs, db_path, ".sst") {
+    for (number, path) in numbered_files(&fs, db_path, TABLE) {
         max_number = max_number.max(number);
         match read_table_meta(&fs, &path, number, &cache, &scratch_stats) {
             Ok((meta, file_max_seq)) => {
@@ -127,18 +111,19 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
             Err(e) if e.is_retryable() => return Err(e),
             Err(_) => {
                 report.ssts_discarded += 1;
-                archive_file(&fs, db_path, &path);
+                let lost = filenames::lost_file_name(db_path, number, TABLE);
+                archive_file(&fs, &path, &lost);
             }
         }
     }
 
     // 2. Salvage surviving logs into fresh tables.
-    let logs = numbered_files(&wal_fs, db_path, ".log");
+    let logs = numbered_files(&wal_fs, db_path, LOG);
     for (number, _) in &logs {
         max_number = max_number.max(*number);
     }
     let mut next_file = max_number + 1;
-    for (_, path) in &logs {
+    for (number, path) in &logs {
         let scan = scan_wal(&wal_fs, path, WalRecoveryMode::SkipAnyCorruptedRecords)?;
         let mem = MemTable::new(0);
         let mut salvaged = 0u64;
@@ -155,15 +140,16 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
                 .max(batch.sequence() + batch.count() as u64 - 1);
         }
         if !mem.is_empty() {
-            let number = next_file;
+            let table = next_file;
             next_file += 1;
-            let path = sst_file_name(db_path, number);
-            let props = write_memtable_table(&fs, &path, opts, &mem, 0)?;
-            metas.push(FileMetaData::from_props(number, props));
+            let table_path = filenames::sst_file_name(db_path, table);
+            let props = write_memtable_table(&fs, &table_path, opts, &mem, 0)?;
+            metas.push(FileMetaData::from_props(table, props));
             report.logs_converted += 1;
             report.wal_records_salvaged += salvaged;
         }
-        archive_file(&wal_fs, db_path, path);
+        let lost = filenames::lost_file_name(db_path, *number, LOG);
+        archive_file(&wal_fs, path, &lost);
         report.logs_archived += 1;
     }
 
@@ -197,23 +183,19 @@ pub fn repair_db(fs: Arc<SimFs>, opts: &DbOptions) -> DbResult<RepairReport> {
 
     // 4. Write the fresh manifest to a scratch name, sync, swap, then
     //    point CURRENT at it.
-    let scratch = format!("{db_path}/{}.repair", version::MANIFEST_NAME);
+    let scratch = filenames::repair_manifest_file_name(db_path);
     if fs.exists(&scratch) {
         fs.delete(&scratch)?;
     }
     let manifest = fs.create(&scratch)?;
     manifest.append(&frame_record(&edit.encode()))?;
     manifest.sync()?;
-    let live = version::manifest_path(db_path);
+    let live = filenames::manifest_file_name(db_path);
     if fs.exists(&live) {
         fs.delete(&live)?;
     }
     fs.rename(&scratch, &live)?;
-    let current = version::current_path(db_path);
-    if fs.exists(&current) {
-        fs.delete(&current)?;
-    }
-    version::write_current(&fs, db_path)?;
+    filenames::write_current(&fs, db_path)?;
     Ok(report)
 }
 
@@ -368,7 +350,7 @@ mod tests {
             // Plant one flipped bit in the middle of the first table — deep
             // inside a data block, far from the footer. (SimFs has no
             // write-at-offset, so at-rest damage = rewrite the file.)
-            let victim = numbered_files(&fs, "db", ".sst")[0].1.clone();
+            let victim = numbered_files(&fs, "db", TABLE)[0].1.clone();
             let handle = fs.open(&victim).unwrap();
             let len = handle.len();
             let mut bytes = handle.read_at(0, len as usize).unwrap();

@@ -46,24 +46,16 @@ pub use reader::{
     READAHEAD_BYTES,
 };
 
+pub use crate::filenames::sst_file_name;
+
 use crate::coding::*;
 use crate::error::{DbError, DbResult};
+use crate::filenames::sst_label;
 use index::{FlatIndex, IndexBuilder};
 use xlsm_simfs::FileHandle;
 
 const FOOTER_SIZE: usize = 6 * 8 + 4 + 8; // offsets + crc32 + magic
 const MAGIC: u64 = 0x584c_534d_5353_5431; // "XLSMSST1"
-
-/// SST file names: `<db>/<number>.sst`.
-pub fn sst_file_name(db_path: &str, number: u64) -> String {
-    format!("{db_path}/{number:06}.sst")
-}
-
-/// Display name for corruption attribution (`<number>.sst`, no directory —
-/// readers don't carry the db path).
-fn table_display_name(file_number: u64) -> String {
-    format!("{file_number:06}.sst")
-}
 
 /// Where a meta block sits: `(offset, payload length)`. Its frame is four
 /// bytes longer (the trailing CRC).
@@ -95,7 +87,7 @@ impl Footer {
     /// Reads and checks the footer of `file`, telling `pacer` how many
     /// bytes the read took. Every handle it returns lies inside the file.
     fn read(file: &FileHandle, file_number: u64, pacer: &mut dyn FnMut(u64)) -> DbResult<Footer> {
-        let name = || table_display_name(file_number);
+        let name = || sst_label(file_number);
         let Some(footer_off) = file.len().checked_sub(FOOTER_SIZE as u64) else {
             return Err(DbError::corruption_in(name(), "file smaller than footer"));
         };
@@ -132,7 +124,7 @@ impl Footer {
 }
 
 #[cfg(test)]
-fn test_fs() -> std::sync::Arc<xlsm_simfs::SimFs> {
+pub(crate) fn test_fs() -> std::sync::Arc<xlsm_simfs::SimFs> {
     xlsm_simfs::SimFs::new(
         xlsm_device::SimDevice::shared(xlsm_device::profiles::optane_900p()),
         xlsm_simfs::FsOptions::default(),

@@ -3,12 +3,13 @@
 //! the CRC-only pass the scrubber makes.
 
 use super::block::{check_frame, decode_framed};
-use super::{table_display_name, FlatIndex, Footer, MetaHandle, TableProperties};
+use super::{FlatIndex, Footer, MetaHandle, TableProperties};
 use crate::bloom::BloomFilter;
 use crate::cache::{Block, BlockCache, Entry};
 use crate::coding::*;
 use crate::costs;
 use crate::error::{DbError, DbResult};
+use crate::filenames::sst_label;
 use crate::iterator::InternalIterator;
 use crate::stats::{DbStats, Ticker};
 use crate::types::{self, KeyBuf, SequenceNumber, ValueType};
@@ -68,9 +69,7 @@ fn read_meta_block(
 ) -> DbResult<Vec<u8>> {
     let mut framed = file.read_at(off, len as usize + 4)?;
     let payload_len = check_frame(&framed)
-        .map_err(|why| {
-            DbError::corruption_at(table_display_name(file_number), off, format!("meta {why}"))
-        })?
+        .map_err(|why| DbError::corruption_at(sst_label(file_number), off, format!("meta {why}")))?
         .len();
     framed.truncate(payload_len);
     pacer(len + 4);
@@ -92,7 +91,7 @@ fn read_meta(file: &FileHandle, file_number: u64, pacer: &mut dyn FnMut(u64)) ->
     let footer = Footer::read(file, file_number, pacer)?;
     let index_raw = read_meta_block(file, file_number, footer.index, pacer)?;
     let index = FlatIndex::decode(&index_raw, file.len())
-        .map_err(|e| attribute(table_display_name(file_number), footer.index.0, e))?;
+        .map_err(|e| attribute(sst_label(file_number), footer.index.0, e))?;
     let filter = if footer.filter.1 > 0 {
         Some(read_meta_block(file, file_number, footer.filter, pacer)?)
     } else {
@@ -133,7 +132,7 @@ pub fn verify_table_file(
         let framed = file.read_at(off, size as usize)?;
         pacer(size);
         check_frame(&framed)
-            .map_err(|why| DbError::corruption_at(table_display_name(file_number), off, why))?;
+            .map_err(|why| DbError::corruption_at(sst_label(file_number), off, why))?;
     }
     Ok(file.len())
 }
@@ -230,7 +229,7 @@ impl TableReader {
     /// file and that offset in any corruption error.
     fn decode_at(&self, bytes: FileBytes, off: u64, stats: &DbStats) -> DbResult<Block> {
         decode_framed(bytes, Some(stats))
-            .map_err(|e| attribute(table_display_name(self.file_number), off, e))
+            .map_err(|e| attribute(sst_label(self.file_number), off, e))
     }
 
     /// Loads block `i` through the cache, charging read + decode costs.

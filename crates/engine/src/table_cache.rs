@@ -3,9 +3,10 @@
 
 use crate::cache::{BlockCache, Lru};
 use crate::costs;
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
+use crate::filenames::sst_file_name;
 use crate::integrity;
-use crate::sst::{sst_file_name, TableReader};
+use crate::sst::TableReader;
 use crate::version::FileMetaData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,19 +82,12 @@ impl TableCache {
             return Ok(r);
         }
         xlsm_sim::sync::add(&self.misses, 1);
-        let file = self.fs.open(&sst_file_name(&self.db_path, meta.number))?;
-        if self.paranoid_file_checks {
-            if let Some(expected) = meta.file_crc {
-                let actual = integrity::file_crc32c(&file, &mut |_| {})?;
-                if actual != expected {
-                    return Err(DbError::corruption_in(
-                        sst_file_name(&self.db_path, meta.number),
-                        format!(
-                            "whole-file checksum mismatch at open: \
-                             manifest {expected:#010x}, disk {actual:#010x}"
-                        ),
-                    ));
-                }
+        let path = sst_file_name(&self.db_path, meta.number);
+        let file = self.fs.open(&path)?;
+        if let Some(expected) = meta.file_crc.filter(|_| self.paranoid_file_checks) {
+            let actual = integrity::file_crc32c(&file, &mut |_| {})?;
+            if actual != expected {
+                return Err(integrity::file_crc_mismatch(path, expected, actual));
             }
         }
         let reader = Arc::new(TableReader::open(

@@ -6,6 +6,7 @@
 
 use crate::coding::*;
 use crate::error::{DbError, DbResult};
+use crate::filenames;
 use crate::options::DbOptions;
 use crate::sst::TableProperties;
 use crate::types::{compare_internal, user_key};
@@ -375,9 +376,6 @@ pub fn apply_edit(base: &Version, edit: &VersionEdit) -> Version {
     Version { levels }
 }
 
-pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
-pub(crate) const CURRENT_NAME: &str = "CURRENT";
-
 /// Owns the current [`Version`], the manifest log, and the id/sequence
 /// counters.
 pub struct VersionSet {
@@ -408,24 +406,6 @@ impl fmt::Debug for VersionSet {
     }
 }
 
-pub(crate) fn manifest_path(db_path: &str) -> String {
-    format!("{db_path}/{MANIFEST_NAME}")
-}
-
-pub(crate) fn current_path(db_path: &str) -> String {
-    format!("{db_path}/{CURRENT_NAME}")
-}
-
-/// Writes CURRENT, naming the MANIFEST: durable, and holding only the page
-/// its bytes need.
-pub(crate) fn write_current(fs: &Arc<SimFs>, db_path: &str) -> DbResult<()> {
-    let current = fs.create(&current_path(db_path))?;
-    current.append(MANIFEST_NAME.as_bytes())?;
-    current.sync()?;
-    current.seal()?;
-    Ok(())
-}
-
 impl VersionSet {
     /// Creates a fresh database layout (empty manifest + CURRENT).
     ///
@@ -433,8 +413,8 @@ impl VersionSet {
     ///
     /// Filesystem errors.
     pub fn create_new(fs: Arc<SimFs>, db_path: &str) -> DbResult<VersionSet> {
-        let manifest = fs.create(&manifest_path(db_path))?;
-        write_current(&fs, db_path)?;
+        let manifest = fs.create(&filenames::manifest_file_name(db_path))?;
+        filenames::write_current(&fs, db_path)?;
         let vs = VersionSet {
             fs,
             db_path: db_path.to_owned(),
@@ -457,11 +437,7 @@ impl VersionSet {
     /// [`DbError::Corruption`] if the manifest is malformed, filesystem
     /// errors otherwise.
     pub fn recover(fs: Arc<SimFs>, db_path: &str) -> DbResult<VersionSet> {
-        let cur = fs.open(&current_path(db_path))?;
-        let name = cur.read_at(0, cur.len() as usize)?;
-        let name =
-            String::from_utf8(name).map_err(|_| DbError::Corruption("CURRENT not utf-8".into()))?;
-        let mpath = format!("{db_path}/{name}");
+        let mpath = filenames::read_current(&fs, db_path)?;
         let records = wal::read_wal(&fs, &mpath)?;
         let mut version = Version::empty(NUM_LEVELS);
         let mut next_file = 1u64;

@@ -10,15 +10,11 @@ use crate::coding::get_fixed32;
 use crate::costs;
 use crate::crc32c;
 use crate::error::{DbError, DbResult};
+pub use crate::filenames::wal_file_name;
 use crate::options::WalRecoveryMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xlsm_sim::Class;
 use xlsm_simfs::{FileHandle, FsError, SimFs};
-
-/// WAL file names: `<db>/<number>.log`.
-pub fn wal_file_name(db_path: &str, number: u64) -> String {
-    format!("{db_path}/{number:06}.log")
-}
 
 /// Appends records to one WAL file.
 #[derive(Debug)]

@@ -131,6 +131,19 @@ if [[ -n $pickers ]]; then
     echo "a second caller of pick_compaction or compact_one: the picker assumes one compaction at a time" >&2
     exit 1
 fi
+# The database directory has one owner (DESIGN.md §2): crates/engine/src/filenames.rs
+# names, parses and lists every file under <db>/. No other product code under
+# crates/engine/src (above a file's first top-level #[cfg(test)]; comment
+# lines skipped) spells a database file name.
+paths=$(find crates/engine/src -name '*.rs' ! -path crates/engine/src/filenames.rs -exec awk '
+    /^#\[cfg\(test\)\]/ { nextfile }
+    /^[[:space:]]*\/\// { next }
+    /\.sst"|\.log"|\/trash\/|\/lost\/|CURRENT"|MANIFEST|\.repair/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [[ -n $paths ]]; then
+    echo "$paths"
+    echo "a database file name spelled outside filenames.rs: name it there" >&2
+    exit 1
+fi
 # A case study is logic the engine lacks, not a spelling of its options: the
 # options are set where the experiment runs, so no DbOptions in the product
 # code of crates/core/src/casestudy (above a file's first top-level #[cfg(test)]).
